@@ -237,6 +237,13 @@ class ConcurrentTree:
     def window_lookup(self, t: Time, w: Time) -> Any:
         return self._guarded(False, "mlookup", self.tree.window_lookup, t, w)
 
+    @property
+    def height(self) -> int:
+        # Walks the leftmost path over the store's live nodes, which a
+        # writer may be restructuring: shared lock, like any other read.
+        with self.lock.read_locked(self.read_timeout):
+            return self.tree.height
+
     # ------------------------------------------------------------------
     # Writes (exclusive)
     # ------------------------------------------------------------------
@@ -251,7 +258,7 @@ class ConcurrentTree:
 
     # ------------------------------------------------------------------
     def __getattr__(self, name: str) -> Any:
-        # Read-only passthrough for introspection (height, spec, ...).
+        # Read-only passthrough for introspection (spec, kind, ...).
         # Guard against infinite recursion when ``self.tree`` does not
         # exist yet: ``copy.copy`` / ``pickle`` probe dunder methods on a
         # blank instance *before* ``__init__`` runs, and a plain

@@ -26,6 +26,7 @@ the same code runs in memory or on disk pages.
 from __future__ import annotations
 
 import bisect
+import functools
 from typing import Any, Iterator, List, Optional, Tuple, Union
 
 from ..obs import observed
@@ -46,6 +47,26 @@ def as_interval(interval: IntervalLike) -> Interval:
         return interval
     start, end = interval
     return Interval(start, end)
+
+
+def _reverting(method):
+    """Make a mutating method leave no unwritten node changes on failure.
+
+    ``_insert`` adjusts interior values before it descends and writes the
+    node afterwards; over a store that hands out live nodes, a failure in
+    between (a value the page codec rejects, an I/O error) would leave
+    those adjustments visible to later reads.
+    """
+
+    @functools.wraps(method)
+    def wrapper(self, *args, **kwargs):
+        try:
+            return method(self, *args, **kwargs)
+        except BaseException:
+            self.store.revert_unwritten()
+            raise
+
+    return wrapper
 
 
 class SBTree:
@@ -215,10 +236,9 @@ class SBTree:
         self, node: Node, lo: Time, hi: Time, query: Interval, carried: Any
     ) -> Iterator[Tuple[Any, Interval]]:
         acc = self.spec.acc
-        for i in range(node.interval_count):
+        # Intervals before the one holding query.start end at or before it.
+        for i in range(node.find(query.start), node.interval_count):
             a, b = node.bounds(i, lo, hi)
-            if b <= query.start:
-                continue
             if a >= query.end:
                 break
             value = acc(carried, node.values[i])
@@ -256,6 +276,7 @@ class SBTree:
         """Record the deletion of a base tuple (SUM/COUNT/AVG only)."""
         self.insert_effect(self.spec.negated_effect(value), interval)
 
+    @_reverting
     def insert_effect(self, effect: Any, interval: IntervalLike) -> None:
         """Apply a raw effect pair ``<effect, interval>`` (Section 3.3)."""
         interval = as_interval(interval)
@@ -274,12 +295,11 @@ class SBTree:
             self._apply_to_leaf(node, lo, hi, v, query)
             self.store.write(node)
             return
-        i = 0
+        # Intervals before the one holding query.start end at or before it
+        # and are untouched (values and u-values alike): start there.
+        i = node.find(query.start)
         while i < node.interval_count:
             a, b = node.bounds(i, lo, hi)
-            if b <= query.start:
-                i += 1
-                continue
             if a >= query.end:
                 break
             if node.uvalues is not None:
@@ -589,6 +609,7 @@ class SBTree:
     # Batch compaction (bmerge, Section 3.6) and bulk loading
     # ------------------------------------------------------------------
     @observed("compact")
+    @_reverting
     def compact(self, *, bulk: bool = False) -> None:
         """Rebuild the tree from its coalesced constant intervals.
 
@@ -623,6 +644,7 @@ class SBTree:
                 self._grow_root(root_node)
 
     @observed("bulk_load")
+    @_reverting
     def bulk_load(self, table: ConstantIntervalTable) -> None:
         """Replace the tree's contents with *table*, built bottom-up.
 

@@ -91,6 +91,15 @@ class NodeStore(abc.ABC):
     def node_count(self) -> int:
         """Return the number of live nodes."""
 
+    def revert_unwritten(self) -> None:
+        """Undo node mutations that were never passed to :meth:`write`.
+
+        Called by the trees when a mutating operation raises part-way, so
+        a failed update cannot leave half-applied values visible to later
+        reads.  A no-op by default: a store whose live nodes are the only
+        copy (``MemoryNodeStore``) has nothing to go back to.
+        """
+
     def close(self) -> None:
         """Release any underlying resources (no-op by default)."""
 

@@ -399,13 +399,12 @@ class ShardedTree:
         """Structural and routing statistics, one entry per shard."""
         shards = []
         for index, shard in enumerate(self.shards):
-            tree = shard.tree
             shards.append(
                 {
                     "index": index,
                     "range": [self.range_of(index).start, self.range_of(index).end],
-                    "height": tree.height,
-                    "nodes": tree.node_count(),
+                    "height": shard.height,
+                    "nodes": shard.tree.node_count(),
                     "pieces": self.pieces_applied[index],
                 }
             )

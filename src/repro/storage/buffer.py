@@ -8,6 +8,19 @@ semantics, which is what makes the paper's O(h)-pages-per-update claim
 measurable: repeated touches of the upper tree levels are absorbed by
 the pool.
 
+A frame holds the page's payload bytes and, while it is *dirty*, the
+*decoded object* those bytes were encoded from (for the node store: the
+live :class:`~repro.core.nodes.Node`), so re-reading a page of the
+current write set costs a dictionary lookup instead of a page decode.
+The pool never looks inside that object and never derives bytes from it:
+what reaches the pager on eviction or flush is always ``frame.payload``,
+the snapshot handed to :meth:`BufferPool.write`.  The object is dropped
+when its frame is written back (``flush``, eviction) or discarded: a
+clean frame is bytes only, and whoever reads it decodes it.  ``capacity``
+counts frames; a decoded 4 KB node holds roughly 4-5x the memory of its
+payload (three lists of boxed numbers), so decoded memory is bounded by
+the dirty set, not budgeted separately.
+
 The pool is internally synchronized: even a logically read-only tree
 operation *mutates* LRU recency state and may trigger an eviction, so
 concurrent readers (e.g. under :class:`repro.concurrent.ConcurrentTree`'s
@@ -19,11 +32,11 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict
+from typing import Any
 
 from .pager import Pager
 
-__all__ = ["BufferPool", "BufferStats"]
+__all__ = ["BufferPool", "BufferStats", "Frame"]
 
 
 @dataclass
@@ -57,12 +70,16 @@ class BufferStats:
         )
 
 
-class _Frame:
-    __slots__ = ("payload", "dirty")
+class Frame:
+    """One cached page: its payload and, while dirty, the object the
+    payload was encoded from (``None`` once the frame is clean)."""
 
-    def __init__(self, payload: bytes, dirty: bool) -> None:
+    __slots__ = ("payload", "dirty", "node")
+
+    def __init__(self, payload: bytes, dirty: bool, node: Any = None) -> None:
         self.payload = payload
         self.dirty = dirty
+        self.node = node
 
 
 class BufferPool:
@@ -74,50 +91,72 @@ class BufferPool:
         self.pager = pager
         self.capacity = capacity
         self.stats = BufferStats()
-        self._frames: "OrderedDict[int, _Frame]" = OrderedDict()
+        self._frames: "OrderedDict[int, Frame]" = OrderedDict()
         self._mutex = threading.Lock()
 
     # ------------------------------------------------------------------
-    def read(self, page_id: int) -> bytes:
-        """Return a page's payload, via the cache."""
+    def frame(self, page_id: int) -> Frame:
+        """Return a page's frame, fetching the page on a miss.
+
+        ``frame.node`` is the object last handed to :meth:`write` if the
+        frame is still dirty, else ``None``: decode ``frame.payload``.
+        """
         with self._mutex:
             frame = self._frames.get(page_id)
             if frame is not None:
                 self.stats.hits += 1
                 self._frames.move_to_end(page_id)
-                return frame.payload
+                return frame
             self.stats.misses += 1
-            payload = self.pager.read_page(page_id)
-            self._admit(page_id, _Frame(payload, dirty=False))
-            return payload
+            frame = Frame(self.pager.read_page(page_id), dirty=False)
+            self._admit(page_id, frame)
+            return frame
 
-    def write(self, page_id: int, payload: bytes) -> None:
-        """Record new contents for a page (write-back: no pager I/O yet)."""
+    def write(self, page_id: int, payload: bytes, node: Any) -> None:
+        """Record new contents for a page (write-back: no pager I/O yet).
+
+        *payload* is what will reach the pager; *node* is the decoded
+        object it was encoded from, kept until the frame is written back
+        (``None``: decode on every use).
+        """
         with self._mutex:
             frame = self._frames.get(page_id)
             if frame is not None:
                 frame.payload = payload
+                frame.node = node
                 frame.dirty = True
                 self._frames.move_to_end(page_id)
                 return
-            self._admit(page_id, _Frame(payload, dirty=True))
+            self._admit(page_id, Frame(payload, dirty=True, node=node))
 
     def discard(self, page_id: int) -> None:
-        """Drop a page from the pool without writing it back (page freed)."""
+        """Drop a page (payload and decoded object) without writing it back."""
         with self._mutex:
             self._frames.pop(page_id, None)
 
+    def drop_nodes(self) -> None:
+        """Forget every decoded object; payloads and dirty bits stay.
+
+        The next :meth:`frame` caller decodes the payload again, which
+        undoes whatever was done to an object since its last ``write``.
+        """
+        with self._mutex:
+            for frame in self._frames.values():
+                frame.node = None
+
     def flush(self) -> None:
-        """Write every dirty frame back to the pager."""
+        """Write every dirty frame back to the pager; they become clean,
+        bytes-only frames."""
         with self._mutex:
             for page_id, frame in self._frames.items():
                 if frame.dirty:
                     self.pager.write_page(page_id, frame.payload)
                     self.stats.dirty_writebacks += 1
                     frame.dirty = False
+                    frame.node = None
 
     # ------------------------------------------------------------------
-    def _admit(self, page_id: int, frame: _Frame) -> None:
+    def _admit(self, page_id: int, frame: Frame) -> None:
         while len(self._frames) >= self.capacity:
             # Write the victim back BEFORE dropping its frame: if the
             # pager raises (EIO, degraded mode), the dirty frame must

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Sequence
 
 from ..core.nodes import Node, NodeId
 from ..core.values import AggregateKind, AggregateSpec, spec_for
@@ -31,22 +31,38 @@ from ..core.values import AggregateKind, AggregateSpec, spec_for
 __all__ = ["NodeCodec", "NodeEncodingError"]
 
 _HEADER = struct.Struct("<BBH")
-_F64 = struct.Struct("<d")
-_I64 = struct.Struct("<q")
 
 _FLAG_LEAF = 1
 _FLAG_HAS_U = 2
+
+
+class _ArrayFormats(dict):
+    """``formats[n]`` packs or unpacks *n* little-endian items in one call.
+
+    One compiled :class:`struct.Struct` per count, built on first use; a
+    count is bounded by the u16 interval field, so the table is too.
+    """
+
+    def __init__(self, code: str) -> None:
+        super().__init__()
+        self._code = code
+
+    def __missing__(self, count: int) -> struct.Struct:
+        fmt = self[count] = struct.Struct("<%d%s" % (count, self._code))
+        return fmt
+
+
+_F64S = _ArrayFormats("d")
+_I64S = _ArrayFormats("q")
 
 
 class NodeEncodingError(RuntimeError):
     """Raised when a node cannot be encoded into (or decoded from) a page."""
 
 
-def _restore_int(x: float) -> Any:
+def _restore_ints(doubles: Sequence[float]) -> List[Any]:
     """Give whole-valued doubles back their int identity."""
-    if x == int(x):
-        return int(x)
-    return x
+    return [int(x) if x.is_integer() else x for x in doubles]
 
 
 class NodeCodec:
@@ -55,7 +71,8 @@ class NodeCodec:
     def __init__(self, spec: AggregateSpec, payload_size: int) -> None:
         self.spec = spec_for(spec)
         self.payload_size = payload_size
-        self._value_width = 16 if self.spec.kind is AggregateKind.AVG else 8
+        self._pairs = self.spec.kind is AggregateKind.AVG
+        self._value_width = 16 if self._pairs else 8
 
     # ------------------------------------------------------------------
     # Capacity derivation (how many intervals fit on a page)
@@ -79,25 +96,23 @@ class NodeCodec:
         return usable // per_interval - self._OVERFLOW_SLACK
 
     # ------------------------------------------------------------------
-    # Value encoding
+    # Value sections: one struct call for all j values of a node
     # ------------------------------------------------------------------
-    def _encode_value(self, value: Any) -> bytes:
-        if self.spec.kind is AggregateKind.AVG:
-            total, count = value
-            return _F64.pack(float(total)) + _F64.pack(float(count))
-        if value is None:
-            return _F64.pack(math.nan)
-        return _F64.pack(float(value))
+    def _pack_values(self, values: Sequence[Any]) -> bytes:
+        if self._pairs:
+            doubles = [x for total, count in values for x in (total, count)]
+        else:
+            doubles = [math.nan if v is None else v for v in values]
+        return _F64S[len(doubles)].pack(*doubles)
 
-    def _decode_value(self, raw: bytes, offset: int) -> Tuple[Any, int]:
-        if self.spec.kind is AggregateKind.AVG:
-            (total,) = _F64.unpack_from(raw, offset)
-            (count,) = _F64.unpack_from(raw, offset + 8)
-            return (_restore_int(total), _restore_int(count)), offset + 16
-        (x,) = _F64.unpack_from(raw, offset)
-        if math.isnan(x):
-            return None, offset + 8
-        return _restore_int(x), offset + 8
+    def _unpack_values(self, payload: bytes, offset: int, j: int) -> List[Any]:
+        if self._pairs:
+            flat = _restore_ints(_F64S[2 * j].unpack_from(payload, offset))
+            return list(zip(flat[0::2], flat[1::2]))
+        return [
+            None if x != x else int(x) if x.is_integer() else x  # NaN is NULL
+            for x in _F64S[j].unpack_from(payload, offset)
+        ]
 
     # ------------------------------------------------------------------
     # Node encoding
@@ -109,17 +124,20 @@ class NodeCodec:
         j = node.interval_count
         if j > 0xFFFF:
             raise NodeEncodingError("too many intervals for the u16 count field")
-        parts: List[bytes] = [_HEADER.pack(flags, 0, j)]
-        for t in node.times:
-            parts.append(_F64.pack(float(t)))
-        for v in node.values:
-            parts.append(self._encode_value(v))
-        if not node.is_leaf:
-            for c in node.children:
-                parts.append(_I64.pack(c))
-        if node.uvalues is not None:
-            for u in node.uvalues:
-                parts.append(self._encode_value(u))
+        try:
+            parts: List[bytes] = [
+                _HEADER.pack(flags, 0, j),
+                _F64S[len(node.times)].pack(*node.times),
+                self._pack_values(node.values),
+            ]
+            if not node.is_leaf:
+                parts.append(_I64S[len(node.children)].pack(*node.children))
+            if node.uvalues is not None:
+                parts.append(self._pack_values(node.uvalues))
+        except struct.error as exc:
+            raise NodeEncodingError(
+                f"node {node.node_id} holds a field that is not a number: {exc}"
+            ) from exc
         payload = b"".join(parts)
         if len(payload) > self.payload_size:
             raise NodeEncodingError(
@@ -129,31 +147,35 @@ class NodeCodec:
         return payload
 
     def decode(self, payload: bytes, node_id: NodeId) -> Node:
+        if len(payload) < _HEADER.size:
+            raise NodeEncodingError(
+                f"page {node_id}: {len(payload)}-byte payload has no node header"
+            )
         flags, _, j = _HEADER.unpack_from(payload, 0)
         is_leaf = bool(flags & _FLAG_LEAF)
         has_u = bool(flags & _FLAG_HAS_U)
+        time_count = max(0, j - 1)
+        children_size = 0 if is_leaf else 8 * j
+        values_size = self._value_width * j
+        needed = (
+            _HEADER.size + 8 * time_count + values_size + children_size
+            + (values_size if has_u else 0)
+        )
+        if needed > len(payload):
+            raise NodeEncodingError(
+                f"page {node_id} declares {j} intervals (flags {flags:#04x}): "
+                f"{needed} bytes, but the payload has {len(payload)}"
+            )
         offset = _HEADER.size
-        times: List[Any] = []
-        for _ in range(max(0, j - 1)):
-            (t,) = _F64.unpack_from(payload, offset)
-            times.append(_restore_int(t))
-            offset += 8
-        values: List[Any] = []
-        for _ in range(j):
-            value, offset = self._decode_value(payload, offset)
-            values.append(value)
+        times = _restore_ints(_F64S[time_count].unpack_from(payload, offset))
+        offset += 8 * time_count
+        values = self._unpack_values(payload, offset, j)
+        offset += values_size
         children: List[NodeId] = []
         if not is_leaf:
-            for _ in range(j):
-                (c,) = _I64.unpack_from(payload, offset)
-                children.append(c)
-                offset += 8
-        uvalues: Optional[List[Any]] = None
-        if has_u:
-            uvalues = []
-            for _ in range(j):
-                u, offset = self._decode_value(payload, offset)
-                uvalues.append(u)
+            children = list(_I64S[j].unpack_from(payload, offset))
+            offset += children_size
+        uvalues = self._unpack_values(payload, offset, j) if has_u else None
         return Node(
             node_id=node_id,
             is_leaf=is_leaf,

@@ -6,6 +6,40 @@ logical node access is one buffered page access; physical I/O happens on
 buffer misses and dirty evictions, exactly like a real disk index.
 
 Node ids are page ids, so child pointers serialize directly.
+
+**Live nodes.**  A *dirty* pool frame keeps the decoded :class:`Node`
+beside the page bytes, so re-reading a page of the current write set --
+the root and the right-edge path that every fact of a batch touches --
+is a pointer chase.  ``flush``, ``commit`` and eviction write the frame
+back and drop its node: a clean frame is bytes only, and ``read`` decodes
+it (one whole-array decode) into a node of the caller's own.  ``read``
+therefore hands out either the pool's *live* node -- the contract
+``MemoryNodeStore`` has always had -- or a private one, and callers must
+be correct for both:
+
+* a caller that mutates a node must ``write`` it before anyone reads the
+  page again; until then later ``read`` calls of a dirty page already see
+  the mutation while the page bytes do not, and a write-back forgets it;
+* readers sharing a store (``ReadWriteLock``'s shared side) may receive
+  the same object and must not mutate it;
+* a node held across a write-back or an eviction is detached, not
+  invalid: writing it makes the page dirty again, with that object; two
+  ``read`` calls either side of one return two objects;
+* an operation that raises between mutating a node and writing it must
+  not leave the mutation visible: the trees call ``revert_unwritten`` on
+  any failure, which forgets every decoded node so the next ``read``
+  decodes the payload again.  The pool then holds exactly what byte-only
+  frames would: the writes that completed before the failure, nothing of
+  the ones that did not (a rejected insert leaves the tree untouched).
+
+Decoded memory (roughly 4-5x a 4 KB payload per node) is bounded by the
+dirty set.  Keeping nodes in clean frames too makes warm lookups another
+~8x faster; CHANGES.md (PR 14) records why that half is not shipped yet.
+
+**Eager encode.**  ``write`` still serializes at once: a frame's payload
+is a snapshot taken at ``write()``, never re-derived from the live node,
+so eviction, ``flush`` and ``commit`` put the same bytes on disk in the
+same order whether or not the node was touched again since.
 """
 
 from __future__ import annotations
@@ -105,22 +139,29 @@ class PagedNodeStore(NodeStore):
             is_leaf=is_leaf,
             uvalues=[] if with_uvalues else None,
         )
-        self.buffer.write(page_id, self.codec.encode(node))
+        self.buffer.write(page_id, self.codec.encode(node), node)
         return node
 
     def read(self, node_id: NodeId) -> Node:
         self.stats.reads += 1
-        payload = self.buffer.read(node_id)
-        return self.codec.decode(payload, node_id)
+        frame = self.buffer.frame(node_id)
+        node = frame.node
+        if node is None:
+            node = self.codec.decode(frame.payload, node_id)
+        return node
 
     def write(self, node: Node) -> None:
         self.stats.writes += 1
-        self.buffer.write(node.node_id, self.codec.encode(node))
+        self.buffer.write(node.node_id, self.codec.encode(node), node)
 
     def free(self, node_id: NodeId) -> None:
         self.stats.frees += 1
         self.buffer.discard(node_id)
         self.pager.free_page(node_id)
+
+    def revert_unwritten(self) -> None:
+        """Forget every live node; payloads (the ``write`` snapshots) stay."""
+        self.buffer.drop_nodes()
 
     def get_root(self) -> Optional[NodeId]:
         return self.pager.get_root()

@@ -1,5 +1,6 @@
 """Tests for the concurrency layer: the RW lock and the tree wrapper."""
 
+import sys
 import threading
 import time
 
@@ -281,9 +282,12 @@ class TestLockTimeouts:
         assert blocked.wait(timeout=5)
         with pytest.raises(LockTimeout):
             tree.lookup(19)
+        with pytest.raises(LockTimeout):
+            tree.height  # walks live nodes: a read like any other
         release.set()
         thread.join(timeout=5)
         assert tree.lookup(19) == 2
+        assert tree.height == 1
 
 
 class TestConcurrentTree:
@@ -389,6 +393,67 @@ class TestConcurrentTree:
                     for i in range(50)
                 ]
             assert tree.to_table() == reference.instantaneous_table(facts, "count")
+
+    def test_readers_share_live_nodes_through_a_tiny_pool(self, tmp_path):
+        """Readers under the shared lock receive the pool's live nodes
+        (and race to decode the ones a 3-frame pool keeps evicting)
+        while a writer mutates those same objects under the exclusive
+        lock.  Every write covers the whole probed range with +1, so a
+        range query must differ from the preloaded table by one constant
+        on every row: a reader that saw a half-applied insert would not."""
+        from repro.storage import PagedNodeStore
+
+        probe = Interval(400, 2_600)
+        rounds = 150
+        with PagedNodeStore(
+            str(tmp_path / "live.sbt"), "sum", page_size=512, buffer_capacity=3
+        ) as store:
+            tree = ConcurrentTree(SBTree("sum", store, branching=5, leaf_capacity=6))
+            facts = [(i % 7 + 1, Interval(i * 9, i * 9 + 20)) for i in range(330)]
+            for value, interval in facts:
+                tree.insert(value, interval)
+            assert tree.height >= 4
+            before = tree.range_query(probe).rows
+            done = threading.Event()
+            torn, reads = [], [0] * 5
+
+            def reader(slot):
+                finished = False
+                while not finished:
+                    finished = done.is_set()  # one last look after the writer
+                    rows = tree.range_query(probe).rows
+                    shifts = {
+                        (after[0] - row[0], after[1] == row[1])
+                        for after, row in zip(rows, before)
+                    }
+                    if len(rows) != len(before) or len(shifts) != 1:
+                        torn.append(sorted(shifts))
+                    level = tree.lookup(1_000 + slot)
+                    if not 0 <= level - before_levels[slot] <= rounds:
+                        torn.append(level)
+                    reads[slot] += 1
+
+            before_levels = [tree.lookup(1_000 + slot) for slot in range(5)]
+            readers = [threading.Thread(target=reader, args=(k,)) for k in range(5)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for t in readers:
+                    t.start()
+                for _ in range(rounds):
+                    tree.insert(1, Interval(100, 2_900))
+                    time.sleep(0.001)  # writer preference would starve the readers
+                done.set()
+                for t in readers:
+                    t.join(timeout=60)
+            finally:
+                done.set()
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in readers)
+            assert not torn and min(reads) >= 5
+            facts += [(1, Interval(100, 2_900))] * rounds
+            assert tree.to_table() == reference.instantaneous_table(facts, "sum")
+            check_tree(tree.tree)
 
     def test_shared_lock_across_trees(self):
         """A dual-tree pair can share one lock for atomic updates."""

@@ -163,3 +163,75 @@ def test_range_queries_everywhere(seed):
         window = Interval(lo, lo + rng.randrange(1, 300))
         want = oracle.restrict(window).coalesce()
         assert tree.range_query(window).coalesce(tree.spec.eq) == want
+
+
+# ----------------------------------------------------------------------
+# Tiny buffer pools: live nodes through constant eviction
+# ----------------------------------------------------------------------
+def run_tiny_pool(tmp_path, kind, capacity, *, msb=False, seed=0):
+    """One stream into a memory tree and a paged tree whose pool holds
+    1-8 of its 75-120 pages, so nodes are evicted mid-operation, held
+    across evictions and re-admitted; every answer must agree, before
+    and after a close -> reopen."""
+    rng = random.Random(1000 * capacity + seed)
+    cls = MSBTree if msb else SBTree
+    path = str(tmp_path / f"{kind}-{capacity}.sbt")
+    store = PagedNodeStore(
+        path, kind, page_size=512, buffer_capacity=capacity, journaled=True
+    )
+    disk = cls(kind, store, branching=5, leaf_capacity=6)
+    memory = cls(kind, branching=5, leaf_capacity=6)
+    # Long facts would dominate a MIN/MAX tree down to a handful of nodes.
+    lengths = [1, 7, 60, 1_500] if disk.spec.invertible else [1, 7, 60]
+    live = []
+    for n in range(300):
+        if disk.spec.invertible and live and rng.random() < 0.2:
+            value, interval = live.pop(rng.randrange(len(live)))
+            for tree in (disk, memory):
+                tree.delete(value, interval)
+        else:
+            start = rng.randrange(0, 3_000)
+            # Quarters are exact in binary, so float sums match the oracle.
+            value = rng.choice([rng.randint(-9, 40), rng.randint(-36, 160) / 4])
+            interval = Interval(start, start + rng.choice(lengths))
+            live.append((value, interval))
+            for tree in (disk, memory):
+                tree.insert(value, interval)
+        if (n + 1) % 50 == 0:
+            store.commit()
+        if not disk.spec.invertible and (n + 1) % 120 == 0:
+            for tree in (disk, memory):
+                tree.compact()
+    assert disk.height >= 4 and disk.node_count() > 8 * capacity
+    instants = [rng.randrange(-10, 4_600) for _ in range(80)]
+
+    def answers(tree):
+        got = [tree.lookup(t) for t in instants]
+        got.append(tree.to_table())
+        got.append(tree.range_query(Interval(700, 1_900)))
+        if msb:
+            got.extend(tree.window_lookup(t, 250) for t in instants)
+        return got
+
+    expected = answers(memory)
+    assert expected[len(instants)] == reference.instantaneous_table(live, kind)
+    assert answers(disk) == expected
+    check_tree(disk)
+    assert disk.node_count() == memory.node_count()
+    store.close()
+    with PagedNodeStore(path, buffer_capacity=capacity) as reopened:
+        again = cls(store=reopened)
+        assert answers(again) == expected
+        check_tree(again)
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3, 8])
+@pytest.mark.parametrize("kind", ["sum", "count", "avg", "min", "max"])
+def test_tiny_pool_sbtree_matches_memory_tree(kind, capacity, tmp_path):
+    run_tiny_pool(tmp_path, kind, capacity)
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3, 8])
+@pytest.mark.parametrize("kind", ["min", "max"])
+def test_tiny_pool_msbtree_matches_memory_tree(kind, capacity, tmp_path):
+    run_tiny_pool(tmp_path, kind, capacity, msb=True)

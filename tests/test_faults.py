@@ -351,18 +351,18 @@ class TestBufferPoolEvictionFailure:
         p1 = pager.allocate_page()
         p2 = pager.allocate_page()
         pool = BufferPool(pager, capacity=1)
-        pool.write(p1, b"precious")
+        pool.write(p1, b"precious", None)
         inj = FaultInjector().fail_writes("data", times=None)
         pager.faults = inj
         # Admitting p2 must evict p1; the write-back fails with EIO.
         with pytest.raises(OSError):
-            pool.write(p2, b"newcomer")
+            pool.write(p2, b"newcomer", None)
         # The regression: the dirty victim must still be in the pool,
         # not popped-then-lost.
         assert p1 in pool._frames
         assert pool._frames[p1].dirty
         inj.disarm()
-        pool.write(p2, b"newcomer")  # eviction now succeeds
+        pool.write(p2, b"newcomer", None)  # eviction now succeeds
         pool.flush()
         assert pager.read_page(p1).rstrip(b"\x00") == b"precious"
         assert pager.read_page(p2).rstrip(b"\x00") == b"newcomer"
@@ -374,14 +374,14 @@ class TestBufferPoolEvictionFailure:
         p2 = pager.allocate_page()
         pager.write_page(p2, b"on-disk")
         pool = BufferPool(pager, capacity=1)
-        pool.write(p1, b"precious")
+        pool.write(p1, b"precious", None)
         inj = FaultInjector().fail_writes("data", times=None)
         pager.faults = inj
         with pytest.raises(OSError):
-            pool.read(p2)
+            pool.frame(p2)
         assert p1 in pool._frames and pool._frames[p1].dirty
         inj.disarm()
-        assert pool.read(p2).rstrip(b"\x00") == b"on-disk"
+        assert pool.frame(p2).payload.rstrip(b"\x00") == b"on-disk"
         pool.flush()
         assert pager.read_page(p1).rstrip(b"\x00") == b"precious"
         pager.close()

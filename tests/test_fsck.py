@@ -133,6 +133,20 @@ class TestFsckAudit:
         assert report.has("orphan-page")
         assert orphan in report.orphans
 
+    def test_count_inflated_node_is_undecodable(self, tmp_path):
+        # A checksummed page whose header declares more intervals than a
+        # page can hold: the codec's typed error becomes a finding.
+        path = tmp_path / "inflated.sbt"
+        make_tree_file(path)
+        root = read_header(str(path))["root"]
+        with Pager(str(path)) as pager:
+            payload = pager.read_page(root)
+            pager.write_page(root, payload[:2] + b"\xff\xff" + payload[4:])
+        report = fsck(str(path))
+        assert not report.ok
+        assert report.has("undecodable-node")
+        assert not report.has("bad-checksum")
+
     def test_truncated_file_detected(self, tmp_path):
         path = tmp_path / "trunc.sbt"
         page_count = make_tree_file(path)

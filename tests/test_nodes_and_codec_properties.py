@@ -1,6 +1,7 @@
 """Property tests for the node model and page codec."""
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,3 +131,146 @@ class TestCodecProperties:
         assert decoded.values == [3, 4.5]
         assert isinstance(decoded.values[0], int)
         assert isinstance(decoded.values[1], float)
+
+
+# ----------------------------------------------------------------------
+# Golden reference: the field-by-field codec the whole-array one replaced
+# ----------------------------------------------------------------------
+_REF_HEADER = struct.Struct("<BBH")
+_REF_F64 = struct.Struct("<d")
+_REF_I64 = struct.Struct("<q")
+
+
+def _ref_restore_int(x):
+    if x == int(x):
+        return int(x)
+    return x
+
+
+def _ref_encode_value(avg, value):
+    if avg:
+        total, count = value
+        return _REF_F64.pack(float(total)) + _REF_F64.pack(float(count))
+    if value is None:
+        return _REF_F64.pack(math.nan)
+    return _REF_F64.pack(float(value))
+
+
+def _ref_decode_value(avg, raw, offset):
+    if avg:
+        (total,) = _REF_F64.unpack_from(raw, offset)
+        (count,) = _REF_F64.unpack_from(raw, offset + 8)
+        return (_ref_restore_int(total), _ref_restore_int(count)), offset + 16
+    (x,) = _REF_F64.unpack_from(raw, offset)
+    if math.isnan(x):
+        return None, offset + 8
+    return _ref_restore_int(x), offset + 8
+
+
+def reference_encode(kind, node):
+    """One ``struct`` call per field, as the codec did before PR 14."""
+    avg = kind == "avg"
+    flags = (1 if node.is_leaf else 0) | (2 if node.uvalues is not None else 0)
+    parts = [_REF_HEADER.pack(flags, 0, node.interval_count)]
+    for t in node.times:
+        parts.append(_REF_F64.pack(float(t)))
+    for v in node.values:
+        parts.append(_ref_encode_value(avg, v))
+    if not node.is_leaf:
+        for c in node.children:
+            parts.append(_REF_I64.pack(c))
+    if node.uvalues is not None:
+        for u in node.uvalues:
+            parts.append(_ref_encode_value(avg, u))
+    return b"".join(parts)
+
+
+def reference_decode(kind, payload, node_id):
+    avg = kind == "avg"
+    flags, _, j = _REF_HEADER.unpack_from(payload, 0)
+    is_leaf, has_u = bool(flags & 1), bool(flags & 2)
+    offset = _REF_HEADER.size
+    times = []
+    for _ in range(max(0, j - 1)):
+        (t,) = _REF_F64.unpack_from(payload, offset)
+        times.append(_ref_restore_int(t))
+        offset += 8
+    values = []
+    for _ in range(j):
+        value, offset = _ref_decode_value(avg, payload, offset)
+        values.append(value)
+    children = []
+    if not is_leaf:
+        for _ in range(j):
+            (c,) = _REF_I64.unpack_from(payload, offset)
+            children.append(c)
+            offset += 8
+    uvalues = None
+    if has_u:
+        uvalues = []
+        for _ in range(j):
+            u, offset = _ref_decode_value(avg, payload, offset)
+            uvalues.append(u)
+    return Node(node_id, is_leaf, times, values, children, uvalues)
+
+
+def _typed(items):
+    """Values with their exact types; AVG pairs member by member."""
+    if items is None:
+        return None
+    return [
+        tuple((type(x), x) for x in item) if isinstance(item, tuple)
+        else (type(item), item)
+        for item in items
+    ]
+
+
+GOLDEN_PAYLOAD = 508  # a 512-byte page: capacities small enough to fill
+
+
+@st.composite
+def golden_nodes(draw, kind):
+    codec = NodeCodec(spec_for(kind), payload_size=GOLDEN_PAYLOAD)
+    shape = draw(st.sampled_from(["leaf", "interior", "annotated"]))
+    if shape == "leaf":
+        full = codec.max_leaf_capacity() + codec._OVERFLOW_SLACK
+    else:
+        full = codec.max_branching(shape == "annotated") + codec._OVERFLOW_SLACK
+    j = draw(st.sampled_from([0, 1, full]) | st.integers(0, full))
+    scalar = numbers
+    if kind in ("min", "max"):
+        scalar = st.none() | numbers  # NULL travels as NaN
+    value = st.tuples(numbers, numbers) if kind == "avg" else scalar
+    exactly = dict(min_size=j, max_size=j)
+    times = sorted(
+        draw(st.lists(numbers, unique=True, min_size=max(0, j - 1), max_size=max(0, j - 1)))
+    )
+    return Node(
+        node_id=9,
+        is_leaf=shape == "leaf",
+        times=times,
+        values=draw(st.lists(value, **exactly)),
+        children=[] if shape == "leaf" else draw(
+            st.lists(st.integers(-(2**62), 2**62), **exactly)),
+        uvalues=draw(st.lists(value, **exactly)) if shape == "annotated" else None,
+    )
+
+
+class TestCodecGolden:
+    @pytest.mark.parametrize("kind", ["sum", "count", "avg", "min", "max"])
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_bytes_and_types_match_the_field_by_field_codec(self, kind, data):
+        node = data.draw(golden_nodes(kind))
+        codec = NodeCodec(spec_for(kind), payload_size=GOLDEN_PAYLOAD)
+        payload = codec.encode(node)
+        assert payload == reference_encode(kind, node)
+        # As the pager hands it back: zero-padded to the page payload.
+        page = payload.ljust(GOLDEN_PAYLOAD, b"\x00")
+        for raw in (payload, page):
+            got = codec.decode(raw, 9)
+            want = reference_decode(kind, raw, 9)
+            assert got == want
+            assert (got.is_leaf, got.node_id) == (node.is_leaf, 9)
+            for field in ("times", "values", "children", "uvalues"):
+                assert _typed(getattr(got, field)) == _typed(getattr(want, field))

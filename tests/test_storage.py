@@ -111,8 +111,8 @@ class TestBufferPool:
         pager, pool = self.make(tmp_path, capacity=4)
         pid = pager.allocate_page()
         pager.write_page(pid, b"x")
-        pool.read(pid)
-        pool.read(pid)
+        pool.frame(pid)
+        pool.frame(pid)
         assert pool.stats.misses == 1
         assert pool.stats.hits == 1
 
@@ -120,7 +120,7 @@ class TestBufferPool:
         pager, pool = self.make(tmp_path, capacity=4)
         pid = pager.allocate_page()
         pager.stats.reset()
-        pool.write(pid, b"dirty")
+        pool.write(pid, b"dirty", None)
         assert pager.stats.physical_writes == 0
         pool.flush()
         assert pager.stats.physical_writes == 1
@@ -131,7 +131,7 @@ class TestBufferPool:
         pids = [pager.allocate_page() for _ in range(3)]
         pager.stats.reset()
         for i, pid in enumerate(pids):
-            pool.write(pid, b"p%d" % i)
+            pool.write(pid, b"p%d" % i, None)
         assert pool.stats.evictions == 1
         assert pool.stats.dirty_writebacks == 1
         assert len(pool) == 2
@@ -141,13 +141,13 @@ class TestBufferPool:
     def test_lru_order(self, tmp_path):
         pager, pool = self.make(tmp_path, capacity=2)
         a, b, c = (pager.allocate_page() for _ in range(3))
-        pool.write(a, b"a")
-        pool.write(b, b"b")
-        pool.read(a)  # refresh a; b becomes the LRU victim
-        pool.write(c, b"c")
+        pool.write(a, b"a", None)
+        pool.write(b, b"b", None)
+        pool.frame(a)  # refresh a; b becomes the LRU victim
+        pool.write(c, b"c", None)
         assert pager.read_page(b).rstrip(b"\x00") == b"b"  # b was evicted
         pager.stats.reset()
-        pool.read(a)  # still cached
+        pool.frame(a)  # still cached
         assert pager.stats.physical_reads == 0
 
     def test_discard_drops_without_writeback(self, tmp_path):
@@ -155,7 +155,7 @@ class TestBufferPool:
         pid = pager.allocate_page()
         pager.write_page(pid, b"old")
         pager.stats.reset()
-        pool.write(pid, b"new")
+        pool.write(pid, b"new", None)
         pool.discard(pid)
         pool.flush()
         assert pager.stats.physical_writes == 0
@@ -250,6 +250,51 @@ class TestNodeCodec:
         # Section 4.3: MSB-trees have a smaller maximum branching factor.
         codec = NodeCodec(spec_for("max"), payload_size=4092)
         assert codec.max_branching(True) < codec.max_branching(False)
+
+    def test_unencodable_fields_raise_a_typed_error(self):
+        codec = NodeCodec(spec_for("sum"), payload_size=508)
+        for bad in (None, "3", 10**400):
+            node = Node(node_id=4, is_leaf=True, times=[bad], values=[1, 2])
+            with pytest.raises(NodeEncodingError, match="not a number"):
+                codec.encode(node)
+        interior = Node(4, False, times=[5], values=[1, 2], children=[7, 2**63])
+        with pytest.raises(NodeEncodingError):
+            codec.encode(interior)
+
+    @pytest.mark.parametrize("kind", ["sum", "avg", "max"])
+    def test_impossible_pages_raise_a_typed_error(self, kind):
+        # A page whose declared shape needs more bytes than it has must
+        # not leak struct.error (fsck and the stores catch the typed one).
+        codec = NodeCodec(spec_for(kind), payload_size=508)
+        value = (1, 1) if kind == "avg" else 1
+        node = Node(
+            node_id=4,
+            is_leaf=False,
+            times=[10, 20],
+            values=[value] * 3,
+            children=[5, 6, 7],
+            uvalues=[value] * 3,
+        )
+        payload = codec.encode(node)
+        assert codec.decode(payload, 4) == node
+        with pytest.raises(NodeEncodingError, match="declares 3 intervals"):
+            codec.decode(payload[:-1], 4)  # truncated
+        for cut in (0, 3):
+            with pytest.raises(NodeEncodingError, match="no node header"):
+                codec.decode(payload[:cut], 4)
+        page = payload.ljust(508, b"\x00")
+        inflated = struct.pack("<BBH", page[0], 0, 0xFFFF) + page[4:]
+        with pytest.raises(NodeEncodingError, match="declares 65535 intervals"):
+            codec.decode(inflated, 4)
+
+    def test_flags_that_outgrow_the_page_raise_a_typed_error(self):
+        # A full leaf re-flagged as an annotated interior node claims two
+        # more sections than the page has room for.
+        codec = NodeCodec(spec_for("sum"), payload_size=508)
+        leaf = Node(node_id=4, is_leaf=True, times=list(range(29)), values=[1] * 30)
+        page = codec.encode(leaf).ljust(508, b"\x00")
+        with pytest.raises(NodeEncodingError, match="declares 30 intervals"):
+            codec.decode(b"\x02" + page[1:], 4)
 
 
 # ----------------------------------------------------------------------
@@ -367,6 +412,222 @@ class TestPagedNodeStore:
             for p in PRESCRIPTIONS:
                 tree.insert(p.dosage, p.valid)
             assert store.pager.page_count == grown
+
+
+# ----------------------------------------------------------------------
+# Decoded frames: dirty frames hand out live nodes, clean frames are
+# bytes; payloads stay snapshots
+# ----------------------------------------------------------------------
+class TestLiveNodes:
+    def store(self, tmp_path, capacity):
+        return PagedNodeStore(
+            str(tmp_path / "live.sbt"), "sum", page_size=512,
+            buffer_capacity=capacity,
+        )
+
+    def leaf(self, store, values):
+        node = store.allocate(is_leaf=True)
+        node.values = list(values)
+        node.times = list(range(1, len(values)))
+        store.write(node)
+        return node
+
+    def test_dirty_frame_returns_its_node_and_clean_frame_decodes(self, tmp_path):
+        store = self.store(tmp_path, capacity=4)
+        a = self.leaf(store, [1, 2, 3])
+        assert store.read(a.node_id) is a  # allocate installed it
+        assert store.read(a.node_id) is a
+        store.buffer.flush()  # written back: the frame is bytes only
+        assert store.buffer._frames[a.node_id].node is None
+        decoded = store.read(a.node_id)
+        assert decoded is not a and decoded == a
+        assert store.read(a.node_id) is not decoded  # a decode per read
+        store.buffer.discard(a.node_id)
+        assert store.read(a.node_id) == a  # miss: fetched, then decoded
+        assert (store.buffer.stats.hits, store.buffer.stats.misses) == (4, 1)
+        decoded.values[0] = 10
+        store.write(decoded)  # dirty again, with that object
+        assert store.read(a.node_id) is decoded
+        store.close()
+
+    def test_read_after_write_returns_the_written_state(self, tmp_path):
+        store = self.store(tmp_path, capacity=4)
+        a = self.leaf(store, [1, 2])
+        replacement = Node(a.node_id, True, times=[7], values=[8, 9])
+        store.write(replacement)
+        assert store.read(a.node_id) is replacement
+        store.buffer.flush()
+        store.buffer.discard(a.node_id)
+        assert store.read(a.node_id) == replacement
+        store.close()
+
+    def test_node_held_across_an_eviction_is_readmitted_dirty(self, tmp_path):
+        path = str(tmp_path / "live.sbt")
+        store = self.store(tmp_path, capacity=2)
+        a = self.leaf(store, [1, 2])
+        held = store.read(a.node_id)
+        self.leaf(store, [3, 4])
+        self.leaf(store, [5, 6])  # two more frames: a's is evicted
+        assert a.node_id not in store.buffer._frames
+        # Either side of the eviction: two objects, one content.
+        again = store.read(a.node_id)
+        assert again is not held and again == held
+        held.values[0] = 100
+        store.write(held)  # the detached node comes back, dirty
+        assert store.buffer._frames[a.node_id].dirty
+        assert store.read(a.node_id) is held
+        store.close()
+        with PagedNodeStore(path) as reopened:
+            assert reopened.read(a.node_id).values == [100, 2]
+
+    def test_free_drops_the_decoded_node(self, tmp_path):
+        store = self.store(tmp_path, capacity=4)
+        a = self.leaf(store, [1, 2])
+        store.free(a.node_id)
+        assert a.node_id not in store.buffer._frames
+        b = store.allocate(is_leaf=False)  # the free list hands the page back
+        assert b.node_id == a.node_id
+        got = store.read(b.node_id)
+        assert got is b and got is not a
+        assert not got.is_leaf and got.values == []
+        store.close()
+
+    def test_payload_is_a_snapshot_taken_at_write(self, tmp_path):
+        # Eager encode: a mutation that was never written is visible to
+        # later reads of the live node but never reaches the file.
+        path = str(tmp_path / "live.sbt")
+        store = self.store(tmp_path, capacity=4)
+        a = self.leaf(store, [1, 2])
+        store.read(a.node_id).values[1] = 99
+        assert store.read(a.node_id).values == [1, 99]
+        store.close()  # flushes the payload of the last write()
+        with PagedNodeStore(path) as reopened:
+            assert reopened.read(a.node_id).values == [1, 2]
+
+    def test_revert_unwritten_goes_back_to_the_last_write(self, tmp_path):
+        store = self.store(tmp_path, capacity=4)
+        a = self.leaf(store, [1, 2])
+        b = self.leaf(store, [3, 4])
+        store.commit()
+        b.values[0] = 30
+        store.write(b)  # written, then mutated again
+        store.read(a.node_id).values[1] = 99  # a clean frame: a private node
+        assert store.read(a.node_id).values == [1, 2]
+        store.read(b.node_id).values[1] = 98
+        assert store.read(b.node_id).values == [30, 98]
+        dirty = {pid: f.dirty for pid, f in store.buffer._frames.items()}
+        store.revert_unwritten()
+        assert store.read(b.node_id).values == [30, 4]
+        assert store.read(b.node_id) is not b  # decoded from the snapshot
+        assert {p: f.dirty for p, f in store.buffer._frames.items()} == dirty
+        store.close()
+
+    @pytest.mark.parametrize("committed", [True, False])
+    @pytest.mark.parametrize("capacity", [3, 64, 1000])
+    def test_a_rejected_insert_leaves_the_tree_untouched(
+        self, tmp_path, capacity, committed
+    ):
+        # _insert adjusts interior values on the way down and writes the
+        # node on the way up.  The effect starts on a root boundary, so
+        # below the root it covers whole intervals (adjusted in place: in
+        # the pool's live nodes when the path is still dirty, in private
+        # decodes after a commit) before it reaches the partly covered one
+        # whose leaf is the first node to be encoded -- and 10**400 rejected.
+        store = self.store(tmp_path, capacity)
+        tree = SBTree("sum", store, branching=5, leaf_capacity=6)
+        facts = [(i % 9 + 1, Interval(i * 7, i * 7 + 30)) for i in range(200)]
+        for fact in facts:
+            tree.insert(*fact)
+        if committed:
+            store.commit()
+        root = store.read(store.get_root())
+        assert tree.height >= 3 and not root.is_leaf
+        before = tree.to_table(coalesced=False, drop_initial=False)
+        bad = Interval(root.times[0], root.times[0] + 400)
+        for attempt in (tree.insert, tree.delete):
+            with pytest.raises((NodeEncodingError, OverflowError)):
+                attempt(10**400, bad)
+            assert tree.to_table(coalesced=False, drop_initial=False) == before
+            assert tree.lookup(bad.start + 1) < 10**300
+            check_tree(tree)
+        tree.insert(5, bad)  # the next write through the root succeeds
+        facts.append((5, bad))
+        assert tree.to_table() == reference.instantaneous_table(facts, "sum")
+        store.close()
+        with PagedNodeStore(str(tmp_path / "live.sbt")) as reopened:
+            assert SBTree(store=reopened).to_table() == (
+                reference.instantaneous_table(facts, "sum"))
+
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_a_failed_compact_forgets_its_unwritten_nodes(
+        self, tmp_path, monkeypatch, bulk
+    ):
+        # Both rebuilds fill a node in place and then write it; when that
+        # write fails the frame must not keep the node it has no bytes for.
+        store = PagedNodeStore(
+            str(tmp_path / "min.sbt"), "min", page_size=512, buffer_capacity=64
+        )
+        tree = SBTree("min", store, branching=5, leaf_capacity=6)
+        for i in range(150):
+            tree.insert(i % 11, Interval(i * 5, i * 5 + 40))
+        encode, calls = store.codec.encode, []
+
+        def failing_encode(node):
+            calls.append(1)
+            if len(calls) == 6:
+                raise NodeEncodingError("injected")
+            return encode(node)
+
+        monkeypatch.setattr(store.codec, "encode", failing_encode)
+        with pytest.raises(NodeEncodingError, match="injected"):
+            tree.compact(bulk=bulk)
+        for page_id, frame in store.buffer._frames.items():
+            if frame.node is not None:
+                assert frame.node == store.codec.decode(frame.payload, page_id)
+        store.close()
+
+    def test_counters_for_a_fixed_op_sequence_did_not_move(self, tmp_path):
+        # Totals recorded at the parent of PR 14 (bytes-only frames,
+        # field-by-field codec, scans from index 0): decoded frames and
+        # the find()-started scans change what an access costs, not how
+        # many there are.
+        import random
+
+        rng = random.Random(1401)
+        store = PagedNodeStore(
+            str(tmp_path / "pinned.sbt"), "sum", page_size=512,
+            buffer_capacity=4, journaled=True,
+        )
+        tree = SBTree("sum", store, branching=6, leaf_capacity=6)
+        live = []
+        for n in range(400):
+            if live and rng.random() < 0.2:
+                value, interval = live.pop(rng.randrange(len(live)))
+                tree.delete(value, interval)
+            else:
+                start = rng.randrange(0, 5_000)
+                fact = (
+                    rng.randrange(1, 50),
+                    Interval(start, start + rng.choice([3, 40, 900])),
+                )
+                tree.insert(*fact)
+                live.append(fact)
+            if (n + 1) % 64 == 0:
+                store.commit()
+        for t in range(0, 5_000, 97):
+            tree.lookup(t)
+        rows = tree.range_query(Interval(1_000, 3_000)).rows
+        store.commit()
+        nodes, buffer, pager = store.stats, store.buffer.stats, store.pager.stats
+        assert (nodes.reads, nodes.writes, nodes.allocations, nodes.frees) == (
+            5211, 2447, 154, 11)
+        assert (
+            buffer.hits, buffer.misses, buffer.evictions, buffer.dirty_writebacks
+        ) == (2759, 2452, 2919, 1889)
+        assert (pager.physical_reads, pager.physical_writes) == (2463, 2043)
+        assert (len(rows), tree.height, store.node_count()) == (182, 4, 143)
+        assert tree.to_table() == reference.instantaneous_table(live, "sum")
+        store.close()
 
 
 # ----------------------------------------------------------------------
