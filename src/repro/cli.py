@@ -379,7 +379,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         print(
             f"totals : buffer hits={bs.hits} misses={bs.misses} "
             f"evictions={bs.evictions} hit-rate={bs.hit_rate:.1%} | "
-            f"physical reads={ps.physical_reads} writes={ps.physical_writes}"
+            f"physical reads={ps.physical_reads} writes={ps.physical_writes} "
+            f"fsyncs={ps.fsyncs}"
         )
     store.close()
     if not was_enabled:

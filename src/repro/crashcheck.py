@@ -19,6 +19,16 @@ pre-commit or the post-commit fact set there -- but never anything in
 between (atomicity), and the recovered tree must additionally pass the
 full structural audit of :func:`repro.core.validate.check_tree`.
 
+Abandoning the handles keeps every byte the process ever wrote, so that
+sweep cannot notice a *missing fsync*.  ``--power-loss`` runs the same
+cases under the power-loss model of :func:`repro.faults.simulate_crash`:
+at each crash the injector drops the writes issued since each file's
+last fsync and the journal create/unlink no directory sync covered --
+all of them, and two seeded subsets -- before the reopen, against the
+same oracle.  It is the proof that the pager's one-barrier-per-write-
+back-set protocol still syncs everything an overwrite depends on: stub
+out ``Pager._journal_barrier`` and this sweep fails.
+
 The same discipline applies to the dynamic-view catalog: ``--catalog``
 sweeps :meth:`repro.warehouse.dynamic.DynamicCatalog.save` instead,
 crashing at every :data:`~repro.warehouse.dynamic.CATALOG_CRASH_POINTS`
@@ -32,6 +42,7 @@ Run it from the command line (also installed as ``repro-crashcheck``)::
     python -m repro.crashcheck                 # full sweep, all workloads
     python -m repro.crashcheck --hits sample   # first/middle/last hit only
     python -m repro.crashcheck --workload split --verbose
+    python -m repro.crashcheck --power-loss    # drop unsynced writes too
     python -m repro.crashcheck --catalog       # dynamic.json checkpoint sweep
 
 Exit status is non-zero if any recovery diverged from the oracle.
@@ -196,10 +207,14 @@ class CrashCheckResult:
     crashed: bool
     ok: bool
     detail: str = ""
+    #: ``None`` (process death), ``"all"`` or the subset seed.
+    power_loss: Union[str, int, None] = None
 
     def __str__(self) -> str:
         status = "ok" if self.ok else "FAIL"
         crash = f"crash@hit {self.hit}" if self.crashed else "no crash (point exhausted)"
+        if self.power_loss is not None:
+            crash += f" +power loss ({self.power_loss})"
         tail = f" -- {self.detail}" if self.detail else ""
         return f"[{status}] {self.workload:8s} {self.point:24s} {crash}{tail}"
 
@@ -223,9 +238,17 @@ def _open(path: str, faults: Optional[FaultInjector] = None):
 
 
 def run_case(
-    path: str, workload: str, point: str, hit: int
+    path: str,
+    workload: str,
+    point: str,
+    hit: int,
+    power_loss: Union[str, int, None] = None,
 ) -> CrashCheckResult:
     """Run one workload with a crash armed at (point, hit) and verify.
+
+    ``power_loss`` is handed to :func:`repro.faults.simulate_crash`:
+    ``None`` keeps every written byte (a process death), ``"all"`` or a
+    seed also drops unsynced writes and directory operations.
 
     The injector is attached only after the store exists and an empty
     baseline is committed, so the sweep targets the workload itself
@@ -249,7 +272,7 @@ def run_case(
         store.close()
     except SimulatedCrash:
         crashed = True
-        simulate_crash(store)
+        simulate_crash(store, power_loss=power_loss)
 
     ok, detail = _verify_recovery(path, ctx)
     # Registry counters (no-ops unless repro.obs is enabled): long
@@ -259,7 +282,9 @@ def run_case(
         obs.count("crashcheck.faults_injected")
     if ok:
         obs.count("crashcheck.cases_passed")
-    return CrashCheckResult(workload, point, hit, crashed, ok, detail)
+    return CrashCheckResult(
+        workload, point, hit, crashed, ok, detail, power_loss
+    )
 
 
 def _verify_recovery(path: str, ctx: WorkloadContext) -> Tuple[bool, str]:
@@ -321,22 +346,27 @@ def sweep(
     *,
     hits: Union[str, int] = "all",
     verbose: bool = False,
+    power_loss: bool = False,
 ) -> List[CrashCheckResult]:
     """Crash one workload at every crash point (and chosen occurrences).
 
     ``hits`` is ``"all"`` (every occurrence of every point -- the
     exhaustive sweep), ``"sample"`` (first/middle/last occurrence), or
-    an integer (the first N occurrences).
+    an integer (the first N occurrences).  With ``power_loss`` every
+    case runs three times: losing all unsynced state, and two seeded
+    subsets of it.
     """
     path = os.path.join(workdir, f"crashcheck-{workload}.sbt")
     occurrences = _count_hits(path, workload)
     results: List[CrashCheckResult] = []
     for point in Pager.CRASH_POINTS:
         for hit in _hit_schedule(occurrences.get(point, 0), hits):
-            result = run_case(path, workload, point, hit)
-            results.append(result)
-            if verbose or not result.ok:
-                print(result, flush=True)
+            modes = ("all", 2 * hit, 2 * hit + 1) if power_loss else (None,)
+            for mode in modes:
+                result = run_case(path, workload, point, hit, mode)
+                results.append(result)
+                if verbose or not result.ok:
+                    print(result, flush=True)
     return results
 
 
@@ -346,11 +376,15 @@ def sweep_all(
     workloads: Optional[Sequence[str]] = None,
     hits: Union[str, int] = "all",
     verbose: bool = False,
+    power_loss: bool = False,
 ) -> List[CrashCheckResult]:
     """Run :func:`sweep` for every (or the selected) workload."""
     results: List[CrashCheckResult] = []
     for name in workloads or sorted(WORKLOADS):
-        results.extend(sweep(name, workdir, hits=hits, verbose=verbose))
+        results.extend(
+            sweep(name, workdir, hits=hits, verbose=verbose,
+                  power_loss=power_loss)
+        )
     return results
 
 
@@ -688,6 +722,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(dynamic.json) instead of the journaled page file",
     )
     parser.add_argument(
+        "--power-loss",
+        action="store_true",
+        help="also drop, at each crash, the writes no fsync covered and "
+        "the journal create/unlink no directory sync covered (all of "
+        "them, and two seeded subsets): catches a missing fsync",
+    )
+    parser.add_argument(
         "--hits",
         default="all",
         help="'all' (exhaustive), 'sample' (first/middle/last), or a "
@@ -703,18 +744,22 @@ def main(argv: Optional[List[str]] = None) -> int:
             hits = int(hits)
         except ValueError:
             parser.error("--hits must be 'all', 'sample', or an integer")
+    if args.catalog and args.power_loss:
+        parser.error("--power-loss sweeps the page file, not the catalog")
     table = CATALOG_WORKLOADS if args.catalog else WORKLOADS
     for name in args.workload or ():
         if name not in table:
             parser.error(
                 f"unknown workload {name!r} (choose from {sorted(table)})"
             )
-    run_sweep = catalog_sweep_all if args.catalog else sweep_all
-
+    common: Dict[str, Any] = dict(
+        workloads=args.workload, hits=hits, verbose=args.verbose
+    )
     with tempfile.TemporaryDirectory(prefix="repro-crashcheck-") as workdir:
-        results = run_sweep(
-            workdir, workloads=args.workload, hits=hits, verbose=args.verbose
-        )
+        if args.catalog:
+            results = catalog_sweep_all(workdir, **common)
+        else:
+            results = sweep_all(workdir, power_loss=args.power_loss, **common)
     crashes = sum(r.crashed for r in results)
     failures = [r for r in results if not r.ok]
     points = {r.point for r in results if r.crashed}

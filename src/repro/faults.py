@@ -32,6 +32,11 @@ all of those:
 * :func:`simulate_crash` -- abandon a store/pager's file handles the way
   a dying process would (no commit, no header write-back, no journal
   cleanup), so the recovery path can be exercised by reopening the file.
+  With ``power_loss=`` it additionally loses what a dying *machine*
+  loses: the injector remembers, per file, the writes issued since that
+  file's last fsync and the journal create/unlink not yet covered by a
+  directory sync, and drops all or a seeded subset of them before the
+  reopen -- the model under which a missing fsync is visible.
 * :func:`derive_rng` -- deterministic child RNGs for the package's other
   randomized fault sources (the :mod:`repro.service.chaos` network
   proxy, the service client's retry jitter), so every chaos run is
@@ -50,9 +55,10 @@ sweep in :mod:`repro.crashcheck` reproducible.
 from __future__ import annotations
 
 import errno
+import os
 import random
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from . import obs
 
@@ -136,6 +142,10 @@ class FaultInjector:
         #: write/fsync label -> number of intercepted calls.
         self.write_calls: Dict[str, int] = {}
         self.fsync_calls: Dict[str, int] = {}
+        #: Every intercepted call in order: ``("write", label, offset,
+        #: length)``, ``("fsync", label)``, ``("create" | "unlink", path)``
+        #: -- what an ordering assertion (write-ahead!) is made against.
+        self.events: List[Tuple] = []
         self._crash_points: Dict[str, int] = {}  # point -> hit number
         self._delays: Dict[str, Dict[int, float]] = {}  # point -> {hit: seconds}
         self._write_faults: list = []
@@ -143,6 +153,14 @@ class FaultInjector:
         #: label -> (call number, fraction) for torn writes.
         self._torn: Dict[str, Tuple[int, float]] = {}
         self._disarmed = False
+        #: path -> [(offset, length, bytes it replaced)] issued since the
+        #: file's last fsync, oldest first (see :meth:`lose_power`).
+        self._unsynced: Dict[str, List[Tuple[int, int, bytes]]] = {}
+        #: path -> file length as of its last fsync.
+        self._synced_size: Dict[str, int] = {}
+        #: ("create" | "unlink", path, content at unlink) not yet covered
+        #: by a sync of the path's directory, oldest first.
+        self._dir_ops: List[Tuple[str, str, bytes]] = []
 
     # ------------------------------------------------------------------
     # Arming
@@ -239,7 +257,8 @@ class FaultInjector:
             raise SimulatedCrash(point)
 
     def intercept_write(
-        self, label: str, data: bytes
+        self, label: str, data: bytes, handle: Any = None,
+        offset: Optional[int] = None,
     ) -> Tuple[bytes, Optional[BaseException]]:
         """Decide one raw write's fate.
 
@@ -248,34 +267,143 @@ class FaultInjector:
         is given (that is how a torn write leaves its prefix in the
         file).  I/O-error faults raise :class:`OSError` directly, before
         any bytes are written.
+
+        A caller that passes the *handle* it is about to write through
+        and the *offset* it will write at gets the write remembered as
+        unsynced until that file's next fsync (:meth:`lose_power`).
         """
         count = self.write_calls.get(label, 0) + 1
         self.write_calls[label] = count
-        if self._disarmed:
-            return data, None
-        torn = self._torn.get(label)
+        crash: Optional[BaseException] = None
+        torn = None if self._disarmed else self._torn.get(label)
         if torn is not None and torn[0] == count:
             del self._torn[label]
             keep = max(1, min(len(data) - 1, int(len(data) * torn[1])))
             self._record("torn_write")
-            return data[:keep], SimulatedCrash(f"torn {label} write")
-        for fault in self._write_faults:
-            if fault.label == label and fault.consume():
-                self._record("io_error")
-                raise OSError(fault.errno_, f"injected {label} write error")
-        self._write_faults = [f for f in self._write_faults if not f.exhausted]
-        return data, None
+            data, crash = data[:keep], SimulatedCrash(f"torn {label} write")
+        elif not self._disarmed:
+            for fault in self._write_faults:
+                if fault.label == label and fault.consume():
+                    self._record("io_error")
+                    raise OSError(fault.errno_, f"injected {label} write error")
+            self._write_faults = [
+                f for f in self._write_faults if not f.exhausted
+            ]
+        self.events.append(("write", label, offset, len(data)))
+        if handle is not None:
+            self._remember_write(handle, offset, len(data))
+        return data, crash
 
-    def intercept_fsync(self, label: str) -> None:
-        """Count an fsync; raise :class:`OSError` if a fault is armed."""
+    def _remember_write(self, handle: Any, offset: int, length: int) -> None:
+        if handle.readable():
+            size = handle.seek(0, os.SEEK_END)
+            handle.seek(offset)
+            replaced = handle.read(length)
+        else:  # an append-only handle (the journal): nothing to restore
+            size, replaced = offset, b""
+        self._synced_size.setdefault(handle.name, size)
+        self._unsynced.setdefault(handle.name, []).append(
+            (offset, length, replaced)
+        )
+
+    def intercept_fsync(self, label: str, path: Optional[str] = None) -> None:
+        """Count an fsync; raise :class:`OSError` if a fault is armed.
+
+        A successful fsync of *path* makes its remembered writes durable
+        (for a directory: the creates and unlinks of its entries).
+        """
         self.fsync_calls[label] = self.fsync_calls.get(label, 0) + 1
-        if self._disarmed:
+        if not self._disarmed:
+            for fault in self._fsync_faults:
+                if fault.label == label and fault.consume():
+                    self._record("fsync_error")
+                    raise OSError(fault.errno_, f"injected {label} fsync error")
+            self._fsync_faults = [
+                f for f in self._fsync_faults if not f.exhausted
+            ]
+        self.events.append(("fsync", label))
+        if path is None:
             return
-        for fault in self._fsync_faults:
-            if fault.label == label and fault.consume():
-                self._record("fsync_error")
-                raise OSError(fault.errno_, f"injected {label} fsync error")
-        self._fsync_faults = [f for f in self._fsync_faults if not f.exhausted]
+        if label == "dir":
+            self._dir_ops = [
+                op for op in self._dir_ops if os.path.dirname(op[1]) != path
+            ]
+        elif self._unsynced.pop(path, None) is not None:
+            self._synced_size[path] = os.path.getsize(path)
+
+    def note_create(self, path: str) -> None:
+        """*path* was just created (or truncated to empty)."""
+        self.events.append(("create", path))
+        self._unsynced.pop(path, None)
+        self._synced_size[path] = 0
+        self._dir_ops.append(("create", os.path.abspath(path), b""))
+
+    def note_unlink(self, path: str) -> None:
+        """*path* is about to be unlinked (call before removing it)."""
+        self.events.append(("unlink", path))
+        with open(path, "rb") as handle:
+            self._dir_ops.append(
+                ("unlink", os.path.abspath(path), handle.read())
+            )
+        self._unsynced.pop(path, None)
+        self._synced_size.pop(path, None)
+
+    # ------------------------------------------------------------------
+    # Power loss
+    # ------------------------------------------------------------------
+    def lose_power(self, mode: Union[str, int] = "all") -> Dict[str, int]:
+        """Drop unsynced state the way a power cut may; returns what was
+        dropped as ``{"writes": n, "dir_ops": m}``.
+
+        Call it with every handle closed.  ``"all"`` drops every write
+        issued since its file's last fsync and every create/unlink not
+        covered by a directory sync; ``"none"`` drops nothing; an integer
+        seeds a subset: per file all, none, or a coin per write (storage
+        may persist unsynced writes in any order), and a coin per
+        directory operation.  Dropped writes are undone newest first --
+        restoring the bytes each replaced, unless a later write that
+        survives covers them -- and the file is cut back to its synced
+        length or the end of its last surviving write, whichever is
+        longer.
+        """
+        dropped = {"writes": 0, "dir_ops": 0}
+        if mode == "none":
+            return dropped
+        rng = None if mode == "all" else derive_rng(mode, "power_loss")
+        for path in sorted(self._unsynced):
+            writes = self._unsynced[path]
+            if not os.path.exists(path):
+                continue
+            plan = "all" if rng is None else rng.choice(("all", "none", "some"))
+            length = self._synced_size[path]
+            survivors: List[Tuple[int, int]] = []
+            with open(path, "r+b") as handle:
+                for offset, size, replaced in reversed(writes):
+                    end = offset + size
+                    if plan == "none" or (plan == "some" and rng.random() < 0.5):
+                        survivors.append((offset, end))
+                        length = max(length, end)
+                        continue
+                    dropped["writes"] += 1
+                    if not any(lo <= offset and end <= hi for lo, hi in survivors):
+                        handle.seek(offset)
+                        handle.write(replaced.ljust(size, b"\x00"))
+                handle.truncate(length)
+        for op, path, content in reversed(self._dir_ops):
+            if rng is not None and rng.random() < 0.5:
+                continue
+            dropped["dir_ops"] += 1
+            if op == "unlink":
+                with open(path, "wb") as handle:
+                    handle.write(content)
+            elif os.path.exists(path):
+                os.remove(path)
+        self._unsynced.clear()
+        self._synced_size.clear()
+        self._dir_ops.clear()
+        if dropped["writes"] or dropped["dir_ops"]:
+            self._record("power_loss")
+        return dropped
 
     # ------------------------------------------------------------------
     def _record(self, kind: str) -> None:
@@ -287,6 +415,7 @@ class FaultInjector:
         self.hits.clear()
         self.write_calls.clear()
         self.fsync_calls.clear()
+        self.events.clear()
         self.injected.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -296,7 +425,9 @@ class FaultInjector:
         )
 
 
-def simulate_crash(store_or_pager: Any) -> None:
+def simulate_crash(
+    store_or_pager: Any, power_loss: Union[str, int, None] = None
+) -> None:
     """Abandon file handles the way a dying process would.
 
     Accepts a :class:`~repro.storage.store.PagedNodeStore` or a bare
@@ -305,16 +436,14 @@ def simulate_crash(store_or_pager: Any) -> None:
     sees exactly what a crash would have left behind (buffered bytes
     are handed to the OS, mirroring a process that died after its
     libc buffers were drained but before any further syscall).
+
+    That keeps every byte ever written, so it cannot tell a synced write
+    from an unsynced one.  ``power_loss`` (``"all"``, ``"none"`` or an
+    integer seed) then has the pager's :class:`FaultInjector` drop
+    unsynced writes and directory operations
+    (:meth:`FaultInjector.lose_power`) before the reopen.
     """
     pager = getattr(store_or_pager, "pager", store_or_pager)
-    for handle in (pager._file, pager._journal_file):
-        if handle is None or handle.closed:
-            continue
-        try:
-            handle.flush()
-        except (OSError, ValueError):
-            pass
-        try:
-            handle.close()
-        except (OSError, ValueError):
-            pass
+    pager._release_handles()
+    if power_loss is not None and pager.faults is not None:
+        pager.faults.lose_power(power_loss)

@@ -435,35 +435,49 @@ class ShardedTree:
         )
 
     def commit(self, meta: Optional[Dict[str, str]] = None) -> int:
-        """Commit every shard store that supports it; returns the count.
+        """Commit the shard stores that have something to commit; returns
+        how many were committed.
 
         This is the service layer's group-commit durability point: the
         server calls it after a write batch applied, *before* the
         batch's waiters are acknowledged, so an acked write is durable.
-        ``meta`` entries are written into each store's header metadata
-        inside the same commit -- the pager journals the header page,
-        so metadata (the dedup window) and tree data are atomic per
-        store.  Stores without a ``commit`` method (in-memory shards)
-        are skipped.
+        Only a store the batch dirtied (``store.dirty``; a store without
+        that attribute counts as dirty) is locked and committed -- a
+        shard nothing touched costs no lock, no write and no fsync.
+        ``meta`` entries are written into the header metadata of exactly
+        those stores (of the first durable store if none is dirty, so
+        metadata always lands somewhere), inside the same commit: the
+        pager journals the header page, so metadata (the dedup window,
+        the replication watermark) and tree data are atomic per store.
+        Because a store that sat out a commit keeps an older copy,
+        readers of :meth:`get_meta` merge what the stores return; both
+        service keys merge exactly (dedup windows: union of entries, max
+        floor per client; watermark: max).  Stores without a ``commit``
+        method (in-memory shards) are skipped.
 
         Caveat: commits are per store.  A crash *between* two shard
         commits can leave a spanning fact applied in a prefix of its
         shards; single-store deployments (what ``repro-rescheck``
         verifies) have no such window.
         """
-        committed = 0
-        for shard in self.shards:
+        durable = [
+            shard for shard in self.shards
+            if getattr(shard.tree.store, "commit", None) is not None
+        ]
+        targets = [
+            shard for shard in durable
+            if getattr(shard.tree.store, "dirty", True)
+        ]
+        if meta and not targets:
+            targets = durable[:1]
+        for shard in targets:
             store = shard.tree.store
-            commit = getattr(store, "commit", None)
-            if commit is None:
-                continue
             with shard.lock.write_locked(shard.write_timeout):
                 if meta:
                     for key, value in meta.items():
                         store.set_meta(key, value)
-                commit()
-            committed += 1
-        return committed
+                store.commit()
+        return len(targets)
 
     def get_meta(self, key: str) -> List[str]:
         """Collect a metadata value from every shard store that has it."""

@@ -21,6 +21,13 @@ counts frames; a decoded 4 KB node holds roughly 4-5x the memory of its
 payload (three lists of boxed numbers), so decoded memory is bounded by
 the dirty set, not budgeted separately.
 
+Write-back goes to the pager as *sets* (:meth:`Pager.write_pages`): a
+flush hands over the whole dirty set, and evicting one dirty victim also
+names every other dirty frame, so a journaled pager captures all their
+pre-images behind the one journal barrier the victim needs anyway and
+the rest of that transaction's write-backs find their pages already
+journaled.
+
 The pool is internally synchronized: even a logically read-only tree
 operation *mutates* LRU recency state and may trigger an eviction, so
 concurrent readers (e.g. under :class:`repro.concurrent.ConcurrentTree`'s
@@ -144,16 +151,31 @@ class BufferPool:
             for frame in self._frames.values():
                 frame.node = None
 
-    def flush(self) -> None:
-        """Write every dirty frame back to the pager; they become clean,
-        bytes-only frames."""
+    @property
+    def dirty(self) -> bool:
+        """Whether any frame awaits write-back."""
         with self._mutex:
-            for page_id, frame in self._frames.items():
-                if frame.dirty:
-                    self.pager.write_page(page_id, frame.payload)
-                    self.stats.dirty_writebacks += 1
-                    frame.dirty = False
-                    frame.node = None
+            return any(frame.dirty for frame in self._frames.values())
+
+    def flush(self) -> None:
+        """Write every dirty frame back to the pager as one set; they
+        become clean, bytes-only frames.  If the pager raises, all of
+        them stay dirty (writing a page twice is harmless)."""
+        with self._mutex:
+            dirty = [
+                (page_id, frame)
+                for page_id, frame in self._frames.items()
+                if frame.dirty
+            ]
+            if not dirty:
+                return
+            self.pager.write_pages(
+                [(page_id, frame.payload) for page_id, frame in dirty]
+            )
+            self.stats.dirty_writebacks += len(dirty)
+            for _, frame in dirty:
+                frame.dirty = False
+                frame.node = None
 
     # ------------------------------------------------------------------
     def _admit(self, page_id: int, frame: Frame) -> None:
@@ -164,7 +186,14 @@ class BufferPool:
             # vanish.  The exception propagates with the pool intact.
             victim_id, victim = next(iter(self._frames.items()))
             if victim.dirty:
-                self.pager.write_page(victim_id, victim.payload)
+                self.pager.write_pages(
+                    ((victim_id, victim.payload),),
+                    journal_ahead=(
+                        page_id
+                        for page_id, other in self._frames.items()
+                        if other.dirty
+                    ),
+                )
                 self.stats.dirty_writebacks += 1
                 victim.dirty = False
             del self._frames[victim_id]

@@ -442,11 +442,16 @@ def _inspect_journal(path: str, report: FsckReport) -> None:
     with open(journal_path, "rb") as handle:
         data = handle.read()
     header_size = Pager._JOURNAL_HEADER.size
-    if len(data) < header_size:
+    if len(data) < header_size or not any(data[:header_size]):
+        # The pager syncs the journal header in the barrier that precedes
+        # the transaction's first overwrite, so a header that is short or
+        # zero-filled means no committed page was touched.
         report.add(
-            "error", "torn-journal",
-            f"leftover journal {journal_path!r} is truncated inside its "
-            "header",
+            "info", "journal-present",
+            f"leftover journal {journal_path!r} never got a durable header: "
+            "the transaction died before its first journal barrier and "
+            "overwrote nothing; reopening with journaled=True only drops "
+            "the pages added since the last commit",
         )
         return
     magic, page_size, base_count = Pager._JOURNAL_HEADER.unpack_from(data, 0)

@@ -15,12 +15,33 @@ report true page I/O.
 With ``journaled=True`` the pager additionally keeps a rollback journal
 (``<path>-journal``): before a page is first overwritten after a
 commit, its pre-image is appended to the journal (each record carries
-its own CRC32) and the journal is fsynced *before* the overwrite may
-proceed; :meth:`commit` makes the current state durable and deletes the
-journal (the commit point); reopening a file whose journal survived a
-crash rolls every journaled page back (and truncates pages that did not
-exist at the last commit), so the file always reflects a committed
-state.
+its own CRC32); :meth:`commit` makes the current state durable and
+deletes the journal (the commit point); reopening a file whose journal
+survived a crash rolls every journaled page back (and truncates pages
+that did not exist at the last commit), so the file always reflects a
+committed state.
+
+**The barrier rule.**  No byte of a page that existed at the last commit
+-- the header page included -- is overwritten in the data file before
+its pre-image record *and* the journal header are fsynced and the
+journal's directory entry is synced.  That is one *journal barrier*
+(:meth:`Pager._journal_barrier`), and it is paid per *write-back set*,
+not per page: records and the journal header are appended unsynced,
+:meth:`Pager.write_pages` journals every page of the set (plus any page
+the caller expects to write later in the transaction, ``journal_ahead``)
+and runs the barrier once, immediately before the set's first data-file
+write.  Pages created after the last commit need no barrier: rollback
+truncates them away.  A journal whose header never became durable
+(empty, short, or zero-filled) therefore proves the data file's
+committed pages are untouched, and rolls back to "drop the fresh pages".
+
+**The header page is deferred.**  ``allocate_page``, ``free_page``,
+``set_root`` and ``set_meta`` only mark page 0 dirty; it is formatted,
+journaled and written once per write-back set / ``commit`` / ``sync`` /
+``close``, behind the same barrier as the set's data pages.
+
+**A clean pager does not commit.**  With no open transaction, a clean
+header and no unsynced data write, :meth:`commit` returns without I/O.
 
 Failure handling
 ----------------
@@ -33,7 +54,9 @@ Every raw write and fsync is routed through a small I/O layer that
 * retries transient ``OSError``\\ s with exponential backoff
   (``max_write_retries`` / ``retry_backoff``) -- *writes only*: a failed
   fsync is never retried, because after a failed fsync the kernel may
-  already have dropped the dirty pages the retry would claim to sync;
+  already have dropped the dirty pages the retry would claim to sync
+  (a failed *journal barrier* therefore degrades the pager at once: the
+  next barrier would be exactly that retry);
 * drops the pager into a read-only *degraded mode* after
   ``degrade_after`` consecutive retry-exhausted failures: further
   mutations raise :class:`PagerDegradedError`, reads keep working, and
@@ -53,7 +76,7 @@ import time
 import warnings
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 from .. import obs
 
@@ -94,21 +117,28 @@ class JournalError(RuntimeError):
 
 @dataclass
 class PagerStats:
-    """Physical I/O counters."""
+    """Physical I/O counters.
+
+    ``fsyncs`` counts every fsync the pager attempted -- journal, data
+    file and directory alike (the ``pager.fsyncs.*`` counters split it
+    by target): how many syncs does a commit cost?
+    """
 
     physical_reads: int = 0
     physical_writes: int = 0
+    fsyncs: int = 0
 
     def reset(self) -> None:
-        self.physical_reads = self.physical_writes = 0
+        self.physical_reads = self.physical_writes = self.fsyncs = 0
 
     def snapshot(self) -> "PagerStats":
-        return PagerStats(self.physical_reads, self.physical_writes)
+        return PagerStats(self.physical_reads, self.physical_writes, self.fsyncs)
 
     def __sub__(self, other: "PagerStats") -> "PagerStats":
         return PagerStats(
             self.physical_reads - other.physical_reads,
             self.physical_writes - other.physical_writes,
+            self.fsyncs - other.fsyncs,
         )
 
 
@@ -177,6 +207,7 @@ class Pager:
             raise ValueError("page size must be at least 512 bytes")
         self.path = os.fspath(path)
         self.journal_path = self.path + "-journal"
+        self._directory = os.path.dirname(os.path.abspath(self.path))
         self.journaled = journaled
         self.strict = strict
         self.faults = faults
@@ -191,6 +222,17 @@ class Pager:
         self._journaled_pages: set = set()
         self._journal_file = None
         self._journal_base_count: Optional[int] = None
+        #: Journal bytes (header, records) appended since the last barrier.
+        self._journal_unsynced = False
+        #: The journal was created and its directory entry is not synced.
+        self._journal_new = False
+        #: Page 0 differs from what the data file holds.
+        self._header_dirty = False
+        #: Data-file bytes written since the last data fsync.
+        self._data_unsynced = False
+        #: Directory fd for entry syncs, opened on first use (-1: the
+        #: platform cannot open directories).
+        self._dir_fd: Optional[int] = None
         #: Page ids freed by this process and not yet reallocated, kept
         #: so a double free is caught before it cycles the free list.
         self._freed: set = set()
@@ -207,7 +249,7 @@ class Pager:
             try:
                 self._rollback_journal()
             except JournalError:
-                self._file.close()
+                self._release_handles()
                 raise
             exists = os.path.getsize(self.path) > 0
         if exists:
@@ -219,21 +261,26 @@ class Pager:
                     f"{self.page_size}; requested {requested_size} is ignored"
                 )
                 if strict:
-                    self._file.close()
+                    self._release_handles()
                     raise ValueError(message)
                 warnings.warn(message, stacklevel=2)
         else:
             self.page_size = page_size
             # Pin the pre-creation state (zero pages): until the first
-            # commit, rollback erases the file entirely.
+            # commit, rollback erases the file entirely.  The barrier
+            # runs before the file gets its first byte, so whenever a
+            # journal header is *not* durable, page 0 on disk is a
+            # committed header (what rollback then relies on).
             self.page_count = 0
             self._ensure_transaction()
+            self._journal_barrier()
             self.page_count = 1  # the header page
             self._free_head = NO_PAGE
             self._root = NO_PAGE
             self.live_nodes = 0
             self._meta: Dict[str, str] = {}
-            self._write_header()
+            self._meta_blob = b""
+            self._header_dirty = True
 
     # ------------------------------------------------------------------
     # Fault-aware raw I/O
@@ -259,16 +306,21 @@ class Pager:
         else:
             self.write_failures += 1
             obs.count("pager.write_failures")
-        if not self.degraded and self._consecutive_failures >= self.degrade_after:
-            self.degraded = True
-            obs.count("pager.degraded")
-            warnings.warn(
-                f"pager for {self.path!r} entered read-only degraded mode "
-                f"after {self._consecutive_failures} consecutive write "
-                "failures",
-                RuntimeWarning,
-                stacklevel=4,
-            )
+        if self._consecutive_failures >= self.degrade_after:
+            self._degrade()
+
+    def _degrade(self) -> None:
+        if self.degraded:
+            return
+        self.degraded = True
+        obs.count("pager.degraded")
+        warnings.warn(
+            f"pager for {self.path!r} entered read-only degraded mode "
+            f"after {self._consecutive_failures} consecutive write "
+            "failures",
+            RuntimeWarning,
+            stacklevel=5,
+        )
 
     def _io_write(self, handle, offset: Optional[int], data: bytes, label: str) -> None:
         """One raw write: fault interception plus transient-error retries.
@@ -282,7 +334,9 @@ class Pager:
         while True:
             try:
                 if self.faults is not None:
-                    payload, crash = self.faults.intercept_write(label, data)
+                    payload, crash = self.faults.intercept_write(
+                        label, data, handle=handle, offset=position
+                    )
                 else:
                     payload, crash = data, None
                 handle.seek(position)
@@ -305,35 +359,54 @@ class Pager:
             self._consecutive_failures = 0
             return
 
-    def _io_fsync(self, handle, label: str) -> None:
-        """One fsync.  Never retried: a failed fsync means the kernel may
-        have dropped the dirty pages, so "try again" would lie."""
+    def _io_fsync(self, fd: int, label: str, path: str) -> None:
+        """One fsync of *path* (``journal``, ``data`` or ``dir``), counted.
+        Never retried: a failed fsync means the kernel may have dropped
+        the dirty pages, so "try again" would lie."""
+        self.stats.fsyncs += 1
+        obs.count("pager.fsyncs." + label)
         try:
             if self.faults is not None:
-                self.faults.intercept_fsync(label)
-            os.fsync(handle.fileno())
+                self.faults.intercept_fsync(label, path=path)
+            os.fsync(fd)
         except OSError:
             self._note_write_failure("fsync")
             raise
         self._consecutive_failures = 0
 
-    def _fsync_dir(self) -> None:
-        """Flush the directory entry of the page file / journal.
+    def _fsync_data(self) -> None:
+        self._file.flush()
+        self._io_fsync(self._file.fileno(), "data", self.path)
+        self._data_unsynced = False
 
-        Needed for journal create/delete to be durable; best-effort on
-        platforms that cannot open directories.
+    def _fsync_dir(self) -> None:
+        """Sync the directory entry of the journal (create / delete).
+
+        One fd is held for the pager's lifetime.  Best-effort only where
+        the platform cannot open directories; a failing sync propagates
+        like any other fsync failure.
         """
-        directory = os.path.dirname(os.path.abspath(self.path)) or os.curdir
-        try:
-            fd = os.open(directory, os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform-dependent
-            return
-        try:
-            os.fsync(fd)
-        except OSError:  # pragma: no cover - platform-dependent
-            pass
-        finally:
-            os.close(fd)
+        if self._dir_fd is None:
+            try:
+                self._dir_fd = os.open(self._directory, os.O_RDONLY)
+            except OSError:  # pragma: no cover - platform-dependent
+                self._dir_fd = -1
+        if self._dir_fd >= 0:
+            self._io_fsync(self._dir_fd, "dir", self._directory)
+
+    def _release_handles(self) -> None:
+        """Close the OS handles and nothing else: no header write-back,
+        no commit, no journal cleanup.  What a degraded close, a failed
+        open and :func:`repro.faults.simulate_crash` have in common."""
+        for handle in (self._journal_file, self._file):
+            if handle is not None and not handle.closed:
+                try:
+                    handle.close()
+                except (OSError, ValueError):  # pragma: no cover - best effort
+                    pass
+        if self._dir_fd is not None and self._dir_fd >= 0:
+            os.close(self._dir_fd)
+        self._dir_fd = None
 
     # ------------------------------------------------------------------
     # Rollback journal
@@ -344,14 +417,16 @@ class Pager:
     _JOURNAL_RECORD = struct.Struct("<qI")
 
     def _capture_pre_image(self, page_id: int) -> None:
-        """Durably append a page's current on-disk bytes to the journal.
+        """Append a page's current on-disk bytes to the journal, unsynced.
 
         Called before the first overwrite of a page in the current
         transaction.  Pages created after the last commit are skipped:
         rollback simply truncates them away.  The record (tagged with
-        its own CRC32) is fsynced before this returns, so the page
-        overwrite that follows can never outrun the pre-image it
-        depends on -- write-ahead in the literal sense.
+        its own CRC32) is *not* durable when this returns; whoever
+        overwrites the page runs :meth:`_journal_barrier` first.  A
+        pre-image is the on-disk bytes, independent of the payload that
+        will replace them, so it can be captured for any page expected
+        to be written later in the transaction.
         """
         if not self.journaled or page_id in self._journaled_pages:
             return
@@ -367,25 +442,25 @@ class Pager:
         )
         self._hook("before_journal_write")
         self._io_write(self._journal_file, None, record, "journal")
+        self._journal_unsynced = True
         self._hook("after_journal_write")
-        self._journal_file.flush()
-        self._hook("before_journal_fsync")
-        self._io_fsync(self._journal_file, "journal")
-        self._hook("after_journal_fsync")
         self._journaled_pages.add(page_id)
         obs.count("pager.journal_records")
 
     def _ensure_transaction(self) -> None:
         """Open the journal and pin the committed page count, once.
 
-        The journal header is flushed, fsynced, and its directory entry
-        synced before any page overwrite can depend on it.
+        The journal header is appended unsynced; the first barrier makes
+        it (and the journal's directory entry) durable.
         """
         if not self.journaled or self._journal_base_count is not None:
             return
         self._hook("before_journal_create")
         self._journal_base_count = self.page_count
         self._journal_file = open(self.journal_path, "wb")
+        if self.faults is not None:
+            self.faults.note_create(self.journal_path)
+        self._journal_new = self._journal_unsynced = True
         self._io_write(
             self._journal_file,
             None,
@@ -394,39 +469,85 @@ class Pager:
             ),
             "journal",
         )
-        self._journal_file.flush()
-        self._io_fsync(self._journal_file, "journal")
-        self._fsync_dir()
         self._hook("after_journal_create")
+
+    def _journal_barrier(self) -> None:
+        """Make everything appended to the journal durable: flush and
+        fsync it and, if it was created in this transaction, sync its
+        directory entry.  Runs immediately before the first data-file
+        write that depends on those bytes; a no-op when nothing was
+        appended since the last barrier.
+
+        A failed barrier is final: the next one would be the fsync retry
+        that "would lie", so the pager degrades at once.  Nothing the
+        failed barrier covered has been overwritten, and every earlier
+        overwrite sits behind an earlier, successful barrier, so the
+        next open still rolls back to the last commit.
+        """
+        if not self._journal_unsynced:
+            return
+        self._hook("before_journal_fsync")
+        try:
+            self._journal_file.flush()
+            self._io_fsync(
+                self._journal_file.fileno(), "journal", self.journal_path
+            )
+            if self._journal_new:
+                self._fsync_dir()
+        except OSError:
+            self._degrade()
+            raise
+        self._journal_new = self._journal_unsynced = False
+        self._hook("after_journal_fsync")
+
+    def _remove_journal(self) -> None:
+        if self.faults is not None:
+            self.faults.note_unlink(self.journal_path)
+        os.remove(self.journal_path)
 
     def commit(self) -> None:
         """Make the current state durable and clear the journal.
 
         The commit point is the journal deletion: a crash before it
         rolls the transaction back on reopen, a crash after it keeps
-        the transaction.
+        the transaction.  A pager with nothing to make durable -- no
+        open transaction, a clean header, no data write since the last
+        sync -- returns without I/O.
         """
         with self._mutex:
             self._guard_writable()
-            self._file.flush()
+            if not self.dirty:
+                return
+            self.write_pages(())  # the header page, behind its barrier
             self._hook("before_commit_fsync")
-            self._io_fsync(self._file, "data")
+            self._fsync_data()
             self._hook("after_commit_fsync")
             if self._journal_file is not None:
                 self._journal_file.close()
                 self._journal_file = None
             self._hook("before_journal_delete")
-            if os.path.exists(self.journal_path):
-                os.remove(self.journal_path)
-                self._fsync_dir()
-            self._hook("after_journal_delete")
+            removed = os.path.exists(self.journal_path)
+            if removed:
+                self._remove_journal()
             self._journaled_pages.clear()
             self._journal_base_count = None
+            if removed:
+                self._fsync_dir()
+            self._hook("after_journal_delete")
             obs.count("pager.commits")
 
     def in_transaction(self) -> bool:
         """Whether uncommitted (journaled) changes exist."""
         return self._journal_base_count is not None
+
+    @property
+    def dirty(self) -> bool:
+        """Whether :meth:`commit` has anything to make durable."""
+        return (
+            self._journal_base_count is not None
+            or self._header_dirty
+            or self._data_unsynced
+        )
 
     def _journal_problem(self, message: str) -> None:
         """An unusable leftover journal: warn, or raise under strict.
@@ -453,15 +574,23 @@ class Pager:
         corrupt record (a torn tail is the normal signature of a crash
         mid-append; a failed CRC on a complete record is a real
         corruption and is warned about).
+
+        A header that is short or all zeros never became durable: the
+        transaction died before its first barrier, so no committed page
+        (page 0 included) was overwritten and there is nothing to
+        restore -- only fresh pages to drop, whose count the untouched
+        header page still records.  That is the normal signature of a
+        crash mid-batch, not a problem.  Bad magic on a full-length
+        header stays one.
         """
         obs.count("pager.rollbacks")
         restored = 0
         with open(self.journal_path, "rb") as journal:
             header = journal.read(self._JOURNAL_HEADER.size)
-            if len(header) < self._JOURNAL_HEADER.size:
-                self._journal_problem(
-                    f"truncated journal header in {self.journal_path!r}"
-                )
+            if len(header) < self._JOURNAL_HEADER.size or not any(header):
+                self._load_header()
+                self._file.truncate(self.page_count * self.page_size)
+                self._fsync_data()
             else:
                 magic, page_size, base_count = self._JOURNAL_HEADER.unpack(header)
                 if magic != self._JOURNAL_MAGIC:
@@ -491,10 +620,9 @@ class Pager:
                         self._file.write(image)
                         restored += 1
                     self._file.truncate(base_count * page_size)
-                    self._file.flush()
-                    os.fsync(self._file.fileno())
+                    self._fsync_data()
                     obs.count("pager.rollback_pages", restored)
-        os.remove(self.journal_path)
+        self._remove_journal()
         self._fsync_dir()
 
     # ------------------------------------------------------------------
@@ -517,16 +645,20 @@ class Pager:
         self._free_head = free_head
         self._root = root
         self.live_nodes = live
-        meta_raw = self._file.read(meta_len).decode("utf-8")
+        self._meta_blob = self._file.read(meta_len)
         self._meta = {}
-        for line in meta_raw.splitlines():
+        for line in self._meta_blob.decode("utf-8").splitlines():
             key, _, value = line.partition("=")
             self._meta[key] = value
 
-    def _write_header(self) -> None:
-        meta_raw = "\n".join(f"{k}={v}" for k, v in sorted(self._meta.items()))
-        blob = meta_raw.encode("utf-8")
-        header = _HEADER.pack(
+    def _touch_header(self) -> None:
+        """Page 0 changed in memory; the next write-back set writes it."""
+        self._guard_writable()
+        self._header_dirty = True
+
+    def _put_header(self) -> None:
+        """Format page 0 and write it.  The caller ran the barrier."""
+        payload = _HEADER.pack(
             _MAGIC,
             _VERSION,
             self.page_size,
@@ -534,19 +666,15 @@ class Pager:
             self._free_head,
             self._root,
             self.live_nodes,
-            len(blob),
+            len(self._meta_blob),
+        ) + self._meta_blob
+        self._hook("before_header_write")
+        self._data_unsynced = True
+        self._io_write(
+            self._file, 0, payload.ljust(self.page_size, b"\x00"), "data"
         )
-        payload = header + blob
-        if len(payload) > self.page_size:
-            raise ValueError("metadata does not fit in the header page")
-        with self._mutex:
-            self._guard_writable()
-            self._capture_pre_image(0)
-            self._hook("before_header_write")
-            self._io_write(
-                self._file, 0, payload.ljust(self.page_size, b"\x00"), "data"
-            )
-            self._hook("after_header_write")
+        self._hook("after_header_write")
+        self._header_dirty = False
 
     # ------------------------------------------------------------------
     # Root pointer and metadata
@@ -555,15 +683,25 @@ class Pager:
         return None if self._root == NO_PAGE else self._root
 
     def set_root(self, page_id: int) -> None:
-        self._root = page_id
-        self._write_header()
+        with self._mutex:
+            self._touch_header()
+            self._root = page_id
 
     def get_meta(self, key: str) -> Optional[str]:
         return self._meta.get(key)
 
     def set_meta(self, key: str, value: str) -> None:
-        self._meta[key] = value
-        self._write_header()
+        with self._mutex:
+            self._touch_header()
+            meta = {**self._meta, key: value}
+            blob = "\n".join(
+                f"{k}={v}" for k, v in sorted(meta.items())
+            ).encode("utf-8")
+            # The blob is the only variable-size part of page 0, so this
+            # is the one place its fit needs checking.
+            if _HEADER.size + len(blob) > self.page_size:
+                raise ValueError("metadata does not fit in the header page")
+            self._meta, self._meta_blob = meta, blob
 
     # ------------------------------------------------------------------
     # Page I/O
@@ -588,27 +726,70 @@ class Pager:
         return payload
 
     def write_page(self, page_id: int, payload: bytes) -> None:
-        """Write one page's payload, appending its checksum."""
-        if len(payload) > self.payload_size:
-            raise ValueError(
-                f"payload of {len(payload)} bytes exceeds page capacity "
-                f"{self.payload_size}"
-            )
+        """Write one page's payload: a one-page write-back set."""
+        self.write_pages(((page_id, payload),))
+
+    def write_pages(
+        self,
+        pages: Iterable[Tuple[int, bytes]],
+        journal_ahead: Iterable[int] = (),
+    ) -> None:
+        """Write one write-back set -- ``(page_id, payload)`` pairs, each
+        payload getting its checksum appended -- plus the header page if
+        it is dirty, behind a single journal barrier.
+
+        ``journal_ahead`` names pages the caller expects to write later
+        in this transaction (the pool's other dirty frames when it
+        evicts one): if this set needs a barrier, their pre-images ride
+        it, so those later writes need none of their own.  Ignored when
+        the set needs no barrier (everything it overwrites is already
+        durably journaled) and when not journaled.
+
+        If a write fails part-way, an unknown prefix of the set reached
+        the file; writing the set again is harmless.
+        """
+        pages = tuple(pages)
         with self._mutex:
-            if not 1 <= page_id < self.page_count:
-                raise ValueError(f"page {page_id} out of range")
+            for page_id, payload in pages:
+                if len(payload) > self.payload_size:
+                    raise ValueError(
+                        f"payload of {len(payload)} bytes exceeds page "
+                        f"capacity {self.payload_size}"
+                    )
+                if not 1 <= page_id < self.page_count:
+                    raise ValueError(f"page {page_id} out of range")
             self._guard_writable()
-            self._capture_pre_image(page_id)
-            padded = payload.ljust(self.payload_size, b"\x00")
-            self._hook("before_page_write")
-            self._io_write(
-                self._file,
-                page_id * self.page_size,
-                padded + _CRC.pack(zlib.crc32(padded)),
-                "data",
-            )
-            self._hook("after_page_write")
-            self.stats.physical_writes += 1
+            if self.journaled:
+                # Page 0 first: if rollback ever has to stop at a rotten
+                # record, the header is the page it must not lose.
+                if self._header_dirty:
+                    self._capture_pre_image(0)
+                for page_id, _ in pages:
+                    self._capture_pre_image(page_id)
+                if self._journal_unsynced:
+                    # A barrier is due anyway: let it cover more.
+                    for page_id in journal_ahead:
+                        self._capture_pre_image(page_id)
+                    self._journal_barrier()
+            for page_id, payload in pages:
+                self._put_page(page_id, payload)
+            if self._header_dirty:
+                self._put_header()
+
+    def _put_page(self, page_id: int, payload: bytes) -> None:
+        """The raw data-file write of one page.  The caller ran the
+        barrier, or the page is fresh and needs none."""
+        padded = payload.ljust(self.payload_size, b"\x00")
+        self._hook("before_page_write")
+        self._data_unsynced = True
+        self._io_write(
+            self._file,
+            page_id * self.page_size,
+            padded + _CRC.pack(zlib.crc32(padded)),
+            "data",
+        )
+        self._hook("after_page_write")
+        self.stats.physical_writes += 1
 
     # ------------------------------------------------------------------
     # Allocation
@@ -626,11 +807,13 @@ class Pager:
                 (self._free_head,) = _FREE_LINK.unpack(payload[: _FREE_LINK.size])
                 self._freed.discard(page_id)
             else:
+                # Extend the file.  The page is fresh, so no barrier:
+                # rollback truncates it away.
                 page_id = self.page_count
                 self.page_count += 1
-                self.write_page(page_id, b"")
+                self._put_page(page_id, b"")
             self.live_nodes += 1
-            self._write_header()
+            self._header_dirty = True
             return page_id
 
     def free_page(self, page_id: int) -> None:
@@ -653,14 +836,15 @@ class Pager:
             self._free_head = page_id
             self._freed.add(page_id)
             self.live_nodes -= 1
-            self._write_header()
+            self._header_dirty = True
 
     # ------------------------------------------------------------------
     def sync(self) -> None:
-        """Flush the OS file buffers to stable storage."""
+        """Write the header page if it is dirty, then flush the OS file
+        buffers to stable storage."""
         with self._mutex:
-            self._file.flush()
-            self._io_fsync(self._file, "data")
+            self.write_pages(())
+            self._fsync_data()
 
     def close(self) -> None:
         """Clean shutdown: persist the header and commit any transaction.
@@ -673,20 +857,12 @@ class Pager:
         with self._mutex:
             if self._file.closed:
                 return
-            if self.degraded:
-                for handle in (self._journal_file, self._file):
-                    if handle is not None and not handle.closed:
-                        try:
-                            handle.close()
-                        except OSError:  # pragma: no cover - best effort
-                            pass
-                self._journal_file = None
-                return
-            self._write_header()
-            if self.journaled:
-                self.commit()
-            self._file.flush()
-            self._file.close()
+            if not self.degraded:
+                if self.journaled:
+                    self.commit()
+                else:
+                    self.write_pages(())  # the header page
+            self._release_handles()
 
     def __enter__(self) -> "Pager":
         return self

@@ -179,6 +179,12 @@ class PagedNodeStore(NodeStore):
         return self.pager.live_nodes
 
     # ------------------------------------------------------------------
+    @property
+    def dirty(self) -> bool:
+        """Whether :meth:`commit` has anything to make durable: a dirty
+        frame, a dirty header page or an open transaction."""
+        return self.buffer.dirty or self.pager.dirty
+
     def flush(self) -> None:
         """Write back all dirty pages and sync the file."""
         self.buffer.flush()
@@ -187,8 +193,13 @@ class PagedNodeStore(NodeStore):
     def commit(self) -> None:
         """Write back, then commit the pager's transaction (journaled mode).
 
-        After a commit the on-disk state is a durable snapshot: a crash
-        at any later point rolls the file back to it on reopen.
+        The dirty frames and the header page reach the pager as one
+        write-back set, so a commit costs one journal barrier, one data
+        fsync and the directory syncs of the journal's create and
+        delete; a store with nothing to commit (see :attr:`dirty`) does
+        no I/O at all.  After a commit the on-disk state is a durable
+        snapshot: a crash at any later point rolls the file back to it
+        on reopen.
         """
         self.buffer.flush()
         self.pager.commit()

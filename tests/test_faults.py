@@ -1,11 +1,13 @@
 """Tests for the fault-injection layer (:mod:`repro.faults`) and the
 pager's failure handling: retries, degraded mode, write-ahead journal
-discipline, torn-record recovery, and the buffer pool's eviction path
-under injected I/O errors."""
+discipline (one barrier per write-back set), torn-record recovery, the
+power-loss model, and the buffer pool's eviction path under injected
+I/O errors."""
 
 import errno
+import hashlib
 import os
-import struct
+import warnings
 import zlib
 
 import pytest
@@ -30,6 +32,54 @@ def fast_pager(path, **kwargs):
     kwargs.setdefault("page_size", PAGE_SIZE)
     kwargs.setdefault("retry_backoff", 0.0)
     return Pager(str(path), **kwargs)
+
+
+def sha256_of(path):
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+def assert_write_ahead(events, journal_path, base_count, page_size=PAGE_SIZE):
+    """The barrier rule, checked against the injector's event order.
+
+    For one transaction whose journal is still on disk: every data-file
+    write of a page that existed at the last commit (page 0 included)
+    comes after a journal fsync that covers the journal header and that
+    page's pre-image record, and after a sync of the journal's directory
+    entry.  Returns how many such overwrites were checked.
+    """
+    with open(journal_path, "rb") as handle:
+        journal = handle.read()
+    record_end = {}  # page id -> where its (first) record ends
+    offset = Pager._JOURNAL_HEADER.size
+    stride = Pager._JOURNAL_RECORD.size + page_size
+    while offset + stride <= len(journal):
+        page_id, _ = Pager._JOURNAL_RECORD.unpack_from(journal, offset)
+        offset += stride
+        record_end.setdefault(page_id, offset)
+    appended = synced = checked = 0
+    entry_synced = False
+    for event in events:
+        if event[0] == "create":
+            appended = synced = 0
+            entry_synced = False
+        elif event[:2] == ("write", "journal"):
+            appended = event[2] + event[3]
+        elif event == ("fsync", "journal"):
+            synced = appended
+        elif event == ("fsync", "dir"):
+            entry_synced = True
+        elif event[:2] == ("write", "data"):
+            page_id = event[2] // page_size
+            if page_id < base_count:
+                assert entry_synced, f"page {page_id}: journal entry not synced"
+                assert page_id in record_end, f"page {page_id}: no pre-image"
+                assert record_end[page_id] <= synced, (
+                    f"page {page_id} overwritten before its pre-image "
+                    f"(ends at {record_end[page_id]}) was fsynced ({synced})"
+                )
+                checked += 1
+    return checked
 
 
 def committed_pager(path, payloads, **kwargs):
@@ -243,20 +293,78 @@ class TestPagerRetries:
 class TestJournalWriteAhead:
     def test_journal_record_fsynced_before_page_overwrite(self, tmp_path):
         pager, (page,) = committed_pager(tmp_path / "p.sbt", [b"committed"])
+        base_count = pager.page_count
         inj = FaultInjector()
         pager.faults = inj
         pager.write_page(page, b"uncommitted")
-        # Header + one pre-image record, each made durable before the
-        # data write of the overwrite happened.
-        assert inj.fsync_calls["journal"] == 2
+        # The journal header and the pre-image record were appended
+        # unsynced, then made durable together -- journal, then its
+        # directory entry -- before the overwrite's data write.
+        assert inj.events == [
+            ("create", pager.journal_path),
+            ("write", "journal", 0, Pager._JOURNAL_HEADER.size),
+            ("write", "journal", Pager._JOURNAL_HEADER.size,
+             Pager._JOURNAL_RECORD.size + PAGE_SIZE),
+            ("fsync", "journal"),
+            ("fsync", "dir"),
+            ("write", "data", page * PAGE_SIZE, PAGE_SIZE),
+        ]
         assert inj.hits["after_journal_create"] == 1
         assert inj.hits["after_journal_fsync"] == 1
-        assert inj.write_calls["data"] == 1
-        pager.faults = None
         simulate_crash(pager)
+        assert assert_write_ahead(inj.events, pager.journal_path, base_count) == 1
         reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
         assert reopened.read_page(page).rstrip(b"\x00") == b"committed"
         reopened.close()
+
+    def test_every_overwrite_waits_for_its_barrier(self, tmp_path):
+        """A transaction big enough to evict mid-way: several write-back
+        sets, several barriers, and no committed page overwritten ahead
+        of the barrier that covers it."""
+        path = str(tmp_path / "s.sbt")
+        store = PagedNodeStore(
+            path, "sum", page_size=PAGE_SIZE, journaled=True, buffer_capacity=8,
+        )
+        tree = SBTree("sum", store, branching=4, leaf_capacity=4)
+        for i in range(40):
+            tree.insert(i % 5 + 1, Interval(i * 3, i * 3 + 25))
+        store.commit()
+        committed = tree.to_table()
+        base_count = store.pager.page_count
+        inj = FaultInjector()
+        store.pager.faults = inj
+        for i in range(40, 70):
+            tree.insert(i % 5 + 1, Interval(i * 3 - 60, i * 3))
+        store.buffer.flush()
+        assert store.buffer.stats.evictions > 0
+        assert inj.fsync_calls["journal"] >= 2  # more than one barrier...
+        # ...but fewer than one per journaled page.
+        assert inj.fsync_calls["journal"] < inj.write_calls["journal"] / 2
+        assert "data" not in inj.fsync_calls
+        simulate_crash(store)
+        checked = assert_write_ahead(inj.events, store.pager.journal_path, base_count)
+        assert checked >= 10
+        reopened = PagedNodeStore(path, journaled=True)
+        assert SBTree(store=reopened).to_table() == committed
+        reopened.close()
+
+    def test_eviction_journals_every_dirty_frame_behind_one_barrier(self, tmp_path):
+        pager, pages = committed_pager(
+            tmp_path / "p.sbt", [b"p%d" % i for i in range(4)]
+        )
+        pool = BufferPool(pager, capacity=3)
+        inj = FaultInjector()
+        pager.faults = inj
+        for page in pages[:3]:
+            pool.write(page, b"dirty", None)
+        pool.write(pages[3], b"dirty", None)  # evicts pages[0]
+        # One barrier covered the victim and the two frames still dirty.
+        assert inj.fsync_calls == {"journal": 1, "dir": 1}
+        assert inj.write_calls == {"journal": 1 + 3, "data": 1}
+        pool.flush()  # pages[3] is new to the journal: one more barrier
+        assert inj.fsync_calls == {"journal": 2, "dir": 1}
+        assert inj.write_calls == {"journal": 1 + 4, "data": 1 + 3}
+        simulate_crash(pager)
 
     @pytest.mark.parametrize(
         "point", ["before_journal_fsync", "before_page_write", "after_page_write"]
@@ -323,13 +431,22 @@ class TestJournalRecords:
         assert reopened.read_page(page).rstrip(b"\x00") == b"committed"
         reopened.close()
 
-    def test_truncated_header_warns(self, tmp_path):
-        pager, _ = committed_pager(tmp_path / "p.sbt", [b"committed"])
+    def test_truncated_header_is_an_unstarted_transaction(self, tmp_path):
+        """A header that never became durable proves no barrier completed,
+        so nothing was overwritten: no warning, no error even under
+        ``strict=True``, just "nothing to roll back"."""
+        pager, (page,) = committed_pager(tmp_path / "p.sbt", [b"committed"])
         pager.close()
+        before = sha256_of(pager.path)
         with open(pager.journal_path, "wb") as fh:
             fh.write(b"\x01\x02\x03")
-        with pytest.warns(RuntimeWarning, match="truncated journal header"):
-            fast_pager(tmp_path / "p.sbt", journaled=True).close()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reopened = fast_pager(tmp_path / "p.sbt", journaled=True, strict=True)
+        assert not os.path.exists(pager.journal_path)
+        assert reopened.read_page(page).rstrip(b"\x00") == b"committed"
+        reopened.close()
+        assert sha256_of(pager.path) == before
 
     def test_strict_mode_raises_and_keeps_journal(self, tmp_path):
         pager, _ = committed_pager(tmp_path / "p.sbt", [b"committed"])
@@ -340,6 +457,281 @@ class TestJournalRecords:
             fast_pager(tmp_path / "p.sbt", journaled=True, strict=True)
         # Left on disk for forensics / `repro fsck`.
         assert os.path.exists(pager.journal_path)
+
+
+# ----------------------------------------------------------------------
+# The barrier protocol: what may sit unsynced, and what that leaves behind
+# ----------------------------------------------------------------------
+class TestJournalBarrier:
+    def crash_before_first_barrier(self, path):
+        """Commit two pages, then die with a fresh page allocated and the
+        pre-images of both pages appended but no barrier run."""
+        pager, pages = committed_pager(path, [b"aaa", b"bbb"])
+        committed = sha256_of(pager.path)
+        pager.faults = FaultInjector().crash_at("before_journal_fsync")
+        fresh = pager.allocate_page()  # written at once: no barrier needed
+        assert fresh >= len(pages) + 1
+        with pytest.raises(SimulatedCrash):
+            pager.write_pages([(pages[0], b"a-new"), (pages[1], b"b-new")])
+        simulate_crash(pager)
+        return pager, committed
+
+    @pytest.mark.parametrize(
+        "shape", ["empty", "short-header", "zeroed-header", "torn-record", "whole"]
+    )
+    def test_crash_before_the_barrier_leaves_the_data_file_untouched(
+        self, tmp_path, shape
+    ):
+        pager, committed = self.crash_before_first_barrier(tmp_path / "p.sbt")
+        header = Pager._JOURNAL_HEADER.size
+        stride = Pager._JOURNAL_RECORD.size + PAGE_SIZE
+        # Header + pre-images of page 0 and both data pages, none synced.
+        assert os.path.getsize(pager.journal_path) == header + 3 * stride
+        # None of it was synced, so any of these may be what survives.
+        with open(pager.journal_path, "r+b") as fh:
+            if shape == "empty":
+                fh.truncate(0)
+            elif shape == "short-header":
+                fh.truncate(header - 5)
+            elif shape == "zeroed-header":
+                fh.write(b"\x00" * header)
+            elif shape == "torn-record":
+                fh.truncate(header + stride + stride // 2)
+        # The fresh page is in the file; the committed pages were never
+        # touched, whatever the journal looks like.
+        assert os.path.getsize(pager.path) == 4 * PAGE_SIZE
+        with open(pager.path, "rb") as fh:
+            assert hashlib.sha256(fh.read(3 * PAGE_SIZE)).hexdigest() == committed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reopened = fast_pager(tmp_path / "p.sbt", journaled=True, strict=True)
+        assert not os.path.exists(pager.journal_path)
+        assert reopened.page_count == 3  # the fresh page is gone again
+        reopened.close()
+        assert sha256_of(pager.path) == committed
+
+    def test_fresh_pages_are_written_without_a_barrier(self, tmp_path):
+        pager, _ = committed_pager(tmp_path / "p.sbt", [b"committed"])
+        committed = sha256_of(pager.path)
+        inj = FaultInjector()
+        pager.faults = inj
+        fresh = [pager.allocate_page() for _ in range(3)]
+        pager.set_root(fresh[0])
+        assert inj.fsync_calls == {}
+        assert inj.write_calls == {"journal": 1, "data": 3}  # header + 3 pages
+        simulate_crash(pager)
+        assert os.path.getsize(pager.path) == 5 * PAGE_SIZE
+        fast_pager(tmp_path / "p.sbt", journaled=True, strict=True).close()
+        assert sha256_of(pager.path) == committed
+
+    def test_page_freed_and_reallocated_inside_one_transaction(self, tmp_path):
+        pager, (a, b) = committed_pager(tmp_path / "p.sbt", [b"aaa", b"bbb"])
+        committed = sha256_of(pager.path)
+        base_count = pager.page_count
+        inj = FaultInjector()
+        pager.faults = inj
+        pager.free_page(a)  # overwrites a with a free-list link
+        assert pager.allocate_page() == a  # ...and hands it out again
+        pager.write_pages([(a, b"a-again"), (b, b"b-new")])
+        # a's pre-image was journaled once, before the link was written.
+        assert inj.write_calls["journal"] == 1 + 3  # header, page 0, a, b
+        simulate_crash(pager)
+        assert assert_write_ahead(inj.events, pager.journal_path, base_count) == 4
+        reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
+        assert reopened.read_page(a).rstrip(b"\x00") == b"aaa"
+        assert reopened.read_page(b).rstrip(b"\x00") == b"bbb"
+        reopened.close()
+        assert sha256_of(pager.path) == committed
+
+    def test_failed_journal_fsync_is_final(self, tmp_path):
+        pager, (page,) = committed_pager(tmp_path / "p.sbt", [b"committed"])
+        committed = sha256_of(pager.path)
+        inj = FaultInjector().fail_fsyncs("journal", times=1)
+        pager.faults = inj
+        with pytest.warns(RuntimeWarning, match="degraded mode"):
+            with pytest.raises(OSError):
+                pager.write_page(page, b"doomed")
+        # One attempt, no retry, and the overwrite never happened.
+        assert inj.fsync_calls == {"journal": 1}
+        assert "data" not in inj.write_calls
+        assert pager.fsync_failures == 1
+        # The next barrier would be that retry: the pager refuses it.
+        assert pager.degraded
+        with pytest.raises(PagerDegradedError):
+            pager.write_page(page, b"doomed again")
+        with pytest.raises(PagerDegradedError):
+            pager.commit()
+        assert inj.fsync_calls == {"journal": 1}
+        pager.close()  # leaves the journal for the next open
+        assert sha256_of(pager.path) == committed
+        reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
+        assert reopened.read_page(page).rstrip(b"\x00") == b"committed"
+        reopened.close()
+
+    def test_journal_in_the_previous_layout_still_rolls_back(self, tmp_path):
+        """The journal format did not change, only when it is synced: a
+        journal as the per-page-sync pager wrote it -- page 0 first, then
+        each page as it was first overwritten, data pages overwritten and
+        fresh pages appended behind it -- rolls back under this build."""
+        pager, (a, b) = committed_pager(tmp_path / "p.sbt", [b"aaa", b"bbb"])
+        pager.close()
+        committed = sha256_of(pager.path)
+        with open(pager.path, "r+b") as data:
+            image = data.read()
+            with open(pager.journal_path, "wb") as journal:
+                journal.write(
+                    Pager._JOURNAL_HEADER.pack(Pager._JOURNAL_MAGIC, PAGE_SIZE, 3)
+                )
+                for page_id in (0, b, a):
+                    pre = image[page_id * PAGE_SIZE:(page_id + 1) * PAGE_SIZE]
+                    journal.write(
+                        Pager._JOURNAL_RECORD.pack(page_id, zlib.crc32(pre)) + pre
+                    )
+            for page_id in (0, a, b, 3, 4):  # overwrite, and grow the file
+                data.seek(page_id * PAGE_SIZE)
+                data.write(b"\xee" * PAGE_SIZE)
+        reopened = fast_pager(tmp_path / "p.sbt", journaled=True, strict=True)
+        assert reopened.read_page(a).rstrip(b"\x00") == b"aaa"
+        assert reopened.read_page(b).rstrip(b"\x00") == b"bbb"
+        reopened.close()
+        assert sha256_of(pager.path) == committed
+
+
+# ----------------------------------------------------------------------
+# Power loss: unsynced writes and directory operations may vanish
+# ----------------------------------------------------------------------
+class TestPowerLoss:
+    def test_synced_writes_survive_and_unsynced_ones_do_not(self, tmp_path):
+        pager, (a, b) = committed_pager(tmp_path / "p.sbt", [b"aaa", b"bbb"])
+        inj = FaultInjector()
+        pager.faults = inj
+        pager.write_page(a, b"a-new")
+        pager.sync()  # a-new (and the journal before it) are on the platter
+        pager.write_page(b, b"b-new")  # journal synced, the data write not
+        simulate_crash(pager, power_loss="all")
+        assert inj.injected["power_loss"] == 1
+        with open(pager.path, "rb") as fh:
+            image = fh.read()
+        assert image[a * PAGE_SIZE:].startswith(b"a-new")
+        assert image[b * PAGE_SIZE:].startswith(b"bbb")
+        reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
+        assert reopened.read_page(a).rstrip(b"\x00") == b"aaa"
+        assert reopened.read_page(b).rstrip(b"\x00") == b"bbb"
+        reopened.close()
+
+    def test_unsynced_journal_create_may_vanish(self, tmp_path):
+        pager, _ = committed_pager(tmp_path / "p.sbt", [b"committed"])
+        committed = sha256_of(pager.path)
+        pager.faults = FaultInjector()
+        pager.allocate_page()  # opens the journal; no barrier yet
+        assert os.path.exists(pager.journal_path)
+        simulate_crash(pager, power_loss="all")
+        assert not os.path.exists(pager.journal_path)
+        # The fresh page's unsynced write went with it.
+        assert sha256_of(pager.path) == committed
+
+    def test_unsynced_journal_unlink_may_come_back(self, tmp_path):
+        pager, (page,) = committed_pager(tmp_path / "p.sbt", [b"old"])
+        # Die right after the journal's unlink, before its directory sync.
+        inj = FaultInjector().fail_fsyncs("dir", times=None)
+        pager.write_page(page, b"new")
+        pager.faults = inj
+        with pytest.raises(OSError):
+            pager.commit()
+        assert not os.path.exists(pager.journal_path)
+        simulate_crash(pager, power_loss="all")
+        # The journal is back, whole: the commit is undone, atomically.
+        assert os.path.exists(pager.journal_path)
+        reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
+        assert reopened.read_page(page).rstrip(b"\x00") == b"old"
+        reopened.close()
+
+    def test_a_surviving_later_write_wins_over_a_dropped_earlier_one(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "raw.bin"
+        path.write_bytes(b"0" * 8)
+        inj = FaultInjector()
+        with open(str(path), "r+b") as handle:
+            for offset, data in ((0, b"AAAA"), (0, b"BBBB"), (8, b"CC")):
+                payload, _ = inj.intercept_write("data", data, handle, offset)
+                handle.seek(offset)
+                handle.write(payload)
+        # Keep only the second write: the first is dropped but must not
+        # resurrect the zeros under it; the append is cut off again.
+        survives = iter([False, True, False])  # asked newest first
+
+        class Rigged:
+            def choice(self, options):
+                return "some"
+
+            def random(self):
+                return 0.0 if next(survives) else 1.0
+
+        monkeypatch.setattr("repro.faults.derive_rng", lambda *a: Rigged())
+        assert inj.lose_power(1) == {"writes": 2, "dir_ops": 0}
+        assert path.read_bytes() == b"BBBB0000"
+
+    def test_seeded_subsets_are_deterministic(self, tmp_path):
+        def run(seed):
+            base = tmp_path / f"run-{seed}-{len(os.listdir(tmp_path))}"
+            base.mkdir()
+            pager, pages = committed_pager(base / "p.sbt", [b"aaa", b"bbb", b"ccc"])
+            pager.faults = FaultInjector()
+            pager.write_pages([(p, b"new") for p in pages])
+            pager.allocate_page()
+            simulate_crash(pager, power_loss=seed)
+            journal = (
+                sha256_of(pager.journal_path)
+                if os.path.exists(pager.journal_path) else None
+            )
+            return sha256_of(pager.path), journal
+
+        assert run(5) == run(5)
+        assert len({run(seed) for seed in range(12)}) > 1
+
+
+# ----------------------------------------------------------------------
+# The sync counters count what the injector sees
+# ----------------------------------------------------------------------
+class TestFsyncAccounting:
+    def test_stats_and_counters_reconcile_with_the_injector(self, tmp_path):
+        path = str(tmp_path / "s.sbt")
+        inj = FaultInjector()
+        registry = obs.enable(obs.MetricsRegistry())
+        try:
+            # From file creation on: every fsync the pager ever issues.
+            store = PagedNodeStore(
+                path, "sum", page_size=PAGE_SIZE, journaled=True,
+                buffer_capacity=4, faults=inj,
+            )
+            tree = SBTree("sum", store, branching=4, leaf_capacity=4)
+            for i in range(60):
+                tree.insert(i % 5 + 1, Interval(i * 3, i * 3 + 25))
+                if i % 16 == 15:
+                    store.commit()
+            store.flush()
+            inj.fail_fsyncs("data", times=1)  # a failed attempt counts too
+            tree.insert(1, Interval(0, 5))
+            with pytest.raises(OSError):
+                store.commit()
+            store.close()
+            assert set(inj.fsync_calls) == {"journal", "data", "dir"}
+            assert store.pager.stats.fsyncs == sum(inj.fsync_calls.values())
+            for label, calls in inj.fsync_calls.items():
+                assert registry.counter(f"pager.fsyncs.{label}").value == calls
+            # A leftover journal's rollback syncs are counted as well.
+            crashed = PagedNodeStore(path, journaled=True, faults=inj)
+            before = dict(inj.fsync_calls)
+            SBTree(store=crashed).insert(2, Interval(0, 9))
+            crashed.buffer.flush()
+            simulate_crash(crashed)
+            reopened = PagedNodeStore(path, journaled=True, faults=inj)
+            assert reopened.pager.stats.fsyncs == 2  # data, then the entry
+            assert inj.fsync_calls["data"] == before["data"] + 1
+            reopened.close()
+        finally:
+            obs.disable()
 
 
 # ----------------------------------------------------------------------
@@ -397,6 +789,7 @@ class TestSimulateCrash:
         simulate_crash(pager)
         assert pager._file.closed
         assert os.path.exists(pager.journal_path)
+        assert pager._dir_fd is None  # the directory fd went with them
         # Idempotent on already-closed handles.
         simulate_crash(pager)
 

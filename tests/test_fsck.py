@@ -4,13 +4,14 @@ claims to detect -- bad checksums, free-list cycles, orphan pages, torn
 journals -- plus the ``--repair`` paths."""
 
 import json
+import os
 
 import pytest
 
 from repro.cli import main as cli_main
 from repro.core.intervals import Interval
 from repro.core.sbtree import SBTree
-from repro.faults import simulate_crash
+from repro.faults import FaultInjector, SimulatedCrash, simulate_crash
 from repro.storage import PagedNodeStore, Pager, fsck
 from repro.storage.fsck import _write_free_page
 from repro.storage.pager import _HEADER, NO_PAGE
@@ -332,6 +333,41 @@ class TestFsckRepair:
         import os
 
         assert not os.path.exists(journal)
+
+
+    @pytest.mark.parametrize("keep", ["half-a-header", "two-and-a-half-records"])
+    def test_repair_settles_unsynced_journal_tail(self, tmp_path, keep):
+        """The journal a crash *before the barrier* leaves: a header and
+        several records, none of them synced, so any prefix may survive.
+        Nothing was overwritten, so fsck calls the file sound, and repair
+        settles the journal back to exactly the committed bytes."""
+        path = tmp_path / "tail.sbt"
+        make_tree_file(path, journaled=True)
+        committed = path.read_bytes()
+        store = PagedNodeStore(str(path), journaled=True, buffer_capacity=64)
+        tree = SBTree(store=store)
+        for i in range(10):
+            tree.insert(i + 1, Interval(i * 4, i * 4 + 15))
+        store.pager.faults = FaultInjector().crash_at("before_journal_fsync")
+        with pytest.raises(SimulatedCrash):
+            store.buffer.flush()  # journals the whole dirty set, then dies
+        simulate_crash(store)
+        journal = str(path) + "-journal"
+        record = Pager._JOURNAL_RECORD.size + PAGE_SIZE
+        header = Pager._JOURNAL_HEADER.size
+        assert os.path.getsize(journal) >= header + 4 * record
+        with open(journal, "r+b") as handle:
+            handle.truncate(
+                header // 2 if keep == "half-a-header"
+                else header + 2 * record + record // 2
+            )
+        assert path.read_bytes()[:len(committed)] == committed
+        report = fsck(str(path))
+        assert report.ok and report.has("journal-present")
+        report = fsck(str(path), repair=True)
+        assert report.repaired and report.ok
+        assert not os.path.exists(journal)
+        assert path.read_bytes() == committed
 
 
 # ----------------------------------------------------------------------

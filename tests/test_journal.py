@@ -1,15 +1,18 @@
 """Crash-consistency tests for the pager's rollback journal.
 
 Crashes are simulated by abandoning a pager/store mid-transaction
-(without close/commit) and reopening the files: recovery must roll the
-page file back to the last committed snapshot, bit for bit.
+(:func:`repro.faults.simulate_crash`: no close, no commit) and reopening
+the files: recovery must roll the page file back to the last committed
+snapshot, bit for bit.
 """
 
 import os
 
 import pytest
 
-from repro import Interval, SBTree, check_tree
+from repro import Interval, SBTree, ShardedTree, check_tree
+from repro.faults import FaultInjector, SimulatedCrash, simulate_crash
+from repro.service.dedup import HIT, DedupWindow
 from repro.storage import PagedNodeStore, Pager
 
 
@@ -35,8 +38,7 @@ class TestPagerJournal:
         pager.write_page(pid, b"committed")
         pager.commit()
         pager.write_page(pid, b"uncommitted")
-        pager._file.flush()  # data hit the file, but no commit
-        pager._file.close()  # simulated crash (no close() bookkeeping)
+        simulate_crash(pager)  # data hit the file, but no commit
 
         recovered = Pager(path, journaled=True)
         assert recovered.read_page(pid).rstrip(b"\x00") == b"committed"
@@ -50,8 +52,7 @@ class TestPagerJournal:
         committed_pages = pager.page_count
         for _ in range(5):
             pager.allocate_page()
-        pager._file.flush()
-        pager._file.close()  # crash with 5 uncommitted new pages
+        simulate_crash(pager)  # crash with 5 uncommitted new pages
 
         recovered = Pager(path, journaled=True)
         assert recovered.page_count == committed_pages
@@ -66,8 +67,8 @@ class TestPagerJournal:
         pager.set_meta("kind", "sum")
         pager.commit()
         pager.set_meta("kind", "avg")  # uncommitted header change
-        pager._file.flush()
-        pager._file.close()
+        pager.sync()  # ...that reached the file
+        simulate_crash(pager)
 
         recovered = Pager(path, journaled=True)
         assert recovered.get_meta("kind") == "sum"
@@ -84,10 +85,7 @@ class TestPagerJournal:
         pager.commit()
         pager.write_page(a, b"A2")
         pager.write_page(b, b"B2")
-        pager._file.flush()
-        if pager._journal_file is not None:
-            pager._journal_file.flush()
-        pager._file.close()
+        simulate_crash(pager)
         # Tear the journal: chop the last record in half.
         size = os.path.getsize(pager.journal_path)
         with open(pager.journal_path, "r+b") as j:
@@ -137,8 +135,7 @@ class TestStoreCrashRecovery:
         for i in range(40, 80):
             tree.insert(2, Interval(i * 4, i * 4 + 20))
         store.buffer.flush()  # dirty pages reach the file...
-        store.pager._file.flush()
-        store.pager._file.close()  # ...but the transaction never commits
+        simulate_crash(store)  # ...but the transaction never commits
 
         with PagedNodeStore(path, journaled=True) as recovered_store:
             recovered = SBTree(store=recovered_store)
@@ -155,8 +152,7 @@ class TestStoreCrashRecovery:
         for i in range(30):
             tree.insert(1, Interval(i, i + 10))
         store.buffer.flush()
-        store.pager._file.flush()
-        store.pager._file.close()
+        simulate_crash(store)
 
         with PagedNodeStore(path, journaled=True) as recovered_store:
             recovered = SBTree(store=recovered_store)
@@ -172,9 +168,151 @@ class TestStoreCrashRecovery:
         snapshot = tree.to_table()
         tree.insert(3, Interval(7, 12))  # never committed
         store.buffer.flush()
-        store.pager._file.flush()
-        store.pager._file.close()
+        simulate_crash(store)
 
         with PagedNodeStore(path, journaled=True) as recovered_store:
             recovered = SBTree(store=recovered_store)
             assert recovered.to_table() == snapshot
+
+
+# ----------------------------------------------------------------------
+# What a group commit costs, and which stores it touches
+# ----------------------------------------------------------------------
+SERVICE_META = {
+    "service.dedup": '{"v":1,"clients":{"c1":{"floor":0,"entries":[[7,{"applied":64}]]}}}',
+    "service.repl.commit": "41",
+}
+
+
+def bench_geometry(directory, injector=None):
+    """The benchmark's durable layout: four journaled shard files, a pool
+    of 32 frames each, page-derived fan-out, time span [0, 100000)."""
+    stores = [
+        PagedNodeStore(
+            os.path.join(str(directory), f"shard-{i}.sbt"), "sum",
+            journaled=True, buffer_capacity=32, faults=injector,
+        )
+        for i in range(4)
+    ]
+    return ShardedTree("sum", num_shards=4, span=(0, 100_000), stores=stores), stores
+
+
+def one_shard_batch(start, count=64):
+    """Near-ordered facts that all fall inside shard 0's range."""
+    return [(i % 7 + 1, Interval(start + i * 3, start + i * 3 + 40)) for i in range(count)]
+
+
+class TestSyncBudget:
+    def test_one_shard_group_commit_costs_at_most_six_fsyncs(self, tmp_path):
+        sharded, stores = bench_geometry(tmp_path)
+        for round_ in range(6):  # grow the shard: splits, a real tree
+            sharded.batch_insert(one_shard_batch(round_ * 200))
+            sharded.commit(SERVICE_META)
+        injector = FaultInjector()
+        for store in stores:
+            store.pager.faults = injector
+        before = [store.pager.stats.snapshot() for store in stores]
+        sharded.batch_insert(one_shard_batch(1_200))
+        assert sharded.commit(SERVICE_META) == 1
+        # One journal barrier (journal + its directory entry), one data
+        # fsync, one directory sync for the journal's deletion; a second
+        # barrier if the pool evicted between two of them.
+        assert 4 <= sum(injector.fsync_calls.values()) <= 6
+        assert injector.fsync_calls["data"] == 1
+        spent = [store.pager.stats - mark for store, mark in zip(stores, before)]
+        assert [delta.fsyncs for delta in spent[1:]] == [0, 0, 0]
+        assert [delta.physical_writes for delta in spent[1:]] == [0, 0, 0]
+        sharded.close()
+
+    def test_commit_of_untouched_store_is_free(self, tmp_path):
+        path = str(tmp_path / "t.sbt")
+        store = PagedNodeStore(path, "sum", journaled=True)
+        tree = SBTree("sum", store)
+        tree.insert(1, Interval(0, 10))
+        store.commit()
+        injector = FaultInjector()
+        store.pager.faults = injector
+        assert not store.dirty
+        assert tree.lookup(5) == 1  # reads do not dirty anything
+        store.commit()
+        store.commit()
+        assert injector.fsync_calls == {}
+        assert injector.write_calls == {}
+        assert injector.hits == {}  # not even a crash point: nothing ran
+        assert not os.path.exists(path + "-journal")
+        store.close()  # closing a clean store writes nothing either
+        assert injector.write_calls == {} and injector.fsync_calls == {}
+
+    def test_metadata_only_commit_is_one_small_transaction(self, tmp_path):
+        sharded, stores = bench_geometry(tmp_path)
+        sharded.batch_insert(one_shard_batch(0))
+        assert sharded.commit() == 4  # creation left all four uncommitted
+        assert sharded.commit() == 0
+        injector = FaultInjector()
+        for store in stores:
+            store.pager.faults = injector
+        # Nothing is dirty: the metadata still has to land somewhere.
+        assert sharded.commit(SERVICE_META) == 1
+        assert sum(injector.fsync_calls.values()) == 4
+        assert injector.write_calls == {"journal": 2, "data": 1}
+        assert sharded.get_meta("service.repl.commit") == ["41"]
+        sharded.close()
+
+
+class TestShardedCommitMetadata:
+    def test_meta_goes_to_the_committing_stores_only(self, tmp_path):
+        sharded, stores = bench_geometry(tmp_path)
+        sharded.commit({"service.repl.commit": "1"})
+        assert sharded.get_meta("service.repl.commit") == ["1"] * 4
+        sharded.batch_insert([(5, Interval(60_000, 60_040))])  # shard 2 only
+        assert sharded.commit({"service.repl.commit": "2"}) == 1
+        assert [s.get_meta("service.repl.commit") for s in stores] == [
+            "1", "1", "2", "1",
+        ]
+        sharded.close()
+        # A restart reads every copy and keeps the newest.
+        reopened = [PagedNodeStore(s.pager.path, journaled=True) for s in stores]
+        assert max(int(s.get_meta("service.repl.commit")) for s in reopened) == 2
+        for store in reopened:
+            store.close()
+
+    def test_crash_between_two_shard_commits(self, tmp_path):
+        """SIGKILL after shard 0 committed and before shard 1 did: the
+        batch's metadata is in shard 0 only.  The restart merge (dedup:
+        union of entries, max floor; watermark: max) still sees it, so a
+        replayed key is answered as a duplicate, exactly once."""
+        injector = FaultInjector()
+        sharded, stores = bench_geometry(tmp_path, injector)
+        window = DedupWindow()
+        sharded.commit(
+            {"service.dedup": window.encode_with([(("c1", 1), {"applied": 1})]),
+             "service.repl.commit": "1"}
+        )
+        window.record("c1", 1, {"applied": 1})
+        # One batch, two facts, two shards.
+        sharded.batch_insert(
+            [(3, Interval(10, 50)), (4, Interval(30_000, 30_050))]
+        )
+        injector.crash_at("before_commit_fsync", hit=injector.hits["before_commit_fsync"] + 2)
+        with pytest.raises(SimulatedCrash):
+            sharded.commit(
+                {"service.dedup": window.encode_with([(("c1", 2), {"applied": 2})]),
+                 "service.repl.commit": "2"}
+            )
+        for store in stores:
+            simulate_crash(store)
+
+        reopened = [PagedNodeStore(s.pager.path, journaled=True) for s in stores]
+        restarted = ShardedTree(
+            "sum", num_shards=4, span=(0, 100_000), stores=reopened
+        )
+        assert restarted.lookup(20) == 3  # shard 0 kept the batch
+        assert restarted.lookup(30_010) == 0  # shard 1 rolled it back
+        marks = restarted.get_meta("service.repl.commit")
+        assert sorted(marks) == ["1", "1", "1", "2"]
+        assert max(int(mark) for mark in marks) == 2
+        merged = DedupWindow()
+        merged.load(restarted.get_meta("service.dedup"))
+        assert merged.lookup("c1", 2) == (HIT, {"applied": 2})
+        assert merged.lookup("c1", 1) == (HIT, {"applied": 1})
+        restarted.close()

@@ -14,6 +14,7 @@ from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from repro import Interval, SBTree, check_tree
 from repro.core import reference
+from repro.faults import simulate_crash
 from repro.storage import PagedNodeStore
 
 times = st.integers(min_value=0, max_value=150)
@@ -73,10 +74,7 @@ class JournalMachine(RuleBasedStateMachine):
     def crash_and_recover(self):
         # Push everything to the file, then abandon without commit.
         self.store.buffer.flush()
-        self.store.pager._file.flush()
-        if self.store.pager._journal_file is not None:
-            self.store.pager._journal_file.flush()
-        self.store.pager._file.close()
+        simulate_crash(self.store)
         self._open()
         self.pending = []
         expected = reference.instantaneous_table(self.committed, "sum")
