@@ -248,6 +248,27 @@ class SBTree:
                 child = self._read(node.children[i])
                 yield from self._rangeq(child, a, b, query, value)
 
+    def leaf_pieces(self) -> Iterator[Tuple[Any, Time, Time]]:
+        """Yield ``(value, start, end)`` for every leaf interval in time
+        order, each value accumulated along its root-to-leaf path: the
+        uncoalesced full reconstruction (what :meth:`to_table` wraps),
+        one pass, no table objects."""
+        return self._pieces(self._root(), NEG_INF, POS_INF, self.spec.v0)
+
+    def _pieces(
+        self, node: Node, lo: Time, hi: Time, carried: Any
+    ) -> Iterator[Tuple[Any, Time, Time]]:
+        acc = self.spec.acc
+        edges = [lo, *node.times, hi]
+        for i, own in enumerate(node.values):
+            value = acc(carried, own)
+            if node.is_leaf:
+                yield value, edges[i], edges[i + 1]
+            else:
+                child = self._read(node.children[i])
+                yield from self._pieces(child, edges[i], edges[i + 1], value)
+
+    @observed("range_query")
     def to_table(
         self, *, coalesced: bool = True, drop_initial: bool = True
     ) -> ConstantIntervalTable:
@@ -256,7 +277,9 @@ class SBTree:
         With ``drop_initial`` the "harmless" leading/trailing ``v0`` rows
         of Section 3.2 are stripped, matching the paper's result tables.
         """
-        table = self.range_query(Interval(NEG_INF, POS_INF))
+        table = ConstantIntervalTable(
+            [(value, Interval(a, b)) for value, a, b in self.leaf_pieces()]
+        )
         if coalesced:
             table = table.coalesce(self.spec.eq)
         if drop_initial:
@@ -276,6 +299,7 @@ class SBTree:
         """Record the deletion of a base tuple (SUM/COUNT/AVG only)."""
         self.insert_effect(self.spec.negated_effect(value), interval)
 
+    @observed("insert")
     @_reverting
     def insert_effect(self, effect: Any, interval: IntervalLike) -> None:
         """Apply a raw effect pair ``<effect, interval>`` (Section 3.3)."""
@@ -332,29 +356,37 @@ class SBTree:
 
         An effect partially covering a leaf interval splits it into up to
         three pieces, adding at most two intervals to the leaf overall.
+        Only the intervals ``[s, e)`` overlaps are looked at (two
+        bisects) and spliced; the replacement is complete before the
+        leaf is touched, so a value ``acc`` rejects leaves it as it was.
         """
         acc, eq = self.spec.acc, self.spec.eq
         s = max(query.start, lo)
         e = min(query.end, hi)
-        pieces: List[Tuple[Time, Time, Any]] = []
-        for i in range(node.interval_count):
-            a, b = node.bounds(i, lo, hi)
-            old = node.values[i]
-            if b <= s or a >= e:
-                pieces.append((a, b, old))
-                continue
+        times, values = node.times, node.values
+        # Interval i spans [times[i-1], times[i]): `first` holds s, and
+        # `last` is the final one starting before e.
+        first = bisect.bisect_right(times, s)
+        last = bisect.bisect_left(times, e, first)
+        new_values: List[Any] = []
+        new_times: List[Time] = []
+        for i in range(first, last + 1):
+            if i > first:
+                new_times.append(times[i - 1])
+            old = values[i]
             updated = acc(v, old)
             if eq(updated, old):
-                pieces.append((a, b, old))
+                new_values.append(old)
                 continue
-            cut_lo, cut_hi = max(a, s), min(b, e)
-            if a < cut_lo:
-                pieces.append((a, cut_lo, old))
-            pieces.append((cut_lo, cut_hi, updated))
-            if cut_hi < b:
-                pieces.append((cut_hi, b, old))
-        node.times = [start for start, _, _ in pieces[1:]]
-        node.values = [value for _, _, value in pieces]
+            if i == first and (times[i - 1] if i > 0 else lo) < s:
+                new_values.append(old)
+                new_times.append(s)
+            new_values.append(updated)
+            if i == last and e < (times[i] if i < len(times) else hi):
+                new_times.append(e)
+                new_values.append(old)
+        values[first:last + 1] = new_values
+        times[first:last] = new_times
 
     # ------------------------------------------------------------------
     # Node splitting (Section 3.5)

@@ -14,10 +14,18 @@ tables* on top of the same machinery:
   target (``lag="5s"``, ``lag="1h"``, or ``lag="downstream"`` -- refresh
   only when a dependent needs it);
 * a refresh consumes only the change records recorded since the view's
-  per-source **watermark** (never a full rebuild): each event updates
-  the affected group's SB-tree in O(log n), and only the affected
-  (key, time-range) regions of the view's *output rows* are
-  regenerated and re-emitted as change events for downstream views;
+  per-source **watermark** (never a full rebuild), at a cost of
+  O(log n + what the batch affects) however much history the view
+  holds: SUM/COUNT/AVG first *fold* the pending records of a group
+  into their net effect -- a sorted list of disjoint segments, each
+  the sum of the records over it and of nothing else, so the
+  retract/re-emit pairs of an upstream view cancel before they reach
+  a tree -- and each segment updates the group's SB-tree in O(log n);
+  MIN/MAX, which nothing can cancel (paper, Section 3.4), insert
+  record by record.  Only the affected (key, time-range) regions of
+  the view's *output rows* are then regenerated and re-emitted as
+  change events for downstream views, found by bisecting the group's
+  sorted row index, never by scanning it;
 * the :class:`DynamicCatalog` owns the dependency DAG (cycle rejection
   at ``create_view`` time), refreshes stale views in topological order
   on each :meth:`~DynamicCatalog.tick`, persists per-view watermarks
@@ -31,14 +39,24 @@ Consistency model
 
 A view's state always equals "the aggregate of everything its sources
 had emitted up to ``watermarks``"; refreshes are atomic under the
-catalog lock, so a reader never observes a half-applied batch.  A
+catalog lock, so a reader never observes a half-applied batch.  That
+holds for a refresh that *fails*, too: a SUM/COUNT/AVG batch is folded
+before the first tree write, so a record the aggregate cannot
+accumulate (a non-numeric value) rejects the whole batch and the
+quarantined view serves exactly its last-good state.  (MIN/MAX apply
+record by record; a value that cannot be compared with what a tree
+holds can leave earlier records of its batch applied.  The watermarks
+then still name the state before the batch, and because MIN/MAX
+inserts are idempotent the retry by ``repair`` converges on the right
+answer.)  A
 :meth:`~DynamicCatalog.report` with ``pin=True`` refreshes the whole
 ancestor closure of the requested views first, which makes every
 returned value reflect the *same* base-table log heads -- the
 snapshot-consistent multi-view read of PAPERS.md's "Concurrent
 aggregate queries", implemented with batching per refresh tick as "The
 Persistent Buffer Tree" argues (amortize change application, never
-descend per event on the hot path).
+descend per event on the hot path): the tree is descended once per
+folded segment, not once per record.
 
 MIN/MAX views are maintainable only while their sources never emit
 deletions (paper, Section 3.4).  Because an upstream *view* regenerates
@@ -76,6 +94,7 @@ Robustness (DESIGN.md section 14)
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
 import threading
@@ -84,11 +103,11 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .. import obs
-from ..core.intervals import Interval, NEG_INF, POS_INF, Time
+from ..core.intervals import Interval, Time
 from ..core.sbtree import SBTree
 from ..core.values import AggregateSpec, spec_for
 from ..relation.table import TemporalRelation
-from ..relation.tuples import ChangeEvent, ChangeKind
+from ..relation.tuples import ChangeEvent, ChangeKind, TemporalTuple
 
 __all__ = [
     "DOWNSTREAM",
@@ -399,14 +418,20 @@ class DynamicView:
         self.relation.subscribe(self._tap, replay=True)
         self._tree_args = dict(branching=branching, leaf_capacity=leaf_capacity)
         self._trees: Dict[Hashable, SBTree] = {}
-        # Per-group output rows (tuple_id -> row), the view's own
-        # affected-region index: regeneration touches only the rows of
-        # the affected key that overlap the affected time range.
-        self._rows: Dict[Hashable, Dict[int, Any]] = {}
+        # Per-group row index, the view's own affected-region index: the
+        # group's output rows sorted by start (they are disjoint) beside
+        # the parallel list of those starts, so regeneration bisects to
+        # the rows an affected span overlaps and splices their
+        # replacements in place.
+        self._index: Dict[Hashable, Tuple[List[Time], List[TemporalTuple]]] = {}
         self.refreshes = 0
         self.events_consumed = 0
         self.rows_emitted = 0
         self.rows_retracted = 0
+        # Not persisted (the checkpoint must not grow): output rows a
+        # regeneration looked at, and effects applied to group trees.
+        self.rows_examined = 0
+        self.effects_applied = 0
         self.last_refresh_at: Optional[float] = None
         self.last_refresh_s = 0.0
         # Quarantine state: set by the catalog when a scheduled refresh
@@ -421,7 +446,7 @@ class DynamicView:
         if tree is None:
             tree = SBTree(self.spec, **self._tree_args)
             self._trees[key] = tree
-            self._rows[key] = {}
+            self._index[key] = ([], [])
         return tree
 
     def _key_of(self, record: LogRecord) -> Hashable:
@@ -436,9 +461,21 @@ class DynamicView:
         """Consume every source record past the watermarks; return count.
 
         *resolve* maps a source name to its node (the catalog).  The
-        affected-region rule: each consumed event updates one group's
-        tree in O(log n); output rows are then regenerated only for the
-        union of (key, time-range) regions the batch touched.
+        pending records of all sources are grouped by key.  For
+        SUM/COUNT/AVG each group's records are first **folded** into
+        their net effect -- a sorted list of disjoint segments, see
+        :meth:`_fold` -- and each segment then descends the group's
+        tree once, so records that cancel (an upstream view's retract /
+        re-emit pairs) never reach the tree.  MIN/MAX are insert-only
+        and nothing cancels (paper, Section 3.4): each record is
+        inserted as it is, behind the veto.  Output rows are then
+        regenerated only for the union of (key, time-range) regions the
+        records touched.
+
+        Folding touches no state, so a record the aggregate cannot
+        accumulate (a non-numeric value in a SUM) raises before the
+        first tree write and the view is left exactly at its
+        watermarks.
         """
         batches: List[Tuple[str, List[LogRecord]]] = []
         for src in self.sources:
@@ -448,9 +485,23 @@ class DynamicView:
                 batches.append((src, batch))
         if not batches:
             return 0
-        if not self.spec.invertible:
+        started = time.perf_counter()
+        groups: Dict[Hashable, List[LogRecord]] = {}
+        consumed = 0
+        for _, batch in batches:
+            for record in batch:
+                groups.setdefault(self._key_of(record), []).append(record)
+            consumed += len(batch)
+        if self.spec.invertible:
+            folded = [self._fold(records) for records in groups.values()]
+            for key, segments in zip(groups, folded):
+                tree = self._tree(key)
+                for value, start, end in segments:
+                    tree.insert_effect(value, Interval(start, end))
+                self.effects_applied += len(segments)
+        else:
             # Two-phase, like the eager views: veto before any mutation
-            # so a non-maintainable batch cannot half-apply.
+            # so a batch with a deletion cannot half-apply.
             for _, batch in batches:
                 for record in batch:
                     if record.kind == "delete":
@@ -460,22 +511,15 @@ class DynamicView:
                             "Section 3.4); the source change stream "
                             "retracted a tuple"
                         )
-        started = time.perf_counter()
-        affected: Dict[Hashable, List[Interval]] = {}
-        consumed = 0
-        for src, batch in batches:
-            for record in batch:
-                key = self._key_of(record)
+            for key, records in groups.items():
                 tree = self._tree(key)
-                if record.kind == "insert":
+                for record in records:
                     tree.insert(record.value, record.interval)
-                else:
-                    tree.delete(record.value, record.interval)
-                affected.setdefault(key, []).append(record.interval)
-                consumed += 1
+                self.effects_applied += len(records)
+        for src, batch in batches:
             self.watermarks[src] = batch[-1].seq
-        for key, intervals in affected.items():
-            for lo, hi in _merge_spans(intervals):
+        for key, records in groups.items():
+            for lo, hi in _merge_spans([(r.start, r.end) for r in records]):
                 self._regenerate(key, lo, hi)
         self.refreshes += 1
         self.events_consumed += consumed
@@ -489,44 +533,103 @@ class DynamicView:
             ))
         return consumed
 
+    def _fold(self, records: List[LogRecord]) -> List[List[Any]]:
+        """The net effect of one group's records as a step function.
+
+        A sweep over the sorted endpoints keeps the effects of the
+        records *open* at the sweep line (a deletion's is the negated
+        effect) in a tournament: leaf ``i`` holds record ``i``'s effect
+        while it is open and ``v0`` otherwise, every inner slot the
+        ``acc`` of its two children, so the root is the value of the
+        current segment.  A record that closes is taken out of the sum,
+        never subtracted from a running total -- a segment's value is
+        built from the records that overlap it and from nothing else,
+        so one fact's float round-off (or ``inf``) cannot reach a region
+        the fact does not cover.  Opening or closing costs ``log m``
+        calls of ``acc``.
+
+        The result is a sorted list of disjoint ``[effect, start, end]``
+        segments with ``v0`` runs dropped and equal neighbours
+        coalesced: at most ``2 * len(records) - 1`` of them, far fewer
+        when records cancel.  Pure: nothing is written here.
+        """
+        spec = self.spec
+        acc, v0 = spec.acc, spec.v0
+        changes: Dict[Time, List[Tuple[int, Any]]] = {}
+        for slot, record in enumerate(records):
+            if record.kind == "delete":
+                effect = spec.negated_effect(record.value)
+            else:
+                effect = spec.effect(record.value)
+            # acc(v0, .) changes nothing, but a value acc cannot take
+            # (a string in a SUM) raises here, before any tree is written.
+            changes.setdefault(record.start, []).append((slot, acc(v0, effect)))
+            changes.setdefault(record.end, []).append((slot, v0))
+        leaves = 1 << (len(records) - 1).bit_length()
+        open_sum = [v0] * (2 * leaves)
+        segments: List[List[Any]] = []
+        instants = sorted(changes)
+        for t, following in zip(instants, instants[1:]):
+            for slot, effect in changes[t]:
+                at = leaves + slot
+                open_sum[at] = effect
+                while at > 1:
+                    at >>= 1
+                    open_sum[at] = acc(open_sum[2 * at], open_sum[2 * at + 1])
+            _extend_segments(spec, segments, open_sum[1], t, following)
+        return segments
+
     def _regenerate(self, key: Hashable, lo: Time, hi: Time) -> None:
         """Rebuild this group's output rows over one affected span.
 
-        The span is first widened to fully cover any existing row it
-        overlaps (rows of one group are disjoint, so one widening pass
-        reaches a fixpoint); the covered rows are retracted, and the
-        group's tree is range-queried once to emit the new constant
-        intervals.  Rows whose internal value is ``v0`` are elided (see
-        the module docstring).
+        Two bisects of the group's row index find the rows the span
+        overlaps; the span is widened to cover the first and the last
+        of them (rows of one group are disjoint, so that is a fixpoint),
+        they are retracted, the group's tree is range-queried once to
+        emit the new constant intervals, and those are spliced into the
+        index where the old rows were: O(log n + rows replaced) row
+        visits and tree work.  (When the span's row count changes, the
+        list splice also shifts the tail of the group's index, a
+        memmove of one pointer per later row: linear, but not work the
+        view does row by row.)  Rows whose internal value is ``v0`` are
+        elided (see the module docstring).
         """
-        rows = self._rows.setdefault(key, {})
-        stale = []
-        for tuple_id, row in rows.items():
-            if row.valid.start < hi and row.valid.end > lo:
-                stale.append(row)
-                lo = min(lo, row.valid.start)
-                hi = max(hi, row.valid.end)
-        for row in stale:
-            del rows[row.tuple_id]
-            self.relation.delete(row)  # emits DELETE downstream via the tap
-            self.rows_retracted += 1
-        if not lo < hi:  # pragma: no cover - spans are non-empty by construction
-            return
+        starts, rows = self._index[key]
+        # rows[:reach] start at or before lo; only the last of them can
+        # reach into the span.
+        reach = bisect.bisect_right(starts, lo)
+        first = reach
+        if reach and rows[reach - 1].valid.end > lo:
+            first -= 1
+        stop = bisect.bisect_left(starts, hi, first)
+        self.rows_examined += stop - reach + (1 if reach else 0)
+        stale = rows[first:stop]
+        if stale:
+            lo = min(lo, stale[0].valid.start)
+            hi = max(hi, stale[-1].valid.end)
+            # Oldest row first: the order the emitted change log has
+            # always had.
+            for row in sorted(stale, key=lambda row: row.tuple_id):
+                self.relation.delete(row)  # emits DELETE downstream via the tap
+            self.rows_retracted += len(stale)
         step = self._trees[key].range_query(Interval(lo, hi)).coalesce(self.spec.eq)
         payload = {} if self.key_field is None else {self.key_field: key}
+        fresh = []
         for value, interval in step:
             if self.spec.is_initial(value):
                 continue
             final = self.spec.finalize(value)
             if final is None:
                 continue
-            row = self.relation.insert(final, interval, **payload)
-            rows[row.tuple_id] = row
-            self.rows_emitted += 1
+            fresh.append(self.relation.insert(final, interval, **payload))
+        self.rows_emitted += len(fresh)
+        rows[first:stop] = fresh
+        starts[first:stop] = [row.valid.start for row in fresh]
 
     # ------------------------------------------------------------------
-    # Reads (values come from the trees: always consistent with the
-    # watermarks, never mid-regeneration)
+    # Reads (values come from the trees, never from rows that may be
+    # mid-regeneration; see "Consistency model" in the module docstring
+    # for what a failed refresh leaves behind)
     # ------------------------------------------------------------------
     def value_at(self, t: Time, key: Hashable = None) -> Any:
         """Finalized value at *t* for one group (or the single group)."""
@@ -566,11 +669,25 @@ class DynamicView:
         )
 
 
-def _merge_spans(intervals: List[Interval]) -> List[Tuple[Time, Time]]:
-    """Collapse intervals into disjoint (lo, hi) spans, sorted."""
-    spans = sorted((iv.start, iv.end) for iv in intervals)
+def _extend_segments(
+    spec: AggregateSpec, segments: List[List[Any]], value: Any,
+    start: Time, end: Time,
+) -> None:
+    """Append ``[value, start, end)`` to a sorted disjoint segment list:
+    ``v0`` is dropped, a segment that continues its predecessor with an
+    equal value extends it."""
+    if spec.is_initial(value):
+        return
+    if segments and segments[-1][2] == start and spec.eq(segments[-1][0], value):
+        segments[-1][2] = end
+    else:
+        segments.append([value, start, end])
+
+
+def _merge_spans(spans: List[Tuple[Time, Time]]) -> List[Tuple[Time, Time]]:
+    """Collapse (start, end) pairs into disjoint (lo, hi) spans, sorted."""
     merged: List[Tuple[Time, Time]] = []
-    for lo, hi in spans:
+    for lo, hi in sorted(spans):
         if merged and lo <= merged[-1][1]:
             last_lo, last_hi = merged[-1]
             merged[-1] = (last_lo, max(last_hi, hi))
@@ -804,7 +921,7 @@ class DynamicCatalog:
         the view bootstraps from those rows instead and starts at the
         source's current head.
         """
-        affected: Dict[Hashable, List[Interval]] = {}
+        affected: Dict[Hashable, List[Tuple[Time, Time]]] = {}
         for src in view.sources:
             node = self._node(src)
             if node.log.base <= 0:
@@ -815,10 +932,12 @@ class DynamicCatalog:
                     else row.payload.get(view.key_field)
                 )
                 view._tree(key).insert(row.value, row.valid)
-                affected.setdefault(key, []).append(row.valid)
+                affected.setdefault(key, []).append(
+                    (row.valid.start, row.valid.end)
+                )
             view.watermarks[src] = node.log.head
-        for key, intervals in affected.items():
-            for lo, hi in _merge_spans(intervals):
+        for key, spans in affected.items():
+            for lo, hi in _merge_spans(spans):
                 view._regenerate(key, lo, hi)
 
     def drop_view(self, name: str) -> None:
@@ -1150,6 +1269,8 @@ class DynamicCatalog:
                     "rows": view.row_count(),
                     "rows_emitted": view.rows_emitted,
                     "rows_retracted": view.rows_retracted,
+                    "rows_examined": view.rows_examined,
+                    "effects_applied": view.effects_applied,
                     "groups": len(list(view.keys())),
                     "last_refresh_s": view.last_refresh_s,
                     "quarantined": view.quarantined,
@@ -1177,24 +1298,22 @@ class DynamicCatalog:
     def _rows_json(relation: TemporalRelation) -> List[List[Any]]:
         return [
             [row.tuple_id, row.value, row.valid.start, row.valid.end,
-             dict(row.payload)]
+             row.payload]
             for row in relation
         ]
 
     @staticmethod
     def _trees_json(view: DynamicView) -> List[List[Any]]:
         """Per-group tree checkpoints: the coalesced internal step
-        function of each group's SB-tree, ``v0`` segments elided.
-        Re-applying each segment as a raw effect reconstructs the tree
-        exactly (segments are disjoint and ``acc(v0, x) == x``)."""
+        function of each group's SB-tree, ``v0`` segments elided, from
+        one walk over the tree's leaves.  Re-applying each segment as a
+        raw effect reconstructs the tree exactly (segments are disjoint
+        and ``acc(v0, x) == x``)."""
         out: List[List[Any]] = []
         for key, tree in view._trees.items():
-            full = tree.range_query(Interval(NEG_INF, POS_INF))
-            segments = [
-                [value, interval.start, interval.end]
-                for value, interval in full.coalesce(view.spec.eq)
-                if not view.spec.is_initial(value)
-            ]
+            segments: List[List[Any]] = []
+            for value, start, end in tree.leaf_pieces():
+                _extend_segments(view.spec, segments, value, start, end)
             out.append([key, segments])
         return out
 
@@ -1457,13 +1576,17 @@ class DynamicCatalog:
             (tid, value, Interval(start, end), payload)
             for tid, value, start, end, payload in rows
         )
+        grouped: Dict[Hashable, List[TemporalTuple]] = {}
         for row in view.relation:
             key = (
                 None if view.key_field is None
                 else row.payload.get(view.key_field)
             )
+            grouped.setdefault(key, []).append(row)
+        for key, members in grouped.items():
             view._tree(key)  # ensure the per-group row index exists
-            view._rows[key][row.tuple_id] = row
+            members.sort(key=lambda row: row.valid.start)
+            view._index[key] = ([row.valid.start for row in members], members)
 
     def _restore_trees(self, view: DynamicView, raw_trees: List[List[Any]]) -> None:
         """Rebuild a restored view's trees from saved step functions.

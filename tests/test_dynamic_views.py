@@ -213,6 +213,64 @@ class TestIncrementalCorrectness:
                     per_key = cat.read("by_patient", t).value
                     assert sum(v for v in per_key.values() if v) == (want or 0)
 
+    def test_refresh_cost_does_not_depend_on_history(self):
+        """The same one-fact batch over 200 and over 20,000 output rows
+        looks at the same rows and applies the same effects -- counted,
+        not timed, so a linear term cannot hide in the noise."""
+        def one_fact_batch(history):
+            cat = DynamicCatalog()
+            cat.create_table("t")
+            cat.create_view("v", "t", "sum")
+            cat.create_view("w", "v", "sum")
+            for i in range(history):  # adjacent, never equal: one row each
+                cat.insert("t", i % 7 + 1, (i, i + 1))
+            cat.refresh()
+            before = cat.stats()["views"]
+            assert before["v"]["rows"] == before["w"]["rows"] == history
+            cat.insert("t", 5, (100, 102))  # cuts across two rows
+            cat.refresh()
+            after = cat.stats()["views"]
+            return {
+                name: {c: after[name][c] - before[name][c] for c in (
+                    "rows_examined", "rows_retracted", "rows_emitted",
+                    "effects_applied", "events_consumed")}
+                for name in ("v", "w")
+            }
+
+        small, large = one_fact_batch(200), one_fact_batch(20_000)
+        assert small == large
+        for name, cost in large.items():
+            # One affected span per view: the overlapped rows plus at
+            # most one probe either side.
+            assert cost["rows_examined"] <= cost["rows_retracted"] + 2, name
+            assert cost["rows_retracted"] == 2, name
+            # m records fold into at most 2m - 1 segments per group; the
+            # four records v emits (two retractions, two re-emits) net to
+            # the one segment that changed.
+            assert cost["effects_applied"] <= 2 * cost["events_consumed"] - 1
+        assert large["w"] == {
+            "rows_examined": 2, "rows_retracted": 2, "rows_emitted": 2,
+            "effects_applied": 1, "events_consumed": 4,
+        }
+
+    @pytest.mark.parametrize("kind", ["sum", "max"])
+    def test_tree_work_of_a_refresh_is_attributed_as_insert_ops(self, kind):
+        """``repro.obs`` sees one ``insert`` op, with its node writes, per
+        effect a refresh applies -- folded segment or MIN/MAX record."""
+        from repro import obs
+
+        cat = DynamicCatalog()
+        cat.create_table("t")
+        cat.create_view("v", "t", kind)
+        for i in range(6):
+            cat.insert("t", i + 1, (i * 3, i * 3 + 5))
+        with obs.collecting() as registry:
+            cat.refresh()
+            summary = registry.op_summary("insert")
+        applied = cat.stats()["views"]["v"]["effects_applied"]
+        assert summary["count"] == applied > 0
+        assert summary["writes"] >= applied
+
     def test_grouped_read_by_key_and_unknown_key(self):
         cat = DynamicCatalog()
         cat.create_table("doses")

@@ -1,11 +1,14 @@
 """Edge-case tests for the SB-tree beyond the paper's worked examples."""
 
 import math
+import random
 
 import pytest
 
 from repro import Interval, MemoryNodeStore, NEG_INF, POS_INF, SBTree, check_tree
 from repro.core import reference
+from repro.core.nodes import Node
+from repro.core.values import spec_for
 
 
 class TestConstruction:
@@ -242,3 +245,97 @@ class TestRangeQueryEdges:
         tree.insert(5, (100, 200))
         assert tree.lookup(150) == 5
         assert len(tree.range_query((0, 300))) >= 1
+
+
+# ----------------------------------------------------------------------
+# Golden reference: the rebuild-every-piece leaf update the splice replaced
+# ----------------------------------------------------------------------
+def reference_apply_to_leaf(spec, node, lo, hi, v, query):
+    """``SBTree._apply_to_leaf`` as it was before the leaf splice."""
+    acc, eq = spec.acc, spec.eq
+    s = max(query.start, lo)
+    e = min(query.end, hi)
+    pieces = []
+    for i in range(node.interval_count):
+        a, b = node.bounds(i, lo, hi)
+        old = node.values[i]
+        if b <= s or a >= e:
+            pieces.append((a, b, old))
+            continue
+        updated = acc(v, old)
+        if eq(updated, old):
+            pieces.append((a, b, old))
+            continue
+        cut_lo, cut_hi = max(a, s), min(b, e)
+        if a < cut_lo:
+            pieces.append((a, cut_lo, old))
+        pieces.append((cut_lo, cut_hi, updated))
+        if cut_hi < b:
+            pieces.append((cut_hi, b, old))
+    node.times = [start for start, _, _ in pieces[1:]]
+    node.values = [value for _, _, value in pieces]
+
+
+class TestLeafSpliceGolden:
+    """The splice must leave the very ``times``/``values`` the rebuild did
+    (so pages, counters and splits cannot move)."""
+
+    @staticmethod
+    def _value(rng, kind):
+        # Small value ranges so MIN/MAX effects are often dominated and
+        # a SUM effect of 0 occurs: the ``eq(updated, old)`` pruning.
+        if kind in ("min", "max"):
+            return None if rng.random() < 0.2 else rng.randrange(0, 4)
+        if kind == "avg":
+            return (rng.randrange(-3, 4), rng.randrange(0, 3))
+        return rng.randrange(-2, 3)
+
+    @pytest.mark.parametrize("kind", ["sum", "count", "avg", "min", "max"])
+    def test_splice_equals_rebuild_on_random_leaves(self, kind):
+        spec = spec_for(kind)
+        tree = SBTree(kind)
+        rng = random.Random(f"leaf-splice-{kind}")
+        shapes = set()
+        for case in range(1500):
+            n = rng.randrange(0, 12)
+            times = sorted(rng.sample(range(10, 90), n))
+            lo = NEG_INF if rng.random() < 0.2 else rng.randrange(0, 10)
+            hi = POS_INF if rng.random() < 0.2 else rng.randrange(90, 100)
+            values = [self._value(rng, kind) for _ in range(n + 1)]
+            # The effect overlaps (lo, hi) -- the only way _insert gets
+            # here -- but may stick out either side or both.
+            cuts = sorted(rng.sample(range(-5, 105), 2))
+            if rng.random() < 0.3:   # align with stored instants: full cover
+                pool = times + [t for t in (lo, hi) if t not in (NEG_INF, POS_INF)]
+                if len(pool) >= 2:
+                    cuts = sorted(rng.sample(pool, 2))
+            start = NEG_INF if rng.random() < 0.1 else cuts[0]
+            end = POS_INF if rng.random() < 0.1 else cuts[1]
+            if not (start < hi and end > lo):
+                continue
+            query = Interval(start, end)
+            effect = self._value(rng, kind)
+            if kind in ("min", "max") and effect is None:
+                effect = 1
+            got = Node(1, True, times=list(times), values=list(values))
+            want = Node(2, True, times=list(times), values=list(values))
+            tree._apply_to_leaf(got, lo, hi, effect, query)
+            reference_apply_to_leaf(spec, want, lo, hi, effect, query)
+            assert (got.times, got.values) == (want.times, want.values), (
+                case, times, values, lo, hi, effect, query)
+            shapes.add((
+                start < lo, end > hi,                       # clipped by lo / hi
+                len(want.values) - len(values),             # 0, +1 or +2 intervals
+                start in times or start == lo,              # aligned left edge
+            ))
+        grown = {s[2] for s in shapes}
+        assert grown == {0, 1, 2}
+        assert {s[0] for s in shapes} == {True, False}
+        assert {s[1] for s in shapes} == {True, False}
+
+    def test_a_rejected_value_leaves_the_leaf_untouched(self):
+        tree = SBTree("sum")
+        node = Node(1, True, times=[10, 20], values=[1, 2, 3])
+        with pytest.raises(TypeError):
+            tree._apply_to_leaf(node, NEG_INF, POS_INF, "x", Interval(5, 25))
+        assert (node.times, node.values) == ([10, 20], [1, 2, 3])

@@ -277,6 +277,53 @@ class TestQuarantine:
         assert reading.degraded is False
         assert reading.value == 7
 
+    @pytest.mark.parametrize("kind", ["sum", "avg"])
+    def test_failed_refresh_leaves_no_trace(self, kind):
+        """A batch with a record the aggregate cannot absorb is rejected
+        while it is folded, before the first tree write: the quarantined
+        view serves exactly its pre-batch state (it used to serve the
+        records ahead of the bad one, and ``repair`` applied them twice).
+        """
+        clock = FakeClock()
+        cat = DynamicCatalog(clock=clock)
+        cat.create_table("u")
+        cat.create_table("t")
+        cat.create_view("v", ["u", "t"], kind, key="k", lag=0)
+        cat.insert("t", 5, (0, 10), k="a")
+        cat.insert("u", 1, (5, 15), k="b")
+        clock.advance(1.0)
+        cat.tick()
+        view = cat.view("v")
+
+        def state():
+            return (
+                dict(view.watermarks),
+                {k: list(tree.leaf_pieces()) for k, tree in view._trees.items()},
+                [(r.tuple_id, r.value, r.valid) for r in view.relation],
+                {k: list(starts) for k, (starts, _) in view._index.items()},
+                view.log.head,
+                cat.read("v", 7).value,
+            )
+
+        before = state()
+        assert before[0] == {"u": 1, "t": 1}
+        cat.insert("u", 3, (0, 10), k="a")    # fine, and in the first source
+        cat.insert("t", 2, (0, 10), k="a")    # fine, ahead of the bad one
+        cat.insert("t", "x", (0, 10), k="c")  # not a number, in a new group
+        clock.advance(1.0)
+        cat.tick()
+        assert view.quarantined and "TypeError" in view.last_error
+        assert state() == before
+        reading = cat.read("v", 7, key="a")
+        assert reading.degraded is True
+        assert reading.value == 5 and reading.as_of_watermark == {"u": 1, "t": 1}
+        # The record is still in the log: repair fails the same way and
+        # still applies nothing.
+        with pytest.raises(TypeError):
+            cat.repair("v")
+        assert view.quarantined
+        assert state() == before
+
     def test_explicit_refresh_still_propagates(self):
         cat = DynamicCatalog()
         cat.create_table("t")
