@@ -15,14 +15,14 @@ Operate on the persistent index files produced by
     python -m repro tql "SUM(value) OVER rx AT 19" --table rx=facts.csv
     python -m repro serve --kind sum --shards 4 --lo 0 --hi 100000 \
         --metrics-port 9095
-    python -m repro loadgen --port 7071 --connections 4 --ops 500
     python -m repro top --port 7071
 
 Under ``--trace FILE``, service commands additionally run request
 tracing: ``serve`` hangs its server/flush/shard/tree spans below each
-traced request, ``loadgen`` opens one head-sampled trace per request
-(``--trace-sample`` is the sampling fraction), and the span records
-land in the same JSON-lines FILE as the per-op records.
+traced request, the client verbs (``view``, ``promote``, ``top``) open
+one head-sampled trace per request (``--trace-sample`` is the sampling
+fraction), and the span records land in the same JSON-lines FILE as the
+per-op records.
 
 Every subcommand accepts ``--trace FILE`` (plus ``--trace-sample``) to
 record one JSON line per tree operation -- pages read, buffer
@@ -506,67 +506,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_loadgen(args: argparse.Namespace) -> int:
-    """Drive a running service with the verified closed-loop workload.
-
-    Prints the latency-percentile table and throughput summary, writes
-    ``BENCH_service.json`` under ``--out``, and exits non-zero if any
-    reply disagreed with the reference oracle.  ``--compare`` runs the
-    codec/pipeline-depth matrix instead (JSON depth-1 baseline vs
-    pipelined cells on both codecs) and records the speedup.
-    """
-    from .service.loadgen import run_codec_comparison, run_loadgen
-
-    span = None
-    if args.lo is not None or args.hi is not None:
-        if args.lo is None or args.hi is None:
-            raise SystemExit("error: pass both --lo and --hi, or neither")
-        span = (_number(args.lo), _number(args.hi))
-    try:
-        if args.compare:
-            summary = run_codec_comparison(
-                args.host,
-                args.port,
-                connections=args.connections,
-                ops_per_connection=args.ops,
-                span=span,
-                seed=args.seed,
-                out_dir=args.out,
-            )
-            for cell in summary["cells"]:
-                print(
-                    f"{cell.codec:6s} depth={cell.pipeline:3d}"
-                    f" tput={cell.throughput:9.1f} ops/s"
-                    f" errors={cell.errors}"
-                    f" verified={'OK' if cell.verified_ok else 'FAILED'}"
-                )
-            baseline = summary["baseline"]
-            print(
-                f"speedup vs {baseline.codec} depth={baseline.pipeline}:"
-                f" {summary['speedup']:.1f}x"
-            )
-            if args.out:
-                print(f"wrote {os.path.join(args.out, 'BENCH_service.json')}")
-            return 0 if all(c.verified_ok for c in summary["cells"]) else 1
-        result = run_loadgen(
-            args.host,
-            args.port,
-            connections=args.connections,
-            ops_per_connection=args.ops,
-            span=span,
-            seed=args.seed,
-            codec=args.codec,
-            pipeline=args.pipeline,
-            out_dir=args.out,
-        )
-    except ConnectionError as exc:
-        raise SystemExit(f"error: cannot drive {args.host}:{args.port}: {exc}")
-    print(result.render())
-    if args.out:
-        print(f"wrote {os.path.join(args.out, 'BENCH_service.json')}")
-    return 0 if result.verified_ok else 1
-
-
 def cmd_top(args: argparse.Namespace) -> int:
     """Live dashboard over a running service (throughput, latency,
     span breakdown, per-shard health); ^C exits."""
@@ -974,34 +913,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pv_repair.add_argument("name")
     pv_repair.set_defaults(fn=cmd_view)
-
-    p_loadgen = sub.add_parser(
-        "loadgen", parents=[common],
-        help="drive a running service with a verified closed-loop workload",
-    )
-    p_loadgen.add_argument("--host", default="127.0.0.1")
-    p_loadgen.add_argument("--port", type=int, required=True)
-    p_loadgen.add_argument("--connections", type=int, default=4,
-                           help="closed-loop worker connections (default 4)")
-    p_loadgen.add_argument("--ops", type=int, default=500,
-                           help="operations per connection (default 500)")
-    p_loadgen.add_argument("--lo", help="workload span start (default: derive "
-                           "from the server's shard boundaries)")
-    p_loadgen.add_argument("--hi", help="workload span end")
-    p_loadgen.add_argument("--seed", type=int, default=0)
-    p_loadgen.add_argument("--codec", default="auto",
-                           choices=("auto", "binary", "json"),
-                           help="wire codec: auto negotiates binary and "
-                           "falls back to json (default auto)")
-    p_loadgen.add_argument("--pipeline", type=int, default=1,
-                           help="max in-flight requests per connection "
-                           "(default 1: one request at a time)")
-    p_loadgen.add_argument("--compare", action="store_true",
-                           help="run the codec/pipeline-depth comparison "
-                           "matrix instead of a single workload")
-    p_loadgen.add_argument("--out", metavar="DIR",
-                           help="write BENCH_service.json under DIR")
-    p_loadgen.set_defaults(fn=cmd_loadgen)
 
     p_readscale = sub.add_parser(
         "readscale", parents=[common],

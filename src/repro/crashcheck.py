@@ -63,6 +63,7 @@ from .core import reference
 from .core.intervals import Interval
 from .core.sbtree import SBTree
 from .core.validate import check_tree
+from .core.values import spec_for
 from .faults import FaultInjector, SimulatedCrash, simulate_crash
 from .storage import PagedNodeStore
 from .storage.pager import Pager
@@ -535,17 +536,11 @@ CATALOG_WORKLOADS: Dict[str, Callable[[CatalogWorkloadContext], None]] = {
 
 
 def _expected_view_value(kind: str, facts: Sequence[Tuple], t, key) -> Any:
-    vals = [
-        value for value, start, end, payload in facts
-        if start <= t < end and (key is _ANY or dict(payload).get("k") == key)
+    kept = [
+        (value, (start, end)) for value, start, end, payload in facts
+        if key is _ANY or dict(payload).get("k") == key
     ]
-    if kind == "sum":
-        return sum(vals)
-    if kind == "count":
-        return len(vals)
-    if kind == "avg":
-        return (sum(vals) / len(vals)) if vals else None
-    raise ValueError(f"no oracle for aggregate kind {kind!r}")
+    return spec_for(kind).finalize(reference.instantaneous_value(kept, kind, t))
 
 
 def _catalog_facts(catalog: DynamicCatalog) -> List:

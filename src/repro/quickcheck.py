@@ -12,23 +12,21 @@ full happy path a fresh checkout should support:
 5. boot the sharded TCP service on an ephemeral port, run a verified
    smoke workload through the blocking client, check its stats, and
    drain it cleanly (:mod:`repro.service`),
-6. run the wire-protocol speedup gate: a pipelined binary-codec
-   workload must beat the sequential JSON-codec baseline by a healthy
-   multiple (the full bench records ~5x or better; the gate uses a
-   conservative floor so CI noise cannot flake it),
-7. run the dynamic materialized-view stage: a 3-level view DAG (base
+6. run the dynamic materialized-view stage: a 3-level view DAG (base
    table -> grouped view -> rollup) driven over the TCP service and
    checked against the recompute-from-scratch oracle after every tick,
-   then the incremental-vs-recompute measurement (writes
-   ``BENCH_views.json``) with a floor gate on the speedup,
-8. run a bounded end-to-end resilience check (exactly-once writes
+7. run a bounded end-to-end resilience check (exactly-once writes
    through the chaos proxy against a SIGKILLed-and-restarted server,
    on BOTH wire codecs, via ``repro-rescheck --quick --codec both``)
    and write ``BENCH_resilience.json``,
-9. run the observability-overhead gate (tracing disabled vs. a
+8. run the observability-overhead gate (tracing disabled vs. a
    hand-inlined baseline vs. tracing at 1% sampling; fails if the
    disabled path regresses) and write ``BENCH_trace_overhead.json``,
-10. run the unit-test suite (``pytest -q``), unless ``--no-tests``.
+9. run the unit-test suite (``pytest -q``), unless ``--no-tests``.
+
+Nothing here times the service or the views: speed is gated by
+``python3 -m bench`` alone (``svc_split`` for the pipelined binary wire
+path, ``view_cascade`` for incremental refresh).
 
 ``--quick`` bounds the run for CI: a smaller scratch index and no
 pytest stage (CI runs the suite as its own job).
@@ -122,29 +120,22 @@ def _service_smoke() -> int:
     return 0
 
 
-def _views_gate(out_dir: str = "", threshold: float = 1.5) -> int:
-    """The dynamic materialized-view stage: oracle check + speedup gate.
+def _views_check() -> int:
+    """Drive a 3-level view DAG over TCP against the recompute oracle.
 
-    Part one drives a 3-level DAG (base table -> grouped view -> rollup)
-    over the TCP service and checks the rollup against the
-    recompute-from-scratch oracle after **every** tick of base-table
-    changes.  Part two runs the incremental-vs-recompute measurement
-    (:func:`repro.warehouse.viewbench.run_view_bench`, itself
-    oracle-verified per batch), writes ``BENCH_views.json``, and fails
-    if incremental refresh stops beating recompute by the floor --
-    the recorded benchmark shows ~3.5x at this size; the conservative
-    gate catches a regression that turns refresh back into recompute.
-    At 600 events it cannot see a cost term linear in the history; that
-    is counted, not timed, by ``test_refresh_cost_does_not_depend_on_history``
-    (``view_stats``' ``rows_examined`` / ``effects_applied``).
+    Base table -> grouped view -> rollup, with the rollup checked
+    against the recompute-from-scratch oracle after **every** tick of
+    base-table changes.  Refresh *cost* is not measured here: that it
+    beats recompute is ``bench``'s ``view_cascade`` ``write_facts_per_s``,
+    and that it does not grow with history is counted, not timed, by
+    ``test_refresh_cost_does_not_depend_on_history`` (``view_stats``'
+    ``rows_examined`` / ``effects_applied``).
     """
     import random
 
-    from .benchlib import Series, write_bench_json
     from .core import reference
     from .service import ServerHandle, ServiceClient
     from .sharding import ShardedTree
-    from .warehouse.viewbench import run_view_bench
 
     rng = random.Random(23)
     horizon = 10_000
@@ -182,85 +173,6 @@ def _views_gate(out_dir: str = "", threshold: float = 1.5) -> int:
                 f" refreshes={per_view['total'].get('refreshes')}",
                 flush=True,
             )
-
-    result = run_view_bench(events=600, batches=8)
-    series = Series("events", result["xs"])
-    series.add("incremental s/refresh", result["incremental_s"])
-    series.add("recompute s/rebuild", result["recompute_s"])
-    print(series.render(with_exponents=False), flush=True)
-    print(
-        f"incremental refresh speedup over recompute-from-scratch:"
-        f" {result['speedup']:.1f}x (gate: >= {threshold:.1f}x)",
-        flush=True,
-    )
-    path = write_bench_json(
-        out_dir or os.getcwd(), "views", series,
-        extra={
-            "events": result["events"],
-            "batches": result["batches"],
-            "total_incremental_s": result["total_incremental_s"],
-            "total_recompute_s": result["total_recompute_s"],
-            "speedup": result["speedup"],
-            "dag": "doses -> by_patient(key=patient) -> total",
-        },
-    )
-    print(f"wrote {path}")
-    if result["speedup"] < threshold:
-        print("FAIL: incremental refresh no longer beats recompute")
-        return 1
-    return 0
-
-
-def _pipeline_gate(threshold: float = 2.5) -> int:
-    """Gate the wire-protocol win: pipelined binary vs sequential JSON.
-
-    The recorded benchmark (``repro loadgen --compare``) shows ~5x or
-    better; this gate uses a conservative floor so a noisy shared CI
-    runner cannot flake it, while still catching any regression that
-    collapses the pipelined binary path back toward the baseline.
-    """
-    from .service import ServerHandle
-    from .service.loadgen import run_loadgen
-    from .sharding import ShardedTree
-
-    span = (0, 1_000_000)
-    mix = {"insert": 0.5, "lookup": 0.5}
-    throughput = {}
-    for codec, pipeline, ops in (("json", 1, 150), ("binary", 32, 600)):
-        sharded = ShardedTree("sum", num_shards=4, span=span)
-        with ServerHandle.start(sharded) as handle:
-            res = run_loadgen(
-                handle.host,
-                handle.port,
-                connections=4,
-                ops_per_connection=ops,
-                span=span,
-                mix=mix,
-                seed=11,
-                codec=codec,
-                pipeline=pipeline,
-            )
-        if res.errors or not res.verified_ok:
-            print(
-                f"FAIL: {codec} depth={pipeline} run unhealthy"
-                f" (errors={res.errors}, verified_ok={res.verified_ok})"
-            )
-            return 1
-        throughput[codec] = res.throughput
-        print(
-            f"{codec:6s} depth={pipeline:2d}: {res.throughput:8.0f} ops/s"
-            f" ({res.total_ops} verified ops)",
-            flush=True,
-        )
-    speedup = throughput["binary"] / throughput["json"]
-    print(
-        f"pipelined-binary speedup over sequential JSON: {speedup:.1f}x"
-        f" (gate: >= {threshold:.1f}x)",
-        flush=True,
-    )
-    if speedup < threshold:
-        print("FAIL: wire-protocol speedup regressed below the gate")
-        return 1
     return 0
 
 
@@ -282,7 +194,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--out",
         metavar="DIR",
         default="",
-        help="write BENCH_trace_overhead.json under DIR",
+        help="write BENCH_resilience.json and BENCH_trace_overhead.json "
+        "under DIR",
     )
     args = parser.parse_args(argv)
     if args.quick:
@@ -319,13 +232,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if status:
         return status
 
-    _stage("wire-protocol speedup gate (pipelined binary vs JSON)")
-    status = _pipeline_gate()
-    if status:
-        return status
-
-    _stage("dynamic view DAG (oracle check + incremental speedup gate)")
-    status = _views_gate(args.out)
+    _stage("dynamic view DAG over TCP (oracle check after every tick)")
+    status = _views_check()
     if status:
         return status
 

@@ -13,7 +13,7 @@ exactly once, durably** -- with no mocks anywhere in the path:
    and the server, dropping, delaying, duplicating, and truncating
    frames and killing connections, all seeded and counted.
 3. *Patient* exactly-once writers
-   (:func:`repro.service.loadgen.run_patient_writes`) drive inserts
+   (:func:`repro.service.patient.run_patient_writes`) drive inserts
    through the proxy, retrying each write under its original
    idempotency key until it is acked.
 4. Mid-run, the server process is SIGKILLed and restarted on the same
@@ -62,9 +62,10 @@ from . import benchlib
 from .core import reference
 from .core.sbtree import SBTree
 from .core.validate import check_tree
+from .core.values import spec_for
 from .service.chaos import ChaosPlan, ChaosProxy
 from .service.client import ServiceClient
-from .service.loadgen import PatientWriteResult, run_patient_writes
+from .service.patient import PatientWriteResult, run_patient_writes
 from .sharding import ShardedTree
 from .storage import PagedNodeStore
 
@@ -296,12 +297,8 @@ def _expected_view(
     t: float,
     key: Optional[str],
 ) -> Any:
-    active = [(v, k) for v, (s, e), k in facts if s <= t < e]
-    if kind == "count":
-        return len(active)
-    if key is not None:
-        return sum(v for v, k in active if k == key)
-    return sum(v for v, _ in active)
+    kept = [fact for fact in facts if key is None or fact[2] == key]
+    return spec_for(kind).finalize(reference.instantaneous_value(kept, kind, t))
 
 
 def _verify_views(

@@ -23,10 +23,10 @@ The package splits along the wire:
   budget), and a circuit breaker.
 * :mod:`repro.service.chaos` -- a deterministic frame-aware network
   chaos proxy (:class:`ChaosProxy`) for the resilience harness.
-* :mod:`repro.service.loadgen` -- a closed-loop load generator that
-  drives a running server and verifies replies against the in-process
-  reference oracle, plus the patient exactly-once write driver used by
-  :mod:`repro.rescheck`.
+* :mod:`repro.service.patient` -- the patient exactly-once write driver
+  of :mod:`repro.rescheck` (retry each write under its original
+  idempotency key until acked).  Load and speed are driven by
+  ``python3 -m bench`` (``svc_split``, ``svc_mixed``), not from here.
 * :mod:`repro.service.top` -- the ``repro top`` live dashboard
   (pure rendering + a poll loop over the ``stats`` op), including the
   replication panel (per-replica lag on a primary, applied/staleness

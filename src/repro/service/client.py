@@ -24,9 +24,9 @@ applies each key at most once and replays the original reply for
 duplicates, so retrying a write whose reply was lost is *safe* -- it
 can never double-apply a fact, even through a chaos proxy that drops,
 duplicates, or truncates frames.  Callers that retry a logical write
-across ``_request`` failures themselves (the resilience loadgen does)
-must pass the same ``seq`` to every attempt; :meth:`ServiceClient.next_seq`
-hands out fresh ones.
+across ``_request`` failures themselves (the patient writers of
+:mod:`repro.service.patient` do) must pass the same ``seq`` to every
+attempt; :meth:`ServiceClient.next_seq` hands out fresh ones.
 
 **Retries.**  Transport failures (connect refused, timeout, reset,
 mid-frame EOF) and the server's explicitly retryable rejections

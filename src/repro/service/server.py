@@ -643,19 +643,8 @@ class TemporalAggregateServer:
             finally:
                 shard.lock.release_read()
             reply = wire.ok_reply(sharded.spec.finalize(value), request)
-        except _DeadlineExpired as exc:
-            self._m_deadline_shed.inc()
-            reply = wire.error_reply(wire.ERR_DEADLINE, str(exc), request)
-        except wire.ProtocolError as exc:
-            reply = wire.error_reply(wire.ERR_BAD_REQUEST, str(exc), request)
-        except ShardingError as exc:
-            reply = wire.error_reply(wire.ERR_BAD_REQUEST, str(exc), request)
-        except SimulatedCrash as exc:
-            reply = wire.error_reply(wire.ERR_FAULT, str(exc), request)
         except Exception as exc:  # never let a request kill the server
-            reply = wire.error_reply(
-                wire.ERR_SERVER, f"{type(exc).__name__}: {exc}", request
-            )
+            reply = self._error_reply_for(exc, request)
         self._m_fast_reads.inc()
         self.registry.record_op(
             obs.OpRecord(
@@ -691,16 +680,8 @@ class TemporalAggregateServer:
                 raise _Draining(
                     "server is draining; retry against the new instance"
                 )
-        except _DeadlineExpired as exc:
-            self._m_deadline_shed.inc()
-            reply = wire.error_reply(wire.ERR_DEADLINE, str(exc), request)
-        except wire.ProtocolError as exc:
-            reply = wire.error_reply(wire.ERR_BAD_REQUEST, str(exc), request)
-        except _Draining as exc:
-            reply = wire.error_reply(
-                wire.ERR_SHUTTING_DOWN, str(exc), request,
-                retry_after=self._retry_after(),
-            )
+        except (_DeadlineExpired, wire.ProtocolError, _Draining) as exc:
+            reply = self._error_reply_for(exc, request)
         future = None
         if reply is None and idem is not None:
             status, stored = self._dedup.lookup(*idem)
@@ -861,37 +842,11 @@ class TemporalAggregateServer:
         try:
             self._check_deadline(request, arrival, loop)
             reply = await self._dispatch(request, sctx)
-        except _DeadlineExpired as exc:
-            self._m_deadline_shed.inc()
-            reply = wire.error_reply(wire.ERR_DEADLINE, str(exc), request)
-        except _Draining as exc:
-            reply = wire.error_reply(
-                wire.ERR_SHUTTING_DOWN, str(exc), request,
-                retry_after=self._retry_after(),
-            )
-        except wire.ProtocolError as exc:
-            reply = wire.error_reply(wire.ERR_BAD_REQUEST, str(exc), request)
-        except (WindowUnsupportedError,) as exc:
-            reply = wire.error_reply(wire.ERR_UNSUPPORTED, str(exc), request)
-        except ShardingError as exc:
-            reply = wire.error_reply(wire.ERR_BAD_REQUEST, str(exc), request)
-        except SimulatedCrash as exc:
-            reply = wire.error_reply(wire.ERR_FAULT, str(exc), request)
-        except LockTimeout as exc:
-            reply = wire.error_reply(wire.ERR_TIMEOUT, str(exc), request)
-        except _NotPrimary as exc:
-            reply = wire.error_reply(
-                wire.ERR_NOT_PRIMARY, str(exc), request,
-                primary=self._primary_hint(),
-            )
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # never let a request kill the server
-            reply = wire.error_reply(
-                wire.ERR_SERVER,
-                f"{type(exc).__name__}: {exc}",
-                request,
-                trace_id=sctx.trace_id if sctx is not None else None,
+            reply = self._error_reply_for(
+                exc, request, sctx.trace_id if sctx is not None else None
             )
         finally:
             slots.release()
@@ -1302,6 +1257,7 @@ class TemporalAggregateServer:
             raise wire.ProtocolError("field 'deadline_ms' must be a number")
         waited_ms = (loop.time() - arrival) * 1e3
         if waited_ms >= deadline_ms:
+            self._m_deadline_shed.inc()
             raise _DeadlineExpired(
                 f"deadline of {deadline_ms}ms expired after "
                 f"{waited_ms:.1f}ms on the server"
@@ -1620,17 +1576,27 @@ class TemporalAggregateServer:
         if acks:
             self._flush_acks(acks)
 
-    def _error_reply_for(self, exc: BaseException, request) -> Dict[str, Any]:
-        """Map a batch failure to the same reply the slow path sends."""
+    def _error_reply_for(
+        self, exc: BaseException, request, trace_id: Optional[str] = None
+    ) -> Dict[str, Any]:
+        """The one exception -> error-reply mapping, for every reply path.
+
+        Subclasses are tested before their bases
+        (``WindowUnsupportedError`` is a ``ShardingError``).  *trace_id*
+        lands in the ``server_error`` fallback only, where an operator
+        needs it to find the failing request's spans.
+        """
+        if isinstance(exc, _DeadlineExpired):
+            return wire.error_reply(wire.ERR_DEADLINE, str(exc), request)
         if isinstance(exc, _Draining):
             return wire.error_reply(
                 wire.ERR_SHUTTING_DOWN, str(exc), request,
                 retry_after=self._retry_after(),
             )
-        if isinstance(exc, (wire.ProtocolError, ShardingError)):
-            return wire.error_reply(wire.ERR_BAD_REQUEST, str(exc), request)
         if isinstance(exc, WindowUnsupportedError):
             return wire.error_reply(wire.ERR_UNSUPPORTED, str(exc), request)
+        if isinstance(exc, (wire.ProtocolError, ShardingError)):
+            return wire.error_reply(wire.ERR_BAD_REQUEST, str(exc), request)
         if isinstance(exc, SimulatedCrash):
             return wire.error_reply(wire.ERR_FAULT, str(exc), request)
         if isinstance(exc, LockTimeout):
@@ -1641,7 +1607,8 @@ class TemporalAggregateServer:
                 primary=self._primary_hint(),
             )
         return wire.error_reply(
-            wire.ERR_SERVER, f"{type(exc).__name__}: {exc}", request
+            wire.ERR_SERVER, f"{type(exc).__name__}: {exc}", request,
+            trace_id=trace_id,
         )
 
     def _replay_flush(self, collector, participants, batch, started) -> None:

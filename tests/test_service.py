@@ -205,6 +205,53 @@ class TestStructuredErrors:
             assert reply is not None
             assert reply["error"]["type"] == protocol.ERR_BAD_REQUEST
 
+    def test_every_mapped_exception_has_one_wire_type(self):
+        """The single exception -> reply mapping, one row per class.
+
+        Built without ``start()`` (no socket) as a replica of a made-up
+        address so ``not_primary`` has a hint to carry.
+        """
+        from repro.concurrent import LockTimeout
+        from repro.faults import SimulatedCrash
+        from repro.service import server as server_mod
+        from repro.sharding import ShardingError, WindowUnsupportedError
+
+        sharded = ShardedTree("sum", num_shards=2, span=(0, 100))
+        server = server_mod.TemporalAggregateServer(
+            sharded, replica_of="10.1.2.3:7071"
+        )
+        request = {"op": "insert", "id": 41}
+        table = [
+            (server_mod._DeadlineExpired("late"), protocol.ERR_DEADLINE),
+            (server_mod._Draining("draining"), protocol.ERR_SHUTTING_DOWN),
+            # A subclass of ShardingError: must not fall into bad_request.
+            (WindowUnsupportedError("no window"), protocol.ERR_UNSUPPORTED),
+            (ShardingError("bad split"), protocol.ERR_BAD_REQUEST),
+            (protocol.ProtocolError("bad field"), protocol.ERR_BAD_REQUEST),
+            (protocol.FrameTooLarge("huge"), protocol.ERR_BAD_REQUEST),
+            (SimulatedCrash("pager.write"), protocol.ERR_FAULT),
+            (LockTimeout("shard 1"), protocol.ERR_TIMEOUT),
+            (server_mod._NotPrimary("replica"), protocol.ERR_NOT_PRIMARY),
+            (server_mod._CommitFailed("disk"), protocol.ERR_SERVER),
+            (RuntimeError("kaboom"), protocol.ERR_SERVER),
+        ]
+        for exc, want in table:
+            reply = server._error_reply_for(exc, request, "trace-7")
+            error = reply["error"]
+            assert error["type"] == want, type(exc).__name__
+            assert reply["ok"] is False and reply["id"] == 41
+            assert str(exc) in error["message"]
+            # Hints ride only on the types that define them.
+            assert ("retry_after" in error) == (
+                want == protocol.ERR_SHUTTING_DOWN
+            )
+            assert error.get("primary") == (
+                "10.1.2.3:7071" if want == protocol.ERR_NOT_PRIMARY else None
+            )
+            assert error.get("trace_id") == (
+                "trace-7" if want == protocol.ERR_SERVER else None
+            )
+
 
 class TestFaultInjection:
     def test_failed_shard_apply_is_structured_error(self):

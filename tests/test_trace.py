@@ -2,6 +2,8 @@
 
 import io
 import json
+import random
+import threading
 
 import pytest
 
@@ -11,7 +13,6 @@ from repro.core.sbtree import SBTree
 from repro.obs import trace
 from repro.obs.overhead import run_overhead_gate
 from repro.service import ServerHandle, ServiceClient
-from repro.service.loadgen import run_loadgen
 from repro.sharding import ShardedTree
 
 
@@ -183,30 +184,60 @@ class TestSpanCollector:
 
 
 class TestEndToEndPropagation:
-    def test_loadgen_produces_complete_span_trees(self, sink_buffer):
+    def test_concurrent_clients_produce_complete_span_trees(self, sink_buffer):
         """ISSUE acceptance: at sampling=1.0 every request's spans form
         one rooted tree from client send down to per-shard tree ops,
         with no orphans and no cross-request leakage under concurrency."""
         buf, registry = sink_buffer
         sharded = ShardedTree("sum", num_shards=4, span=(0, 10_000),
                               branching=4, leaf_capacity=4)
+        errors = []
+
+        def drive(index, host, port):
+            # One client.request root (trace.new_trace()) per call below.
+            rng = random.Random(11 * 10_007 + index)
+            try:
+                with ServiceClient(host, port, timeout=10.0) as svc:
+                    for _ in range(30):
+                        s = rng.randint(0, 9_000)
+                        e = s + rng.randint(1, 900)
+                        op = rng.choice(
+                            ("insert", "batch_insert", "lookup", "rangeq")
+                        )
+                        if op == "insert":
+                            svc.insert(rng.randint(1, 100), s, e)
+                        elif op == "batch_insert":
+                            svc.batch_insert(
+                                [[rng.randint(1, 100), s + k, e + k]
+                                 for k in range(3)]
+                            )
+                        elif op == "lookup":
+                            svc.lookup(s)
+                        else:
+                            svc.rangeq(s, e)
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
         with ServerHandle.start(
             sharded, batch_max=8, batch_delay=0.001, registry=registry
         ) as handle:
-            result = run_loadgen(
-                handle.host,
-                handle.port,
-                connections=3,
-                ops_per_connection=30,
-                seed=11,
-            )
-        assert result.verified_ok
-        assert result.tracing_enabled
+            workers = [
+                threading.Thread(
+                    target=drive, args=(i, handle.host, handle.port)
+                )
+                for i in range(3)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+        assert not errors, errors
+        assert trace.is_enabled()
 
         grouped = by_trace(records(buf))
-        # One trace per client request (loadgen ops + its 2 stats probes).
-        assert len(grouped) == result.total_ops + 2
-        insert_traces = 0
+        # One trace per client request: 3 connections x 30 calls.
+        assert len(grouped) == 90
+        insert_traces = lookup_traces = 0
         for spans in grouped.values():
             assert_single_rooted_tree(spans)
             root = next(s for s in spans if s["parent_id"] is None)
@@ -219,10 +250,14 @@ class TestEndToEndPropagation:
                 # The per-shard tree-op leaves, same trace_id throughout.
                 assert "tree.insert" in names
             elif root.get("op") == "lookup":
+                lookup_traces += 1
                 assert "shard.lookup" in names and "tree.lookup" in names
+            elif root.get("op") == "rangeq":
+                assert "shard.range_query" in names
+                assert "tree.range_query" in names
             # No cross-request leakage: every record already grouped by
             # trace_id, so a leaked span would appear as an orphan above.
-        assert insert_traces > 0
+        assert insert_traces > 0 and lookup_traces > 0
 
     def test_server_spans_absent_when_client_untraced(self):
         buf = io.StringIO()
