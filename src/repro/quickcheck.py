@@ -17,15 +17,14 @@ full happy path a fresh checkout should support:
    checked against the recompute-from-scratch oracle after every tick,
 7. run a bounded end-to-end resilience check (exactly-once writes
    through the chaos proxy against a SIGKILLed-and-restarted server,
-   on BOTH wire codecs, via ``repro-rescheck --quick --codec both``)
-   and write ``BENCH_resilience.json``,
+   via ``repro-rescheck --quick``) and write ``BENCH_resilience.json``,
 8. run the observability-overhead gate (tracing disabled vs. a
    hand-inlined baseline vs. tracing at 1% sampling; fails if the
    disabled path regresses) and write ``BENCH_trace_overhead.json``,
 9. run the unit-test suite (``pytest -q``), unless ``--no-tests``.
 
 Nothing here times the service or the views: speed is gated by
-``python3 -m bench`` alone (``svc_split`` for the pipelined binary wire
+``python3 -m bench`` alone (``svc_split`` for the pipelined wire
 path, ``view_cascade`` for incremental refresh).
 
 ``--quick`` bounds the run for CI: a smaller scratch index and no
@@ -237,10 +236,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if status:
         return status
 
-    _stage("resilience check (chaos + server kill, both codecs)")
+    _stage("resilience check (chaos + server kill)")
     from . import rescheck
 
-    rescheck_args = ["--quick", "--codec", "both"]
+    rescheck_args = ["--quick"]
     if args.out:
         rescheck_args += ["--out", args.out]
     status = rescheck.main(rescheck_args)

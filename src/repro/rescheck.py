@@ -357,7 +357,6 @@ class RescheckResult:
     ok: bool = False
     detail: str = ""
     seed: int = 0
-    codec: str = "auto"
     duration_s: float = 0.0
     injected: Dict[str, int] = field(default_factory=dict)
     total_injected: int = 0
@@ -387,7 +386,6 @@ class RescheckResult:
             "ok": self.ok,
             "detail": self.detail,
             "seed": self.seed,
-            "codec": self.codec,
             "kind": _KIND,
             "duration_s": round(self.duration_s, 6),
             "faults": {
@@ -429,7 +427,7 @@ class RescheckResult:
         status = "OK" if self.ok else "FAILED"
         w = self.writes
         lines = [
-            f"rescheck: {status} seed={self.seed} codec={self.codec}"
+            f"rescheck: {status} seed={self.seed}"
             f" duration={self.duration_s:.1f}s",
             f"  faults injected: {self.total_injected}"
             f" (need >= {self.min_faults}): "
@@ -483,7 +481,7 @@ class RescheckResult:
             # and where each child server wrote its output.
             plan = self.plan or DEFAULT_PLAN
             lines.append(
-                f"  repro: --seed {self.seed} --codec {self.codec}"
+                f"  repro: --seed {self.seed}"
                 f" --drop {plan.drop} --delay {plan.delay}"
                 f" --duplicate {plan.duplicate} --truncate {plan.truncate}"
                 f" --kill {plan.kill}"
@@ -543,7 +541,6 @@ def run_rescheck(
     give_up_after: float = 90.0,
     batch_max: int = 16,
     batch_delay: float = 0.002,
-    codec: str = "auto",
     out_dir: Optional[str] = None,
     workdir: Optional[str] = None,
 ) -> RescheckResult:
@@ -578,7 +575,7 @@ def run_rescheck(
     if views and replicas <= 0:
         raise ValueError("views=True requires replicas > 0")
     result = RescheckResult(
-        seed=seed, codec=codec, min_faults=min_faults, plan=plan,
+        seed=seed, min_faults=min_faults, plan=plan,
         replicas=replicas, view_drill=views,
     )
     own_workdir = workdir is None
@@ -677,7 +674,6 @@ def run_rescheck(
                     seed=seed,
                     timeout=client_timeout,
                     give_up_after=give_up_after,
-                    codec=codec,
                 )
             except BaseException as exc:  # noqa: BLE001
                 write_box["error"] = exc
@@ -872,12 +868,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         default=DEFAULT_PLAN.truncate)
     parser.add_argument("--kill", type=float, default=DEFAULT_PLAN.kill)
     parser.add_argument("--out", default=None,
-                        help="directory for BENCH_resilience.json "
-                        "(with --codec both, the binary run is recorded)")
-    parser.add_argument("--codec", default="auto",
-                        choices=("auto", "json", "binary", "both"),
-                        help="wire codec for the patient writers; 'both' "
-                        "runs the full harness once per codec")
+                        help="directory for BENCH_resilience.json")
     parser.add_argument("--quick", action="store_true",
                         help="bounded variant for CI: fewer writes, "
                         "lower fault floor")
@@ -935,18 +926,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             kill_after=1.0,
             give_up_after=45.0,
         )
-    codecs = (
-        ["json", "binary"] if args.codec == "both" else [args.codec]
-    )
-    all_ok = True
-    for codec in codecs:
-        run_kwargs = dict(kwargs, codec=codec)
-        if args.codec == "both" and codec != "binary":
-            run_kwargs["out_dir"] = None  # record the binary run
-        result = run_rescheck(**run_kwargs)
-        print(result.render())
-        all_ok = all_ok and result.ok
-    return 0 if all_ok else 1
+    result = run_rescheck(**kwargs)
+    print(result.render())
+    return 0 if result.ok else 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via console script

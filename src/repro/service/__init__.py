@@ -3,16 +3,21 @@
 The package splits along the wire:
 
 * :mod:`repro.service.protocol` -- the wire format: length-prefixed
-  frames carrying either a struct-packed binary codec (negotiated per
-  connection, version 1) or JSON (debugging / old clients), plus the
+  frames carrying one struct-packed binary codec (version 1), the
   request/reply/error vocabulary shared by both sides, including the
-  idempotency-key and deadline fields of the resilience contract.
+  idempotency-key and deadline fields of the resilience contract, and
+  the validation of request fields.
 * :mod:`repro.service.server` -- the asyncio TCP server
-  (:class:`TemporalAggregateServer`) with group-commit write batching,
-  exactly-once idempotency dedup, admission control, deadline shedding,
-  per-connection backpressure, inline read/write fast paths, and
+  (:class:`TemporalAggregateServer`): the composition root that wires
+  the four components below, owns the op table, the role flip and
   graceful drain, plus :class:`ServerHandle` for running it on a
   background thread.
+* :mod:`repro.service.connection` -- framing, admission control,
+  deadline shedding, per-connection backpressure, the reply writer and
+  the inline read/write fast paths.
+* :mod:`repro.service.groupcommit` -- group-commit write batching and
+  exactly-once idempotency dedup (:class:`GroupCommitter`).
+* :mod:`repro.service.views` -- the dynamic-view ops and their tick.
 * :mod:`repro.service.dedup` -- the bounded per-client idempotency
   window (:class:`DedupWindow`) and its journaled persistence format.
 * :mod:`repro.service.client` -- a blocking, fully pipelined
@@ -33,8 +38,8 @@ The package splits along the wire:
   on a follower).
 * :mod:`repro.service.replication` -- journal shipping between a
   primary and its read replicas: the CRC-framed record codec, the
-  in-memory :class:`CommitLog` the primary streams from, and the
-  replica-side apply loop lives in the server module.
+  in-memory :class:`CommitLog`, the primary-side :class:`Publisher`
+  (fan-out, semi-sync acks) and the replica-side :class:`Follower`.
 * :mod:`repro.service.readscale` -- the ``repro readscale`` benchmark:
   aggregate read throughput against 0/1/2 replicas under a
   write-saturated primary.
@@ -55,7 +60,6 @@ from .dedup import DedupWindow
 from .protocol import (
     BINARY_VERSION,
     CODEC_BINARY,
-    CODEC_JSON,
     ERR_BAD_REQUEST,
     ERR_DEADLINE,
     ERR_FAULT,
@@ -68,7 +72,6 @@ from .protocol import (
     ERR_UNKNOWN_OP,
     ERR_UNSUPPORTED,
     MAX_FRAME,
-    SUPPORTED_CODECS,
     ConnectionClosedMidFrame,
     FrameTooLarge,
     ProtocolError,
@@ -97,8 +100,6 @@ __all__ = [
     "ConnectionClosedMidFrame",
     "MAX_FRAME",
     "CODEC_BINARY",
-    "CODEC_JSON",
-    "SUPPORTED_CODECS",
     "BINARY_VERSION",
     "ERR_BAD_REQUEST",
     "ERR_UNKNOWN_OP",

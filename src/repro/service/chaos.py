@@ -18,9 +18,8 @@ enough to inject faults at frame granularity:
   between request and reply: the write may or may not have applied,
   which is exactly the ambiguity idempotent retry resolves).
 
-The proxy only parses the 4-byte length prefix, never the frame body,
-so it is codec-agnostic: binary and JSON frames (and connections that
-interleave both) get identical fault coverage.
+The proxy only parses the 4-byte length prefix, never the frame body:
+client traffic and the replication stream get identical fault coverage.
 
 Faults are decided per frame by per-connection-per-direction RNGs
 derived from one root seed (:func:`repro.faults.derive_rng`), so a

@@ -10,14 +10,6 @@ one request and wait for its reply; :meth:`ServiceClient.submit` sends
 without waiting and returns a :class:`ReplyFuture`, which is how a
 caller keeps a deep pipeline of requests in flight.
 
-**Codecs.**  By default (``codec="auto"``) a fresh connection sends a
-JSON ``hello`` offering the binary codec; servers that speak it switch
-the connection to struct-packed binary frames, old servers answer
-``unknown_op`` and the connection stays JSON.  ``codec="binary"``
-demands binary (raising :class:`ServiceError` if the server cannot);
-``codec="json"`` skips negotiation entirely -- the legacy wire format,
-useful against old servers and for debugging with a packet capture.
-
 **Exactly-once writes.**  Every mutating request carries an idempotency
 key ``(client, seq)`` (see :mod:`repro.service.protocol`): the server
 applies each key at most once and replays the original reply for
@@ -175,10 +167,6 @@ class _Connection:
         # live on the waiting side (``_Pending.wait``), not the socket.
         sock.settimeout(None)
         self.sock = sock
-        #: Wire codec for frames sent on this connection; replies are
-        #: decoded by auto-detection, so flipping this after a ``hello``
-        #: is the entire client side of codec negotiation.
-        self.codec = wire.CODEC_JSON
         self._send_lock = threading.Lock()
         self._outbox = bytearray()
         self._lock = threading.Lock()
@@ -386,12 +374,9 @@ class ServiceClient:
         client_id: Optional[str] = None,
         jitter_seed: Optional[int] = None,
         deadline_ms: Optional[float] = None,
-        codec: str = "auto",
         replicas: Optional[Sequence[str]] = None,
         max_staleness_s: Optional[float] = None,
     ) -> None:
-        if codec not in ("auto", wire.CODEC_BINARY, wire.CODEC_JSON):
-            raise ValueError(f"unknown codec {codec!r}")
         self.host = host
         self.port = port
         self.timeout = timeout
@@ -405,8 +390,6 @@ class ServiceClient:
         self.client_id = client_id or uuid.uuid4().hex[:16]
         #: Deadline budget stamped on every request (ms), or None.
         self.deadline_ms = deadline_ms
-        #: Requested codec mode: "auto", "binary" (strict), or "json".
-        self.codec = codec
         self._rng = (
             derive_rng(jitter_seed, "client", self.client_id)
             if jitter_seed is not None
@@ -452,55 +435,8 @@ class ServiceClient:
         conn = self._conn
         if conn is not None and conn.alive:
             return conn
-        conn = _Connection(self.host, self.port, self.timeout)
-        try:
-            if self.codec != wire.CODEC_JSON:
-                self._negotiate(conn)
-        except BaseException:
-            conn.close()
-            raise
-        self._conn = conn
+        conn = self._conn = _Connection(self.host, self.port, self.timeout)
         return conn
-
-    def _negotiate(self, conn: _Connection) -> None:
-        """Send ``hello`` (always JSON) and adopt the server's codec.
-
-        In ``"auto"`` mode a server that rejects ``hello`` -- an old
-        build answering ``unknown_op`` or ``bad_request`` -- leaves the
-        connection on JSON.  In strict ``"binary"`` mode anything short
-        of a binary grant is a :class:`ServiceError`.
-        """
-        request_id = self._alloc_id()
-        message = {
-            "op": "hello",
-            "id": request_id,
-            "codecs": [wire.CODEC_BINARY, wire.CODEC_JSON],
-        }
-        pending = conn.register(request_id)
-        conn.send(wire.encode_frame(message, wire.CODEC_JSON))
-        reply = pending.wait(self.timeout)
-        if reply.get("ok"):
-            granted = (reply.get("result") or {}).get("codec")
-            if granted in wire.SUPPORTED_CODECS:
-                conn.codec = granted
-        elif self.codec == wire.CODEC_BINARY:
-            error = reply.get("error") or {}
-            raise ServiceError(
-                error.get("type", "unknown"),
-                f"server rejected codec negotiation: "
-                f"{error.get('message', '')}",
-            )
-        if self.codec == wire.CODEC_BINARY and conn.codec != wire.CODEC_BINARY:
-            raise ServiceError(
-                wire.ERR_UNSUPPORTED,
-                f"server granted codec {conn.codec!r}, binary required",
-            )
-
-    @property
-    def negotiated_codec(self) -> Optional[str]:
-        """The live connection's wire codec, or None when disconnected."""
-        conn = self._conn
-        return conn.codec if conn is not None and conn.alive else None
 
     def close(self) -> None:
         conn, self._conn = self._conn, None
@@ -627,7 +563,7 @@ class ServiceClient:
             conn = self._connect()
             request_id = self._alloc_id()
             message["id"] = request_id
-            frame = wire.encode_frame(message, conn.codec)
+            frame = wire.encode_frame(message)
             pending = conn.register(request_id)
             try:
                 conn.send(frame, flush)
@@ -697,7 +633,7 @@ class ServiceClient:
                 try:
                     conn = self._connect()
                     message["id"] = self._alloc_id()
-                    frame = wire.encode_frame(message, conn.codec)
+                    frame = wire.encode_frame(message)
                     pending = conn.register(message["id"])
                     conn.send(frame)
                     reply = pending.wait(self.timeout)
@@ -781,7 +717,6 @@ class ServiceClient:
                     rport,
                     timeout=self.timeout,
                     retries=0,
-                    codec=self.codec,
                     client_id=f"{self.client_id}:r{len(self._replica_clients)}",
                 )
             )

@@ -98,7 +98,6 @@ class _PatientWriter(threading.Thread):
         seed: int,
         timeout: float,
         give_up_after: float,
-        codec: str = "auto",
     ) -> None:
         super().__init__(name=f"patient-{index}", daemon=True)
         self.index = index
@@ -109,7 +108,6 @@ class _PatientWriter(threading.Thread):
         self.rng = random.Random(seed)
         self.timeout = timeout
         self.give_up_after = give_up_after
-        self.codec = codec
         self.result = PatientWriteResult()
         self.error: Optional[BaseException] = None
 
@@ -124,7 +122,6 @@ class _PatientWriter(threading.Thread):
                 jitter_seed=self.index,
                 circuit_threshold=6,
                 circuit_cooldown=min(0.25, self.timeout),
-                codec=self.codec,
             )
             with client:
                 self._loop(client)
@@ -183,7 +180,6 @@ def run_patient_writes(
     seed: int = 0,
     timeout: float = 1.0,
     give_up_after: float = 60.0,
-    codec: str = "auto",
 ) -> PatientWriteResult:
     """Fan out patient exactly-once writers; merge what they acked.
 
@@ -201,7 +197,6 @@ def run_patient_writes(
             seed * 10_007 + i,
             timeout,
             give_up_after,
-            codec,
         )
         for i, band in enumerate(_bands(int(span[0]), int(span[1]), connections))
     ]

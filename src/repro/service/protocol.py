@@ -1,44 +1,20 @@
 """The wire protocol of the temporal-aggregate service.
 
 Stdlib-only framing: every message is a 4-byte big-endian length prefix
-followed by a body in one of two codecs, distinguished by the body's
-first byte:
-
-* **JSON** (``codec="json"``, the legacy format and debugging fallback):
-  a UTF-8 JSON object.  Python's ``json`` module serializes the
-  package's infinite endpoints as ``Infinity``/``-Infinity`` and parses
-  them back, so unbounded query windows round-trip without a special
-  case (both ends of this protocol are this package).
-* **Binary** (``codec="binary"``, protocol version 1): a struct-packed
-  typed payload beginning with the magic byte ``0xB1`` -- a byte no
-  JSON object body can start with.  Hot operations (``insert``,
-  ``batch_insert``, ``lookup``, ``rangeq``, ``window``, ``ping``) and
-  their replies have fixed typed layouts; anything else (``stats``
-  results, future ops, requests with unusual fields) travels as a
-  JSON object wrapped inside a binary envelope, so the binary codec
-  carries *every* message the JSON codec can.
-
-Both codecs decode to the **same message dicts**, so server dispatch,
-idempotency, deadlines, tracing, and error replies are codec-agnostic;
-:func:`decode_body` auto-detects the codec per frame and a server
-replies in the codec the request arrived in.
-
-**Version negotiation.**  A connection starts in JSON.  A client that
-wants the binary codec sends (as JSON, which every server speaks)::
-
-    {"op": "hello", "id": 1, "codecs": ["binary", "json"]}
-
-and the server answers ``{"ok": true, "result": {"codec": "binary",
-"version": 1, "max_frame": ...}}`` with the first offered codec it
-supports (or ``"json"`` when none is recognized).  From the client's
-next frame on, both directions use the negotiated codec.  Old clients
-never send ``hello`` and keep talking JSON; old servers answer it with
-``unknown_op``, which a client treats as "JSON only".
+followed by a **binary** body (protocol version 1): a struct-packed
+typed payload beginning with the magic byte ``0xB1``.  Hot operations
+(``insert``, ``batch_insert``, ``lookup``, ``rangeq``, ``window``,
+``ping``, single-view ``query_view``) and their replies have fixed
+typed layouts; anything else (``stats`` results, view DDL, the
+replication stream, requests with unusual fields) travels as a JSON
+object wrapped inside the binary envelope, so the one codec carries
+*every* message dict.  A body that does not start with the magic byte
+is a :class:`ProtocolError`: a server answers it once with
+``bad_request`` and closes the connection.
 
 Requests::
 
     {"op": "ping"}
-    {"op": "hello",        "codecs": ["binary", "json"]}
     {"op": "insert",       "value": 2, "start": 10, "end": 40}
     {"op": "batch_insert", "facts": [[2, 10, 40], [3, 10, 30]]}
     {"op": "lookup",       "t": 19}
@@ -161,10 +137,14 @@ After the 4-byte length prefix, a binary body is::
 Scalars are 1-byte-tagged: NULL, I64 (``>q``), F64 (``>d``, NaN/inf
 allowed), STR (u32 length + UTF-8), TRUE, FALSE.  Whole-valued f64
 *times* are restored to ``int`` on decode (mirroring
-``storage/codec.py``) so binary and JSON decodes of the same logical
-message compare equal.  All integers are big-endian (network order);
-the frame length prefix is shared by both codecs, which keeps
-frame-aware middleboxes (the chaos proxy) codec-agnostic.
+``storage/codec.py``) so typed and JSON-wrapped forms of the same
+logical message compare equal.  All integers are big-endian (network
+order); frame-aware middleboxes (the chaos proxy) need only the length
+prefix.
+
+Request field validation (:func:`number`, :func:`instant`,
+:func:`fact`, :func:`idem_key`) also lives here: it is where input from
+outside becomes trusted, once, for every op that carries the field.
 """
 
 from __future__ import annotations
@@ -174,22 +154,24 @@ import math
 import struct
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..core.intervals import Interval
+
 __all__ = [
     "MAX_FRAME",
-    "CODEC_JSON",
     "CODEC_BINARY",
     "BINARY_MAGIC",
     "BINARY_VERSION",
-    "SUPPORTED_CODECS",
     "ProtocolError",
     "FrameTooLarge",
     "ConnectionClosedMidFrame",
     "encode_frame",
     "encode_body",
     "decode_body",
-    "codec_of",
-    "negotiate",
     "recv_frame_blocking",
+    "number",
+    "instant",
+    "fact",
+    "idem_key",
     "error_reply",
     "ok_reply",
     "ERR_BAD_REQUEST",
@@ -210,14 +192,11 @@ __all__ = [
 #: allocation request.
 MAX_FRAME = 8 * 1024 * 1024
 
-CODEC_JSON = "json"
+#: The one wire codec, and the only value the ``codec`` argument of
+#: :func:`encode_body` / :func:`encode_frame` accepts.
 CODEC_BINARY = "binary"
-#: Codecs this build speaks, in preference order (``negotiate`` picks
-#: the first offered codec found here).
-SUPPORTED_CODECS = (CODEC_BINARY, CODEC_JSON)
 
-#: First body byte of every binary-codec message.  0xB1 can never begin
-#: a JSON object body (those start with ``{`` or whitespace).
+#: First body byte of every message.
 BINARY_MAGIC = 0xB1
 BINARY_VERSION = 1
 
@@ -313,7 +292,7 @@ ERR_SERVER = "server_error"
 
 
 class ProtocolError(ValueError):
-    """A malformed frame or message body (either codec)."""
+    """A malformed frame, message body, or request field."""
 
 
 class FrameTooLarge(ProtocolError):
@@ -325,39 +304,17 @@ class ConnectionClosedMidFrame(ConnectionError):
     protocol violation -- retryable, unlike :class:`ProtocolError`."""
 
 
-def negotiate(offered: Any) -> str:
-    """Pick the codec for one connection from a client's offer list.
-
-    Returns the first entry of *offered* this build supports; unknown
-    entries are skipped (a newer client may offer codecs we do not
-    have).  An empty, exhausted, or malformed offer resolves to JSON --
-    the codec every peer speaks.
-    """
-    if isinstance(offered, (list, tuple)):
-        for name in offered:
-            if name in SUPPORTED_CODECS:
-                return name
-    return CODEC_JSON
-
-
-def codec_of(body: bytes) -> str:
-    """The codec of a raw frame body (without decoding it)."""
-    if body[:1] == bytes((BINARY_MAGIC,)):
-        return CODEC_BINARY
-    return CODEC_JSON
-
-
 # ----------------------------------------------------------------------
 # Framing
 # ----------------------------------------------------------------------
-def encode_body(message: Dict[str, Any], codec: str = CODEC_JSON) -> bytes:
-    """Serialize one message dict into a frame body in *codec*."""
-    if codec == CODEC_BINARY:
-        return _encode_binary(message)
-    return json.dumps(message, separators=(",", ":")).encode("utf-8")
+def encode_body(message: Dict[str, Any], codec: str = CODEC_BINARY) -> bytes:
+    """Serialize one message dict into a frame body."""
+    if codec != CODEC_BINARY:
+        raise ValueError(f"unknown codec {codec!r}; the wire is binary")
+    return _encode_binary(message)
 
 
-def encode_frame(message: Dict[str, Any], codec: str = CODEC_JSON) -> bytes:
+def encode_frame(message: Dict[str, Any], codec: str = CODEC_BINARY) -> bytes:
     """Serialize one message to its length-prefixed wire form."""
     body = encode_body(message, codec)
     if len(body) > MAX_FRAME:
@@ -378,16 +335,10 @@ def decode_length(header: bytes) -> int:
 
 
 def decode_body(body: bytes) -> Dict[str, Any]:
-    """Parse a frame body into a message dict (codec auto-detected)."""
-    if body[:1] == b"\xb1":
-        return _decode_binary(body)
-    try:
-        message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"undecodable frame body: {exc}") from None
-    if not isinstance(message, dict):
-        raise ProtocolError("frame body must be a JSON object")
-    return message
+    """Parse a frame body into a message dict."""
+    if body[:1] != b"\xb1":
+        raise ProtocolError("frame body does not start with the 0xB1 magic")
+    return _decode_binary(body)
 
 
 def recv_frame_blocking(sock) -> Optional[Dict[str, Any]]:
@@ -429,7 +380,7 @@ def _recv_exactly(sock, n: int) -> Optional[bytes]:
 
 
 # ----------------------------------------------------------------------
-# Reply constructors (codec-agnostic dicts)
+# Reply constructors
 # ----------------------------------------------------------------------
 def ok_reply(result: Any, request: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """Build a success reply, echoing the request id if present."""
@@ -468,6 +419,53 @@ def error_reply(
     if request is not None and "id" in request:
         reply["id"] = request["id"]
     return reply
+
+
+# ----------------------------------------------------------------------
+# Request field validation
+# ----------------------------------------------------------------------
+def number(value: Any, field: str) -> Any:
+    """A numeric field: int or float (not bool) and never NaN -- one NaN
+    stored in a tree answers ``nan`` for every later aggregate over it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProtocolError(f"field {field!r} must be a number")
+    if value != value:
+        raise ProtocolError(f"field {field!r} must not be NaN")
+    return value
+
+
+def instant(value: Any, field: str) -> Any:
+    """A finite number: query instants, window widths, ``deadline_ms``.
+    Interval *endpoints* go through :func:`number` -- they may be +-inf."""
+    if number(value, field) in (math.inf, -math.inf):
+        raise ProtocolError(f"field {field!r} must be finite")
+    return value
+
+
+def fact(value: Any, start: Any, end: Any, noun: str = "fact") -> Tuple[Any, Interval]:
+    """One ``value, start, end`` triple as ``(value, Interval)``."""
+    start = number(start, "start")
+    end = number(end, "end")
+    if value is None:
+        raise ProtocolError(f"{noun} needs a 'value'")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ProtocolError(f"{noun} 'value' must be finite, got {value!r}")
+    if not start < end:
+        raise ProtocolError(f"empty {noun} interval [{start}, {end})")
+    return value, Interval(start, end)
+
+
+def idem_key(request: Dict[str, Any]) -> Optional[Tuple[str, int]]:
+    """Validate and extract the request's idempotency key, if any."""
+    client = request.get("client")
+    seq = request.get("seq")
+    if client is None and seq is None:
+        return None
+    if not isinstance(client, str) or not client:
+        raise ProtocolError("field 'client' must be a non-empty string")
+    if isinstance(seq, bool) or not isinstance(seq, int) or seq < 1:
+        raise ProtocolError("field 'seq' must be a positive integer")
+    return client, seq
 
 
 # ----------------------------------------------------------------------
@@ -521,8 +519,8 @@ def _pack_time(value: Any, parts: List[bytes]) -> None:
 def _encode_binary(message: Dict[str, Any]) -> bytes:
     """Encode one message dict into a binary body.
 
-    Messages without a typed layout are wrapped as JSON inside a binary
-    envelope, so this never refuses anything the JSON codec accepts.
+    Messages without a typed layout are wrapped as JSON inside the
+    binary envelope, so this refuses nothing ``json.dumps`` accepts.
     """
     try:
         if "op" in message:

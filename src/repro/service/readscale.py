@@ -75,7 +75,7 @@ def _writer_child(args: argparse.Namespace) -> int:
     pending: List[Any] = []
     try:
         with ServiceClient(
-            "127.0.0.1", args.port, timeout=30.0, retries=0, codec="binary"
+            "127.0.0.1", args.port, timeout=30.0, retries=0
         ) as svc:
             while True:
                 while len(pending) < args.depth:

@@ -766,6 +766,11 @@ class DynamicCatalog:
             return view
         raise ViewDependencyError(f"unknown table or view {name!r}")
 
+    def atomic(self):
+        """``with catalog.atomic():`` holds the (re-entrant) catalog lock
+        across several calls -- a check-then-act, a multi-row insert."""
+        return self._lock
+
     def has_node(self, name: str) -> bool:
         return name in self._tables or name in self._views
 

@@ -396,8 +396,7 @@ class TestServiceIntegration:
     def test_query_view_typed_codec_roundtrip(self, handle):
         from repro.service import ServiceClient
 
-        with ServiceClient(handle.host, handle.port, timeout=10.0,
-                           codec="binary") as svc:
+        with ServiceClient(handle.host, handle.port, timeout=10.0) as svc:
             svc.table_insert("doses", [[2, 0, 10, {"patient": "amy"}]])
             svc.create_view("one", "doses", "sum", lag="downstream")
             got = svc.query_view("one", 5)

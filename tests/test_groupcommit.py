@@ -1,0 +1,325 @@
+"""The group committer on its own: a fake ``apply``, a recording
+``on_committed``, no server and no network.
+
+Everything here was reachable before only through ``rescheck``'s chaos:
+which flush policy fired, what a failed apply and a failed *commit* do
+to waiters and to the dedup window, a duplicate racing its original,
+and the drain.
+"""
+
+import asyncio
+
+import pytest
+
+from repro import obs
+from repro.core.intervals import Interval
+from repro.service.groupcommit import (
+    DEDUP_META_KEY,
+    CommitFailed,
+    Draining,
+    GroupCommitter,
+)
+
+
+def fact(value, start=0, end=10):
+    return (value, Interval(start, end))
+
+
+class Harness:
+    """A committer wired to an in-memory apply and publish log."""
+
+    def __init__(self, **kwargs):
+        self.registry = obs.MetricsRegistry()
+        self.applied = []      # one (facts, meta) per successful apply
+        self.published = []    # one [(facts, idem), ...] per on_committed
+        self.fail = None       # raised by the next applies while set
+        self.fail_once = False  # ... or by the next apply only
+        self.gate = None       # an Event the apply waits on, when set
+        self.committer = GroupCommitter(
+            self.apply, self.on_committed, registry=self.registry, **kwargs
+        )
+
+    async def apply(self, facts, meta, collector):
+        if self.gate is not None:
+            await self.gate.wait()
+        if self.fail is not None:
+            exc = self.fail
+            if self.fail_once:
+                self.fail = None
+            raise exc
+        self.applied.append((list(facts), meta))
+
+    async def on_committed(self, writes):
+        self.published.append(list(writes))
+
+    def count(self, name):
+        return self.registry.counter(name).value
+
+
+class Ack:
+    """What the connection layer hands ``enqueue_inline``."""
+
+    def __init__(self):
+        self.resolved = None
+        self.failed = None
+
+    def resolve(self, result):
+        self.resolved = result
+
+    def fail(self, exc):
+        self.failed = exc
+
+
+def run(coro):
+    return asyncio.run(asyncio.wait_for(coro, timeout=10))
+
+
+class TestFlushPolicy:
+    def test_size_and_deadline_flushes_are_counted_separately(self):
+        async def main():
+            h = Harness(batch_max=3, batch_delay=0.01)
+            # Three one-fact writes fill the batch: one size flush.
+            got = await asyncio.gather(
+                *(h.committer.write([fact(i)]) for i in range(3))
+            )
+            assert got == [{"applied": 1}] * 3
+            assert len(h.applied) == 1 and len(h.applied[0][0]) == 3
+            assert h.count("service.batch.size_flushes") == 1
+            assert h.count("service.batch.deadline_flushes") == 0
+            # A lone write waits out batch_delay: one deadline flush.
+            assert await h.committer.write([fact(9)]) == {"applied": 1}
+            assert h.count("service.batch.size_flushes") == 1
+            assert h.count("service.batch.deadline_flushes") == 1
+            assert h.count("service.batch.flushes") == 2
+            assert h.committer.stats()["batch"] == {
+                "max": 3, "delay_s": 0.01, "pending": 0,
+            }
+
+        run(main())
+
+    def test_one_request_larger_than_batch_max_is_one_flush(self):
+        async def main():
+            h = Harness(batch_max=2, batch_delay=5.0)
+            result = await h.committer.write([fact(i) for i in range(5)])
+            assert result == {"applied": 5}
+            assert [len(facts) for facts, _ in h.applied] == [5]
+
+        run(main())
+
+    def test_durable_flush_commits_the_window_with_its_own_keys(self):
+        async def main():
+            h = Harness(batch_max=1, durable=True)
+            await h.committer.write([fact(1)], ("c", 1))
+            (facts, meta), = h.applied
+            # Dedup-before-ack: the commit's metadata already names the
+            # key the batch is about to apply.
+            assert '"c"' in meta[DEDUP_META_KEY]
+            assert h.count("service.batch.commits") == 1
+            # A fresh committer restored from that payload replays it.
+            other = Harness()
+            other.committer.load([meta[DEDUP_META_KEY]])
+            assert other.committer.replay_for(("c", 1)) == {
+                "applied": 1, "duplicate": True,
+            }
+            assert other.count("service.dedup.loaded") == 1
+
+        run(main())
+
+    def test_volatile_flush_passes_no_metadata(self):
+        async def main():
+            h = Harness(batch_max=1)
+            await h.committer.write([fact(1)], ("c", 1))
+            assert h.applied[0][1] is None
+            assert h.count("service.batch.commits") == 0
+
+        run(main())
+
+
+class TestFailures:
+    def test_failed_apply_fails_every_waiter_and_frees_its_keys(self):
+        async def main():
+            h = Harness(batch_max=2, batch_delay=5.0)
+            h.fail = RuntimeError("disk on fire")
+            results = await asyncio.gather(
+                h.committer.write([fact(1)], ("c", 1)),
+                h.committer.write([fact(2)], ("c", 2)),
+                return_exceptions=True,
+            )
+            assert all(r is h.fail for r in results)
+            assert h.published == []  # nothing applied, nothing shipped
+            assert not h.committer.in_flight(("c", 1))
+            assert h.committer.replay_for(("c", 1)) is None
+            # The keys are free: the retry applies as a fresh write.
+            h.fail = None
+            h.committer.batch_max = 1
+            assert await h.committer.write([fact(1)], ("c", 1)) == {"applied": 1}
+            assert len(h.applied) == 1
+
+        run(main())
+
+    def test_commit_failure_errors_waiters_but_remembers_and_publishes(self):
+        async def main():
+            h = Harness(batch_max=2, batch_delay=5.0, durable=True)
+            cause = OSError("fsync: EIO")
+            h.fail = CommitFailed(str(cause))
+            h.fail.__cause__ = cause
+            results = await asyncio.gather(
+                h.committer.write([fact(1)], ("c", 1)),
+                h.committer.write([fact(2)]),
+                return_exceptions=True,
+            )
+            # Waiters see the commit's own error ...
+            assert results == [cause, cause]
+            assert h.count("service.batch.commit_failures") == 1
+            assert h.count("service.batch.commits") == 0
+            # ... yet the batch is in memory: it still goes to followers,
+            assert [idem for _, idem in h.published[0]] == [("c", 1), None]
+            # and a retry of the key must replay, not apply twice.
+            h.fail = None
+            assert await h.committer.write([fact(1)], ("c", 1)) == {
+                "applied": 1, "duplicate": True,
+            }
+            assert h.applied == []
+
+        run(main())
+
+    def test_inline_acks_are_settled_by_the_flush(self):
+        async def main():
+            h = Harness(batch_max=2, batch_delay=5.0)
+            good, bad = Ack(), Ack()
+            await h.committer.enqueue_inline([fact(1)], ("c", 1), good)
+            await h.committer.enqueue_inline([fact(2)], None, Ack())
+            assert good.resolved == {"applied": 1} and good.failed is None
+            h.fail = RuntimeError("nope")
+            await h.committer.enqueue_inline([fact(3)], ("c", 2), bad)
+            await h.committer.enqueue_inline([fact(4)], None, Ack())
+            assert bad.failed is h.fail and bad.resolved is None
+            assert not h.committer.in_flight(("c", 2))
+
+        run(main())
+
+
+class TestDuplicates:
+    def test_duplicate_of_in_flight_key_joins_it(self):
+        async def main():
+            h = Harness(batch_max=1)
+            h.gate = asyncio.Event()
+            original = asyncio.ensure_future(
+                h.committer.write([fact(7)], ("c", 1))
+            )
+            await asyncio.sleep(0)  # the flush is now parked in apply
+            assert h.committer.in_flight(("c", 1))
+            duplicate = asyncio.ensure_future(
+                h.committer.write([fact(7)], ("c", 1))
+            )
+            await asyncio.sleep(0.01)
+            assert not duplicate.done()  # joined, not re-enqueued
+            h.gate.set()
+            assert await original == {"applied": 1}
+            assert await duplicate == {"applied": 1, "duplicate": True}
+            assert len(h.applied) == 1  # applied exactly once
+            assert h.count("service.dedup.joins") == 1
+            assert h.count("service.dedup.replays") == 1
+
+        run(main())
+
+    def test_joiner_of_a_failed_original_reenters_as_fresh(self):
+        async def main():
+            h = Harness(batch_max=1)
+            h.gate = asyncio.Event()
+            h.fail, h.fail_once = RuntimeError("first try fails"), True
+            original = asyncio.ensure_future(
+                h.committer.write([fact(7)], ("c", 1))
+            )
+            await asyncio.sleep(0)
+            duplicate = asyncio.ensure_future(
+                h.committer.write([fact(7)], ("c", 1))
+            )
+            await asyncio.sleep(0.01)
+            h.gate.set()
+            with pytest.raises(RuntimeError):
+                await original
+            assert await duplicate == {"applied": 1}
+            assert len(h.applied) == 1
+
+        run(main())
+
+    def test_replay_of_applied_and_of_evicted_keys(self):
+        async def main():
+            h = Harness(batch_max=1, dedup_window=2)
+            for seq in (1, 2, 3):
+                await h.committer.write([fact(seq), fact(seq)], ("c", seq))
+            assert h.committer.replay_for(("c", 3)) == {
+                "applied": 2, "duplicate": True,
+            }
+            # seq 1 fell out of the 2-entry window: still a duplicate.
+            assert h.committer.replay_for(("c", 1)) == {
+                "applied": 0, "duplicate": True, "evicted": True,
+            }
+            assert h.committer.replay_for(("c", 4)) is None
+            assert h.count("service.dedup.evicted_replays") == 1
+            assert h.committer.stats()["dedup"] == {"clients": 1, "entries": 2}
+
+        run(main())
+
+    def test_remember_feeds_a_followers_stream_into_the_window(self):
+        async def main():
+            h = Harness()
+            entries = [(("c", 5), {"applied": 3})]
+            meta = h.committer.commit_meta(entries)
+            assert "5" in meta[DEDUP_META_KEY]
+            assert h.committer.replay_for(("c", 5)) is None  # not yet
+            h.committer.remember(entries)
+            assert h.committer.replay_for(("c", 5)) == {
+                "applied": 3, "duplicate": True,
+            }
+
+        run(main())
+
+
+class TestDrain:
+    def test_drain_flushes_the_rest_and_rejects_new_writes(self):
+        async def main():
+            h = Harness(batch_max=100, batch_delay=60.0)
+            waiting = asyncio.ensure_future(
+                h.committer.write([fact(1)], ("c", 1))
+            )
+            await asyncio.sleep(0)
+            assert h.applied == []  # parked behind a 60 s deadline
+            await h.committer.drain()
+            assert await waiting == {"applied": 1}
+            assert len(h.applied) == 1
+            with pytest.raises(Draining):
+                await h.committer.write([fact(2)], ("c", 2))
+            # An already-applied key still replays during the drain.
+            assert await h.committer.write([fact(1)], ("c", 1)) == {
+                "applied": 1, "duplicate": True,
+            }
+            assert h.count("service.batch.deadline_flushes") == 0
+
+        run(main())
+
+    def test_serialized_orders_outsiders_against_flushes(self):
+        async def main():
+            h = Harness(batch_max=1)
+            h.gate = asyncio.Event()
+            write = asyncio.ensure_future(h.committer.write([fact(1)]))
+            await asyncio.sleep(0)
+            order = []
+
+            async def outsider():
+                async with h.committer.serialized():
+                    order.append(("outsider", len(h.published)))
+
+            other = asyncio.ensure_future(outsider())
+            await asyncio.sleep(0.01)
+            assert order == []  # held out while the flush is mid-apply
+            h.gate.set()
+            await asyncio.gather(write, other)
+            assert order == [("outsider", 1)]
+
+        run(main())
+
+    def test_batch_max_must_be_positive(self):
+        with pytest.raises(ValueError):
+            Harness(batch_max=0)

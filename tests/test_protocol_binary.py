@@ -1,13 +1,16 @@
-"""Tests for the binary wire codec, negotiation, and transport fixes.
+"""Tests for the binary wire codec and transport fixes.
 
-Covers the protocol edge cases across BOTH codecs (zero-length frames,
-bodies at/past MAX_FRAME, stale and duplicated replies under
-pipelining, JSON<->binary negotiation interop) plus regression tests
-for two transport bugs: mid-frame EOF must surface as a retryable
-ConnectionClosedMidFrame (not a ProtocolError), and a retried request
-must re-stamp its *remaining* deadline budget, not the full budget.
+Covers the protocol edge cases (zero-length frames, bodies at/past
+MAX_FRAME, stale and duplicated replies under pipelining, a JSON-bodied
+frame at the server's door) for both payload encodings the one codec
+has -- the typed struct layouts and the JSON object wrapped inside the
+binary envelope -- plus regression tests for two transport bugs:
+mid-frame EOF must surface as a retryable ConnectionClosedMidFrame (not
+a ProtocolError), and a retried request must re-stamp its *remaining*
+deadline budget, not the full budget.
 """
 
+import json
 import random
 import socket
 import struct
@@ -20,6 +23,7 @@ from repro.service import (
     ServerHandle,
     ServiceClient,
     ServiceError,
+    TransportError,
     protocol,
 )
 from repro.sharding import ShardedTree
@@ -41,7 +45,7 @@ class FakeServer:
     """A scriptable server: ``handler(message) -> [reply frames]``.
 
     Lets a test control the exact bytes the client sees -- duplicated
-    replies, stale ids, out-of-order delivery, hostile negotiation.
+    replies, stale ids, out-of-order delivery.
     """
 
     def __init__(self, handler):
@@ -123,25 +127,33 @@ REPLIES = [
 ]
 
 
+def wrapped_body(message):
+    """*message* as a JSON object inside the binary envelope -- the form
+    every message without a typed layout travels in."""
+    mtype = protocol._T_REQ_JSON if "op" in message else protocol._T_REPLY_JSON
+    return bytes((protocol.BINARY_MAGIC, mtype)) + json.dumps(message).encode()
+
+
 class TestBinaryRoundtrip:
+    """"Both codecs" in the two test names below reads: both payload
+    encodings of the one binary codec, typed layout and JSON-wrapped."""
+
     @pytest.mark.parametrize("message", REQUESTS)
     def test_requests_roundtrip_on_both_codecs(self, message):
-        body = protocol.encode_body(message, protocol.CODEC_BINARY)
+        body = protocol.encode_body(message)
         assert body[0] == protocol.BINARY_MAGIC
-        assert protocol.codec_of(body) == protocol.CODEC_BINARY
+        assert body[1] != protocol._T_REQ_JSON  # every one has a typed layout
         assert protocol.decode_body(body) == message
-        json_body = protocol.encode_body(message, protocol.CODEC_JSON)
-        assert protocol.codec_of(json_body) == protocol.CODEC_JSON
-        # Binary and JSON decodes of the same message compare equal.
-        assert protocol.decode_body(json_body) == protocol.decode_body(body)
+        # Typed and JSON-wrapped decodes of the same message compare equal.
+        assert protocol.decode_body(wrapped_body(message)) == message
 
     @pytest.mark.parametrize("message", REPLIES)
     def test_replies_roundtrip_on_both_codecs(self, message):
-        body = protocol.encode_body(message, protocol.CODEC_BINARY)
+        body = protocol.encode_body(message)
         assert body[0] == protocol.BINARY_MAGIC
+        assert body[1] != protocol._T_REPLY_JSON
         assert protocol.decode_body(body) == message
-        json_body = protocol.encode_body(message, protocol.CODEC_JSON)
-        assert protocol.decode_body(json_body) == message
+        assert protocol.decode_body(wrapped_body(message)) == message
 
     def test_envelope_fields_roundtrip(self):
         message = {
@@ -229,7 +241,7 @@ class TestBinaryMalformed:
 
 
 # ----------------------------------------------------------------------
-# Framing edge cases (both codecs share the length prefix)
+# Framing edge cases
 # ----------------------------------------------------------------------
 class TestFramingEdges:
     def test_zero_length_frame_is_protocol_error(self):
@@ -248,7 +260,7 @@ class TestFramingEdges:
 
     def test_body_exactly_at_max_frame(self, monkeypatch):
         monkeypatch.setattr(protocol, "MAX_FRAME", 256)
-        probe = protocol.encode_body({"pad": ""}, protocol.CODEC_JSON)
+        probe = protocol.encode_body({"pad": ""})
         message = {"pad": "x" * (256 - len(probe))}
         frame = protocol.encode_frame(message)
         assert protocol.decode_length(frame[:4]) == 256
@@ -256,7 +268,7 @@ class TestFramingEdges:
 
     def test_body_one_past_max_frame(self, monkeypatch):
         monkeypatch.setattr(protocol, "MAX_FRAME", 256)
-        probe = protocol.encode_body({"pad": ""}, protocol.CODEC_JSON)
+        probe = protocol.encode_body({"pad": ""})
         message = {"pad": "x" * (257 - len(probe))}
         with pytest.raises(protocol.FrameTooLarge):
             protocol.encode_frame(message)
@@ -295,9 +307,14 @@ class TestMidFrameEofRegression:
         finally:
             b.close()
 
-    @pytest.mark.parametrize("codec", ["json", "binary"])
-    def test_eof_mid_body(self, codec):
-        frame = protocol.encode_frame({"op": "lookup", "t": 7, "id": 1}, codec)
+    @pytest.mark.parametrize("extra", [{}, {"shard_hint": 3}],
+                             ids=["binary", "wrapped"])
+    def test_eof_mid_body(self, extra):
+        # "binary": the typed lookup layout; "wrapped": an extra field
+        # makes the same request travel as JSON inside the envelope.
+        frame = protocol.encode_frame(
+            {"op": "lookup", "t": 7, "id": 1, **extra})
+        assert (frame[5] == protocol._T_REQ_JSON) == bool(extra)
         a, b = socket.socketpair()
         try:
             a.sendall(frame[: len(frame) - 3])
@@ -323,16 +340,13 @@ class TestDeadlineBudgetRegression:
         seen = []
 
         def handler(message):
-            if message.get("op") == "hello":
-                return [protocol.encode_frame(
-                    protocol.ok_reply({"codec": "json"}, message))]
             seen.append(message.get("deadline_ms"))
             return [protocol.encode_frame(protocol.error_reply(
                 protocol.ERR_OVERLOADED, "busy", message, retry_after=0.05))]
 
         with FakeServer(handler) as srv:
             with ServiceClient(
-                srv.host, srv.port, timeout=5.0, codec="json",
+                srv.host, srv.port, timeout=5.0,
                 deadline_ms=150.0, retries=20, retry_backoff=0.04,
                 retry_backoff_max=0.08, retry_budget=30.0,
                 circuit_threshold=1000, jitter_seed=3,
@@ -364,8 +378,7 @@ class TestPipelineReplyMatching:
             return [reply, reply, stale]
 
         with FakeServer(handler) as srv:
-            with ServiceClient(srv.host, srv.port, timeout=5.0,
-                               codec="json") as svc:
+            with ServiceClient(srv.host, srv.port, timeout=5.0) as svc:
                 for t in range(5):
                     assert svc.lookup(t) == t * 2
 
@@ -384,28 +397,33 @@ class TestPipelineReplyMatching:
             return frames
 
         with FakeServer(handler) as srv:
-            with ServiceClient(srv.host, srv.port, timeout=5.0,
-                               codec="json") as svc:
+            with ServiceClient(srv.host, srv.port, timeout=5.0) as svc:
                 futures = [svc.submit("lookup", t=t) for t in (1, 2, 3)]
                 assert [f.result() for f in futures] == [10, 20, 30]
 
-    @pytest.mark.parametrize("codec", ["json", "binary"])
-    def test_deep_pipeline_end_to_end(self, sum_server, codec):
+    @pytest.mark.parametrize("extra", [{}, {"note": "x"}],
+                             ids=["binary", "wrapped"])
+    def test_deep_pipeline_end_to_end(self, sum_server, extra):
+        # "wrapped": a field outside the typed layouts sends every
+        # request down the JSON-in-envelope path, server side included.
         handle, _ = sum_server
         rng = random.Random(5)
         facts = []
-        with client_for(handle, codec=codec) as svc:
+        with client_for(handle) as svc:
             futures = []
             for _ in range(60):
                 s = rng.randint(0, 900)
                 e = s + rng.randint(1, 80)
                 v = rng.randint(1, 9)
                 facts.append((v, (s, e)))
-                futures.append(svc.submit_insert(v, s, e, flush=False))
+                futures.append(svc.submit(
+                    "insert", flush=False, value=v, start=s, end=e,
+                    client=svc.client_id, seq=svc.next_seq(), **extra))
             svc.flush()
             assert sum(f.result()["applied"] for f in futures) == 60
             times = list(range(0, 1000, 37))
-            lookups = [svc.submit("lookup", flush=False, t=t) for t in times]
+            lookups = [svc.submit("lookup", flush=False, t=t, **extra)
+                       for t in times]
             svc.flush()
             for t, future in zip(times, lookups):
                 assert future.result() == reference.instantaneous_value(
@@ -413,84 +431,53 @@ class TestPipelineReplyMatching:
 
 
 # ----------------------------------------------------------------------
-# Codec negotiation interop
+# One codec: what is left at the edges where JSON used to be accepted
 # ----------------------------------------------------------------------
-class TestNegotiation:
-    def test_negotiate_picks_first_supported(self):
-        assert protocol.negotiate(["binary", "json"]) == "binary"
-        assert protocol.negotiate(["json", "binary"]) == "json"
-        assert protocol.negotiate(["zstd-9", "binary"]) == "binary"
-        assert protocol.negotiate(["zstd-9"]) == "json"
-        assert protocol.negotiate([]) == "json"
-        assert protocol.negotiate("binary") == "json"  # malformed offer
-        assert protocol.negotiate(None) == "json"
-
-    def test_auto_client_negotiates_binary(self, sum_server):
+class TestBinaryOnly:
+    def test_json_bodied_frame_gets_one_binary_bad_request_then_eof(
+            self, sum_server):
         handle, _ = sum_server
-        with client_for(handle) as svc:
-            assert svc.ping()
-            assert svc.negotiated_codec == protocol.CODEC_BINARY
-
-    def test_json_client_skips_negotiation(self, sum_server):
-        handle, _ = sum_server
-        with client_for(handle, codec="json") as svc:
-            assert svc.ping()
-            assert svc.negotiated_codec == protocol.CODEC_JSON
-
-    def test_binary_and_json_clients_interop(self, sum_server):
-        handle, _ = sum_server
-        with client_for(handle, codec="binary") as writer:
-            assert writer.insert(5, 10, 40) == 1
-        with client_for(handle, codec="json") as reader:
-            assert reader.lookup(19) == 5
-
-    def test_auto_falls_back_to_json_on_old_server(self):
-        def handler(message):
-            if message.get("op") == "hello":
-                return [protocol.encode_frame(protocol.error_reply(
-                    protocol.ERR_UNKNOWN_OP, "unknown op 'hello'", message))]
-            return [protocol.encode_frame(
-                protocol.ok_reply("pong", message))]
-
-        with FakeServer(handler) as srv:
-            with ServiceClient(srv.host, srv.port, timeout=5.0,
-                               codec="auto") as svc:
-                assert svc.ping()
-                assert svc.negotiated_codec == protocol.CODEC_JSON
-
-    def test_strict_binary_fails_on_old_server(self):
-        def handler(message):
-            return [protocol.encode_frame(protocol.error_reply(
-                protocol.ERR_UNKNOWN_OP, "unknown op", message))]
-
-        with FakeServer(handler) as srv:
-            with ServiceClient(srv.host, srv.port, timeout=5.0,
-                               codec="binary") as svc:
-                with pytest.raises(ServiceError):
-                    svc.ping()
-
-    def test_server_replies_in_arrival_codec(self, sum_server):
-        handle, _ = sum_server
-
-        def recv_raw_body(sock):
-            header = b""
-            while len(header) < 4:
-                header += sock.recv(4 - len(header))
-            (length,) = struct.unpack(">I", header)
-            body = b""
-            while len(body) < length:
-                body += sock.recv(length - len(body))
-            return body
-
+        body = b'{"op":"ping"}'
         with socket.create_connection((handle.host, handle.port),
                                       timeout=5.0) as sock:
-            sock.sendall(protocol.encode_frame(
-                {"op": "ping", "id": 1}, protocol.CODEC_BINARY))
-            body = recv_raw_body(sock)
-            assert body[0] == protocol.BINARY_MAGIC
-            assert protocol.decode_body(body)["result"] == "pong"
-            sock.sendall(protocol.encode_frame(
-                {"op": "ping", "id": 2}, protocol.CODEC_JSON))
-            body = recv_raw_body(sock)
-            assert body[:1] == b"{"
-            assert protocol.decode_body(body)["result"] == "pong"
+            sock.sendall(struct.pack(">I", len(body)) + body)
+            header = protocol._recv_exactly(sock, 4)
+            raw = protocol._recv_exactly(sock, protocol.decode_length(header))
+            assert raw[0] == protocol.BINARY_MAGIC
+            reply = protocol.decode_body(raw)
+            assert reply["ok"] is False
+            assert reply["error"]["type"] == protocol.ERR_BAD_REQUEST
+            assert sock.recv(1) == b""  # exactly one reply, then EOF
+        with client_for(handle) as svc:
+            assert svc.ping()  # the listener is unharmed
+
+    def test_decode_rejects_a_body_without_the_magic(self):
+        for body in (b'{"op":"ping"}', b" {}", b"\x00\xb1\x01\x00"):
+            with pytest.raises(protocol.ProtocolError):
+                protocol.decode_body(body)
+
+    def test_encode_accepts_only_the_binary_codec(self):
+        message = {"op": "ping", "id": 1}
+        frame = protocol.encode_frame(message, protocol.CODEC_BINARY)
+        assert frame == protocol.encode_frame(message)
+        assert protocol.decode_body(frame[4:]) == message
+        for codec in ("json", "auto", None):
+            with pytest.raises(ValueError):
+                protocol.encode_frame(message, codec)
+            with pytest.raises(ValueError):
+                protocol.encode_body(message, codec)
+
+    def test_client_has_no_codec_argument(self):
+        with pytest.raises(TypeError):
+            ServiceClient("127.0.0.1", 1, codec="json")
+
+    def test_client_fails_a_json_speaking_server(self):
+        def handler(message):
+            body = json.dumps(protocol.ok_reply("pong", message)).encode()
+            return [struct.pack(">I", len(body)) + body]
+
+        with FakeServer(handler) as srv:
+            with ServiceClient(srv.host, srv.port, timeout=5.0,
+                               retries=0) as svc:
+                with pytest.raises(TransportError, match="0xB1 magic"):
+                    svc.ping()

@@ -278,14 +278,13 @@ class TestReplicationReporting:
         result = RescheckResult()
         result.ok = False
         result.seed = 13
-        result.codec = "binary"
         result.replicas = 1
         result.detail = "boom"
         result.plan = ChaosPlan(drop=0.01, delay=0.1, duplicate=0.2,
                                 truncate=0.005, kill=0.002)
         result.log_paths = ["/tmp/x/primary.log", "/tmp/x/replica0.log"]
         text = result.render()
-        assert "repro: --seed 13 --codec binary" in text
+        assert "repro: --seed 13 --drop 0.01" in text
         assert "--drop 0.01" in text
         assert "--replicas 1" in text
         assert "server logs:" in text

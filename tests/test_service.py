@@ -222,8 +222,8 @@ class TestStructuredErrors:
         )
         request = {"op": "insert", "id": 41}
         table = [
-            (server_mod._DeadlineExpired("late"), protocol.ERR_DEADLINE),
-            (server_mod._Draining("draining"), protocol.ERR_SHUTTING_DOWN),
+            (server_mod.DeadlineExpired("late"), protocol.ERR_DEADLINE),
+            (server_mod.Draining("draining"), protocol.ERR_SHUTTING_DOWN),
             # A subclass of ShardingError: must not fall into bad_request.
             (WindowUnsupportedError("no window"), protocol.ERR_UNSUPPORTED),
             (ShardingError("bad split"), protocol.ERR_BAD_REQUEST),
@@ -231,8 +231,8 @@ class TestStructuredErrors:
             (protocol.FrameTooLarge("huge"), protocol.ERR_BAD_REQUEST),
             (SimulatedCrash("pager.write"), protocol.ERR_FAULT),
             (LockTimeout("shard 1"), protocol.ERR_TIMEOUT),
-            (server_mod._NotPrimary("replica"), protocol.ERR_NOT_PRIMARY),
-            (server_mod._CommitFailed("disk"), protocol.ERR_SERVER),
+            (server_mod.NotPrimary("replica"), protocol.ERR_NOT_PRIMARY),
+            (server_mod.CommitFailed("disk"), protocol.ERR_SERVER),
             (RuntimeError("kaboom"), protocol.ERR_SERVER),
         ]
         for exc, want in table:
