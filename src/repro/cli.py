@@ -391,10 +391,15 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the sharded temporal-aggregate service in the foreground.
 
-    Builds a :class:`~repro.sharding.ShardedTree` (optionally seeded
-    from a ``value,start,end`` CSV, optionally with one persistent page
-    file per shard under ``--paged DIR``), binds the asyncio TCP server,
-    and serves until SIGINT/SIGTERM, then drains gracefully.
+    Builds a :class:`~repro.sharding.ShardedTree` (optionally with one
+    persistent page file per shard under ``--paged DIR``, optionally
+    seeded from a ``value,start,end`` CSV), binds the asyncio TCP
+    server, and serves until SIGINT/SIGTERM, then drains gracefully.
+
+    ``--csv`` seeds only a directory in which no shard file has a
+    committed root.  Any root counts as data: a directory first served
+    without ``--csv`` is never seeded later, and a multi-shard seed
+    killed after some shards committed is not resumed on restart.
     """
     import asyncio
     import signal
@@ -417,6 +422,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
             )
             for i in range(num)
         ]
+    # Decided before the trees exist (a new SBTree allocates a root): a
+    # restart over page files that already hold a tree serves them as
+    # they are -- seeding again would apply every fact a second time.
+    seed = args.csv
+    if seed and stores and any(s.get_root() is not None for s in stores):
+        print(f"skipping --csv: {args.paged} already holds data")
+        seed = None
     try:
         if boundaries is not None:
             sharded = ShardedTree(args.kind, boundaries, stores=stores)
@@ -430,9 +442,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except ShardingError as exc:
         raise SystemExit(f"error: {exc}")
 
-    if args.csv:
+    if seed:
         facts = []
-        with open(args.csv, newline="") as handle:
+        with open(seed, newline="") as handle:
             for row in csv.reader(handle):
                 try:
                     value, start, end = (_number(cell) for cell in row[:3])

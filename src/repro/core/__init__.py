@@ -6,7 +6,7 @@ from .intervals import Interval, NEG_INF, POS_INF, Time
 from .msbtree import MSBTree
 from .results import ConstantIntervalTable, merge_step_functions
 from .sbtree import SBTree
-from .store import MemoryNodeStore, NodeStore, StoreStats
+from .nodestore import MemoryNodeStore, NodeStore, StoreStats
 from .validate import TreeInvariantError, check_tree
 from .values import AggregateKind, AggregateSpec, spec_for
 

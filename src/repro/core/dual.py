@@ -34,7 +34,7 @@ from ..obs import observed
 from .intervals import Interval, NEG_INF, POS_INF, Time, is_finite
 from .results import ConstantIntervalTable, merge_step_functions, trim_initial
 from .sbtree import IntervalLike, SBTree, as_interval
-from .store import NodeStore
+from .nodestore import NodeStore
 
 __all__ = ["DualTreeAggregate"]
 

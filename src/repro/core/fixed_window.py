@@ -19,7 +19,7 @@ from ..obs import observed
 from .intervals import Interval, POS_INF, Time
 from .results import ConstantIntervalTable
 from .sbtree import IntervalLike, SBTree, as_interval
-from .store import NodeStore
+from .nodestore import NodeStore
 
 __all__ = ["FixedWindowTree"]
 

@@ -26,7 +26,7 @@ from .intervals import Interval, NEG_INF, POS_INF, Time
 from .nodes import Node
 from .results import ConstantIntervalTable
 from .sbtree import IntervalLike, SBTree, as_interval
-from .store import NodeStore
+from .nodestore import NodeStore
 from .values import AggregateKind
 
 __all__ = ["MSBTree"]

@@ -21,6 +21,7 @@ from .values import AggregateSpec, spec_for
 
 __all__ = [
     "instantaneous_value",
+    "view_value",
     "cumulative_value",
     "instantaneous_table",
     "cumulative_table",
@@ -48,6 +49,17 @@ def instantaneous_value(tuples: Iterable[Fact], kind, t: Time) -> Any:
         if interval.contains(t):
             result = spec.acc(result, spec.effect(value))
     return result
+
+
+def view_value(rows: Iterable[Tuple], kind, t: Time, key: Any = None) -> Any:
+    """What a (grouped) view over *rows* must answer at instant *t*.
+
+    Rows are ``(value, interval, group)``; with *key* only that group's
+    rows count, without it all of them do.  The result is finalized --
+    the form views, ``query_view`` and ``lookup`` hand to callers.
+    """
+    kept = [row for row in rows if key is None or row[2] == key]
+    return spec_for(kind).finalize(instantaneous_value(kept, kind, t))
 
 
 def cumulative_value(tuples: Iterable[Fact], kind, t: Time, w: Time) -> Any:

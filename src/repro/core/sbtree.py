@@ -19,7 +19,7 @@ equal-valued leaf intervals around the endpoints of each update
 (``imerge``/``nmerge``, Section 3.6); MIN/MAX trees are compacted in
 batch instead (``bmerge``).
 
-All node access goes through a :class:`~repro.core.store.NodeStore`, so
+All node access goes through a :class:`~repro.core.nodestore.NodeStore`, so
 the same code runs in memory or on disk pages.
 """
 
@@ -33,7 +33,7 @@ from ..obs import observed
 from .intervals import Interval, NEG_INF, POS_INF, Time, is_finite
 from .nodes import Node, NodeId
 from .results import ConstantIntervalTable, trim_initial
-from .store import MemoryNodeStore, NodeStore
+from .nodestore import MemoryNodeStore, NodeStore
 from .values import AggregateKind, AggregateSpec, spec_for
 
 __all__ = ["SBTree"]

@@ -63,7 +63,6 @@ from .core import reference
 from .core.intervals import Interval
 from .core.sbtree import SBTree
 from .core.validate import check_tree
-from .core.values import spec_for
 from .faults import FaultInjector, SimulatedCrash, simulate_crash
 from .storage import PagedNodeStore
 from .storage.pager import Pager
@@ -398,9 +397,6 @@ CATALOG_FAULT_PLANS: Tuple[Tuple[str, Optional[str]], ...] = tuple(
     ("crash", point) for point in CATALOG_CRASH_POINTS
 ) + (("torn", None), ("fsync", None))
 
-#: Sentinel key meaning "aggregate over every group" in the view oracle.
-_ANY = object()
-
 
 class CatalogWorkloadContext:
     """Drives one :class:`DynamicCatalog` while tracking checkpoint oracles.
@@ -535,14 +531,6 @@ CATALOG_WORKLOADS: Dict[str, Callable[[CatalogWorkloadContext], None]] = {
 }
 
 
-def _expected_view_value(kind: str, facts: Sequence[Tuple], t, key) -> Any:
-    kept = [
-        (value, (start, end)) for value, start, end, payload in facts
-        if key is _ANY or dict(payload).get("k") == key
-    ]
-    return spec_for(kind).finalize(reference.instantaneous_value(kept, kind, t))
-
-
 def _catalog_facts(catalog: DynamicCatalog) -> List:
     return sorted(
         (row.value, row.valid.start, row.valid.end,
@@ -555,7 +543,11 @@ def _check_catalog_views(
     catalog: DynamicCatalog, facts: Sequence[Tuple], ctx: CatalogWorkloadContext
 ) -> str:
     """Every declared view against the brute-force oracle over *facts*."""
-    keys = {dict(payload).get("k") for _, _, _, payload in facts}
+    rows = [
+        (value, (start, end), dict(payload).get("k"))
+        for value, start, end, payload in facts
+    ]
+    keys = {group for _, _, group in rows}
     probes = sorted(
         {start for _, start, _, _ in facts}
         | {(start + end) / 2.0 for _, start, end, _ in facts}
@@ -564,11 +556,11 @@ def _check_catalog_views(
     for name, (kind, grouped) in ctx.view_oracles.items():
         view = catalog.view(name)
         for t in probes:
-            for key in (keys if grouped else (_ANY,)):
-                got = view.value_at(t, None if key is _ANY else key)
-                want = _expected_view_value(kind, facts, t, key)
+            for key in (keys if grouped else (None,)):
+                got = view.value_at(t, key)
+                want = reference.view_value(rows, kind, t, key)
                 if got != want:
-                    label = "" if key is _ANY else f" key={key!r}"
+                    label = f" key={key!r}" if grouped else ""
                     return (
                         f"view {name!r}{label} at t={t}: "
                         f"recovered {got!r} != oracle {want!r}"

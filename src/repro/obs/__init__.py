@@ -2,7 +2,7 @@
 
 The paper states every cost in *node/page accesses per operation*
 (``lookup`` O(h), ``insert`` O(h), ``rangeq`` O(h + r), Figure 23), but
-the storage counters (:class:`~repro.core.store.StoreStats`,
+the storage counters (:class:`~repro.core.nodestore.StoreStats`,
 :class:`~repro.storage.buffer.BufferStats`,
 :class:`~repro.storage.pager.PagerStats`) are process-lifetime totals.
 This module closes the gap with three small pieces:

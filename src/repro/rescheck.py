@@ -5,10 +5,11 @@ instant, reopening yields the last commit).  This harness proves the
 *service* contract on top of it -- **every acked write is applied
 exactly once, durably** -- with no mocks anywhere in the path:
 
-1. A real :class:`~repro.service.server.TemporalAggregateServer` runs
-   in a *child process* (so it can be killed with ``SIGKILL``, not
-   politely cancelled), serving a single-shard SB-tree on a journaled
-   page file with idempotency dedup enabled.
+1. The server is the product's own entry point, ``python -m repro
+   serve``, in a *child process* (so it can be killed with ``SIGKILL``,
+   not politely cancelled): a single-shard SB-tree on a journaled page
+   file with idempotency dedup enabled
+   (:class:`repro.service.process.ServeProcess` owns its command line).
 2. A :class:`~repro.service.chaos.ChaosProxy` sits between the clients
    and the server, dropping, delaying, duplicating, and truncating
    frames and killing connections, all seeded and counted.
@@ -16,9 +17,9 @@ exactly once, durably** -- with no mocks anywhere in the path:
    (:func:`repro.service.patient.run_patient_writes`) drive inserts
    through the proxy, retrying each write under its original
    idempotency key until it is acked.
-4. Mid-run, the server process is SIGKILLed and restarted on the same
-   port -- the dedup window and the tree recover together from the
-   journaled page file.
+4. Mid-run, the server process is SIGKILLed and ``repro serve`` is
+   started again on the same port and directory -- the dedup window
+   and the tree recover together from the journaled page file.
 5. After the run, the page file is reopened directly (triggering
    journal rollback, exactly as crashcheck does) and the recovered
    tree must equal the :mod:`repro.core.reference` oracle over the
@@ -45,12 +46,9 @@ restarts than required.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import os
 import random
 import shutil
-import socket
-import subprocess
 import sys
 import tempfile
 import threading
@@ -62,17 +60,12 @@ from . import benchlib
 from .core import reference
 from .core.sbtree import SBTree
 from .core.validate import check_tree
-from .core.values import spec_for
 from .service.chaos import ChaosPlan, ChaosProxy
-from .service.client import ServiceClient
 from .service.patient import PatientWriteResult, run_patient_writes
-from .sharding import ShardedTree
+from .service.process import KIND, SPAN, ServeProcess
 from .storage import PagedNodeStore
 
 __all__ = ["RescheckResult", "run_rescheck", "main"]
-
-_KIND = "sum"
-_SPAN = (0, 100_000)
 
 #: Default chaos plan: duplication-heavy (duplicates are cheap to
 #: inject and exercise both dedup directions), with enough drops,
@@ -85,171 +78,6 @@ DEFAULT_PLAN = ChaosPlan(
     truncate=0.004,
     kill=0.002,
 )
-
-
-# ----------------------------------------------------------------------
-# Child process: the killable server
-# ----------------------------------------------------------------------
-def _serve_child(args: argparse.Namespace) -> int:
-    """Entry point of the ``--serve-child`` subprocess.
-
-    Opens (or reopens, after a kill) the journaled page file, restores
-    the dedup window from its header metadata, and serves until killed.
-    With ``--replica-of`` the child starts as a follower of that
-    address (usually the replication-link chaos proxy).
-    """
-    from .service.server import TemporalAggregateServer
-
-    store = PagedNodeStore(args.path, _KIND, journaled=True)
-    sharded = ShardedTree(_KIND, [], stores=[store])
-
-    async def run() -> None:
-        server = TemporalAggregateServer(
-            sharded,
-            host="127.0.0.1",
-            port=args.port,
-            batch_max=args.batch_max,
-            batch_delay=args.batch_delay,
-            dedup_window=256,
-            replica_of=args.replica_of or None,
-            replica_name=args.replica_name or None,
-            repl_ack_timeout=args.repl_ack_timeout,
-        )
-        await server.start()
-        sys.stdout.write(f"READY {server.port}\n")
-        sys.stdout.flush()
-        await server.serve_forever()
-
-    asyncio.run(run())
-    return 0
-
-
-def _free_port() -> int:
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def _spawn_server(
-    path: str,
-    port: int,
-    *,
-    batch_max: int,
-    batch_delay: float,
-    replica_of: Optional[str] = None,
-    replica_name: Optional[str] = None,
-    repl_ack_timeout: float = 5.0,
-    log_path: Optional[str] = None,
-) -> subprocess.Popen:
-    command = [
-        sys.executable,
-        "-m",
-        "repro.rescheck",
-        "--serve-child",
-        "--path",
-        path,
-        "--port",
-        str(port),
-        "--batch-max",
-        str(batch_max),
-        "--batch-delay",
-        str(batch_delay),
-        "--repl-ack-timeout",
-        str(repl_ack_timeout),
-    ]
-    if replica_of:
-        command += ["--replica-of", replica_of]
-    if replica_name:
-        command += ["--replica-name", replica_name]
-    # Child output goes to a per-incarnation log file (appended across
-    # kill+restart cycles of the same path) so a red run can be
-    # diagnosed from the console; see RescheckResult.render().
-    if log_path is not None:
-        log = open(log_path, "ab")
-    else:
-        log = subprocess.DEVNULL
-    try:
-        proc = subprocess.Popen(
-            command,
-            stdout=log,
-            stderr=log,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-        )
-    finally:
-        if log is not subprocess.DEVNULL:
-            log.close()  # the child holds its own descriptor
-    return proc
-
-
-def _wait_ready(port: int, proc: subprocess.Popen, timeout: float = 15.0) -> None:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if proc.poll() is not None:
-            raise RuntimeError(
-                f"server child exited early with code {proc.returncode}"
-            )
-        try:
-            with ServiceClient("127.0.0.1", port, timeout=1.0, retries=0) as svc:
-                if svc.ping():
-                    return
-        except Exception:
-            time.sleep(0.05)
-    raise RuntimeError(f"server on port {port} not ready within {timeout}s")
-
-
-def _replication_stats(port: int) -> Dict[str, Any]:
-    with ServiceClient("127.0.0.1", port, timeout=1.0, retries=0) as svc:
-        return (svc.stats() or {}).get("replication") or {}
-
-
-def _wait_subscribed(port: int, count: int, timeout: float = 20.0) -> None:
-    """Block until the primary on *port* reports *count* live replicas."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        try:
-            replicas = _replication_stats(port).get("replicas") or []
-            if sum(1 for r in replicas if r.get("connected")) >= count:
-                return
-        except Exception:
-            pass
-        time.sleep(0.1)
-    raise RuntimeError(
-        f"{count} replica(s) did not subscribe to :{port} within {timeout}s"
-    )
-
-
-def _wait_applied(port: int, commit: int, timeout: float = 20.0) -> None:
-    """Block until the replica on *port* has applied *commit*."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        try:
-            if int(_replication_stats(port).get("applied", -1)) >= commit:
-                return
-        except Exception:
-            pass
-        time.sleep(0.05)
-    raise RuntimeError(
-        f"replica :{port} did not reach commit {commit} within {timeout}s"
-    )
-
-
-def _promote(port: int, timeout: float = 20.0) -> Dict[str, Any]:
-    """Promote the replica on *port*, retrying until it claims primaryhood."""
-    deadline = time.monotonic() + timeout
-    last: Optional[BaseException] = None
-    while time.monotonic() < deadline:
-        try:
-            with ServiceClient(
-                "127.0.0.1", port, timeout=8.0, retries=0
-            ) as svc:
-                result = svc._request("promote")
-                if result.get("promoted") or result.get("role") == "primary":
-                    return result
-        except Exception as exc:  # noqa: BLE001 - retried until deadline
-            last = exc
-        time.sleep(0.1)
-    raise RuntimeError(f"promotion of 127.0.0.1:{port} failed: {last!r}")
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +94,9 @@ _VIEW_SUITE = (
 )
 
 
-def _setup_views(port: int, seed: int) -> List[Tuple[Any, Tuple[float, float], str]]:
+def _setup_views(
+    primary: ServeProcess, seed: int
+) -> List[Tuple[Any, Tuple[float, float], str]]:
     """Declare the drill's views and ingest acked base rows (no chaos).
 
     Goes straight to the primary -- the point is to verify *shipping*
@@ -279,30 +109,20 @@ def _setup_views(port: int, seed: int) -> List[Tuple[Any, Tuple[float, float], s
     facts: List[Tuple[Any, Tuple[float, float], str]] = []
     for _ in range(40):
         value = rng.randint(1, 9)
-        start = round(rng.uniform(_SPAN[0], _SPAN[1] - 600), 3)
+        start = round(rng.uniform(SPAN[0], SPAN[1] - 600), 3)
         end = round(start + rng.uniform(1.0, 500.0), 3)
         key = rng.choice("abc")
         rows.append([value, start, end, {"k": key}])
         facts.append((value, (start, end), key))
-    with ServiceClient("127.0.0.1", port, timeout=5.0, retries=3) as svc:
+    with primary.client(timeout=5.0, retries=3) as svc:
         for name, over, agg, key in _VIEW_SUITE:
             svc.create_view(name, over, agg, key=key, lag="downstream")
         svc.table_insert(_VIEW_TABLE, rows)
     return facts
 
 
-def _expected_view(
-    kind: str,
-    facts: List[Tuple[Any, Tuple[float, float], str]],
-    t: float,
-    key: Optional[str],
-) -> Any:
-    kept = [fact for fact in facts if key is None or fact[2] == key]
-    return spec_for(kind).finalize(reference.instantaneous_value(kept, kind, t))
-
-
 def _verify_views(
-    port: int, facts: List[Tuple[Any, Tuple[float, float], str]]
+    node: ServeProcess, facts: List[Tuple[Any, Tuple[float, float], str]]
 ) -> Tuple[bool, str, int]:
     """Every drill view on the promoted node vs the recompute oracle.
 
@@ -315,10 +135,10 @@ def _verify_views(
     instants: List[float] = []
     for _, (start, end), _ in facts[:12]:
         instants.extend((start, (start + end) / 2.0))
-    instants.append(float(_SPAN[0]))
+    instants.append(float(SPAN[0]))
     checked = 0
     try:
-        with ServiceClient("127.0.0.1", port, timeout=5.0, retries=3) as svc:
+        with node.client(timeout=5.0, retries=3) as svc:
             names = set((svc.view_stats().get("views") or {}))
             for name, _, agg, key_field in _VIEW_SUITE:
                 if name not in names:
@@ -332,7 +152,7 @@ def _verify_views(
                 for t in instants:
                     for key in keys:
                         got = svc.query_view(name, t, key=key)["value"]
-                        want = _expected_view(agg, facts, t, key)
+                        want = reference.view_value(facts, agg, t, key)
                         if got != want:
                             return (
                                 False,
@@ -386,7 +206,7 @@ class RescheckResult:
             "ok": self.ok,
             "detail": self.detail,
             "seed": self.seed,
-            "kind": _KIND,
+            "kind": KIND,
             "duration_s": round(self.duration_s, 6),
             "faults": {
                 "injected": dict(self.injected),
@@ -499,13 +319,13 @@ def _verify_final(
 ) -> Tuple[bool, str, int]:
     """Reopen the page file (journal rollback) and diff vs the oracle."""
     try:
-        store = PagedNodeStore(path, _KIND, journaled=True)
+        store = PagedNodeStore(path, KIND, journaled=True)
     except Exception as exc:  # noqa: BLE001 - report, don't crash the run
         return False, f"final reopen failed: {exc!r}", 0
     try:
         tree = SBTree(store=store)
         recovered = tree.to_table()
-        want = reference.instantaneous_table(facts, _KIND)
+        want = reference.instantaneous_table(facts, KIND)
         if recovered != want:
             return (
                 False,
@@ -539,10 +359,7 @@ def run_rescheck(
     min_faults: int = 500,
     client_timeout: float = 0.4,
     give_up_after: float = 90.0,
-    batch_max: int = 16,
-    batch_delay: float = 0.002,
     out_dir: Optional[str] = None,
-    workdir: Optional[str] = None,
 ) -> RescheckResult:
     """Run the full chaos + kill/restart + exactly-once verification.
 
@@ -578,59 +395,48 @@ def run_rescheck(
         seed=seed, min_faults=min_faults, plan=plan,
         replicas=replicas, view_drill=views,
     )
-    own_workdir = workdir is None
-    if own_workdir:
-        # Not TemporaryDirectory: a red run must leave the child-server
-        # logs behind for the repro block in render().
-        workdir = tempfile.mkdtemp(prefix="repro-rescheck-")
-    assert workdir is not None
-    path = os.path.join(workdir, "rescheck.sbt")
-    primary_log = os.path.join(workdir, "primary.log")
-    result.log_paths.append(primary_log)
-    port = _free_port()
+    # Not TemporaryDirectory: a red run must leave the child-server
+    # logs behind for the repro block in render().
+    workdir = tempfile.mkdtemp(prefix="repro-rescheck-")
+
+    def child(name: str, **kwargs: Any) -> ServeProcess:
+        log_path = os.path.join(workdir, f"{name}.log")
+        result.log_paths.append(log_path)
+        # Small group commits: many flushes for the kill to land between.
+        return ServeProcess(
+            os.path.join(workdir, name), batch_max=16,
+            log_path=log_path, **kwargs,
+        )
+
     started = time.perf_counter()
-    proc = _spawn_server(
-        path, port, batch_max=batch_max, batch_delay=batch_delay,
-        log_path=primary_log,
-    )
+    primary = child("primary")
     proxy: Optional[ChaosProxy] = None
     repl_proxy: Optional[ChaosProxy] = None
-    replica_procs: List[subprocess.Popen] = []
-    replica_ports: List[int] = []
-    replica_paths: List[str] = []
+    followers: List[ServeProcess] = []
     probe_key: Optional[Tuple[str, int]] = None
-    probe_fact = (7, (_SPAN[0] + 1, _SPAN[0] + 2))
+    probe_fact = (7, (SPAN[0] + 1, SPAN[0] + 2))
     view_problem: Optional[str] = None
     try:
-        _wait_ready(port, proc)
+        primary.start()
         if replicas > 0:
             # Chaos on the replication link too: followers subscribe to
             # the primary through their own fault-injecting proxy, with
             # an independent RNG stream.
             repl_proxy = ChaosProxy(
-                "127.0.0.1", port, plan=plan, seed=seed + 7919
+                "127.0.0.1", primary.port, plan=plan, seed=seed + 7919
             ).start()
             for i in range(replicas):
-                rport = _free_port()
-                rpath = os.path.join(workdir, f"replica{i}.sbt")
-                rlog = os.path.join(workdir, f"replica{i}.log")
-                result.log_paths.append(rlog)
-                replica_ports.append(rport)
-                replica_paths.append(rpath)
-                replica_procs.append(
-                    _spawn_server(
-                        rpath, rport,
-                        batch_max=batch_max, batch_delay=batch_delay,
+                followers.append(
+                    child(
+                        f"replica{i}",
                         replica_of=f"127.0.0.1:{repl_proxy.port}",
-                        replica_name=f"127.0.0.1:{rport}",
-                        log_path=rlog,
-                    )
+                    ).start()
                 )
-            for rport, rproc in zip(replica_ports, replica_procs):
-                _wait_ready(rport, rproc)
-            _wait_subscribed(port, replicas)
+            primary.wait_subscribed(replicas)
 
-        proxy = ChaosProxy("127.0.0.1", port, plan=plan, seed=seed).start()
+        proxy = ChaosProxy(
+            "127.0.0.1", primary.port, plan=plan, seed=seed
+        ).start()
 
         if replicas > 0:
             # A probe write whose idempotency key we will replay against
@@ -639,16 +445,14 @@ def run_rescheck(
             # replica 0 before the kill slot opens, so the replay below
             # tests the dedup window's survival, not the link's luck.
             probe_key = (f"failover-probe-{seed}", 1)
-            with ServiceClient(
-                "127.0.0.1", port, timeout=2.0, retries=3,
-                client_id=probe_key[0],
+            with primary.client(
+                timeout=2.0, retries=3, client_id=probe_key[0]
             ) as svc:
                 svc.insert_result(
                     probe_fact[0], probe_fact[1][0], probe_fact[1][1],
                     seq=probe_key[1],
                 )
-            commit = int(_replication_stats(port).get("commit", 0))
-            _wait_applied(replica_ports[0], commit)
+            followers[0].wait_applied(primary.commit_seq())
 
         view_facts: List[Tuple[Any, Tuple[float, float], str]] = []
         if views and replicas > 0:
@@ -656,9 +460,8 @@ def run_rescheck(
             # client-side chaos window opens, so the post-failover
             # oracle is exact; they still ship through the chaotic
             # replication link, which is the path under test.
-            view_facts = _setup_views(port, seed)
-            commit = int(_replication_stats(port).get("commit", 0))
-            _wait_applied(replica_ports[0], commit)
+            view_facts = _setup_views(primary, seed)
+            followers[0].wait_applied(primary.commit_seq())
 
         writes_done = threading.Event()
         write_box: Dict[str, Any] = {}
@@ -670,7 +473,7 @@ def run_rescheck(
                     proxy.port,
                     connections=connections,
                     writes_per_connection=writes_per_connection,
-                    span=_SPAN,
+                    span=SPAN,
                     seed=seed,
                     timeout=client_timeout,
                     give_up_after=give_up_after,
@@ -690,12 +493,11 @@ def run_rescheck(
             # Writers see not_primary until the promotion lands and
             # wait it out under their original idempotency keys.
             if not writes_done.wait(timeout=kill_after):
-                proc.kill()
-                proc.wait()
+                primary.kill()
                 result.restarts += 1
-                new_primary = replica_ports[0]
+                new_primary = followers[0].port
                 proxy.retarget("127.0.0.1", new_primary)
-                _promote(new_primary)
+                followers[0].promote()
                 result.failovers += 1
                 if repl_proxy is not None:
                     # Best effort: surviving replicas re-subscribe to
@@ -704,21 +506,15 @@ def run_rescheck(
                     # re-seed; the harness does not assert on them).
                     repl_proxy.retarget("127.0.0.1", new_primary)
         else:
-            # The kill schedule: SIGKILL the server mid-run, restart it
-            # on the same port, `restarts` times.  The patient writers
+            # The kill schedule: SIGKILL the server mid-run, start it
+            # again on the same port and directory, `restarts` times.  The patient writers
             # ride through the outage; the dedup window rides through
             # it in the page file header.
             for _ in range(restarts):
                 if writes_done.wait(timeout=kill_after):
                     break  # run finished before this kill slot
-                proc.kill()
-                proc.wait()
+                primary.restart()
                 result.restarts += 1
-                proc = _spawn_server(
-                    path, port, batch_max=batch_max, batch_delay=batch_delay,
-                    log_path=primary_log,
-                )
-                _wait_ready(port, proc)
 
         writer.join()
         if "error" in write_box:
@@ -730,9 +526,8 @@ def run_rescheck(
             # pre-failover key against the promoted primary must be
             # answered from its dedup window, not applied again.
             try:
-                with ServiceClient(
-                    "127.0.0.1", replica_ports[0], timeout=2.0, retries=3,
-                    client_id=probe_key[0],
+                with followers[0].client(
+                    timeout=2.0, retries=3, client_id=probe_key[0]
                 ) as svc:
                     replay = svc.insert_result(
                         probe_fact[0], probe_fact[1][0], probe_fact[1][1],
@@ -744,7 +539,7 @@ def run_rescheck(
 
         if views and replicas > 0 and result.failovers:
             views_ok, view_problem, checked = _verify_views(
-                replica_ports[0], view_facts
+                followers[0], view_facts
             )
             result.views_ok = views_ok
             result.views_verified = checked
@@ -761,22 +556,19 @@ def run_rescheck(
             proxy.stop()
         if repl_proxy is not None:
             repl_proxy.stop()
-        proc.kill()
-        proc.wait()
-        for rproc in replica_procs:
-            rproc.kill()
-            rproc.wait()
+        for node in [primary] + followers:
+            node.kill()
         result.duration_s = time.perf_counter() - started
 
     # With a failover the survivor of record is the promoted replica:
     # its page file must contain every acked fact exactly once --
     # including the probe write, which the oracle therefore includes.
-    verify_path = path
+    survivor = primary
     facts = list(result.writes.facts)
     if replicas > 0 and result.failovers:
-        verify_path = replica_paths[0]
+        survivor = followers[0]
         facts.append(probe_fact)
-    ok, detail, rows = _verify_final(verify_path, facts)
+    ok, detail, rows = _verify_final(survivor.shard_path, facts)
     result.recovered_rows = rows
     problems: List[str] = []
     if not ok:
@@ -827,7 +619,7 @@ def run_rescheck(
         benchlib.write_bench_json(
             out_dir, "resilience", result.series(), extra=result.extra()
         )
-    if own_workdir and result.ok:
+    if result.ok:
         shutil.rmtree(workdir, ignore_errors=True)
     return result
 
@@ -872,29 +664,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="bounded variant for CI: fewer writes, "
                         "lower fault floor")
-    # Child-process mode (internal).
-    parser.add_argument("--serve-child", action="store_true",
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--path", help=argparse.SUPPRESS)
-    parser.add_argument("--port", type=int, default=0, help=argparse.SUPPRESS)
-    parser.add_argument("--batch-max", type=int, default=16,
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--batch-delay", type=float, default=0.002,
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--replica-of", default=None, help=argparse.SUPPRESS)
-    parser.add_argument("--replica-name", default=None,
-                        help=argparse.SUPPRESS)
-    # Generous semi-sync wait for harness children: a flush rides out
-    # replication-link chaos (resubscribe takes ~2s worst case) instead
-    # of degrading to async, so acked writes survive the failover.
-    parser.add_argument("--repl-ack-timeout", type=float, default=5.0,
-                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
-    if args.serve_child:
-        if not args.path or not args.port:
-            parser.error("--serve-child needs --path and --port")
-        return _serve_child(args)
     if args.views and args.replicas <= 0:
         parser.error("--views requires --replicas >= 1")
 
@@ -915,8 +686,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             kill=args.kill,
         ),
         out_dir=args.out,
-        batch_max=args.batch_max,
-        batch_delay=args.batch_delay,
     )
     if args.quick:
         kwargs.update(

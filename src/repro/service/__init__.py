@@ -32,6 +32,9 @@ The package splits along the wire:
   of :mod:`repro.rescheck` (retry each write under its original
   idempotency key until acked).  Load and speed are driven by
   ``python3 -m bench`` (``svc_split``, ``svc_mixed``), not from here.
+* :mod:`repro.service.process` -- ``python -m repro serve`` as a
+  killable child process (:class:`ServeProcess`): the server every
+  drill of :mod:`repro.rescheck` and every ``readscale`` cell runs.
 * :mod:`repro.service.top` -- the ``repro top`` live dashboard
   (pure rendering + a poll loop over the ``stats`` op), including the
   replication panel (per-replica lag on a primary, applied/staleness

@@ -2,11 +2,11 @@
 
 Measures aggregate read throughput against the same write-saturated
 primary in three topologies: primary-only, one replica, two replicas.
-Each cell spawns real server processes (reusing the rescheck child
-harness, so the servers run journaled page files exactly like the
-failover drills), floods the primary with deep-pipelined inserts, and
-then lets patient reader processes hammer ``lookup`` for a fixed
-window.
+Each cell spawns real ``repro serve`` processes (through
+:class:`~repro.service.process.ServeProcess`, so the servers run
+journaled page files exactly like the failover drills), floods the
+primary with deep-pipelined inserts, and then lets patient reader
+processes hammer ``lookup`` for a fixed window.
 
 The scaling mechanism being demonstrated is the one replicas exist
 for: on a write-saturated primary every read queues behind hundreds of
@@ -38,16 +38,8 @@ import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from .. import benchlib
-from ..rescheck import (
-    _SPAN,
-    _free_port,
-    _replication_stats,
-    _spawn_server,
-    _wait_applied,
-    _wait_ready,
-    _wait_subscribed,
-)
 from .client import CircuitOpenError, ServiceClient, ServiceError, TransportError
+from .process import SPAN, ServeProcess
 
 __all__ = ["run_readscale", "main"]
 
@@ -71,7 +63,7 @@ _VIEW_KEYS = ("a", "b", "c")
 def _writer_child(args: argparse.Namespace) -> int:
     """Saturate the primary with pipelined inserts until terminated."""
     rng = random.Random(args.seed)
-    lo, hi = _SPAN
+    lo, hi = SPAN
     pending: List[Any] = []
     try:
         with ServiceClient(
@@ -108,7 +100,7 @@ def _reader_child(args: argparse.Namespace) -> int:
     replicas = endpoints[1:] or None
     view_mode = bool(getattr(args, "views", 0))
     rng = random.Random(args.seed)
-    lo, hi = _SPAN
+    lo, hi = SPAN
     reads = errors = 0
     deadline = time.monotonic() + args.duration
     with ServiceClient(
@@ -165,44 +157,31 @@ def _run_cell(
     writers: int,
     seed: int,
     workdir: str,
-    batch_max: int,
-    batch_delay: float,
     views: bool = False,
 ) -> Dict[str, Any]:
-    ports = [_free_port() for _ in range(1 + replicas)]
-    primary_port, replica_ports = ports[0], ports[1:]
-    procs: List[subprocess.Popen] = []
+    primary = ServeProcess(os.path.join(workdir, f"primary-r{replicas}"))
+    followers = [
+        ServeProcess(
+            os.path.join(workdir, f"replica{i}-r{replicas}"),
+            replica_of=primary.address,
+        )
+        for i in range(replicas)
+    ]
     children: List[subprocess.Popen] = []
     try:
-        primary = _spawn_server(
-            os.path.join(workdir, f"primary-r{replicas}.sbt"),
-            primary_port,
-            batch_max=batch_max,
-            batch_delay=batch_delay,
-        )
-        procs.append(primary)
-        _wait_ready(primary_port, primary)
-        for i, rport in enumerate(replica_ports):
-            proc = _spawn_server(
-                os.path.join(workdir, f"replica-r{replicas}-{i}.sbt"),
-                rport,
-                batch_max=batch_max,
-                batch_delay=batch_delay,
-                replica_of=f"127.0.0.1:{primary_port}",
-                replica_name=f"127.0.0.1:{rport}",
-            )
-            procs.append(proc)
-            _wait_ready(rport, proc)
+        primary.start()
+        for follower in followers:
+            follower.start()
         if replicas:
-            _wait_subscribed(primary_port, replicas)
+            primary.wait_subscribed(replicas)
 
         # Seed some facts so lookups traverse real leaves, and make
         # sure every replica has applied them before the clock starts.
         # In views mode the seed also declares the grouped view and
         # ingests its base table, both of which ship to the replicas.
         rng = random.Random(seed)
-        lo, hi = _SPAN
-        with ServiceClient("127.0.0.1", primary_port, timeout=10.0) as svc:
+        lo, hi = SPAN
+        with primary.client(timeout=10.0) as svc:
             for _ in range(200):
                 start = rng.randrange(lo, hi - 1)
                 svc.insert(rng.randint(1, 9), start, rng.randrange(start + 1, hi))
@@ -222,25 +201,22 @@ def _run_cell(
                     ])
                 svc.table_insert(_VIEW_TABLE, rows)
         if replicas:
-            commit = int(_replication_stats(primary_port).get("commit", 0))
-            for rport in replica_ports:
-                _wait_applied(rport, commit)
+            commit = primary.commit_seq()
+            for follower in followers:
+                follower.wait_applied(commit)
 
         for w in range(writers):
             children.append(
                 _spawn_child(
                     "--writer-child",
-                    port=primary_port,
+                    port=primary.port,
                     seed=seed * 31 + w,
                     depth=_WRITE_DEPTH,
                 )
             )
         time.sleep(0.5)  # let the write pipeline fill before measuring
 
-        endpoints = ",".join(
-            [f"127.0.0.1:{primary_port}"]
-            + [f"127.0.0.1:{p}" for p in replica_ports]
-        )
+        endpoints = ",".join(node.address for node in [primary] + followers)
         reader_procs = [
             _spawn_child(
                 "--reader-child",
@@ -267,7 +243,7 @@ def _run_cell(
                 cell["last_staleness_s"] = report["last_staleness_s"]
         cell["reads_per_s"] = round(cell["reads"] / duration, 2)
         try:
-            with ServiceClient("127.0.0.1", primary_port, timeout=5.0) as svc:
+            with primary.client(timeout=5.0) as svc:
                 counters = (svc.stats() or {}).get("counters", {})
             cell["primary_overload_rejections"] = counters.get(
                 "service.overload.rejected", 0
@@ -278,12 +254,12 @@ def _run_cell(
     finally:
         for proc in children:
             proc.terminate()
-        for proc in procs:
-            proc.kill()
-        for proc in children + procs:
+        for node in [primary] + followers:
+            node.kill()
+        for proc in children:
             try:
                 proc.wait(timeout=10.0)
-            except Exception:
+            except subprocess.TimeoutExpired:
                 pass
 
 
@@ -333,8 +309,6 @@ def run_readscale(
     readers: int = 4,
     writers: int = 2,
     seed: int = 0,
-    batch_max: int = 64,
-    batch_delay: float = 0.002,
     views: bool = False,
     out_dir: Optional[str] = None,
 ) -> Dict[str, Any]:
@@ -358,8 +332,6 @@ def run_readscale(
                     writers=writers,
                     seed=seed,
                     workdir=workdir,
-                    batch_max=batch_max,
-                    batch_delay=batch_delay,
                     views=views,
                 )
             )

@@ -83,6 +83,11 @@ MUTATING_OPS = frozenset(
 )
 
 
+#: Seconds a drain (``stop``) or a promotion waits for in-flight
+#: requests and the follower's sealed stream before giving up on them.
+DRAIN_TIMEOUT = 5.0
+
+
 class NotPrimary(Exception):
     """A write reached a replica; the client must redirect."""
 
@@ -98,11 +103,8 @@ class TemporalAggregateServer:
         port: int = 0,
         batch_max: int = 64,
         batch_delay: float = 0.002,
-        queue_limit: int = 32,
-        drain_timeout: float = 5.0,
         health_interval: float = 0.0,
         max_inflight: int = 256,
-        max_inflight_bytes: int = 32 * 1024 * 1024,
         dedup_window: int = 128,
         registry: Optional[obs.MetricsRegistry] = None,
         executor: Optional[ThreadPoolExecutor] = None,
@@ -110,15 +112,12 @@ class TemporalAggregateServer:
         replica_name: Optional[str] = None,
         repl_sync: bool = True,
         repl_ack_timeout: float = 10.0,
-        repl_heartbeat: float = 0.5,
-        repl_log_cap: int = 64 * 1024 * 1024,
         views: Optional[DynamicCatalog] = None,
         view_tick: float = 0.05,
     ) -> None:
         self.sharded = sharded
         self.host = host
         self.port = port
-        self.drain_timeout = drain_timeout
         self.health_interval = health_interval
         self.registry = registry if registry is not None else obs.MetricsRegistry()
         self._executor = executor or ThreadPoolExecutor(
@@ -162,8 +161,6 @@ class TemporalAggregateServer:
             registry=self.registry,
             sync=repl_sync,
             ack_timeout=repl_ack_timeout,
-            heartbeat=repl_heartbeat,
-            log_cap=repl_log_cap,
         )
         #: The replication follower while this node is a replica.
         self.follower: Optional[Follower] = None
@@ -174,7 +171,7 @@ class TemporalAggregateServer:
                 applied=restored,
                 layout=layout,
                 registry=self.registry,
-                idle=max(3.0 * repl_heartbeat, 2.0),
+                idle=max(3.0 * self.publisher.heartbeat, 2.0),
                 name=replica_name,
             )
         self.views = views if views is not None else DynamicCatalog()
@@ -196,9 +193,7 @@ class TemporalAggregateServer:
             },
             follower=lambda: self.follower,
             registry=self.registry,
-            queue_limit=queue_limit,
             max_inflight=max_inflight,
-            max_inflight_bytes=max_inflight_bytes,
             retry_after=self._retry_after,
         )
         self._handlers = {
@@ -245,7 +240,7 @@ class TemporalAggregateServer:
         """Graceful drain: refuse and flush writes, answer in-flight."""
         await self.committer.drain()
         if self.follower is not None:
-            await self.follower.seal(self.drain_timeout)
+            await self.follower.seal(DRAIN_TIMEOUT)
         self.publisher.stop()
         if self._health_task is not None:
             self._health_task.cancel()
@@ -253,7 +248,7 @@ class TemporalAggregateServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        await self.connections.drain(self.drain_timeout)
+        await self.connections.drain(DRAIN_TIMEOUT)
         await self.view_service.stop()
         if self._owns_executor:
             self._executor.shutdown(wait=True)
@@ -538,7 +533,7 @@ class TemporalAggregateServer:
         async with self._promote_lock:
             follower = self.follower
             if follower is not None:
-                await follower.seal(self.drain_timeout)
+                await follower.seal(DRAIN_TIMEOUT)
                 self.publisher.rebase(follower.applied)
                 self.follower = None
                 self.registry.counter("service.repl.promotions").inc()

@@ -791,11 +791,11 @@ def _fsck_dynamic(path: str) -> FsckReport:
                 )
         return report
 
-    version = payload.get("version", 1)
-    if version not in (1, 2):
+    version = payload.get("version")
+    if version != 2:
         report.add(
             "error", "bad-version",
-            f"unsupported checkpoint version {version!r} (expected 1 or 2)",
+            f"unsupported checkpoint version {version!r} (expected 2)",
         )
         return report
     tables = payload.get("tables", {})

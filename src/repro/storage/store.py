@@ -1,6 +1,6 @@
 """The disk-backed node store: pager + buffer pool + codec.
 
-Implements :class:`repro.core.store.NodeStore` over fixed-size pages, so
+Implements :class:`repro.core.nodestore.NodeStore` over fixed-size pages, so
 any SB-tree or MSB-tree can be persisted, closed, and reopened.  Every
 logical node access is one buffered page access; physical I/O happens on
 buffer misses and dirty evictions, exactly like a real disk index.
@@ -47,7 +47,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.nodes import Node, NodeId
-from ..core.store import NodeStore, StoreStats
+from ..core.nodestore import NodeStore, StoreStats
 from ..core.values import spec_for
 from .buffer import BufferPool
 from .codec import NodeCodec

@@ -76,7 +76,7 @@ Robustness (DESIGN.md section 14)
 ---------------------------------
 
 * **Bounded retention.**  Consumed change-log prefixes are compacted
-  away on every :meth:`DynamicCatalog.save` (knob: ``retention``);
+  away on every :meth:`DynamicCatalog.save`;
   what the dropped records built is captured instead as per-group
   *tree checkpoints* -- the coalesced internal step function of each
   group's SB-tree -- so a restore replays only the unconsumed tail.
@@ -239,9 +239,9 @@ class ChangeLog:
     (0 for an empty log).  Consumers remember a *watermark* -- the last
     sequence they applied -- and read forward with :meth:`since`.
     Retention is bounded: :meth:`compact` drops a fully-consumed prefix
-    (records ``seq <= base`` are gone), so only the unconsumed tail --
-    plus any per-catalog retention slack -- stays in memory and on
-    disk.  What the dropped prefix built is captured by the catalog's
+    (records ``seq <= base`` are gone), so only the unconsumed tail
+    stays in memory and on disk.  What the dropped prefix built is
+    captured by the catalog's
     per-view tree checkpoints instead (see
     :meth:`DynamicCatalog.save`); DESIGN.md section 14 has the
     trade-off.
@@ -275,17 +275,13 @@ class ChangeLog:
         # Sequence numbers are dense (base+1..head), so the slice is direct.
         return self.records[watermark - self.base:]
 
-    def upto(self, watermark: int) -> List[LogRecord]:
-        """The retained consumed prefix ``base < seq <= watermark``."""
-        return self.records[:max(0, watermark - self.base)]
-
     def compact(self, upto_seq: int) -> int:
         """Drop the prefix ``seq <= upto_seq``; returns records dropped.
 
         Compacting past ``head`` clamps to ``head``; compacting behind
         ``base`` is a no-op.  Callers must not compact past the lowest
-        consumer watermark (the catalog's retention policy enforces
-        this) or :meth:`since` will refuse those consumers.
+        consumer watermark (:meth:`DynamicCatalog.compact` never does)
+        or :meth:`since` will refuse those consumers.
         """
         target = min(upto_seq, self.head)
         if target <= self.base:
@@ -721,7 +717,6 @@ class DynamicCatalog:
         clock=time.monotonic,
         branching: int = 32,
         leaf_capacity: Optional[int] = None,
-        retention: Union[str, int] = "compact",
         faults=None,
         strict: bool = False,
     ) -> None:
@@ -734,15 +729,6 @@ class DynamicCatalog:
         self._views: Dict[str, DynamicView] = {}
         self._order: List[str] = []  # creation order == a topological order
         self.ticks = 0
-        #: Change-log retention policy applied on every save: ``"full"``
-        #: keeps everything, ``"compact"`` (default) drops prefixes every
-        #: consumer has applied, an integer keeps that many consumed
-        #: records of slack behind the lowest consumer watermark.
-        if not (retention == "full" or retention == "compact"
-                or (isinstance(retention, int)
-                    and not isinstance(retention, bool) and retention >= 0)):
-            raise ValueError(f"invalid retention policy {retention!r}")
-        self.retention = retention
         #: Optional :class:`repro.faults.FaultInjector` consulted at the
         #: checkpoint crash points and around the temp-file write/fsync.
         self.faults = faults
@@ -1323,14 +1309,12 @@ class DynamicCatalog:
         return out
 
     def compact(self) -> int:
-        """Apply the retention policy now; returns records dropped."""
+        """Drop every change-log prefix all of its consumers have
+        applied; returns records dropped."""
         with self._lock:
             return self._compact_logs()
 
     def _compact_logs(self) -> int:
-        if self.retention == "full":
-            return 0
-        slack = self.retention if isinstance(self.retention, int) else 0
         dropped = 0
         for name in self._order:
             node = self._tables.get(name) or self._views.get(name)
@@ -1344,16 +1328,15 @@ class DynamicCatalog:
             # With no consumers the whole log is compactable: a view
             # created later bootstraps from the relation's live rows.
             target = min(consumers) if consumers else node.log.head
-            dropped += node.log.compact(target - slack)
+            dropped += node.log.compact(target)
         return dropped
 
     def save(self) -> str:
         """Checkpoint definitions, watermarks, logs, trees, and rows.
 
-        Consumed change-log prefixes are first compacted per the
-        retention policy; the checkpoint carries per-group tree
-        checkpoints instead, so a restore replays only the unconsumed
-        tail.  The write is atomic (temp file + fsync + rename) and
+        Consumed change-log prefixes are first compacted away; the
+        checkpoint carries per-group tree checkpoints instead, so a
+        restore replays only the unconsumed tail.  The write is atomic (temp file + fsync + rename) and
         the previous checkpoint is retained as ``dynamic.json.prev``
         before the rename, so a crash at *any* point of the sequence
         leaves a restorable checkpoint behind.  With ``faults`` the
@@ -1487,20 +1470,18 @@ class DynamicCatalog:
     def load(self) -> None:
         """Restore a checkpoint: logs, rows, and trees; tail replayable.
 
-        Version-2 checkpoints restore each view's per-group trees from
-        their saved step functions; version-1 checkpoints (which retain
-        full logs) rebuild them by replaying the consumed prefix
-        (``seq <= watermark``) of each source log.  Either way a
-        reopened catalog resumes incremental refresh from the persisted
-        watermarks instead of rebuilding from scratch.
+        Each view's per-group trees come back from their saved step
+        functions, so a reopened catalog resumes incremental refresh
+        from the persisted watermarks instead of rebuilding from
+        scratch.  Any checkpoint version but 2 is refused.
         """
         with self._lock:
             path = self._checkpoint_path()
             payload = self._load_payload(path)
-            version = int(payload.get("version", 1))
-            if version not in (1, 2):
+            version = payload.get("version")
+            if version != 2:
                 raise CatalogCheckpointError(
-                    f"unsupported catalog checkpoint version {version} "
+                    f"unsupported catalog checkpoint version {version!r} "
                     f"in {path}"
                 )
             # A crash mid-save can leave temp files behind; they are
@@ -1556,10 +1537,7 @@ class DynamicCatalog:
                     )
                     self._views[name] = view
                     self._order.append(name)
-                    if "trees" in raw:
-                        self._restore_trees(view, raw["trees"])
-                    else:
-                        self._replay_trees(view)
+                    self._restore_trees(view, raw["trees"])
 
     def _restored_relation(self, name: str, rows: List[List[Any]]) -> TemporalRelation:
         if self.warehouse is not None:
@@ -1606,18 +1584,6 @@ class DynamicCatalog:
                 if isinstance(value, list):
                     value = tuple(value)
                 tree.insert_effect(value, Interval(start, end))
-
-    def _replay_trees(self, view: DynamicView) -> None:
-        """Rebuild a restored view's trees from its consumed prefixes."""
-        for src in view.sources:
-            node = self._node(src)
-            for record in node.log.upto(view.watermarks.get(src, 0)):
-                key = view._key_of(record)
-                tree = view._tree(key)
-                if record.kind == "insert":
-                    tree.insert(record.value, record.interval)
-                else:
-                    tree.delete(record.value, record.interval)
 
     def close(self) -> None:
         """Checkpoint (when persistent) and detach every node."""

@@ -33,7 +33,7 @@ from ..core.intervals import Interval, Time
 from ..core.msbtree import MSBTree
 from ..core.results import ConstantIntervalTable
 from ..core.sbtree import SBTree
-from ..core.store import NodeStore
+from ..core.nodestore import NodeStore
 from ..core.values import spec_for
 from ..relation.table import TemporalRelation
 from ..relation.tuples import ChangeEvent, ChangeKind, TemporalTuple

@@ -283,6 +283,25 @@ class TestIncrementalCorrectness:
         both = cat.read("by_patient", 7).value
         assert both == {"amy": 2, "bob": 3}
 
+    @pytest.mark.parametrize("kind", ["sum", "count", "avg"])
+    def test_keyed_and_whole_reads_match_the_reference_recompute(self, kind):
+        rows = [(2, (0, 10), "amy"), (3, (5, 20), "bob"), (6, (8, 12), "amy")]
+        cat = DynamicCatalog()
+        cat.create_table("doses")
+        cat.create_view("by_patient", "doses", kind, key="patient")
+        cat.create_view("whole", "doses", kind)
+        for value, interval, patient in rows:
+            cat.insert("doses", value, interval, patient=patient)
+        cat.refresh()
+        for t in (-1, 0, 7, 9, 10, 15, 20):
+            for key in ("amy", "bob"):
+                assert cat.read("by_patient", t, key=key).value == (
+                    reference.view_value(rows, kind, t, key)
+                ), (t, key)
+            assert cat.read("whole", t).value == (
+                reference.view_value(rows, kind, t)
+            ), t
+
     def test_avg_finalizes_through_cascade(self):
         cat = DynamicCatalog()
         cat.create_table("t")

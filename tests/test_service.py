@@ -89,6 +89,7 @@ class TestServerBasics:
                 batch.append([v, s, e])
                 facts.append((v, (s, e)))
             assert svc.batch_insert(batch) == 60
+            assert svc.stats()["shards"]["facts"] == 60
             for t in [0, 250, 251, 499, 500, 750, 999]:
                 assert svc.lookup(t) == reference.instantaneous_value(
                     facts, "sum", t

@@ -244,7 +244,7 @@ class TestShardedTreeConfig:
         assert list(sharded.router.boundaries) == [25, 50, 75]
 
     def test_store_count_must_match(self):
-        from repro.core.store import MemoryNodeStore
+        from repro.core.nodestore import MemoryNodeStore
 
         with pytest.raises(ShardingError):
             ShardedTree("sum", [100], stores=[MemoryNodeStore()])

@@ -105,31 +105,6 @@ class TestRetentionBound:
         cat.compact()
         assert cat.stats()["tables"]["t"]["log_retained"] == 0
 
-    def test_integer_retention_keeps_slack(self):
-        cat = DynamicCatalog(retention=4)
-        cat.create_table("t")
-        cat.create_view("v", "t", "sum")
-        for i in range(10):
-            cat.insert("t", 1, (i, i + 5))
-        cat.refresh()
-        cat.compact()
-        assert cat.stats()["tables"]["t"]["log_retained"] == 4
-
-    def test_full_retention_never_drops(self):
-        cat = DynamicCatalog(retention="full")
-        cat.create_table("t")
-        cat.create_view("v", "t", "sum")
-        for i in range(10):
-            cat.insert("t", 1, (i, i + 5))
-        cat.refresh()
-        assert cat.compact() == 0
-        assert cat.stats()["tables"]["t"]["log_retained"] == 10
-
-    def test_bad_retention_rejected(self):
-        for bad in ("sometimes", -1, True, 2.5):
-            with pytest.raises(ValueError):
-                DynamicCatalog(retention=bad)
-
 
 # ----------------------------------------------------------------------
 # Checkpoint corruption
@@ -140,7 +115,7 @@ def _seed_two_checkpoints(directory):
     No ``close()`` here: closing saves once more, which would rotate
     ``.prev`` up to the latest state and defeat the fallback tests.
     """
-    cat = DynamicCatalog(directory, retention="full")
+    cat = DynamicCatalog(directory)
     cat.create_table("t")
     cat.create_view("v", "t", "sum")
     cat.insert("t", 2, (0, 50))
@@ -197,6 +172,19 @@ class TestCheckpointCorruption:
             handle.write(b"not json at all")
         with pytest.raises(CatalogCheckpointError):
             DynamicCatalog(directory, strict=True)
+
+    def test_unknown_version_is_refused_not_guessed_at(self, tmp_path):
+        directory = str(tmp_path / "cat")
+        _seed_two_checkpoints(directory)
+        path = os.path.join(directory, CHECKPOINT_NAME)
+        payload = json.load(open(path))
+        payload["version"] = 1
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        with pytest.raises(CatalogCheckpointError, match="version 1"):
+            DynamicCatalog(directory)
+        report = fsck_dynamic(path)
+        assert [f.code for f in report.errors()] == ["bad-version"]
 
     def test_both_checkpoints_corrupt_raises(self, tmp_path):
         directory = str(tmp_path / "cat")
