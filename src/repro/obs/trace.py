@@ -170,15 +170,18 @@ def enable(
     fraction applied per trace at :func:`new_trace`; ``registry``, when
     given, additionally folds each span's duration into a
     ``span.<name>.wall_us`` histogram (what the ``stats`` service op
-    and ``repro top`` read for the span breakdown).
+    and ``repro top`` read for the span breakdown).  Every call restarts
+    the head-sampling sequence at position 1, so what one enabled
+    period keeps does not depend on how many traces an earlier one drew.
     """
-    global TRACING, _sink, _sample, _registry
+    global TRACING, _sink, _sample, _registry, _trace_seen
     if not 0.0 < sample <= 1.0:
         raise ValueError("sample must be within (0, 1]")
     with _state_lock:
         if sink is not None:
             _sink = sink
         _sample = sample
+        _trace_seen = 0
         if registry is not None:
             _registry = registry
         TRACING = True

@@ -233,21 +233,11 @@ class _Connection:
                         )
                     raise ConnectionError("server closed the connection")
                 buf += chunk
-                offset = 0
-                buffered = len(buf)
-                while buffered - offset >= 4:
-                    length = int.from_bytes(buf[offset:offset + 4], "big")
-                    if length > wire.MAX_FRAME:
-                        raise wire.FrameTooLarge(
-                            f"frame of {length} bytes exceeds {wire.MAX_FRAME}"
-                        )
-                    if buffered - offset - 4 < length:
-                        break
-                    body = bytes(buf[offset + 4:offset + 4 + length])
-                    offset += 4 + length
-                    self._dispatch_reply(wire.decode_body(body))
-                if offset:
-                    del buf[:offset]
+                frames, unframeable = wire.take_frames(buf)
+                for reply, _ in frames:
+                    self._dispatch_reply(reply)
+                if unframeable is not None:
+                    raise unframeable
         except BaseException as exc:  # noqa: BLE001 -- reaped via shatter
             self._shatter(exc)
 

@@ -1,7 +1,8 @@
 """The connection layer: frames in, admission, replies out.
 
-One reader coroutine per connection turns length-prefixed frames into
-request dicts and, per request:
+One reader coroutine per connection.  Each **wake-up** is one chunked
+receive: every complete frame in the buffer is parsed and served before
+the coroutine waits for bytes again, and, per request:
 
 * **Admission control** bounds the *global* in-flight request count and
   bytes (``max_inflight`` / ``max_inflight_bytes``); a request beyond
@@ -9,7 +10,7 @@ request dicts and, per request:
   ``retry_after`` hint, before it holds a queue slot -- shedding load
   costs one error frame, not a thread or a growing queue.
 * **Backpressure**: each connection holds a semaphore of ``queue_limit``
-  in-flight requests; when it is exhausted the reader stops reading
+  in-flight requests; when it is exhausted the reader stops serving
   frames, which propagates to the client through TCP flow control -- a
   bounded per-connection queue with no explicit queue object.
 * **Deadlines**: a request carrying ``deadline_ms`` is shed with
@@ -17,25 +18,46 @@ request dicts and, per request:
 * **Structured errors**: every failure attributable to a request is an
   ``{"ok": false, ...}`` reply on the same connection.  Only an
   unframeable body (one without the binary magic included) closes the
-  connection, after one ``bad_request`` frame.
-* **One reply writer** (:class:`ReplyWriter`): every reply -- awaited
-  sends and the coalesced acks of inline inserts alike -- is encoded by
+  connection: the frames before it are answered, then one
+  ``bad_request`` frame, then EOF.
+* **One reply writer** (:class:`ReplyWriter`): every reply is encoded by
   the same encode-or-degrade step and written under one lock.
 
-Two **inline fast paths** skip the per-request task on in-memory,
-fault-free trees when no tracing is on: a ``lookup`` whose shard read
-lock is free is answered on the event loop itself, and an ``insert``
-joins the group-commit batch straight from the read loop, its ack
-coalesced with its connection's other acks into one write per flush.
-Both are off for durable or fault-injected trees, whose stores may
-carry delays that must never run on the loop (inline inserts also hold
-no admission slot, which the overload contract needs while faults slow
-requests down).
+**Reads take one of two routes**, chosen by what the server can observe
+at that moment, never by a setting:
+
+* *On the loop.*  ``lookup`` is the one read the paper bounds at O(h),
+  so it is answered by the reader coroutine itself when that can
+  neither block nor write: the tree is fault-free, tracing and per-op
+  observability are off, its shard's read lock is free right now and
+  that shard's store holds nothing unwritten
+  (:meth:`~repro.sharding.ShardedTree.lookup` with ``wait=False``).  On
+  a durable tree a buffer miss then evicts only clean frames, so the
+  loop never writes a page and never fsyncs; the one cost left is that
+  a cold clean page is a ``pread`` on the loop, at most one per level.
+* *One executor job per burst.*  Every other read of the wake-up --
+  ``rangeq`` and ``window``, which are O(h + r) with r unbounded, and
+  the lookups that declined -- is answered in order by a single job in
+  the server's thread pool: one thread handoff for the burst, not one
+  per request.
+
+The replies a wake-up produced on the loop leave in one write, and so
+do a burst's.  Inside a burst every request keeps its own admission
+count, queue slot, deadline check, error mapping, op record and trace
+span.  Writes, view ops and ``ping`` / ``stats`` each run as a task
+(``_serve_request``); on in-memory, fault-free trees an ``insert``
+instead joins the group-commit batch straight from the read loop, its
+ack coalesced with its connection's other acks into one write per
+flush (inline inserts hold no admission slot, which the overload
+contract needs while faults slow requests down, so that path stays off
+for durable or fault-injected trees).
 
 What a request *means* is not decided here: ``dispatch`` answers a
-request, ``error_reply_for`` maps an exception to a reply, and
-``control`` names the ops that bypass admission (the replication
-stream's, which must never queue behind the writers they release).
+request, ``read`` is the tree reads as one blocking callable, ``run``
+moves a callable to the server's executor, ``error_reply_for`` maps an
+exception to a reply, and ``control`` names the ops that bypass
+admission (the replication stream's, which must never queue behind the
+writers they release).
 """
 
 from __future__ import annotations
@@ -45,6 +67,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from .. import obs
 from ..obs import trace
+from ..sharding import WouldBlock
 from . import protocol as wire
 from .groupcommit import Draining
 
@@ -54,6 +77,12 @@ __all__ = ["Connections", "ReplyWriter", "DeadlineExpired"]
 _REPLICA_READS = frozenset(
     ("lookup", "rangeq", "window", "stats", "query_view", "view_stats")
 )
+
+#: The tree reads: answered on the loop or in a burst, never as a task.
+_TREE_READS = frozenset(("lookup", "rangeq", "window"))
+
+#: Most bytes taken from a connection in one wake-up.
+_RECV = 256 * 1024
 
 
 class DeadlineExpired(Exception):
@@ -72,7 +101,7 @@ class ReplyWriter:
         self._track = track
         self._queued: List[bytes] = []
 
-    def _encode(self, reply: Dict[str, Any], request) -> Optional[bytes]:
+    def encode(self, reply: Dict[str, Any], request) -> Optional[bytes]:
         try:
             return wire.encode_frame(reply)
         except Exception as exc:
@@ -91,9 +120,9 @@ class ReplyWriter:
             )
 
     async def send(self, reply: Dict[str, Any], request=None) -> None:
-        frame = self._encode(reply, request)
+        frame = self.encode(reply, request)
         if frame is not None:
-            await self._write(frame)
+            await self.write(frame)
 
     def queue(self, reply: Dict[str, Any], request) -> None:
         """Send without awaiting: replies queued in one loop turn leave
@@ -101,15 +130,16 @@ class ReplyWriter:
         drain waits for it)."""
         if not self._queued:
             self._track(
-                asyncio.get_running_loop().create_task(self._write_queued())
+                asyncio.get_running_loop().create_task(self.write_queued())
             )
-        self._queued.append(self._encode(reply, request))
+        self._queued.append(self.encode(reply, request))
 
-    async def _write_queued(self) -> None:
+    async def write_queued(self) -> None:
         frames, self._queued = self._queued, []
-        await self._write(b"".join(frames))
+        if frames:
+            await self.write(b"".join(frames))
 
-    async def _write(self, payload: bytes) -> None:
+    async def write(self, payload: bytes) -> None:
         async with self._lock:
             if self.writer.is_closing():
                 return
@@ -118,6 +148,26 @@ class ReplyWriter:
                 await self.writer.drain()
             except ConnectionError:
                 pass
+
+
+class _Connection:
+    """One connection's state between wake-ups: its reply writer, its
+    ``queue_limit`` slots, its unfinished tasks, and what the wake-up
+    being served has gathered so far -- replies encoded on the loop and
+    the reads of the next executor job."""
+
+    __slots__ = (
+        "out", "slots", "tasks", "arrival", "replies", "burst", "burst_bytes"
+    )
+
+    def __init__(self, out: ReplyWriter, slots: asyncio.Semaphore) -> None:
+        self.out = out
+        self.slots = slots
+        self.tasks: set = set()
+        self.arrival = 0.0
+        self.replies: List[bytes] = []
+        self.burst: List[tuple] = []
+        self.burst_bytes = 0
 
 
 class _InlineAck:
@@ -145,8 +195,8 @@ class _InlineAck:
 
 
 class Connections:
-    """Every open connection, the global in-flight accounting, and the
-    inline fast paths.  ``follower`` returns the node's
+    """Every open connection, the global in-flight accounting, the two
+    read routes and the inline insert.  ``follower`` returns the node's
     :class:`~repro.service.replication.Follower` while it is a replica
     (else None): replicas tag reads and take no inline writes -- their
     writes must reach the not-primary rejection in dispatch."""
@@ -157,6 +207,8 @@ class Connections:
         committer,
         *,
         dispatch,
+        read: Callable[..., Any],
+        run: Callable[..., Any],
         error_reply_for,
         control: Dict[str, Callable],
         follower: Callable[[], Any],
@@ -178,13 +230,17 @@ class Connections:
         self.max_inflight_bytes = max_inflight_bytes
         self.retry_after = retry_after
         self._dispatch = dispatch
+        self._read = read
+        self._run = run
         self._error_reply_for = error_reply_for
         self._control = control
         self._follower = follower
-        self._inflight: set = set()
+        self._tasks: set = set()
+        self._inflight = 0
         self._inflight_bytes = 0
         self._writers: set = set()
-        self._inline = not sharded.durable and sharded.fault_injector is None
+        self._fault_free = sharded.fault_injector is None
+        self._inline_inserts = self._fault_free and not sharded.durable
         # Hot-path bindings, resolved once instead of per request: the
         # profile of the dispatch loop showed registry name lookups
         # costing more than the tree work for ping-sized requests.
@@ -193,22 +249,29 @@ class Connections:
         self._m_deadline_shed = registry.counter("service.deadline.shed")
         self._m_fast_reads = registry.counter("service.fast_reads")
         self._m_fast_writes = registry.counter("service.fast_writes")
+        self._m_read_bursts = registry.counter("service.read_bursts")
+        self._h_read_burst_size = registry.histogram(
+            "service.read_burst.size", bounds=(1, 2, 4, 8, 16, 32, 64, 128, 256)
+        )
 
     # ------------------------------------------------------------------
     # Accounting and drain
     # ------------------------------------------------------------------
-    def _track(self, task, nbytes: int = 0) -> None:
-        self._inflight.add(task)
+    def _track(self, task, requests: int = 1, nbytes: int = 0) -> None:
+        """Count *task* as *requests* in-flight requests until it ends."""
+        self._tasks.add(task)
+        self._inflight += requests
         self._inflight_bytes += nbytes
-        task.add_done_callback(lambda t: self._done(t, nbytes))
+        task.add_done_callback(lambda t: self._done(t, requests, nbytes))
 
-    def _done(self, task, nbytes: int) -> None:
-        self._inflight.discard(task)
+    def _done(self, task, requests: int, nbytes: int) -> None:
+        self._tasks.discard(task)
+        self._inflight -= requests
         self._inflight_bytes -= nbytes
 
     def stats(self) -> Dict[str, Any]:
         return {
-            "inflight": len(self._inflight),
+            "inflight": self._inflight,
             "inflight_bytes": self._inflight_bytes,
             "limits": {
                 "max_inflight": self.max_inflight,
@@ -218,9 +281,9 @@ class Connections:
 
     async def drain(self, timeout: float) -> None:
         """Let in-flight requests reply, then close every connection."""
-        if self._inflight:
-            await asyncio.wait(list(self._inflight), timeout=timeout)
-        for task in list(self._inflight):
+        if self._tasks:
+            await asyncio.wait(list(self._tasks), timeout=timeout)
+        for task in list(self._tasks):
             task.cancel()
         for writer in list(self._writers):
             writer.close()
@@ -231,69 +294,32 @@ class Connections:
     async def handle(self, reader, writer) -> None:
         """``asyncio.start_server`` callback: serve one connection."""
         self._writers.add(writer)
-        slots = asyncio.Semaphore(self.queue_limit)
         out = ReplyWriter(writer, self._m_errors, self._track)
+        conn = _Connection(out, asyncio.Semaphore(self.queue_limit))
         self.registry.counter("service.connections.opened").inc()
+        buf = bytearray()
+        unframeable = None
         try:
-            while True:
+            while unframeable is None:
                 try:
-                    header = await reader.readexactly(4)
-                    length = wire.decode_length(header)
-                    body = await reader.readexactly(length)
-                    request = wire.decode_body(body)
-                except wire.ProtocolError as exc:
-                    # Unframeable input: answer once, then hang up (the
-                    # stream offset can no longer be trusted).
-                    await out.send(
-                        wire.error_reply(wire.ERR_BAD_REQUEST, str(exc))
-                    )
-                    break
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                arrival = asyncio.get_running_loop().time()
-                op = request.get("op")
-                control = self._control.get(op)
-                if control is not None:
-                    # Before admission: a follower's ack queued behind
-                    # max_inflight would deadlock the writers it releases.
-                    try:
-                        reply = await control(request, out)
-                    except Exception as exc:
-                        reply = self._error_reply_for(exc, request)
-                    if reply is not None:
-                        await out.send(reply, request)
-                    continue
-                if (
-                    len(self._inflight) >= self.max_inflight
-                    or self._inflight_bytes + length > self.max_inflight_bytes
-                ):
-                    self._m_overload.inc()
-                    await out.send(
-                        wire.error_reply(
-                            wire.ERR_OVERLOADED,
-                            f"server over capacity ({len(self._inflight)} "
-                            f"requests, {self._inflight_bytes} bytes in flight)",
-                            request,
-                            retry_after=self.retry_after,
-                        ),
-                        request,
-                    )
-                    continue
-                if self._inline and not trace.TRACING and not obs.ENABLED:
-                    if op == "lookup":
-                        reply = self._fast_lookup_reply(request, arrival)
-                        if reply is not None:
-                            await out.send(reply, request)
-                            continue
-                    elif op == "insert" and self._follower() is None:
-                        if await self._fast_insert(request, arrival, out):
-                            continue
-                await slots.acquire()  # backpressure: stop reading when full
-                self._track(
-                    asyncio.ensure_future(
-                        self._serve_request(request, out, slots, arrival)
-                    ),
-                    length,
+                    chunk = await reader.read(_RECV)
+                except ConnectionError:
+                    return
+                if not chunk:
+                    break  # EOF; a partial frame in buf is dropped
+                buf += chunk
+                frames, unframeable = wire.take_frames(buf)
+                await self._serve_frames(conn, frames)
+            # The server hangs up only after this connection's accepted
+            # requests were answered.
+            if conn.tasks:
+                await asyncio.wait(list(conn.tasks))
+            if unframeable is not None:
+                if self._inline_inserts:
+                    await self.committer.flush()  # settles the inline acks
+                    await out.write_queued()
+                await out.send(
+                    wire.error_reply(wire.ERR_BAD_REQUEST, str(unframeable))
                 )
         finally:
             self._writers.discard(writer)
@@ -303,43 +329,145 @@ class Connections:
             except Exception:
                 pass
 
-    def check_deadline(self, request, arrival: float, loop) -> None:
+    async def _serve_frames(self, conn: _Connection, frames) -> None:
+        """Serve the requests of one wake-up, in order."""
+        out, slots = conn.out, conn.slots
+        arrival = conn.arrival = asyncio.get_running_loop().time()
+        for request, length in frames:
+            op = request.get("op")
+            control = self._control.get(op)
+            if control is not None:
+                # Before admission: a follower's ack queued behind
+                # max_inflight would deadlock the writers it releases.
+                await self._settle(conn)
+                try:
+                    reply = await control(request, out)
+                except Exception as exc:
+                    reply = self._error_reply_for(exc, request)
+                if reply is not None:
+                    await out.send(reply, request)
+                continue
+            inflight = self._inflight + len(conn.burst)
+            inflight_bytes = self._inflight_bytes + conn.burst_bytes
+            if (
+                inflight >= self.max_inflight
+                or inflight_bytes + length > self.max_inflight_bytes
+            ):
+                self._m_overload.inc()
+                conn.replies.append(
+                    out.encode(
+                        wire.error_reply(
+                            wire.ERR_OVERLOADED,
+                            f"server over capacity ({inflight} requests, "
+                            f"{inflight_bytes} bytes in flight)",
+                            request,
+                            retry_after=self.retry_after,
+                        ),
+                        request,
+                    )
+                )
+                continue
+            untraced = not trace.TRACING and not obs.ENABLED
+            if op in _TREE_READS:
+                if op == "lookup" and untraced and self._fault_free:
+                    reply = self._lookup_on_loop(request, arrival)
+                    if reply is not None:
+                        conn.replies.append(out.encode(reply, request))
+                        continue
+                await self._take_slot(conn)
+                conn.burst.append((request, self._server_span(request)))
+                conn.burst_bytes += length
+                continue
+            if (
+                op == "insert"
+                and untraced
+                and self._inline_inserts
+                and self._follower() is None
+            ):
+                await self._settle(conn)  # the enqueue may wait for a flush
+                if await self._fast_insert(request, arrival, out):
+                    continue
+            await self._take_slot(conn)
+            self._spawn(
+                conn, self._serve_request(request, out, slots, arrival), 1, length
+            )
+        await self._settle(conn)
+
+    def _spawn(self, conn: _Connection, coro, requests: int, nbytes: int) -> None:
+        """Run *coro* as a task that counts as *requests* in flight and
+        that its connection waits for before the server hangs up."""
+        task = asyncio.ensure_future(coro)
+        self._track(task, requests, nbytes)
+        conn.tasks.add(task)
+        task.add_done_callback(conn.tasks.discard)
+
+    async def _take_slot(self, conn: _Connection) -> None:
+        """Backpressure: stop serving frames while the connection's
+        slots are all taken.  A gathered burst holds slots itself, so it
+        is dispatched before the wait -- waiting on slots that only an
+        undispatched burst can free would never end."""
+        if conn.slots.locked():
+            await self._settle(conn)
+        await conn.slots.acquire()
+
+    async def _settle(self, conn: _Connection) -> None:
+        """Hand what the wake-up gathered so far onward: the reads to
+        one executor job, the replies encoded on the loop to one write.
+        Runs before anything that can suspend the reader, and last."""
+        if conn.burst:
+            entries, nbytes = conn.burst, conn.burst_bytes
+            conn.burst, conn.burst_bytes = [], 0
+            self._m_read_bursts.inc()
+            self._h_read_burst_size.record(len(entries))
+            self._spawn(
+                conn,
+                self._serve_burst(conn, entries, conn.arrival),
+                len(entries),
+                nbytes,
+            )
+        if conn.replies:
+            payload = b"".join(conn.replies)
+            conn.replies.clear()
+            await conn.out.write(payload)
+
+    def check_deadline(self, request, arrival: float, now: float) -> None:
         deadline_ms = request.get("deadline_ms")
         if deadline_ms is None:
             return
-        waited_ms = (loop.time() - arrival) * 1e3
+        waited_ms = (now - arrival) * 1e3
         if waited_ms >= wire.instant(deadline_ms, "deadline_ms"):
-            self._m_deadline_shed.inc()
             raise DeadlineExpired(
                 f"deadline of {deadline_ms}ms expired after "
                 f"{waited_ms:.1f}ms on the server"
             )
 
-    async def _serve_request(self, request, out, slots, arrival) -> None:
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        op = request.get("op")
-        # The request's trace hop: a child of the client's span,
-        # covering the whole server-side dispatch.  Spans inside the
-        # executor threads nest under it via trace.wrap; the event loop
-        # itself never touches thread-local context (tasks interleave).
-        sctx: Optional[trace.TraceContext] = None
+    # ------------------------------------------------------------------
+    # What every answered request shares
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _server_span(request) -> Optional[trace.TraceContext]:
+        """The request's trace hop: a child of the client's span,
+        covering the whole server-side dispatch.  Spans inside the
+        executor threads nest under it via trace.wrap; the event loop
+        itself never touches thread-local context (tasks interleave)."""
         if trace.TRACING:
             ctx_in = trace.TraceContext.from_wire(request.get("trace"))
             if ctx_in is not None:
-                sctx = ctx_in.child()
-        try:
-            self.check_deadline(request, arrival, loop)
-            reply = await self._dispatch(request, sctx)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # never let a request kill the server
-            reply = self._error_reply_for(
-                exc, request, sctx.trace_id if sctx is not None else None
-            )
-        finally:
-            slots.release()
-        wall_us = (loop.time() - started) * 1e6
+                return ctx_in.child()
+        return None
+
+    def _failed(self, exc: BaseException, request, sctx=None) -> Dict[str, Any]:
+        if isinstance(exc, DeadlineExpired):
+            self._m_deadline_shed.inc()
+        return self._error_reply_for(
+            exc, request, sctx.trace_id if sctx is not None else None
+        )
+
+    def _finish(self, request, reply, wall_us: float, sctx=None) -> Dict[str, Any]:
+        """Account for one answered request -- its ``service.<op>`` op
+        record, ``service.errors``, the replica's watermark tag, its
+        ``server.request`` span -- and return the reply to send."""
+        op = request.get("op")
         name = op if isinstance(op, str) and op.isidentifier() else "invalid"
         self.registry.record_op(
             obs.OpRecord(op=f"service.{name}", wall_us=wall_us)
@@ -357,53 +485,95 @@ class Connections:
                 wall_us,
                 attrs={"op": name, "ok": bool(reply.get("ok"))},
             )
-        await out.send(reply, request)
-
-    # ------------------------------------------------------------------
-    # Inline fast paths
-    # ------------------------------------------------------------------
-    def _fast_lookup_reply(self, request, arrival) -> Optional[Dict[str, Any]]:
-        """Serve a lookup inline on the loop, or None to take the slow path.
-
-        Declines (returns None) when the target shard's read lock is
-        not *immediately* free; otherwise it holds the lock only for
-        the in-memory tree descent.  Every contract of the normal path
-        is preserved: deadline validation and shedding, structured
-        errors, and the ``service.lookup`` op record.
-        """
-        loop = asyncio.get_running_loop()
-        try:
-            self.check_deadline(request, arrival, loop)
-            t = wire.instant(request.get("t"), "t")
-            sharded = self.sharded
-            if "lookup_final" in sharded.__dict__:
-                # The read path has been wrapped on the instance (test
-                # doubles, instrumentation): honor it via the slow path.
-                return None
-            shard = sharded.shards[sharded.router.shard_of(t)]
-            if not shard.lock.acquire_read(0):
-                return None  # contended: queue behind the writer instead
-            try:
-                value = shard.tree.lookup(t)
-            finally:
-                shard.lock.release_read()
-            reply = wire.ok_reply(sharded.spec.finalize(value), request)
-        except Exception as exc:  # never let a request kill the server
-            reply = self._error_reply_for(exc, request)
-        self._m_fast_reads.inc()
-        self.registry.record_op(
-            obs.OpRecord(
-                op="service.lookup", wall_us=(loop.time() - arrival) * 1e6
-            )
-        )
-        if not reply.get("ok"):
-            self._m_errors.inc()
-        else:
-            follower = self._follower()
-            if follower is not None:
-                follower.tag(reply)
         return reply
 
+    async def _serve_request(self, request, out, slots, arrival) -> None:
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        sctx = self._server_span(request)
+        try:
+            self.check_deadline(request, arrival, started)
+            reply = await self._dispatch(request, sctx)
+        except asyncio.CancelledError:
+            raise
+        except Exception as exc:  # never let a request kill the server
+            reply = self._failed(exc, request, sctx)
+        finally:
+            slots.release()
+        wall_us = (loop.time() - started) * 1e6
+        await out.send(self._finish(request, reply, wall_us, sctx), request)
+
+    # ------------------------------------------------------------------
+    # Reads
+    # ------------------------------------------------------------------
+    def _lookup_on_loop(self, request, arrival) -> Optional[Dict[str, Any]]:
+        """Answer a lookup on the event loop, or None to put it in the
+        burst: the read declines (:class:`~repro.sharding.WouldBlock`)
+        when its shard's read lock is not free right now or the shard's
+        store holds unwritten pages, so the loop neither waits for a
+        writer nor writes for one."""
+        now = asyncio.get_running_loop().time
+        try:
+            self.check_deadline(request, arrival, now())
+            reply = wire.ok_reply(self._read(request, wait=False), request)
+        except WouldBlock:
+            return None
+        except Exception as exc:  # never let a request kill the server
+            reply = self._failed(exc, request)
+        self._m_fast_reads.inc()
+        return self._finish(request, reply, (now() - arrival) * 1e6)
+
+    async def _serve_burst(
+        self, conn: _Connection, entries: List[tuple], arrival: float
+    ) -> None:
+        """One executor job for a burst of reads, one write for its
+        replies.  Counters, the error mapping and spans stay on the
+        loop: the job only reads the tree."""
+        try:
+            outcomes = await self._run(
+                self._answer_burst,
+                entries,
+                arrival,
+                asyncio.get_running_loop().time,
+            )
+        except Exception as exc:  # the executor refused the job
+            outcomes = [(exc, 0.0)] * len(entries)
+        finally:
+            for _ in entries:
+                conn.slots.release()
+        frames = []
+        for (request, sctx), (outcome, wall_us) in zip(entries, outcomes):
+            if isinstance(outcome, BaseException):
+                outcome = self._failed(outcome, request, sctx)
+            frames.append(
+                conn.out.encode(
+                    self._finish(request, outcome, wall_us, sctx), request
+                )
+            )
+        await conn.out.write(b"".join(frames))
+
+    def _answer_burst(self, entries, arrival: float, clock) -> List[tuple]:
+        """The executor job: answer each read in order, shedding the
+        ones whose deadline lapsed while earlier ones ran.  Returns one
+        ``(ok reply | exception, wall_us)`` per entry."""
+        outcomes = []
+        for request, sctx in entries:
+            started = clock()
+            try:
+                self.check_deadline(request, arrival, started)
+                if sctx is None:
+                    result = self._read(request)
+                else:
+                    result = trace.wrap(sctx, self._read, request)()
+                outcome = wire.ok_reply(result, request)
+            except Exception as exc:  # never let a request kill the burst
+                outcome = exc
+            outcomes.append((outcome, (clock() - started) * 1e6))
+        return outcomes
+
+    # ------------------------------------------------------------------
+    # The inline insert
+    # ------------------------------------------------------------------
     async def _fast_insert(self, request, arrival, out: ReplyWriter) -> bool:
         """Enqueue an insert from the read loop, or False for slow path.
 
@@ -417,7 +587,9 @@ class Connections:
         committer = self.committer
         idem = None
         try:
-            self.check_deadline(request, arrival, asyncio.get_running_loop())
+            self.check_deadline(
+                request, arrival, asyncio.get_running_loop().time()
+            )
             facts = [
                 wire.fact(
                     request.get("value"), request.get("start"), request.get("end")
@@ -430,7 +602,7 @@ class Connections:
                 )
             reply = None
         except Exception as exc:
-            reply = self._error_reply_for(exc, request)
+            reply = self._failed(exc, request)
         if reply is None and idem is not None:
             replay = committer.replay_for(idem)
             if replay is not None:

@@ -167,6 +167,7 @@ __all__ = [
     "encode_frame",
     "encode_body",
     "decode_body",
+    "take_frames",
     "recv_frame_blocking",
     "number",
     "instant",
@@ -339,6 +340,35 @@ def decode_body(body: bytes) -> Dict[str, Any]:
     if body[:1] != b"\xb1":
         raise ProtocolError("frame body does not start with the 0xB1 magic")
     return _decode_binary(body)
+
+
+def take_frames(
+    buf: bytearray,
+) -> Tuple[List[Tuple[Dict[str, Any], int]], Optional[ProtocolError]]:
+    """Remove every complete frame from the head of a receive buffer.
+
+    Returns the decoded ``(message, body length)`` pairs and, if the
+    bytes after them cannot be a frame, why: the stream offset can no
+    longer be trusted, so the caller handles what came before and gives
+    the connection up.  An incomplete frame stays in *buf* for the next
+    receive -- under pipelining a whole burst arrives in one segment and
+    costs one system call, not two per frame.
+    """
+    frames: List[Tuple[Dict[str, Any], int]] = []
+    offset = 0
+    error = None
+    try:
+        while len(buf) - offset >= 4:
+            length = decode_length(buf[offset:offset + 4])
+            end = offset + 4 + length
+            if end > len(buf):
+                break
+            frames.append((decode_body(bytes(buf[offset + 4:end])), length))
+            offset = end
+    except ProtocolError as exc:
+        error = exc
+    del buf[:offset]
+    return frames, error
 
 
 def recv_frame_blocking(sock) -> Optional[Dict[str, Any]]:

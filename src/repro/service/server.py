@@ -1,14 +1,19 @@
 """The asyncio TCP front end over a :class:`~repro.sharding.ShardedTree`.
 
-Stdlib-only.  One event loop owns all connections; tree operations run
-in a small thread pool so shard read locks actually overlap and a slow
-(or fault-injected) shard apply delays only the requests waiting on it,
-never the loop.  :class:`TemporalAggregateServer` is the composition
-root over four components, each owning its state exclusively:
+Stdlib-only.  One event loop owns all connections.  Whatever can block
+-- a batch apply and its commit, a view refresh, a read that has to
+wait for a writer or may write a page back -- runs in a small thread
+pool, so a slow (or fault-injected) shard apply delays only the requests
+waiting on it, never the loop.  A ``lookup`` that can do neither is
+O(h) and is answered on the loop itself; every other read of one
+wake-up shares one pool job (:mod:`~repro.service.connection` has the
+two routes and the argument).  :class:`TemporalAggregateServer` is the
+composition root over four components, each owning its state
+exclusively:
 
-* :mod:`~repro.service.connection` -- framing, admission control,
-  per-connection backpressure, deadline shedding, the reply writer and
-  the inline fast paths.
+* :mod:`~repro.service.connection` -- the frame loop, admission
+  control, per-connection backpressure, deadline shedding, the reply
+  writer, the two read routes and the inline insert.
 * :mod:`~repro.service.groupcommit` -- the pending write batch, its
   size/deadline flush policy, and the exactly-once dedup window.
 * :mod:`~repro.service.replication` -- the publisher a primary streams
@@ -17,8 +22,9 @@ root over four components, each owning its state exclusively:
 * :mod:`~repro.service.views` -- the dynamic-view ops and their tick.
 
 What stays here is the wiring between them and what only the whole can
-decide: the op table and the one not-primary check, the tree ops, the
-executor, the exception -> error-reply mapping, ``stats``, and:
+decide: the op table and the one not-primary check, the tree reads as
+one blocking callable (``_read``), the executor, the exception ->
+error-reply mapping, ``stats``, and:
 
 * **Durable acks.**  With store-backed shards, every group-commit flush
   ends in :meth:`~repro.sharding.ShardedTree.commit` before the batch's
@@ -186,6 +192,8 @@ class TemporalAggregateServer:
             sharded,
             self.committer,
             dispatch=self._dispatch,
+            read=self._read,
+            run=self._run,
             error_reply_for=self._error_reply_for,
             control={
                 "subscribe_journal": self._subscribe_journal,
@@ -200,9 +208,6 @@ class TemporalAggregateServer:
             "ping": self._op_ping,
             "insert": self._op_insert,
             "batch_insert": self._op_batch_insert,
-            "lookup": self._op_lookup,
-            "rangeq": self._op_rangeq,
-            "window": self._op_window,
             "stats": self._op_stats,
             "promote": self._op_promote,
             **self.view_service.handlers(),
@@ -325,38 +330,35 @@ class TemporalAggregateServer:
         result = await self.committer.write(facts, wire.idem_key(request), sctx)
         return wire.ok_reply(result, request)
 
-    async def _op_lookup(self, request, sctx) -> Dict[str, Any]:
-        t = wire.instant(request.get("t"), "t")
-        value = await self._run(self.sharded.lookup_final, t, ctx=sctx)
-        return wire.ok_reply(value, request)
-
-    async def _op_rangeq(self, request, sctx) -> Dict[str, Any]:
-        start = wire.number(request.get("start"), "start")
-        end = wire.number(request.get("end"), "end")
-        if not start < end:
-            raise wire.ProtocolError(f"empty range [{start}, {end})")
-        table = await self._run(self._rangeq, Interval(start, end), ctx=sctx)
-        return wire.ok_reply(table, request)
-
-    async def _op_window(self, request, sctx) -> Dict[str, Any]:
+    def _read(self, request: Dict[str, Any], wait: bool = True) -> Any:
+        """The three tree reads (``lookup``, ``rangeq``, ``window``):
+        validate, run, return the result.  Blocking -- the connection
+        layer runs it inside an executor job, one job per burst -- except
+        ``lookup`` with ``wait=False``, which it calls on the loop and
+        which raises :class:`~repro.sharding.WouldBlock` instead of
+        waiting for a lock or writing a page."""
+        op = request.get("op")
+        sharded = self.sharded
+        if op == "lookup":
+            t = wire.instant(request.get("t"), "t")
+            return sharded.spec.finalize(sharded.lookup(t, wait=wait))
+        if op == "rangeq":
+            start = wire.number(request.get("start"), "start")
+            end = wire.number(request.get("end"), "end")
+            if not start < end:
+                raise wire.ProtocolError(f"empty range [{start}, {end})")
+            table = (
+                sharded.range_query(Interval(start, end))
+                .coalesce(sharded.spec.eq)
+                .finalized(sharded.spec)
+            )
+            return [[value, iv.start, iv.end] for value, iv in table]
         t = wire.instant(request.get("t"), "t")
         w = wire.instant(request.get("w"), "w")
-        value = await self._run(self._window, t, w, ctx=sctx)
-        return wire.ok_reply(value, request)
+        return sharded.spec.finalize(sharded.window_lookup(t, w))
 
     async def _op_stats(self, request, sctx) -> Dict[str, Any]:
         return wire.ok_reply(await self._run(self._stats), request)
-
-    def _rangeq(self, window: Interval) -> List[List[Any]]:
-        table = (
-            self.sharded.range_query(window)
-            .coalesce(self.sharded.spec.eq)
-            .finalized(self.sharded.spec)
-        )
-        return [[value, iv.start, iv.end] for value, iv in table]
-
-    def _window(self, t, w) -> Any:
-        return self.sharded.spec.finalize(self.sharded.window_lookup(t, w))
 
     def _stats(self) -> Dict[str, Any]:
         health = self.refresh_health()

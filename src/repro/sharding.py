@@ -59,6 +59,7 @@ __all__ = [
     "ShardedTree",
     "ShardingError",
     "WindowUnsupportedError",
+    "WouldBlock",
     "even_boundaries",
 ]
 
@@ -69,6 +70,11 @@ class ShardingError(ValueError):
 
 class WindowUnsupportedError(ShardingError):
     """Cumulative window lookups are MIN/MAX-only on a sharded tree."""
+
+
+class WouldBlock(Exception):
+    """``lookup(t, wait=False)`` declined: answering now could block the
+    caller on a writer or make it write a page."""
 
 
 def even_boundaries(lo: Time, hi: Time, num_shards: int) -> List[Time]:
@@ -91,6 +97,15 @@ def even_boundaries(lo: Time, hi: Time, num_shards: int) -> List[Time]:
     # Degenerate spans (span < num_shards in the int domain) can repeat
     # a cut; deduplicate so every shard range is non-empty.
     return sorted(set(cuts))
+
+
+def _unwritten(store: Any) -> bool:
+    """Whether *store* is durable and its next commit has something to
+    write (``store.dirty``; a durable store that cannot say counts as
+    dirty).  In-memory stores never do."""
+    return getattr(store, "commit", None) is not None and getattr(
+        store, "dirty", True
+    )
 
 
 class ShardRouter:
@@ -322,11 +337,30 @@ class ShardedTree:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def lookup(self, t: Time) -> Any:
-        """Internal aggregate value at instant *t* (one shard touched)."""
+    def lookup(self, t: Time, *, wait: bool = True) -> Any:
+        """Internal aggregate value at instant *t* (one shard touched).
+
+        ``wait=False`` is the read for a caller that must neither block
+        nor write (the service's event loop): it raises
+        :class:`WouldBlock` unless the shard's read lock is free *right
+        now* and its store holds nothing unwritten.  With every frame
+        clean, a buffer miss on the O(h) descent evicts without a
+        write-back, so the worst it costs is one ``pread`` per level.
+        """
         index = self.router.shard_of(t)
-        with trace.span("shard.lookup", attrs={"shard": index}):
-            return self.shards[index].lookup(t)
+        if wait:
+            with trace.span("shard.lookup", attrs={"shard": index}):
+                return self.shards[index].lookup(t)
+        shard = self.shards[index]
+        if not shard.lock.acquire_read(0):
+            raise WouldBlock(f"shard {index} is being written")
+        try:
+            # Stable under the read lock: only a writer dirties a store.
+            if _unwritten(shard.tree.store):
+                raise WouldBlock(f"shard {index} holds unwritten pages")
+            return shard.tree.lookup(t)
+        finally:
+            shard.lock.release_read()
 
     def lookup_final(self, t: Time) -> Any:
         """User-facing aggregate value at instant *t*."""
@@ -460,16 +494,14 @@ class ShardedTree:
         shards; single-store deployments (what ``repro-rescheck``
         verifies) have no such window.
         """
-        durable = [
-            shard for shard in self.shards
-            if getattr(shard.tree.store, "commit", None) is not None
-        ]
         targets = [
-            shard for shard in durable
-            if getattr(shard.tree.store, "dirty", True)
+            shard for shard in self.shards if _unwritten(shard.tree.store)
         ]
         if meta and not targets:
-            targets = durable[:1]
+            targets = [
+                shard for shard in self.shards
+                if getattr(shard.tree.store, "commit", None) is not None
+            ][:1]
         for shard in targets:
             store = shard.tree.store
             with shard.lock.write_locked(shard.write_timeout):

@@ -18,7 +18,8 @@ from repro.service import (
     TransportError,
     protocol,
 )
-from repro.sharding import ShardedTree
+from repro.sharding import ShardedTree, WouldBlock
+from repro.storage import PagedNodeStore
 
 
 @pytest.fixture
@@ -27,6 +28,29 @@ def sum_server():
                           branching=4, leaf_capacity=4)
     with ServerHandle.start(sharded, batch_max=8, batch_delay=0.002) as handle:
         yield handle, sharded
+
+
+def each_read_route(tmp_path):
+    """Serve an in-memory tree, which answers a lookup on the event
+    loop, then a paged one whose root pages are still uncommitted (dirty
+    stores), which answers it in an executor burst.  Yields the handle,
+    the tree, and whether lookups run on the loop."""
+    for on_loop in (True, False):
+        stores = None
+        if not on_loop:
+            stores = [
+                PagedNodeStore(str(tmp_path / f"shard-{i}.sbt"), "sum",
+                               journaled=True)
+                for i in range(4)
+            ]
+        sharded = ShardedTree("sum", num_shards=4, span=(0, 1000),
+                              stores=stores)
+        try:
+            with ServerHandle.start(sharded, batch_max=8,
+                                    batch_delay=0.002) as handle:
+                yield handle, sharded, on_loop
+        finally:
+            sharded.close()
 
 
 def client_for(handle, **kwargs):
@@ -375,33 +399,48 @@ class TestLifecycle:
 class TestServerErrors:
     """Unhandled server-side exceptions become structured replies."""
 
-    def test_unhandled_exception_is_server_error(self, sum_server):
-        handle, sharded = sum_server
+    @staticmethod
+    def stub_lookup(sharded, on_loop, answer):
+        """Replace ``sharded.lookup`` -- the one call both read routes
+        make -- declining ``wait=False`` where the real one would."""
+        def lookup(t, wait=True):
+            if not (wait or on_loop):
+                raise WouldBlock("store holds unwritten pages")
+            return answer()
 
-        def explode(t):
+        sharded.lookup = lookup
+
+    def test_unhandled_exception_is_server_error(self, tmp_path):
+        def explode():
             raise RuntimeError("kaboom")
 
-        sharded.lookup_final = explode
-        with client_for(handle, retries=0) as svc:
-            with pytest.raises(ServiceError) as info:
-                svc.lookup(5)
-            assert info.value.type == protocol.ERR_SERVER
-            assert "RuntimeError" in str(info.value)
-            assert "kaboom" in str(info.value)
-            # The connection survives: the error was a reply, not a drop.
-            assert svc.ping()
-            stats = svc.stats()
-            assert stats["counters"]["service.errors"] >= 1
+        for handle, sharded, on_loop in each_read_route(tmp_path):
+            self.stub_lookup(sharded, on_loop, explode)
+            with client_for(handle, retries=0) as svc:
+                with pytest.raises(ServiceError) as info:
+                    svc.lookup(5)
+                assert info.value.type == protocol.ERR_SERVER
+                assert "RuntimeError" in str(info.value)
+                assert "kaboom" in str(info.value)
+                # The connection survives: the error was a reply, not a drop.
+                assert svc.ping()
+                counters = svc.stats()["counters"]
+                assert counters["service.errors"] >= 1
+                assert counters.get("service.fast_reads", 0) == on_loop
+                assert counters.get("service.read_bursts", 0) == (not on_loop)
 
-    def test_unserializable_reply_is_server_error(self, sum_server):
-        handle, sharded = sum_server
-        sharded.lookup_final = lambda t: {1, 2, 3}  # a set: not JSON
-        with client_for(handle, retries=0) as svc:
-            with pytest.raises(ServiceError) as info:
-                svc.lookup(5)
-            assert info.value.type == protocol.ERR_SERVER
-            assert "not serializable" in str(info.value)
-            assert svc.ping()
+    def test_unserializable_reply_is_server_error(self, tmp_path):
+        for handle, sharded, on_loop in each_read_route(tmp_path):
+            self.stub_lookup(sharded, on_loop, lambda: {1, 2, 3})  # no codec
+            with client_for(handle, retries=0) as svc:
+                with pytest.raises(ServiceError) as info:
+                    svc.lookup(5)
+                assert info.value.type == protocol.ERR_SERVER
+                assert "not serializable" in str(info.value)
+                assert svc.ping()
+                counters = svc.stats()["counters"]
+                assert counters.get("service.fast_reads", 0) == on_loop
+                assert counters.get("service.read_bursts", 0) == (not on_loop)
 
     def test_server_error_carries_trace_id_when_tracing(self, sum_server):
         import io
@@ -411,10 +450,10 @@ class TestServerErrors:
 
         handle, sharded = sum_server
 
-        def explode(t):
+        def explode(t, wait=True):
             raise RuntimeError("traced failure")
 
-        sharded.lookup_final = explode
+        sharded.lookup = explode
         buf = io.StringIO()
         trace.enable(obs.TraceSink(buf), sample=1.0)
         try:
@@ -432,7 +471,7 @@ class TestServerErrors:
 
     def test_error_without_tracing_has_no_trace_id(self, sum_server):
         handle, sharded = sum_server
-        sharded.lookup_final = lambda t: (_ for _ in ()).throw(ValueError("x"))
+        sharded.lookup = lambda t, wait=True: (_ for _ in ()).throw(ValueError("x"))
         with client_for(handle, retries=0) as svc:
             with pytest.raises(ServiceError) as info:
                 svc.lookup(5)

@@ -93,6 +93,27 @@ class TestSamplingAndDisabledPath:
         # Evenly spread (every 4th), not front-loaded.
         assert kept[3] and kept[7] and not kept[0] and not kept[1]
 
+    def test_enable_restarts_the_sampling_sequence(self):
+        # ``_trace_seen`` is process-wide: without the reset, the second
+        # enabled period would continue at position 4 and keep its first
+        # trace -- and what a run traces would depend on what ran before.
+        patterns = []
+        for _ in range(2):
+            trace.enable(obs.TraceSink(io.StringIO()), sample=0.25)
+            try:
+                patterns.append(
+                    [trace.new_trace() is not None for _ in range(3)]
+                )
+            finally:
+                trace.disable()
+        assert patterns == [[False, False, False]] * 2
+        trace.enable(obs.TraceSink(io.StringIO()), sample=0.25)
+        try:
+            kept = [trace.new_trace() is not None for _ in range(4)]
+        finally:
+            trace.disable()
+        assert kept == [False, False, False, True]
+
     def test_sample_validation(self):
         with pytest.raises(ValueError):
             trace.enable(sample=0.0)

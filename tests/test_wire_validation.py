@@ -22,18 +22,30 @@ import pytest
 from repro.faults import FaultInjector
 from repro.service import ServerHandle, ServiceClient, ServiceError, protocol
 from repro.sharding import ShardedTree
+from repro.storage import PagedNodeStore
 
 NAN, INF = float("nan"), float("inf")
 
 
-@pytest.fixture(params=["inline", "queued"])
-def served(request):
+@pytest.fixture(params=["inline", "queued", "paged"])
+def served(request, tmp_path):
     """A SUM server with one fact and one view; ``inline`` answers
-    lookups and inserts from the read loop's fast paths, ``queued``
-    (an idle fault injector turns those off) through dispatch."""
+    lookups and inserts from the read loop, ``queued`` (an idle fault
+    injector turns both off) answers lookups in executor bursts and
+    inserts through dispatch, ``paged`` (journaled page files, clean
+    after each commit) answers lookups on the loop and inserts through
+    dispatch."""
     injector = FaultInjector() if request.param == "queued" else None
+    stores = None
+    if request.param == "paged":
+        stores = [
+            PagedNodeStore(str(tmp_path / f"shard-{i}.sbt"), "sum",
+                           journaled=True)
+            for i in range(4)
+        ]
     sharded = ShardedTree("sum", num_shards=4, span=(0, 1000), branching=4,
-                          leaf_capacity=4, fault_injector=injector)
+                          leaf_capacity=4, fault_injector=injector,
+                          stores=stores)
     with ServerHandle.start(sharded, batch_max=4, batch_delay=0.002,
                             view_tick=0) as handle:
         with ServiceClient(handle.host, handle.port, timeout=5.0,
