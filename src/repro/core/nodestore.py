@@ -19,7 +19,7 @@ from __future__ import annotations
 import abc
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional, Sequence
 
 from .nodes import Node, NodeId
 
@@ -66,6 +66,18 @@ class NodeStore(abc.ABC):
     @abc.abstractmethod
     def write(self, node: Node) -> None:
         """Persist (or mark dirty) a mutated node."""
+
+    def write_all(self, nodes: Sequence[Node]) -> None:
+        """Persist every node of one batch, all or none.
+
+        The batched insert mutates its nodes in memory and hands them
+        over together; a store that serializes must do so for *all* of
+        them before it installs the first, so a node it cannot encode
+        leaves the store exactly as :meth:`revert_unwritten` expects to
+        find it.  The default suits stores whose ``write`` cannot fail.
+        """
+        for node in nodes:
+            self.write(node)
 
     @abc.abstractmethod
     def free(self, node_id: NodeId) -> None:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import bisect
 import functools
-from typing import Any, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from ..obs import observed
 from .intervals import Interval, NEG_INF, POS_INF, Time, is_finite
@@ -67,6 +67,20 @@ def _reverting(method):
             raise
 
     return wrapper
+
+
+class _Batch:
+    """What one batched insert has done so far, for its single write
+    (or its undo): the nodes it changed, each once and children before
+    parents; the nodes it allocated; and the effect endpoints that now
+    separate equal values (SUM/COUNT/AVG)."""
+
+    __slots__ = ("touched", "allocated", "merge_at")
+
+    def __init__(self) -> None:
+        self.touched: List[Node] = []
+        self.allocated: List[Node] = []
+        self.merge_at: Set[Time] = set()
 
 
 class SBTree:
@@ -387,6 +401,225 @@ class SBTree:
                 new_values.append(old)
         values[first:last + 1] = new_values
         times[first:last] = new_times
+
+    # ------------------------------------------------------------------
+    # Batched insertion: one descent per path, not per effect
+    # ------------------------------------------------------------------
+    def insert_batch(self, facts: Iterable[Tuple[Any, IntervalLike]]) -> None:
+        """Record the insertion of many base tuples in one pass.
+
+        Leaves the same aggregate as one :meth:`insert` per fact, in
+        that order, and the same invariants; the tree's shape differs
+        (fuller nodes, see :meth:`_cut`).  All or nothing per tree: a
+        fact whose interval is empty, or a value the page codec cannot
+        store, rejects the whole batch and leaves the tree as it was.
+        """
+        effect = self.spec.effect
+        self._insert_batch([(effect(v), as_interval(iv)) for v, iv in facts])
+
+    def insert_effects(self, effects: Iterable[Tuple[Any, IntervalLike]]) -> None:
+        """:meth:`insert_batch` for raw ``<effect, interval>`` pairs."""
+        self._insert_batch([(v, as_interval(iv)) for v, iv in effects])
+
+    @observed("insert_batch", effects=len)
+    def _insert_batch(self, items: List[Tuple[Any, Interval]]) -> None:
+        """Apply *items* in one recursive pass, then write, then compact.
+
+        Each node an effect reaches is read and visited once for the
+        whole batch (:meth:`_batch_visit`).  Nothing is written while
+        the pass runs: the nodes it changed are handed to the store
+        together (``write_all`` encodes all of them before it installs
+        one), and only then does the root pointer move.  Any failure up
+        to that point frees the pages the batch allocated and reverts
+        the unwritten mutations, so the tree is as before the call.
+
+        Compaction (SUM/COUNT/AVG) runs last, over the written tree:
+        the pass collected the effect endpoints that now separate equal
+        values -- endpoints are the only boundaries whose two sides
+        changed by different amounts -- and each goes through the same
+        ``imerge`` a single insert uses.
+        """
+        if not items:
+            return
+        store = self.store
+        batch = _Batch()
+        try:
+            top = self._root()
+            spill = self._batch_visit(top, NEG_INF, POS_INF, items, batch)
+            while spill:
+                # The root was cut: stack a new root over the pieces,
+                # and cut that too if the batch was large enough.
+                below = [top] + [sibling for _, sibling in spill]
+                top = store.allocate(
+                    is_leaf=False,
+                    with_uvalues=top.uvalues is not None or self._root_has_u(),
+                )
+                batch.allocated.append(top)
+                top.times = [separator for separator, _ in spill]
+                top.values = [self.spec.v0] * len(below)
+                top.children = [node.node_id for node in below]
+                if top.uvalues is not None:
+                    top.uvalues = [self._subtree_u(node) for node in below]
+                spill = self._settle(top, batch)
+            store.write_all(batch.touched)
+        except BaseException:
+            try:
+                for node in batch.allocated:
+                    store.free(node.node_id)
+            finally:
+                store.revert_unwritten()
+            raise
+        if top.node_id != self._root_id:
+            store.set_root(top.node_id)
+            self._root_id = top.node_id
+        if batch.merge_at:
+            self._imerge_each(sorted(batch.merge_at))
+
+    @_reverting
+    def _imerge_each(self, boundaries: List[Time]) -> None:
+        for t in boundaries:
+            self._imerge_at(t)
+
+    def _batch_visit(
+        self,
+        node: Node,
+        lo: Time,
+        hi: Time,
+        items: List[Tuple[Any, Interval]],
+        batch: "_Batch",
+    ) -> List[Tuple[Time, Node]]:
+        """Apply *items*, in order, at and below *node* (span ``[lo, hi)``).
+
+        Per interval the rules are :meth:`_insert`'s: an interval the
+        effect covers records it and stops (MSB ``u`` absorbed, MIN/MAX
+        pruning kept); the at most two it partly covers hand the effect
+        to that child's list, and each child with a list is visited
+        once.  Returns what :meth:`_settle` returns: the right siblings
+        *node* was cut into, for the caller to adopt.
+        """
+        compact = self._auto_compact
+        eq = self.spec.eq
+        if node.is_leaf:
+            for v, query in items:
+                self._apply_to_leaf(node, lo, hi, v, query)
+            if compact:
+                # An endpoint strictly inside this leaf has both its
+                # neighbours right here; one that is not is a separator
+                # of an interior node the effect passed through.
+                times, values = node.times, node.values
+                inside = {
+                    t
+                    for _, query in items
+                    for t in (query.start, query.end)
+                    if lo < t < hi
+                }
+                for t in inside:
+                    k = bisect.bisect_left(times, t)
+                    if (
+                        k < len(times)
+                        and times[k] == t
+                        and eq(values[k], values[k + 1])
+                    ):
+                        batch.merge_at.add(t)
+            return self._settle(node, batch)
+
+        acc = self.spec.acc
+        times, values, uvalues = node.times, node.values, node.uvalues
+        last = len(times)
+        below: Dict[int, List[Tuple[Any, Interval]]] = {}
+        changed = False
+        for item in items:
+            v, query = item
+            s, e = query.start, query.end
+            i = bisect.bisect_right(times, s)
+            a = times[i - 1] if i else lo
+            if compact and i and a == s:
+                batch.merge_at.add(s)
+            while True:
+                b = times[i] if i < last else hi
+                if uvalues is not None:
+                    uvalues[i] = acc(v, uvalues[i])
+                    changed = True
+                current = values[i]
+                updated = acc(v, current)
+                if not eq(updated, current):
+                    if s <= a and b <= e:
+                        values[i] = updated
+                        changed = True
+                    else:
+                        below.setdefault(i, []).append(item)
+                if b >= e or i == last:
+                    if compact and b == e and i < last:
+                        batch.merge_at.add(e)
+                    break
+                a = b
+                i += 1
+
+        # Right to left, so adopting a child's siblings shifts no index
+        # still to be visited.
+        children = node.children
+        for i in sorted(below, reverse=True):
+            a, b = node.bounds(i, lo, hi)
+            child = self._read(children[i])
+            spill = self._batch_visit(child, a, b, below[i], batch)
+            if not spill:
+                continue
+            siblings = [sibling for _, sibling in spill]
+            times[i:i] = [separator for separator, _ in spill]
+            values[i + 1:i + 1] = [values[i]] * len(spill)
+            children[i + 1:i + 1] = [sibling.node_id for sibling in siblings]
+            if uvalues is not None:
+                # msplit (Section 4.3), once per piece.
+                uvalues[i:i + 1] = [
+                    self._subtree_u(piece) for piece in (child, *siblings)
+                ]
+            changed = True
+        if not changed:
+            return []
+        return self._settle(node, batch)
+
+    def _settle(self, node: Node, batch: "_Batch") -> List[Tuple[Time, Node]]:
+        """Queue *node* for the batch's write, cutting it first if it
+        overflows; returns ``(separator, sibling)`` per piece cut off."""
+        spill = self._cut(node, batch) if self._overflows(node) else []
+        batch.touched.append(node)
+        batch.touched.extend(sibling for _, sibling in spill)
+        return spill
+
+    def _cut(self, node: Node, batch: "_Batch") -> List[Tuple[Time, Node]]:
+        """Cut a node that overflows by any amount into as many nodes as
+        it needs, once: full nodes and a tail of at least the minimum,
+        the packing :meth:`bulk_load` uses.  *node* keeps the leftmost
+        piece.  A batch that appends at the right edge thus leaves full
+        nodes behind it, where one split per overflow leaves half-full
+        ones (sorted B-tree insertion)."""
+        sizes = self._chunk(
+            node.interval_count, self._capacity(node), self._minimum(node)
+        )
+        times, values = node.times, node.values
+        children, uvalues = node.children, node.uvalues
+        spill: List[Tuple[Time, Node]] = []
+        position = keep = sizes[0]
+        for size in sizes[1:]:
+            sibling = self.store.allocate(
+                is_leaf=node.is_leaf, with_uvalues=uvalues is not None
+            )
+            batch.allocated.append(sibling)
+            end = position + size
+            sibling.times = times[position:end - 1]
+            sibling.values = values[position:end]
+            if not node.is_leaf:
+                sibling.children = children[position:end]
+            if uvalues is not None:
+                sibling.uvalues = uvalues[position:end]
+            spill.append((times[position - 1], sibling))
+            position = end
+        del times[keep - 1:]
+        del values[keep:]
+        del children[keep:]
+        if uvalues is not None:
+            del uvalues[keep:]
+        return spill
 
     # ------------------------------------------------------------------
     # Node splitting (Section 3.5)

@@ -4,7 +4,7 @@ The rollback journal's contract is simple to state and easy to get
 wrong: *whatever instant the process dies at, reopening the file yields
 exactly the last-committed aggregate*.  This harness proves it by
 construction: it drives a journaled :class:`~repro.storage.PagedNodeStore`
-through small insert / split / commit / compaction workloads while a
+through small insert / split / commit / compaction / batch workloads while a
 :class:`~repro.faults.FaultInjector` kills the "process" (raises
 :class:`~repro.faults.SimulatedCrash`) at a chosen occurrence of a
 chosen :data:`~repro.storage.pager.Pager.CRASH_POINTS` entry; it then
@@ -130,6 +130,10 @@ class WorkloadContext:
         self.tree.delete(value, interval)
         self.pending.append(("-", value, interval))
 
+    def insert_batch(self, facts: Sequence[Tuple[int, Interval]]) -> None:
+        self.tree.insert_batch(facts)
+        self.pending.extend(("+", value, interval) for value, interval in facts)
+
     def commit(self) -> None:
         self.commit_pending = self.live()
         self.store.commit()
@@ -186,11 +190,28 @@ def _wl_compact(ctx: WorkloadContext) -> None:
     ctx.commit()
 
 
+def _wl_batch(ctx: WorkloadContext) -> None:
+    """The path the service runs: one ``insert_batch`` per transaction.
+
+    The first batch cuts the lone root leaf into many and grows the
+    root by more than one level; the second lands on several of those
+    leaves.  Each transaction therefore allocates several pages and
+    hands over one multi-page write-back set, with evictions under it.
+    """
+    ctx.insert_batch(
+        [(i % 7 + 1, Interval(i * 2, i * 2 + 30)) for i in range(24)])
+    ctx.commit()
+    ctx.insert_batch(
+        [(i % 5 + 1, Interval(i * 3, i * 3 + 9)) for i in range(16)])
+    ctx.commit()
+
+
 WORKLOADS: Dict[str, Callable[[WorkloadContext], None]] = {
     "insert": _wl_insert,
     "split": _wl_split,
     "commit": _wl_commit,
     "compact": _wl_compact,
+    "batch": _wl_batch,
 }
 
 

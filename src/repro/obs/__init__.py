@@ -292,6 +292,8 @@ class OpRecord:
     physical_writes: int = 0
     lock_wait_us: Optional[float] = None
     extra: Optional[Dict[str, Any]] = None
+    #: How many effects a batched tree op applied (0: not a batch).
+    effects: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
         record: Dict[str, Any] = {
@@ -311,6 +313,8 @@ class OpRecord:
             record["subject"] = self.subject
         if self.lock_wait_us is not None:
             record["lock_wait_us"] = round(self.lock_wait_us, 3)
+        if self.effects:
+            record["effects"] = self.effects
         if self.extra:
             record.update(self.extra)
         return record
@@ -383,6 +387,8 @@ class MetricsRegistry:
                     self._bump(prefix + fieldname, value)
             if record.lock_wait_us is not None:
                 self._observe(prefix + "lock_wait_us", record.lock_wait_us)
+            if record.effects:
+                self._bump(prefix + "effects", record.effects)
 
     def _bump(self, name: str, amount: int) -> None:
         counter = self._counters.get(name)
@@ -422,6 +428,9 @@ class MetricsRegistry:
                 total = counter.value if counter is not None else 0
                 summary[fieldname] = total
                 summary[fieldname + "_per_op"] = total / count if count else 0.0
+            effects = self._counters.get(prefix + "effects")
+            if effects is not None:
+                summary["effects"] = effects.value
         return summary
 
     def to_dict(self) -> Dict[str, Any]:
@@ -646,6 +655,7 @@ class Op:
         "stores",
         "lock_wait_us",
         "extra",
+        "effects",
         "record",
         "_before",
         "_t0",
@@ -660,9 +670,11 @@ class Op:
         subject: Optional[str] = None,
         lock_wait_us: Optional[float] = None,
         extra: Optional[Dict[str, Any]] = None,
+        effects: int = 0,
     ) -> None:
         self.name = name
         self.subject = subject
+        self.effects = effects
         if store is None:
             self.stores: Tuple[Any, ...] = ()
         elif isinstance(store, (tuple, list)):
@@ -701,6 +713,7 @@ class Op:
             physical_writes=after[8] - before[8],
             lock_wait_us=self.lock_wait_us,
             extra=self.extra,
+            effects=self.effects,
         )
         if self._outermost and exc[0] is None:
             registry, sink = _registry, _sink
@@ -728,13 +741,18 @@ def stores_of(index: Any) -> Tuple[Any, ...]:
 
 
 def observed(
-    name: str, stores: Optional[Callable[[Any], Any]] = None
+    name: str,
+    stores: Optional[Callable[[Any], Any]] = None,
+    effects: Optional[Callable[[Any], int]] = None,
 ) -> Callable:
     """Instrument a tree method: per-op deltas when enabled, no-op otherwise.
 
     ``stores`` maps the bound instance to its node store(s); the default
-    reads ``self.store``.  The undecorated function stays reachable via
-    ``__wrapped__`` (used by the overhead microbenchmark).
+    reads ``self.store``.  ``effects`` marks a batched op: it maps the
+    method's first argument to the number of effects the call applies,
+    which the record carries (``op.<name>.effects``).  The undecorated
+    function stays reachable via ``__wrapped__`` (used by the overhead
+    microbenchmark).
     """
 
     def decorate(fn: Callable) -> Callable:
@@ -744,7 +762,13 @@ def observed(
         def wrapper(self, *args, **kwargs):
             if not ENABLED:
                 return fn(self, *args, **kwargs)
-            with Op(name, store_of(self), subject=type(self).__name__):
+            op = Op(
+                name,
+                store_of(self),
+                subject=type(self).__name__,
+                effects=effects(args[0]) if effects is not None else 0,
+            )
+            with op:
                 return fn(self, *args, **kwargs)
 
         return wrapper

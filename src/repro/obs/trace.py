@@ -283,7 +283,7 @@ class _NullSpan:
     __slots__ = ()
 
     def __enter__(self):
-        return None
+        return self
 
     def __exit__(self, *exc) -> bool:
         return False

@@ -162,13 +162,21 @@ class ShardRouter:
 
         Yields ``(shard_index, piece)`` with the pieces disjoint,
         adjacent, and exactly covering the input -- the bucket
-        decomposition of [MLI00] applied to one fact.
+        decomposition of [MLI00] applied to one fact.  A fact inside one
+        shard (almost every fact of a time-ordered stream) is its own
+        piece: the interval itself is yielded, nothing is built.
         """
         interval = as_interval(interval)
-        for index in self.overlapping(interval):
-            piece = self.range_of(index).intersection(interval)
-            if piece is not None:
-                yield index, piece
+        cuts = self.boundaries
+        first = bisect.bisect_right(cuts, interval.start)
+        last = bisect.bisect_left(cuts, interval.end, first)
+        if first == last:
+            yield first, interval
+            return
+        yield first, Interval(interval.start, cuts[first])
+        for index in range(first + 1, last):
+            yield index, Interval(cuts[index - 1], cuts[index])
+        yield last, Interval(cuts[last - 1], interval.end)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ShardRouter {self.num_shards} shards @ {list(self.boundaries)}>"
@@ -292,12 +300,23 @@ class ShardedTree:
                 self.pieces_applied[index] -= len(pieces)
 
     def batch_insert(self, facts: Iterable[Tuple[Any, IntervalLike]]) -> int:
-        """Insert many facts with one lock acquisition per touched shard.
+        """Insert many facts with one lock acquisition, and one tree pass,
+        per touched shard.
 
         This is the group-commit apply path of the service layer: pieces
         are grouped per shard first, then each shard is locked once and
-        receives all its pieces.  Returns the number of whole facts
-        applied.
+        its tree takes all its pieces as one
+        :meth:`~repro.core.sbtree.SBTree.insert_batch`.  Returns the
+        number of whole facts applied.
+
+        Atomicity is per shard, not per call.  A batch a shard's tree
+        rejects (an empty interval, a value its page codec cannot store)
+        leaves *that* tree untouched; but shards are applied in index
+        order, so a ``shard_apply:<i>`` fault, a
+        :class:`~repro.concurrent.LockTimeout` or
+        a rejection on shard *i* leaves the lower-numbered shards
+        applied.  Making the call atomic across shards needs versioned
+        roots (ROADMAP item 2A).
         """
         facts = list(facts)
         by_shard = self._group(facts)
@@ -306,7 +325,7 @@ class ShardedTree:
             shard = self.shards[index]
             self._crash_point(index)
             # One shard.apply span per touched shard (covers the lock
-            # wait), with the batched tree inserts as its single tree-op
+            # wait), with the tree's batched insert as its single tree-op
             # child -- the per-shard leaf the trace tree promises.
             with trace.span(
                 "shard.apply", attrs={"shard": index, "pieces": len(pieces)}
@@ -316,9 +335,11 @@ class ShardedTree:
                         "tree.insert",
                         stores_of(shard.tree),
                         attrs={"shard": index, "pieces": len(pieces)},
-                    ):
-                        for value, piece in pieces:
-                            shard.tree.insert(value, piece)
+                    ) as span:
+                        stats = shard.tree.store.stats
+                        written = stats.writes
+                        shard.tree.insert_batch(pieces)
+                        span.set("nodes_written", stats.writes - written)
         with self._counts_lock:
             self.facts_applied += len(facts)
             for index, pieces in by_shard.items():

@@ -40,11 +40,15 @@ dirty set.  Keeping nodes in clean frames too makes warm lookups another
 is a snapshot taken at ``write()``, never re-derived from the live node,
 so eviction, ``flush`` and ``commit`` put the same bytes on disk in the
 same order whether or not the node was touched again since.
+``write_all`` -- the batched insert's hand-over -- keeps that and adds
+an order: every node of the batch is encoded before the first payload is
+installed, so a value the codec rejects in the batch's last node leaves
+every frame as it was.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..core.nodes import Node, NodeId
 from ..core.nodestore import NodeStore, StoreStats
@@ -153,6 +157,13 @@ class PagedNodeStore(NodeStore):
     def write(self, node: Node) -> None:
         self.stats.writes += 1
         self.buffer.write(node.node_id, self.codec.encode(node), node)
+
+    def write_all(self, nodes: Sequence[Node]) -> None:
+        encode = self.codec.encode
+        payloads = [encode(node) for node in nodes]
+        self.stats.writes += len(nodes)
+        for node, payload in zip(nodes, payloads):
+            self.buffer.write(node.node_id, payload, node)
 
     def free(self, node_id: NodeId) -> None:
         self.stats.frees += 1

@@ -20,9 +20,11 @@ tables* on top of the same machinery:
   into their net effect -- a sorted list of disjoint segments, each
   the sum of the records over it and of nothing else, so the
   retract/re-emit pairs of an upstream view cancel before they reach
-  a tree -- and each segment updates the group's SB-tree in O(log n);
-  MIN/MAX, which nothing can cancel (paper, Section 3.4), insert
-  record by record.  Only the affected (key, time-range) regions of
+  a tree -- and the group's SB-tree takes the segments as one batch
+  (``SBTree.insert_effects``: one descent per root-to-leaf path they
+  share, each touched node written once); MIN/MAX, which nothing can
+  cancel (paper, Section 3.4), hand their records over as they are,
+  one batch per group.  Only the affected (key, time-range) regions of
   the view's *output rows* are then regenerated and re-emitted as
   change events for downstream views, found by bisecting the group's
   sorted row index, never by scanning it;
@@ -44,8 +46,9 @@ holds for a refresh that *fails*, too: a SUM/COUNT/AVG batch is folded
 before the first tree write, so a record the aggregate cannot
 accumulate (a non-numeric value) rejects the whole batch and the
 quarantined view serves exactly its last-good state.  (MIN/MAX apply
-record by record; a value that cannot be compared with what a tree
-holds can leave earlier records of its batch applied.  The watermarks
+group by group, and an in-memory tree cannot undo a pass that failed
+half-way: a value that cannot be compared with what a tree holds can
+leave earlier records of its batch applied.  The watermarks
 then still name the state before the batch, and because MIN/MAX
 inserts are idempotent the retry by ``repair`` converges on the right
 answer.)  A
@@ -55,8 +58,9 @@ returned value reflect the *same* base-table log heads -- the
 snapshot-consistent multi-view read of PAPERS.md's "Concurrent
 aggregate queries", implemented with batching per refresh tick as "The
 Persistent Buffer Tree" argues (amortize change application, never
-descend per event on the hot path): the tree is descended once per
-folded segment, not once per record.
+descend per event on the hot path): records are folded to segments,
+and the tree is descended once per path the segments share, not once
+per record or per segment.
 
 MIN/MAX views are maintainable only while their sources never emit
 deletions (paper, Section 3.4).  Because an upstream *view* regenerates
@@ -460,11 +464,13 @@ class DynamicView:
         pending records of all sources are grouped by key.  For
         SUM/COUNT/AVG each group's records are first **folded** into
         their net effect -- a sorted list of disjoint segments, see
-        :meth:`_fold` -- and each segment then descends the group's
-        tree once, so records that cancel (an upstream view's retract /
-        re-emit pairs) never reach the tree.  MIN/MAX are insert-only
-        and nothing cancels (paper, Section 3.4): each record is
-        inserted as it is, behind the veto.  Output rows are then
+        :meth:`_fold` -- and the group's tree takes them in one pass
+        (:meth:`SBTree.insert_effects`: one descent per path the
+        segments share, not one per segment), so records that cancel (an
+        upstream view's retract / re-emit pairs) never reach the tree.
+        MIN/MAX are insert-only and nothing cancels (paper, Section
+        3.4): each group's records go in as they are, as one batch,
+        behind the veto.  Output rows are then
         regenerated only for the union of (key, time-range) regions the
         records touched.
 
@@ -491,9 +497,10 @@ class DynamicView:
         if self.spec.invertible:
             folded = [self._fold(records) for records in groups.values()]
             for key, segments in zip(groups, folded):
-                tree = self._tree(key)
-                for value, start, end in segments:
-                    tree.insert_effect(value, Interval(start, end))
+                self._tree(key).insert_effects(
+                    (value, Interval(start, end))
+                    for value, start, end in segments
+                )
                 self.effects_applied += len(segments)
         else:
             # Two-phase, like the eager views: veto before any mutation
@@ -508,9 +515,9 @@ class DynamicView:
                             "retracted a tuple"
                         )
             for key, records in groups.items():
-                tree = self._tree(key)
-                for record in records:
-                    tree.insert(record.value, record.interval)
+                self._tree(key).insert_batch(
+                    (record.value, record.interval) for record in records
+                )
                 self.effects_applied += len(records)
         for src, batch in batches:
             self.watermarks[src] = batch[-1].seq
@@ -912,7 +919,8 @@ class DynamicCatalog:
         the view bootstraps from those rows instead and starts at the
         source's current head.
         """
-        affected: Dict[Hashable, List[Tuple[Time, Time]]] = {}
+        seeds: Dict[Hashable, List[TemporalTuple]] = {}
+        heads: Dict[str, int] = {}
         for src in view.sources:
             node = self._node(src)
             if node.log.base <= 0:
@@ -922,12 +930,13 @@ class DynamicCatalog:
                     None if view.key_field is None
                     else row.payload.get(view.key_field)
                 )
-                view._tree(key).insert(row.value, row.valid)
-                affected.setdefault(key, []).append(
-                    (row.valid.start, row.valid.end)
-                )
-            view.watermarks[src] = node.log.head
-        for key, spans in affected.items():
+                seeds.setdefault(key, []).append(row)
+            heads[src] = node.log.head
+        for key, rows in seeds.items():
+            view._tree(key).insert_batch((row.value, row.valid) for row in rows)
+        view.watermarks.update(heads)
+        for key, rows in seeds.items():
+            spans = [(row.valid.start, row.valid.end) for row in rows]
             for lo, hi in _merge_spans(spans):
                 view._regenerate(key, lo, hi)
 
@@ -1575,15 +1584,18 @@ class DynamicCatalog:
         """Rebuild a restored view's trees from saved step functions.
 
         Each segment's internal value re-applies as a raw effect over
-        its interval; AVG pairs come back from JSON as lists and are
-        restored to tuples so the value algebra sees its own types.
+        its interval, one batch per tree; AVG pairs come back from JSON
+        as lists and are restored to tuples so the value algebra sees
+        its own types.
         """
         for key, segments in raw_trees:
-            tree = view._tree(key)
-            for value, start, end in segments:
-                if isinstance(value, list):
-                    value = tuple(value)
-                tree.insert_effect(value, Interval(start, end))
+            view._tree(key).insert_effects(
+                (
+                    tuple(value) if isinstance(value, list) else value,
+                    Interval(start, end),
+                )
+                for value, start, end in segments
+            )
 
     def close(self) -> None:
         """Checkpoint (when persistent) and detach every node."""

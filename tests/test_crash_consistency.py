@@ -91,14 +91,16 @@ class TestPowerLossSweep:
 
     def test_sweep_fails_without_the_journal_barrier(self, tmp_path, monkeypatch):
         """The mutation the sweep exists to catch: pre-images that are
-        never made durable before the overwrite they protect."""
+        never made durable before the overwrite they protect.  Per-fact
+        inserts and the batched insert's one write-back set alike."""
         monkeypatch.setattr(Pager, "_journal_barrier", lambda self: None)
-        blind = crashcheck.sweep("split", str(tmp_path), hits="sample")
-        assert all(r.ok for r in blind)  # process death alone cannot tell
-        results = crashcheck.sweep(
-            "split", str(tmp_path), hits="sample", power_loss=True
-        )
-        assert any(not r.ok for r in results)
+        for workload in ("split", "batch"):
+            blind = crashcheck.sweep(workload, str(tmp_path), hits="sample")
+            assert all(r.ok for r in blind)  # process death alone cannot tell
+            results = crashcheck.sweep(
+                workload, str(tmp_path), hits="sample", power_loss=True
+            )
+            assert any(not r.ok for r in results), workload
 
     def test_sweep_fails_without_directory_syncs(self, tmp_path, monkeypatch):
         monkeypatch.setattr(Pager, "_fsync_dir", lambda self: None)

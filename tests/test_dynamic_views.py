@@ -255,8 +255,10 @@ class TestIncrementalCorrectness:
 
     @pytest.mark.parametrize("kind", ["sum", "max"])
     def test_tree_work_of_a_refresh_is_attributed_as_insert_ops(self, kind):
-        """``repro.obs`` sees one ``insert`` op, with its node writes, per
-        effect a refresh applies -- folded segment or MIN/MAX record."""
+        """``repro.obs`` sees one ``insert_batch`` op per group tree a
+        refresh touches; their ``effects`` sum to what the refresh
+        applied -- folded segments or MIN/MAX records -- and the node
+        writes land on them, not on per-effect ``insert`` ops."""
         from repro import obs
 
         cat = DynamicCatalog()
@@ -266,10 +268,13 @@ class TestIncrementalCorrectness:
             cat.insert("t", i + 1, (i * 3, i * 3 + 5))
         with obs.collecting() as registry:
             cat.refresh()
-            summary = registry.op_summary("insert")
+            summary = registry.op_summary("insert_batch")
+            singles = registry.op_summary("insert")
         applied = cat.stats()["views"]["v"]["effects_applied"]
-        assert summary["count"] == applied > 0
-        assert summary["writes"] >= applied
+        assert summary["count"] == 1  # one ungrouped view, one tree
+        assert summary["effects"] == applied > 0
+        assert summary["writes"] >= 1
+        assert singles["count"] == 0
 
     def test_grouped_read_by_key_and_unknown_key(self):
         cat = DynamicCatalog()

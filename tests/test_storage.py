@@ -558,6 +558,97 @@ class TestLiveNodes:
             assert SBTree(store=reopened).to_table() == (
                 reference.instantaneous_table(facts, "sum"))
 
+    @pytest.mark.parametrize("bad_at", [0, 19, 39])
+    @pytest.mark.parametrize("committed", [True, False])
+    @pytest.mark.parametrize("capacity", [3, 64, 1000])
+    def test_a_rejected_batch_leaves_the_tree_untouched(
+        self, tmp_path, capacity, committed, bad_at
+    ):
+        # The batch twin of the test above.  The pass has adjusted the
+        # root, cut leaves and allocated their siblings -- all in memory
+        # -- before the first node is encoded; the fact carrying 10**400
+        # starts on a root separator, so its value reaches interior nodes
+        # and a leaf.  Whichever node meets it first, nothing of the
+        # other 39 facts may stay behind.
+        store = self.store(tmp_path, capacity)
+        tree = SBTree("sum", store, branching=5, leaf_capacity=6)
+        facts = [(i % 9 + 1, Interval(i * 7, i * 7 + 30)) for i in range(200)]
+        tree.insert_batch(facts[:150])
+        for fact in facts[150:]:
+            tree.insert(*fact)
+        if committed:
+            store.commit()
+        root = store.read(store.get_root())
+        assert tree.height >= 3 and not root.is_leaf
+        before = tree.to_table(coalesced=False, drop_initial=False)
+        nodes = tree.node_count()
+        batch = [(i % 5 + 1, Interval(1_000 + i * 3, 1_040 + i * 3))
+                 for i in range(40)]
+        bad = list(batch)
+        bad[bad_at] = (10**400, Interval(root.times[0], root.times[0] + 400))
+        for attempt in (tree.insert_batch, tree.insert_effects):
+            with pytest.raises((NodeEncodingError, OverflowError)):
+                attempt(bad)
+            assert tree.to_table(coalesced=False, drop_initial=False) == before
+            assert tree.node_count() == nodes
+            check_tree(tree)
+        with pytest.raises(ValueError, match="empty or inverted"):
+            tree.insert_batch(batch + [(1, (5, 5))])  # vetoed before a read
+        assert tree.to_table(coalesced=False, drop_initial=False) == before
+        tree.insert_batch(batch)  # the next good batch succeeds
+        facts += batch
+        assert tree.node_count() > nodes
+        assert tree.to_table() == reference.instantaneous_table(facts, "sum")
+        store.close()
+        with PagedNodeStore(str(tmp_path / "live.sbt")) as reopened:
+            assert SBTree(store=reopened).to_table() == (
+                reference.instantaneous_table(facts, "sum"))
+
+    @pytest.mark.parametrize("kth", [1, 2, 3, 4])
+    def test_a_batch_whose_kth_encode_fails_installs_nothing(
+        self, tmp_path, monkeypatch, kth
+    ):
+        # Five effects inside one leaf interval add ten boundaries: the
+        # leaf is cut three ways and the batch hands over at least four
+        # nodes (the leaf, its two new siblings, their parent).  Encoding
+        # any of them may fail; no frame may then hold a node its payload
+        # does not decode to, and the sibling pages go back to the pager.
+        store = self.store(tmp_path, 64)
+        tree = SBTree("sum", store, branching=5, leaf_capacity=6)
+        tree.insert_batch(
+            [(i % 9 + 1, Interval(i * 7, i * 7 + 30)) for i in range(200)])
+        before = tree.to_table(coalesced=False, drop_initial=False)
+        nodes, stats = tree.node_count(), store.stats.snapshot()
+        a = before.rows[len(before.rows) // 2][1].start
+        batch = [(k + 1, Interval(a + 0.125 * k, a + 0.125 * k + 0.0625))
+                 for k in range(5)]
+        encode, encoded = store.codec.encode, []
+
+        def failing_encode(node):
+            if node.values:  # not `allocate`'s encode of an empty page
+                encoded.append(node.node_id)
+                if len(encoded) == kth:
+                    raise NodeEncodingError("injected")
+            return encode(node)
+
+        monkeypatch.setattr(store.codec, "encode", failing_encode)
+        with pytest.raises(NodeEncodingError, match="injected"):
+            tree.insert_batch(batch)
+        monkeypatch.setattr(store.codec, "encode", encode)
+        for page_id, frame in store.buffer._frames.items():
+            if frame.node is not None:
+                assert frame.node == store.codec.decode(frame.payload, page_id)
+        undone = store.stats - stats
+        assert undone.allocations == undone.frees >= 2  # the leaf's siblings
+        assert undone.writes == 0 and tree.node_count() == nodes
+        assert tree.to_table(coalesced=False, drop_initial=False) == before
+        check_tree(tree)
+        tree.insert_batch(batch)
+        assert tree.node_count() == nodes + undone.allocations
+        check_tree(tree)
+        assert tree.lookup(a + 0.5) == before.value_at(a) + 5
+        store.close()
+
     @pytest.mark.parametrize("bulk", [False, True])
     def test_a_failed_compact_forgets_its_unwritten_nodes(
         self, tmp_path, monkeypatch, bulk
