@@ -14,16 +14,18 @@ rollback -- and verifies the recovered tree against the brute-force
 
 A crash *inside* ``commit()`` is the one genuinely ambiguous case: the
 transaction is durable if and only if the process died after the
-journal deletion.  The harness therefore accepts either the
-pre-commit or the post-commit fact set there -- but never anything in
-between (atomicity), and the recovered tree must additionally pass the
-full structural audit of :func:`repro.core.validate.check_tree`.
+journal's zeroed header became durable.  The harness therefore accepts
+either the pre-commit or the post-commit fact set there -- but never
+anything in between (atomicity), and the recovered tree must
+additionally pass the full structural audit of
+:func:`repro.core.validate.check_tree`.
 
 Abandoning the handles keeps every byte the process ever wrote, so that
 sweep cannot notice a *missing fsync*.  ``--power-loss`` runs the same
 cases under the power-loss model of :func:`repro.faults.simulate_crash`:
 at each crash the injector drops the writes issued since each file's
-last fsync and the journal create/unlink no directory sync covered --
+last fsync (the journal's header, records and invalidation included)
+and the journal create/unlink no directory sync covered --
 all of them, and two seeded subsets -- before the reopen, against the
 same oracle.  It is the proof that the pager's one-barrier-per-write-
 back-set protocol still syncs everything an overwrite depends on: stub
@@ -258,6 +260,20 @@ def _open(path: str, faults: Optional[FaultInjector] = None):
     return store, tree
 
 
+def _baseline(path: str, injector: FaultInjector) -> WorkloadContext:
+    """An empty tree, committed and closed, then reopened under
+    *injector*: the sweep targets the workload rather than file-creation
+    noise, and the workload's first transaction is a pager's first --
+    the one that creates the journal file every later one reuses."""
+    for leftover in (path, path + "-journal"):
+        if os.path.exists(leftover):
+            os.remove(leftover)
+    store, _ = _open(path)
+    store.close()
+    store, tree = _open(path, injector)
+    return WorkloadContext(tree, store)
+
+
 def run_case(
     path: str,
     workload: str,
@@ -271,21 +287,14 @@ def run_case(
     ``None`` keeps every written byte (a process death), ``"all"`` or a
     seed also drops unsynced writes and directory operations.
 
-    The injector is attached only after the store exists and an empty
-    baseline is committed, so the sweep targets the workload itself
-    rather than file-creation noise.  Returns ``crashed=False`` when
-    the workload finished before the point's *hit*-th occurrence --
-    the sweep uses that as its termination signal.
+    Returns ``crashed=False`` when the workload finished before the
+    point's *hit*-th occurrence -- the sweep uses that as its
+    termination signal.
     """
-    for leftover in (path, path + "-journal"):
-        if os.path.exists(leftover):
-            os.remove(leftover)
-    store, tree = _open(path)
-    ctx = WorkloadContext(tree, store)
-    ctx.commit()  # committed baseline: the empty tree
     injector = FaultInjector(seed=hit)
     injector.crash_at(point, hit=hit)
-    store.pager.faults = injector
+    ctx = _baseline(path, injector)
+    store = ctx.store
     crashed = False
     try:
         WORKLOADS[workload](ctx)
@@ -337,18 +346,12 @@ def _verify_recovery(path: str, ctx: WorkloadContext) -> Tuple[bool, str]:
 # ----------------------------------------------------------------------
 def _count_hits(path: str, workload: str) -> Dict[str, int]:
     """Dry run with a disarmed injector: how often is each point hit?"""
-    for leftover in (path, path + "-journal"):
-        if os.path.exists(leftover):
-            os.remove(leftover)
-    store, tree = _open(path)
-    ctx = WorkloadContext(tree, store)
-    ctx.commit()
     counter = FaultInjector()
-    store.pager.faults = counter
+    ctx = _baseline(path, counter)
     WORKLOADS[workload](ctx)
-    store.pager.faults = None
-    store.close()
-    return dict(counter.hits)
+    hits = dict(counter.hits)  # before close() adds its own
+    ctx.store.close()
+    return hits
 
 
 def _hit_schedule(total: int, hits: Union[str, int]) -> List[int]:

@@ -295,12 +295,9 @@ class FaultInjector:
         return data, crash
 
     def _remember_write(self, handle: Any, offset: int, length: int) -> None:
-        if handle.readable():
-            size = handle.seek(0, os.SEEK_END)
-            handle.seek(offset)
-            replaced = handle.read(length)
-        else:  # an append-only handle (the journal): nothing to restore
-            size, replaced = offset, b""
+        size = handle.seek(0, os.SEEK_END)
+        handle.seek(offset)
+        replaced = handle.read(length)
         self._synced_size.setdefault(handle.name, size)
         self._unsynced.setdefault(handle.name, []).append(
             (offset, length, replaced)

@@ -9,7 +9,8 @@ pool.  This module measures exactly those preconditions, periodically:
 * :func:`tree_health` walks one tree (breadth-first through its store)
   and reports height, node counts, leaf/interior occupancy, interval
   populations, plus the storage-side gauges -- estimated free-list
-  length, leftover journal size, buffer hit ratio, page count;
+  length, the open transaction's journal bytes, buffer hit ratio, page
+  count;
 * :func:`sharded_health` does that per shard of a
   :class:`~repro.sharding.ShardedTree` (under each shard's read lock)
   and adds the routing-level gauges: fact and piece counts, per-shard
@@ -32,7 +33,6 @@ never observes a half-applied write.
 from __future__ import annotations
 
 import http.server
-import os
 import re
 import threading
 from typing import Any, Dict, List, Optional, Tuple
@@ -94,15 +94,10 @@ def tree_health(tree) -> Dict[str, Any]:
         # space; the difference is the free-list length without an
         # O(free) chain walk each poll (fsck does the exact audit).
         health["free_pages"] = max(0, pager.page_count - 1 - live)
-        journal = getattr(pager, "journal_path", None)
-        try:
-            health["journal_bytes"] = (
-                os.path.getsize(journal)
-                if journal and os.path.exists(journal)
-                else 0
-            )
-        except OSError:  # pragma: no cover - racing an unlink
-            health["journal_bytes"] = 0
+        # The journal file outlives its transactions, so its size says
+        # nothing: report whether one is open and what it has written.
+        health["journal_hot"] = pager.in_transaction()
+        health["journal_bytes"] = pager.journal_bytes
     buffer = getattr(store, "buffer", None)
     if buffer is not None:
         health["buffer_hit_rate"] = buffer.stats.hit_rate

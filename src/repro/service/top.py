@@ -177,7 +177,10 @@ def _health_rows(stats: Dict[str, Any]) -> List[str]:
         if "buffer_hit_rate" in shard:
             line += f"  buf-hit {shard['buffer_hit_rate']:5.0%}"
         if "journal_bytes" in shard:
-            line += f"  journal {shard['journal_bytes']}B"
+            line += (
+                f"  journal hot {shard['journal_bytes']}B"
+                if shard.get("journal_hot") else "  journal cold"
+            )
         rows.append(line)
     return rows
 

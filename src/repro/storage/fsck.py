@@ -13,14 +13,17 @@ disk, and it reports every inconsistency it can find:
   nodes with the file's own codec: dangling child pointers, pages
   referenced twice, and *orphans* (allocated to neither the tree nor
   the free list -- leaked space);
-* **journal** -- a leftover rollback journal is parsed and each record
-  CRC-verified, so torn or bit-flipped journals are called out before
-  anyone trusts a recovery based on them.
+* **journal** -- the journal beside the file is read with the pager's
+  own reader (:func:`repro.storage.pager.scan_journal`): cold (no open
+  transaction), hot (each record CRC-verified, so torn or bit-flipped
+  journals are called out before anyone trusts a recovery based on
+  them) or unusable (a legacy or damaged header).
 
 With ``repair=True`` the audit is followed by an offline repair pass:
-a leftover journal is first settled through the pager's normal
-recovery, corrupt pages are *quarantined* (recorded under the header
-meta key ``quarantine`` and excluded from allocation), the free list is
+a cold or hot journal is first settled through the pager's normal
+recovery (an unusable one stops the repair), corrupt pages are
+*quarantined* (recorded under the header meta key ``quarantine`` and
+excluded from allocation), the free list is
 rebuilt from scratch out of every non-reachable non-corrupt page, and
 the header's live-node count and page count are made consistent with
 the file again.  Corrupt pages that are *reachable from the root* are
@@ -40,22 +43,19 @@ from __future__ import annotations
 
 import json
 import os
-import struct
 import warnings
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set
 
 from .codec import NodeCodec
-from .pager import _CRC, _FREE_LINK, _HEADER, _MAGIC, _VERSION, NO_PAGE, Pager
+from .pager import (
+    _CRC, _FREE_LINK, _HEADER, _MAGIC, _VERSION, NO_PAGE, Pager, scan_journal,
+)
 from .. import obs
 from ..core.values import spec_for
 
 __all__ = ["Finding", "FsckReport", "fsck", "fsck_dynamic"]
-
-#: The journal magic of the previous (CRC-less) record format, still
-#: recognized during inspection so the report can say what it found.
-_LEGACY_JOURNAL_MAGIC = b"SBTRjrnl"
 
 
 @dataclass
@@ -435,86 +435,61 @@ def _audit_orphans(
     return orphans
 
 
-def _inspect_journal(path: str, report: FsckReport) -> None:
+#: How a hot journal's scan ended early: severity and what to say.
+_JOURNAL_ENDINGS = {
+    "torn": ("warning", "is cut short (normal after a crash mid-append)"),
+    "corrupt": ("error", "fails its CRC32 (bit rot or a torn sector)"),
+}
+
+
+def _inspect_journal(path: str, report: FsckReport) -> Optional[str]:
+    """Report what the pager's own reader makes of the journal beside
+    *path*; returns its verdict (``None``: there is no journal)."""
     journal_path = path + "-journal"
     if not os.path.exists(journal_path):
-        return
+        return None
     with open(journal_path, "rb") as handle:
-        data = handle.read()
-    header_size = Pager._JOURNAL_HEADER.size
-    if len(data) < header_size or not any(data[:header_size]):
-        # The pager syncs the journal header in the barrier that precedes
-        # the transaction's first overwrite, so a header that is short or
-        # zero-filled means no committed page was touched.
+        header, *records = scan_journal(handle)
+    if header.verdict == "cold":
+        report.add(
+            "info", "journal-cold",
+            f"journal {journal_path!r} holds no open transaction (normal "
+            "beside a running or killed server; a clean close removes it): "
+            "reopening only drops the pages added since the last commit",
+        )
+    elif header.verdict == "unusable":
+        legacy = header.detail.startswith("legacy")
+        report.add(
+            "warning" if legacy else "error",
+            "legacy-journal" if legacy else "bad-journal",
+            f"{header.detail}: it cannot be rolled back (a strict open "
+            "refuses it, any other warns and discards it)",
+        )
+    elif report.page_size and header.page_size != report.page_size:
+        report.add(
+            "error", "bad-journal",
+            f"journal page size {header.page_size} disagrees with the "
+            f"file's {report.page_size}",
+        )
+    else:
+        report.journal_records = sum(r.status == "ok" for r in records)
+        # Only the last record scanned can be other than ok.
+        if records and records[-1].status in _JOURNAL_ENDINGS:
+            severity, what = _JOURNAL_ENDINGS[records[-1].status]
+            report.add(
+                severity, "torn-journal",
+                f"journal record {report.journal_records + 1} {what}; "
+                f"rollback stops at the {report.journal_records} valid "
+                "records before it",
+            )
         report.add(
             "info", "journal-present",
-            f"leftover journal {journal_path!r} never got a durable header: "
-            "the transaction died before its first journal barrier and "
-            "overwrote nothing; reopening with journaled=True only drops "
-            "the pages added since the last commit",
+            f"hot journal with {report.journal_records} verifiable pre-image "
+            f"records (committed size {header.base_count} pages): the file "
+            "holds an uncommitted transaction; reopening with journaled=True "
+            "rolls it back",
         )
-        return
-    magic, page_size, base_count = Pager._JOURNAL_HEADER.unpack_from(data, 0)
-    if magic == _LEGACY_JOURNAL_MAGIC:
-        report.add(
-            "warning", "legacy-journal",
-            "leftover journal uses the legacy CRC-less record format; "
-            "records cannot be verified",
-        )
-        return
-    if magic != Pager._JOURNAL_MAGIC:
-        report.add(
-            "error", "bad-journal",
-            f"leftover journal has unknown magic {magic!r}",
-        )
-        return
-    if report.page_size and page_size != report.page_size:
-        report.add(
-            "error", "bad-journal",
-            f"journal page size {page_size} disagrees with the file's "
-            f"{report.page_size}",
-        )
-        return
-    offset = header_size
-    record_size = Pager._JOURNAL_RECORD.size
-    valid = 0
-    while offset < len(data):
-        if offset + record_size > len(data):
-            report.add(
-                "warning", "torn-journal",
-                f"journal record {valid + 1} is torn inside its header "
-                "(normal after a crash mid-append); rollback stops at the "
-                f"{valid} valid records before it",
-            )
-            break
-        page_id, crc = Pager._JOURNAL_RECORD.unpack_from(data, offset)
-        image = data[offset + record_size:offset + record_size + page_size]
-        if len(image) < page_size:
-            report.add(
-                "warning", "torn-journal",
-                f"journal record for page {page_id} is torn "
-                "(normal after a crash mid-append); rollback stops at the "
-                f"{valid} valid records before it",
-            )
-            break
-        if zlib.crc32(image) != crc:
-            report.add(
-                "error", "torn-journal",
-                f"journal record for page {page_id} fails its CRC32 "
-                "(bit rot or a torn sector); rollback stops at the "
-                f"{valid} valid records before it",
-            )
-            break
-        valid += 1
-        offset += record_size + page_size
-    report.journal_records = valid
-    report.add(
-        "info", "journal-present",
-        f"leftover journal with {valid} verifiable pre-image records "
-        f"(committed size {base_count} pages): the file holds an "
-        "uncommitted transaction; reopening with journaled=True rolls it "
-        "back",
-    )
+    return header.verdict
 
 
 # ----------------------------------------------------------------------
@@ -526,16 +501,18 @@ def _write_free_page(handle, page_id: int, link: int, page_size: int) -> None:
     handle.write(payload + _CRC.pack(zlib.crc32(payload)))
 
 
-def _repair(path: str, report: FsckReport) -> None:
+def _repair(path: str, report: FsckReport, journal: Optional[str]) -> None:
     """Offline repair: settle the journal, quarantine, rebuild the free list."""
-    if os.path.exists(path + "-journal"):
+    if journal is not None:
         # Settle the pending transaction through the pager's own
         # recovery; fsck must not repair underneath a journal that a
-        # later open would replay over the repairs.
+        # later open would replay over the repairs.  An unusable one is
+        # refused (strict) and stays on disk: fsck never discards
+        # pre-images it cannot read.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             try:
-                Pager(path, journaled=True).close()
+                Pager(path, journaled=True, strict=True).close()
             except Exception as exc:  # noqa: BLE001
                 report.add(
                     "error", "unrepairable-journal",
@@ -544,7 +521,8 @@ def _repair(path: str, report: FsckReport) -> None:
                 return
         report.add(
             "info", "journal-settled",
-            "leftover journal was rolled back before repair",
+            "hot journal was rolled back before repair" if journal == "hot"
+            else "cold journal was removed before repair",
         )
 
     image = _FileImage(path)
@@ -656,11 +634,11 @@ def _fsck(path: str, *, repair: bool = False) -> FsckReport:
         free = _audit_free_list(image, report, corrupt)
         reachable = _audit_reachability(image, report, corrupt, free)
         _audit_orphans(image, report, corrupt, free, reachable)
-    _inspect_journal(path, report)
+    journal = _inspect_journal(path, report)
 
-    if repair and (not report.ok or report.has("journal-present")):
+    if repair and (not report.ok or journal is not None):
         actions = FsckReport(path)
-        _repair(path, actions)
+        _repair(path, actions, journal)
         if actions.repaired:
             # Re-audit so the main report reflects the repaired file
             # (quarantined pages are fenced off, not fresh errors).

@@ -13,27 +13,37 @@ extended.  Physical reads and writes are counted so benchmarks can
 report true page I/O.
 
 With ``journaled=True`` the pager additionally keeps a rollback journal
-(``<path>-journal``): before a page is first overwritten after a
-commit, its pre-image is appended to the journal (each record carries
-its own CRC32); :meth:`commit` makes the current state durable and
-deletes the journal (the commit point); reopening a file whose journal
-survived a crash rolls every journaled page back (and truncates pages
-that did not exist at the last commit), so the file always reflects a
-committed state.
+(``<path>-journal``), one file for the pager's life: its first
+transaction creates it, every later one rewrites it from offset 0, only
+a clean :meth:`Pager.close` or an open-time rollback removes it.  Before
+a page is first overwritten after a commit its pre-image is written to
+the journal; :meth:`commit` makes the data file durable, then zeroes the
+journal header and fsyncs the journal (the commit point: three fsyncs
+and no directory operation per commit); reopening beside a journal
+whose header is live rolls every journaled page back and truncates the
+pages added since, so the file always reflects a committed state.
 
 **The barrier rule.**  No byte of a page that existed at the last commit
 -- the header page included -- is overwritten in the data file before
-its pre-image record *and* the journal header are fsynced and the
-journal's directory entry is synced.  That is one *journal barrier*
-(:meth:`Pager._journal_barrier`), and it is paid per *write-back set*,
-not per page: records and the journal header are appended unsynced,
-:meth:`Pager.write_pages` journals every page of the set (plus any page
-the caller expects to write later in the transaction, ``journal_ahead``)
-and runs the barrier once, immediately before the set's first data-file
-write.  Pages created after the last commit need no barrier: rollback
-truncates them away.  A journal whose header never became durable
-(empty, short, or zero-filled) therefore proves the data file's
-committed pages are untouched, and rolls back to "drop the fresh pages".
+its pre-image record *and* the journal header are fsynced (and, for the
+transaction that created the journal, its directory entry synced).
+That is one *journal barrier* (:meth:`Pager._journal_barrier`), paid per
+*write-back set*, not per page: :meth:`Pager.write_pages` journals every
+page of the set (plus ``journal_ahead``, pages the caller expects to
+write later in the transaction) unsynced and runs the barrier once,
+immediately before the set's first data-file write.  Pages created
+after the last commit need no barrier: rollback truncates them away.  A
+journal whose header is not live therefore proves the committed pages
+hold no uncommitted byte, and rolls back to "drop the fresh pages".
+
+**A reused file** (format v3, laid out beside :func:`scan_journal`) is
+safe by two rules.  Every record ends with the header's per-transaction
+*salt* (``os.urandom`` at open, +1 per commit): the intact records a
+longer, earlier transaction left beyond this one's tail, and an append
+that tore, read as a clean end.  And the header's first and last bytes
+are non-zero only when all of it was written -- zeroing clears the first
+byte first, writing sets the last byte last -- so any prefix of either
+write reads "not live".
 
 **The header page is deferred.**  ``allocate_page``, ``free_page``,
 ``set_root`` and ``set_meta`` only mark page 0 dirty; it is formatted,
@@ -61,7 +71,8 @@ Every raw write and fsync is routed through a small I/O layer that
   ``degrade_after`` consecutive retry-exhausted failures: further
   mutations raise :class:`PagerDegradedError`, reads keep working, and
   a journaled pager leaves its journal in place so the next open rolls
-  back to the last commit instead of trusting half-written state.
+  back to the last commit instead of trusting half-written state (a
+  failed journal *invalidation* degrades at once too).
 
 Out-of-band events surface as ``pager.*`` counters through the active
 :class:`repro.obs.MetricsRegistry` when collection is enabled.
@@ -76,7 +87,7 @@ import time
 import warnings
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Tuple, Union
 
 from .. import obs
 
@@ -86,6 +97,9 @@ __all__ = [
     "PageCorruptionError",
     "PagerDegradedError",
     "JournalError",
+    "JournalHeader",
+    "JournalRecord",
+    "scan_journal",
     "DEFAULT_PAGE_SIZE",
 ]
 
@@ -101,6 +115,89 @@ _CRC = struct.Struct("<I")
 
 #: Sentinel for "no page".
 NO_PAGE = -1
+
+_JOURNAL_MAGIC = b"SBTRjrn3"
+#: No writer is left for these (v2's file existed only while hot).
+_LEGACY_JOURNAL_MAGICS = (b"SBTRjrnl", b"SBTRjrn2")
+#: magic(8) page_size(I) base_count(Q) salt(Q), then crc32-of-those(I)
+#: and a non-zero seal(B), the header's last byte.
+_JOURNAL_FIELDS = struct.Struct("<8sIQQ")
+_JOURNAL_HEADER = struct.Struct("<8sIQQIB")
+#: A record: page_id(q), page_size image bytes, then this trailer --
+#: crc32-of-id-and-image(I) salt(Q).
+_JOURNAL_RECORD = struct.Struct("<q")
+_JOURNAL_TRAILER = struct.Struct("<IQ")
+
+
+def _journal_header(page_size: int, base_count: int, salt: int) -> bytes:
+    fields = (_JOURNAL_MAGIC, page_size, base_count, salt)
+    crc = zlib.crc32(_JOURNAL_FIELDS.pack(*fields))
+    return _JOURNAL_HEADER.pack(*fields, crc, 0xA5)
+
+
+def _journal_record(page_id: int, image: bytes, salt: int) -> bytes:
+    body = _JOURNAL_RECORD.pack(page_id) + image
+    return body + _JOURNAL_TRAILER.pack(zlib.crc32(body), salt)
+
+
+class JournalHeader(NamedTuple):
+    """``cold`` (nothing to undo: short, or first or last byte zero),
+    ``hot`` (pre-images to restore, ``base_count`` pages to keep) or
+    ``unusable`` (legacy or damaged; ``detail`` says which)."""
+
+    verdict: str
+    page_size: int = 0
+    base_count: int = 0
+    salt: int = 0
+    detail: str = ""
+
+
+class JournalRecord(NamedTuple):
+    """``ok`` carries a pre-image; ``stale`` (another transaction's
+    salt), ``torn`` (the file ends inside it) and ``corrupt`` (this
+    transaction's salt, bad CRC) end the scan."""
+
+    status: str
+    page_id: int = -1
+    image: bytes = b""
+
+
+def _journal_verdict(raw: bytes) -> JournalHeader:
+    if raw[:8] in _LEGACY_JOURNAL_MAGICS:
+        return JournalHeader("unusable", detail=f"legacy journal format {raw[:8]!r}")
+    if len(raw) < _JOURNAL_HEADER.size or not raw[0] or not raw[-1]:
+        return JournalHeader("cold")
+    magic, page_size, base_count, salt, crc, _ = _JOURNAL_HEADER.unpack(raw)
+    if magic != _JOURNAL_MAGIC:
+        return JournalHeader("unusable", detail=f"bad journal magic {magic!r}")
+    if zlib.crc32(raw[:_JOURNAL_FIELDS.size]) != crc or page_size < 512:
+        return JournalHeader("unusable", detail="journal header fails its checksum")
+    return JournalHeader("hot", page_size, base_count, salt)
+
+
+def scan_journal(handle) -> Iterator[Union[JournalHeader, JournalRecord]]:
+    """The one journal reader (rollback, ``repro fsck``, the tests):
+    yields the :class:`JournalHeader`, then -- for a hot one -- each
+    :class:`JournalRecord` up to and including the first not ``ok``."""
+    header = _journal_verdict(handle.read(_JOURNAL_HEADER.size))
+    yield header
+    if header.verdict != "hot":
+        return
+    body = _JOURNAL_RECORD.size + header.page_size
+    size = body + _JOURNAL_TRAILER.size
+    for raw in iter(lambda: handle.read(size), b""):
+        if len(raw) < size:
+            yield JournalRecord("torn")
+            return
+        (page_id,) = _JOURNAL_RECORD.unpack_from(raw)
+        crc, salt = _JOURNAL_TRAILER.unpack_from(raw, body)
+        if salt != header.salt:
+            yield JournalRecord("stale")
+            return
+        if crc != zlib.crc32(raw[:body]):
+            yield JournalRecord("corrupt", page_id)
+            return
+        yield JournalRecord("ok", page_id, raw[_JOURNAL_RECORD.size:body])
 
 
 class PageCorruptionError(RuntimeError):
@@ -182,8 +279,8 @@ class Pager:
         "after_header_write",
         "before_commit_fsync",
         "after_commit_fsync",
-        "before_journal_delete",
-        "after_journal_delete",
+        "before_journal_invalidate",
+        "after_journal_invalidate",
     )
 
     def __init__(
@@ -220,9 +317,12 @@ class Pager:
         self.fsync_failures = 0
         self._consecutive_failures = 0
         self._journaled_pages: set = set()
-        self._journal_file = None
+        self._journal_file = None  # opened by the first transaction
         self._journal_base_count: Optional[int] = None
-        #: Journal bytes (header, records) appended since the last barrier.
+        #: Journal bytes the open transaction wrote; its next record's place.
+        self.journal_bytes = 0
+        self._journal_salt = int.from_bytes(os.urandom(8), "little")
+        #: Journal bytes (header, records) written since the last barrier.
         self._journal_unsynced = False
         #: The journal was created and its directory entry is not synced.
         self._journal_new = False
@@ -230,9 +330,6 @@ class Pager:
         self._header_dirty = False
         #: Data-file bytes written since the last data fsync.
         self._data_unsynced = False
-        #: Directory fd for entry syncs, opened on first use (-1: the
-        #: platform cannot open directories).
-        self._dir_fd: Optional[int] = None
         #: Page ids freed by this process and not yet reallocated, kept
         #: so a double free is caught before it cycles the free list.
         self._freed: set = set()
@@ -322,24 +419,22 @@ class Pager:
             stacklevel=5,
         )
 
-    def _io_write(self, handle, offset: Optional[int], data: bytes, label: str) -> None:
+    def _io_write(self, handle, offset: int, data: bytes, label: str) -> None:
         """One raw write: fault interception plus transient-error retries.
 
-        ``offset=None`` appends at the handle's current position (the
-        journal); retries always re-seek to the position of the first
-        attempt, so a partial write is simply overwritten.
+        Retries re-seek to *offset*, so a partial write is simply
+        overwritten.
         """
-        position = handle.tell() if offset is None else offset
         attempt = 0
         while True:
             try:
                 if self.faults is not None:
                     payload, crash = self.faults.intercept_write(
-                        label, data, handle=handle, offset=position
+                        label, data, handle=handle, offset=offset
                     )
                 else:
                     payload, crash = data, None
-                handle.seek(position)
+                handle.seek(offset)
                 handle.write(payload)
                 if crash is not None:
                     # A torn write: the prefix must really reach the
@@ -380,19 +475,18 @@ class Pager:
         self._data_unsynced = False
 
     def _fsync_dir(self) -> None:
-        """Sync the directory entry of the journal (create / delete).
-
-        One fd is held for the pager's lifetime.  Best-effort only where
-        the platform cannot open directories; a failing sync propagates
-        like any other fsync failure.
-        """
-        if self._dir_fd is None:
-            try:
-                self._dir_fd = os.open(self._directory, os.O_RDONLY)
-            except OSError:  # pragma: no cover - platform-dependent
-                self._dir_fd = -1
-        if self._dir_fd >= 0:
-            self._io_fsync(self._dir_fd, "dir", self._directory)
+        """Sync the journal's directory entry: after its creation and
+        its removal (clean close, rollback), never in a steady-state
+        commit.  Best-effort only where the platform cannot open
+        directories; a failing sync propagates like any other."""
+        try:
+            fd = os.open(self._directory, os.O_RDONLY)
+        except OSError:  # pragma: no cover - platform-dependent
+            return
+        try:
+            self._io_fsync(fd, "dir", self._directory)
+        finally:
+            os.close(fd)
 
     def _release_handles(self) -> None:
         """Close the OS handles and nothing else: no header write-back,
@@ -404,29 +498,22 @@ class Pager:
                     handle.close()
                 except (OSError, ValueError):  # pragma: no cover - best effort
                     pass
-        if self._dir_fd is not None and self._dir_fd >= 0:
-            os.close(self._dir_fd)
-        self._dir_fd = None
 
     # ------------------------------------------------------------------
     # Rollback journal
     # ------------------------------------------------------------------
-    _JOURNAL_HEADER = struct.Struct("<8sIQ")
-    _JOURNAL_MAGIC = b"SBTRjrn2"
-    #: page_id(q) crc32-of-pre-image(I), followed by page_size image bytes.
-    _JOURNAL_RECORD = struct.Struct("<qI")
-
     def _capture_pre_image(self, page_id: int) -> None:
-        """Append a page's current on-disk bytes to the journal, unsynced.
+        """Write a page's current on-disk bytes to the journal, unsynced.
 
         Called before the first overwrite of a page in the current
         transaction.  Pages created after the last commit are skipped:
         rollback simply truncates them away.  The record (tagged with
-        its own CRC32) is *not* durable when this returns; whoever
-        overwrites the page runs :meth:`_journal_barrier` first.  A
-        pre-image is the on-disk bytes, independent of the payload that
-        will replace them, so it can be captured for any page expected
-        to be written later in the transaction.
+        its own CRC32 and the transaction's salt) is *not* durable when
+        this returns; whoever overwrites the page runs
+        :meth:`_journal_barrier` first.  A pre-image is the on-disk
+        bytes, independent of the payload that will replace them, so it
+        can be captured for any page expected to be written later in
+        the transaction.
         """
         if not self.journaled or page_id in self._journaled_pages:
             return
@@ -436,57 +523,43 @@ class Pager:
             return  # fresh page: nothing to restore
         self._file.seek(page_id * self.page_size)
         pre_image = self._file.read(self.page_size)
-        pre_image = pre_image.ljust(self.page_size, b"\x00")
-        record = (
-            self._JOURNAL_RECORD.pack(page_id, zlib.crc32(pre_image)) + pre_image
+        record = _journal_record(
+            page_id, pre_image.ljust(self.page_size, b"\x00"), self._journal_salt
         )
         self._hook("before_journal_write")
-        self._io_write(self._journal_file, None, record, "journal")
+        self._io_write(self._journal_file, self.journal_bytes, record, "journal")
+        self.journal_bytes += len(record)
         self._journal_unsynced = True
         self._hook("after_journal_write")
         self._journaled_pages.add(page_id)
         obs.count("pager.journal_records")
 
     def _ensure_transaction(self) -> None:
-        """Open the journal and pin the committed page count, once.
-
-        The journal header is appended unsynced; the first barrier makes
-        it (and the journal's directory entry) durable.
+        """Pin the committed page count and write the journal header at
+        offset 0, once per transaction; the pager's first transaction
+        creates the file.  Nothing is synced: the first barrier makes
+        the header (and a new journal's directory entry) durable.
         """
         if not self.journaled or self._journal_base_count is not None:
             return
-        self._hook("before_journal_create")
+        if self._journal_file is None:
+            self._hook("before_journal_create")
+            self._journal_file = open(self.journal_path, "w+b")
+            if self.faults is not None:
+                self.faults.note_create(self.journal_path)
+            self._journal_new = True
+            self._hook("after_journal_create")
+        header = _journal_header(self.page_size, self.page_count, self._journal_salt)
+        self._io_write(self._journal_file, 0, header, "journal")
         self._journal_base_count = self.page_count
-        self._journal_file = open(self.journal_path, "wb")
-        if self.faults is not None:
-            self.faults.note_create(self.journal_path)
-        self._journal_new = self._journal_unsynced = True
-        self._io_write(
-            self._journal_file,
-            None,
-            self._JOURNAL_HEADER.pack(
-                self._JOURNAL_MAGIC, self.page_size, self.page_count
-            ),
-            "journal",
-        )
-        self._hook("after_journal_create")
+        self.journal_bytes = len(header)
+        self._journal_unsynced = True
 
-    def _journal_barrier(self) -> None:
-        """Make everything appended to the journal durable: flush and
-        fsync it and, if it was created in this transaction, sync its
-        directory entry.  Runs immediately before the first data-file
-        write that depends on those bytes; a no-op when nothing was
-        appended since the last barrier.
-
-        A failed barrier is final: the next one would be the fsync retry
-        that "would lie", so the pager degrades at once.  Nothing the
-        failed barrier covered has been overwritten, and every earlier
-        overwrite sits behind an earlier, successful barrier, so the
-        next open still rolls back to the last commit.
+    def _sync_journal(self) -> None:
+        """Flush and fsync the journal (and a new journal's directory
+        entry).  A failure is final -- the next attempt would be the
+        fsync retry that "would lie" -- so the pager degrades at once.
         """
-        if not self._journal_unsynced:
-            return
-        self._hook("before_journal_fsync")
         try:
             self._journal_file.flush()
             self._io_fsync(
@@ -498,19 +571,55 @@ class Pager:
             self._degrade()
             raise
         self._journal_new = self._journal_unsynced = False
+
+    def _journal_barrier(self) -> None:
+        """Make everything written to the journal durable, immediately
+        before the first data-file write that depends on those bytes; a
+        no-op when nothing was written since the last barrier.
+
+        Nothing a failed barrier covered has been overwritten, and every
+        earlier overwrite sits behind an earlier, successful barrier, so
+        the next open still rolls back to the last commit.
+        """
+        if not self._journal_unsynced:
+            return
+        self._hook("before_journal_fsync")
+        self._sync_journal()
         self._hook("after_journal_fsync")
 
     def _remove_journal(self) -> None:
         if self.faults is not None:
             self.faults.note_unlink(self.journal_path)
         os.remove(self.journal_path)
+        self._fsync_dir()
+
+    def _invalidate_journal(self) -> None:
+        """Zero the journal header and fsync the zeros: the commit point.
+        The records stay; the next salt disowns what it does not
+        overwrite.  A failure is final, as a barrier's is: a later
+        barrier would sync records a half-zeroed header may disown."""
+        self._hook("before_journal_invalidate")
+        try:
+            self._io_write(
+                self._journal_file, 0, bytes(_JOURNAL_HEADER.size), "journal"
+            )
+        except OSError:
+            self._degrade()
+            raise
+        self._sync_journal()
+        self._hook("after_journal_invalidate")
+        self._journaled_pages.clear()
+        self._journal_base_count = None
+        self.journal_bytes = 0
+        self._journal_salt = (self._journal_salt + 1) % (1 << 64)
 
     def commit(self) -> None:
-        """Make the current state durable and clear the journal.
+        """Make the current state durable and invalidate the journal.
 
-        The commit point is the journal deletion: a crash before it
-        rolls the transaction back on reopen, a crash after it keeps
-        the transaction.  A pager with nothing to make durable -- no
+        The commit point is the fsync that follows zeroing the journal
+        header: a crash before it rolls the transaction back on reopen,
+        a crash after it keeps the transaction, a tear of the zeroing
+        write keeps it too.  A pager with nothing to make durable -- no
         open transaction, a clean header, no data write since the last
         sync -- returns without I/O.
         """
@@ -522,18 +631,8 @@ class Pager:
             self._hook("before_commit_fsync")
             self._fsync_data()
             self._hook("after_commit_fsync")
-            if self._journal_file is not None:
-                self._journal_file.close()
-                self._journal_file = None
-            self._hook("before_journal_delete")
-            removed = os.path.exists(self.journal_path)
-            if removed:
-                self._remove_journal()
-            self._journaled_pages.clear()
-            self._journal_base_count = None
-            if removed:
-                self._fsync_dir()
-            self._hook("after_journal_delete")
+            if self._journal_base_count is not None:
+                self._invalidate_journal()
             obs.count("pager.commits")
 
     def in_transaction(self) -> bool:
@@ -567,63 +666,51 @@ class Pager:
         )
 
     def _rollback_journal(self) -> None:
-        """Restore pre-images from a leftover journal, then delete it.
+        """Undo what a leftover journal describes, then remove it.
 
-        Each record's CRC is verified first: rollback applies records
-        up to the last valid one and stops at the first torn or
-        corrupt record (a torn tail is the normal signature of a crash
-        mid-append; a failed CRC on a complete record is a real
-        corruption and is warned about).
+        *Hot*: records are restored up to the last valid one (a stale
+        salt or a torn tail is the normal end of a journal; a failed CRC
+        under this transaction's salt is a real corruption and is warned
+        about) and the file is cut back to the committed page count.
 
-        A header that is short or all zeros never became durable: the
-        transaction died before its first barrier, so no committed page
-        (page 0 included) was overwritten and there is nothing to
-        restore -- only fresh pages to drop, whose count the untouched
-        header page still records.  That is the normal signature of a
-        crash mid-batch, not a problem.  Bad magic on a full-length
-        header stays one.
+        *Cold* (header short, zeroed, or torn while being written or
+        zeroed): either no barrier of the open transaction completed or
+        its data fsync did, so no committed page holds an uncommitted
+        byte and there is nothing to restore -- only fresh pages to
+        drop, whose count the header page records.  The normal signature
+        of a killed process, not a problem; a legacy or damaged header
+        stays one.
         """
         obs.count("pager.rollbacks")
-        restored = 0
         with open(self.journal_path, "rb") as journal:
-            header = journal.read(self._JOURNAL_HEADER.size)
-            if len(header) < self._JOURNAL_HEADER.size or not any(header):
+            records = scan_journal(journal)
+            header = next(records)
+            if header.verdict == "unusable":
+                self._journal_problem(f"{header.detail} in {self.journal_path!r}")
+            elif header.verdict == "cold":
                 self._load_header()
                 self._file.truncate(self.page_count * self.page_size)
                 self._fsync_data()
             else:
-                magic, page_size, base_count = self._JOURNAL_HEADER.unpack(header)
-                if magic != self._JOURNAL_MAGIC:
-                    self._journal_problem(
-                        f"bad journal magic {magic!r} in {self.journal_path!r}"
-                    )
-                else:
-                    while True:
-                        raw = journal.read(self._JOURNAL_RECORD.size)
-                        if len(raw) < self._JOURNAL_RECORD.size:
-                            break  # clean end, or a torn record header
-                        page_id, crc = self._JOURNAL_RECORD.unpack(raw)
-                        image = journal.read(page_size)
-                        if len(image) < page_size:
-                            break  # torn tail record: never fully on disk
-                        if zlib.crc32(image) != crc or page_id < 0:
-                            warnings.warn(
-                                f"journal record for page {page_id} fails its "
-                                "checksum; rollback stops at the last valid "
-                                "record",
-                                RuntimeWarning,
-                                stacklevel=4,
-                            )
-                            obs.count("pager.journal_problems")
-                            break
-                        self._file.seek(page_id * page_size)
-                        self._file.write(image)
+                restored = 0
+                for record in records:
+                    if record.status == "ok":
+                        self._file.seek(record.page_id * header.page_size)
+                        self._file.write(record.image)
                         restored += 1
-                    self._file.truncate(base_count * page_size)
-                    self._fsync_data()
-                    obs.count("pager.rollback_pages", restored)
+                    elif record.status == "corrupt":
+                        warnings.warn(
+                            f"journal record for page {record.page_id} fails "
+                            "its checksum; rollback stops at the last valid "
+                            "record",
+                            RuntimeWarning,
+                            stacklevel=4,
+                        )
+                        obs.count("pager.journal_problems")
+                self._file.truncate(header.base_count * header.page_size)
+                self._fsync_data()
+                obs.count("pager.rollback_pages", restored)
         self._remove_journal()
-        self._fsync_dir()
 
     # ------------------------------------------------------------------
     # Header handling
@@ -847,7 +934,8 @@ class Pager:
             self._fsync_data()
 
     def close(self) -> None:
-        """Clean shutdown: persist the header and commit any transaction.
+        """Clean shutdown: persist the header, commit any transaction and
+        remove the (now cold) journal, directory-synced.
 
         A degraded pager only closes its handles: the in-memory state
         can no longer be trusted to reach disk, so the journal (if any)
@@ -857,12 +945,20 @@ class Pager:
         with self._mutex:
             if self._file.closed:
                 return
-            if not self.degraded:
-                if self.journaled:
-                    self.commit()
-                else:
-                    self.write_pages(())  # the header page
-            self._release_handles()
+            if self.degraded:
+                self._release_handles()
+                return
+            if self.journaled:
+                self.commit()
+            else:
+                self.write_pages(())  # the header page
+            try:
+                if self._journal_file is not None:
+                    # Cold since the commit above: a closed store is one file.
+                    self._journal_file.close()
+                    self._remove_journal()
+            finally:
+                self._release_handles()
 
     def __enter__(self) -> "Pager":
         return self

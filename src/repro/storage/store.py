@@ -206,9 +206,10 @@ class PagedNodeStore(NodeStore):
 
         The dirty frames and the header page reach the pager as one
         write-back set, so a commit costs one journal barrier, one data
-        fsync and the directory syncs of the journal's create and
-        delete; a store with nothing to commit (see :attr:`dirty`) does
-        no I/O at all.  After a commit the on-disk state is a durable
+        fsync and the fsync that makes the journal's zeroed header
+        durable (no directory operation: the journal file persists); a
+        store with nothing to commit (see :attr:`dirty`) does no I/O at
+        all.  After a commit the on-disk state is a durable
         snapshot: a crash at any later point rolls the file back to it
         on reopen.
         """

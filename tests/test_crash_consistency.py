@@ -103,9 +103,48 @@ class TestPowerLossSweep:
             assert any(not r.ok for r in results), workload
 
     def test_sweep_fails_without_directory_syncs(self, tmp_path, monkeypatch):
+        """The journal's directory entry is made once, by a pager's
+        first transaction.  Never synced, the whole file -- every later
+        transaction's pre-images with it -- may vanish at any power cut
+        while the overwrites it covered survive."""
         monkeypatch.setattr(Pager, "_fsync_dir", lambda self: None)
         results = crashcheck.sweep(
             "commit", str(tmp_path), hits="sample", power_loss=True
+        )
+        assert any(not r.ok for r in results)
+
+    def test_sweep_fails_without_the_invalidation_fsync(self, tmp_path, monkeypatch):
+        """Zeros written but not fsynced: an acknowledged commit is
+        rolled back when the power cut drops them."""
+        invalidate = Pager._invalidate_journal
+
+        def written_not_synced(self):
+            with monkeypatch.context() as patch:
+                patch.setattr(Pager, "_sync_journal", lambda self: None)
+                invalidate(self)
+
+        monkeypatch.setattr(Pager, "_invalidate_journal", written_not_synced)
+        blind = crashcheck.sweep("commit", str(tmp_path), hits="sample")
+        assert all(r.ok for r in blind)  # process death alone cannot tell
+        results = crashcheck.sweep(
+            "commit", str(tmp_path), hits="sample", power_loss=True
+        )
+        assert any(not r.ok for r in results)
+
+    def test_sweep_fails_without_the_salt(self, tmp_path, monkeypatch):
+        """Every transaction writing the same salt is the reader not
+        checking it: a short transaction's rollback runs on into the
+        valid records a longer one left beyond its tail."""
+        commit = Pager.commit
+
+        def same_salt(self):
+            salt = self._journal_salt
+            commit(self)
+            self._journal_salt = salt
+
+        monkeypatch.setattr(Pager, "commit", same_salt)
+        results = crashcheck.sweep(
+            "batch", str(tmp_path), hits="sample", power_loss=True
         )
         assert any(not r.ok for r in results)
 
@@ -171,14 +210,14 @@ class TestWarehouseCheckpointCrash:
             # Crash inside v1's own commit, before its commit point:
             # nothing of the second batch survives anywhere.
             ("before_commit_fsync", 1, {"v1": "base", "v2": "base"}),
-            ("before_journal_delete", 1, {"v1": "base", "v2": "base"}),
-            # v1's journal deletion is its commit point: crashing right
-            # after it (or anywhere inside v2's commit) leaves v1 with
-            # the new snapshot and v2 rolled back to the old one.
-            ("after_journal_delete", 1, {"v1": "new", "v2": "base"}),
+            ("before_journal_invalidate", 1, {"v1": "base", "v2": "base"}),
+            # v1's journal invalidation is its commit point: crashing
+            # right after it (or anywhere inside v2's commit) leaves v1
+            # with the new snapshot and v2 rolled back to the old one.
+            ("after_journal_invalidate", 1, {"v1": "new", "v2": "base"}),
             ("before_commit_fsync", 2, {"v1": "new", "v2": "base"}),
             ("after_commit_fsync", 2, {"v1": "new", "v2": "base"}),
-            ("before_journal_delete", 2, {"v1": "new", "v2": "base"}),
+            ("before_journal_invalidate", 2, {"v1": "new", "v2": "base"}),
         ],
     )
     def test_crash_between_view_commits(self, tmp_path, point, hit, expected):

@@ -8,7 +8,6 @@ import errno
 import hashlib
 import os
 import warnings
-import zlib
 
 import pytest
 
@@ -23,8 +22,15 @@ from repro.storage import (
     Pager,
     PagerDegradedError,
 )
+from repro.storage.pager import (
+    _JOURNAL_HEADER, _JOURNAL_RECORD, _JOURNAL_TRAILER, _journal_header,
+    _journal_record, scan_journal,
+)
 
 PAGE_SIZE = 512
+HEADER_SIZE = _JOURNAL_HEADER.size
+#: One journal record: page id, pre-image, crc + salt.
+STRIDE = _JOURNAL_RECORD.size + PAGE_SIZE + _JOURNAL_TRAILER.size
 
 
 def fast_pager(path, **kwargs):
@@ -42,26 +48,23 @@ def sha256_of(path):
 def assert_write_ahead(events, journal_path, base_count, page_size=PAGE_SIZE):
     """The barrier rule, checked against the injector's event order.
 
-    For one transaction whose journal is still on disk: every data-file
-    write of a page that existed at the last commit (page 0 included)
-    comes after a journal fsync that covers the journal header and that
-    page's pre-image record, and after a sync of the journal's directory
+    *events* span one transaction, whose (hot) journal is still on
+    disk: every data-file write of a page that existed at the last
+    commit (page 0 included) comes after a journal fsync that covers the
+    journal header and that page's pre-image record -- and, if that
+    transaction created the journal file, after a sync of its directory
     entry.  Returns how many such overwrites were checked.
     """
     with open(journal_path, "rb") as handle:
-        journal = handle.read()
-    record_end = {}  # page id -> where its (first) record ends
-    offset = Pager._JOURNAL_HEADER.size
-    stride = Pager._JOURNAL_RECORD.size + page_size
-    while offset + stride <= len(journal):
-        page_id, _ = Pager._JOURNAL_RECORD.unpack_from(journal, offset)
-        offset += stride
-        record_end.setdefault(page_id, offset)
+        header, *records = scan_journal(handle)
+    assert header.verdict == "hot"
+    record_end = {}  # page id -> where its record ends
+    for index, record in enumerate(r for r in records if r.status == "ok"):
+        record_end[record.page_id] = HEADER_SIZE + (index + 1) * STRIDE
     appended = synced = checked = 0
-    entry_synced = False
+    entry_synced = True
     for event in events:
         if event[0] == "create":
-            appended = synced = 0
             entry_synced = False
         elif event[:2] == ("write", "journal"):
             appended = event[2] + event[3]
@@ -279,8 +282,9 @@ class TestPagerRetries:
         # Exactly one fsync attempt reached the injector: no retry loop.
         assert inj.fsync_calls["data"] == 1
         assert pager.fsync_failures == 1
-        # The commit point (journal deletion) was never reached.
-        assert os.path.exists(pager.journal_path)
+        # The commit point (the journal's invalidation) was never reached.
+        assert "before_journal_invalidate" not in inj.hits
+        assert inj.fsync_calls == {"data": 1}
         simulate_crash(pager)
         reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
         assert reopened.read_page(page).rstrip(b"\x00") == b"committed"
@@ -292,24 +296,32 @@ class TestPagerRetries:
 # ----------------------------------------------------------------------
 class TestJournalWriteAhead:
     def test_journal_record_fsynced_before_page_overwrite(self, tmp_path):
+        self.first_overwrite(tmp_path, reopened=False)
+
+    def test_first_transaction_of_a_pager_syncs_the_journal_entry(self, tmp_path):
+        self.first_overwrite(tmp_path, reopened=True)
+
+    def first_overwrite(self, tmp_path, reopened):
         pager, (page,) = committed_pager(tmp_path / "p.sbt", [b"committed"])
+        if reopened:  # a pager's first transaction creates the journal
+            pager.close()
+            pager = fast_pager(tmp_path / "p.sbt", journaled=True)
         base_count = pager.page_count
         inj = FaultInjector()
         pager.faults = inj
         pager.write_page(page, b"uncommitted")
-        # The journal header and the pre-image record were appended
-        # unsynced, then made durable together -- journal, then its
-        # directory entry -- before the overwrite's data write.
-        assert inj.events == [
-            ("create", pager.journal_path),
-            ("write", "journal", 0, Pager._JOURNAL_HEADER.size),
-            ("write", "journal", Pager._JOURNAL_HEADER.size,
-             Pager._JOURNAL_RECORD.size + PAGE_SIZE),
+        # The journal header and the pre-image record were written
+        # unsynced, then made durable together -- the journal, and the
+        # directory entry of one just created -- before the overwrite's
+        # data write.
+        assert inj.events == [("create", pager.journal_path)] * reopened + [
+            ("write", "journal", 0, HEADER_SIZE),
+            ("write", "journal", HEADER_SIZE, STRIDE),
             ("fsync", "journal"),
-            ("fsync", "dir"),
+        ] + [("fsync", "dir")] * reopened + [
             ("write", "data", page * PAGE_SIZE, PAGE_SIZE),
         ]
-        assert inj.hits["after_journal_create"] == 1
+        assert inj.hits.get("after_journal_create", 0) == reopened
         assert inj.hits["after_journal_fsync"] == 1
         simulate_crash(pager)
         assert assert_write_ahead(inj.events, pager.journal_path, base_count) == 1
@@ -359,10 +371,10 @@ class TestJournalWriteAhead:
             pool.write(page, b"dirty", None)
         pool.write(pages[3], b"dirty", None)  # evicts pages[0]
         # One barrier covered the victim and the two frames still dirty.
-        assert inj.fsync_calls == {"journal": 1, "dir": 1}
+        assert inj.fsync_calls == {"journal": 1}
         assert inj.write_calls == {"journal": 1 + 3, "data": 1}
         pool.flush()  # pages[3] is new to the journal: one more barrier
-        assert inj.fsync_calls == {"journal": 2, "dir": 1}
+        assert inj.fsync_calls == {"journal": 2}
         assert inj.write_calls == {"journal": 1 + 4, "data": 1 + 3}
         simulate_crash(pager)
 
@@ -404,10 +416,7 @@ class TestJournalRecords:
         pager.write_page(b, b"b-new")
         simulate_crash(pager)
         # Corrupt the pre-image inside record 2 (page b's).
-        record_stride = Pager._JOURNAL_RECORD.size + PAGE_SIZE
-        offset = Pager._JOURNAL_HEADER.size + record_stride + (
-            Pager._JOURNAL_RECORD.size + 40
-        )
+        offset = HEADER_SIZE + STRIDE + _JOURNAL_RECORD.size + 40
         with open(pager.journal_path, "r+b") as fh:
             fh.seek(offset)
             byte = fh.read(1)
@@ -424,7 +433,7 @@ class TestJournalRecords:
         pager, (page,) = committed_pager(tmp_path / "p.sbt", [b"committed"])
         pager.close()
         with open(pager.journal_path, "wb") as fh:
-            fh.write(b"NOTAJRNL" + b"\x00" * 64)
+            fh.write(b"NOTAJRNL".ljust(HEADER_SIZE, b"\x01"))
         with pytest.warns(RuntimeWarning, match="bad journal magic"):
             reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
         assert not os.path.exists(pager.journal_path)
@@ -452,11 +461,39 @@ class TestJournalRecords:
         pager, _ = committed_pager(tmp_path / "p.sbt", [b"committed"])
         pager.close()
         with open(pager.journal_path, "wb") as fh:
-            fh.write(b"NOTAJRNL" + b"\x00" * 64)
+            fh.write(b"NOTAJRNL".ljust(HEADER_SIZE, b"\x01"))
         with pytest.raises(JournalError, match="bad journal magic"):
             fast_pager(tmp_path / "p.sbt", journaled=True, strict=True)
         # Left on disk for forensics / `repro fsck`.
         assert os.path.exists(pager.journal_path)
+
+    @pytest.mark.parametrize("magic", [b"SBTRjrnl", b"SBTRjrn2"])
+    def test_journal_of_a_previous_format_is_refused(self, tmp_path, magic):
+        """No writer of those formats is left to keep a reader for: a v2
+        journal existed only while its transaction was open, so one on
+        disk is hot -- refused under strict, warned about otherwise."""
+        pager, (page,) = committed_pager(tmp_path / "p.sbt", [b"committed"])
+        pager.close()
+        with open(pager.journal_path, "wb") as fh:
+            fh.write(magic + b"\x00\x02\x00\x00" + b"\x00" * 8)  # a v2 header
+        with pytest.raises(JournalError, match="legacy journal format"):
+            fast_pager(tmp_path / "p.sbt", journaled=True, strict=True)
+        with pytest.warns(RuntimeWarning, match="legacy journal format"):
+            fast_pager(tmp_path / "p.sbt", journaled=True).close()
+        assert not os.path.exists(pager.journal_path)
+
+    def test_damaged_hot_header_is_not_trusted(self, tmp_path):
+        """A flipped bit in base_count must not truncate the file."""
+        pager, (page,) = committed_pager(tmp_path / "p.sbt", [b"committed"])
+        pager.write_page(page, b"uncommitted")
+        simulate_crash(pager)
+        with open(pager.journal_path, "r+b") as fh:
+            fh.seek(12)  # inside base_count
+            fh.write(b"\x01")
+        size = os.path.getsize(pager.path)
+        with pytest.raises(JournalError, match="fails its checksum"):
+            fast_pager(tmp_path / "p.sbt", journaled=True, strict=True)
+        assert os.path.getsize(pager.path) == size
 
 
 # ----------------------------------------------------------------------
@@ -483,11 +520,11 @@ class TestJournalBarrier:
         self, tmp_path, shape
     ):
         pager, committed = self.crash_before_first_barrier(tmp_path / "p.sbt")
-        header = Pager._JOURNAL_HEADER.size
-        stride = Pager._JOURNAL_RECORD.size + PAGE_SIZE
+        header, stride = HEADER_SIZE, STRIDE
         # Header + pre-images of page 0 and both data pages, none synced.
-        assert os.path.getsize(pager.journal_path) == header + 3 * stride
-        # None of it was synced, so any of these may be what survives.
+        assert pager.journal_bytes == header + 3 * stride
+        # None of it was synced, so any of these may be what survives
+        # (the first two only of a journal file this transaction made).
         with open(pager.journal_path, "r+b") as fh:
             if shape == "empty":
                 fh.truncate(0)
@@ -569,9 +606,9 @@ class TestJournalBarrier:
         reopened.close()
 
     def test_journal_in_the_previous_layout_still_rolls_back(self, tmp_path):
-        """The journal format did not change, only when it is synced: a
-        journal as the per-page-sync pager wrote it -- page 0 first, then
-        each page as it was first overwritten, data pages overwritten and
+        """Record *order* is not part of the format: a journal laid out
+        as the per-page-sync pager wrote it -- page 0 first, then each
+        page as it was first overwritten, data pages overwritten and
         fresh pages appended behind it -- rolls back under this build."""
         pager, (a, b) = committed_pager(tmp_path / "p.sbt", [b"aaa", b"bbb"])
         pager.close()
@@ -579,14 +616,10 @@ class TestJournalBarrier:
         with open(pager.path, "r+b") as data:
             image = data.read()
             with open(pager.journal_path, "wb") as journal:
-                journal.write(
-                    Pager._JOURNAL_HEADER.pack(Pager._JOURNAL_MAGIC, PAGE_SIZE, 3)
-                )
+                journal.write(_journal_header(PAGE_SIZE, 3, salt=77))
                 for page_id in (0, b, a):
                     pre = image[page_id * PAGE_SIZE:(page_id + 1) * PAGE_SIZE]
-                    journal.write(
-                        Pager._JOURNAL_RECORD.pack(page_id, zlib.crc32(pre)) + pre
-                    )
+                    journal.write(_journal_record(page_id, pre, salt=77))
             for page_id in (0, a, b, 3, 4):  # overwrite, and grow the file
                 data.seek(page_id * PAGE_SIZE)
                 data.write(b"\xee" * PAGE_SIZE)
@@ -621,7 +654,9 @@ class TestPowerLoss:
 
     def test_unsynced_journal_create_may_vanish(self, tmp_path):
         pager, _ = committed_pager(tmp_path / "p.sbt", [b"committed"])
+        pager.close()
         committed = sha256_of(pager.path)
+        pager = fast_pager(tmp_path / "p.sbt", journaled=True)
         pager.faults = FaultInjector()
         pager.allocate_page()  # opens the journal; no barrier yet
         assert os.path.exists(pager.journal_path)
@@ -632,19 +667,44 @@ class TestPowerLoss:
 
     def test_unsynced_journal_unlink_may_come_back(self, tmp_path):
         pager, (page,) = committed_pager(tmp_path / "p.sbt", [b"old"])
-        # Die right after the journal's unlink, before its directory sync.
+        # Die right after a clean close's unlink, before its directory sync.
         inj = FaultInjector().fail_fsyncs("dir", times=None)
         pager.write_page(page, b"new")
         pager.faults = inj
         with pytest.raises(OSError):
-            pager.commit()
+            pager.close()
+        assert pager._file.closed  # the handles went all the same
         assert not os.path.exists(pager.journal_path)
-        simulate_crash(pager, power_loss="all")
-        # The journal is back, whole: the commit is undone, atomically.
+        assert inj.lose_power("all") == {"writes": 0, "dir_ops": 1}
+        # The journal is back, and cold: the commit it outlived stands.
         assert os.path.exists(pager.journal_path)
-        reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
-        assert reopened.read_page(page).rstrip(b"\x00") == b"old"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reopened = fast_pager(tmp_path / "p.sbt", journaled=True, strict=True)
+        assert reopened.read_page(page).rstrip(b"\x00") == b"new"
         reopened.close()
+        assert not os.path.exists(pager.journal_path)
+
+    def test_dropped_invalidation_rolls_the_commit_back_whole(self, tmp_path):
+        """The zeroing write is the commit point only once fsynced: if
+        the fsync never happens and the zeros are lost, the journal is
+        hot again, intact, and the transaction is undone atomically."""
+        pager, (a, b) = committed_pager(tmp_path / "p.sbt", [b"aaa", b"bbb"])
+        committed = sha256_of(pager.path)
+        inj = FaultInjector()
+        pager.faults = inj
+        pager.write_pages([(a, b"a-new"), (b, b"b-new")])
+        inj.fail_fsyncs("journal", times=1)  # the barrier is already behind
+        with pytest.warns(RuntimeWarning, match="degraded mode"):
+            with pytest.raises(OSError):
+                pager.commit()
+        assert pager.degraded  # the next transaction must not reuse the file
+        assert inj.events[-1] == ("write", "journal", 0, HEADER_SIZE)
+        simulate_crash(pager, power_loss="all")
+        reopened = fast_pager(tmp_path / "p.sbt", journaled=True, strict=True)
+        assert reopened.read_page(a).rstrip(b"\x00") == b"aaa"
+        reopened.close()
+        assert sha256_of(pager.path) == committed
 
     def test_a_surviving_later_write_wins_over_a_dropped_earlier_one(
         self, tmp_path, monkeypatch
@@ -681,10 +741,10 @@ class TestPowerLoss:
             pager.write_pages([(p, b"new") for p in pages])
             pager.allocate_page()
             simulate_crash(pager, power_loss=seed)
-            journal = (
-                sha256_of(pager.journal_path)
-                if os.path.exists(pager.journal_path) else None
-            )
+            journal = None  # its salt is random: compare what it says
+            if os.path.exists(pager.journal_path):
+                with open(pager.journal_path, "rb") as handle:
+                    journal = tuple(item[:2] for item in scan_journal(handle))
             return sha256_of(pager.path), journal
 
         assert run(5) == run(5)
@@ -717,6 +777,9 @@ class TestFsyncAccounting:
                 store.commit()
             store.close()
             assert set(inj.fsync_calls) == {"journal", "data", "dir"}
+            # The journal's creation and its removal by the clean close:
+            # no commit in between touched the directory.
+            assert inj.fsync_calls["dir"] == 2
             assert store.pager.stats.fsyncs == sum(inj.fsync_calls.values())
             for label, calls in inj.fsync_calls.items():
                 assert registry.counter(f"pager.fsyncs.{label}").value == calls
@@ -789,7 +852,7 @@ class TestSimulateCrash:
         simulate_crash(pager)
         assert pager._file.closed
         assert os.path.exists(pager.journal_path)
-        assert pager._dir_fd is None  # the directory fd went with them
+        assert pager._journal_file.closed
         # Idempotent on already-closed handles.
         simulate_crash(pager)
 

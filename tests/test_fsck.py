@@ -14,9 +14,14 @@ from repro.core.sbtree import SBTree
 from repro.faults import FaultInjector, SimulatedCrash, simulate_crash
 from repro.storage import PagedNodeStore, Pager, fsck
 from repro.storage.fsck import _write_free_page
-from repro.storage.pager import _HEADER, NO_PAGE
+from repro.storage.pager import (
+    _HEADER, _JOURNAL_HEADER, _JOURNAL_RECORD, _JOURNAL_TRAILER, NO_PAGE,
+)
 
 PAGE_SIZE = 512
+JOURNAL_HEADER = _JOURNAL_HEADER.size
+#: One journal record: page id, pre-image, crc + salt.
+JOURNAL_RECORD = _JOURNAL_RECORD.size + PAGE_SIZE + _JOURNAL_TRAILER.size
 
 _HEADER_FIELDS = (
     "magic", "version", "page_size", "page_count",
@@ -169,10 +174,7 @@ class TestFsckJournal:
         store.buffer.flush()  # force overwrites: several journal records
         simulate_crash(store)
         journal = str(path) + "-journal"
-        record = Pager._JOURNAL_RECORD.size + PAGE_SIZE
-        import os
-
-        assert os.path.getsize(journal) >= Pager._JOURNAL_HEADER.size + 2 * record
+        assert os.path.getsize(journal) >= JOURNAL_HEADER + 2 * JOURNAL_RECORD
         return journal
 
     def test_intact_leftover_journal_is_informational(self, tmp_path):
@@ -187,10 +189,9 @@ class TestFsckJournal:
         path = tmp_path / "torn.sbt"
         journal = self.crash_with_journal(path)
         # Corrupt the pre-image inside record 2.
-        record = Pager._JOURNAL_RECORD.size + PAGE_SIZE
         flip_byte(
             journal,
-            Pager._JOURNAL_HEADER.size + record + Pager._JOURNAL_RECORD.size + 40,
+            JOURNAL_HEADER + JOURNAL_RECORD + _JOURNAL_RECORD.size + 40,
         )
         report = fsck(str(path))
         assert not report.ok
@@ -200,8 +201,6 @@ class TestFsckJournal:
     def test_truncated_journal_tail_is_a_warning(self, tmp_path):
         path = tmp_path / "tail.sbt"
         journal = self.crash_with_journal(path)
-        import os
-
         with open(journal, "r+b") as handle:
             handle.truncate(os.path.getsize(journal) - 100)
         report = fsck(str(path))
@@ -211,11 +210,50 @@ class TestFsckJournal:
     def test_legacy_journal_flagged(self, tmp_path):
         path = tmp_path / "legacy.sbt"
         make_tree_file(path)
-        with open(str(path) + "-journal", "wb") as handle:
-            handle.write(b"SBTRjrnl" + b"\x00" * 32)
+        for magic in (b"SBTRjrnl", b"SBTRjrn2"):
+            with open(str(path) + "-journal", "wb") as handle:
+                handle.write(magic + b"\x00" * 32)
+            report = fsck(str(path))
+            assert report.ok
+            assert "legacy-journal" in codes(report, "warning")
+        # Repair follows the same verdict: it does not discard
+        # pre-images it cannot read, and repairs nothing under them.
+        report = fsck(str(path), repair=True)
+        assert not report.repaired and report.has("unrepairable-journal")
+        assert os.path.exists(str(path) + "-journal")
+
+    def test_cold_journal_beside_a_live_store_is_informational(self, tmp_path):
+        """What every running (or killed) journaled server leaves next
+        to its page file between transactions: not a leftover."""
+        path = tmp_path / "live.sbt"
+        make_tree_file(path, journaled=True)
+        store = PagedNodeStore(str(path), journaled=True)
+        SBTree(store=store).insert(4, Interval(0, 9))
+        store.commit()
         report = fsck(str(path))
-        assert report.ok
-        assert report.has("legacy-journal")
+        assert report.ok and report.journal_records == 0
+        assert codes(report, "info") == {"journal-cold"}
+        simulate_crash(store)  # SIGKILL between transactions
+        report = fsck(str(path), repair=True)
+        assert report.repaired and report.ok
+        assert "cold journal was removed" in report.render()
+        assert os.listdir(str(tmp_path)) == ["live.sbt"]
+
+    def test_stale_records_are_not_counted(self, tmp_path):
+        path = tmp_path / "reused.sbt"
+        journal = self.crash_with_journal(path)  # a long transaction...
+        PagedNodeStore(str(path), journaled=True).close()  # ...rolled back
+        store = PagedNodeStore(str(path), journaled=True)
+        SBTree(store=store).insert(4, Interval(0, 9))
+        store.commit()
+        long_one = os.path.getsize(journal)
+        SBTree(store=store).insert(5, Interval(0, 9))  # ...then a short one
+        store.buffer.flush()
+        simulate_crash(store)
+        report = fsck(str(path))
+        assert report.ok and report.has("journal-present")
+        assert os.path.getsize(journal) == long_one
+        assert JOURNAL_HEADER + report.journal_records * JOURNAL_RECORD < long_one
 
 
 # ----------------------------------------------------------------------
@@ -303,8 +341,6 @@ class TestFsckRepair:
         report = fsck(str(path), repair=True)
         assert report.repaired and report.ok
         assert report.has("journal-settled")
-        import os
-
         assert not os.path.exists(str(path) + "-journal")
         reopened = PagedNodeStore(str(path), journaled=True)
         assert SBTree(store=reopened).to_table() == committed
@@ -320,18 +356,15 @@ class TestFsckRepair:
         store.buffer.flush()
         simulate_crash(store)
         journal = str(path) + "-journal"
-        record = Pager._JOURNAL_RECORD.size + PAGE_SIZE
         flip_byte(
             journal,
-            Pager._JOURNAL_HEADER.size + record + Pager._JOURNAL_RECORD.size + 40,
+            JOURNAL_HEADER + JOURNAL_RECORD + _JOURNAL_RECORD.size + 40,
         )
         report = fsck(str(path), repair=True)
         # Best effort: rollback stopped at the corruption, the journal is
         # settled either way, and whatever data loss remains is reported
         # rather than hidden.
         assert report.repaired
-        import os
-
         assert not os.path.exists(journal)
 
 
@@ -353,8 +386,7 @@ class TestFsckRepair:
             store.buffer.flush()  # journals the whole dirty set, then dies
         simulate_crash(store)
         journal = str(path) + "-journal"
-        record = Pager._JOURNAL_RECORD.size + PAGE_SIZE
-        header = Pager._JOURNAL_HEADER.size
+        record, header = JOURNAL_RECORD, JOURNAL_HEADER
         assert os.path.getsize(journal) >= header + 4 * record
         with open(journal, "r+b") as handle:
             handle.truncate(
@@ -363,7 +395,9 @@ class TestFsckRepair:
             )
         assert path.read_bytes()[:len(committed)] == committed
         report = fsck(str(path))
-        assert report.ok and report.has("journal-present")
+        assert report.ok and report.has(
+            "journal-cold" if keep == "half-a-header" else "journal-present"
+        )
         report = fsck(str(path), repair=True)
         assert report.repaired and report.ok
         assert not os.path.exists(journal)

@@ -1,9 +1,12 @@
 """Stateful crash-recovery testing: random commits and simulated crashes.
 
 The machine drives a journaled SB-tree through random inserts, deletes,
-commits, and crashes (abandoning the file handles without commit); the
+commits, and crashes (abandoning the file handles without commit, or
+losing power: a seeded subset of the unsynced writes goes too); the
 model tracks the facts as of the last commit.  After every crash the
-recovered tree must equal the committed model exactly.
+recovered tree must equal the committed model exactly.  One pager lives
+through many commits, so the journal file is reused -- longer, shorter
+and equal transactions over the same bytes -- not only created.
 """
 
 import os
@@ -14,7 +17,7 @@ from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from repro import Interval, SBTree, check_tree
 from repro.core import reference
-from repro.faults import simulate_crash
+from repro.faults import FaultInjector, simulate_crash
 from repro.storage import PagedNodeStore
 
 times = st.integers(min_value=0, max_value=150)
@@ -33,7 +36,8 @@ class JournalMachine(RuleBasedStateMachine):
 
     def _open(self):
         self.store = PagedNodeStore(
-            self.path, "sum", page_size=1024, buffer_capacity=8, journaled=True
+            self.path, "sum", page_size=1024, buffer_capacity=8, journaled=True,
+            faults=FaultInjector(),  # remembers what no fsync covered
         )
         self.tree = SBTree(
             "sum", self.store, branching=6, leaf_capacity=6
@@ -70,11 +74,24 @@ class JournalMachine(RuleBasedStateMachine):
         self.committed = self._live()
         self.pending = []
 
+    @rule(
+        facts=st.lists(st.tuples(values, times, lengths), min_size=1, max_size=4),
+        power_loss=st.none() | st.integers(min_value=0, max_value=99),
+    )
+    def commits_then_crash(self, facts, power_loss):
+        """k one-fact transactions over one journal file, then die inside
+        the next -- with or without losing unsynced writes."""
+        for value, start, length in facts:
+            self.insert(value, start, length)
+            self.commit()
+        self.insert(*facts[0])
+        self.crash_and_recover(power_loss)
+
     @rule()
-    def crash_and_recover(self):
+    def crash_and_recover(self, power_loss=None):
         # Push everything to the file, then abandon without commit.
         self.store.buffer.flush()
-        simulate_crash(self.store)
+        simulate_crash(self.store, power_loss=power_loss)
         self._open()
         self.pending = []
         expected = reference.instantaneous_table(self.committed, "sum")
