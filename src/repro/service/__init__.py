@@ -14,7 +14,7 @@ The package splits along the wire:
   background thread.
 * :mod:`repro.service.connection` -- framing, admission control,
   deadline shedding, per-connection backpressure, the reply writer and
-  the inline read/write fast paths.
+  the two read routes.
 * :mod:`repro.service.groupcommit` -- group-commit write batching and
   exactly-once idempotency dedup (:class:`GroupCommitter`).
 * :mod:`repro.service.views` -- the dynamic-view ops and their tick.

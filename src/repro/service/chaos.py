@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..faults import derive_rng
+from .protocol import _recv_exactly
 
 __all__ = ["ChaosPlan", "ChaosProxy"]
 
@@ -163,21 +164,6 @@ class _Conn:
         if body is None:
             return None
         return header + body
-
-
-def _recv_exactly(sock, n: int) -> Optional[bytes]:
-    chunks = []
-    remaining = n
-    while remaining:
-        try:
-            chunk = sock.recv(remaining)
-        except OSError:
-            return None
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks) if chunks else b""
 
 
 class ChaosProxy:

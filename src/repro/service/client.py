@@ -113,6 +113,18 @@ class ServiceError(RuntimeError):
         #: ``"host:port"`` redirect hint from a replica's write rejection.
         self.primary = primary
 
+    @classmethod
+    def from_reply(cls, reply: Dict[str, Any]) -> "ServiceError":
+        """The exception an ``ok: false`` reply stands for."""
+        error = reply.get("error") or {}
+        return cls(
+            error.get("type", "unknown"),
+            error.get("message", ""),
+            error.get("trace_id"),
+            error.get("retry_after"),
+            error.get("primary"),
+        )
+
 
 class TransportError(ConnectionError):
     """Could not complete a request within the retry/budget bounds."""
@@ -322,16 +334,8 @@ class ReplyFuture:
                     self._client.last_watermark = reply["watermark"]
                     self._client.last_staleness_s = reply.get("staleness_s")
                 return reply.get("result")
-            error = reply.get("error") or {}
-            err_type = error.get("type", "unknown")
-            exc = ServiceError(
-                err_type,
-                error.get("message", ""),
-                error.get("trace_id"),
-                error.get("retry_after"),
-                error.get("primary"),
-            )
-            if err_type in RETRYABLE_ERRORS:
+            exc = ServiceError.from_reply(reply)
+            if exc.type in RETRYABLE_ERRORS:
                 self._client._note_failure()
             else:
                 self._client._note_success()  # a definitive answer
@@ -644,16 +648,8 @@ class ServiceClient:
                         self.last_watermark = reply["watermark"]
                         self.last_staleness_s = reply.get("staleness_s")
                     return reply.get("result")
-                error = reply.get("error") or {}
-                err_type = error.get("type", "unknown")
-                exc = ServiceError(
-                    err_type,
-                    error.get("message", ""),
-                    error.get("trace_id"),
-                    error.get("retry_after"),
-                    error.get("primary"),
-                )
-                if err_type == wire.ERR_NOT_PRIMARY:
+                exc = ServiceError.from_reply(reply)
+                if exc.type == wire.ERR_NOT_PRIMARY:
                     # We wrote to a replica -- stale routing after a
                     # promotion.  Adopt the redirect hint (or probe the
                     # replica set for the new primary) and retry there.
@@ -664,7 +660,7 @@ class ServiceClient:
                         last_exc = exc
                         continue
                     raise exc
-                if err_type in RETRYABLE_ERRORS:
+                if exc.type in RETRYABLE_ERRORS:
                     last_exc = exc
                     hint = exc.retry_after
                     self._note_failure()

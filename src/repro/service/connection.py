@@ -5,14 +5,15 @@ receive: every complete frame in the buffer is parsed and served before
 the coroutine waits for bytes again, and, per request:
 
 * **Admission control** bounds the *global* in-flight request count and
-  bytes (``max_inflight`` / ``max_inflight_bytes``); a request beyond
-  the bound is rejected immediately with ``ERR_OVERLOADED`` and a
+  bytes (``max_inflight`` / :data:`MAX_INFLIGHT_BYTES`); a request
+  beyond the bound is rejected immediately with ``ERR_OVERLOADED`` and a
   ``retry_after`` hint, before it holds a queue slot -- shedding load
   costs one error frame, not a thread or a growing queue.
-* **Backpressure**: each connection holds a semaphore of ``queue_limit``
-  in-flight requests; when it is exhausted the reader stops serving
-  frames, which propagates to the client through TCP flow control -- a
-  bounded per-connection queue with no explicit queue object.
+* **Backpressure**: each connection holds a semaphore of
+  :data:`QUEUE_LIMIT` in-flight requests; when it is exhausted the
+  reader stops serving frames, which propagates to the client through
+  TCP flow control -- a bounded per-connection queue with no explicit
+  queue object.
 * **Deadlines**: a request carrying ``deadline_ms`` is shed with
   ``ERR_DEADLINE`` if its budget expired while it queued.
 * **Structured errors**: every failure attributable to a request is an
@@ -44,13 +45,13 @@ at that moment, never by a setting:
 The replies a wake-up produced on the loop leave in one write, and so
 do a burst's.  Inside a burst every request keeps its own admission
 count, queue slot, deadline check, error mapping, op record and trace
-span.  Writes, view ops and ``ping`` / ``stats`` each run as a task
-(``_serve_request``); on in-memory, fault-free trees an ``insert``
-instead joins the group-commit batch straight from the read loop, its
-ack coalesced with its connection's other acks into one write per
-flush (inline inserts hold no admission slot, which the overload
-contract needs while faults slow requests down, so that path stays off
-for durable or fault-injected trees).
+span.
+
+**Everything else takes one route**: writes, view ops and ``ping`` /
+``stats`` each run as a task (``_serve_request``) that holds a queue
+slot and is counted in flight until its reply is written -- on every
+backend and in every mode, so an ``insert`` reaches the group-commit
+batch the same way on an in-memory test server as on a ``--paged`` one.
 
 What a request *means* is not decided here: ``dispatch`` answers a
 request, ``read`` is the tree reads as one blocking callable, ``run``
@@ -69,7 +70,6 @@ from .. import obs
 from ..obs import trace
 from ..sharding import WouldBlock
 from . import protocol as wire
-from .groupcommit import Draining
 
 __all__ = ["Connections", "ReplyWriter", "DeadlineExpired"]
 
@@ -81,8 +81,12 @@ _REPLICA_READS = frozenset(
 #: The tree reads: answered on the loop or in a burst, never as a task.
 _TREE_READS = frozenset(("lookup", "rangeq", "window"))
 
-#: Most bytes taken from a connection in one wake-up.
-_RECV = 256 * 1024
+#: Requests one connection may have in flight before its reader stops
+#: taking frames (the per-connection queue bound).
+QUEUE_LIMIT = 32
+
+#: Request bytes the whole server may hold in flight before it sheds.
+MAX_INFLIGHT_BYTES = 32 * 1024 * 1024
 
 
 class DeadlineExpired(Exception):
@@ -92,14 +96,12 @@ class DeadlineExpired(Exception):
 class ReplyWriter:
     """The write side of one connection."""
 
-    __slots__ = ("writer", "_lock", "_errors", "_track", "_queued")
+    __slots__ = ("writer", "_lock", "_errors")
 
-    def __init__(self, writer, errors, track) -> None:
+    def __init__(self, writer, errors) -> None:
         self.writer = writer
         self._lock = asyncio.Lock()
         self._errors = errors
-        self._track = track
-        self._queued: List[bytes] = []
 
     def encode(self, reply: Dict[str, Any], request) -> Optional[bytes]:
         try:
@@ -124,21 +126,6 @@ class ReplyWriter:
         if frame is not None:
             await self.write(frame)
 
-    def queue(self, reply: Dict[str, Any], request) -> None:
-        """Send without awaiting: replies queued in one loop turn leave
-        in one coalesced write (the task counts as in flight, so a
-        drain waits for it)."""
-        if not self._queued:
-            self._track(
-                asyncio.get_running_loop().create_task(self.write_queued())
-            )
-        self._queued.append(self.encode(reply, request))
-
-    async def write_queued(self) -> None:
-        frames, self._queued = self._queued, []
-        if frames:
-            await self.write(b"".join(frames))
-
     async def write(self, payload: bytes) -> None:
         async with self._lock:
             if self.writer.is_closing():
@@ -152,7 +139,7 @@ class ReplyWriter:
 
 class _Connection:
     """One connection's state between wake-ups: its reply writer, its
-    ``queue_limit`` slots, its unfinished tasks, and what the wake-up
+    :data:`QUEUE_LIMIT` slots, its unfinished tasks, and what the wake-up
     being served has gathered so far -- replies encoded on the loop and
     the reads of the next executor job."""
 
@@ -170,41 +157,15 @@ class _Connection:
         self.burst_bytes = 0
 
 
-class _InlineAck:
-    """Reply slot for an insert enqueued straight from the read loop:
-    the flush settles it instead of a task awaiting a future."""
-
-    __slots__ = ("conns", "out", "request", "arrival")
-
-    def __init__(self, conns, out, request, arrival) -> None:
-        self.conns = conns
-        self.out = out
-        self.request = request
-        self.arrival = arrival
-
-    def resolve(self, result: Dict[str, Any]) -> None:
-        self.conns._record_insert(self.arrival)
-        self.out.queue(wire.ok_reply(result, self.request), self.request)
-
-    def fail(self, exc: BaseException) -> None:
-        self.conns._m_errors.inc()
-        self.conns._record_insert(self.arrival)
-        self.out.queue(
-            self.conns._error_reply_for(exc, self.request), self.request
-        )
-
-
 class Connections:
-    """Every open connection, the global in-flight accounting, the two
-    read routes and the inline insert.  ``follower`` returns the node's
+    """Every open connection, the global in-flight accounting and the
+    two read routes.  ``follower`` returns the node's
     :class:`~repro.service.replication.Follower` while it is a replica
-    (else None): replicas tag reads and take no inline writes -- their
-    writes must reach the not-primary rejection in dispatch."""
+    (else None): replicas tag their reads."""
 
     def __init__(
         self,
         sharded,
-        committer,
         *,
         dispatch,
         read: Callable[..., Any],
@@ -213,21 +174,14 @@ class Connections:
         control: Dict[str, Callable],
         follower: Callable[[], Any],
         registry: obs.MetricsRegistry,
-        queue_limit: int = 32,
         max_inflight: int = 256,
-        max_inflight_bytes: int = 32 * 1024 * 1024,
         retry_after: float = 0.05,
     ) -> None:
-        if queue_limit < 1:
-            raise ValueError("queue_limit must be at least 1")
-        if max_inflight < 1 or max_inflight_bytes < 1:
-            raise ValueError("inflight bounds must be positive")
+        if max_inflight < 1:
+            raise ValueError("max_inflight must be positive")
         self.sharded = sharded
-        self.committer = committer
         self.registry = registry
-        self.queue_limit = queue_limit
         self.max_inflight = max_inflight
-        self.max_inflight_bytes = max_inflight_bytes
         self.retry_after = retry_after
         self._dispatch = dispatch
         self._read = read
@@ -240,7 +194,6 @@ class Connections:
         self._inflight_bytes = 0
         self._writers: set = set()
         self._fault_free = sharded.fault_injector is None
-        self._inline_inserts = self._fault_free and not sharded.durable
         # Hot-path bindings, resolved once instead of per request: the
         # profile of the dispatch loop showed registry name lookups
         # costing more than the tree work for ping-sized requests.
@@ -248,7 +201,6 @@ class Connections:
         self._m_overload = registry.counter("service.overload.rejected")
         self._m_deadline_shed = registry.counter("service.deadline.shed")
         self._m_fast_reads = registry.counter("service.fast_reads")
-        self._m_fast_writes = registry.counter("service.fast_writes")
         self._m_read_bursts = registry.counter("service.read_bursts")
         self._h_read_burst_size = registry.histogram(
             "service.read_burst.size", bounds=(1, 2, 4, 8, 16, 32, 64, 128, 256)
@@ -257,7 +209,7 @@ class Connections:
     # ------------------------------------------------------------------
     # Accounting and drain
     # ------------------------------------------------------------------
-    def _track(self, task, requests: int = 1, nbytes: int = 0) -> None:
+    def _track(self, task, requests: int, nbytes: int) -> None:
         """Count *task* as *requests* in-flight requests until it ends."""
         self._tasks.add(task)
         self._inflight += requests
@@ -275,7 +227,7 @@ class Connections:
             "inflight_bytes": self._inflight_bytes,
             "limits": {
                 "max_inflight": self.max_inflight,
-                "max_inflight_bytes": self.max_inflight_bytes,
+                "max_inflight_bytes": MAX_INFLIGHT_BYTES,
             },
         }
 
@@ -294,15 +246,15 @@ class Connections:
     async def handle(self, reader, writer) -> None:
         """``asyncio.start_server`` callback: serve one connection."""
         self._writers.add(writer)
-        out = ReplyWriter(writer, self._m_errors, self._track)
-        conn = _Connection(out, asyncio.Semaphore(self.queue_limit))
+        out = ReplyWriter(writer, self._m_errors)
+        conn = _Connection(out, asyncio.Semaphore(QUEUE_LIMIT))
         self.registry.counter("service.connections.opened").inc()
         buf = bytearray()
         unframeable = None
         try:
             while unframeable is None:
                 try:
-                    chunk = await reader.read(_RECV)
+                    chunk = await reader.read(wire.RECV_CHUNK)
                 except ConnectionError:
                     return
                 if not chunk:
@@ -315,9 +267,6 @@ class Connections:
             if conn.tasks:
                 await asyncio.wait(list(conn.tasks))
             if unframeable is not None:
-                if self._inline_inserts:
-                    await self.committer.flush()  # settles the inline acks
-                    await out.write_queued()
                 await out.send(
                     wire.error_reply(wire.ERR_BAD_REQUEST, str(unframeable))
                 )
@@ -351,7 +300,7 @@ class Connections:
             inflight_bytes = self._inflight_bytes + conn.burst_bytes
             if (
                 inflight >= self.max_inflight
-                or inflight_bytes + length > self.max_inflight_bytes
+                or inflight_bytes + length > MAX_INFLIGHT_BYTES
             ):
                 self._m_overload.inc()
                 conn.replies.append(
@@ -367,9 +316,13 @@ class Connections:
                     )
                 )
                 continue
-            untraced = not trace.TRACING and not obs.ENABLED
             if op in _TREE_READS:
-                if op == "lookup" and untraced and self._fault_free:
+                if (
+                    op == "lookup"
+                    and self._fault_free
+                    and not trace.TRACING
+                    and not obs.ENABLED
+                ):
                     reply = self._lookup_on_loop(request, arrival)
                     if reply is not None:
                         conn.replies.append(out.encode(reply, request))
@@ -378,15 +331,6 @@ class Connections:
                 conn.burst.append((request, self._server_span(request)))
                 conn.burst_bytes += length
                 continue
-            if (
-                op == "insert"
-                and untraced
-                and self._inline_inserts
-                and self._follower() is None
-            ):
-                await self._settle(conn)  # the enqueue may wait for a flush
-                if await self._fast_insert(request, arrival, out):
-                    continue
             await self._take_slot(conn)
             self._spawn(
                 conn, self._serve_request(request, out, slots, arrival), 1, length
@@ -570,63 +514,3 @@ class Connections:
                 outcome = exc
             outcomes.append((outcome, (clock() - started) * 1e6))
         return outcomes
-
-    # ------------------------------------------------------------------
-    # The inline insert
-    # ------------------------------------------------------------------
-    async def _fast_insert(self, request, arrival, out: ReplyWriter) -> bool:
-        """Enqueue an insert from the read loop, or False for slow path.
-
-        Validation, deadline shedding, and the dedup window check all
-        run inline (they are in-memory and sync); the apply itself still
-        happens through the committer's unchanged flush, so exactly-once
-        and durability semantics are identical.  The only declined case
-        is a duplicate racing its original batch -- joining a flight
-        needs the await machinery of ``GroupCommitter.write``.
-        """
-        committer = self.committer
-        idem = None
-        try:
-            self.check_deadline(
-                request, arrival, asyncio.get_running_loop().time()
-            )
-            facts = [
-                wire.fact(
-                    request.get("value"), request.get("start"), request.get("end")
-                )
-            ]
-            idem = wire.idem_key(request)
-            if committer.draining:
-                raise Draining(
-                    "server is draining; retry against the new instance"
-                )
-            reply = None
-        except Exception as exc:
-            reply = self._failed(exc, request)
-        if reply is None and idem is not None:
-            replay = committer.replay_for(idem)
-            if replay is not None:
-                reply = wire.ok_reply(replay, request)
-            elif committer.in_flight(idem):
-                return False  # joining an in-flight batch: slow path
-        if reply is not None:
-            # Early answer (shed, rejected, or dedup replay): mirror the
-            # slow path's accounting before sending.
-            if not reply.get("ok"):
-                self._m_errors.inc()
-            self._record_insert(arrival)
-            await out.send(reply, request)
-            return True
-        self._m_fast_writes.inc()
-        await committer.enqueue_inline(
-            facts, idem, _InlineAck(self, out, request, arrival)
-        )
-        return True
-
-    def _record_insert(self, arrival: float) -> None:
-        self.registry.record_op(
-            obs.OpRecord(
-                op="service.insert",
-                wall_us=(asyncio.get_running_loop().time() - arrival) * 1e6,
-            )
-        )

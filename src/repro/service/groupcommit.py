@@ -55,10 +55,8 @@ class GroupCommitter:
     """The pending batch, its flush policy, and the dedup window.
 
     Loop-confined: every method runs on the event loop.  A pending
-    entry is ``(facts, future, sctx, idem, ack)``: *future* resolves
-    when the batch settles (None for an inline write without a key),
-    *sctx* is the waiter's trace context, *ack* an optional object
-    whose ``resolve(result)`` / ``fail(exc)`` write an inline reply.
+    entry is ``(facts, future, sctx, idem)``: *future* resolves when the
+    batch settles, *sctx* is the waiter's trace context.
     """
 
     def __init__(
@@ -125,9 +123,6 @@ class GroupCommitter:
             return {"applied": 0, "duplicate": True, "evicted": True}
         return None
 
-    def in_flight(self, idem: IdemKey) -> bool:
-        return idem in self._dedup_pending
-
     # ------------------------------------------------------------------
     # Enqueue
     # ------------------------------------------------------------------
@@ -160,20 +155,9 @@ class GroupCommitter:
         future = asyncio.get_running_loop().create_future()
         if idem is not None:
             self._dedup_pending[idem] = future
-        await self._enqueue((facts, future, sctx, idem, None))
+        await self._enqueue((facts, future, sctx, idem))
         await future
         return {"applied": len(facts)}
-
-    async def enqueue_inline(self, facts: List[tuple], idem, ack) -> None:
-        """Join the batch without a waiting task: the flush calls
-        ``ack.resolve(result)`` or ``ack.fail(exc)``.  Returns once the
-        write is queued -- or, when it filled the batch, flushed: the
-        caller's read loop stalling there is the backpressure."""
-        future = None
-        if idem is not None:
-            future = asyncio.get_running_loop().create_future()
-            self._dedup_pending[idem] = future
-        await self._enqueue((facts, future, None, idem, ack))
 
     async def _enqueue(self, entry: tuple) -> None:
         self._pending.append(entry)
@@ -233,7 +217,7 @@ class GroupCommitter:
         ).record(len(all_facts))
         idem_entries = [
             (idem, {"applied": len(facts)})
-            for facts, _, _, idem, _ in batch
+            for facts, _, _, idem in batch
             if idem is not None
         ]
         meta = self.commit_meta(idem_entries) if self.durable else None
@@ -266,7 +250,7 @@ class GroupCommitter:
             if self.durable:
                 self.registry.counter("service.batch.commits").inc()
         await self._on_committed(
-            (facts, idem) for facts, _, _, idem, _ in batch
+            (facts, idem) for facts, _, _, idem in batch
         )
         self.remember(idem_entries)
         self._forget_pending(batch)
@@ -281,8 +265,8 @@ class GroupCommitter:
     @staticmethod
     def _settle(batch, error: Optional[BaseException]) -> None:
         """Release every waiter of a flushed batch."""
-        for facts, future, _, _, ack in batch:
-            if future is not None and not future.done():
+        for _, future, _, _ in batch:
+            if not future.done():
                 if error is None:
                     future.set_result(True)
                 else:
@@ -290,11 +274,6 @@ class GroupCommitter:
                     # Several waiters share the exception and a joiner
                     # may never await: mark it retrieved.
                     future.exception()
-            if ack is not None:
-                if error is None:
-                    ack.resolve({"applied": len(facts)})
-                else:
-                    ack.fail(error)
 
     def _replay_flush(self, collector, participants, batch, started) -> None:
         if collector is None:

@@ -168,6 +168,7 @@ __all__ = [
     "encode_body",
     "decode_body",
     "take_frames",
+    "RECV_CHUNK",
     "recv_frame_blocking",
     "number",
     "instant",
@@ -340,6 +341,10 @@ def decode_body(body: bytes) -> Dict[str, Any]:
     if body[:1] != b"\xb1":
         raise ProtocolError("frame body does not start with the 0xB1 magic")
     return _decode_binary(body)
+
+
+#: Most bytes a frame loop takes from its socket in one receive.
+RECV_CHUNK = 256 * 1024
 
 
 def take_frames(

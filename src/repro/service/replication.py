@@ -723,41 +723,51 @@ class Follower:
         ``subscribe_journal`` from the applied watermark re-fetches
         whatever was lost.
         """
+        buf = bytearray()
         while not self._sealed():
             try:
-                header = await asyncio.wait_for(
-                    reader.readexactly(4), timeout=self._repl_idle
-                )
-                length = wire.decode_length(header)
-                body = await asyncio.wait_for(
-                    reader.readexactly(length), timeout=self._repl_idle
+                chunk = await asyncio.wait_for(
+                    reader.read(wire.RECV_CHUNK), timeout=self._repl_idle
                 )
             except asyncio.TimeoutError:
                 raise StreamReset("replication stream idle") from None
-            except (asyncio.IncompleteReadError, ConnectionError):
+            except ConnectionError:
+                chunk = b""
+            if not chunk:
                 if self._sealed():
                     return
-                raise StreamReset("replication stream closed") from None
-            message = wire.decode_body(body)
-            if message.get("op") == "journal_batch":
-                await self._handle_batch(message, writer)
-            elif message.get("ok"):
-                result = message.get("result")
-                if isinstance(result, dict) and "stream" in result:
-                    self._adopt_handshake(result)
-                # else: an ack reply to our journal_ack -- ignored.
-            elif "ok" in message:
-                error = message.get("error") or {}
-                err_type = error.get("type")
-                detail = f"{err_type}: {error.get('message')}"
-                if err_type in (
-                    wire.ERR_NOT_PRIMARY,
-                    wire.ERR_UNSUPPORTED,
-                    wire.ERR_BAD_REQUEST,
-                ):
-                    raise StreamRejected(detail)
-                raise StreamReset(detail)
-            # Anything else on this connection is not for us; skip it.
+                raise StreamReset("replication stream closed")
+            buf += chunk
+            frames, unframeable = wire.take_frames(buf)
+            for message, _ in frames:
+                if self._sealed():
+                    return
+                await self._handle_message(message, writer)
+            if unframeable is not None:
+                # The stream offset is lost; a fresh subscription from
+                # the applied watermark re-fetches what followed.
+                raise StreamReset(f"unframeable stream: {unframeable}")
+
+    async def _handle_message(self, message, writer) -> None:
+        if message.get("op") == "journal_batch":
+            await self._handle_batch(message, writer)
+        elif message.get("ok"):
+            result = message.get("result")
+            if isinstance(result, dict) and "stream" in result:
+                self._adopt_handshake(result)
+            # else: an ack reply to our journal_ack -- ignored.
+        elif "ok" in message:
+            error = message.get("error") or {}
+            err_type = error.get("type")
+            detail = f"{err_type}: {error.get('message')}"
+            if err_type in (
+                wire.ERR_NOT_PRIMARY,
+                wire.ERR_UNSUPPORTED,
+                wire.ERR_BAD_REQUEST,
+            ):
+                raise StreamRejected(detail)
+            raise StreamReset(detail)
+        # Anything else on this connection is not for us; skip it.
 
     def _adopt_handshake(self, result: Dict[str, Any]) -> None:
         kind = result.get("kind")

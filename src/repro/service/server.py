@@ -13,7 +13,7 @@ exclusively:
 
 * :mod:`~repro.service.connection` -- the frame loop, admission
   control, per-connection backpressure, deadline shedding, the reply
-  writer, the two read routes and the inline insert.
+  writer and the two read routes.
 * :mod:`~repro.service.groupcommit` -- the pending write batch, its
   size/deadline flush policy, and the exactly-once dedup window.
 * :mod:`~repro.service.replication` -- the publisher a primary streams
@@ -113,7 +113,6 @@ class TemporalAggregateServer:
         max_inflight: int = 256,
         dedup_window: int = 128,
         registry: Optional[obs.MetricsRegistry] = None,
-        executor: Optional[ThreadPoolExecutor] = None,
         replica_of: Optional[str] = None,
         replica_name: Optional[str] = None,
         repl_sync: bool = True,
@@ -126,11 +125,10 @@ class TemporalAggregateServer:
         self.port = port
         self.health_interval = health_interval
         self.registry = registry if registry is not None else obs.MetricsRegistry()
-        self._executor = executor or ThreadPoolExecutor(
+        self._executor = ThreadPoolExecutor(
             max_workers=max(4, sharded.num_shards + 2),
             thread_name_prefix="repro-service",
         )
-        self._owns_executor = executor is None
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._health_task: Optional[asyncio.Task] = None
@@ -190,7 +188,6 @@ class TemporalAggregateServer:
         )
         self.connections = Connections(
             sharded,
-            self.committer,
             dispatch=self._dispatch,
             read=self._read,
             run=self._run,
@@ -255,8 +252,7 @@ class TemporalAggregateServer:
             await self._server.wait_closed()
         await self.connections.drain(DRAIN_TIMEOUT)
         await self.view_service.stop()
-        if self._owns_executor:
-            self._executor.shutdown(wait=True)
+        self._executor.shutdown(wait=True)
 
     async def _health_loop(self) -> None:
         """Periodically publish tree-health gauges to the registry."""

@@ -173,6 +173,18 @@ class TestResets:
 
         run(main())
 
+    def test_an_unframeable_body_resets_after_the_frames_before_it(self):
+        async def main():
+            rig = Rig()
+            rig.feed(handshake(commit=2), batch(1, 5))
+            rig.reader.feed_data(b"\x00\x00\x00\x02{}")  # no 0xB1 magic
+            rig.feed(batch(2, 6))  # the offset is lost: never applied
+            with pytest.raises(StreamReset, match="unframeable"):
+                await rig.consume()
+            assert rig.follower.applied == 1 and rig.writer.acks() == [1]
+
+        run(main())
+
     def test_stalled_heartbeat_raises_the_reset(self):
         async def main():
             rig = Rig(idle=0.05)

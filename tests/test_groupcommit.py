@@ -56,20 +56,6 @@ class Harness:
         return self.registry.counter(name).value
 
 
-class Ack:
-    """What the connection layer hands ``enqueue_inline``."""
-
-    def __init__(self):
-        self.resolved = None
-        self.failed = None
-
-    def resolve(self, result):
-        self.resolved = result
-
-    def fail(self, exc):
-        self.failed = exc
-
-
 def run(coro):
     return asyncio.run(asyncio.wait_for(coro, timeout=10))
 
@@ -147,13 +133,15 @@ class TestFailures:
             )
             assert all(r is h.fail for r in results)
             assert h.published == []  # nothing applied, nothing shipped
-            assert not h.committer.in_flight(("c", 1))
+            assert h.committer.stats()["batch"]["pending"] == 0
             assert h.committer.replay_for(("c", 1)) is None
-            # The keys are free: the retry applies as a fresh write.
+            # The keys are free: the retry applies as a fresh write, it
+            # does not join a flight that no longer exists.
             h.fail = None
             h.committer.batch_max = 1
             assert await h.committer.write([fact(1)], ("c", 1)) == {"applied": 1}
             assert len(h.applied) == 1
+            assert h.count("service.dedup.joins") == 0
 
         run(main())
 
@@ -183,21 +171,6 @@ class TestFailures:
 
         run(main())
 
-    def test_inline_acks_are_settled_by_the_flush(self):
-        async def main():
-            h = Harness(batch_max=2, batch_delay=5.0)
-            good, bad = Ack(), Ack()
-            await h.committer.enqueue_inline([fact(1)], ("c", 1), good)
-            await h.committer.enqueue_inline([fact(2)], None, Ack())
-            assert good.resolved == {"applied": 1} and good.failed is None
-            h.fail = RuntimeError("nope")
-            await h.committer.enqueue_inline([fact(3)], ("c", 2), bad)
-            await h.committer.enqueue_inline([fact(4)], None, Ack())
-            assert bad.failed is h.fail and bad.resolved is None
-            assert not h.committer.in_flight(("c", 2))
-
-        run(main())
-
 
 class TestDuplicates:
     def test_duplicate_of_in_flight_key_joins_it(self):
@@ -208,7 +181,8 @@ class TestDuplicates:
                 h.committer.write([fact(7)], ("c", 1))
             )
             await asyncio.sleep(0)  # the flush is now parked in apply
-            assert h.committer.in_flight(("c", 1))
+            assert h.committer.stats()["batch"]["pending"] == 0
+            assert not original.done()
             duplicate = asyncio.ensure_future(
                 h.committer.write([fact(7)], ("c", 1))
             )

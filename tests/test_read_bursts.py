@@ -94,10 +94,14 @@ def body(reply):
     return ("error", reply["error"]["type"])
 
 
-def counters(sock):
+def stats(sock):
     sock.sendall(protocol.encode_frame({"op": "stats", "id": "stats"}))
     (reply,) = read_replies(sock, 1)
-    return reply["result"]["counters"]
+    return reply["result"]
+
+
+def counters(sock):
+    return stats(sock)["counters"]
 
 
 def mixed_burst(tag):
@@ -257,6 +261,35 @@ class TestAdmission:
             assert reply["error"]["retry_after"] > 0
         assert after["service.overload.rejected"] == 24
         assert after.get("service.fast_reads", 0) == 0
+
+
+    @pytest.mark.parametrize("paged", [False, True], ids=["memory", "paged"])
+    def test_pipelined_inserts_hold_queue_slots_on_every_backend(
+        self, tmp_path, paged
+    ):
+        """One write route: an insert takes a queue slot and is counted
+        in flight until its reply is written, whatever the store."""
+        sharded = build("sum", tmp_path, paged=paged)
+        before = sharded.facts_applied
+        with ServerHandle.start(sharded, batch_max=1000,
+                                batch_delay=0.25) as handle:
+            with connect(handle) as sock, connect(handle) as probe:
+                sock.sendall(frames_of(
+                    {"op": "insert", "value": 1, "start": 900, "end": 950,
+                     "id": i} for i in range(100)
+                ))
+                time.sleep(0.05)  # well inside the first batch_delay
+                midway = stats(probe)
+                pending = midway["batch"]["pending"]
+                assert pending <= 32
+                assert midway["resilience"]["inflight"] >= pending
+                replies = read_replies(sock, 100)
+                after = stats(probe)
+        assert sorted(r["id"] for r in replies) == list(range(100))
+        assert all(r["ok"] and r["result"] == {"applied": 1} for r in replies)
+        assert sharded.facts_applied - before == 100
+        assert after["ops"]["service.insert"]["count"] == 100
+        sharded.close()
 
 
 class TestTheLoop:

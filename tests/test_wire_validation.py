@@ -13,6 +13,11 @@ an error; a NaN ``deadline_ms`` never shed.  The rule, applied once in
   range queries).
 
 Each case also asserts the tree and the catalog are exactly as before.
+
+The ``served`` fixture's two params span every route a request can take
+through the connection layer: a lookup is answered on the loop
+(``paged``) or in an executor burst (``queued``), and everything else --
+inserts included, on every backend -- goes through dispatch.
 """
 
 import math
@@ -27,14 +32,13 @@ from repro.storage import PagedNodeStore
 NAN, INF = float("nan"), float("inf")
 
 
-@pytest.fixture(params=["inline", "queued", "paged"])
+@pytest.fixture(params=["queued", "paged"])
 def served(request, tmp_path):
-    """A SUM server with one fact and one view; ``inline`` answers
-    lookups and inserts from the read loop, ``queued`` (an idle fault
-    injector turns both off) answers lookups in executor bursts and
-    inserts through dispatch, ``paged`` (journaled page files, clean
-    after each commit) answers lookups on the loop and inserts through
-    dispatch."""
+    """A SUM server with one fact and one view.  ``paged`` (journaled
+    page files, clean after each commit: the product configuration)
+    answers lookups on the loop; ``queued`` (in memory, an idle fault
+    injector turns the loop route off) answers them in executor
+    bursts."""
     injector = FaultInjector() if request.param == "queued" else None
     stores = None
     if request.param == "paged":
