@@ -45,7 +45,7 @@ def main():
 
     # One shard per day: midnight-crossing sessions split at the cuts.
     sharded = ShardedTree("sum", num_shards=DAYS, span=(0, DAYS * DAY))
-    with ServerHandle.start(sharded, batch_max=32, batch_delay=0.001) as srv:
+    with ServerHandle.start(sharded, batch_max=32) as srv:
         print(f"service up on {srv.host}:{srv.port} "
               f"({sharded.num_shards} day-shards)")
         with ServiceClient(srv.host, srv.port) as svc:

@@ -459,7 +459,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         batch_max=args.batch_max,
-        batch_delay=args.batch_delay,
         health_interval=args.health_interval,
         max_inflight=args.max_inflight,
         dedup_window=args.dedup_window,
@@ -796,9 +795,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="admission-control bound on concurrent "
                          "requests (excess gets ERR_OVERLOADED)")
     p_serve.add_argument("--batch-max", type=int, default=64,
-                         help="group-commit flush threshold in facts")
-    p_serve.add_argument("--batch-delay", type=float, default=0.002,
-                         help="group-commit flush deadline in seconds")
+                         help="most facts one group-commit flush takes "
+                         "(a flush starts whenever none is running)")
     p_serve.add_argument("--metrics-port", type=int, metavar="PORT",
                          help="serve Prometheus metrics on "
                          "http://HOST:PORT/metrics (0 picks a port)")

@@ -1,10 +1,12 @@
 """A pipelined blocking client for the temporal-aggregate service.
 
-Stdlib sockets.  One connection carries **many in-flight requests**: a
-background reader thread matches reply frames to waiting callers by
-request id, so replies may arrive out of order (and stale or duplicated
-replies -- a chaos proxy can manufacture both -- are simply discarded
-when no caller is waiting on their id).  The synchronous methods
+Stdlib sockets, no thread.  One connection carries **many in-flight
+requests**: whichever caller is waiting for a reply reads the socket and
+matches every reply frame it finds to its caller by request id, so
+replies may arrive out of order (and stale or duplicated replies -- a
+chaos proxy can manufacture both -- are simply discarded when no caller
+is waiting on their id).  Replies are read only while somebody waits:
+collect results every few thousand requests.  The synchronous methods
 (:meth:`ServiceClient.insert`, :meth:`~ServiceClient.lookup`, ...) send
 one request and wait for its reply; :meth:`ServiceClient.submit` sends
 without waiting and returns a :class:`ReplyFuture`, which is how a
@@ -63,11 +65,14 @@ for the newly promoted primary -- and retry transparently.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import select
 import socket
 import threading
 import time
 import uuid
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.intervals import Interval
 from ..faults import derive_rng
@@ -135,147 +140,147 @@ class CircuitOpenError(TransportError):
 
 
 class _Pending:
-    """One in-flight request's reply slot (event-based future)."""
+    """One in-flight request's reply slot (its connection's lock guards it)."""
 
-    __slots__ = ("_event", "_reply", "_error")
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self._reply: Optional[Dict[str, Any]] = None
-        self._error: Optional[BaseException] = None
-
-    def complete(self, reply: Dict[str, Any]) -> None:
-        self._reply = reply
-        self._event.set()
-
-    def fail(self, exc: BaseException) -> None:
-        self._error = exc
-        self._event.set()
-
-    def wait(self, timeout: Optional[float]) -> Dict[str, Any]:
-        if not self._event.wait(timeout):
-            raise socket.timeout(f"no reply within {timeout}s")
-        if self._error is not None:
-            raise self._error
-        assert self._reply is not None
-        return self._reply
+    reply: Optional[Dict[str, Any]] = None
+    error: Optional[BaseException] = None
 
 
 class _Connection:
-    """One socket with a background reader matching replies by id.
-
-    The reader thread owns the receive side; senders share the socket
-    under ``_send_lock``.  When the connection dies -- EOF, reset, a
-    protocol violation from the peer, or :meth:`close` -- it *shatters*:
-    every pending request fails with the same error and the connection
-    refuses new registrations, so no caller blocks on a reply that can
-    never arrive.
+    """One socket, no thread: a caller waiting for a reply receives for
+    everyone (:meth:`wait`), senders share it under ``_send_lock``.
+    When the connection dies -- EOF, reset, a protocol violation from
+    the peer, or :meth:`close` -- it *shatters*: every pending request
+    fails with the same error and the connection refuses new
+    registrations, so no caller blocks on a reply that can never arrive.
     """
 
     def __init__(self, host: str, port: int, connect_timeout: float) -> None:
         sock = socket.create_connection((host, port), timeout=connect_timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        # The reader blocks in recv indefinitely; per-request timeouts
-        # live on the waiting side (``_Pending.wait``), not the socket.
+        # Blocking: a request's timeout is its receiver's ``select``.
         sock.settimeout(None)
         self.sock = sock
         self._send_lock = threading.Lock()
         self._outbox = bytearray()
-        self._lock = threading.Lock()
+        #: Guards ``_pending``, ``dead`` and ``leading``.
+        self._cond = threading.Condition(threading.Lock())
         self._pending: Dict[Any, _Pending] = {}
-        self._dead: Optional[BaseException] = None
-        self._reader = threading.Thread(
-            target=self._read_loop, name="svc-client-reader", daemon=True
-        )
-        self._reader.start()
+        self.dead: Optional[BaseException] = None
+        #: True while some caller holds the receive side (and ``_buf``).
+        self.leading = False
+        self._buf = bytearray()
 
-    @property
-    def alive(self) -> bool:
-        return self._dead is None
+    def usable(self) -> bool:
+        """Alive, as far as can be known without waiting.  Nobody reads
+        an idle connection, so it is polled here: a peer that closed it
+        meanwhile is noticed before the next request is sent on it."""
+        if self.dead is None and not self._pending:
+            with self._cond:
+                idle = not (self._pending or self.leading)
+                if idle:
+                    self.leading = True
+            if idle:
+                self._receive(0)
+        return self.dead is None
 
-    def register(self, request_id: Any) -> _Pending:
+    def register(self, request_id: Any) -> Callable[..., Dict[str, Any]]:
+        """Expect a reply to *request_id*; returns its :meth:`wait`."""
         pending = _Pending()
-        with self._lock:
-            if self._dead is not None:
+        with self._cond:
+            if self.dead is not None:
                 raise ConnectionError(
-                    f"connection already failed: {self._dead}"
-                ) from self._dead
+                    f"connection already failed: {self.dead}"
+                ) from self.dead
             self._pending[request_id] = pending
-        return pending
+        return functools.partial(self.wait, pending)
 
-    def forget(self, request_id: Any) -> None:
-        with self._lock:
-            self._pending.pop(request_id, None)
-
-    def send(self, frame: bytes, flush: bool = True) -> None:
-        """Queue one frame; ``flush=False`` corks it for a later burst.
-
-        Corking lets a pipelined caller pay one ``sendall`` system call
-        per burst instead of one per request; :meth:`flush` (or the
-        next flushing send) pushes the whole outbox at once.
-        """
+    def send(self, frame: bytes = b"", flush: bool = True) -> None:
+        """Queue one frame; ``flush=False`` corks it, so that a burst
+        pays one ``sendall`` system call instead of one per request: the
+        next flushing send (an empty one will do) pushes the whole outbox."""
         with self._send_lock:
             self._outbox += frame
-            if flush or len(self._outbox) >= 256 * 1024:
+            if self._outbox and (flush or len(self._outbox) >= 256 * 1024):
                 out, self._outbox = self._outbox, bytearray()
                 self.sock.sendall(out)
 
-    def flush(self) -> None:
-        with self._send_lock:
-            if self._outbox:
-                out, self._outbox = self._outbox, bytearray()
-                self.sock.sendall(out)
+    def wait(self, pending: _Pending, timeout: Optional[float]) -> Dict[str, Any]:
+        """Block until *pending* is filled.  The first waiter leads: it
+        receives for everyone until its own reply is in.  The others
+        sleep; each turn of the leader wakes them, and when it has left
+        one of them takes the socket over."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            with self._cond:
+                while pending.reply is None and pending.error is None:
+                    left = None if deadline is None else deadline - time.monotonic()
+                    if not self.leading:
+                        self.leading = True
+                        break
+                    if left is not None and left <= 0:
+                        raise socket.timeout(f"no reply within {timeout}s")
+                    self._cond.wait(left)
+                else:
+                    if pending.error is not None:
+                        raise pending.error
+                    return pending.reply
+            if not self._receive(left):
+                raise socket.timeout(f"no reply within {timeout}s")
 
-    def _read_loop(self) -> None:
-        """Reader thread: chunked recv, frame parse, reply matching.
-
-        Reads large chunks into a local buffer instead of two ``recv``
-        calls per frame -- under pipelining a whole burst of replies
-        often arrives in one segment and costs one system call.
-        """
-        buf = bytearray()
-        recv = self.sock.recv
+    def _receive(self, timeout: Optional[float]) -> bool:
+        """One turn of the caller that set ``leading``: wait up to
+        *timeout* for bytes, read one chunk (a pipelined burst of replies
+        often arrives in one) and fill the slot of every reply in it.
+        False if nothing arrived in time."""
+        error, arrived = None, True
         try:
-            while True:
-                chunk = recv(256 * 1024)
+            if timeout is not None and not select.select(
+                [self.sock], (), (), max(timeout, 0.0)
+            )[0]:
+                arrived = False
+            else:
+                chunk = self.sock.recv(256 * 1024)
+                if not chunk and self._buf:
+                    raise wire.ConnectionClosedMidFrame("connection closed mid-frame")
                 if not chunk:
-                    if buf:
-                        raise wire.ConnectionClosedMidFrame(
-                            "connection closed mid-frame"
-                        )
                     raise ConnectionError("server closed the connection")
-                buf += chunk
-                frames, unframeable = wire.take_frames(buf)
-                for reply, _ in frames:
-                    self._dispatch_reply(reply)
-                if unframeable is not None:
-                    raise unframeable
+                self._buf += chunk
+                frames, error = wire.take_frames(self._buf)
+                with self._cond:
+                    for reply, _ in frames:
+                        # No waiter: a stale or duplicated reply (a chaos
+                        # proxy duplicates frames) -- discard it; matching
+                        # by id keeps the pipeline synchronized regardless.
+                        waiter = self._pending.pop(reply.get("id"), None)
+                        if waiter is not None:
+                            waiter.reply = reply
         except BaseException as exc:  # noqa: BLE001 -- reaped via shatter
-            self._shatter(exc)
-
-    def _dispatch_reply(self, reply: Dict[str, Any]) -> None:
-        waiter: Optional[_Pending] = None
-        if "id" in reply:
-            with self._lock:
-                waiter = self._pending.pop(reply["id"], None)
-        if waiter is not None:
-            waiter.complete(reply)
-        # No waiter: a stale or duplicated reply (a chaos proxy can
-        # duplicate request frames) -- discard it; matching by id
-        # keeps the pipeline synchronized regardless.
+            error = exc
+        with self._cond:
+            self.leading = False
+            self._cond.notify_all()
+        if error is not None:
+            self._shatter(error)
+            if not isinstance(error, Exception):
+                raise error
+        return arrived
 
     def _shatter(self, exc: BaseException) -> None:
-        with self._lock:
-            if self._dead is None:
-                self._dead = exc
-            pending = list(self._pending.values())
+        with self._cond:
+            if self.dead is None:
+                self.dead = exc
+            for waiter in self._pending.values():
+                waiter.error = exc
             self._pending.clear()
-        for waiter in pending:
-            waiter.fail(exc)
+            self._cond.notify_all()
         try:
-            self.sock.close()
+            # shutdown wakes a leader blocked in select; close would not.
+            self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
-            pass
+            pass  # already disconnected
+        finally:
+            self.sock.close()
 
     def close(self) -> None:
         self._shatter(ConnectionError("client closed the connection"))
@@ -288,13 +293,13 @@ class ReplyFuture:
     def __init__(
         self,
         client: "ServiceClient",
-        pending: _Pending,
+        wait: Callable[..., Dict[str, Any]],
         op: str,
         ctx,
         started: float,
     ) -> None:
         self._client = client
-        self._pending = pending
+        self._wait = wait
         self._op = op
         self._ctx = ctx
         self._started = started
@@ -315,7 +320,7 @@ class ReplyFuture:
         ok = False
         try:
             try:
-                reply = self._pending.wait(
+                reply = self._wait(
                     self._client.timeout if timeout is None else timeout
                 )
             except socket.timeout:
@@ -390,8 +395,8 @@ class ServiceClient:
             else derive_rng(uuid.uuid4().hex)
         )
         self._conn: Optional[_Connection] = None
-        self._id_lock = threading.Lock()
-        self._next_id = 0
+        self._dial_lock = threading.Lock()
+        self._ids = itertools.count(1)  # request ids; next() is atomic
         self._seq = 0
         self._failures = 0  # consecutive failed attempts
         self._open_until: Optional[float] = None
@@ -420,17 +425,12 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
-    def _alloc_id(self) -> int:
-        with self._id_lock:
-            self._next_id += 1
-            return self._next_id
-
     def _connect(self) -> _Connection:
-        conn = self._conn
-        if conn is not None and conn.alive:
+        with self._dial_lock:  # callers racing to reconnect dial once
+            conn = self._conn
+            if conn is None or not conn.usable():
+                conn = self._conn = _Connection(self.host, self.port, self.timeout)
             return conn
-        conn = self._conn = _Connection(self.host, self.port, self.timeout)
-        return conn
 
     def close(self) -> None:
         conn, self._conn = self._conn, None
@@ -523,9 +523,9 @@ class ServiceClient:
     def flush(self) -> None:
         """Push any corked (``flush=False``) submissions to the socket."""
         conn = self._conn
-        if conn is not None and conn.alive:
+        if conn is not None and conn.dead is None:
             try:
-                conn.flush()
+                conn.send()
             except OSError:
                 self.close()
                 self._note_failure()
@@ -555,20 +555,16 @@ class ServiceClient:
         started = time.perf_counter()
         try:
             conn = self._connect()
-            request_id = self._alloc_id()
+            request_id = next(self._ids)
             message["id"] = request_id
             frame = wire.encode_frame(message)
-            pending = conn.register(request_id)
-            try:
-                conn.send(frame, flush)
-            except BaseException:
-                conn.forget(request_id)
-                raise
+            wait = conn.register(request_id)
+            conn.send(frame, flush)
         except (OSError, wire.ProtocolError):
             self.close()
             self._note_failure()
             raise
-        return ReplyFuture(self, pending, op, ctx, started)
+        return ReplyFuture(self, wait, op, ctx, started)
 
     def _request(self, op: str, **fields: Any) -> Any:
         self._check_circuit()
@@ -626,11 +622,11 @@ class ServiceClient:
                     message["trace"] = ctx.to_wire()
                 try:
                     conn = self._connect()
-                    message["id"] = self._alloc_id()
+                    message["id"] = next(self._ids)
                     frame = wire.encode_frame(message)
-                    pending = conn.register(message["id"])
+                    wait = conn.register(message["id"])
                     conn.send(frame)
-                    reply = pending.wait(self.timeout)
+                    reply = wait(self.timeout)
                 except (OSError, wire.ProtocolError) as exc:
                     self.close()
                     last_exc = exc

@@ -1,10 +1,11 @@
 """Group commit: many writers, one apply, one durable ack -- exactly once.
 
-Writes do not touch the tree directly: their facts join a pending batch,
-flushed when it reaches ``batch_max`` facts or its oldest waiter has
-aged ``batch_delay`` seconds.  One flush hands every fact to ``apply``
-in one call (one write-lock round per touched shard, one commit), and
-writers are acknowledged only after their whole batch applied.
+Writes do not touch the tree directly: their facts join a pending queue,
+and a flush starts on the next loop iteration whenever none is running
+-- no clock; what arrives while a flush runs is the next batch.  One
+flush hands at most ``batch_max`` facts (whole requests, at least one)
+to ``apply`` in one call (one write-lock round per touched shard, one
+commit), and writers are acknowledged only after their whole batch applied.
 
 Mutating requests may carry an idempotency key ``(client, seq)``.
 Applied keys are remembered in a :class:`~repro.service.dedup.DedupWindow`
@@ -30,7 +31,8 @@ The committer knows no socket and no tree: it is constructed with
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Iterable, List, Optional
+from collections import deque
+from typing import Any, Deque, Dict, Iterable, List, Optional
 
 from .. import obs
 from ..obs import trace
@@ -52,11 +54,12 @@ class CommitFailed(Exception):
 
 
 class GroupCommitter:
-    """The pending batch, its flush policy, and the dedup window.
+    """The pending queue, its one flusher task, and the dedup window.
 
     Loop-confined: every method runs on the event loop.  A pending
-    entry is ``(facts, future, sctx, idem)``: *future* resolves when the
-    batch settles, *sctx* is the waiter's trace context.
+    entry is ``(facts, future, sctx, idem, enqueued)``: *future*
+    resolves when the batch settles, *sctx* is the waiter's trace
+    context, *enqueued* the loop time it joined the queue.
     """
 
     def __init__(
@@ -66,28 +69,30 @@ class GroupCommitter:
         *,
         registry: obs.MetricsRegistry,
         batch_max: int = 64,
-        batch_delay: float = 0.002,
         dedup_window: int = 128,
         durable: bool = False,
     ) -> None:
         if batch_max < 1:
             raise ValueError("batch_max must be at least 1")
         self.batch_max = batch_max
-        self.batch_delay = batch_delay
         self.durable = durable
         self.registry = registry
         #: Set by :meth:`drain`: new writes are refused with Draining.
         self.draining = False
         self._apply = apply
         self._on_committed = on_committed
-        self._pending: List[tuple] = []
-        self._pending_facts = 0  # mirrors sum(len(e[0]) for e in _pending)
-        self._flush_handle: Optional[asyncio.TimerHandle] = None
+        self._pending: Deque[tuple] = deque()
+        #: Alive from an enqueue until the queue is empty again.
+        self._flusher: Optional[asyncio.Task] = None
         self._flush_lock: Optional[asyncio.Lock] = None
         self._dedup = DedupWindow(per_client=dedup_window)
         # Keys whose batch is in flight: duplicates join the future.
         self._dedup_pending: Dict[IdemKey, asyncio.Future] = {}
         self._m_replays = registry.counter("service.dedup.replays")
+        self._h_size = registry.histogram(
+            "service.batch.size", bounds=(1, 2, 5, 10, 20, 50, 100, 200, 500)
+        )
+        self._h_oldest_wait = registry.histogram("service.batch.oldest_wait_us")
 
     # ------------------------------------------------------------------
     # Dedup window
@@ -152,35 +157,24 @@ class GroupCommitter:
                 break
         if self.draining:
             raise Draining("server is draining; retry against the new instance")
-        future = asyncio.get_running_loop().create_future()
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
         if idem is not None:
             self._dedup_pending[idem] = future
-        await self._enqueue((facts, future, sctx, idem))
+        self._pending.append((facts, future, sctx, idem, loop.time()))
+        if self._flusher is None:
+            # Scheduled behind the sibling request tasks of this wake-up:
+            # they are all queued by the time it takes its first batch.
+            self._flusher = loop.create_task(self._flush_until_empty())
         await future
         return {"applied": len(facts)}
 
-    async def _enqueue(self, entry: tuple) -> None:
-        self._pending.append(entry)
-        self._pending_facts += len(entry[0])
-        if self._pending_facts >= self.batch_max:
-            self._cancel_timer()
-            self.registry.counter("service.batch.size_flushes").inc()
-            await self.flush()
-        elif self._flush_handle is None:
-            self._flush_handle = asyncio.get_running_loop().call_later(
-                self.batch_delay, self._deadline_flush
-            )
-
-    def _cancel_timer(self) -> None:
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
-
-    def _deadline_flush(self) -> None:
-        self._flush_handle = None
-        if self._pending:
-            self.registry.counter("service.batch.deadline_flushes").inc()
-            asyncio.get_running_loop().create_task(self.flush())
+    async def _flush_until_empty(self) -> None:
+        try:
+            while self._pending:
+                await self.flush()
+        finally:
+            self._flusher = None
 
     # ------------------------------------------------------------------
     # Flush
@@ -196,28 +190,48 @@ class GroupCommitter:
         return self._flush_lock
 
     async def flush(self) -> None:
+        """Take the next batch and settle it: whatever is raised after the
+        take (a failed apply, a failed publish) reaches that batch's waiters."""
         async with self.serialized():
-            await self._flush_locked()
+            batch = self._take_batch()
+            if not batch:
+                return
+            try:
+                error = await self._commit(batch)
+            except Exception as exc:
+                self.registry.counter("service.batch.flush_errors").inc()
+                error = exc
+            self._settle(batch, error)
 
     async def drain(self) -> None:
         """Refuse writes from now on, then flush what was accepted."""
         self.draining = True
-        self._cancel_timer()
-        await self.flush()
+        await self.flush()  # waits out a running flush first
+        while self._pending:
+            await self.flush()
 
-    async def _flush_locked(self) -> None:
-        batch, self._pending = self._pending, []
-        self._pending_facts = 0
-        if not batch:
-            return
+    def _take_batch(self) -> List[tuple]:
+        """Whole requests from the head of the queue: at most
+        ``batch_max`` facts, but at least one request."""
+        pending, batch, facts = self._pending, [], 0
+        while pending and (
+            not batch or facts + len(pending[0][0]) <= self.batch_max
+        ):
+            batch.append(pending.popleft())
+            facts += len(batch[-1][0])
+        return batch
+
+    async def _commit(self, batch) -> Optional[BaseException]:
+        """Apply and publish *batch*: returns the error its waiters get (None
+        when it committed), raises if it was not applied or not published."""
         all_facts = [fact for entry in batch for fact in entry[0]]
         self.registry.counter("service.batch.flushes").inc()
-        self.registry.histogram(
-            "service.batch.size", bounds=(1, 2, 5, 10, 20, 50, 100, 200, 500)
-        ).record(len(all_facts))
+        self._h_size.record(len(all_facts))
+        started = asyncio.get_running_loop().time()
+        self._h_oldest_wait.record((started - batch[0][4]) * 1e6)
         idem_entries = [
             (idem, {"applied": len(facts)})
-            for facts, _, _, idem in batch
+            for facts, _, _, idem, _ in batch
             if idem is not None
         ]
         meta = self.commit_meta(idem_entries) if self.durable else None
@@ -228,44 +242,38 @@ class GroupCommitter:
         collector = (
             trace.SpanCollector() if trace.TRACING and participants else None
         )
-        started = asyncio.get_running_loop().time()
         error: Optional[BaseException] = None
         try:
-            await self._apply(all_facts, meta, collector)
-        except CommitFailed as exc:
-            # Applied in memory, not on disk: waiters get the error, yet
-            # the keys must be remembered -- a retry would otherwise
-            # double-apply against the still-running process -- and the
-            # batch still goes to on_committed: its facts are in this
-            # node's memory and will be durable at the next successful
-            # commit, so followers must mirror them or diverge.
-            self.registry.counter("service.batch.commit_failures").inc()
-            error = exc.__cause__ or exc
-        except Exception as exc:
+            try:
+                await self._apply(all_facts, meta, collector)
+            except CommitFailed as exc:
+                # Applied in memory, not on disk: waiters get the error,
+                # yet the keys must be remembered -- a retry would
+                # otherwise double-apply against the still-running
+                # process -- and the batch still goes to on_committed:
+                # its facts are in this node's memory and will be durable
+                # at the next successful commit, so followers must mirror
+                # them or diverge.
+                self.registry.counter("service.batch.commit_failures").inc()
+                error = exc.__cause__ or exc
+            else:
+                if self.durable:
+                    self.registry.counter("service.batch.commits").inc()
+            try:
+                await self._on_committed(
+                    (facts, idem) for facts, _, _, idem, _ in batch
+                )
+            finally:
+                # Applied: a retry must replay, whatever the publish did.
+                self.remember(idem_entries)
+        finally:
             self._replay_flush(collector, participants, batch, started)
-            self._forget_pending(batch)
-            self._settle(batch, exc)
-            return
-        else:
-            if self.durable:
-                self.registry.counter("service.batch.commits").inc()
-        await self._on_committed(
-            (facts, idem) for facts, _, _, idem in batch
-        )
-        self.remember(idem_entries)
-        self._forget_pending(batch)
-        self._replay_flush(collector, participants, batch, started)
-        self._settle(batch, error)
+        return error
 
-    def _forget_pending(self, batch) -> None:
-        for entry in batch:
-            if entry[3] is not None:
-                self._dedup_pending.pop(entry[3], None)
-
-    @staticmethod
-    def _settle(batch, error: Optional[BaseException]) -> None:
-        """Release every waiter of a flushed batch."""
-        for _, future, _, _ in batch:
+    def _settle(self, batch, error: Optional[BaseException]) -> None:
+        """Free the batch's in-flight keys and release its waiters."""
+        for _, future, _, idem, _ in batch:
+            self._dedup_pending.pop(idem, None)
             if not future.done():
                 if error is None:
                     future.set_result(True)
@@ -298,10 +306,6 @@ class GroupCommitter:
 
     def stats(self) -> Dict[str, Any]:
         return {
-            "batch": {
-                "max": self.batch_max,
-                "delay_s": self.batch_delay,
-                "pending": len(self._pending),
-            },
+            "batch": {"max": self.batch_max, "pending": len(self._pending)},
             "dedup": self._dedup.stats(),
         }

@@ -29,7 +29,6 @@ __all__ = ["KIND", "SPAN", "ServeProcess"]
 KIND = "sum"
 SPAN = (0, 100_000)
 _HOST = "127.0.0.1"
-_BATCH_DELAY = 0.002
 # A generous semi-sync wait: a flush rides out replication-link chaos (a
 # resubscribe takes ~2 s worst case) instead of degrading to async, so
 # acked writes survive a failover.
@@ -90,7 +89,7 @@ class ServeProcess:
             "--host", _HOST, "--port", str(self.port),
             "--paged", directory, "--journal",
             "--dedup-window", "256", "--health-interval", "0",
-            "--batch-max", str(batch_max), "--batch-delay", str(_BATCH_DELAY),
+            "--batch-max", str(batch_max),
             "--repl-ack-timeout", str(_REPL_ACK_TIMEOUT),
         ]
         if replica_of:

@@ -14,8 +14,8 @@ exclusively:
 * :mod:`~repro.service.connection` -- the frame loop, admission
   control, per-connection backpressure, deadline shedding, the reply
   writer and the two read routes.
-* :mod:`~repro.service.groupcommit` -- the pending write batch, its
-  size/deadline flush policy, and the exactly-once dedup window.
+* :mod:`~repro.service.groupcommit` -- the pending write queue, its
+  one flusher task, and the exactly-once dedup window.
 * :mod:`~repro.service.replication` -- the publisher a primary streams
   committed batches from (semi-sync by default) and the follower a
   server started with ``replica_of`` runs instead of accepting writes.
@@ -99,7 +99,10 @@ class NotPrimary(Exception):
 
 
 class TemporalAggregateServer:
-    """Serve one sharded temporal-aggregate index over TCP."""
+    """Serve one sharded temporal-aggregate index over TCP.
+
+    ``batch_delay`` is accepted and ignored: group commit has no timer
+    (the frozen ``bench/workloads/service.py`` still passes it)."""
 
     def __init__(
         self,
@@ -135,13 +138,12 @@ class TemporalAggregateServer:
         self._promote_lock: Optional[asyncio.Lock] = None
         self._durable = sharded.durable
         #: Backoff hint for overload/drain rejections (seconds).
-        self._retry_after = max(4 * batch_delay, 0.05)
+        self._retry_after = 0.05
         self.committer = GroupCommitter(
             self._apply_flush,
             self._on_committed,
             registry=self.registry,
             batch_max=batch_max,
-            batch_delay=batch_delay,
             dedup_window=dedup_window,
             durable=self._durable,
         )
@@ -388,6 +390,9 @@ class TemporalAggregateServer:
             "batch": {
                 **committer["batch"],
                 "size": snapshot["histograms"].get("service.batch.size"),
+                "oldest_wait_us": snapshot["histograms"].get(
+                    "service.batch.oldest_wait_us"
+                ),
             },
             "resilience": {
                 "durable": self._durable,

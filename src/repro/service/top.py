@@ -7,6 +7,9 @@ Polls the ``stats`` service op on an interval and renders, in place:
   gives exact rates with no server-side support);
 * **latency** -- per-op p50/p95/p99 from the service histograms (bucket
   interpolation happens server-side in ``Histogram.to_dict``);
+* **group commit** -- facts per flush, and how long the oldest write of
+  a flush queued before the flush took it
+  (``service.batch.oldest_wait_us``);
 * **span breakdown** -- where traced requests spend their time, from
   the ``span.<name>.wall_us`` histograms (only present while tracing
   runs with a registry);
@@ -158,6 +161,23 @@ def _view_rows(stats: Dict[str, Any]) -> List[str]:
     return rows
 
 
+def _batch_rows(stats: Dict[str, Any]) -> List[str]:
+    """Group commit: how big a flush is, and how long its oldest write
+    sat in the queue before the flush took it (about one commit while
+    writers outrun the disk, about nothing for a lone writer)."""
+    batch = stats.get("batch")
+    if not batch:
+        return []
+    size = batch.get("size") or {}
+    wait = batch.get("oldest_wait_us") or {}
+    return [
+        f"  facts/flush p50 {size.get('p50', 0):.0f} (max {batch.get('max', '?')})"
+        f"  oldest wait p50 {_fmt_us(wait.get('p50'))}"
+        f" p95 {_fmt_us(wait.get('p95'))}"
+        f"  pending {batch.get('pending', 0)}"
+    ]
+
+
 def _health_rows(stats: Dict[str, Any]) -> List[str]:
     health = stats.get("health") or {}
     if not health:
@@ -206,6 +226,11 @@ def render_top(
     )
     sections = [header, "", "ops:"]
     sections.extend(_op_rows(stats, prev, dt) or ["  (no requests yet)"])
+    batch_rows = _batch_rows(stats)
+    if batch_rows:
+        sections.append("")
+        sections.append("group commit:")
+        sections.extend(batch_rows)
     span_rows = _span_rows(stats)
     if span_rows:
         sections.append("")

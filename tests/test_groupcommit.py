@@ -2,9 +2,11 @@
 ``on_committed``, no server and no network.
 
 Everything here was reachable before only through ``rescheck``'s chaos:
-which flush policy fired, what a failed apply and a failed *commit* do
-to waiters and to the dedup window, a duplicate racing its original,
-and the drain.
+when a flush starts and what it takes, what a failed apply, a failed
+*commit* and a failed publish do to waiters and to the dedup window, a
+duplicate racing its original, and the drain.  A batch is held open by
+parking the apply (``Harness.gate``), never by a clock: the committer
+has none.
 """
 
 import asyncio
@@ -35,11 +37,14 @@ class Harness:
         self.fail = None       # raised by the next applies while set
         self.fail_once = False  # ... or by the next apply only
         self.gate = None       # an Event the apply waits on, when set
+        self.entered = 0       # applies started (parked ones included)
+        self.publish_fail = None  # raised by on_committed while set
         self.committer = GroupCommitter(
             self.apply, self.on_committed, registry=self.registry, **kwargs
         )
 
     async def apply(self, facts, meta, collector):
+        self.entered += 1
         if self.gate is not None:
             await self.gate.wait()
         if self.fail is not None:
@@ -50,7 +55,14 @@ class Harness:
         self.applied.append((list(facts), meta))
 
     async def on_committed(self, writes):
+        if self.publish_fail is not None:
+            raise self.publish_fail
         self.published.append(list(writes))
+
+    async def parked(self, flushes=1):
+        """Yield until the *flushes*-th apply has started."""
+        while self.entered < flushes:
+            await asyncio.sleep(0)
 
     def count(self, name):
         return self.registry.counter(name).value
@@ -61,31 +73,104 @@ def run(coro):
 
 
 class TestFlushPolicy:
-    def test_size_and_deadline_flushes_are_counted_separately(self):
+    def test_writes_of_one_loop_iteration_are_one_flush(self):
         async def main():
-            h = Harness(batch_max=3, batch_delay=0.01)
-            # Three one-fact writes fill the batch: one size flush.
+            h = Harness()
+            # What one wake-up of a full connection hands over: 32
+            # request tasks, all on the ready queue before the flusher.
             got = await asyncio.gather(
-                *(h.committer.write([fact(i)]) for i in range(3))
+                *(h.committer.write([fact(i)]) for i in range(32))
             )
-            assert got == [{"applied": 1}] * 3
-            assert len(h.applied) == 1 and len(h.applied[0][0]) == 3
-            assert h.count("service.batch.size_flushes") == 1
-            assert h.count("service.batch.deadline_flushes") == 0
-            # A lone write waits out batch_delay: one deadline flush.
+            assert got == [{"applied": 1}] * 32
+            assert [len(facts) for facts, _ in h.applied] == [32]
+            assert h.count("service.batch.flushes") == 1
+            assert h.committer.stats()["batch"] == {"max": 64, "pending": 0}
+            wait = h.registry.histogram("service.batch.oldest_wait_us")
+            assert wait.count == 1 and wait.max < 50_000
+
+        run(main())
+
+    def test_lone_write_flushes_without_a_timer(self):
+        def no_timers(*args, **kwargs):
+            raise AssertionError("group commit scheduled a timer")
+
+        async def main():
+            h = Harness()
             assert await h.committer.write([fact(9)]) == {"applied": 1}
-            assert h.count("service.batch.size_flushes") == 1
-            assert h.count("service.batch.deadline_flushes") == 1
-            assert h.count("service.batch.flushes") == 2
-            assert h.committer.stats()["batch"] == {
-                "max": 3, "delay_s": 0.01, "pending": 0,
-            }
+            assert [len(facts) for facts, _ in h.applied] == [1]
+
+        loop = asyncio.new_event_loop()
+        loop.call_later = loop.call_at = no_timers
+        try:
+            loop.run_until_complete(main())  # no wait_for: it is a timer
+        finally:
+            loop.close()
+
+    def test_writes_during_a_flush_form_exactly_one_next_batch(self):
+        async def main():
+            h = Harness()
+            h.gate = asyncio.Event()
+            first = asyncio.ensure_future(h.committer.write([fact(0)]))
+            await h.parked()
+            rest = [
+                asyncio.ensure_future(h.committer.write([fact(i)]))
+                for i in range(1, 6)
+            ]
+            await asyncio.sleep(0.01)
+            assert h.entered == 1  # nothing overtakes the parked flush
+            assert h.committer.stats()["batch"]["pending"] == 5
+            h.gate.set()  # the only trigger the next batch gets
+            await asyncio.gather(first, *rest)
+            assert [[v for v, _ in facts] for facts, _ in h.applied] == [
+                [0], [1, 2, 3, 4, 5],
+            ]
+            wait = h.registry.histogram("service.batch.oldest_wait_us")
+            assert wait.count == 2 and wait.max >= 5_000  # sat out the gate
+
+        run(main())
+
+    def test_batch_max_bounds_a_flush_in_arrival_order(self):
+        async def main():
+            h = Harness(batch_max=8)
+            await asyncio.gather(
+                *(h.committer.write([fact(i)]) for i in range(100))
+            )
+            assert [len(facts) for facts, _ in h.applied] == [8] * 12 + [4]
+            assert [
+                v for facts, _ in h.applied for v, _ in facts
+            ] == list(range(100))
+
+        run(main())
+
+    def test_flushes_never_overlap(self):
+        async def main():
+            h = Harness(batch_max=4)
+            running = []
+            inner = h.apply
+
+            async def slow_apply(facts, meta, collector):
+                running.append(+1)
+                assert sum(running) == 1  # the dedup snapshots stay ordered
+                for _ in range(3):
+                    await asyncio.sleep(0)
+                await inner(facts, meta, collector)
+                running.append(-1)
+
+            h.committer._apply = slow_apply
+
+            async def trickle(base):
+                for i in range(10):
+                    await h.committer.write([fact(base + i)])
+
+            await asyncio.gather(*(trickle(100 * k) for k in range(6)))
+            assert sum(len(facts) for facts, _ in h.applied) == 60
+            assert h.count("service.batch.flushes") == len(h.applied) > 1
 
         run(main())
 
     def test_one_request_larger_than_batch_max_is_one_flush(self):
         async def main():
-            h = Harness(batch_max=2, batch_delay=5.0)
+            h = Harness(batch_max=2)
             result = await h.committer.write([fact(i) for i in range(5)])
             assert result == {"applied": 5}
             assert [len(facts) for facts, _ in h.applied] == [5]
@@ -124,7 +209,7 @@ class TestFlushPolicy:
 class TestFailures:
     def test_failed_apply_fails_every_waiter_and_frees_its_keys(self):
         async def main():
-            h = Harness(batch_max=2, batch_delay=5.0)
+            h = Harness(batch_max=2)
             h.fail = RuntimeError("disk on fire")
             results = await asyncio.gather(
                 h.committer.write([fact(1)], ("c", 1)),
@@ -138,7 +223,6 @@ class TestFailures:
             # The keys are free: the retry applies as a fresh write, it
             # does not join a flight that no longer exists.
             h.fail = None
-            h.committer.batch_max = 1
             assert await h.committer.write([fact(1)], ("c", 1)) == {"applied": 1}
             assert len(h.applied) == 1
             assert h.count("service.dedup.joins") == 0
@@ -147,7 +231,7 @@ class TestFailures:
 
     def test_commit_failure_errors_waiters_but_remembers_and_publishes(self):
         async def main():
-            h = Harness(batch_max=2, batch_delay=5.0, durable=True)
+            h = Harness(batch_max=2, durable=True)
             cause = OSError("fsync: EIO")
             h.fail = CommitFailed(str(cause))
             h.fail.__cause__ = cause
@@ -172,6 +256,33 @@ class TestFailures:
         run(main())
 
 
+    def test_failed_publish_settles_its_waiters_and_the_flusher_goes_on(self):
+        async def main():
+            h = Harness(batch_max=2)
+            h.publish_fail = RuntimeError("publisher is gone")
+            writes = [
+                asyncio.ensure_future(h.committer.write([fact(1)], ("c", 1))),
+                asyncio.ensure_future(h.committer.write([fact(2)], ("c", 2))),
+                asyncio.ensure_future(h.committer.write([fact(3)])),
+            ]
+            # No timeout anywhere: an unsettled waiter would hang the run.
+            results = await asyncio.gather(*writes, return_exceptions=True)
+            assert all(r is h.publish_fail for r in results)
+            assert h.count("service.batch.flush_errors") == 2  # 2 + 1 facts
+            assert h.committer.stats()["batch"]["pending"] == 0
+            assert h.committer._dedup_pending == {}
+            # The facts are in the tree: a retry replays, never re-applies.
+            assert await h.committer.write([fact(1)], ("c", 1)) == {
+                "applied": 1, "duplicate": True,
+            }
+            h.publish_fail = None
+            assert await h.committer.write([fact(4)], ("c", 4)) == {"applied": 1}
+            assert [len(facts) for facts, _ in h.applied] == [2, 1, 1]
+            assert len(h.published) == 1
+
+        run(main())
+
+
 class TestDuplicates:
     def test_duplicate_of_in_flight_key_joins_it(self):
         async def main():
@@ -180,7 +291,7 @@ class TestDuplicates:
             original = asyncio.ensure_future(
                 h.committer.write([fact(7)], ("c", 1))
             )
-            await asyncio.sleep(0)  # the flush is now parked in apply
+            await h.parked()  # the flush is now parked in apply
             assert h.committer.stats()["batch"]["pending"] == 0
             assert not original.done()
             duplicate = asyncio.ensure_future(
@@ -205,7 +316,7 @@ class TestDuplicates:
             original = asyncio.ensure_future(
                 h.committer.write([fact(7)], ("c", 1))
             )
-            await asyncio.sleep(0)
+            await h.parked()
             duplicate = asyncio.ensure_future(
                 h.committer.write([fact(7)], ("c", 1))
             )
@@ -254,22 +365,29 @@ class TestDuplicates:
 class TestDrain:
     def test_drain_flushes_the_rest_and_rejects_new_writes(self):
         async def main():
-            h = Harness(batch_max=100, batch_delay=60.0)
+            h = Harness(batch_max=100)
+            h.gate = asyncio.Event()
+            running = asyncio.ensure_future(h.committer.write([fact(0)]))
+            await h.parked()
             waiting = asyncio.ensure_future(
                 h.committer.write([fact(1)], ("c", 1))
             )
             await asyncio.sleep(0)
-            assert h.applied == []  # parked behind a 60 s deadline
-            await h.committer.drain()
-            assert await waiting == {"applied": 1}
-            assert len(h.applied) == 1
+            assert h.applied == []  # one mid-apply, one queued behind it
+            assert h.committer.stats()["batch"]["pending"] == 1
+            drained = asyncio.ensure_future(h.committer.drain())
+            await asyncio.sleep(0.01)
+            assert not drained.done()  # drain waits for both
+            h.gate.set()
+            await drained
+            assert running.done() and await waiting == {"applied": 1}
+            assert len(h.applied) == 2
             with pytest.raises(Draining):
                 await h.committer.write([fact(2)], ("c", 2))
             # An already-applied key still replays during the drain.
             assert await h.committer.write([fact(1)], ("c", 1)) == {
                 "applied": 1, "duplicate": True,
             }
-            assert h.count("service.batch.deadline_flushes") == 0
 
         run(main())
 
@@ -278,7 +396,7 @@ class TestDrain:
             h = Harness(batch_max=1)
             h.gate = asyncio.Event()
             write = asyncio.ensure_future(h.committer.write([fact(1)]))
-            await asyncio.sleep(0)
+            await h.parked()
             order = []
 
             async def outsider():

@@ -187,6 +187,10 @@ def canned_stats(count=10, conns=2):
         "spans": {
             "tree.insert": {"count": 8, "mean": 45.0, "p95": 90.0},
         },
+        "batch": {
+            "max": 64, "pending": 3, "size": {"p50": 16.0},
+            "oldest_wait_us": {"p50": 80.0, "p95": 1300.0},
+        },
         "health": {
             "facts": 50,
             "pieces": 61,
@@ -211,6 +215,8 @@ class TestTopRendering:
         assert "p50    120us" in text
         assert "span breakdown (traced requests):" in text
         assert "tree.insert" in text
+        assert "facts/flush p50 16 (max 64)" in text
+        assert "oldest wait p50 80us p95 1.30ms  pending 3" in text
         assert "piece-skew 1.30" in text
         assert "compaction-debt 0.40" in text
         assert "shard 1" in text and "buf-hit" in text
@@ -248,6 +254,7 @@ class TestRunTop:
         text = out.getvalue()
         assert text.count("repro top --") == 2
         assert "facts=2" in text
+        assert "group commit:" in text and "oldest wait p50" in text
         assert "shard health:" in text
 
     def test_unreachable_server_returns_2(self):

@@ -33,7 +33,7 @@ from repro.sharding import ShardedTree
 def sum_server():
     sharded = ShardedTree("sum", num_shards=4, span=(0, 1000),
                           branching=4, leaf_capacity=4)
-    with ServerHandle.start(sharded, batch_max=8, batch_delay=0.002) as handle:
+    with ServerHandle.start(sharded, batch_max=8) as handle:
         yield handle, sharded
 
 

@@ -51,7 +51,7 @@ def build(kind, tmp_path, *, paged, buffer_capacity=64, fault_injector=None):
 def served(request, tmp_path):
     """A MAX server (sharded ``window`` is MIN/MAX-only) and its tree."""
     sharded = build("max", tmp_path, paged=request.param == "paged")
-    with ServerHandle.start(sharded, batch_max=8, batch_delay=0.002) as handle:
+    with ServerHandle.start(sharded, batch_max=8) as handle:
         yield handle, sharded
     sharded.close()
 
@@ -84,6 +84,13 @@ def read_replies(sock, count=None):
             replies.append(protocol.decode_body(bytes(buf[4:4 + length])))
             del buf[:4 + length]
     return replies
+
+
+def until(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.002)
 
 
 def body(reply):
@@ -271,18 +278,34 @@ class TestAdmission:
         in flight until its reply is written, whatever the store."""
         sharded = build("sum", tmp_path, paged=paged)
         before = sharded.facts_applied
-        with ServerHandle.start(sharded, batch_max=1000,
-                                batch_delay=0.25) as handle:
+        lock = sharded.shards[sharded.router.shard_of(900)].lock
+
+        def insert(i):
+            return {"op": "insert", "value": 1, "start": 900, "end": 950,
+                    "id": i}
+
+        with ServerHandle.start(sharded, batch_max=1000) as handle:
+            server = handle.server
+            flushes = server.registry.counter("service.batch.flushes")
+
+            def inflight():  # in process: the stats op would queue
+                return server.connections.stats()["inflight"]  # behind lock
+
             with connect(handle) as sock, connect(handle) as probe:
-                sock.sendall(frames_of(
-                    {"op": "insert", "value": 1, "start": 900, "end": 950,
-                     "id": i} for i in range(100)
-                ))
-                time.sleep(0.05)  # well inside the first batch_delay
-                midway = stats(probe)
-                pending = midway["batch"]["pending"]
-                assert pending <= 32
-                assert midway["resilience"]["inflight"] >= pending
+                assert lock.acquire_write(1.0)
+                try:
+                    # The first insert's flush parks in its apply, behind
+                    # the shard's write lock; the other 99 arrive meanwhile.
+                    sock.sendall(frames_of([insert(0)]))
+                    until(lambda: flushes.value == 1)
+                    sock.sendall(frames_of(insert(i) for i in range(1, 100)))
+                    until(lambda: inflight() == 32)
+                    time.sleep(0.05)  # room for a 33rd, were there no bound
+                    pending = server.committer.stats()["batch"]["pending"]
+                    assert pending == 31
+                    assert inflight() == 32 >= pending
+                finally:
+                    lock.release_write()
                 replies = read_replies(sock, 100)
                 after = stats(probe)
         assert sorted(r["id"] for r in replies) == list(range(100))

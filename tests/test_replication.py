@@ -104,6 +104,16 @@ def _wait_applied(port, commit, timeout=10.0):
     raise AssertionError(f"replica :{port} never applied commit {commit}")
 
 
+def _wait_subscribed(primary, timeout=10.0):
+    """Until the primary has registered its follower: a write acked
+    before that is not in any stream, and ``stats()["replication"]`` of
+    a primary nobody ever subscribed to is None."""
+    deadline = time.monotonic() + timeout
+    while not (primary.server.publisher.stats() or {}).get("replicas"):
+        assert time.monotonic() < deadline, "the replica never subscribed"
+        time.sleep(0.005)
+
+
 @pytest.fixture
 def pair():
     primary_tree = ShardedTree("sum", num_shards=2, span=(0, 1000),
@@ -111,13 +121,14 @@ def pair():
     replica_tree = ShardedTree("sum", num_shards=2, span=(0, 1000),
                                branching=4, leaf_capacity=4)
     primary = ServerHandle.start(primary_tree, batch_max=8,
-                                 batch_delay=0.002, repl_ack_timeout=5.0)
+                                 repl_ack_timeout=5.0)
     replica = ServerHandle.start(
-        replica_tree, batch_max=8, batch_delay=0.002,
+        replica_tree, batch_max=8,
         replica_of=f"127.0.0.1:{primary.port}",
         replica_name="test-replica",
     )
     try:
+        _wait_subscribed(primary)
         yield primary, replica
     finally:
         replica.stop()

@@ -31,7 +31,7 @@ from repro.storage import PagedNodeStore
 def sum_server():
     sharded = ShardedTree("sum", num_shards=4, span=(0, 1000),
                           branching=4, leaf_capacity=4)
-    with ServerHandle.start(sharded, batch_max=8, batch_delay=0.002) as handle:
+    with ServerHandle.start(sharded, batch_max=8) as handle:
         yield handle, sharded
 
 
@@ -158,8 +158,7 @@ class TestDedupPersistence:
     def _paged_server(self, path, **kwargs):
         store = PagedNodeStore(path, "sum", journaled=True)
         sharded = ShardedTree("sum", [], stores=[store])
-        handle = ServerHandle.start(sharded, batch_max=4,
-                                    batch_delay=0.002, **kwargs)
+        handle = ServerHandle.start(sharded, batch_max=4, **kwargs)
         return store, sharded, handle
 
     def test_dedup_survives_crash_restart(self, tmp_path):

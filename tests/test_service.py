@@ -26,7 +26,7 @@ from repro.storage import PagedNodeStore
 def sum_server():
     sharded = ShardedTree("sum", num_shards=4, span=(0, 1000),
                           branching=4, leaf_capacity=4)
-    with ServerHandle.start(sharded, batch_max=8, batch_delay=0.002) as handle:
+    with ServerHandle.start(sharded, batch_max=8) as handle:
         yield handle, sharded
 
 
@@ -46,8 +46,7 @@ def each_read_route(tmp_path):
         sharded = ShardedTree("sum", num_shards=4, span=(0, 1000),
                               stores=stores)
         try:
-            with ServerHandle.start(sharded, batch_max=8,
-                                    batch_delay=0.002) as handle:
+            with ServerHandle.start(sharded, batch_max=8) as handle:
                 yield handle, sharded, on_loop
         finally:
             sharded.close()
@@ -347,21 +346,41 @@ class TestFaultInjection:
 class TestLifecycle:
     def test_graceful_drain_completes_inflight(self):
         sharded = ShardedTree("sum", num_shards=2, span=(0, 100))
-        handle = ServerHandle.start(sharded, batch_max=64, batch_delay=0.05)
-        with client_for(handle) as svc:
-            # A write waiting on the 50ms deadline flush when stop() runs.
-            result = {}
+        handle = ServerHandle.start(sharded, batch_max=1)
+        committer = handle.server.committer
+        flushes = handle.server.registry.counter("service.batch.flushes")
+        lock = sharded.shards[sharded.router.shard_of(10)].lock
+        result = {}
 
-            def write():
-                result["applied"] = svc.insert(7, 10, 20)
+        def write(svc, name):
+            result[name] = svc.insert(7, 10, 20)
 
-            thread = threading.Thread(target=write)
-            thread.start()
-            time.sleep(0.01)  # request in flight, batch still pending
-            handle.stop()
-            thread.join(timeout=5)
-        assert result.get("applied") == 1
-        assert sharded.facts_applied == 1  # drain flushed the batch
+        def until(condition):
+            deadline = time.monotonic() + 5
+            while not condition():
+                assert time.monotonic() < deadline
+                time.sleep(0.002)
+
+        with client_for(handle) as first, client_for(handle) as second:
+            # When stop() runs, one write is mid-apply (parked behind the
+            # shard's write lock) and one is queued behind that flush.
+            assert lock.acquire_write(1.0)
+            try:
+                threads = [threading.Thread(target=write, args=(first, "a"))]
+                threads[0].start()
+                until(lambda: flushes.value == 1)
+                threads.append(threading.Thread(target=write, args=(second, "b")))
+                threads[1].start()
+                until(lambda: committer.stats()["batch"]["pending"] == 1)
+                threads.append(threading.Thread(target=handle.stop))
+                threads[2].start()
+                until(lambda: committer.draining)
+            finally:
+                lock.release_write()
+            for thread in threads:
+                thread.join(timeout=5)
+        assert result == {"a": 1, "b": 1}
+        assert sharded.facts_applied == 2  # drain flushed what was accepted
 
     def test_connect_after_stop_fails(self):
         sharded = ShardedTree("sum", num_shards=2, span=(0, 100))
@@ -386,6 +405,7 @@ class TestLifecycle:
         assert stats["ops"]["service.insert"]["count"] == 1
         assert stats["counters"]["service.batch.flushes"] >= 1
         assert stats["batch"]["max"] == 8
+        assert stats["batch"]["oldest_wait_us"]["count"] == 1  # per flush
         assert "service.errors" not in stats["counters"]
 
     def test_request_ids_echoed(self, sum_server):

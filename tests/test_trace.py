@@ -240,7 +240,7 @@ class TestEndToEndPropagation:
                 errors.append(exc)
 
         with ServerHandle.start(
-            sharded, batch_max=8, batch_delay=0.001, registry=registry
+            sharded, batch_max=8, registry=registry
         ) as handle:
             workers = [
                 threading.Thread(

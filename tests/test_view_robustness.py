@@ -456,6 +456,16 @@ def _wait_applied(port, commit, timeout=10.0):
     raise AssertionError(f"replica :{port} never applied commit {commit}")
 
 
+def _wait_subscribed(primary, timeout=10.0):
+    """Until the primary has registered its follower: a write acked
+    before that is not in any stream, and ``stats()["replication"]`` of
+    a primary nobody ever subscribed to is None."""
+    deadline = time.monotonic() + timeout
+    while not (primary.server.publisher.stats() or {}).get("replicas"):
+        assert time.monotonic() < deadline, "the replica never subscribed"
+        time.sleep(0.005)
+
+
 def _tree():
     return ShardedTree("sum", num_shards=2, span=(0, 1000), branching=4,
                        leaf_capacity=4)
@@ -465,13 +475,14 @@ class TestViewReplication:
     @pytest.fixture()
     def pair(self):
         primary = ServerHandle.start(
-            _tree(), batch_max=8, batch_delay=0.002, repl_ack_timeout=5.0,
+            _tree(), batch_max=8, repl_ack_timeout=5.0,
         )
         replica = ServerHandle.start(
-            _tree(), batch_max=8, batch_delay=0.002,
+            _tree(), batch_max=8,
             replica_of=f"127.0.0.1:{primary.port}", replica_name="r1",
         )
         try:
+            _wait_subscribed(primary)
             yield primary, replica
         finally:
             replica.stop()

@@ -50,7 +50,7 @@ def served(request, tmp_path):
     sharded = ShardedTree("sum", num_shards=4, span=(0, 1000), branching=4,
                           leaf_capacity=4, fault_injector=injector,
                           stores=stores)
-    with ServerHandle.start(sharded, batch_max=4, batch_delay=0.002,
+    with ServerHandle.start(sharded, batch_max=4,
                             view_tick=0) as handle:
         with ServiceClient(handle.host, handle.port, timeout=5.0,
                            retries=0) as svc:
