@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Crash-consistent warehouse indexes: journaling and recovery.
 
-A warehouse keeps its SB-tree view on disk with a rollback journal.
+A warehouse keeps its SB-tree view on disk with a write-ahead log.
 We commit a snapshot, apply more updates, then "crash" the process
 state without committing -- and show that reopening the file recovers
 exactly the committed snapshot, ready for further maintenance.
@@ -13,6 +13,7 @@ import os
 import tempfile
 
 from repro import Interval, SBTree, check_tree
+from repro.faults import simulate_crash
 from repro.storage import PagedNodeStore
 from repro.workloads import PRESCRIPTIONS
 
@@ -33,33 +34,32 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     # Uncommitted work, then a simulated crash: dirty pages reach the
-    # file, but commit() is never called.
+    # write-ahead log, but commit() is never called.
     # ------------------------------------------------------------------
     print("\nApplying uncommitted updates ...")
     tree.insert(100, Interval(0, 1000))
     tree.insert(50, Interval(10, 20))
     print(f"  in-flight value:    lookup(19) = {tree.lookup(19)}")
     store.buffer.flush()
-    store.pager._file.flush()
-    print(f"  journal on disk:    {os.path.exists(path + '-journal')}")
-    store.pager._file.close()  # crash: no commit, no clean close
+    print(f"  WAL on disk:        {os.path.exists(path + '-wal')}")
+    simulate_crash(store)  # no commit, no clean close
     print("  ... crash! (process state discarded)")
 
     # ------------------------------------------------------------------
-    # Recovery: reopening rolls back to the committed snapshot.
+    # Recovery: reopening replays the committed transactions only.
     # ------------------------------------------------------------------
     print("\nReopening the index file ...")
     with PagedNodeStore(path, journaled=True) as recovered_store:
         recovered = SBTree(store=recovered_store)
-        print(f"  rolled back:        lookup(19) = {recovered.lookup(19)}")
+        print(f"  recovered:          lookup(19) = {recovered.lookup(19)}")
         check_tree(recovered)
         print("  structural invariants: ok")
-        print(f"  journal cleaned up: {not os.path.exists(path + '-journal')}")
 
         # The recovered tree accepts new (and this time committed) work.
         recovered.insert(5, Interval(15, 45))
         recovered_store.commit()
         print(f"  new committed work: lookup(19) = {recovered.lookup(19)}")
+    print(f"  WAL removed by the clean close: {not os.path.exists(path + '-wal')}")
 
     print("\nDone.")
 

@@ -212,9 +212,10 @@ def cmd_fsck(args: argparse.Namespace) -> int:
     Unlike ``verify`` (which walks the *tree* through the normal read
     path), ``fsck`` works on the raw bytes: header sanity, a full
     checksum sweep, free-list audit (cycles, double links, bad ids),
-    reachability/orphan analysis from the root, and leftover-journal
-    inspection.  ``--repair`` quarantines corrupt pages and rebuilds
-    the free list; it never invents tree data.
+    reachability/orphan analysis from the root, and write-ahead-log
+    inspection (a pending WAL is audited as its replay will leave the
+    file).  ``--repair`` settles the WAL, quarantines corrupt pages and
+    rebuilds the free list; it never invents tree data.
 
     A ``.json`` path is audited as a dynamic-view catalog checkpoint
     (``dynamic.json``) instead: structure, change-log density, and
@@ -723,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fsck = sub.add_parser(
         "fsck", parents=[common],
         help="offline integrity audit of the raw page file "
-        "(checksums, free list, reachability, journal); a .json path "
+        "(checksums, free list, reachability, write-ahead log); a .json path "
         "is audited as a dynamic-view catalog checkpoint",
     )
     p_fsck.add_argument("file")

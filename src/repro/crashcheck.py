@@ -1,6 +1,6 @@
 """Systematic crash-consistency checking for journaled page files.
 
-The rollback journal's contract is simple to state and easy to get
+The write-ahead log's contract is simple to state and easy to get
 wrong: *whatever instant the process dies at, reopening the file yields
 exactly the last-committed aggregate*.  This harness proves it by
 construction: it drives a journaled :class:`~repro.storage.PagedNodeStore`
@@ -8,28 +8,32 @@ through small insert / split / commit / compaction / batch workloads while a
 :class:`~repro.faults.FaultInjector` kills the "process" (raises
 :class:`~repro.faults.SimulatedCrash`) at a chosen occurrence of a
 chosen :data:`~repro.storage.pager.Pager.CRASH_POINTS` entry; it then
-abandons the file handles, reopens the file -- triggering journal
-rollback -- and verifies the recovered tree against the brute-force
+abandons the file handles, reopens the file -- triggering WAL replay
+-- and verifies the recovered tree against the brute-force
 :mod:`repro.core.reference` oracle over the facts committed so far.
+Every workload runs with :data:`CHECKPOINT_BYTES`-sized WAL generations,
+so its commits checkpoint several times and the checkpoint's crash
+points are swept like the commit's.
 
 A crash *inside* ``commit()`` is the one genuinely ambiguous case: the
-transaction is durable if and only if the process died after the
-journal's zeroed header became durable.  The harness therefore accepts
-either the pre-commit or the post-commit fact set there -- but never
-anything in between (atomicity), and the recovered tree must
-additionally pass the full structural audit of
+transaction is durable if and only if its commit frame reached the
+file (under power loss: if the WAL fsync completed).  The harness
+therefore accepts either the pre-commit or the post-commit fact set
+there -- but never anything in between (atomicity), and the recovered
+tree must additionally pass the full structural audit of
 :func:`repro.core.validate.check_tree`.
 
 Abandoning the handles keeps every byte the process ever wrote, so that
 sweep cannot notice a *missing fsync*.  ``--power-loss`` runs the same
 cases under the power-loss model of :func:`repro.faults.simulate_crash`:
 at each crash the injector drops the writes issued since each file's
-last fsync (the journal's header, records and invalidation included)
-and the journal create/unlink no directory sync covered --
-all of them, and two seeded subsets -- before the reopen, against the
-same oracle.  It is the proof that the pager's one-barrier-per-write-
-back-set protocol still syncs everything an overwrite depends on: stub
-out ``Pager._journal_barrier`` and this sweep fails.
+last fsync (WAL frames and headers, checkpoint copies) and the WAL
+create/unlink no directory sync covered -- all of them, all but each
+file's newest write (storage that persisted out of order), and a seeded
+subset -- before the reopen, against the same oracle.  It is the proof
+that the commit's one fsync and the checkpoint's ordering (data fsync,
+then the new generation's header, fsynced before its first frame) are
+each needed: skip any of them and this sweep fails.
 
 The same discipline applies to the dynamic-view catalog: ``--catalog``
 sweeps :meth:`repro.warehouse.dynamic.DynamicCatalog.save` instead,
@@ -53,6 +57,7 @@ Exit status is non-zero if any recovery diverged from the oracle.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import shutil
 import sys
@@ -67,6 +72,7 @@ from .core.sbtree import SBTree
 from .core.validate import check_tree
 from .faults import FaultInjector, SimulatedCrash, simulate_crash
 from .storage import PagedNodeStore
+from .storage import pager as pager_module
 from .storage.pager import Pager
 from .warehouse.dynamic import (
     CATALOG_CRASH_POINTS,
@@ -95,6 +101,19 @@ _BUFFER_CAPACITY = 4
 _BRANCHING = 4
 _LEAF_CAPACITY = 4
 _KIND = "sum"
+#: The WAL generation size the sweep runs with: a few commits of these
+#: small workloads each (1 MiB would never checkpoint before close).
+CHECKPOINT_BYTES = 4096
+
+
+@contextlib.contextmanager
+def _small_generations():
+    saved = pager_module.WAL_CHECKPOINT_BYTES
+    pager_module.WAL_CHECKPOINT_BYTES = CHECKPOINT_BYTES
+    try:
+        yield
+    finally:
+        pager_module.WAL_CHECKPOINT_BYTES = saved
 
 
 # ----------------------------------------------------------------------
@@ -208,12 +227,35 @@ def _wl_batch(ctx: WorkloadContext) -> None:
     ctx.commit()
 
 
+def _wl_turnover(ctx: WorkloadContext) -> None:
+    """A WAL generation turning over under a transaction that evicts.
+
+    One-fact commits until one of them checkpoints a generation of at
+    least three transactions, then a transaction whose evictions write
+    frames over that generation's before its commit: the frames a lost
+    new-generation header would let replay run into.
+    """
+    in_generation = 0
+    for i in range(40):
+        ctx.insert(i % 5 + 1, Interval(i * 3, i * 3 + 10))
+        ctx.commit()
+        in_generation += 1
+        if not ctx.store.pager.wal_bytes:  # that commit checkpointed
+            if in_generation >= 3:
+                break
+            in_generation = 0
+    for i in range(6):
+        ctx.insert(i % 7 + 1, Interval(i * 2 + 1, i * 2 + 30))
+    ctx.commit()
+
+
 WORKLOADS: Dict[str, Callable[[WorkloadContext], None]] = {
     "insert": _wl_insert,
     "split": _wl_split,
     "commit": _wl_commit,
     "compact": _wl_compact,
     "batch": _wl_batch,
+    "turnover": _wl_turnover,
 }
 
 
@@ -264,8 +306,8 @@ def _baseline(path: str, injector: FaultInjector) -> WorkloadContext:
     """An empty tree, committed and closed, then reopened under
     *injector*: the sweep targets the workload rather than file-creation
     noise, and the workload's first transaction is a pager's first --
-    the one that creates the journal file every later one reuses."""
-    for leftover in (path, path + "-journal"):
+    the one that creates the WAL every later one reuses."""
+    for leftover in (path, path + "-wal"):
         if os.path.exists(leftover):
             os.remove(leftover)
     store, _ = _open(path)
@@ -297,7 +339,8 @@ def run_case(
     store = ctx.store
     crashed = False
     try:
-        WORKLOADS[workload](ctx)
+        with _small_generations():
+            WORKLOADS[workload](ctx)
         store.pager.faults = None
         store.close()
     except SimulatedCrash:
@@ -348,7 +391,8 @@ def _count_hits(path: str, workload: str) -> Dict[str, int]:
     """Dry run with a disarmed injector: how often is each point hit?"""
     counter = FaultInjector()
     ctx = _baseline(path, counter)
-    WORKLOADS[workload](ctx)
+    with _small_generations():
+        WORKLOADS[workload](ctx)
     hits = dict(counter.hits)  # before close() adds its own
     ctx.store.close()
     return hits
@@ -377,15 +421,15 @@ def sweep(
     ``hits`` is ``"all"`` (every occurrence of every point -- the
     exhaustive sweep), ``"sample"`` (first/middle/last occurrence), or
     an integer (the first N occurrences).  With ``power_loss`` every
-    case runs three times: losing all unsynced state, and two seeded
-    subsets of it.
+    case runs three times: losing all unsynced state, all of it but
+    each file's newest write, and a seeded subset of it.
     """
     path = os.path.join(workdir, f"crashcheck-{workload}.sbt")
     occurrences = _count_hits(path, workload)
     results: List[CrashCheckResult] = []
     for point in Pager.CRASH_POINTS:
         for hit in _hit_schedule(occurrences.get(point, 0), hits):
-            modes = ("all", 2 * hit, 2 * hit + 1) if power_loss else (None,)
+            modes = ("all", "newest", 2 * hit) if power_loss else (None,)
             for mode in modes:
                 result = run_case(path, workload, point, hit, mode)
                 results.append(result)
@@ -736,8 +780,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--power-loss",
         action="store_true",
         help="also drop, at each crash, the writes no fsync covered and "
-        "the journal create/unlink no directory sync covered (all of "
-        "them, and two seeded subsets): catches a missing fsync",
+        "the WAL create/unlink no directory sync covered (all of "
+        "them, all but each file's newest write, and a seeded subset): "
+        "catches a missing fsync",
     )
     parser.add_argument(
         "--hits",

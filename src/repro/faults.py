@@ -3,15 +3,15 @@
 The SB-tree is a *disk-based* index, so its correctness claims extend
 to failure modes a real disk exhibits: torn page writes, transient and
 permanent I/O errors, failed fsyncs, and crashes at arbitrary points in
-the journal protocol.  This module provides the controlled versions of
-all of those:
+the write-ahead-log protocol.  This module provides the controlled
+versions of all of those:
 
 * :class:`SimulatedCrash` -- the exception a "process death" raises at a
   named crash point.  It deliberately does *not* subclass
   :class:`OSError`, so the pager's retry machinery never swallows it.
 * :class:`FaultInjector` -- a seedable, fully deterministic fault plan
   wrapped around the pager's file operations.  The pager consults it at
-  labeled *crash points* (``before_journal_write``,
+  labeled *crash points* (``before_wal_write``,
   ``before_commit_fsync``, ...) and around every raw ``write``/``fsync``
   it issues, letting tests and the :mod:`repro.crashcheck` harness
   inject:
@@ -20,7 +20,7 @@ all of those:
   - a *delay* (:meth:`FaultInjector.slow_at`) at the N-th hit of any
     crash point, modeling a stalled disk or shard,
   - a *torn write* (only a prefix of the data reaches the file before
-    the simulated crash) on the data file or the journal,
+    the simulated crash) on the data file or the WAL,
   - transient or permanent :class:`OSError` on writes and fsyncs.
 
   Beyond the pager, the sharded service path
@@ -30,11 +30,12 @@ all of those:
   applies are injectable end to end.
 
 * :func:`simulate_crash` -- abandon a store/pager's file handles the way
-  a dying process would (no commit, no header write-back, no journal
-  cleanup), so the recovery path can be exercised by reopening the file.
+  a dying process would (no commit, no header write-back, no
+  checkpoint), so the recovery path can be exercised by reopening the
+  file.
   With ``power_loss=`` it additionally loses what a dying *machine*
   loses: the injector remembers, per file, the writes issued since that
-  file's last fsync and the journal create/unlink not yet covered by a
+  file's last fsync and the WAL create/unlink not yet covered by a
   directory sync, and drops all or a seeded subset of them before the
   reopen -- the model under which a missing fsync is visible.
 * :func:`derive_rng` -- deterministic child RNGs for the package's other
@@ -215,14 +216,14 @@ class FaultInjector:
         return self
 
     def tear_write(
-        self, label: str = "journal", *, call: Optional[int] = None,
+        self, label: str = "wal", *, call: Optional[int] = None,
         fraction: float = 0.5,
     ) -> "FaultInjector":
         """Tear the *call*-th write on *label*: write a prefix, then crash.
 
         ``call=None`` tears the next write.  ``fraction`` is the portion
         of the payload that reaches the file (at least one byte, at most
-        all but one), modeling a torn page or a partial journal append.
+        all but one), modeling a torn page or a partial WAL append.
         """
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be within [0, 1]")
@@ -354,30 +355,33 @@ class FaultInjector:
 
         Call it with every handle closed.  ``"all"`` drops every write
         issued since its file's last fsync and every create/unlink not
-        covered by a directory sync; ``"none"`` drops nothing; an integer
-        seeds a subset: per file all, none, or a coin per write (storage
-        may persist unsynced writes in any order), and a coin per
-        directory operation.  Dropped writes are undone newest first --
-        restoring the bytes each replaced, unless a later write that
-        survives covers them -- and the file is cut back to its synced
-        length or the end of its last surviving write, whichever is
-        longer.
+        covered by a directory sync; ``"none"`` drops nothing;
+        ``"newest"`` is ``"all"`` except that each file keeps its newest
+        unsynced write (storage may persist unsynced writes in any order,
+        so the last one can land without those before it); an integer
+        seeds a subset: per file all, none, or a coin per write, and a
+        coin per directory operation.  Dropped writes are undone newest
+        first -- restoring the bytes each replaced, unless a later write
+        that survives covers them -- and the file is cut back to its
+        synced length or the end of its last surviving write, whichever
+        is longer.
         """
         dropped = {"writes": 0, "dir_ops": 0}
         if mode == "none":
             return dropped
-        rng = None if mode == "all" else derive_rng(mode, "power_loss")
+        rng = None if mode in ("all", "newest") else derive_rng(mode, "power_loss")
         for path in sorted(self._unsynced):
             writes = self._unsynced[path]
             if not os.path.exists(path):
                 continue
-            plan = "all" if rng is None else rng.choice(("all", "none", "some"))
+            plan = mode if rng is None else rng.choice(("all", "none", "some"))
             length = self._synced_size[path]
             survivors: List[Tuple[int, int]] = []
             with open(path, "r+b") as handle:
-                for offset, size, replaced in reversed(writes):
+                for n, (offset, size, replaced) in enumerate(reversed(writes)):
                     end = offset + size
-                    if plan == "none" or (plan == "some" and rng.random() < 0.5):
+                    if (plan == "none" or (plan == "newest" and n == 0)
+                            or (plan == "some" and rng.random() < 0.5)):
                         survivors.append((offset, end))
                         length = max(length, end)
                         continue
@@ -429,7 +433,7 @@ def simulate_crash(
 
     Accepts a :class:`~repro.storage.store.PagedNodeStore` or a bare
     :class:`~repro.storage.pager.Pager`.  No header write-back, no
-    commit, no journal cleanup happens -- the next open of the same path
+    commit, no checkpoint happens -- the next open of the same path
     sees exactly what a crash would have left behind (buffered bytes
     are handed to the OS, mirroring a process that died after its
     libc buffers were drained but before any further syscall).

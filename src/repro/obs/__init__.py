@@ -115,7 +115,7 @@ class Gauge:
     """A named point-in-time measurement (set, not accumulated).
 
     Tree-health telemetry (:mod:`repro.obs.health`) publishes structural
-    facts -- height, occupancy, free-list length, open-journal bytes -- as
+    facts -- height, occupancy, free-list length, WAL bytes -- as
     gauges: the latest observation is the whole story, unlike counters.
     """
 

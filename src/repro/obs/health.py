@@ -9,8 +9,8 @@ pool.  This module measures exactly those preconditions, periodically:
 * :func:`tree_health` walks one tree (breadth-first through its store)
   and reports height, node counts, leaf/interior occupancy, interval
   populations, plus the storage-side gauges -- estimated free-list
-  length, the open transaction's journal bytes, buffer hit ratio, page
-  count;
+  length, what the write-ahead log holds beyond the last checkpoint,
+  buffer hit ratio, page count;
 * :func:`sharded_health` does that per shard of a
   :class:`~repro.sharding.ShardedTree` (under each shard's read lock)
   and adds the routing-level gauges: fact and piece counts, per-shard
@@ -94,10 +94,10 @@ def tree_health(tree) -> Dict[str, Any]:
         # space; the difference is the free-list length without an
         # O(free) chain walk each poll (fsck does the exact audit).
         health["free_pages"] = max(0, pager.page_count - 1 - live)
-        # The journal file outlives its transactions, so its size says
-        # nothing: report whether one is open and what it has written.
-        health["journal_hot"] = pager.in_transaction()
-        health["journal_bytes"] = pager.journal_bytes
+        # The WAL file is reused across generations, so its size says
+        # nothing: report what the current generation holds.
+        health["wal_bytes"] = pager.wal_bytes
+        health["wal_commits_since_checkpoint"] = pager.wal_commits
     buffer = getattr(store, "buffer", None)
     if buffer is not None:
         health["buffer_hit_rate"] = buffer.stats.hit_rate

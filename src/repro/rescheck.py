@@ -21,7 +21,7 @@ exactly once, durably** -- with no mocks anywhere in the path:
    started again on the same port and directory -- the dedup window
    and the tree recover together from the journaled page file.
 5. After the run, the page file is reopened directly (triggering
-   journal rollback, exactly as crashcheck does) and the recovered
+   WAL replay, exactly as crashcheck does) and the recovered
    tree must equal the :mod:`repro.core.reference` oracle over the
    *acked* facts -- every acked write present exactly once, every
    unacked duplicate absent -- and pass the full structural audit of
@@ -317,7 +317,7 @@ class RescheckResult:
 def _verify_final(
     path: str, facts: List[Tuple[Any, Tuple[int, int]]]
 ) -> Tuple[bool, str, int]:
-    """Reopen the page file (journal rollback) and diff vs the oracle."""
+    """Reopen the page file (WAL replay) and diff vs the oracle."""
     try:
         store = PagedNodeStore(path, KIND, journaled=True)
     except Exception as exc:  # noqa: BLE001 - report, don't crash the run

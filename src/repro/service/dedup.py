@@ -19,9 +19,9 @@ which keeps one write in flight and only retries its newest seq.
 Persistence rides the storage layer's own transaction: the server
 serializes the window (:meth:`DedupWindow.encode_with`) into the page
 file's header metadata inside the same group-commit that applies the
-batch, so the dedup state and the tree data are journaled and rolled
-back *atomically* -- after a crash, a key is remembered if and only if
-its write is durable.  The serialized form keeps only the newest
+batch, so the dedup state and the tree data commit in one WAL
+transaction, *atomically* -- after a crash, a key is remembered if and
+only if its write is durable.  The serialized form keeps only the newest
 ``persist_per_client`` entries per client (the header page is one page);
 everything older is represented by the floor.
 """

@@ -33,7 +33,7 @@ _HOST = "127.0.0.1"
 # resubscribe takes ~2 s worst case) instead of degrading to async, so
 # acked writes survive a failover.
 _REPL_ACK_TIMEOUT = 5.0
-_START_TIMEOUT = 15.0  # import the CLI, recover the journal, answer ping
+_START_TIMEOUT = 15.0  # import the CLI, replay the WAL, answer ping
 _WAIT_TIMEOUT = 20.0  # drain on SIGINT, subscribe, catch up, promote
 
 
@@ -48,7 +48,7 @@ def _poll(check: Callable[[], Any], timeout: float, failure: str) -> Any:
     """Retry *check* until it answers something truthy.
 
     A refused connection or an error reply means "not yet": the child
-    may still be starting, recovering its journal, or mid-promotion.
+    may still be starting, replaying its WAL, or mid-promotion.
     """
     deadline = time.monotonic() + timeout
     last: Optional[BaseException] = None

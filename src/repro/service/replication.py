@@ -6,13 +6,14 @@ one ``journal_batch`` message over the ordinary wire protocol (see
 :mod:`repro.service.protocol`).  This module owns the two pieces that
 are pure data, and the two state machines that move them:
 
-* **The record blob.**  The on-disk journal cannot be shipped verbatim:
-  it is a *rollback* journal of page pre-images, deleted the moment a
-  commit lands (see ``storage/pager.py``) -- useless for building a
-  second copy.  What replication needs is the *logical* redo stream, so
-  each shipped batch carries one record per client write, encoded in
-  the journal protocol v2 discipline: a length + CRC32 header per
-  record, corruption detected before a single fact is applied.  A
+* **The record blob.**  The on-disk write-ahead log is not shipped:
+  it is a *physical* redo log of whole page images for one shard file,
+  recycled at every checkpoint (see ``storage/pager.py``), so a replica
+  would need the primary's exact page layout and every frame since its
+  last checkpoint.  What replication ships is the *logical* redo
+  stream: each batch carries one record per client write, framed with
+  a length + CRC32 header per record, corruption detected before a
+  single fact is applied.  A
   record is ``{"facts": [[value, start, end], ...]}`` plus, when the
   write carried an idempotency key, ``"idem": [client, seq, result]``
   -- the dedup window therefore rides the stream record by record,

@@ -196,10 +196,10 @@ def _health_rows(stats: Dict[str, Any]) -> List[str]:
         )
         if "buffer_hit_rate" in shard:
             line += f"  buf-hit {shard['buffer_hit_rate']:5.0%}"
-        if "journal_bytes" in shard:
+        if "wal_bytes" in shard:
             line += (
-                f"  journal hot {shard['journal_bytes']}B"
-                if shard.get("journal_hot") else "  journal cold"
+                f"  wal {shard['wal_bytes']}B"
+                f"/{shard['wal_commits_since_checkpoint']} commits"
             )
         rows.append(line)
     return rows

@@ -498,22 +498,25 @@ class ShardedTree:
         batch's waiters are acknowledged, so an acked write is durable.
         Only a store the batch dirtied (``store.dirty``; a store without
         that attribute counts as dirty) is locked and committed -- a
-        shard nothing touched costs no lock, no write and no fsync.
+        shard nothing touched costs no lock, no write and no fsync, and a
+        journaled one a single WAL fsync (``store.dirty`` is False again
+        as soon as a commit is in the WAL, checkpointed or not).
         ``meta`` entries are written into the header metadata of exactly
         those stores (of the first durable store if none is dirty, so
         metadata always lands somewhere), inside the same commit: the
-        pager journals the header page, so metadata (the dedup window,
-        the replication watermark) and tree data are atomic per store.
+        header page is the commit's last frame, so metadata (the dedup
+        window, the replication watermark) and tree data are atomic per
+        store.
         Because a store that sat out a commit keeps an older copy,
         readers of :meth:`get_meta` merge what the stores return; both
         service keys merge exactly (dedup windows: union of entries, max
         floor per client; watermark: max).  Stores without a ``commit``
         method (in-memory shards) are skipped.
 
-        Caveat: commits are per store.  A crash *between* two shard
-        commits can leave a spanning fact applied in a prefix of its
-        shards; single-store deployments (what ``repro-rescheck``
-        verifies) have no such window.
+        Caveat: commits are per store -- one WAL and one fsync each.  A
+        crash *between* two shard commits can leave a spanning fact
+        applied in a prefix of its shards; single-store deployments
+        (what ``repro-rescheck`` verifies) have no such window.
         """
         targets = [
             shard for shard in self.shards if _unwritten(shard.tree.store)

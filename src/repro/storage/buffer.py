@@ -21,12 +21,11 @@ counts frames; a decoded 4 KB node holds roughly 4-5x the memory of its
 payload (three lists of boxed numbers), so decoded memory is bounded by
 the dirty set, not budgeted separately.
 
-Write-back goes to the pager as *sets* (:meth:`Pager.write_pages`): a
-flush hands over the whole dirty set, and evicting one dirty victim also
-names every other dirty frame, so a journaled pager captures all their
-pre-images behind the one journal barrier the victim needs anyway and
-the rest of that transaction's write-backs find their pages already
-journaled.
+Write-back goes to the pager as *sets*: a flush hands the whole dirty
+set to :meth:`Pager.write_pages` (a commit hands it to
+:meth:`Pager.commit`, which writes it with the header page as one
+transaction), an eviction hands over its one victim -- for a journaled
+pager, one unsynced WAL frame.
 
 The pool is internally synchronized: even a logically read-only tree
 operation *mutates* LRU recency state and may trigger an eviction, so
@@ -157,21 +156,22 @@ class BufferPool:
         with self._mutex:
             return any(frame.dirty for frame in self._frames.values())
 
-    def flush(self) -> None:
+    def flush(self, commit: bool = False) -> None:
         """Write every dirty frame back to the pager as one set; they
-        become clean, bytes-only frames.  If the pager raises, all of
-        them stay dirty (writing a page twice is harmless)."""
+        become clean, bytes-only frames.  With ``commit`` the set is the
+        pager's commit (:meth:`Pager.commit`, called even when no frame
+        is dirty).  If the pager raises, all of them stay dirty (writing
+        a page twice is harmless)."""
         with self._mutex:
             dirty = [
                 (page_id, frame)
                 for page_id, frame in self._frames.items()
                 if frame.dirty
             ]
-            if not dirty:
+            if not (dirty or commit):
                 return
-            self.pager.write_pages(
-                [(page_id, frame.payload) for page_id, frame in dirty]
-            )
+            write = self.pager.commit if commit else self.pager.write_pages
+            write([(page_id, frame.payload) for page_id, frame in dirty])
             self.stats.dirty_writebacks += len(dirty)
             for _, frame in dirty:
                 frame.dirty = False
@@ -186,14 +186,7 @@ class BufferPool:
             # vanish.  The exception propagates with the pool intact.
             victim_id, victim = next(iter(self._frames.items()))
             if victim.dirty:
-                self.pager.write_pages(
-                    ((victim_id, victim.payload),),
-                    journal_ahead=(
-                        page_id
-                        for page_id, other in self._frames.items()
-                        if other.dirty
-                    ),
-                )
+                self.pager.write_pages(((victim_id, victim.payload),))
                 self.stats.dirty_writebacks += 1
                 victim.dirty = False
             del self._frames[victim_id]

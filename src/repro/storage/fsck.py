@@ -13,15 +13,18 @@ disk, and it reports every inconsistency it can find:
   nodes with the file's own codec: dangling child pointers, pages
   referenced twice, and *orphans* (allocated to neither the tree nor
   the free list -- leaked space);
-* **journal** -- the journal beside the file is read with the pager's
-  own reader (:func:`repro.storage.pager.scan_journal`): cold (no open
-  transaction), hot (each record CRC-verified, so torn or bit-flipped
-  journals are called out before anyone trusts a recovery based on
-  them) or unusable (a legacy or damaged header).
+* **write-ahead log** -- the WAL beside the file is read with the
+  pager's own reader (:func:`repro.storage.pager.scan_wal`): cold
+  (nothing committed to replay), pending (committed transactions not
+  yet checkpointed -- the audit then checks the file *as the next open
+  will recover it*, those pages laid over the data file's), a torn tail,
+  or unusable; a leftover rollback journal of an earlier release is an
+  error, because the pager refuses to open the file beside it.
 
 With ``repair=True`` the audit is followed by an offline repair pass:
-a cold or hot journal is first settled through the pager's normal
-recovery (an unusable one stops the repair), corrupt pages are
+a WAL is first settled through the pager's normal recovery (a journaled
+open and close; an unusable WAL or a rollback journal stops the
+repair), corrupt pages are
 *quarantined* (recorded under the header meta key ``quarantine`` and
 excluded from allocation), the free list is
 rebuilt from scratch out of every non-reachable non-corrupt page, and
@@ -50,7 +53,8 @@ from typing import Any, Dict, List, Optional, Set
 
 from .codec import NodeCodec
 from .pager import (
-    _CRC, _FREE_LINK, _HEADER, _MAGIC, _VERSION, NO_PAGE, Pager, scan_journal,
+    _CRC, _FRAME_HEAD, _FREE_LINK, _HEADER, _MAGIC, _VERSION, NO_PAGE, Pager,
+    _replay, scan_wal,
 )
 from .. import obs
 from ..core.values import spec_for
@@ -96,7 +100,8 @@ class FsckReport:
     orphans: List[int] = field(default_factory=list)
     corrupt: List[int] = field(default_factory=list)
     quarantined: List[int] = field(default_factory=list)
-    journal_records: int = 0
+    #: Committed transactions the WAL holds beyond the data file.
+    wal_pending: int = 0
     repaired: bool = False
     unrepairable: List[int] = field(default_factory=list)
     #: With ``repair=True``: the audit of the file as it was *before*
@@ -134,7 +139,7 @@ class FsckReport:
             "orphans": self.orphans,
             "corrupt": self.corrupt,
             "quarantined": self.quarantined,
-            "journal_records": self.journal_records,
+            "wal_pending": self.wal_pending,
             "repaired": self.repaired,
             "unrepairable": self.unrepairable,
             "findings": [f.to_dict() for f in self.findings],
@@ -173,13 +178,19 @@ class FsckReport:
 
 
 class _FileImage:
-    """A raw, read-only parse of a page file: header, pages, journal."""
+    """A raw, read-only parse of a page file -- with *wal*, the committed
+    page images a WAL holds, laid over it as recovery will copy them."""
 
-    def __init__(self, path: str) -> None:
+    def __init__(self, path: str, wal: Optional[Dict[int, bytes]] = None) -> None:
         self.path = path
-        self.file_size = os.path.getsize(path)
         with open(path, "rb") as handle:
-            self.data = handle.read()
+            data = bytearray(handle.read())
+        for page_id, image in sorted((wal or {}).items()):
+            offset = page_id * len(image)
+            data.extend(bytes(max(0, offset - len(data))))
+            data[offset:offset + len(image)] = image
+        self.data = bytes(data)
+        self.file_size = len(self.data)
         self.header_ok = False
         self.page_size = 0
         self.page_count = 0
@@ -435,61 +446,57 @@ def _audit_orphans(
     return orphans
 
 
-#: How a hot journal's scan ended early: severity and what to say.
-_JOURNAL_ENDINGS = {
-    "torn": ("warning", "is cut short (normal after a crash mid-append)"),
-    "corrupt": ("error", "fails its CRC32 (bit rot or a torn sector)"),
-}
-
-
-def _inspect_journal(path: str, report: FsckReport) -> Optional[str]:
-    """Report what the pager's own reader makes of the journal beside
-    *path*; returns its verdict (``None``: there is no journal)."""
-    journal_path = path + "-journal"
-    if not os.path.exists(journal_path):
-        return None
-    with open(journal_path, "rb") as handle:
-        header, *records = scan_journal(handle)
-    if header.verdict == "cold":
+def _inspect_wal(path: str, report: FsckReport) -> Optional[Dict[int, bytes]]:
+    """Report what the pager's own reader makes of the files beside
+    *path*; returns the page images replay would copy from the WAL
+    (``None``: neither a WAL nor a rollback journal is there)."""
+    legacy, wal_path = path + "-journal", path + "-wal"
+    if os.path.exists(legacy):
         report.add(
-            "info", "journal-cold",
-            f"journal {journal_path!r} holds no open transaction (normal "
-            "beside a running or killed server; a clean close removes it): "
-            "reopening only drops the pages added since the last commit",
+            "error", "legacy-journal",
+            f"{legacy!r} is a rollback journal of an earlier release: the "
+            "pager refuses to open the file beside it until that release "
+            "has rolled it back",
         )
-    elif header.verdict == "unusable":
-        legacy = header.detail.startswith("legacy")
+    if not os.path.exists(wal_path):
+        return {} if os.path.exists(legacy) else None
+    with open(wal_path, "rb") as handle:
+        header, *frames = scan_wal(handle)
+        if header.verdict == "unusable":
+            report.add(
+                "error", "bad-wal",
+                f"{header.detail}: its frames cannot be replayed (a strict "
+                "open refuses it, any other warns and discards them)",
+            )
+            return {}
+        index, report.wal_pending = _replay(frames)
+        images = {}
+        for page_id, offset in index.items():
+            handle.seek(offset + _FRAME_HEAD.size)
+            images[page_id] = handle.read(header.page_size)
+    if frames and frames[-1].status in ("torn", "corrupt"):
         report.add(
-            "warning" if legacy else "error",
-            "legacy-journal" if legacy else "bad-journal",
-            f"{header.detail}: it cannot be rolled back (a strict open "
-            "refuses it, any other warns and discards it)",
+            "info", "torn-wal-tail",
+            f"the WAL frame at byte {frames[-1].offset} is "
+            f"{frames[-1].status} (a write no commit covered, torn by a "
+            "crash -- or, corrupt, bit rot); replay stops before it",
         )
-    elif report.page_size and header.page_size != report.page_size:
+    if report.wal_pending:
         report.add(
-            "error", "bad-journal",
-            f"journal page size {header.page_size} disagrees with the "
-            f"file's {report.page_size}",
+            "info", "wal-pending",
+            f"{report.wal_pending} committed transactions ({len(images)} "
+            "pages) are not yet checkpointed -- the normal state after a "
+            "kill; opening the file replays them, and this audit reads "
+            "the file as that replay leaves it",
         )
     else:
-        report.journal_records = sum(r.status == "ok" for r in records)
-        # Only the last record scanned can be other than ok.
-        if records and records[-1].status in _JOURNAL_ENDINGS:
-            severity, what = _JOURNAL_ENDINGS[records[-1].status]
-            report.add(
-                severity, "torn-journal",
-                f"journal record {report.journal_records + 1} {what}; "
-                f"rollback stops at the {report.journal_records} valid "
-                "records before it",
-            )
         report.add(
-            "info", "journal-present",
-            f"hot journal with {report.journal_records} verifiable pre-image "
-            f"records (committed size {header.base_count} pages): the file "
-            "holds an uncommitted transaction; reopening with journaled=True "
-            "rolls it back",
+            "info", "wal-cold",
+            f"WAL {wal_path!r} holds no committed transaction to replay "
+            "(normal beside a running or killed server; a clean close "
+            "removes it)",
         )
-    return header.verdict
+    return images
 
 
 # ----------------------------------------------------------------------
@@ -501,14 +508,14 @@ def _write_free_page(handle, page_id: int, link: int, page_size: int) -> None:
     handle.write(payload + _CRC.pack(zlib.crc32(payload)))
 
 
-def _repair(path: str, report: FsckReport, journal: Optional[str]) -> None:
-    """Offline repair: settle the journal, quarantine, rebuild the free list."""
-    if journal is not None:
-        # Settle the pending transaction through the pager's own
-        # recovery; fsck must not repair underneath a journal that a
-        # later open would replay over the repairs.  An unusable one is
-        # refused (strict) and stays on disk: fsck never discards
-        # pre-images it cannot read.
+def _repair(path: str, report: FsckReport, wal: Optional[Dict[int, bytes]]) -> None:
+    """Offline repair: settle the WAL, quarantine, rebuild the free list."""
+    if wal is not None:
+        # Settle the WAL through the pager's own recovery; fsck must not
+        # repair underneath frames a later open would replay over the
+        # repairs.  An unusable WAL or a rollback journal is refused
+        # (strict) and stays on disk: fsck never discards what it
+        # cannot read.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             try:
@@ -516,13 +523,13 @@ def _repair(path: str, report: FsckReport, journal: Optional[str]) -> None:
             except Exception as exc:  # noqa: BLE001
                 report.add(
                     "error", "unrepairable-journal",
-                    f"journal recovery failed during repair: {exc!r}",
+                    f"WAL recovery failed during repair: {exc!r}",
                 )
                 return
         report.add(
-            "info", "journal-settled",
-            "hot journal was rolled back before repair" if journal == "hot"
-            else "cold journal was removed before repair",
+            "info", "wal-settled",
+            "the WAL was replayed, checkpointed and removed before repair"
+            if wal else "the cold WAL was removed before repair",
         )
 
     image = _FileImage(path)
@@ -603,8 +610,8 @@ def fsck(path: str, *, repair: bool = False) -> FsckReport:
     """Audit (and optionally repair) a page file, fully offline.
 
     Never opens the file through the pager for the audit itself, so a
-    leftover journal is inspected rather than replayed and even files
-    the pager would refuse to open produce a report instead of an
+    leftover WAL is inspected rather than replayed and even files the
+    pager would refuse to open produce a report instead of an
     exception.
 
     When :mod:`repro.obs` is enabled, each run also bumps the
@@ -628,17 +635,17 @@ def _fsck(path: str, *, repair: bool = False) -> FsckReport:
         report.add("error", "missing-file", f"no such page file: {path!r}")
         return report
 
-    image = _FileImage(path)
+    wal = _inspect_wal(path, report)
+    image = _FileImage(path, wal)
     if image.parse_header(report):
         corrupt = _audit_checksums(image, report)
         free = _audit_free_list(image, report, corrupt)
         reachable = _audit_reachability(image, report, corrupt, free)
         _audit_orphans(image, report, corrupt, free, reachable)
-    journal = _inspect_journal(path, report)
 
-    if repair and (not report.ok or journal is not None):
+    if repair and (not report.ok or wal is not None):
         actions = FsckReport(path)
-        _repair(path, actions, journal)
+        _repair(path, actions, wal)
         if actions.repaired:
             # Re-audit so the main report reflects the repaired file
             # (quarantined pages are fenced off, not fresh errors).

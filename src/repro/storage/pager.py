@@ -12,46 +12,41 @@ Freed pages are chained into a free list and reused before the file is
 extended.  Physical reads and writes are counted so benchmarks can
 report true page I/O.
 
-With ``journaled=True`` the pager additionally keeps a rollback journal
-(``<path>-journal``), one file for the pager's life: its first
-transaction creates it, every later one rewrites it from offset 0, only
-a clean :meth:`Pager.close` or an open-time rollback removes it.  Before
-a page is first overwritten after a commit its pre-image is written to
-the journal; :meth:`commit` makes the data file durable, then zeroes the
-journal header and fsyncs the journal (the commit point: three fsyncs
-and no directory operation per commit); reopening beside a journal
-whose header is live rolls every journaled page back and truncates the
-pages added since, so the file always reflects a committed state.
+With ``journaled=True`` the pager keeps a redo write-ahead log beside the
+file (``<path>-wal``) and the data file holds only *checkpointed* state:
 
-**The barrier rule.**  No byte of a page that existed at the last commit
--- the header page included -- is overwritten in the data file before
-its pre-image record *and* the journal header are fsynced (and, for the
-transaction that created the journal, its directory entry synced).
-That is one *journal barrier* (:meth:`Pager._journal_barrier`), paid per
-*write-back set*, not per page: :meth:`Pager.write_pages` journals every
-page of the set (plus ``journal_ahead``, pages the caller expects to
-write later in the transaction) unsynced and runs the barrier once,
-immediately before the set's first data-file write.  Pages created
-after the last commit need no barrier: rollback truncates them away.  A
-journal whose header is not live therefore proves the committed pages
-hold no uncommitted byte, and rolls back to "drop the fresh pages".
+* **Frames.**  A page write (an eviction mid-transaction, a write-back
+  set) appends one unsynced frame per page to the WAL: page id, a commit
+  flag, the page image (with its page CRC), a crc32 of all that and the
+  generation's *salt*.
+* **Commit** appends the remaining dirty pages and then page 0 with the
+  commit flag, in one write, and fsyncs the WAL once: the commit point
+  and the commit's only fsync.
+* **Reads** check the WAL index (page -> offset of its newest frame,
+  read back with ``os.pread``) before the data file.
+* **Checkpoint.**  A commit that leaves the generation past
+  :data:`WAL_CHECKPOINT_BYTES` ends by copying the newest image of every
+  indexed page into the data file in page order, setting the file's
+  length to the committed page count and fsyncing it; only then does it
+  write a header with a new salt, and fsync that before any frame of the
+  new generation exists (else a power cut could bring the old header
+  back and replay an older generation over the newer checkpoint).
+* **Open** replays whole committed transactions of the generation only
+  -- the scan (:func:`scan_wal`) stops at the first short frame, other
+  salt or bad CRC -- then checkpoints and starts a new generation.  A
+  clean :meth:`Pager.close` checkpoints and removes the WAL, so a closed
+  store is one file.
 
-**A reused file** (format v3, laid out beside :func:`scan_journal`) is
-safe by two rules.  Every record ends with the header's per-transaction
-*salt* (``os.urandom`` at open, +1 per commit): the intact records a
-longer, earlier transaction left beyond this one's tail, and an append
-that tore, read as a clean end.  And the header's first and last bytes
-are non-zero only when all of it was written -- zeroing clears the first
-byte first, writing sets the last byte last -- so any prefix of either
-write reads "not live".
+The WAL is created once per pager (its directory is synced then and on
+removal, never in a steady-state commit) and reused across generations
+without truncation.  A leftover ``<path>-journal`` (the rollback journal
+of earlier releases) is refused with :class:`JournalError`.
 
-**The header page is deferred.**  ``allocate_page``, ``free_page``,
-``set_root`` and ``set_meta`` only mark page 0 dirty; it is formatted,
-journaled and written once per write-back set / ``commit`` / ``sync`` /
-``close``, behind the same barrier as the set's data pages.
-
-**A clean pager does not commit.**  With no open transaction, a clean
-header and no unsynced data write, :meth:`commit` returns without I/O.
+``allocate_page``, ``free_page``, ``set_root`` and ``set_meta`` only
+mark page 0 dirty; it is written once per commit (journaled) or
+write-back set / ``sync`` / ``close``.  With no frame since the last
+commit, a clean header and no unsynced data write, :meth:`commit`
+returns without I/O.
 
 Failure handling
 ----------------
@@ -64,15 +59,13 @@ Every raw write and fsync is routed through a small I/O layer that
 * retries transient ``OSError``\\ s with exponential backoff
   (``max_write_retries`` / ``retry_backoff``) -- *writes only*: a failed
   fsync is never retried, because after a failed fsync the kernel may
-  already have dropped the dirty pages the retry would claim to sync
-  (a failed *journal barrier* therefore degrades the pager at once: the
-  next barrier would be exactly that retry);
+  already have dropped the dirty pages the retry would claim to sync;
 * drops the pager into a read-only *degraded mode* after
   ``degrade_after`` consecutive retry-exhausted failures: further
   mutations raise :class:`PagerDegradedError`, reads keep working, and
-  a journaled pager leaves its journal in place so the next open rolls
-  back to the last commit instead of trusting half-written state (a
-  failed journal *invalidation* degrades at once too).
+  a journaled pager leaves its WAL in place so the next open recovers
+  the last commit.  A failed commit, checkpoint or WAL creation degrades
+  at once: what it left in the WAL only a reopen (a new salt) can read.
 
 Out-of-band events surface as ``pager.*`` counters through the active
 :class:`repro.obs.MetricsRegistry` when collection is enabled.
@@ -80,13 +73,14 @@ Out-of-band events surface as ``pager.*`` counters through the active
 
 from __future__ import annotations
 
+import operator
 import os
 import struct
 import threading
 import time
 import warnings
 import zlib
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
 from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Tuple, Union
 
 from .. import obs
@@ -97,13 +91,18 @@ __all__ = [
     "PageCorruptionError",
     "PagerDegradedError",
     "JournalError",
-    "JournalHeader",
-    "JournalRecord",
-    "scan_journal",
+    "WalHeader",
+    "WalFrame",
+    "scan_wal",
     "DEFAULT_PAGE_SIZE",
+    "WAL_CHECKPOINT_BYTES",
 ]
 
 DEFAULT_PAGE_SIZE = 4096
+
+#: A commit that leaves its generation's frames past this many bytes
+#: ends with a checkpoint.
+WAL_CHECKPOINT_BYTES = 1 << 20
 
 _MAGIC = b"SBTRepro"
 _VERSION = 1
@@ -116,88 +115,123 @@ _CRC = struct.Struct("<I")
 #: Sentinel for "no page".
 NO_PAGE = -1
 
-_JOURNAL_MAGIC = b"SBTRjrn3"
-#: No writer is left for these (v2's file existed only while hot).
-_LEGACY_JOURNAL_MAGICS = (b"SBTRjrnl", b"SBTRjrn2")
-#: magic(8) page_size(I) base_count(Q) salt(Q), then crc32-of-those(I)
-#: and a non-zero seal(B), the header's last byte.
-_JOURNAL_FIELDS = struct.Struct("<8sIQQ")
-_JOURNAL_HEADER = struct.Struct("<8sIQQIB")
-#: A record: page_id(q), page_size image bytes, then this trailer --
-#: crc32-of-id-and-image(I) salt(Q).
-_JOURNAL_RECORD = struct.Struct("<q")
-_JOURNAL_TRAILER = struct.Struct("<IQ")
+_WAL_MAGIC = b"SBTR-WAL"
+_WAL_VERSION = 1
+#: magic(8) version(H) page_size(I) salt(Q) generation(Q), then the
+#: crc32 of those (I).
+_WAL_FIELDS = struct.Struct("<8sHIQQ")
+_WAL_HEADER = struct.Struct("<8sHIQQI")
+#: A frame: page_id(q) commit(B), page_size image bytes, then this
+#: trailer -- crc32-of-head-and-image(I) salt(Q).
+_FRAME_HEAD = struct.Struct("<qB")
+_FRAME_TAIL = struct.Struct("<IQ")
 
 
-def _journal_header(page_size: int, base_count: int, salt: int) -> bytes:
-    fields = (_JOURNAL_MAGIC, page_size, base_count, salt)
-    crc = zlib.crc32(_JOURNAL_FIELDS.pack(*fields))
-    return _JOURNAL_HEADER.pack(*fields, crc, 0xA5)
+def _new_salt() -> int:
+    return int.from_bytes(os.urandom(8), "little")
 
 
-def _journal_record(page_id: int, image: bytes, salt: int) -> bytes:
-    body = _JOURNAL_RECORD.pack(page_id) + image
-    return body + _JOURNAL_TRAILER.pack(zlib.crc32(body), salt)
+def _wal_header(page_size: int, salt: int, generation: int) -> bytes:
+    fields = _WAL_FIELDS.pack(_WAL_MAGIC, _WAL_VERSION, page_size, salt, generation)
+    return fields + _CRC.pack(zlib.crc32(fields))
 
 
-class JournalHeader(NamedTuple):
-    """``cold`` (nothing to undo: short, or first or last byte zero),
-    ``hot`` (pre-images to restore, ``base_count`` pages to keep) or
-    ``unusable`` (legacy or damaged; ``detail`` says which)."""
+def _frame(page_id: int, image: bytes, commit: bool, salt: int) -> bytes:
+    body = _FRAME_HEAD.pack(page_id, commit) + image
+    return body + _FRAME_TAIL.pack(zlib.crc32(body), salt)
+
+
+class WalHeader(NamedTuple):
+    """``ok`` (a generation: its salt replays), ``cold`` (short, or torn
+    while being rewritten: nothing to replay) or ``unusable`` (not a WAL
+    of this format, or damaged; ``detail`` says which)."""
 
     verdict: str
     page_size: int = 0
-    base_count: int = 0
     salt: int = 0
+    generation: int = 0
     detail: str = ""
 
 
-class JournalRecord(NamedTuple):
-    """``ok`` carries a pre-image; ``stale`` (another transaction's
-    salt), ``torn`` (the file ends inside it) and ``corrupt`` (this
-    transaction's salt, bad CRC) end the scan."""
+class WalFrame(NamedTuple):
+    """``ok`` frames say where their image sits; ``torn`` (the file ends
+    inside it), ``stale`` (another generation's salt) and ``corrupt``
+    (this generation's salt, bad CRC) end the scan."""
 
     status: str
+    offset: int
     page_id: int = -1
-    image: bytes = b""
+    commit: bool = False
 
 
-def _journal_verdict(raw: bytes) -> JournalHeader:
-    if raw[:8] in _LEGACY_JOURNAL_MAGICS:
-        return JournalHeader("unusable", detail=f"legacy journal format {raw[:8]!r}")
-    if len(raw) < _JOURNAL_HEADER.size or not raw[0] or not raw[-1]:
-        return JournalHeader("cold")
-    magic, page_size, base_count, salt, crc, _ = _JOURNAL_HEADER.unpack(raw)
-    if magic != _JOURNAL_MAGIC:
-        return JournalHeader("unusable", detail=f"bad journal magic {magic!r}")
-    if zlib.crc32(raw[:_JOURNAL_FIELDS.size]) != crc or page_size < 512:
-        return JournalHeader("unusable", detail="journal header fails its checksum")
-    return JournalHeader("hot", page_size, base_count, salt)
+def _wal_verdict(raw: bytes) -> WalHeader:
+    if len(raw) < _WAL_HEADER.size:
+        return WalHeader("cold", detail="short header")
+    magic, version, page_size, salt, generation, crc = _WAL_HEADER.unpack(raw)
+    if (magic, version) != (_WAL_MAGIC, _WAL_VERSION):
+        return WalHeader("unusable", detail=f"bad WAL magic {magic!r} v{version}")
+    if page_size < 512:
+        return WalHeader("unusable", detail=f"implausible WAL page size {page_size}")
+    if zlib.crc32(raw[:_WAL_FIELDS.size]) != crc:
+        return WalHeader("cold", page_size, salt, generation, "torn header")
+    return WalHeader("ok", page_size, salt, generation)
 
 
-def scan_journal(handle) -> Iterator[Union[JournalHeader, JournalRecord]]:
-    """The one journal reader (rollback, ``repro fsck``, the tests):
-    yields the :class:`JournalHeader`, then -- for a hot one -- each
-    :class:`JournalRecord` up to and including the first not ``ok``."""
-    header = _journal_verdict(handle.read(_JOURNAL_HEADER.size))
-    yield header
-    if header.verdict != "hot":
-        return
-    body = _JOURNAL_RECORD.size + header.page_size
-    size = body + _JOURNAL_TRAILER.size
+def _wal_frames(handle, header: WalHeader) -> Iterator[WalFrame]:
+    size = _FRAME_HEAD.size + header.page_size + _FRAME_TAIL.size
+    body = size - _FRAME_TAIL.size
+    offset = _WAL_HEADER.size
     for raw in iter(lambda: handle.read(size), b""):
         if len(raw) < size:
-            yield JournalRecord("torn")
+            yield WalFrame("torn", offset)
             return
-        (page_id,) = _JOURNAL_RECORD.unpack_from(raw)
-        crc, salt = _JOURNAL_TRAILER.unpack_from(raw, body)
+        crc, salt = _FRAME_TAIL.unpack_from(raw, body)
         if salt != header.salt:
-            yield JournalRecord("stale")
+            yield WalFrame("stale", offset)
             return
+        page_id, commit = _FRAME_HEAD.unpack_from(raw)
         if crc != zlib.crc32(raw[:body]):
-            yield JournalRecord("corrupt", page_id)
+            yield WalFrame("corrupt", offset, page_id)
             return
-        yield JournalRecord("ok", page_id, raw[_JOURNAL_RECORD.size:body])
+        yield WalFrame("ok", offset, page_id, bool(commit))
+        offset += size
+
+
+def scan_wal(handle) -> Iterator[Union[WalHeader, WalFrame]]:
+    """The one WAL reader (recovery, ``repro fsck``, the tests): yields
+    the :class:`WalHeader`, then -- for a generation -- each
+    :class:`WalFrame` up to and including the first not ``ok``."""
+    header = _wal_verdict(handle.read(_WAL_HEADER.size))
+    frames = _wal_frames(handle, header) if header.page_size else iter(())
+    first = next(frames, None)
+    if header.verdict == "cold" and first is not None and first.status == "ok":
+        # A header torn while being rewritten disowns every frame behind
+        # it; a frame that still carries its salt says it was damaged.
+        header = header._replace(
+            verdict="unusable", detail="WAL header fails its checksum"
+        )
+    yield header
+    if header.verdict == "ok" and first is not None:
+        yield first
+        yield from frames
+
+
+def _replay(frames) -> Tuple[Dict[int, int], int]:
+    """What recovery applies of scanned frames: page -> offset of its
+    newest frame in a whole committed transaction, and how many
+    transactions that is."""
+    index: Dict[int, int] = {}
+    pending: Dict[int, int] = {}
+    commits = 0
+    for frame in frames:
+        if frame.status != "ok":
+            break
+        pending[frame.page_id] = frame.offset
+        if frame.commit:
+            index.update(pending)
+            pending.clear()
+            commits += 1
+    return index, commits
 
 
 class PageCorruptionError(RuntimeError):
@@ -209,34 +243,30 @@ class PagerDegradedError(RuntimeError):
 
 
 class JournalError(RuntimeError):
-    """Raised (under ``strict=True``) when a leftover journal is unusable."""
+    """Raised for a leftover rollback journal, and (under ``strict=True``)
+    for a leftover WAL that is unusable."""
 
 
 @dataclass
 class PagerStats:
-    """Physical I/O counters.
-
-    ``fsyncs`` counts every fsync the pager attempted -- journal, data
-    file and directory alike (the ``pager.fsyncs.*`` counters split it
-    by target): how many syncs does a commit cost?
-    """
+    """Physical I/O counters: ``physical_writes`` are data-file page
+    writes (a journaled pager's checkpoint copies), ``fsyncs`` every
+    fsync attempted -- WAL, data and directory, split by the
+    ``pager.fsyncs.*`` counters -- and ``wal_frames`` WAL appends."""
 
     physical_reads: int = 0
     physical_writes: int = 0
     fsyncs: int = 0
+    wal_frames: int = 0
 
     def reset(self) -> None:
-        self.physical_reads = self.physical_writes = self.fsyncs = 0
+        self.__init__()
 
     def snapshot(self) -> "PagerStats":
-        return PagerStats(self.physical_reads, self.physical_writes, self.fsyncs)
+        return replace(self)
 
     def __sub__(self, other: "PagerStats") -> "PagerStats":
-        return PagerStats(
-            self.physical_reads - other.physical_reads,
-            self.physical_writes - other.physical_writes,
-            self.fsyncs - other.fsyncs,
-        )
+        return PagerStats(*map(operator.sub, astuple(self), astuple(other)))
 
 
 class Pager:
@@ -267,20 +297,18 @@ class Pager:
     #: harness sweeps a :class:`~repro.faults.SimulatedCrash` through
     #: every one of these.
     CRASH_POINTS = (
-        "before_journal_create",
-        "after_journal_create",
-        "before_journal_write",
-        "after_journal_write",
-        "before_journal_fsync",
-        "after_journal_fsync",
-        "before_page_write",
-        "after_page_write",
-        "before_header_write",
-        "after_header_write",
+        "before_wal_create",
+        "after_wal_create",
+        "before_wal_write",
+        "after_wal_write",
         "before_commit_fsync",
         "after_commit_fsync",
-        "before_journal_invalidate",
-        "after_journal_invalidate",
+        "before_page_write",
+        "after_page_write",
+        "before_checkpoint_fsync",
+        "after_checkpoint_fsync",
+        "before_wal_reset",
+        "after_wal_reset",
     )
 
     def __init__(
@@ -303,7 +331,14 @@ class Pager:
         if page_size < 512:
             raise ValueError("page size must be at least 512 bytes")
         self.path = os.fspath(path)
-        self.journal_path = self.path + "-journal"
+        self.wal_path = self.path + "-wal"
+        legacy = self.path + "-journal"
+        if os.path.exists(legacy):
+            raise JournalError(
+                f"{legacy!r} is a rollback journal, a format this release "
+                "no longer reads: open the page file once with the release "
+                "that wrote it, so that it rolls the journal back"
+            )
         self._directory = os.path.dirname(os.path.abspath(self.path))
         self.journaled = journaled
         self.strict = strict
@@ -316,17 +351,19 @@ class Pager:
         self.write_failures = 0
         self.fsync_failures = 0
         self._consecutive_failures = 0
-        self._journaled_pages: set = set()
-        self._journal_file = None  # opened by the first transaction
-        self._journal_base_count: Optional[int] = None
-        #: Journal bytes the open transaction wrote; its next record's place.
-        self.journal_bytes = 0
-        self._journal_salt = int.from_bytes(os.urandom(8), "little")
-        #: Journal bytes (header, records) written since the last barrier.
-        self._journal_unsynced = False
-        #: The journal was created and its directory entry is not synced.
-        self._journal_new = False
-        #: Page 0 differs from what the data file holds.
+        self._wal = None  # opened by a leftover WAL or the first frame
+        self._wal_fd = -1
+        self._salt = 0
+        self._generation = 0
+        #: Where the next frame goes, and where the last commit's ended.
+        self._wal_end = self._committed_end = 0
+        #: page id -> WAL offset of its newest frame.
+        self._index: Dict[int, int] = {}
+        #: Commits since the last checkpoint.
+        self.wal_commits = 0
+        #: Pages allocated at the end of the file and never written.
+        self._fresh: set = set()
+        #: Page 0 differs from what the last commit (or write) holds.
         self._header_dirty = False
         #: Data-file bytes written since the last data fsync.
         self._data_unsynced = False
@@ -334,50 +371,37 @@ class Pager:
         #: so a double free is caught before it cycles the free list.
         self._freed: set = set()
         self.stats = PagerStats()
-        # Reentrant: public methods nest (allocate -> write -> journal).
+        # Reentrant: public methods nest (allocate -> read, free -> write).
         self._mutex = threading.RLock()
-        exists = os.path.exists(self.path) and os.path.getsize(self.path) > 0
-        self._file = open(self.path, "r+b" if exists else "w+b")
-        if exists and os.path.exists(self.journal_path):
-            # A crash left an unfinished transaction: roll it back
-            # before trusting anything in the file.  A crash before the
-            # very first commit rolls all the way back to an empty file,
-            # which is then (re)created below.
-            try:
-                self._rollback_journal()
-            except JournalError:
-                self._release_handles()
-                raise
-            exists = os.path.getsize(self.path) > 0
-        if exists:
-            self._load_header()
-            if requested_size is not None and requested_size != self.page_size:
-                # Geometry comes from the file, not the argument.
-                message = (
-                    f"page file {self.path!r} uses page_size "
-                    f"{self.page_size}; requested {requested_size} is ignored"
-                )
-                if strict:
-                    self._release_handles()
-                    raise ValueError(message)
-                warnings.warn(message, stacklevel=2)
-        else:
-            self.page_size = page_size
-            # Pin the pre-creation state (zero pages): until the first
-            # commit, rollback erases the file entirely.  The barrier
-            # runs before the file gets its first byte, so whenever a
-            # journal header is *not* durable, page 0 on disk is a
-            # committed header (what rollback then relies on).
-            self.page_count = 0
-            self._ensure_transaction()
-            self._journal_barrier()
-            self.page_count = 1  # the header page
-            self._free_head = NO_PAGE
-            self._root = NO_PAGE
-            self.live_nodes = 0
-            self._meta: Dict[str, str] = {}
-            self._meta_blob = b""
-            self._header_dirty = True
+        self._file = open(self.path, "r+b" if os.path.exists(self.path) else "w+b")
+        try:
+            if os.path.exists(self.wal_path):
+                self._open_wal(page_size)
+            if self._index or os.path.getsize(self.path) > 0:
+                self._load_header()
+                if requested_size is not None and requested_size != self.page_size:
+                    # Geometry comes from the file, not the argument.
+                    message = (
+                        f"page file {self.path!r} uses page_size "
+                        f"{self.page_size}; requested {requested_size} is ignored"
+                    )
+                    if strict:
+                        raise ValueError(message)
+                    warnings.warn(message, stacklevel=2)
+            else:
+                self.page_size = page_size
+                self.page_count = 1  # the header page
+                self._free_head = NO_PAGE
+                self._root = NO_PAGE
+                self.live_nodes = 0
+                self._meta: Dict[str, str] = {}
+                self._meta_blob = b""
+                self._header_dirty = True
+            if self._wal is not None:
+                self._recover()
+        except BaseException:
+            self._release_handles()
+            raise
 
     # ------------------------------------------------------------------
     # Fault-aware raw I/O
@@ -419,6 +443,15 @@ class Pager:
             stacklevel=5,
         )
 
+    def _or_degrade(self, step, *args) -> None:
+        """Run a step whose failure leaves the WAL in a state only a
+        reopen can read: any ``OSError`` degrades the pager at once."""
+        try:
+            step(*args)
+        except OSError:
+            self._degrade()
+            raise
+
     def _io_write(self, handle, offset: int, data: bytes, label: str) -> None:
         """One raw write: fault interception plus transient-error retries.
 
@@ -455,7 +488,7 @@ class Pager:
             return
 
     def _io_fsync(self, fd: int, label: str, path: str) -> None:
-        """One fsync of *path* (``journal``, ``data`` or ``dir``), counted.
+        """One fsync of *path* (``wal``, ``data`` or ``dir``), counted.
         Never retried: a failed fsync means the kernel may have dropped
         the dirty pages, so "try again" would lie."""
         self.stats.fsyncs += 1
@@ -475,10 +508,10 @@ class Pager:
         self._data_unsynced = False
 
     def _fsync_dir(self) -> None:
-        """Sync the journal's directory entry: after its creation and
-        its removal (clean close, rollback), never in a steady-state
-        commit.  Best-effort only where the platform cannot open
-        directories; a failing sync propagates like any other."""
+        """Sync the WAL's directory entry: after its creation and its
+        removal (clean close, recovery without journaling), never in a
+        steady-state commit.  Best-effort only where the platform cannot
+        open directories; a failing sync propagates like any other."""
         try:
             fd = os.open(self._directory, os.O_RDONLY)
         except OSError:  # pragma: no cover - platform-dependent
@@ -490,9 +523,9 @@ class Pager:
 
     def _release_handles(self) -> None:
         """Close the OS handles and nothing else: no header write-back,
-        no commit, no journal cleanup.  What a degraded close, a failed
-        open and :func:`repro.faults.simulate_crash` have in common."""
-        for handle in (self._journal_file, self._file):
+        no commit, no checkpoint.  What a degraded close, a failed open
+        and :func:`repro.faults.simulate_crash` have in common."""
+        for handle in (self._wal, self._file):
             if handle is not None and not handle.closed:
                 try:
                     handle.close()
@@ -500,228 +533,200 @@ class Pager:
                     pass
 
     # ------------------------------------------------------------------
-    # Rollback journal
+    # Write-ahead log
     # ------------------------------------------------------------------
-    def _capture_pre_image(self, page_id: int) -> None:
-        """Write a page's current on-disk bytes to the journal, unsynced.
+    @property
+    def wal_bytes(self) -> int:
+        """Frame bytes the current generation holds."""
+        return max(0, self._wal_end - _WAL_HEADER.size)
 
-        Called before the first overwrite of a page in the current
-        transaction.  Pages created after the last commit are skipped:
-        rollback simply truncates them away.  The record (tagged with
-        its own CRC32 and the transaction's salt) is *not* durable when
-        this returns; whoever overwrites the page runs
-        :meth:`_journal_barrier` first.  A pre-image is the on-disk
-        bytes, independent of the payload that will replace them, so it
-        can be captured for any page expected to be written later in
-        the transaction.
-        """
-        if not self.journaled or page_id in self._journaled_pages:
-            return
-        self._ensure_transaction()
-        if page_id >= self._journal_base_count:
-            self._journaled_pages.add(page_id)
-            return  # fresh page: nothing to restore
-        self._file.seek(page_id * self.page_size)
-        pre_image = self._file.read(self.page_size)
-        record = _journal_record(
-            page_id, pre_image.ljust(self.page_size, b"\x00"), self._journal_salt
-        )
-        self._hook("before_journal_write")
-        self._io_write(self._journal_file, self.journal_bytes, record, "journal")
-        self.journal_bytes += len(record)
-        self._journal_unsynced = True
-        self._hook("after_journal_write")
-        self._journaled_pages.add(page_id)
-        obs.count("pager.journal_records")
-
-    def _ensure_transaction(self) -> None:
-        """Pin the committed page count and write the journal header at
-        offset 0, once per transaction; the pager's first transaction
-        creates the file.  Nothing is synced: the first barrier makes
-        the header (and a new journal's directory entry) durable.
-        """
-        if not self.journaled or self._journal_base_count is not None:
-            return
-        if self._journal_file is None:
-            self._hook("before_journal_create")
-            self._journal_file = open(self.journal_path, "w+b")
-            if self.faults is not None:
-                self.faults.note_create(self.journal_path)
-            self._journal_new = True
-            self._hook("after_journal_create")
-        header = _journal_header(self.page_size, self.page_count, self._journal_salt)
-        self._io_write(self._journal_file, 0, header, "journal")
-        self._journal_base_count = self.page_count
-        self.journal_bytes = len(header)
-        self._journal_unsynced = True
-
-    def _sync_journal(self) -> None:
-        """Flush and fsync the journal (and a new journal's directory
-        entry).  A failure is final -- the next attempt would be the
-        fsync retry that "would lie" -- so the pager degrades at once.
-        """
-        try:
-            self._journal_file.flush()
-            self._io_fsync(
-                self._journal_file.fileno(), "journal", self.journal_path
+    def _open_wal(self, page_size: int) -> None:
+        """Index the committed frames of the WAL a previous pager left."""
+        self._wal = open(self.wal_path, "r+b", buffering=0)
+        self._wal_fd = self._wal.fileno()
+        self.page_size = page_size
+        header, *frames = scan_wal(self._wal)
+        if header.verdict == "unusable":
+            message = f"{header.detail} in {self.wal_path!r}"
+            if self.strict:  # left on disk for ``repro fsck``
+                raise JournalError(message)
+            warnings.warn(
+                f"{message}; its frames are discarded", RuntimeWarning, stacklevel=4
             )
-            if self._journal_new:
-                self._fsync_dir()
-        except OSError:
-            self._degrade()
-            raise
-        self._journal_new = self._journal_unsynced = False
-
-    def _journal_barrier(self) -> None:
-        """Make everything written to the journal durable, immediately
-        before the first data-file write that depends on those bytes; a
-        no-op when nothing was written since the last barrier.
-
-        Nothing a failed barrier covered has been overwritten, and every
-        earlier overwrite sits behind an earlier, successful barrier, so
-        the next open still rolls back to the last commit.
-        """
-        if not self._journal_unsynced:
             return
-        self._hook("before_journal_fsync")
-        self._sync_journal()
-        self._hook("after_journal_fsync")
+        if header.verdict != "ok":
+            return
+        self.page_size, self._generation = header.page_size, header.generation
+        if frames and frames[-1].status == "corrupt":  # its salt: not torn
+            warnings.warn(
+                f"WAL frame at byte {frames[-1].offset} of {self.wal_path!r} "
+                "fails its checksum; replay stops at the last valid frame "
+                "before it", RuntimeWarning, stacklevel=4,
+            )
+        self._index, _ = _replay(frames)
+        obs.count("pager.replayed_frames", len(self._index))
 
-    def _remove_journal(self) -> None:
-        if self.faults is not None:
-            self.faults.note_unlink(self.journal_path)
-        os.remove(self.journal_path)
+    def _recover(self) -> None:
+        """Checkpoint what a leftover WAL committed, then start a new
+        generation -- or, not journaled, remove the WAL."""
+        obs.count("pager.recoveries")
+        if self._index:
+            self._copy_back()
+        if self.journaled:
+            self._reset_wal()
+        else:
+            self._drop_wal()
+
+    def _create_wal(self) -> None:
+        """Create the WAL -- or finish a creation cut short -- up to a
+        durable header and directory entry."""
+        if self._wal is None:
+            self._hook("before_wal_create")
+            self._wal = open(self.wal_path, "w+b", buffering=0)
+            self._wal_fd = self._wal.fileno()
+            if self.faults is not None:
+                self.faults.note_create(self.wal_path)
+            self._hook("after_wal_create")
+        self._reset_wal()
         self._fsync_dir()
 
-    def _invalidate_journal(self) -> None:
-        """Zero the journal header and fsync the zeros: the commit point.
-        The records stay; the next salt disowns what it does not
-        overwrite.  A failure is final, as a barrier's is: a later
-        barrier would sync records a half-zeroed header may disown."""
-        self._hook("before_journal_invalidate")
-        try:
-            self._io_write(
-                self._journal_file, 0, bytes(_JOURNAL_HEADER.size), "journal"
+    def _sync_wal(self) -> None:
+        self._io_fsync(self._wal_fd, "wal", self.wal_path)
+
+    # State changes before each ``after_*`` hook: a harness that lets
+    # the code run on past a simulated crash sees a consistent pager.
+    def _append(self, frames, commit: bool = False) -> None:
+        """Append ``(page_id, image)`` frames to the WAL in one unsynced
+        write, the last flagged as a commit if *commit*."""
+        if not self._wal_end:  # no durable WAL header yet
+            self._or_degrade(self._create_wal)
+        last = len(frames) - 1
+        blob = b"".join(
+            _frame(page_id, image, commit and n == last, self._salt)
+            for n, (page_id, image) in enumerate(frames)
+        )
+        self._hook("before_wal_write")
+        self._io_write(self._wal, self._wal_end, blob, "wal")
+        size = len(blob) // len(frames)
+        for page_id, _ in frames:
+            self._index[page_id] = self._wal_end
+            self._wal_end += size
+            self._fresh.discard(page_id)
+        self.stats.wal_frames += len(frames)
+        obs.count("pager.wal_frames", len(frames))
+        self._hook("after_wal_write")
+
+    def _commit_frames(self, frames) -> None:
+        self._append(frames, commit=True)
+        self._hook("before_commit_fsync")
+        self._sync_wal()
+        self._committed_end = self._wal_end
+        self._header_dirty = False
+        self.wal_commits += 1
+        self._hook("after_commit_fsync")
+
+    def _copy_back(self) -> None:
+        """Checkpoint steps 1-3: the newest image of every indexed page
+        into the data file, in page order; the file's length set to the
+        committed page count; the data file fsynced."""
+        for page_id in sorted(self._index):
+            image = os.pread(
+                self._wal_fd, self.page_size,
+                self._index[page_id] + _FRAME_HEAD.size,
             )
-        except OSError:
-            self._degrade()
-            raise
-        self._sync_journal()
-        self._hook("after_journal_invalidate")
-        self._journaled_pages.clear()
-        self._journal_base_count = None
-        self.journal_bytes = 0
-        self._journal_salt = (self._journal_salt + 1) % (1 << 64)
+            self._hook("before_page_write")
+            self._io_write(self._file, page_id * self.page_size, image, "data")
+            self.stats.physical_writes += 1
+            self._hook("after_page_write")
+        self._file.truncate(self.page_count * self.page_size)
+        self._hook("before_checkpoint_fsync")
+        self._fsync_data()
+        self._hook("after_checkpoint_fsync")
 
-    def commit(self) -> None:
-        """Make the current state durable and invalidate the journal.
+    def _reset_wal(self) -> None:
+        """Checkpoint steps 4-5: a header with a new salt, durable before
+        any frame of the new generation is written; an empty index."""
+        salt, generation = _new_salt(), self._generation + 1
+        self._hook("before_wal_reset")
+        self._io_write(
+            self._wal, 0, _wal_header(self.page_size, salt, generation), "wal"
+        )
+        self._sync_wal()
+        self._salt, self._generation = salt, generation
+        self._wal_end = self._committed_end = _WAL_HEADER.size
+        self._index.clear()
+        self.wal_commits = 0
+        self._hook("after_wal_reset")
 
-        The commit point is the fsync that follows zeroing the journal
-        header: a crash before it rolls the transaction back on reopen,
-        a crash after it keeps the transaction, a tear of the zeroing
-        write keeps it too.  A pager with nothing to make durable -- no
-        open transaction, a clean header, no data write since the last
-        sync -- returns without I/O.
+    def _checkpoint(self) -> None:
+        self._copy_back()
+        self._reset_wal()
+        obs.count("pager.checkpoints")
+
+    def _drop_wal(self) -> None:
+        self._wal.close()
+        if self.faults is not None:
+            self.faults.note_unlink(self.wal_path)
+        os.remove(self.wal_path)
+        self._fsync_dir()
+
+    def commit(self, pages: Iterable[Tuple[int, bytes]] = ()) -> None:
+        """Write *pages* -- the final write-back set -- and the header
+        page as one transaction, and make it durable.
+
+        Journaled: one WAL append of the pages, any page allocated and
+        never written (as an empty page) and page 0 with the commit flag,
+        then one WAL fsync -- the commit point; a commit that leaves the
+        generation past :data:`WAL_CHECKPOINT_BYTES` then checkpoints.
+        Not journaled: a write-back set, then a data fsync.  A pager with
+        nothing to make durable returns without I/O.
         """
+        pages = tuple(pages)
         with self._mutex:
+            self._check(pages)
             self._guard_writable()
-            if not self.dirty:
+            if not (pages or self.dirty):
                 return
-            self.write_pages(())  # the header page, behind its barrier
-            self._hook("before_commit_fsync")
-            self._fsync_data()
-            self._hook("after_commit_fsync")
-            if self._journal_base_count is not None:
-                self._invalidate_journal()
+            if not self.journaled:
+                self.write_pages(pages)
+                self._fsync_data()
+            else:
+                written = {page_id for page_id, _ in pages}
+                frames = [(page_id, self._image(payload)) for page_id, payload in pages]
+                frames += [
+                    (page_id, self._image(b""))
+                    for page_id in sorted(self._fresh - written)
+                ]
+                frames.append((0, self._header_image()))
+                self._or_degrade(self._commit_frames, frames)
+                if self.wal_bytes >= WAL_CHECKPOINT_BYTES:
+                    self._or_degrade(self._checkpoint)
             obs.count("pager.commits")
-
-    def in_transaction(self) -> bool:
-        """Whether uncommitted (journaled) changes exist."""
-        return self._journal_base_count is not None
 
     @property
     def dirty(self) -> bool:
         """Whether :meth:`commit` has anything to make durable."""
         return (
-            self._journal_base_count is not None
-            or self._header_dirty
+            self._header_dirty
             or self._data_unsynced
+            or self._wal_end != self._committed_end
         )
-
-    def _journal_problem(self, message: str) -> None:
-        """An unusable leftover journal: warn, or raise under strict.
-
-        Deleting a journal we cannot parse would silently accept a page
-        file that may hold uncommitted writes, so the condition is
-        always surfaced; ``strict=True`` refuses to proceed (and the
-        journal is left on disk for forensics / ``repro fsck``).
-        """
-        obs.count("pager.journal_problems")
-        if self.strict:
-            raise JournalError(message)
-        warnings.warn(
-            f"{message}; the page file may be left in an uncommitted state",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-
-    def _rollback_journal(self) -> None:
-        """Undo what a leftover journal describes, then remove it.
-
-        *Hot*: records are restored up to the last valid one (a stale
-        salt or a torn tail is the normal end of a journal; a failed CRC
-        under this transaction's salt is a real corruption and is warned
-        about) and the file is cut back to the committed page count.
-
-        *Cold* (header short, zeroed, or torn while being written or
-        zeroed): either no barrier of the open transaction completed or
-        its data fsync did, so no committed page holds an uncommitted
-        byte and there is nothing to restore -- only fresh pages to
-        drop, whose count the header page records.  The normal signature
-        of a killed process, not a problem; a legacy or damaged header
-        stays one.
-        """
-        obs.count("pager.rollbacks")
-        with open(self.journal_path, "rb") as journal:
-            records = scan_journal(journal)
-            header = next(records)
-            if header.verdict == "unusable":
-                self._journal_problem(f"{header.detail} in {self.journal_path!r}")
-            elif header.verdict == "cold":
-                self._load_header()
-                self._file.truncate(self.page_count * self.page_size)
-                self._fsync_data()
-            else:
-                restored = 0
-                for record in records:
-                    if record.status == "ok":
-                        self._file.seek(record.page_id * header.page_size)
-                        self._file.write(record.image)
-                        restored += 1
-                    elif record.status == "corrupt":
-                        warnings.warn(
-                            f"journal record for page {record.page_id} fails "
-                            "its checksum; rollback stops at the last valid "
-                            "record",
-                            RuntimeWarning,
-                            stacklevel=4,
-                        )
-                        obs.count("pager.journal_problems")
-                self._file.truncate(header.base_count * header.page_size)
-                self._fsync_data()
-                obs.count("pager.rollback_pages", restored)
-        self._remove_journal()
 
     # ------------------------------------------------------------------
     # Header handling
     # ------------------------------------------------------------------
     def _load_header(self) -> None:
-        self._file.seek(0)
-        raw = self._file.read(_HEADER.size)
+        """Read page 0 -- from the WAL if a committed frame holds it."""
+        offset = self._index.get(0)
+        if offset is None:
+            self._file.seek(0)
+            raw = self._file.read(_HEADER.size)
+        else:
+            raw = os.pread(self._wal_fd, self.page_size, offset + _FRAME_HEAD.size)
         if len(raw) < _HEADER.size:
             raise PageCorruptionError("truncated header page")
         magic, version, page_size, page_count, free_head, root, live, meta_len = (
-            _HEADER.unpack(raw)
+            _HEADER.unpack_from(raw)
         )
         if magic != _MAGIC:
             raise PageCorruptionError(f"bad magic in {self.path!r}")
@@ -732,19 +737,21 @@ class Pager:
         self._free_head = free_head
         self._root = root
         self.live_nodes = live
-        self._meta_blob = self._file.read(meta_len)
+        self._meta_blob = (
+            self._file.read(meta_len) if offset is None
+            else raw[_HEADER.size:_HEADER.size + meta_len]
+        )
         self._meta = {}
         for line in self._meta_blob.decode("utf-8").splitlines():
             key, _, value = line.partition("=")
             self._meta[key] = value
 
     def _touch_header(self) -> None:
-        """Page 0 changed in memory; the next write-back set writes it."""
+        """Page 0 changed in memory; the next commit writes it."""
         self._guard_writable()
         self._header_dirty = True
 
-    def _put_header(self) -> None:
-        """Format page 0 and write it.  The caller ran the barrier."""
+    def _header_image(self) -> bytes:
         payload = _HEADER.pack(
             _MAGIC,
             _VERSION,
@@ -755,12 +762,12 @@ class Pager:
             self.live_nodes,
             len(self._meta_blob),
         ) + self._meta_blob
-        self._hook("before_header_write")
+        return payload.ljust(self.page_size, b"\x00")
+
+    def _put_header(self) -> None:
+        """Write page 0 to the data file (not journaled)."""
         self._data_unsynced = True
-        self._io_write(
-            self._file, 0, payload.ljust(self.page_size, b"\x00"), "data"
-        )
-        self._hook("after_header_write")
+        self._io_write(self._file, 0, self._header_image(), "data")
         self._header_dirty = False
 
     # ------------------------------------------------------------------
@@ -799,13 +806,22 @@ class Pager:
         return self.page_size - _CRC.size
 
     def read_page(self, page_id: int) -> bytes:
-        """Read and checksum-verify one page's payload."""
+        """Read and checksum-verify one page's payload: its newest WAL
+        frame if it has one, else the data file."""
         with self._mutex:
             if not 1 <= page_id < self.page_count:
                 raise ValueError(f"page {page_id} out of range")
-            self._file.seek(page_id * self.page_size)
-            raw = self._file.read(self.page_size)
             self.stats.physical_reads += 1
+            if page_id in self._fresh:
+                return bytes(self.payload_size)
+            offset = self._index.get(page_id)
+            if offset is None:
+                self._file.seek(page_id * self.page_size)
+                raw = self._file.read(self.page_size)
+            else:
+                raw = os.pread(
+                    self._wal_fd, self.page_size, offset + _FRAME_HEAD.size
+                )
         payload, crc_raw = raw[: self.payload_size], raw[self.payload_size:]
         (expected,) = _CRC.unpack(crc_raw)
         if zlib.crc32(payload) != expected:
@@ -816,66 +832,50 @@ class Pager:
         """Write one page's payload: a one-page write-back set."""
         self.write_pages(((page_id, payload),))
 
-    def write_pages(
-        self,
-        pages: Iterable[Tuple[int, bytes]],
-        journal_ahead: Iterable[int] = (),
-    ) -> None:
+    def _check(self, pages) -> None:
+        for page_id, payload in pages:
+            if len(payload) > self.payload_size:
+                raise ValueError(
+                    f"payload of {len(payload)} bytes exceeds page "
+                    f"capacity {self.payload_size}"
+                )
+            if not 1 <= page_id < self.page_count:
+                raise ValueError(f"page {page_id} out of range")
+
+    def write_pages(self, pages: Iterable[Tuple[int, bytes]]) -> None:
         """Write one write-back set -- ``(page_id, payload)`` pairs, each
-        payload getting its checksum appended -- plus the header page if
-        it is dirty, behind a single journal barrier.
+        payload getting its checksum appended.
 
-        ``journal_ahead`` names pages the caller expects to write later
-        in this transaction (the pool's other dirty frames when it
-        evicts one): if this set needs a barrier, their pre-images ride
-        it, so those later writes need none of their own.  Ignored when
-        the set needs no barrier (everything it overwrites is already
-        durably journaled) and when not journaled.
-
-        If a write fails part-way, an unknown prefix of the set reached
-        the file; writing the set again is harmless.
+        Journaled: one WAL append of uncommitted frames, no fsync.  Not
+        journaled: the pages and then the header page, if it is dirty,
+        into the data file.  If a write fails part-way, an unknown prefix
+        of the set reached the file; writing the set again is harmless.
         """
         pages = tuple(pages)
         with self._mutex:
-            for page_id, payload in pages:
-                if len(payload) > self.payload_size:
-                    raise ValueError(
-                        f"payload of {len(payload)} bytes exceeds page "
-                        f"capacity {self.payload_size}"
-                    )
-                if not 1 <= page_id < self.page_count:
-                    raise ValueError(f"page {page_id} out of range")
+            self._check(pages)
             self._guard_writable()
             if self.journaled:
-                # Page 0 first: if rollback ever has to stop at a rotten
-                # record, the header is the page it must not lose.
-                if self._header_dirty:
-                    self._capture_pre_image(0)
-                for page_id, _ in pages:
-                    self._capture_pre_image(page_id)
-                if self._journal_unsynced:
-                    # A barrier is due anyway: let it cover more.
-                    for page_id in journal_ahead:
-                        self._capture_pre_image(page_id)
-                    self._journal_barrier()
+                if pages:
+                    self._append(
+                        [(page_id, self._image(payload)) for page_id, payload in pages]
+                    )
+                return
             for page_id, payload in pages:
                 self._put_page(page_id, payload)
             if self._header_dirty:
                 self._put_header()
 
-    def _put_page(self, page_id: int, payload: bytes) -> None:
-        """The raw data-file write of one page.  The caller ran the
-        barrier, or the page is fresh and needs none."""
+    def _image(self, payload: bytes) -> bytes:
         padded = payload.ljust(self.payload_size, b"\x00")
-        self._hook("before_page_write")
+        return padded + _CRC.pack(zlib.crc32(padded))
+
+    def _put_page(self, page_id: int, payload: bytes) -> None:
+        """The raw data-file write of one page (not journaled)."""
         self._data_unsynced = True
         self._io_write(
-            self._file,
-            page_id * self.page_size,
-            padded + _CRC.pack(zlib.crc32(padded)),
-            "data",
+            self._file, page_id * self.page_size, self._image(payload), "data"
         )
-        self._hook("after_page_write")
         self.stats.physical_writes += 1
 
     # ------------------------------------------------------------------
@@ -885,20 +885,18 @@ class Pager:
         """Pop a page from the free list, or extend the file."""
         with self._mutex:
             self._guard_writable()
-            # Pin the committed page count before the file can grow, so
-            # a rollback truncates freshly allocated pages away.
-            self._ensure_transaction()
             if self._free_head != NO_PAGE:
                 page_id = self._free_head
                 payload = self.read_page(page_id)
                 (self._free_head,) = _FREE_LINK.unpack(payload[: _FREE_LINK.size])
                 self._freed.discard(page_id)
             else:
-                # Extend the file.  The page is fresh, so no barrier:
-                # rollback truncates it away.
                 page_id = self.page_count
                 self.page_count += 1
-                self._put_page(page_id, b"")
+                if self.journaled:
+                    self._fresh.add(page_id)  # an empty page until written
+                else:
+                    self._put_page(page_id, b"")
             self.live_nodes += 1
             self._header_dirty = True
             return page_id
@@ -927,20 +925,20 @@ class Pager:
 
     # ------------------------------------------------------------------
     def sync(self) -> None:
-        """Write the header page if it is dirty, then flush the OS file
-        buffers to stable storage."""
+        """Write the header page if it is dirty (not journaled: a
+        journaled pager writes it only in :meth:`commit`), then flush
+        the OS file buffers of the data file to stable storage."""
         with self._mutex:
             self.write_pages(())
             self._fsync_data()
 
     def close(self) -> None:
-        """Clean shutdown: persist the header, commit any transaction and
-        remove the (now cold) journal, directory-synced.
+        """Clean shutdown: commit (journaled) or write the header page,
+        then checkpoint and remove the WAL, directory-synced.
 
         A degraded pager only closes its handles: the in-memory state
-        can no longer be trusted to reach disk, so the journal (if any)
-        is left in place and the next open rolls back to the last
-        commit.
+        can no longer be trusted to reach disk, so the WAL (if any) is
+        left in place and the next open recovers the last commit.
         """
         with self._mutex:
             if self._file.closed:
@@ -948,15 +946,15 @@ class Pager:
             if self.degraded:
                 self._release_handles()
                 return
-            if self.journaled:
-                self.commit()
-            else:
-                self.write_pages(())  # the header page
             try:
-                if self._journal_file is not None:
-                    # Cold since the commit above: a closed store is one file.
-                    self._journal_file.close()
-                    self._remove_journal()
+                if not self.journaled:
+                    self.write_pages(())  # the header page
+                    return
+                self.commit()
+                if self._wal is not None:
+                    if self._index:
+                        self._copy_back()
+                    self._drop_wal()
             finally:
                 self._release_handles()
 

@@ -79,7 +79,7 @@ class PagedNodeStore(NodeStore):
     strict:
         Raise (instead of warning) when reopening a file whose on-disk
         page size differs from the requested one, or when a leftover
-        rollback journal is unusable.
+        write-ahead log is unusable.
     faults:
         Optional :class:`repro.faults.FaultInjector` passed through to
         the pager (crash points, torn writes, injected I/O errors).
@@ -193,7 +193,8 @@ class PagedNodeStore(NodeStore):
     @property
     def dirty(self) -> bool:
         """Whether :meth:`commit` has anything to make durable: a dirty
-        frame, a dirty header page or an open transaction."""
+        frame, a dirty header page or a WAL frame written since the last
+        commit (committed, not yet checkpointed frames do not count)."""
         return self.buffer.dirty or self.pager.dirty
 
     def flush(self) -> None:
@@ -202,26 +203,23 @@ class PagedNodeStore(NodeStore):
         self.pager.sync()
 
     def commit(self) -> None:
-        """Write back, then commit the pager's transaction (journaled mode).
+        """Hand the dirty frames to the pager's commit.
 
-        The dirty frames and the header page reach the pager as one
-        write-back set, so a commit costs one journal barrier, one data
-        fsync and the fsync that makes the journal's zeroed header
-        durable (no directory operation: the journal file persists); a
-        store with nothing to commit (see :attr:`dirty`) does no I/O at
-        all.  After a commit the on-disk state is a durable
-        snapshot: a crash at any later point rolls the file back to it
-        on reopen.
+        Journaled, they and the header page are one WAL append and one
+        WAL fsync -- the commit's only fsync unless the commit ends a
+        WAL generation with a checkpoint (then a data fsync and a WAL
+        fsync more); no directory operation.  A store with nothing to
+        commit (see :attr:`dirty`) does no I/O at all.  After a commit a
+        crash at any later point reopens to exactly this state.
         """
-        self.buffer.flush()
-        self.pager.commit()
+        self.buffer.flush(commit=True)
 
     def close(self) -> None:
         """Flush and close; a degraded pager is closed without flushing.
 
         Once the pager has entered read-only degraded mode the dirty
         frames cannot reach the file anyway; closing the handles leaves
-        the journal in place so the next open recovers the last commit.
+        the WAL in place so the next open recovers the last commit.
         """
         if not self.pager.degraded:
             self.buffer.flush()

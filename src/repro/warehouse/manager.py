@@ -111,7 +111,7 @@ class TemporalWarehouse:
         the backing tree pages live in ``<directory>/<name>.sbt`` -- plus
         ``<name>.ended.sbt`` for ANY_WINDOW SUM/COUNT/AVG views, which
         need the second tree of Section 4.2.  ``journaled`` additionally
-        gives the page files crash-consistent rollback journals.
+        gives the page files crash-consistent write-ahead logs.
         """
         if name in self._views:
             raise ValueError(f"view {name!r} already exists")
@@ -176,9 +176,10 @@ class TemporalWarehouse:
         """Detach a view and close + remove its persisted page stores.
 
         A dropped persistent view's ``<name>.sbt`` page file (and its
-        rollback journal, and the ``.ended.sbt`` pair of an ANY_WINDOW
-        view) are deleted -- a dropped view that leaves pages behind
-        would resurrect stale aggregates if the name were ever reused.
+        write-ahead log, and the ``.ended.sbt`` pair of an ANY_WINDOW
+        view) are deleted -- a dropped view that leaves pages or frames
+        behind would resurrect stale aggregates if the name were ever
+        reused.
         """
         view = self._views.pop(name)
         view.detach()
@@ -187,7 +188,7 @@ class TemporalWarehouse:
             store.close()
             if pager is None:
                 continue
-            for path in (pager.path, pager.journal_path):
+            for path in (pager.path, pager.wal_path):
                 if path and os.path.exists(path):
                     os.remove(path)
 

@@ -12,7 +12,8 @@ from repro.core.sbtree import SBTree
 from repro.core.validate import check_tree
 from repro.faults import FaultInjector, SimulatedCrash, simulate_crash
 from repro.storage import PagedNodeStore
-from repro.storage.pager import Pager
+from repro.storage import pager as pager_module
+from repro.storage.pager import Pager, scan_wal
 from repro.warehouse import TemporalWarehouse
 
 
@@ -90,11 +91,17 @@ class TestPowerLossSweep:
         assert {type(r.power_loss) for r in results} == {str, int}
 
     def test_sweep_fails_without_the_journal_barrier(self, tmp_path, monkeypatch):
-        """The mutation the sweep exists to catch: pre-images that are
-        never made durable before the overwrite they protect.  Per-fact
-        inserts and the batched insert's one write-back set alike."""
-        monkeypatch.setattr(Pager, "_journal_barrier", lambda self: None)
-        for workload in ("split", "batch"):
+        """The mutation the sweep exists to catch: a commit that appends
+        its frames and acknowledges without the WAL fsync -- the one
+        barrier left, its commit point."""
+
+        def unsynced_commit(self, frames):
+            self._append(frames, commit=True)
+            self._committed_end = self._wal_end
+            self._header_dirty = False
+
+        monkeypatch.setattr(Pager, "_commit_frames", unsynced_commit)
+        for workload in ("commit", "batch"):
             blind = crashcheck.sweep(workload, str(tmp_path), hits="sample")
             assert all(r.ok for r in blind)  # process death alone cannot tell
             results = crashcheck.sweep(
@@ -103,46 +110,84 @@ class TestPowerLossSweep:
             assert any(not r.ok for r in results), workload
 
     def test_sweep_fails_without_directory_syncs(self, tmp_path, monkeypatch):
-        """The journal's directory entry is made once, by a pager's
-        first transaction.  Never synced, the whole file -- every later
-        transaction's pre-images with it -- may vanish at any power cut
-        while the overwrites it covered survive."""
+        """The WAL's directory entry is made once, by a pager's first
+        transaction.  Never synced, the whole file -- every later
+        commit with it -- may vanish at any power cut."""
         monkeypatch.setattr(Pager, "_fsync_dir", lambda self: None)
         results = crashcheck.sweep(
             "commit", str(tmp_path), hits="sample", power_loss=True
         )
         assert any(not r.ok for r in results)
 
-    def test_sweep_fails_without_the_invalidation_fsync(self, tmp_path, monkeypatch):
-        """Zeros written but not fsynced: an acknowledged commit is
-        rolled back when the power cut drops them."""
-        invalidate = Pager._invalidate_journal
+    def test_sweep_fails_when_the_checkpoint_resets_before_its_data_fsync(
+        self, tmp_path, monkeypatch
+    ):
+        """A new generation disowns the frames of the last one: started
+        before the copies it checkpointed are durable, a power cut loses
+        commits that only those frames held."""
 
-        def written_not_synced(self):
-            with monkeypatch.context() as patch:
-                patch.setattr(Pager, "_sync_journal", lambda self: None)
-                invalidate(self)
+        def reset_first(self):
+            monkeypatch.setattr(self, "_fsync_data", lambda: None, raising=False)
+            self._copy_back()
+            monkeypatch.delattr(self, "_fsync_data")
+            self._reset_wal()
+            self._fsync_data()
 
-        monkeypatch.setattr(Pager, "_invalidate_journal", written_not_synced)
+        monkeypatch.setattr(Pager, "_checkpoint", reset_first)
         blind = crashcheck.sweep("commit", str(tmp_path), hits="sample")
-        assert all(r.ok for r in blind)  # process death alone cannot tell
+        assert all(r.ok for r in blind)
         results = crashcheck.sweep(
             "commit", str(tmp_path), hits="sample", power_loss=True
         )
         assert any(not r.ok for r in results)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sweep_fails_without_the_invalidation_fsync(self, tmp_path, monkeypatch):
+        """The header that starts a generation is what invalidates the
+        last one's frames.  Written but not fsynced before the first new
+        frame, a power cut that keeps a later frame and drops the header
+        replays part of the previous generation over the newer
+        checkpoint; the ``turnover`` workload is the shape that needs."""
+        reset = Pager._reset_wal
+
+        def unsynced_header(self):
+            monkeypatch.setattr(self, "_sync_wal", lambda: None, raising=False)
+            reset(self)
+            monkeypatch.delattr(self, "_sync_wal")
+
+        monkeypatch.setattr(Pager, "_reset_wal", unsynced_header)
+        blind = crashcheck.sweep("turnover", str(tmp_path), hits="sample")
+        assert all(r.ok for r in blind)
+        results = crashcheck.sweep(
+            "turnover", str(tmp_path), hits="sample", power_loss=True
+        )
+        assert any(not r.ok for r in results)
+
+    def test_sweep_fails_when_replay_runs_past_the_last_commit(
+        self, tmp_path, monkeypatch
+    ):
+        """Replay that applies every intact frame, not whole committed
+        transactions, resurrects evicted uncommitted pages."""
+        open_wal = Pager._open_wal
+
+        def replay_everything(self, page_size):
+            open_wal(self, page_size)
+            self._wal.seek(0)
+            header, *frames = scan_wal(self._wal)
+            for frame in frames if header.verdict == "ok" else ():
+                if frame.status != "ok":
+                    break
+                self._index[frame.page_id] = frame.offset
+
+        monkeypatch.setattr(Pager, "_open_wal", replay_everything)
+        results = crashcheck.sweep("split", str(tmp_path), hits="sample")
+        assert any(not r.ok for r in results)
+
     def test_sweep_fails_without_the_salt(self, tmp_path, monkeypatch):
-        """Every transaction writing the same salt is the reader not
-        checking it: a short transaction's rollback runs on into the
-        valid records a longer one left beyond its tail."""
-        commit = Pager.commit
-
-        def same_salt(self):
-            salt = self._journal_salt
-            commit(self)
-            self._journal_salt = salt
-
-        monkeypatch.setattr(Pager, "commit", same_salt)
+        """Every generation writing the same salt is the reader not
+        checking it: replay of a short generation runs on into the
+        committed frames a longer, checkpointed one left beyond it."""
+        monkeypatch.setattr(pager_module, "_new_salt", lambda: 7)
         results = crashcheck.sweep(
             "batch", str(tmp_path), hits="sample", power_loss=True
         )
@@ -207,17 +252,25 @@ class TestWarehouseCheckpointCrash:
     @pytest.mark.parametrize(
         "point,hit,expected",
         [
-            # Crash inside v1's own commit, before its commit point:
-            # nothing of the second batch survives anywhere.
-            ("before_commit_fsync", 1, {"v1": "base", "v2": "base"}),
-            ("before_journal_invalidate", 1, {"v1": "base", "v2": "base"}),
-            # v1's journal invalidation is its commit point: crashing
-            # right after it (or anywhere inside v2's commit) leaves v1
-            # with the new snapshot and v2 rolled back to the old one.
-            ("after_journal_invalidate", 1, {"v1": "new", "v2": "base"}),
-            ("before_commit_fsync", 2, {"v1": "new", "v2": "base"}),
-            ("after_commit_fsync", 2, {"v1": "new", "v2": "base"}),
-            ("before_journal_invalidate", 2, {"v1": "new", "v2": "base"}),
+            # Crash inside v1's own commit, before its frames are
+            # written: nothing of the second batch survives anywhere.
+            ("before_wal_write", 1, {"v1": "base", "v2": "base"}),
+            # Once v1's commit frame is in the file a process death
+            # keeps it (the fsync is the commit point against a power
+            # cut): v1 has the new snapshot, v2 until its own frame
+            # lands the old one.
+            ("before_commit_fsync", 1, {"v1": "new", "v2": "base"}),
+            # Right after v1's commit point, the fsync of its journal
+            # (the WAL of a journaled pager).
+            pytest.param(
+                "after_commit_fsync",
+                1,
+                {"v1": "new", "v2": "base"},
+                id="after_journal_commit_point-v1",
+            ),
+            ("before_wal_write", 2, {"v1": "new", "v2": "base"}),
+            ("before_commit_fsync", 2, {"v1": "new", "v2": "new"}),
+            ("after_commit_fsync", 2, {"v1": "new", "v2": "new"}),
         ],
     )
     def test_crash_between_view_commits(self, tmp_path, point, hit, expected):

@@ -1,6 +1,7 @@
 """Tests for the fault-injection layer (:mod:`repro.faults`) and the
-pager's failure handling: retries, degraded mode, write-ahead journal
-discipline (one barrier per write-back set), torn-record recovery, the
+pager's failure handling: retries, degraded mode, the write-ahead log's
+ordering (frames durable before the data file is written, the data file
+durable before a new generation starts), torn-frame recovery, the
 power-loss model, and the buffer pool's eviction path under injected
 I/O errors."""
 
@@ -22,15 +23,13 @@ from repro.storage import (
     Pager,
     PagerDegradedError,
 )
-from repro.storage.pager import (
-    _JOURNAL_HEADER, _JOURNAL_RECORD, _JOURNAL_TRAILER, _journal_header,
-    _journal_record, scan_journal,
-)
+from repro.storage import pager as pager_module
+from repro.storage.pager import _FRAME_HEAD, _FRAME_TAIL, _WAL_HEADER, scan_wal
 
 PAGE_SIZE = 512
-HEADER_SIZE = _JOURNAL_HEADER.size
-#: One journal record: page id, pre-image, crc + salt.
-STRIDE = _JOURNAL_RECORD.size + PAGE_SIZE + _JOURNAL_TRAILER.size
+HEADER_SIZE = _WAL_HEADER.size
+#: One WAL frame: page id + commit flag, page image, crc + salt.
+STRIDE = _FRAME_HEAD.size + PAGE_SIZE + _FRAME_TAIL.size
 
 
 def fast_pager(path, **kwargs):
@@ -45,43 +44,46 @@ def sha256_of(path):
         return hashlib.sha256(handle.read()).hexdigest()
 
 
-def assert_write_ahead(events, journal_path, base_count, page_size=PAGE_SIZE):
-    """The barrier rule, checked against the injector's event order.
+def wal_frames(pager):
+    """The frames of *pager*'s WAL, via the one reader."""
+    with open(pager.wal_path, "rb") as handle:
+        return list(scan_wal(handle))[1:]
 
-    *events* span one transaction, whose (hot) journal is still on
-    disk: every data-file write of a page that existed at the last
-    commit (page 0 included) comes after a journal fsync that covers the
-    journal header and that page's pre-image record -- and, if that
-    transaction created the journal file, after a sync of its directory
-    entry.  Returns how many such overwrites were checked.
+
+def assert_write_ahead(events):
+    """The WAL's ordering rules, checked against the injector's events.
+
+    A data-file write (a checkpoint copy) only once every WAL write
+    before it is fsynced; a new generation's header (the WAL write at
+    offset 0) only once every data write before it is fsynced; a frame
+    only once the header before it is fsynced and, for a WAL just
+    created, its directory entry synced.  Returns how many data writes
+    were checked.
     """
-    with open(journal_path, "rb") as handle:
-        header, *records = scan_journal(handle)
-    assert header.verdict == "hot"
-    record_end = {}  # page id -> where its record ends
-    for index, record in enumerate(r for r in records if r.status == "ok"):
-        record_end[record.page_id] = HEADER_SIZE + (index + 1) * STRIDE
-    appended = synced = checked = 0
+    wal_unsynced = data_unsynced = header_unsynced = False
     entry_synced = True
+    checked = 0
     for event in events:
         if event[0] == "create":
             entry_synced = False
-        elif event[:2] == ("write", "journal"):
-            appended = event[2] + event[3]
-        elif event == ("fsync", "journal"):
-            synced = appended
         elif event == ("fsync", "dir"):
             entry_synced = True
+        elif event == ("fsync", "wal"):
+            wal_unsynced = header_unsynced = False
+        elif event == ("fsync", "data"):
+            data_unsynced = False
+        elif event[:2] == ("write", "wal"):
+            if event[2] == 0:
+                assert not data_unsynced, "new generation before the data fsync"
+                header_unsynced = True
+            else:
+                assert not header_unsynced, "frame before its header is durable"
+                assert entry_synced, "frame before the WAL's entry is durable"
+            wal_unsynced = True
         elif event[:2] == ("write", "data"):
-            page_id = event[2] // page_size
-            if page_id < base_count:
-                assert entry_synced, f"page {page_id}: journal entry not synced"
-                assert page_id in record_end, f"page {page_id}: no pre-image"
-                assert record_end[page_id] <= synced, (
-                    f"page {page_id} overwritten before its pre-image "
-                    f"(ends at {record_end[page_id]}) was fsynced ({synced})"
-                )
-                checked += 1
+            assert not wal_unsynced, "data written before its frames are durable"
+            data_unsynced = True
+            checked += 1
     return checked
 
 
@@ -95,6 +97,19 @@ def committed_pager(path, payloads, **kwargs):
         pages.append(page_id)
     pager.commit()
     return pager, pages
+
+
+def checkpointed_pager(path, payloads):
+    """:func:`committed_pager`, closed and reopened: the data file holds
+    the commit and no WAL exists yet."""
+    pager, pages = committed_pager(path, payloads)
+    pager.close()
+    return fast_pager(path, journaled=True), pages
+
+
+@pytest.fixture
+def checkpoint_every_commit(monkeypatch):
+    monkeypatch.setattr(pager_module, "WAL_CHECKPOINT_BYTES", 0)
 
 
 # ----------------------------------------------------------------------
@@ -140,18 +155,18 @@ class TestFaultInjector:
         assert inj.write_calls["data"] == 3
 
     def test_write_fault_label_is_selective(self):
-        inj = FaultInjector().fail_writes("journal", times=1)
+        inj = FaultInjector().fail_writes("wal", times=1)
         assert inj.intercept_write("data", b"x") == (b"x", None)
         with pytest.raises(OSError):
-            inj.intercept_write("journal", b"x")
+            inj.intercept_write("wal", b"x")
 
     def test_torn_write_returns_prefix_and_crash(self):
-        inj = FaultInjector().tear_write("journal", fraction=0.5)
-        data, crash = inj.intercept_write("journal", b"0123456789")
+        inj = FaultInjector().tear_write("wal", fraction=0.5)
+        data, crash = inj.intercept_write("wal", b"0123456789")
         assert data == b"01234"
         assert isinstance(crash, SimulatedCrash)
         # One-shot: the next write is whole.
-        assert inj.intercept_write("journal", b"ab") == (b"ab", None)
+        assert inj.intercept_write("wal", b"ab") == (b"ab", None)
 
     def test_torn_write_always_keeps_a_strict_prefix(self):
         inj = FaultInjector().tear_write("data", fraction=0.0)
@@ -226,9 +241,12 @@ class TestPagerRetries:
             tmp_path / "p.sbt", [b"committed"],
             max_write_retries=0, degrade_after=2,
         )
-        pager.faults = FaultInjector().fail_writes("data", times=None)
+        # An append that fails is uncommitted frames at most: the next
+        # append overwrites them, so only repetition degrades.
+        pager.faults = FaultInjector().fail_writes("wal", times=None)
         with pytest.raises(OSError):
             pager.write_page(page, b"doomed-1")
+        assert not pager.degraded
         with pytest.warns(RuntimeWarning, match="degraded mode"):
             with pytest.raises(OSError):
                 pager.write_page(page, b"doomed-2")
@@ -241,9 +259,9 @@ class TestPagerRetries:
         with pytest.raises(PagerDegradedError):
             pager.commit()
         assert pager.read_page(page).rstrip(b"\x00") == b"committed"
-        # Degraded close leaves the journal: reopening rolls back.
+        # Degraded close leaves the WAL: reopening replays the commit.
         pager.close()
-        assert os.path.exists(str(tmp_path / "p.sbt") + "-journal")
+        assert os.path.exists(str(tmp_path / "p.sbt") + "-wal")
         reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
         assert reopened.read_page(page).rstrip(b"\x00") == b"committed"
         reopened.close()
@@ -255,13 +273,14 @@ class TestPagerRetries:
         )
         store.pager.retry_backoff = 0.0
         store.pager.max_write_retries = 0
-        store.pager.degrade_after = 1
         tree = SBTree("sum", store, branching=4, leaf_capacity=4)
         tree.insert(5, Interval(0, 10))
         store.commit()
         committed = tree.to_table()
         tree.insert(7, Interval(5, 20))  # dirty frames only
-        store.pager.faults = FaultInjector().fail_writes("data", times=None)
+        store.pager.faults = FaultInjector().fail_writes("wal", times=None)
+        # A failed commit degrades at once: the WAL may hold any prefix
+        # of it, which only a reopen (a new salt) reads safely.
         with pytest.warns(RuntimeWarning, match="degraded mode"):
             with pytest.raises(OSError):
                 store.commit()
@@ -275,17 +294,17 @@ class TestPagerRetries:
     def test_fsync_failure_is_never_retried(self, tmp_path):
         pager, (page,) = committed_pager(tmp_path / "p.sbt", [b"committed"])
         pager.write_page(page, b"uncommitted")
-        inj = FaultInjector().fail_fsyncs("data", times=1)
+        inj = FaultInjector().fail_fsyncs("wal", times=1)
         pager.faults = inj
-        with pytest.raises(OSError):
-            pager.commit()
+        with pytest.warns(RuntimeWarning, match="degraded mode"):
+            with pytest.raises(OSError):
+                pager.commit()
         # Exactly one fsync attempt reached the injector: no retry loop.
-        assert inj.fsync_calls["data"] == 1
+        assert inj.fsync_calls == {"wal": 1}
         assert pager.fsync_failures == 1
-        # The commit point (the journal's invalidation) was never reached.
-        assert "before_journal_invalidate" not in inj.hits
-        assert inj.fsync_calls == {"data": 1}
-        simulate_crash(pager)
+        # The commit point was never reached.
+        assert "after_commit_fsync" not in inj.hits
+        simulate_crash(pager, power_loss="all")
         reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
         assert reopened.read_page(page).rstrip(b"\x00") == b"committed"
         reopened.close()
@@ -295,44 +314,58 @@ class TestPagerRetries:
 # Write-ahead discipline
 # ----------------------------------------------------------------------
 class TestJournalWriteAhead:
-    def test_journal_record_fsynced_before_page_overwrite(self, tmp_path):
+    def test_journal_record_fsynced_before_page_overwrite(
+        self, tmp_path, checkpoint_every_commit
+    ):
         self.first_overwrite(tmp_path, reopened=False)
 
-    def test_first_transaction_of_a_pager_syncs_the_journal_entry(self, tmp_path):
+    def test_first_transaction_of_a_pager_syncs_the_journal_entry(
+        self, tmp_path, checkpoint_every_commit
+    ):
         self.first_overwrite(tmp_path, reopened=True)
 
     def first_overwrite(self, tmp_path, reopened):
+        """The data file's first overwrite of a committed page is a
+        checkpoint copy: it waits for the fsync that made its frame
+        durable, and the new generation's header waits for the copies'
+        fsync.  A pager's first frame creates the WAL: header and
+        directory entry durable before it."""
         pager, (page,) = committed_pager(tmp_path / "p.sbt", [b"committed"])
-        if reopened:  # a pager's first transaction creates the journal
+        if reopened:
             pager.close()
             pager = fast_pager(tmp_path / "p.sbt", journaled=True)
-        base_count = pager.page_count
         inj = FaultInjector()
         pager.faults = inj
-        pager.write_page(page, b"uncommitted")
-        # The journal header and the pre-image record were written
-        # unsynced, then made durable together -- the journal, and the
-        # directory entry of one just created -- before the overwrite's
-        # data write.
-        assert inj.events == [("create", pager.journal_path)] * reopened + [
-            ("write", "journal", 0, HEADER_SIZE),
-            ("write", "journal", HEADER_SIZE, STRIDE),
-            ("fsync", "journal"),
-        ] + [("fsync", "dir")] * reopened + [
-            ("write", "data", page * PAGE_SIZE, PAGE_SIZE),
+        pager.write_page(page, b"new")
+        start = HEADER_SIZE + pager.wal_bytes - STRIDE
+        pager.commit()
+        created = [
+            ("create", pager.wal_path), ("write", "wal", 0, HEADER_SIZE),
+            ("fsync", "wal"), ("fsync", "dir"),
         ]
-        assert inj.hits.get("after_journal_create", 0) == reopened
-        assert inj.hits["after_journal_fsync"] == 1
-        simulate_crash(pager)
-        assert assert_write_ahead(inj.events, pager.journal_path, base_count) == 1
+        assert inj.events == created * reopened + [
+            ("write", "wal", start, STRIDE),  # the page: uncommitted
+            ("write", "wal", start + STRIDE, STRIDE),  # page 0, the commit
+            ("fsync", "wal"),  # the commit point
+            ("write", "data", 0, PAGE_SIZE),  # the checkpoint, page order
+            ("write", "data", page * PAGE_SIZE, PAGE_SIZE),
+            ("fsync", "data"),
+            ("write", "wal", 0, HEADER_SIZE),  # a new generation
+            ("fsync", "wal"),
+        ]
+        assert inj.hits.get("after_wal_create", 0) == reopened
+        assert assert_write_ahead(inj.events) == 2
+        pager.close()
         reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
-        assert reopened.read_page(page).rstrip(b"\x00") == b"committed"
+        assert reopened.read_page(page).rstrip(b"\x00") == b"new"
         reopened.close()
 
-    def test_every_overwrite_waits_for_its_barrier(self, tmp_path):
-        """A transaction big enough to evict mid-way: several write-back
-        sets, several barriers, and no committed page overwritten ahead
-        of the barrier that covers it."""
+    def test_every_overwrite_waits_for_its_barrier(
+        self, tmp_path, monkeypatch
+    ):
+        """A transaction big enough to evict mid-way: many appends, not
+        one fsync before its commit, no data write before the commit's
+        fsync, and a checkpoint that orders every copy behind it."""
         path = str(tmp_path / "s.sbt")
         store = PagedNodeStore(
             path, "sum", page_size=PAGE_SIZE, journaled=True, buffer_capacity=8,
@@ -341,26 +374,24 @@ class TestJournalWriteAhead:
         for i in range(40):
             tree.insert(i % 5 + 1, Interval(i * 3, i * 3 + 25))
         store.commit()
-        committed = tree.to_table()
-        base_count = store.pager.page_count
         inj = FaultInjector()
         store.pager.faults = inj
         for i in range(40, 70):
             tree.insert(i % 5 + 1, Interval(i * 3 - 60, i * 3))
         store.buffer.flush()
         assert store.buffer.stats.evictions > 0
-        assert inj.fsync_calls["journal"] >= 2  # more than one barrier...
-        # ...but fewer than one per journaled page.
-        assert inj.fsync_calls["journal"] < inj.write_calls["journal"] / 2
-        assert "data" not in inj.fsync_calls
-        simulate_crash(store)
-        checked = assert_write_ahead(inj.events, store.pager.journal_path, base_count)
-        assert checked >= 10
+        assert inj.write_calls["wal"] >= 2  # evictions and the flush...
+        assert inj.fsync_calls == {}  # ...and no fsync among them
+        monkeypatch.setattr(pager_module, "WAL_CHECKPOINT_BYTES", 0)
+        store.commit()
+        committed = SBTree(store=store).to_table()
+        assert assert_write_ahead(inj.events) >= 10
+        store.close()
         reopened = PagedNodeStore(path, journaled=True)
         assert SBTree(store=reopened).to_table() == committed
         reopened.close()
 
-    def test_eviction_journals_every_dirty_frame_behind_one_barrier(self, tmp_path):
+    def test_an_eviction_appends_its_victim_alone(self, tmp_path):
         pager, pages = committed_pager(
             tmp_path / "p.sbt", [b"p%d" % i for i in range(4)]
         )
@@ -370,125 +401,142 @@ class TestJournalWriteAhead:
         for page in pages[:3]:
             pool.write(page, b"dirty", None)
         pool.write(pages[3], b"dirty", None)  # evicts pages[0]
-        # One barrier covered the victim and the two frames still dirty.
-        assert inj.fsync_calls == {"journal": 1}
-        assert inj.write_calls == {"journal": 1 + 3, "data": 1}
-        pool.flush()  # pages[3] is new to the journal: one more barrier
-        assert inj.fsync_calls == {"journal": 2}
-        assert inj.write_calls == {"journal": 1 + 4, "data": 1 + 3}
+        # One frame, unsynced; the other dirty frames stay in the pool.
+        assert inj.write_calls == {"wal": 1} and inj.fsync_calls == {}
+        assert inj.events[-1][3] == STRIDE
+        pool.flush()  # the other three, one append
+        assert inj.write_calls == {"wal": 2} and inj.fsync_calls == {}
+        assert inj.events[-1][3] == 3 * STRIDE
         simulate_crash(pager)
 
     @pytest.mark.parametrize(
-        "point", ["before_journal_fsync", "before_page_write", "after_page_write"]
+        "point", ["before_commit_fsync", "before_page_write", "after_page_write"]
     )
-    def test_crash_around_first_overwrite_recovers(self, tmp_path, point):
+    def test_crash_around_first_overwrite_recovers(
+        self, tmp_path, point, checkpoint_every_commit
+    ):
+        """Before the commit fsync a process death keeps the commit frame
+        (the write reached the file); from the first checkpoint copy on,
+        the commit is durable whatever is lost."""
         pager, (page,) = committed_pager(tmp_path / "p.sbt", [b"committed"])
+        pager.write_page(page, b"new")
         pager.faults = FaultInjector().crash_at(point, hit=1)
         with pytest.raises(SimulatedCrash):
-            pager.write_page(page, b"uncommitted")
+            pager.commit()
         simulate_crash(pager)
         reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
-        assert reopened.read_page(page).rstrip(b"\x00") == b"committed"
+        assert reopened.read_page(page).rstrip(b"\x00") == b"new"
         reopened.close()
 
 
 # ----------------------------------------------------------------------
-# Torn / corrupt journal records
+# Torn / corrupt frames, unusable and legacy files
 # ----------------------------------------------------------------------
 class TestJournalRecords:
     def test_torn_record_append_recovers_cleanly(self, tmp_path):
         pager, (a, b) = committed_pager(tmp_path / "p.sbt", [b"aaa", b"bbb"])
-        pager.write_page(a, b"a-new")  # record 1: complete
-        pager.faults = FaultInjector().tear_write("journal", fraction=0.4)
+        pager.write_page(a, b"a-new")  # frame 1: complete, uncommitted
+        pager.faults = FaultInjector().tear_write("wal", fraction=0.4)
         with pytest.raises(SimulatedCrash):
-            pager.write_page(b, b"b-new")  # record 2: torn mid-append
+            pager.write_page(b, b"b-new")  # frame 2: torn mid-append
         simulate_crash(pager)
         # The torn tail is the normal crash signature: no warning, and
-        # both pages come back committed (b was never overwritten).
-        reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
+        # both pages come back committed.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
         assert reopened.read_page(a).rstrip(b"\x00") == b"aaa"
         assert reopened.read_page(b).rstrip(b"\x00") == b"bbb"
         reopened.close()
 
     def test_rollback_stops_at_last_valid_record(self, tmp_path):
+        """Bit rot inside a committed frame: replay stops before it, so
+        the transaction it belongs to (and any after it) is rolled back
+        and the ones before it stand -- with a warning, because a frame
+        that carries this generation's salt was not torn by a crash."""
         pager, (a, b) = committed_pager(tmp_path / "p.sbt", [b"aaa", b"bbb"])
         pager.write_page(a, b"a-new")
+        pager.commit()
         pager.write_page(b, b"b-new")
+        pager.commit()
         simulate_crash(pager)
-        # Corrupt the pre-image inside record 2 (page b's).
-        offset = HEADER_SIZE + STRIDE + _JOURNAL_RECORD.size + 40
-        with open(pager.journal_path, "r+b") as fh:
-            fh.seek(offset)
+        frames = wal_frames(pager)
+        b_frame = [f for f in frames if f.page_id == b][-1]
+        with open(pager.wal_path, "r+b") as fh:
+            fh.seek(b_frame.offset + _FRAME_HEAD.size + 40)
             byte = fh.read(1)
-            fh.seek(offset)
+            fh.seek(b_frame.offset + _FRAME_HEAD.size + 40)
             fh.write(bytes([byte[0] ^ 0xFF]))
         with pytest.warns(RuntimeWarning, match="stops at the last valid"):
             reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
-        # Record 1 (before the corruption) was applied; record 2 was not.
-        assert reopened.read_page(a).rstrip(b"\x00") == b"aaa"
-        assert reopened.read_page(b).rstrip(b"\x00") == b"b-new"
+        assert reopened.read_page(a).rstrip(b"\x00") == b"a-new"
+        assert reopened.read_page(b).rstrip(b"\x00") == b"bbb"
         reopened.close()
 
     def test_bad_magic_warns_and_proceeds(self, tmp_path):
         pager, (page,) = committed_pager(tmp_path / "p.sbt", [b"committed"])
         pager.close()
-        with open(pager.journal_path, "wb") as fh:
-            fh.write(b"NOTAJRNL".ljust(HEADER_SIZE, b"\x01"))
-        with pytest.warns(RuntimeWarning, match="bad journal magic"):
+        with open(pager.wal_path, "wb") as fh:
+            fh.write(b"NOTAWAL!".ljust(HEADER_SIZE, b"\x01"))
+        with pytest.warns(RuntimeWarning, match="bad WAL magic"):
             reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
-        assert not os.path.exists(pager.journal_path)
         assert reopened.read_page(page).rstrip(b"\x00") == b"committed"
         reopened.close()
+        assert not os.path.exists(pager.wal_path)
 
     def test_truncated_header_is_an_unstarted_transaction(self, tmp_path):
-        """A header that never became durable proves no barrier completed,
-        so nothing was overwritten: no warning, no error even under
-        ``strict=True``, just "nothing to roll back"."""
+        """A WAL whose header never became durable holds no frame: no
+        warning, no error even under ``strict=True``, just "nothing to
+        replay"."""
         pager, (page,) = committed_pager(tmp_path / "p.sbt", [b"committed"])
         pager.close()
         before = sha256_of(pager.path)
-        with open(pager.journal_path, "wb") as fh:
+        with open(pager.wal_path, "wb") as fh:
             fh.write(b"\x01\x02\x03")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             reopened = fast_pager(tmp_path / "p.sbt", journaled=True, strict=True)
-        assert not os.path.exists(pager.journal_path)
         assert reopened.read_page(page).rstrip(b"\x00") == b"committed"
         reopened.close()
+        assert not os.path.exists(pager.wal_path)
         assert sha256_of(pager.path) == before
 
     def test_strict_mode_raises_and_keeps_journal(self, tmp_path):
         pager, _ = committed_pager(tmp_path / "p.sbt", [b"committed"])
         pager.close()
-        with open(pager.journal_path, "wb") as fh:
-            fh.write(b"NOTAJRNL".ljust(HEADER_SIZE, b"\x01"))
-        with pytest.raises(JournalError, match="bad journal magic"):
+        with open(pager.wal_path, "wb") as fh:
+            fh.write(b"NOTAWAL!".ljust(HEADER_SIZE, b"\x01"))
+        with pytest.raises(JournalError, match="bad WAL magic"):
             fast_pager(tmp_path / "p.sbt", journaled=True, strict=True)
         # Left on disk for forensics / `repro fsck`.
-        assert os.path.exists(pager.journal_path)
+        assert os.path.exists(pager.wal_path)
 
-    @pytest.mark.parametrize("magic", [b"SBTRjrnl", b"SBTRjrn2"])
+    @pytest.mark.parametrize("magic", [b"SBTRjrnl", b"SBTRjrn2", b"SBTRjrn3"])
     def test_journal_of_a_previous_format_is_refused(self, tmp_path, magic):
-        """No writer of those formats is left to keep a reader for: a v2
-        journal existed only while its transaction was open, so one on
-        disk is hot -- refused under strict, warned about otherwise."""
+        """No reader of the rollback journal is left: a ``-journal``
+        beside the file may hold pre-images its writer meant to restore,
+        so it is refused -- strict or not, journaled or not -- never
+        silently accepted, and left where it is."""
         pager, (page,) = committed_pager(tmp_path / "p.sbt", [b"committed"])
         pager.close()
-        with open(pager.journal_path, "wb") as fh:
-            fh.write(magic + b"\x00\x02\x00\x00" + b"\x00" * 8)  # a v2 header
-        with pytest.raises(JournalError, match="legacy journal format"):
-            fast_pager(tmp_path / "p.sbt", journaled=True, strict=True)
-        with pytest.warns(RuntimeWarning, match="legacy journal format"):
-            fast_pager(tmp_path / "p.sbt", journaled=True).close()
-        assert not os.path.exists(pager.journal_path)
+        before = sha256_of(pager.path)
+        journal = pager.path + "-journal"
+        with open(journal, "wb") as fh:
+            fh.write(magic + b"\x00\x02\x00\x00" + b"\x00" * 8)
+        for kwargs in ({"journaled": True, "strict": True}, {"journaled": True}, {}):
+            with pytest.raises(JournalError, match="rollback journal"):
+                fast_pager(tmp_path / "p.sbt", **kwargs)
+        assert os.path.exists(journal)
+        assert sha256_of(pager.path) == before
 
     def test_damaged_hot_header_is_not_trusted(self, tmp_path):
-        """A flipped bit in base_count must not truncate the file."""
+        """A flipped bit in a header with committed frames behind it:
+        not mistaken for a torn one (its frames still carry its salt)."""
         pager, (page,) = committed_pager(tmp_path / "p.sbt", [b"committed"])
         pager.write_page(page, b"uncommitted")
         simulate_crash(pager)
-        with open(pager.journal_path, "r+b") as fh:
-            fh.seek(12)  # inside base_count
+        with open(pager.wal_path, "r+b") as fh:
+            fh.seek(30)  # inside the header's checksum
             fh.write(b"\x01")
         size = os.path.getsize(pager.path)
         with pytest.raises(JournalError, match="fails its checksum"):
@@ -497,83 +545,85 @@ class TestJournalRecords:
 
 
 # ----------------------------------------------------------------------
-# The barrier protocol: what may sit unsynced, and what that leaves behind
+# Before the commit fsync: what may sit unsynced, and what that leaves
 # ----------------------------------------------------------------------
 class TestJournalBarrier:
     def crash_before_first_barrier(self, path):
-        """Commit two pages, then die with a fresh page allocated and the
-        pre-images of both pages appended but no barrier run."""
-        pager, pages = committed_pager(path, [b"aaa", b"bbb"])
+        """Commit and checkpoint two pages, then die in the next commit
+        before its fsync, with a fresh page allocated: the WAL's frames
+        all unsynced."""
+        pager, pages = checkpointed_pager(path, [b"aaa", b"bbb"])
         committed = sha256_of(pager.path)
-        pager.faults = FaultInjector().crash_at("before_journal_fsync")
-        fresh = pager.allocate_page()  # written at once: no barrier needed
-        assert fresh >= len(pages) + 1
+        fresh = pager.allocate_page()  # no write at all until the commit
+        assert fresh == len(pages) + 1
+        pager.faults = FaultInjector().crash_at("before_commit_fsync")
         with pytest.raises(SimulatedCrash):
-            pager.write_pages([(pages[0], b"a-new"), (pages[1], b"b-new")])
+            pager.commit([(pages[0], b"a-new"), (pages[1], b"b-new")])
         simulate_crash(pager)
         return pager, committed
 
     @pytest.mark.parametrize(
-        "shape", ["empty", "short-header", "zeroed-header", "torn-record", "whole"]
+        "shape", ["empty", "short-frame", "zeroed-tail", "torn-record", "whole"]
     )
     def test_crash_before_the_barrier_leaves_the_data_file_untouched(
         self, tmp_path, shape
     ):
         pager, committed = self.crash_before_first_barrier(tmp_path / "p.sbt")
-        header, stride = HEADER_SIZE, STRIDE
-        # Header + pre-images of page 0 and both data pages, none synced.
-        assert pager.journal_bytes == header + 3 * stride
-        # None of it was synced, so any of these may be what survives
-        # (the first two only of a journal file this transaction made).
-        with open(pager.journal_path, "r+b") as fh:
+        # A synced header, then one unsynced write of four frames: both
+        # pages, the fresh one (empty) and page 0, flagged.  A power cut
+        # may leave any of these; only "whole" holds the commit frame.
+        assert pager.wal_bytes == 4 * STRIDE
+        with open(pager.wal_path, "r+b") as fh:
             if shape == "empty":
-                fh.truncate(0)
-            elif shape == "short-header":
-                fh.truncate(header - 5)
-            elif shape == "zeroed-header":
-                fh.write(b"\x00" * header)
+                fh.truncate(HEADER_SIZE)
+            elif shape == "short-frame":
+                fh.truncate(HEADER_SIZE + STRIDE // 2)
+            elif shape == "zeroed-tail":
+                fh.seek(HEADER_SIZE + 2 * STRIDE)
+                fh.write(bytes(2 * STRIDE))
             elif shape == "torn-record":
-                fh.truncate(header + stride + stride // 2)
-        # The fresh page is in the file; the committed pages were never
-        # touched, whatever the journal looks like.
-        assert os.path.getsize(pager.path) == 4 * PAGE_SIZE
-        with open(pager.path, "rb") as fh:
-            assert hashlib.sha256(fh.read(3 * PAGE_SIZE)).hexdigest() == committed
+                fh.truncate(HEADER_SIZE + 3 * STRIDE + STRIDE // 2)
+        # Whatever the WAL looks like, the data file was never touched.
+        assert sha256_of(pager.path) == committed
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             reopened = fast_pager(tmp_path / "p.sbt", journaled=True, strict=True)
-        assert not os.path.exists(pager.journal_path)
-        assert reopened.page_count == 3  # the fresh page is gone again
+        assert reopened.page_count == (4 if shape == "whole" else 3)
+        assert reopened.read_page(1).rstrip(b"\x00") == (
+            b"a-new" if shape == "whole" else b"aaa"
+        )
         reopened.close()
-        assert sha256_of(pager.path) == committed
+        if shape != "whole":
+            assert sha256_of(pager.path) == committed
 
     def test_fresh_pages_are_written_without_a_barrier(self, tmp_path):
         pager, _ = committed_pager(tmp_path / "p.sbt", [b"committed"])
-        committed = sha256_of(pager.path)
         inj = FaultInjector()
         pager.faults = inj
         fresh = [pager.allocate_page() for _ in range(3)]
         pager.set_root(fresh[0])
-        assert inj.fsync_calls == {}
-        assert inj.write_calls == {"journal": 1, "data": 3}  # header + 3 pages
-        simulate_crash(pager)
-        assert os.path.getsize(pager.path) == 5 * PAGE_SIZE
-        fast_pager(tmp_path / "p.sbt", journaled=True, strict=True).close()
-        assert sha256_of(pager.path) == committed
+        assert inj.write_calls == {} and inj.fsync_calls == {}  # not yet
+        assert pager.read_page(fresh[1]) == bytes(pager.payload_size)
+        pager.commit()
+        # Written as empty pages, with page 0, in the commit's one write.
+        assert inj.write_calls == {"wal": 1} and inj.fsync_calls == {"wal": 1}
+        assert inj.events[0][3] == 4 * STRIDE
+        pager.close()
+        with Pager(pager.path) as reopened:
+            assert reopened.read_page(fresh[2]) == bytes(reopened.payload_size)
 
     def test_page_freed_and_reallocated_inside_one_transaction(self, tmp_path):
-        pager, (a, b) = committed_pager(tmp_path / "p.sbt", [b"aaa", b"bbb"])
+        pager, (a, b) = checkpointed_pager(tmp_path / "p.sbt", [b"aaa", b"bbb"])
         committed = sha256_of(pager.path)
-        base_count = pager.page_count
         inj = FaultInjector()
         pager.faults = inj
-        pager.free_page(a)  # overwrites a with a free-list link
-        assert pager.allocate_page() == a  # ...and hands it out again
+        pager.free_page(a)  # a frame holding the free-list link
+        assert pager.allocate_page() == a  # ...read back from the WAL
         pager.write_pages([(a, b"a-again"), (b, b"b-new")])
-        # a's pre-image was journaled once, before the link was written.
-        assert inj.write_calls["journal"] == 1 + 3  # header, page 0, a, b
+        # A new WAL's header, the link, the set.
+        assert inj.write_calls == {"wal": 1 + 1 + 1}
         simulate_crash(pager)
-        assert assert_write_ahead(inj.events, pager.journal_path, base_count) == 4
+        assert assert_write_ahead(inj.events) == 0
         reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
         assert reopened.read_page(a).rstrip(b"\x00") == b"aaa"
         assert reopened.read_page(b).rstrip(b"\x00") == b"bbb"
@@ -581,53 +631,31 @@ class TestJournalBarrier:
         assert sha256_of(pager.path) == committed
 
     def test_failed_journal_fsync_is_final(self, tmp_path):
-        pager, (page,) = committed_pager(tmp_path / "p.sbt", [b"committed"])
+        pager, (page,) = checkpointed_pager(tmp_path / "p.sbt", [b"committed"])
         committed = sha256_of(pager.path)
-        inj = FaultInjector().fail_fsyncs("journal", times=1)
+        pager.write_page(page, b"doomed")
+        inj = FaultInjector().fail_fsyncs("wal", times=1)
         pager.faults = inj
         with pytest.warns(RuntimeWarning, match="degraded mode"):
             with pytest.raises(OSError):
-                pager.write_page(page, b"doomed")
-        # One attempt, no retry, and the overwrite never happened.
-        assert inj.fsync_calls == {"journal": 1}
+                pager.commit()
+        # One attempt, no retry, and no data write.
+        assert inj.fsync_calls == {"wal": 1}
         assert "data" not in inj.write_calls
         assert pager.fsync_failures == 1
-        # The next barrier would be that retry: the pager refuses it.
+        # The next commit would be that retry: the pager refuses it.
         assert pager.degraded
         with pytest.raises(PagerDegradedError):
             pager.write_page(page, b"doomed again")
         with pytest.raises(PagerDegradedError):
             pager.commit()
-        assert inj.fsync_calls == {"journal": 1}
-        pager.close()  # leaves the journal for the next open
+        assert inj.fsync_calls == {"wal": 1}
+        pager.close()  # leaves the WAL for the next open
         assert sha256_of(pager.path) == committed
+        inj.lose_power("all")
         reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
         assert reopened.read_page(page).rstrip(b"\x00") == b"committed"
         reopened.close()
-
-    def test_journal_in_the_previous_layout_still_rolls_back(self, tmp_path):
-        """Record *order* is not part of the format: a journal laid out
-        as the per-page-sync pager wrote it -- page 0 first, then each
-        page as it was first overwritten, data pages overwritten and
-        fresh pages appended behind it -- rolls back under this build."""
-        pager, (a, b) = committed_pager(tmp_path / "p.sbt", [b"aaa", b"bbb"])
-        pager.close()
-        committed = sha256_of(pager.path)
-        with open(pager.path, "r+b") as data:
-            image = data.read()
-            with open(pager.journal_path, "wb") as journal:
-                journal.write(_journal_header(PAGE_SIZE, 3, salt=77))
-                for page_id in (0, b, a):
-                    pre = image[page_id * PAGE_SIZE:(page_id + 1) * PAGE_SIZE]
-                    journal.write(_journal_record(page_id, pre, salt=77))
-            for page_id in (0, a, b, 3, 4):  # overwrite, and grow the file
-                data.seek(page_id * PAGE_SIZE)
-                data.write(b"\xee" * PAGE_SIZE)
-        reopened = fast_pager(tmp_path / "p.sbt", journaled=True, strict=True)
-        assert reopened.read_page(a).rstrip(b"\x00") == b"aaa"
-        assert reopened.read_page(b).rstrip(b"\x00") == b"bbb"
-        reopened.close()
-        assert sha256_of(pager.path) == committed
 
 
 # ----------------------------------------------------------------------
@@ -639,30 +667,26 @@ class TestPowerLoss:
         inj = FaultInjector()
         pager.faults = inj
         pager.write_page(a, b"a-new")
-        pager.sync()  # a-new (and the journal before it) are on the platter
-        pager.write_page(b, b"b-new")  # journal synced, the data write not
+        pager.commit()  # a-new's frame is on the platter
+        pager.write_page(b, b"b-new")  # b-new's frame is not
         simulate_crash(pager, power_loss="all")
         assert inj.injected["power_loss"] == 1
-        with open(pager.path, "rb") as fh:
-            image = fh.read()
-        assert image[a * PAGE_SIZE:].startswith(b"a-new")
-        assert image[b * PAGE_SIZE:].startswith(b"bbb")
+        frames = wal_frames(pager)
+        assert [f.page_id for f in frames if f.status == "ok"][-2:] == [a, 0]
         reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
-        assert reopened.read_page(a).rstrip(b"\x00") == b"aaa"
+        assert reopened.read_page(a).rstrip(b"\x00") == b"a-new"
         assert reopened.read_page(b).rstrip(b"\x00") == b"bbb"
         reopened.close()
 
     def test_unsynced_journal_create_may_vanish(self, tmp_path):
-        pager, _ = committed_pager(tmp_path / "p.sbt", [b"committed"])
-        pager.close()
+        pager, _ = checkpointed_pager(tmp_path / "p.sbt", [b"committed"])
         committed = sha256_of(pager.path)
-        pager = fast_pager(tmp_path / "p.sbt", journaled=True)
-        pager.faults = FaultInjector()
-        pager.allocate_page()  # opens the journal; no barrier yet
-        assert os.path.exists(pager.journal_path)
+        pager.faults = FaultInjector().crash_at("after_wal_create")
+        with pytest.raises(SimulatedCrash):
+            pager.write_page(1, b"new")  # creates the WAL first
+        assert os.path.exists(pager.wal_path)
         simulate_crash(pager, power_loss="all")
-        assert not os.path.exists(pager.journal_path)
-        # The fresh page's unsynced write went with it.
+        assert not os.path.exists(pager.wal_path)
         assert sha256_of(pager.path) == committed
 
     def test_unsynced_journal_unlink_may_come_back(self, tmp_path):
@@ -674,32 +698,32 @@ class TestPowerLoss:
         with pytest.raises(OSError):
             pager.close()
         assert pager._file.closed  # the handles went all the same
-        assert not os.path.exists(pager.journal_path)
+        assert not os.path.exists(pager.wal_path)
         assert inj.lose_power("all") == {"writes": 0, "dir_ops": 1}
-        # The journal is back, and cold: the commit it outlived stands.
-        assert os.path.exists(pager.journal_path)
+        # The WAL is back; replaying it again repeats the checkpoint.
+        assert os.path.exists(pager.wal_path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             reopened = fast_pager(tmp_path / "p.sbt", journaled=True, strict=True)
         assert reopened.read_page(page).rstrip(b"\x00") == b"new"
         reopened.close()
-        assert not os.path.exists(pager.journal_path)
+        assert not os.path.exists(pager.wal_path)
 
-    def test_dropped_invalidation_rolls_the_commit_back_whole(self, tmp_path):
-        """The zeroing write is the commit point only once fsynced: if
-        the fsync never happens and the zeros are lost, the journal is
-        hot again, intact, and the transaction is undone atomically."""
-        pager, (a, b) = committed_pager(tmp_path / "p.sbt", [b"aaa", b"bbb"])
+    def test_a_dropped_commit_write_rolls_the_commit_back_whole(self, tmp_path):
+        """The commit write is durable only once fsynced: if the fsync
+        fails and a power cut drops the write, the transaction is undone
+        atomically -- none of its frames replays."""
+        pager, (a, b) = checkpointed_pager(tmp_path / "p.sbt", [b"aaa", b"bbb"])
         committed = sha256_of(pager.path)
         inj = FaultInjector()
         pager.faults = inj
         pager.write_pages([(a, b"a-new"), (b, b"b-new")])
-        inj.fail_fsyncs("journal", times=1)  # the barrier is already behind
+        inj.fail_fsyncs("wal", times=1)
         with pytest.warns(RuntimeWarning, match="degraded mode"):
             with pytest.raises(OSError):
                 pager.commit()
-        assert pager.degraded  # the next transaction must not reuse the file
-        assert inj.events[-1] == ("write", "journal", 0, HEADER_SIZE)
+        assert pager.degraded  # the WAL must not be appended to again
+        assert inj.events[-1][:2] == ("write", "wal")
         simulate_crash(pager, power_loss="all")
         reopened = fast_pager(tmp_path / "p.sbt", journaled=True, strict=True)
         assert reopened.read_page(a).rstrip(b"\x00") == b"aaa"
@@ -732,6 +756,18 @@ class TestPowerLoss:
         assert inj.lose_power(1) == {"writes": 2, "dir_ops": 0}
         assert path.read_bytes() == b"BBBB0000"
 
+    def test_newest_keeps_each_files_last_write_only(self, tmp_path):
+        path = tmp_path / "raw.bin"
+        path.write_bytes(b"0" * 8)
+        inj = FaultInjector()
+        with open(str(path), "r+b") as handle:
+            for offset, data in ((0, b"AA"), (2, b"BB"), (4, b"CC")):
+                payload, _ = inj.intercept_write("data", data, handle, offset)
+                handle.seek(offset)
+                handle.write(payload)
+        assert inj.lose_power("newest") == {"writes": 2, "dir_ops": 0}
+        assert path.read_bytes() == b"0000CC00"
+
     def test_seeded_subsets_are_deterministic(self, tmp_path):
         def run(seed):
             base = tmp_path / f"run-{seed}-{len(os.listdir(tmp_path))}"
@@ -739,13 +775,15 @@ class TestPowerLoss:
             pager, pages = committed_pager(base / "p.sbt", [b"aaa", b"bbb", b"ccc"])
             pager.faults = FaultInjector()
             pager.write_pages([(p, b"new") for p in pages])
-            pager.allocate_page()
+            pager.commit()
+            pager.write_page(pages[0], b"newer")
             simulate_crash(pager, power_loss=seed)
-            journal = None  # its salt is random: compare what it says
-            if os.path.exists(pager.journal_path):
-                with open(pager.journal_path, "rb") as handle:
-                    journal = tuple(item[:2] for item in scan_journal(handle))
-            return sha256_of(pager.path), journal
+            wal = None  # its salt is random: compare what it says
+            if os.path.exists(pager.wal_path):
+                with open(pager.wal_path, "rb") as handle:
+                    header, *frames = scan_wal(handle)
+                wal = header.verdict, tuple((f.status, f.page_id) for f in frames)
+            return sha256_of(pager.path), wal
 
         assert run(5) == run(5)
         assert len({run(seed) for seed in range(12)}) > 1
@@ -770,28 +808,34 @@ class TestFsyncAccounting:
                 tree.insert(i % 5 + 1, Interval(i * 3, i * 3 + 25))
                 if i % 16 == 15:
                     store.commit()
-            store.flush()
-            inj.fail_fsyncs("data", times=1)  # a failed attempt counts too
-            tree.insert(1, Interval(0, 5))
-            with pytest.raises(OSError):
-                store.commit()
             store.close()
-            assert set(inj.fsync_calls) == {"journal", "data", "dir"}
-            # The journal's creation and its removal by the clean close:
+            assert set(inj.fsync_calls) == {"wal", "data", "dir"}
+            # The WAL's creation and its removal by the clean close:
             # no commit in between touched the directory.
             assert inj.fsync_calls["dir"] == 2
             assert store.pager.stats.fsyncs == sum(inj.fsync_calls.values())
             for label, calls in inj.fsync_calls.items():
                 assert registry.counter(f"pager.fsyncs.{label}").value == calls
-            # A leftover journal's rollback syncs are counted as well.
+            assert registry.counter("pager.wal_frames").value == (
+                store.pager.stats.wal_frames
+            )
+            # A failed attempt counts too, and degrades the pager.
             crashed = PagedNodeStore(path, journaled=True, faults=inj)
-            before = dict(inj.fsync_calls)
             SBTree(store=crashed).insert(2, Interval(0, 9))
-            crashed.buffer.flush()
+            crashed.commit()  # the WAL's header and entry, the commit
+            SBTree(store=crashed).insert(3, Interval(0, 9))
+            inj.fail_fsyncs("wal", times=1)
+            with pytest.warns(RuntimeWarning, match="degraded mode"):
+                with pytest.raises(OSError):
+                    crashed.commit()
+            assert crashed.pager.stats.fsyncs == 3 + 1
             simulate_crash(crashed)
+            # A leftover WAL's recovery syncs are counted as well.
+            before = dict(inj.fsync_calls)
             reopened = PagedNodeStore(path, journaled=True, faults=inj)
-            assert reopened.pager.stats.fsyncs == 2  # data, then the entry
+            assert reopened.pager.stats.fsyncs == 2  # copies, then a header
             assert inj.fsync_calls["data"] == before["data"] + 1
+            assert registry.counter("pager.recoveries").value == 1
             reopened.close()
         finally:
             obs.disable()
@@ -851,8 +895,8 @@ class TestSimulateCrash:
         pager.write_page(page, b"uncommitted")
         simulate_crash(pager)
         assert pager._file.closed
-        assert os.path.exists(pager.journal_path)
-        assert pager._journal_file.closed
+        assert os.path.exists(pager.wal_path)
+        assert pager._wal.closed
         # Idempotent on already-closed handles.
         simulate_crash(pager)
 

@@ -1,7 +1,7 @@
 """Tests for the offline page-file auditor (:mod:`repro.storage.fsck`)
 and the ``repro fsck`` CLI: seeded corruption of every class the auditor
 claims to detect -- bad checksums, free-list cycles, orphan pages, torn
-journals -- plus the ``--repair`` paths."""
+write-ahead logs -- plus the ``--repair`` paths."""
 
 import json
 import os
@@ -13,15 +13,16 @@ from repro.core.intervals import Interval
 from repro.core.sbtree import SBTree
 from repro.faults import FaultInjector, SimulatedCrash, simulate_crash
 from repro.storage import PagedNodeStore, Pager, fsck
+from repro.storage import pager as pager_module
 from repro.storage.fsck import _write_free_page
 from repro.storage.pager import (
-    _HEADER, _JOURNAL_HEADER, _JOURNAL_RECORD, _JOURNAL_TRAILER, NO_PAGE,
+    _FRAME_HEAD, _FRAME_TAIL, _HEADER, _WAL_HEADER, NO_PAGE, scan_wal,
 )
 
 PAGE_SIZE = 512
-JOURNAL_HEADER = _JOURNAL_HEADER.size
-#: One journal record: page id, pre-image, crc + salt.
-JOURNAL_RECORD = _JOURNAL_RECORD.size + PAGE_SIZE + _JOURNAL_TRAILER.size
+WAL_HEADER = _WAL_HEADER.size
+#: One WAL frame: page id + commit flag, page image, crc + salt.
+FRAME = _FRAME_HEAD.size + PAGE_SIZE + _FRAME_TAIL.size
 
 _HEADER_FIELDS = (
     "magic", "version", "page_size", "page_count",
@@ -165,95 +166,130 @@ class TestFsckAudit:
 
 class TestFsckJournal:
     def crash_with_journal(self, path):
-        """A store crashed mid-transaction, journal left behind."""
+        """A store killed with two committed transactions in its WAL
+        (not yet checkpointed) and uncommitted frames behind them."""
         make_tree_file(path, journaled=True)
-        store = PagedNodeStore(str(path), journaled=True)
+        store = PagedNodeStore(str(path), journaled=True, buffer_capacity=8)
         tree = SBTree(store=store)
         for i in range(10):
             tree.insert(i + 1, Interval(i * 4, i * 4 + 15))
-        store.buffer.flush()  # force overwrites: several journal records
+            if i in (3, 6):
+                store.commit()
+        store.buffer.flush()  # uncommitted frames too
         simulate_crash(store)
-        journal = str(path) + "-journal"
-        assert os.path.getsize(journal) >= JOURNAL_HEADER + 2 * JOURNAL_RECORD
-        return journal
+        wal = str(path) + "-wal"
+        assert os.path.getsize(wal) >= WAL_HEADER + 4 * FRAME
+        return wal
+
+    def frames(self, wal):
+        with open(wal, "rb") as handle:
+            return list(scan_wal(handle))[1:]
 
     def test_intact_leftover_journal_is_informational(self, tmp_path):
         path = tmp_path / "crashed.sbt"
         self.crash_with_journal(path)
         report = fsck(str(path))
-        assert report.ok  # every record verifies: recovery will succeed
-        assert report.has("journal-present")
-        assert report.journal_records >= 2
+        assert report.ok  # every frame verifies: replay will succeed
+        assert report.has("wal-pending")
+        assert report.wal_pending == 2
+
+    def test_pending_wal_is_audited_as_replay_will_leave_the_file(self, tmp_path):
+        """A store killed before its first checkpoint: the data file is
+        empty, every page is in the WAL, and the audit still reads the
+        tree the next open will recover."""
+        path = tmp_path / "young.sbt"
+        store = PagedNodeStore(
+            str(path), "sum", page_size=PAGE_SIZE, buffer_capacity=8,
+            journaled=True,
+        )
+        tree = SBTree("sum", store, branching=4, leaf_capacity=4)
+        for i in range(30):
+            tree.insert(i % 5 + 1, Interval(i * 3, i * 3 + 10))
+        store.commit()
+        simulate_crash(store)
+        assert os.path.getsize(str(path)) == 0
+        report = fsck(str(path))
+        assert report.ok and report.has("wal-pending")
+        assert report.reachable == store.node_count() > 1
 
     def test_torn_journal_detected(self, tmp_path):
         path = tmp_path / "torn.sbt"
-        journal = self.crash_with_journal(path)
-        # Corrupt the pre-image inside record 2.
-        flip_byte(
-            journal,
-            JOURNAL_HEADER + JOURNAL_RECORD + _JOURNAL_RECORD.size + 40,
-        )
+        wal = self.crash_with_journal(path)
+        # Corrupt an image inside the second transaction.
+        commits = [f for f in self.frames(wal) if f.commit]
+        flip_byte(wal, commits[1].offset + _FRAME_HEAD.size + 40)
         report = fsck(str(path))
-        assert not report.ok
-        assert "torn-journal" in codes(report, "error")
-        assert report.journal_records == 1  # rollback stops after record 1
+        assert "torn-wal-tail" in codes(report, "info")
+        assert "is corrupt" in report.render()
+        assert report.wal_pending == 1  # replay stops after the first
+        # What the audit read -- the file as that replay leaves it -- is
+        # a committed state, so it is sound.
+        assert report.ok
 
-    def test_truncated_journal_tail_is_a_warning(self, tmp_path):
+    def test_truncated_journal_tail_is_informational(self, tmp_path):
         path = tmp_path / "tail.sbt"
-        journal = self.crash_with_journal(path)
-        with open(journal, "r+b") as handle:
-            handle.truncate(os.path.getsize(journal) - 100)
+        wal = self.crash_with_journal(path)
+        with open(wal, "r+b") as handle:
+            handle.truncate(os.path.getsize(wal) - 100)
         report = fsck(str(path))
         assert report.ok  # a torn tail is the normal crash signature
-        assert "torn-journal" in codes(report, "warning")
+        assert "torn-wal-tail" in codes(report, "info")
+        assert report.wal_pending == 2
 
     def test_legacy_journal_flagged(self, tmp_path):
         path = tmp_path / "legacy.sbt"
         make_tree_file(path)
-        for magic in (b"SBTRjrnl", b"SBTRjrn2"):
+        for magic in (b"SBTRjrnl", b"SBTRjrn2", b"SBTRjrn3"):
             with open(str(path) + "-journal", "wb") as handle:
                 handle.write(magic + b"\x00" * 32)
             report = fsck(str(path))
-            assert report.ok
-            assert "legacy-journal" in codes(report, "warning")
+            assert not report.ok  # the pager refuses to open the file
+            assert "legacy-journal" in codes(report, "error")
         # Repair follows the same verdict: it does not discard
         # pre-images it cannot read, and repairs nothing under them.
         report = fsck(str(path), repair=True)
         assert not report.repaired and report.has("unrepairable-journal")
         assert os.path.exists(str(path) + "-journal")
 
-    def test_cold_journal_beside_a_live_store_is_informational(self, tmp_path):
-        """What every running (or killed) journaled server leaves next
-        to its page file between transactions: not a leftover."""
+    def test_cold_journal_beside_a_live_store_is_informational(
+        self, tmp_path, monkeypatch
+    ):
+        """What a running (or killed) journaled server leaves next to
+        its page file right after a checkpoint: not a leftover."""
         path = tmp_path / "live.sbt"
         make_tree_file(path, journaled=True)
         store = PagedNodeStore(str(path), journaled=True)
         SBTree(store=store).insert(4, Interval(0, 9))
-        store.commit()
+        monkeypatch.setattr(pager_module, "WAL_CHECKPOINT_BYTES", 0)
+        store.commit()  # ...and checkpoints
         report = fsck(str(path))
-        assert report.ok and report.journal_records == 0
-        assert codes(report, "info") == {"journal-cold"}
+        assert report.ok and report.wal_pending == 0
+        assert codes(report, "info") == {"wal-cold"}
         simulate_crash(store)  # SIGKILL between transactions
         report = fsck(str(path), repair=True)
         assert report.repaired and report.ok
-        assert "cold journal was removed" in report.render()
+        assert "the cold WAL was removed" in report.render()
         assert os.listdir(str(tmp_path)) == ["live.sbt"]
 
-    def test_stale_records_are_not_counted(self, tmp_path):
+    def test_stale_records_are_not_counted(self, tmp_path, monkeypatch):
         path = tmp_path / "reused.sbt"
-        journal = self.crash_with_journal(path)  # a long transaction...
-        PagedNodeStore(str(path), journaled=True).close()  # ...rolled back
+        make_tree_file(path, journaled=True)
         store = PagedNodeStore(str(path), journaled=True)
-        SBTree(store=store).insert(4, Interval(0, 9))
+        tree = SBTree(store=store)
+        for i in range(12):  # a long generation...
+            tree.insert(i + 1, Interval(i * 4, i * 4 + 15))
+        monkeypatch.setattr(pager_module, "WAL_CHECKPOINT_BYTES", 0)
+        store.commit()  # ...checkpointed
+        long_one = os.path.getsize(store.pager.wal_path)
+        monkeypatch.undo()
+        tree.insert(5, Interval(0, 9))  # ...then a short one
         store.commit()
-        long_one = os.path.getsize(journal)
-        SBTree(store=store).insert(5, Interval(0, 9))  # ...then a short one
-        store.buffer.flush()
         simulate_crash(store)
         report = fsck(str(path))
-        assert report.ok and report.has("journal-present")
-        assert os.path.getsize(journal) == long_one
-        assert JOURNAL_HEADER + report.journal_records * JOURNAL_RECORD < long_one
+        assert report.ok and report.has("wal-pending")
+        assert report.wal_pending == 1
+        assert os.path.getsize(store.pager.wal_path) == long_one
+        assert WAL_HEADER + 4 * FRAME < long_one
 
 
 # ----------------------------------------------------------------------
@@ -333,15 +369,17 @@ class TestFsckRepair:
         make_tree_file(path, journaled=True)
         store = PagedNodeStore(str(path), journaled=True)
         tree = SBTree(store=store)
-        committed = tree.to_table()
         for i in range(10):
             tree.insert(i + 1, Interval(i * 4, i * 4 + 15))
-        store.buffer.flush()
+        store.commit()
+        committed = tree.to_table()
+        tree.insert(99, Interval(0, 99))
+        store.buffer.flush()  # an uncommitted frame behind the commit
         simulate_crash(store)
         report = fsck(str(path), repair=True)
         assert report.repaired and report.ok
-        assert report.has("journal-settled")
-        assert not os.path.exists(str(path) + "-journal")
+        assert report.has("wal-settled")
+        assert not os.path.exists(str(path) + "-wal")
         reopened = PagedNodeStore(str(path), journaled=True)
         assert SBTree(store=reopened).to_table() == committed
         reopened.close()
@@ -353,27 +391,24 @@ class TestFsckRepair:
         tree = SBTree(store=store)
         for i in range(10):
             tree.insert(i + 1, Interval(i * 4, i * 4 + 15))
-        store.buffer.flush()
+            store.commit()
         simulate_crash(store)
-        journal = str(path) + "-journal"
-        flip_byte(
-            journal,
-            JOURNAL_HEADER + JOURNAL_RECORD + _JOURNAL_RECORD.size + 40,
-        )
+        wal = str(path) + "-wal"
+        flip_byte(wal, WAL_HEADER + 2 * FRAME + _FRAME_HEAD.size + 40)
         report = fsck(str(path), repair=True)
-        # Best effort: rollback stopped at the corruption, the journal is
+        # Best effort: replay stopped at the corruption, the WAL is
         # settled either way, and whatever data loss remains is reported
         # rather than hidden.
         assert report.repaired
-        assert not os.path.exists(journal)
-
+        assert not os.path.exists(wal)
 
     @pytest.mark.parametrize("keep", ["half-a-header", "two-and-a-half-records"])
     def test_repair_settles_unsynced_journal_tail(self, tmp_path, keep):
-        """The journal a crash *before the barrier* leaves: a header and
-        several records, none of them synced, so any prefix may survive.
-        Nothing was overwritten, so fsck calls the file sound, and repair
-        settles the journal back to exactly the committed bytes."""
+        """The WAL a crash *before the commit fsync* leaves: frames no
+        fsync covered, so any prefix may survive (and a WAL this
+        transaction created may be cut inside its header).  The data
+        file was never written, so fsck calls it sound, and repair
+        settles the WAL back to exactly the committed bytes."""
         path = tmp_path / "tail.sbt"
         make_tree_file(path, journaled=True)
         committed = path.read_bytes()
@@ -381,26 +416,24 @@ class TestFsckRepair:
         tree = SBTree(store=store)
         for i in range(10):
             tree.insert(i + 1, Interval(i * 4, i * 4 + 15))
-        store.pager.faults = FaultInjector().crash_at("before_journal_fsync")
+        store.pager.faults = FaultInjector().crash_at("before_commit_fsync")
         with pytest.raises(SimulatedCrash):
-            store.buffer.flush()  # journals the whole dirty set, then dies
+            store.commit()  # the whole dirty set in one append, then dies
         simulate_crash(store)
-        journal = str(path) + "-journal"
-        record, header = JOURNAL_RECORD, JOURNAL_HEADER
-        assert os.path.getsize(journal) >= header + 4 * record
-        with open(journal, "r+b") as handle:
+        wal = str(path) + "-wal"
+        assert os.path.getsize(wal) >= WAL_HEADER + 4 * FRAME
+        with open(wal, "r+b") as handle:
             handle.truncate(
-                header // 2 if keep == "half-a-header"
-                else header + 2 * record + record // 2
+                WAL_HEADER // 2 if keep == "half-a-header"
+                else WAL_HEADER + 2 * FRAME + FRAME // 2
             )
-        assert path.read_bytes()[:len(committed)] == committed
+        assert path.read_bytes() == committed
         report = fsck(str(path))
-        assert report.ok and report.has(
-            "journal-cold" if keep == "half-a-header" else "journal-present"
-        )
+        assert report.ok and report.has("wal-cold")
+        assert report.has("torn-wal-tail") == (keep != "half-a-header")
         report = fsck(str(path), repair=True)
         assert report.repaired and report.ok
-        assert not os.path.exists(journal)
+        assert not os.path.exists(wal)
         assert path.read_bytes() == committed
 
 

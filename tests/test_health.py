@@ -61,27 +61,34 @@ class TestTreeHealth:
             health = tree_health(tree)
         assert health["page_count"] > 0
         assert health["free_pages"] >= 0
-        assert (health["journal_hot"], health["journal_bytes"]) == (False, 0)
+        assert (health["wal_bytes"], health["wal_commits_since_checkpoint"]) == (0, 0)
         assert 0.0 <= health["buffer_hit_rate"] <= 1.0
 
-    def test_journal_gauges_follow_the_transaction_not_the_file(self, tmp_path):
+    def test_journal_gauges_follow_the_transaction_not_the_file(
+        self, tmp_path, monkeypatch
+    ):
+        """The WAL gauges say what the current generation holds beyond
+        the data file; a checkpoint empties them, not the file."""
         from repro.storage import PagedNodeStore
+        from repro.storage import pager as pager_module
 
         path = str(tmp_path / "health.sbt")
         with PagedNodeStore(path, "sum", journaled=True) as store:
             tree = SBTree("sum", store, branching=4, leaf_capacity=4)
             for i in range(30):
                 tree.insert(1, Interval(i, i + 3))
-            store.buffer.flush()
-            hot = tree_health(tree)
-            assert hot["journal_hot"] is True
-            assert hot["journal_bytes"] == store.pager.journal_bytes > 0
             store.commit()
-            # The file keeps its high-water size; a healthy idle store
-            # still reports nothing pending.
-            assert os.path.getsize(path + "-journal") >= hot["journal_bytes"]
+            store.commit()  # clean: not a commit
+            pending = tree_health(tree)
+            assert pending["wal_bytes"] == store.pager.wal_bytes > 0
+            assert pending["wal_commits_since_checkpoint"] == 1
+            monkeypatch.setattr(pager_module, "WAL_CHECKPOINT_BYTES", 0)
+            tree.insert(2, Interval(0, 9))
+            store.commit()  # ...and checkpoints
+            # The file keeps its high-water size; the gauges start over.
+            assert os.path.getsize(path + "-wal") > pending["wal_bytes"]
             cold = tree_health(tree)
-            assert (cold["journal_hot"], cold["journal_bytes"]) == (False, 0)
+            assert (cold["wal_bytes"], cold["wal_commits_since_checkpoint"]) == (0, 0)
 
 
 class TestShardedHealth:
@@ -199,8 +206,8 @@ def canned_stats(count=10, conns=2):
             "shards": [
                 {"index": 0, "height": 2, "nodes": 5, "leaf_fill": 0.7},
                 {"index": 1, "height": 2, "nodes": 4, "leaf_fill": 0.6,
-                 "buffer_hit_rate": 0.9, "journal_hot": True,
-                 "journal_bytes": 4129},
+                 "buffer_hit_rate": 0.9, "wal_bytes": 4129,
+                 "wal_commits_since_checkpoint": 3},
             ],
         },
     }
@@ -220,10 +227,7 @@ class TestTopRendering:
         assert "piece-skew 1.30" in text
         assert "compaction-debt 0.40" in text
         assert "shard 1" in text and "buf-hit" in text
-        assert "journal hot 4129B" in text
-        cold = canned_stats()
-        cold["health"]["shards"][1].update(journal_hot=False, journal_bytes=0)
-        assert "journal cold" in render_top(cold)
+        assert "wal 4129B/3 commits" in text
 
     def test_rates_differenced_between_frames(self):
         prev = canned_stats(count=10)

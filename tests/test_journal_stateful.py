@@ -1,117 +1,108 @@
-"""Stateful crash-recovery testing: random commits and simulated crashes.
+"""Stateful crash-recovery testing of the write-ahead log.
 
-The machine drives a journaled SB-tree through random inserts, deletes,
-commits, and crashes (abandoning the file handles without commit, or
-losing power: a seeded subset of the unsynced writes goes too); the
-model tracks the facts as of the last commit.  After every crash the
-recovered tree must equal the committed model exactly.  One pager lives
-through many commits, so the journal file is reused -- longer, shorter
-and equal transactions over the same bytes -- not only created.
+The machine drives a journaled pager behind a two-frame buffer pool
+through random page writes, evictions, commits, checkpoints, clean
+reopens and crashes -- a process death, or a power cut under each
+:meth:`repro.faults.FaultInjector.lose_power` mode -- against a dict
+model of the committed pages.  After every crash or reopen each page
+must read back exactly as the last commit left it.  One WAL lives
+through many generations, so frames of longer, shorter and equal
+generations lie under each other in the same bytes.
 """
 
 import os
 import tempfile
 
 from hypothesis import settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro import Interval, SBTree, check_tree
-from repro.core import reference
 from repro.faults import FaultInjector, simulate_crash
-from repro.storage import PagedNodeStore
+from repro.storage import BufferPool, Pager
+from repro.storage import pager as pager_module
 
-times = st.integers(min_value=0, max_value=150)
-values = st.integers(min_value=-5, max_value=9)
-lengths = st.integers(min_value=1, max_value=60)
+PAGES = 6
+pages = st.integers(min_value=1, max_value=PAGES)
+payloads = st.binary(max_size=40).map(lambda raw: raw + b"!")  # no trailing NUL
+power_loss = st.sampled_from([None, "all", "newest"]) | st.integers(0, 99)
 
 
 class JournalMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self._dir = tempfile.mkdtemp(prefix="journal-machine-")
-        self.path = os.path.join(self._dir, "t.sbt")
+        self.path = os.path.join(self._dir, "p.sbt")
+        pager = Pager(self.path, page_size=512, journaled=True)
+        for page in range(1, PAGES + 1):
+            pager.allocate_page()
+        pager.close()
+        self.committed = {page: b"" for page in range(1, PAGES + 1)}
+        self.pending = {}
         self._open()
-        self.committed = []  # facts as of the last commit
-        self.pending = []  # facts applied since
 
     def _open(self):
-        self.store = PagedNodeStore(
-            self.path, "sum", page_size=1024, buffer_capacity=8, journaled=True,
-            faults=FaultInjector(),  # remembers what no fsync covered
-        )
-        self.tree = SBTree(
-            "sum", self.store, branching=6, leaf_capacity=6
-        ) if self.store.get_root() is None else SBTree(store=self.store)
+        # A fresh injector per pager: it remembers what no fsync covered.
+        self.pager = Pager(self.path, journaled=True, faults=FaultInjector())
+        self.pool = BufferPool(self.pager, capacity=2)
+        self.pending = {}
 
-    @rule(value=values, start=times, length=lengths)
-    def insert(self, value, start, length):
-        interval = Interval(start, start + length)
-        self.tree.insert(value, interval)
-        self.pending.append(("+", value, interval))
+    def _expect(self, page):
+        return self.pending.get(page, self.committed[page])
 
-    @precondition(lambda self: self.committed or self.pending)
-    @rule(data=st.data())
-    def delete_some_live_fact(self, data):
-        live = self._live()
-        if not live:
-            return
-        value, interval = data.draw(st.sampled_from(live))
-        self.tree.delete(value, interval)
-        self.pending.append(("-", value, interval))
+    @rule(page=pages, payload=payloads)
+    def write(self, page, payload):
+        self.pool.write(page, payload, None)
+        self.pending[page] = payload
 
-    def _live(self):
-        live = list(self.committed)
-        for op, value, interval in self.pending:
-            if op == "+":
-                live.append((value, interval))
-            else:
-                live.remove((value, interval))
-        return live
+    @rule(page=pages)
+    def evict(self, page):
+        """Admit *page*: with two frames, that evicts -- and writes back
+        as an uncommitted frame -- whatever is least recently used."""
+        assert self.pool.frame(page).payload.rstrip(b"\x00") == self._expect(page)
 
     @rule()
     def commit(self):
-        self.store.commit()
-        self.committed = self._live()
-        self.pending = []
-
-    @rule(
-        facts=st.lists(st.tuples(values, times, lengths), min_size=1, max_size=4),
-        power_loss=st.none() | st.integers(min_value=0, max_value=99),
-    )
-    def commits_then_crash(self, facts, power_loss):
-        """k one-fact transactions over one journal file, then die inside
-        the next -- with or without losing unsynced writes."""
-        for value, start, length in facts:
-            self.insert(value, start, length)
-            self.commit()
-        self.insert(*facts[0])
-        self.crash_and_recover(power_loss)
+        self.pool.flush(commit=True)
+        self.committed.update(self.pending)
+        self.pending = {}
 
     @rule()
-    def crash_and_recover(self, power_loss=None):
-        # Push everything to the file, then abandon without commit.
-        self.store.buffer.flush()
-        simulate_crash(self.store, power_loss=power_loss)
-        self._open()
-        self.pending = []
-        expected = reference.instantaneous_table(self.committed, "sum")
-        assert self.tree.to_table() == expected
-        check_tree(self.tree)
+    def checkpoint(self):
+        commits = self.pool.dirty or self.pager.dirty
+        saved = pager_module.WAL_CHECKPOINT_BYTES
+        pager_module.WAL_CHECKPOINT_BYTES = 0  # a commit now checkpoints
+        try:
+            self.commit()
+        finally:
+            pager_module.WAL_CHECKPOINT_BYTES = saved
+        assert not commits or self.pager.wal_bytes == 0
 
-    @rule(t=times)
-    def lookup_reflects_all_applied_ops(self, t):
-        assert self.tree.lookup(t) == reference.instantaneous_value(
-            self._live(), "sum", t
-        )
+    @rule(mode=power_loss)
+    def crash(self, mode):
+        simulate_crash(self.pager, power_loss=mode)
+        self._open()
+
+    @rule()
+    def reopen(self):
+        self.pool.flush()  # written back, not committed: close commits
+        self.pager.close()
+        self.committed.update(self.pending)
+        self._open()
+
+    @invariant()
+    def pages_read_back_as_modelled(self):
+        for page in range(1, PAGES + 1):
+            if page not in self.pending:
+                got = self.pager.read_page(page).rstrip(b"\x00")
+                assert got == self.committed[page], page
 
     def teardown(self):
         try:
-            self.store.close()
+            self.pager.close()
         except ValueError:
             pass  # file already closed by a simulated crash
 
 
 TestJournalMachine = JournalMachine.TestCase
 TestJournalMachine.settings = settings(
-    max_examples=15, stateful_step_count=20, deadline=None
+    max_examples=25, stateful_step_count=30, deadline=None
 )

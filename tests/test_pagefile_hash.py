@@ -75,31 +75,35 @@ def build(path, kind, page_size):
 
 
 # (reads, writes, allocations, frees | hits, misses, evictions,
-#  dirty_writebacks | physical_reads, physical_writes)
+#  dirty_writebacks | physical_reads, physical_writes).  The digests
+# predate the redo WAL, which left them alone; physical_writes counts
+# data-file writes, which a journaled pager makes only at a checkpoint
+# (one copy per page of a 1 MiB WAL generation; the close that follows
+# the counters is not in them).
 PINNED = {
     ("sum", 1024): (
         "18e8db512b2946557b4e0e292198c80cdc91bdc1b9981dbd20a0544a3c716067",
-        (7259, 3083, 36, 0, 6647, 612, 640, 698, 612, 734),
+        (7259, 3083, 36, 0, 6647, 612, 640, 698, 612, 0),
     ),
     ("sum", 4096): (
         "3963e3ae15639a8266b43cdebe1056ce6be3a6ecc0bbefcb21458c161ad12b40",
-        (6625, 2734, 9, 0, 6587, 38, 39, 128, 38, 137),
+        (6625, 2734, 9, 0, 6587, 38, 39, 128, 38, 0),
     ),
     ("avg", 1024): (
         "2828e029dcbf10602c4d0c2d43c0759f7a37e660ba94c2fbc8a71c301b1141d8",
-        (9007, 3787, 56, 2, 8103, 904, 950, 1005, 906, 1061),
+        (9007, 3787, 56, 2, 8103, 904, 950, 1005, 906, 55),
     ),
     ("avg", 4096): (
         "5b03bc8c004dae1aa9585d2fdbc804b2cd7bdec610825112c15a97711a33b68d",
-        (6874, 2856, 17, 2, 6728, 146, 153, 240, 148, 257),
+        (6874, 2856, 17, 2, 6728, 146, 153, 240, 148, 16),
     ),
     ("min", 1024): (
         "431711bdd1dd327ef8a2a66fffbfa27c319c28439d6e3c71547ceb4f7eb5c11d",
-        (2126, 2121, 15, 14, 2126, 0, 0, 60, 8, 81),
+        (2126, 2121, 15, 14, 2126, 0, 0, 60, 8, 0),
     ),
     ("min", 4096): (
         "36b0752f006ef16058d6dae5fa0399498570d24ca13ab56c8deac8c210990ebe",
-        (1387, 1385, 4, 3, 1387, 0, 0, 19, 3, 23),
+        (1387, 1385, 4, 3, 1387, 0, 0, 19, 3, 0),
     ),
 }
 

@@ -715,7 +715,12 @@ class TestLiveNodes:
         assert (
             buffer.hits, buffer.misses, buffer.evictions, buffer.dirty_writebacks
         ) == (2759, 2452, 2919, 1889)
-        assert (pager.physical_reads, pager.physical_writes) == (2463, 2043)
+        # Writes go to the WAL since the redo log: one frame per dirty
+        # write-back (1,889), free-list link (11) and commit (7); the
+        # data file is written only by a checkpoint, and these 0.99 MB of
+        # frames stay below the 1 MiB that triggers one.
+        assert (pager.physical_reads, pager.physical_writes) == (2463, 0)
+        assert (pager.wal_frames, pager.fsyncs) == (1907, 9)
         assert (len(rows), tree.height, store.node_count()) == (182, 4, 143)
         assert tree.to_table() == reference.instantaneous_table(live, "sum")
         store.close()

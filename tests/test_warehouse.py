@@ -235,10 +235,41 @@ class TestTemporalWarehouse:
                     assert os.path.exists(path)
                 wh.drop_view(name)
                 # Dropping closes and removes the page stores (and any
-                # leftover journals); nothing leaks on disk.
+                # leftover WAL); nothing leaks on disk.
                 for path in paths:
                     assert not os.path.exists(path)
-                    assert not os.path.exists(path + "-journal")
+                    assert not os.path.exists(path + "-wal")
+
+    def test_dropped_view_leaves_no_wal_for_its_name(self, tmp_path):
+        """A dropped journaled view whose store could not close cleanly
+        still takes its WAL with it: left behind, the frames would
+        replay into the next view of that name."""
+        import os
+
+        from repro.faults import FaultInjector
+
+        directory = str(tmp_path / "wh")
+        wh = TemporalWarehouse(directory)
+        rel = wh.create_table("t")
+        wh.create_table("u")
+        view = wh.create_view("v", "t", "sum", persistent=True, journaled=True)
+        rel.insert(4, Interval(0, 10))
+        wh.checkpoint()  # committed into the WAL, nothing checkpointed
+        pager = view.index.store.pager
+        assert os.path.getsize(pager.wal_path) > 0
+        pager.retry_backoff = 0.0
+        pager.faults = FaultInjector().fail_writes("wal", times=None)
+        rel.insert(5, Interval(2, 8))
+        with pytest.warns(RuntimeWarning, match="degraded mode"):
+            with pytest.raises(OSError):
+                wh.checkpoint()
+        wh.drop_view("v")  # a degraded store closes without a checkpoint
+        assert os.listdir(directory) == []
+        again = wh.create_view("v", "u", "sum", persistent=True, journaled=True)
+        assert again.table().rows == []
+        assert again.value_at(5) == 0
+        wh.close()
+        assert not [name for name in os.listdir(directory) if name.endswith("-wal")]
 
     def test_drop_table_refuses_while_views_depend(self):
         wh = TemporalWarehouse()
