@@ -2,11 +2,12 @@
 """Serving fleet telemetry over the network: the sharded TCP service.
 
 The same load-session telemetry as ``fleet_telemetry.py``, but instead
-of querying the index in process, a 4-shard
+of querying the index in process, a 7-shard
 :class:`~repro.sharding.ShardedTree` is served over TCP
 (:mod:`repro.service`) and queried through the blocking client --
 exactly what ``python -m repro serve`` does, here run in process on an
-ephemeral port so the example is self-contained.
+ephemeral port, over journaled page files in a temporary directory, so
+the example is self-contained.
 
 What it shows:
 
@@ -20,6 +21,7 @@ Run:  python examples/serve_telemetry.py
 """
 
 import random
+import tempfile
 
 from repro.service import ServerHandle, ServiceClient
 from repro.sharding import ShardedTree
@@ -39,12 +41,7 @@ def simulate_sessions(rng, days=DAYS):
     return sessions
 
 
-def main():
-    rng = random.Random(11)
-    sessions = simulate_sessions(rng)
-
-    # One shard per day: midnight-crossing sessions split at the cuts.
-    sharded = ShardedTree("sum", num_shards=DAYS, span=(0, DAYS * DAY))
+def serve(sharded, sessions):
     with ServerHandle.start(sharded, batch_max=32) as srv:
         print(f"service up on {srv.host}:{srv.port} "
               f"({sharded.num_shards} day-shards)")
@@ -79,6 +76,20 @@ def main():
             lookup_ops = stats["ops"]["service.lookup"]
             print(f"lookup latency   : count={lookup_ops['count']} "
                   f"p95={lookup_ops['wall_us']['p95']:.0f}us")
+
+
+def main():
+    rng = random.Random(11)
+    sessions = simulate_sessions(rng)
+
+    # One shard per day: midnight-crossing sessions split at the cuts.
+    with tempfile.TemporaryDirectory() as directory:
+        sharded = ShardedTree.open(directory, "sum", num_shards=DAYS,
+                                   span=(0, DAYS * DAY))
+        try:
+            serve(sharded, sessions)
+        finally:
+            sharded.close()
     print("drained cleanly")
 
 

@@ -392,16 +392,36 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the sharded temporal-aggregate service in the foreground.
 
-    Builds a :class:`~repro.sharding.ShardedTree` (optionally with one
-    persistent page file per shard under ``--paged DIR``, optionally
-    seeded from a ``value,start,end`` CSV), binds the asyncio TCP
-    server, and serves until SIGINT/SIGTERM, then drains gracefully.
+    Serves one journaled page file per shard
+    (:meth:`~repro.sharding.ShardedTree.open`) under ``--paged DIR``,
+    or, without it, under a new temporary directory that is removed on
+    every exit but SIGKILL, a failed start included.  Optionally seeds
+    from a ``value,start,end`` CSV, binds the asyncio TCP server, and
+    serves until SIGINT/SIGTERM, then drains gracefully.
 
     ``--csv`` seeds only a directory in which no shard file has a
     committed root.  Any root counts as data: a directory first served
     without ``--csv`` is never seeded later, and a multi-shard seed
     killed after some shards committed is not resumed on restart.
     """
+    import shutil
+    import signal
+    import tempfile
+
+    if args.paged is not None:
+        return _serve(args, args.paged)
+    # Until the serving loop takes SIGTERM over, it unwinds like ^C, so
+    # the directory is removed on a SIGTERM during the start too.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
+    directory = tempfile.mkdtemp(prefix="repro-serve-")
+    try:
+        print(f"journaling into {directory} (removed on exit)", flush=True)
+        return _serve(args, directory)
+    finally:
+        shutil.rmtree(directory, ignore_errors=True)
+
+
+def _serve(args: argparse.Namespace, directory: str) -> int:
     import asyncio
     import signal
 
@@ -411,41 +431,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
     boundaries = None
     if args.boundaries:
         boundaries = [_number(b) for b in args.boundaries.split(",")]
-    stores = None
-    if args.paged:
-        num = (len(boundaries) + 1) if boundaries is not None else args.shards
-        os.makedirs(args.paged, exist_ok=True)
-        stores = [
-            PagedNodeStore(
-                os.path.join(args.paged, f"shard-{i}.sbt"),
-                args.kind,
-                journaled=args.journal,
-            )
-            for i in range(num)
-        ]
-    # Decided before the trees exist (a new SBTree allocates a root): a
-    # restart over page files that already hold a tree serves them as
-    # they are -- seeding again would apply every fact a second time.
-    seed = args.csv
-    if seed and stores and any(s.get_root() is not None for s in stores):
-        print(f"skipping --csv: {args.paged} already holds data")
-        seed = None
     try:
-        if boundaries is not None:
-            sharded = ShardedTree(args.kind, boundaries, stores=stores)
-        else:
-            sharded = ShardedTree(
-                args.kind,
-                num_shards=args.shards,
-                span=(_number(args.lo), _number(args.hi)),
-                stores=stores,
-            )
+        sharded = ShardedTree.open(
+            directory,
+            args.kind,
+            boundaries,
+            num_shards=args.shards,
+            span=(_number(args.lo), _number(args.hi)),
+        )
     except ShardingError as exc:
         raise SystemExit(f"error: {exc}")
 
-    if seed:
+    # A restart over page files that already hold a tree serves them as
+    # they are -- seeding again would apply every fact a second time.
+    if args.csv and sharded.reopened:
+        print(f"skipping --csv: {directory} already holds data")
+    elif args.csv:
         facts = []
-        with open(seed, newline="") as handle:
+        with open(args.csv, newline="") as handle:
             for row in csv.reader(handle):
                 try:
                     value, start, end = (_number(cell) for cell in row[:3])
@@ -785,11 +788,12 @@ def build_parser() -> argparse.ArgumentParser:
                          "(overrides --shards/--lo/--hi)")
     p_serve.add_argument("--csv", help="seed facts from value,start,end CSV")
     p_serve.add_argument("--paged", metavar="DIR",
-                         help="persist each shard as DIR/shard-<i>.sbt")
+                         help="keep each shard as the journaled page file "
+                         "DIR/shard-<i>.sbt (default: a temporary "
+                         "directory, removed on exit)")
     p_serve.add_argument("--journal", action="store_true",
-                         help="journal shard page files (with --paged): "
-                         "group commits become durable and the dedup "
-                         "window survives restarts")
+                         help="ignored: shard page files are always "
+                         "journaled (accepted for older command lines)")
     p_serve.add_argument("--dedup-window", type=int, default=128,
                          help="remembered idempotency replies per client")
     p_serve.add_argument("--max-inflight", type=int, default=256,

@@ -32,8 +32,8 @@ at that moment, never by a setting:
   neither block nor write: the tree is fault-free, tracing and per-op
   observability are off, its shard's read lock is free right now and
   that shard's store holds nothing unwritten
-  (:meth:`~repro.sharding.ShardedTree.lookup` with ``wait=False``).  On
-  a durable tree a buffer miss then evicts only clean frames, so the
+  (:meth:`~repro.sharding.ShardedTree.lookup` with ``wait=False``).  A
+  buffer miss then evicts only clean frames, so the
   loop never writes a page and never fsyncs; the one cost left is that
   a cold clean page is a ``pread`` on the loop, at most one per level.
 * *One executor job per burst.*  Every other read of the wake-up --
@@ -49,9 +49,8 @@ span.
 
 **Everything else takes one route**: writes, view ops and ``ping`` /
 ``stats`` each run as a task (``_serve_request``) that holds a queue
-slot and is counted in flight until its reply is written -- on every
-backend and in every mode, so an ``insert`` reaches the group-commit
-batch the same way on an in-memory test server as on a ``--paged`` one.
+slot and is counted in flight until its reply is written, so every
+``insert`` reaches the group-commit batch the same way.
 
 What a request *means* is not decided here: ``dispatch`` answers a
 request, ``read`` is the tree reads as one blocking callable, ``run``

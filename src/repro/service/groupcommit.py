@@ -19,7 +19,7 @@ The committer knows no socket and no tree: it is constructed with
 
 * ``apply(facts, meta, collector)`` -- a coroutine that applies the
   batch and makes it durable (``meta`` is the header metadata to commit
-  with it, None when not durable; ``collector`` an optional
+  with it; ``collector`` an optional
   :class:`~repro.obs.trace.SpanCollector` to record the apply under).
   Raising :class:`CommitFailed` means "applied in memory, commit
   failed"; any other exception means "not applied".
@@ -70,12 +70,10 @@ class GroupCommitter:
         registry: obs.MetricsRegistry,
         batch_max: int = 64,
         dedup_window: int = 128,
-        durable: bool = False,
     ) -> None:
         if batch_max < 1:
             raise ValueError("batch_max must be at least 1")
         self.batch_max = batch_max
-        self.durable = durable
         self.registry = registry
         #: Set by :meth:`drain`: new writes are refused with Draining.
         self.draining = False
@@ -234,7 +232,7 @@ class GroupCommitter:
             for facts, _, _, idem, _ in batch
             if idem is not None
         ]
-        meta = self.commit_meta(idem_entries) if self.durable else None
+        meta = self.commit_meta(idem_entries)
         # One flush serves several requests; its shard/tree spans are
         # recorded once (trace-agnostically) and replayed under every
         # sampled participant's trace after the apply.
@@ -257,8 +255,7 @@ class GroupCommitter:
                 self.registry.counter("service.batch.commit_failures").inc()
                 error = exc.__cause__ or exc
             else:
-                if self.durable:
-                    self.registry.counter("service.batch.commits").inc()
+                self.registry.counter("service.batch.commits").inc()
             try:
                 await self._on_committed(
                     (facts, idem) for facts, _, _, idem, _ in batch

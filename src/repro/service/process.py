@@ -7,9 +7,10 @@ it has to live in another process.  That process is the one users and
 one place outside the CLI that knows its command line and the
 ready / kill / restart / promote / wait-applied protocol around it.
 
-Every child is a single-shard journaled SUM index over :data:`SPAN`
-persisted under ``--paged DIR`` with a 256-entry dedup window; a
-recovery check reopens :attr:`ServeProcess.shard_path` directly.
+Every child is a single-shard SUM index over :data:`SPAN` journaled
+under ``--paged DIR`` (the one way ``repro serve`` stores) with a
+256-entry dedup window; a recovery check reopens
+:attr:`ServeProcess.shard_path` directly.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import sys
 import time
 from typing import Any, Callable, Dict, List, Optional
 
+from ..sharding import shard_path
 from .client import ServiceClient, ServiceError
 
 __all__ = ["KIND", "SPAN", "ServeProcess"]
@@ -87,7 +89,7 @@ class ServeProcess:
             "--kind", KIND, "--shards", "1",
             "--lo", str(SPAN[0]), "--hi", str(SPAN[1]),
             "--host", _HOST, "--port", str(self.port),
-            "--paged", directory, "--journal",
+            "--paged", directory,
             "--dedup-window", "256", "--health-interval", "0",
             "--batch-max", str(batch_max),
             "--repl-ack-timeout", str(_REPL_ACK_TIMEOUT),
@@ -102,7 +104,7 @@ class ServeProcess:
 
     @property
     def shard_path(self) -> str:
-        return os.path.join(self.directory, "shard-0.sbt")
+        return shard_path(self.directory, 0)
 
     def client(self, **kwargs: Any) -> ServiceClient:
         return ServiceClient(_HOST, self.port, **kwargs)

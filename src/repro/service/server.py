@@ -26,15 +26,18 @@ decide: the op table and the one not-primary check, the tree reads as
 one blocking callable (``_read``), the executor, the exception ->
 error-reply mapping, ``stats``, and:
 
-* **Durable acks.**  With store-backed shards, every group-commit flush
+* **Durable acks.**  Every shard is a journaled page file (the
+  constructor refuses anything else), and every group-commit flush
   ends in :meth:`~repro.sharding.ShardedTree.commit` before the batch's
   waiters are acknowledged: an acked write is on disk.  The dedup
   window and the replication watermark ride the same commit's header
   metadata, so they survive a crash-restart atomically with the data.
+  The view catalog does not: it is in memory only, so a restarted
+  primary comes back with no views and no base-table rows.
 * **Graceful drain.**  ``stop()`` refuses new writes
-  (``ERR_SHUTTING_DOWN``), flushes (and, when durable, commits) the
-  pending batch, closes the listener, waits for in-flight requests to
-  reply, and only then closes connections.
+  (``ERR_SHUTTING_DOWN``), flushes and commits the pending batch,
+  closes the listener, waits for in-flight requests to reply, and only
+  then closes connections.
 * **Roles.**  A replica serves reads tagged with its applied-commit
   watermark and rejects every mutating op with ``ERR_NOT_PRIMARY`` + a
   redirect hint; ``promote`` seals the stream and flips it into a
@@ -74,7 +77,7 @@ from .views import ViewService
 __all__ = ["TemporalAggregateServer", "ServerHandle"]
 
 #: Header-metadata key the replication commit watermark is persisted
-#: under.  Written inside every durable group commit (primaries write
+#: under.  Written inside every group commit (primaries write
 #: their commit-log head, replicas their applied commit), so a restarted
 #: process knows exactly where in the replication stream its on-disk
 #: state sits: a primary restores its commit numbering (and refuses
@@ -101,8 +104,11 @@ class NotPrimary(Exception):
 class TemporalAggregateServer:
     """Serve one sharded temporal-aggregate index over TCP.
 
-    ``batch_delay`` is accepted and ignored: group commit has no timer
-    (the frozen ``bench/workloads/service.py`` still passes it)."""
+    Every shard store must be a journaled page file
+    (:meth:`ShardedTree.open <repro.sharding.ShardedTree.open>`);
+    anything else raises :class:`ValueError`.  ``batch_delay`` is
+    accepted and ignored: group commit has no timer (the frozen
+    ``bench/workloads/service.py`` still passes it)."""
 
     def __init__(
         self,
@@ -120,9 +126,17 @@ class TemporalAggregateServer:
         replica_name: Optional[str] = None,
         repl_sync: bool = True,
         repl_ack_timeout: float = 10.0,
-        views: Optional[DynamicCatalog] = None,
         view_tick: float = 0.05,
     ) -> None:
+        # Duck-typed: a tracing proxy around a store forwards ``pager``.
+        if not all(
+            getattr(getattr(shard.tree.store, "pager", None), "journaled", False)
+            for shard in sharded.shards
+        ):
+            raise ValueError(
+                "the service serves journaled page files only: open the "
+                "shards with ShardedTree.open(directory, ...)"
+            )
         self.sharded = sharded
         self.host = host
         self.port = port
@@ -136,7 +150,6 @@ class TemporalAggregateServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._health_task: Optional[asyncio.Task] = None
         self._promote_lock: Optional[asyncio.Lock] = None
-        self._durable = sharded.durable
         #: Backoff hint for overload/drain rejections (seconds).
         self._retry_after = 0.05
         self.committer = GroupCommitter(
@@ -145,7 +158,6 @@ class TemporalAggregateServer:
             registry=self.registry,
             batch_max=batch_max,
             dedup_window=dedup_window,
-            durable=self._durable,
         )
         self.committer.load(sharded.get_meta(DEDUP_META_KEY))
         # The durable watermark ties the on-disk tree to a position in
@@ -180,7 +192,7 @@ class TemporalAggregateServer:
                 idle=max(3.0 * self.publisher.heartbeat, 2.0),
                 name=replica_name,
             )
-        self.views = views if views is not None else DynamicCatalog()
+        self.views = DynamicCatalog()
         self.view_service = ViewService(
             self.views,
             run=self._run,
@@ -395,7 +407,6 @@ class TemporalAggregateServer:
                 ),
             },
             "resilience": {
-                "durable": self._durable,
                 "dedup": committer["dedup"],
                 **self.connections.stats(),
             },
@@ -448,11 +459,10 @@ class TemporalAggregateServer:
                 applied = self.sharded.batch_insert(facts)
         else:
             applied = self.sharded.batch_insert(facts)
-        if self._durable:
-            try:
-                self.sharded.commit(meta)
-            except Exception as exc:
-                raise CommitFailed(str(exc)) from exc
+        try:
+            self.sharded.commit(meta)
+        except Exception as exc:
+            raise CommitFailed(str(exc)) from exc
         return applied
 
     async def _apply_flush(self, facts, meta, collector) -> None:
@@ -461,8 +471,7 @@ class TemporalAggregateServer:
         rides inside the same commit as the data and dedup pages (one
         atomic unit per store); flushes are serialized, so the number
         is the one :meth:`_on_committed` publishes under."""
-        if meta is not None:
-            meta[REPL_COMMIT_META_KEY] = str(self.publisher.head + 1)
+        meta[REPL_COMMIT_META_KEY] = str(self.publisher.head + 1)
         await self._run(self._apply_batch, facts, meta, collector)
 
     async def _on_committed(self, writes) -> None:
@@ -509,10 +518,8 @@ class TemporalAggregateServer:
         facts, idem_entries, events = split_records(records)
         for event in events:
             await self.view_service.apply_shipped(event)
-        meta = None
-        if self._durable:
-            meta = self.committer.commit_meta(idem_entries)
-            meta[REPL_COMMIT_META_KEY] = str(commit)
+        meta = self.committer.commit_meta(idem_entries)
+        meta[REPL_COMMIT_META_KEY] = str(commit)
         try:
             await self._run(self._apply_batch, facts, meta, None)
         except CommitFailed:

@@ -39,11 +39,17 @@ shards: a concurrent reader may observe a spanning insert applied to a
 prefix of its shards.  The service layer (:mod:`repro.service`)
 restores per-request ordering by acknowledging group-committed writes
 only after every shard applied them.
+
+On disk, :meth:`ShardedTree.open` is the one layout: a directory of
+journaled page files ``shard-<i>.sbt``, each stamped with the shard
+boundaries it was created for.
 """
 
 from __future__ import annotations
 
 import bisect
+import json
+import os
 import threading
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -53,15 +59,22 @@ from .core.results import ConstantIntervalTable, trim_initial
 from .core.sbtree import IntervalLike, SBTree, as_interval
 from .core.values import AggregateSpec, spec_for
 from .obs import stores_of, trace
+from .storage import PagedNodeStore
 
 __all__ = [
+    "LAYOUT_META_KEY",
     "ShardRouter",
     "ShardedTree",
     "ShardingError",
     "WindowUnsupportedError",
     "WouldBlock",
     "even_boundaries",
+    "shard_path",
 ]
+
+#: Header-metadata key holding the boundaries (a JSON list) a shard page
+#: file was created for by :meth:`ShardedTree.open`.
+LAYOUT_META_KEY = "sharding.boundaries"
 
 
 class ShardingError(ValueError):
@@ -97,6 +110,11 @@ def even_boundaries(lo: Time, hi: Time, num_shards: int) -> List[Time]:
     # Degenerate spans (span < num_shards in the int domain) can repeat
     # a cut; deduplicate so every shard range is non-empty.
     return sorted(set(cuts))
+
+
+def shard_path(directory: str, index: int) -> str:
+    """The page file of shard *index* under *directory*."""
+    return os.path.join(directory, f"shard-{index}.sbt")
 
 
 def _unwritten(store: Any) -> bool:
@@ -182,6 +200,18 @@ class ShardRouter:
         return f"<ShardRouter {self.num_shards} shards @ {list(self.boundaries)}>"
 
 
+def _router(
+    boundaries: Optional[Sequence[Time]],
+    num_shards: Optional[int],
+    span: Optional[Tuple[Time, Time]],
+) -> ShardRouter:
+    if boundaries is None:
+        if num_shards is None or span is None:
+            raise ShardingError("pass either boundaries or num_shards + span")
+        boundaries = even_boundaries(span[0], span[1], num_shards)
+    return ShardRouter(boundaries)
+
+
 class ShardedTree:
     """A time-partitioned temporal aggregate index.
 
@@ -198,7 +228,8 @@ class ShardedTree:
     stores:
         Optional per-shard node stores (one per shard, e.g.
         :class:`~repro.storage.PagedNodeStore` instances); defaults to
-        fresh in-memory stores.
+        fresh in-memory stores.  :meth:`open` builds the journaled
+        page-file stores the service requires.
     read_timeout, write_timeout:
         Per-shard lock timeouts in seconds (see
         :class:`~repro.concurrent.ConcurrentTree`).
@@ -224,18 +255,14 @@ class ShardedTree:
         fault_injector: Optional[Any] = None,
     ) -> None:
         self.spec: AggregateSpec = spec_for(kind)
-        if boundaries is None:
-            if num_shards is None or span is None:
-                raise ShardingError(
-                    "pass either boundaries or num_shards + span"
-                )
-            boundaries = even_boundaries(span[0], span[1], num_shards)
-        self.router = ShardRouter(boundaries)
+        self.router = _router(boundaries, num_shards, span)
         if stores is not None and len(stores) != self.router.num_shards:
             raise ShardingError(
                 f"{self.router.num_shards} shards need {self.router.num_shards}"
                 f" stores, got {len(stores)}"
             )
+        #: Whether a store already held a tree (a restart over page files).
+        self.reopened = any(store.get_root() is not None for store in stores or ())
         self.fault_injector = fault_injector
         self.shards: List[ConcurrentTree] = []
         for i in range(self.router.num_shards):
@@ -256,6 +283,51 @@ class ShardedTree:
         self._counts_lock = threading.Lock()
         self.facts_applied = 0  # whole facts accepted
         self.pieces_applied = [0] * self.router.num_shards
+
+    @classmethod
+    def open(
+        cls,
+        directory: str,
+        kind,
+        boundaries: Optional[Sequence[Time]] = None,
+        *,
+        num_shards: Optional[int] = None,
+        span: Optional[Tuple[Time, Time]] = None,
+        buffer_capacity: int = 64,
+        **tree_options: Any,
+    ) -> "ShardedTree":
+        """Open (or create) one journaled page file per shard under
+        *directory*, each behind a pool of *buffer_capacity* frames:
+        :func:`shard_path` names them.
+
+        A file created here records the boundaries in its header metadata
+        (:data:`LAYOUT_META_KEY`); reopening it under other boundaries
+        raises :class:`ShardingError` naming both, since the pieces it
+        holds belong to another shard's time range.
+        """
+        cuts = list(_router(boundaries, num_shards, span).boundaries)
+        os.makedirs(directory, exist_ok=True)
+        stores: List[PagedNodeStore] = []
+        try:
+            for index in range(len(cuts) + 1):
+                path = shard_path(directory, index)
+                store = PagedNodeStore(
+                    path, kind, journaled=True, buffer_capacity=buffer_capacity
+                )
+                stores.append(store)
+                stored = store.get_meta(LAYOUT_META_KEY)
+                if stored is None:
+                    store.set_meta(LAYOUT_META_KEY, json.dumps(cuts))
+                elif json.loads(stored) != cuts:
+                    raise ShardingError(
+                        f"{path} was created for shard boundaries {stored}, "
+                        f"not {json.dumps(cuts)}"
+                    )
+            return cls(kind, cuts, stores=stores, **tree_options)
+        except BaseException:
+            for store in stores:
+                store.close()
+            raise
 
     # ------------------------------------------------------------------
     @property
@@ -481,14 +553,6 @@ class ShardedTree:
     # ------------------------------------------------------------------
     # Durability
     # ------------------------------------------------------------------
-    @property
-    def durable(self) -> bool:
-        """Whether any shard store supports transactional commits."""
-        return any(
-            getattr(shard.tree.store, "commit", None) is not None
-            for shard in self.shards
-        )
-
     def commit(self, meta: Optional[Dict[str, str]] = None) -> int:
         """Commit the shard stores that have something to commit; returns
         how many were committed.

@@ -384,11 +384,10 @@ class TestPersistence:
 
 class TestServiceIntegration:
     @pytest.fixture()
-    def handle(self):
+    def handle(self, open_shards):
         from repro.service import ServerHandle
-        from repro.sharding import ShardedTree
 
-        sharded = ShardedTree("sum", num_shards=2, span=(0, 10_000))
+        sharded = open_shards(num_shards=2, span=(0, 10_000))
         with ServerHandle.start(sharded, view_tick=0.0) as handle:
             yield handle
 

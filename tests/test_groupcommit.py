@@ -179,7 +179,7 @@ class TestFlushPolicy:
 
     def test_durable_flush_commits_the_window_with_its_own_keys(self):
         async def main():
-            h = Harness(batch_max=1, durable=True)
+            h = Harness(batch_max=1)
             await h.committer.write([fact(1)], ("c", 1))
             (facts, meta), = h.applied
             # Dedup-before-ack: the commit's metadata already names the
@@ -193,15 +193,6 @@ class TestFlushPolicy:
                 "applied": 1, "duplicate": True,
             }
             assert other.count("service.dedup.loaded") == 1
-
-        run(main())
-
-    def test_volatile_flush_passes_no_metadata(self):
-        async def main():
-            h = Harness(batch_max=1)
-            await h.committer.write([fact(1)], ("c", 1))
-            assert h.applied[0][1] is None
-            assert h.count("service.batch.commits") == 0
 
         run(main())
 
@@ -231,7 +222,7 @@ class TestFailures:
 
     def test_commit_failure_errors_waiters_but_remembers_and_publishes(self):
         async def main():
-            h = Harness(batch_max=2, durable=True)
+            h = Harness(batch_max=2)
             cause = OSError("fsync: EIO")
             h.fail = CommitFailed(str(cause))
             h.fail.__cause__ = cause

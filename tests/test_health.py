@@ -242,8 +242,8 @@ class TestTopRendering:
 
 
 class TestRunTop:
-    def test_polls_live_server(self):
-        sharded = ShardedTree("sum", num_shards=2, span=(0, 1000),
+    def test_polls_live_server(self, open_shards):
+        sharded = open_shards(num_shards=2, span=(0, 1000),
                               branching=4, leaf_capacity=4)
         with ServerHandle.start(sharded, batch_max=4) as handle:
             with ServiceClient(handle.host, handle.port) as svc:
@@ -273,14 +273,14 @@ class TestRunTop:
 
 
 class TestStatsServiceOp:
-    def test_stats_exposes_health_gauges_and_spans(self):
+    def test_stats_exposes_health_gauges_and_spans(self, open_shards):
         registry = obs.MetricsRegistry()
         sink = obs.TraceSink(io.StringIO())
         from repro.obs import trace
 
         trace.enable(sink, sample=1.0, registry=registry)
         try:
-            sharded = ShardedTree("sum", num_shards=2, span=(0, 1000),
+            sharded = open_shards(num_shards=2, span=(0, 1000),
                                   branching=4, leaf_capacity=4)
             with ServerHandle.start(
                 sharded, batch_max=4, registry=registry

@@ -26,12 +26,11 @@ from repro.service import (
     TransportError,
     protocol,
 )
-from repro.sharding import ShardedTree
 
 
 @pytest.fixture
-def sum_server():
-    sharded = ShardedTree("sum", num_shards=4, span=(0, 1000),
+def sum_server(open_shards):
+    sharded = open_shards(num_shards=4, span=(0, 1000),
                           branching=4, leaf_capacity=4)
     with ServerHandle.start(sharded, batch_max=8) as handle:
         yield handle, sharded

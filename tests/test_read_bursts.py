@@ -2,9 +2,10 @@
 
 Raw sockets and ``protocol.encode_frame`` only -- no ``ServiceClient`` --
 so what is sent in one segment is exactly what the test says.  Every
-test runs against an in-memory tree and a ``--paged --journal`` one
-(``PagedNodeStore(journaled=True)`` shards, committed once so their
-stores start clean).
+test runs against what ``repro serve`` serves: journaled page files
+(``ShardedTree.open``), committed once so their stores start clean.
+The one-value ``paged`` parameter keeps the test ids the suite has
+always printed for that backend.
 
 Contracts pinned here that the parent commit already kept: one reply
 per id, validation, deadline shedding, overload for exactly the
@@ -24,36 +25,25 @@ import pytest
 
 from repro.faults import FaultInjector
 from repro.service import ServerHandle, protocol
-from repro.sharding import ShardedTree
-from repro.storage import PagedNodeStore
 
 NAN = float("nan")
 FACTS = [(3, (10, 400)), (7, (200, 600)), (5, (550, 800)), (2, (0, 1000))]
 
 
-def build(kind, tmp_path, *, paged, buffer_capacity=64, fault_injector=None):
-    stores = None
-    if paged:
-        stores = [
-            PagedNodeStore(str(tmp_path / f"shard-{i}.sbt"), kind,
-                           journaled=True, buffer_capacity=buffer_capacity)
-            for i in range(4)
-        ]
-    sharded = ShardedTree(kind, num_shards=4, span=(0, 1000), stores=stores,
-                          branching=4, leaf_capacity=4,
-                          fault_injector=fault_injector)
+def build(open_shards, kind, **options):
+    sharded = open_shards(kind, num_shards=4, span=(0, 1000), branching=4,
+                          leaf_capacity=4, **options)
     sharded.batch_insert(FACTS)
     sharded.commit()
     return sharded
 
 
-@pytest.fixture(params=["memory", "paged"])
-def served(request, tmp_path):
+@pytest.fixture(params=["paged"])
+def served(open_shards):
     """A MAX server (sharded ``window`` is MIN/MAX-only) and its tree."""
-    sharded = build("max", tmp_path, paged=request.param == "paged")
+    sharded = build(open_shards, "max")
     with ServerHandle.start(sharded, batch_max=8) as handle:
         yield handle, sharded
-    sharded.close()
 
 
 def connect(handle):
@@ -243,10 +233,12 @@ class TestBursts:
 
 
 class TestAdmission:
-    def test_overload_rejects_exactly_the_requests_past_the_bound(self, tmp_path):
+    def test_overload_rejects_exactly_the_requests_past_the_bound(
+        self, open_shards
+    ):
         injector = FaultInjector()
         injector.slow_at("shard_apply", 0.01)
-        sharded = build("sum", tmp_path, paged=False, fault_injector=injector)
+        sharded = build(open_shards, "sum", fault_injector=injector)
         lock = sharded.shards[0].lock
         with ServerHandle.start(sharded, max_inflight=8) as handle:
             with connect(handle) as sock:
@@ -270,13 +262,13 @@ class TestAdmission:
         assert after.get("service.fast_reads", 0) == 0
 
 
-    @pytest.mark.parametrize("paged", [False, True], ids=["memory", "paged"])
+    @pytest.mark.parametrize("backend", ["paged"])  # keeps the test id
     def test_pipelined_inserts_hold_queue_slots_on_every_backend(
-        self, tmp_path, paged
+        self, open_shards, backend
     ):
         """One write route: an insert takes a queue slot and is counted
-        in flight until its reply is written, whatever the store."""
-        sharded = build("sum", tmp_path, paged=paged)
+        in flight until its reply is written."""
+        sharded = build(open_shards, "sum")
         before = sharded.facts_applied
         lock = sharded.shards[sharded.router.shard_of(900)].lock
 
@@ -312,7 +304,6 @@ class TestAdmission:
         assert all(r["ok"] and r["result"] == {"applied": 1} for r in replies)
         assert sharded.facts_applied - before == 100
         assert after["ops"]["service.insert"]["count"] == 100
-        sharded.close()
 
 
 class TestTheLoop:
@@ -343,8 +334,8 @@ class TestTheLoop:
         assert (parked["id"], parked["result"]) == ("parked", 7)
         assert fast_after == fast_before
 
-    def test_never_writes_for_a_dirty_store(self, tmp_path):
-        sharded = build("sum", tmp_path, paged=True)
+    def test_never_writes_for_a_dirty_store(self, open_shards):
+        sharded = build(open_shards, "sum")
         pagers = [shard.tree.store.pager for shard in sharded.shards]
 
         def lookups(sock, n=40):
@@ -369,12 +360,11 @@ class TestTheLoop:
             sharded.commit()
             assert lookups(sock) == [value + 100 for value in clean]
             assert fast(sock) == 80
-        sharded.close()
 
-    def test_evicts_clean_frames_without_a_write(self, tmp_path):
+    def test_evicts_clean_frames_without_a_write(self, open_shards):
         """A pool far smaller than the tree: lookups on the loop miss,
         evict and ``pread`` -- and never write or sync."""
-        sharded = build("sum", tmp_path, paged=True, buffer_capacity=2)
+        sharded = build(open_shards, "sum", buffer_capacity=2)
         sharded.batch_insert([(1, (t, t + 7)) for t in range(0, 990, 5)])
         sharded.commit()
         pagers = [shard.tree.store.pager for shard in sharded.shards]
@@ -393,7 +383,6 @@ class TestTheLoop:
         assert sum(s.physical_reads for s in spent) > 0
         assert sum(s.physical_writes for s in spent) == 0
         assert sum(s.fsyncs for s in spent) == 0
-        sharded.close()
 
 
 def test_concurrent_bursts_beside_writes_lose_no_reply(served):

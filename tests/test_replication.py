@@ -20,7 +20,6 @@ from repro.service import (
     render_top,
 )
 from repro.service.chaos import ChaosPlan
-from repro.sharding import ShardedTree
 
 
 # ----------------------------------------------------------------------
@@ -115,11 +114,11 @@ def _wait_subscribed(primary, timeout=10.0):
 
 
 @pytest.fixture
-def pair():
-    primary_tree = ShardedTree("sum", num_shards=2, span=(0, 1000),
-                               branching=4, leaf_capacity=4)
-    replica_tree = ShardedTree("sum", num_shards=2, span=(0, 1000),
-                               branching=4, leaf_capacity=4)
+def pair(open_shards):
+    primary_tree, replica_tree = (
+        open_shards(num_shards=2, span=(0, 1000), branching=4, leaf_capacity=4)
+        for _ in range(2)
+    )
     primary = ServerHandle.start(primary_tree, batch_max=8,
                                  repl_ack_timeout=5.0)
     replica = ServerHandle.start(

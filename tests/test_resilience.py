@@ -28,8 +28,8 @@ from repro.storage import PagedNodeStore
 
 
 @pytest.fixture
-def sum_server():
-    sharded = ShardedTree("sum", num_shards=4, span=(0, 1000),
+def sum_server(open_shards):
+    sharded = open_shards(num_shards=4, span=(0, 1000),
                           branching=4, leaf_capacity=4)
     with ServerHandle.start(sharded, batch_max=8) as handle:
         yield handle, sharded
@@ -120,8 +120,8 @@ class TestExactlyOnce:
             assert svc.lookup(150) == 3
         assert sharded.facts_applied == 1
 
-    def test_window_eviction_still_deduplicates(self):
-        sharded = ShardedTree("sum", num_shards=2, span=(0, 1000))
+    def test_window_eviction_still_deduplicates(self, open_shards):
+        sharded = open_shards(num_shards=2, span=(0, 1000))
         with ServerHandle.start(sharded, batch_max=1, dedup_window=4) as handle:
             with client_for(handle, client_id="evict") as svc:
                 for seq in range(1, 7):
@@ -155,36 +155,37 @@ class TestExactlyOnce:
 
 
 class TestDedupPersistence:
-    def _paged_server(self, path, **kwargs):
-        store = PagedNodeStore(path, "sum", journaled=True)
-        sharded = ShardedTree("sum", [], stores=[store])
-        handle = ServerHandle.start(sharded, batch_max=4, **kwargs)
-        return store, sharded, handle
+    @staticmethod
+    def _paged_server(directory):
+        """A one-shard server over ``directory``; returns its page file's
+        store, path and the handle."""
+        sharded = ShardedTree.open(str(directory), "sum", [])
+        store = sharded.shards[0].tree.store
+        return store, store.pager.path, ServerHandle.start(sharded, batch_max=4)
 
     def test_dedup_survives_crash_restart(self, tmp_path):
-        path = str(tmp_path / "dedup.sbt")
-        store, _, handle = self._paged_server(path)
+        store, _, handle = self._paged_server(tmp_path)
         with client_for(handle, client_id="crashy") as svc:
             assert svc.insert(7, 10, 50, seq=1) == 1  # acked => committed
         simulate_crash(store)  # die without any graceful shutdown
         handle.stop()
 
-        store2 = PagedNodeStore(path, "sum", journaled=True)  # rollback
-        sharded2 = ShardedTree("sum", [], stores=[store2])
+        sharded2 = ShardedTree.open(str(tmp_path), "sum", [])  # WAL replay
         with ServerHandle.start(sharded2, batch_max=4) as handle2:
             with client_for(handle2, client_id="crashy") as svc:
                 result = svc.insert_result(7, 10, 50, seq=1)
                 assert result["duplicate"] is True
                 assert svc.lookup(20) == 7  # once, despite the retry
         assert sharded2.facts_applied == 0  # replay never touched the tree
+        sharded2.close()
 
     def test_acked_writes_and_dedup_survive_graceful_restart(self, tmp_path):
-        path = str(tmp_path / "restart.sbt")
-        _, _, handle = self._paged_server(path)
+        store, path, handle = self._paged_server(tmp_path)
         with client_for(handle, client_id="c") as svc:
             svc.insert(2, 0, 100, seq=1)
             svc.insert(4, 50, 150, seq=2)
         handle.stop()
+        store.close()
 
         store2 = PagedNodeStore(path, "sum", journaled=True)
         tree = SBTree(store=store2)
@@ -199,8 +200,7 @@ class TestDedupPersistence:
     def test_drain_flushes_and_commits_pending_batch(self, tmp_path):
         # A batch still waiting on the group-commit timer when stop()
         # begins must be applied and committed, not dropped.
-        path = str(tmp_path / "drain.sbt")
-        _, _, handle = self._paged_server(path)
+        store, path, handle = self._paged_server(tmp_path)
         acked = []
 
         def write():
@@ -215,6 +215,7 @@ class TestDedupPersistence:
         handle.stop()
         writer.join(timeout=5)
         assert acked == [1]
+        store.close()
 
         store2 = PagedNodeStore(path, "sum", journaled=True)
         tree = SBTree(store=store2)
@@ -248,10 +249,10 @@ class TestOverload:
                 svc._request("ping", deadline_ms="soon")
             assert err.value.type == "bad_request"
 
-    def test_overloaded_rejection_carries_retry_after(self):
+    def test_overloaded_rejection_carries_retry_after(self, open_shards):
         injector = FaultInjector()
         injector.slow_at("shard_apply", 0.5)
-        sharded = ShardedTree("sum", num_shards=2, span=(0, 1000),
+        sharded = open_shards(num_shards=2, span=(0, 1000),
                               fault_injector=injector)
         with ServerHandle.start(sharded, batch_max=1,
                                 max_inflight=1) as handle:
@@ -273,10 +274,10 @@ class TestOverload:
             thread.join(timeout=5)
             assert blocker_done == [True]
 
-    def test_client_retries_overload_to_success(self):
+    def test_client_retries_overload_to_success(self, open_shards):
         injector = FaultInjector()
         injector.slow_at("shard_apply", 0.3)
-        sharded = ShardedTree("sum", num_shards=2, span=(0, 1000),
+        sharded = open_shards(num_shards=2, span=(0, 1000),
                               fault_injector=injector)
         with ServerHandle.start(sharded, batch_max=1,
                                 max_inflight=1) as handle:

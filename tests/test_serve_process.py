@@ -4,15 +4,27 @@ The entry point users and ``bench`` start, driven through
 :class:`repro.service.process.ServeProcess` -- the same helper the
 ``rescheck`` drills spawn their servers with -- but without chaos: a
 handful of facts, one kill, one promotion.  ``rescheck`` keeps the
-chaos.
+chaos.  The one storage mode (journaled page files, in a temporary
+directory without ``--paged``) is checked on the bare command line.
 """
+
+import contextlib
+import os
+import signal
+import socket
+import subprocess
+import sys
 
 import pytest
 
 from repro import cli
 from repro.core import reference
-from repro.service.client import ServiceError
+from repro.core.nodestore import MemoryNodeStore
+from repro.service.client import ServiceClient, ServiceError
 from repro.service.process import ServeProcess
+from repro.service.server import TemporalAggregateServer
+from repro.sharding import ShardedTree
+from repro.storage import PagedNodeStore
 
 FACTS = [(4, (10, 40)), (7, (20, 60)), (2, (30, 35))]
 
@@ -93,3 +105,85 @@ def test_restart_over_existing_pages_does_not_reseed(tmp_path):
     again = log.read_text().splitlines()[len(first):]
     assert again[0] == f"skipping --csv: {child.directory} already holds data"
     assert again[1].startswith("serving sum over 1 shards on 127.0.0.1:")
+
+
+@contextlib.contextmanager
+def _serving(tmp_path, *args, port=0):
+    """``repro serve ARGS`` with its temporary directories under
+    ``tmp_path / "tmp"``: yields the child and its output lines up to
+    the banner -- or all of them, if it exits first -- and stops it with
+    SIGINT on the way out."""
+    (tmp_path / "tmp").mkdir(exist_ok=True)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--kind", "sum",
+         "--lo", "0", "--hi", "1000", "--host", "127.0.0.1",
+         "--port", str(port), "--health-interval", "0", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+             "TMPDIR": str(tmp_path / "tmp")},
+    )
+    lines = []
+    for line in proc.stdout:
+        lines.append(line.rstrip("\n"))
+        if line.startswith("serving "):
+            break
+    try:
+        yield proc, lines
+    finally:
+        if proc.poll() is None:
+            proc.send_signal(signal.SIGINT)
+        proc.wait(timeout=20)
+        proc.stdout.close()
+
+
+def _client(lines):
+    return ServiceClient("127.0.0.1", int(lines[-1].split(":")[1].split()[0]))
+
+
+def test_paged_directory_is_journaled_without_the_flag(tmp_path):
+    with _serving(tmp_path, "--paged", str(tmp_path / "d")) as (_, lines):
+        with _client(lines) as svc:
+            assert svc.insert(3, 10, 20) == 1  # its commit starts the WAL
+        assert (tmp_path / "d" / "shard-0.sbt-wal").exists()
+
+
+def test_unpaged_server_journals_into_a_directory_removed_on_exit(tmp_path):
+    with _serving(tmp_path, "--shards", "2") as (_, lines):
+        scratch, = (tmp_path / "tmp").glob("repro-serve-*")
+        assert str(scratch) in lines[0]
+        with _client(lines) as svc:
+            assert svc.insert(3, 10, 20) == 1
+        assert (scratch / "shard-0.sbt-wal").exists()
+    assert list((tmp_path / "tmp").iterdir()) == []
+
+
+def test_failed_start_leaves_no_temporary_directory(tmp_path):
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        with _serving(tmp_path, port=port) as (proc, lines):
+            assert proc.wait(timeout=20) != 0
+    assert "repro-serve-" in lines[0], lines  # it journaled somewhere ...
+    assert list((tmp_path / "tmp").iterdir()) == []  # ... and removed it
+
+
+def test_reopening_under_another_shard_layout_is_refused(tmp_path):
+    layout = ("--paged", str(tmp_path / "d"), "--shards")
+    with _serving(tmp_path, *layout, "4") as (_, lines), _client(lines) as svc:
+        assert svc.insert(5, 100, 900) == 1
+    with _serving(tmp_path, *layout, "2") as (proc, lines):
+        # Served, shard 0 would answer [0, 500) from its one piece
+        # [100, 250): lookup(300) would be 0.
+        assert "[250, 500, 750]" in lines[-1] and "[500]" in lines[-1], lines
+        assert proc.wait(timeout=20) != 0
+    with _serving(tmp_path, *layout, "4") as (_, lines), _client(lines) as svc:
+        assert (svc.lookup(300), svc.lookup(600)) == (5, 5)
+
+
+def test_server_refuses_stores_without_a_wal(tmp_path):
+    unjournaled = PagedNodeStore(str(tmp_path / "plain.sbt"), "sum")
+    for store in (MemoryNodeStore(), unjournaled):
+        with pytest.raises(ValueError, match="journaled"):
+            TemporalAggregateServer(ShardedTree("sum", [], stores=[store]))
+    unjournaled.close()

@@ -18,38 +18,28 @@ from repro.service import (
     TransportError,
     protocol,
 )
-from repro.sharding import ShardedTree, WouldBlock
-from repro.storage import PagedNodeStore
+from repro.sharding import WouldBlock
 
 
 @pytest.fixture
-def sum_server():
-    sharded = ShardedTree("sum", num_shards=4, span=(0, 1000),
+def sum_server(open_shards):
+    sharded = open_shards(num_shards=4, span=(0, 1000),
                           branching=4, leaf_capacity=4)
     with ServerHandle.start(sharded, batch_max=8) as handle:
         yield handle, sharded
 
 
-def each_read_route(tmp_path):
-    """Serve an in-memory tree, which answers a lookup on the event
-    loop, then a paged one whose root pages are still uncommitted (dirty
-    stores), which answers it in an executor burst.  Yields the handle,
-    the tree, and whether lookups run on the loop."""
+def each_read_route(open_shards):
+    """Serve a committed tree, which answers a lookup on the event loop,
+    then one whose root pages are still uncommitted (dirty stores),
+    which answers it in an executor burst.  Yields the handle, the tree,
+    and whether lookups run on the loop."""
     for on_loop in (True, False):
-        stores = None
-        if not on_loop:
-            stores = [
-                PagedNodeStore(str(tmp_path / f"shard-{i}.sbt"), "sum",
-                               journaled=True)
-                for i in range(4)
-            ]
-        sharded = ShardedTree("sum", num_shards=4, span=(0, 1000),
-                              stores=stores)
-        try:
-            with ServerHandle.start(sharded, batch_max=8) as handle:
-                yield handle, sharded, on_loop
-        finally:
-            sharded.close()
+        sharded = open_shards(num_shards=4, span=(0, 1000))
+        if on_loop:
+            sharded.commit()
+        with ServerHandle.start(sharded, batch_max=8) as handle:
+            yield handle, sharded, on_loop
 
 
 def client_for(handle, **kwargs):
@@ -123,8 +113,8 @@ class TestServerBasics:
                     continue
                 assert value == reference.instantaneous_value(facts, "sum", t)
 
-    def test_window_on_min_kind(self):
-        sharded = ShardedTree("min", num_shards=3, span=(0, 300))
+    def test_window_on_min_kind(self, open_shards):
+        sharded = open_shards("min", num_shards=3, span=(0, 300))
         facts = []
         rng = random.Random(4)
         with ServerHandle.start(sharded) as handle:
@@ -229,7 +219,7 @@ class TestStructuredErrors:
             assert reply is not None
             assert reply["error"]["type"] == protocol.ERR_BAD_REQUEST
 
-    def test_every_mapped_exception_has_one_wire_type(self):
+    def test_every_mapped_exception_has_one_wire_type(self, open_shards):
         """The single exception -> reply mapping, one row per class.
 
         Built without ``start()`` (no socket) as a replica of a made-up
@@ -240,7 +230,7 @@ class TestStructuredErrors:
         from repro.service import server as server_mod
         from repro.sharding import ShardingError, WindowUnsupportedError
 
-        sharded = ShardedTree("sum", num_shards=2, span=(0, 100))
+        sharded = open_shards(num_shards=2, span=(0, 100))
         server = server_mod.TemporalAggregateServer(
             sharded, replica_of="10.1.2.3:7071"
         )
@@ -278,11 +268,11 @@ class TestStructuredErrors:
 
 
 class TestFaultInjection:
-    def test_failed_shard_apply_is_structured_error(self):
+    def test_failed_shard_apply_is_structured_error(self, open_shards):
         """A crashing shard apply surfaces as ERR_FAULT, not a hang, and
         the shard state stays intact."""
         injector = FaultInjector()
-        sharded = ShardedTree("sum", num_shards=4, span=(0, 1000),
+        sharded = open_shards(num_shards=4, span=(0, 1000),
                               fault_injector=injector)
         with ServerHandle.start(sharded, batch_max=1) as handle:
             with client_for(handle, retries=0) as svc:
@@ -300,10 +290,10 @@ class TestFaultInjection:
                 assert svc.stats()["shards"]["facts"] == 1
                 assert svc.ping()
 
-    def test_slow_shard_delays_but_succeeds(self):
+    def test_slow_shard_delays_but_succeeds(self, open_shards):
         injector = FaultInjector()
         injector.slow_at("shard_apply", 0.25, hit=1)
-        sharded = ShardedTree("sum", num_shards=2, span=(0, 100),
+        sharded = open_shards(num_shards=2, span=(0, 100),
                               fault_injector=injector)
         with ServerHandle.start(sharded, batch_max=1) as handle:
             with client_for(handle, retries=0) as svc:
@@ -313,13 +303,13 @@ class TestFaultInjection:
                 assert svc.lookup(15) == 4
                 assert injector.injected.get("delay") == 1
 
-    def test_slow_shard_does_not_block_reads(self):
+    def test_slow_shard_does_not_block_reads(self, open_shards):
         """While a write batch stalls in one shard, lookups on another
         connection keep answering (the delay holds a worker thread, not
         the event loop)."""
         injector = FaultInjector()
         injector.slow_at("shard_apply", 0.5, hit=2)
-        sharded = ShardedTree("sum", num_shards=2, span=(0, 100),
+        sharded = open_shards(num_shards=2, span=(0, 100),
                               fault_injector=injector)
         with ServerHandle.start(sharded, batch_max=1) as handle:
             with client_for(handle) as svc:
@@ -344,8 +334,8 @@ class TestFaultInjection:
 
 
 class TestLifecycle:
-    def test_graceful_drain_completes_inflight(self):
-        sharded = ShardedTree("sum", num_shards=2, span=(0, 100))
+    def test_graceful_drain_completes_inflight(self, open_shards):
+        sharded = open_shards(num_shards=2, span=(0, 100))
         handle = ServerHandle.start(sharded, batch_max=1)
         committer = handle.server.committer
         flushes = handle.server.registry.counter("service.batch.flushes")
@@ -382,8 +372,8 @@ class TestLifecycle:
         assert result == {"a": 1, "b": 1}
         assert sharded.facts_applied == 2  # drain flushed what was accepted
 
-    def test_connect_after_stop_fails(self):
-        sharded = ShardedTree("sum", num_shards=2, span=(0, 100))
+    def test_connect_after_stop_fails(self, open_shards):
+        sharded = open_shards(num_shards=2, span=(0, 100))
         handle = ServerHandle.start(sharded)
         handle.stop()
         with pytest.raises((TransportError, OSError)):
@@ -430,11 +420,11 @@ class TestServerErrors:
 
         sharded.lookup = lookup
 
-    def test_unhandled_exception_is_server_error(self, tmp_path):
+    def test_unhandled_exception_is_server_error(self, open_shards):
         def explode():
             raise RuntimeError("kaboom")
 
-        for handle, sharded, on_loop in each_read_route(tmp_path):
+        for handle, sharded, on_loop in each_read_route(open_shards):
             self.stub_lookup(sharded, on_loop, explode)
             with client_for(handle, retries=0) as svc:
                 with pytest.raises(ServiceError) as info:
@@ -449,8 +439,8 @@ class TestServerErrors:
                 assert counters.get("service.fast_reads", 0) == on_loop
                 assert counters.get("service.read_bursts", 0) == (not on_loop)
 
-    def test_unserializable_reply_is_server_error(self, tmp_path):
-        for handle, sharded, on_loop in each_read_route(tmp_path):
+    def test_unserializable_reply_is_server_error(self, open_shards):
+        for handle, sharded, on_loop in each_read_route(open_shards):
             self.stub_lookup(sharded, on_loop, lambda: {1, 2, 3})  # no codec
             with client_for(handle, retries=0) as svc:
                 with pytest.raises(ServiceError) as info:

@@ -13,7 +13,6 @@ from repro.core.sbtree import SBTree
 from repro.obs import trace
 from repro.obs.overhead import run_overhead_gate
 from repro.service import ServerHandle, ServiceClient
-from repro.sharding import ShardedTree
 
 
 @pytest.fixture
@@ -205,12 +204,14 @@ class TestSpanCollector:
 
 
 class TestEndToEndPropagation:
-    def test_concurrent_clients_produce_complete_span_trees(self, sink_buffer):
+    def test_concurrent_clients_produce_complete_span_trees(
+        self, sink_buffer, open_shards
+    ):
         """ISSUE acceptance: at sampling=1.0 every request's spans form
         one rooted tree from client send down to per-shard tree ops,
         with no orphans and no cross-request leakage under concurrency."""
         buf, registry = sink_buffer
-        sharded = ShardedTree("sum", num_shards=4, span=(0, 10_000),
+        sharded = open_shards(num_shards=4, span=(0, 10_000),
                               branching=4, leaf_capacity=4)
         errors = []
 
@@ -280,9 +281,9 @@ class TestEndToEndPropagation:
             # trace_id, so a leaked span would appear as an orphan above.
         assert insert_traces > 0 and lookup_traces > 0
 
-    def test_server_spans_absent_when_client_untraced(self):
+    def test_server_spans_absent_when_client_untraced(self, open_shards):
         buf = io.StringIO()
-        sharded = ShardedTree("sum", num_shards=2, span=(0, 100))
+        sharded = open_shards(num_shards=2, span=(0, 100))
         with ServerHandle.start(sharded, batch_max=2) as handle:
             with ServiceClient(handle.host, handle.port) as svc:
                 svc.insert(1, 10, 20)

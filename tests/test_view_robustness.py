@@ -24,7 +24,6 @@ from repro.core import reference
 from repro.crashcheck import catalog_sweep
 from repro.service.client import ServiceClient
 from repro.service.server import ServerHandle
-from repro.sharding import ShardedTree
 from repro.storage import fsck_dynamic
 from repro.warehouse.dynamic import (
     CHECKPOINT_NAME,
@@ -466,19 +465,18 @@ def _wait_subscribed(primary, timeout=10.0):
         time.sleep(0.005)
 
 
-def _tree():
-    return ShardedTree("sum", num_shards=2, span=(0, 1000), branching=4,
-                       leaf_capacity=4)
-
-
 class TestViewReplication:
     @pytest.fixture()
-    def pair(self):
+    def pair(self, open_shards):
+        def tree():
+            return open_shards(num_shards=2, span=(0, 1000), branching=4,
+                               leaf_capacity=4)
+
         primary = ServerHandle.start(
-            _tree(), batch_max=8, repl_ack_timeout=5.0,
+            tree(), batch_max=8, repl_ack_timeout=5.0,
         )
         replica = ServerHandle.start(
-            _tree(), batch_max=8,
+            tree(), batch_max=8,
             replica_of=f"127.0.0.1:{primary.port}", replica_name="r1",
         )
         try:

@@ -26,30 +26,19 @@ import pytest
 
 from repro.faults import FaultInjector
 from repro.service import ServerHandle, ServiceClient, ServiceError, protocol
-from repro.sharding import ShardedTree
-from repro.storage import PagedNodeStore
 
 NAN, INF = float("nan"), float("inf")
 
 
 @pytest.fixture(params=["queued", "paged"])
-def served(request, tmp_path):
-    """A SUM server with one fact and one view.  ``paged`` (journaled
-    page files, clean after each commit: the product configuration)
-    answers lookups on the loop; ``queued`` (in memory, an idle fault
-    injector turns the loop route off) answers them in executor
-    bursts."""
+def served(request, open_shards):
+    """A SUM server with one fact and one view, over journaled page files
+    (what ``repro serve`` serves).  ``paged`` (clean after each commit)
+    answers lookups on the loop; ``queued`` (an idle fault injector turns
+    the loop route off) answers them in executor bursts."""
     injector = FaultInjector() if request.param == "queued" else None
-    stores = None
-    if request.param == "paged":
-        stores = [
-            PagedNodeStore(str(tmp_path / f"shard-{i}.sbt"), "sum",
-                           journaled=True)
-            for i in range(4)
-        ]
-    sharded = ShardedTree("sum", num_shards=4, span=(0, 1000), branching=4,
-                          leaf_capacity=4, fault_injector=injector,
-                          stores=stores)
+    sharded = open_shards(num_shards=4, span=(0, 1000), branching=4,
+                          leaf_capacity=4, fault_injector=injector)
     with ServerHandle.start(sharded, batch_max=4,
                             view_tick=0) as handle:
         with ServiceClient(handle.host, handle.port, timeout=5.0,
