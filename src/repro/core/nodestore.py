@@ -28,26 +28,36 @@ __all__ = ["NodeStore", "MemoryNodeStore", "StoreStats"]
 
 @dataclass
 class StoreStats:
-    """Logical node-access counters maintained by every store."""
+    """Logical node-access counters maintained by every store, plus
+    ``decodes``: how many reads had to turn page bytes into a node (a
+    store whose nodes are the only copy never decodes)."""
 
     reads: int = 0
     writes: int = 0
     allocations: int = 0
     frees: int = 0
+    # Not a dataclass field: the fields (``astuple``) stay the four
+    # logical node accesses; a decode is what one of them cost.
+    decodes = 0
 
     def reset(self) -> None:
         self.reads = self.writes = self.allocations = self.frees = 0
+        self.decodes = 0
 
     def snapshot(self) -> "StoreStats":
-        return StoreStats(self.reads, self.writes, self.allocations, self.frees)
+        copy = StoreStats(self.reads, self.writes, self.allocations, self.frees)
+        copy.decodes = self.decodes
+        return copy
 
     def __sub__(self, other: "StoreStats") -> "StoreStats":
-        return StoreStats(
+        diff = StoreStats(
             self.reads - other.reads,
             self.writes - other.writes,
             self.allocations - other.allocations,
             self.frees - other.frees,
         )
+        diff.decodes = self.decodes - other.decodes
+        return diff
 
 
 class NodeStore(abc.ABC):

@@ -33,9 +33,10 @@ at that moment, never by a setting:
   observability are off, its shard's read lock is free right now and
   that shard's store holds nothing unwritten
   (:meth:`~repro.sharding.ShardedTree.lookup` with ``wait=False``).  A
-  buffer miss then evicts only clean frames, so the
-  loop never writes a page and never fsyncs; the one cost left is that
-  a cold clean page is a ``pread`` on the loop, at most one per level.
+  buffer miss then evicts only clean frames, so the loop never writes a
+  page and never fsyncs.  A level the pool holds costs a pointer chase
+  to its cached node; the one cost left is that a cold page is a
+  ``pread`` and a decode on the loop, at most one per level.
 * *One executor job per burst.*  Every other read of the wake-up --
   ``rangeq`` and ``window``, which are O(h + r) with r unbounded, and
   the lookups that declined -- is answered in order by a single job in

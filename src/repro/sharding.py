@@ -119,8 +119,9 @@ def shard_path(directory: str, index: int) -> str:
 
 def _unwritten(store: Any) -> bool:
     """Whether *store* is durable and its next commit has something to
-    write (``store.dirty``; a durable store that cannot say counts as
-    dirty).  In-memory stores never do."""
+    write (``store.dirty``, a counter read on every loop lookup; a
+    durable store that cannot say counts as dirty).  In-memory stores
+    never do."""
     return getattr(store, "commit", None) is not None and getattr(
         store, "dirty", True
     )
@@ -438,7 +439,9 @@ class ShardedTree:
         :class:`WouldBlock` unless the shard's read lock is free *right
         now* and its store holds nothing unwritten.  With every frame
         clean, a buffer miss on the O(h) descent evicts without a
-        write-back, so the worst it costs is one ``pread`` per level.
+        write-back: a level the pool holds is a pointer chase to its
+        cached node, and the worst a level costs is a ``pread`` and a
+        decode.
         """
         index = self.router.shard_of(t)
         if wait:

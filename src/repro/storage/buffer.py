@@ -8,18 +8,21 @@ semantics, which is what makes the paper's O(h)-pages-per-update claim
 measurable: repeated touches of the upper tree levels are absorbed by
 the pool.
 
-A frame holds the page's payload bytes and, while it is *dirty*, the
-*decoded object* those bytes were encoded from (for the node store: the
-live :class:`~repro.core.nodes.Node`), so re-reading a page of the
-current write set costs a dictionary lookup instead of a page decode.
-The pool never looks inside that object and never derives bytes from it:
-what reaches the pager on eviction or flush is always ``frame.payload``,
-the snapshot handed to :meth:`BufferPool.write`.  The object is dropped
-when its frame is written back (``flush``, eviction) or discarded: a
-clean frame is bytes only, and whoever reads it decodes it.  ``capacity``
-counts frames; a decoded 4 KB node holds roughly 4-5x the memory of its
-payload (three lists of boxed numbers), so decoded memory is bounded by
-the dirty set, not budgeted separately.
+A frame holds the page's payload bytes and the *decoded object* those
+bytes stand for (for the node store: the :class:`~repro.core.nodes.Node`
+its callers read and write), so a hit on a dirty or a clean frame costs
+a dictionary lookup instead of a page decode.  The object is the one
+last handed to :meth:`BufferPool.write`, or the one the caller's
+``decode`` made on the frame's first use (:meth:`BufferPool.frame`,
+which installs it under the pool's mutex).  The pool never
+looks inside that object and never derives bytes from it: what reaches
+the pager on eviction or flush is always ``frame.payload``, the snapshot
+handed to :meth:`BufferPool.write`.  A write-back leaves the object in
+place; eviction, :meth:`BufferPool.discard` and
+:meth:`BufferPool.drop_nodes` forget it.  ``capacity`` counts frames; a
+decoded 4 KB node holds roughly 4-5x the memory of its payload (three
+lists of boxed numbers), so decoded memory is bounded by the pool, not
+by the dirty set, and is not budgeted separately.
 
 Write-back goes to the pager as *sets*: a flush hands the whole dirty
 set to :meth:`Pager.write_pages` (a commit hands it to
@@ -38,7 +41,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Optional
 
 from .pager import Pager
 
@@ -77,8 +80,8 @@ class BufferStats:
 
 
 class Frame:
-    """One cached page: its payload and, while dirty, the object the
-    payload was encoded from (``None`` once the frame is clean)."""
+    """One cached page: its payload and the object the payload was
+    encoded from or decoded into (``None`` until someone decodes it)."""
 
     __slots__ = ("payload", "dirty", "node")
 
@@ -98,50 +101,66 @@ class BufferPool:
         self.capacity = capacity
         self.stats = BufferStats()
         self._frames: "OrderedDict[int, Frame]" = OrderedDict()
+        self._dirty_frames = 0  # how many frames have ``dirty`` set
         self._mutex = threading.Lock()
 
     # ------------------------------------------------------------------
-    def frame(self, page_id: int) -> Frame:
+    def frame(
+        self,
+        page_id: int,
+        decode: Optional[Callable[[bytes, int], Any]] = None,
+    ) -> Frame:
         """Return a page's frame, fetching the page on a miss.
 
-        ``frame.node`` is the object last handed to :meth:`write` if the
-        frame is still dirty, else ``None``: decode ``frame.payload``.
+        ``frame.node`` is the object last handed to :meth:`write` or
+        decoded into the frame; ``None`` on a fresh miss and after
+        :meth:`drop_nodes`.  With *decode*, a frame without one gets
+        ``decode(frame.payload, page_id)``, under the pool's mutex, so
+        concurrent readers of a page share one object.
         """
         with self._mutex:
             frame = self._frames.get(page_id)
             if frame is not None:
                 self.stats.hits += 1
                 self._frames.move_to_end(page_id)
-                return frame
-            self.stats.misses += 1
-            frame = Frame(self.pager.read_page(page_id), dirty=False)
-            self._admit(page_id, frame)
+            else:
+                self.stats.misses += 1
+                frame = Frame(self.pager.read_page(page_id), dirty=False)
+                self._admit(page_id, frame)
+            if frame.node is None and decode is not None:
+                frame.node = decode(frame.payload, page_id)
             return frame
 
     def write(self, page_id: int, payload: bytes, node: Any) -> None:
         """Record new contents for a page (write-back: no pager I/O yet).
 
         *payload* is what will reach the pager; *node* is the decoded
-        object it was encoded from, kept until the frame is written back
-        (``None``: decode on every use).
+        object it was encoded from, kept for as long as the frame stays
+        in the pool (``None``: the next reader decodes *payload*).
         """
         with self._mutex:
             frame = self._frames.get(page_id)
             if frame is not None:
                 frame.payload = payload
                 frame.node = node
-                frame.dirty = True
+                if not frame.dirty:
+                    frame.dirty = True
+                    self._dirty_frames += 1
                 self._frames.move_to_end(page_id)
                 return
             self._admit(page_id, Frame(payload, dirty=True, node=node))
+            self._dirty_frames += 1
 
     def discard(self, page_id: int) -> None:
         """Drop a page (payload and decoded object) without writing it back."""
         with self._mutex:
-            self._frames.pop(page_id, None)
+            frame = self._frames.pop(page_id, None)
+            if frame is not None and frame.dirty:
+                self._dirty_frames -= 1
 
     def drop_nodes(self) -> None:
-        """Forget every decoded object; payloads and dirty bits stay.
+        """Forget every decoded object, dirty frame or clean; payloads
+        and dirty bits stay.
 
         The next :meth:`frame` caller decodes the payload again, which
         undoes whatever was done to an object since its last ``write``.
@@ -152,16 +171,15 @@ class BufferPool:
 
     @property
     def dirty(self) -> bool:
-        """Whether any frame awaits write-back."""
-        with self._mutex:
-            return any(frame.dirty for frame in self._frames.values())
+        """Whether any frame awaits write-back (a counter, not a scan)."""
+        return self._dirty_frames > 0
 
     def flush(self, commit: bool = False) -> None:
         """Write every dirty frame back to the pager as one set; they
-        become clean, bytes-only frames.  With ``commit`` the set is the
-        pager's commit (:meth:`Pager.commit`, called even when no frame
-        is dirty).  If the pager raises, all of them stay dirty (writing
-        a page twice is harmless)."""
+        become clean and keep their decoded objects.  With ``commit``
+        the set is the pager's commit (:meth:`Pager.commit`, called even
+        when no frame is dirty).  If the pager raises, all of them stay
+        dirty (writing a page twice is harmless)."""
         with self._mutex:
             dirty = [
                 (page_id, frame)
@@ -173,9 +191,9 @@ class BufferPool:
             write = self.pager.commit if commit else self.pager.write_pages
             write([(page_id, frame.payload) for page_id, frame in dirty])
             self.stats.dirty_writebacks += len(dirty)
+            self._dirty_frames -= len(dirty)
             for _, frame in dirty:
                 frame.dirty = False
-                frame.node = None
 
     # ------------------------------------------------------------------
     def _admit(self, page_id: int, frame: Frame) -> None:
@@ -189,6 +207,7 @@ class BufferPool:
                 self.pager.write_pages(((victim_id, victim.payload),))
                 self.stats.dirty_writebacks += 1
                 victim.dirty = False
+                self._dirty_frames -= 1
             del self._frames[victim_id]
             self.stats.evictions += 1
         self._frames[page_id] = frame

@@ -7,34 +7,33 @@ buffer misses and dirty evictions, exactly like a real disk index.
 
 Node ids are page ids, so child pointers serialize directly.
 
-**Live nodes.**  A *dirty* pool frame keeps the decoded :class:`Node`
-beside the page bytes, so re-reading a page of the current write set --
-the root and the right-edge path that every fact of a batch touches --
-is a pointer chase.  ``flush``, ``commit`` and eviction write the frame
-back and drop its node: a clean frame is bytes only, and ``read`` decodes
-it (one whole-array decode) into a node of the caller's own.  ``read``
-therefore hands out either the pool's *live* node -- the contract
-``MemoryNodeStore`` has always had -- or a private one, and callers must
-be correct for both:
+**Live nodes.**  Every pool frame keeps the decoded :class:`Node` beside
+the page bytes: the node last written, or the one ``read`` decoded (one
+whole-array decode, counted in ``stats.decodes``) on the frame's first
+use.  ``flush``, ``commit`` and an eviction's write-back leave it there,
+so a read that hits the pool -- the upper levels of every lookup, the
+right-edge path of every batch -- is a pointer chase.  ``read`` returns
+the pool's *live* node for as long as the frame lives, the contract
+``MemoryNodeStore`` has always had:
 
 * a caller that mutates a node must ``write`` it before anyone reads the
-  page again; until then later ``read`` calls of a dirty page already see
-  the mutation while the page bytes do not, and a write-back forgets it;
-* readers sharing a store (``ReadWriteLock``'s shared side) may receive
-  the same object and must not mutate it;
-* a node held across a write-back or an eviction is detached, not
-  invalid: writing it makes the page dirty again, with that object; two
-  ``read`` calls either side of one return two objects;
-* an operation that raises between mutating a node and writing it must
-  not leave the mutation visible: the trees call ``revert_unwritten`` on
-  any failure, which forgets every decoded node so the next ``read``
-  decodes the payload again.  The pool then holds exactly what byte-only
-  frames would: the writes that completed before the failure, nothing of
-  the ones that did not (a rejected insert leaves the tree untouched).
+  page again; until then later ``read`` calls already see the mutation
+  while the page bytes do not;
+* readers sharing a store (``ReadWriteLock``'s shared side) receive the
+  same object and must not mutate it;
+* a node held across an eviction or a ``free`` is detached, not invalid:
+  writing it makes the page dirty again, with that object; two ``read``
+  calls either side of an eviction return two objects;
+* ``revert_unwritten`` is the one way back to the last written bytes.
+  The trees call it when an operation raises between mutating a node and
+  writing it: it forgets every decoded node, dirty frame or clean, so
+  the next ``read`` decodes the payload again.  The pool then holds
+  exactly what byte-only frames would: the writes that completed before
+  the failure, nothing of the ones that did not (a rejected insert
+  leaves the tree untouched).
 
 Decoded memory (roughly 4-5x a 4 KB payload per node) is bounded by the
-dirty set.  Keeping nodes in clean frames too makes warm lookups another
-~8x faster; CHANGES.md (PR 14) records why that half is not shipped yet.
+pool's capacity, not by the dirty set.
 
 **Eager encode.**  ``write`` still serializes at once: a frame's payload
 is a snapshot taken at ``write()``, never re-derived from the live node,
@@ -148,11 +147,11 @@ class PagedNodeStore(NodeStore):
 
     def read(self, node_id: NodeId) -> Node:
         self.stats.reads += 1
-        frame = self.buffer.frame(node_id)
-        node = frame.node
-        if node is None:
-            node = self.codec.decode(frame.payload, node_id)
-        return node
+        return self.buffer.frame(node_id, self._decode).node
+
+    def _decode(self, payload: bytes, node_id: NodeId) -> Node:
+        self.stats.decodes += 1
+        return self.codec.decode(payload, node_id)
 
     def write(self, node: Node) -> None:
         self.stats.writes += 1
@@ -171,7 +170,8 @@ class PagedNodeStore(NodeStore):
         self.pager.free_page(node_id)
 
     def revert_unwritten(self) -> None:
-        """Forget every live node; payloads (the ``write`` snapshots) stay."""
+        """Forget every live node, dirty frame or clean; payloads (the
+        ``write`` snapshots) stay."""
         self.buffer.drop_nodes()
 
     def get_root(self) -> Optional[NodeId]:

@@ -394,19 +394,20 @@ class TestConcurrentTree:
                 ]
             assert tree.to_table() == reference.instantaneous_table(facts, "count")
 
-    def test_readers_share_live_nodes_through_a_tiny_pool(self, tmp_path):
+    def _readers_beside_a_writer(self, tmp_path, capacity, commit):
         """Readers under the shared lock receive the pool's live nodes
-        (and race to decode the ones a 3-frame pool keeps evicting)
         while a writer mutates those same objects under the exclusive
         lock.  Every write covers the whole probed range with +1, so a
         range query must differ from the preloaded table by one constant
-        on every row: a reader that saw a half-applied insert would not."""
+        on every row: a reader that saw a half-applied insert would not.
+        Returns the store's and the pool's counters."""
         from repro.storage import PagedNodeStore
 
         probe = Interval(400, 2_600)
         rounds = 150
         with PagedNodeStore(
-            str(tmp_path / "live.sbt"), "sum", page_size=512, buffer_capacity=3
+            str(tmp_path / "live.sbt"), "sum", page_size=512,
+            buffer_capacity=capacity,
         ) as store:
             tree = ConcurrentTree(SBTree("sum", store, branching=5, leaf_capacity=6))
             facts = [(i % 7 + 1, Interval(i * 9, i * 9 + 20)) for i in range(330)]
@@ -442,6 +443,8 @@ class TestConcurrentTree:
                     t.start()
                 for _ in range(rounds):
                     tree.insert(1, Interval(100, 2_900))
+                    if commit:
+                        store.commit()
                     time.sleep(0.001)  # writer preference would starve the readers
                 done.set()
                 for t in readers:
@@ -454,6 +457,21 @@ class TestConcurrentTree:
             facts += [(1, Interval(100, 2_900))] * rounds
             assert tree.to_table() == reference.instantaneous_table(facts, "sum")
             check_tree(tree.tree)
+            return store.stats.snapshot(), store.buffer.stats.snapshot()
+
+    def test_readers_share_live_nodes_through_a_tiny_pool(self, tmp_path):
+        """A 3-frame pool keeps evicting, so readers also race to fetch
+        and decode the pages they share."""
+        self._readers_beside_a_writer(tmp_path, capacity=3, commit=False)
+
+    def test_readers_and_a_committing_writer_share_clean_nodes(self, tmp_path):
+        """The pool holds the whole tree and every insert is committed,
+        so what readers and the writer share are cached clean nodes:
+        after the preload nothing is fetched and nothing is decoded."""
+        nodes, pool = self._readers_beside_a_writer(
+            tmp_path, capacity=1000, commit=True
+        )
+        assert nodes.decodes == pool.misses == 0
 
     def test_shared_lock_across_trees(self):
         """A dual-tree pair can share one lock for atomic updates."""

@@ -415,8 +415,8 @@ class TestPagedNodeStore:
 
 
 # ----------------------------------------------------------------------
-# Decoded frames: dirty frames hand out live nodes, clean frames are
-# bytes; payloads stay snapshots
+# Decoded frames: every frame hands out its live node, dirty or clean;
+# payloads stay snapshots
 # ----------------------------------------------------------------------
 class TestLiveNodes:
     def store(self, tmp_path, capacity):
@@ -432,22 +432,44 @@ class TestLiveNodes:
         store.write(node)
         return node
 
-    def test_dirty_frame_returns_its_node_and_clean_frame_decodes(self, tmp_path):
+    def test_dirty_and_clean_frames_return_their_node(self, tmp_path):
         store = self.store(tmp_path, capacity=4)
         a = self.leaf(store, [1, 2, 3])
         assert store.read(a.node_id) is a  # allocate installed it
+        store.buffer.flush()  # written back: the frame keeps its node
+        assert store.buffer._frames[a.node_id].node is a
         assert store.read(a.node_id) is a
-        store.buffer.flush()  # written back: the frame is bytes only
-        assert store.buffer._frames[a.node_id].node is None
-        decoded = store.read(a.node_id)
-        assert decoded is not a and decoded == a
-        assert store.read(a.node_id) is not decoded  # a decode per read
+        store.commit()
+        assert store.read(a.node_id) is a and store.stats.decodes == 0
         store.buffer.discard(a.node_id)
-        assert store.read(a.node_id) == a  # miss: fetched, then decoded
+        decoded = store.read(a.node_id)  # miss: fetched, decoded, installed
+        assert decoded is not a and decoded == a
+        assert store.read(a.node_id) is decoded  # one decode per miss
+        assert store.stats.decodes == 1
         assert (store.buffer.stats.hits, store.buffer.stats.misses) == (4, 1)
         decoded.values[0] = 10
         store.write(decoded)  # dirty again, with that object
         assert store.read(a.node_id) is decoded
+        store.close()
+
+    def test_a_clean_pool_decodes_once_per_miss(self, tmp_path):
+        # 8 frames under a tree six times larger: reads hit and miss.  Every
+        # frame keeps the node it was written with or decoded into, so
+        # only a miss decodes.
+        store = self.store(tmp_path, capacity=8)
+        tree = SBTree("sum", store, branching=5, leaf_capacity=6)
+        for i in range(200):
+            tree.insert(i % 9 + 1, Interval(i * 7, i * 7 + 30))
+        store.commit()
+        assert not store.dirty and tree.node_count() > 8 * 6
+        nodes, pool = store.stats.snapshot(), store.buffer.stats.snapshot()
+        for t in range(0, 1_500, 3):
+            tree.lookup(t)
+        tree.range_query(Interval(300, 700))
+        nodes, pool = store.stats - nodes, store.buffer.stats - pool
+        assert pool.hits > pool.misses > 0
+        assert nodes.decodes == pool.misses
+        assert nodes.reads == pool.hits + pool.misses
         store.close()
 
     def test_read_after_write_returns_the_written_state(self, tmp_path):
@@ -511,12 +533,14 @@ class TestLiveNodes:
         store.commit()
         b.values[0] = 30
         store.write(b)  # written, then mutated again
-        store.read(a.node_id).values[1] = 99  # a clean frame: a private node
-        assert store.read(a.node_id).values == [1, 2]
+        store.read(a.node_id).values[1] = 99  # a clean frame: the pool's node
+        assert store.read(a.node_id) is a and a.values == [1, 99]
         store.read(b.node_id).values[1] = 98
         assert store.read(b.node_id).values == [30, 98]
         dirty = {pid: f.dirty for pid, f in store.buffer._frames.items()}
-        store.revert_unwritten()
+        store.revert_unwritten()  # forgets clean frames' nodes too
+        assert store.read(a.node_id).values == [1, 2]
+        assert store.read(a.node_id) is not a  # decoded from the commit
         assert store.read(b.node_id).values == [30, 4]
         assert store.read(b.node_id) is not b  # decoded from the snapshot
         assert {p: f.dirty for p, f in store.buffer._frames.items()} == dirty
@@ -529,9 +553,9 @@ class TestLiveNodes:
     ):
         # _insert adjusts interior values on the way down and writes the
         # node on the way up.  The effect starts on a root boundary, so
-        # below the root it covers whole intervals (adjusted in place: in
-        # the pool's live nodes when the path is still dirty, in private
-        # decodes after a commit) before it reaches the partly covered one
+        # below the root it covers whole intervals (adjusted in place, in
+        # the pool's live nodes: dirty ones, or clean ones after a
+        # commit) before it reaches the partly covered one
         # whose leaf is the first node to be encoded -- and 10**400 rejected.
         store = self.store(tmp_path, capacity)
         tree = SBTree("sum", store, branching=5, leaf_capacity=6)
@@ -712,6 +736,9 @@ class TestLiveNodes:
         nodes, buffer, pager = store.stats, store.buffer.stats, store.pager.stats
         assert (nodes.reads, nodes.writes, nodes.allocations, nodes.frees) == (
             5211, 2447, 154, 11)
+        # Frames keep their node across write-back and commit, so only a
+        # miss decodes: decodes == misses.
+        assert nodes.decodes == 2452
         assert (
             buffer.hits, buffer.misses, buffer.evictions, buffer.dirty_writebacks
         ) == (2759, 2452, 2919, 1889)
