@@ -39,7 +39,7 @@ def _warm_tree(path):
     )
     for value, interval in uniform(N, horizon=HORIZON, max_duration=300, seed=17):
         tree.insert(value, interval)
-    store.flush()
+    store.commit()
     for i in range(200):  # warm the buffer pool before timing
         tree.lookup(HORIZON * i // 200)
     return store, tree

@@ -24,8 +24,8 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Build and commit a durable snapshot.
     # ------------------------------------------------------------------
-    print(f"Building a journaled index at {path}")
-    store = PagedNodeStore(path, "sum", buffer_capacity=64, journaled=True)
+    print(f"Building an index at {path}")
+    store = PagedNodeStore(path, "sum", buffer_capacity=64)
     tree = SBTree("sum", store, branching=8, leaf_capacity=8)
     for p in PRESCRIPTIONS:
         tree.insert(p.dosage, p.valid)
@@ -49,7 +49,7 @@ def main() -> None:
     # Recovery: reopening replays the committed transactions only.
     # ------------------------------------------------------------------
     print("\nReopening the index file ...")
-    with PagedNodeStore(path, journaled=True) as recovered_store:
+    with PagedNodeStore(path) as recovered_store:
         recovered = SBTree(store=recovered_store)
         print(f"  recovered:          lookup(19) = {recovered.lookup(19)}")
         check_tree(recovered)

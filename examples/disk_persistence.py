@@ -37,15 +37,18 @@ def main() -> None:
         print(f"  page-derived fanout: b={tree.b}, l={tree.l}")
         for value, interval in facts:
             tree.insert(value, interval)
-        store.flush()
+        store.commit()
+        stats = store.pager.stats
         print(
             f"  built: height={tree.height}, nodes={store.node_count()}, "
             f"file={store.pager.page_count * 4096 / 1024:.0f} KiB"
         )
+        # A page write is a write-ahead-log frame (an eviction, a commit)
+        # or a data-file write (a checkpoint copy).
         print(
             f"  physical I/O during build: "
-            f"{store.pager.stats.physical_reads} reads, "
-            f"{store.pager.stats.physical_writes} writes "
+            f"{stats.physical_reads} reads, "
+            f"{stats.wal_frames + stats.physical_writes} writes "
             f"(buffer hit rate {store.buffer.stats.hit_rate:.1%})"
         )
 

@@ -656,7 +656,7 @@ def cmd_compact(args: argparse.Namespace) -> int:
     store, tree = _open_tree(args.file)
     before = store.node_count()
     tree.compact()
-    store.flush()
+    store.commit()
     print(f"compacted: {before} -> {store.node_count()} nodes")
     store.close()
     return 0

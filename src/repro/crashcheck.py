@@ -1,9 +1,9 @@
-"""Systematic crash-consistency checking for journaled page files.
+"""Systematic crash-consistency checking for page files.
 
 The write-ahead log's contract is simple to state and easy to get
 wrong: *whatever instant the process dies at, reopening the file yields
 exactly the last-committed aggregate*.  This harness proves it by
-construction: it drives a journaled :class:`~repro.storage.PagedNodeStore`
+construction: it drives a :class:`~repro.storage.PagedNodeStore`
 through small insert / split / commit / compaction / batch workloads while a
 :class:`~repro.faults.FaultInjector` kills the "process" (raises
 :class:`~repro.faults.SimulatedCrash`) at a chosen occurrence of a
@@ -290,7 +290,6 @@ def _open(path: str, faults: Optional[FaultInjector] = None):
         _KIND,
         page_size=_PAGE_SIZE,
         buffer_capacity=_BUFFER_CAPACITY,
-        journaled=True,
         faults=faults,
     )
     if store.get_root() is None:
@@ -762,7 +761,7 @@ def catalog_sweep_all(
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-crashcheck",
-        description="Crash a journaled SB-tree at every labeled crash "
+        description="Crash a paged SB-tree at every labeled crash "
         "point and verify recovery against the reference oracle.",
     )
     parser.add_argument(
@@ -774,7 +773,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--catalog",
         action="store_true",
         help="sweep the dynamic-view catalog checkpoint path "
-        "(dynamic.json) instead of the journaled page file",
+        "(dynamic.json) instead of the page file",
     )
     parser.add_argument(
         "--power-loss",

@@ -319,7 +319,7 @@ def _verify_final(
 ) -> Tuple[bool, str, int]:
     """Reopen the page file (WAL replay) and diff vs the oracle."""
     try:
-        store = PagedNodeStore(path, KIND, journaled=True)
+        store = PagedNodeStore(path, KIND)
     except Exception as exc:  # noqa: BLE001 - report, don't crash the run
         return False, f"final reopen failed: {exc!r}", 0
     try:

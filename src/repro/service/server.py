@@ -26,8 +26,8 @@ decide: the op table and the one not-primary check, the tree reads as
 one blocking callable (``_read``), the executor, the exception ->
 error-reply mapping, ``stats``, and:
 
-* **Durable acks.**  Every shard is a journaled page file (the
-  constructor refuses anything else), and every group-commit flush
+* **Durable acks.**  Every shard is a page file with its write-ahead
+  log (the constructor refuses anything else), and every group-commit flush
   ends in :meth:`~repro.sharding.ShardedTree.commit` before the batch's
   waiters are acknowledged: an acked write is on disk.  The dedup
   window and the replication watermark ride the same commit's header
@@ -104,9 +104,9 @@ class NotPrimary(Exception):
 class TemporalAggregateServer:
     """Serve one sharded temporal-aggregate index over TCP.
 
-    Every shard store must be a journaled page file
-    (:meth:`ShardedTree.open <repro.sharding.ShardedTree.open>`);
-    anything else raises :class:`ValueError`.  ``batch_delay`` is
+    Every shard store must be a page file
+    (:meth:`ShardedTree.open <repro.sharding.ShardedTree.open>`); an
+    in-memory store raises :class:`ValueError`.  ``batch_delay`` is
     accepted and ignored: group commit has no timer (the frozen
     ``bench/workloads/service.py`` still passes it)."""
 
@@ -130,12 +130,12 @@ class TemporalAggregateServer:
     ) -> None:
         # Duck-typed: a tracing proxy around a store forwards ``pager``.
         if not all(
-            getattr(getattr(shard.tree.store, "pager", None), "journaled", False)
+            getattr(shard.tree.store, "pager", None) is not None
             for shard in sharded.shards
         ):
             raise ValueError(
-                "the service serves journaled page files only: open the "
-                "shards with ShardedTree.open(directory, ...)"
+                "the service serves page files only: open the shards "
+                "with ShardedTree.open(directory, ...)"
             )
         self.sharded = sharded
         self.host = host

@@ -41,7 +41,7 @@ restores per-request ordering by acknowledging group-committed writes
 only after every shard applied them.
 
 On disk, :meth:`ShardedTree.open` is the one layout: a directory of
-journaled page files ``shard-<i>.sbt``, each stamped with the shard
+page files ``shard-<i>.sbt``, each stamped with the shard
 boundaries it was created for.
 """
 
@@ -229,8 +229,8 @@ class ShardedTree:
     stores:
         Optional per-shard node stores (one per shard, e.g.
         :class:`~repro.storage.PagedNodeStore` instances); defaults to
-        fresh in-memory stores.  :meth:`open` builds the journaled
-        page-file stores the service requires.
+        fresh in-memory stores.  :meth:`open` builds the page-file
+        stores the service requires.
     read_timeout, write_timeout:
         Per-shard lock timeouts in seconds (see
         :class:`~repro.concurrent.ConcurrentTree`).
@@ -297,7 +297,7 @@ class ShardedTree:
         buffer_capacity: int = 64,
         **tree_options: Any,
     ) -> "ShardedTree":
-        """Open (or create) one journaled page file per shard under
+        """Open (or create) one page file per shard under
         *directory*, each behind a pool of *buffer_capacity* frames:
         :func:`shard_path` names them.
 
@@ -312,9 +312,7 @@ class ShardedTree:
         try:
             for index in range(len(cuts) + 1):
                 path = shard_path(directory, index)
-                store = PagedNodeStore(
-                    path, kind, journaled=True, buffer_capacity=buffer_capacity
-                )
+                store = PagedNodeStore(path, kind, buffer_capacity=buffer_capacity)
                 stores.append(store)
                 stored = store.get_meta(LAYOUT_META_KEY)
                 if stored is None:
@@ -566,7 +564,7 @@ class ShardedTree:
         Only a store the batch dirtied (``store.dirty``; a store without
         that attribute counts as dirty) is locked and committed -- a
         shard nothing touched costs no lock, no write and no fsync, and a
-        journaled one a single WAL fsync (``store.dirty`` is False again
+        touched one a single WAL fsync (``store.dirty`` is False again
         as soon as a commit is in the WAL, checkpointed or not).
         ``meta`` entries are written into the header metadata of exactly
         those stores (of the first durable store if none is dirty, so

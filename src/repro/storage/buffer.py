@@ -27,8 +27,8 @@ by the dirty set, and is not budgeted separately.
 Write-back goes to the pager as *sets*: a flush hands the whole dirty
 set to :meth:`Pager.write_pages` (a commit hands it to
 :meth:`Pager.commit`, which writes it with the header page as one
-transaction), an eviction hands over its one victim -- for a journaled
-pager, one unsynced WAL frame.
+transaction), an eviction hands over its one victim: one unsynced WAL
+frame.
 
 The pool is internally synchronized: even a logically read-only tree
 operation *mutates* LRU recency state and may trigger an eviction, so

@@ -22,8 +22,8 @@ disk, and it reports every inconsistency it can find:
   error, because the pager refuses to open the file beside it.
 
 With ``repair=True`` the audit is followed by an offline repair pass:
-a WAL is first settled through the pager's normal recovery (a journaled
-open and close; an unusable WAL or a rollback journal stops the
+a WAL is first settled through the pager's normal recovery (an open
+and a close; an unusable WAL or a rollback journal stops the
 repair), corrupt pages are
 *quarantined* (recorded under the header meta key ``quarantine`` and
 excluded from allocation), the free list is
@@ -519,7 +519,7 @@ def _repair(path: str, report: FsckReport, wal: Optional[Dict[int, bytes]]) -> N
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             try:
-                Pager(path, journaled=True, strict=True).close()
+                Pager(path, strict=True).close()
             except Exception as exc:  # noqa: BLE001
                 report.add(
                     "error", "unrepairable-journal",

@@ -12,8 +12,8 @@ Freed pages are chained into a free list and reused before the file is
 extended.  Physical reads and writes are counted so benchmarks can
 report true page I/O.
 
-With ``journaled=True`` the pager keeps a redo write-ahead log beside the
-file (``<path>-wal``) and the data file holds only *checkpointed* state:
+Every pager keeps a redo write-ahead log beside the file
+(``<path>-wal``), and the data file holds only *checkpointed* state:
 
 * **Frames.**  A page write (an eviction mid-transaction, a write-back
   set) appends one unsynced frame per page to the WAL: page id, a commit
@@ -43,10 +43,10 @@ without truncation.  A leftover ``<path>-journal`` (the rollback journal
 of earlier releases) is refused with :class:`JournalError`.
 
 ``allocate_page``, ``free_page``, ``set_root`` and ``set_meta`` only
-mark page 0 dirty; it is written once per commit (journaled) or
-write-back set / ``sync`` / ``close``.  With no frame since the last
-commit, a clean header and no unsynced data write, :meth:`commit`
-returns without I/O.
+mark page 0 dirty; it is written once per commit.  With no frame since
+the last commit and a clean header, :meth:`commit` returns without I/O,
+so opening and closing a file without changing it writes nothing and
+creates no WAL.
 
 Failure handling
 ----------------
@@ -63,9 +63,9 @@ Every raw write and fsync is routed through a small I/O layer that
 * drops the pager into a read-only *degraded mode* after
   ``degrade_after`` consecutive retry-exhausted failures: further
   mutations raise :class:`PagerDegradedError`, reads keep working, and
-  a journaled pager leaves its WAL in place so the next open recovers
-  the last commit.  A failed commit, checkpoint or WAL creation degrades
-  at once: what it left in the WAL only a reopen (a new salt) can read.
+  the WAL is left in place so the next open recovers the last commit.
+  A failed commit, checkpoint or WAL creation degrades at once: what it
+  left in the WAL only a reopen (a new salt) can read.
 
 Out-of-band events surface as ``pager.*`` counters through the active
 :class:`repro.obs.MetricsRegistry` when collection is enabled.
@@ -250,9 +250,10 @@ class JournalError(RuntimeError):
 @dataclass
 class PagerStats:
     """Physical I/O counters: ``physical_writes`` are data-file page
-    writes (a journaled pager's checkpoint copies), ``fsyncs`` every
-    fsync attempted -- WAL, data and directory, split by the
-    ``pager.fsyncs.*`` counters -- and ``wal_frames`` WAL appends."""
+    writes (checkpoint copies), ``fsyncs`` every fsync attempted -- WAL,
+    data and directory, split by the ``pager.fsyncs.*`` counters -- and
+    ``wal_frames`` WAL appends.  A page write is ``wal_frames +
+    physical_writes``: evictions and commits are frames."""
 
     physical_reads: int = 0
     physical_writes: int = 0
@@ -316,7 +317,6 @@ class Pager:
         path: str,
         page_size: Optional[int] = None,
         *,
-        journaled: bool = False,
         strict: bool = False,
         faults=None,
         max_write_retries: int = 3,
@@ -340,7 +340,6 @@ class Pager:
                 "that wrote it, so that it rolls the journal back"
             )
         self._directory = os.path.dirname(os.path.abspath(self.path))
-        self.journaled = journaled
         self.strict = strict
         self.faults = faults
         self.max_write_retries = max_write_retries
@@ -363,10 +362,8 @@ class Pager:
         self.wal_commits = 0
         #: Pages allocated at the end of the file and never written.
         self._fresh: set = set()
-        #: Page 0 differs from what the last commit (or write) holds.
+        #: Page 0 differs from what the last commit holds.
         self._header_dirty = False
-        #: Data-file bytes written since the last data fsync.
-        self._data_unsynced = False
         #: Page ids freed by this process and not yet reallocated, kept
         #: so a double free is caught before it cycles the free list.
         self._freed: set = set()
@@ -505,13 +502,12 @@ class Pager:
     def _fsync_data(self) -> None:
         self._file.flush()
         self._io_fsync(self._file.fileno(), "data", self.path)
-        self._data_unsynced = False
 
     def _fsync_dir(self) -> None:
         """Sync the WAL's directory entry: after its creation and its
-        removal (clean close, recovery without journaling), never in a
-        steady-state commit.  Best-effort only where the platform cannot
-        open directories; a failing sync propagates like any other."""
+        removal by a clean close, never in a steady-state commit.
+        Best-effort only where the platform cannot open directories; a
+        failing sync propagates like any other."""
         try:
             fd = os.open(self._directory, os.O_RDONLY)
         except OSError:  # pragma: no cover - platform-dependent
@@ -568,14 +564,11 @@ class Pager:
 
     def _recover(self) -> None:
         """Checkpoint what a leftover WAL committed, then start a new
-        generation -- or, not journaled, remove the WAL."""
+        generation."""
         obs.count("pager.recoveries")
         if self._index:
             self._copy_back()
-        if self.journaled:
-            self._reset_wal()
-        else:
-            self._drop_wal()
+        self._reset_wal()
 
     def _create_wal(self) -> None:
         """Create the WAL -- or finish a creation cut short -- up to a
@@ -672,13 +665,11 @@ class Pager:
 
     def commit(self, pages: Iterable[Tuple[int, bytes]] = ()) -> None:
         """Write *pages* -- the final write-back set -- and the header
-        page as one transaction, and make it durable.
-
-        Journaled: one WAL append of the pages, any page allocated and
-        never written (as an empty page) and page 0 with the commit flag,
-        then one WAL fsync -- the commit point; a commit that leaves the
-        generation past :data:`WAL_CHECKPOINT_BYTES` then checkpoints.
-        Not journaled: a write-back set, then a data fsync.  A pager with
+        page as one transaction, and make it durable: one WAL append of
+        the pages, any page allocated and never written (as an empty
+        page) and page 0 with the commit flag, then one WAL fsync -- the
+        commit point.  A commit that leaves the generation past
+        :data:`WAL_CHECKPOINT_BYTES` then checkpoints.  A pager with
         nothing to make durable returns without I/O.
         """
         pages = tuple(pages)
@@ -687,30 +678,22 @@ class Pager:
             self._guard_writable()
             if not (pages or self.dirty):
                 return
-            if not self.journaled:
-                self.write_pages(pages)
-                self._fsync_data()
-            else:
-                written = {page_id for page_id, _ in pages}
-                frames = [(page_id, self._image(payload)) for page_id, payload in pages]
-                frames += [
-                    (page_id, self._image(b""))
-                    for page_id in sorted(self._fresh - written)
-                ]
-                frames.append((0, self._header_image()))
-                self._or_degrade(self._commit_frames, frames)
-                if self.wal_bytes >= WAL_CHECKPOINT_BYTES:
-                    self._or_degrade(self._checkpoint)
+            written = {page_id for page_id, _ in pages}
+            frames = [(page_id, self._image(payload)) for page_id, payload in pages]
+            frames += [
+                (page_id, self._image(b""))
+                for page_id in sorted(self._fresh - written)
+            ]
+            frames.append((0, self._header_image()))
+            self._or_degrade(self._commit_frames, frames)
+            if self.wal_bytes >= WAL_CHECKPOINT_BYTES:
+                self._or_degrade(self._checkpoint)
             obs.count("pager.commits")
 
     @property
     def dirty(self) -> bool:
         """Whether :meth:`commit` has anything to make durable."""
-        return (
-            self._header_dirty
-            or self._data_unsynced
-            or self._wal_end != self._committed_end
-        )
+        return self._header_dirty or self._wal_end != self._committed_end
 
     # ------------------------------------------------------------------
     # Header handling
@@ -763,12 +746,6 @@ class Pager:
             len(self._meta_blob),
         ) + self._meta_blob
         return payload.ljust(self.page_size, b"\x00")
-
-    def _put_header(self) -> None:
-        """Write page 0 to the data file (not journaled)."""
-        self._data_unsynced = True
-        self._io_write(self._file, 0, self._header_image(), "data")
-        self._header_dirty = False
 
     # ------------------------------------------------------------------
     # Root pointer and metadata
@@ -844,39 +821,23 @@ class Pager:
 
     def write_pages(self, pages: Iterable[Tuple[int, bytes]]) -> None:
         """Write one write-back set -- ``(page_id, payload)`` pairs, each
-        payload getting its checksum appended.
-
-        Journaled: one WAL append of uncommitted frames, no fsync.  Not
-        journaled: the pages and then the header page, if it is dirty,
-        into the data file.  If a write fails part-way, an unknown prefix
-        of the set reached the file; writing the set again is harmless.
+        payload getting its checksum appended -- as one WAL append of
+        uncommitted frames, no fsync.  If the write fails part-way, the
+        frames are uncommitted and the next append overwrites them;
+        writing the set again is harmless.
         """
         pages = tuple(pages)
         with self._mutex:
             self._check(pages)
             self._guard_writable()
-            if self.journaled:
-                if pages:
-                    self._append(
-                        [(page_id, self._image(payload)) for page_id, payload in pages]
-                    )
-                return
-            for page_id, payload in pages:
-                self._put_page(page_id, payload)
-            if self._header_dirty:
-                self._put_header()
+            if pages:
+                self._append(
+                    [(page_id, self._image(payload)) for page_id, payload in pages]
+                )
 
     def _image(self, payload: bytes) -> bytes:
         padded = payload.ljust(self.payload_size, b"\x00")
         return padded + _CRC.pack(zlib.crc32(padded))
-
-    def _put_page(self, page_id: int, payload: bytes) -> None:
-        """The raw data-file write of one page (not journaled)."""
-        self._data_unsynced = True
-        self._io_write(
-            self._file, page_id * self.page_size, self._image(payload), "data"
-        )
-        self.stats.physical_writes += 1
 
     # ------------------------------------------------------------------
     # Allocation
@@ -893,10 +854,7 @@ class Pager:
             else:
                 page_id = self.page_count
                 self.page_count += 1
-                if self.journaled:
-                    self._fresh.add(page_id)  # an empty page until written
-                else:
-                    self._put_page(page_id, b"")
+                self._fresh.add(page_id)  # an empty page until written
             self.live_nodes += 1
             self._header_dirty = True
             return page_id
@@ -924,17 +882,10 @@ class Pager:
             self._header_dirty = True
 
     # ------------------------------------------------------------------
-    def sync(self) -> None:
-        """Write the header page if it is dirty (not journaled: a
-        journaled pager writes it only in :meth:`commit`), then flush
-        the OS file buffers of the data file to stable storage."""
-        with self._mutex:
-            self.write_pages(())
-            self._fsync_data()
-
     def close(self) -> None:
-        """Clean shutdown: commit (journaled) or write the header page,
-        then checkpoint and remove the WAL, directory-synced.
+        """Clean shutdown: commit, then checkpoint and remove the WAL,
+        directory-synced.  A pager that never wrote a frame and holds a
+        clean header closes without I/O.
 
         A degraded pager only closes its handles: the in-memory state
         can no longer be trusted to reach disk, so the WAL (if any) is
@@ -947,9 +898,6 @@ class Pager:
                 self._release_handles()
                 return
             try:
-                if not self.journaled:
-                    self.write_pages(())  # the header page
-                    return
                 self.commit()
                 if self._wal is not None:
                     if self._index:

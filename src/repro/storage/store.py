@@ -10,7 +10,7 @@ Node ids are page ids, so child pointers serialize directly.
 **Live nodes.**  Every pool frame keeps the decoded :class:`Node` beside
 the page bytes: the node last written, or the one ``read`` decoded (one
 whole-array decode, counted in ``stats.decodes``) on the frame's first
-use.  ``flush``, ``commit`` and an eviction's write-back leave it there,
+use.  ``commit`` and an eviction's write-back leave it there,
 so a read that hits the pool -- the upper levels of every lookup, the
 right-edge path of every batch -- is a pointer chase.  ``read`` returns
 the pool's *live* node for as long as the frame lives, the contract
@@ -37,7 +37,7 @@ pool's capacity, not by the dirty set.
 
 **Eager encode.**  ``write`` still serializes at once: a frame's payload
 is a snapshot taken at ``write()``, never re-derived from the live node,
-so eviction, ``flush`` and ``commit`` put the same bytes on disk in the
+so eviction and ``commit`` put the same bytes on disk in the
 same order whether or not the node was touched again since.
 ``write_all`` -- the batched insert's hand-over -- keeps that and adds
 an order: every node of the batch is encoded before the first payload is
@@ -82,6 +82,9 @@ class PagedNodeStore(NodeStore):
     faults:
         Optional :class:`repro.faults.FaultInjector` passed through to
         the pager (crash points, torn writes, injected I/O errors).
+    journaled:
+        Accepted and ignored: every page file has a write-ahead log.
+        Kept only because the frozen ``bench/`` still passes it.
     """
 
     def __init__(
@@ -91,17 +94,11 @@ class PagedNodeStore(NodeStore):
         *,
         page_size: Optional[int] = None,
         buffer_capacity: int = 64,
-        journaled: bool = False,
+        journaled: bool = True,
         strict: bool = False,
         faults=None,
     ) -> None:
-        self.pager = Pager(
-            path,
-            page_size=page_size,
-            journaled=journaled,
-            strict=strict,
-            faults=faults,
-        )
+        self.pager = Pager(path, page_size=page_size, strict=strict, faults=faults)
         stored_kind = self.pager.get_meta("codec_kind")
         if stored_kind is not None:
             kind = stored_kind
@@ -197,25 +194,24 @@ class PagedNodeStore(NodeStore):
         commit (committed, not yet checkpointed frames do not count)."""
         return self.buffer.dirty or self.pager.dirty
 
-    def flush(self) -> None:
-        """Write back all dirty pages and sync the file."""
-        self.buffer.flush()
-        self.pager.sync()
-
     def commit(self) -> None:
-        """Hand the dirty frames to the pager's commit.
-
-        Journaled, they and the header page are one WAL append and one
-        WAL fsync -- the commit's only fsync unless the commit ends a
-        WAL generation with a checkpoint (then a data fsync and a WAL
-        fsync more); no directory operation.  A store with nothing to
-        commit (see :attr:`dirty`) does no I/O at all.  After a commit a
-        crash at any later point reopens to exactly this state.
+        """Hand the dirty frames to the pager's commit: they and the
+        header page are one WAL append and one WAL fsync -- the commit's
+        only fsync unless the commit ends a WAL generation with a
+        checkpoint (then a data fsync and a WAL fsync more); no directory
+        operation.  A store with nothing to commit (see :attr:`dirty`)
+        does no I/O at all.  After a commit a crash at any later point
+        reopens to exactly this state.
         """
         self.buffer.flush(commit=True)
 
+    #: The same verb as :meth:`commit`, kept only because the frozen
+    #: ``bench/`` calls it.
+    flush = commit
+
     def close(self) -> None:
-        """Flush and close; a degraded pager is closed without flushing.
+        """Write back, commit and close; a degraded pager is closed
+        without writing anything.
 
         Once the pager has entered read-only degraded mode the dirty
         frames cannot reach the file anyway; closing the handles leaves

@@ -102,7 +102,6 @@ class TemporalWarehouse:
         *,
         window: Union[Time, _AnyWindow] = 0,
         persistent: bool = False,
-        journaled: bool = False,
         **view_kwargs,
     ) -> TemporalAggregateView:
         """Create a maintained aggregate view over a base table.
@@ -110,14 +109,12 @@ class TemporalWarehouse:
         With ``persistent`` (requires the warehouse to have a directory)
         the backing tree pages live in ``<directory>/<name>.sbt`` -- plus
         ``<name>.ended.sbt`` for ANY_WINDOW SUM/COUNT/AVG views, which
-        need the second tree of Section 4.2.  ``journaled`` additionally
-        gives the page files crash-consistent write-ahead logs.
+        need the second tree of Section 4.2 -- each page file with its
+        write-ahead log; :meth:`checkpoint` commits them.
         """
         if name in self._views:
             raise ValueError(f"view {name!r} already exists")
         relation = self.table(over) if isinstance(over, str) else over
-        if journaled and not persistent:
-            raise ValueError("journaled views must be persistent")
         if persistent:
             if self.directory is None:
                 raise ValueError("a persistent view needs a warehouse directory")
@@ -126,19 +123,13 @@ class TemporalWarehouse:
             spec = spec_for(kind)
             view_kwargs.setdefault(
                 "store",
-                PagedNodeStore(
-                    os.path.join(self.directory, f"{name}.sbt"),
-                    spec,
-                    journaled=journaled,
-                ),
+                PagedNodeStore(os.path.join(self.directory, f"{name}.sbt"), spec),
             )
             if isinstance(window, _AnyWindow) and spec.invertible:
                 view_kwargs.setdefault(
                     "ended_store",
                     PagedNodeStore(
-                        os.path.join(self.directory, f"{name}.ended.sbt"),
-                        spec,
-                        journaled=journaled,
+                        os.path.join(self.directory, f"{name}.ended.sbt"), spec
                     ),
                 )
         view = TemporalAggregateView(
@@ -222,7 +213,7 @@ class TemporalWarehouse:
         return summaries
 
     def checkpoint(self) -> None:
-        """Commit every journaled view store (a durable snapshot)."""
+        """Commit every persistent view store (a durable snapshot)."""
         for view in self._views.values():
             for store in self._stores_of(view):
                 commit = getattr(store, "commit", None)
@@ -230,7 +221,7 @@ class TemporalWarehouse:
                     commit()
 
     def close(self) -> None:
-        """Flush and close every persistent view store and the dynamic
+        """Commit and close every persistent view store and the dynamic
         catalog (checkpointing its watermarks when persistent)."""
         if self._dynamic is not None:
             self._dynamic.close()

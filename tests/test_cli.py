@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import os
 import subprocess
 import sys
 
@@ -126,6 +127,21 @@ class TestInspectVerifyCompact:
     def test_inspect_msb(self, msb_index, capsys):
         main(["inspect", msb_index])
         assert "MSB-tree" in capsys.readouterr().out
+
+    def test_read_only_commands_write_nothing(self, sum_index, monkeypatch):
+        """A clean open and a clean close: the file stays byte for byte,
+        no WAL is created, nothing is synced."""
+        with open(sum_index, "rb") as handle:
+            before = handle.read()
+        fsyncs = []
+        monkeypatch.setattr(os, "fsync", fsyncs.append)
+        for argv in (["inspect", sum_index], ["lookup", sum_index, "19"],
+                     ["verify", sum_index]):
+            assert main(argv) == 0
+        with open(sum_index, "rb") as handle:
+            assert handle.read() == before
+        assert not os.path.exists(sum_index + "-wal")
+        assert fsyncs == []
 
 
 class TestTqlCommand:

@@ -1,7 +1,8 @@
 """Crash-consistency tests: the :mod:`repro.crashcheck` harness over the
-journaled page store, plus stateful multi-view checkpoint crashes for the
-warehouse (a crash between committing view N and view N+1 must leave
-every view individually recoverable to a committed snapshot)."""
+paged store, stateful multi-view checkpoint crashes for the warehouse
+(a crash between committing view N and view N+1 must leave every view
+individually recoverable to a committed snapshot), and every write of a
+library flush torn in turn."""
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.core.intervals import Interval
 from repro.core.sbtree import SBTree
 from repro.core.validate import check_tree
 from repro.faults import FaultInjector, SimulatedCrash, simulate_crash
+from repro.sharding import ShardedTree
 from repro.storage import PagedNodeStore
 from repro.storage import pager as pager_module
 from repro.storage.pager import Pager, scan_wal
@@ -212,12 +214,12 @@ VIEW_KINDS = {"v1": "sum", "v2": "count"}
 
 
 def _build_warehouse(directory):
-    """Two journaled views over one table, checkpointed at BASE_FACTS,
+    """Two persistent views over one table, checkpointed at BASE_FACTS,
     with MORE_FACTS maintained but not yet durable."""
     wh = TemporalWarehouse(str(directory))
     rel = wh.create_table("rx")
     for name, kind in VIEW_KINDS.items():
-        wh.create_view(name, "rx", kind, persistent=True, journaled=True)
+        wh.create_view(name, "rx", kind, persistent=True)
     for value, interval in BASE_FACTS:
         rel.insert(value, interval)
     wh.checkpoint()
@@ -238,7 +240,7 @@ def _oracle(name, which):
 
 def _recovered_table(path):
     """Reopen one view's page file directly (journal rollback included)."""
-    store = PagedNodeStore(str(path), journaled=True)
+    store = PagedNodeStore(str(path))
     tree = SBTree(store=store)
     try:
         table = tree.to_table()
@@ -260,8 +262,7 @@ class TestWarehouseCheckpointCrash:
             # cut): v1 has the new snapshot, v2 until its own frame
             # lands the old one.
             ("before_commit_fsync", 1, {"v1": "new", "v2": "base"}),
-            # Right after v1's commit point, the fsync of its journal
-            # (the WAL of a journaled pager).
+            # Right after v1's commit point, the fsync of its WAL.
             pytest.param(
                 "after_commit_fsync",
                 1,
@@ -327,3 +328,118 @@ class TestWarehouseCheckpointCrash:
                         f"view {name} recovered to an uncommitted blend "
                         f"after a crash at {point} hit {hit}"
                     )
+
+
+# ----------------------------------------------------------------------
+# Library page files: whoever opens a file, a flush is a commit
+# ----------------------------------------------------------------------
+def _scattered(first, count):
+    """SUM facts in random-looking order over [0, 100000)."""
+    return [
+        (i % 7 + 1, Interval(i * 7919 % 100_000, i * 7919 % 100_000 + 300 + i % 1500))
+        for i in range(first, first + count)
+    ]
+
+
+def _tear_every_write(build):
+    """Tear each write a flush issues, one case per write.
+
+    ``build(case)`` returns a fresh ``(store, flush, before, after)``:
+    a store with work pending, the call that flushes it, and the facts
+    of its last flush and of this one.  Each case crashes, reopens, and
+    must hold exactly *after* if the torn write came past the commit
+    point, else *before*.  Returns how many writes were torn.
+    """
+    store, flush, _, _ = build("count")
+    counter = FaultInjector()
+    store.pager.faults = counter
+    flush()
+    simulate_crash(store)
+    cases = [
+        (label, call)
+        for label, total in sorted(counter.write_calls.items())
+        for call in range(1, total + 1)
+    ]
+    for label, call in cases:
+        store, flush, before, after = build(f"{label}-{call}")
+        injector = FaultInjector().tear_write(label, call=call)
+        store.pager.faults = injector
+        with pytest.raises(SimulatedCrash):
+            flush()
+        simulate_crash(store)
+        committed = "after_commit_fsync" in injector.hits
+        expected = reference.instantaneous_table(after if committed else before, "sum")
+        assert _recovered_table(store.pager.path) == expected, (label, call)
+    return len(cases)
+
+
+class TestLibraryFlush:
+    """Page files no sharded opener made -- a default-constructed store,
+    a persistent warehouse view -- have the same WAL as a shard's.  Each
+    flush here checkpoints, so the sweeps tear the commit, every
+    checkpoint copy and the new generation's header (and, for the
+    reopened store, the WAL's creation)."""
+
+    FIRST, SECOND = _scattered(0, 200), _scattered(200, 200)
+
+    def test_a_default_store_torn_anywhere_in_a_flush_keeps_a_flush(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(pager_module, "WAL_CHECKPOINT_BYTES", 0)
+        base = tmp_path / "base.sbt"
+        with PagedNodeStore(str(base), "sum") as store:
+            tree = SBTree("sum", store)
+            for value, interval in self.FIRST:
+                tree.insert(value, interval)
+            store.flush()
+        image = base.read_bytes()
+
+        def build(case):
+            path = tmp_path / f"{case}.sbt"
+            path.write_bytes(image)
+            store = PagedNodeStore(str(path))
+            tree = SBTree(store=store)
+            for value, interval in self.SECOND:
+                tree.insert(value, interval)
+            return store, store.flush, self.FIRST, self.FIRST + self.SECOND
+
+        assert _tear_every_write(build) > 3
+
+    def test_a_persistent_view_torn_anywhere_in_a_checkpoint_keeps_one(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(pager_module, "WAL_CHECKPOINT_BYTES", 0)
+
+        def build(case):
+            wh = TemporalWarehouse(str(tmp_path / case))
+            rel = wh.create_table("rx")
+            view = wh.create_view("v", "rx", "sum", persistent=True)
+            for value, interval in self.FIRST:
+                rel.insert(value, interval)
+            wh.checkpoint()
+            for value, interval in self.SECOND:
+                rel.insert(value, interval)
+            return view.index.store, wh.checkpoint, self.FIRST, self.FIRST + self.SECOND
+
+        assert _tear_every_write(build) > 3
+
+    @pytest.mark.parametrize("opener", ["store", "shard"])
+    def test_a_flush_survives_a_crash(self, tmp_path, opener):
+        """A process death (no power loss) right after ``flush()``
+        reopens to the flushed state, whoever opened the file."""
+        if opener == "store":
+            store = PagedNodeStore(str(tmp_path / "t.sbt"), "sum")
+            tree = SBTree("sum", store)
+        else:
+            sharded = ShardedTree.open(
+                str(tmp_path), "sum", num_shards=1, span=(0, 1000)
+            )
+            tree = sharded.shards[0].tree
+            store = tree.store
+        tree.insert(50, Interval(0, 100))
+        store.commit()
+        tree.insert(50, Interval(0, 100))
+        store.flush()
+        simulate_crash(store)
+        with PagedNodeStore(store.pager.path) as reopened:
+            assert SBTree(store=reopened).lookup(10) == 100

@@ -182,7 +182,7 @@ def run_tiny_pool(tmp_path, kind, capacity, *, msb=False, seed=0):
     cls = MSBTree if msb else SBTree
     path = str(tmp_path / f"{kind}-{capacity}.sbt")
     store = PagedNodeStore(
-        path, kind, page_size=512, buffer_capacity=capacity, journaled=True
+        path, kind, page_size=512, buffer_capacity=capacity
     )
     disk = cls(kind, store, branching=5, leaf_capacity=6)
     memory = cls(kind, branching=5, leaf_capacity=6)

@@ -88,8 +88,8 @@ def assert_write_ahead(events):
 
 
 def committed_pager(path, payloads, **kwargs):
-    """A journaled pager with ``payloads`` committed on pages 1..n."""
-    pager = fast_pager(path, journaled=True, **kwargs)
+    """A pager with ``payloads`` committed on pages 1..n."""
+    pager = fast_pager(path, **kwargs)
     pages = []
     for payload in payloads:
         page_id = pager.allocate_page()
@@ -104,7 +104,7 @@ def checkpointed_pager(path, payloads):
     the commit and no WAL exists yet."""
     pager, pages = committed_pager(path, payloads)
     pager.close()
-    return fast_pager(path, journaled=True), pages
+    return fast_pager(path), pages
 
 
 @pytest.fixture
@@ -211,9 +211,8 @@ class TestFaultInjector:
 # ----------------------------------------------------------------------
 class TestPagerRetries:
     def test_transient_write_error_is_retried(self, tmp_path):
-        pager = fast_pager(tmp_path / "p.sbt")
-        page = pager.allocate_page()
-        inj = FaultInjector().fail_writes("data", times=2)
+        pager, (page,) = committed_pager(tmp_path / "p.sbt", [b"committed"])
+        inj = FaultInjector().fail_writes("wal", times=2)
         pager.faults = inj
         pager.write_page(page, b"survived")
         pager.faults = None
@@ -224,10 +223,10 @@ class TestPagerRetries:
         pager.close()
 
     def test_retry_exhaustion_propagates_oserror(self, tmp_path):
-        pager = fast_pager(tmp_path / "p.sbt", max_write_retries=1)
-        page = pager.allocate_page()
-        pager.write_page(page, b"old")
-        pager.faults = FaultInjector().fail_writes("data", times=None)
+        pager, (page,) = committed_pager(
+            tmp_path / "p.sbt", [b"old"], max_write_retries=1
+        )
+        pager.faults = FaultInjector().fail_writes("wal", times=None)
         with pytest.raises(OSError):
             pager.write_page(page, b"new")
         pager.faults = None
@@ -262,14 +261,14 @@ class TestPagerRetries:
         # Degraded close leaves the WAL: reopening replays the commit.
         pager.close()
         assert os.path.exists(str(tmp_path / "p.sbt") + "-wal")
-        reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
+        reopened = fast_pager(tmp_path / "p.sbt")
         assert reopened.read_page(page).rstrip(b"\x00") == b"committed"
         reopened.close()
 
     def test_degraded_store_close_skips_flush(self, tmp_path):
         path = str(tmp_path / "s.sbt")
         store = PagedNodeStore(
-            path, "sum", page_size=PAGE_SIZE, journaled=True, buffer_capacity=8,
+            path, "sum", page_size=PAGE_SIZE, buffer_capacity=8,
         )
         store.pager.retry_backoff = 0.0
         store.pager.max_write_retries = 0
@@ -287,7 +286,7 @@ class TestPagerRetries:
         assert store.pager.degraded
         store.close()  # must not raise trying to flush dirty frames
         store.pager.faults = None
-        reopened = PagedNodeStore(path, journaled=True)
+        reopened = PagedNodeStore(path)
         assert SBTree(store=reopened).to_table() == committed
         reopened.close()
 
@@ -305,7 +304,7 @@ class TestPagerRetries:
         # The commit point was never reached.
         assert "after_commit_fsync" not in inj.hits
         simulate_crash(pager, power_loss="all")
-        reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
+        reopened = fast_pager(tmp_path / "p.sbt")
         assert reopened.read_page(page).rstrip(b"\x00") == b"committed"
         reopened.close()
 
@@ -333,7 +332,7 @@ class TestJournalWriteAhead:
         pager, (page,) = committed_pager(tmp_path / "p.sbt", [b"committed"])
         if reopened:
             pager.close()
-            pager = fast_pager(tmp_path / "p.sbt", journaled=True)
+            pager = fast_pager(tmp_path / "p.sbt")
         inj = FaultInjector()
         pager.faults = inj
         pager.write_page(page, b"new")
@@ -356,7 +355,7 @@ class TestJournalWriteAhead:
         assert inj.hits.get("after_wal_create", 0) == reopened
         assert assert_write_ahead(inj.events) == 2
         pager.close()
-        reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
+        reopened = fast_pager(tmp_path / "p.sbt")
         assert reopened.read_page(page).rstrip(b"\x00") == b"new"
         reopened.close()
 
@@ -368,7 +367,7 @@ class TestJournalWriteAhead:
         fsync, and a checkpoint that orders every copy behind it."""
         path = str(tmp_path / "s.sbt")
         store = PagedNodeStore(
-            path, "sum", page_size=PAGE_SIZE, journaled=True, buffer_capacity=8,
+            path, "sum", page_size=PAGE_SIZE, buffer_capacity=8,
         )
         tree = SBTree("sum", store, branching=4, leaf_capacity=4)
         for i in range(40):
@@ -387,7 +386,7 @@ class TestJournalWriteAhead:
         committed = SBTree(store=store).to_table()
         assert assert_write_ahead(inj.events) >= 10
         store.close()
-        reopened = PagedNodeStore(path, journaled=True)
+        reopened = PagedNodeStore(path)
         assert SBTree(store=reopened).to_table() == committed
         reopened.close()
 
@@ -424,7 +423,7 @@ class TestJournalWriteAhead:
         with pytest.raises(SimulatedCrash):
             pager.commit()
         simulate_crash(pager)
-        reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
+        reopened = fast_pager(tmp_path / "p.sbt")
         assert reopened.read_page(page).rstrip(b"\x00") == b"new"
         reopened.close()
 
@@ -444,7 +443,7 @@ class TestJournalRecords:
         # both pages come back committed.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
+            reopened = fast_pager(tmp_path / "p.sbt")
         assert reopened.read_page(a).rstrip(b"\x00") == b"aaa"
         assert reopened.read_page(b).rstrip(b"\x00") == b"bbb"
         reopened.close()
@@ -468,7 +467,7 @@ class TestJournalRecords:
             fh.seek(b_frame.offset + _FRAME_HEAD.size + 40)
             fh.write(bytes([byte[0] ^ 0xFF]))
         with pytest.warns(RuntimeWarning, match="stops at the last valid"):
-            reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
+            reopened = fast_pager(tmp_path / "p.sbt")
         assert reopened.read_page(a).rstrip(b"\x00") == b"a-new"
         assert reopened.read_page(b).rstrip(b"\x00") == b"bbb"
         reopened.close()
@@ -479,7 +478,7 @@ class TestJournalRecords:
         with open(pager.wal_path, "wb") as fh:
             fh.write(b"NOTAWAL!".ljust(HEADER_SIZE, b"\x01"))
         with pytest.warns(RuntimeWarning, match="bad WAL magic"):
-            reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
+            reopened = fast_pager(tmp_path / "p.sbt")
         assert reopened.read_page(page).rstrip(b"\x00") == b"committed"
         reopened.close()
         assert not os.path.exists(pager.wal_path)
@@ -495,7 +494,7 @@ class TestJournalRecords:
             fh.write(b"\x01\x02\x03")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            reopened = fast_pager(tmp_path / "p.sbt", journaled=True, strict=True)
+            reopened = fast_pager(tmp_path / "p.sbt", strict=True)
         assert reopened.read_page(page).rstrip(b"\x00") == b"committed"
         reopened.close()
         assert not os.path.exists(pager.wal_path)
@@ -507,7 +506,7 @@ class TestJournalRecords:
         with open(pager.wal_path, "wb") as fh:
             fh.write(b"NOTAWAL!".ljust(HEADER_SIZE, b"\x01"))
         with pytest.raises(JournalError, match="bad WAL magic"):
-            fast_pager(tmp_path / "p.sbt", journaled=True, strict=True)
+            fast_pager(tmp_path / "p.sbt", strict=True)
         # Left on disk for forensics / `repro fsck`.
         assert os.path.exists(pager.wal_path)
 
@@ -515,7 +514,7 @@ class TestJournalRecords:
     def test_journal_of_a_previous_format_is_refused(self, tmp_path, magic):
         """No reader of the rollback journal is left: a ``-journal``
         beside the file may hold pre-images its writer meant to restore,
-        so it is refused -- strict or not, journaled or not -- never
+        so it is refused -- strict or not -- never
         silently accepted, and left where it is."""
         pager, (page,) = committed_pager(tmp_path / "p.sbt", [b"committed"])
         pager.close()
@@ -523,7 +522,7 @@ class TestJournalRecords:
         journal = pager.path + "-journal"
         with open(journal, "wb") as fh:
             fh.write(magic + b"\x00\x02\x00\x00" + b"\x00" * 8)
-        for kwargs in ({"journaled": True, "strict": True}, {"journaled": True}, {}):
+        for kwargs in ({"strict": True}, {}):
             with pytest.raises(JournalError, match="rollback journal"):
                 fast_pager(tmp_path / "p.sbt", **kwargs)
         assert os.path.exists(journal)
@@ -540,7 +539,7 @@ class TestJournalRecords:
             fh.write(b"\x01")
         size = os.path.getsize(pager.path)
         with pytest.raises(JournalError, match="fails its checksum"):
-            fast_pager(tmp_path / "p.sbt", journaled=True, strict=True)
+            fast_pager(tmp_path / "p.sbt", strict=True)
         assert os.path.getsize(pager.path) == size
 
 
@@ -587,7 +586,7 @@ class TestJournalBarrier:
         assert sha256_of(pager.path) == committed
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            reopened = fast_pager(tmp_path / "p.sbt", journaled=True, strict=True)
+            reopened = fast_pager(tmp_path / "p.sbt", strict=True)
         assert reopened.page_count == (4 if shape == "whole" else 3)
         assert reopened.read_page(1).rstrip(b"\x00") == (
             b"a-new" if shape == "whole" else b"aaa"
@@ -624,7 +623,7 @@ class TestJournalBarrier:
         assert inj.write_calls == {"wal": 1 + 1 + 1}
         simulate_crash(pager)
         assert assert_write_ahead(inj.events) == 0
-        reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
+        reopened = fast_pager(tmp_path / "p.sbt")
         assert reopened.read_page(a).rstrip(b"\x00") == b"aaa"
         assert reopened.read_page(b).rstrip(b"\x00") == b"bbb"
         reopened.close()
@@ -653,7 +652,7 @@ class TestJournalBarrier:
         pager.close()  # leaves the WAL for the next open
         assert sha256_of(pager.path) == committed
         inj.lose_power("all")
-        reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
+        reopened = fast_pager(tmp_path / "p.sbt")
         assert reopened.read_page(page).rstrip(b"\x00") == b"committed"
         reopened.close()
 
@@ -673,7 +672,7 @@ class TestPowerLoss:
         assert inj.injected["power_loss"] == 1
         frames = wal_frames(pager)
         assert [f.page_id for f in frames if f.status == "ok"][-2:] == [a, 0]
-        reopened = fast_pager(tmp_path / "p.sbt", journaled=True)
+        reopened = fast_pager(tmp_path / "p.sbt")
         assert reopened.read_page(a).rstrip(b"\x00") == b"a-new"
         assert reopened.read_page(b).rstrip(b"\x00") == b"bbb"
         reopened.close()
@@ -704,7 +703,7 @@ class TestPowerLoss:
         assert os.path.exists(pager.wal_path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            reopened = fast_pager(tmp_path / "p.sbt", journaled=True, strict=True)
+            reopened = fast_pager(tmp_path / "p.sbt", strict=True)
         assert reopened.read_page(page).rstrip(b"\x00") == b"new"
         reopened.close()
         assert not os.path.exists(pager.wal_path)
@@ -725,7 +724,7 @@ class TestPowerLoss:
         assert pager.degraded  # the WAL must not be appended to again
         assert inj.events[-1][:2] == ("write", "wal")
         simulate_crash(pager, power_loss="all")
-        reopened = fast_pager(tmp_path / "p.sbt", journaled=True, strict=True)
+        reopened = fast_pager(tmp_path / "p.sbt", strict=True)
         assert reopened.read_page(a).rstrip(b"\x00") == b"aaa"
         reopened.close()
         assert sha256_of(pager.path) == committed
@@ -800,7 +799,7 @@ class TestFsyncAccounting:
         try:
             # From file creation on: every fsync the pager ever issues.
             store = PagedNodeStore(
-                path, "sum", page_size=PAGE_SIZE, journaled=True,
+                path, "sum", page_size=PAGE_SIZE,
                 buffer_capacity=4, faults=inj,
             )
             tree = SBTree("sum", store, branching=4, leaf_capacity=4)
@@ -820,7 +819,7 @@ class TestFsyncAccounting:
                 store.pager.stats.wal_frames
             )
             # A failed attempt counts too, and degrades the pager.
-            crashed = PagedNodeStore(path, journaled=True, faults=inj)
+            crashed = PagedNodeStore(path, faults=inj)
             SBTree(store=crashed).insert(2, Interval(0, 9))
             crashed.commit()  # the WAL's header and entry, the commit
             SBTree(store=crashed).insert(3, Interval(0, 9))
@@ -832,7 +831,7 @@ class TestFsyncAccounting:
             simulate_crash(crashed)
             # A leftover WAL's recovery syncs are counted as well.
             before = dict(inj.fsync_calls)
-            reopened = PagedNodeStore(path, journaled=True, faults=inj)
+            reopened = PagedNodeStore(path, faults=inj)
             assert reopened.pager.stats.fsyncs == 2  # copies, then a header
             assert inj.fsync_calls["data"] == before["data"] + 1
             assert registry.counter("pager.recoveries").value == 1
@@ -846,12 +845,12 @@ class TestFsyncAccounting:
 # ----------------------------------------------------------------------
 class TestBufferPoolEvictionFailure:
     def test_failed_eviction_writeback_keeps_dirty_frame(self, tmp_path):
-        pager = fast_pager(tmp_path / "p.sbt", max_write_retries=0)
-        p1 = pager.allocate_page()
-        p2 = pager.allocate_page()
+        pager, (p1, p2) = committed_pager(
+            tmp_path / "p.sbt", [b"", b""], max_write_retries=0
+        )
         pool = BufferPool(pager, capacity=1)
         pool.write(p1, b"precious", None)
-        inj = FaultInjector().fail_writes("data", times=None)
+        inj = FaultInjector().fail_writes("wal", times=None)
         pager.faults = inj
         # Admitting p2 must evict p1; the write-back fails with EIO.
         with pytest.raises(OSError):
@@ -868,13 +867,12 @@ class TestBufferPoolEvictionFailure:
         pager.close()
 
     def test_failed_eviction_during_read_admission(self, tmp_path):
-        pager = fast_pager(tmp_path / "p.sbt", max_write_retries=0)
-        p1 = pager.allocate_page()
-        p2 = pager.allocate_page()
-        pager.write_page(p2, b"on-disk")
+        pager, (p1, p2) = committed_pager(
+            tmp_path / "p.sbt", [b"", b"on-disk"], max_write_retries=0
+        )
         pool = BufferPool(pager, capacity=1)
         pool.write(p1, b"precious", None)
-        inj = FaultInjector().fail_writes("data", times=None)
+        inj = FaultInjector().fail_writes("wal", times=None)
         pager.faults = inj
         with pytest.raises(OSError):
             pool.frame(p2)
@@ -902,7 +900,7 @@ class TestSimulateCrash:
 
     def test_accepts_a_store(self, tmp_path):
         store = PagedNodeStore(
-            str(tmp_path / "s.sbt"), "sum", page_size=PAGE_SIZE, journaled=True,
+            str(tmp_path / "s.sbt"), "sum", page_size=PAGE_SIZE,
         )
         simulate_crash(store)
         assert store.pager._file.closed

@@ -30,12 +30,9 @@ _HEADER_FIELDS = (
 )
 
 
-def make_tree_file(path, n=30, *, journaled=False):
+def make_tree_file(path, n=30):
     """A committed SB-tree page file with a few dozen pages."""
-    store = PagedNodeStore(
-        str(path), "sum", page_size=PAGE_SIZE, buffer_capacity=8,
-        journaled=journaled,
-    )
+    store = PagedNodeStore(str(path), "sum", page_size=PAGE_SIZE, buffer_capacity=8)
     tree = SBTree("sum", store, branching=4, leaf_capacity=4)
     for i in range(n):
         tree.insert(i % 5 + 1, Interval(i * 3, i * 3 + 10))
@@ -168,8 +165,8 @@ class TestFsckJournal:
     def crash_with_journal(self, path):
         """A store killed with two committed transactions in its WAL
         (not yet checkpointed) and uncommitted frames behind them."""
-        make_tree_file(path, journaled=True)
-        store = PagedNodeStore(str(path), journaled=True, buffer_capacity=8)
+        make_tree_file(path)
+        store = PagedNodeStore(str(path), buffer_capacity=8)
         tree = SBTree(store=store)
         for i in range(10):
             tree.insert(i + 1, Interval(i * 4, i * 4 + 15))
@@ -200,7 +197,6 @@ class TestFsckJournal:
         path = tmp_path / "young.sbt"
         store = PagedNodeStore(
             str(path), "sum", page_size=PAGE_SIZE, buffer_capacity=8,
-            journaled=True,
         )
         tree = SBTree("sum", store, branching=4, leaf_capacity=4)
         for i in range(30):
@@ -257,8 +253,8 @@ class TestFsckJournal:
         """What a running (or killed) journaled server leaves next to
         its page file right after a checkpoint: not a leftover."""
         path = tmp_path / "live.sbt"
-        make_tree_file(path, journaled=True)
-        store = PagedNodeStore(str(path), journaled=True)
+        make_tree_file(path)
+        store = PagedNodeStore(str(path))
         SBTree(store=store).insert(4, Interval(0, 9))
         monkeypatch.setattr(pager_module, "WAL_CHECKPOINT_BYTES", 0)
         store.commit()  # ...and checkpoints
@@ -273,8 +269,8 @@ class TestFsckJournal:
 
     def test_stale_records_are_not_counted(self, tmp_path, monkeypatch):
         path = tmp_path / "reused.sbt"
-        make_tree_file(path, journaled=True)
-        store = PagedNodeStore(str(path), journaled=True)
+        make_tree_file(path)
+        store = PagedNodeStore(str(path))
         tree = SBTree(store=store)
         for i in range(12):  # a long generation...
             tree.insert(i + 1, Interval(i * 4, i * 4 + 15))
@@ -366,8 +362,8 @@ class TestFsckRepair:
 
     def test_repair_settles_intact_journal(self, tmp_path):
         path = tmp_path / "crashed.sbt"
-        make_tree_file(path, journaled=True)
-        store = PagedNodeStore(str(path), journaled=True)
+        make_tree_file(path)
+        store = PagedNodeStore(str(path))
         tree = SBTree(store=store)
         for i in range(10):
             tree.insert(i + 1, Interval(i * 4, i * 4 + 15))
@@ -380,14 +376,14 @@ class TestFsckRepair:
         assert report.repaired and report.ok
         assert report.has("wal-settled")
         assert not os.path.exists(str(path) + "-wal")
-        reopened = PagedNodeStore(str(path), journaled=True)
+        reopened = PagedNodeStore(str(path))
         assert SBTree(store=reopened).to_table() == committed
         reopened.close()
 
     def test_repair_settles_torn_journal(self, tmp_path):
         path = tmp_path / "torn.sbt"
-        make_tree_file(path, journaled=True)
-        store = PagedNodeStore(str(path), journaled=True)
+        make_tree_file(path)
+        store = PagedNodeStore(str(path))
         tree = SBTree(store=store)
         for i in range(10):
             tree.insert(i + 1, Interval(i * 4, i * 4 + 15))
@@ -410,9 +406,9 @@ class TestFsckRepair:
         file was never written, so fsck calls it sound, and repair
         settles the WAL back to exactly the committed bytes."""
         path = tmp_path / "tail.sbt"
-        make_tree_file(path, journaled=True)
+        make_tree_file(path)
         committed = path.read_bytes()
-        store = PagedNodeStore(str(path), journaled=True, buffer_capacity=64)
+        store = PagedNodeStore(str(path), buffer_capacity=64)
         tree = SBTree(store=store)
         for i in range(10):
             tree.insert(i + 1, Interval(i * 4, i * 4 + 15))

@@ -73,7 +73,7 @@ class TestTreeHealth:
         from repro.storage import pager as pager_module
 
         path = str(tmp_path / "health.sbt")
-        with PagedNodeStore(path, "sum", journaled=True) as store:
+        with PagedNodeStore(path, "sum") as store:
             tree = SBTree("sum", store, branching=4, leaf_capacity=4)
             for i in range(30):
                 tree.insert(1, Interval(i, i + 3))

@@ -120,7 +120,7 @@ def test_batches_on_a_journaled_three_frame_pool(kind, data):
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "batch.sbt")
         store = PagedNodeStore(
-            path, kind, page_size=512, buffer_capacity=3, journaled=True)
+            path, kind, page_size=512, buffer_capacity=3)
         want, got = pair(SBTree, kind, 5, store)
         for facts in data.draw(batches):
             apply_both(got, want, facts)

@@ -42,7 +42,7 @@ class TestPagerJournal:
         the next commit appends an uncommitted one, only a clean close
         checkpoints and removes the file."""
         path = str(tmp_path / "t.sbt")
-        pager = Pager(path, page_size=512, journaled=True)
+        pager = Pager(path, page_size=512)
         pid = pager.allocate_page()
         pager.commit()
         header, frames = wal_scan(path)
@@ -63,10 +63,10 @@ class TestPagerJournal:
 
     def test_reopened_pager_creates_its_journal_once(self, tmp_path):
         path = str(tmp_path / "t.sbt")
-        with Pager(path, page_size=512, journaled=True) as pager:
+        with Pager(path, page_size=512) as pager:
             pid = pager.allocate_page()
         injector = FaultInjector()
-        pager = Pager(path, journaled=True, faults=injector)
+        pager = Pager(path, faults=injector)
         assert not os.path.exists(pager.wal_path)  # reads create nothing
         for round_ in range(5):
             pager.write_page(pid, b"round %d" % round_)
@@ -85,20 +85,20 @@ class TestPagerJournal:
 
     def test_uncommitted_write_rolled_back(self, tmp_path):
         path = str(tmp_path / "t.sbt")
-        pager = Pager(path, page_size=512, journaled=True)
+        pager = Pager(path, page_size=512)
         pid = pager.allocate_page()
         pager.write_page(pid, b"committed")
         pager.commit()
         pager.write_page(pid, b"uncommitted")
         simulate_crash(pager)  # the frame hit the WAL, but no commit
 
-        recovered = Pager(path, journaled=True)
+        recovered = Pager(path)
         assert recovered.read_page(pid).rstrip(b"\x00") == b"committed"
         recovered.close()
 
     def test_new_pages_truncated_on_rollback(self, tmp_path):
         path = str(tmp_path / "t.sbt")
-        pager = Pager(path, page_size=512, journaled=True)
+        pager = Pager(path, page_size=512)
         pager.allocate_page()
         pager.commit()
         committed_pages = pager.page_count
@@ -106,30 +106,30 @@ class TestPagerJournal:
             pager.allocate_page()
         simulate_crash(pager)  # crash with 5 uncommitted new pages
 
-        recovered = Pager(path, journaled=True)
+        recovered = Pager(path)
         assert recovered.page_count == committed_pages
         assert os.path.getsize(path) == committed_pages * 512
         recovered.close()
 
     def test_header_changes_rolled_back(self, tmp_path):
         path = str(tmp_path / "t.sbt")
-        pager = Pager(path, page_size=512, journaled=True)
+        pager = Pager(path, page_size=512)
         pid = pager.allocate_page()
         pager.set_root(pid)
         pager.set_meta("kind", "sum")
         pager.commit()
         pager.set_meta("kind", "avg")  # uncommitted header change
-        pager.sync()  # ...which only a commit writes
+        pager.write_pages([(pid, b"x")])  # a write-back set leaves page 0 out
         simulate_crash(pager)
 
-        recovered = Pager(path, journaled=True)
+        recovered = Pager(path)
         assert recovered.get_meta("kind") == "sum"
         assert recovered.get_root() == pid
         recovered.close()
 
     def test_torn_journal_tail_tolerated(self, tmp_path):
         path = str(tmp_path / "t.sbt")
-        pager = Pager(path, page_size=512, journaled=True)
+        pager = Pager(path, page_size=512)
         a = pager.allocate_page()
         b = pager.allocate_page()
         pager.write_page(a, b"A1")
@@ -144,7 +144,7 @@ class TestPagerJournal:
             wal.truncate(size - 200)
         assert wal_scan(path)[1][-1].status == "torn"
 
-        recovered = Pager(path, journaled=True)
+        recovered = Pager(path)
         # The committed transaction replays; nothing after it does.
         assert recovered.read_page(a).rstrip(b"\x00") == b"A1"
         assert recovered.read_page(b).rstrip(b"\x00") == b"B1"
@@ -152,20 +152,13 @@ class TestPagerJournal:
 
     def test_clean_close_commits(self, tmp_path):
         path = str(tmp_path / "t.sbt")
-        pager = Pager(path, page_size=512, journaled=True)
+        pager = Pager(path, page_size=512)
         pid = pager.allocate_page()
         pager.write_page(pid, b"final")
         pager.close()  # clean shutdown commits
         assert not os.path.exists(path + "-wal")
-        with Pager(path, journaled=True) as reopened:
+        with Pager(path) as reopened:
             assert reopened.read_page(pid).rstrip(b"\x00") == b"final"
-
-    def test_unjournaled_pager_never_journals(self, tmp_path):
-        path = str(tmp_path / "t.sbt")
-        with Pager(path, page_size=512) as pager:
-            pid = pager.allocate_page()
-            pager.write_page(pid, b"x")
-            assert os.listdir(str(tmp_path)) == ["t.sbt"]
 
     def test_read_after_evict_serves_the_wal_image(self, tmp_path):
         """With a pool of 2: commit, evict, read.  The pages the commit
@@ -174,14 +167,14 @@ class TestPagerJournal:
         path = tmp_path / "t.sbt"
         facts = [(i % 5 + 1, Interval(i * 3, i * 3 + 10)) for i in range(12)]
         store = PagedNodeStore(
-            str(path), "sum", page_size=512, buffer_capacity=2, journaled=True
+            str(path), "sum", page_size=512, buffer_capacity=2
         )
         tree = SBTree("sum", store, branching=4, leaf_capacity=4)
         for value, interval in facts:
             tree.insert(value, interval)
         store.close()  # checkpointed: the data file holds all of it
         checkpointed = path.read_bytes()
-        store = PagedNodeStore(str(path), journaled=True, buffer_capacity=2)
+        store = PagedNodeStore(str(path), buffer_capacity=2)
         tree = SBTree(store=store)
         facts.append((9, Interval(1, 40)))
         tree.insert(*facts[-1])
@@ -195,9 +188,7 @@ class TestPagerJournal:
 
 class TestStoreCrashRecovery:
     def build_store(self, path):
-        store = PagedNodeStore(
-            path, "sum", page_size=1024, buffer_capacity=16, journaled=True
-        )
+        store = PagedNodeStore(path, "sum", page_size=1024, buffer_capacity=16)
         tree = SBTree("sum", store, branching=6, leaf_capacity=6)
         return store, tree
 
@@ -216,7 +207,7 @@ class TestStoreCrashRecovery:
         store.buffer.flush()  # dirty pages reach the WAL...
         simulate_crash(store)  # ...but the transaction never commits
 
-        with PagedNodeStore(path, journaled=True) as recovered_store:
+        with PagedNodeStore(path) as recovered_store:
             recovered = SBTree(store=recovered_store)
             assert recovered.to_table() == committed_table
             check_tree(recovered)
@@ -233,7 +224,7 @@ class TestStoreCrashRecovery:
         store.buffer.flush()
         simulate_crash(store)
 
-        with PagedNodeStore(path, journaled=True) as recovered_store:
+        with PagedNodeStore(path) as recovered_store:
             recovered = SBTree(store=recovered_store)
             assert recovered.to_table().rows == []
 
@@ -249,7 +240,7 @@ class TestStoreCrashRecovery:
         store.buffer.flush()
         simulate_crash(store)
 
-        with PagedNodeStore(path, journaled=True) as recovered_store:
+        with PagedNodeStore(path) as recovered_store:
             recovered = SBTree(store=recovered_store)
             assert recovered.to_table() == snapshot
 
@@ -262,14 +253,14 @@ HEADER_SIZE = _WAL_HEADER.size
 
 def versioned_pager(path, pages=12):
     """*pages* data pages committed as ``v1-<id>``, the WAL in place."""
-    pager = Pager(str(path), page_size=512, journaled=True)
+    pager = Pager(str(path), page_size=512)
     ids = [pager.allocate_page() for _ in range(pages)]
     pager.commit([(page, b"v1-%d" % page) for page in ids])
     return pager, ids
 
 
 def page_versions(path, ids):
-    with Pager(str(path), journaled=True, strict=True) as pager:
+    with Pager(str(path), strict=True) as pager:
         return [pager.read_page(page).rstrip(b"\x00") for page in ids]
 
 
@@ -295,7 +286,7 @@ class TestJournalReuse:
         assert os.path.getsize(pager.wal_path) == HEADER_SIZE + 13 * STRIDE
         registry = obs.enable(obs.MetricsRegistry())
         try:
-            Pager(str(path), journaled=True, strict=True).close()
+            Pager(str(path), strict=True).close()
             assert registry.counter("pager.recoveries").value == 1
             assert registry.counter("pager.replayed_frames").value == 0
         finally:
@@ -324,7 +315,7 @@ class TestJournalReuse:
 
     def build_tree(self, path):
         store = PagedNodeStore(
-            str(path), "sum", page_size=512, buffer_capacity=8, journaled=True
+            str(path), "sum", page_size=512, buffer_capacity=8
         )
         tree = SBTree("sum", store, branching=4, leaf_capacity=4)
         facts = [(i % 5 + 1, Interval(i * 3, i * 3 + 20)) for i in range(30)]
@@ -336,7 +327,7 @@ class TestJournalReuse:
     def reopen_strict(self, path):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            store = PagedNodeStore(str(path), journaled=True, strict=True)
+            store = PagedNodeStore(str(path), strict=True)
         tree = SBTree(store=store)
         check_tree(tree)
         table = tree.to_table()
@@ -377,7 +368,7 @@ class TestJournalReuse:
         store.close()
         committed = path.read_bytes()
         store = PagedNodeStore(
-            str(path), journaled=True, faults=FaultInjector().tear_write(
+            str(path), faults=FaultInjector().tear_write(
                 "wal", fraction=(keep + 0.5) / HEADER_SIZE
             ),
         )
@@ -415,7 +406,7 @@ class TestJournalReuse:
         simulate_crash(store)
         injector = FaultInjector().crash_at("before_checkpoint_fsync")
         with pytest.raises(SimulatedCrash):
-            PagedNodeStore(str(path), journaled=True, faults=injector)
+            PagedNodeStore(str(path), faults=injector)
         assert injector.hits["before_page_write"] > 0
         assert "before_wal_reset" not in injector.hits
         assert self.reopen_strict(path) == reference.instantaneous_table(
@@ -438,7 +429,7 @@ def bench_geometry(directory, injector=None):
     stores = [
         PagedNodeStore(
             os.path.join(str(directory), f"shard-{i}.sbt"), "sum",
-            journaled=True, buffer_capacity=32, faults=injector,
+            buffer_capacity=32, faults=injector,
         )
         for i in range(4)
     ]
@@ -495,7 +486,7 @@ class TestSyncBudget:
     def test_an_eviction_costs_a_wal_write_and_no_fsync(self, tmp_path):
         path = str(tmp_path / "t.sbt")
         store = PagedNodeStore(
-            path, "sum", page_size=512, buffer_capacity=4, journaled=True
+            path, "sum", page_size=512, buffer_capacity=4
         )
         tree = SBTree("sum", store, branching=4, leaf_capacity=4)
         for i in range(40):
@@ -511,6 +502,28 @@ class TestSyncBudget:
         store.commit()
         assert injector.write_calls == {"wal": evictions + 1}
         assert injector.fsync_calls == {"wal": 1}
+        store.close()
+
+    @pytest.mark.parametrize(
+        "checkpoints,budget", [(False, {"wal": 1}), (True, {"wal": 2, "data": 1})]
+    )
+    def test_a_default_store_flush_is_a_commit(
+        self, tmp_path, monkeypatch, checkpoints, budget
+    ):
+        store = PagedNodeStore(str(tmp_path / "t.sbt"), "sum")
+        tree = SBTree("sum", store)
+        for value, interval in one_shard_batch(0, 200):
+            tree.insert(value, interval)
+        store.flush()  # the WAL exists from here on
+        if checkpoints:
+            monkeypatch.setattr(pager_module, "WAL_CHECKPOINT_BYTES", 0)
+        injector = FaultInjector()
+        store.pager.faults = injector
+        for value, interval in one_shard_batch(600, 200):
+            tree.insert(value, interval)
+        store.flush()
+        assert injector.fsync_calls == budget
+        assert not store.dirty
         store.close()
 
     def test_steady_commits_touch_no_directory(self, tmp_path):
@@ -533,7 +546,7 @@ class TestSyncBudget:
 
     def test_commit_of_untouched_store_is_free(self, tmp_path):
         path = str(tmp_path / "t.sbt")
-        store = PagedNodeStore(path, "sum", journaled=True)
+        store = PagedNodeStore(path, "sum")
         tree = SBTree("sum", store)
         tree.insert(1, Interval(0, 10))
         store.commit()
@@ -588,7 +601,7 @@ class TestShardedCommitMetadata:
         ]
         sharded.close()
         # A restart reads every copy and keeps the newest.
-        reopened = [PagedNodeStore(s.pager.path, journaled=True) for s in stores]
+        reopened = [PagedNodeStore(s.pager.path) for s in stores]
         assert max(int(s.get_meta("service.repl.commit")) for s in reopened) == 2
         for store in reopened:
             store.close()
@@ -620,7 +633,7 @@ class TestShardedCommitMetadata:
         for store in stores:
             simulate_crash(store)
 
-        reopened = [PagedNodeStore(s.pager.path, journaled=True) for s in stores]
+        reopened = [PagedNodeStore(s.pager.path) for s in stores]
         restarted = ShardedTree(
             "sum", num_shards=4, span=(0, 100_000), stores=reopened
         )

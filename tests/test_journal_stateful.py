@@ -1,6 +1,6 @@
 """Stateful crash-recovery testing of the write-ahead log.
 
-The machine drives a journaled pager behind a two-frame buffer pool
+The machine drives a pager behind a two-frame buffer pool
 through random page writes, evictions, commits, checkpoints, clean
 reopens and crashes -- a process death, or a power cut under each
 :meth:`repro.faults.FaultInjector.lose_power` mode -- against a dict
@@ -31,7 +31,7 @@ class JournalMachine(RuleBasedStateMachine):
         super().__init__()
         self._dir = tempfile.mkdtemp(prefix="journal-machine-")
         self.path = os.path.join(self._dir, "p.sbt")
-        pager = Pager(self.path, page_size=512, journaled=True)
+        pager = Pager(self.path, page_size=512)
         for page in range(1, PAGES + 1):
             pager.allocate_page()
         pager.close()
@@ -41,7 +41,7 @@ class JournalMachine(RuleBasedStateMachine):
 
     def _open(self):
         # A fresh injector per pager: it remembers what no fsync covered.
-        self.pager = Pager(self.path, journaled=True, faults=FaultInjector())
+        self.pager = Pager(self.path, faults=FaultInjector())
         self.pool = BufferPool(self.pager, capacity=2)
         self.pending = {}
 

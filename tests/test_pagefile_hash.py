@@ -50,7 +50,7 @@ def scripted_ops(kind, count=OPS):
 
 def build(path, kind, page_size):
     store = PagedNodeStore(
-        path, kind, page_size=page_size, buffer_capacity=8, journaled=True
+        path, kind, page_size=page_size, buffer_capacity=8
     )
     tree = SBTree(
         kind, store,
@@ -77,7 +77,7 @@ def build(path, kind, page_size):
 # (reads, writes, allocations, frees | hits, misses, evictions,
 #  dirty_writebacks | physical_reads, physical_writes).  The digests
 # predate the redo WAL, which left them alone; physical_writes counts
-# data-file writes, which a journaled pager makes only at a checkpoint
+# data-file writes, which the pager makes only at a checkpoint
 # (one copy per page of a 1 MiB WAL generation; the close that follows
 # the counters is not in them).
 PINNED = {

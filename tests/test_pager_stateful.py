@@ -93,7 +93,7 @@ class BufferPoolMachine(RuleBasedStateMachine):
         super().__init__()
         self._dir = tempfile.mkdtemp(prefix="pool-machine-")
         self.pager = Pager(
-            os.path.join(self._dir, "pages.db"), page_size=512, journaled=True
+            os.path.join(self._dir, "pages.db"), page_size=512
         )
         self.page_ids = [self.pager.allocate_page() for _ in range(8)]
         self.pool = BufferPool(self.pager, capacity=3)

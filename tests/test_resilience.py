@@ -187,7 +187,7 @@ class TestDedupPersistence:
         handle.stop()
         store.close()
 
-        store2 = PagedNodeStore(path, "sum", journaled=True)
+        store2 = PagedNodeStore(path, "sum")
         tree = SBTree(store=store2)
         want = reference.instantaneous_table(
             [(2, (0, 100)), (4, (50, 150))], "sum"
@@ -217,7 +217,7 @@ class TestDedupPersistence:
         assert acked == [1]
         store.close()
 
-        store2 = PagedNodeStore(path, "sum", journaled=True)
+        store2 = PagedNodeStore(path, "sum")
         tree = SBTree(store=store2)
         assert tree.to_table() == reference.instantaneous_table(
             [(9, (10, 20))], "sum"

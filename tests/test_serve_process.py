@@ -24,7 +24,6 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.process import ServeProcess
 from repro.service.server import TemporalAggregateServer
 from repro.sharding import ShardedTree
-from repro.storage import PagedNodeStore
 
 FACTS = [(4, (10, 40)), (7, (20, 60)), (2, (30, 35))]
 
@@ -181,9 +180,6 @@ def test_reopening_under_another_shard_layout_is_refused(tmp_path):
         assert (svc.lookup(300), svc.lookup(600)) == (5, 5)
 
 
-def test_server_refuses_stores_without_a_wal(tmp_path):
-    unjournaled = PagedNodeStore(str(tmp_path / "plain.sbt"), "sum")
-    for store in (MemoryNodeStore(), unjournaled):
-        with pytest.raises(ValueError, match="journaled"):
-            TemporalAggregateServer(ShardedTree("sum", [], stores=[store]))
-    unjournaled.close()
+def test_server_refuses_stores_without_a_wal():
+    with pytest.raises(ValueError, match="page files only"):
+        TemporalAggregateServer(ShardedTree("sum", [], stores=[MemoryNodeStore()]))

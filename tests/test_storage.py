@@ -95,7 +95,10 @@ class TestPager:
             pager.stats.reset()
             pager.write_page(pid, b"abc")
             pager.read_page(pid)
-            assert pager.stats.physical_writes == 1
+            # A page write is a WAL frame; the data file waits for a
+            # checkpoint.
+            assert pager.stats.wal_frames == 1
+            assert pager.stats.physical_writes == 0
             assert pager.stats.physical_reads == 1
 
 
@@ -121,9 +124,9 @@ class TestBufferPool:
         pid = pager.allocate_page()
         pager.stats.reset()
         pool.write(pid, b"dirty", None)
-        assert pager.stats.physical_writes == 0
+        assert pager.stats.wal_frames == 0
         pool.flush()
-        assert pager.stats.physical_writes == 1
+        assert pager.stats.wal_frames == 1
         assert pager.read_page(pid).rstrip(b"\x00") == b"dirty"
 
     def test_eviction_writes_back_dirty_pages(self, tmp_path):
@@ -158,7 +161,7 @@ class TestBufferPool:
         pool.write(pid, b"new", None)
         pool.discard(pid)
         pool.flush()
-        assert pager.stats.physical_writes == 0
+        assert pager.stats.wal_frames == 0
 
     def test_capacity_validation(self, tmp_path):
         pager, _ = self.make(tmp_path, capacity=1)
@@ -711,7 +714,7 @@ class TestLiveNodes:
         rng = random.Random(1401)
         store = PagedNodeStore(
             str(tmp_path / "pinned.sbt"), "sum", page_size=512,
-            buffer_capacity=4, journaled=True,
+            buffer_capacity=4,
         )
         tree = SBTree("sum", store, branching=6, leaf_capacity=6)
         live = []
@@ -754,7 +757,7 @@ class TestLiveNodes:
 
 
 # ----------------------------------------------------------------------
-# Pager hardening (geometry mismatch, free-list validation, sync races)
+# Pager hardening (geometry mismatch, free-list validation, commit races)
 # ----------------------------------------------------------------------
 class TestPagerHardening:
     def test_page_size_mismatch_warns(self, tmp_path):
@@ -807,9 +810,9 @@ class TestPagerHardening:
             with pytest.raises(ValueError, match="cannot free page"):
                 pager.free_page(-3)
 
-    def test_sync_races_with_writes(self, tmp_path):
-        """pager.sync() holds the mutex, so a concurrent writer can never
-        observe a torn write_page/sync interleaving."""
+    def test_commit_races_with_writes(self, tmp_path):
+        """pager.commit() holds the mutex, so a concurrent writer can
+        never observe a torn write_page/commit interleaving."""
         import threading
 
         with Pager(str(tmp_path / "t.sbt"), page_size=512) as pager:
@@ -817,10 +820,10 @@ class TestPagerHardening:
             stop = threading.Event()
             errors = []
 
-            def syncer():
+            def committer():
                 while not stop.is_set():
                     try:
-                        pager.sync()
+                        pager.commit()
                     except Exception as exc:  # pragma: no cover
                         errors.append(exc)
                         return
@@ -833,7 +836,7 @@ class TestPagerHardening:
                 except Exception as exc:  # pragma: no cover
                     errors.append(exc)
 
-            threads = [threading.Thread(target=syncer) for _ in range(2)]
+            threads = [threading.Thread(target=committer) for _ in range(2)]
             threads += [threading.Thread(target=writer)]
             for t in threads:
                 t.start()
@@ -846,7 +849,7 @@ class TestPagerHardening:
                 assert pager.read_page(pid).rstrip(b"\x00") == b"%d:149" % pid
 
     def test_flush_races_with_reads(self, tmp_path):
-        """PagedNodeStore.flush (buffer write-back + sync) vs readers."""
+        """PagedNodeStore.commit (``flush`` is its alias) vs readers."""
         import threading
 
         with PagedNodeStore(
@@ -861,7 +864,7 @@ class TestPagerHardening:
             def flusher():
                 while not stop.is_set():
                     try:
-                        store.flush()
+                        store.commit()
                     except Exception as exc:  # pragma: no cover
                         errors.append(exc)
                         return

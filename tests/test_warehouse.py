@@ -241,7 +241,7 @@ class TestTemporalWarehouse:
                     assert not os.path.exists(path + "-wal")
 
     def test_dropped_view_leaves_no_wal_for_its_name(self, tmp_path):
-        """A dropped journaled view whose store could not close cleanly
+        """A dropped persistent view whose store could not close cleanly
         still takes its WAL with it: left behind, the frames would
         replay into the next view of that name."""
         import os
@@ -252,7 +252,7 @@ class TestTemporalWarehouse:
         wh = TemporalWarehouse(directory)
         rel = wh.create_table("t")
         wh.create_table("u")
-        view = wh.create_view("v", "t", "sum", persistent=True, journaled=True)
+        view = wh.create_view("v", "t", "sum", persistent=True)
         rel.insert(4, Interval(0, 10))
         wh.checkpoint()  # committed into the WAL, nothing checkpointed
         pager = view.index.store.pager
@@ -265,7 +265,7 @@ class TestTemporalWarehouse:
                 wh.checkpoint()
         wh.drop_view("v")  # a degraded store closes without a checkpoint
         assert os.listdir(directory) == []
-        again = wh.create_view("v", "u", "sum", persistent=True, journaled=True)
+        again = wh.create_view("v", "u", "sum", persistent=True)
         assert again.table().rows == []
         assert again.value_at(5) == 0
         wh.close()
@@ -319,18 +319,12 @@ class TestTemporalWarehouse:
             tree = SBTree(store=store)
             assert tree.lookup(19) == 6
 
-    def test_journaled_view_requires_persistence(self):
-        wh = TemporalWarehouse()
-        wh.create_table("t")
-        with pytest.raises(ValueError):
-            wh.create_view("v", "t", "sum", journaled=True)
-
     def test_journaled_view_survives_crash(self, tmp_path):
         directory = str(tmp_path / "wh")
         wh = TemporalWarehouse(directory)
         rel = wh.create_table("prescription")
         view = wh.create_view(
-            "SumDosage", "prescription", "sum", persistent=True, journaled=True
+            "SumDosage", "prescription", "sum", persistent=True
         )
         rows = load_prescriptions(rel)
         wh.checkpoint()  # durable snapshot
@@ -343,7 +337,7 @@ class TestTemporalWarehouse:
 
         from repro.storage import PagedNodeStore
 
-        with PagedNodeStore(f"{directory}/SumDosage.sbt", journaled=True) as s:
+        with PagedNodeStore(f"{directory}/SumDosage.sbt") as s:
             recovered = SBTree(store=s)
             assert (
                 recovered.to_table().finalized(recovered.spec).coalesce()
