@@ -27,7 +27,10 @@ tables* on top of the same machinery:
   one batch per group.  Only the affected (key, time-range) regions of
   the view's *output rows* are then regenerated and re-emitted as
   change events for downstream views, found by bisecting the group's
-  sorted row index, never by scanning it;
+  sorted row index, never by scanning it.  For SUM/COUNT/AVG those
+  regions are the spans of the net effect -- where the group's tree
+  changed -- not the spans of the records, so a row an upstream view
+  retracted and re-emitted unchanged is left alone;
 * the :class:`DynamicCatalog` owns the dependency DAG (cycle rejection
   at ``create_view`` time), refreshes stale views in topological order
   on each :meth:`~DynamicCatalog.tick`, persists per-view watermarks
@@ -79,11 +82,14 @@ recompute-from-scratch oracle in the tests mirrors the same rule.
 Robustness (DESIGN.md section 14)
 ---------------------------------
 
-* **Bounded retention.**  Consumed change-log prefixes are compacted
-  away on every :meth:`DynamicCatalog.save`;
-  what the dropped records built is captured instead as per-group
-  *tree checkpoints* -- the coalesced internal step function of each
-  group's SB-tree -- so a restore replays only the unconsumed tail.
+* **Bounded retention.**  A change log keeps exactly the records its
+  slowest consumer has not read: each refresh drops what every
+  consumer of its sources has read, each DDL recomputes who consumes
+  what, and a node no view consumes builds no record at all.  That
+  holds with or without a directory; what the dropped records built
+  is checkpointed as per-group *tree checkpoints* -- the coalesced
+  internal step function of each group's SB-tree -- so a restore
+  replays only the unconsumed tail.
 * **Crash safety.**  ``save`` is fault-injectable (``faults=``) at
   labeled crash points (torn temp write, fsync failure, crash
   before/after the rename) and always retains the previous checkpoint
@@ -242,11 +248,12 @@ class ChangeLog:
     Sequence numbers start at 1; ``head`` is the last assigned number
     (0 for an empty log).  Consumers remember a *watermark* -- the last
     sequence they applied -- and read forward with :meth:`since`.
-    Retention is bounded: :meth:`compact` drops a fully-consumed prefix
-    (records ``seq <= base`` are gone), so only the unconsumed tail
-    stays in memory and on disk.  What the dropped prefix built is
-    captured by the catalog's
-    per-view tree checkpoints instead (see
+    The log keeps exactly the records its slowest consumer has not
+    read (records ``seq <= base`` are gone): the catalog calls
+    :meth:`compact` after every refresh and every DDL, and while no
+    view consumes it (``consumed`` is false) a change is only numbered
+    (:meth:`skip`), so ``base == head``.  What a dropped prefix
+    built lives in the consumers' trees, checkpointed per view (see
     :meth:`DynamicCatalog.save`); DESIGN.md section 14 has the
     trade-off.
     """
@@ -257,6 +264,8 @@ class ChangeLog:
         #: Highest compacted-away sequence number; retained records are
         #: exactly ``base + 1 .. head``.
         self.base = 0
+        #: Whether any view consumes this log; the catalog sets it.
+        self.consumed = False
 
     def append(self, kind: str, value: Any, interval: Interval,
                payload: Mapping[str, Any], at: float) -> int:
@@ -266,6 +275,11 @@ class ChangeLog:
                       dict(payload), at)
         )
         return self.head
+
+    def skip(self) -> None:
+        """Number a change nobody will read, keeping no record of it."""
+        self.head += 1
+        self.base = self.head
 
     def since(self, watermark: int) -> List[LogRecord]:
         """Records with ``seq > watermark``, oldest first."""
@@ -284,8 +298,8 @@ class ChangeLog:
 
         Compacting past ``head`` clamps to ``head``; compacting behind
         ``base`` is a no-op.  Callers must not compact past the lowest
-        consumer watermark (:meth:`DynamicCatalog.compact` never does)
-        or :meth:`since` will refuse those consumers.
+        consumer watermark (the catalog never does) or :meth:`since`
+        will refuse those consumers.
         """
         target = min(upto_seq, self.head)
         if target <= self.base:
@@ -328,6 +342,9 @@ class _LogTap:
         self._clock = clock
 
     def __call__(self, event: ChangeEvent) -> None:
+        if not self.log.consumed:
+            self.log.skip()
+            return
         self.log.append(
             "insert" if event.kind is ChangeKind.INSERT else "delete",
             event.tuple.value,
@@ -470,9 +487,9 @@ class DynamicView:
         upstream view's retract / re-emit pairs) never reach the tree.
         MIN/MAX are insert-only and nothing cancels (paper, Section
         3.4): each group's records go in as they are, as one batch,
-        behind the veto.  Output rows are then
-        regenerated only for the union of (key, time-range) regions the
-        records touched.
+        behind the veto.  Output rows are then regenerated only where
+        a group's tree changed: over the merged spans of its folded
+        segments, or for MIN/MAX of its records.
 
         Folding touches no state, so a record the aggregate cannot
         accumulate (a non-numeric value in a SUM) raises before the
@@ -494,6 +511,7 @@ class DynamicView:
             for record in batch:
                 groups.setdefault(self._key_of(record), []).append(record)
             consumed += len(batch)
+        changed: Dict[Hashable, List[Tuple[Time, Time]]] = {}
         if self.spec.invertible:
             folded = [self._fold(records) for records in groups.values()]
             for key, segments in zip(groups, folded):
@@ -502,6 +520,7 @@ class DynamicView:
                     for value, start, end in segments
                 )
                 self.effects_applied += len(segments)
+                changed[key] = [(start, end) for _, start, end in segments]
         else:
             # Two-phase, like the eager views: veto before any mutation
             # so a batch with a deletion cannot half-apply.
@@ -519,10 +538,11 @@ class DynamicView:
                     (record.value, record.interval) for record in records
                 )
                 self.effects_applied += len(records)
+                changed[key] = [(r.start, r.end) for r in records]
         for src, batch in batches:
             self.watermarks[src] = batch[-1].seq
-        for key, records in groups.items():
-            for lo, hi in _merge_spans([(r.start, r.end) for r in records]):
+        for key, spans in changed.items():
+            for lo, hi in _merge_spans(spans):
                 self._regenerate(key, lo, hi)
         self.refreshes += 1
         self.events_consumed += consumed
@@ -735,6 +755,8 @@ class DynamicCatalog:
         self._tables: Dict[str, _BaseNode] = {}
         self._views: Dict[str, DynamicView] = {}
         self._order: List[str] = []  # creation order == a topological order
+        # node -> the views consuming it; rebuilt by every DDL.
+        self._readers: Dict[str, List[DynamicView]] = {}
         self.ticks = 0
         #: Optional :class:`repro.faults.FaultInjector` consulted at the
         #: checkpoint crash points and around the temp-file write/fsync.
@@ -798,6 +820,7 @@ class DynamicCatalog:
             node = _BaseNode(name, relation, self.clock)
             self._tables[name] = node
             self._order.append(name)
+            self._recount_readers()
             return relation
 
     def attach_table(self, name: str, relation: TemporalRelation) -> None:
@@ -807,6 +830,7 @@ class DynamicCatalog:
                 raise ValueError(f"table or view {name!r} already exists")
             self._tables[name] = _BaseNode(name, relation, self.clock)
             self._order.append(name)
+            self._recount_readers()
 
     def table(self, name: str) -> TemporalRelation:
         with self._lock:
@@ -831,6 +855,27 @@ class DynamicCatalog:
         """Views that consume *name* directly."""
         with self._lock:
             return [v.name for v in self._views.values() if name in v.sources]
+
+    def _recount_readers(self) -> None:
+        """Recompute which views consume each node (after any DDL), then
+        trim every log to what its slowest consumer has not read."""
+        self._readers = {name: [] for name in self._order}
+        for view in self._views.values():
+            for src in view.sources:
+                self._readers[src].append(view)
+        for name, readers in self._readers.items():
+            self._node(name).log.consumed = bool(readers)
+        self._trim(self._order)
+
+    def _trim(self, names: Sequence[str]) -> None:
+        """Drop from each named log what all of its consumers have read
+        (everything, when it has none)."""
+        for name in names:
+            log = self._node(name).log
+            log.compact(min(
+                (view.watermarks[name] for view in self._readers[name]),
+                default=log.head,
+            ))
 
     def _check_acyclic(self, name: str, sources: Sequence[str]) -> None:
         """Reject any edge set that would close a cycle through *name*.
@@ -870,10 +915,11 @@ class DynamicCatalog:
         ``lag`` accepts anything :func:`parse_lag` does.  With
         ``create_sources`` unknown source names are auto-created as
         base tables (the service's ingest-after-declare convenience);
-        otherwise they are rejected.  The new view starts at watermark
-        0 everywhere, so its first refresh consumes each source's full
-        backlog -- a view over a non-empty table starts complete after
-        one refresh.
+        otherwise they are rejected.  A source whose log still holds
+        its whole history (another consumer has not read past its
+        start) is replayed by the first refresh; any other source --
+        one nobody consumed keeps no records -- seeds the view from
+        its live rows here, so the view is complete when created.
         """
         sources = [over] if isinstance(over, str) else list(over)
         if not sources:
@@ -905,19 +951,20 @@ class DynamicCatalog:
             self._bootstrap_compacted_sources(view)
             self._views[name] = view
             self._order.append(name)
+            self._recount_readers()
             return view
 
     def _bootstrap_compacted_sources(self, view: DynamicView) -> None:
         """Seed a new view from sources whose log prefix was compacted.
 
-        A new view starts at watermark 0 and normally replays each
-        source's full log on first refresh; once retention has dropped
-        a consumed prefix that replay is impossible.  The source
-        relation's live rows are the net effect of the whole log
-        (inserts minus deletions -- and MIN/MAX-unsafe deletion
-        histories only arise where refresh would have vetoed them), so
-        the view bootstraps from those rows instead and starts at the
-        source's current head.
+        A new view starts at watermark 0 and replays a source's log on
+        first refresh only while that log still starts at seq 1; once
+        retention has dropped a prefix -- always, for a source nobody
+        consumed -- that replay is impossible.  The source relation's
+        live rows are the net effect of the whole log (inserts minus
+        deletions, so a MIN/MAX view answers the live rows where a
+        replay would have vetoed a deletion), and the view bootstraps
+        from those rows instead, starting at the source's current head.
         """
         seeds: Dict[Hashable, List[TemporalTuple]] = {}
         heads: Dict[str, int] = {}
@@ -953,6 +1000,7 @@ class DynamicCatalog:
             view.relation.unsubscribe(view._tap)
             del self._views[name]
             self._order.remove(name)
+            self._recount_readers()
 
     def drop_table(self, name: str) -> None:
         """Unregister a base table; refused while views consume it."""
@@ -969,6 +1017,7 @@ class DynamicCatalog:
             node.detach()
             del self._tables[name]
             self._order.remove(name)
+            self._recount_readers()
 
     # ------------------------------------------------------------------
     # Refresh scheduling
@@ -1090,6 +1139,7 @@ class DynamicCatalog:
                 count = view.refresh(self._node, now)
             if count:
                 consumed[name] = count
+                self._trim(view.sources)
         return consumed
 
     def _quarantine(self, view: DynamicView, exc: BaseException, now: float) -> None:
@@ -1263,6 +1313,8 @@ class DynamicCatalog:
                     "lag": format_lag(view.lag),
                     "watermarks": dict(view.watermarks),
                     "pending": view.pending_from(self._node),
+                    "head": view.log.head,
+                    "log_retained": view.log.retained,
                     "staleness_s": self.staleness(view, now),
                     "refreshes": view.refreshes,
                     "events_consumed": view.events_consumed,
@@ -1317,35 +1369,13 @@ class DynamicCatalog:
             out.append([key, segments])
         return out
 
-    def compact(self) -> int:
-        """Drop every change-log prefix all of its consumers have
-        applied; returns records dropped."""
-        with self._lock:
-            return self._compact_logs()
-
-    def _compact_logs(self) -> int:
-        dropped = 0
-        for name in self._order:
-            node = self._tables.get(name) or self._views.get(name)
-            if node is None:  # pragma: no cover - order only names nodes
-                continue
-            consumers = [
-                v.watermarks.get(name, 0)
-                for v in self._views.values()
-                if name in v.sources
-            ]
-            # With no consumers the whole log is compactable: a view
-            # created later bootstraps from the relation's live rows.
-            target = min(consumers) if consumers else node.log.head
-            dropped += node.log.compact(target)
-        return dropped
-
     def save(self) -> str:
         """Checkpoint definitions, watermarks, logs, trees, and rows.
 
-        Consumed change-log prefixes are first compacted away; the
-        checkpoint carries per-group tree checkpoints instead, so a
-        restore replays only the unconsumed tail.  The write is atomic (temp file + fsync + rename) and
+        The logs hold only their unconsumed tails (refresh and DDL
+        drop the rest); the checkpoint carries per-group tree
+        checkpoints instead, so a restore replays only those tails.
+        The write is atomic (temp file + fsync + rename) and
         the previous checkpoint is retained as ``dynamic.json.prev``
         before the rename, so a crash at *any* point of the sequence
         leaves a restorable checkpoint behind.  With ``faults`` the
@@ -1354,7 +1384,6 @@ class DynamicCatalog:
         """
         with self._lock:
             path = self._checkpoint_path()
-            self._compact_logs()
             payload: Dict[str, Any] = {
                 "version": 2,
                 "order": list(self._order),
@@ -1547,6 +1576,7 @@ class DynamicCatalog:
                     self._views[name] = view
                     self._order.append(name)
                     self._restore_trees(view, raw["trees"])
+            self._recount_readers()
 
     def _restored_relation(self, name: str, rows: List[List[Any]]) -> TemporalRelation:
         if self.warehouse is not None:

@@ -39,6 +39,33 @@ def _facts(catalog, table="t"):
     ]
 
 
+def _retention_fact(i):
+    """``(value, (start, end), payload)`` of the i-th fact of a stream
+    over three keys."""
+    start = i * 37 % 700
+    return 1 + i % 5, (start, start + 1 + i % 40), {"k": f"k{i % 3}"}
+
+
+def _ingest(cat, lo, hi):
+    """Insert facts ``lo .. hi - 1`` of that stream into table ``t``."""
+    for i in range(lo, hi):
+        value, valid, payload = _retention_fact(i)
+        cat.insert("t", value, valid, **payload)
+
+
+def _kept_and_unread(stats):
+    """Per node of a ``stats()`` reply: (records its log keeps, records
+    its slowest consumer has not read -- 0 when no view consumes it)."""
+    views = stats["views"]
+    out = {}
+    for name, node in {**stats["tables"], **views}.items():
+        marks = [v["watermarks"][name] for v in views.values()
+                 if name in v["sources"]]
+        unread = node["head"] - min(marks) if marks else 0
+        out[name] = (node["log_retained"], unread)
+    return out
+
+
 class FakeClock:
     def __init__(self) -> None:
         self.now = 100.0
@@ -55,7 +82,7 @@ class FakeClock:
 # ----------------------------------------------------------------------
 class TestRetentionBound:
     def test_log_stays_bounded_under_sustained_ingest(self, tmp_path):
-        """With every consumer caught up, each save compacts the consumed
+        """With every consumer caught up, each refresh drops the consumed
         prefix: the retained log never grows with total ingest."""
         directory = str(tmp_path / "cat")
         batch = 25
@@ -69,7 +96,7 @@ class TestRetentionBound:
                     cat.refresh()
                     cat.save()
                     retained.append(cat.stats()["tables"]["t"]["log_retained"])
-            # O(unconsumed), not O(ingested): after refresh+save the
+            # O(unconsumed), not O(ingested): after a refresh the
             # consumed prefix is gone, regardless of how much history
             # the table has absorbed.
             assert max(retained) == 0
@@ -87,22 +114,59 @@ class TestRetentionBound:
                 assert (cat.read("v", t).value or 0) == (want or 0), f"t={t}"
 
     def test_unconsumed_tail_is_kept(self):
-        """A lagging consumer pins the log: only the prefix below the
-        minimum consumer watermark is compactable."""
+        """A lagging consumer pins exactly its unread tail, on a table and
+        on a view alike (``view_stats`` carries ``head`` and
+        ``log_retained`` per view); a sink view keeps nothing."""
         cat = DynamicCatalog()
         cat.create_table("t")
         cat.create_view("fast", "t", "sum")
         cat.create_view("slow", "t", "count")
+        cat.create_view("top", "fast", "sum")
         for i in range(10):
             cat.insert("t", 1, (i, i + 5))
-        cat.refresh("fast")  # slow stays at watermark 0
-        cat.compact()
-        # The table's log is pinned by the lagging consumer (the view's
-        # own output log may compact -- nobody consumes it).
-        assert cat.stats()["tables"]["t"]["log_retained"] == 10
+        cat.refresh("fast")  # slow and top stay at watermark 0
+        kept = _kept_and_unread(cat.stats())
+        assert kept["t"] == (10, 10)
+        assert kept["fast"][0] == kept["fast"][1] > 0  # top read none
         cat.refresh()  # now everyone is at head
-        cat.compact()
-        assert cat.stats()["tables"]["t"]["log_retained"] == 0
+        kept = _kept_and_unread(cat.stats())
+        assert kept == {name: (0, 0) for name in ("t", "fast", "slow", "top")}
+        for sink in ("slow", "top"):
+            assert cat.stats()["views"][sink]["head"] > 0
+
+    def test_no_directory_keeps_only_unread_records(self):
+        """A catalog without a directory never saves, so it cannot wait
+        for a save to drop what its consumers have read: every refresh
+        does.  (Every served catalog is one of these.)"""
+        cat = DynamicCatalog()
+        cat.create_table("t")
+        cat.create_view("v", "t", "sum", key="k")
+        cat.create_view("w", "v", "sum")
+        for lo in range(0, 2_000, 50):
+            _ingest(cat, lo, lo + 50)
+            cat.refresh()
+            kept = _kept_and_unread(cat.stats())
+            assert kept == {name: (0, 0) for name in ("t", "v", "w")}, lo
+
+    def test_served_catalog_keeps_only_unread_records(self, open_shards):
+        handle = ServerHandle.start(
+            open_shards(num_shards=1, span=(0, 1000)), view_tick=0.0
+        )
+        try:
+            with ServiceClient(handle.host, handle.port, timeout=10.0) as svc:
+                svc.create_view("v", "t", "sum", key="k", lag="downstream")
+                svc.create_view("w", "v", "sum", lag="downstream")
+                for lo in range(0, 2_000, 50):
+                    rows = []
+                    for i in range(lo, lo + 50):
+                        value, (start, end), payload = _retention_fact(i)
+                        rows.append([value, start, end, payload])
+                    svc.table_insert("t", rows)
+                    svc.refresh_view()
+                    kept = _kept_and_unread(svc.view_stats())
+                    assert kept == {n: (0, 0) for n in ("t", "v", "w")}, lo
+        finally:
+            handle.stop()
 
 
 # ----------------------------------------------------------------------
@@ -346,8 +410,8 @@ class TestTreeCheckpointRestore:
                 for t in (10, 150, 390)
             }
         with DynamicCatalog(directory) as cat:
-            # The consumed prefix was compacted away on save: a restore
-            # that relied on log replay could not produce these values.
+            # The refresh dropped the consumed prefix: a restore that
+            # relied on log replay could not produce these values.
             assert cat.stats()["tables"]["t"]["log_retained"] == 0
             assert cat.stats()["tables"]["t"]["log_base"] == 60
             assert _facts(cat) == facts
@@ -362,8 +426,7 @@ class TestTreeCheckpointRestore:
         cat.create_view("v", "t", "sum")
         for i in range(20):
             cat.insert("t", 1 + i % 4, (i * 5, i * 5 + 30))
-        cat.refresh()
-        cat.compact()
+        cat.refresh()  # drops what v has read: all of it
         assert cat.stats()["tables"]["t"]["log_base"] == 20
         assert cat.stats()["tables"]["t"]["log_retained"] == 0
         # The log prefix is gone; a new view cannot replay it and must
@@ -381,6 +444,81 @@ class TestTreeCheckpointRestore:
         for t in (3, 47, 95):
             want = reference.instantaneous_value(facts, "sum", t)
             assert (cat.read("late", t).value or 0) == (want or 0)
+
+
+# ----------------------------------------------------------------------
+# Retention follows the consumer set
+# ----------------------------------------------------------------------
+def _check_sum_over(cat, name, facts):
+    """*name*, an ungrouped SUM over everything in *facts*, at every
+    fact's start and midpoint, read from its tree without refreshing."""
+    view = cat.view(name)
+    for _, (start, end) in facts:
+        for t in (start, (start + end) / 2):
+            want = reference.instantaneous_value(facts, "sum", t)
+            assert (view.value_at(t) or 0) == (want or 0), (name, t)
+
+
+class TestConsumerSetChanges:
+    def _table_and_sink(self, cat):
+        cat.create_table("t")
+        cat.create_view("v", "t", "sum", key="k")
+        _ingest(cat, 0, 30)
+        cat.refresh()
+
+    def test_view_over_a_sink_view_bootstraps_from_its_rows(self):
+        cat = DynamicCatalog()
+        self._table_and_sink(cat)
+        sink = cat.stats()["views"]["v"]
+        assert sink["log_retained"] == 0 and sink["head"] > 0
+        cat.create_view("w", "v", "sum")
+        created = cat.stats()["views"]["w"]
+        assert created["pending"] == created["refreshes"] == 0
+        _check_sum_over(cat, "w", _facts(cat, "t"))
+        _ingest(cat, 30, 60)
+        cat.refresh()
+        _check_sum_over(cat, "w", _facts(cat, "t"))
+
+    def test_dropping_the_last_consumer_empties_the_tail(self):
+        cat = DynamicCatalog()
+        cat.create_table("t")
+        cat.create_view("v", "t", "sum")
+        for i in range(10):
+            cat.insert("t", 1, (i, i + 5))
+        assert cat.stats()["tables"]["t"]["log_retained"] == 10
+        cat.drop_view("v")
+        table = cat.stats()["tables"]["t"]
+        assert table["log_retained"] == 0
+        assert table["log_base"] == table["head"] == 10
+        cat.insert("t", 1, (0, 5))
+        assert cat.stats()["tables"]["t"]["log_retained"] == 0
+
+    def test_new_consumer_of_a_reopened_sink_view(self, tmp_path):
+        directory = str(tmp_path / "cat")
+        with DynamicCatalog(directory) as cat:
+            self._table_and_sink(cat)
+        with DynamicCatalog(directory) as cat:
+            cat.insert("t", 4, (100, 300), k="k1")  # v must still see it
+            cat.create_view("w", "v", "sum")
+            cat.refresh()
+            _check_sum_over(cat, "w", _facts(cat, "t"))
+
+    def test_view_over_an_unconsumed_table_is_complete_when_created(self):
+        cat = DynamicCatalog()
+        cat.create_table("t")
+        rows = [cat.insert("t", v, (s, s + 20)) for v, s in
+                [(3, 0), (1, 5), (7, 12), (2, 30)]]
+        cat.delete("t", rows[1])  # the smallest value
+        assert cat.stats()["tables"]["t"]["log_retained"] == 0
+        cat.create_view("s", "t", "sum")
+        assert cat.stats()["views"]["s"]["pending"] == 0
+        facts = _facts(cat)
+        _check_sum_over(cat, "s", facts)
+        # A replay would veto the deletion; the live rows have none.
+        cat.create_view("m", "t", "min")
+        for t in (1, 8, 15, 25, 40):
+            want = reference.instantaneous_value(facts, "min", t)
+            assert cat.read("m", t).value == want, t
 
 
 # ----------------------------------------------------------------------
