@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from . import obs
 from .core.intervals import Time
@@ -231,6 +231,11 @@ class ConcurrentTree:
             False, "range_query", self.tree.range_query, interval
         )
 
+    def steps(self, interval: IntervalLike) -> Tuple[List[Time], List[Any]]:
+        # Explicit, like every read: __getattr__ would hand out the
+        # tree's own method, which runs without the lock.
+        return self._guarded(False, "range_query", self.tree.steps, interval)
+
     def to_table(self, **kwargs) -> ConstantIntervalTable:
         return self._guarded(False, "range_query", self.tree.to_table, **kwargs)
 
@@ -258,11 +263,14 @@ class ConcurrentTree:
 
     # ------------------------------------------------------------------
     def __getattr__(self, name: str) -> Any:
-        # Read-only passthrough for introspection (spec, kind, ...).
-        # Guard against infinite recursion when ``self.tree`` does not
-        # exist yet: ``copy.copy`` / ``pickle`` probe dunder methods on a
-        # blank instance *before* ``__init__`` runs, and a plain
-        # ``self.tree`` here would re-enter ``__getattr__`` forever.
+        # Passthrough for introspection (spec, kind, store, ...).  It
+        # takes no lock: a *method* fetched here runs unlocked, so every
+        # read or write a caller may run beside a writer needs an
+        # explicit wrapper above.  Guard against infinite recursion when
+        # ``self.tree`` does not exist yet: ``copy.copy`` / ``pickle``
+        # probe dunder methods on a blank instance *before* ``__init__``
+        # runs, and a plain ``self.tree`` here would re-enter
+        # ``__getattr__`` forever.
         if name.startswith("__") and name.endswith("__"):
             raise AttributeError(name)
         try:

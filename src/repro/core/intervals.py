@@ -39,7 +39,7 @@ def is_finite(t: Time) -> bool:
     return NEG_INF < t < POS_INF
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Interval:
     """A half-open time interval ``[start, end)``.
 
@@ -51,11 +51,14 @@ class Interval:
     start: Time
     end: Time
 
-    def __post_init__(self) -> None:
-        if not self.start < self.end:
-            raise ValueError(
-                f"empty or inverted interval [{self.start}, {self.end})"
-            )
+    def __init__(self, start: Time, end: Time) -> None:
+        if not start < end:
+            raise ValueError(f"empty or inverted interval [{start}, {end})")
+        # A range read builds one per row: write the fields directly
+        # rather than through the frozen dataclass's object.__setattr__.
+        fields = self.__dict__
+        fields["start"] = start
+        fields["end"] = end
 
     # ------------------------------------------------------------------
     # Predicates

@@ -10,13 +10,17 @@ this type, which makes cross-checking them trivial.
 
 from __future__ import annotations
 
-import bisect
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .intervals import Interval, NEG_INF, POS_INF, Time, coalesce_pairs
 from .values import AggregateSpec, spec_for
 
-__all__ = ["ConstantIntervalTable", "merge_step_functions", "trim_initial"]
+__all__ = [
+    "ConstantIntervalTable",
+    "finalized_rows",
+    "merge_step_functions",
+    "trim_initial",
+]
 
 
 class ConstantIntervalTable:
@@ -49,6 +53,21 @@ class ConstantIntervalTable:
         return cls(pairs)
 
     @classmethod
+    def from_steps(
+        cls, edges: Sequence[Time], values: Sequence[Any]
+    ) -> "ConstantIntervalTable":
+        """Build a table from a flat step function: row k is ``values[k]``
+        over ``[edges[k], edges[k + 1])`` (what
+        :meth:`~repro.core.sbtree.SBTree.steps` returns).  Rows that share
+        their edges are contiguous by construction, so they are not
+        checked again."""
+        table = cls.__new__(cls)
+        table.rows = [
+            (value, Interval(a, b)) for value, a, b in zip(values, edges, edges[1:])
+        ]
+        return table
+
+    @classmethod
     def from_boundaries(
         cls,
         boundaries: Sequence[Time],
@@ -78,12 +97,19 @@ class ConstantIntervalTable:
     # Queries
     # ------------------------------------------------------------------
     def value_at(self, t: Time) -> Any:
-        """Return the value of the step function at instant *t*."""
-        starts = [interval.start for _, interval in self.rows]
-        i = bisect.bisect_right(starts, t) - 1
-        if i < 0 or not self.rows[i][1].contains(t):
+        """Return the value of the step function at instant *t*, in
+        O(log r): a binary search over the row starts."""
+        rows = self.rows
+        lo, hi = 0, len(rows)
+        while lo < hi:  # bisect_right over the starts, read in place
+            mid = (lo + hi) // 2
+            if t < rows[mid][1].start:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo == 0 or not rows[lo - 1][1].contains(t):
             raise KeyError(f"instant {t} outside table domain")
-        return self.rows[i][0]
+        return rows[lo - 1][0]
 
     def restrict(self, window: Interval) -> "ConstantIntervalTable":
         """Return the table clipped to *window*."""
@@ -228,6 +254,32 @@ def trim_initial(table: "ConstantIntervalTable", spec) -> "ConstantIntervalTable
     while end > start and spec.is_initial(rows[end - 1][0]):
         end -= 1
     return ConstantIntervalTable(rows[start:end])
+
+
+def finalized_rows(
+    edges: Sequence[Time], values: Sequence[Any], spec: AggregateSpec
+) -> List[List[Any]]:
+    """Coalesce and finalize a flat step function in one pass.
+
+    Returns ``[value, start, end]`` per maximal run of ``spec.eq``-equal
+    values, the value finalized: exactly the rows of
+    ``ConstantIntervalTable.from_steps(edges, values).coalesce(spec.eq)
+    .finalized(spec)``, with no table or interval built on the way (the
+    served ``rangeq`` reply).
+    """
+    eq, finalize = spec.eq, spec.finalize
+    rows: List[List[Any]] = []
+    if not values:
+        return rows
+    run, start = values[0], edges[0]
+    for k in range(1, len(values)):
+        value = values[k]
+        if not eq(run, value):
+            edge = edges[k]
+            rows.append([finalize(run), start, edge])
+            run, start = value, edge
+    rows.append([finalize(run), start, edges[-1]])
+    return rows
 
 
 def merge_step_functions(

@@ -233,54 +233,70 @@ class SBTree:
     # Range queries and reconstruction (Section 3.2)
     # ------------------------------------------------------------------
     @observed("range_query")
-    def range_query(self, interval: IntervalLike) -> ConstantIntervalTable:
-        """Return the aggregate's constant intervals clipped to *interval*.
+    def steps(self, interval: IntervalLike) -> Tuple[List[Time], List[Any]]:
+        """Return the aggregate over *interval* as a flat step function
+        ``(edges, values)``: row k is ``values[k]`` over ``[edges[k],
+        edges[k + 1])``, uncoalesced, one row per leaf interval the
+        window meets, clipped to it.
 
         A depth-first traversal of the leaves intersecting *interval*,
         accumulating values along each root-to-leaf path: O(h + r) where
-        r is the number of leaves touched.
+        r is the number of leaves touched.  Every other read of a range
+        (:meth:`range_query`, :meth:`to_table`, the sharded and served
+        ones) is built on this walk.
         """
         interval = as_interval(interval)
-        rows = list(
-            self._rangeq(self._root(), NEG_INF, POS_INF, interval, self.spec.v0)
+        edges: List[Time] = [interval.start]
+        values: List[Any] = []
+        self._steps(
+            self._root(), interval.start, interval.end, self.spec.v0, edges, values
         )
-        return ConstantIntervalTable(rows)
+        edges.append(interval.end)
+        return edges, values
 
-    def _rangeq(
-        self, node: Node, lo: Time, hi: Time, query: Interval, carried: Any
-    ) -> Iterator[Tuple[Any, Interval]]:
+    def _steps(
+        self,
+        node: Node,
+        start: Time,
+        end: Time,
+        carried: Any,
+        edges: List[Time],
+        values: List[Any],
+    ) -> None:
+        # Each stored instant sits at exactly one node, so the stored
+        # instants inside (start, end) -- leaf and separator alike, in
+        # time order -- are exactly the inner edges of the result.
         acc = self.spec.acc
-        # Intervals before the one holding query.start end at or before it.
-        for i in range(node.find(query.start), node.interval_count):
-            a, b = node.bounds(i, lo, hi)
-            if a >= query.end:
-                break
-            value = acc(carried, node.values[i])
-            if node.is_leaf:
-                yield value, Interval(max(a, query.start), min(b, query.end))
-            else:
-                child = self._read(node.children[i])
-                yield from self._rangeq(child, a, b, query, value)
+        times = node.times
+        # Intervals i..m meet the window: the one holding start, through
+        # the last one starting before end.
+        i = bisect.bisect_right(times, start)
+        m = bisect.bisect_left(times, end, i)
+        if node.is_leaf:
+            edges.extend(times[i:m])
+            values.extend([acc(carried, own) for own in node.values[i:m + 1]])
+            return
+        own, children, read = node.values, node.children, self.store.read
+        for k in range(i, m + 1):
+            if k > i:
+                edges.append(times[k - 1])
+            self._steps(
+                read(children[k]), start, end, acc(carried, own[k]), edges, values
+            )
+
+    @observed("range_query")
+    def range_query(self, interval: IntervalLike) -> ConstantIntervalTable:
+        """Return the aggregate's constant intervals clipped to *interval*:
+        :meth:`steps` as ``(value, Interval)`` rows."""
+        return ConstantIntervalTable.from_steps(*self.steps(interval))
 
     def leaf_pieces(self) -> Iterator[Tuple[Any, Time, Time]]:
         """Yield ``(value, start, end)`` for every leaf interval in time
         order, each value accumulated along its root-to-leaf path: the
-        uncoalesced full reconstruction (what :meth:`to_table` wraps),
-        one pass, no table objects."""
-        return self._pieces(self._root(), NEG_INF, POS_INF, self.spec.v0)
-
-    def _pieces(
-        self, node: Node, lo: Time, hi: Time, carried: Any
-    ) -> Iterator[Tuple[Any, Time, Time]]:
-        acc = self.spec.acc
-        edges = [lo, *node.times, hi]
-        for i, own in enumerate(node.values):
-            value = acc(carried, own)
-            if node.is_leaf:
-                yield value, edges[i], edges[i + 1]
-            else:
-                child = self._read(node.children[i])
-                yield from self._pieces(child, edges[i], edges[i + 1], value)
+        uncoalesced full reconstruction (:meth:`steps` over
+        ``(-inf, inf)``), no table objects."""
+        edges, values = self.steps((NEG_INF, POS_INF))
+        return zip(values, edges, edges[1:])
 
     @observed("range_query")
     def to_table(
@@ -291,9 +307,7 @@ class SBTree:
         With ``drop_initial`` the "harmless" leading/trailing ``v0`` rows
         of Section 3.2 are stripped, matching the paper's result tables.
         """
-        table = ConstantIntervalTable(
-            [(value, Interval(a, b)) for value, a, b in self.leaf_pieces()]
-        )
+        table = ConstantIntervalTable.from_steps(*self.steps((NEG_INF, POS_INF)))
         if coalesced:
             table = table.coalesce(self.spec.eq)
         if drop_initial:

@@ -142,6 +142,18 @@ logical message compare equal.  All integers are big-endian (network
 order); frame-aware middleboxes (the chaos proxy) need only the length
 prefix.
 
+A ``rows`` reply (``rangeq``) is a u32 row count, then per row a tagged
+scalar value and two raw f64 times.  A row whose value is an I64 or F64
+scalar is therefore 25 fixed bytes::
+
+    >Bqdd   u8 tag = 1, i64 value, f64 start, f64 end
+    >Bddd   u8 tag = 2, f64 value, f64 start, f64 end
+
+and is packed with one struct call and unpacked with one
+``unpack_from`` after a bounds check.  Any other row (``NULL``, a bool,
+a string) is written and read field by field, and an int beyond i64
+JSON-wraps the whole reply; the bytes are the same either way.
+
 Request field validation (:func:`number`, :func:`instant`,
 :func:`fact`, :func:`idem_key`) also lives here: it is where input from
 outside becomes trusted, once, for every op that carries the field.
@@ -209,6 +221,10 @@ _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
+#: A whole ``rows`` row, tag byte included: an I64 or F64 value, then
+#: the two f64 times.  The same bytes the per-field path writes.
+_ROW_I64 = struct.Struct(">Bqdd")
+_ROW_F64 = struct.Struct(">Bddd")
 
 # Envelope flag bits.
 _FLAG_IDEM = 1
@@ -724,6 +740,20 @@ def _encode_binary_reply(message: Dict[str, Any]) -> bytes:
                 if not isinstance(row, (list, tuple)) or len(row) != 3:
                     raise _Unpackable
                 value, start, end = row
+                kind, a, b = type(value), type(start), type(end)
+                if (a is int or a is float) and (b is int or b is float):
+                    # One struct call per row; an int beyond i64 (or a
+                    # time beyond a double) falls through to the
+                    # per-field path, which decides what it becomes.
+                    try:
+                        if kind is int:
+                            parts.append(_ROW_I64.pack(_TAG_I64, value, start, end))
+                            continue
+                        if kind is float:
+                            parts.append(_ROW_F64.pack(_TAG_F64, value, start, end))
+                            continue
+                    except struct.error:
+                        pass
                 _pack_scalar(value, parts)
                 _pack_time(start, parts)
                 _pack_time(end, parts)
@@ -770,9 +800,7 @@ def _encode_binary_reply(message: Dict[str, Any]) -> bytes:
 # ----------------------------------------------------------------------
 def _restore_num(x: float) -> Any:
     """Give whole-valued finite doubles back their int identity."""
-    if math.isfinite(x) and x == int(x):
-        return int(x)
-    return x
+    return int(x) if x.is_integer() else x
 
 
 class _Reader:
@@ -930,9 +958,23 @@ def _decode_binary(body: bytes) -> Dict[str, Any]:
         _decode_envelope(reader, message)
         n = reader.u32()
         rows: List[List[Any]] = []
+        off, size = reader.off, len(body)
         for _ in range(n):
-            value = reader.scalar()
-            rows.append([value, reader.time(), reader.time()])
+            # An I64 or F64 row is one unpack, once its 25 bytes are
+            # known to be there; any other row is read field by field.
+            if off + _ROW_I64.size <= size and body[off] == _TAG_I64:
+                _, value, start, end = _ROW_I64.unpack_from(body, off)
+                off += _ROW_I64.size
+            elif off + _ROW_F64.size <= size and body[off] == _TAG_F64:
+                _, value, start, end = _ROW_F64.unpack_from(body, off)
+                off += _ROW_F64.size
+            else:
+                reader.off = off
+                value = reader.scalar()
+                start, end = reader.f64(), reader.f64()
+                off = reader.off
+            rows.append([value, _restore_num(start), _restore_num(end)])
+        reader.off = off
         message["result"] = rows
         reader.expect_end()
         return message

@@ -57,6 +57,7 @@ from typing import Any, Dict, List, Optional
 from .. import obs
 from ..concurrent import LockTimeout
 from ..core.intervals import Interval
+from ..core.results import finalized_rows
 from ..faults import SimulatedCrash
 from ..obs import trace
 from ..obs.health import record_health, sharded_health
@@ -357,12 +358,8 @@ class TemporalAggregateServer:
             end = wire.number(request.get("end"), "end")
             if not start < end:
                 raise wire.ProtocolError(f"empty range [{start}, {end})")
-            table = (
-                sharded.range_query(Interval(start, end))
-                .coalesce(sharded.spec.eq)
-                .finalized(sharded.spec)
-            )
-            return [[value, iv.start, iv.end] for value, iv in table]
+            edges, values = sharded.steps(Interval(start, end))
+            return finalized_rows(edges, values, sharded.spec)
         t = wire.instant(request.get("t"), "t")
         w = wire.instant(request.get("w"), "w")
         return sharded.spec.finalize(sharded.window_lookup(t, w))

@@ -21,8 +21,8 @@ module applies the same time decomposition to the *maintained* index:
 
 Queries fan out to the shards their window overlaps and merge with the
 same step-function concatenation the bucket algorithm uses (per-shard
-results are disjoint and adjacent, so the merge is a concatenation plus
-coalesce).  Cumulative window lookups are served for MIN/MAX through
+results are disjoint and adjacent, so the merge concatenates the shards'
+flat ``(edges, values)`` step functions).  Cumulative window lookups are served for MIN/MAX through
 the paper's own range-scan route (Section 4: cumulative MIN/MAX at
 ``t`` equals the extremum of the instantaneous aggregate over the
 closed window ``[t - w, t]``).  For SUM/COUNT/AVG a cumulative window
@@ -460,23 +460,32 @@ class ShardedTree:
         """User-facing aggregate value at instant *t*."""
         return self.spec.finalize(self.lookup(t))
 
-    def range_query(self, interval: IntervalLike) -> ConstantIntervalTable:
-        """Fan out to the overlapped shards and concatenate their tables.
+    def steps(self, interval: IntervalLike) -> Tuple[List[Time], List[Any]]:
+        """Fan out to the overlapped shards and concatenate their flat
+        step functions (:meth:`~repro.core.sbtree.SBTree.steps`).
 
         Each shard returns the step function over its clip of the query
         window; the clips are disjoint and adjacent, so the merged
         result is their concatenation (the bucket algorithm's merge,
         with an empty meta array because spanning facts were split).
+        A shard's first edge is its clip's start: the window start for
+        the first shard, the cut -- already the last edge so far -- for
+        every later one, so it is dropped.
         """
         interval = as_interval(interval)
-        rows: List[Tuple[Any, Interval]] = []
+        edges: List[Time] = [interval.start]
+        values: List[Any] = []
         for index in self.router.overlapping(interval):
             clip = self.range_of(index).intersection(interval)
-            if clip is None:
-                continue
             with trace.span("shard.range_query", attrs={"shard": index}):
-                rows.extend(self.shards[index].range_query(clip).rows)
-        return ConstantIntervalTable(rows)
+                shard_edges, shard_values = self.shards[index].steps(clip)
+            edges += shard_edges[1:]
+            values += shard_values
+        return edges, values
+
+    def range_query(self, interval: IntervalLike) -> ConstantIntervalTable:
+        """:meth:`steps` as ``(value, Interval)`` rows."""
+        return ConstantIntervalTable.from_steps(*self.steps(interval))
 
     def range_of(self, index: int) -> Interval:
         return self.router.range_of(index)
@@ -516,7 +525,7 @@ class ShardedTree:
             raise ShardingError("window offset must be non-negative")
         result = self.lookup(t)
         if w > 0:
-            for value, _ in self.range_query(Interval(t - w, t)):
+            for value in self.steps(Interval(t - w, t))[1]:
                 result = self.spec.acc(result, value)
         return result
 

@@ -34,6 +34,34 @@ class TestQueries:
         t = ConstantIntervalTable([(9, Interval(NEG_INF, POS_INF))])
         assert t.value_at(-1e12) == 9
 
+    def test_value_at_reads_log_r_row_starts(self):
+        """A lookup is a binary search, not a scan of every row start:
+        the dual-tree window query calls it for every edge of three
+        tables, so a scan made that O(r^2)."""
+
+        class CountedInterval(Interval):
+            reads = 0
+
+            @property
+            def start(self):
+                CountedInterval.reads += 1
+                return self.__dict__["start"]
+
+            @start.setter
+            def start(self, value):
+                self.__dict__["start"] = value
+
+        n = 10_000
+        t = ConstantIntervalTable((i, CountedInterval(i, i + 1)) for i in range(n))
+        for probe in (0, 1, n // 2, n - 1):
+            CountedInterval.reads = 0
+            assert t.value_at(probe + 0.5) == probe
+            assert CountedInterval.reads <= 16  # ceil(log2(10k)) + 1 + contains
+        CountedInterval.reads = 0
+        with pytest.raises(KeyError):
+            t.value_at(n + 3)
+        assert CountedInterval.reads <= 16
+
     def test_restrict(self):
         t = table((1, 0, 5), (2, 5, 10), (3, 10, 20))
         got = t.restrict(Interval(3, 12))
