@@ -65,7 +65,8 @@ def test_insert_cost_flat_in_interval_length(report):
 
 
 def test_height_bounds_every_update(report):
-    """Every update touches at most ~4x height nodes (two paths, merges)."""
+    """Every update reads at most 3x height nodes: two paths, and an
+    ``imerge`` descent only at an endpoint that may now merge."""
     sb = _fresh_sb()
     height = sb.height
     worst = 0
@@ -76,9 +77,9 @@ def test_height_bounds_every_update(report):
     report(
         "Section 3.3 / per-update node-read bound",
         f"height={height}  worst reads in {scaled(200)} updates={worst}  "
-        f"bound=8*height={8 * height}",
+        f"bound=3*height={3 * height}",
     )
-    assert worst <= 8 * height
+    assert worst <= 3 * height
 
 
 @pytest.mark.parametrize("length", [100, 10_000, HORIZON - 2])

@@ -30,7 +30,7 @@ import functools
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from ..obs import observed
-from .intervals import Interval, NEG_INF, POS_INF, Time, is_finite
+from .intervals import Interval, NEG_INF, POS_INF, Time
 from .nodes import Node, NodeId
 from .results import ConstantIntervalTable, trim_initial
 from .nodestore import MemoryNodeStore, NodeStore
@@ -72,8 +72,8 @@ def _reverting(method):
 class _Batch:
     """What one batched insert has done so far, for its single write
     (or its undo): the nodes it changed, each once and children before
-    parents; the nodes it allocated; and the effect endpoints that now
-    separate equal values (SUM/COUNT/AVG)."""
+    parents; the nodes it allocated; and the effect endpoints that may
+    now separate equal values (SUM/COUNT/AVG)."""
 
     __slots__ = ("touched", "allocated", "merge_at")
 
@@ -330,57 +330,123 @@ class SBTree:
     @observed("insert")
     @_reverting
     def insert_effect(self, effect: Any, interval: IntervalLike) -> None:
-        """Apply a raw effect pair ``<effect, interval>`` (Section 3.3)."""
+        """Apply a raw effect pair ``<effect, interval>`` (Section 3.3).
+
+        One descent along the at most two paths bounding *interval*
+        (:meth:`_insert`), which writes only the nodes it changed and,
+        on SUM/COUNT/AVG trees, notes which endpoints may now separate
+        equal values (:meth:`_merge_candidates`).  ``imerge`` then runs
+        at those endpoints only, start before end.  An endpoint the
+        descent found between unequal values stays so while the other
+        endpoint's ``nmerge`` reshapes the tree, since every such step
+        preserves each instant's lookup value.
+        """
         interval = as_interval(interval)
         root = self._root()
-        self._insert(root, NEG_INF, POS_INF, effect, interval)
+        merge_at: Optional[Set[Time]] = set() if self._auto_compact else None
+        self._insert(root, NEG_INF, POS_INF, effect, interval, merge_at)
         if self._overflows(root):
             self._grow_root(root)
-        if self._auto_compact:
-            for t in (interval.start, interval.end):
-                if is_finite(t):
-                    self._imerge_at(t)
+        if merge_at:
+            self._imerge_each(sorted(merge_at))
 
-    def _insert(self, node: Node, lo: Time, hi: Time, v: Any, query: Interval) -> None:
-        acc, eq = self.spec.acc, self.spec.eq
+    def _insert(
+        self,
+        node: Node,
+        lo: Time,
+        hi: Time,
+        v: Any,
+        query: Interval,
+        merge_at: Optional[Set[Time]] = None,
+    ) -> None:
+        """Apply effect *v* over *query* at and below *node* (span
+        ``[lo, hi)``), and write *node* only if it changed: a value or
+        u-value the effect moved, a leaf interval it cut, or a child
+        that split.  Interior values are adjusted before the descent and
+        the node is written after it, so a failure in between leaves an
+        unwritten change for ``revert_unwritten``.  With a *merge_at*
+        set, the endpoints that may now separate equal values are added
+        to it (:meth:`_merge_candidates`)."""
+        s, e = query.start, query.end
         if node.is_leaf:
-            self._apply_to_leaf(node, lo, hi, v, query)
-            self.store.write(node)
+            changed = self._apply_to_leaf(node, lo, hi, v, query)
+            if merge_at is not None:
+                self._merge_candidates(node, (s, e), merge_at)
+            if changed:
+                self.store.write(node)
             return
-        # Intervals before the one holding query.start end at or before it
-        # and are untouched (values and u-values alike): start there.
-        i = node.find(query.start)
-        while i < node.interval_count:
-            a, b = node.bounds(i, lo, hi)
-            if a >= query.end:
+        if merge_at is not None:
+            self._merge_candidates(node, (s, e), merge_at)
+        acc, eq = self.spec.acc, self.spec.eq
+        times, values, uvalues = node.times, node.values, node.uvalues
+        changed = False
+        # Intervals before the one holding s end at or before it and are
+        # untouched (values and u-values alike): start there.
+        i = bisect.bisect_right(times, s)
+        while i < len(values):
+            a = times[i - 1] if i else lo
+            if a >= e:
                 break
-            if node.uvalues is not None:
+            b = times[i] if i < len(times) else hi
+            if uvalues is not None:
                 # MSB-tree: the interval overlaps the effect, so its
                 # exact-extremum annotation absorbs v (Section 4.3).
-                node.uvalues[i] = acc(v, node.uvalues[i])
-            current = node.values[i]
+                u = acc(v, uvalues[i])
+                if not eq(u, uvalues[i]):
+                    uvalues[i] = u
+                    changed = True
+            current = values[i]
             updated = acc(v, current)
             if eq(updated, current):
                 # The effect cannot change anything at or below this
                 # interval (MIN/MAX pruning; zero-effect for SUM).
                 i += 1
                 continue
-            if query.start <= a and b <= query.end:
+            if s <= a and b <= e:
                 # Segment-tree case: fully covered, record here and stop.
-                node.values[i] = updated
+                values[i] = updated
+                changed = True
                 i += 1
                 continue
             child = self._read(node.children[i])
-            self._insert(child, a, b, v, query)
+            self._insert(child, a, b, v, query, merge_at)
             if self._overflows(child):
                 self._split_child(node, i, child)
+                changed = True
                 i += 2
             else:
                 i += 1
-        self.store.write(node)
+        if changed:
+            self.store.write(node)
 
-    def _apply_to_leaf(self, node: Node, lo: Time, hi: Time, v: Any, query: Interval) -> None:
-        """Cut the affected leaf intervals at the effect's endpoints.
+    def _merge_candidates(
+        self, node: Node, endpoints: Iterable[Time], merge_at: Set[Time]
+    ) -> None:
+        """Add to *merge_at* each effect endpoint that *node* stores and
+        that may now separate equal values (Section 3.6).
+
+        Endpoints are the only boundaries whose two sides an effect can
+        move by different amounts, and each stored instant lives at
+        exactly one node.  In a leaf both neighbours are right here: the
+        endpoint is a candidate only if they are now equal, so call this
+        after the effects are applied.  In an interior node they are
+        leaves of two subtrees, which ``imerge`` compares: an endpoint
+        stored there is always a candidate, so call this before a child
+        split adds separators the effects did not pass.
+        """
+        times, values = node.times, node.values
+        eq = self.spec.eq if node.is_leaf else None
+        for t in endpoints:
+            k = bisect.bisect_left(times, t)
+            if k < len(times) and times[k] == t and (
+                eq is None or eq(values[k], values[k + 1])
+            ):
+                merge_at.add(t)
+
+    def _apply_to_leaf(self, node: Node, lo: Time, hi: Time, v: Any, query: Interval) -> bool:
+        """Cut the affected leaf intervals at the effect's endpoints, and
+        return whether any value changed (if none did, the leaf is left
+        as it was).
 
         An effect partially covering a leaf interval splits it into up to
         three pieces, adding at most two intervals to the leaf overall.
@@ -398,6 +464,7 @@ class SBTree:
         last = bisect.bisect_left(times, e, first)
         new_values: List[Any] = []
         new_times: List[Time] = []
+        changed = False
         for i in range(first, last + 1):
             if i > first:
                 new_times.append(times[i - 1])
@@ -406,6 +473,7 @@ class SBTree:
             if eq(updated, old):
                 new_values.append(old)
                 continue
+            changed = True
             if i == first and (times[i - 1] if i > 0 else lo) < s:
                 new_values.append(old)
                 new_times.append(s)
@@ -413,8 +481,10 @@ class SBTree:
             if i == last and e < (times[i] if i < len(times) else hi):
                 new_times.append(e)
                 new_values.append(old)
-        values[first:last + 1] = new_values
-        times[first:last] = new_times
+        if changed:
+            values[first:last + 1] = new_values
+            times[first:last] = new_times
+        return changed
 
     # ------------------------------------------------------------------
     # Batched insertion: one descent per path, not per effect
@@ -448,10 +518,10 @@ class SBTree:
         the unwritten mutations, so the tree is as before the call.
 
         Compaction (SUM/COUNT/AVG) runs last, over the written tree:
-        the pass collected the effect endpoints that now separate equal
-        values -- endpoints are the only boundaries whose two sides
-        changed by different amounts -- and each goes through the same
-        ``imerge`` a single insert uses.
+        the pass collected the effect endpoints that may now separate
+        equal values by the rule a single insert uses
+        (:meth:`_merge_candidates`), and each goes through the same
+        ``imerge``.
         """
         if not items:
             return
@@ -512,43 +582,35 @@ class SBTree:
         *node* was cut into, for the caller to adopt.
         """
         compact = self._auto_compact
-        eq = self.spec.eq
         if node.is_leaf:
             for v, query in items:
                 self._apply_to_leaf(node, lo, hi, v, query)
             if compact:
-                # An endpoint strictly inside this leaf has both its
-                # neighbours right here; one that is not is a separator
-                # of an interior node the effect passed through.
-                times, values = node.times, node.values
+                # Only an endpoint strictly inside the span can be here.
                 inside = {
                     t
                     for _, query in items
                     for t in (query.start, query.end)
                     if lo < t < hi
                 }
-                for t in inside:
-                    k = bisect.bisect_left(times, t)
-                    if (
-                        k < len(times)
-                        and times[k] == t
-                        and eq(values[k], values[k + 1])
-                    ):
-                        batch.merge_at.add(t)
+                self._merge_candidates(node, inside, batch.merge_at)
             return self._settle(node, batch)
 
-        acc = self.spec.acc
+        acc, eq = self.spec.acc, self.spec.eq
         times, values, uvalues = node.times, node.values, node.uvalues
         last = len(times)
         below: Dict[int, List[Tuple[Any, Interval]]] = {}
         changed = False
+        # The endpoints found among the separators on the way, for the
+        # candidate rule; before any child split adds separators.
+        stored: List[Time] = []
         for item in items:
             v, query = item
             s, e = query.start, query.end
             i = bisect.bisect_right(times, s)
             a = times[i - 1] if i else lo
-            if compact and i and a == s:
-                batch.merge_at.add(s)
+            if i and a == s:
+                stored.append(s)
             while True:
                 b = times[i] if i < last else hi
                 if uvalues is not None:
@@ -563,11 +625,13 @@ class SBTree:
                     else:
                         below.setdefault(i, []).append(item)
                 if b >= e or i == last:
-                    if compact and b == e and i < last:
-                        batch.merge_at.add(e)
+                    if b == e and i < last:
+                        stored.append(e)
                     break
                 a = b
                 i += 1
+        if compact:
+            self._merge_candidates(node, stored, batch.merge_at)
 
         # Right to left, so adopting a child's siblings shifts no index
         # still to be visited.

@@ -381,7 +381,7 @@ def test_node_touches_per_fact_of_a_near_ordered_batch(tmp_path):
 
     single, _ = cost(build(True), lambda t: [t.insert(*f) for f in batch])
     batched, per_node = cost(build(False), lambda t: t.insert_batch(batch))
-    assert single > 8.0           # 12.3 on the bench stream at height 3
+    assert single > 5.0           # 8.27 for this stream at height 5
     assert batched <= 1.0
     # One write per node per batch: nothing on this stream needs a merge
     # after the pass, and the pass itself never writes a node twice.

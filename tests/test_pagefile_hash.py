@@ -79,31 +79,33 @@ def build(path, kind, page_size):
 # predate the redo WAL, which left them alone; physical_writes counts
 # data-file writes, which the pager makes only at a checkpoint
 # (one copy per page of a 1 MiB WAL generation; the close that follows
-# the counters is not in them).
+# the counters is not in them).  The counters moved, the digests did
+# not, when the per-fact insert stopped writing nodes it did not change
+# and running ``imerge`` at endpoints whose sides differ.
 PINNED = {
     ("sum", 1024): (
         "18e8db512b2946557b4e0e292198c80cdc91bdc1b9981dbd20a0544a3c716067",
-        (7259, 3083, 36, 0, 6647, 612, 640, 698, 612, 0),
+        (3452, 2018, 36, 0, 2841, 611, 639, 697, 611, 0),
     ),
     ("sum", 4096): (
         "3963e3ae15639a8266b43cdebe1056ce6be3a6ecc0bbefcb21458c161ad12b40",
-        (6625, 2734, 9, 0, 6587, 38, 39, 128, 38, 0),
+        (3093, 1787, 9, 0, 3055, 38, 39, 125, 38, 0),
     ),
     ("avg", 1024): (
         "2828e029dcbf10602c4d0c2d43c0759f7a37e660ba94c2fbc8a71c301b1141d8",
-        (9007, 3787, 56, 2, 8103, 904, 950, 1005, 906, 55),
+        (4319, 2190, 56, 2, 3415, 904, 950, 987, 906, 55),
     ),
     ("avg", 4096): (
         "5b03bc8c004dae1aa9585d2fdbc804b2cd7bdec610825112c15a97711a33b68d",
-        (6874, 2856, 17, 2, 6728, 146, 153, 240, 148, 16),
+        (3230, 1853, 17, 2, 3084, 146, 153, 240, 148, 16),
     ),
     ("min", 1024): (
         "431711bdd1dd327ef8a2a66fffbfa27c319c28439d6e3c71547ceb4f7eb5c11d",
-        (2126, 2121, 15, 14, 2126, 0, 0, 60, 8, 0),
+        (2126, 385, 15, 14, 2126, 0, 0, 52, 8, 0),
     ),
     ("min", 4096): (
         "36b0752f006ef16058d6dae5fa0399498570d24ca13ab56c8deac8c210990ebe",
-        (1387, 1385, 4, 3, 1387, 0, 0, 19, 3, 0),
+        (1387, 353, 4, 3, 1387, 0, 0, 18, 3, 0),
     ),
 }
 
