@@ -17,9 +17,10 @@ and the aggregate kind) so a disk-resident tree can be reopened.
 from __future__ import annotations
 
 import abc
+import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 from .nodes import Node, NodeId
 
@@ -72,6 +73,14 @@ class NodeStore(abc.ABC):
     @abc.abstractmethod
     def read(self, node_id: NodeId) -> Node:
         """Return the node with the given id."""
+
+    @abc.abstractmethod
+    def probe(self, node_id: NodeId, t: Any) -> Tuple[Any, Optional[NodeId]]:
+        """One step of a point lookup: ``(values[i], children[i])`` of
+        the node's interval ``i`` holding instant *t* -- what
+        ``read(node_id)`` then ``find(t)`` would give, ``children[i]``
+        being ``None`` on a leaf.  Counted as one node read; a store
+        may answer it without materialising the node."""
 
     @abc.abstractmethod
     def write(self, node: Node) -> None:
@@ -149,6 +158,12 @@ class MemoryNodeStore(NodeStore):
     def read(self, node_id: NodeId) -> Node:
         self.stats.reads += 1
         return self._nodes[node_id]
+
+    def probe(self, node_id: NodeId, t: Any) -> Tuple[Any, Optional[NodeId]]:
+        self.stats.reads += 1
+        node = self._nodes[node_id]
+        i = bisect.bisect_right(node.times, t)
+        return node.values[i], None if node.is_leaf else node.children[i]
 
     def write(self, node: Node) -> None:
         # The caller mutated the live object; just count the access.

@@ -214,16 +214,14 @@ class SBTree:
     # ------------------------------------------------------------------
     @observed("lookup")
     def lookup(self, t: Time) -> Any:
-        """Return the internal aggregate value at instant *t* in O(h)."""
-        acc = self.spec.acc
-        node = self._root()
-        result = self.spec.v0
-        while True:
-            i = node.find(t)
-            result = acc(result, node.values[i])
-            if node.is_leaf:
-                return result
-            node = self._read(node.children[i])
+        """Return the internal aggregate value at instant *t* in O(h):
+        one :meth:`NodeStore.probe` per level, root to leaf."""
+        acc, probe = self.spec.acc, self.store.probe
+        result, node_id = self.spec.v0, self._root_id
+        while node_id is not None:
+            value, node_id = probe(node_id, t)
+            result = acc(result, value)
+        return result
 
     def lookup_final(self, t: Time) -> Any:
         """Return the user-facing aggregate value at instant *t*."""

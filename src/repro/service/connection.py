@@ -36,7 +36,9 @@ at that moment, never by a setting:
   buffer miss then evicts only clean frames, so the loop never writes a
   page and never fsyncs.  A level the pool holds costs a pointer chase
   to its cached node; the one cost left is that a cold page is a
-  ``pread`` and a decode on the loop, at most one per level.
+  ``pread``, a checksum and a bisect on the loop, at most one per
+  level (:meth:`~repro.core.nodestore.NodeStore.probe` reads one slot
+  of the page bytes; a page is decoded on its second use).
 * *One executor job per burst.*  Every other read of the wake-up --
   ``rangeq`` and ``window``, which are O(h + r) with r unbounded, and
   the lookups that declined -- is answered in order by a single job in

@@ -438,8 +438,8 @@ class ShardedTree:
         now* and its store holds nothing unwritten.  With every frame
         clean, a buffer miss on the O(h) descent evicts without a
         write-back: a level the pool holds is a pointer chase to its
-        cached node, and the worst a level costs is a ``pread`` and a
-        decode.
+        cached node, and the worst a level costs is a ``pread``, a
+        checksum and a bisect.
         """
         index = self.router.shard_of(t)
         if wait:

@@ -13,8 +13,11 @@ bytes stand for (for the node store: the :class:`~repro.core.nodes.Node`
 its callers read and write), so a hit on a dirty or a clean frame costs
 a dictionary lookup instead of a page decode.  The object is the one
 last handed to :meth:`BufferPool.write`, or the one the caller's
-``decode`` made on the frame's first use (:meth:`BufferPool.frame`,
-which installs it under the pool's mutex).  The pool never
+``decode`` made (installed under the pool's mutex by
+:meth:`BufferPool.frame`): on the frame's first use, or on its second
+when a point lookup fetched it (``decode_on_miss=False``: a lookup
+reads one slot of a page, and most pages it fetches are evicted before
+anyone reads them again).  The pool never
 looks inside that object and never derives bytes from it: what reaches
 the pager on eviction or flush is always ``frame.payload``, the snapshot
 handed to :meth:`BufferPool.write`.  A write-back leaves the object in
@@ -109,6 +112,8 @@ class BufferPool:
         self,
         page_id: int,
         decode: Optional[Callable[[bytes, int], Any]] = None,
+        *,
+        decode_on_miss: bool = True,
     ) -> Frame:
         """Return a page's frame, fetching the page on a miss.
 
@@ -116,7 +121,10 @@ class BufferPool:
         decoded into the frame; ``None`` on a fresh miss and after
         :meth:`drop_nodes`.  With *decode*, a frame without one gets
         ``decode(frame.payload, page_id)``, under the pool's mutex, so
-        concurrent readers of a page share one object.
+        concurrent readers of a page share one object -- except a frame
+        this call fetched when *decode_on_miss* is false: a point
+        lookup reads one slot off ``frame.payload`` and leaves the frame
+        bytes-only, and the page's next use decodes it.
         """
         with self._mutex:
             frame = self._frames.get(page_id)
@@ -127,6 +135,8 @@ class BufferPool:
                 self.stats.misses += 1
                 frame = Frame(self.pager.read_page(page_id), dirty=False)
                 self._admit(page_id, frame)
+                if not decode_on_miss:
+                    return frame
             if frame.node is None and decode is not None:
                 frame.node = decode(frame.payload, page_id)
             return frame

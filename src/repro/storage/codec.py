@@ -14,6 +14,11 @@ Times and numeric values are IEEE doubles (integers up to 2**53 are
 exact; decoded whole numbers are restored to ``int`` for clean equality
 with in-memory trees).  MIN/MAX ``NULL`` is encoded as NaN.
 
+``probe`` reads one lookup step -- the value and child of the interval
+holding an instant -- straight off a payload, without decoding the
+node; ``decode`` and ``probe`` share one header reader and one check of
+the declared sections against the payload length.
+
 The codec also derives the maximum branching factor ``b`` and leaf
 capacity ``l`` that fit a page -- the quantities the paper sizes its
 trees by.
@@ -21,9 +26,10 @@ trees by.
 
 from __future__ import annotations
 
+import bisect
 import math
 import struct
-from typing import Any, List, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..core.nodes import Node, NodeId
 from ..core.values import AggregateKind, AggregateSpec, spec_for
@@ -146,7 +152,10 @@ class NodeCodec:
             )
         return payload
 
-    def decode(self, payload: bytes, node_id: NodeId) -> Node:
+    def _layout(self, payload: bytes, node_id: NodeId) -> Tuple[int, bool, bool]:
+        """Read a payload's header and check the sections it declares
+        fit the payload: ``(j, is_leaf, has_u)``.  The one bounds check
+        both readers (:meth:`decode`, :meth:`probe`) rely on."""
         if len(payload) < _HEADER.size:
             raise NodeEncodingError(
                 f"page {node_id}: {len(payload)}-byte payload has no node header"
@@ -154,27 +163,29 @@ class NodeCodec:
         flags, _, j = _HEADER.unpack_from(payload, 0)
         is_leaf = bool(flags & _FLAG_LEAF)
         has_u = bool(flags & _FLAG_HAS_U)
-        time_count = max(0, j - 1)
-        children_size = 0 if is_leaf else 8 * j
-        values_size = self._value_width * j
-        needed = (
-            _HEADER.size + 8 * time_count + values_size + children_size
-            + (values_size if has_u else 0)
-        )
+        per_interval = self._value_width * (2 if has_u else 1)
+        if not is_leaf:
+            per_interval += 8
+        needed = _HEADER.size + 8 * max(0, j - 1) + per_interval * j
         if needed > len(payload):
             raise NodeEncodingError(
                 f"page {node_id} declares {j} intervals (flags {flags:#04x}): "
                 f"{needed} bytes, but the payload has {len(payload)}"
             )
+        return j, is_leaf, has_u
+
+    def decode(self, payload: bytes, node_id: NodeId) -> Node:
+        j, is_leaf, has_u = self._layout(payload, node_id)
+        time_count = max(0, j - 1)
         offset = _HEADER.size
         times = _restore_ints(_F64S[time_count].unpack_from(payload, offset))
         offset += 8 * time_count
         values = self._unpack_values(payload, offset, j)
-        offset += values_size
+        offset += self._value_width * j
         children: List[NodeId] = []
         if not is_leaf:
             children = list(_I64S[j].unpack_from(payload, offset))
-            offset += children_size
+            offset += 8 * j
         uvalues = self._unpack_values(payload, offset, j) if has_u else None
         return Node(
             node_id=node_id,
@@ -184,3 +195,32 @@ class NodeCodec:
             children=children,
             uvalues=uvalues,
         )
+
+    def probe(
+        self, payload: bytes, node_id: NodeId, t: Any
+    ) -> Tuple[Any, Optional[NodeId]]:
+        """One lookup step on a payload, without decoding the node:
+        ``(values[i], children[i])`` for the interval ``i`` holding *t*
+        (``children[i]`` is ``None`` on a leaf) -- what
+        ``decode(payload, node_id)`` followed by ``find(t)`` reads, with
+        the value restored exactly as :meth:`decode` restores it.
+
+        Only the times section is unpacked (as floats: comparing an int
+        with a float is exact, so the bisection lands where ``find``
+        does on the restored ints), then the one value -- through the
+        same restore as :meth:`decode` -- and the one child.
+        """
+        j, is_leaf, _ = self._layout(payload, node_id)
+        if j == 0:
+            raise NodeEncodingError(f"page {node_id} holds no interval to probe")
+        time_count = j - 1
+        i = bisect.bisect_right(
+            _F64S[time_count].unpack_from(payload, _HEADER.size), t
+        )
+        values_at = _HEADER.size + 8 * time_count
+        width = self._value_width
+        (value,) = self._unpack_values(payload, values_at + width * i, 1)
+        if is_leaf:
+            return value, None
+        (child,) = _I64S[1].unpack_from(payload, values_at + width * j + 8 * i)
+        return value, child

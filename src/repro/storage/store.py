@@ -7,12 +7,13 @@ buffer misses and dirty evictions, exactly like a real disk index.
 
 Node ids are page ids, so child pointers serialize directly.
 
-**Live nodes.**  Every pool frame keeps the decoded :class:`Node` beside
-the page bytes: the node last written, or the one ``read`` decoded (one
-whole-array decode, counted in ``stats.decodes``) on the frame's first
-use.  ``commit`` and an eviction's write-back leave it there,
-so a read that hits the pool -- the upper levels of every lookup, the
-right-edge path of every batch -- is a pointer chase.  ``read`` returns
+**Live nodes.**  A pool frame keeps the decoded :class:`Node` beside
+the page bytes: the node last written, or the one a reader decoded (one
+whole-array decode, counted in ``stats.decodes``) -- ``read`` on the
+frame's first use, ``probe`` on its second.  ``commit`` and an
+eviction's write-back leave it there, so a read that hits the pool --
+the upper levels of every lookup, the right-edge path of every batch --
+is a pointer chase.  ``read`` returns
 the pool's *live* node for as long as the frame lives, the contract
 ``MemoryNodeStore`` has always had:
 
@@ -32,6 +33,15 @@ the pool's *live* node for as long as the frame lives, the contract
   the failure, nothing of the ones that did not (a rejected insert
   leaves the tree untouched).
 
+**Probes.**  A point lookup's step, ``probe(node_id, t)``, needs one
+slot of a node.  On a pool miss it reads that slot off the fetched
+bytes (:meth:`NodeCodec.probe`: the times section, one value, one
+child) and leaves the frame bytes-only; a probe that hits a bytes-only
+frame decodes it, so a page used twice is from then on a pointer chase,
+and a page fetched once and evicted is never decoded at all.  A probe
+counts as one node read; the pool's hits and misses and the pager's
+reads are what ``read`` would have cost.
+
 Decoded memory (roughly 4-5x a 4 KB payload per node) is bounded by the
 pool's capacity, not by the dirty set.
 
@@ -47,7 +57,8 @@ every frame as it was.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import bisect
+from typing import Any, Optional, Sequence, Tuple
 
 from ..core.nodes import Node, NodeId
 from ..core.nodestore import NodeStore, StoreStats
@@ -145,6 +156,15 @@ class PagedNodeStore(NodeStore):
     def read(self, node_id: NodeId) -> Node:
         self.stats.reads += 1
         return self.buffer.frame(node_id, self._decode).node
+
+    def probe(self, node_id: NodeId, t: Any) -> Tuple[Any, Optional[NodeId]]:
+        self.stats.reads += 1
+        frame = self.buffer.frame(node_id, self._decode, decode_on_miss=False)
+        node = frame.node
+        if node is None:  # a miss: one slot read off the page bytes
+            return self.codec.probe(frame.payload, node_id, t)
+        i = bisect.bisect_right(node.times, t)
+        return node.values[i], None if node.is_leaf else node.children[i]
 
     def _decode(self, payload: bytes, node_id: NodeId) -> Node:
         self.stats.decodes += 1

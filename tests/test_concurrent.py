@@ -429,12 +429,19 @@ class TestConcurrentTree:
                     }
                     if len(rows) != len(before) or len(shifts) != 1:
                         torn.append(sorted(shifts))
-                    level = tree.lookup(1_000 + slot)
-                    if not 0 <= level - before_levels[slot] <= rounds:
-                        torn.append(level)
+                    for t, was in zip(instants[slot], before_levels[slot]):
+                        level = tree.lookup(t)
+                        if not 0 <= level - was <= rounds:
+                            torn.append(level)
                     reads[slot] += 1
 
-            before_levels = [tree.lookup(1_000 + slot) for slot in range(5)]
+            # Each reader's instants spread over the probed range: their
+            # lookups miss, probe page bytes and decode on a second use,
+            # beside the other readers' and the writer's accesses.
+            instants = [
+                [1_000 + 97 * k + slot for k in range(8)] for slot in range(5)
+            ]
+            before_levels = [[tree.lookup(t) for t in ts] for ts in instants]
             readers = [threading.Thread(target=reader, args=(k,)) for k in range(5)]
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-5)
@@ -461,8 +468,13 @@ class TestConcurrentTree:
 
     def test_readers_share_live_nodes_through_a_tiny_pool(self, tmp_path):
         """A 3-frame pool keeps evicting, so readers also race to fetch
-        and decode the pages they share."""
-        self._readers_beside_a_writer(tmp_path, capacity=3, commit=False)
+        and decode the pages they share, and lookups read slots off
+        bytes-only frames that another reader may be decoding."""
+        nodes, pool = self._readers_beside_a_writer(
+            tmp_path, capacity=3, commit=False
+        )
+        # Some lookup misses were probed, never decoded.
+        assert 0 < nodes.decodes < pool.misses
 
     def test_readers_and_a_committing_writer_share_clean_nodes(self, tmp_path):
         """The pool holds the whole tree and every insert is committed,

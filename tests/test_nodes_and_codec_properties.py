@@ -8,7 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.nodes import Node
 from repro.core.values import spec_for
-from repro.storage import NodeCodec
+from repro.storage import NodeCodec, NodeEncodingError
+
+settings.register_profile("ci", max_examples=500, deadline=None)
+#: 1 under the default profile (100 examples), 5 under ``ci``.
+SCALE = settings.default.max_examples / 100
 
 finite_times = st.integers(min_value=-(2**40), max_value=2**40)
 numbers = st.one_of(
@@ -229,14 +233,14 @@ GOLDEN_PAYLOAD = 508  # a 512-byte page: capacities small enough to fill
 
 
 @st.composite
-def golden_nodes(draw, kind):
+def golden_nodes(draw, kind, fewest=0):
     codec = NodeCodec(spec_for(kind), payload_size=GOLDEN_PAYLOAD)
     shape = draw(st.sampled_from(["leaf", "interior", "annotated"]))
     if shape == "leaf":
         full = codec.max_leaf_capacity() + codec._OVERFLOW_SLACK
     else:
         full = codec.max_branching(shape == "annotated") + codec._OVERFLOW_SLACK
-    j = draw(st.sampled_from([0, 1, full]) | st.integers(0, full))
+    j = draw(st.sampled_from([fewest, 1, full]) | st.integers(fewest, full))
     scalar = numbers
     if kind in ("min", "max"):
         scalar = st.none() | numbers  # NULL travels as NaN
@@ -274,3 +278,64 @@ class TestCodecGolden:
             assert (got.is_leaf, got.node_id) == (node.is_leaf, 9)
             for field in ("times", "values", "children", "uvalues"):
                 assert _typed(getattr(got, field)) == _typed(getattr(want, field))
+
+
+# ----------------------------------------------------------------------
+# probe: one lookup step off the page bytes, against decode + find
+# ----------------------------------------------------------------------
+KINDS = ["sum", "count", "avg", "min", "max"]
+
+
+def instants(times):
+    """Every stored time, a point between each neighbouring pair and
+    beyond either end, and both infinities."""
+    points = list(times) + [-math.inf, math.inf]
+    points += [(a + b) / 2 for a, b in zip(times, times[1:])]
+    if times:
+        points += [times[0] - 1, times[-1] + 1]
+    return points
+
+
+class TestCodecProbe:
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    @settings(max_examples=max(1, int(60 * SCALE)), deadline=None)
+    def test_probe_reads_the_slot_decode_then_find_reads(self, kind, data):
+        node = data.draw(golden_nodes(kind, fewest=1))
+        codec = NodeCodec(spec_for(kind), payload_size=GOLDEN_PAYLOAD)
+        payload = codec.encode(node)
+        for raw in (payload, payload.ljust(GOLDEN_PAYLOAD, b"\x00")):
+            decoded = codec.decode(raw, 9)
+            for t in instants(decoded.times):
+                i = decoded.find(t)
+                value, child = codec.probe(raw, 9, t)
+                assert _typed([value]) == _typed([decoded.values[i]])
+                if decoded.is_leaf:
+                    assert child is None
+                else:
+                    assert type(child) is int and child == decoded.children[i]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    @settings(max_examples=max(1, int(15 * SCALE)), deadline=None)
+    def test_a_truncated_payload_raises_what_decode_raises(self, kind, data):
+        node = data.draw(golden_nodes(kind, fewest=1))
+        codec = NodeCodec(spec_for(kind), payload_size=GOLDEN_PAYLOAD)
+        payload = codec.encode(node)
+        for cut in range(len(payload)):
+            with pytest.raises(NodeEncodingError) as decoded:
+                codec.decode(payload[:cut], 9)
+            with pytest.raises(NodeEncodingError) as probed:
+                codec.probe(payload[:cut], 9, 0)
+            assert str(probed.value) == str(decoded.value)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_page_without_intervals_does_not_probe(self, kind):
+        codec = NodeCodec(spec_for(kind), payload_size=GOLDEN_PAYLOAD)
+        empty_pages = [bytes(GOLDEN_PAYLOAD)]  # a page allocated, never written
+        for is_leaf, uvalues in ((True, None), (False, None), (False, [])):
+            empty_pages.append(codec.encode(Node(5, is_leaf, uvalues=uvalues)))
+        for raw in empty_pages:
+            assert codec.decode(raw, 5).interval_count == 0
+            with pytest.raises(NodeEncodingError, match="page 5"):
+                codec.probe(raw, 5, 0)

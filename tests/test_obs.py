@@ -157,13 +157,16 @@ class TestPerOpAccounting:
             assert summary["misses"] == height
             assert summary["physical_reads"] == height
             assert summary["hits"] == 0
+            assert store.stats.decodes == 0  # a miss probes the bytes
 
-            # Warm repeat: all hits, no physical I/O.
+            # Warm repeat: all hits, no physical I/O; each page's second
+            # use decodes it.
             tree.lookup(5000)
             summary = registry.op_summary("lookup")
             assert summary["count"] == 2
             assert summary["physical_reads"] == height  # unchanged
             assert summary["hits"] == height
+            assert store.stats.decodes == height
         store.close()
 
     def test_insert_records_writes(self, tmp_path):
