@@ -19,7 +19,7 @@ import random
 
 from repro import Interval, MSBTree, SBTree
 from repro.relation import TemporalRelation
-from repro.warehouse import ANY_WINDOW, GroupedAggregateView, TemporalWarehouse
+from repro.warehouse import ANY_WINDOW, TemporalWarehouse
 
 HOSTS = ["web-1", "web-2", "db-1", "cache-1"]
 DAY = 24 * 3600
@@ -41,7 +41,7 @@ def main() -> None:
     sessions = warehouse.create_table("sessions")
 
     fleet_load = warehouse.create_view("FleetLoad", "sessions", "sum")
-    per_host = warehouse.create_grouped_view(
+    per_host = warehouse.create_view(
         "LoadByHost", "sessions", "sum", key_of=lambda row: row.payload["host"]
     )
     worst = warehouse.create_view(

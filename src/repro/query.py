@@ -168,21 +168,19 @@ class TemporalQuery:
 
         Returns a :class:`~repro.warehouse.view.TemporalAggregateView`
         subscribed to the relation, carrying over this query's aggregate
-        kind, window offset, value extractor and filter.
+        kind, window offset, value extractor and filter (``key_of=`` in
+        *view_kwargs* groups it; see :meth:`partition_by`).
         """
         from .warehouse.view import TemporalAggregateView
 
-        predicate = self._predicate
-        value_of = self._value_of
-        view = TemporalAggregateView(
+        return TemporalAggregateView(
             name,
-            _FilteredRelation(self.relation, predicate),
+            _FilteredRelation(self.relation, self._predicate),
             self.spec,
             window=self._window,
-            value_of=value_of,
+            value_of=self._value_of,
             **view_kwargs,
         )
-        return view
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = self._spec.kind.value if self._spec else "?"
@@ -276,21 +274,10 @@ class PartitionedQuery:
         return values
 
     def materialize(self, name: str, **view_kwargs):
-        """Create an incrementally maintained per-group view family.
+        """Create an incrementally maintained view with one group per key.
 
-        Returns a :class:`~repro.warehouse.grouped.GroupedAggregateView`
+        Returns a :class:`~repro.warehouse.view.TemporalAggregateView`
         carrying this query's aggregate kind, window, value extractor,
         filter and partition key.
         """
-        from .warehouse.grouped import GroupedAggregateView
-
-        base = self._base
-        return GroupedAggregateView(
-            name,
-            _FilteredRelation(base.relation, base._predicate),
-            base.spec,
-            key_of=self._key_of,
-            window=base._window,
-            value_of=base._value_of,
-            **view_kwargs,
-        )
+        return self._base.materialize(name, key_of=self._key_of, **view_kwargs)

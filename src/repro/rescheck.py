@@ -14,12 +14,14 @@ exactly once, durably** -- with no mocks anywhere in the path:
    and the server, dropping, delaying, duplicating, and truncating
    frames and killing connections, all seeded and counted.
 3. *Patient* exactly-once writers
-   (:func:`repro.service.patient.run_patient_writes`) drive inserts
+   (:class:`repro.service.patient.PatientWriters`) drive inserts
    through the proxy, retrying each write under its original
    idempotency key until it is acked.
-4. Mid-run, the server process is SIGKILLed and ``repro serve`` is
-   started again on the same port and directory -- the dedup window
-   and the tree recover together from the journaled page file.
+4. Mid-run -- once the writers have acked a set number of writes,
+   not after a set time, so the kill always lands inside the run --
+   the server process is SIGKILLed and ``repro serve`` is started
+   again on the same port and directory; the dedup window and the tree
+   recover together from the journaled page file.
 5. After the run, the page file is reopened directly (triggering
    WAL replay, exactly as crashcheck does) and the recovered
    tree must equal the :mod:`repro.core.reference` oracle over the
@@ -36,7 +38,7 @@ Run it from the command line (also installed as ``repro-rescheck``)::
 
     python -m repro.rescheck                # full chaos sweep + 1 kill
     python -m repro.rescheck --quick        # bounded variant for CI
-    python -m repro.rescheck --seed 7 --writes 800 --kill-after 4
+    python -m repro.rescheck --seed 7 --writes 800 --kill-every 1600
 
 Exit status is non-zero if any acked write was lost or double-applied,
 if any write never acked, or if the run injected fewer faults /
@@ -51,7 +53,6 @@ import random
 import shutil
 import sys
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -61,7 +62,7 @@ from .core import reference
 from .core.sbtree import SBTree
 from .core.validate import check_tree
 from .service.chaos import ChaosPlan, ChaosProxy
-from .service.patient import PatientWriteResult, run_patient_writes
+from .service.patient import PatientWriteResult, PatientWriters
 from .service.process import KIND, SPAN, ServeProcess
 from .storage import PagedNodeStore
 
@@ -352,7 +353,7 @@ def run_rescheck(
     connections: int = 4,
     writes_per_connection: int = 250,
     plan: Optional[ChaosPlan] = None,
-    kill_after: float = 2.5,
+    kill_every: int = 300,
     restarts: int = 1,
     replicas: int = 0,
     views: bool = False,
@@ -370,6 +371,9 @@ def run_rescheck(
     * every write acked (no indeterminate outcomes left behind),
     * at least ``min_faults`` faults were injected,
     * the server was killed and restarted ``restarts`` times.
+
+    Kill ``i`` comes once the writers have acked ``i * kill_every``
+    writes in all, which must be fewer than the run's writes.
 
     With ``replicas > 0`` the kill schedule becomes a **failover**: the
     primary streams its journal to ``replicas`` followers through a
@@ -391,6 +395,12 @@ def run_rescheck(
     plan = plan or DEFAULT_PLAN
     if views and replicas <= 0:
         raise ValueError("views=True requires replicas > 0")
+    kills = 1 if replicas > 0 else restarts
+    if kills * kill_every >= connections * writes_per_connection:
+        raise ValueError(
+            f"{kills} kill(s) every {kill_every} acked writes do not fit in "
+            f"a run of {connections * writes_per_connection} writes"
+        )
     result = RescheckResult(
         seed=seed, min_faults=min_faults, plan=plan,
         replicas=replicas, view_drill=views,
@@ -463,28 +473,16 @@ def run_rescheck(
             view_facts = _setup_views(primary, seed)
             followers[0].wait_applied(primary.commit_seq())
 
-        writes_done = threading.Event()
-        write_box: Dict[str, Any] = {}
-
-        def drive() -> None:
-            try:
-                write_box["result"] = run_patient_writes(
-                    proxy.host,
-                    proxy.port,
-                    connections=connections,
-                    writes_per_connection=writes_per_connection,
-                    span=SPAN,
-                    seed=seed,
-                    timeout=client_timeout,
-                    give_up_after=give_up_after,
-                )
-            except BaseException as exc:  # noqa: BLE001
-                write_box["error"] = exc
-            finally:
-                writes_done.set()
-
-        writer = threading.Thread(target=drive, name="rescheck-drive", daemon=True)
-        writer.start()
+        writers = PatientWriters(
+            proxy.host,
+            proxy.port,
+            connections=connections,
+            writes_per_connection=writes_per_connection,
+            span=SPAN,
+            seed=seed,
+            timeout=client_timeout,
+            give_up_after=give_up_after,
+        ).start()
 
         if replicas > 0:
             # The failover schedule: SIGKILL the primary mid-run (it
@@ -492,7 +490,7 @@ def run_rescheck(
             # stable-address move a VIP would make -- and promote it.
             # Writers see not_primary until the promotion lands and
             # wait it out under their original idempotency keys.
-            if not writes_done.wait(timeout=kill_after):
+            if writers.wait_acked(kill_every):
                 primary.kill()
                 result.restarts += 1
                 new_primary = followers[0].port
@@ -510,16 +508,13 @@ def run_rescheck(
             # again on the same port and directory, `restarts` times.  The patient writers
             # ride through the outage; the dedup window rides through
             # it in the page file header.
-            for _ in range(restarts):
-                if writes_done.wait(timeout=kill_after):
-                    break  # run finished before this kill slot
+            for kill in range(1, restarts + 1):
+                if not writers.wait_acked(kill * kill_every):
+                    break  # the writers stopped before this kill slot
                 primary.restart()
                 result.restarts += 1
 
-        writer.join()
-        if "error" in write_box:
-            raise write_box["error"]
-        result.writes = write_box["result"]
+        result.writes = writers.join()
 
         if replicas > 0 and result.failovers and probe_key is not None:
             # Exactly-once across the failover boundary: replaying the
@@ -585,8 +580,8 @@ def run_rescheck(
     if replicas > 0:
         if result.failovers < 1:
             problems.append(
-                "no failover happened (run finished too fast; "
-                "lower --kill-after)"
+                f"no failover happened (the writers stopped before "
+                f"{kill_every} acked writes)"
             )
         elif result.failover_dedup_ok is not True:
             problems.append(
@@ -610,7 +605,8 @@ def run_rescheck(
     elif result.restarts < restarts:
         problems.append(
             f"only {result.restarts}/{restarts} server kills happened"
-            f" (run finished too fast; lower --kill-after)"
+            f" (the writers stopped before {kill_every} acked writes"
+            f" per kill)"
         )
     result.ok = not problems
     result.detail = "; ".join(problems)
@@ -636,8 +632,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--connections", type=int, default=4)
     parser.add_argument("--writes", type=int, default=250,
                         help="writes per connection")
-    parser.add_argument("--kill-after", type=float, default=2.5,
-                        help="seconds before each server SIGKILL")
+    parser.add_argument("--kill-every", type=int, default=300,
+                        help="acked writes before each server SIGKILL "
+                        "(kill i comes at i times this many)")
     parser.add_argument("--restarts", type=int, default=1,
                         help="number of kill+restart cycles")
     parser.add_argument("--replicas", type=int, default=0,
@@ -666,14 +663,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                         "lower fault floor")
     args = parser.parse_args(argv)
 
-    if args.views and args.replicas <= 0:
-        parser.error("--views requires --replicas >= 1")
-
     kwargs: Dict[str, Any] = dict(
         seed=args.seed,
         connections=args.connections,
         writes_per_connection=args.writes,
-        kill_after=args.kill_after,
+        kill_every=args.kill_every,
         restarts=args.restarts,
         replicas=args.replicas,
         views=args.views,
@@ -692,10 +686,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             connections=3,
             writes_per_connection=60,
             min_faults=30,
-            kill_after=1.0,
+            kill_every=20,
             give_up_after=45.0,
         )
-    result = run_rescheck(**kwargs)
+    try:
+        result = run_rescheck(**kwargs)
+    except ValueError as exc:
+        parser.error(str(exc))
     print(result.render())
     return 0 if result.ok else 1
 

@@ -22,7 +22,7 @@ from .client import (
     TransportError,
 )
 
-__all__ = ["PatientWriteResult", "run_patient_writes"]
+__all__ = ["PatientWriteResult", "PatientWriters"]
 
 
 def _bands(lo: int, hi: int, n: int) -> List[Tuple[int, int]]:
@@ -125,7 +125,7 @@ class _PatientWriter(threading.Thread):
             )
             with client:
                 self._loop(client)
-        except BaseException as exc:  # surfaced by run_patient_writes
+        except BaseException as exc:  # surfaced by PatientWriters.join
             self.error = exc
 
     def _loop(self, client: ServiceClient) -> None:
@@ -170,53 +170,83 @@ class _PatientWriter(threading.Thread):
                 res.unacked += 1
 
 
-def run_patient_writes(
-    host: str,
-    port: int,
-    *,
-    connections: int = 4,
-    writes_per_connection: int = 100,
-    span: Tuple[int, int] = (0, 100_000),
-    seed: int = 0,
-    timeout: float = 1.0,
-    give_up_after: float = 60.0,
-) -> PatientWriteResult:
+class PatientWriters:
     """Fan out patient exactly-once writers; merge what they acked.
 
-    It reads nothing back: the resilience harness verifies the final
-    tree against the reference oracle built from the merged ``facts``
-    list after the chaos run ends.
+    ``start()`` launches one writer per connection, ``acked`` is the
+    writers' shared progress (writes acked so far, in all), and
+    ``join()`` waits for the run and merges the results.  It reads
+    nothing back: the resilience harness verifies the final tree
+    against the reference oracle built from the merged ``facts`` list
+    after the chaos run ends.
     """
-    workers = [
-        _PatientWriter(
-            i,
-            host,
-            port,
-            band,
-            writes_per_connection,
-            seed * 10_007 + i,
-            timeout,
-            give_up_after,
-        )
-        for i, band in enumerate(_bands(int(span[0]), int(span[1]), connections))
-    ]
-    started = time.perf_counter()
-    for worker in workers:
-        worker.start()
-    for worker in workers:
-        worker.join()
-    merged = PatientWriteResult()
-    merged.duration_s = time.perf_counter() - started
-    for worker in workers:
-        if worker.error is not None:
-            raise worker.error
-        res = worker.result
-        merged.facts.extend(res.facts)
-        merged.attempts += res.attempts
-        merged.acked += res.acked
-        merged.duplicate_acks += res.duplicate_acks
-        merged.transport_errors += res.transport_errors
-        merged.retryable_rejections += res.retryable_rejections
-        merged.circuit_opens += res.circuit_opens
-        merged.unacked += res.unacked
-    return merged
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        *,
+        connections: int = 4,
+        writes_per_connection: int = 100,
+        span: Tuple[int, int] = (0, 100_000),
+        seed: int = 0,
+        timeout: float = 1.0,
+        give_up_after: float = 60.0,
+    ) -> None:
+        self._workers = [
+            _PatientWriter(
+                i,
+                host,
+                port,
+                band,
+                writes_per_connection,
+                seed * 10_007 + i,
+                timeout,
+                give_up_after,
+            )
+            for i, band in enumerate(
+                _bands(int(span[0]), int(span[1]), connections)
+            )
+        ]
+        self._started = 0.0
+
+    def start(self) -> "PatientWriters":
+        self._started = time.perf_counter()
+        for worker in self._workers:
+            worker.start()
+        return self
+
+    @property
+    def acked(self) -> int:
+        return sum(worker.result.acked for worker in self._workers)
+
+    def wait_acked(self, count: int) -> bool:
+        """Block until *count* writes are acked in all.
+
+        False if every writer stopped first (a run with that few writes,
+        or one whose writers gave up or failed).
+        """
+        while self.acked < count:
+            if not any(worker.is_alive() for worker in self._workers):
+                return self.acked >= count
+            time.sleep(0.001)
+        return True
+
+    def join(self) -> PatientWriteResult:
+        for worker in self._workers:
+            worker.join()
+        merged = PatientWriteResult()
+        merged.duration_s = time.perf_counter() - self._started
+        for worker in self._workers:
+            if worker.error is not None:
+                raise worker.error
+            res = worker.result
+            merged.facts.extend(res.facts)
+            merged.attempts += res.attempts
+            merged.acked += res.acked
+            merged.duplicate_acks += res.duplicate_acks
+            merged.transport_errors += res.transport_errors
+            merged.retryable_rejections += res.retryable_rejections
+            merged.circuit_opens += res.circuit_opens
+            merged.unacked += res.unacked
+        return merged

@@ -10,7 +10,6 @@ from .dynamic import (
     ViewReading,
     parse_lag,
 )
-from .grouped import GroupedAggregateView
 from .manager import TemporalWarehouse
 from .materialized import MaterializedView
 from .view import ANY_WINDOW, TemporalAggregateView
@@ -22,7 +21,6 @@ __all__ = [
     "CycleError",
     "DynamicCatalog",
     "DynamicView",
-    "GroupedAggregateView",
     "MaterializedView",
     "TemporalAggregateView",
     "TemporalWarehouse",

@@ -15,7 +15,7 @@ from .. import obs
 from ..core.intervals import Time
 from ..core.values import spec_for
 from ..relation.table import TemporalRelation
-from .view import ANY_WINDOW, TemporalAggregateView, _AnyWindow
+from .view import KeyOf, TemporalAggregateView, _AnyWindow
 
 __all__ = ["TemporalWarehouse"]
 
@@ -59,7 +59,7 @@ class TemporalWarehouse:
         dependents = [
             view_name
             for view_name, view in self._views.items()
-            if getattr(view, "relation", None) is relation
+            if view.relation is relation
         ]
         if self._dynamic is not None:
             if name in self._dynamic.table_names():
@@ -100,17 +100,21 @@ class TemporalWarehouse:
         over: Union[str, TemporalRelation],
         kind,
         *,
+        key_of: Optional[KeyOf] = None,
         window: Union[Time, _AnyWindow] = 0,
         persistent: bool = False,
         **view_kwargs,
     ) -> TemporalAggregateView:
         """Create a maintained aggregate view over a base table.
 
-        With ``persistent`` (requires the warehouse to have a directory)
-        the backing tree pages live in ``<directory>/<name>.sbt`` -- plus
-        ``<name>.ended.sbt`` for ANY_WINDOW SUM/COUNT/AVG views, which
-        need the second tree of Section 4.2 -- each page file with its
-        write-ahead log; :meth:`checkpoint` commits them.
+        With ``key_of`` the view keeps one index per group key (GROUP
+        BY).  With ``persistent`` (requires the warehouse to have a
+        directory, and refused for a grouped view: a page file holds
+        one tree) the backing tree pages live in
+        ``<directory>/<name>.sbt`` -- plus ``<name>.ended.sbt`` for
+        ANY_WINDOW SUM/COUNT/AVG views, which need the second tree of
+        Section 4.2 -- each page file with its write-ahead log;
+        :meth:`checkpoint` commits them.
         """
         if name in self._views:
             raise ValueError(f"view {name!r} already exists")
@@ -118,6 +122,11 @@ class TemporalWarehouse:
         if persistent:
             if self.directory is None:
                 raise ValueError("a persistent view needs a warehouse directory")
+            if key_of is not None:
+                raise ValueError(
+                    f"view {name!r}: a grouped view keeps one tree per key "
+                    "and a page file holds one tree; it cannot be persistent"
+                )
             from ..storage import PagedNodeStore
 
             spec = spec_for(kind)
@@ -133,28 +142,6 @@ class TemporalWarehouse:
                     ),
                 )
         view = TemporalAggregateView(
-            name, relation, kind, window=window, **view_kwargs
-        )
-        self._views[name] = view
-        return view
-
-    def create_grouped_view(
-        self,
-        name: str,
-        over: Union[str, TemporalRelation],
-        kind,
-        *,
-        key_of,
-        window: Union[Time, _AnyWindow] = 0,
-        **view_kwargs,
-    ):
-        """Create a per-group maintained view family (GROUP BY key)."""
-        from .grouped import GroupedAggregateView
-
-        if name in self._views:
-            raise ValueError(f"view {name!r} already exists")
-        relation = self.table(over) if isinstance(over, str) else over
-        view = GroupedAggregateView(
             name, relation, kind, key_of=key_of, window=window, **view_kwargs
         )
         self._views[name] = view
@@ -185,14 +172,11 @@ class TemporalWarehouse:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _stores_of(view):
-        groups = getattr(view, "_groups", None)
-        if groups is not None:  # a grouped view: recurse into each group
-            stores = []
-            for sub_view in groups.values():
-                stores.extend(TemporalWarehouse._stores_of(sub_view))
-            return stores
-        return list(obs.stores_of(view.index))
+    def _stores_of(view: TemporalAggregateView):
+        return [
+            store for index in view._indexes.values()
+            for store in obs.stores_of(index)
+        ]
 
     def maintenance_summary(self):
         """Per-view maintenance cost from the active metrics registry.

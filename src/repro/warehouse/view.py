@@ -20,11 +20,24 @@ fixed ``w > 0``  all five                       one SB-tree on stretched
 ``ANY_WINDOW``   SUM / COUNT / AVG              dual SB-trees (4.2)
 ``ANY_WINDOW``   MIN / MAX                      one MSB-tree (4.3)
 ===============  =============================  ==========================
+
+With ``key_of`` the view is a TSQL2-style ``GROUP BY`` combined with
+temporal grouping: it keeps one such index per distinct key, created
+as the key first appears in the change stream.  An ungrouped view is
+the single group ``None``::
+
+    view = TemporalAggregateView(
+        "DosageByPatient", prescriptions, "sum",
+        key_of=lambda row: row.payload["patient"],
+    )
+    view.value_at(19, key="Amy")   # Amy's dosage at day 19
+    view.values_at(19)             # every patient's value at day 19
+    view.table(key="Amy")          # Amy's constant intervals
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Dict, Hashable, Optional, Union
 
 from .. import obs
 from ..core.dual import DualTreeAggregate
@@ -51,6 +64,7 @@ class _AnyWindow:
 ANY_WINDOW = _AnyWindow()
 
 ValueOf = Callable[[TemporalTuple], Any]
+KeyOf = Callable[[TemporalTuple], Hashable]
 
 
 class _ChangeHandler:
@@ -82,6 +96,10 @@ class TemporalAggregateView:
         change stream and replays existing contents.
     kind:
         Aggregate kind.
+    key_of:
+        Maps a tuple to its group key; the view then keeps one index
+        per key.  ``None`` (the default) keeps one index, the group
+        ``None``.
     window:
         ``0`` for an instantaneous aggregate, a positive offset for a
         fixed-window cumulative aggregate, or :data:`ANY_WINDOW`.
@@ -90,7 +108,9 @@ class TemporalAggregateView:
         tuple's ``value`` field).
     store / ended_store:
         Optional node stores (e.g. :class:`repro.storage.PagedNodeStore`)
-        for the backing tree(s); dual-tree views take two.
+        for the backing tree(s) of an ungrouped view; dual-tree views
+        take two.  A page file holds one tree, so a grouped view takes
+        none.
     """
 
     def __init__(
@@ -99,6 +119,7 @@ class TemporalAggregateView:
         relation: TemporalRelation,
         kind,
         *,
+        key_of: Optional[KeyOf] = None,
         window: Union[Time, _AnyWindow] = 0,
         value_of: Optional[ValueOf] = None,
         store: Optional[NodeStore] = None,
@@ -106,25 +127,23 @@ class TemporalAggregateView:
         branching: int = 32,
         leaf_capacity: Optional[int] = None,
     ) -> None:
+        if key_of is not None and (store is not None or ended_store is not None):
+            raise ValueError(
+                f"view {name!r}: a grouped view keeps one tree per key and "
+                "a page file holds one tree; pass no store"
+            )
         self.name = name
         self.relation = relation
         self.spec = spec_for(kind)
         self.window = window
+        self._key_of = key_of
         self._value_of: ValueOf = value_of or (lambda row: row.value)
-        tree_args = dict(branching=branching, leaf_capacity=leaf_capacity)
-        if isinstance(window, _AnyWindow):
-            if self.spec.invertible:
-                self._index = DualTreeAggregate(
-                    self.spec, store, ended_store, **tree_args
-                )
-            else:
-                self._index = MSBTree(self.spec, store, **tree_args)
-        elif window == 0:
-            self._index = SBTree(self.spec, store, **tree_args)
-        elif window > 0:
-            self._index = FixedWindowTree(self.spec, window, store, **tree_args)
-        else:
-            raise ValueError(f"invalid window specification: {window!r}")
+        self._new_index = _index_factory(
+            self.spec, window, dict(branching=branching, leaf_capacity=leaf_capacity)
+        )
+        self._indexes: Dict[Hashable, Any] = {}
+        if key_of is None:
+            self._indexes[None] = self._new_index(store, ended_store)
         self._handler = _ChangeHandler(self)
         relation.subscribe(self._handler, replay=True)
 
@@ -141,91 +160,134 @@ class TemporalAggregateView:
             )
 
     def _on_change(self, event: ChangeEvent) -> None:
+        key = None if self._key_of is None else self._key_of(event.tuple)
+        index = self._indexes.get(key)
+        if index is None:
+            index = self._indexes[key] = self._new_index(None, None)
         if not obs.ENABLED:
-            self._apply_change(event)
+            self._apply_change(index, event)
             return
         # Per-view maintenance cost: one op record per base-table change
-        # routed into this view, named so each view is distinguishable.
+        # routed into this view, whatever its group, named so each view
+        # is distinguishable.
         with obs.Op(
             f"view.{self.name}.maintain",
-            obs.stores_of(self._index),
-            subject=type(self._index).__name__,
+            obs.stores_of(index),
+            subject=type(index).__name__,
         ):
-            self._apply_change(event)
+            self._apply_change(index, event)
 
-    def _apply_change(self, event: ChangeEvent) -> None:
+    def _apply_change(self, index, event: ChangeEvent) -> None:
         value = self._value_of(event.tuple)
         if event.kind is ChangeKind.INSERT:
-            self._index.insert(value, event.tuple.valid)
+            index.insert(value, event.tuple.valid)
         else:
             self._validate_change(event)
-            self._index.delete(value, event.tuple.valid)
+            index.delete(value, event.tuple.valid)
 
     def detach(self) -> None:
         """Stop maintaining this view."""
         self.relation.unsubscribe(self._handler)
 
     def compact(self) -> None:
-        """Batch-compact the backing tree(s) (bmerge / mbmerge)."""
-        if isinstance(self._index, DualTreeAggregate):
-            self._index.current.compact()
-            self._index.ended.compact()
-        else:
-            self._index.compact()
+        """Batch-compact every group's backing tree(s) (bmerge / mbmerge)."""
+        for index in self._indexes.values():
+            if isinstance(index, DualTreeAggregate):
+                index.current.compact()
+                index.ended.compact()
+            else:
+                index.compact()
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     @property
     def index(self):
-        """The backing index structure (for inspection and stats)."""
-        return self._index
+        """An ungrouped view's backing index (for inspection and stats)."""
+        if self._key_of is not None:
+            raise AttributeError(
+                f"view {self.name!r} is grouped: it keeps one index per key"
+            )
+        return self._indexes[None]
 
     @property
     def supports_any_window(self) -> bool:
         return isinstance(self.window, _AnyWindow)
 
-    def value_at(self, t: Time, w: Optional[Time] = None) -> Any:
-        """The (user-facing) aggregate value at instant *t*.
+    def keys(self):
+        """The group keys seen so far (including now-empty groups)."""
+        return self._indexes.keys()
 
-        Pass *w* only on ANY_WINDOW views; fixed-window views answer for
-        their configured offset alone.
+    def _check_window(self, w: Optional[Time]) -> None:
+        """The window/offset validation every read shares.
+
+        It runs before the group is looked up, so an unknown key's read
+        is refused exactly as a known key's would be.
         """
-        if w is None:
-            if self.supports_any_window:
-                raise ValueError(
-                    f"view {self.name!r} answers arbitrary offsets; pass w"
-                )
-            return self._index.lookup_final(t)
-        if not self.supports_any_window:
+        if w is None and self.supports_any_window:
+            raise ValueError(
+                f"view {self.name!r} answers arbitrary offsets; pass w"
+            )
+        if w is not None and not self.supports_any_window:
             raise ValueError(
                 f"view {self.name!r} was built for window={self.window!r}; "
                 "create it with window=ANY_WINDOW for arbitrary offsets"
             )
-        if isinstance(self._index, DualTreeAggregate):
-            return self._index.window_lookup_final(t, w)
-        return self.spec.finalize(self._index.window_lookup(t, w))
 
-    def table(self, w: Optional[Time] = None, **kwargs) -> ConstantIntervalTable:
-        """Reconstruct the view contents (finalized values)."""
+    def value_at(self, t: Time, w: Optional[Time] = None, *, key: Hashable = None) -> Any:
+        """One group's (user-facing) aggregate value at instant *t*.
+
+        Pass *w* only on ANY_WINDOW views; fixed-window views answer for
+        their configured offset alone.  A key that never appeared is an
+        empty group: it reads as the aggregate's empty value.
+        """
+        self._check_window(w)
+        index = self._indexes.get(key)
+        if index is None:
+            return self.spec.finalize(self.spec.v0)
         if w is None:
-            if self.supports_any_window:
-                raise ValueError(
-                    f"view {self.name!r} answers arbitrary offsets; pass w"
-                )
-            raw = self._index.to_table(**kwargs)
-        elif isinstance(self._index, DualTreeAggregate):
-            raw = self._index.window_table(w, **kwargs)
-        elif isinstance(self._index, MSBTree):
-            raw = self._index.window_query(
-                Interval(float("-inf"), float("inf")), w
-            )
+            return index.lookup_final(t)
+        if isinstance(index, DualTreeAggregate):
+            return index.window_lookup_final(t, w)
+        return self.spec.finalize(index.window_lookup(t, w))
+
+    def values_at(self, t: Time, w: Optional[Time] = None) -> Dict[Hashable, Any]:
+        """Every known group's value at instant *t* (``{}`` if none yet)."""
+        return {key: self.value_at(t, w, key=key) for key in self._indexes}
+
+    def table(self, w: Optional[Time] = None, *, key: Hashable = None) -> ConstantIntervalTable:
+        """Reconstruct one group's contents (finalized values).
+
+        A key that never appeared reconstructs as the empty table.
+        """
+        self._check_window(w)
+        index = self._indexes.get(key)
+        if index is None:
+            return ConstantIntervalTable([])
+        if w is None:
+            raw = index.to_table()
+        elif isinstance(index, DualTreeAggregate):
+            raw = index.window_table(w)
         else:
-            raise ValueError(f"view {self.name!r} cannot answer offset {w}")
+            raw = index.window_query(Interval(float("-inf"), float("inf")), w)
         return raw.finalized(self.spec).coalesce()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<TemporalAggregateView {self.name!r} {self.spec.kind} "
-            f"window={self.window!r} over {self.relation.name!r}>"
+            f"window={self.window!r} groups={len(self._indexes)} "
+            f"over {self.relation.name!r}>"
         )
+
+
+def _index_factory(spec, window, tree_args) -> Callable[[Any, Any], Any]:
+    """The constructor of one group's index, ``(store, ended_store) -> index``."""
+    if isinstance(window, _AnyWindow):
+        if spec.invertible:
+            return lambda store, ended: DualTreeAggregate(spec, store, ended, **tree_args)
+        return lambda store, ended: MSBTree(spec, store, **tree_args)
+    if window == 0:
+        return lambda store, ended: SBTree(spec, store, **tree_args)
+    if window > 0:
+        return lambda store, ended: FixedWindowTree(spec, window, store, **tree_args)
+    raise ValueError(f"invalid window specification: {window!r}")

@@ -26,9 +26,9 @@ class TestPartitionedMaterialization:
             .partition_by(lambda row: row.payload["patient"])
             .materialize("ByPatient", branching=4, leaf_capacity=4)
         )
-        assert grouped.value_at("Amy", 19) == 2
+        assert grouped.value_at(19, key="Amy") == 2
         rel.insert(5, Interval(15, 45), patient="Amy")
-        assert grouped.value_at("Amy", 19) == 7
+        assert grouped.value_at(19, key="Amy") == 7
 
     def test_filter_carries_into_grouped_view(self, rel):
         grouped = (
@@ -39,9 +39,9 @@ class TestPartitionedMaterialization:
             .materialize("Heavy", branching=4, leaf_capacity=4)
         )
         assert "Fred" not in grouped.keys()  # dosage 1 filtered
-        assert grouped.value_at("Ben", 19) == 1
+        assert grouped.value_at(19, key="Ben") == 1
         rel.insert(1, Interval(0, 100), patient="Ben")  # filtered out
-        assert grouped.value_at("Ben", 19) == 1
+        assert grouped.value_at(19, key="Ben") == 1
 
     def test_grouped_matches_one_shot(self, rel):
         query = TemporalQuery(rel).aggregate("sum")

@@ -246,6 +246,23 @@ class TestViewMaintenanceAccounting:
         assert set(per_view) == {"SumV"}
         assert per_view["SumV"]["count"] == 2
 
+    def test_a_grouped_view_records_one_op_family(self):
+        warehouse = TemporalWarehouse()
+        rel = warehouse.create_table("r")
+        warehouse.create_view("flat", "r", "sum")
+        warehouse.create_view("g", "r", "sum", key_of=lambda row: row.payload["k"])
+        with obs.collecting() as registry:
+            rows = [
+                rel.insert(i + 1, Interval(i, i + 10), k=key)
+                for i, key in enumerate("abcab")
+            ]
+            rel.delete(rows[1])
+            families = [op for op in registry.op_names() if op.startswith("view.g")]
+            per_view = warehouse.maintenance_summary()
+        assert families == ["view.g.maintain"]
+        assert set(per_view) == {"flat", "g"}
+        assert per_view["g"]["count"] == per_view["flat"]["count"] == 6
+
     def test_maintenance_summary_empty_when_disabled(self):
         warehouse = TemporalWarehouse()
         rel = warehouse.create_table("r")

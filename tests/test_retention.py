@@ -140,17 +140,17 @@ class TestRetainAfterMSB:
 
 
 class TestWarehouseGroupedViews:
-    def test_create_grouped_view(self):
+    def test_create_view_with_key_of(self):
         wh = TemporalWarehouse()
         rel = wh.create_table("prescription")
-        grouped = wh.create_grouped_view(
+        grouped = wh.create_view(
             "ByPatient", "prescription", "sum",
             key_of=lambda row: row.payload["patient"],
             branching=4, leaf_capacity=4,
         )
         for p in PRESCRIPTIONS:
             rel.insert(p.dosage, p.valid, patient=p.patient)
-        assert grouped.value_at("Amy", 19) == 2
+        assert grouped.value_at(19, key="Amy") == 2
         assert wh.view("ByPatient") is grouped
 
     def test_duplicate_name_rejected(self):
@@ -158,12 +158,24 @@ class TestWarehouseGroupedViews:
         wh.create_table("t")
         wh.create_view("v", "t", "sum")
         with pytest.raises(ValueError):
-            wh.create_grouped_view("v", "t", "sum", key_of=lambda r: 0)
+            wh.create_view("v", "t", "sum", key_of=lambda r: 0)
+
+    def test_persistent_grouped_view_is_refused(self, tmp_path):
+        wh = TemporalWarehouse(str(tmp_path))
+        rel = wh.create_table("t")
+        with pytest.raises(ValueError, match="one tree"):
+            wh.create_view(
+                "g", "t", "sum", key_of=lambda row: row.value, persistent=True
+            )
+        assert rel._subscribers == []
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(KeyError):
+            wh.view("g")
 
     def test_close_handles_grouped_views(self):
         wh = TemporalWarehouse()
         rel = wh.create_table("t")
-        wh.create_grouped_view(
+        wh.create_view(
             "g", "t", "sum", key_of=lambda row: row.value % 2,
             branching=4, leaf_capacity=4,
         )
