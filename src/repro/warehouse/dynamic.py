@@ -106,6 +106,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 import os
 import threading
 import time
@@ -180,35 +181,27 @@ def parse_lag(lag: Any) -> Union[float, _Downstream]:
     """Parse a freshness target: ``"5s"``, ``"1h"``, seconds, ``"downstream"``.
 
     Numbers are taken as seconds.  Raises ``ValueError`` for anything
-    else (including negative lags).
+    else, negative and non-finite lags included: a NaN or infinite lag
+    would never fall due (the on-demand spelling is ``"downstream"``).
     """
     if lag is DOWNSTREAM or (isinstance(lag, str) and lag.lower() == "downstream"):
         return DOWNSTREAM
-    if isinstance(lag, bool):
-        raise ValueError(f"invalid lag {lag!r}")
-    if isinstance(lag, (int, float)):
-        if lag < 0:
-            raise ValueError(f"lag must be non-negative, got {lag!r}")
-        return float(lag)
+    if isinstance(lag, bool) or not isinstance(lag, (int, float, str)):
+        raise ValueError(f"unparsable lag {lag!r}")
+    number, scale = lag, 1.0
     if isinstance(lag, str):
-        text = lag.strip().lower()
+        number = lag.strip().lower()
         for suffix in sorted(_LAG_UNITS, key=len, reverse=True):
-            if text.endswith(suffix):
-                try:
-                    scale = float(text[: -len(suffix)])
-                except ValueError:
-                    break
-                if scale < 0:
-                    raise ValueError(f"lag must be non-negative, got {lag!r}")
-                return scale * _LAG_UNITS[suffix]
-        try:
-            value = float(text)
-        except ValueError:
-            raise ValueError(f"unparsable lag {lag!r}") from None
-        if value < 0:
-            raise ValueError(f"lag must be non-negative, got {lag!r}")
-        return value
-    raise ValueError(f"unparsable lag {lag!r}")
+            if number.endswith(suffix):
+                number, scale = number[: -len(suffix)], _LAG_UNITS[suffix]
+                break
+    try:
+        seconds = float(number) * scale
+    except (ValueError, OverflowError):
+        raise ValueError(f"unparsable lag {lag!r}") from None
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise ValueError(f"lag must be finite and non-negative, got {lag!r}")
+    return seconds
 
 
 def format_lag(lag: Union[float, _Downstream]) -> Any:
@@ -719,6 +712,13 @@ def _merge_spans(spans: List[Tuple[Time, Time]]) -> List[Tuple[Time, Time]]:
     return merged
 
 
+def _restore_relation(relation: TemporalRelation, rows: List[List[Any]]) -> None:
+    relation.restore(
+        (tid, value, Interval(start, end), payload)
+        for tid, value, start, end, payload in rows
+    )
+
+
 class DynamicCatalog:
     """The view fleet: a DAG of dynamic views over base change streams.
 
@@ -729,18 +729,12 @@ class DynamicCatalog:
     rows -- to ``dynamic.json``; :meth:`load` (or constructing over a
     directory holding a checkpoint) restores it and resumes refresh
     from the persisted watermarks.
-
-    *warehouse*, when given, shares base tables with a
-    :class:`~repro.warehouse.manager.TemporalWarehouse`: catalog tables
-    resolve to warehouse relations and the warehouse's ``drop_table``
-    consults this catalog for dependents.
     """
 
     def __init__(
         self,
         directory: Optional[str] = None,
         *,
-        warehouse=None,
         clock=time.monotonic,
         branching: int = 32,
         leaf_capacity: Optional[int] = None,
@@ -748,7 +742,6 @@ class DynamicCatalog:
         strict: bool = False,
     ) -> None:
         self.directory = directory
-        self.warehouse = warehouse
         self.clock = clock
         self._tree_args = dict(branching=branching, leaf_capacity=leaf_capacity)
         self._lock = threading.RLock()
@@ -802,35 +795,16 @@ class DynamicCatalog:
         return view
 
     def create_table(self, name: str) -> TemporalRelation:
-        """Register a base table (creating the relation if needed).
-
-        Bound to a warehouse, the relation is the warehouse's (created
-        there when missing); standalone catalogs own their relations.
-        """
+        """Register a base table, with a relation of its own."""
         with self._lock:
             if self.has_node(name):
                 raise ValueError(f"table or view {name!r} already exists")
-            if self.warehouse is not None:
-                try:
-                    relation = self.warehouse.table(name)
-                except KeyError:
-                    relation = self.warehouse.create_table(name)
-            else:
-                relation = TemporalRelation(name)
+            relation = TemporalRelation(name)
             node = _BaseNode(name, relation, self.clock)
             self._tables[name] = node
             self._order.append(name)
             self._recount_readers()
             return relation
-
-    def attach_table(self, name: str, relation: TemporalRelation) -> None:
-        """Register an existing relation as a base table (replaying it)."""
-        with self._lock:
-            if self.has_node(name):
-                raise ValueError(f"table or view {name!r} already exists")
-            self._tables[name] = _BaseNode(name, relation, self.clock)
-            self._order.append(name)
-            self._recount_readers()
 
     def table(self, name: str) -> TemporalRelation:
         with self._lock:
@@ -1537,7 +1511,8 @@ class DynamicCatalog:
             for name in payload.get("order", ()):
                 if name in tables:
                     raw = tables[name]
-                    relation = self._restored_relation(name, raw["rows"])
+                    relation = TemporalRelation(name)
+                    _restore_relation(relation, raw["rows"])
                     node = _BaseNode.__new__(_BaseNode)
                     node.name = name
                     node.relation = relation
@@ -1578,26 +1553,8 @@ class DynamicCatalog:
                     self._restore_trees(view, raw["trees"])
             self._recount_readers()
 
-    def _restored_relation(self, name: str, rows: List[List[Any]]) -> TemporalRelation:
-        if self.warehouse is not None:
-            try:
-                relation = self.warehouse.table(name)
-            except KeyError:
-                relation = self.warehouse.create_table(name)
-        else:
-            relation = TemporalRelation(name)
-        if len(relation) == 0 and rows:
-            relation.restore(
-                (tid, value, Interval(start, end), payload)
-                for tid, value, start, end, payload in rows
-            )
-        return relation
-
     def _restore_rows(self, view: DynamicView, rows: List[List[Any]]) -> None:
-        view.relation.restore(
-            (tid, value, Interval(start, end), payload)
-            for tid, value, start, end, payload in rows
-        )
+        _restore_relation(view.relation, rows)
         grouped: Dict[Hashable, List[TemporalTuple]] = {}
         for row in view.relation:
             key = (

@@ -29,7 +29,6 @@ class TemporalWarehouse:
             os.makedirs(directory, exist_ok=True)
         self._relations: Dict[str, TemporalRelation] = {}
         self._views: Dict[str, TemporalAggregateView] = {}
-        self._dynamic = None
 
     # ------------------------------------------------------------------
     # Base tables
@@ -48,10 +47,8 @@ class TemporalWarehouse:
     def drop_table(self, name: str) -> None:
         """Unregister a base table.
 
-        Refused while any view still depends on the relation -- both
-        the eagerly-maintained views of this warehouse and any dynamic
-        views of the attached :attr:`dynamic` catalog (a dangling view
-        would silently stop reflecting reality).
+        Refused while any view still depends on the relation (a dangling
+        view would silently stop reflecting reality).
         """
         if name not in self._relations:
             raise KeyError(f"no table {name!r}")
@@ -61,35 +58,12 @@ class TemporalWarehouse:
             for view_name, view in self._views.items()
             if view.relation is relation
         ]
-        if self._dynamic is not None:
-            if name in self._dynamic.table_names():
-                dependents.extend(self._dynamic.dependents_of(name))
         if dependents:
             raise ValueError(
                 f"cannot drop table {name!r}: still referenced by views "
-                f"{sorted(set(dependents))}"
+                f"{sorted(dependents)}"
             )
-        if self._dynamic is not None and name in self._dynamic.table_names():
-            self._dynamic.drop_table(name)
         del self._relations[name]
-
-    # ------------------------------------------------------------------
-    # Dynamic views
-    # ------------------------------------------------------------------
-    @property
-    def dynamic(self):
-        """The lazily-created dynamic-view catalog sharing these tables.
-
-        See :mod:`repro.warehouse.dynamic`: lag-driven views over base
-        tables and other views, refreshed incrementally from the change
-        stream.  Persistent when the warehouse has a directory (the
-        catalog checkpoints to ``<directory>/dynamic.json``).
-        """
-        if self._dynamic is None:
-            from .dynamic import DynamicCatalog
-
-            self._dynamic = DynamicCatalog(self.directory, warehouse=self)
-        return self._dynamic
 
     # ------------------------------------------------------------------
     # Views
@@ -205,10 +179,7 @@ class TemporalWarehouse:
                     commit()
 
     def close(self) -> None:
-        """Commit and close every persistent view store and the dynamic
-        catalog (checkpointing its watermarks when persistent)."""
-        if self._dynamic is not None:
-            self._dynamic.close()
+        """Commit and close every persistent view store."""
         for view in self._views.values():
             for store in self._stores_of(view):
                 store.close()

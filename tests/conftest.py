@@ -1,8 +1,14 @@
-"""Fixtures shared by the test files that start a server."""
+"""The ``ci`` hypothesis profile, and the fixtures shared by the test
+files that start a server."""
 
 import pytest
+from hypothesis import settings
 
 from repro.sharding import ShardedTree
+
+#: ``--hypothesis-profile=ci``: five times the default examples.  A file
+#: scales its budgets by ``settings.default.max_examples / 100``.
+settings.register_profile("ci", max_examples=500, deadline=None)
 
 
 @pytest.fixture

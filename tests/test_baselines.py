@@ -109,7 +109,10 @@ def test_one_shots_reproduce_figure3(algo):
 @given(facts=facts_lists)
 @settings(max_examples=20, deadline=None)
 def test_all_algorithms_mutually_agree(kind, facts):
-    algos = ONE_SHOT_INVERTIBLE if kind in ("sum", "avg") else ONE_SHOT_MINMAX
+    algos = ONE_SHOT_MINMAX
+    if kind in ("sum", "avg"):
+        # merge_sort is the MIN/MAX baseline, but it merges any kind.
+        algos = ONE_SHOT_INVERTIBLE + [merge_sort.compute]
     tables = [algo(facts, kind) for algo in algos]
     for table in tables[1:]:
         assert table == tables[0]

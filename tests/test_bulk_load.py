@@ -1,7 +1,6 @@
 """Tests for bottom-up bulk loading and the rebuilt compact()."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro import (
     ConstantIntervalTable,
@@ -15,48 +14,12 @@ from repro import (
 from repro.core import reference
 from repro.workloads import uniform
 
-times = st.integers(min_value=0, max_value=120)
-values = st.integers(min_value=-9, max_value=9)
-
-
-@st.composite
-def intervals(draw):
-    start = draw(times)
-    return Interval(start, start + draw(st.integers(min_value=1, max_value=60)))
-
-
-facts_lists = st.lists(st.tuples(values, intervals()), min_size=0, max_size=30)
-
 
 def full_table(tree):
     return tree.range_query(Interval(NEG_INF, POS_INF)).coalesce(tree.spec.eq)
 
 
 class TestBulkLoad:
-    @given(facts=facts_lists)
-    @settings(max_examples=50, deadline=None)
-    def test_roundtrip_preserves_contents(self, facts):
-        source = SBTree("sum", branching=4, leaf_capacity=4)
-        for value, interval in facts:
-            source.insert(value, interval)
-        table = full_table(source)
-        target = SBTree("sum", branching=4, leaf_capacity=4)
-        target.bulk_load(table)
-        check_tree(target)
-        assert target.to_table() == source.to_table()
-
-    @given(facts=facts_lists)
-    @settings(max_examples=30, deadline=None)
-    def test_bulk_loaded_tree_accepts_updates(self, facts):
-        tree = SBTree("count", branching=4, leaf_capacity=4)
-        for value, interval in facts:
-            tree.insert(value, interval)
-        tree.bulk_load(full_table(tree))
-        tree.insert(1, Interval(50, 90))
-        check_tree(tree)
-        live = facts + [(1, Interval(50, 90))]
-        assert tree.to_table() == reference.instantaneous_table(live, "count")
-
     def test_empty_table(self):
         tree = SBTree("sum", branching=4, leaf_capacity=4)
         tree.insert(1, Interval(0, 10))

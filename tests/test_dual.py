@@ -100,19 +100,6 @@ class TestWindowQuery:
         assert got.value_at(16) == 0
         assert got.value_at(21) == 2
 
-    @given(facts=facts_lists, w=st.integers(min_value=0, max_value=40))
-    @settings(max_examples=30, deadline=None)
-    def test_window_query_pointwise_agreement(self, facts, w):
-        dual = DualTreeAggregate("avg", branching=4, leaf_capacity=4)
-        for value, interval in facts:
-            dual.insert(value, interval)
-        table = dual.window_query(Interval(-20, 200), w)
-        for t in range(-20, 200, 7):
-            assert table.value_at(t) == reference.cumulative_value(
-                facts, "avg", t, w
-            )
-
-
 class TestMaintenance:
     def test_delete_updates_both_trees(self):
         dual = DualTreeAggregate("sum", branching=4, leaf_capacity=4)
@@ -155,11 +142,3 @@ class TestInstantaneousShortcut:
         dual.insert(5, Interval(0, 10))
         assert dual.lookup(5) == 5
         assert dual.lookup(5) == dual.window_lookup(5, 0)
-
-    @given(facts=facts_lists, t=times)
-    @settings(max_examples=30, deadline=None)
-    def test_window_zero_matches_instantaneous(self, facts, t):
-        dual = DualTreeAggregate("count", branching=4, leaf_capacity=4)
-        for value, interval in facts:
-            dual.insert(value, interval)
-        assert dual.window_lookup(t, 0) == dual.lookup(t)

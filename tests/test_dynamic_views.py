@@ -44,7 +44,8 @@ class TestLagParsing:
         assert parse_lag(DOWNSTREAM) is DOWNSTREAM
 
     def test_rejects_junk(self):
-        for bad in ("-1s", "fast", "", None, True, -3):
+        for bad in ("-1s", "fast", "", None, True, -3,
+                    "nan", "nans", float("nan"), "1e400", "infs", float("inf")):
             with pytest.raises((ValueError, TypeError)):
                 parse_lag(bad)
 

@@ -1,10 +1,8 @@
 """Unit tests for the fixed-window cumulative tree (Section 4.1)."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro import FixedWindowTree, Interval, POS_INF, SBTree, check_tree
-from repro.core import reference
 from repro.workloads import PRESCRIPTIONS
 
 
@@ -84,25 +82,3 @@ class TestQueries:
         t5 = build("avg", 5)
         t0 = build("avg", 0)
         assert t5.to_table() != t0.to_table()
-
-    @given(
-        w=st.integers(0, 50),
-        t=st.integers(-20, 120),
-        extra=st.lists(
-            st.tuples(st.integers(-5, 9), st.integers(0, 80), st.integers(1, 40)),
-            max_size=15,
-        ),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_oracle_agreement_with_churn(self, w, t, extra):
-        tree = FixedWindowTree("sum", window=w, branching=4, leaf_capacity=4)
-        facts = []
-        for value, start, length in extra:
-            interval = Interval(start, start + length)
-            facts.append((value, interval))
-            tree.insert(value, interval)
-        # Delete every other fact again.
-        for value, interval in facts[::2]:
-            tree.delete(value, interval)
-        live = [f for i, f in enumerate(facts) if i % 2 == 1]
-        assert tree.lookup(t) == reference.cumulative_value(live, "sum", t, w)

@@ -29,7 +29,6 @@ from repro.core import reference
 from repro.core.intervals import NEG_INF, POS_INF
 from repro.storage import PagedNodeStore
 
-settings.register_profile("ci", max_examples=500, deadline=None)
 #: 1 under the default profile (100 examples), 5 under ``ci``.
 SCALE = settings.default.max_examples / 100
 

@@ -32,7 +32,6 @@ from repro.core.intervals import NEG_INF, POS_INF, is_finite
 from repro.core.sbtree import as_interval
 from repro.storage import PagedNodeStore
 
-settings.register_profile("ci", max_examples=500, deadline=None)
 #: 1 under the default profile (100 examples), 5 under ``ci``.
 SCALE = settings.default.max_examples / 100
 

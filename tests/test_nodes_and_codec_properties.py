@@ -10,7 +10,6 @@ from repro.core.nodes import Node
 from repro.core.values import spec_for
 from repro.storage import NodeCodec, NodeEncodingError
 
-settings.register_profile("ci", max_examples=500, deadline=None)
 #: 1 under the default profile (100 examples), 5 under ``ci``.
 SCALE = settings.default.max_examples / 100
 

@@ -36,7 +36,6 @@ from repro.service import ServerHandle, ServiceClient
 from repro.storage import PagedNodeStore
 from repro.workloads import uniform
 
-settings.register_profile("ci", max_examples=500, deadline=None)
 #: 1 under the default profile (100 examples), 5 under ``ci``.
 SCALE = settings.default.max_examples / 100
 

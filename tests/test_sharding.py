@@ -16,8 +16,6 @@ from repro.sharding import (
     even_boundaries,
 )
 
-KINDS = ["count", "sum", "avg", "min", "max"]
-
 
 class TestShardRouter:
     def test_rejects_bad_boundaries(self):
@@ -89,32 +87,6 @@ def random_facts(rng, n, lo=0, hi=1000, max_width=120):
 
 
 class TestShardedTreeCorrectness:
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_matches_single_tree_and_oracle(self, kind):
-        rng = random.Random(hash(kind) & 0xFFFF)
-        facts = random_facts(rng, 150)
-        sharded = ShardedTree(kind, [200, 400, 600, 800],
-                              branching=4, leaf_capacity=4)
-        single = SBTree(kind, branching=4, leaf_capacity=4)
-        for value, interval in facts:
-            sharded.insert(value, interval)
-            single.insert(value, interval)
-
-        assert sharded.to_table() == single.to_table()
-        assert sharded.to_table() == reference.instantaneous_table(facts, kind)
-        for t in [-50, 0, 199, 200, 201, 399, 400, 500, 799, 800, 1500]:
-            assert sharded.lookup(t) == single.lookup(t)
-            assert sharded.lookup_final(t) == single.lookup_final(t)
-        for window in [(0, 1000), (150, 450), (395, 405), (790, 810)]:
-            got = sharded.range_query(Interval(*window)).coalesce(
-                sharded.spec.eq
-            )
-            want = single.range_query(Interval(*window)).coalesce(
-                single.spec.eq
-            )
-            assert got == want
-        sharded.check()
-
     def test_fact_exactly_at_boundary(self):
         sharded = ShardedTree("sum", [100, 200])
         # Starts at one cut, ends at the next: lands wholly in shard 1.
@@ -153,71 +125,7 @@ class TestShardedTreeCorrectness:
         stats = sharded.stats()
         assert [s["pieces"] for s in stats["shards"]] == [0, 1, 0, 0]
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_randomized_boundary_adjacent_facts(self, kind):
-        """Facts engineered to start/end exactly at shard cuts."""
-        boundaries = [100, 200, 300]
-        rng = random.Random(13)
-        facts = []
-        for _ in range(80):
-            anchor = rng.choice(boundaries)
-            shape = rng.randrange(4)
-            if shape == 0:
-                iv = Interval(anchor, anchor + rng.randint(1, 50))
-            elif shape == 1:
-                iv = Interval(anchor - rng.randint(1, 50), anchor)
-            elif shape == 2:
-                iv = Interval(anchor - rng.randint(1, 50),
-                              anchor + rng.randint(1, 50))
-            else:
-                a, b = rng.sample(boundaries, 2)
-                iv = Interval(min(a, b), max(a, b))
-            facts.append((rng.randint(1, 9), iv))
-        sharded = ShardedTree(kind, boundaries, branching=4, leaf_capacity=4)
-        for value, iv in facts:
-            sharded.insert(value, iv)
-        assert sharded.to_table() == reference.instantaneous_table(facts, kind)
-        for t in list(range(95, 105)) + list(range(195, 205)) + [300, 299]:
-            assert sharded.lookup(t) == reference.instantaneous_value(
-                facts, kind, t
-            )
-        sharded.check()
-
-    def test_delete_roundtrip(self):
-        sharded = ShardedTree("sum", [100, 200])
-        facts = random_facts(random.Random(3), 40, 0, 300, 150)
-        for value, iv in facts:
-            sharded.insert(value, iv)
-        for value, iv in facts:
-            sharded.delete(value, iv)
-        assert sharded.to_table().rows == []
-        assert sharded.facts_applied == 0
-        assert sharded.pieces_applied == [0, 0, 0]
-
-    def test_batch_insert_equals_serial(self):
-        facts = random_facts(random.Random(5), 60)
-        one = ShardedTree("max", [250, 500, 750])
-        two = ShardedTree("max", [250, 500, 750])
-        for value, iv in facts:
-            one.insert(value, iv)
-        assert two.batch_insert(facts) == len(facts)
-        assert one.to_table() == two.to_table()
-
-
 class TestShardedWindow:
-    @pytest.mark.parametrize("kind", ["min", "max"])
-    def test_window_matches_oracle(self, kind):
-        rng = random.Random(29)
-        facts = random_facts(rng, 100)
-        sharded = ShardedTree(kind, [200, 400, 600, 800])
-        for value, iv in facts:
-            sharded.insert(value, iv)
-        for _ in range(40):
-            t = rng.randint(-50, 1100)
-            w = rng.randint(0, 300)
-            got = sharded.window_lookup(t, w)
-            assert got == reference.cumulative_value(facts, kind, t, w)
-
     @pytest.mark.parametrize("kind", ["sum", "count", "avg"])
     def test_invertible_kinds_refuse(self, kind):
         sharded = ShardedTree(kind, [100])

@@ -284,17 +284,6 @@ class TestTemporalWarehouse:
         # The relation object itself survives for anyone still holding it.
         rel.insert(1, Interval(0, 5))
 
-    def test_drop_table_refuses_while_dynamic_views_depend(self):
-        wh = TemporalWarehouse()
-        wh.create_table("t")
-        wh.dynamic.attach_table("t", wh.table("t"))
-        wh.dynamic.create_view("dv", "t", "sum", lag="downstream")
-        with pytest.raises(ValueError, match="dv"):
-            wh.drop_table("t")
-        wh.dynamic.drop_view("dv")
-        wh.drop_table("t")
-        assert "t" not in wh.dynamic.table_names()
-
     def test_drop_table_unknown(self):
         wh = TemporalWarehouse()
         with pytest.raises(KeyError):

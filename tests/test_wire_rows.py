@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.service import protocol
 
-settings.register_profile("ci", max_examples=500, deadline=None)
 #: 1 under the default profile (100 examples), 5 under ``ci``.
 SCALE = settings.default.max_examples / 100
 

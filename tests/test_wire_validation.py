@@ -93,6 +93,8 @@ REJECTED = [
     ("insert", {"value": 1, "start": 10, "end": 20, "deadline_ms": NAN}),
     ("lookup", {"t": 15, "deadline_ms": INF}),
     ("rangeq", {"start": 0, "end": 50, "deadline_ms": NAN}),
+    # -- a lag that would never fall due ------------------------------
+    ("create_view", {"name": "stale", "over": "doses", "agg": "sum", "lag": "nan"}),
 ]
 
 
