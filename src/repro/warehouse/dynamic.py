@@ -37,7 +37,10 @@ tables* on top of the same machinery:
   and change logs to ``<directory>/dynamic.json`` so refresh survives a
   restart, and serves reads that report ``(value, as_of_watermark,
   staleness_s)`` -- optionally pinned to one consistent watermark
-  across several views in a single report query.
+  across several views in a single report query.  Each DDL records
+  every view's ancestry once (the views to refresh, and the edges a
+  record crosses on its way to the view), so a read of a fresh view
+  costs one pass over its edges plus one tree lookup per group.
 
 Consistency model
 -----------------
@@ -308,8 +311,10 @@ class ChangeLog:
         return len(self.records)
 
     def oldest_pending_at(self, watermark: int) -> Optional[float]:
-        pending = self.since(max(watermark, self.base))
-        return pending[0].at if pending else None
+        """Arrival time of the oldest record past *watermark* (``None``
+        when there is none), without copying the pending tail."""
+        seq = max(watermark, self.base)
+        return self.records[seq - self.base].at if seq < self.head else None
 
     def to_json(self) -> Dict[str, Any]:
         return {
@@ -449,6 +454,14 @@ class DynamicView:
         self.quarantined = False
         self.quarantined_at: Optional[float] = None
         self.last_error: Optional[str] = None
+        # Ancestry, recorded by the catalog after every DDL: the views a
+        # full and a lazy read refresh (this one and its ancestors, and
+        # this one and its ``downstream``-lagged ones), in topological
+        # order, and every edge -- (source log, consuming view, source
+        # name) -- a record crosses on its way here.
+        self.closure: List[str] = [name]
+        self.lazy_closure: List[str] = [name]
+        self.edges: List[Tuple[ChangeLog, DynamicView, str]] = []
 
     # ------------------------------------------------------------------
     def _tree(self, key: Hashable) -> SBTree:
@@ -535,8 +548,7 @@ class DynamicView:
         for src, batch in batches:
             self.watermarks[src] = batch[-1].seq
         for key, spans in changed.items():
-            for lo, hi in _merge_spans(spans):
-                self._regenerate(key, lo, hi)
+            self._regenerate_spans(key, spans)
         self.refreshes += 1
         self.events_consumed += consumed
         self.last_refresh_at = now
@@ -595,34 +607,55 @@ class DynamicView:
             _extend_segments(spec, segments, open_sum[1], t, following)
         return segments
 
-    def _regenerate(self, key: Hashable, lo: Time, hi: Time) -> None:
-        """Rebuild this group's output rows over one affected span.
+    def _regenerate_spans(self, key: Hashable, spans: List[Tuple[Time, Time]]) -> None:
+        """Rebuild this group's output rows where its tree changed.
 
-        Two bisects of the group's row index find the rows the span
-        overlaps; the span is widened to cover the first and the last
-        of them (rows of one group are disjoint, so that is a fixpoint),
-        they are retracted, the group's tree is range-queried once to
-        emit the new constant intervals, and those are spliced into the
-        index where the old rows were: O(log n + rows replaced) row
-        visits and tree work.  (When the span's row count changes, the
-        list splice also shifts the tail of the group's index, a
+        Every span is widened to the rows it overlaps *before* the spans
+        are merged, so two spans that share a row regenerate it once:
+        each row the batch touches is retracted and re-emitted once.
+        """
+        widened = [self._widen(key, lo, hi) for lo, hi in spans]
+        for lo, hi in _merge_spans(widened):
+            self._regenerate(key, lo, hi)
+
+    def _overlap(self, key: Hashable, lo: Time, hi: Time) -> Tuple[int, int, int]:
+        """Two bisects of the group's row index: ``rows[first:stop]``
+        are the rows ``[lo, hi)`` overlaps, and ``reach`` counts the rows
+        starting at or before *lo* (only the last of those can reach
+        into the span)."""
+        starts, rows = self._index[key]
+        reach = bisect.bisect_right(starts, lo)
+        first = reach - 1 if reach and rows[reach - 1].valid.end > lo else reach
+        return reach, first, bisect.bisect_left(starts, hi, first)
+
+    def _widen(self, key: Hashable, lo: Time, hi: Time) -> Tuple[Time, Time]:
+        """``[lo, hi)`` grown to cover the first and the last row it
+        overlaps (rows of one group are disjoint, so that is a
+        fixpoint)."""
+        _, first, stop = self._overlap(key, lo, hi)
+        if first == stop:
+            return lo, hi
+        rows = self._index[key][1]
+        return min(lo, rows[first].valid.start), max(hi, rows[stop - 1].valid.end)
+
+    def _regenerate(self, key: Hashable, lo: Time, hi: Time) -> None:
+        """Rebuild this group's output rows over one widened span.
+
+        The rows the span overlaps (it covers each of them whole, see
+        :meth:`_widen`) are retracted, the group's tree is range-queried
+        once to emit the new constant intervals, and those are spliced
+        into the index where the old rows were: O(log n + rows replaced)
+        row visits and tree work.  (When the span's row count changes,
+        the list splice also shifts the tail of the group's index, a
         memmove of one pointer per later row: linear, but not work the
         view does row by row.)  Rows whose internal value is ``v0`` are
         elided (see the module docstring).
         """
         starts, rows = self._index[key]
-        # rows[:reach] start at or before lo; only the last of them can
-        # reach into the span.
-        reach = bisect.bisect_right(starts, lo)
-        first = reach
-        if reach and rows[reach - 1].valid.end > lo:
-            first -= 1
-        stop = bisect.bisect_left(starts, hi, first)
+        reach, first, stop = self._overlap(key, lo, hi)
         self.rows_examined += stop - reach + (1 if reach else 0)
         stale = rows[first:stop]
         if stale:
-            lo = min(lo, stale[0].valid.start)
-            hi = max(hi, stale[-1].valid.end)
             # Oldest row first: the order the emitted change log has
             # always had.
             for row in sorted(stale, key=lambda row: row.tuple_id):
@@ -669,14 +702,6 @@ class DynamicView:
         return sum(
             resolve(src).log.head - self.watermarks[src] for src in self.sources
         )
-
-    def oldest_pending_at(self, resolve) -> Optional[float]:
-        stamps = [
-            resolve(src).log.oldest_pending_at(self.watermarks[src])
-            for src in self.sources
-        ]
-        stamps = [s for s in stamps if s is not None]
-        return min(stamps) if stamps else None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -750,6 +775,7 @@ class DynamicCatalog:
         self._order: List[str] = []  # creation order == a topological order
         # node -> the views consuming it; rebuilt by every DDL.
         self._readers: Dict[str, List[DynamicView]] = {}
+        self._rank: Dict[str, int] = {}  # node -> position in _order
         self.ticks = 0
         #: Optional :class:`repro.faults.FaultInjector` consulted at the
         #: checkpoint crash points and around the temp-file write/fsync.
@@ -831,14 +857,34 @@ class DynamicCatalog:
             return [v.name for v in self._views.values() if name in v.sources]
 
     def _recount_readers(self) -> None:
-        """Recompute which views consume each node (after any DDL), then
-        trim every log to what its slowest consumer has not read."""
+        """Recompute, after any DDL, which views consume each node and
+        each view's ancestry, then trim every log to what its slowest
+        consumer has not read."""
         self._readers = {name: [] for name in self._order}
         for view in self._views.values():
             for src in view.sources:
                 self._readers[src].append(view)
         for name, readers in self._readers.items():
             self._node(name).log.consumed = bool(readers)
+        self._rank = {name: i for i, name in enumerate(self._order)}
+        for name in self._order:  # topological: sources come first
+            view = self._views.get(name)
+            if view is None:
+                continue
+            closure, lazy = {name}, {name}
+            for src in view.sources:
+                ancestor = self._views.get(src)
+                if ancestor is not None:
+                    closure.update(ancestor.closure)
+                    if ancestor.lag is DOWNSTREAM:
+                        lazy.update(ancestor.lazy_closure)
+            view.closure = sorted(closure, key=self._rank.__getitem__)
+            view.lazy_closure = sorted(lazy, key=self._rank.__getitem__)
+            view.edges = [
+                (self._node(src).log, reader, src)
+                for reader in map(self._views.__getitem__, view.closure)
+                for src in reader.sources
+            ]
         self._trim(self._order)
 
     def _trim(self, names: Sequence[str]) -> None:
@@ -852,27 +898,17 @@ class DynamicCatalog:
             ))
 
     def _check_acyclic(self, name: str, sources: Sequence[str]) -> None:
-        """Reject any edge set that would close a cycle through *name*.
+        """Reject any edge set that would close a cycle through *name*:
+        a source that is *name* or has it in its recorded ancestry.
 
         Sources must already exist, so the only reachable cycles run
-        through the new view itself; the walk still follows the full
-        transitive closure so the guard stays correct if forward
-        references are ever allowed.
+        through the new view itself; the ancestry check keeps the guard
+        correct if forward references are ever allowed.
         """
-        stack = list(sources)
-        seen = set()
-        while stack:
-            current = stack.pop()
-            if current == name:
-                raise CycleError(
-                    f"view {name!r} cannot (transitively) depend on itself"
-                )
-            if current in seen:
-                continue
-            seen.add(current)
-            view = self._views.get(current)
-            if view is not None:
-                stack.extend(view.sources)
+        views = self._views
+        if any(src == name or (src in views and name in views[src].closure)
+               for src in sources):
+            raise CycleError(f"view {name!r} cannot (transitively) depend on itself")
 
     def create_view(
         self,
@@ -957,9 +993,9 @@ class DynamicCatalog:
             view._tree(key).insert_batch((row.value, row.valid) for row in rows)
         view.watermarks.update(heads)
         for key, rows in seeds.items():
-            spans = [(row.valid.start, row.valid.end) for row in rows]
-            for lo, hi in _merge_spans(spans):
-                view._regenerate(key, lo, hi)
+            view._regenerate_spans(
+                key, [(row.valid.start, row.valid.end) for row in rows]
+            )
 
     def drop_view(self, name: str) -> None:
         """Remove a view; refused while other views still consume it."""
@@ -999,33 +1035,26 @@ class DynamicCatalog:
     def _now(self) -> float:
         return self.clock()
 
-    def _transitive_oldest(
-        self, name: str, cache: Dict[str, Optional[float]]
-    ) -> Optional[float]:
-        """Arrival time of the oldest event not yet *reflected* in node
-        *name*, looking through the whole ancestor chain (``None`` when
-        the node is fully fresh).  A base table is always fresh with
-        respect to itself; a view is stale both for records it has not
-        consumed and for records its source views have not yet emitted.
-        """
-        if name in cache:
-            return cache[name]
-        cache[name] = None  # cycle guard; the DAG check makes this moot
-        view = self._views.get(name)
-        oldest: Optional[float] = None
-        if view is not None:
-            for src in view.sources:
-                candidates = [
-                    self._node(src).log.oldest_pending_at(
-                        view.watermarks.get(src, 0)
-                    ),
-                    self._transitive_oldest(src, cache),
-                ]
-                for stamp in candidates:
-                    if stamp is not None and (oldest is None or stamp < oldest):
-                        oldest = stamp
-        cache[name] = oldest
+    @staticmethod
+    def _oldest_unreflected(view: DynamicView) -> Optional[float]:
+        """Arrival time of the oldest record not yet *reflected* in
+        *view* (``None`` when it is fully fresh): one pass over the
+        edges of its ancestry, so a view is stale both for records it
+        has not consumed and for records its source views have not yet
+        emitted."""
+        oldest = None
+        for log, reader, src in view.edges:
+            stamp = log.oldest_pending_at(reader.watermarks[src])
+            if stamp is not None and (oldest is None or stamp < oldest):
+                oldest = stamp
         return oldest
+
+    def _age(self, oldest: Optional[float], now: Optional[float]) -> float:
+        """Seconds since *oldest*; 0 for a fresh view, without the clock."""
+        if oldest is None:
+            return 0.0
+        now = self._now() if now is None else now
+        return max(0.0, now - oldest)
 
     def staleness(self, view: DynamicView, now: Optional[float] = None) -> float:
         """Seconds the view lags the *base data* (0 when fully fresh).
@@ -1035,50 +1064,26 @@ class DynamicCatalog:
         staleness never under-reports just because an intermediate view
         is itself behind.
         """
-        oldest = self._transitive_oldest(view.name, {})
-        if oldest is None:
-            return 0.0
-        now = self._now() if now is None else now
-        return max(0.0, now - oldest)
+        return self._age(self._oldest_unreflected(view), now)
 
     def _due(self, now: float) -> List[str]:
         """Views whose numeric lag budget is exhausted, in topo order."""
         due = []
-        cache: Dict[str, Optional[float]] = {}
         for name in self._order:
             view = self._views.get(name)
             if view is None or view.lag is DOWNSTREAM:
                 continue
-            oldest = self._transitive_oldest(name, cache)
-            if oldest is None:
-                continue
-            if max(0.0, now - oldest) >= view.lag:
+            oldest = self._oldest_unreflected(view)
+            if oldest is not None and max(0.0, now - oldest) >= view.lag:
                 due.append(name)
         return due
 
-    def _closure_with_lazy_ancestors(self, names: Sequence[str]) -> List[str]:
-        """*names* plus their ``downstream``-lagged ancestors, topo order.
-
-        Numeric-lag ancestors are *not* pulled in: their freshness is
-        their own schedule's business; a lazy (``downstream``) ancestor
-        refreshes exactly because a dependent needs it now.
-        """
-        needed = set(names)
-        # Walk ancestors; _order is topological, so one reverse sweep
-        # suffices to propagate need from dependents to sources.
-        for name in reversed(self._order):
-            if name not in needed:
-                continue
-            view = self._views.get(name)
-            if view is None:
-                continue
-            for src in view.sources:
-                ancestor = self._views.get(src)
-                if ancestor is not None and (
-                    src in needed or ancestor.lag is DOWNSTREAM
-                ):
-                    needed.add(src)
-        return [n for n in self._order if n in needed and n in self._views]
+    def _closure(self, names: Sequence[str]) -> List[str]:
+        """The views of *names*' ancestries, in topological order."""
+        needed = set()
+        for name in names:
+            needed.update(self._views[name].closure)
+        return sorted(needed, key=self._rank.__getitem__)
 
     def _refresh_names(
         self,
@@ -1142,9 +1147,7 @@ class DynamicCatalog:
             view.last_error = None
             now = self._now()
             try:
-                refreshed = self._refresh_names(
-                    self._ancestor_closure([name]), now
-                )
+                refreshed = self._refresh_names(view.closure, now)
             except Exception as exc:
                 self._quarantine(view, exc, now)
                 raise
@@ -1175,8 +1178,7 @@ class DynamicCatalog:
             if not due:
                 return {}
             return self._refresh_names(
-                self._ancestor_closure(due), now,
-                isolate=True, on_error=on_error,
+                self._closure(due), now, isolate=True, on_error=on_error,
             )
 
     def refresh(self, name: Optional[str] = None) -> Dict[str, int]:
@@ -1188,19 +1190,8 @@ class DynamicCatalog:
             if name is None:
                 names = [n for n in self._order if n in self._views]
             else:
-                self.view(name)  # raise early on unknown names
-                names = self._ancestor_closure([name])
+                names = self.view(name).closure
             return self._refresh_names(names, now)
-
-    def _ancestor_closure(self, names: Sequence[str]) -> List[str]:
-        needed = set(names)
-        for name in reversed(self._order):
-            if name not in needed:
-                continue
-            view = self._views.get(name)
-            if view is not None:
-                needed.update(view.sources)
-        return [n for n in self._order if n in needed and n in self._views]
 
     # ------------------------------------------------------------------
     # Reads
@@ -1211,17 +1202,28 @@ class DynamicCatalog:
         """Read one view at instant *t*.
 
         A ``downstream``-lagged view (and its lazy ancestors) refreshes
-        first -- that is what the lag means; views on a numeric lag
-        serve their current state and let ``staleness_s`` say how old
-        it is.  For a grouped view, *key* selects one group (unknown
-        keys read as the empty group); ``key=None`` returns every
-        group's value as a dict.
+        first when a record is pending anywhere upstream of it -- that
+        is what the lag means; views on a numeric lag serve their
+        current state and let ``staleness_s`` say how old it is.  For a
+        grouped view, *key* selects one group (unknown keys read as the
+        empty group) and ``key=None`` returns every group's value as a
+        dict; an ungrouped view refuses a *key* (``ValueError``).
+
+        Cost: a fresh view -- nothing pending on any edge of its
+        ancestry -- is one pass over those edges plus one tree lookup
+        per group read; the clock is not consulted.
         """
         with self._lock:
             view = self.view(name)
-            now = self._now() if now is None else now
-            if view.lag is DOWNSTREAM and not view.quarantined:
-                self._refresh_names(self._closure_with_lazy_ancestors([name]), now)
+            if key is not None and view.key_field is None:
+                raise ValueError(
+                    f"view {name!r} is not grouped: it has no key {key!r}"
+                )
+            oldest = self._oldest_unreflected(view)
+            if oldest is not None and view.lag is DOWNSTREAM and not view.quarantined:
+                now = self._now() if now is None else now
+                self._refresh_names(view.lazy_closure, now)
+                oldest = self._oldest_unreflected(view)
             if view.key_field is not None and key is None:
                 value: Any = view.values_at(t)
             else:
@@ -1229,7 +1231,7 @@ class DynamicCatalog:
             return ViewReading(
                 value=value,
                 as_of_watermark=dict(view.watermarks),
-                staleness_s=self.staleness(view, now),
+                staleness_s=self._age(oldest, now),
                 degraded=view.quarantined,
             )
 
@@ -1249,7 +1251,7 @@ class DynamicCatalog:
             for name in names:
                 self.view(name)
             if pin:
-                self._refresh_names(self._ancestor_closure(names), now)
+                self._refresh_names(self._closure(names), now)
             readings = {
                 name: self.read(name, t, now=now).to_json() for name in names
             }

@@ -218,12 +218,17 @@ class TemporalAggregateView:
         """The group keys seen so far (including now-empty groups)."""
         return self._indexes.keys()
 
-    def _check_window(self, w: Optional[Time]) -> None:
-        """The window/offset validation every read shares.
+    def _check_read(self, w: Optional[Time], key: Hashable) -> None:
+        """The window/offset and key validation every read shares.
 
         It runs before the group is looked up, so an unknown key's read
-        is refused exactly as a known key's would be.
+        is refused exactly as a known key's would be.  An ungrouped
+        view refuses any key: it has no group to read.
         """
+        if key is not None and self._key_of is None:
+            raise ValueError(
+                f"view {self.name!r} is not grouped: it has no key {key!r}"
+            )
         if w is None and self.supports_any_window:
             raise ValueError(
                 f"view {self.name!r} answers arbitrary offsets; pass w"
@@ -239,9 +244,10 @@ class TemporalAggregateView:
 
         Pass *w* only on ANY_WINDOW views; fixed-window views answer for
         their configured offset alone.  A key that never appeared is an
-        empty group: it reads as the aggregate's empty value.
+        empty group: it reads as the aggregate's empty value.  An
+        ungrouped view refuses a key (``ValueError``).
         """
-        self._check_window(w)
+        self._check_read(w, key)
         index = self._indexes.get(key)
         if index is None:
             return self.spec.finalize(self.spec.v0)
@@ -258,9 +264,10 @@ class TemporalAggregateView:
     def table(self, w: Optional[Time] = None, *, key: Hashable = None) -> ConstantIntervalTable:
         """Reconstruct one group's contents (finalized values).
 
-        A key that never appeared reconstructs as the empty table.
+        A key that never appeared reconstructs as the empty table; an
+        ungrouped view refuses a key (``ValueError``).
         """
-        self._check_window(w)
+        self._check_read(w, key)
         index = self._indexes.get(key)
         if index is None:
             return ConstantIntervalTable([])

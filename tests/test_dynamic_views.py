@@ -174,6 +174,61 @@ class TestScheduler:
         assert cat.staleness(top) == 0.0
 
 
+class TestFreshness:
+    """A read refreshes, and reports staleness, exactly when a record is
+    pending somewhere upstream of the view: the ancestry it reads is
+    rebuilt by every DDL verb and by ``load()``, and it looks through a
+    numeric-lag middle view to the base table beneath."""
+
+    def test_reads_after_ddl_load_quarantine_and_repair(self, tmp_path):
+        clock = FakeClock()
+        cat = DynamicCatalog(str(tmp_path), clock=clock)
+        cat.create_table("t")
+        cat.create_view("mid", "t", "sum", lag="1h")
+        cat.create_view("top", "mid", "sum", lag="downstream")
+
+        def reading(name="top"):
+            got = cat.read(name, 5)
+            return got.value, got.staleness_s, got.degraded
+
+        cat.insert("t", 3, (0, 10))
+        clock.advance(2.0)
+        # mid waits out its hour; top refreshes, but sees through mid.
+        assert reading() == (0, 2.0, False)
+        cat.refresh("mid")
+        assert reading() == (3, 0.0, False)
+        cat.insert("t", 4, (0, 10))
+        clock.advance(1.0)
+        cat.create_table("u")
+        assert reading() == (3, 1.0, False)
+        cat.create_view("side", ["t", "u"], "count")
+        assert reading("side") == (2, 0.0, False)
+        cat.insert("u", 1, (0, 10))
+        assert reading() == (3, 1.0, False)
+        cat.drop_view("side")
+        assert reading() == (3, 1.0, False)
+        cat.drop_table("u")
+        assert reading() == (3, 1.0, False)
+        cat.close()
+        cat = DynamicCatalog(str(tmp_path), clock=clock)  # load()
+        assert reading() == (3, 1.0, False)
+        mid = cat.view("mid")
+        healthy = mid.refresh
+
+        def poisoned(resolve, now):
+            raise RuntimeError("boom")
+
+        mid.refresh = poisoned
+        clock.advance(3600.0)
+        cat.tick()
+        assert reading("mid") == (3, 3601.0, True)
+        assert reading() == (3, 3601.0, False)
+        mid.refresh = healthy
+        cat.repair("mid")
+        assert reading("mid") == (7, 0.0, False)
+        assert reading() == (7, 0.0, False)
+
+
 class FakeClock:
     def __init__(self) -> None:
         self.now = 100.0
@@ -261,6 +316,29 @@ class TestIncrementalCorrectness:
             "effects_applied": 1, "events_consumed": 4,
         }
 
+    def test_a_row_two_spans_share_is_regenerated_once(self):
+        """Two facts inside one 20-unit row of ``v``: both spans widen to
+        that row, so it is retracted once and its five pieces are
+        emitted once (merged before widening, the second span retracted
+        and re-emitted a piece the first had just emitted)."""
+        cat = DynamicCatalog()
+        cat.create_table("t")
+        cat.create_view("v", "t", "sum")
+        cat.create_view("w", "v", "sum")
+        cat.insert("t", 1, (0, 20))
+        cat.refresh()
+        cat.insert("t", 5, (2, 4))
+        cost = _refresh_cost(cat, 7, (12, 14))
+        assert cost["v"] == {
+            "rows_examined": 1, "rows_retracted": 1, "rows_emitted": 5,
+            "effects_applied": 2, "events_consumed": 2,
+        }
+        assert cost["w"] == {
+            "rows_examined": 1, "rows_retracted": 1, "rows_emitted": 5,
+            "effects_applied": 2, "events_consumed": 6,
+        }
+        assert [cat.read("w", t).value for t in (1, 3, 5, 13, 15)] == [1, 6, 1, 8, 1]
+
     def test_regeneration_covers_the_net_effect_not_the_records(self):
         """A fact that cuts into two 10-unit rows of a grouped ``v``
         makes ``v`` retract both and re-emit four: ``w``'s records span
@@ -321,6 +399,11 @@ class TestIncrementalCorrectness:
         assert cat.read("by_patient", 7, key="nobody").value in (0, None)
         both = cat.read("by_patient", 7).value
         assert both == {"amy": 2, "bob": 3}
+        # A view without groups has no key to read: refused, not empty.
+        cat.create_view("total", "doses", "sum")
+        with pytest.raises(ValueError, match="total"):
+            cat.read("total", 7, key="amy")
+        assert cat.read("total", 7).value == 5
 
     @pytest.mark.parametrize("kind", ["sum", "count", "avg"])
     def test_keyed_and_whole_reads_match_the_reference_recompute(self, kind):

@@ -201,6 +201,18 @@ class TestGroupedView:
             cum.value_at(19, key="Nobody")  # ANY_WINDOW needs w
         assert cum.value_at(19, 5, key="Nobody") == 0
 
+    def test_an_ungrouped_view_refuses_a_key(self):
+        # It has no group to read: a key must not answer the empty one.
+        rel = TemporalRelation("r3")
+        view = TemporalAggregateView("plain", rel, "sum",
+                                     branching=4, leaf_capacity=4)
+        rel.insert(5, Interval(0, 10))
+        with pytest.raises(ValueError, match="plain"):
+            view.value_at(3, key="a")
+        with pytest.raises(ValueError, match="plain"):
+            view.table(key="a")
+        assert view.value_at(3) == 5 and len(list(view.table())) == 1
+
     def test_matches_partitioned_query(self, setup):
         rel, view, _ = setup
         from repro.query import TemporalQuery

@@ -9,6 +9,10 @@ reopen in the middle of a batch, which rebuilds the sorted row index
 from the checkpoint -- every ``read`` at every endpoint must equal
 ``core/reference.py``, every group tree must pass ``check_tree``, and
 every view's output rows must be the step function its trees hold.
+A twin catalog takes the same events and is read through
+``reference_read``, which walks the DAG on every call; after every
+batch and after the reopen, every reading of every view at every
+endpoint must equal the twin's, field for field.
 
 What floats may and may not do.  SUM/COUNT/AVG refresh folds a batch
 into its net effect before touching a tree, so the float records over a
@@ -32,6 +36,7 @@ widen to the rows it retracts) must each turn them red.
 
 import bisect
 import dataclasses
+import os
 import random
 from fractions import Fraction
 
@@ -40,7 +45,7 @@ import pytest
 from repro import Interval, NEG_INF, POS_INF, SBTree, check_tree
 from repro.core import reference
 from repro.core.values import spec_for
-from repro.warehouse.dynamic import DynamicCatalog, DynamicView
+from repro.warehouse.dynamic import DOWNSTREAM, DynamicCatalog, DynamicView, ViewReading
 
 KINDS = ["sum", "count", "avg", "min", "max"]
 KEYS = ["amy", "bob", "cy"]
@@ -78,19 +83,75 @@ def _close(got, want, floats):
     return got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
+def _transitive_oldest(cat, name, cache):
+    """Staleness by walking the DAG: recursive, one cache per call."""
+    if name in cache:
+        return cache[name]
+    cache[name] = None
+    view = cat._views.get(name)
+    oldest = None
+    if view is not None:
+        for src in view.sources:
+            log = cat._node(src).log
+            pending = log.since(max(view.watermarks.get(src, 0), log.base))
+            for stamp in (pending[0].at if pending else None,
+                          _transitive_oldest(cat, src, cache)):
+                if stamp is not None and (oldest is None or stamp < oldest):
+                    oldest = stamp
+    cache[name] = oldest
+    return oldest
+
+
+def reference_read(cat, name, t):
+    """A read that walks the DAG on every call, the reference
+    ``DynamicCatalog.read`` must equal field for field: take the clock,
+    sweep the catalog's order for the view's ``downstream``-lagged
+    ancestors, refresh them (no-ops when nothing is pending), then walk
+    the DAG for the staleness."""
+    with cat.atomic():
+        view = cat.view(name)
+        now = cat._now()
+        if view.lag is DOWNSTREAM and not view.quarantined:
+            needed = {name}
+            for node in reversed(cat._order):
+                if node in needed and node in cat._views:
+                    needed.update(
+                        src for src in cat._views[node].sources
+                        if src in cat._views and cat._views[src].lag is DOWNSTREAM
+                    )
+            cat._refresh_names(
+                [n for n in cat._order if n in needed and n in cat._views], now
+            )
+        value = view.values_at(t) if view.key_field is not None else view.value_at(t)
+        oldest = _transitive_oldest(cat, name, {})
+        return ViewReading(
+            value=value,
+            as_of_watermark=dict(view.watermarks),
+            staleness_s=0.0 if oldest is None else max(0.0, now - oldest),
+            degraded=view.quarantined,
+        )
+
+
 class Differential:
-    """One catalog, one stream, one oracle (the live facts per key)."""
+    """Two catalogs, one stream, one oracle (the live facts per key).
+
+    ``ref`` takes the same events as ``cat`` and is read through
+    :func:`reference_read`.  Their clock moves one second per event; in
+    the grouped runs ``mid`` is on an hour's lag, so a read of ``top``
+    must report staleness through it."""
 
     def __init__(self, directory, kind, grouped, floats):
         self.directory = str(directory)
         self.kind, self.grouped, self.floats = kind, grouped, floats
         self.spec = spec_for(kind)
-        # Capacity 4: a few dozen intervals already make a 3-level tree.
-        self.cat = DynamicCatalog(self.directory, branching=4, leaf_capacity=4)
-        self.cat.create_table("t")
-        self.cat.create_view("mid", "t", kind, key="who" if grouped else None)
-        self.cat.create_view("top", "mid", "sum")
-        self.cat.create_view("width", "mid", "count")
+        self.now = 0.0
+        self.cat, self.ref = self._open(""), self._open("ref")
+        for cat in (self.cat, self.ref):
+            cat.create_table("t")
+            cat.create_view("mid", "t", kind, key="who" if grouped else None,
+                            lag="1h" if grouped else "downstream")
+            cat.create_view("top", "mid", "sum")
+            cat.create_view("width", "mid", "count")
         self.live = []  # (tuple_id, group, value, interval)
         # Which views hold float sums (see the module docstring): ``mid``
         # over float sources unless it only counts them, ``top`` whenever
@@ -99,18 +160,33 @@ class Differential:
         self.approx = {"mid": inexact, "top": inexact or kind == "avg",
                        "width": False}
 
+    def _open(self, name):
+        # Capacity 4: a few dozen intervals already make a 3-level tree.
+        return DynamicCatalog(os.path.join(self.directory, name),
+                              clock=lambda: self.now,
+                              branching=4, leaf_capacity=4)
+
     def apply(self, event):
+        self.now += 1.0
         if event[0] == "delete":
-            self.cat.delete("t", self.live.pop(event[1])[0])
+            tuple_id = self.live.pop(event[1])[0]
+            self.cat.delete("t", tuple_id)
+            self.ref.delete("t", tuple_id)
         else:
             _, value, interval, who = event
             row = self.cat.insert("t", value, interval, who=who)
+            self.ref.insert("t", value, interval, who=who)
             group = who if self.grouped else None
             self.live.append((row.tuple_id, group, value, interval))
 
     def reopen(self):
         self.cat.close()
-        self.cat = DynamicCatalog(self.directory, branching=4, leaf_capacity=4)
+        self.ref.close()
+        self.cat, self.ref = self._open(""), self._open("ref")
+
+    def refresh(self):
+        self.cat.refresh()
+        self.ref.refresh()
 
     # ------------------------------------------------------------------
     def _instants(self):
@@ -119,6 +195,14 @@ class Differential:
             if NEG_INF < t < POS_INF
         }
         return sorted(ends | {-1, 300})
+
+    def check_against_reference_read(self):
+        """Every reading of every view at every endpoint equals the
+        reference's: value, watermarks, staleness and flag alike."""
+        for t in self._instants():
+            for name in ("mid", "top", "width"):
+                assert self.cat.read(name, t) == reference_read(self.ref, name, t), (
+                    name, t)
 
     def check_reads(self):
         """Every view at every endpoint against ``core/reference.py``."""
@@ -214,12 +298,15 @@ def run_differential(directory, kind, grouped, batch, floats):
             # Mid-batch for every size but 1: the reopened catalog has an
             # unconsumed tail and an index rebuilt from the checkpoint.
             diff.reopen()
+            diff.check_against_reference_read()
         if n % size == 0:
-            diff.cat.refresh()
+            diff.check_against_reference_read()
+            diff.refresh()
             if n - size < count // 2 + 3 <= n:
                 diff.check_reads()
                 diff.check_structure()
-    diff.cat.refresh()
+    diff.refresh()
+    diff.check_against_reference_read()
     diff.check_reads()
     diff.check_structure()
     stats = diff.cat.stats()["views"]
@@ -405,19 +492,8 @@ class TestTheDifferentialCanFail:
             TestFoldIsLocal().test_a_fact_alone_in_a_gap_reads_its_own_value()
 
     def test_red_when_regeneration_does_not_widen(self, tmp_path, monkeypatch):
-        regenerate = DynamicView._regenerate
-
-        def narrow(self, key, lo, hi):
-            # Retract the overlapped rows but re-emit only the span the
-            # records touched, not the span widened to cover those rows.
-            tree = self._trees[key]
-            query = tree.range_query
-            tree.range_query = lambda widened: query(Interval(lo, hi))
-            try:
-                regenerate(self, key, lo, hi)
-            finally:
-                del tree.range_query
-
-        monkeypatch.setattr(DynamicView, "_regenerate", narrow)
+        # Retract the overlapped rows but re-emit only the span the
+        # records touched, not the span widened to cover those rows.
+        monkeypatch.setattr(DynamicView, "_widen", lambda self, key, lo, hi: (lo, hi))
         with pytest.raises(AssertionError):
             run_differential(tmp_path, "sum", True, 7, False)

@@ -12,6 +12,9 @@ an error; a NaN ``deadline_ms`` never shed.  The rule, applied once in
 * interval endpoints may still be +-inf (``[end, inf)`` facts, open
   range queries).
 
+A ``key`` on a view without groups is refused the same way: there is
+no group to read, so it must not answer the empty one.
+
 Each case also asserts the tree and the catalog are exactly as before.
 
 The ``served`` fixture's two params span every route a request can take
@@ -95,6 +98,8 @@ REJECTED = [
     ("rangeq", {"start": 0, "end": 50, "deadline_ms": NAN}),
     # -- a lag that would never fall due ------------------------------
     ("create_view", {"name": "stale", "over": "doses", "agg": "sum", "lag": "nan"}),
+    # -- a key on a view without groups --------------------------------
+    ("query_view", {"view": "total", "t": 5, "key": "amy"}),
 ]
 
 
