@@ -65,8 +65,14 @@ def test_insert_cost_flat_in_interval_length(report):
 
 
 def test_height_bounds_every_update(report):
-    """Every update reads at most 3x height nodes: two paths, and an
-    ``imerge`` descent only at an endpoint that may now merge."""
+    """On this workload no insert reads more than 3x height nodes: the
+    first 200 facts of ``BASE`` inserted again into the b = l = 32 SUM
+    tree that holds all 2,000 (seed 51, height 3).  3h is this
+    workload's gate, not a general bound.  In general one insert reads
+    at most 2h - 1 nodes on its two boundary paths, plus, at each
+    endpoint that may now merge, an ``imerge`` descent and its
+    ``nmerge`` sibling reads on a tree at most one level taller: 10h + 3
+    in all (``update_bound`` in ``tests/test_oracle_machine.py``)."""
     sb = _fresh_sb()
     height = sb.height
     worst = 0

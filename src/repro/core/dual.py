@@ -96,7 +96,7 @@ class DualTreeAggregate:
     @observed("window_lookup", stores=_both_stores)
     def window_lookup(self, t: Time, w: Time) -> Any:
         """Cumulative value at instant *t* with offset *w* (internal form)."""
-        if w < 0:
+        if not w >= 0:
             raise ValueError("window offset must be non-negative")
         spec = self.spec
         in_window_ended = spec.diff(self.ended.lookup(t), self.ended.lookup(t - w))

@@ -44,7 +44,7 @@ class FixedWindowTree:
         branching: int = 32,
         leaf_capacity: Optional[int] = None,
     ) -> None:
-        if window < 0:
+        if not window >= 0:
             raise ValueError("window offset must be non-negative")
         self.window = window
         self.tree = SBTree(

@@ -63,7 +63,7 @@ class MSBTree(SBTree):
         The value ranges over all base tuples whose valid interval
         intersects the closed window ``[t - w, t]``.  Runs in O(h).
         """
-        if w < 0:
+        if not w >= 0:
             raise ValueError("window offset must be non-negative")
         return self._mlookup(self._root(), NEG_INF, POS_INF, t - w, t, self.spec.v0)
 
@@ -104,7 +104,7 @@ class MSBTree(SBTree):
         interval extremum without the O(h + r) leaf scan that ``rangeq``
         would need.
         """
-        if hi < lo:
+        if not lo <= hi:
             raise ValueError("empty interval")
         return self._mlookup(self._root(), NEG_INF, POS_INF, lo, hi, self.spec.v0)
 

@@ -521,7 +521,7 @@ class ShardedTree:
                 "index are unsupported (use a dual-tree per shard range "
                 "or an unsharded DualTreeAggregate)"
             )
-        if w < 0:
+        if not w >= 0:
             raise ShardingError("window offset must be non-negative")
         result = self.lookup(t)
         if w > 0:

@@ -1,23 +1,19 @@
-"""Paged trees against kept reference implementations.
+"""Paged trees against the same trees in memory.
 
 Tiny buffer pools: a paged tree whose pool holds a handful of its pages
 answers as the same tree in memory, before and after a reopen.  The
-lookup path: ``NodeStore.probe`` answers, and costs, what the
-read-then-find loop it replaced did.  (Every route against the oracle
-is ``tests/test_oracle_machine.py``.)
+lookup path: ``NodeStore.probe`` decodes a page on its second use, and
+reads the last written bytes after ``revert_unwritten``.  (Every route
+against the oracle, and a lookup's h node reads, pool accesses and page
+reads, are ``tests/test_oracle_machine.py``.)
 """
 
-import operator
-import os
 import random
-import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro import DualTreeAggregate, Interval, MSBTree, SBTree, check_tree
+from repro import Interval, MSBTree, SBTree, check_tree
 from repro.core import reference
-from repro.sharding import ShardedTree
 from repro.storage import PagedNodeStore
 
 
@@ -110,144 +106,8 @@ def test_tiny_pool_msbtree_matches_memory_tree(kind, capacity, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The lookup path: NodeStore.probe against the read-then-find loop
+# The lookup path: what NodeStore.probe decodes
 # ----------------------------------------------------------------------
-#: 1 under the default profile (100 examples), 5 under ``ci``.
-SCALE = settings.default.max_examples / 100
-
-
-class ReadThenFind(PagedNodeStore):
-    """The lookup step ``probe`` replaced: read the whole node, then
-    find.  Every lookup route over this store -- trees, dual trees,
-    shards, ``wait=False`` -- is the loop before ``probe``."""
-
-    def probe(self, node_id, t):
-        node = self.read(node_id)
-        i = node.find(t)
-        return node.values[i], None if node.is_leaf else node.children[i]
-
-
-def build(shape, kind, store_of):
-    """One structure of *shape* over the stores ``store_of(name)``
-    makes (``None``: in memory), and its lookup."""
-    geometry = dict(branching=5, leaf_capacity=6)
-    if shape in ("sbtree", "msb"):
-        tree = (MSBTree if shape == "msb" else SBTree)(kind, store_of("t"), **geometry)
-        return tree, lambda t: [tree.lookup(t)]
-    if shape == "dual":
-        dual = DualTreeAggregate(kind, store_of("c"), store_of("e"), **geometry)
-        return dual, lambda t: [dual.lookup(t), dual.window_lookup(t, 250)]
-    stores = [store_of(f"s{i}") for i in range(4)]
-    sharded = ShardedTree(
-        kind, num_shards=4, span=(0, 3_000),
-        stores=None if stores[0] is None else stores, **geometry,
-    )
-
-    def lookup(t):
-        # A shard with nothing unwritten is read as the event loop does.
-        store = sharded.shards[sharded.router.shard_of(t)].tree.store
-        return [sharded.lookup(t, wait=getattr(store, "dirty", True))]
-
-    return sharded, lookup
-
-
-def tally(stores):
-    """What a lookup costs that ``probe`` must not change."""
-    return [
-        (s.stats.reads, s.buffer.stats.hits, s.buffer.stats.misses,
-         s.buffer.stats.evictions, s.pager.stats.physical_reads)
-        for s in stores
-    ]
-
-
-ops = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("insert"), st.integers(-9, 40), st.integers(0, 3_000),
-            st.sampled_from([1, 7, 60, 1_500]),
-        ),
-        st.tuples(st.just("delete"), st.integers(0, 10**6)),
-        st.tuples(st.just("lookup"), st.lists(st.integers(-10, 3_100), min_size=1, max_size=8)),
-        st.tuples(st.just("commit")),
-    ),
-    max_size=40,
-)
-
-
-@pytest.mark.parametrize("capacity", [1, 2, 3])
-@pytest.mark.parametrize(
-    "shape, kind",
-    [("sbtree", kind) for kind in ("sum", "count", "avg", "min", "max")]
-    + [("msb", "min"), ("msb", "max"), ("dual", "sum"), ("dual", "avg"),
-       ("shards", "sum"), ("shards", "max")],
-)
-@given(seed=st.integers(0, 2**16), stream=ops)
-@settings(max_examples=max(1, int(4 * SCALE)), deadline=None)
-def test_probe_answers_and_costs_what_read_then_find_did(
-    shape, kind, capacity, seed, stream
-):
-    """A seeded prefill, then *stream*, into a memory structure, one
-    over probing page stores and one over ``ReadThenFind`` stores, all
-    pools of *capacity* frames.  Every lookup answers the same on all
-    three and costs the two paged sides the same reads, hits, misses,
-    evictions and page reads; the probing side never decodes more."""
-    rng = random.Random(seed)
-    invertible = kind in ("sum", "count", "avg")
-    with tempfile.TemporaryDirectory() as directory:
-        probing, reading = [], []
-
-        def paged(cls, made):
-            def store_of(name):
-                made.append(cls(
-                    os.path.join(directory, f"{cls.__name__}-{name}.sbt"),
-                    kind, page_size=512, buffer_capacity=capacity,
-                ))
-                return made[-1]
-            return store_of
-
-        sides = [
-            build(shape, kind, lambda name: None),
-            build(shape, kind, paged(PagedNodeStore, probing)),
-            build(shape, kind, paged(ReadThenFind, reading)),
-        ]
-        live = []
-
-        def insert(value, start, length):
-            if not invertible:
-                length = min(length, 60)  # keep MIN/MAX trees deep
-            live.append((value, Interval(start, start + length)))
-            for structure, _ in sides:
-                structure.insert(*live[-1])
-
-        for _ in range(100):
-            insert(rng.randint(-9, 40), rng.randrange(0, 3_000), rng.choice([1, 7, 60]))
-        for op, *args in stream:
-            if op == "insert":
-                insert(*args)
-            elif op == "delete" and invertible and live:
-                fact = live.pop(args[0] % len(live))
-                for structure, _ in sides:
-                    structure.delete(*fact)
-            elif op == "commit":
-                for store in probing + reading:
-                    store.commit()
-            elif op == "lookup":
-                for t in args[0]:
-                    before = tally(probing), tally(reading)
-                    answers = [lookup(t) for _, lookup in sides]
-                    assert answers[1] == answers[0] and answers[2] == answers[0]
-                    costs = [
-                        [tuple(map(operator.sub, *pair)) for pair in zip(tally(made), then)]
-                        for made, then in zip((probing, reading), before)
-                    ]
-                    assert costs[0] == costs[1]
-        assert sum(s.stats.decodes for s in probing) <= sum(
-            s.stats.decodes for s in reading
-        )
-        for store in probing + reading:
-            store.close()
-
-
 def filled_tree(path):
     store = PagedNodeStore(path, "sum", page_size=512, buffer_capacity=1000)
     tree = SBTree("sum", store, branching=5, leaf_capacity=6)

@@ -30,6 +30,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             dual.window_lookup(10, -1)
 
+    def test_nan_offset_rejected(self):
+        dual = DualTreeAggregate("sum")
+        dual.insert(3, Interval(10, 60))
+        dual.insert(2, Interval(0, 20))
+        assert dual.window_lookup(50, 5) == 3
+        with pytest.raises(ValueError):
+            dual.window_lookup(50, float("nan"))
+
 
 class TestEndedTreeSemantics:
     """lookup(T', t) aggregates tuples that ended at or before t."""

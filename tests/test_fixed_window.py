@@ -18,6 +18,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FixedWindowTree("sum", window=-1)
 
+    def test_nan_window_rejected(self):
+        with pytest.raises(ValueError):
+            FixedWindowTree("sum", window=float("nan"))
+
     def test_zero_window_is_instantaneous(self):
         fixed = build("sum", 0)
         plain = SBTree("sum", branching=4, leaf_capacity=4)

@@ -116,6 +116,15 @@ class TestWindowQueries:
         with pytest.raises(ValueError):
             msb.window_lookup(10, -1)
 
+    def test_nan_offset_rejected(self):
+        msb = MSBTree("max")
+        msb.insert(3, Interval(10, 60))
+        msb.insert(2, Interval(0, 20))
+        with pytest.raises(ValueError):
+            msb.window_lookup(50, float("nan"))
+        with pytest.raises(ValueError):
+            msb.extremum_over(float("nan"), 50)
+
     def test_instantaneous_queries_still_work(self):
         """An MSB-tree is also a plain SB-tree for its aggregate."""
         facts = [(i % 9, Interval(i, i + 12)) for i in range(60)]

@@ -6,7 +6,7 @@ live ones and those of the last commit -- and reads both through
 Every step goes to all routes at once:
 
 * the SB-tree, on the backend drawn at setup: an in-memory store, one
-  page file behind a 2- or 3-frame pool, or four page-file shards of a
+  page file behind a 1-, 2- or 3-frame pool, or four page-file shards of a
   :class:`~repro.sharding.ShardedTree` (each page file with a
   :class:`~repro.faults.FaultInjector` attached);
 * :class:`DualTreeAggregate` (SUM/COUNT/AVG) or :class:`MSBTree`
@@ -21,11 +21,32 @@ a power cut under each :meth:`FaultInjector.lose_power` mode -- reopens
 the page files, which must hold exactly the committed facts; the
 in-memory routes are rebuilt from them.
 
+The machine also checks the paper's cost bounds (PAPER.md §1) as exact
+node-access counts, read off ``StoreStats`` (and, on a page store,
+``BufferStats`` / ``PagerStats``) around each call, at the tree's
+current height h -- per shard on the sharded backend:
+
+* ``lookup``, on every route and backend: h node reads; on a page store
+  also h pool accesses (hits + misses), one page read per miss and at
+  most one decode per access.  A clean shard is read once more through
+  the event loop's ``lookup(t, wait=False)``, with the same answer and
+  the same equalities;
+* ``DualTreeAggregate.window_lookup``: h(T) + 2 h(T') reads;
+* ``MSBTree.window_lookup``: at most 2h - 1 reads;
+* ``steps(window)``: edges strictly increasing from the window's start
+  to its end, each piece the oracle's value at its start, at most
+  2h - 2 reads per tree plus one per piece (:func:`range_bound`), and on the
+  sharded backend ``finalized_rows`` the finalized oracle rows;
+* a per-fact ``insert`` / ``delete``: at most :func:`update_bound` reads
+  per tree it reaches.
+
 The named examples at the end are fixed step sequences through the same
 machine.
 """
 
 import contextlib
+import functools
+import operator
 import shutil
 import tempfile
 
@@ -49,6 +70,7 @@ from repro import (
     check_tree,
 )
 from repro.core import reference
+from repro.core.results import finalized_rows
 from repro.faults import FaultInjector, simulate_crash
 from repro.sharding import ShardedTree, WindowUnsupportedError, shard_path
 from repro.storage import PagedNodeStore
@@ -78,6 +100,67 @@ def durable(machine):
     return machine.backend != "memory"
 
 
+# ----------------------------------------------------------------------
+# Cost bounds, in node reads at height h
+# ----------------------------------------------------------------------
+def tally(store):
+    """What *store* has done so far: node reads, and on a page store the
+    pool's hits and misses, the pager's page reads and the decodes."""
+    counts = [store.stats.reads]
+    if hasattr(store, "buffer"):
+        counts += [
+            store.buffer.stats.hits, store.buffer.stats.misses,
+            store.pager.stats.physical_reads, store.stats.decodes,
+        ]
+    return counts
+
+
+def costs(call, *stores):
+    """``call()`` and, per store, what it cost (:func:`tally` deltas)."""
+    before = [tally(store) for store in stores]
+    result = call()
+    return result, [
+        list(map(operator.sub, tally(store), then))
+        for store, then in zip(stores, before)
+    ]
+
+
+def update_bound(tree, h):
+    """The most nodes one per-fact ``insert_effect`` reads on a tree of
+    height h.
+
+    * The descent reads the root and, per level below it, at most the
+      two children whose intervals the effect covers partly: the ones
+      holding its start and its end.  2h - 1.  It splits the root at
+      most once, so what follows runs at height at most h + 1 = H.
+    * SUM/COUNT/AVG then run ``imerge`` at most at those two endpoints.
+      One ``imerge`` descends to the node storing the instant, depth d:
+      d reads.  At a leaf (d = H) that is all; at an interior node the
+      two edge walks to the leaves either side read H - d each, so
+      d + 2(H - d) <= 2H - 1.  Then an underfull leaf's ``nmerge``
+      reads at most both siblings on each of its H - 1 levels below the
+      root, and the root's one child when it collapses: 2H - 1.  So
+      4H - 2 per endpoint.
+    MIN/MAX trees are compacted in batch and run no ``imerge``."""
+    descent = 2 * h - 1
+    return descent + 2 * (4 * (h + 1) - 2) if tree.spec.invertible else descent
+
+
+def range_bound(heights, pieces):
+    """The most nodes ``steps(window)`` reads to return *pieces* rows
+    from trees of these *heights* (one per shard it reads).
+
+    In one tree the nodes a window meets form one contiguous run per
+    level; the runs' first and last nodes are at most 2h - 1 over all
+    levels (the root once).  Every other node lies inside the window, so all its children
+    are read and inside it too: each such interior node has at least two,
+    each such leaf gives at least two pieces (occupancy), hence the inner
+    nodes number at most the inner leaves' pieces.  The first and last
+    leaf give a piece each, at least one more than the inner leaves'.
+    So one tree reads at most 2h - 2 nodes plus its own pieces."""
+    return sum(2 * h - 2 for h in heights) + pieces
+
+
 class OracleMachine(RuleBasedStateMachine):
     #: What :meth:`start` draws the kind and the backend from.
     kinds, backends = KINDS, BACKENDS
@@ -85,7 +168,7 @@ class OracleMachine(RuleBasedStateMachine):
     @initialize(
         data=st.data(),
         geometry=st.sampled_from(GEOMETRIES),
-        frames=st.sampled_from([2, 3]),
+        frames=st.sampled_from([1, 2, 3]),
         w=st.integers(0, 40),
     )
     def start(self, data, geometry, frames, w):
@@ -150,10 +233,24 @@ class OracleMachine(RuleBasedStateMachine):
     # ------------------------------------------------------------------
     # Rules
     # ------------------------------------------------------------------
+    def apply(self, op, fact):
+        """*op* of *fact* on every route; each tree that takes it per
+        fact reads at most :func:`update_bound` nodes (every tree but the
+        shards' on an insert, which takes the batched path)."""
+        trees = self.trees()
+        if self.backend == "sharded" and op == "insert":
+            trees = trees[len(self.tree.shards):]
+        heights = [tree.height for tree in trees]
+        _, spent = costs(
+            lambda: [getattr(route, op)(*fact) for route in self.routes()],
+            *[tree.store for tree in trees],
+        )
+        for tree, h, (reads, *_) in zip(trees, heights, spent):
+            assert reads <= update_bound(tree, h), (op, reads, h)
+
     @rule(fact=facts)
     def insert(self, fact):
-        for route in self.routes():
-            route.insert(*fact)
+        self.apply("insert", fact)
         self.live.append(fact)
         self.touched = [fact]
 
@@ -179,14 +276,13 @@ class OracleMachine(RuleBasedStateMachine):
         """Delete live fact ``i mod n``; MIN/MAX must refuse it on every
         route, and the invariant then sees every answer unchanged."""
         fact = self.live[i % len(self.live)]
-        for route in self.routes():
-            if self.invertible:
-                route.delete(*fact)
-            else:
+        if self.invertible:
+            self.apply("delete", fact)
+            del self.live[i % len(self.live)]
+        else:
+            for route in self.routes():
                 with pytest.raises(ValueError):
                     route.delete(*fact)
-        if self.invertible:
-            del self.live[i % len(self.live)]
         self.touched = [fact]
 
     @rule(bulk=st.booleans())
@@ -239,8 +335,10 @@ class OracleMachine(RuleBasedStateMachine):
 
     @rule(t=times, w=st.integers(0, 60), lo=times, span=st.integers(1, 200))
     def query(self, t, w, lo, span):
+        self._heights = {}
         self.check_instant(t, w)
         window = Interval(lo, lo + span)
+        self.check_steps(window)
 
         def clipped(table):
             return table.restrict(window).coalesce()
@@ -248,7 +346,6 @@ class OracleMachine(RuleBasedStateMachine):
         def got(table):
             return table.coalesce(self.tree.spec.eq)
 
-        assert got(self.tree.range_query(window)) == clipped(self.oracle())
         assert got(self.fixed.range_query(window)) == clipped(self.oracle(self.w))
         assert self.windowed.window_query(window, w) == clipped(self.oracle(w))
         if not self.invertible:
@@ -275,14 +372,39 @@ class OracleMachine(RuleBasedStateMachine):
 
     def check_instant(self, t, w):
         """Every route's lookup at *t*, and its window ``[t - w, t]``
-        (the fixed-window tree: at its own offset)."""
+        (the fixed-window tree: at its own offset), at its cost bound."""
         want = self.oracle().value_at(t)
-        got = [self.tree.lookup(t), self.windowed.lookup(t), self.view.lookup(t)]
-        assert got == [want] * 3
+        if self.backend == "sharded":
+            shard = self.tree.shards[self.tree.router.shard_of(t)].tree
+            got = [self.check_lookup(shard, self.tree.lookup, t)]
+            if not shard.store.dirty:
+                # The event loop's route: never blocks, never writes.
+                route = functools.partial(self.tree.lookup, wait=False)
+                got.append(self.check_lookup(shard, route, t))
+        else:
+            got = [self.check_lookup(self.tree, self.tree.lookup, t)]
+        current = self.windowed.current if self.invertible else self.windowed
+        got += [self.check_lookup(current, self.windowed.lookup, t), self.view.lookup(t)]
+        assert got == [want] * len(got)
         assert self.tree.lookup_final(t) == self.tree.spec.finalize(want)
-        assert self.fixed.lookup(t) == self.oracle(self.w).value_at(t)
+        fixed = self.check_lookup(self.fixed.tree, self.fixed.lookup, t)
+        assert fixed == self.oracle(self.w).value_at(t)
         want = self.oracle(w).value_at(t)
-        assert self.windowed.window_lookup(t, w) == want
+        if self.invertible:
+            # Two lookups of T' and one of T.
+            ended = self.windowed.ended
+            heights = [self.height(current), 2 * self.height(ended)]
+            got, spent = costs(
+                lambda: self.windowed.window_lookup(t, w), current.store, ended.store
+            )
+            assert [reads for reads, *_ in spent] == heights
+        else:
+            # The paths to t - w and to t: at most two nodes per level.
+            got, [(reads,)] = costs(
+                lambda: self.windowed.window_lookup(t, w), current.store
+            )
+            assert reads <= 2 * self.height(current) - 1
+        assert got == want
         if self.backend != "sharded":
             return
         if self.invertible:
@@ -291,8 +413,56 @@ class OracleMachine(RuleBasedStateMachine):
         else:
             assert self.tree.window_lookup(t, w) == want
 
+    def height(self, tree):
+        """*tree*'s height, read once per check (lookups leave it)."""
+        if tree not in self._heights:
+            self._heights[tree] = tree.height
+        return self._heights[tree]
+
+    def check_lookup(self, tree, lookup, t):
+        """``lookup(t)``, one probe per level of *tree*: h node reads;
+        on a page store h pool accesses, a page read per miss and at
+        most one decode per access."""
+        h, before = self.height(tree), tally(tree.store)
+        got = lookup(t)
+        reads, *paged = map(operator.sub, tally(tree.store), before)
+        assert reads == h, (reads, h)
+        if paged:
+            hits, misses, page_reads, decodes = paged
+            assert (hits + misses, page_reads) == (h, misses), paged
+            assert decodes <= h, paged
+        return got
+
+    def check_steps(self, window):
+        """The SB-tree's ``steps(window)``: a step function over exactly
+        the window, the oracle's value on each piece, at most
+        :func:`range_bound` node reads per tree it reads."""
+        if self.backend == "sharded":
+            trees = [
+                self.tree.shards[i].tree for i in self.tree.router.overlapping(window)
+            ]
+        else:
+            trees = [self.tree]
+        heights = [self.height(tree) for tree in trees]
+        (edges, values), spent = costs(
+            lambda: self.tree.steps(window), *[tree.store for tree in trees]
+        )
+        assert (edges[0], edges[-1]) == (window.start, window.end)
+        assert all(a < b for a, b in zip(edges, edges[1:])), edges
+        oracle = self.oracle()
+        assert values == [oracle.value_at(start) for start in edges[:-1]]
+        reads = sum(reads for reads, *_ in spent)
+        assert reads <= range_bound(heights, len(values)), (reads, heights)
+        if self.backend == "sharded":
+            spec = self.tree.spec
+            table = oracle.restrict(window).coalesce(spec.eq).finalized(spec)
+            assert finalized_rows(edges, values, spec) == [
+                [value, piece.start, piece.end] for value, piece in table
+            ]
+
     @invariant()
     def answers_match_the_oracle(self):
+        self._heights = {}
         instantaneous, cumulative = self.oracle(), self.oracle(self.w)
         assert self.tree.to_table(drop_initial=False) == instantaneous
         assert self.view.to_table(drop_initial=False) == instantaneous
@@ -437,3 +607,16 @@ def test_insert_all_then_delete_all(kind, backend):
         if backend == "sharded":
             assert m.tree.facts_applied == 0
             assert m.tree.pieces_applied == [0] * 4
+
+
+@pytest.mark.parametrize("kind", ["min", "max"])
+def test_a_wide_window_reads_annotations_not_leaves(kind):
+    """Short facts whose extremum improves left to right, so no subtree
+    a window covers can be pruned: the MSB-tree's window lookup must
+    take each covered subtree's ``u`` and still read at most two nodes
+    per level, where a scan would read every leaf in the window."""
+    sign = 1 if kind == "max" else -1
+    facts = [(sign * v, Interval(3 * v, 3 * v + 2)) for v in range(60)]
+    steps = [("insert_batch", facts), ("query", 170, 60, 100, 80)]
+    with replayed(steps, kind=kind, w=40) as m:
+        assert m.windowed.height >= 3

@@ -339,3 +339,45 @@ class TestLeafSpliceGolden:
         with pytest.raises(TypeError):
             tree._apply_to_leaf(node, NEG_INF, POS_INF, "x", Interval(5, 25))
         assert (node.times, node.values) == ([10, 20], [1, 2, 3])
+
+
+# ----------------------------------------------------------------------
+# The per-fact insert does only necessary work: ``imerge`` only at an
+# endpoint that may now separate equal values, a write only where a
+# node changed
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kind", ["sum", "count", "avg"])
+def test_a_fact_between_unequal_neighbours_runs_no_imerge(kind):
+    # Past everything else, a fact adds two boundaries between unequal
+    # values: neither endpoint is a candidate, so one descent is all it
+    # reads.  Its deletion levels both sides again: both are.
+    tree = SBTree(kind, branching=4, leaf_capacity=4)
+    for start in range(0, 400, 7):
+        tree.insert(start % 5 + 1, Interval(start, start + 3))
+    height = tree.height
+    calls = []
+    imerge = tree._imerge_at
+    tree._imerge_at = lambda t: (calls.append(t), imerge(t))
+    before = tree.store.stats.snapshot()
+    tree.insert(9, Interval(1_000, 1_010))
+    assert calls == [] and (tree.store.stats - before).reads == height
+    tree.delete(9, Interval(1_000, 1_010))
+    assert calls == [1_000, 1_010]
+    check_tree(tree)
+
+
+@pytest.mark.parametrize("kind", ["sum", "count", "avg", "min", "max"])
+def test_an_effect_that_changes_nothing_writes_nothing(kind):
+    # The identity effect (0, (0, 0), NULL) is pruned at the root; on
+    # MIN/MAX so is one the stored extremum dominates, at the leaf.
+    tree = SBTree(kind, branching=4, leaf_capacity=4)
+    for start in range(0, 400, 7):
+        tree.insert(start % 5 + 1, Interval(start, start + 3))
+    tree.insert(50, Interval(1_000, 1_100))
+    noops = [(tree.spec.v0, Interval(5, 300))]
+    if kind in ("min", "max"):
+        noops.append((99 if kind == "min" else 1, Interval(1_010, 1_020)))
+    for effect, interval in noops:
+        before = tree.store.stats.snapshot()
+        tree.insert_effect(effect, interval)
+        assert (tree.store.stats - before).writes == 0

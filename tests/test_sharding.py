@@ -138,6 +138,12 @@ class TestShardedWindow:
         with pytest.raises(ShardingError):
             sharded.window_lookup(50, -1)
 
+    def test_nan_window_rejected(self):
+        sharded = ShardedTree("max", [100])
+        sharded.insert(3, Interval(10, 60))
+        with pytest.raises(ShardingError):
+            sharded.window_lookup(50, float("nan"))
+
 
 class TestShardedTreeConfig:
     def test_needs_boundaries_or_span(self):
