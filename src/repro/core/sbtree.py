@@ -857,11 +857,14 @@ class SBTree:
         acc = spec.acc
         if not path:
             # node is the root.  An interior root with a single child is
-            # collapsed: its one value is folded into every child value.
+            # collapsed: its one value is folded into every child value,
+            # and the child is written only if that changed it.
             if not node.is_leaf and node.interval_count == 1:
                 child = self._read(node.children[0])
-                child.values = [acc(node.values[0], v) for v in child.values]
-                self.store.write(child)
+                folded = [acc(node.values[0], v) for v in child.values]
+                if folded != child.values:
+                    child.values = folded
+                    self.store.write(child)
                 self.store.free(node.node_id)
                 self.store.set_root(child.node_id)
                 self._root_id = child.node_id

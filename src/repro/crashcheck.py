@@ -71,12 +71,13 @@ from .core.intervals import Interval
 from .core.sbtree import SBTree
 from .core.validate import check_tree
 from .faults import FaultInjector, SimulatedCrash, simulate_crash
-from .storage import PagedNodeStore
+from .storage import PagedNodeStore, fsck_dynamic
 from .storage import pager as pager_module
 from .storage.pager import Pager
 from .warehouse.dynamic import (
     CATALOG_CRASH_POINTS,
     CATALOG_WRITE_LABEL,
+    CHECKPOINT_NAME,
     DynamicCatalog,
 )
 
@@ -638,6 +639,9 @@ def _check_catalog_views(
 def _verify_catalog_recovery(
     dirpath: str, ctx: CatalogWorkloadContext
 ) -> Tuple[bool, str]:
+    errors = fsck_dynamic(os.path.join(dirpath, CHECKPOINT_NAME)).errors()
+    if errors:
+        return False, "fsck: " + "; ".join(f"{f.code}: {f.message}" for f in errors)
     try:
         catalog = DynamicCatalog(dirpath, clock=ctx._clock)
     except Exception as exc:  # noqa: BLE001 - report, don't crash the sweep

@@ -38,8 +38,11 @@ needs rebuilding (``repro build``) -- fsck never invents data.
 schema version, DAG consistency (every source exists and precedes its
 consumers), watermark sanity (within each source log's ``base..head``
 window), change-log density (sequence numbers dense in
-``base + 1 .. head``), and reports leftover temp files from an
-interrupted checkpoint rename.
+``base + 1 .. head``), what each save re-uses of the last one (rows with
+unique tuple ids and non-empty intervals; per-group tree checkpoints
+sorted, disjoint, free of ``v0`` and with no two abutting equal
+segments), and reports leftover temp files from an interrupted
+checkpoint rename.
 """
 
 from __future__ import annotations
@@ -743,6 +746,65 @@ def _audit_change_log(
     return {"head": head, "base": base}
 
 
+def _audit_rows(report: FsckReport, node: str, rows: Any) -> None:
+    """A node's rows: well-formed, unique tuple ids, non-empty intervals."""
+    if not isinstance(rows, list):
+        report.add("error", "bad-rows", f"{node}: rows is not a list")
+        return
+    seen: Set[Any] = set()
+    for offset, row in enumerate(rows):
+        try:
+            tuple_id, _, start, end, _ = row
+            empty = not start < end
+            duplicate = tuple_id in seen
+        except (TypeError, ValueError):
+            report.add("error", "bad-rows", f"{node}: row at offset {offset} is malformed")
+            return
+        if empty:
+            report.add(
+                "error", "bad-rows",
+                f"{node}: row #{tuple_id} has the empty interval [{start}, {end})",
+            )
+        if duplicate:
+            report.add("error", "bad-rows", f"{node}: tuple id {tuple_id} appears twice")
+        seen.add(tuple_id)
+
+
+def _audit_tree_checkpoint(report: FsckReport, view: str, spec, trees: Any) -> None:
+    """A view's per-group tree checkpoints: each the coalesced step
+    function a save writes -- sorted, disjoint segments, none at ``v0``
+    and no two abutting ones equal."""
+    if not isinstance(trees, list):
+        report.add("error", "bad-tree-checkpoint", f"view {view!r}: trees is not a list")
+        return
+    for entry in trees:
+        try:
+            key, segments = entry
+            last_end = last_value = None
+            for value, start, end in segments:
+                if isinstance(value, list):
+                    value = tuple(value)  # an AVG pair
+                if not start < end or (last_end is not None and start < last_end):
+                    problem = f"segment [{start}, {end}) is empty or out of order"
+                elif spec.is_initial(value):
+                    problem = f"segment [{start}, {end}) holds v0"
+                elif start == last_end and spec.eq(value, last_value):
+                    problem = f"the segments meeting at {start} are equal"
+                else:
+                    last_end, last_value = end, value
+                    continue
+                report.add(
+                    "error", "bad-tree-checkpoint",
+                    f"view {view!r}, group {key!r}: {problem}",
+                )
+                break
+        except (TypeError, ValueError):
+            report.add(
+                "error", "bad-tree-checkpoint",
+                f"view {view!r}: a tree checkpoint entry is malformed",
+            )
+
+
 def _fsck_dynamic(path: str) -> FsckReport:
     report = FsckReport(path)
     if not os.path.exists(path):
@@ -821,17 +883,23 @@ def _fsck_dynamic(path: str) -> FsckReport:
         if not isinstance(raw, dict):
             report.add("error", "bad-structure", f"{name!r} is not an object")
 
+    for name, raw in tables.items():
+        if isinstance(raw, dict):
+            _audit_rows(report, name, raw.get("rows", []))
     position = {name: index for index, name in enumerate(order)}
     for name, raw in views.items():
         if not isinstance(raw, dict):
             continue
+        _audit_rows(report, name, raw.get("rows", []))
         try:
-            spec_for(raw.get("kind"))
+            spec = spec_for(raw.get("kind"))
         except (KeyError, ValueError):
             report.add(
                 "error", "bad-view",
                 f"view {name!r}: unknown aggregate kind {raw.get('kind')!r}",
             )
+        else:
+            _audit_tree_checkpoint(report, name, spec, raw.get("trees", []))
         sources = raw.get("sources", [])
         watermarks = raw.get("watermarks", {})
         for src in sources:

@@ -93,6 +93,13 @@ Robustness (DESIGN.md section 14)
   is checkpointed as per-group *tree checkpoints* -- the coalesced
   internal step function of each group's SB-tree -- so a restore
   replays only the unconsumed tail.
+* **Saves cost what changed.**  A save re-encodes only what changed
+  since the last one: a row's JSON text is kept from the first save
+  that sees it for as long as the row lives, and a group's tree
+  checkpoint is re-walked only over the spans its tree was written in
+  (each write records them first; a group whose sums may be floats is
+  re-walked whole).  The file is the same bytes a save that encoded
+  everything would write.
 * **Crash safety.**  ``save`` is fault-injectable (``faults=``) at
   labeled crash points (torn temp write, fsync failure, crash
   before/after the rename) and always retains the previous checkpoint
@@ -108,6 +115,7 @@ Robustness (DESIGN.md section 14)
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 import math
 import os
@@ -117,7 +125,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .. import obs
-from ..core.intervals import Interval, Time
+from ..core.intervals import NEG_INF, POS_INF, Interval, Time
 from ..core.sbtree import SBTree
 from ..core.values import AggregateSpec, spec_for
 from ..relation.table import TemporalRelation
@@ -154,6 +162,13 @@ CATALOG_CRASH_POINTS = (
 
 #: Write/fsync label the checkpoint temp-file I/O is intercepted under.
 CATALOG_WRITE_LABEL = "view_ckpt"
+
+#: What a group key may be: a JSON scalar, which the checkpoint returns
+#: as itself (a tuple would come back as an unhashable list).
+_KEY_TYPES = (str, int, float, bool, type(None))
+
+#: The whole time line, as a dirty span.
+_WHOLE = (NEG_INF, POS_INF)
 
 
 class CatalogCheckpointError(RuntimeError):
@@ -361,6 +376,7 @@ class _BaseNode:
         self.log = ChangeLog()
         self._tap = _LogTap(self.log, clock)
         relation.subscribe(self._tap, replay=True)
+        self.row_texts: Dict[int, str] = {}
 
     def detach(self) -> None:
         self.relation.unsubscribe(self._tap)
@@ -439,6 +455,16 @@ class DynamicView:
         # the rows an affected span overlaps and splices their
         # replacements in place.
         self._index: Dict[Hashable, Tuple[List[Time], List[TemporalTuple]]] = {}
+        # What the last save wrote, kept for the next one (see
+        # DynamicCatalog.save): each output row's JSON text by tuple id,
+        # and per group the tree checkpoint's segments -- their starts,
+        # their ends and their JSON texts -- with the spans of the tree
+        # written since.  A group whose sums may be floats is re-walked
+        # whole when written (``_inexact``, see :meth:`_mark`).
+        self.row_texts: Dict[int, str] = {}
+        self._segments: Dict[Hashable, Tuple[List[Time], List[Time], List[str]]] = {}
+        self._dirty: Dict[Hashable, List[Tuple[Time, Time]]] = {}
+        self._inexact: set = set()
         self.refreshes = 0
         self.events_consumed = 0
         self.rows_emitted = 0
@@ -472,10 +498,99 @@ class DynamicView:
             self._index[key] = ([], [])
         return tree
 
-    def _key_of(self, record: LogRecord) -> Hashable:
+    def _key_of(self, payload: Mapping[str, Any]) -> Hashable:
+        """The group of a record or row with this *payload*; ``ValueError``
+        for a key the checkpoint cannot give back as itself."""
         if self.key_field is None:
             return None
-        return record.payload.get(self.key_field)
+        key = payload.get(self.key_field)
+        if not isinstance(key, _KEY_TYPES):
+            raise ValueError(
+                f"view {self.name!r}: group key field {self.key_field!r} "
+                f"holds {key!r}; a group key must be a str, int, float, "
+                "bool or None"
+            )
+        return key
+
+    def _mark(
+        self, key: Hashable, spans: List[Tuple[Time, Time]], values: Sequence[Any] = ()
+    ) -> None:
+        """Record, before a write of *values* to group *key*'s tree, the
+        spans the write may change: the next save re-walks only those.
+
+        An SB-tree node merge re-associates the sums it pushes down,
+        which may move a float sum by round-off outside the spans the
+        write covered; a SUM/COUNT/AVG group that ever took a value that
+        is not an integer is therefore re-walked whole.  Spans are
+        merged once they outnumber twice the group's segments (plus
+        64), and the group is re-walked whole if the merged ones still
+        outnumber its segments: that also bounds what a catalog that
+        never saves keeps here.
+        """
+        if self.spec.invertible and key not in self._inexact and not _integers(values):
+            self._inexact.add(key)
+        dirty = self._dirty.setdefault(key, [])
+        if key in self._inexact or dirty[:1] == [_WHOLE]:
+            self._dirty[key] = [_WHOLE]
+            return
+        dirty.extend(spans)
+        segments = len(self._segments.get(key, ((),))[0])
+        if len(dirty) > 2 * segments + 64:
+            merged = _merge_spans(dirty)
+            self._dirty[key] = merged if len(merged) <= segments else [_WHOLE]
+
+    def _segment_texts(self, key: Hashable, tree: SBTree) -> List[str]:
+        """Group *key*'s tree checkpoint, as JSON texts of its segments.
+
+        The checkpoint is the coalesced internal step function of the
+        tree, ``v0`` runs dropped.  Only the spans written since the
+        last save are walked: each is widened to the segments it
+        overlaps or abuts, so a run that crosses its border is walked
+        whole and coalesces as in a walk of the whole tree, and the
+        walk's segments replace those.  Everything outside the spans
+        reads as it did when it was last walked.
+        """
+        starts, ends, texts = self._segments.setdefault(key, ([], [], []))
+        spans = self._dirty.get(key)
+        if not spans:
+            return texts
+        windows = []
+        for lo, hi in _merge_spans(spans):
+            first = bisect.bisect_left(ends, lo)
+            stop = bisect.bisect_right(starts, hi)
+            if first < stop:
+                lo, hi = min(lo, starts[first]), max(hi, ends[stop - 1])
+            windows.append((lo, hi))
+        for lo, hi in reversed(_merge_spans(windows)):
+            edges, values = tree.steps((lo, hi))
+            segments: List[List[Any]] = []
+            for value, start, end in zip(values, edges, edges[1:]):
+                _extend_segments(self.spec, segments, value, start, end)
+            first = bisect.bisect_right(ends, lo)
+            stop = bisect.bisect_left(starts, hi)
+            starts[first:stop] = [start for _, start, _ in segments]
+            ends[first:stop] = [end for _, _, end in segments]
+            texts[first:stop] = list(map(_dumps, segments))
+        del self._dirty[key]
+        return texts
+
+    def _tree_texts(self) -> "_Array":
+        """Every group's tree checkpoint ``[key, segments]``, as JSON
+        texts (see :meth:`_segment_texts`)."""
+        return _Array(
+            f"[{json.dumps(key)}, [{', '.join(self._segment_texts(key, tree))}]]"
+            for key, tree in self._trees.items()
+        )
+
+    def _seed_segments(self, key: Hashable, segments: List[List[Any]]) -> None:
+        """Adopt a restored group's checkpoint as the last save's."""
+        self._segments[key] = (
+            [start for _, start, _ in segments],
+            [end for _, _, end in segments],
+            list(map(_dumps, segments)),
+        )
+        if self.spec.invertible and not _integers([value for value, _, _ in segments]):
+            self._inexact.add(key)
 
     # ------------------------------------------------------------------
     # Refresh
@@ -515,18 +630,19 @@ class DynamicView:
         consumed = 0
         for _, batch in batches:
             for record in batch:
-                groups.setdefault(self._key_of(record), []).append(record)
+                groups.setdefault(self._key_of(record.payload), []).append(record)
             consumed += len(batch)
         changed: Dict[Hashable, List[Tuple[Time, Time]]] = {}
         if self.spec.invertible:
             folded = [self._fold(records) for records in groups.values()]
             for key, segments in zip(groups, folded):
+                changed[key] = [(start, end) for _, start, end in segments]
+                self._mark(key, changed[key], [value for value, _, _ in segments])
                 self._tree(key).insert_effects(
                     (value, Interval(start, end))
                     for value, start, end in segments
                 )
                 self.effects_applied += len(segments)
-                changed[key] = [(start, end) for _, start, end in segments]
         else:
             # Two-phase, like the eager views: veto before any mutation
             # so a batch with a deletion cannot half-apply.
@@ -539,12 +655,17 @@ class DynamicView:
                             "Section 3.4); the source change stream "
                             "retracted a tuple"
                         )
+            # Every group's spans are marked before the first write: a
+            # value a tree cannot compare fails its group's batch after
+            # earlier groups took theirs.
+            for key, records in groups.items():
+                changed[key] = [(r.start, r.end) for r in records]
+                self._mark(key, changed[key])
             for key, records in groups.items():
                 self._tree(key).insert_batch(
                     (record.value, record.interval) for record in records
                 )
                 self.effects_applied += len(records)
-                changed[key] = [(r.start, r.end) for r in records]
         for src, batch in batches:
             self.watermarks[src] = batch[-1].seq
         for key, spans in changed.items():
@@ -735,6 +856,71 @@ def _merge_spans(spans: List[Tuple[Time, Time]]) -> List[Tuple[Time, Time]]:
         else:
             merged.append((lo, hi))
     return merged
+
+
+def _json_encoder():
+    """``json.dumps`` with its defaults, minus the per-call set-up: the
+    C encoder ``json.dumps`` itself builds, built once (``json.dumps``
+    where the C accelerator is missing)."""
+    if json.encoder.c_make_encoder is None:  # pragma: no cover - CPython has it
+        return json.dumps
+    encode = json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, ": ", ", ", False, False, True,
+    )
+    return lambda value: "".join(encode(value, 0))
+
+
+#: A row's or a segment's JSON text, exactly as ``json.dumps`` writes it.
+_dumps = _json_encoder()
+
+
+def _integers(values: Sequence[Any]) -> bool:
+    """Whether all *values* are integers, or AVG pairs of integers: sums
+    of these do not depend on the order they are added in."""
+    types = set(map(type, values))
+    if types <= {tuple, list}:
+        types = set(map(type, itertools.chain.from_iterable(values)))
+    return types <= {int}
+
+
+class _Array(list):
+    """A JSON array given as the JSON texts of its items."""
+
+
+def _write_json(value: Any, out: List[str]) -> None:
+    """Append ``json.dumps(value)`` to *out*, in pieces, splicing each
+    :class:`_Array` in *value*'s dicts together from its items' texts."""
+    if isinstance(value, _Array):
+        out += ("[", ", ".join(value), "]")
+    elif isinstance(value, dict):
+        out.append("{")
+        for i, (name, item) in enumerate(value.items()):
+            # json.dumps writes a key that is not a string as the string
+            # of its own JSON text (5 -> "5", None -> "null").
+            key = name if isinstance(name, str) else json.dumps(name)
+            out += (", " if i else "", json.dumps(key), ": ")
+            _write_json(item, out)
+        out.append("}")
+    else:
+        out.append(json.dumps(value))
+
+
+def _row_texts(node: Union["_BaseNode", DynamicView]) -> _Array:
+    """A node's rows, as the JSON texts of ``[tuple_id, value, start,
+    end, payload]``.  A row is encoded the first time a save sees it and
+    its text kept in ``node.row_texts`` for as long as it lives: rows are
+    frozen, and a relation never reuses a tuple id."""
+    cached = node.row_texts
+    texts: Dict[int, str] = {}
+    for row in node.relation:
+        text = cached.get(row.tuple_id)
+        if text is None:
+            text = _dumps([row.tuple_id, row.value, row.valid.start,
+                           row.valid.end, row.payload])
+        texts[row.tuple_id] = text
+    node.row_texts = texts
+    return _Array(texts.values())
 
 
 def _restore_relation(relation: TemporalRelation, rows: List[List[Any]]) -> None:
@@ -983,13 +1169,11 @@ class DynamicCatalog:
             if node.log.base <= 0:
                 continue
             for row in node.relation:
-                key = (
-                    None if view.key_field is None
-                    else row.payload.get(view.key_field)
-                )
-                seeds.setdefault(key, []).append(row)
+                seeds.setdefault(view._key_of(row.payload), []).append(row)
             heads[src] = node.log.head
+        effect = view.spec.effect
         for key, rows in seeds.items():
+            view._mark(key, [_WHOLE], [effect(row.value) for row in rows])
             view._tree(key).insert_batch((row.value, row.valid) for row in rows)
         view.watermarks.update(heads)
         for key, rows in seeds.items():
@@ -1322,52 +1506,33 @@ class DynamicCatalog:
             raise ValueError("this catalog has no directory to persist into")
         return os.path.join(self.directory, CHECKPOINT_NAME)
 
-    @staticmethod
-    def _rows_json(relation: TemporalRelation) -> List[List[Any]]:
-        return [
-            [row.tuple_id, row.value, row.valid.start, row.valid.end,
-             row.payload]
-            for row in relation
-        ]
-
-    @staticmethod
-    def _trees_json(view: DynamicView) -> List[List[Any]]:
-        """Per-group tree checkpoints: the coalesced internal step
-        function of each group's SB-tree, ``v0`` segments elided, from
-        one walk over the tree's leaves.  Re-applying each segment as a
-        raw effect reconstructs the tree exactly (segments are disjoint
-        and ``acc(v0, x) == x``)."""
-        out: List[List[Any]] = []
-        for key, tree in view._trees.items():
-            segments: List[List[Any]] = []
-            for value, start, end in tree.leaf_pieces():
-                _extend_segments(view.spec, segments, value, start, end)
-            out.append([key, segments])
-        return out
-
     def save(self) -> str:
         """Checkpoint definitions, watermarks, logs, trees, and rows.
 
         The logs hold only their unconsumed tails (refresh and DDL
         drop the rest); the checkpoint carries per-group tree
         checkpoints instead, so a restore replays only those tails.
-        The write is atomic (temp file + fsync + rename) and
-        the previous checkpoint is retained as ``dynamic.json.prev``
-        before the rename, so a crash at *any* point of the sequence
-        leaves a restorable checkpoint behind.  With ``faults`` the
+        The work is what changed since the last save, plus one join
+        and one sequential write: rows new since then are encoded
+        (:func:`_row_texts`), trees are re-walked over the spans they
+        were written in (:meth:`DynamicView._segment_texts`), and the
+        rest is the text the last save produced; the bytes are those
+        of ``json.dumps`` over the whole catalog.  The write is atomic
+        (temp file + fsync + rename) and the previous checkpoint is
+        retained as ``dynamic.json.prev`` before the rename, so a crash
+        at *any* point of the sequence leaves a restorable checkpoint
+        behind.  With ``faults`` the
         labeled crash points in :data:`CATALOG_CRASH_POINTS` and the
         ``"view_ckpt"`` write/fsync label are consulted.
         """
         with self._lock:
             path = self._checkpoint_path()
-            payload: Dict[str, Any] = {
+            out: List[str] = []
+            _write_json({
                 "version": 2,
-                "order": list(self._order),
+                "order": self._order,
                 "tables": {
-                    name: {
-                        "log": node.log.to_json(),
-                        "rows": self._rows_json(node.relation),
-                    }
+                    name: {"log": node.log.to_json(), "rows": _row_texts(node)}
                     for name, node in self._tables.items()
                 },
                 "views": {
@@ -1380,15 +1545,15 @@ class DynamicCatalog:
                         "refreshes": view.refreshes,
                         "events_consumed": view.events_consumed,
                         "log": view.log.to_json(),
-                        "rows": self._rows_json(view.relation),
-                        "trees": self._trees_json(view),
+                        "rows": _row_texts(view),
+                        "trees": view._tree_texts(),
                         "quarantined": view.quarantined,
                         "last_error": view.last_error,
                     }
                     for name, view in self._views.items()
                 },
-            }
-            data = json.dumps(payload).encode("utf-8")
+            }, out)
+            data = "".join(out).encode("utf-8")
             faults = self.faults
             if faults is not None:
                 faults.crash_point("view_ckpt:serialized")
@@ -1518,6 +1683,7 @@ class DynamicCatalog:
                     node = _BaseNode.__new__(_BaseNode)
                     node.name = name
                     node.relation = relation
+                    node.row_texts = {}
                     node.log = ChangeLog.from_json(raw["log"])
                     node._tap = _LogTap(node.log, self.clock)
                     relation.subscribe(node._tap, replay=False)
@@ -1559,11 +1725,7 @@ class DynamicCatalog:
         _restore_relation(view.relation, rows)
         grouped: Dict[Hashable, List[TemporalTuple]] = {}
         for row in view.relation:
-            key = (
-                None if view.key_field is None
-                else row.payload.get(view.key_field)
-            )
-            grouped.setdefault(key, []).append(row)
+            grouped.setdefault(view._key_of(row.payload), []).append(row)
         for key, members in grouped.items():
             view._tree(key)  # ensure the per-group row index exists
             members.sort(key=lambda row: row.valid.start)
@@ -1585,6 +1747,7 @@ class DynamicCatalog:
                 )
                 for value, start, end in segments
             )
+            view._seed_segments(key, segments)
 
     def close(self) -> None:
         """Checkpoint (when persistent) and detach every node."""

@@ -38,7 +38,9 @@ current height h -- per shard on the sharded backend:
   2h - 2 reads per tree plus one per piece (:func:`range_bound`), and on the
   sharded backend ``finalized_rows`` the finalized oracle rows;
 * a per-fact ``insert`` / ``delete``: at most :func:`update_bound` reads
-  per tree it reaches.
+  per tree it reaches, and on a page store no node handed to the store
+  whose page already holds the bytes it encodes to (a node is written
+  only if it changed).
 
 The named examples at the end are fixed step sequences through the same
 machine.
@@ -199,12 +201,45 @@ class OracleMachine(RuleBasedStateMachine):
             PagedNodeStore(path, buffer_capacity=self.frames, faults=FaultInjector())
             for path in self.paths
         ]
+        self.rewrites = 0
+        for store in self.stores:
+            self._count_rewrites(store)
         if self.backend == "sharded":
             self.tree = ShardedTree(
                 self.kind, CUTS, stores=self.stores, **self.geometry
             )
         else:
             self.tree = SBTree(self.kind, *self.stores, **self.geometry)
+
+    def _count_rewrites(self, store):
+        """Count, in ``self.rewrites``, each node *store* is handed to
+        write whose page already holds the bytes it encodes to.  (The
+        batch path writes every node its items reach, changed or not.)"""
+        write, write_all = store.write, store.write_all
+        size = store.pager.payload_size
+
+        def held(node):
+            # A frame holds what was written (unpadded) or read (a page).
+            frame = store.buffer._frames.get(node.node_id)
+            if frame is not None:
+                return frame.payload.ljust(size, b"\0")
+            return store.pager.read_page(node.node_id)
+
+        def count(nodes):
+            encode = store.codec.encode
+            self.rewrites += sum(
+                encode(node).ljust(size, b"\0") == held(node) for node in nodes
+            )
+
+        def counted_write(node):
+            count([node])
+            write(node)
+
+        def counted_write_all(nodes):
+            count(nodes)
+            write_all(nodes)
+
+        store.write, store.write_all = counted_write, counted_write_all
 
     def _rebuild(self):
         """The in-memory routes, from the live facts."""
@@ -235,18 +270,24 @@ class OracleMachine(RuleBasedStateMachine):
     # ------------------------------------------------------------------
     def apply(self, op, fact):
         """*op* of *fact* on every route; each tree that takes it per
-        fact reads at most :func:`update_bound` nodes (every tree but the
-        shards' on an insert, which takes the batched path)."""
+        fact (every tree but the shards' on an insert, which takes the
+        batched path) reads at most :func:`update_bound` nodes and writes
+        a node only if it changed: no page is handed back the bytes it
+        holds."""
         trees = self.trees()
-        if self.backend == "sharded" and op == "insert":
+        batched = self.backend == "sharded" and op == "insert"
+        if batched:
             trees = trees[len(self.tree.shards):]
         heights = [tree.height for tree in trees]
+        rewrites = self.rewrites
         _, spent = costs(
             lambda: [getattr(route, op)(*fact) for route in self.routes()],
             *[tree.store for tree in trees],
         )
         for tree, h, (reads, *_) in zip(trees, heights, spent):
             assert reads <= update_bound(tree, h), (op, reads, h)
+        if not batched:
+            assert self.rewrites == rewrites, (op, fact)
 
     @rule(fact=facts)
     def insert(self, fact):
@@ -620,3 +661,18 @@ def test_a_wide_window_reads_annotations_not_leaves(kind):
     steps = [("insert_batch", facts), ("query", 170, 60, 100, 80)]
     with replayed(steps, kind=kind, w=40) as m:
         assert m.windowed.height >= 3
+
+
+def test_a_node_is_written_only_if_it_changed():
+    """On a page store, a per-fact update hands no page back the bytes
+    it holds.  The third insert changes a leaf and not its parent; the
+    delete empties the root's second child, and the root, left with one
+    child and ``v0``, collapses into it without changing it."""
+    steps = [
+        ("insert", (1, Interval(2, 3))),
+        ("insert", (1, Interval(0, 1))),
+        ("insert", (2, Interval(0, 1))),
+        ("delete", 0),
+    ]
+    with replayed(steps, backend="paged", geometry=(4, 4)) as m:
+        assert m.tree.height == 1 and m.rewrites == 0

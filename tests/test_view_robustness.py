@@ -375,6 +375,47 @@ class TestQuarantine:
         assert view.quarantined
         assert state() == before
 
+    def test_a_tuple_group_key_is_refused_before_any_write(self, tmp_path):
+        """A group key must come back from the checkpoint as itself; a
+        tuple comes back as an unhashable list, and such a catalog could
+        not be reopened.  Refresh refuses the key while it groups the
+        batch, before the first tree write: the quarantined view keeps
+        its last-good state, and the catalog reopens."""
+        clock = FakeClock()
+        directory = str(tmp_path / "cat")
+        cat = DynamicCatalog(directory, clock=clock)
+        cat.create_table("t")
+        cat.create_view("v", "t", "sum", key="k", lag=0)
+        cat.insert("t", 5, (0, 10), k="a")
+        clock.advance(1.0)
+        cat.tick()
+        view = cat.view("v")
+
+        def state():
+            return (
+                dict(view.watermarks),
+                {k: list(tree.leaf_pieces()) for k, tree in view._trees.items()},
+                [(r.tuple_id, r.value, r.valid) for r in view.relation],
+            )
+
+        before = state()
+        cat.insert("t", 2, (0, 10), k="a")
+        cat.insert("t", 1, (0, 5), k=("a", 1))
+        clock.advance(1.0)
+        cat.tick()
+        assert view.quarantined and view.last_error.startswith("ValueError")
+        assert "'k'" in view.last_error and "('a', 1)" in view.last_error
+        assert state() == before
+        # A view created over the compacted table meets the row itself.
+        with pytest.raises(ValueError, match="group key"):
+            cat.create_view("w", "t", "count", key="k")
+        assert cat.view_names() == ["v"]
+        cat.close()
+        reopened = DynamicCatalog(directory, clock=clock)
+        again = reopened.view("v")
+        assert again.quarantined and dict(again.watermarks) == before[0]
+        assert reopened.read("v", 7, key="a").value == 5
+
     def test_explicit_refresh_still_propagates(self):
         cat = DynamicCatalog()
         cat.create_table("t")
@@ -555,6 +596,45 @@ class TestFsckDynamic:
         report = fsck_dynamic(path)
         assert not report.ok
         assert any(f.code == "watermark-ahead" for f in report.findings)
+
+    @pytest.mark.parametrize("edit", ["split", "v0", "overlap"])
+    def test_a_tree_checkpoint_not_in_coalesced_form_is_an_error(self, tmp_path, edit):
+        """A save re-uses the segments it wrote last time, so the file's
+        must be the coalesced step function a full walk writes."""
+        directory = str(tmp_path / "cat")
+        _seed_two_checkpoints(directory)
+        path = os.path.join(directory, CHECKPOINT_NAME)
+        payload = json.load(open(path))
+        [[key, segments]] = payload["views"]["v"]["trees"]
+        assert segments == [[2, 0, 10], [5, 10, 50], [3, 50, 60]]
+        segments[1:2] = {
+            "split": [[5, 10, 30], [5, 30, 50]],
+            "v0": [[5, 10, 50], [0, 50, 55]],
+            "overlap": [[5, 10, 52]],
+        }[edit]
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        report = fsck_dynamic(path)
+        assert not report.ok
+        assert [f.code for f in report.errors()] == ["bad-tree-checkpoint"]
+
+    @pytest.mark.parametrize("edit", ["duplicate-id", "empty-interval"])
+    def test_duplicate_tuple_ids_and_empty_rows_are_errors(self, tmp_path, edit):
+        directory = str(tmp_path / "cat")
+        _seed_two_checkpoints(directory)
+        path = os.path.join(directory, CHECKPOINT_NAME)
+        payload = json.load(open(path))
+        rows = payload["tables"]["t"]["rows"]
+        assert [row[0] for row in rows] == [1, 2]
+        if edit == "duplicate-id":
+            rows[1][0] = 1
+        else:
+            rows[0][3] = rows[0][2]
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        report = fsck_dynamic(path)
+        assert not report.ok
+        assert [f.code for f in report.errors()] == ["bad-rows"]
 
     def test_leftover_temp_is_a_warning_not_an_error(self, tmp_path):
         directory = str(tmp_path / "cat")
