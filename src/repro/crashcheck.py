@@ -3,45 +3,35 @@
 The write-ahead log's contract is simple to state and easy to get
 wrong: *whatever instant the process dies at, reopening the file yields
 exactly the last-committed aggregate*.  This harness proves it by
-construction: it drives a :class:`~repro.storage.PagedNodeStore`
-through small insert / split / commit / compaction / batch workloads while a
-:class:`~repro.faults.FaultInjector` kills the "process" (raises
-:class:`~repro.faults.SimulatedCrash`) at a chosen occurrence of a
-chosen :data:`~repro.storage.pager.Pager.CRASH_POINTS` entry; it then
-abandons the file handles, reopens the file -- triggering WAL replay
--- and verifies the recovered tree against the brute-force
-:mod:`repro.core.reference` oracle over the facts committed so far.
-Every workload runs with :data:`CHECKPOINT_BYTES`-sized WAL generations,
-so its commits checkpoint several times and the checkpoint's crash
-points are swept like the commit's.
-
-A crash *inside* ``commit()`` is the one genuinely ambiguous case: the
-transaction is durable if and only if its commit frame reached the
-file (under power loss: if the WAL fsync completed).  The harness
-therefore accepts either the pre-commit or the post-commit fact set
-there -- but never anything in between (atomicity), and the recovered
-tree must additionally pass the full structural audit of
-:func:`repro.core.validate.check_tree`.
+construction.  Each workload is a fixed list of the
+:class:`~repro.oracle.OracleModel`'s steps (inserts, batches, deletes,
+compaction, commits) on one paged SB-tree.  A dry run counts how often
+the list reaches each :data:`~repro.storage.pager.Pager.CRASH_POINTS`
+entry; then every case replays the list with the store's
+:class:`~repro.faults.FaultInjector` armed to kill the "process" (raise
+:class:`~repro.faults.SimulatedCrash`) at one occurrence of one point,
+abandons the file handles, reopens the file -- WAL replay -- and judges
+the recovery with the model's invariant: every route against
+:mod:`repro.core.reference`, :func:`~repro.core.validate.check_tree`,
+and the paper's cost bounds.  Every workload runs with
+:data:`CHECKPOINT_BYTES`-sized WAL generations, so its commits
+checkpoint several times and the checkpoint's crash points are swept
+like the commit's.  A crash inside a commit may recover the commit's
+facts or the last commit's, never anything in between.
 
 Abandoning the handles keeps every byte the process ever wrote, so that
-sweep cannot notice a *missing fsync*.  ``--power-loss`` runs the same
-cases under the power-loss model of :func:`repro.faults.simulate_crash`:
-at each crash the injector drops the writes issued since each file's
-last fsync (WAL frames and headers, checkpoint copies) and the WAL
-create/unlink no directory sync covered -- all of them, all but each
-file's newest write (storage that persisted out of order), and a seeded
-subset -- before the reopen, against the same oracle.  It is the proof
-that the commit's one fsync and the checkpoint's ordering (data fsync,
-then the new generation's header, fsynced before its first frame) are
-each needed: skip any of them and this sweep fails.
+sweep cannot notice a *missing fsync*.  ``--power-loss`` runs each case
+three times more, the injector dropping what no fsync covered -- all
+of it, all but each file's newest write, a seeded subset
+(:meth:`~repro.faults.FaultInjector.lose_power`).  Skip the commit's
+fsync, or any step of the checkpoint's ordering, and it fails.
 
-The same discipline applies to the dynamic-view catalog: ``--catalog``
-sweeps :meth:`repro.warehouse.dynamic.DynamicCatalog.save` instead,
-crashing at every :data:`~repro.warehouse.dynamic.CATALOG_CRASH_POINTS`
-entry (plus a torn temp-file write and an fsync failure) of every
-checkpoint a workload takes, then reopening the catalog and verifying
-it restored exactly the previous (or, past the rename, the new)
-checkpoint and still resumes incremental refresh to oracle equivalence.
+``--catalog`` sweeps :meth:`repro.warehouse.dynamic.DynamicCatalog.save`
+instead, crashing at every
+:data:`~repro.warehouse.dynamic.CATALOG_CRASH_POINTS` entry (plus a torn
+temp-file write and an fsync failure) of every checkpoint a workload
+takes, then checking the reopened catalog restored exactly the previous
+(or, past the rename, the new) checkpoint and resumes refresh.
 
 Run it from the command line (also installed as ``repro-crashcheck``)::
 
@@ -51,7 +41,8 @@ Run it from the command line (also installed as ``repro-crashcheck``)::
     python -m repro.crashcheck --power-loss    # drop unsynced writes too
     python -m repro.crashcheck --catalog       # dynamic.json checkpoint sweep
 
-Exit status is non-zero if any recovery diverged from the oracle.
+Exit status is non-zero if any recovery diverged from the oracle, or if
+no case crashed at all.
 """
 
 from __future__ import annotations
@@ -62,16 +53,15 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import obs
 from .core import reference
 from .core.intervals import Interval
-from .core.sbtree import SBTree
-from .core.validate import check_tree
-from .faults import FaultInjector, SimulatedCrash, simulate_crash
-from .storage import PagedNodeStore, fsck_dynamic
+from .faults import FaultInjector, SimulatedCrash
+from .oracle import OracleModel, Step
+from .storage import fsck_dynamic
 from .storage import pager as pager_module
 from .storage.pager import Pager
 from .warehouse.dynamic import (
@@ -94,174 +84,60 @@ __all__ = [
     "main",
 ]
 
-#: Geometry shared by every workload: small pages and tiny fanout force
-#: splits, evictions, and multi-page transactions within a few dozen
-#: inserts.
-_PAGE_SIZE = 512
-_BUFFER_CAPACITY = 4
-_BRANCHING = 4
-_LEAF_CAPACITY = 4
-_KIND = "sum"
+#: The model every workload runs on: one page file of 512-byte pages
+#: behind a 4-frame pool, and SUM trees of tiny fanout, so splits,
+#: evictions and multi-page transactions come within a few dozen inserts.
+_KIND, _GEOMETRY, _FRAMES, _W = "sum", (4, 4), 4, 10
 #: The WAL generation size the sweep runs with: a few commits of these
 #: small workloads each (1 MiB would never checkpoint before close).
 CHECKPOINT_BYTES = 4096
 
 
-@contextlib.contextmanager
-def _small_generations():
-    saved = pager_module.WAL_CHECKPOINT_BYTES
-    pager_module.WAL_CHECKPOINT_BYTES = CHECKPOINT_BYTES
-    try:
-        yield
-    finally:
-        pager_module.WAL_CHECKPOINT_BYTES = saved
-
-
 # ----------------------------------------------------------------------
-# Workloads
+# Workloads: fixed step lists of the oracle model's rules
 # ----------------------------------------------------------------------
-class WorkloadContext:
-    """Drives one tree while tracking the committed-facts oracle.
-
-    ``committed`` holds the facts as of the last *completed* commit;
-    ``commit_pending`` holds the fact set a commit was asked to make
-    durable while that commit is still in flight (the ambiguous window).
-    """
-
-    def __init__(self, tree: SBTree, store: PagedNodeStore) -> None:
-        self.tree = tree
-        self.store = store
-        self.committed: List[Tuple[int, Interval]] = []
-        self.pending: List[Tuple[str, int, Interval]] = []
-        self.commit_pending: Optional[List[Tuple[int, Interval]]] = None
-
-    def live(self) -> List[Tuple[int, Interval]]:
-        facts = list(self.committed)
-        for op, value, interval in self.pending:
-            if op == "+":
-                facts.append((value, interval))
-            else:
-                facts.remove((value, interval))
-        return facts
-
-    def insert(self, value: int, interval: Interval) -> None:
-        self.tree.insert(value, interval)
-        self.pending.append(("+", value, interval))
-
-    def delete(self, value: int, interval: Interval) -> None:
-        self.tree.delete(value, interval)
-        self.pending.append(("-", value, interval))
-
-    def insert_batch(self, facts: Sequence[Tuple[int, Interval]]) -> None:
-        self.tree.insert_batch(facts)
-        self.pending.extend(("+", value, interval) for value, interval in facts)
-
-    def commit(self) -> None:
-        self.commit_pending = self.live()
-        self.store.commit()
-        self.committed = self.commit_pending
-        self.commit_pending = None
-        self.pending = []
-
-    def compact(self) -> None:
-        self.tree.compact()
-
-    def oracles(self) -> List[List[Tuple[int, Interval]]]:
-        """The fact sets the recovered file may legally equal."""
-        accepted = [self.committed]
-        if self.commit_pending is not None:
-            accepted.append(self.commit_pending)
-        return accepted
+def _facts(count: int, values: int, stride: int, length: int, first: int = 0,
+           shift: int = 0) -> List[Tuple[int, Interval]]:
+    starts = [(i, i * stride + shift) for i in range(first, count)]
+    return [(i % values + 1, Interval(start, start + length)) for i, start in starts]
 
 
-def _wl_insert(ctx: WorkloadContext) -> None:
-    """Plain inserts with a mid-workload and a final commit."""
-    for i in range(14):
-        ctx.insert(i % 5 + 1, Interval(i * 3, i * 3 + 10))
-        if i == 6:
-            ctx.commit()
-    ctx.commit()
+def _each(facts: List[Tuple[int, Interval]], *after: Step) -> List[Step]:
+    """One ``insert`` step per fact, each followed by *after*."""
+    return [step for fact in facts for step in (("insert", fact),) + after]
 
 
-def _wl_split(ctx: WorkloadContext) -> None:
-    """Overlapping inserts dense enough to split leaves and the root."""
-    for i in range(24):
-        ctx.insert(i % 7 + 1, Interval(i * 2, i * 2 + 30))
-    ctx.commit()
-    for i in range(24, 40):
-        ctx.insert(i % 7 + 1, Interval(i * 2, i * 2 + 30))
-    ctx.commit()
+COMMIT: Step = ("commit",)
+#: One-fact commits before the ``turnover`` workload's last transaction.
+_TURNOVER_COMMITS = 3
 
-
-def _wl_commit(ctx: WorkloadContext) -> None:
-    """Many tiny transactions: the commit path is the hot path."""
-    for i in range(10):
-        ctx.insert(i + 1, Interval(i * 5, i * 5 + 12))
-        ctx.commit()
-
-
-def _wl_compact(ctx: WorkloadContext) -> None:
-    """Inserts and deletions, then an explicit compaction pass."""
-    facts = [(i % 4 + 1, Interval(i * 2, i * 2 + 20)) for i in range(20)]
-    for value, interval in facts:
-        ctx.insert(value, interval)
-    ctx.commit()
-    for value, interval in facts[::3]:
-        ctx.delete(value, interval)
-    ctx.compact()
-    ctx.commit()
-
-
-def _wl_batch(ctx: WorkloadContext) -> None:
-    """The path the service runs: one ``insert_batch`` per transaction.
-
-    The first batch cuts the lone root leaf into many and grows the
-    root by more than one level; the second lands on several of those
-    leaves.  Each transaction therefore allocates several pages and
-    hands over one multi-page write-back set, with evictions under it.
-    """
-    ctx.insert_batch(
-        [(i % 7 + 1, Interval(i * 2, i * 2 + 30)) for i in range(24)])
-    ctx.commit()
-    ctx.insert_batch(
-        [(i % 5 + 1, Interval(i * 3, i * 3 + 9)) for i in range(16)])
-    ctx.commit()
-
-
-def _wl_turnover(ctx: WorkloadContext) -> None:
-    """A WAL generation turning over under a transaction that evicts.
-
-    One-fact commits until one of them checkpoints a generation of at
-    least three transactions, then a transaction whose evictions write
-    frames over that generation's before its commit: the frames a lost
-    new-generation header would let replay run into.
-    """
-    in_generation = 0
-    for i in range(40):
-        ctx.insert(i % 5 + 1, Interval(i * 3, i * 3 + 10))
-        ctx.commit()
-        in_generation += 1
-        if not ctx.store.pager.wal_bytes:  # that commit checkpointed
-            if in_generation >= 3:
-                break
-            in_generation = 0
-    for i in range(6):
-        ctx.insert(i % 7 + 1, Interval(i * 2 + 1, i * 2 + 30))
-    ctx.commit()
-
-
-WORKLOADS: Dict[str, Callable[[WorkloadContext], None]] = {
-    "insert": _wl_insert,
-    "split": _wl_split,
-    "commit": _wl_commit,
-    "compact": _wl_compact,
-    "batch": _wl_batch,
-    "turnover": _wl_turnover,
+WORKLOADS: Dict[str, List[Step]] = {
+    # Plain inserts with a mid-workload and a final commit.
+    "insert": _each(_facts(7, 5, 3, 10)) + [COMMIT]
+    + _each(_facts(14, 5, 3, 10, first=7)) + [COMMIT],
+    # Overlapping inserts dense enough to split leaves and the root.
+    "split": _each(_facts(24, 7, 2, 30)) + [COMMIT]
+    + _each(_facts(40, 7, 2, 30, first=24)) + [COMMIT],
+    # Many tiny transactions: the commit path is the hot path.
+    "commit": _each(_facts(10, 10, 5, 12), COMMIT),
+    # Inserts, deletes of every third fact (2k-th live once k are gone), compaction.
+    "compact": _each(_facts(20, 4, 2, 20)) + [COMMIT]
+    + [("delete", 2 * k) for k in range(7)] + [("compact", False), COMMIT],
+    # The service's path, one ``insert_batch`` per transaction: the first
+    # grows the lone root leaf by more than one level, the second lands on
+    # several leaves; each allocates pages and evicts under its write-back.
+    "batch": [("insert_batch", _facts(24, 7, 2, 30)), COMMIT,
+              ("insert_batch", _facts(16, 5, 3, 9)), COMMIT],
+    # A WAL generation turning over: the last one-fact commit checkpoints a
+    # generation of all of them, then evictions write frames over its frames
+    # before the next commit -- what a lost new header would let replay reach.
+    "turnover": _each(_facts(_TURNOVER_COMMITS, 5, 3, 10), COMMIT)
+    + _each(_facts(6, 7, 2, 29, shift=1)) + [COMMIT],
 }
 
 
 # ----------------------------------------------------------------------
-# One case: crash at (point, hit), recover, verify
+# One case: crash at (point, hit), recover, judge
 # ----------------------------------------------------------------------
 @dataclass
 class CrashCheckResult:
@@ -273,7 +149,7 @@ class CrashCheckResult:
     crashed: bool
     ok: bool
     detail: str = ""
-    #: ``None`` (process death), ``"all"`` or the subset seed.
+    #: ``None`` (process death), ``"all"``, ``"newest"`` or the subset seed.
     power_loss: Union[str, int, None] = None
 
     def __str__(self) -> str:
@@ -285,117 +161,70 @@ class CrashCheckResult:
         return f"[{status}] {self.workload:8s} {self.point:24s} {crash}{tail}"
 
 
-def _open(path: str, faults: Optional[FaultInjector] = None):
-    store = PagedNodeStore(
-        path,
-        _KIND,
-        page_size=_PAGE_SIZE,
-        buffer_capacity=_BUFFER_CAPACITY,
-        faults=faults,
-    )
-    if store.get_root() is None:
-        tree = SBTree(
-            _KIND, store, branching=_BRANCHING, leaf_capacity=_LEAF_CAPACITY
-        )
-    else:
-        tree = SBTree(store=store)
-    return store, tree
-
-
-def _baseline(path: str, injector: FaultInjector) -> WorkloadContext:
-    """An empty tree, committed and closed, then reopened under
-    *injector*: the sweep targets the workload rather than file-creation
-    noise, and the workload's first transaction is a pager's first --
-    the one that creates the WAL every later one reuses."""
-    for leftover in (path, path + "-wal"):
-        if os.path.exists(leftover):
-            os.remove(leftover)
-    store, _ = _open(path)
-    store.close()
-    store, tree = _open(path, injector)
-    return WorkloadContext(tree, store)
-
-
-def run_case(
-    path: str,
-    workload: str,
-    point: str,
-    hit: int,
-    power_loss: Union[str, int, None] = None,
-) -> CrashCheckResult:
-    """Run one workload with a crash armed at (point, hit) and verify.
-
-    ``power_loss`` is handed to :func:`repro.faults.simulate_crash`:
-    ``None`` keeps every written byte (a process death), ``"all"`` or a
-    seed also drops unsynced writes and directory operations.
-
-    Returns ``crashed=False`` when the workload finished before the
-    point's *hit*-th occurrence -- the sweep uses that as its
-    termination signal.
-    """
-    injector = FaultInjector(seed=hit)
-    injector.crash_at(point, hit=hit)
-    ctx = _baseline(path, injector)
-    store = ctx.store
-    crashed = False
+@contextlib.contextmanager
+def _model(workdir: str) -> Iterator[OracleModel]:
+    """An :class:`OracleModel` on one fresh page file under *workdir*,
+    with :data:`CHECKPOINT_BYTES`-sized WAL generations."""
+    saved = pager_module.WAL_CHECKPOINT_BYTES
+    pager_module.WAL_CHECKPOINT_BYTES = CHECKPOINT_BYTES
+    model = OracleModel()
     try:
-        with _small_generations():
-            WORKLOADS[workload](ctx)
-        store.pager.faults = None
-        store.close()
-    except SimulatedCrash:
-        crashed = True
-        simulate_crash(store, power_loss=power_loss)
+        model.setup(_KIND, _GEOMETRY, "paged", _FRAMES, _W, directory=workdir)
+        yield model
+    finally:
+        model.teardown()
+        pager_module.WAL_CHECKPOINT_BYTES = saved
 
-    ok, detail = _verify_recovery(path, ctx)
+
+def run_case(path: str, workload: str, point: str, hit: int,
+             power_loss: Union[str, int, None] = None) -> CrashCheckResult:
+    """Replay *workload* in a fresh directory beside *path*, the store's
+    injector armed to crash at *point*'s *hit*-th hit; on the crash,
+    :meth:`OracleModel.crash` under *power_loss* (see
+    :func:`repro.faults.simulate_crash`); then judge with the model's
+    invariant.  ``crashed=False``: the list ended before that hit."""
+    crashed, detail = False, ""
+    with _model(os.path.dirname(path) or ".") as model:
+        injector = model.stores[0].pager.faults.crash_at(point, hit=hit)
+        try:
+            try:
+                for name, *arguments in WORKLOADS[workload]:
+                    getattr(model, name)(*arguments)
+            except SimulatedCrash:
+                crashed = True
+                model.crash(power_loss)
+            finally:  # neither the invariant's reads nor the close may crash
+                injector.disarm()
+            model.answers_match_the_oracle()
+        except Exception as exc:  # noqa: BLE001 - report, don't stop the sweep
+            detail = f"{type(exc).__name__}: {exc}"
     # Registry counters (no-ops unless repro.obs is enabled): long
     # crash sweeps report progress like every other subsystem.
     obs.count("crashcheck.cases")
     if crashed:
         obs.count("crashcheck.faults_injected")
+    ok = not detail
     if ok:
         obs.count("crashcheck.cases_passed")
-    return CrashCheckResult(
-        workload, point, hit, crashed, ok, detail, power_loss
-    )
-
-
-def _verify_recovery(path: str, ctx: WorkloadContext) -> Tuple[bool, str]:
-    try:
-        store, tree = _open(path)
-    except Exception as exc:  # noqa: BLE001 - report, don't crash the sweep
-        return False, f"reopen failed: {exc!r}"
-    try:
-        recovered = tree.to_table()
-        for facts in ctx.oracles():
-            if recovered == reference.instantaneous_table(facts, _KIND):
-                check_tree(tree)
-                return True, ""
-        return False, (
-            f"recovered table diverges from the committed oracle "
-            f"({len(ctx.committed)} committed facts)"
-        )
-    except Exception as exc:  # noqa: BLE001
-        return False, f"recovered tree is unusable: {exc!r}"
-    finally:
-        try:
-            store.close()
-        except Exception:  # noqa: BLE001 - best effort
-            pass
+    return CrashCheckResult(workload, point, hit, crashed, ok, detail, power_loss)
 
 
 # ----------------------------------------------------------------------
 # The sweep
 # ----------------------------------------------------------------------
-def _count_hits(path: str, workload: str) -> Dict[str, int]:
-    """Dry run with a disarmed injector: how often is each point hit?"""
-    counter = FaultInjector()
-    ctx = _baseline(path, counter)
-    with _small_generations():
-        WORKLOADS[workload](ctx)
-    hits = dict(counter.hits)  # before close() adds its own
-    ctx.store.close()
-    return hits
+def _count_hits(workdir: str, workload: str) -> Dict[str, int]:
+    """Dry runs: each point's hits on the list every case replays, then
+    the list again with the invariant checked after every step (whose
+    reads evict dirty pages: that run's hits are not the cases')."""
+    counts = []
+    for checked in (False, True):
+        with _model(workdir) as model:
+            for name, *arguments in WORKLOADS[workload]:
+                getattr(model, name)(*arguments)
+                if checked:
+                    model.answers_match_the_oracle()
+            counts.append(dict(model.stores[0].pager.faults.hits))
+    return counts[0]  # read before close adds its own
 
 
 def _hit_schedule(total: int, hits: Union[str, int]) -> List[int]:
@@ -408,52 +237,33 @@ def _hit_schedule(total: int, hits: Union[str, int]) -> List[int]:
     return list(range(1, min(int(hits), total) + 1))
 
 
-def sweep(
-    workload: str,
-    workdir: str,
-    *,
-    hits: Union[str, int] = "all",
-    verbose: bool = False,
-    power_loss: bool = False,
-) -> List[CrashCheckResult]:
-    """Crash one workload at every crash point (and chosen occurrences).
-
-    ``hits`` is ``"all"`` (every occurrence of every point -- the
-    exhaustive sweep), ``"sample"`` (first/middle/last occurrence), or
-    an integer (the first N occurrences).  With ``power_loss`` every
-    case runs three times: losing all unsynced state, all of it but
-    each file's newest write, and a seeded subset of it.
-    """
+def sweep(workload: str, workdir: str, *, hits: Union[str, int] = "all",
+          verbose: bool = False, power_loss: bool = False) -> List[CrashCheckResult]:
+    """Crash one workload at every crash point, at the occurrences
+    *hits* picks: ``"all"``, ``"sample"`` (first/middle/last) or the
+    first N.  With *power_loss* each case runs three times: losing all
+    unsynced state, all but each file's newest write, a seeded subset."""
     path = os.path.join(workdir, f"crashcheck-{workload}.sbt")
-    occurrences = _count_hits(path, workload)
+    occurrences = _count_hits(workdir, workload)
     results: List[CrashCheckResult] = []
     for point in Pager.CRASH_POINTS:
         for hit in _hit_schedule(occurrences.get(point, 0), hits):
-            modes = ("all", "newest", 2 * hit) if power_loss else (None,)
-            for mode in modes:
-                result = run_case(path, workload, point, hit, mode)
-                results.append(result)
-                if verbose or not result.ok:
-                    print(result, flush=True)
+            for mode in ("all", "newest", 2 * hit) if power_loss else (None,):
+                results.append(run_case(path, workload, point, hit, mode))
+                if verbose or not results[-1].ok:
+                    print(results[-1], flush=True)
     return results
 
 
-def sweep_all(
-    workdir: str,
-    *,
-    workloads: Optional[Sequence[str]] = None,
-    hits: Union[str, int] = "all",
-    verbose: bool = False,
-    power_loss: bool = False,
-) -> List[CrashCheckResult]:
+def sweep_all(workdir: str, *, workloads: Optional[Sequence[str]] = None,
+              hits: Union[str, int] = "all", verbose: bool = False,
+              power_loss: bool = False) -> List[CrashCheckResult]:
     """Run :func:`sweep` for every (or the selected) workload."""
-    results: List[CrashCheckResult] = []
-    for name in workloads or sorted(WORKLOADS):
-        results.extend(
-            sweep(name, workdir, hits=hits, verbose=verbose,
-                  power_loss=power_loss)
-        )
-    return results
+    return [
+        result for name in workloads or sorted(WORKLOADS)
+        for result in sweep(name, workdir, hits=hits, verbose=verbose,
+                            power_loss=power_loss)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -803,6 +613,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             hits = int(hits)
         except ValueError:
             parser.error("--hits must be 'all', 'sample', or an integer")
+        if hits < 1:
+            parser.error(f"--hits must be at least 1, got {hits}")
     if args.catalog and args.power_loss:
         parser.error("--power-loss sweeps the page file, not the catalog")
     table = CATALOG_WORKLOADS if args.catalog else WORKLOADS
@@ -811,8 +623,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(
                 f"unknown workload {name!r} (choose from {sorted(table)})"
             )
+    workloads = list(dict.fromkeys(args.workload or ())) or None
     common: Dict[str, Any] = dict(
-        workloads=args.workload, hits=hits, verbose=args.verbose
+        workloads=workloads, hits=hits, verbose=args.verbose
     )
     with tempfile.TemporaryDirectory(prefix="repro-crashcheck-") as workdir:
         if args.catalog:
@@ -828,7 +641,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     for failure in failures:
         print(f"  {failure}")
-    return 1 if failures else 0
+    if not crashes:
+        print("crashcheck: no case crashed, so nothing was checked")
+    return 1 if failures or not crashes else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via console script

@@ -364,8 +364,13 @@ class FaultInjector:
         first -- restoring the bytes each replaced, unless a later write
         that survives covers them -- and the file is cut back to its
         synced length or the end of its last surviving write, whichever
-        is longer.
+        is longer.  Any other string is a :class:`ValueError`.
         """
+        if isinstance(mode, str) and mode not in ("none", "all", "newest"):
+            raise ValueError(
+                f"unknown power-loss mode {mode!r}: 'none', 'all', 'newest' "
+                "or an integer seed"
+            )
         dropped = {"writes": 0, "dir_ops": 0}
         if mode == "none":
             return dropped
@@ -439,12 +444,19 @@ def simulate_crash(
     libc buffers were drained but before any further syscall).
 
     That keeps every byte ever written, so it cannot tell a synced write
-    from an unsynced one.  ``power_loss`` (``"all"``, ``"none"`` or an
-    integer seed) then has the pager's :class:`FaultInjector` drop
-    unsynced writes and directory operations
-    (:meth:`FaultInjector.lose_power`) before the reopen.
+    from an unsynced one.  ``power_loss`` (``"all"``, ``"newest"``,
+    ``"none"`` or an integer seed) then has the pager's
+    :class:`FaultInjector` drop unsynced writes and directory operations
+    (:meth:`FaultInjector.lose_power`) before the reopen.  Only the
+    injector knows what is unsynced: asking for a power cut on a pager
+    without one is a :class:`ValueError`, raised before anything else.
     """
     pager = getattr(store_or_pager, "pager", store_or_pager)
+    if power_loss is not None and pager.faults is None:
+        raise ValueError(
+            "a power cut needs a FaultInjector on the pager: only it "
+            "knows which writes no fsync covered"
+        )
     pager._release_handles()
-    if power_loss is not None and pager.faults is not None:
+    if power_loss is not None:
         pager.faults.lose_power(power_loss)

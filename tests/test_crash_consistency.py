@@ -4,8 +4,13 @@ paged store, stateful multi-view checkpoint crashes for the warehouse
 individually recoverable to a committed snapshot), and every write of a
 library flush torn in turn."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro import crashcheck
 from repro.core import reference
 from repro.core.intervals import Interval
@@ -202,6 +207,66 @@ class TestPowerLossSweep:
         assert "0 failures" in capsys.readouterr().out
         with pytest.raises(SystemExit):
             crashcheck.main(["--power-loss", "--catalog"])
+
+
+class TestCrashCheckChecksSomething:
+    """A green run must have crashed somewhere and judged the recovery."""
+
+    @pytest.mark.parametrize("catalog", [[], ["--catalog"]])
+    @pytest.mark.parametrize("hits", ["0", "-2"])
+    def test_hits_below_one_are_refused(self, hits, catalog):
+        with pytest.raises(SystemExit):
+            crashcheck.main(catalog + ["--hits", hits])
+
+    def test_a_run_that_crashes_nowhere_fails(self, monkeypatch, capsys):
+        monkeypatch.setitem(crashcheck.WORKLOADS, "commit", [])
+        assert crashcheck.main(["--workload", "commit", "--hits", "1"]) == 1
+        assert "0 cases" in capsys.readouterr().out
+
+    def test_a_repeated_workload_runs_once(self, capsys):
+        argv = ["--workload", "commit", "--workload", "commit", "--hits", "1"]
+        assert crashcheck.main(argv) == 0
+        assert "crashcheck: 12 cases" in capsys.readouterr().out
+
+    def test_turnover_checkpoints_a_generation_then_evicts_over_it(self, tmp_path):
+        """The ``turnover`` list's shape: its one-fact commits end with
+        one that checkpoints a generation of at least three transactions,
+        and the transaction after it writes eviction frames into the new
+        generation before its commit."""
+        steps = crashcheck.WORKLOADS["turnover"]
+        last = len(steps) - 1 - steps[-2::-1].index(crashcheck.COMMIT)
+        with crashcheck._model(str(tmp_path)) as model:
+            pager = model.stores[0].pager
+            generations, in_generation = [], 0
+            for name, *arguments in steps[:last]:
+                getattr(model, name)(*arguments)
+                if name == "commit":
+                    in_generation += 1
+                    if not pager.wal_bytes:  # that commit checkpointed
+                        generations.append(in_generation)
+                        in_generation = 0
+            assert steps[last - 1] == crashcheck.COMMIT
+            assert in_generation == 0 and generations[-1] >= 3, generations
+            for name, *arguments in steps[last:-1]:
+                getattr(model, name)(*arguments)
+            assert pager.wal_bytes > 0
+
+    def test_the_invariant_holds_under_python_O(self):
+        """The model's checks raise, not assert: ``python -O`` keeps them."""
+        script = (
+            "from repro import Interval\n"
+            "from repro.oracle import replayed\n"
+            "with replayed([('insert', (1, Interval(0, 10)))]) as model:\n"
+            "    model.live.append((2, Interval(5, 8)))\n"
+            "    model.answers_match_the_oracle()\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 1, result.stderr
+        assert "repro.oracle.OracleMismatch" in result.stderr, result.stderr
 
 
 # ----------------------------------------------------------------------

@@ -787,6 +787,32 @@ class TestPowerLoss:
         assert run(5) == run(5)
         assert len({run(seed) for seed in range(12)}) > 1
 
+    def test_a_power_cut_without_an_injector_is_refused(self, tmp_path):
+        """Only an injector knows what no fsync covered: without one a
+        requested power cut would silently be a process death.  It is
+        refused before the handles are released."""
+        pager, (page,) = committed_pager(tmp_path / "p.sbt", [b"aaa"])
+        pager.write_page(page, b"unsynced")
+        with pytest.raises(ValueError, match="FaultInjector"):
+            simulate_crash(pager, power_loss="all")
+        pager.commit()  # still open
+        simulate_crash(pager)
+        reopened = fast_pager(tmp_path / "p.sbt")
+        assert reopened.read_page(page).rstrip(b"\x00") == b"unsynced"
+        reopened.close()
+
+    @pytest.mark.parametrize("mode", ["al", "some", ""])
+    def test_an_unknown_mode_is_refused(self, tmp_path, mode):
+        """A typo is not the seed of a random subset; integers are."""
+        pager, (page,) = committed_pager(tmp_path / "p.sbt", [b"aaa"])
+        inj = FaultInjector()
+        pager.faults = inj
+        pager.write_page(page, b"unsynced")
+        pager.commit()
+        with pytest.raises(ValueError, match="power-loss mode"):
+            inj.lose_power(mode)
+        simulate_crash(pager, power_loss=3)
+
 
 # ----------------------------------------------------------------------
 # The sync counters count what the injector sees
