@@ -63,6 +63,8 @@ class MSBTree(SBTree):
         The value ranges over all base tuples whose valid interval
         intersects the closed window ``[t - w, t]``.  Runs in O(h).
         """
+        if t != t:
+            raise ValueError("instant must not be NaN")
         if not w >= 0:
             raise ValueError("window offset must be non-negative")
         return self._mlookup(self._root(), NEG_INF, POS_INF, t - w, t, self.spec.v0)

@@ -215,7 +215,10 @@ class SBTree:
     @observed("lookup")
     def lookup(self, t: Time) -> Any:
         """Return the internal aggregate value at instant *t* in O(h):
-        one :meth:`NodeStore.probe` per level, root to leaf."""
+        one :meth:`NodeStore.probe` per level, root to leaf.  A NaN
+        instant is refused (``ValueError``): it lies in no interval."""
+        if t != t:
+            raise ValueError("instant must not be NaN")
         acc, probe = self.spec.acc, self.store.probe
         result, node_id = self.spec.v0, self._root_id
         while node_id is not None:

@@ -31,7 +31,9 @@ instead, crashing at every
 :data:`~repro.warehouse.dynamic.CATALOG_CRASH_POINTS` entry (plus a torn
 temp-file write and an fsync failure) of every checkpoint a workload
 takes, then checking the reopened catalog restored exactly the previous
-(or, past the rename, the new) checkpoint and resumes refresh.
+(or, past the rename, the new) checkpoint, resumes refresh, and gives
+each leaf view (one nothing consumes, so it keeps no rows) a consumer
+that answers from the rows the leaf materializes for it.
 
 Run it from the command line (also installed as ``repro-crashcheck``)::
 
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import shutil
 import sys
@@ -417,20 +420,26 @@ def _catalog_facts(catalog: DynamicCatalog) -> List:
     )
 
 
-def _check_catalog_views(
-    catalog: DynamicCatalog, facts: Sequence[Tuple], ctx: CatalogWorkloadContext
-) -> str:
-    """Every declared view against the brute-force oracle over *facts*."""
+def _oracle_rows(facts: Sequence[Tuple]) -> Tuple[List, set, List]:
+    """*facts* as ``reference.view_value`` rows, their groups, and the
+    instants to probe: every start and midpoint, and one before all."""
     rows = [
         (value, (start, end), dict(payload).get("k"))
         for value, start, end, payload in facts
     ]
-    keys = {group for _, _, group in rows}
     probes = sorted(
         {start for _, start, _, _ in facts}
         | {(start + end) / 2.0 for _, start, end, _ in facts}
         | {-7.0}
     )
+    return rows, {group for _, _, group in rows}, probes
+
+
+def _check_catalog_views(
+    catalog: DynamicCatalog, facts: Sequence[Tuple], ctx: CatalogWorkloadContext
+) -> str:
+    """Every declared view against the brute-force oracle over *facts*."""
+    rows, keys, probes = _oracle_rows(facts)
     for name, (kind, grouped) in ctx.view_oracles.items():
         view = catalog.view(name)
         for t in probes:
@@ -443,6 +452,34 @@ def _check_catalog_views(
                         f"view {name!r}{label} at t={t}: "
                         f"recovered {got!r} != oracle {want!r}"
                     )
+    return ""
+
+
+def _check_leaf_consumers(
+    catalog: DynamicCatalog, facts: Sequence[Tuple], ctx: CatalogWorkloadContext
+) -> str:
+    """A SUM over each restored leaf view against the oracle over
+    *facts*: the sum, over the leaf's groups, of what each answers (no
+    row where that is ``None``).  The leaf kept no rows; it materializes
+    them from its trees for the consumer.  (Compared to within 1e-9: an
+    AVG leaf's rows are floats, which the consumer's tree adds up.)"""
+    rows, keys, probes = _oracle_rows(facts)
+    for name, (kind, grouped) in ctx.view_oracles.items():
+        if catalog.dependents_of(name):
+            continue
+        consumer = f"{name}_sum"
+        catalog.create_view(consumer, name, "sum")
+        for t in probes:
+            want = sum(
+                reference.view_value(rows, kind, t, key) or 0
+                for key in (keys if grouped else (None,))
+            )
+            got = catalog.read(consumer, t).value
+            if not math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9):
+                return (
+                    f"a consumer of leaf view {name!r} at t={t}: "
+                    f"{got!r} != oracle {want!r}"
+                )
     return ""
 
 
@@ -498,6 +535,9 @@ def _verify_catalog_recovery(
             recovered + [(v, s, e, (("k", k),)) for v, s, e, k in extra]
         )
         error = _check_catalog_views(catalog, resumed, ctx)
+        if error:
+            return False, "after resume: " + error
+        error = _check_leaf_consumers(catalog, resumed, ctx)
         if error:
             return False, "after resume: " + error
     except Exception as exc:  # noqa: BLE001

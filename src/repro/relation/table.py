@@ -82,6 +82,11 @@ class TemporalRelation:
         next_id = max(top + 1, next(self._ids))
         self._ids = itertools.count(next_id)
 
+    def clear(self) -> None:
+        """Drop every tuple silently (no subscriber notification); ids
+        are never reused, so later inserts keep counting."""
+        self._tuples.clear()
+
     # ------------------------------------------------------------------
     # Subscription
     # ------------------------------------------------------------------

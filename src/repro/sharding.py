@@ -439,8 +439,11 @@ class ShardedTree:
         clean, a buffer miss on the O(h) descent evicts without a
         write-back: a level the pool holds is a pointer chase to its
         cached node, and the worst a level costs is a ``pread``, a
-        checksum and a bisect.
+        checksum and a bisect.  A NaN instant is refused
+        (:class:`ShardingError`) before any shard is touched.
         """
+        if t != t:
+            raise ShardingError("instant must not be NaN")
         index = self.router.shard_of(t)
         if wait:
             with trace.span("shard.lookup", attrs={"shard": index}):

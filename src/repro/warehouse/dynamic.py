@@ -24,13 +24,14 @@ tables* on top of the same machinery:
   (``SBTree.insert_effects``: one descent per root-to-leaf path they
   share, each touched node written once); MIN/MAX, which nothing can
   cancel (paper, Section 3.4), hand their records over as they are,
-  one batch per group.  Only the affected (key, time-range) regions of
-  the view's *output rows* are then regenerated and re-emitted as
-  change events for downstream views, found by bisecting the group's
-  sorted row index, never by scanning it.  For SUM/COUNT/AVG those
-  regions are the spans of the net effect -- where the group's tree
-  changed -- not the spans of the records, so a row an upstream view
-  retracted and re-emitted unchanged is left alone;
+  one batch per group.  For a view another view consumes, only the
+  affected (key, time-range) regions of its *output rows* are then
+  regenerated and re-emitted as change events for downstream views,
+  found by bisecting the group's sorted row index, never by scanning
+  it.  For SUM/COUNT/AVG those regions are the spans of the net
+  effect -- where the group's tree changed -- not the spans of the
+  records, so a row an upstream view retracted and re-emitted
+  unchanged is left alone;
 * the :class:`DynamicCatalog` owns the dependency DAG (cycle rejection
   at ``create_view`` time), refreshes stale views in topological order
   on each :meth:`~DynamicCatalog.tick`, persists per-view watermarks
@@ -74,10 +75,18 @@ affected regions by retracting and re-emitting rows, MIN/MAX cannot be
 declared over another view -- :meth:`DynamicCatalog.create_view`
 rejects that shape up front instead of failing mid-refresh.
 
-Output-row semantics: a view materializes one temporal tuple per
-constant interval of its (per-group) aggregate **where the internal
-value differs from the aggregate's initial value** ``v0``; regions
-where the aggregate sits at ``v0`` (no contributing tuples, or exact
+Output-row semantics: a view holds output rows **iff some view
+consumes it**.  Every read comes from its SB-trees, which index the
+aggregate itself (the paper's point: a long fact costs O(h), not a
+visit to every row it covers), so the rows exist only to feed
+consumers.  The DDL that gives a view its first consumer materializes
+them from the trees, one whole-line regeneration per group, before the
+consumer bootstraps from them; the DDL that drops its last consumer
+forgets them, and a load drops any an older checkpoint kept for a view
+nothing consumes.  The rows are one temporal tuple per constant
+interval of the (per-group) aggregate **where the internal value
+differs from the aggregate's initial value** ``v0``; regions where the
+aggregate sits at ``v0`` (no contributing tuples, or exact
 cancellation) carry no row.  Downstream SUM/COUNT/AVG views are
 insensitive to the dropped rows (``v0`` contributes nothing), and the
 recompute-from-scratch oracle in the tests mirrors the same rule.
@@ -92,7 +101,8 @@ Robustness (DESIGN.md section 14)
   holds with or without a directory; what the dropped records built
   is checkpointed as per-group *tree checkpoints* -- the coalesced
   internal step function of each group's SB-tree -- so a restore
-  replays only the unconsumed tail.
+  replays only the unconsumed tail.  Likewise a view nothing consumes
+  keeps, and checkpoints, no output rows: its trees are the view.
 * **Saves cost what changed.**  A save re-encodes only what changed
   since the last one: a row's JSON text is kept from the first save
   that sees it for as long as the row lives, and a group's tree
@@ -421,7 +431,8 @@ class DynamicView:
       consumed change stream) holding the paper's aggregate index,
     * an output :class:`TemporalRelation` materializing the aggregate's
       constant intervals as temporal tuples (so a view is consumable by
-      further views exactly like a base table), and
+      further views exactly like a base table) -- empty while no view
+      consumes it, and
     * ``watermarks`` -- the last consumed sequence number per source.
     """
 
@@ -608,9 +619,10 @@ class DynamicView:
         upstream view's retract / re-emit pairs) never reach the tree.
         MIN/MAX are insert-only and nothing cancels (paper, Section
         3.4): each group's records go in as they are, as one batch,
-        behind the veto.  Output rows are then regenerated only where
-        a group's tree changed: over the merged spans of its folded
-        segments, or for MIN/MAX of its records.
+        behind the veto.  If a view consumes this one, its output rows
+        are then regenerated only where a group's tree changed: over
+        the merged spans of its folded segments, or for MIN/MAX of its
+        records.
 
         Folding touches no state, so a record the aggregate cannot
         accumulate (a non-numeric value in a SUM) raises before the
@@ -668,8 +680,9 @@ class DynamicView:
                 self.effects_applied += len(records)
         for src, batch in batches:
             self.watermarks[src] = batch[-1].seq
-        for key, spans in changed.items():
-            self._regenerate_spans(key, spans)
+        if self.log.consumed:
+            for key, spans in changed.items():
+                self._regenerate_spans(key, spans)
         self.refreshes += 1
         self.events_consumed += consumed
         self.last_refresh_at = now
@@ -727,6 +740,19 @@ class DynamicView:
                     open_sum[at] = acc(open_sum[2 * at], open_sum[2 * at + 1])
             _extend_segments(spec, segments, open_sum[1], t, following)
         return segments
+
+    def _materialize(self) -> None:
+        """Emit every group's output rows from its tree, one whole-line
+        :meth:`_regenerate` per group: for the DDL that gives this view
+        its first consumer (until then it holds none)."""
+        for key in self._trees:
+            self._regenerate(key, NEG_INF, POS_INF)
+
+    def _drop_rows(self) -> None:
+        """Forget every output row, silently: nothing consumes them."""
+        self.relation.clear()
+        self._index = {key: ([], []) for key in self._trees}
+        self.row_texts = {}
 
     def _regenerate_spans(self, key: Hashable, spans: List[Tuple[Time, Time]]) -> None:
         """Rebuild this group's output rows where its tree changed.
@@ -1115,7 +1141,9 @@ class DynamicCatalog:
         its whole history (another consumer has not read past its
         start) is replayed by the first refresh; any other source --
         one nobody consumed keeps no records -- seeds the view from
-        its live rows here, so the view is complete when created.
+        its live rows here, so the view is complete when created.  A
+        source view nothing consumed yet holds no rows: it materializes
+        them from its trees first.
         """
         sources = [over] if isinstance(over, str) else list(over)
         if not sources:
@@ -1144,7 +1172,16 @@ class DynamicCatalog:
                 name, sources, spec, key=key, lag=parsed_lag,
                 clock=self.clock, **self._tree_args,
             )
-            self._bootstrap_compacted_sources(view)
+            try:
+                for src in sources:
+                    source = self._views.get(src)
+                    if source is not None and not source.log.consumed:
+                        # Its tap still skips: the rows log no records.
+                        source._materialize()
+                self._bootstrap_compacted_sources(view)
+            except Exception:
+                self._drop_unconsumed_rows(sources)
+                raise
             self._views[name] = view
             self._order.append(name)
             self._recount_readers()
@@ -1176,10 +1213,13 @@ class DynamicCatalog:
             view._mark(key, [_WHOLE], [effect(row.value) for row in rows])
             view._tree(key).insert_batch((row.value, row.valid) for row in rows)
         view.watermarks.update(heads)
-        for key, rows in seeds.items():
-            view._regenerate_spans(
-                key, [(row.valid.start, row.valid.end) for row in rows]
-            )
+
+    def _drop_unconsumed_rows(self, names: Sequence[str]) -> None:
+        """Drop the output rows of each named view nothing consumes."""
+        for name in names:
+            view = self._views.get(name)
+            if view is not None and not view.log.consumed:
+                view._drop_rows()
 
     def drop_view(self, name: str) -> None:
         """Remove a view; refused while other views still consume it."""
@@ -1195,6 +1235,7 @@ class DynamicCatalog:
             del self._views[name]
             self._order.remove(name)
             self._recount_readers()
+            self._drop_unconsumed_rows(view.sources)
 
     def drop_table(self, name: str) -> None:
         """Unregister a base table; refused while views consume it."""
@@ -1395,8 +1436,11 @@ class DynamicCatalog:
 
         Cost: a fresh view -- nothing pending on any edge of its
         ancestry -- is one pass over those edges plus one tree lookup
-        per group read; the clock is not consulted.
+        per group read; the clock is not consulted.  A NaN *t* is
+        refused (``ValueError``) before anything refreshes.
         """
+        if t != t:
+            raise ValueError("instant must not be NaN")
         with self._lock:
             view = self.view(name)
             if key is not None and view.key_field is None:
@@ -1430,6 +1474,8 @@ class DynamicCatalog:
         heads are returned as the report's pinned watermark.  Without
         ``pin`` each view is read as-is, like :meth:`read`.
         """
+        if t != t:
+            raise ValueError("instant must not be NaN")
         with self._lock:
             now = self._now()
             for name in names:
@@ -1649,6 +1695,9 @@ class DynamicCatalog:
     def load(self) -> None:
         """Restore a checkpoint: logs, rows, and trees; tail replayable.
 
+        Rows come back only for a view some view consumes (see
+        "Output-row semantics" in the module docstring).
+
         Each view's per-group trees come back from their saved step
         functions, so a reopened catalog resumes incremental refresh
         from the persisted watermarks instead of rebuilding from
@@ -1675,6 +1724,10 @@ class DynamicCatalog:
             self._order = []
             tables = payload.get("tables", {})
             views = payload.get("views", {})
+            # A checkpoint in the older form holds rows for every view;
+            # those of a view nothing consumes would go stale at its next
+            # refresh, so they are not restored.
+            consumed = {src for raw in views.values() for src in raw["sources"]}
             for name in payload.get("order", ()):
                 if name in tables:
                     raw = tables[name]
@@ -1699,7 +1752,7 @@ class DynamicCatalog:
                     # Output rows and the emitted log restore verbatim
                     # (re-inserting them would re-emit downstream).
                     view.relation.unsubscribe(view._tap)
-                    self._restore_rows(view, raw["rows"])
+                    self._restore_rows(view, raw["rows"] if name in consumed else [])
                     view.log = ChangeLog.from_json(raw["log"])
                     view._tap = _LogTap(view.log, self.clock)
                     view.relation.subscribe(view._tap, replay=False)

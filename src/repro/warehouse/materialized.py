@@ -89,6 +89,8 @@ class MaterializedView:
     # ------------------------------------------------------------------
     def lookup(self, t: Time) -> Any:
         """Value at instant *t*: a binary search over the stored rows."""
+        if t != t:
+            raise ValueError("instant must not be NaN")
         return self._values[bisect.bisect_right(self._times, t)]
 
     def to_table(self, *, drop_initial: bool = True) -> ConstantIntervalTable:

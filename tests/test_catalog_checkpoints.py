@@ -8,23 +8,34 @@ pinned to what a save that encoded everything, every time, wrote.  The
 history has a grouped SUM under an AVG and a ``lag="1h"`` COUNT, a SUM
 over the AVG's float rows, deletions, small trees that split and merge, a
 MIN view whose batch fails half-way (one group written, one not) and is
-quarantined, ``drop_view``, a view created over a compacted source, and a
-reopen.  ``tests/test_view_refresh_differential.py`` checks that every
-checkpoint restores to the live catalog.  The pin was computed at the
-parent of the change that made saves incremental.
+quarantined, ``drop_view``, a view created over a compacted source, a
+reopen, and a leaf view that gains a consumer and loses it again.
+``tests/test_view_refresh_differential.py`` checks that every checkpoint
+restores to the live catalog.  The pin is the hash of a run whose every
+save first cleared the caches (each node's ``row_texts``, each view's
+``_segments``, every group marked dirty over the whole line).
+
+A checkpoint in the older form, with rows for every view, still loads:
+``data/dynamic_rows_for_every_view.json`` holds rows for its two leaf
+views, and the load drops them
+(``test_an_older_checkpoint_drops_rows_nothing_consumes``).
 """
 
 import hashlib
 import itertools
+import json
 import os
 import random
+import shutil
 
+from repro.core import reference
+from repro.storage import fsck_dynamic
 from repro.warehouse.dynamic import DynamicCatalog
 
 KEYS = ["a", "b", "c", "d"]
 
 #: sha256 of the concatenated checkpoints of :func:`history`.
-PINNED = "713fd59f169d504feb52f6e7b78b0ac46d870e1243e2e96611a6699790f27d80"
+PINNED = "d1e020bd8782b7fc9d3e55ca88fc2b87eea76cf47f4b992bc9e3ccd35f19755f"
 
 
 class History:
@@ -111,6 +122,10 @@ def history(directory):
     h.round(5)
     h.reopen()
     for n in range(6, 10):
+        if n == 7:  # a first consumer: ``spread`` materializes its rows
+            h.cat.create_view("over_spread", "spread", "sum")
+        if n == 9:  # and the last one goes: ``spread`` forgets them
+            h.cat.drop_view("over_spread")
         h.round(n)
         h.save()
     h.cat.close()
@@ -123,3 +138,44 @@ def test_checkpoints_are_the_pinned_bytes(tmp_path):
     assert len(saved) == 14
     assert hashlib.sha256(b"".join(saved)).hexdigest() == PINNED
 
+
+
+#: Saved when every view kept rows: ``t`` -> ``by_k`` (SUM by ``k``) ->
+#: ``total`` (SUM), and ``width`` (COUNT over ``t``), with deletions and
+#: three records of ``t`` no view has consumed yet.
+OLDER = os.path.join(os.path.dirname(__file__), "data", "dynamic_rows_for_every_view.json")
+
+
+def test_an_older_checkpoint_drops_rows_nothing_consumes(tmp_path):
+    with open(OLDER) as handle:
+        old = json.load(handle)["views"]
+    assert all(old[name]["rows"] for name in ("by_k", "total", "width"))
+    assert fsck_dynamic(OLDER).errors() == []
+    shutil.copy(OLDER, tmp_path / "dynamic.json")
+    cat = DynamicCatalog(str(tmp_path), branching=4, leaf_capacity=4)
+    views = cat.stats()["views"]
+    assert [views[name]["rows"] for name in ("by_k", "total", "width")] == [
+        len(old["by_k"]["rows"]), 0, 0]
+    assert cat.view("total").row_texts == cat.view("width").row_texts == {}
+    assert all(index == ([], []) for index in cat.view("total")._index.values())
+    # Consumers over the leaves answer like the oracle over ``t``.
+    cat.create_view("over_total", "total", "sum")
+    cat.create_view("over_width", "width", "sum")
+    cat.insert("t", 3, (40, 140), k="a")
+    cat.refresh()
+    facts = [(row.value, row.valid) for row in cat.table("t")]
+    for t in sorted({t for _, iv in facts for t in (iv.start, iv.end - 0.5)}):
+        for name, kind in (("over_total", "sum"), ("over_width", "count")):
+            want = reference.instantaneous_value(facts, kind, t)
+            assert cat.read(name, t).value == (want or 0), (name, t)
+    # The new form: rows for the consumed views only; fsck takes it too.
+    cat.close()
+    with open(tmp_path / "dynamic.json") as handle:
+        saved = json.load(handle)["views"]
+    assert {name for name, view in saved.items() if view["rows"]} == {
+        "by_k", "total", "width"}
+    assert fsck_dynamic(str(tmp_path / "dynamic.json")).errors() == []
+    cat = DynamicCatalog(str(tmp_path), branching=4, leaf_capacity=4)
+    cat.drop_view("over_width")
+    assert cat.stats()["views"]["width"]["rows"] == 0
+    assert cat.view("width").row_texts == {}

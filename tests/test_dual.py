@@ -38,6 +38,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             dual.window_lookup(50, float("nan"))
 
+    def test_nan_instant_rejected(self):
+        dual = DualTreeAggregate("sum")
+        dual.insert(3, Interval(10, 60))
+        with pytest.raises(ValueError):
+            dual.window_lookup(float("nan"), 5)
+        with pytest.raises(ValueError):
+            dual.lookup(float("nan"))
+
 
 class TestEndedTreeSemantics:
     """lookup(T', t) aggregates tuples that ended at or before t."""

@@ -50,6 +50,17 @@ class TestLagParsing:
                 parse_lag(bad)
 
 
+def test_a_nan_instant_is_refused_by_read_and_report():
+    cat = DynamicCatalog()
+    cat.create_table("t")
+    cat.create_view("v", "t", "sum")
+    cat.insert("t", 4, (0, 10))
+    for read in (lambda t: cat.read("v", t), lambda t: cat.report(["v"], t)):
+        assert read(5)
+        with pytest.raises(ValueError):
+            read(float("nan"))
+
+
 class TestDagStructure:
     def test_cycle_rejected_at_create(self):
         cat = DynamicCatalog()
@@ -293,15 +304,21 @@ class TestIncrementalCorrectness:
             cat.create_table("t")
             cat.create_view("v", "t", "sum")
             cat.create_view("w", "v", "sum")
+            cat.create_view("x", "w", "sum")  # a leaf: it keeps no rows
             for i in range(history):  # adjacent, never equal: one row each
                 cat.insert("t", i % 7 + 1, (i, i + 1))
             cat.refresh()
             views = cat.stats()["views"]
             assert views["v"]["rows"] == views["w"]["rows"] == history
+            assert views["x"]["rows"] == 0
             return _refresh_cost(cat, 5, (100, 102))  # cuts across two rows
 
         small, large = one_fact_batch(200), one_fact_batch(20_000)
         assert small == large
+        assert large.pop("x") == {
+            "rows_examined": 0, "rows_retracted": 0, "rows_emitted": 0,
+            "effects_applied": 1, "events_consumed": 4,
+        }
         for name, cost in large.items():
             # One affected span per view: the overlapped rows plus at
             # most one probe either side.
@@ -325,6 +342,7 @@ class TestIncrementalCorrectness:
         cat.create_table("t")
         cat.create_view("v", "t", "sum")
         cat.create_view("w", "v", "sum")
+        cat.create_view("x", "w", "sum")  # so that ``w`` keeps rows
         cat.insert("t", 1, (0, 20))
         cat.refresh()
         cat.insert("t", 5, (2, 4))
@@ -349,6 +367,7 @@ class TestIncrementalCorrectness:
         cat.create_table("t")
         cat.create_view("v", "t", "sum", key="k")
         cat.create_view("w", "v", "sum")
+        cat.create_view("x", "w", "sum")  # so that ``w`` keeps rows
         for i in range(20):
             cat.insert("t", i % 7 + 1, (i * 10, i * 10 + 10), k="a")
         for i in range(200):

@@ -22,6 +22,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FixedWindowTree("sum", window=float("nan"))
 
+    def test_nan_instant_rejected(self):
+        fixed = build("sum", 5)
+        with pytest.raises(ValueError):
+            fixed.lookup(float("nan"))
+        with pytest.raises(ValueError):
+            fixed.lookup_final(float("nan"))
+
     def test_zero_window_is_instantaneous(self):
         fixed = build("sum", 0)
         plain = SBTree("sum", branching=4, leaf_capacity=4)

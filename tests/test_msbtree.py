@@ -125,6 +125,15 @@ class TestWindowQueries:
         with pytest.raises(ValueError):
             msb.extremum_over(float("nan"), 50)
 
+    def test_nan_instant_rejected(self):
+        msb = MSBTree("max")
+        msb.insert(5, Interval(0, 20))
+        msb.insert(2, Interval(10, 60))
+        with pytest.raises(ValueError):
+            msb.window_lookup(float("nan"), 3)
+        with pytest.raises(ValueError):
+            msb.lookup(float("nan"))
+
     def test_instantaneous_queries_still_work(self):
         """An MSB-tree is also a plain SB-tree for its aggregate."""
         facts = [(i % 9, Interval(i, i + 12)) for i in range(60)]

@@ -153,6 +153,14 @@ class TestFloatTimes:
         assert tree.lookup(3.5) == 0
         check_tree(tree)
 
+    def test_nan_instant_rejected(self):
+        tree = SBTree("sum", branching=4, leaf_capacity=4)
+        tree.insert(1, Interval(0.5, 2.75))
+        with pytest.raises(ValueError):
+            tree.lookup(float("nan"))
+        with pytest.raises(ValueError):
+            tree.lookup_final(float("nan"))
+
     def test_negative_times(self):
         tree = SBTree("sum", branching=4, leaf_capacity=4)
         tree.insert(4, Interval(-100, -50))

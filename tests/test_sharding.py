@@ -144,6 +144,13 @@ class TestShardedWindow:
         with pytest.raises(ShardingError):
             sharded.window_lookup(50, float("nan"))
 
+    @pytest.mark.parametrize("wait", [True, False])
+    def test_nan_instant_rejected(self, wait):
+        sharded = ShardedTree("sum", [100])
+        sharded.insert(3, Interval(10, 160))
+        with pytest.raises(ShardingError):
+            sharded.lookup(float("nan"), wait=wait)
+
 
 class TestShardedTreeConfig:
     def test_needs_boundaries_or_span(self):

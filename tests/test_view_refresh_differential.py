@@ -8,7 +8,8 @@ unbounded on either side.  At the end -- and once more after a close and
 reopen in the middle of a batch, which rebuilds the sorted row index
 from the checkpoint -- every ``read`` at every endpoint must equal
 ``core/reference.py``, every group tree must pass ``check_tree``, and
-every view's output rows must be the step function its trees hold.
+every consumed view's output rows must be the step function its trees
+hold.
 Every refresh is followed by a save, and a second catalog opened on that
 checkpoint must hold what the live one does (:func:`assert_restores`):
 the saves re-encode only what changed since the last one.  With float
@@ -32,10 +33,16 @@ and an ``inf`` stays where it was inserted (``TestFoldIsLocal``, exact
 against record-by-record application).  With integer effects nothing of
 the sort exists and every comparison below is exact.
 
-The last class proves these gates can fail: three mutations of the
+A view holds output rows iff some view consumes it (``check_structure``):
+at the end of every run each leaf gains a SUM consumer, one in the live
+catalog and one after a reopen, and must first materialize its rows
+from its trees.
+
+The last class proves these gates can fail: four mutations of the
 refresh (a fold that never closes an effect, a fold that keeps one
 running total and subtracts what closes, a regeneration that does not
-widen to the rows it retracts) must each turn them red.
+widen to the rows it retracts, a first consumer that finds no rows)
+must each turn them red.
 """
 
 import bisect
@@ -105,6 +112,7 @@ class Differential:
         self.cat.create_view("top", "mid", "sum")
         self.cat.create_view("width", "mid", "count")
         self.live = []  # (tuple_id, group, value, interval)
+        self.consumers = {}  # consumer view -> the leaf view it sums
         # Which views hold float sums (see the module docstring): ``mid``
         # over float sources unless it only counts them, ``top`` whenever
         # ``mid`` emits floats -- an AVG does even over integers.
@@ -178,15 +186,36 @@ class Differential:
             assert _close(got, sum(visible), self.approx["top"]), t
             if not self.approx["mid"]:  # a float residue row would count
                 assert self.cat.read("width", t).value == len(visible), t
+            # A SUM over an ungrouped leaf reads its value (0 for no row).
+            for name, leaf in self.consumers.items():
+                got = self.cat.read(name, t).value
+                want = self.cat.read(leaf, t).value or 0
+                assert _close(got, want, self.approx[leaf]), (name, t)
+
+    def add_consumer(self, leaf):
+        """Give *leaf*, which nothing consumed, a SUM consumer: the leaf
+        materializes its rows from its trees for the consumer to start
+        from."""
+        name = f"{leaf}_sum"
+        self.cat.create_view(name, leaf, "sum")
+        self.consumers[name] = leaf
+        self.approx[name] = self.approx[leaf]
 
     def check_structure(self):
-        """Trees are valid; rows are what the trees hold; index is sound."""
-        for name in ("mid", "top", "width"):
+        """Trees are valid; a view holds rows iff a view consumes it, and
+        then they are what its trees hold; the index is sound."""
+        for name in self.cat.view_names():
             view = self.cat.view(name)
             exact = not self.approx[name]
+            for tree in view._trees.values():
+                check_tree(tree, check_compact=exact and tree.spec.invertible)
+            if not self.cat.dependents_of(name):
+                assert len(view.relation) == 0, name
+                assert all(index == ([], []) for index in view._index.values()), name
+                assert view.row_texts == {}, name
+                continue
             indexed = []
             for key, tree in view._trees.items():
-                check_tree(tree, check_compact=exact and tree.spec.invertible)
                 starts, rows = view._index[key]
                 assert starts == [row.valid.start for row in rows]
                 assert all(
@@ -289,6 +318,19 @@ def run_differential(directory, kind, grouped, batch, floats):
             if n - size < count // 2 + 3 <= n:
                 diff.check_reads()
                 diff.check_structure()
+    diff.cat.refresh()
+    diff.check_reads()
+    diff.check_structure()
+    # The leaves gain consumers, one in the live catalog and one in a
+    # reopened one, and keep refreshing with them.
+    diff.add_consumer("top")
+    diff.check_structure()
+    diff.reopen()
+    diff.add_consumer("width")
+    diff.check_reads()
+    diff.check_structure()
+    diff.apply(("insert", 3, Interval(10, 50), "amy"))
+    diff.apply(("insert", 4, Interval(40, POS_INF), "bob"))
     diff.cat.refresh()
     diff.check_reads()
     diff.check_structure()
@@ -442,6 +484,7 @@ class TestFoldIsLocal:
         cat = DynamicCatalog(None)
         cat.create_table("t")
         cat.create_view("v", "t", "sum", lag="downstream")
+        cat.create_view("top", "v", "sum")  # so that ``v`` holds rows
         for value, where in LOCAL_CASES["lone-fact-in-a-gap"]:
             cat.insert("t", value, where)
         assert cat.read("v", 35).value == 7.0
@@ -506,6 +549,13 @@ class TestTheDifferentialCanFail:
             check_round_off_is_local("sum", 0)
         with pytest.raises(AssertionError):
             TestFoldIsLocal().test_a_fact_alone_in_a_gap_reads_its_own_value()
+
+    def test_red_when_a_first_consumer_finds_no_rows(self, tmp_path, monkeypatch):
+        # The DDL that gives a leaf its first consumer does not
+        # materialize the leaf's rows from its trees.
+        monkeypatch.setattr(DynamicView, "_materialize", lambda self: None)
+        with pytest.raises(AssertionError):
+            run_differential(tmp_path, "sum", True, 7, False)
 
     def test_red_when_regeneration_does_not_widen(self, tmp_path, monkeypatch):
         # Retract the overlapped rows but re-emit only the span the

@@ -116,7 +116,8 @@ class TestRetentionBound:
     def test_unconsumed_tail_is_kept(self):
         """A lagging consumer pins exactly its unread tail, on a table and
         on a view alike (``view_stats`` carries ``head`` and
-        ``log_retained`` per view); a sink view keeps nothing."""
+        ``log_retained`` per view); a sink view keeps nothing, and emits
+        nothing: it holds no rows."""
         cat = DynamicCatalog()
         cat.create_table("t")
         cat.create_view("fast", "t", "sum")
@@ -132,7 +133,8 @@ class TestRetentionBound:
         kept = _kept_and_unread(cat.stats())
         assert kept == {name: (0, 0) for name in ("t", "fast", "slow", "top")}
         for sink in ("slow", "top"):
-            assert cat.stats()["views"][sink]["head"] > 0
+            assert cat.stats()["views"][sink]["head"] == 0
+            assert cat.stats()["views"][sink]["rows"] == 0
 
     def test_no_directory_keeps_only_unread_records(self):
         """A catalog without a directory never saves, so it cannot wait
@@ -511,8 +513,12 @@ class TestConsumerSetChanges:
         cat = DynamicCatalog()
         self._table_and_sink(cat)
         sink = cat.stats()["views"]["v"]
-        assert sink["log_retained"] == 0 and sink["head"] > 0
+        assert sink["log_retained"] == sink["head"] == sink["rows"] == 0
         cat.create_view("w", "v", "sum")
+        # v materialized its rows from its trees, logging none of them.
+        source = cat.stats()["views"]["v"]
+        assert source["head"] == source["rows"] > 0
+        assert source["log_retained"] == 0
         created = cat.stats()["views"]["w"]
         assert created["pending"] == created["refreshes"] == 0
         _check_sum_over(cat, "w", _facts(cat, "t"))

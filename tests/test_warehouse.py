@@ -136,6 +136,12 @@ class TestMaterializedView:
         )
         assert view.lookup(19) == 6
 
+    def test_nan_instant_rejected(self):
+        view = MaterializedView("sum")
+        view.insert(3, Interval(0, 10))
+        with pytest.raises(ValueError):
+            view.lookup(float("nan"))
+
     def test_intro_example_touches_most_rows(self):
         """Section 1: inserting Gill [15, 45) updates 5 of the 8 rows."""
         view = MaterializedView("sum")
