@@ -27,13 +27,18 @@ of it, all but each file's newest write, a seeded subset
 fsync, or any step of the checkpoint's ordering, and it fails.
 
 ``--catalog`` sweeps :meth:`repro.warehouse.dynamic.DynamicCatalog.save`
-instead, crashing at every
-:data:`~repro.warehouse.dynamic.CATALOG_CRASH_POINTS` entry (plus a torn
-temp-file write and an fsync failure) of every checkpoint a workload
-takes, then checking the reopened catalog restored exactly the previous
-(or, past the rename, the new) checkpoint, resumes refresh, and gives
-each leaf view (one nothing consumes, so it keeps no rows) a consumer
-that answers from the rows the leaf materializes for it.
+instead.  Each catalog workload is a fixed list of the
+:class:`~repro.oracle.CatalogModel`'s steps.  A dry run judges each of
+its saves (opened beside the live catalog, and the model's invariant);
+then every case replays the list once per fault: a crash at every
+:data:`~repro.warehouse.dynamic.CATALOG_CRASH_POINTS` entry, a torn
+temp-file write and an fsync failure, of every checkpoint after the
+first.  The model's ``crash`` then reopens the catalog, which
+must pass ``fsck_dynamic`` and hold exactly the last completed
+checkpoint (or, past the rename, the one in flight); it resumes with
+fresh facts and gives each leaf view (one nothing consumes, so it keeps
+no rows) a SUM consumer, and the model's invariant judges every view
+against :mod:`repro.core.reference`.
 
 Run it from the command line (also installed as ``repro-crashcheck``)::
 
@@ -51,28 +56,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import os
-import shutil
 import sys
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import obs
-from .core import reference
 from .core.intervals import Interval
 from .faults import FaultInjector, SimulatedCrash
-from .oracle import OracleModel, Step
-from .storage import fsck_dynamic
+from .oracle import CatalogModel, OracleModel, Step
 from .storage import pager as pager_module
 from .storage.pager import Pager
-from .warehouse.dynamic import (
-    CATALOG_CRASH_POINTS,
-    CATALOG_WRITE_LABEL,
-    CHECKPOINT_NAME,
-    DynamicCatalog,
-)
+from .warehouse.dynamic import CATALOG_CRASH_POINTS, CATALOG_WRITE_LABEL
 
 __all__ = [
     "CrashCheckResult",
@@ -201,15 +197,21 @@ def run_case(path: str, workload: str, point: str, hit: int,
             model.answers_match_the_oracle()
         except Exception as exc:  # noqa: BLE001 - report, don't stop the sweep
             detail = f"{type(exc).__name__}: {exc}"
-    # Registry counters (no-ops unless repro.obs is enabled): long
-    # crash sweeps report progress like every other subsystem.
+    return _counted(
+        CrashCheckResult(workload, point, hit, crashed, not detail, detail, power_loss)
+    )
+
+
+def _counted(result: CrashCheckResult) -> CrashCheckResult:
+    """*result*, counted in the registry (no-ops unless repro.obs is
+    enabled): long crash sweeps report progress like every other
+    subsystem."""
     obs.count("crashcheck.cases")
-    if crashed:
+    if result.crashed:
         obs.count("crashcheck.faults_injected")
-    ok = not detail
-    if ok:
+    if result.ok:
         obs.count("crashcheck.cases_passed")
-    return CrashCheckResult(workload, point, hit, crashed, ok, detail, power_loss)
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -279,304 +281,136 @@ CATALOG_FAULT_PLANS: Tuple[Tuple[str, Optional[str]], ...] = tuple(
 ) + (("torn", None), ("fsync", None))
 
 
-class CatalogWorkloadContext:
-    """Drives one :class:`DynamicCatalog` while tracking checkpoint oracles.
-
-    ``completed`` is the base-table fact set as of the last checkpoint
-    that finished; ``inflight`` is the fact set the in-flight checkpoint
-    was serializing when the fault fired.  Unlike the pager's ambiguous
-    commit window, the catalog's crash points pin down which of the two
-    a recovery must restore: everything before the rename recovers
-    ``completed``, everything after it recovers ``inflight``.
-    """
-
-    def __init__(
-        self, directory: str, plan: Optional[Tuple[str, Optional[str], int]] = None,
-        seed: int = 0,
-    ) -> None:
-        self.directory = directory
-        self.plan = plan  # (kind, crash point or None, checkpoint number)
-        self.injector = FaultInjector(seed=seed)
-        if plan is not None:
-            kind, point, ckpt = plan
-            if kind == "crash":
-                self.injector.crash_at(point, hit=ckpt)
-            elif kind == "torn":
-                self.injector.tear_write(CATALOG_WRITE_LABEL, call=ckpt)
-            # "fsync" is armed lazily in save(): fail_fsyncs fires on the
-            # *next* fsync, so it must not be live before checkpoint ckpt.
-        self._ticks = 0.0
-        self.catalog = DynamicCatalog(directory, clock=self._clock)
-        self.facts: List[Tuple[Any, Any, Any, Tuple]] = []
-        self.view_oracles: Dict[str, Tuple[str, bool]] = {}
-        self.saves = 0
-        self.completed: Optional[List] = None
-        self.inflight: Optional[List] = None
-
-    def _clock(self) -> float:
-        self._ticks += 1.0
-        return self._ticks
-
-    def snapshot(self) -> List:
-        return sorted(self.facts)
-
-    def insert(self, value: int, start, end, k: int):
-        row = self.catalog.insert("t", value, Interval(start, end), k=k)
-        self.facts.append((value, start, end, (("k", k),)))
-        return row
-
-    def delete(self, row) -> None:
-        self.catalog.delete("t", row)
-        self.facts.remove(
-            (row.value, row.valid.start, row.valid.end,
-             tuple(sorted(row.payload.items())))
-        )
-
-    def view(self, name: str, over: str, kind: str, *, key: Optional[str] = None) -> None:
-        self.catalog.create_view(name, over, kind, key=key)
-        self.view_oracles[name] = (kind, key is not None)
-
-    def baseline(self) -> None:
-        """Fault-free first checkpoint; arms the injector for the rest."""
-        self.catalog.refresh()
-        self.catalog.save()
-        self.completed = self.snapshot()
-        self.catalog.faults = self.injector
-
-    def save(self) -> None:
-        self.saves += 1
-        if (self.plan is not None and self.plan[0] == "fsync"
-                and self.plan[2] == self.saves):
-            self.injector.fail_fsyncs(CATALOG_WRITE_LABEL, times=1)
-        entry = self.snapshot()
-        self.inflight = entry
-        self.catalog.save()
-        self.completed = entry
-        self.inflight = None
+#: The catalog steps the workloads share.
+REFRESH: Step = ("refresh",)
+SAVE: Step = ("save",)
+CHECK: Step = ("views_match_the_oracle",)
+RESTORES: Step = ("check_restores",)
 
 
-def _cwl_cat_ingest(ctx: CatalogWorkloadContext) -> None:
+def _fact(value: int, start: int, end: int, k: int) -> Step:
+    return ("insert", "t", value, (start, end), {"k": k})
+
+
+def _cat_ingest() -> List[Step]:
     """Append-only ingest into ungrouped sum/avg rollups."""
-    ctx.catalog.create_table("t")
-    ctx.view("s", "t", "sum")
-    ctx.view("a", "t", "avg")
-    ctx.insert(5, 0, 50, 0)
-    ctx.baseline()
+    steps = [("create_table", "t"), ("create_view", "s", "t", "sum"),
+             ("create_view", "a", "t", "avg"), _fact(5, 0, 50, 0), REFRESH, SAVE]
     for i in range(14):
-        ctx.insert(i % 7 + 1, i * 4, i * 4 + 25, i % 3)
-        ctx.insert(i % 5 + 2, i * 6 + 2, i * 6 + 30, (i + 1) % 3)
-        if i % 2 == 0:
-            ctx.catalog.refresh()
-        ctx.save()
+        steps += [_fact(i % 7 + 1, i * 4, i * 4 + 25, i % 3),
+                  _fact(i % 5 + 2, i * 6 + 2, i * 6 + 30, (i + 1) % 3)]
+        steps += [REFRESH, SAVE] if i % 2 == 0 else [SAVE]
+    return steps
 
 
-def _cwl_cat_dag(ctx: CatalogWorkloadContext) -> None:
-    """A two-level DAG (sum over a grouped sum) plus a count, with deletes."""
-    ctx.catalog.create_table("t")
-    ctx.view("by_k", "t", "sum", key="k")
-    ctx.view("total", "by_k", "sum")
-    ctx.view("c", "t", "count")
-    ctx.insert(3, 0, 40, 0)
-    ctx.insert(4, 10, 60, 1)
-    ctx.baseline()
-    rows = []
+def _cat_dag() -> List[Step]:
+    """A two-level DAG (sum over a grouped sum) plus a count; every
+    fourth fact deletes the oldest one the loop inserted (the third live
+    row: the baseline's two come first)."""
+    steps = [("create_table", "t"), ("create_view", "by_k", "t", "sum", "k"),
+             ("create_view", "total", "by_k", "sum"), ("create_view", "c", "t", "count"),
+             _fact(3, 0, 40, 0), _fact(4, 10, 60, 1), REFRESH, SAVE]
     for i in range(14):
-        rows.append(ctx.insert(i % 6 + 1, i * 3, i * 3 + 18, i % 3))
+        steps.append(_fact(i % 6 + 1, i * 3, i * 3 + 18, i % 3))
         if i % 4 == 3:
-            ctx.delete(rows.pop(0))
-        ctx.catalog.refresh()
-        ctx.save()
+            steps.append(("delete", "t", 2))
+        steps += [REFRESH, SAVE]
+    return steps
 
 
-def _cwl_cat_churn(ctx: CatalogWorkloadContext) -> None:
+def _cat_churn() -> List[Step]:
     """Heavy insert/delete churn with an unconsumed tail at most saves."""
-    ctx.catalog.create_table("t")
-    ctx.view("s", "t", "sum", key="k")
-    ctx.view("a", "t", "avg")
-    ctx.baseline()
-    live = []
+    steps = [("create_table", "t"), ("create_view", "s", "t", "sum", "k"),
+             ("create_view", "a", "t", "avg"), REFRESH, SAVE]
+    live = 0
     for i in range(14):
-        live.append(ctx.insert(i % 4 + 1, i * 2, i * 2 + 16, i % 2))
-        live.append(ctx.insert(i % 3 + 5, i * 5, i * 5 + 11, (i + 1) % 2))
-        if len(live) > 5:
-            ctx.delete(live.pop(i % 3))
-        if i % 3 != 2:
-            ctx.catalog.refresh()
-        ctx.save()
+        steps += [_fact(i % 4 + 1, i * 2, i * 2 + 16, i % 2),
+                  _fact(i % 3 + 5, i * 5, i * 5 + 11, (i + 1) % 2)]
+        live += 2
+        if live > 5:
+            steps.append(("delete", "t", i % 3))
+            live -= 1
+        steps += [REFRESH, SAVE] if i % 3 != 2 else [SAVE]
+    return steps
 
 
-CATALOG_WORKLOADS: Dict[str, Callable[[CatalogWorkloadContext], None]] = {
-    "cat-ingest": _cwl_cat_ingest,
-    "cat-dag": _cwl_cat_dag,
-    "cat-churn": _cwl_cat_churn,
+#: Fixed step lists of the catalog model's rules; each one's first save
+#: is the fault-free baseline, and the sweep faults each save after it.
+CATALOG_WORKLOADS: Dict[str, List[Step]] = {
+    "cat-ingest": _cat_ingest(),
+    "cat-dag": _cat_dag(),
+    "cat-churn": _cat_churn(),
 }
 
 
-def _catalog_facts(catalog: DynamicCatalog) -> List:
-    return sorted(
-        (row.value, row.valid.start, row.valid.end,
-         tuple(sorted(row.payload.items())))
-        for row in catalog.table("t")
-    )
-
-
-def _oracle_rows(facts: Sequence[Tuple]) -> Tuple[List, set, List]:
-    """*facts* as ``reference.view_value`` rows, their groups, and the
-    instants to probe: every start and midpoint, and one before all."""
-    rows = [
-        (value, (start, end), dict(payload).get("k"))
-        for value, start, end, payload in facts
+def _resume(model: CatalogModel) -> List[Step]:
+    """What a recovered catalog must go on to do: refresh, take three
+    facts past every one it holds and refresh them, and give every leaf
+    view (one nothing consumes, so it keeps no rows) a SUM consumer that
+    answers from the rows the leaf materializes for it."""
+    horizon = max((valid.end for _, _, valid, _ in model.tables["t"]), default=0)
+    fresh = [_fact(9, horizon + 1, horizon + 20, 0), _fact(4, horizon + 5, horizon + 30, 1),
+             _fact(7, horizon + 2, horizon + 15, 2)]
+    leaves = [
+        name for name in model.views
+        if not any(name in sources for sources, _, _ in model.views.values())
     ]
-    probes = sorted(
-        {start for _, start, _, _ in facts}
-        | {(start + end) / 2.0 for _, start, end, _ in facts}
-        | {-7.0}
-    )
-    return rows, {group for _, _, group in rows}, probes
+    return [REFRESH, CHECK, *fresh, REFRESH, *(("add_consumer", name) for name in leaves),
+            ("views_match_the_oracle", *model.views, *(f"{name}_sum" for name in leaves))]
 
 
-def _check_catalog_views(
-    catalog: DynamicCatalog, facts: Sequence[Tuple], ctx: CatalogWorkloadContext
-) -> str:
-    """Every declared view against the brute-force oracle over *facts*."""
-    rows, keys, probes = _oracle_rows(facts)
-    for name, (kind, grouped) in ctx.view_oracles.items():
-        view = catalog.view(name)
-        for t in probes:
-            for key in (keys if grouped else (None,)):
-                got = view.value_at(t, key)
-                want = reference.view_value(rows, kind, t, key)
-                if got != want:
-                    label = f" key={key!r}" if grouped else ""
-                    return (
-                        f"view {name!r}{label} at t={t}: "
-                        f"recovered {got!r} != oracle {want!r}"
-                    )
-    return ""
-
-
-def _check_leaf_consumers(
-    catalog: DynamicCatalog, facts: Sequence[Tuple], ctx: CatalogWorkloadContext
-) -> str:
-    """A SUM over each restored leaf view against the oracle over
-    *facts*: the sum, over the leaf's groups, of what each answers (no
-    row where that is ``None``).  The leaf kept no rows; it materializes
-    them from its trees for the consumer.  (Compared to within 1e-9: an
-    AVG leaf's rows are floats, which the consumer's tree adds up.)"""
-    rows, keys, probes = _oracle_rows(facts)
-    for name, (kind, grouped) in ctx.view_oracles.items():
-        if catalog.dependents_of(name):
-            continue
-        consumer = f"{name}_sum"
-        catalog.create_view(consumer, name, "sum")
-        for t in probes:
-            want = sum(
-                reference.view_value(rows, kind, t, key) or 0
-                for key in (keys if grouped else (None,))
-            )
-            got = catalog.read(consumer, t).value
-            if not math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9):
-                return (
-                    f"a consumer of leaf view {name!r} at t={t}: "
-                    f"{got!r} != oracle {want!r}"
-                )
-    return ""
-
-
-def _verify_catalog_recovery(
-    dirpath: str, ctx: CatalogWorkloadContext
-) -> Tuple[bool, str]:
-    errors = fsck_dynamic(os.path.join(dirpath, CHECKPOINT_NAME)).errors()
-    if errors:
-        return False, "fsck: " + "; ".join(f"{f.code}: {f.message}" for f in errors)
-    try:
-        catalog = DynamicCatalog(dirpath, clock=ctx._clock)
-    except Exception as exc:  # noqa: BLE001 - report, don't crash the sweep
-        return False, f"reopen failed: {exc!r}"
-    # Which checkpoint must the recovery equal?  Deterministic: only a
-    # crash *after* the rename makes the in-flight checkpoint durable.
-    if (ctx.inflight is not None and ctx.plan is not None
-            and ctx.plan[0] == "crash"
-            and ctx.plan[1] == "view_ckpt:after_rename"):
-        expected = ctx.inflight
-    else:
-        expected = ctx.completed
-    try:
-        recovered = _catalog_facts(catalog)
-    except Exception as exc:  # noqa: BLE001
-        return False, f"restored catalog is unusable: {exc!r}"
-    if recovered != expected:
-        return False, (
-            f"restored base table holds {len(recovered)} facts; the "
-            f"checkpoint oracle holds {len(expected)}"
-        )
-    if set(catalog.view_names()) != set(ctx.view_oracles):
-        return False, (
-            f"restored views {sorted(catalog.view_names())} != declared "
-            f"{sorted(ctx.view_oracles)}"
-        )
-    try:
-        catalog.refresh()
-        error = _check_catalog_views(catalog, recovered, ctx)
-        if error:
-            return False, error
-        # Resume incrementally: fresh ingest must flow through the
-        # restored watermarks, not trip over the compacted prefix.
-        horizon = max((end for _, _, end, _ in recovered), default=0)
-        extra = [
-            (9, horizon + 1, horizon + 20, 0),
-            (4, horizon + 5, horizon + 30, 1),
-            (7, horizon + 2, horizon + 15, 2),
-        ]
-        for value, start, end, k in extra:
-            catalog.insert("t", value, Interval(start, end), k=k)
-        catalog.refresh()
-        resumed = sorted(
-            recovered + [(v, s, e, (("k", k),)) for v, s, e, k in extra]
-        )
-        error = _check_catalog_views(catalog, resumed, ctx)
-        if error:
-            return False, "after resume: " + error
-        error = _check_leaf_consumers(catalog, resumed, ctx)
-        if error:
-            return False, "after resume: " + error
-    except Exception as exc:  # noqa: BLE001
-        return False, f"restored catalog is unusable: {exc!r}"
-    return True, ""
+def _dry_run(workdir: str, workload: str) -> int:
+    """Replay *workload* with no fault armed, each save judged: a second
+    catalog opened on it holds what the live one does, and the
+    invariant holds.  Every case replays these saves before its fault.
+    Returns how many saves follow the baseline."""
+    steps = CATALOG_WORKLOADS[workload]
+    with CatalogModel() as model:
+        model.setup(workdir)
+        model.replay(step for saved in steps for step in (
+            (saved, RESTORES, CHECK) if saved == SAVE else (saved,)))
+    return steps.count(SAVE) - 1
 
 
 def run_catalog_case(
     workdir: str, workload: str, kind: str, point: Optional[str], ckpt: int
 ) -> CrashCheckResult:
-    """One catalog case: fault checkpoint *ckpt* per *kind*, recover, verify."""
-    dirpath = os.path.join(workdir, f"crashcheck-{workload}")
-    shutil.rmtree(dirpath, ignore_errors=True)
-    ctx = CatalogWorkloadContext(dirpath, plan=(kind, point, ckpt), seed=ckpt)
-    crashed = False
-    try:
-        CATALOG_WORKLOADS[workload](ctx)
-        ctx.catalog.faults = None
-    except (SimulatedCrash, OSError):
-        # A dying process keeps no file handles to abandon here: the
-        # checkpoint path opens and closes its temp file per save.
-        crashed = True
-    ok, detail = _verify_catalog_recovery(dirpath, ctx)
-    obs.count("crashcheck.cases")
-    if crashed:
-        obs.count("crashcheck.faults_injected")
-    if ok:
-        obs.count("crashcheck.cases_passed")
+    """One catalog case: replay *workload* in a fresh directory under
+    *workdir*, faulting checkpoint *ckpt* (counted after the baseline)
+    per *kind*; the process dies there (or at the end, if no fault
+    fired), :meth:`CatalogModel.crash` reopens the catalog, and the
+    model's invariant judges it as it resumes (:func:`_resume`)."""
+    injector = FaultInjector(seed=ckpt)
+    if kind == "crash":
+        injector.crash_at(point, hit=ckpt)
+    elif kind == "torn":
+        injector.tear_write(CATALOG_WRITE_LABEL, call=ckpt)
+    steps = CATALOG_WORKLOADS[workload]
+    baseline = steps.index(SAVE) + 1
+    crashed, detail = False, ""
+    with CatalogModel() as model:
+        try:
+            model.setup(workdir)
+            model.replay(steps[:baseline])
+            model.catalog.faults = injector
+            saves = 0
+            try:
+                for name, *arguments in steps[baseline:]:
+                    saves += name == "save"
+                    if kind == "fsync" and name == "save" and saves == ckpt:
+                        # fail_fsyncs fires on the *next* fsync.
+                        injector.fail_fsyncs(CATALOG_WRITE_LABEL, times=1)
+                    getattr(model, name)(*arguments)
+            except (SimulatedCrash, OSError):
+                # A dying process keeps no file handles to abandon here: the
+                # checkpoint path opens and closes its temp file per save.
+                crashed = True
+            model.crash((kind, point))
+            model.replay(_resume(model))
+        except Exception as exc:  # noqa: BLE001 - report, don't stop the sweep
+            detail = f"{type(exc).__name__}: {exc}"
     label = point if kind == "crash" else f"{CATALOG_WRITE_LABEL}:{kind}"
-    return CrashCheckResult(workload, label, ckpt, crashed, ok, detail)
-
-
-def _count_catalog_saves(workdir: str, workload: str) -> int:
-    """Dry run with no faults armed: how many checkpoints does it take?"""
-    dirpath = os.path.join(workdir, f"crashcheck-{workload}")
-    shutil.rmtree(dirpath, ignore_errors=True)
-    ctx = CatalogWorkloadContext(dirpath)
-    CATALOG_WORKLOADS[workload](ctx)
-    return ctx.saves
+    return _counted(CrashCheckResult(workload, label, ckpt, crashed, not detail, detail))
 
 
 def catalog_sweep(
@@ -587,7 +421,7 @@ def catalog_sweep(
     verbose: bool = False,
 ) -> List[CrashCheckResult]:
     """Fault one catalog workload at every plan and chosen checkpoint."""
-    total = _count_catalog_saves(workdir, workload)
+    total = _dry_run(workdir, workload)
     results: List[CrashCheckResult] = []
     for kind, point in CATALOG_FAULT_PLANS:
         for ckpt in _hit_schedule(total, hits):

@@ -48,22 +48,33 @@ so it holds under ``python -O`` too.  ``tests/test_oracle_machine.py``
 drives the model with hypothesis; :mod:`repro.crashcheck` replays fixed
 step lists through it with a crash armed inside them;
 :func:`replayed` runs any fixed step list.
+
+:class:`CatalogModel` does the same for the view catalog
+(:class:`~repro.warehouse.dynamic.DynamicCatalog`): its base tables'
+facts, its view definitions and its checkpoints, checked against the
+same reference.  ``tests/test_view_refresh_differential.py`` and
+``crashcheck --catalog`` replay step lists through it.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
 import operator
+import os
+import pathlib
 import shutil
 import tempfile
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
     DualTreeAggregate,
     FixedWindowTree,
     Interval,
     MSBTree,
+    NEG_INF,
+    POS_INF,
     SBTree,
     check_tree,
     reference,
@@ -71,14 +82,16 @@ from .core import (
 from .core.results import finalized_rows
 from .faults import FaultInjector, simulate_crash
 from .sharding import ShardedTree, WindowUnsupportedError, shard_path
-from .storage import PagedNodeStore
+from .storage import PagedNodeStore, fsck_dynamic
 from .warehouse import MaterializedView
+from .warehouse.dynamic import CHECKPOINT_NAME, DynamicCatalog
 
 __all__ = [
     "BACKENDS",
     "CUTS",
     "GEOMETRIES",
     "KINDS",
+    "CatalogModel",
     "OracleMismatch",
     "OracleModel",
     "check",
@@ -87,6 +100,7 @@ __all__ = [
     "Step",
     "range_bound",
     "replayed",
+    "step_function",
     "tally",
     "update_bound",
 ]
@@ -581,3 +595,352 @@ def replayed(
         yield model
     finally:
         model.teardown()
+
+
+# ----------------------------------------------------------------------
+# The view catalog
+# ----------------------------------------------------------------------
+#: A base-table row: tuple id, value, valid interval, payload.
+Row = Tuple[int, Any, Interval, Dict[str, Any]]
+#: The plan of a crash that a checkpoint's rename has made durable.
+AFTER_RENAME = ("crash", "view_ckpt:after_rename")
+
+
+def _joined(pieces) -> List[List[Any]]:
+    """``(value, start, end)`` pieces with equal neighbours joined."""
+    out: List[List[Any]] = []
+    for value, start, end in pieces:
+        if out and out[-1][2] == start and out[-1][0] == value:
+            out[-1][2] = end
+        else:
+            out.append([value, start, end])
+    return out
+
+
+def step_function(tree: Any) -> List[List[Any]]:
+    """*tree*'s leaf pieces as ``[value, start, end]``, ``v0`` dropped and
+    equal neighbours joined: what a catalog checkpoint holds of it."""
+    return _joined(
+        piece for piece in tree.leaf_pieces() if not tree.spec.is_initial(piece[0])
+    )
+
+
+def _rows(relation) -> List[Row]:
+    return [(row.tuple_id, row.value, row.valid, dict(row.payload)) for row in relation]
+
+
+def _held(catalog: DynamicCatalog) -> Dict[str, tuple]:
+    """Per node, in order, what a checkpoint must give back of it: every
+    row with its tuple id and the log; for a view also the watermarks,
+    the persisted counters, and per group the tree's step function and
+    the row index."""
+    held: Dict[str, tuple] = {}
+    for name in catalog.table_names() + catalog.view_names():
+        node = catalog._node(name)
+        held[name] = (_rows(node.relation), node.log.to_json())
+    for name in catalog.view_names():
+        view = catalog.view(name)
+        trees = {
+            group: (step_function(tree), view._index[group])
+            for group, tree in view._trees.items()
+        }
+        held[name] += (view.watermarks, view.refreshes, view.events_consumed,
+                       view.quarantined, view.last_error, trees)
+    return held
+
+
+def _state_of(catalog: DynamicCatalog) -> Tuple[Dict, Dict]:
+    """*catalog*'s base-table rows and view definitions, as
+    :class:`CatalogModel` keeps them."""
+    tables = {
+        name: sorted(_rows(catalog.table(name)), key=operator.itemgetter(0))
+        for name in catalog.table_names()
+    }
+    views = {
+        view.name: (view.sources, view.spec.kind.value, view.key_field)
+        for view in map(catalog.view, catalog.view_names())
+    }
+    return tables, views
+
+
+def _close(got: Any, want: Any, approx: bool) -> bool:
+    """Equal, or with *approx* within 1e-9 of *want*, relative or absolute."""
+    if got == want or not approx or got is None or want is None:
+        return got == want
+    return abs(got - want) <= max(1e-9 * abs(want), 1e-9)
+
+
+class CatalogModel:
+    """A view catalog, the facts and views it must hold, and the checks.
+
+    :meth:`setup` opens a :class:`DynamicCatalog` on a fresh directory.
+    Each rule is one step: :meth:`create_table`, :meth:`create_view`,
+    :meth:`add_consumer`, :meth:`drop_view`, :meth:`insert`,
+    :meth:`delete`, :meth:`refresh`, :meth:`save`, :meth:`reopen` (the
+    reopened catalog must hold what the closed one did) and
+    :meth:`crash`.  :meth:`views_match_the_oracle` is the invariant, and
+    :meth:`check_restores` checks a save; a step list may name either
+    like a rule (:meth:`replay`).  :meth:`teardown` (or leaving a
+    ``with`` block) removes the directory.
+
+    The oracle of a view is :mod:`repro.core.reference` over the rows
+    its sources hand it: the model's facts of a base table, and the
+    output rows of a source view -- which, consumed, holds them, and
+    must hold exactly its trees' step function, finalized, with the
+    pieces whose internal value is ``v0`` or whose final value is
+    ``None`` left out.  So every view is checked against the facts
+    through the views below it.  A SUM/AVG/MIN/MAX view over float
+    values is compared to within 1e-9: refresh folds a batch before
+    adding it up, in another order than the reference does.
+    """
+
+    def setup(self, directory: Optional[str] = None, **tree_args: Any) -> None:
+        """A catalog of *tree_args* trees (as :class:`DynamicCatalog`
+        takes them) in a fresh directory under *directory* (default:
+        the system's temporary directory)."""
+        self.directory = tempfile.mkdtemp(prefix="catalog-model-", dir=directory)
+        self.tree_args = tree_args
+        self.ticks = 0
+        self.tables: Dict[str, List[Row]] = {}
+        #: View name -> (sources, kind, key field), in creation order.
+        self.views: Dict[str, Tuple[List[str], str, Optional[str]]] = {}
+        #: What the last completed save made durable, what the one
+        #: before it did (``.prev`` holds it), and what a save under way
+        #: is writing (else None).
+        self.saved = self._state()
+        self.before: Optional[Tuple[Dict, Dict]] = None
+        self.saving: Optional[Tuple[Dict, Dict]] = None
+        self.catalog = self._open()
+
+    def _clock(self) -> float:
+        self.ticks += 1
+        return float(self.ticks)
+
+    def _open(self) -> DynamicCatalog:
+        return DynamicCatalog(self.directory, clock=self._clock, **self.tree_args)
+
+    def _state(self) -> Tuple[Dict, Dict]:
+        return {name: list(rows) for name, rows in self.tables.items()}, dict(self.views)
+
+    def replay(self, steps: Iterable[Step]) -> None:
+        """Run *steps*, ``(rule, *arguments)`` each."""
+        for name, *arguments in steps:
+            getattr(self, name)(*arguments)
+
+    # ------------------------------------------------------------------
+    # Rules
+    # ------------------------------------------------------------------
+    def create_table(self, name: str) -> None:
+        self.catalog.create_table(name)
+        self.tables[name] = []
+
+    def create_view(self, name: str, over: Any, kind: str, key: Optional[str] = None,
+                    lag: Any = "downstream") -> None:
+        self.catalog.create_view(name, over, kind, key=key, lag=lag)
+        sources = [over] if isinstance(over, str) else list(over)
+        self.views[name] = (sources, kind, key)
+
+    def add_consumer(self, leaf: str) -> None:
+        """A SUM view over *leaf*, which nothing consumed: the leaf first
+        materializes its output rows from its trees."""
+        self.create_view(f"{leaf}_sum", leaf, "sum")
+
+    def drop_view(self, name: str) -> None:
+        self.catalog.drop_view(name)
+        del self.views[name]
+
+    def insert(self, table: str, value: Any, valid: Any,
+               payload: Optional[Dict[str, Any]] = None) -> None:
+        payload = dict(payload or {})
+        row = self.catalog.insert(table, value, valid, **payload)
+        if not isinstance(valid, Interval):
+            valid = Interval(*valid)
+        self.tables[table].append((row.tuple_id, value, valid, payload))
+
+    def delete(self, table: str, i: int) -> None:
+        """Delete the live row ``i mod n`` of *table*, in insertion order."""
+        rows = self.tables[table]
+        self.catalog.delete(table, rows.pop(i % len(rows))[0])
+
+    def refresh(self) -> None:
+        """Refresh every view: then none may have a record pending."""
+        self.catalog.refresh()
+        stale = [name for name in self.views if self._stale(name)]
+        check(not stale, "stale after a refresh", stale)
+
+    def save(self) -> None:
+        self.saving = self._state()
+        self.catalog.save()
+        self.before, self.saved, self.saving = self.saved, self.saving, None
+
+    def reopen(self) -> None:
+        """Close (which saves) and open the catalog again."""
+        live = self.catalog
+        live.close()
+        self.before, self.saved = self.saved, self._state()
+        self.catalog = self._open()
+        self._restores(live, self.catalog)
+
+    def crash(self, plan: Optional[Tuple[str, Optional[str]]] = None) -> None:
+        """The process dies, between steps or inside a save under *plan*
+        -- a ``(fault, crash point)`` pair of
+        ``crashcheck.CATALOG_FAULT_PLANS`` -- and the catalog reopens.
+        The checkpoint must pass :func:`~repro.storage.fsck_dynamic`, and
+        the catalog must hold what the last completed save made durable:
+        the save in flight only after a crash past its rename
+        (:data:`AFTER_RENAME`).  The invariant checks that.  Were the
+        checkpoint torn, ``.prev`` must restore the save before it."""
+        path = os.path.join(self.directory, CHECKPOINT_NAME)
+        if os.path.exists(path):
+            errors = fsck_dynamic(path).errors()
+            check(not errors, "fsck", *(f"{f.code}: {f.message}" for f in errors))
+        if self.saving is not None and plan == AFTER_RENAME:
+            self.before, self.saved = self.saved, self.saving
+        if os.path.exists(path + ".prev"):
+            torn = tempfile.mkdtemp(prefix="torn-", dir=self.directory)
+            shutil.copy(path + ".prev", os.path.join(torn, CHECKPOINT_NAME + ".prev"))
+            data = pathlib.Path(path).read_bytes()
+            pathlib.Path(torn, CHECKPOINT_NAME).write_bytes(data[: len(data) // 2])
+            fallback = _state_of(DynamicCatalog(torn, **self.tree_args))
+            shutil.rmtree(torn)
+            check(fallback == self.before, "torn checkpoint fallback", fallback, self.before)
+        tables, self.views = self.saved
+        self.tables = {name: list(rows) for name, rows in tables.items()}
+        self.saved, self.saving = self._state(), None
+        self.catalog = self._open()
+
+    # ------------------------------------------------------------------
+    # Checks
+    # ------------------------------------------------------------------
+    def _stale(self, name: str) -> bool:
+        """Whether a record is pending anywhere upstream of view *name*."""
+        view = self.catalog.view(name)
+        return self.catalog._oldest_unreflected(view) is not None
+
+    def _rows_of(self, node: str) -> List[Row]:
+        """The rows of *node*: the model's facts of a table, or a view's
+        output rows."""
+        if node in self.tables:
+            return self.tables[node]
+        return _rows(self.catalog.view(node).relation)
+
+    def views_match_the_oracle(self, *fresh: str) -> None:
+        """The invariant: every base table holds the model's rows, every
+        view is the one declared, its trees are sound, it holds output
+        rows iff a view consumes it (:meth:`check_rows`), and, unless a
+        record is pending upstream of it, it answers as the reference
+        does (:meth:`check_values`).  The views named in *fresh* may
+        have none pending: a step list names the views it must read."""
+        stale = [name for name in fresh if self._stale(name)]
+        check(not stale, "stale", stale)
+        catalog = self.catalog
+        order = catalog.table_names() + catalog.view_names()
+        check(order == [*self.tables, *self.views], "nodes", order)
+        check(_state_of(catalog) == self._state(), "tables and views", _state_of(catalog))
+        for name, (sources, kind, key) in self.views.items():  # sources first
+            view = catalog.view(name)
+            inputs = [row for src in sources for row in self._rows_of(src)]
+            approx = kind != "count" and any(isinstance(row[1], float) for row in inputs)
+            # Where an input starts or ends or a tree piece starts: the
+            # oracle and the view may change only there.  And one instant
+            # before them all and one after.
+            ends = {t for _, _, valid, _ in inputs for t in (valid.start, valid.end)}
+            for tree in view._trees.values():
+                check_tree(tree, check_compact=not approx and tree.spec.invertible)
+                ends.update(start for _, start, _ in tree.leaf_pieces())
+            ends = sorted(t for t in ends if NEG_INF < t < POS_INF) or [0]
+            instants = [ends[0] - 1, *ends, ends[-1] + 1]
+            self.check_rows(name, approx, instants)
+            if not self._stale(name):
+                self.check_values(name, approx, instants)
+
+    def check_rows(self, name: str, approx: bool, instants: Sequence[Any]) -> None:
+        """View *name* holds output rows iff a view consumes it.  Then a
+        group's rows carry the group, are disjoint and indexed by start,
+        and are its tree's step function, finalized, ``v0`` and ``None``
+        left out: equal as pieces, or with *approx* at *instants*."""
+        view = self.catalog.view(name)
+        if not any(name in sources for sources, _, _ in self.views.values()):
+            empty = all(index == ([], []) for index in view._index.values())
+            check(len(view.relation) == 0 and empty and view.row_texts == {},
+                  "rows nothing consumes", name)
+            return
+        spec, indexed = view.spec, []
+        for group, tree in view._trees.items():
+            starts, rows = view._index[group]
+            payload = {} if view.key_field is None else {view.key_field: group}
+            check(starts == [row.valid.start for row in rows], "row index", name, group)
+            check(all(a.valid.end <= b.valid.start for a, b in zip(rows, rows[1:])),
+                  "rows overlap", name, group)
+            check(all(row.payload == payload for row in rows), "row payload", name, group)
+            indexed += [row.tuple_id for row in rows]
+            if not approx:
+                want = _joined(
+                    (spec.finalize(value), start, end)
+                    for value, start, end in tree.leaf_pieces()
+                    if not spec.is_initial(value) and spec.finalize(value) is not None
+                )
+                got = _joined((row.value, row.valid.start, row.valid.end) for row in rows)
+                check(got == want, "rows", name, group, got, want)
+                continue
+            for t in instants:
+                i = bisect.bisect_right(starts, t) - 1
+                got = rows[i].value if i >= 0 and rows[i].valid.contains(t) else None
+                want = tree.lookup_final(t)
+                if spec.invertible and spec.kind.value != "avg":
+                    got, want = got or 0, want or 0  # no row reads as 0
+                check(_close(got, want, True), "row value", name, group, t, got, want)
+        check(sorted(indexed) == sorted(row.tuple_id for row in view.relation),
+              "indexed rows", name)
+
+    def check_values(self, name: str, approx: bool, instants: Sequence[Any]) -> None:
+        """View *name* read at each of *instants* against the reference
+        over the rows its sources hold; a grouped view's read holds
+        every group that has one.  With every change of either among
+        *instants*, a view that reads right there is right everywhere."""
+        view = self.catalog.view(name)
+        spec, (sources, kind, key) = view.spec, self.views[name]
+        # The rows each instant meets, by group.
+        valid_at: List[Dict[Any, List[Fact]]] = [{} for _ in instants]
+        for src in sources:
+            for _, value, valid, payload in self._rows_of(src):
+                group = None if key is None else payload.get(key)
+                first = bisect.bisect_left(instants, valid.start)
+                for groups in valid_at[first:bisect.bisect_left(instants, valid.end)]:
+                    groups.setdefault(group, []).append((value, valid))
+        for t, groups in zip(instants, valid_at):
+            want = {
+                group: spec.finalize(reference.instantaneous_value(facts, kind, t))
+                for group, facts in groups.items()
+            }
+            got = self.catalog.read(name, t).value
+            if key is None:
+                got = {None: got}
+            else:
+                check(set(want) <= set(got), "groups", name, t, got)
+            empty = spec.finalize(spec.v0)
+            for group, value in got.items():
+                check(_close(value, want.get(group, empty), approx), "read", name, group, t, value)
+
+    def check_restores(self) -> None:
+        """A second catalog opened on the last checkpoint holds what the
+        live one does, if nothing changed since it was saved."""
+        self._restores(self.catalog, self._open())
+
+    def _restores(self, live: DynamicCatalog, restored: DynamicCatalog) -> None:
+        """*restored*, opened on *live*'s last checkpoint, holds what *live*
+        does (:func:`_held`)."""
+        was, now = _held(live), _held(restored)
+        check(list(now) == list(was), "restored nodes", list(now), list(was))
+        for name, held in was.items():
+            check(now[name] == held, "restored", name, now[name], held)
+
+    def teardown(self) -> None:
+        if hasattr(self, "directory"):
+            shutil.rmtree(self.directory, ignore_errors=True)
+
+    def __enter__(self) -> "CatalogModel":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.teardown()

@@ -1136,7 +1136,8 @@ class DynamicCatalog:
 
         ``lag`` accepts anything :func:`parse_lag` does.  With
         ``create_sources`` unknown source names are auto-created as
-        base tables (the service's ingest-after-declare convenience);
+        base tables (the service's ingest-after-declare convenience)
+        once every source is checked, so a refused view creates none;
         otherwise they are rejected.  A source whose log still holds
         its whole history (another consumer has not read past its
         start) is replayed by the first refresh; any other source --
@@ -1162,16 +1163,19 @@ class DynamicCatalog:
                         "MIN/MAX aggregates are not maintainable under "
                         "deletions (paper, Section 3.4)"
                     )
-                if not self.has_node(src):
-                    if not create_sources:
-                        raise ViewDependencyError(
-                            f"view {name!r}: unknown source {src!r}"
-                        )
-                    self.create_table(src)
+                if not self.has_node(src) and not create_sources:
+                    raise ViewDependencyError(
+                        f"view {name!r}: unknown source {src!r}"
+                    )
             view = DynamicView(
                 name, sources, spec, key=key, lag=parsed_lag,
                 clock=self.clock, **self._tree_args,
             )
+            # Only now, with every source checked, do the missing ones
+            # become tables; a bootstrap that raises removes them again.
+            created = [src for src in dict.fromkeys(sources) if not self.has_node(src)]
+            for src in created:
+                self.create_table(src)
             try:
                 for src in sources:
                     source = self._views.get(src)
@@ -1181,6 +1185,8 @@ class DynamicCatalog:
                 self._bootstrap_compacted_sources(view)
             except Exception:
                 self._drop_unconsumed_rows(sources)
+                for src in created:
+                    self.drop_table(src)
                 raise
             self._views[name] = view
             self._order.append(name)
@@ -1655,63 +1661,117 @@ class DynamicCatalog:
         finally:
             os.close(fd)
 
-    def _load_payload(self, path: str) -> Dict[str, Any]:
-        """Read and parse the checkpoint, falling back to ``.prev``.
-
-        Under ``strict`` any unreadable/corrupt main checkpoint raises
-        :class:`CatalogCheckpointError` immediately; otherwise the
-        previous checkpoint (retained by :meth:`save`) is tried, and
-        only when *neither* restores does the error propagate.  A
-        leftover ``.tmp`` file is never adopted -- it may be torn.
-        """
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if not isinstance(payload, dict):
-                raise ValueError("checkpoint must be a JSON object")
-            return payload
-        except (OSError, ValueError) as exc:
-            main_error = exc
-        if self.strict:
+    def _restored(
+        self, path: str
+    ) -> Tuple[Dict[str, _BaseNode], Dict[str, DynamicView], List[str]]:
+        """The tables, views and order of the checkpoint at *path*, built
+        beside the live ones.  Any version but 2 is refused."""
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        if not isinstance(payload, dict):
+            raise ValueError("checkpoint must be a JSON object")
+        version = payload.get("version")
+        if version != 2:
             raise CatalogCheckpointError(
-                f"corrupt or unreadable catalog checkpoint {path}: "
-                f"{main_error}"
-            ) from main_error
-        prev = path + ".prev"
-        try:
-            with open(prev, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if not isinstance(payload, dict):
-                raise ValueError("checkpoint must be a JSON object")
-            obs.count("views.ckpt.fallbacks")
-            return payload
-        except (OSError, ValueError) as prev_error:
-            raise CatalogCheckpointError(
-                f"catalog checkpoint {path} is corrupt or unreadable "
-                f"({main_error}) and no previous checkpoint could be "
-                f"restored ({prev_error})"
-            ) from main_error
+                f"unsupported catalog checkpoint version {version!r} in {path}"
+            )
+        built: Dict[str, Any] = {}
+        tables: Dict[str, _BaseNode] = {}
+        views: Dict[str, DynamicView] = {}
+        raw_tables = payload.get("tables", {})
+        raw_views = payload.get("views", {})
+        if not isinstance(raw_tables, dict) or not isinstance(raw_views, dict):
+            raise ValueError("checkpoint tables and views must be JSON objects")
+        # A checkpoint in the older form holds rows for every view;
+        # those of a view nothing consumes would go stale at its next
+        # refresh, so they are not restored.
+        consumed = {src for raw in raw_views.values() for src in raw["sources"]}
+        for name in payload.get("order", ()):
+            if name in raw_tables:
+                raw = raw_tables[name]
+                relation = TemporalRelation(name)
+                _restore_relation(relation, raw["rows"])
+                node = _BaseNode.__new__(_BaseNode)
+                node.name = name
+                node.relation = relation
+                node.row_texts = {}
+                node.log = ChangeLog.from_json(raw["log"])
+                node._tap = _LogTap(node.log, self.clock)
+                relation.subscribe(node._tap, replay=False)
+                built[name] = tables[name] = node
+            elif name in raw_views:
+                raw = raw_views[name]
+                for src in raw["sources"]:
+                    if src not in built:
+                        raise ValueError(
+                            f"view {name!r} consumes {src!r}, which the "
+                            "checkpoint does not hold before it"
+                        )
+                view = DynamicView(
+                    name, list(raw["sources"]), raw["kind"],
+                    key=raw.get("key"), lag=parse_lag(raw["lag"]),
+                    clock=self.clock, **self._tree_args,
+                )
+                # Output rows and the emitted log restore verbatim
+                # (re-inserting them would re-emit downstream).
+                view.relation.unsubscribe(view._tap)
+                self._restore_rows(view, raw["rows"] if name in consumed else [])
+                view.log = ChangeLog.from_json(raw["log"])
+                view._tap = _LogTap(view.log, self.clock)
+                view.relation.subscribe(view._tap, replay=False)
+                view.watermarks = {
+                    src: int(seq) for src, seq in raw.get("watermarks", {}).items()
+                }
+                for src in view.sources:
+                    view.watermarks.setdefault(src, 0)
+                view.refreshes = int(raw.get("refreshes", 0))
+                view.events_consumed = int(raw.get("events_consumed", 0))
+                view.quarantined = bool(raw.get("quarantined", False))
+                last_error = raw.get("last_error")
+                view.last_error = str(last_error) if last_error is not None else None
+                self._restore_trees(view, raw["trees"])
+                built[name] = views[name] = view
+        return tables, views, list(built)
 
     def load(self) -> None:
         """Restore a checkpoint: logs, rows, and trees; tail replayable.
 
         Rows come back only for a view some view consumes (see
-        "Output-row semantics" in the module docstring).
+        "Output-row semantics" in the module docstring).  Each view's
+        per-group trees come back from their saved step functions, so a
+        reopened catalog resumes incremental refresh from the persisted
+        watermarks instead of rebuilding from scratch.
 
-        Each view's per-group trees come back from their saved step
-        functions, so a reopened catalog resumes incremental refresh
-        from the persisted watermarks instead of rebuilding from
-        scratch.  Any checkpoint version but 2 is refused.
+        The restored catalog is built before it replaces the live one.
+        A checkpoint that does not parse or does not hold together (a
+        view over a source it lacks, a field it lacks: ``ValueError`` or
+        ``KeyError``) is corrupt: under ``strict`` that
+        raises :class:`CatalogCheckpointError`; otherwise ``.prev``
+        (retained by :meth:`save`) restores instead, and only when
+        *neither* does the error propagate.  A leftover ``.tmp`` file is
+        never adopted -- it may be torn.  Any other error raised while
+        restoring is a fault of the code, not of the file, and propagates.
         """
+        corrupt = (OSError, ValueError, KeyError)
         with self._lock:
             path = self._checkpoint_path()
-            payload = self._load_payload(path)
-            version = payload.get("version")
-            if version != 2:
-                raise CatalogCheckpointError(
-                    f"unsupported catalog checkpoint version {version!r} "
-                    f"in {path}"
-                )
+            try:
+                restored = self._restored(path)
+            except corrupt as main_error:
+                if self.strict:
+                    raise CatalogCheckpointError(
+                        f"corrupt or unreadable catalog checkpoint {path}: "
+                        f"{main_error}"
+                    ) from main_error
+                try:
+                    restored = self._restored(path + ".prev")
+                except corrupt as prev_error:
+                    raise CatalogCheckpointError(
+                        f"catalog checkpoint {path} is corrupt or unreadable "
+                        f"({main_error}) and no previous checkpoint could be "
+                        f"restored ({prev_error})"
+                    ) from main_error
+                obs.count("views.ckpt.fallbacks")
             # A crash mid-save can leave temp files behind; they are
             # superseded by whichever checkpoint just restored.
             for leftover in (path + ".tmp", path + ".prev.tmp"):
@@ -1719,59 +1779,7 @@ class DynamicCatalog:
                     os.remove(leftover)
                 except OSError:
                     pass
-            self._tables.clear()
-            self._views.clear()
-            self._order = []
-            tables = payload.get("tables", {})
-            views = payload.get("views", {})
-            # A checkpoint in the older form holds rows for every view;
-            # those of a view nothing consumes would go stale at its next
-            # refresh, so they are not restored.
-            consumed = {src for raw in views.values() for src in raw["sources"]}
-            for name in payload.get("order", ()):
-                if name in tables:
-                    raw = tables[name]
-                    relation = TemporalRelation(name)
-                    _restore_relation(relation, raw["rows"])
-                    node = _BaseNode.__new__(_BaseNode)
-                    node.name = name
-                    node.relation = relation
-                    node.row_texts = {}
-                    node.log = ChangeLog.from_json(raw["log"])
-                    node._tap = _LogTap(node.log, self.clock)
-                    relation.subscribe(node._tap, replay=False)
-                    self._tables[name] = node
-                    self._order.append(name)
-                elif name in views:
-                    raw = views[name]
-                    view = DynamicView(
-                        name, list(raw["sources"]), raw["kind"],
-                        key=raw.get("key"), lag=parse_lag(raw["lag"]),
-                        clock=self.clock, **self._tree_args,
-                    )
-                    # Output rows and the emitted log restore verbatim
-                    # (re-inserting them would re-emit downstream).
-                    view.relation.unsubscribe(view._tap)
-                    self._restore_rows(view, raw["rows"] if name in consumed else [])
-                    view.log = ChangeLog.from_json(raw["log"])
-                    view._tap = _LogTap(view.log, self.clock)
-                    view.relation.subscribe(view._tap, replay=False)
-                    view.watermarks = {
-                        src: int(seq)
-                        for src, seq in raw.get("watermarks", {}).items()
-                    }
-                    for src in view.sources:
-                        view.watermarks.setdefault(src, 0)
-                    view.refreshes = int(raw.get("refreshes", 0))
-                    view.events_consumed = int(raw.get("events_consumed", 0))
-                    view.quarantined = bool(raw.get("quarantined", False))
-                    last_error = raw.get("last_error")
-                    view.last_error = (
-                        str(last_error) if last_error is not None else None
-                    )
-                    self._views[name] = view
-                    self._order.append(name)
-                    self._restore_trees(view, raw["trees"])
+            self._tables, self._views, self._order = restored
             self._recount_readers()
 
     def _restore_rows(self, view: DynamicView, rows: List[List[Any]]) -> None:

@@ -4,37 +4,34 @@ A seeded stream of inserts (and, for the invertible kinds, 30 % deletes)
 runs through the 3-level DAG ``t -> mid -> {top, width}`` in batches of
 1, 7, 64 and "everything at once", for all five aggregate kinds, grouped
 and ungrouped, with integer and with float values, and with intervals
-unbounded on either side.  At the end -- and once more after a close and
-reopen in the middle of a batch, which rebuilds the sorted row index
-from the checkpoint -- every ``read`` at every endpoint must equal
-``core/reference.py``, every group tree must pass ``check_tree``, and
-every consumed view's output rows must be the step function its trees
-hold.
-Every refresh is followed by a save, and a second catalog opened on that
-checkpoint must hold what the live one does (:func:`assert_restores`):
-the saves re-encode only what changed since the last one.  With float
-sums a checkpoint must hold each tree as it is now, not as it was when
-its spans were last walked (``test_float_sums_checkpoint_the_tree_as_it_is``).
-(What a reading reports besides its value -- watermarks, staleness,
-the degraded flag -- is ``TestFreshness`` and ``TestScheduler`` in
+unbounded on either side.  Each run is a step list of
+:class:`repro.oracle.CatalogModel`: its invariant is checked after the
+batch holding a close and reopen in the middle of a batch (which rebuilds
+the row index from the checkpoint) and at the end, and every save is
+opened beside the live catalog, which it must restore (the saves
+re-encode only what changed since the last one).  With float sums a
+checkpoint must hold each tree as it is now, not as it was when its spans
+were last walked (``test_float_sums_checkpoint_the_tree_as_it_is``).
+(What a reading reports besides its value -- watermarks, staleness, the
+degraded flag -- is ``TestFreshness`` and ``TestScheduler`` in
 ``tests/test_dynamic_views.py``.)
 
 What floats may and may not do.  SUM/COUNT/AVG refresh folds a batch
 into its net effect before touching a tree, so the float records over a
 region are summed in another order than record by record: answers may
-differ from the oracle by round-off (hence ``approx``), and a residue
-such as ``1e-17`` where the exact answer is 0 may or may not
-materialize as an output row.  What they may not do is leave the region
-they belong to: a segment of the net effect is the sum of the records
-over it and of nothing else, so the error at an instant is bounded by
-the magnitudes of the records that cover that instant, a fact alone in
-a gap reads exactly its own value however large its batch mates are,
-and an ``inf`` stays where it was inserted (``TestFoldIsLocal``, exact
-against record-by-record application).  With integer effects nothing of
-the sort exists and every comparison below is exact.
+differ from the oracle by round-off (the model compares a view over
+float values to within 1e-9), and a residue such as ``1e-17`` where the
+exact answer is 0 may or may not materialize as an output row.  What
+they may not do is leave the region they belong to: a segment of the net
+effect is the sum of the records over it and of nothing else, so the
+error at an instant is bounded by the magnitudes of the records that
+cover that instant, a fact alone in a gap reads exactly its own value
+however large its batch mates are, and an ``inf`` stays where it was
+inserted (``TestFoldIsLocal``, exact against record-by-record
+application).  With integer effects nothing of the sort exists and every
+comparison is exact.
 
-A view holds output rows iff some view consumes it (``check_structure``):
-at the end of every run each leaf gains a SUM consumer, one in the live
+At the end of every run each leaf gains a SUM consumer, one in the live
 catalog and one after a reopen, and must first materialize its rows
 from its trees.
 
@@ -45,7 +42,6 @@ widen to the rows it retracts, a first consumer that finds no rows)
 must each turn them red.
 """
 
-import bisect
 import dataclasses
 import json
 import random
@@ -53,9 +49,9 @@ from fractions import Fraction
 
 import pytest
 
-from repro import Interval, NEG_INF, POS_INF, SBTree, check_tree
-from repro.core import reference
+from repro import Interval, NEG_INF, POS_INF, SBTree
 from repro.core.values import spec_for
+from repro.oracle import CatalogModel, step_function
 from repro.warehouse.dynamic import DynamicCatalog, DynamicView
 
 KINDS = ["sum", "count", "avg", "min", "max"]
@@ -63,16 +59,18 @@ KEYS = ["amy", "bob", "cy"]
 #: Batch size -> events in the stream (64 needs more than one batch;
 #: one-record batches are the slowest, so that stream is the shortest).
 STREAMS = {1: 40, 7: 70, 64: 200, None: 90}
+REFRESH, REOPEN, CHECK = ("refresh",), ("reopen",), ("views_match_the_oracle",)
+SAVE = [("save",), ("check_restores",)]
 
 
 def _events(rng, count, kind, floats):
-    """``("insert", value, interval, key)`` / ``("delete", nth_live)``."""
+    """The model's ``insert`` and ``delete`` steps on table ``t``."""
     deletes = spec_for(kind).invertible
     live = 0
     for _ in range(count):
         if deletes and live and rng.random() < 0.3:
             live -= 1
-            yield ("delete", rng.randrange(live + 1))
+            yield ("delete", "t", rng.randrange(live + 1))
             continue
         start = rng.randrange(0, 200)
         end = start + rng.randrange(1, 60)
@@ -85,258 +83,46 @@ def _events(rng, count, kind, floats):
         if floats:
             value = value + rng.randrange(1, 10) / 10
         live += 1
-        yield ("insert", value, Interval(start, end), rng.choice(KEYS))
+        yield ("insert", "t", value, Interval(start, end), {"who": rng.choice(KEYS)})
 
 
-def _close(got, want, floats):
-    if not floats or got is None or want is None:
-        return got == want
-    return got == pytest.approx(want, rel=1e-9, abs=1e-9)
-
-
-class Differential:
-    """One catalog, one stream, one oracle (the live facts per key).
-
-    The clock moves one second per event; in the grouped runs ``mid``
-    is on an hour's lag."""
-
-    def __init__(self, directory, kind, grouped, floats):
-        self.directory = str(directory)
-        self.kind, self.grouped, self.floats = kind, grouped, floats
-        self.spec = spec_for(kind)
-        self.now = 0.0
-        self.cat = self._open()
-        self.cat.create_table("t")
-        self.cat.create_view("mid", "t", kind, key="who" if grouped else None,
-                             lag="1h" if grouped else "downstream")
-        self.cat.create_view("top", "mid", "sum")
-        self.cat.create_view("width", "mid", "count")
-        self.live = []  # (tuple_id, group, value, interval)
-        self.consumers = {}  # consumer view -> the leaf view it sums
-        # Which views hold float sums (see the module docstring): ``mid``
-        # over float sources unless it only counts them, ``top`` whenever
-        # ``mid`` emits floats -- an AVG does even over integers.
-        inexact = floats and kind != "count"
-        self.approx = {"mid": inexact, "top": inexact or kind == "avg",
-                       "width": False}
-
-    def _open(self):
-        # Capacity 4: a few dozen intervals already make a 3-level tree.
-        return DynamicCatalog(self.directory,
-                              clock=lambda: self.now,
-                              branching=4, leaf_capacity=4)
-
-    def apply(self, event):
-        self.now += 1.0
-        if event[0] == "delete":
-            self.cat.delete("t", self.live.pop(event[1])[0])
-        else:
-            _, value, interval, who = event
-            row = self.cat.insert("t", value, interval, who=who)
-            group = who if self.grouped else None
-            self.live.append((row.tuple_id, group, value, interval))
-
-    def reopen(self):
-        self.cat.close()
-        live, self.cat = self.cat, self._open()
-        assert_restores(live, self.cat)
-
-    def save(self):
-        """Checkpoint, and open the checkpoint beside the live catalog."""
-        self.cat.save()
-        assert_restores(self.cat, self._open())
-
-    # ------------------------------------------------------------------
-    def _instants(self):
-        ends = {
-            t for _, _, _, iv in self.live for t in (iv.start, iv.end)
-            if NEG_INF < t < POS_INF
-        }
-        return sorted(ends | {-1, 300})
-
-    def check_reads(self):
-        """Every view at every endpoint against ``core/reference.py``."""
-        groups = {}
-        for _, group, value, interval in self.live:
-            groups.setdefault(group, []).append((value, interval))
-        mid_view = self.cat.view("mid")
-        for t in self._instants():
-            internal = {
-                group: reference.instantaneous_value(facts, self.kind, t)
-                for group, facts in groups.items()
-            }
-            final = {g: self.spec.finalize(v) for g, v in internal.items()}
-            got = self.cat.read("mid", t).value
-            if self.grouped:
-                # A group whose facts were all deleted still has its tree.
-                assert set(final) <= set(got) <= set(mid_view.keys())
-                for group in got:
-                    want = final.get(group, self.spec.finalize(self.spec.v0))
-                    assert _close(got[group], want, self.approx["mid"]), (t, group)
-            else:
-                want = final.get(None, self.spec.finalize(self.spec.v0))
-                assert _close(got, want, self.approx["mid"]), t
-            # The upper views see one row per group whose internal value
-            # is not v0 and whose final value exists.
-            visible = [
-                final[g] for g, v in internal.items()
-                if not self.spec.is_initial(v) and final[g] is not None
-            ]
-            got = self.cat.read("top", t).value
-            assert _close(got, sum(visible), self.approx["top"]), t
-            if not self.approx["mid"]:  # a float residue row would count
-                assert self.cat.read("width", t).value == len(visible), t
-            # A SUM over an ungrouped leaf reads its value (0 for no row).
-            for name, leaf in self.consumers.items():
-                got = self.cat.read(name, t).value
-                want = self.cat.read(leaf, t).value or 0
-                assert _close(got, want, self.approx[leaf]), (name, t)
-
-    def add_consumer(self, leaf):
-        """Give *leaf*, which nothing consumed, a SUM consumer: the leaf
-        materializes its rows from its trees for the consumer to start
-        from."""
-        name = f"{leaf}_sum"
-        self.cat.create_view(name, leaf, "sum")
-        self.consumers[name] = leaf
-        self.approx[name] = self.approx[leaf]
-
-    def check_structure(self):
-        """Trees are valid; a view holds rows iff a view consumes it, and
-        then they are what its trees hold; the index is sound."""
-        for name in self.cat.view_names():
-            view = self.cat.view(name)
-            exact = not self.approx[name]
-            for tree in view._trees.values():
-                check_tree(tree, check_compact=exact and tree.spec.invertible)
-            if not self.cat.dependents_of(name):
-                assert len(view.relation) == 0, name
-                assert all(index == ([], []) for index in view._index.values()), name
-                assert view.row_texts == {}, name
-                continue
-            indexed = []
-            for key, tree in view._trees.items():
-                starts, rows = view._index[key]
-                assert starts == [row.valid.start for row in rows]
-                assert all(
-                    a.valid.end <= b.valid.start for a, b in zip(rows, rows[1:])
-                ), (name, key)
-                indexed.extend(rows)
-                self._check_rows(view, tree, starts, rows, exact)
-            assert sorted(r.tuple_id for r in indexed) == sorted(
-                r.tuple_id for r in view.relation
-            )
-
-    def _check_rows(self, view, tree, starts, rows, exact):
-        spec = view.spec
-        if exact:
-            # Equal as step functions: regeneration does not coalesce
-            # across span borders, so coalesce both sides by final value.
-            def coalesced(pieces):
-                out = []
-                for value, start, end in pieces:
-                    if out and out[-1][2] == start and out[-1][0] == value:
-                        out[-1][2] = end
-                    else:
-                        out.append([value, start, end])
-                return out
-
-            want = coalesced(
-                (spec.finalize(v), a, b) for v, a, b in tree.leaf_pieces()
-                if not spec.is_initial(v) and spec.finalize(v) is not None
-            )
-            got = coalesced((r.value, r.valid.start, r.valid.end) for r in rows)
-            assert got == want, view.name
-            return
-        for t in self._instants():
-            i = bisect.bisect_right(starts, t) - 1
-            got = rows[i].value if i >= 0 and rows[i].valid.contains(t) else None
-            want = tree.lookup_final(t)
-            if spec.invertible and spec.kind.value != "avg":
-                # No row reads as 0 (and a residue row as nearly 0).
-                got, want = got or 0, want or 0
-            assert _close(got, want, True), (view.name, t)
-
-
-def _rows(relation):
-    return [(row.tuple_id, row.value, row.valid, row.payload) for row in relation]
-
-
-def _steps(tree):
-    """A tree's step function: its leaf pieces, ``v0`` dropped and equal
-    neighbours joined (what a checkpoint holds of it)."""
-    spec, out = tree.spec, []
-    for value, start, end in tree.leaf_pieces():
-        if spec.is_initial(value):
-            continue
-        if out and out[-1][2] == start and out[-1][0] == value:
-            out[-1][2] = end
-        else:
-            out.append([value, start, end])
-    return out
-
-
-def assert_restores(live, restored):
-    """*restored*, opened on *live*'s last checkpoint, holds what *live*
-    does: every row with its tuple id, the logs, every group tree, the
-    row index, the watermarks and the persisted counters."""
-    assert restored.table_names() == live.table_names()
-    assert restored.view_names() == live.view_names()
-    for name in live.table_names():
-        assert _rows(restored.table(name)) == _rows(live.table(name)), name
-        assert restored._node(name).log.to_json() == live._node(name).log.to_json()
-    for name in live.view_names():
-        was, now = live.view(name), restored.view(name)
-        assert _rows(now.relation) == _rows(was.relation), name
-        assert now.log.to_json() == was.log.to_json(), name
-        assert now.watermarks == was.watermarks, name
-        assert (now.refreshes, now.events_consumed, now.quarantined, now.last_error) \
-            == (was.refreshes, was.events_consumed, was.quarantined, was.last_error)
-        assert now._trees.keys() == was._trees.keys(), name
-        for key, tree in was._trees.items():
-            assert _steps(now._trees[key]) == _steps(tree), (name, key)
-            starts, rows = now._index[key]
-            assert (starts, [row.tuple_id for row in rows]) == (
-                was._index[key][0], [row.tuple_id for row in was._index[key][1]]
-            ), (name, key)
+def differential(kind, grouped, batch, floats):
+    """One run's steps.  In the grouped runs ``mid`` is on an hour's lag."""
+    rng = random.Random(f"{kind}-{grouped}-{batch}-{floats}")
+    count = STREAMS[batch]
+    size = batch or count
+    middle = count // 2 + 3
+    key, lag = ("who", "1h") if grouped else (None, "downstream")
+    steps = [("create_table", "t"), ("create_view", "mid", "t", kind, key, lag),
+             ("create_view", "top", "mid", "sum"), ("create_view", "width", "mid", "count")]
+    for n, event in enumerate(_events(rng, count, kind, floats), 1):
+        steps.append(event)
+        if n == middle:
+            # Mid-batch for every size but 1: the reopened catalog has an
+            # unconsumed tail and an index rebuilt from the checkpoint.
+            steps.append(REOPEN)
+        if n % size == 0:
+            steps += [REFRESH, *SAVE]
+            if n - size < middle <= n:
+                steps.append(CHECK)
+    # The leaves gain consumers, one in the live catalog and one in a
+    # reopened one, which answer at once, and keep refreshing with them.
+    return steps + [
+        REFRESH, CHECK, ("add_consumer", "top"), ("views_match_the_oracle", "top_sum"),
+        REOPEN, ("add_consumer", "width"), ("views_match_the_oracle", "width_sum"),
+        ("insert", "t", 3, Interval(10, 50), {"who": "amy"}),
+        ("insert", "t", 4, Interval(40, POS_INF), {"who": "bob"}),
+        REFRESH, CHECK,
+    ]
 
 
 def run_differential(directory, kind, grouped, batch, floats):
-    rng = random.Random(f"{kind}-{grouped}-{batch}-{floats}")
-    count = STREAMS[batch]
-    diff = Differential(directory, kind, grouped, floats)
-    size = batch or count
-    for n, event in enumerate(_events(rng, count, kind, floats), 1):
-        diff.apply(event)
-        if n == count // 2 + 3:
-            # Mid-batch for every size but 1: the reopened catalog has an
-            # unconsumed tail and an index rebuilt from the checkpoint.
-            diff.reopen()
-        if n % size == 0:
-            diff.cat.refresh()
-            diff.save()
-            if n - size < count // 2 + 3 <= n:
-                diff.check_reads()
-                diff.check_structure()
-    diff.cat.refresh()
-    diff.check_reads()
-    diff.check_structure()
-    # The leaves gain consumers, one in the live catalog and one in a
-    # reopened one, and keep refreshing with them.
-    diff.add_consumer("top")
-    diff.check_structure()
-    diff.reopen()
-    diff.add_consumer("width")
-    diff.check_reads()
-    diff.check_structure()
-    diff.apply(("insert", 3, Interval(10, 50), "amy"))
-    diff.apply(("insert", 4, Interval(40, POS_INF), "bob"))
-    diff.cat.refresh()
-    diff.check_reads()
-    diff.check_structure()
-    stats = diff.cat.stats()["views"]
-    diff.cat.close()
-    return stats
+    """Replay one run (trees of capacity 4: a few dozen intervals
+    already make a 3-level tree); the views' stats at the end."""
+    with CatalogModel() as model:
+        model.setup(str(directory), branching=4, leaf_capacity=4)
+        model.replay(differential(kind, grouped, batch, floats))
+        return model.catalog.stats()["views"]
 
 
 @pytest.mark.parametrize("floats", [False, True], ids=["int", "float"])
@@ -345,6 +131,7 @@ def run_differential(directory, kind, grouped, batch, floats):
 @pytest.mark.parametrize("kind", KINDS)
 def test_refresh_matches_the_oracle(tmp_path, kind, grouped, batch, floats):
     stats = run_differential(tmp_path, kind, grouped, batch, floats)
+    assert sorted(stats) == ["mid", "top", "top_sum", "width", "width_sum"]
     for name, view in stats.items():
         # Folding never applies more than 2m - 1 segments for m records;
         # MIN/MAX apply one effect per record.
@@ -380,7 +167,7 @@ def test_float_sums_checkpoint_the_tree_as_it_is(tmp_path, kind, seed):
             [(_, saved)] = json.load(handle)["views"]["v"]["trees"]
         want = [
             [list(value) if kind == "avg" else value, start, end]
-            for value, start, end in _steps(view._trees[None])
+            for value, start, end in step_function(view._trees[None])
         ]
         assert saved == want
 

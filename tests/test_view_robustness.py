@@ -17,11 +17,13 @@ import json
 import os
 import random
 import time
+from unittest import mock
 
 import pytest
 
 from repro.core import reference
 from repro.crashcheck import catalog_sweep
+from repro.oracle import CatalogModel
 from repro.service.client import ServiceClient
 from repro.service.server import ServerHandle
 from repro.storage import fsck_dynamic
@@ -37,6 +39,9 @@ def _facts(catalog, table="t"):
         (row.value, (row.valid.start, row.valid.end))
         for row in catalog.table(table)
     ]
+
+
+REFRESH, CHECK = ("refresh",), ("views_match_the_oracle",)
 
 
 def _retention_fact(i):
@@ -84,34 +89,25 @@ class TestRetentionBound:
     def test_log_stays_bounded_under_sustained_ingest(self, tmp_path):
         """With every consumer caught up, each refresh drops the consumed
         prefix: the retained log never grows with total ingest."""
-        directory = str(tmp_path / "cat")
         batch = 25
-        with DynamicCatalog(directory) as cat:
-            cat.create_table("t")
-            cat.create_view("v", "t", "sum")
+        with CatalogModel() as model:
+            model.setup(str(tmp_path))
+            model.replay([("create_table", "t"), ("create_view", "v", "t", "sum")])
             retained = []
             for i in range(12 * batch):
-                cat.insert("t", 1 + i % 3, (i % 200, i % 200 + 10))
+                model.insert("t", 1 + i % 3, (i % 200, i % 200 + 10))
                 if i % batch == batch - 1:
-                    cat.refresh()
-                    cat.save()
-                    retained.append(cat.stats()["tables"]["t"]["log_retained"])
+                    model.replay([REFRESH, ("save",)])
+                    retained.append(model.catalog.stats()["tables"]["t"]["log_retained"])
             # O(unconsumed), not O(ingested): after a refresh the
             # consumed prefix is gone, regardless of how much history
             # the table has absorbed.
             assert max(retained) == 0
-            assert cat.stats()["tables"]["t"]["log_base"] == 12 * batch
-
-        # Restore and resume: the compacted catalog reopens from tree
-        # checkpoints and keeps matching the brute-force oracle.
-        with DynamicCatalog(directory) as cat:
-            assert cat.stats()["tables"]["t"]["log_base"] == 12 * batch
-            cat.insert("t", 7, (40, 90))
-            cat.refresh()
-            facts = _facts(cat)
-            for t in (5, 45, 120, 199):
-                want = reference.instantaneous_value(facts, "sum", t)
-                assert (cat.read("v", t).value or 0) == (want or 0), f"t={t}"
+            # Restore and resume: the compacted catalog reopens from tree
+            # checkpoints and keeps matching the oracle.
+            model.reopen()
+            assert model.catalog.stats()["tables"]["t"]["log_base"] == 12 * batch
+            model.replay([("insert", "t", 7, (40, 90)), REFRESH, CHECK])
 
     def test_unconsumed_tail_is_kept(self):
         """A lagging consumer pins exactly its unread tail, on a table and
@@ -193,6 +189,16 @@ def _seed_two_checkpoints(directory):
     return first, _facts(cat)
 
 
+def _dangle(path):
+    """Make view ``v`` of the checkpoint at *path* consume a source the
+    checkpoint does not hold: it still parses."""
+    with open(path) as handle:
+        payload = json.load(handle)
+    payload["views"]["v"]["sources"] = ["gone"]
+    with open(path, "w") as handle:
+        json.dump(payload, handle)
+
+
 class TestCheckpointCorruption:
     def test_truncated_checkpoint_falls_back_to_prev(self, tmp_path):
         directory = str(tmp_path / "cat")
@@ -237,6 +243,33 @@ class TestCheckpointCorruption:
             handle.write(b"not json at all")
         with pytest.raises(CatalogCheckpointError):
             DynamicCatalog(directory, strict=True)
+
+    def test_an_inconsistent_checkpoint_is_a_corrupt_one(self, tmp_path):
+        directory = str(tmp_path / "cat")
+        first, now = _seed_two_checkpoints(directory)
+        live = DynamicCatalog(directory)
+        path = os.path.join(directory, CHECKPOINT_NAME)
+        _dangle(path)
+        assert "dangling-source" in [f.code for f in fsck_dynamic(path).errors()]
+        with pytest.raises(CatalogCheckpointError):
+            DynamicCatalog(directory, strict=True)
+        with DynamicCatalog(directory) as cat:
+            assert _facts(cat) == first and cat.view("v").sources == ["t"]
+        # Neither checkpoint restores: a live catalog keeps what it holds.
+        for target in (path, path + ".prev"):
+            _dangle(target)
+        with pytest.raises(CatalogCheckpointError):
+            live.load()
+        assert _facts(live) == now and live.view_names() == ["v"]
+
+    def test_a_fault_in_the_restore_code_is_not_a_corrupt_checkpoint(self, tmp_path, monkeypatch):
+        # Only what a file can get wrong falls back to ``.prev``; a bug
+        # while restoring a sound checkpoint surfaces.
+        _seed_two_checkpoints(str(tmp_path / "cat"))
+        bug = mock.Mock(side_effect=TypeError("restore bug"))
+        monkeypatch.setattr(DynamicCatalog, "_restore_trees", bug)
+        with pytest.raises(TypeError, match="restore bug"):
+            DynamicCatalog(str(tmp_path / "cat"))
 
     def test_unknown_version_is_refused_not_guessed_at(self, tmp_path):
         directory = str(tmp_path / "cat")
@@ -463,68 +496,51 @@ class TestTreeCheckpointRestore:
                 assert (got or 0) == pytest.approx(mean or 0)
                 assert cat.read("by_k", t).value == groups
 
-    def test_new_view_bootstraps_over_compacted_source(self):
-        cat = DynamicCatalog()
-        cat.create_table("t")
-        cat.create_view("v", "t", "sum")
-        for i in range(20):
-            cat.insert("t", 1 + i % 4, (i * 5, i * 5 + 30))
-        cat.refresh()  # drops what v has read: all of it
-        assert cat.stats()["tables"]["t"]["log_base"] == 20
-        assert cat.stats()["tables"]["t"]["log_retained"] == 0
-        # The log prefix is gone; a new view cannot replay it and must
-        # bootstrap from the relation's live rows instead.
-        cat.create_view("late", "t", "sum")
-        cat.create_view("late_by_k", "t", "count")
-        facts = _facts(cat)
-        for t in (3, 47, 95):
-            want = reference.instantaneous_value(facts, "sum", t)
-            assert (cat.read("late", t).value or 0) == (want or 0)
-        # And it keeps maintaining incrementally from there.
-        cat.insert("t", 10, (0, 200))
-        cat.refresh()
-        facts = _facts(cat)
-        for t in (3, 47, 95):
-            want = reference.instantaneous_value(facts, "sum", t)
-            assert (cat.read("late", t).value or 0) == (want or 0)
+    def test_new_view_bootstraps_over_compacted_source(self, tmp_path):
+        with CatalogModel() as model:
+            model.setup(str(tmp_path))
+            model.replay([("create_table", "t"), ("create_view", "v", "t", "sum")]
+                         + [("insert", "t", 1 + i % 4, (i * 5, i * 5 + 30)) for i in range(20)]
+                         + [REFRESH])  # drops what v has read: all of it
+            table = model.catalog.stats()["tables"]["t"]
+            assert (table["log_base"], table["log_retained"]) == (20, 0)
+            # The log prefix is gone; a new view cannot replay it and must
+            # bootstrap from the relation's live rows instead, and it keeps
+            # maintaining incrementally from there.
+            model.replay([("create_view", "late", "t", "sum"),
+                          ("create_view", "late_by_k", "t", "count"),
+                          ("views_match_the_oracle", "late", "late_by_k"),
+                          ("insert", "t", 10, (0, 200)), REFRESH, CHECK])
 
 
 # ----------------------------------------------------------------------
 # Retention follows the consumer set
 # ----------------------------------------------------------------------
-def _check_sum_over(cat, name, facts):
-    """*name*, an ungrouped SUM over everything in *facts*, at every
-    fact's start and midpoint, read from its tree without refreshing."""
-    view = cat.view(name)
-    for _, (start, end) in facts:
-        for t in (start, (start + end) / 2):
-            want = reference.instantaneous_value(facts, "sum", t)
-            assert (view.value_at(t) or 0) == (want or 0), (name, t)
+def _ingested(lo, hi):
+    """Steps inserting facts ``lo .. hi - 1`` of the retention stream."""
+    return [("insert", "t", *_retention_fact(i)) for i in range(lo, hi)]
 
 
 class TestConsumerSetChanges:
-    def _table_and_sink(self, cat):
-        cat.create_table("t")
-        cat.create_view("v", "t", "sum", key="k")
-        _ingest(cat, 0, 30)
-        cat.refresh()
+    #: ``t`` and a grouped SUM ``v`` over it that nothing consumes.
+    SINK = [("create_table", "t"), ("create_view", "v", "t", "sum", "k"),
+            *_ingested(0, 30), REFRESH]
 
-    def test_view_over_a_sink_view_bootstraps_from_its_rows(self):
-        cat = DynamicCatalog()
-        self._table_and_sink(cat)
-        sink = cat.stats()["views"]["v"]
-        assert sink["log_retained"] == sink["head"] == sink["rows"] == 0
-        cat.create_view("w", "v", "sum")
-        # v materialized its rows from its trees, logging none of them.
-        source = cat.stats()["views"]["v"]
-        assert source["head"] == source["rows"] > 0
-        assert source["log_retained"] == 0
-        created = cat.stats()["views"]["w"]
-        assert created["pending"] == created["refreshes"] == 0
-        _check_sum_over(cat, "w", _facts(cat, "t"))
-        _ingest(cat, 30, 60)
-        cat.refresh()
-        _check_sum_over(cat, "w", _facts(cat, "t"))
+    def test_view_over_a_sink_view_bootstraps_from_its_rows(self, tmp_path):
+        with CatalogModel() as model:
+            model.setup(str(tmp_path))
+            model.replay(self.SINK)
+            stats = model.catalog.stats
+            sink = stats()["views"]["v"]
+            assert sink["log_retained"] == sink["head"] == sink["rows"] == 0
+            model.create_view("w", "v", "sum")
+            # v materialized its rows from its trees, logging none of them.
+            source = stats()["views"]["v"]
+            assert source["head"] == source["rows"] > 0
+            assert source["log_retained"] == 0
+            created = stats()["views"]["w"]
+            assert created["pending"] == created["refreshes"] == 0
+            model.replay([("views_match_the_oracle", "w"), *_ingested(30, 60), REFRESH, CHECK])
 
     def test_dropping_the_last_consumer_empties_the_tail(self):
         cat = DynamicCatalog()
@@ -541,31 +557,25 @@ class TestConsumerSetChanges:
         assert cat.stats()["tables"]["t"]["log_retained"] == 0
 
     def test_new_consumer_of_a_reopened_sink_view(self, tmp_path):
-        directory = str(tmp_path / "cat")
-        with DynamicCatalog(directory) as cat:
-            self._table_and_sink(cat)
-        with DynamicCatalog(directory) as cat:
-            cat.insert("t", 4, (100, 300), k="k1")  # v must still see it
-            cat.create_view("w", "v", "sum")
-            cat.refresh()
-            _check_sum_over(cat, "w", _facts(cat, "t"))
+        with CatalogModel() as model:
+            model.setup(str(tmp_path))
+            model.replay(self.SINK + [
+                ("reopen",), ("insert", "t", 4, (100, 300), {"k": "k1"}),  # v must see it
+                ("create_view", "w", "v", "sum"), REFRESH, CHECK,
+            ])
 
-    def test_view_over_an_unconsumed_table_is_complete_when_created(self):
-        cat = DynamicCatalog()
-        cat.create_table("t")
-        rows = [cat.insert("t", v, (s, s + 20)) for v, s in
-                [(3, 0), (1, 5), (7, 12), (2, 30)]]
-        cat.delete("t", rows[1])  # the smallest value
-        assert cat.stats()["tables"]["t"]["log_retained"] == 0
-        cat.create_view("s", "t", "sum")
-        assert cat.stats()["views"]["s"]["pending"] == 0
-        facts = _facts(cat)
-        _check_sum_over(cat, "s", facts)
-        # A replay would veto the deletion; the live rows have none.
-        cat.create_view("m", "t", "min")
-        for t in (1, 8, 15, 25, 40):
-            want = reference.instantaneous_value(facts, "min", t)
-            assert cat.read("m", t).value == want, t
+    def test_view_over_an_unconsumed_table_is_complete_when_created(self, tmp_path):
+        with CatalogModel() as model:
+            model.setup(str(tmp_path))
+            model.replay([("create_table", "t")] + [
+                ("insert", "t", v, (s, s + 20)) for v, s in [(3, 0), (1, 5), (7, 12), (2, 30)]
+            ] + [("delete", "t", 1)])  # the smallest value
+            assert model.catalog.stats()["tables"]["t"]["log_retained"] == 0
+            model.create_view("s", "t", "sum")
+            assert model.catalog.stats()["views"]["s"]["pending"] == 0
+            # A replay would veto the deletion; the live rows have none.
+            model.replay([("create_view", "m", "t", "min"),
+                          ("views_match_the_oracle", "s", "m")])
 
 
 # ----------------------------------------------------------------------
