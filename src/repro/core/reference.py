@@ -13,7 +13,7 @@ package):
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Sequence, Tuple
+from typing import Any, Iterable, List, Tuple
 
 from .intervals import Interval, NEG_INF, POS_INF, Time
 from .results import ConstantIntervalTable, trim_initial
@@ -41,14 +41,31 @@ def _facts(tuples: Iterable) -> List[Fact]:
     return out
 
 
+def _effects(tuples: Iterable, spec: AggregateSpec) -> List[Tuple[Any, Interval]]:
+    """Each fact as ``(effect, interval)``: what every sample folds."""
+    return [(spec.effect(value), interval) for value, interval in _facts(tuples)]
+
+
+def _instantaneous(effects, spec: AggregateSpec, t: Time) -> Any:
+    result = spec.v0
+    for effect, interval in effects:
+        if interval.contains(t):
+            result = spec.acc(result, effect)
+    return result
+
+
+def _cumulative(effects, spec: AggregateSpec, t: Time, w: Time) -> Any:
+    result = spec.v0
+    for effect, interval in effects:
+        if interval.overlaps_window(t - w, t):
+            result = spec.acc(result, effect)
+    return result
+
+
 def instantaneous_value(tuples: Iterable[Fact], kind, t: Time) -> Any:
     """Aggregate over all tuples valid at instant *t* (internal form)."""
     spec = spec_for(kind)
-    result = spec.v0
-    for value, interval in _facts(tuples):
-        if interval.contains(t):
-            result = spec.acc(result, spec.effect(value))
-    return result
+    return _instantaneous(_effects(tuples, spec), spec, t)
 
 
 def view_value(rows: Iterable[Tuple], kind, t: Time, key: Any = None) -> Any:
@@ -65,15 +82,10 @@ def view_value(rows: Iterable[Tuple], kind, t: Time, key: Any = None) -> Any:
 def cumulative_value(tuples: Iterable[Fact], kind, t: Time, w: Time) -> Any:
     """Aggregate over tuples overlapping the closed window ``[t-w, t]``."""
     spec = spec_for(kind)
-    result = spec.v0
-    for value, interval in _facts(tuples):
-        if interval.overlaps_window(t - w, t):
-            result = spec.acc(result, spec.effect(value))
-    return result
+    return _cumulative(_effects(tuples, spec), spec, t, w)
 
 
 def _table(
-    facts: Sequence[Fact],
     spec: AggregateSpec,
     boundaries: Iterable[Time],
     value_at,
@@ -92,15 +104,14 @@ def instantaneous_table(
 ) -> ConstantIntervalTable:
     """Full constant-interval table of the instantaneous aggregate."""
     spec = spec_for(kind)
-    facts = _facts(tuples)
+    effects = _effects(tuples, spec)
     boundaries: List[Time] = []
-    for _, interval in facts:
+    for _, interval in effects:
         boundaries.extend((interval.start, interval.end))
     return _table(
-        facts,
         spec,
         boundaries,
-        lambda t: instantaneous_value(facts, spec, t),
+        lambda t: _instantaneous(effects, spec, t),
         drop_initial,
     )
 
@@ -114,16 +125,15 @@ def cumulative_table(
     (at ``t = start``) or leaves it (at ``t = end + w``).
     """
     spec = spec_for(kind)
-    facts = _facts(tuples)
+    effects = _effects(tuples, spec)
     boundaries: List[Time] = []
-    for _, interval in facts:
+    for _, interval in effects:
         boundaries.append(interval.start)
         if interval.end != POS_INF:
             boundaries.append(interval.end + w)
     return _table(
-        facts,
         spec,
         boundaries,
-        lambda t: cumulative_value(facts, spec, t, w),
+        lambda t: _cumulative(effects, spec, t, w),
         drop_initial,
     )

@@ -45,22 +45,31 @@ at that moment, never by a setting:
   the server's thread pool: one thread handoff for the burst, not one
   per request.
 
-The replies a wake-up produced on the loop leave in one write, and so
-do a burst's.  Inside a burst every request keeps its own admission
-count, queue slot, deadline check, error mapping, op record and trace
-span.
+**Writes take one route, a write burst.**  The ``insert`` and
+``batch_insert`` frames of one wake-up are one task
+(``_serve_writes``): it hands every request to the group commit
+without suspending between them (``submit``), so they reach the
+committer in arrival order and join the same batches, then waits for
+those batches and writes the replies.
 
-**Everything else takes one route**: writes, view ops and ``ping`` /
-``stats`` each run as a task (``_serve_request``) that holds a queue
-slot and is counted in flight until its reply is written, so every
-``insert`` reaches the group-commit batch the same way.
+The replies a wake-up produced on the loop leave in one write, and so
+do a burst's, read or write.  Inside a burst every request keeps its
+own admission count, queue slot, deadline check, error mapping, op
+record and trace span; a burst is cut when the connection's slots run
+out.
+
+**Everything else** -- view ops and ``ping`` / ``stats`` -- runs as a
+task (``_serve_request``) that holds a queue slot and is counted in
+flight until its reply is written.  Writes gathered before such a
+request are handed on first.
 
 What a request *means* is not decided here: ``dispatch`` answers a
-request, ``read`` is the tree reads as one blocking callable, ``run``
-moves a callable to the server's executor, ``error_reply_for`` maps an
-exception to a reply, and ``control`` names the ops that bypass
-admission (the replication stream's, which must never queue behind the
-writers they release).
+request, ``read`` is the tree reads as one blocking callable,
+``submit`` hands one write to the group commit and returns the future
+of its result (or raises its refusal), ``run`` moves a callable to the
+server's executor, ``error_reply_for`` maps an exception to a reply,
+and ``control`` names the ops that bypass admission (the replication
+stream's, which must never queue behind the writers they release).
 """
 
 from __future__ import annotations
@@ -82,6 +91,9 @@ _REPLICA_READS = frozenset(
 
 #: The tree reads: answered on the loop or in a burst, never as a task.
 _TREE_READS = frozenset(("lookup", "rangeq", "window"))
+
+#: The group commit's ops: always gathered into a write burst.
+_WRITES = frozenset(("insert", "batch_insert"))
 
 #: Requests one connection may have in flight before its reader stops
 #: taking frames (the per-connection queue bound).
@@ -142,11 +154,13 @@ class ReplyWriter:
 class _Connection:
     """One connection's state between wake-ups: its reply writer, its
     :data:`QUEUE_LIMIT` slots, its unfinished tasks, and what the wake-up
-    being served has gathered so far -- replies encoded on the loop and
-    the reads of the next executor job."""
+    being served has gathered so far -- replies encoded on the loop, the
+    reads of the next executor job and the writes of the next write
+    burst."""
 
     __slots__ = (
-        "out", "slots", "tasks", "arrival", "replies", "burst", "burst_bytes"
+        "out", "slots", "tasks", "arrival", "replies", "burst", "burst_bytes",
+        "writes", "writes_bytes",
     )
 
     def __init__(self, out: ReplyWriter, slots: asyncio.Semaphore) -> None:
@@ -157,11 +171,13 @@ class _Connection:
         self.replies: List[bytes] = []
         self.burst: List[tuple] = []
         self.burst_bytes = 0
+        self.writes: List[tuple] = []
+        self.writes_bytes = 0
 
 
 class Connections:
-    """Every open connection, the global in-flight accounting and the
-    two read routes.  ``follower`` returns the node's
+    """Every open connection, the global in-flight accounting, the
+    two read routes and the write route.  ``follower`` returns the node's
     :class:`~repro.service.replication.Follower` while it is a replica
     (else None): replicas tag their reads."""
 
@@ -171,6 +187,7 @@ class Connections:
         *,
         dispatch,
         read: Callable[..., Any],
+        submit: Callable[..., Any],
         run: Callable[..., Any],
         error_reply_for,
         control: Dict[str, Callable],
@@ -187,6 +204,7 @@ class Connections:
         self.retry_after = retry_after
         self._dispatch = dispatch
         self._read = read
+        self._submit = submit
         self._run = run
         self._error_reply_for = error_reply_for
         self._control = control
@@ -206,6 +224,10 @@ class Connections:
         self._m_read_bursts = registry.counter("service.read_bursts")
         self._h_read_burst_size = registry.histogram(
             "service.read_burst.size", bounds=(1, 2, 4, 8, 16, 32, 64, 128, 256)
+        )
+        self._m_write_bursts = registry.counter("service.write_bursts")
+        self._h_write_burst_size = registry.histogram(
+            "service.write_burst.size", bounds=(1, 2, 4, 8, 16, 32, 64, 128, 256)
         )
 
     # ------------------------------------------------------------------
@@ -298,8 +320,10 @@ class Connections:
                 if reply is not None:
                     await out.send(reply, request)
                 continue
-            inflight = self._inflight + len(conn.burst)
-            inflight_bytes = self._inflight_bytes + conn.burst_bytes
+            inflight = self._inflight + len(conn.burst) + len(conn.writes)
+            inflight_bytes = (
+                self._inflight_bytes + conn.burst_bytes + conn.writes_bytes
+            )
             if (
                 inflight >= self.max_inflight
                 or inflight_bytes + length > MAX_INFLIGHT_BYTES
@@ -334,6 +358,11 @@ class Connections:
                 conn.burst_bytes += length
                 continue
             await self._take_slot(conn)
+            if op in _WRITES:
+                conn.writes.append((request, self._server_span(request)))
+                conn.writes_bytes += length
+                continue
+            self._settle_writes(conn)
             self._spawn(
                 conn, self._serve_request(request, out, slots, arrival), 1, length
             )
@@ -356,10 +385,26 @@ class Connections:
             await self._settle(conn)
         await conn.slots.acquire()
 
+    def _settle_writes(self, conn: _Connection) -> None:
+        """Hand the writes gathered so far to one write-burst task."""
+        if conn.writes:
+            entries, nbytes = conn.writes, conn.writes_bytes
+            conn.writes, conn.writes_bytes = [], 0
+            self._m_write_bursts.inc()
+            self._h_write_burst_size.record(len(entries))
+            self._spawn(
+                conn,
+                self._serve_writes(conn, entries, conn.arrival),
+                len(entries),
+                nbytes,
+            )
+
     async def _settle(self, conn: _Connection) -> None:
-        """Hand what the wake-up gathered so far onward: the reads to
-        one executor job, the replies encoded on the loop to one write.
-        Runs before anything that can suspend the reader, and last."""
+        """Hand what the wake-up gathered so far onward: the writes to
+        one task, the reads to one executor job, the replies encoded on
+        the loop to one write.  Runs before anything that can suspend
+        the reader, and last."""
+        self._settle_writes(conn)
         if conn.burst:
             entries, nbytes = conn.burst, conn.burst_bytes
             conn.burst, conn.burst_bytes = [], 0
@@ -433,6 +478,15 @@ class Connections:
             )
         return reply
 
+    def _frame(self, conn, request, outcome, wall_us: float, sctx) -> bytes:
+        """One request of a burst, answered and encoded: *outcome* is its
+        ok reply, or the exception its error reply maps from."""
+        if isinstance(outcome, BaseException):
+            outcome = self._failed(outcome, request, sctx)
+        return conn.out.encode(
+            self._finish(request, outcome, wall_us, sctx), request
+        )
+
     async def _serve_request(self, request, out, slots, arrival) -> None:
         loop = asyncio.get_running_loop()
         started = loop.time()
@@ -448,6 +502,41 @@ class Connections:
             slots.release()
         wall_us = (loop.time() - started) * 1e6
         await out.send(self._finish(request, reply, wall_us, sctx), request)
+
+    # ------------------------------------------------------------------
+    # Writes
+    # ------------------------------------------------------------------
+    async def _serve_writes(
+        self, conn: _Connection, entries: List[tuple], arrival: float
+    ) -> None:
+        """One task for a burst of writes, one write for its replies.
+        Every request reaches the committer before the task first
+        suspends; one refused on the way (a lapsed deadline, a malformed
+        body, a replica, a drain) joins no batch, and its reply leaves
+        with the others once their batches settled."""
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        outcomes = []
+        for request, sctx in entries:
+            try:
+                self.check_deadline(request, arrival, started)
+                outcomes.append(self._submit(request, sctx))
+            except Exception as exc:  # never let a request kill the burst
+                outcomes.append(exc)
+        frames = []
+        try:
+            for (request, sctx), outcome in zip(entries, outcomes):
+                if not isinstance(outcome, Exception):
+                    try:
+                        outcome = wire.ok_reply(await outcome, request)
+                    except Exception as exc:
+                        outcome = exc
+                wall_us = (loop.time() - started) * 1e6
+                frames.append(self._frame(conn, request, outcome, wall_us, sctx))
+        finally:
+            for _ in entries:
+                conn.slots.release()
+        await conn.out.write(b"".join(frames))
 
     # ------------------------------------------------------------------
     # Reads
@@ -487,15 +576,10 @@ class Connections:
         finally:
             for _ in entries:
                 conn.slots.release()
-        frames = []
-        for (request, sctx), (outcome, wall_us) in zip(entries, outcomes):
-            if isinstance(outcome, BaseException):
-                outcome = self._failed(outcome, request, sctx)
-            frames.append(
-                conn.out.encode(
-                    self._finish(request, outcome, wall_us, sctx), request
-                )
-            )
+        frames = [
+            self._frame(conn, request, outcome, wall_us, sctx)
+            for (request, sctx), (outcome, wall_us) in zip(entries, outcomes)
+        ]
         await conn.out.write(b"".join(frames))
 
     def _answer_burst(self, entries, arrival: float, clock) -> List[tuple]:

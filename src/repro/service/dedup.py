@@ -22,8 +22,10 @@ file's header metadata inside the same group-commit that applies the
 batch, so the dedup state and the tree data commit in one WAL
 transaction, *atomically* -- after a crash, a key is remembered if and
 only if its write is durable.  The serialized form keeps only the newest
-``persist_per_client`` entries per client (the header page is one page);
-everything older is represented by the floor.
+``persist_per_client`` entries per client, everything older being
+represented by the floor, and only as many clients as fit a byte budget
+(the header page is one page), the most recently active first.  A client
+left out -- like one evicted -- degrades to at-least-once after a crash.
 """
 
 from __future__ import annotations
@@ -32,9 +34,14 @@ import json
 from collections import OrderedDict
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from ..storage.pager import DEFAULT_PAGE_SIZE
+
 __all__ = ["DedupWindow", "IdemKey"]
 
 IdemKey = Tuple[str, int]
+
+#: What precedes the clients in the serialized window ("}}" follows).
+_HEAD = '{"v":1,"clients":{'
 
 #: Dedup-window lookup outcomes.
 MISS = "miss"  #: never seen -- apply it
@@ -74,6 +81,8 @@ class DedupWindow:
         self.max_clients = max_clients
         self.persist_per_client = min(persist_per_client, per_client)
         self._clients: "OrderedDict[str, _ClientWindow]" = OrderedDict()
+        #: Clients the last :meth:`encode_with` left out of its budget.
+        self.unpersisted = 0
 
     # ------------------------------------------------------------------
     def lookup(self, client: str, seq: int) -> Tuple[str, Optional[Any]]:
@@ -118,37 +127,50 @@ class DedupWindow:
     # Persistence (rides the pager's journaled header metadata)
     # ------------------------------------------------------------------
     def encode_with(
-        self, extra: Iterable[Tuple[IdemKey, Any]] = ()
+        self,
+        extra: Iterable[Tuple[IdemKey, Any]] = (),
+        budget: int = DEFAULT_PAGE_SIZE // 2,
     ) -> str:
-        """Serialize the window plus not-yet-recorded *extra* entries.
+        """Serialize the window plus not-yet-recorded *extra* entries in
+        at most *budget* bytes.
 
         The flush path calls this *before* the batch applies, so the
         payload written inside the commit already covers the batch's own
         keys; they are recorded in memory only after the commit
         succeeds.  Only the newest ``persist_per_client`` entries per
         client are kept verbatim; older ones collapse into the floor.
+        Clients are taken most recently active first -- *extra*'s, then
+        the window's in LRU order -- until the next would overflow the
+        budget; :attr:`unpersisted` counts the rest.
         """
-        merged: Dict[str, Dict[int, Any]] = {}
-        floors: Dict[str, int] = {}
-        for client, window in self._clients.items():
-            merged[client] = dict(window.entries)
-            floors[client] = window.floor
+        fresh: Dict[str, Dict[int, Any]] = {}
         for (client, seq), result in extra:
-            merged.setdefault(client, {})[seq] = result
-            floors.setdefault(client, 0)
-        clients: Dict[str, Any] = {}
-        for client, entries in merged.items():
+            fresh.setdefault(client, {})[seq] = result
+        newest_first = list(reversed(fresh)) + [
+            client for client in reversed(self._clients) if client not in fresh
+        ]
+        parts: List[str] = []
+        used = len(_HEAD) + 2
+        for client in newest_first:
+            window = self._clients.get(client)
+            entries = dict(window.entries) if window is not None else {}
+            entries.update(fresh.get(client, ()))
+            floor = window.floor if window is not None else 0
             ordered = sorted(entries.items())
-            floor = floors[client]
             if len(ordered) > self.persist_per_client:
-                dropped = ordered[: -self.persist_per_client]
+                floor = max(floor, ordered[-self.persist_per_client - 1][0])
                 ordered = ordered[-self.persist_per_client:]
-                floor = max(floor, dropped[-1][0])
-            clients[client] = {
-                "floor": floor,
-                "entries": [[seq, result] for seq, result in ordered],
-            }
-        return json.dumps({"v": 1, "clients": clients}, separators=(",", ":"))
+            part = json.dumps(client) + ":" + json.dumps(
+                {"floor": floor, "entries": [[seq, r] for seq, r in ordered]},
+                separators=(",", ":"),
+            )
+            used += len(part) + bool(parts)
+            if used > budget:
+                break
+            parts.append(part)
+        self.unpersisted = len(newest_first) - len(parts)
+        # Oldest first, so a restored window keeps the LRU order.
+        return _HEAD + ",".join(reversed(parts)) + "}}"
 
     def load(self, payloads: Iterable[Optional[str]]) -> int:
         """Merge persisted payloads (one per shard store) into the window.

@@ -36,6 +36,7 @@ from typing import Any, Deque, Dict, Iterable, List, Optional
 
 from .. import obs
 from ..obs import trace
+from ..storage.pager import DEFAULT_PAGE_SIZE
 from . import dedup as dedup_mod
 from .dedup import DedupWindow, IdemKey
 
@@ -84,6 +85,10 @@ class GroupCommitter:
         self._flusher: Optional[asyncio.Task] = None
         self._flush_lock: Optional[asyncio.Lock] = None
         self._dedup = DedupWindow(per_client=dedup_window)
+        #: Bytes the window may take in a commit's header metadata: the
+        #: server sets half its smallest page (the header is one page).
+        self.dedup_budget = DEFAULT_PAGE_SIZE // 2
+        self._g_unpersisted = registry.gauge("service.dedup.unpersisted_clients")
         # Keys whose batch is in flight: duplicates join the future.
         self._dedup_pending: Dict[IdemKey, asyncio.Future] = {}
         self._m_replays = registry.counter("service.dedup.replays")
@@ -102,8 +107,11 @@ class GroupCommitter:
             self.registry.counter("service.dedup.loaded").inc(loaded)
 
     def commit_meta(self, idem_entries) -> Dict[str, str]:
-        """Header metadata covering the window plus *idem_entries*."""
-        return {DEDUP_META_KEY: self._dedup.encode_with(idem_entries)}
+        """Header metadata covering the window plus *idem_entries*, its
+        most recently active clients first, within :attr:`dedup_budget`."""
+        payload = self._dedup.encode_with(idem_entries, self.dedup_budget)
+        self._g_unpersisted.set(self._dedup.unpersisted)
+        return {DEDUP_META_KEY: payload}
 
     def remember(self, idem_entries) -> None:
         """Record applied keys (a flush's own, or a follower's stream)."""
@@ -129,6 +137,40 @@ class GroupCommitter:
     # ------------------------------------------------------------------
     # Enqueue
     # ------------------------------------------------------------------
+    def submit(
+        self,
+        facts: List[tuple],
+        idem: Optional[IdemKey] = None,
+        sctx: Optional[trace.TraceContext] = None,
+    ) -> "asyncio.Future[Dict[str, Any]]":
+        """Hand *facts* to the queue without waiting: returns the future
+        of the reply's result, resolved once its batch settled.  Raises
+        :class:`Draining` (a new write while draining) at once."""
+        loop = asyncio.get_running_loop()
+        if idem is not None:
+            replay = self.replay_for(idem)
+            if replay is not None:
+                future = loop.create_future()
+                future.set_result(replay)
+                return future
+            pending = self._dedup_pending.get(idem)
+            if pending is not None:
+                # The original is in flight (the chaos proxy duplicates
+                # frames faster than a flush completes): join it.
+                self.registry.counter("service.dedup.joins").inc()
+                return loop.create_task(self._join(pending, facts, idem, sctx))
+        if self.draining:
+            raise Draining("server is draining; retry against the new instance")
+        future = loop.create_future()
+        if idem is not None:
+            self._dedup_pending[idem] = future
+        self._pending.append((facts, future, sctx, idem, loop.time()))
+        if self._flusher is None:
+            # The flusher's first step runs on the next loop iteration:
+            # whatever else this iteration submits joins its batch.
+            self._flusher = loop.create_task(self._flush_until_empty())
+        return future
+
     async def write(
         self,
         facts: List[tuple],
@@ -136,36 +178,18 @@ class GroupCommitter:
         sctx: Optional[trace.TraceContext] = None,
     ) -> Dict[str, Any]:
         """Apply *facts* exactly once; returns the reply's result."""
-        while idem is not None:
-            replay = self.replay_for(idem)
-            if replay is not None:
-                return replay
-            pending = self._dedup_pending.get(idem)
-            if pending is None:
-                break
-            # The original is in flight (the chaos proxy duplicates
-            # frames faster than a flush completes): join it.  The flush
-            # records applied keys before resolving futures, so the
-            # re-lookup replays; if the original failed (its own waiter
-            # carries the error) this duplicate re-enters as fresh.
-            self.registry.counter("service.dedup.joins").inc()
-            try:
-                await asyncio.shield(pending)
-            except Exception:
-                break
-        if self.draining:
-            raise Draining("server is draining; retry against the new instance")
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        if idem is not None:
-            self._dedup_pending[idem] = future
-        self._pending.append((facts, future, sctx, idem, loop.time()))
-        if self._flusher is None:
-            # Scheduled behind the sibling request tasks of this wake-up:
-            # they are all queued by the time it takes its first batch.
-            self._flusher = loop.create_task(self._flush_until_empty())
-        await future
-        return {"applied": len(facts)}
+        return await self.submit(facts, idem, sctx)
+
+    async def _join(self, pending, facts, idem, sctx) -> Dict[str, Any]:
+        """A duplicate's wait for its in-flight original.  The flush
+        records applied keys before resolving futures, so the second
+        submit replays; if the original failed unapplied (its own waiter
+        carries the error) this duplicate re-enters as fresh."""
+        try:
+            await asyncio.shield(pending)
+        except Exception:
+            pass
+        return await self.submit(facts, idem, sctx)
 
     async def _flush_until_empty(self) -> None:
         try:
@@ -269,11 +293,11 @@ class GroupCommitter:
 
     def _settle(self, batch, error: Optional[BaseException]) -> None:
         """Free the batch's in-flight keys and release its waiters."""
-        for _, future, _, idem, _ in batch:
+        for facts, future, _, idem, _ in batch:
             self._dedup_pending.pop(idem, None)
             if not future.done():
                 if error is None:
-                    future.set_result(True)
+                    future.set_result({"applied": len(facts)})
                 else:
                     future.set_exception(error)
                     # Several waiters share the exception and a joiner

@@ -13,7 +13,7 @@ exclusively:
 
 * :mod:`~repro.service.connection` -- the frame loop, admission
   control, per-connection backpressure, deadline shedding, the reply
-  writer and the two read routes.
+  writer, the two read routes and the write burst.
 * :mod:`~repro.service.groupcommit` -- the pending write queue, its
   one flusher task, and the exactly-once dedup window.
 * :mod:`~repro.service.replication` -- the publisher a primary streams
@@ -23,7 +23,8 @@ exclusively:
 
 What stays here is the wiring between them and what only the whole can
 decide: the op table and the one not-primary check, the tree reads as
-one blocking callable (``_read``), the executor, the exception ->
+one blocking callable (``_read``), the writes' hand-over to the group
+commit (``_submit_write``), the executor, the exception ->
 error-reply mapping, ``stats``, and:
 
 * **Durable acks.**  Every shard is a page file with its write-ahead
@@ -160,6 +161,9 @@ class TemporalAggregateServer:
             batch_max=batch_max,
             dedup_window=dedup_window,
         )
+        self.committer.dedup_budget = min(
+            shard.tree.store.pager.page_size for shard in sharded.shards
+        ) // 2
         self.committer.load(sharded.get_meta(DEDUP_META_KEY))
         # The durable watermark ties the on-disk tree to a position in
         # the commit stream (see REPL_COMMIT_META_KEY); both roles
@@ -205,6 +209,7 @@ class TemporalAggregateServer:
             sharded,
             dispatch=self._dispatch,
             read=self._read,
+            submit=self._submit_write,
             run=self._run,
             error_reply_for=self._error_reply_for,
             control={
@@ -218,8 +223,6 @@ class TemporalAggregateServer:
         )
         self._handlers = {
             "ping": self._op_ping,
-            "insert": self._op_insert,
-            "batch_insert": self._op_batch_insert,
             "stats": self._op_stats,
             "promote": self._op_promote,
             **self.view_service.handlers(),
@@ -310,36 +313,37 @@ class TemporalAggregateServer:
             return wire.error_reply(
                 wire.ERR_UNKNOWN_OP, f"unknown op {raise_op}", request
             )
+        self._refuse_on_replica(op)
+        return await handler(request, sctx)
+
+    def _refuse_on_replica(self, op) -> None:
         if self.follower is not None and op in MUTATING_OPS:
             raise NotPrimary(
                 "this server is a read replica; send writes to the primary"
             )
-        return await handler(request, sctx)
 
     async def _op_ping(self, request, sctx) -> Dict[str, Any]:
         return wire.ok_reply("pong", request)
 
-    async def _op_insert(self, request, sctx) -> Dict[str, Any]:
-        facts = [
-            wire.fact(request.get("value"), request.get("start"), request.get("end"))
-        ]
-        return await self._write_op(facts, request, sctx)
-
-    async def _op_batch_insert(self, request, sctx) -> Dict[str, Any]:
-        raw = request.get("facts")
-        if not isinstance(raw, list) or not raw:
-            raise wire.ProtocolError("batch_insert needs a non-empty 'facts' list")
+    def _submit_write(self, request, sctx) -> "asyncio.Future":
+        """Hand one ``insert`` / ``batch_insert`` to the group commit, to
+        apply exactly once (per idempotency key): returns the future of
+        its result, or raises why it was refused.  Never suspends -- the
+        connection layer's write burst submits in arrival order."""
+        op = request.get("op")
+        self._refuse_on_replica(op)
+        if op == "insert":
+            raw = [(request.get("value"), request.get("start"), request.get("end"))]
+        else:
+            raw = request.get("facts")
+            if not isinstance(raw, list) or not raw:
+                raise wire.ProtocolError("batch_insert needs a non-empty 'facts' list")
         facts = []
         for item in raw:
             if not isinstance(item, (list, tuple)) or len(item) != 3:
                 raise wire.ProtocolError("facts must be [value, start, end] triples")
             facts.append(wire.fact(*item))
-        return await self._write_op(facts, request, sctx)
-
-    async def _write_op(self, facts, request, sctx) -> Dict[str, Any]:
-        """Apply a mutating request exactly once (per idempotency key)."""
-        result = await self.committer.write(facts, wire.idem_key(request), sctx)
-        return wire.ok_reply(result, request)
+        return self.committer.submit(facts, wire.idem_key(request), sctx)
 
     def _read(self, request: Dict[str, Any], wait: bool = True) -> Any:
         """The three tree reads (``lookup``, ``rangeq``, ``window``):

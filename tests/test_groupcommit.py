@@ -320,6 +320,29 @@ class TestDuplicates:
 
         run(main())
 
+    def test_joiner_of_an_original_whose_commit_failed_replays(self):
+        """Applied in memory, not on disk: the key is remembered, so the
+        duplicate must not apply the facts a second time."""
+        async def main():
+            h = Harness(batch_max=1)
+            h.gate = asyncio.Event()
+            h.fail, h.fail_once = CommitFailed("fsync failed"), True
+            original = asyncio.ensure_future(
+                h.committer.write([fact(7)], ("c", 1))
+            )
+            await h.parked()
+            duplicate = asyncio.ensure_future(
+                h.committer.write([fact(7)], ("c", 1))
+            )
+            await asyncio.sleep(0.01)
+            h.gate.set()
+            with pytest.raises(CommitFailed):
+                await original
+            assert await duplicate == {"applied": 1, "duplicate": True}
+            assert h.entered == 1  # one apply: the original's
+
+        run(main())
+
     def test_replay_of_applied_and_of_evicted_keys(self):
         async def main():
             h = Harness(batch_max=1, dedup_window=2)

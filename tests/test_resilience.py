@@ -179,6 +179,31 @@ class TestDedupPersistence:
         assert sharded2.facts_applied == 0  # replay never touched the tree
         sharded2.close()
 
+    def test_a_window_past_the_header_page_keeps_its_newest_clients(
+        self, tmp_path
+    ):
+        """Two hundred writers, one write each, on the default 4 KiB
+        pages: every write is acked, and the window that no longer fits
+        the header keeps its most recently active clients in it."""
+        store, _, handle = self._paged_server(tmp_path)
+        for n in range(200):
+            with client_for(handle, client_id=f"writer-{n:03d}") as svc:
+                assert svc.insert_result(1, n, n + 10, seq=1) == {"applied": 1}
+        left_out = handle.server.registry.gauge(
+            "service.dedup.unpersisted_clients"
+        ).value
+        simulate_crash(store)
+        handle.stop()
+        assert 0 < left_out < 200
+
+        sharded2 = ShardedTree.open(str(tmp_path), "sum", [])  # WAL replay
+        with ServerHandle.start(sharded2, batch_max=4) as handle2:
+            with client_for(handle2, client_id="writer-199") as svc:
+                assert svc.insert_result(1, 199, 209, seq=1)["duplicate"] is True
+                assert svc.lookup(205) == 4  # writers 196..199, once each
+        assert sharded2.facts_applied == 0
+        sharded2.close()
+
     def test_acked_writes_and_dedup_survive_graceful_restart(self, tmp_path):
         store, path, handle = self._paged_server(tmp_path)
         with client_for(handle, client_id="c") as svc:
