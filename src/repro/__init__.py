@@ -38,7 +38,6 @@ from .core import (
 )
 from . import obs
 from .concurrent import ConcurrentTree, ReadWriteLock
-from .query import TemporalQuery
 from .sharding import ShardRouter, ShardedTree
 
 __version__ = "0.1.0"
@@ -61,7 +60,6 @@ __all__ = [
     "ShardRouter",
     "ShardedTree",
     "StoreStats",
-    "TemporalQuery",
     "TreeInvariantError",
     "check_tree",
     "obs",

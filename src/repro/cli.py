@@ -12,7 +12,6 @@ Operate on the persistent index files produced by
     python -m repro fsck   index.sbt --repair
     python -m repro compact index.sbt
     python -m repro stats  index.sbt --lookups 200
-    python -m repro tql "SUM(value) OVER rx AT 19" --table rx=facts.csv
     python -m repro serve --kind sum --shards 4 --lo 0 --hi 100000 \
         --metrics-port 9095
     python -m repro top --port 7071
@@ -30,19 +29,20 @@ hits/misses, physical I/Os, wall time -- via :mod:`repro.obs`;
 ``stats`` runs a probe workload and prints the per-operation metrics
 table.
 
-CSV input for ``build`` has one fact per line: ``value,start,end``
-(numbers; a header line is tolerated and skipped).  CSVs for ``tql``
-need a header with at least ``value,start,end``; extra columns become
-payload attributes usable in WHEN/PARTITION BY clauses.
+CSV input for ``build`` and ``serve --csv`` has one fact per line:
+``value,start,end`` (a header line is tolerated and skipped).  Every
+number, in a CSV or on the command line, must be finite: ``inf`` or
+``nan`` is refused with one ``error:`` line and exit status 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
-from typing import List, Optional
+from typing import Any, List, Optional, Tuple
 
 from . import obs
 from .core.intervals import Interval, is_finite
@@ -56,8 +56,49 @@ __all__ = ["main"]
 
 
 def _number(text: str) -> float:
-    value = float(text)
+    """*text* as a finite number, an int when it is integral."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return int(value) if value == int(value) else value
+
+
+def _numbers(text: str) -> List[float]:
+    return [_number(part) for part in text.split(",")]
+
+
+def _row(spec: str) -> list:
+    """``VALUE,START,END[,KEY]``: three numbers and an optional key."""
+    parts = spec.split(",")
+    if len(parts) < 3:
+        raise argparse.ArgumentTypeError(f"needs value,start,end[,key]: {spec!r}")
+    row = [_number(part) for part in parts[:3]]
+    if len(parts) > 3:
+        row.append(",".join(parts[3:]))
+    return row
+
+
+def _csv_facts(path: str) -> List[Tuple[Any, Interval]]:
+    """The ``value,start,end`` facts of a CSV file.  A line that does not
+    start with three numbers -- a header, a blank line -- is skipped; one
+    whose numbers are not all finite ends the command (exit status 2)."""
+    facts = []
+    with open(path, newline="") as handle:
+        for line, row in enumerate(csv.reader(handle), 1):
+            try:
+                value, start, end = (float(cell) for cell in row[:3])
+            except ValueError:
+                continue  # tolerate header and blank lines
+            try:
+                value, start, end = (_number(cell) for cell in row[:3])
+            except argparse.ArgumentTypeError as exc:
+                print(f"error: {path}, line {line}: {exc}", file=sys.stderr)
+                raise SystemExit(2)
+            facts.append((value, Interval(start, end)))
+    return facts
 
 
 def _open_tree(path: str, buffer_capacity: int = 256):
@@ -73,6 +114,7 @@ def _open_tree(path: str, buffer_capacity: int = 256):
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    facts = _csv_facts(args.csv)
     store = PagedNodeStore(
         args.file, args.kind, page_size=args.page_size, buffer_capacity=256
     )
@@ -87,17 +129,10 @@ def cmd_build(args: argparse.Namespace) -> int:
     tree = tree_cls(
         args.kind, store, branching=branching, leaf_capacity=leaf_capacity
     )
-    count = 0
-    with open(args.csv, newline="") as handle:
-        for row in csv.reader(handle):
-            try:
-                value, start, end = (_number(cell) for cell in row[:3])
-            except (ValueError, IndexError):
-                continue  # tolerate header and blank lines
-            tree.insert(value, Interval(start, end))
-            count += 1
+    for value, interval in facts:
+        tree.insert(value, interval)
     store.close()
-    print(f"built {args.kind} tree over {count} facts -> {args.file}")
+    print(f"built {args.kind} tree over {len(facts)} facts -> {args.file}")
     return 0
 
 
@@ -161,7 +196,7 @@ def cmd_dump(args: argparse.Namespace) -> int:
 
 def cmd_lookup(args: argparse.Namespace) -> int:
     store, tree = _open_tree(args.file)
-    t = _number(args.instant)
+    t = args.instant
     if args.window is not None:
         if not isinstance(tree, MSBTree):
             print(
@@ -171,7 +206,7 @@ def cmd_lookup(args: argparse.Namespace) -> int:
             )
             store.close()
             return 2
-        value = tree.spec.finalize(tree.window_lookup(t, _number(args.window)))
+        value = tree.spec.finalize(tree.window_lookup(t, args.window))
     else:
         value = tree.lookup_final(t)
     print(value)
@@ -181,7 +216,7 @@ def cmd_lookup(args: argparse.Namespace) -> int:
 
 def cmd_range(args: argparse.Namespace) -> int:
     store, tree = _open_tree(args.file)
-    window = Interval(_number(args.start), _number(args.end))
+    window = Interval(args.start, args.end)
     table = tree.range_query(window).coalesce(tree.spec.eq).finalized(tree.spec)
     for value, interval in table:
         shown = f"{value:.4g}" if isinstance(value, float) else str(value)
@@ -239,77 +274,6 @@ def cmd_fsck(args: argparse.Namespace) -> int:
     else:
         print(report.render())
     return 0 if report.ok else 1
-
-
-def _load_relation_csv(name: str, path: str):
-    """Load a CSV into a relation.
-
-    The first line is a header.  Columns ``value``, ``start`` and
-    ``end`` are required; any further columns become tuple payload
-    attributes (numeric strings are converted).
-    """
-    from .relation import TemporalRelation
-
-    relation = TemporalRelation(name)
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        required = {"value", "start", "end"}
-        header = set(reader.fieldnames or [])
-        if not required <= header:
-            raise SystemExit(
-                f"error: {path} needs columns value,start,end (found {sorted(header)})"
-            )
-        for line in reader:
-            payload = {}
-            for key, raw in line.items():
-                if key in required or raw is None:
-                    continue
-                try:
-                    payload[key] = _number(raw)
-                except ValueError:
-                    payload[key] = raw
-            relation.insert(
-                _number(line["value"]),
-                Interval(_number(line["start"]), _number(line["end"])),
-                **payload,
-            )
-    return relation
-
-
-def cmd_tql(args: argparse.Namespace) -> int:
-    from .core.results import ConstantIntervalTable
-    from .tql import TQLError, execute
-
-    relations = {}
-    for spec_text in args.table:
-        name, _, path = spec_text.partition("=")
-        if not path:
-            print(f"error: --table expects name=path, got {spec_text!r}", file=sys.stderr)
-            return 2
-        relations[name] = _load_relation_csv(name, path)
-    try:
-        result = execute(args.statement, relations)
-    except TQLError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    def show_table(table, indent=""):
-        for value, interval in table:
-            shown = f"{value:.4g}" if isinstance(value, float) else str(value)
-            print(f"{indent}{shown:>14}  {interval}")
-
-    if isinstance(result, ConstantIntervalTable):
-        show_table(result)
-    elif isinstance(result, dict):
-        for key, value in result.items():
-            if isinstance(value, ConstantIntervalTable):
-                print(f"{key}:")
-                show_table(value, indent="  ")
-            else:
-                print(f"{key}: {value}")
-    else:
-        print(result)
-    return 0
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -428,16 +392,14 @@ def _serve(args: argparse.Namespace, directory: str) -> int:
     from .sharding import ShardedTree, ShardingError
     from .service.server import TemporalAggregateServer
 
-    boundaries = None
-    if args.boundaries:
-        boundaries = [_number(b) for b in args.boundaries.split(",")]
+    facts = _csv_facts(args.csv) if args.csv else None
     try:
         sharded = ShardedTree.open(
             directory,
             args.kind,
-            boundaries,
+            args.boundaries,
             num_shards=args.shards,
-            span=(_number(args.lo), _number(args.hi)),
+            span=(args.lo, args.hi),
         )
     except ShardingError as exc:
         raise SystemExit(f"error: {exc}")
@@ -447,14 +409,6 @@ def _serve(args: argparse.Namespace, directory: str) -> int:
     if args.csv and sharded.reopened:
         print(f"skipping --csv: {directory} already holds data")
     elif args.csv:
-        facts = []
-        with open(args.csv, newline="") as handle:
-            for row in csv.reader(handle):
-                try:
-                    value, start, end = (_number(cell) for cell in row[:3])
-                except (ValueError, IndexError):
-                    continue  # tolerate header and blank lines
-                facts.append((value, Interval(start, end)))
         sharded.batch_insert(facts)
         print(f"seeded {len(facts)} facts from {args.csv}")
 
@@ -564,31 +518,16 @@ def cmd_view(args: argparse.Namespace) -> int:
                     + f" lag={result['lag']}"
                 )
             elif verb == "insert":
-                rows = []
-                for spec in args.row:
-                    parts = spec.split(",")
-                    if len(parts) < 3:
-                        raise SystemExit(
-                            f"error: --row needs value,start,end[,key]: {spec!r}"
-                        )
-                    row = [_number(parts[0]), _number(parts[1]), _number(parts[2])]
-                    if len(parts) > 3:
-                        row.append(",".join(parts[3:]))
-                    rows.append(row)
-                applied = svc.table_insert(args.table, rows)
+                applied = svc.table_insert(args.table, args.row)
                 print(f"applied {applied} rows to {args.table!r}")
             elif verb == "query":
                 if len(args.name) > 1 or args.pin:
-                    result = svc.query_views(
-                        args.name, _number(args.at), pin=args.pin
-                    )
+                    result = svc.query_views(args.name, args.at, pin=args.pin)
                     for name in args.name:
                         reading = result["views"][name]
                         print(f"{name}: {json.dumps(reading, sort_keys=True)}")
                 else:
-                    reading = svc.query_view(
-                        args.name[0], _number(args.at), key=args.key
-                    )
+                    reading = svc.query_view(args.name[0], args.at, key=args.key)
                     print(json.dumps(reading, sort_keys=True))
             elif verb == "stats":
                 print(json.dumps(svc.view_stats(), indent=2, sort_keys=True))
@@ -642,14 +581,6 @@ def cmd_promote(args: argparse.Namespace) -> int:
             f" at commit {result.get('commit')}"
         )
     return 0
-
-
-def cmd_readscale(args: argparse.Namespace) -> int:
-    """Measure read scaling across replica counts (see
-    :mod:`repro.service.readscale`); writes BENCH_service.json."""
-    from .service.readscale import main as readscale_main
-
-    return readscale_main(args)
 
 
 def cmd_compact(args: argparse.Namespace) -> int:
@@ -710,14 +641,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lookup = sub.add_parser("lookup", parents=[common], help="aggregate value at an instant")
     p_lookup.add_argument("file")
-    p_lookup.add_argument("instant")
-    p_lookup.add_argument("--window", help="cumulative window offset (MSB files)")
+    p_lookup.add_argument("instant", type=_number)
+    p_lookup.add_argument("--window", type=_number,
+                          help="cumulative window offset (MSB files)")
     p_lookup.set_defaults(fn=cmd_lookup)
 
     p_range = sub.add_parser("range", parents=[common], help="aggregate values over [start, end)")
     p_range.add_argument("file")
-    p_range.add_argument("start")
-    p_range.add_argument("end")
+    p_range.add_argument("start", type=_number)
+    p_range.add_argument("end", type=_number)
     p_range.set_defaults(fn=cmd_range)
 
     p_verify = sub.add_parser("verify", parents=[common], help="audit all structural invariants")
@@ -779,11 +711,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="TCP port (0 picks an ephemeral port)")
     p_serve.add_argument("--shards", type=int, default=4,
                          help="number of time-range shards (default 4)")
-    p_serve.add_argument("--lo", default="0",
+    p_serve.add_argument("--lo", type=_number, default=0,
                          help="span start for even shard boundaries")
-    p_serve.add_argument("--hi", default="1000000",
+    p_serve.add_argument("--hi", type=_number, default=1000000,
                          help="span end for even shard boundaries")
-    p_serve.add_argument("--boundaries",
+    p_serve.add_argument("--boundaries", type=_numbers,
                          help="explicit comma-separated shard cut points "
                          "(overrides --shards/--lo/--hi)")
     p_serve.add_argument("--csv", help="seed facts from value,start,end CSV")
@@ -882,7 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="append change rows to a base table (created on first use)",
     )
     pv_insert.add_argument("table")
-    pv_insert.add_argument("--row", action="append", required=True,
+    pv_insert.add_argument("--row", type=_row, action="append", required=True,
                            metavar="VALUE,START,END[,KEY]",
                            help="one fact (repeatable); the optional "
                            "fourth field is the grouping key")
@@ -893,7 +825,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="read one or more views at an instant",
     )
     pv_query.add_argument("name", nargs="+")
-    pv_query.add_argument("--at", required=True, help="query instant")
+    pv_query.add_argument("--at", type=_number, required=True,
+                          help="query instant")
     pv_query.add_argument("--key", default=None,
                           help="group key (single grouped view only)")
     pv_query.add_argument("--pin", action="store_true",
@@ -928,48 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pv_repair.add_argument("name")
     pv_repair.set_defaults(fn=cmd_view)
-
-    p_readscale = sub.add_parser(
-        "readscale", parents=[common],
-        help="benchmark aggregate read throughput against 0/1/2 read "
-        "replicas under a write-saturated primary",
-    )
-    p_readscale.add_argument("--duration", type=float, default=6.0,
-                             help="measured seconds per topology cell "
-                             "(default 6)")
-    p_readscale.add_argument("--readers", type=int, default=4,
-                             help="reader processes per cell (default 4)")
-    p_readscale.add_argument("--writers", type=int, default=2,
-                             help="saturating writer processes (default 2)")
-    p_readscale.add_argument("--seed", type=int, default=0)
-    p_readscale.add_argument("--cells", type=int, nargs="*", default=None,
-                             help="replica counts to sweep (default: 0 1 2)")
-    p_readscale.add_argument("--out", dest="out_dir", metavar="DIR",
-                             help="merge the read-scaling series into "
-                             "DIR/BENCH_service.json (default: cwd)")
-    p_readscale.add_argument("--min-speedup", type=float, default=0.0,
-                             help="exit nonzero if the last cell's reads/s "
-                             "is below this multiple of primary-only")
-    p_readscale.add_argument("--views", action="store_true",
-                             help="measure replica-served query_view reads "
-                             "instead of lookup (recorded as the separate "
-                             "view_read_scaling series)")
-    p_readscale.set_defaults(fn=cmd_readscale)
-
-    p_tql = sub.add_parser(
-        "tql", parents=[common],
-        help="run a TQL statement over CSV-backed relations",
-    )
-    p_tql.add_argument("statement", help="e.g. \"SUM(value) OVER r AT 19\"")
-    p_tql.add_argument(
-        "--table",
-        action="append",
-        default=[],
-        metavar="NAME=CSV",
-        help="bind a relation name to a CSV file (repeatable); the CSV "
-        "needs header columns value,start,end (+ payload columns)",
-    )
-    p_tql.set_defaults(fn=cmd_tql)
 
     return parser
 

@@ -175,9 +175,9 @@ class ConcurrentTree:
         lock = self.lock
         if not obs.ENABLED and not trace.TRACING:
             # Disabled fast path: two global flag loads and a direct
-            # acquire/release, no guard or span objects.  The quickcheck
-            # overhead gate keeps this within a small factor of the
-            # hand-inlined equivalent.
+            # acquire/release, no guard or span objects.  The overhead
+            # gate (``python -m repro.obs.overhead``) keeps this within a
+            # small factor of the hand-inlined equivalent.
             timeout = self.write_timeout if write else self.read_timeout
             acquired = (
                 lock.acquire_write(timeout)

@@ -1,4 +1,4 @@
-"""The observability-overhead gate (``repro-quickcheck`` stage).
+"""The observability-overhead gate: ``python -m repro.obs.overhead``.
 
 The whole point of the :data:`repro.obs.ENABLED` / ``trace.TRACING``
 flag discipline is that instrumentation which is *off* costs nearly
@@ -23,13 +23,16 @@ the default leaves generous room for timer noise since one lookup is
 only a few microseconds of Python).  The enabled-at-1% ratio is
 reported alongside, and the whole measurement is written as
 ``BENCH_trace_overhead.json`` via
-:func:`repro.benchlib.write_bench_json`.
+:func:`repro.benchlib.write_bench_json`.  Run as a module, it prints the
+summary and exits 1 when the gate fails.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
-from typing import Any, Dict, Optional
+import sys
+from typing import Any, Dict, List, Optional
 
 from . import TraceSink
 from . import disable as obs_disable
@@ -161,3 +164,22 @@ def render_report(report: Dict[str, Any]) -> str:
         f"threshold x{report['threshold']:.2f} -> "
         f"{'OK' if report['ok'] else 'FAIL'}"
     )
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.obs.overhead", description=__doc__.splitlines()[0]
+    )
+    parser.add_argument(
+        "--out", metavar="DIR", help="write BENCH_trace_overhead.json under DIR"
+    )
+    args = parser.parse_args(argv)
+    report = run_overhead_gate(out_dir=args.out)
+    print(render_report(report))
+    if args.out:
+        print(f"wrote {os.path.join(args.out, 'BENCH_trace_overhead.json')}")
+    return 0 if report["ok"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -412,10 +412,8 @@ def run_rescheck(
     def child(name: str, **kwargs: Any) -> ServeProcess:
         log_path = os.path.join(workdir, f"{name}.log")
         result.log_paths.append(log_path)
-        # Small group commits: many flushes for the kill to land between.
         return ServeProcess(
-            os.path.join(workdir, name), batch_max=16,
-            log_path=log_path, **kwargs,
+            os.path.join(workdir, name), log_path=log_path, **kwargs
         )
 
     started = time.perf_counter()

@@ -22,10 +22,10 @@ The package splits along the wire:
   window (:class:`DedupWindow`) and its journaled persistence format.
 * :mod:`repro.service.client` -- a blocking, fully pipelined
   :class:`ServiceClient`: many in-flight requests per connection with
-  out-of-order reply matching by request id, a background reader
-  thread, per-request futures, timeouts, safe exactly-once retries
-  (capped exponential backoff with jitter and a shrinking deadline
-  budget), and a circuit breaker.
+  out-of-order reply matching by request id (whoever waits for a
+  reply reads the socket), per-request futures, timeouts, safe
+  exactly-once retries (capped exponential backoff with jitter and a
+  shrinking deadline budget), and a circuit breaker.
 * :mod:`repro.service.chaos` -- a deterministic frame-aware network
   chaos proxy (:class:`ChaosProxy`) for the resilience harness.
 * :mod:`repro.service.patient` -- the patient exactly-once write driver
@@ -34,7 +34,7 @@ The package splits along the wire:
   ``python3 -m bench`` (``svc_split``, ``svc_mixed``), not from here.
 * :mod:`repro.service.process` -- ``python -m repro serve`` as a
   killable child process (:class:`ServeProcess`): the server every
-  drill of :mod:`repro.rescheck` and every ``readscale`` cell runs.
+  drill of :mod:`repro.rescheck` runs.
 * :mod:`repro.service.top` -- the ``repro top`` live dashboard
   (pure rendering + a poll loop over the ``stats`` op), including the
   replication panel (per-replica lag on a primary, applied/staleness
@@ -43,9 +43,6 @@ The package splits along the wire:
   primary and its read replicas: the CRC-framed record codec, the
   in-memory :class:`CommitLog`, the primary-side :class:`Publisher`
   (fan-out, semi-sync acks) and the replica-side :class:`Follower`.
-* :mod:`repro.service.readscale` -- the ``repro readscale`` benchmark:
-  aggregate read throughput against 0/1/2 replicas under a
-  write-saturated primary.
 
 Requests carry an optional ``trace`` field (see
 :mod:`repro.obs.trace`); with tracing enabled, client and server emit

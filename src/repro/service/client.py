@@ -809,26 +809,6 @@ class ServiceClient:
             seq=self.next_seq() if seq is None else seq,
         )
 
-    def submit_insert(
-        self,
-        value: Any,
-        start,
-        end,
-        *,
-        seq: Optional[int] = None,
-        flush: bool = True,
-    ) -> ReplyFuture:
-        """Pipelined :meth:`insert_result`: idempotent, non-blocking."""
-        return self.submit(
-            "insert",
-            flush=flush,
-            value=value,
-            start=start,
-            end=end,
-            client=self.client_id,
-            seq=self.next_seq() if seq is None else seq,
-        )
-
     def batch_insert(
         self, facts: Iterable[Sequence[Any]], *, seq: Optional[int] = None
     ) -> int:

@@ -1,16 +1,15 @@
 """``repro serve`` as a killable child process.
 
-The drills (:mod:`repro.rescheck`) and the replica sweep
-(:mod:`repro.service.readscale`) need a server they can ``SIGKILL``, so
-it has to live in another process.  That process is the one users and
+The drills of :mod:`repro.rescheck` need a server they can ``SIGKILL``,
+so it has to live in another process.  That process is the one users and
 ``bench`` start -- ``python -m repro serve`` -- and this module is the
 one place outside the CLI that knows its command line and the
 ready / kill / restart / promote / wait-applied protocol around it.
 
 Every child is a single-shard SUM index over :data:`SPAN` journaled
 under ``--paged DIR`` (the one way ``repro serve`` stores) with a
-256-entry dedup window; a recovery check reopens
-:attr:`ServeProcess.shard_path` directly.
+256-entry dedup window and at most :data:`BATCH_MAX` facts per flush; a
+recovery check reopens :attr:`ServeProcess.shard_path` directly.
 """
 
 from __future__ import annotations
@@ -35,6 +34,9 @@ _HOST = "127.0.0.1"
 # resubscribe takes ~2 s worst case) instead of degrading to async, so
 # acked writes survive a failover.
 _REPL_ACK_TIMEOUT = 5.0
+#: Facts per group-commit flush: small, so a drill's kill lands between
+#: many commits.
+BATCH_MAX = 16
 _START_TIMEOUT = 15.0  # import the CLI, replay the WAL, answer ping
 _WAIT_TIMEOUT = 20.0  # drain on SIGINT, subscribe, catch up, promote
 
@@ -77,7 +79,6 @@ class ServeProcess:
         self,
         directory: str,
         *,
-        batch_max: int = 64,
         replica_of: Optional[str] = None,
         log_path: Optional[str] = None,
     ) -> None:
@@ -91,7 +92,7 @@ class ServeProcess:
             "--host", _HOST, "--port", str(self.port),
             "--paged", directory,
             "--dedup-window", "256", "--health-interval", "0",
-            "--batch-max", str(batch_max),
+            "--batch-max", str(BATCH_MAX),
             "--repl-ack-timeout", str(_REPL_ACK_TIMEOUT),
         ]
         if replica_of:

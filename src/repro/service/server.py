@@ -574,7 +574,7 @@ class TemporalAggregateServer:
 
 
 class ServerHandle:
-    """A server running on a background thread (tests, quickcheck, examples).
+    """A server running on a background thread (tests and examples).
 
     ``ServerHandle.start(sharded)`` spins up an event loop thread, binds
     an ephemeral port, and returns once the server accepts connections;

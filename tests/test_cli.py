@@ -144,64 +144,56 @@ class TestInspectVerifyCompact:
         assert fsyncs == []
 
 
-class TestTqlCommand:
-    @pytest.fixture()
-    def rx_csv(self, tmp_path):
-        path = tmp_path / "rx.csv"
-        path.write_text(
-            "value,start,end,patient\n"
-            "2,10,40,Amy\n"
-            "3,10,30,Ben\n"
-            "1,20,40,Coy\n"
-            "2,5,15,Dan\n"
-            "4,35,45,Eve\n"
-            "1,10,50,Fred\n"
-        )
-        return str(path)
+def _refused(argv, capsys):
+    """Run *argv*, which must exit 2; return its one ``error:`` line."""
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1, errors
+    return errors[0]
 
-    def test_scalar_result(self, rx_csv, capsys):
-        code = main(["tql", "SUM(value) OVER rx AT 19", "--table", f"rx={rx_csv}"])
-        assert code == 0
-        assert capsys.readouterr().out.strip() == "6"
 
-    def test_table_result(self, rx_csv, capsys):
-        main(["tql", "SUM(value) OVER rx DURING [14, 28)", "--table", f"rx={rx_csv}"])
-        out = capsys.readouterr().out
-        assert "[15, 20)" in out
-        assert "[20, 28)" in out
+class TestNonFiniteNumbers:
+    """``inf`` and ``nan`` are refused with one ``error:`` line and exit
+    status 2, never a traceback and never silently skipped."""
 
-    def test_payload_condition(self, rx_csv, capsys):
-        main(
-            ["tql", "SUM(value) OVER rx WHEN patient != 'Fred' AT 19",
-             "--table", f"rx={rx_csv}"]
-        )
-        assert capsys.readouterr().out.strip() == "5"
+    def test_read_verbs(self, sum_index, msb_index, capsys):
+        for argv in (
+            ["lookup", sum_index, "nan"],
+            ["lookup", msb_index, "50", "--window", "inf"],
+            ["range", sum_index, "0", "inf"],
+        ):
+            assert "not a finite number" in _refused(argv, capsys), argv
+        assert "not a number: 'x'" in _refused(["lookup", sum_index, "x"], capsys)
 
-    def test_partitioned_result(self, rx_csv, capsys):
-        main(
-            ["tql", "COUNT(value) OVER rx PARTITION BY patient AT 19",
-             "--table", f"rx={rx_csv}"]
-        )
-        out = capsys.readouterr().out
-        assert "Amy: 1" in out
-        assert "Dan: 0" in out
-
-    def test_bad_binding(self, rx_csv, capsys):
-        assert main(["tql", "SUM(value) OVER rx AT 1", "--table", "nonsense"]) == 2
-        assert "name=path" in capsys.readouterr().err
-
-    def test_tql_error_reported(self, rx_csv, capsys):
-        code = main(
-            ["tql", "SUM(value) OVER missing AT 1", "--table", f"rx={rx_csv}"]
-        )
-        assert code == 2
-        assert "unknown relation" in capsys.readouterr().err
-
-    def test_missing_columns(self, tmp_path):
+    @pytest.mark.parametrize("row", ["1,20,inf", "nan,20,40", "1,-inf,40"])
+    def test_build_names_the_line(self, tmp_path, row, capsys):
         bad = tmp_path / "bad.csv"
-        bad.write_text("a,b\n1,2\n")
-        with pytest.raises(SystemExit):
-            main(["tql", "SUM(value) OVER r AT 1", "--table", f"r={bad}"])
+        bad.write_text(f"value,start,end\n2,10,40\n\n{row}\n3,10,30\n")
+        path = tmp_path / "bad.sbt"
+        error = _refused(["build", str(path), "--kind", "sum", "--csv", str(bad)], capsys)
+        assert error.startswith(f"error: {bad}, line 4: not a finite number: "), error
+        assert not path.exists()  # refused before the page file is made
+
+    def test_serve_span_cuts_and_seed(self, tmp_path, capsys):
+        serve = ["serve", "--kind", "sum", "--port", "0"]
+        assert "--hi" in _refused(serve + ["--lo", "0", "--hi", "inf"], capsys)
+        assert "--lo" in _refused(serve + ["--lo", "nan"], capsys)
+        assert "--boundaries" in _refused(serve + ["--boundaries", "10,nan"], capsys)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("value,start,end\n\n2,10,40\n3,inf,30\n")
+        directory = tmp_path / "shards"
+        error = _refused(serve + ["--csv", str(bad), "--paged", str(directory)], capsys)
+        assert f"{bad}, line 4: not a finite number: 'inf'" in error
+        assert not directory.exists()  # refused before a shard file is made
+
+    def test_view_verbs(self, capsys):
+        # Refused while parsing: no server is listening on port 1.
+        error = _refused(["view", "insert", "t", "--row", "nan,0,5", "--port", "1"], capsys)
+        assert "not a finite number: 'nan'" in error
+        error = _refused(["view", "query", "v", "--at", "inf", "--port", "1"], capsys)
+        assert "not a finite number: 'inf'" in error
 
 
 class TestEntryPoint:

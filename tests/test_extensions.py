@@ -6,48 +6,27 @@ from hypothesis import given, settings, strategies as st
 
 from repro import ConstantIntervalTable, Interval, MSBTree
 from repro.core import reference
-from repro.query import TemporalQuery
 from repro.relation import TemporalRelation
+from repro.warehouse import TemporalAggregateView
 from repro.workloads import PRESCRIPTIONS
 
 
 class TestPartitionedMaterialization:
-    @pytest.fixture()
-    def rel(self):
+    def test_grouped_matches_one_shot(self):
+        """A grouped view, key by key, is what the reference computes in
+        one shot over that key's rows."""
         rel = TemporalRelation("prescription")
+        grouped = TemporalAggregateView(
+            "x", rel, "sum", key_of=lambda row: row.payload["patient"],
+            branching=4, leaf_capacity=4,
+        )
         for p in PRESCRIPTIONS:
             rel.insert(p.dosage, p.valid, patient=p.patient)
-        return rel
-
-    def test_grouped_view_from_query(self, rel):
-        grouped = (
-            TemporalQuery(rel)
-            .aggregate("sum")
-            .partition_by(lambda row: row.payload["patient"])
-            .materialize("ByPatient", branching=4, leaf_capacity=4)
-        )
-        assert grouped.value_at(19, key="Amy") == 2
-        rel.insert(5, Interval(15, 45), patient="Amy")
-        assert grouped.value_at(19, key="Amy") == 7
-
-    def test_filter_carries_into_grouped_view(self, rel):
-        grouped = (
-            TemporalQuery(rel)
-            .where(lambda row: row.value >= 2)
-            .aggregate("count")
-            .partition_by(lambda row: row.payload["patient"])
-            .materialize("Heavy", branching=4, leaf_capacity=4)
-        )
-        assert "Fred" not in grouped.keys()  # dosage 1 filtered
-        assert grouped.value_at(19, key="Ben") == 1
-        rel.insert(1, Interval(0, 100), patient="Ben")  # filtered out
-        assert grouped.value_at(19, key="Ben") == 1
-
-    def test_grouped_matches_one_shot(self, rel):
-        query = TemporalQuery(rel).aggregate("sum")
-        partitioned = query.partition_by(lambda row: row.payload["patient"])
-        grouped = partitioned.materialize("x", branching=4, leaf_capacity=4)
-        assert grouped.values_at(25) == partitioned.at(25)
+        rows = [(row.value, row.valid, row.payload["patient"]) for row in rel]
+        assert grouped.values_at(25) == {
+            p.patient: reference.view_value(rows, "sum", 25, p.patient)
+            for p in PRESCRIPTIONS
+        }
 
 
 class TestExtremumOver:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro import Interval
+from repro.core import reference
 from repro.core.nodestore import MemoryNodeStore
 from repro.relation import TemporalRelation
 from repro.warehouse import ANY_WINDOW, TemporalAggregateView
@@ -214,16 +215,15 @@ class TestGroupedView:
         assert view.value_at(3) == 5 and len(list(view.table())) == 1
 
     def test_matches_partitioned_query(self, setup):
+        """Every group at every instant is the reference's answer over
+        that key's rows; then every kind and window, key by key."""
         rel, view, _ = setup
-        from repro.query import TemporalQuery
-
-        expected = (
-            TemporalQuery(rel)
-            .aggregate("sum")
-            .partition_by(lambda row: row.payload["patient"])
-            .at(19)
-        )
-        assert view.values_at(19) == expected
+        rows = [(row.value, row.valid, row.payload["patient"]) for row in rel]
+        for t in range(0, 60, 3):
+            assert view.values_at(t) == {
+                key: reference.view_value(rows, "sum", t, key) for key in view.keys()
+            }, t
+        assert set(view.keys()) == {p.patient for p in PRESCRIPTIONS}
         for kind in KINDS:
             for window in (0, 5, ANY_WINDOW):
                 check_grouped_against_per_key(kind, window)

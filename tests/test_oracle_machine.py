@@ -29,6 +29,7 @@ from repro.oracle import (
     durable,
     replayed,
 )
+from repro.workloads import prescription_facts
 
 #: 1 under the default profile (100 examples), 5 under ``ci``.
 SCALE = settings.default.max_examples / 100
@@ -110,6 +111,52 @@ def test_figure20_counterexample():
             assert one.windowed.window_table(10) != two.windowed.window_table(10)
             assert one.windowed.window_lookup(25, 10) == 2  # both overlap [15, 25]
             assert two.windowed.window_lookup(25, 10) == 1
+
+
+#: Figure 1's prescriptions, one insert step each.
+PRESCRIBED = [("insert", fact) for fact in prescription_facts()]
+
+
+def _finalized(table, spec):
+    return [(value, (i.start, i.end)) for value, i in table.finalized(spec).coalesce()]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_figure4_avg_erratum(backend):
+    """Figure 4 as printed disagrees with the paper's own prose ("the
+    value of AvgDosage at time 32 is 4/3 = 1.33") and with arithmetic
+    over Figure 1: AvgDosage is 4/3 over [30, 35), and every route says
+    so (DESIGN.md, errata)."""
+    with replayed(PRESCRIBED + [("query", 32, 0, 0, 60)], kind="avg", backend=backend) as m:
+        assert m.tree.lookup(32) == (4, 3)
+        assert _finalized(m.tree.to_table(), m.tree.spec) == [
+            (2.00, (5, 20)),
+            (1.75, (20, 30)),
+            (pytest.approx(4 / 3), (30, 35)),
+            (2.00, (35, 40)),
+            (2.50, (40, 45)),
+            (1.00, (45, 50)),
+        ]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_figure5_row4_erratum(backend):
+    """Figure 5's fourth row, as extracted, reads "2.50 [40, 50)" and
+    overlaps its neighbours; Figure 18's leaf boundaries 45 and 50 fix
+    it as 2.00 over [35, 45) and 2.50 over [45, 50), which is what
+    AvgDosage5 (window offset 5) is on the fixed-window and dual trees."""
+    steps = PRESCRIBED + [("query", 32, 5, 0, 60)]
+    with replayed(steps, kind="avg", backend=backend, w=5) as m:
+        figure5 = [
+            (2.00, (5, 20)),
+            (1.75, (20, 35)),
+            (2.00, (35, 45)),
+            (2.50, (45, 50)),
+            (1.00, (50, 55)),
+        ]
+        assert _finalized(m.fixed.to_table(), m.fixed.spec) == figure5
+        assert _finalized(m.windowed.window_table(5), m.windowed.spec) == figure5
+        assert m.fixed.lookup(32) == m.windowed.window_lookup(32, 5) == (7, 4)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -21,7 +21,7 @@ from repro import cli
 from repro.core import reference
 from repro.core.nodestore import MemoryNodeStore
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.process import ServeProcess
+from repro.service.process import BATCH_MAX, ServeProcess
 from repro.service.server import TemporalAggregateServer
 from repro.sharding import ShardedTree
 
@@ -42,6 +42,7 @@ def test_primary_survives_sigkill_with_data_and_dedup_window(tmp_path):
                 acked = svc.insert_result(value, start, end, seq=seq)
                 assert acked == {"applied": 1}
             assert svc.lookup(32) == want
+            assert svc.stats()["batch"]["max"] == BATCH_MAX == 16
         primary.restart()  # SIGKILL; same port, same directory
         with primary.client(client_id="writer", retries=0) as svc:
             assert svc.lookup(32) == want
