@@ -19,7 +19,7 @@ import random
 
 from repro import Interval, MSBTree, SBTree
 from repro.relation import TemporalRelation
-from repro.warehouse import ANY_WINDOW, TemporalWarehouse
+from repro.warehouse import ANY_WINDOW, TemporalAggregateView
 
 HOSTS = ["web-1", "web-2", "db-1", "cache-1"]
 DAY = 24 * 3600
@@ -37,16 +37,13 @@ def simulate(relation, days=7, seed=3):
 
 
 def main() -> None:
-    warehouse = TemporalWarehouse()
-    sessions = warehouse.create_table("sessions")
+    sessions = TemporalRelation("sessions")
 
-    fleet_load = warehouse.create_view("FleetLoad", "sessions", "sum")
-    per_host = warehouse.create_view(
-        "LoadByHost", "sessions", "sum", key_of=lambda row: row.payload["host"]
+    fleet_load = TemporalAggregateView("FleetLoad", sessions, "sum")
+    per_host = TemporalAggregateView(
+        "LoadByHost", sessions, "sum", key_of=lambda row: row.payload["host"]
     )
-    worst = warehouse.create_view(
-        "WorstLoad", "sessions", "max", window=ANY_WINDOW
-    )
+    worst = TemporalAggregateView("WorstLoad", sessions, "max", window=ANY_WINDOW)
 
     print("Simulating a week of sessions for", len(HOSTS), "hosts ...")
     simulate(sessions)

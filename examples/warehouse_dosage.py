@@ -3,7 +3,8 @@
 
 The scenario of the paper's introduction: a warehouse stores the history
 of prescriptions and keeps several temporal aggregate views fresh while
-the source table keeps changing.  Views are backed by SB-trees (and an
+the source table keeps changing.  Each view is a TemporalAggregateView
+over the one relation.  Views are backed by SB-trees (and an
 MSB-tree) instead of materialized tables, so even insertions with very
 long valid intervals are absorbed in a handful of node touches.
 
@@ -18,21 +19,19 @@ Run:  python examples/warehouse_dosage.py
 import random
 
 from repro import Interval
-from repro.warehouse import ANY_WINDOW, MaterializedView, TemporalWarehouse
+from repro.relation import TemporalRelation
+from repro.warehouse import ANY_WINDOW, MaterializedView, TemporalAggregateView
 from repro.workloads import PRESCRIPTIONS
 
 
 def main() -> None:
-    warehouse = TemporalWarehouse()
-    prescriptions = warehouse.create_table("prescription")
+    prescriptions = TemporalRelation("prescription")
 
     # Three maintained views over the same base table.
-    sum_view = warehouse.create_view("SumDosage", "prescription", "sum")
-    avg5_view = warehouse.create_view(
-        "AvgDosage5", "prescription", "avg", window=5
-    )
-    cum_max = warehouse.create_view(
-        "CumMaxDosage", "prescription", "max", window=ANY_WINDOW
+    sum_view = TemporalAggregateView("SumDosage", prescriptions, "sum")
+    avg5_view = TemporalAggregateView("AvgDosage5", prescriptions, "avg", window=5)
+    cum_max = TemporalAggregateView(
+        "CumMaxDosage", prescriptions, "max", window=ANY_WINDOW
     )
 
     print("Loading the Prescription table ...")
@@ -58,11 +57,11 @@ def main() -> None:
     except ValueError as exc:
         # MIN/MAX aggregates are not incrementally maintainable under
         # deletions (paper, Section 3.4) -- the MAX view vetoes the
-        # change.  Drop it first, then retract.
+        # change.  Detach it first, then retract.
         print(f"  rejected: {exc}")
-        warehouse.drop_view("CumMaxDosage")
+        cum_max.detach()
         prescriptions.delete(rows["Dan"])
-        print("  retried after dropping the MAX view: ok")
+        print("  retried after detaching the MAX view: ok")
     print(f"  SumDosage at day 12 is now   : {sum_view.value_at(12)}")
 
     print("\nSumDosage view contents (reconstructed from the SB-tree):")

@@ -32,7 +32,8 @@ table.
 CSV input for ``build`` and ``serve --csv`` has one fact per line:
 ``value,start,end`` (a header line is tolerated and skipped).  Every
 number, in a CSV or on the command line, must be finite: ``inf`` or
-``nan`` is refused with one ``error:`` line and exit status 2.
+``nan`` is refused with one ``error:`` line and exit status 2, and so
+is a CSV row or a ``range`` whose interval is empty or inverted.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ def _row(spec: str) -> list:
 def _csv_facts(path: str) -> List[Tuple[Any, Interval]]:
     """The ``value,start,end`` facts of a CSV file.  A line that does not
     start with three numbers -- a header, a blank line -- is skipped; one
-    whose numbers are not all finite ends the command (exit status 2)."""
+    whose numbers are not all finite, or whose interval is empty or
+    inverted, ends the command (exit status 2)."""
     facts = []
     with open(path, newline="") as handle:
         for line, row in enumerate(csv.reader(handle), 1):
@@ -94,10 +96,10 @@ def _csv_facts(path: str) -> List[Tuple[Any, Interval]]:
                 continue  # tolerate header and blank lines
             try:
                 value, start, end = (_number(cell) for cell in row[:3])
-            except argparse.ArgumentTypeError as exc:
+                facts.append((value, Interval(start, end)))
+            except (argparse.ArgumentTypeError, ValueError) as exc:
                 print(f"error: {path}, line {line}: {exc}", file=sys.stderr)
                 raise SystemExit(2)
-            facts.append((value, Interval(start, end)))
     return facts
 
 
@@ -215,6 +217,12 @@ def cmd_lookup(args: argparse.Namespace) -> int:
 
 
 def cmd_range(args: argparse.Namespace) -> int:
+    if not args.start < args.end:
+        print(
+            f"error: empty or inverted range [{args.start}, {args.end})",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
     store, tree = _open_tree(args.file)
     window = Interval(args.start, args.end)
     table = tree.range_query(window).coalesce(tree.spec.eq).finalized(tree.spec)
@@ -372,27 +380,29 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import tempfile
 
+    facts = _csv_facts(args.csv) if args.csv else None
     if args.paged is not None:
-        return _serve(args, args.paged)
+        return _serve(args, args.paged, facts)
     # Until the serving loop takes SIGTERM over, it unwinds like ^C, so
     # the directory is removed on a SIGTERM during the start too.
     signal.signal(signal.SIGTERM, signal.default_int_handler)
     directory = tempfile.mkdtemp(prefix="repro-serve-")
     try:
         print(f"journaling into {directory} (removed on exit)", flush=True)
-        return _serve(args, directory)
+        return _serve(args, directory, facts)
     finally:
         shutil.rmtree(directory, ignore_errors=True)
 
 
-def _serve(args: argparse.Namespace, directory: str) -> int:
+def _serve(
+    args: argparse.Namespace, directory: str, facts: Optional[List[Tuple[Any, Interval]]]
+) -> int:
     import asyncio
     import signal
 
     from .sharding import ShardedTree, ShardingError
     from .service.server import TemporalAggregateServer
 
-    facts = _csv_facts(args.csv) if args.csv else None
     try:
         sharded = ShardedTree.open(
             directory,

@@ -10,7 +10,6 @@ from .dynamic import (
     ViewReading,
     parse_lag,
 )
-from .manager import TemporalWarehouse
 from .materialized import MaterializedView
 from .view import ANY_WINDOW, TemporalAggregateView
 
@@ -23,7 +22,6 @@ __all__ = [
     "DynamicView",
     "MaterializedView",
     "TemporalAggregateView",
-    "TemporalWarehouse",
     "ViewDependencyError",
     "ViewReading",
     "parse_lag",

@@ -6,10 +6,10 @@ an SB-tree *index* of the aggregate, which is cheap to update (O(log n)
 per base change, even for tuples with long valid intervals) and can
 reconstruct the view contents on demand.
 
-A :class:`TemporalAggregateView` subscribes to a
-:class:`~repro.relation.table.TemporalRelation` and routes every change
-event into the right index structure for its aggregate kind and window
-specification:
+A :class:`TemporalAggregateView` is an in-memory index over one
+:class:`~repro.relation.table.TemporalRelation`: it subscribes to the
+relation and routes every change event into the right index structure
+for its aggregate kind and window specification:
 
 ===============  =============================  ==========================
 window           kinds                          backing structure
@@ -33,6 +33,10 @@ the single group ``None``::
     view.value_at(19, key="Amy")   # Amy's dosage at day 19
     view.values_at(19)             # every patient's value at day 19
     view.table(key="Amy")          # Amy's constant intervals
+
+A named, durable set of views is a ``DynamicCatalog``; a durable tree
+is an ``SBTree``, ``DualTreeAggregate`` or ``MSBTree`` on a
+``PagedNodeStore``.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from ..core.intervals import Interval, Time
 from ..core.msbtree import MSBTree
 from ..core.results import ConstantIntervalTable
 from ..core.sbtree import SBTree
-from ..core.nodestore import NodeStore
 from ..core.values import spec_for
 from ..relation.table import TemporalRelation
 from ..relation.tuples import ChangeEvent, ChangeKind, TemporalTuple
@@ -90,7 +93,8 @@ class TemporalAggregateView:
     Parameters
     ----------
     name:
-        View name (used in the warehouse catalog and error messages).
+        View name (used in error messages and in the
+        ``view.<name>.maintain`` op every change records).
     relation:
         The base :class:`TemporalRelation`; the view subscribes to its
         change stream and replays existing contents.
@@ -106,11 +110,6 @@ class TemporalAggregateView:
     value_of:
         Extracts the aggregated quantity from a tuple (defaults to the
         tuple's ``value`` field).
-    store / ended_store:
-        Optional node stores (e.g. :class:`repro.storage.PagedNodeStore`)
-        for the backing tree(s) of an ungrouped view; dual-tree views
-        take two.  A page file holds one tree, so a grouped view takes
-        none.
     """
 
     def __init__(
@@ -122,16 +121,9 @@ class TemporalAggregateView:
         key_of: Optional[KeyOf] = None,
         window: Union[Time, _AnyWindow] = 0,
         value_of: Optional[ValueOf] = None,
-        store: Optional[NodeStore] = None,
-        ended_store: Optional[NodeStore] = None,
         branching: int = 32,
         leaf_capacity: Optional[int] = None,
     ) -> None:
-        if key_of is not None and (store is not None or ended_store is not None):
-            raise ValueError(
-                f"view {name!r}: a grouped view keeps one tree per key and "
-                "a page file holds one tree; pass no store"
-            )
         self.name = name
         self.relation = relation
         self.spec = spec_for(kind)
@@ -143,7 +135,7 @@ class TemporalAggregateView:
         )
         self._indexes: Dict[Hashable, Any] = {}
         if key_of is None:
-            self._indexes[None] = self._new_index(store, ended_store)
+            self._indexes[None] = self._new_index()
         self._handler = _ChangeHandler(self)
         relation.subscribe(self._handler, replay=True)
 
@@ -163,7 +155,7 @@ class TemporalAggregateView:
         key = None if self._key_of is None else self._key_of(event.tuple)
         index = self._indexes.get(key)
         if index is None:
-            index = self._indexes[key] = self._new_index(None, None)
+            index = self._indexes[key] = self._new_index()
         if not obs.ENABLED:
             self._apply_change(index, event)
             return
@@ -287,14 +279,14 @@ class TemporalAggregateView:
         )
 
 
-def _index_factory(spec, window, tree_args) -> Callable[[Any, Any], Any]:
-    """The constructor of one group's index, ``(store, ended_store) -> index``."""
+def _index_factory(spec, window, tree_args) -> Callable[[], Any]:
+    """The constructor of one group's index."""
     if isinstance(window, _AnyWindow):
         if spec.invertible:
-            return lambda store, ended: DualTreeAggregate(spec, store, ended, **tree_args)
-        return lambda store, ended: MSBTree(spec, store, **tree_args)
+            return lambda: DualTreeAggregate(spec, **tree_args)
+        return lambda: MSBTree(spec, **tree_args)
     if window == 0:
-        return lambda store, ended: SBTree(spec, store, **tree_args)
+        return lambda: SBTree(spec, **tree_args)
     if window > 0:
-        return lambda store, ended: FixedWindowTree(spec, window, store, **tree_args)
+        return lambda: FixedWindowTree(spec, window, **tree_args)
     raise ValueError(f"invalid window specification: {window!r}")

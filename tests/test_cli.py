@@ -154,39 +154,58 @@ def _refused(argv, capsys):
     return errors[0]
 
 
+#: A bad CSV row and the reason its ``error:`` line gives.
+BAD_ROWS = {
+    "1,20,inf": "not a finite number: 'inf'",
+    "nan,20,40": "not a finite number: 'nan'",
+    "1,-inf,40": "not a finite number: '-inf'",
+    "1,10,5": "empty or inverted interval [10, 5)",
+}
+
+
 class TestNonFiniteNumbers:
-    """``inf`` and ``nan`` are refused with one ``error:`` line and exit
-    status 2, never a traceback and never silently skipped."""
+    """``inf`` and ``nan``, and an empty or inverted interval, are
+    refused with one ``error:`` line and exit status 2, never a
+    traceback and never silently skipped."""
 
     def test_read_verbs(self, sum_index, msb_index, capsys):
-        for argv in (
-            ["lookup", sum_index, "nan"],
-            ["lookup", msb_index, "50", "--window", "inf"],
-            ["range", sum_index, "0", "inf"],
+        for argv, reason in (
+            (["lookup", sum_index, "nan"], "not a finite number"),
+            (["lookup", msb_index, "50", "--window", "inf"], "not a finite number"),
+            (["range", sum_index, "0", "inf"], "not a finite number"),
+            (["lookup", sum_index, "x"], "not a number: 'x'"),
+            (["range", sum_index, "10", "5"], "empty or inverted range [10, 5)"),
+            (["range", sum_index, "5", "5"], "empty or inverted range [5, 5)"),
         ):
-            assert "not a finite number" in _refused(argv, capsys), argv
-        assert "not a number: 'x'" in _refused(["lookup", sum_index, "x"], capsys)
+            assert reason in _refused(argv, capsys), argv
+        # The range is refused before the file is opened.
+        missing = os.path.join(os.path.dirname(sum_index), "missing.sbt")
+        assert "inverted" in _refused(["range", missing, "10", "5"], capsys)
 
-    @pytest.mark.parametrize("row", ["1,20,inf", "nan,20,40", "1,-inf,40"])
+    @pytest.mark.parametrize("row", BAD_ROWS)
     def test_build_names_the_line(self, tmp_path, row, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text(f"value,start,end\n2,10,40\n\n{row}\n3,10,30\n")
         path = tmp_path / "bad.sbt"
         error = _refused(["build", str(path), "--kind", "sum", "--csv", str(bad)], capsys)
-        assert error.startswith(f"error: {bad}, line 4: not a finite number: "), error
-        assert not path.exists()  # refused before the page file is made
+        assert error == f"error: {bad}, line 4: {BAD_ROWS[row]}", error
+        assert os.listdir(tmp_path) == ["bad.csv"]  # refused before any file is made
 
     def test_serve_span_cuts_and_seed(self, tmp_path, capsys):
         serve = ["serve", "--kind", "sum", "--port", "0"]
         assert "--hi" in _refused(serve + ["--lo", "0", "--hi", "inf"], capsys)
         assert "--lo" in _refused(serve + ["--lo", "nan"], capsys)
         assert "--boundaries" in _refused(serve + ["--boundaries", "10,nan"], capsys)
-        bad = tmp_path / "bad.csv"
-        bad.write_text("value,start,end\n\n2,10,40\n3,inf,30\n")
-        directory = tmp_path / "shards"
-        error = _refused(serve + ["--csv", str(bad), "--paged", str(directory)], capsys)
-        assert f"{bad}, line 4: not a finite number: 'inf'" in error
-        assert not directory.exists()  # refused before a shard file is made
+        for row, reason in (
+            ("3,inf,30", "not a finite number: 'inf'"),
+            ("1,10,5", BAD_ROWS["1,10,5"]),
+        ):
+            bad = tmp_path / "bad.csv"
+            bad.write_text(f"value,start,end\n\n2,10,40\n{row}\n")
+            directory = tmp_path / "shards"
+            error = _refused(serve + ["--csv", str(bad), "--paged", str(directory)], capsys)
+            assert error == f"error: {bad}, line 4: {reason}", error
+            assert not directory.exists()  # refused before a shard file is made
 
     def test_view_verbs(self, capsys):
         # Refused while parsing: no server is listening on port 1.

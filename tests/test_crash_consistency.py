@@ -1,8 +1,5 @@
 """Crash-consistency tests: the :mod:`repro.crashcheck` harness over the
-paged store, stateful multi-view checkpoint crashes for the warehouse
-(a crash between committing view N and view N+1 must leave every view
-individually recoverable to a committed snapshot), and every write of a
-library flush torn in turn."""
+paged store, and every write of a library flush torn in turn."""
 
 import os
 import subprocess
@@ -21,7 +18,6 @@ from repro.sharding import ShardedTree
 from repro.storage import PagedNodeStore
 from repro.storage import pager as pager_module
 from repro.storage.pager import Pager, scan_wal
-from repro.warehouse import TemporalWarehouse
 
 
 # ----------------------------------------------------------------------
@@ -270,41 +266,10 @@ class TestCrashCheckChecksSomething:
 
 
 # ----------------------------------------------------------------------
-# Warehouse: multi-view checkpoint crashes (stateful)
+# Library page files: whoever opens a file, a flush is a commit
 # ----------------------------------------------------------------------
-BASE_FACTS = [(2, Interval(0, 10)), (3, Interval(5, 20)), (1, Interval(8, 30))]
-MORE_FACTS = [(4, Interval(12, 25)), (2, Interval(18, 40)), (5, Interval(3, 9))]
-
-VIEW_KINDS = {"v1": "sum", "v2": "count"}
-
-
-def _build_warehouse(directory):
-    """Two persistent views over one table, checkpointed at BASE_FACTS,
-    with MORE_FACTS maintained but not yet durable."""
-    wh = TemporalWarehouse(str(directory))
-    rel = wh.create_table("rx")
-    for name, kind in VIEW_KINDS.items():
-        wh.create_view(name, "rx", kind, persistent=True)
-    for value, interval in BASE_FACTS:
-        rel.insert(value, interval)
-    wh.checkpoint()
-    for value, interval in MORE_FACTS:
-        rel.insert(value, interval)
-    stores = [
-        store
-        for name in VIEW_KINDS
-        for store in TemporalWarehouse._stores_of(wh.view(name))
-    ]
-    return wh, stores
-
-
-def _oracle(name, which):
-    facts = BASE_FACTS if which == "base" else BASE_FACTS + MORE_FACTS
-    return reference.instantaneous_table(facts, VIEW_KINDS[name])
-
-
 def _recovered_table(path):
-    """Reopen one view's page file directly (journal rollback included)."""
+    """Reopen one page file directly (WAL replay included)."""
     store = PagedNodeStore(str(path))
     tree = SBTree(store=store)
     try:
@@ -315,89 +280,6 @@ def _recovered_table(path):
         store.close()
 
 
-class TestWarehouseCheckpointCrash:
-    @pytest.mark.parametrize(
-        "point,hit,expected",
-        [
-            # Crash inside v1's own commit, before its frames are
-            # written: nothing of the second batch survives anywhere.
-            ("before_wal_write", 1, {"v1": "base", "v2": "base"}),
-            # Once v1's commit frame is in the file a process death
-            # keeps it (the fsync is the commit point against a power
-            # cut): v1 has the new snapshot, v2 until its own frame
-            # lands the old one.
-            ("before_commit_fsync", 1, {"v1": "new", "v2": "base"}),
-            # Right after v1's commit point, the fsync of its WAL.
-            pytest.param(
-                "after_commit_fsync",
-                1,
-                {"v1": "new", "v2": "base"},
-                id="after_journal_commit_point-v1",
-            ),
-            ("before_wal_write", 2, {"v1": "new", "v2": "base"}),
-            ("before_commit_fsync", 2, {"v1": "new", "v2": "new"}),
-            ("after_commit_fsync", 2, {"v1": "new", "v2": "new"}),
-        ],
-    )
-    def test_crash_between_view_commits(self, tmp_path, point, hit, expected):
-        wh, stores = _build_warehouse(tmp_path)
-        injector = FaultInjector().crash_at(point, hit=hit)
-        for store in stores:
-            store.pager.faults = injector  # shared: hit counts span views
-        with pytest.raises(SimulatedCrash):
-            wh.checkpoint()
-        for store in stores:
-            simulate_crash(store)
-        for name, which in expected.items():
-            recovered = _recovered_table(tmp_path / f"{name}.sbt")
-            assert recovered == _oracle(name, which), (
-                f"view {name} did not recover to its {which} snapshot "
-                f"after a crash at {point} hit {hit}"
-            )
-
-    def test_every_checkpoint_crash_point_leaves_committed_views(self, tmp_path):
-        """Mini-sweep: crash the two-view checkpoint at every occurrence
-        of every crash point; each view must recover to one of its two
-        committed snapshots -- never a blend."""
-        wh, stores = _build_warehouse(tmp_path / "dry")
-        counter = FaultInjector().disarm()
-        for store in stores:
-            store.pager.faults = counter
-        wh.checkpoint()
-        occurrences = dict(counter.hits)  # before close() adds its own hits
-        for store in stores:
-            store.pager.faults = None
-        wh.close()
-        assert occurrences, "checkpoint hit no crash points"
-
-        legal = {
-            name: (_oracle(name, "base"), _oracle(name, "new"))
-            for name in VIEW_KINDS
-        }
-        case = 0
-        for point, total in sorted(occurrences.items()):
-            for hit in crashcheck._hit_schedule(total, "sample"):
-                case += 1
-                workdir = tmp_path / f"case-{case}"
-                wh, stores = _build_warehouse(workdir)
-                injector = FaultInjector(seed=case).crash_at(point, hit=hit)
-                for store in stores:
-                    store.pager.faults = injector
-                with pytest.raises(SimulatedCrash):
-                    wh.checkpoint()
-                for store in stores:
-                    simulate_crash(store)
-                for name in VIEW_KINDS:
-                    recovered = _recovered_table(workdir / f"{name}.sbt")
-                    assert recovered in legal[name], (
-                        f"view {name} recovered to an uncommitted blend "
-                        f"after a crash at {point} hit {hit}"
-                    )
-
-
-# ----------------------------------------------------------------------
-# Library page files: whoever opens a file, a flush is a commit
-# ----------------------------------------------------------------------
 def _scattered(first, count):
     """SUM facts in random-looking order over [0, 100000)."""
     return [
@@ -439,8 +321,8 @@ def _tear_every_write(build):
 
 
 class TestLibraryFlush:
-    """Page files no sharded opener made -- a default-constructed store,
-    a persistent warehouse view -- have the same WAL as a shard's.  Each
+    """Page files no sharded opener made -- a default-constructed store
+    -- have the same WAL as a shard's.  Each
     flush here checkpoints, so the sweeps tear the commit, every
     checkpoint copy and the new generation's header (and, for the
     reopened store, the WAL's creation)."""
@@ -467,24 +349,6 @@ class TestLibraryFlush:
             for value, interval in self.SECOND:
                 tree.insert(value, interval)
             return store, store.flush, self.FIRST, self.FIRST + self.SECOND
-
-        assert _tear_every_write(build) > 3
-
-    def test_a_persistent_view_torn_anywhere_in_a_checkpoint_keeps_one(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setattr(pager_module, "WAL_CHECKPOINT_BYTES", 0)
-
-        def build(case):
-            wh = TemporalWarehouse(str(tmp_path / case))
-            rel = wh.create_table("rx")
-            view = wh.create_view("v", "rx", "sum", persistent=True)
-            for value, interval in self.FIRST:
-                rel.insert(value, interval)
-            wh.checkpoint()
-            for value, interval in self.SECOND:
-                rel.insert(value, interval)
-            return view.index.store, wh.checkpoint, self.FIRST, self.FIRST + self.SECOND
 
         assert _tear_every_write(build) > 3
 

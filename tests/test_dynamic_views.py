@@ -100,6 +100,8 @@ class TestDagStructure:
         cat.create_view("b", "a", "sum")
         with pytest.raises(ViewDependencyError, match="b"):
             cat.drop_view("a")
+        with pytest.raises(ViewDependencyError, match="'a'"):
+            cat.drop_table("t")
         cat.drop_view("b")
         cat.drop_view("a")
         with pytest.raises(ViewDependencyError):

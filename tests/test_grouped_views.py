@@ -229,10 +229,13 @@ class TestGroupedView:
                 check_grouped_against_per_key(kind, window)
 
     def test_a_store_is_refused_before_subscribing(self):
+        """A view is an in-memory index: every view, grouped or not,
+        refuses a node store and subscribes nothing."""
         rel = TemporalRelation("r")
-        for kwargs in ({"store": MemoryNodeStore()}, {"ended_store": MemoryNodeStore()}):
-            with pytest.raises(ValueError, match="one tree"):
-                TemporalAggregateView(
-                    "g", rel, "sum", key_of=lambda row: row.value, **kwargs
-                )
+        for key_of in (None, lambda row: row.value):
+            for option in ("store", "ended_store"):
+                with pytest.raises(TypeError, match=option):
+                    TemporalAggregateView(
+                        "g", rel, "sum", key_of=key_of, **{option: MemoryNodeStore()}
+                    )
         assert rel._subscribers == []

@@ -8,7 +8,7 @@ import pytest
 from repro import ConcurrentTree, Interval, MSBTree, SBTree, obs
 from repro.relation import TemporalRelation
 from repro.storage import PagedNodeStore
-from repro.warehouse import TemporalWarehouse
+from repro.warehouse import TemporalAggregateView
 from repro.workloads import uniform
 
 FACTS = uniform(400, horizon=10_000, max_duration=200, seed=29)
@@ -233,42 +233,28 @@ class TestConcurrentAccounting:
 # ----------------------------------------------------------------------
 class TestViewMaintenanceAccounting:
     def test_view_maintenance_ops_are_named_per_view(self):
-        warehouse = TemporalWarehouse()
-        rel = warehouse.create_table("r")
-        warehouse.create_view("SumV", "r", "sum")
+        rel = TemporalRelation("r")
+        TemporalAggregateView("SumV", rel, "sum")
         with obs.collecting() as registry:
             rel.insert(3, Interval(0, 10))
             rel.insert(4, Interval(5, 20))
             assert registry.op_summary("view.SumV.maintain")["count"] == 2
             # The inner SB-tree insert is attributed to the view op only.
             assert registry.op_summary("insert")["count"] == 0
-            per_view = warehouse.maintenance_summary()
-        assert set(per_view) == {"SumV"}
-        assert per_view["SumV"]["count"] == 2
 
     def test_a_grouped_view_records_one_op_family(self):
-        warehouse = TemporalWarehouse()
-        rel = warehouse.create_table("r")
-        warehouse.create_view("flat", "r", "sum")
-        warehouse.create_view("g", "r", "sum", key_of=lambda row: row.payload["k"])
+        rel = TemporalRelation("r")
+        TemporalAggregateView("flat", rel, "sum")
+        TemporalAggregateView("g", rel, "sum", key_of=lambda row: row.payload["k"])
         with obs.collecting() as registry:
             rows = [
                 rel.insert(i + 1, Interval(i, i + 10), k=key)
                 for i, key in enumerate("abcab")
             ]
             rel.delete(rows[1])
-            families = [op for op in registry.op_names() if op.startswith("view.g")]
-            per_view = warehouse.maintenance_summary()
-        assert families == ["view.g.maintain"]
-        assert set(per_view) == {"flat", "g"}
-        assert per_view["g"]["count"] == per_view["flat"]["count"] == 6
-
-    def test_maintenance_summary_empty_when_disabled(self):
-        warehouse = TemporalWarehouse()
-        rel = warehouse.create_table("r")
-        warehouse.create_view("SumV", "r", "sum")
-        rel.insert(3, Interval(0, 10))
-        assert warehouse.maintenance_summary() == {}
+            families = [op for op in registry.op_names() if op.startswith("view.")]
+            counts = {op: registry.op_summary(op)["count"] for op in families}
+        assert counts == {"view.flat.maintain": 6, "view.g.maintain": 6}
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,10 @@
-"""Tests for history retention (retain_after) and grouped warehouse views."""
+"""Tests for history retention (retain_after)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Interval, NEG_INF, SBTree, check_tree
 from repro.core import reference
-from repro.warehouse import TemporalWarehouse
 from repro.workloads import PRESCRIPTIONS, prescription_facts
 
 
@@ -137,49 +136,3 @@ class TestRetainAfterMSB:
                 got = msb.window_lookup(t, w)
                 if t - w >= 90:
                     assert got == reference.cumulative_value(clipped, "max", t, w)
-
-
-class TestWarehouseGroupedViews:
-    def test_create_view_with_key_of(self):
-        wh = TemporalWarehouse()
-        rel = wh.create_table("prescription")
-        grouped = wh.create_view(
-            "ByPatient", "prescription", "sum",
-            key_of=lambda row: row.payload["patient"],
-            branching=4, leaf_capacity=4,
-        )
-        for p in PRESCRIPTIONS:
-            rel.insert(p.dosage, p.valid, patient=p.patient)
-        assert grouped.value_at(19, key="Amy") == 2
-        assert wh.view("ByPatient") is grouped
-
-    def test_duplicate_name_rejected(self):
-        wh = TemporalWarehouse()
-        wh.create_table("t")
-        wh.create_view("v", "t", "sum")
-        with pytest.raises(ValueError):
-            wh.create_view("v", "t", "sum", key_of=lambda r: 0)
-
-    def test_persistent_grouped_view_is_refused(self, tmp_path):
-        wh = TemporalWarehouse(str(tmp_path))
-        rel = wh.create_table("t")
-        with pytest.raises(ValueError, match="one tree"):
-            wh.create_view(
-                "g", "t", "sum", key_of=lambda row: row.value, persistent=True
-            )
-        assert rel._subscribers == []
-        assert list(tmp_path.iterdir()) == []
-        with pytest.raises(KeyError):
-            wh.view("g")
-
-    def test_close_handles_grouped_views(self):
-        wh = TemporalWarehouse()
-        rel = wh.create_table("t")
-        wh.create_view(
-            "g", "t", "sum", key_of=lambda row: row.value % 2,
-            branching=4, leaf_capacity=4,
-        )
-        rel.insert(1, Interval(0, 10))
-        rel.insert(2, Interval(5, 15))
-        wh.checkpoint()
-        wh.close()  # must not raise on the grouped view's stores

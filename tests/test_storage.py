@@ -6,6 +6,7 @@ import pytest
 
 from repro import Interval, MSBTree, SBTree, check_tree
 from repro.core import reference
+from repro.core.dual import DualTreeAggregate
 from repro.core.nodes import Node
 from repro.core.values import spec_for
 from repro.storage import (
@@ -16,7 +17,7 @@ from repro.storage import (
     PagedNodeStore,
     Pager,
 )
-from repro.workloads import PRESCRIPTIONS
+from repro.workloads import PRESCRIPTIONS, prescription_facts
 
 
 # ----------------------------------------------------------------------
@@ -351,6 +352,41 @@ class TestPagedNodeStore:
                 msb.insert(p.dosage, p.valid)
             assert msb.window_lookup(50, 20) == 4
             check_tree(msb)
+
+    def test_double_close_is_safe(self, tmp_path):
+        path = str(tmp_path / "t.sbt")
+        store = PagedNodeStore(path, "sum")
+        expected = self.build(store).to_table()
+        store.close()
+        store.close()  # idempotent
+        with PagedNodeStore(path) as reopened:
+            assert SBTree(store=reopened).to_table() == expected
+
+    def test_dual_trees_on_disk(self, tmp_path):
+        """Cumulative AVG for any offset (Section 4.2) is two trees, one
+        page file each, and both files reopen to the same answers."""
+        facts = prescription_facts()
+        paths = [str(tmp_path / "current.sbt"), str(tmp_path / "ended.sbt")]
+        stores = [PagedNodeStore(path, "avg") for path in paths]
+        dual = DualTreeAggregate("avg", *stores, branching=4, leaf_capacity=4)
+        for value, interval in facts:
+            dual.insert(value, interval)
+        probes = [(t, w) for t in range(0, 60, 5) for w in (0, 5, 20)]
+        answers = [dual.window_lookup_final(t, w) for t, w in probes]
+        spec = spec_for("avg")
+        assert answers == [
+            spec.finalize(reference.cumulative_value(facts, "avg", t, w))
+            for t, w in probes
+        ]
+        for store in stores:
+            store.close()
+        stores = [PagedNodeStore(path) for path in paths]
+        reopened = DualTreeAggregate(None, *stores)
+        assert [reopened.window_lookup_final(t, w) for t, w in probes] == answers
+        check_tree(reopened.current)
+        check_tree(reopened.ended)
+        for store in stores:
+            store.close()
 
     def test_kind_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "t.sbt")

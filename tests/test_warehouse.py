@@ -1,5 +1,5 @@
-"""Tests for the warehouse layer: maintained views, direct materialization,
-the catalog, and persistence."""
+"""Tests for the warehouse layer: maintained views and direct
+materialization."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.warehouse import (
     ANY_WINDOW,
     MaterializedView,
     TemporalAggregateView,
-    TemporalWarehouse,
 )
 from repro.workloads import PRESCRIPTIONS, prescription_facts
 
@@ -192,189 +191,3 @@ class TestMaterializedView:
             facts.append((value, interval))
             view.insert(value, interval)
         assert view.to_table() == reference.instantaneous_table(facts, "sum")
-
-
-# ----------------------------------------------------------------------
-# Warehouse catalog
-# ----------------------------------------------------------------------
-class TestTemporalWarehouse:
-    def test_catalog_roundtrip(self):
-        wh = TemporalWarehouse()
-        rel = wh.create_table("prescription")
-        view = wh.create_view("SumDosage", "prescription", "sum")
-        load_prescriptions(rel)
-        assert wh.view("SumDosage") is view
-        assert wh.table("prescription") is rel
-        assert view.value_at(19) == 6
-
-    def test_duplicate_names_rejected(self):
-        wh = TemporalWarehouse()
-        wh.create_table("t")
-        with pytest.raises(ValueError):
-            wh.create_table("t")
-        wh.create_view("v", "t", "sum")
-        with pytest.raises(ValueError):
-            wh.create_view("v", "t", "sum")
-
-    def test_drop_view_detaches(self):
-        wh = TemporalWarehouse()
-        rel = wh.create_table("t")
-        view = wh.create_view("v", "t", "sum")
-        wh.drop_view("v")
-        rel.insert(1, Interval(0, 10))
-        assert view.value_at(5) == 0
-
-    def test_drop_view_removes_persistent_files(self, tmp_path):
-        import os
-
-        directory = str(tmp_path / "wh")
-        with TemporalWarehouse(directory) as wh:
-            rel = wh.create_table("t")
-            wh.create_view("v", "t", "sum", persistent=True)
-            wh.create_view("cum", "t", "avg", window=ANY_WINDOW, persistent=True)
-            rel.insert(4, Interval(0, 10))
-            for name, backings in (("v", 1), ("cum", 2)):
-                paths = [f"{directory}/{name}.sbt"]
-                if backings == 2:
-                    paths.append(f"{directory}/{name}.ended.sbt")
-                for path in paths:
-                    assert os.path.exists(path)
-                wh.drop_view(name)
-                # Dropping closes and removes the page stores (and any
-                # leftover WAL); nothing leaks on disk.
-                for path in paths:
-                    assert not os.path.exists(path)
-                    assert not os.path.exists(path + "-wal")
-
-    def test_dropped_view_leaves_no_wal_for_its_name(self, tmp_path):
-        """A dropped persistent view whose store could not close cleanly
-        still takes its WAL with it: left behind, the frames would
-        replay into the next view of that name."""
-        import os
-
-        from repro.faults import FaultInjector
-
-        directory = str(tmp_path / "wh")
-        wh = TemporalWarehouse(directory)
-        rel = wh.create_table("t")
-        wh.create_table("u")
-        view = wh.create_view("v", "t", "sum", persistent=True)
-        rel.insert(4, Interval(0, 10))
-        wh.checkpoint()  # committed into the WAL, nothing checkpointed
-        pager = view.index.store.pager
-        assert os.path.getsize(pager.wal_path) > 0
-        pager.retry_backoff = 0.0
-        pager.faults = FaultInjector().fail_writes("wal", times=None)
-        rel.insert(5, Interval(2, 8))
-        with pytest.warns(RuntimeWarning, match="degraded mode"):
-            with pytest.raises(OSError):
-                wh.checkpoint()
-        wh.drop_view("v")  # a degraded store closes without a checkpoint
-        assert os.listdir(directory) == []
-        again = wh.create_view("v", "u", "sum", persistent=True)
-        assert again.table().rows == []
-        assert again.value_at(5) == 0
-        wh.close()
-        assert not [name for name in os.listdir(directory) if name.endswith("-wal")]
-
-    def test_drop_table_refuses_while_views_depend(self):
-        wh = TemporalWarehouse()
-        rel = wh.create_table("t")
-        wh.create_view("v", "t", "sum")
-        with pytest.raises(ValueError, match="v"):
-            wh.drop_table("t")
-        wh.drop_view("v")
-        wh.drop_table("t")
-        with pytest.raises(KeyError):
-            wh.table("t")
-        # The relation object itself survives for anyone still holding it.
-        rel.insert(1, Interval(0, 5))
-
-    def test_drop_table_unknown(self):
-        wh = TemporalWarehouse()
-        with pytest.raises(KeyError):
-            wh.drop_table("missing")
-
-    def test_persistent_view_requires_directory(self):
-        wh = TemporalWarehouse()
-        wh.create_table("t")
-        with pytest.raises(ValueError):
-            wh.create_view("v", "t", "sum", persistent=True)
-
-    def test_persistent_views_survive_reopen(self, tmp_path):
-        directory = str(tmp_path / "wh")
-        with TemporalWarehouse(directory) as wh:
-            rel = wh.create_table("prescription")
-            wh.create_view("SumDosage", "prescription", "sum", persistent=True)
-            load_prescriptions(rel)
-        # Reopen the page file directly: the index is all on disk.
-        from repro.storage import PagedNodeStore
-
-        with PagedNodeStore(f"{directory}/SumDosage.sbt") as store:
-            tree = SBTree(store=store)
-            assert tree.lookup(19) == 6
-
-    def test_journaled_view_survives_crash(self, tmp_path):
-        directory = str(tmp_path / "wh")
-        wh = TemporalWarehouse(directory)
-        rel = wh.create_table("prescription")
-        view = wh.create_view(
-            "SumDosage", "prescription", "sum", persistent=True
-        )
-        rows = load_prescriptions(rel)
-        wh.checkpoint()  # durable snapshot
-        committed = view.table()
-        rel.insert(100, Interval(0, 1000))  # uncommitted
-        store = view.index.store
-        store.buffer.flush()
-        store.pager._file.flush()
-        store.pager._file.close()  # simulated crash
-
-        from repro.storage import PagedNodeStore
-
-        with PagedNodeStore(f"{directory}/SumDosage.sbt") as s:
-            recovered = SBTree(store=s)
-            assert (
-                recovered.to_table().finalized(recovered.spec).coalesce()
-                == committed
-            )
-
-    def test_persistent_msb_any_window_view(self, tmp_path):
-        """ANY_WINDOW MIN/MAX views persist as a single MSB-tree file."""
-        directory = str(tmp_path / "wh")
-        with TemporalWarehouse(directory) as wh:
-            rel = wh.create_table("t")
-            view = wh.create_view(
-                "worst", "t", "max", window=ANY_WINDOW, persistent=True
-            )
-            rel.insert(7, Interval(0, 10))
-            rel.insert(3, Interval(20, 30))
-            assert view.value_at(25, 20) == 7
-        import os
-
-        assert os.path.exists(f"{directory}/worst.sbt")
-        assert not os.path.exists(f"{directory}/worst.ended.sbt")
-
-    def test_double_close_is_safe(self, tmp_path):
-        directory = str(tmp_path / "wh")
-        wh = TemporalWarehouse(directory)
-        rel = wh.create_table("t")
-        wh.create_view("v", "t", "sum", persistent=True)
-        rel.insert(1, Interval(0, 10))
-        wh.close()
-        wh.close()  # idempotent
-
-    def test_persistent_any_window_view(self, tmp_path):
-        directory = str(tmp_path / "wh")
-        with TemporalWarehouse(directory) as wh:
-            rel = wh.create_table("t")
-            view = wh.create_view(
-                "cum", "t", "avg", window=ANY_WINDOW, persistent=True
-            )
-            rel.insert(4, Interval(0, 10))
-            rel.insert(2, Interval(5, 20))
-            assert view.value_at(15, 10) == pytest.approx(3.0)
-        import os
-
-        assert os.path.exists(f"{directory}/cum.sbt")
-        assert os.path.exists(f"{directory}/cum.ended.sbt")
