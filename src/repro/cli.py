@@ -83,24 +83,35 @@ def _row(spec: str) -> list:
 
 
 def _csv_facts(path: str) -> List[Tuple[Any, Interval]]:
-    """The ``value,start,end`` facts of a CSV file.  A line that does not
-    start with three numbers -- a header, a blank line -- is skipped; one
+    """The ``value,start,end`` facts of a CSV file.  Blank lines are
+    skipped, and so is the first non-blank line if it does not start
+    with three numbers (a header).  Any other row that does not, or
     whose numbers are not all finite, or whose interval is empty or
     inverted, ends the command (exit status 2)."""
     facts = []
     with open(path, newline="") as handle:
-        for line, row in enumerate(csv.reader(handle), 1):
-            try:
-                value, start, end = (float(cell) for cell in row[:3])
-            except ValueError:
-                continue  # tolerate header and blank lines
-            try:
-                value, start, end = (_number(cell) for cell in row[:3])
-                facts.append((value, Interval(start, end)))
-            except (argparse.ArgumentTypeError, ValueError) as exc:
-                print(f"error: {path}, line {line}: {exc}", file=sys.stderr)
-                raise SystemExit(2)
+        lines = enumerate(csv.reader(handle), 1)
+        rows = [(line, row) for line, row in lines if "".join(row).strip()]
+    for k, (line, row) in enumerate(rows):
+        try:
+            if len(row) < 3:
+                raise ValueError(f"needs value,start,end: {','.join(row)!r}")
+            value, start, end = (_number(cell) for cell in row[:3])
+            facts.append((value, Interval(start, end)))
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            if k == 0 and not _all_floats(row[:3]):
+                continue  # the header
+            print(f"error: {path}, line {line}: {exc}", file=sys.stderr)
+            raise SystemExit(2)
     return facts
+
+
+def _all_floats(cells: List[str]) -> bool:
+    """Whether *cells* are three numbers, finite or not."""
+    try:
+        return len([float(cell) for cell in cells]) == 3
+    except ValueError:
+        return False
 
 
 def _open_tree(path: str, buffer_capacity: int = 256):

@@ -20,7 +20,7 @@ import abc
 import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence
 
 from .nodes import Node, NodeId
 
@@ -75,12 +75,18 @@ class NodeStore(abc.ABC):
         """Return the node with the given id."""
 
     @abc.abstractmethod
-    def probe(self, node_id: NodeId, t: Any) -> Tuple[Any, Optional[NodeId]]:
-        """One step of a point lookup: ``(values[i], children[i])`` of
-        the node's interval ``i`` holding instant *t* -- what
-        ``read(node_id)`` then ``find(t)`` would give, ``children[i]``
-        being ``None`` on a leaf.  Counted as one node read; a store
-        may answer it without materialising the node."""
+    def descend(
+        self,
+        root_id: NodeId,
+        t: Any,
+        v0: Any,
+        acc: Callable[[Any, Any], Any],
+    ) -> Any:
+        """A point lookup (Section 3.1): walk from *root_id* to the leaf
+        whose interval holds instant *t*, folding with ``acc`` from *v0*
+        the value of the interval holding *t* on each level.  Counted as
+        one node read per level; a store may read a level without
+        materialising its node."""
 
     @abc.abstractmethod
     def write(self, node: Node) -> None:
@@ -159,11 +165,21 @@ class MemoryNodeStore(NodeStore):
         self.stats.reads += 1
         return self._nodes[node_id]
 
-    def probe(self, node_id: NodeId, t: Any) -> Tuple[Any, Optional[NodeId]]:
-        self.stats.reads += 1
-        node = self._nodes[node_id]
-        i = bisect.bisect_right(node.times, t)
-        return node.values[i], None if node.is_leaf else node.children[i]
+    def descend(
+        self,
+        root_id: NodeId,
+        t: Any,
+        v0: Any,
+        acc: Callable[[Any, Any], Any],
+    ) -> Any:
+        nodes, result, node_id = self._nodes, v0, root_id
+        while node_id is not None:
+            self.stats.reads += 1
+            node = nodes[node_id]
+            i = bisect.bisect_right(node.times, t)
+            result = acc(result, node.values[i])
+            node_id = None if node.is_leaf else node.children[i]
+        return result
 
     def write(self, node: Node) -> None:
         # The caller mutated the live object; just count the access.

@@ -215,16 +215,13 @@ class SBTree:
     @observed("lookup")
     def lookup(self, t: Time) -> Any:
         """Return the internal aggregate value at instant *t* in O(h):
-        one :meth:`NodeStore.probe` per level, root to leaf.  A NaN
-        instant is refused (``ValueError``): it lies in no interval."""
+        one :meth:`NodeStore.descend`, which reads one node per level,
+        root to leaf.  A NaN instant is refused (``ValueError``): it
+        lies in no interval."""
         if t != t:
             raise ValueError("instant must not be NaN")
-        acc, probe = self.spec.acc, self.store.probe
-        result, node_id = self.spec.v0, self._root_id
-        while node_id is not None:
-            value, node_id = probe(node_id, t)
-            result = acc(result, value)
-        return result
+        spec = self.spec
+        return self.store.descend(self._root_id, t, spec.v0, spec.acc)
 
     def lookup_final(self, t: Time) -> Any:
         """Return the user-facing aggregate value at instant *t*."""

@@ -501,7 +501,7 @@ class OracleModel:
         return self._heights[tree]
 
     def check_lookup(self, tree: Any, lookup: Callable[[int], Any], t: int) -> Any:
-        """``lookup(t)``, one probe per level of *tree*: h node reads;
+        """``lookup(t)``, one slot per level of *tree*: h node reads;
         on a page store h pool accesses, a page read per miss and at
         most one decode per access."""
         h, before = self.height(tree), tally(tree.store)

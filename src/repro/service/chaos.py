@@ -210,6 +210,12 @@ class ChaosProxy:
     def stop(self) -> None:
         self._stopping.set()
         if self._listener is not None:
+            # ``close()`` alone does not wake a thread blocked in
+            # ``accept()``; the shutdown does.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

@@ -37,8 +37,8 @@ at that moment, never by a setting:
   page and never fsyncs.  A level the pool holds costs a pointer chase
   to its cached node; the one cost left is that a cold page is a
   ``pread``, a checksum and a bisect on the loop, at most one per
-  level (:meth:`~repro.core.nodestore.NodeStore.probe` reads one slot
-  of the page bytes; a page is decoded on its second use).
+  level (:meth:`~repro.core.nodestore.NodeStore.descend` reads one
+  slot of the page bytes; a page is decoded on its second use).
 * *One executor job per burst.*  Every other read of the wake-up --
   ``rangeq`` and ``window``, which are O(h + r) with r unbounded, and
   the lookups that declined -- is answered in order by a single job in

@@ -435,11 +435,12 @@ class ShardedTree:
         ``wait=False`` is the read for a caller that must neither block
         nor write (the service's event loop): it raises
         :class:`WouldBlock` unless the shard's read lock is free *right
-        now* and its store holds nothing unwritten.  With every frame
-        clean, a buffer miss on the O(h) descent evicts without a
-        write-back: a level the pool holds is a pointer chase to its
-        cached node, and the worst a level costs is a ``pread``, a
-        checksum and a bisect.  A NaN instant is refused
+        now* and its store holds nothing unwritten.  The O(h) descent
+        is one :meth:`~repro.core.nodestore.NodeStore.descend` call
+        under one hold of the pool's mutex; with every frame clean, a
+        buffer miss on it evicts without a write-back: a level the pool
+        holds is a pointer chase to its cached node, and the worst a
+        level costs is a ``pread``, a checksum and a bisect.  A NaN instant is refused
         (:class:`ShardingError`) before any shard is touched.
         """
         if t != t:

@@ -15,10 +15,10 @@ a dictionary lookup instead of a page decode.  The object is the one
 last handed to :meth:`BufferPool.write`, or the one the caller's
 ``decode`` made (installed under the pool's mutex by
 :meth:`BufferPool.frame`): on the frame's first use, or on its second
-when a point lookup fetched it (``decode_on_miss=False``: a lookup
-reads one slot of a page, and most pages it fetches are evicted before
-anyone reads them again).  The pool never
-looks inside that object and never derives bytes from it: what reaches
+when a point lookup fetched it (:meth:`BufferPool.descend` reads one
+slot of a page it fetches, and most such pages are evicted before
+anyone reads them again).  The pool reads that object only to walk a
+lookup's path and never derives bytes from it: what reaches
 the pager on eviction or flush is always ``frame.payload``, the snapshot
 handed to :meth:`BufferPool.write`.  A write-back leaves the object in
 place; eviction, :meth:`BufferPool.discard` and
@@ -42,9 +42,10 @@ shared lock) must not race on the frame table.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Tuple
 
 from .pager import Pager
 
@@ -109,11 +110,7 @@ class BufferPool:
 
     # ------------------------------------------------------------------
     def frame(
-        self,
-        page_id: int,
-        decode: Optional[Callable[[bytes, int], Any]] = None,
-        *,
-        decode_on_miss: bool = True,
+        self, page_id: int, decode: Optional[Callable[[bytes, int], Any]] = None
     ) -> Frame:
         """Return a page's frame, fetching the page on a miss.
 
@@ -121,10 +118,7 @@ class BufferPool:
         decoded into the frame; ``None`` on a fresh miss and after
         :meth:`drop_nodes`.  With *decode*, a frame without one gets
         ``decode(frame.payload, page_id)``, under the pool's mutex, so
-        concurrent readers of a page share one object -- except a frame
-        this call fetched when *decode_on_miss* is false: a point
-        lookup reads one slot off ``frame.payload`` and leaves the frame
-        bytes-only, and the page's next use decodes it.
+        concurrent readers of a page share one object.
         """
         with self._mutex:
             frame = self._frames.get(page_id)
@@ -132,14 +126,55 @@ class BufferPool:
                 self.stats.hits += 1
                 self._frames.move_to_end(page_id)
             else:
-                self.stats.misses += 1
-                frame = Frame(self.pager.read_page(page_id), dirty=False)
-                self._admit(page_id, frame)
-                if not decode_on_miss:
-                    return frame
+                frame = self._fetch(page_id)
             if frame.node is None and decode is not None:
                 frame.node = decode(frame.payload, page_id)
             return frame
+
+    def descend(
+        self,
+        page_id: Optional[int],
+        t: Any,
+        result: Any,
+        acc: Callable[[Any, Any], Any],
+        decode: Callable[[bytes, int], Any],
+        probe: Callable[[bytes, int, Any], Tuple[Any, Optional[int]]],
+    ) -> Tuple[Any, int]:
+        """A point lookup, root page to leaf, under one hold of the
+        mutex: ``(result, levels)``, *result* folded with ``acc`` over
+        the value holding *t* on each level.
+
+        Each level is one pool access, counted as :meth:`frame` counts
+        it.  A hit reads the frame's node (``times``, ``values``,
+        ``children``, ``is_leaf``), decoding a bytes-only frame first --
+        its second use.  A miss fetches the page as :meth:`frame` does
+        and reads one slot off the bytes with ``probe(payload, page_id,
+        t) -> (value, child)``, leaving the frame bytes-only: most pages
+        a lookup fetches are evicted before anyone reads them again.
+        """
+        frames, touch, find = self._frames, self._frames.move_to_end, bisect_right
+        hits = fetched = 0
+        with self._mutex:
+            try:
+                while page_id is not None:
+                    frame = frames.get(page_id)
+                    if frame is None:
+                        fetched += 1
+                        frame = self._fetch(page_id)
+                        value, page_id = probe(frame.payload, page_id, t)
+                        result = acc(result, value)
+                        continue
+                    hits += 1
+                    touch(page_id)
+                    node = frame.node
+                    if node is None:
+                        node = frame.node = decode(frame.payload, page_id)
+                    i = find(node.times, t)
+                    result = acc(result, node.values[i])
+                    page_id = None if node.is_leaf else node.children[i]
+            finally:
+                self.stats.hits += hits
+        return result, hits + fetched
 
     def write(self, page_id: int, payload: bytes, node: Any) -> None:
         """Record new contents for a page (write-back: no pager I/O yet).
@@ -206,6 +241,14 @@ class BufferPool:
                 frame.dirty = False
 
     # ------------------------------------------------------------------
+    def _fetch(self, page_id: int) -> Frame:
+        """The one miss path: read the page and admit it bytes-only.  A
+        page the pager refuses (``PageCorruptionError``) is not admitted."""
+        self.stats.misses += 1
+        frame = Frame(self.pager.read_page(page_id), dirty=False)
+        self._admit(page_id, frame)
+        return frame
+
     def _admit(self, page_id: int, frame: Frame) -> None:
         while len(self._frames) >= self.capacity:
             # Write the victim back BEFORE dropping its frame: if the

@@ -160,6 +160,8 @@ BAD_ROWS = {
     "nan,20,40": "not a finite number: 'nan'",
     "1,-inf,40": "not a finite number: '-inf'",
     "1,10,5": "empty or inverted interval [10, 5)",
+    "1,10": "needs value,start,end: '1,10'",
+    "3,5,x": "not a number: 'x'",
 }
 
 
@@ -196,10 +198,8 @@ class TestNonFiniteNumbers:
         assert "--hi" in _refused(serve + ["--lo", "0", "--hi", "inf"], capsys)
         assert "--lo" in _refused(serve + ["--lo", "nan"], capsys)
         assert "--boundaries" in _refused(serve + ["--boundaries", "10,nan"], capsys)
-        for row, reason in (
-            ("3,inf,30", "not a finite number: 'inf'"),
-            ("1,10,5", BAD_ROWS["1,10,5"]),
-        ):
+        for row in ("3,inf,30", "1,10,5", "1,10", "3,5,x"):
+            reason = BAD_ROWS.get(row, "not a finite number: 'inf'")
             bad = tmp_path / "bad.csv"
             bad.write_text(f"value,start,end\n\n2,10,40\n{row}\n")
             directory = tmp_path / "shards"

@@ -2,7 +2,7 @@
 
 Tiny buffer pools: a paged tree whose pool holds a handful of its pages
 answers as the same tree in memory, before and after a reopen.  The
-lookup path: ``NodeStore.probe`` decodes a page on its second use, and
+lookup path: ``NodeStore.descend`` decodes a page on its second use, and
 reads the last written bytes after ``revert_unwritten``.  (Every route
 against the oracle, and a lookup's h node reads, pool accesses and page
 reads, are ``tests/test_oracle_machine.py``.)
@@ -106,7 +106,7 @@ def test_tiny_pool_msbtree_matches_memory_tree(kind, capacity, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The lookup path: what NodeStore.probe decodes
+# The lookup path: what NodeStore.descend decodes
 # ----------------------------------------------------------------------
 def filled_tree(path):
     store = PagedNodeStore(path, "sum", page_size=512, buffer_capacity=1000)

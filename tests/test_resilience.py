@@ -529,6 +529,15 @@ class TestChaosProxy:
         # Exactly once despite every duplicated request frame.
         assert sharded.facts_applied == len(facts)
 
+    def test_stop_wakes_the_accept_thread(self):
+        """An idle proxy's ``stop()`` returns at once, not after the
+        accept thread's join timeout."""
+        proxy = ChaosProxy("127.0.0.1", 1, plan=ChaosPlan()).start()
+        started = time.monotonic()
+        proxy.stop()
+        assert time.monotonic() - started < 1.0
+        assert not proxy._accept_thread.is_alive()
+
     def test_derive_rng_reproducible(self):
         assert derive_rng(3, "conn", 1).random() == derive_rng(3, "conn", 1).random()
         assert derive_rng(3, "conn", 1).random() != derive_rng(3, "conn", 2).random()

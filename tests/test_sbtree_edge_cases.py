@@ -51,6 +51,14 @@ class TestEmptyTree:
             assert tree.lookup(t) == 0
         assert SBTree("min").lookup(0) is None
 
+    @pytest.mark.parametrize("kind", ["sum", "count", "avg", "min", "max"])
+    def test_a_lookup_reads_the_root_leaf_once(self, kind):
+        store = MemoryNodeStore()
+        tree = SBTree(kind, store)
+        before = store.stats.snapshot()
+        assert tree.lookup(7) == tree.spec.v0
+        assert (store.stats - before).reads == 1
+
     def test_to_table_empty(self):
         assert SBTree("count").to_table().rows == []
 

@@ -539,6 +539,38 @@ class TestLiveNodes:
         assert nodes.decodes == pool.misses > 0
         store.close()
 
+    def test_a_resident_lookup_holds_the_pool_mutex_once(self, tmp_path):
+        # The whole descent runs under one hold of the pool's mutex, and
+        # still costs one node read and one pool hit per level.
+        store = self.store(tmp_path, capacity=1000)
+        tree = SBTree("sum", store, branching=5, leaf_capacity=6)
+        memory = SBTree("sum", branching=5, leaf_capacity=6)
+        for i in range(200):
+            fact = (i % 9 + 1, Interval(i * 7, i * 7 + 30))
+            tree.insert(*fact)
+            memory.insert(*fact)
+        h = tree.height
+        assert h >= 3
+
+        class CountingLock:
+            def __init__(self, inner):
+                self.inner, self.entries = inner, 0
+
+            def __enter__(self):
+                self.entries += 1
+                return self.inner.__enter__()
+
+            def __exit__(self, *exc):
+                return self.inner.__exit__(*exc)
+
+        lock = store.buffer._mutex = CountingLock(store.buffer._mutex)
+        nodes, pool = store.stats.snapshot(), store.buffer.stats.snapshot()
+        assert tree.lookup(700) == memory.lookup(700)
+        assert lock.entries == 1
+        assert (store.stats - nodes).reads == h
+        assert (store.buffer.stats - pool).hits == h
+        store.close()
+
     def test_read_after_write_returns_the_written_state(self, tmp_path):
         store = self.store(tmp_path, capacity=4)
         a = self.leaf(store, [1, 2])
