@@ -62,6 +62,7 @@ from .core import reference
 from .core.sbtree import SBTree
 from .core.validate import check_tree
 from .service.chaos import ChaosPlan, ChaosProxy
+from .service.client import ServiceClient
 from .service.patient import PatientWriteResult, PatientWriters
 from .service.process import KIND, SPAN, ServeProcess
 from .storage import PagedNodeStore
@@ -96,14 +97,16 @@ _VIEW_SUITE = (
 
 
 def _setup_views(
-    primary: ServeProcess, seed: int
+    proxy: ChaosProxy, seed: int
 ) -> List[Tuple[Any, Tuple[float, float], str]]:
-    """Declare the drill's views and ingest acked base rows (no chaos).
+    """Declare the drill's views and ingest base rows through *proxy*.
 
-    Goes straight to the primary -- the point is to verify *shipping*
-    of the catalog down the (chaotic) replication link, so the writes
-    themselves must be deterministic.  Returns the ingested rows for
-    the recompute oracle.
+    View DDL and base rows are group-commit writes like any insert, so
+    they go through the client-side chaos too: the client resends each
+    request under its one idempotency key until it is acked, and it
+    lands exactly once however often the proxy drops, duplicates or
+    truncates its frames -- which keeps the recompute oracle exact.
+    Returns the ingested rows for it.
     """
     rng = random.Random(seed + 31)
     rows: List[List[Any]] = []
@@ -115,10 +118,13 @@ def _setup_views(
         key = rng.choice("abc")
         rows.append([value, start, end, {"k": key}])
         facts.append((value, (start, end), key))
-    with primary.client(timeout=5.0, retries=3) as svc:
+    with ServiceClient(proxy.host, proxy.port, timeout=1.0, retries=200,
+                       retry_backoff_max=0.25, retry_budget=30.0,
+                       client_id=f"views-{seed}", jitter_seed=seed) as svc:
         for name, over, agg, key in _VIEW_SUITE:
             svc.create_view(name, over, agg, key=key, lag="downstream")
-        svc.table_insert(_VIEW_TABLE, rows)
+        for at in range(0, len(rows), 10):
+            svc.table_insert(_VIEW_TABLE, rows[at:at + 10])
     return facts
 
 
@@ -464,11 +470,10 @@ def run_rescheck(
 
         view_facts: List[Tuple[Any, Tuple[float, float], str]] = []
         if views and replicas > 0:
-            # The catalog mutations themselves are acked before the
-            # client-side chaos window opens, so the post-failover
-            # oracle is exact; they still ship through the chaotic
-            # replication link, which is the path under test.
-            view_facts = _setup_views(primary, seed)
+            # The catalog writes go through the client-side chaos and
+            # the chaotic replication link alike; each is acked exactly
+            # once, so the post-failover oracle is exact.
+            view_facts = _setup_views(proxy, seed)
             followers[0].wait_applied(primary.commit_seq())
 
         writers = PatientWriters(

@@ -17,7 +17,7 @@ The package splits along the wire:
   the two read routes.
 * :mod:`repro.service.groupcommit` -- group-commit write batching and
   exactly-once idempotency dedup (:class:`GroupCommitter`).
-* :mod:`repro.service.views` -- the dynamic-view ops and their tick.
+* :mod:`repro.service.views` -- view reads, their tick, catalog writes.
 * :mod:`repro.service.dedup` -- the bounded per-client idempotency
   window (:class:`DedupWindow`) and its journaled persistence format.
 * :mod:`repro.service.client` -- a blocking, fully pipelined

@@ -788,6 +788,12 @@ class ServiceClient:
         self._seq += 1
         return self._seq
 
+    def _write(self, op: str, seq: Optional[int], **fields: Any) -> Any:
+        """One write under the key ``(client_id, seq)`` -- a fresh seq
+        when None -- so no retry of it applies twice."""
+        seq = self.next_seq() if seq is None else seq
+        return self._request(op, client=self.client_id, seq=seq, **fields)
+
     def insert(self, value: Any, start, end, *, seq: Optional[int] = None) -> int:
         """Insert one fact exactly once; returns once its commit applied."""
         return self.insert_result(value, start, end, seq=seq)["applied"]
@@ -800,27 +806,14 @@ class ServiceClient:
         The resilience harness reads the ``duplicate`` flag off it to
         count how many acks were served by the server's dedup window.
         """
-        return self._request(
-            "insert",
-            value=value,
-            start=start,
-            end=end,
-            client=self.client_id,
-            seq=self.next_seq() if seq is None else seq,
-        )
+        return self._write("insert", seq, value=value, start=start, end=end)
 
     def batch_insert(
         self, facts: Iterable[Sequence[Any]], *, seq: Optional[int] = None
     ) -> int:
         """Insert ``[value, start, end]`` triples in one idempotent request."""
         triples = [list(fact)[:3] for fact in facts]
-        result = self._request(
-            "batch_insert",
-            facts=triples,
-            client=self.client_id,
-            seq=self.next_seq() if seq is None else seq,
-        )
-        return result["applied"]
+        return self._write("batch_insert", seq, facts=triples)["applied"]
 
     def lookup(self, t) -> Any:
         """Finalized aggregate value at instant *t*."""
@@ -840,21 +833,22 @@ class ServiceClient:
 
     # ------------------------------------------------------------------
     # Dynamic views (the create_view/query_view family).  View DDL and
-    # base-table inserts go to the primary via _request; the primary
-    # ships them down the journal stream, so every replica maintains
-    # its own catalog copy and view *reads* route through the replica
-    # set like any other read (staleness-gated, primary as fallback).
+    # base-table inserts are writes like insert (one write route), and
+    # the primary ships them down the journal stream, so every replica
+    # maintains its own catalog copy and view *reads* route through the
+    # replica set like any other read (staleness-gated, primary as
+    # fallback).
     # ------------------------------------------------------------------
     def table_insert(self, table: str, rows: Iterable[Sequence[Any]]) -> int:
-        """Ingest rows into a named view base table (auto-created).
+        """Ingest rows into a named view base table (auto-created),
+        exactly once.
 
         Each row is ``[value, start, end]``, optionally followed by a
         payload dict -- or a bare scalar, shorthand for
         ``{"key": <scalar>}``, the field grouped views key on.
         """
-        result = self._request("table_insert", table=table,
-                               rows=[list(row) for row in rows])
-        return result["applied"]
+        rows = [list(row) for row in rows]
+        return self._write("table_insert", None, table=table, rows=rows)["applied"]
 
     def create_view(
         self,
@@ -865,15 +859,16 @@ class ServiceClient:
         key: Optional[str] = None,
         lag: Any = "downstream",
     ) -> Dict[str, Any]:
-        """Declare a dynamic view over base tables and/or other views.
+        """Declare a dynamic view over base tables and/or other views,
+        exactly once: a retry answers the original reply.
 
         ``lag`` is the freshness target: seconds, a string like ``"5s"``
         or ``"1h"``, or ``"downstream"`` (refresh only when a dependent
         -- or a read -- needs it).  Unknown sources are auto-created as
         base tables.
         """
-        return self._request(
-            "create_view", name=name, over=over, agg=agg, key=key, lag=lag
+        return self._write(
+            "create_view", None, name=name, over=over, agg=agg, key=key, lag=lag
         )
 
     def query_view(self, view: str, t, *, key: Any = None) -> Dict[str, Any]:
@@ -906,8 +901,9 @@ class ServiceClient:
         return self._request("refresh_view", view=view)
 
     def drop_view(self, view: str) -> Dict[str, Any]:
-        """Drop a view (refused while other views still consume it)."""
-        return self._request("drop_view", view=view)
+        """Drop a view exactly once (refused while other views still
+        consume it)."""
+        return self._write("drop_view", None, view=view)
 
     def view_stats(self) -> Dict[str, Any]:
         """The catalog's per-view freshness and cost counters."""

@@ -45,8 +45,8 @@ at that moment, never by a setting:
   the server's thread pool: one thread handoff for the burst, not one
   per request.
 
-**Writes take one route, a write burst.**  The ``insert`` and
-``batch_insert`` frames of one wake-up are one task
+**Writes take one route, a write burst.**  The mutating frames of one
+wake-up -- view DDL and ``table_insert`` too -- are one task
 (``_serve_writes``): it hands every request to the group commit
 without suspending between them (``submit``), so they reach the
 committer in arrival order and join the same batches, then waits for
@@ -58,9 +58,10 @@ own admission count, queue slot, deadline check, error mapping, op
 record and trace span; a burst is cut when the connection's slots run
 out.
 
-**Everything else** -- view ops and ``ping`` / ``stats`` -- runs as a
-task (``_serve_request``) that holds a queue slot and is counted in
-flight until its reply is written.  Writes gathered before such a
+**Everything else** -- view reads and ``refresh_view`` /
+``repair_view``, ``ping`` / ``stats`` -- runs as a task
+(``_serve_request``) that holds a queue slot and is counted in flight
+until its reply is written.  Writes gathered before such a
 request are handed on first.
 
 What a request *means* is not decided here: ``dispatch`` answers a
@@ -93,7 +94,9 @@ _REPLICA_READS = frozenset(
 _TREE_READS = frozenset(("lookup", "rangeq", "window"))
 
 #: The group commit's ops: always gathered into a write burst.
-_WRITES = frozenset(("insert", "batch_insert"))
+_WRITES = frozenset(
+    ("insert", "batch_insert", "table_insert", "create_view", "drop_view")
+)
 
 #: Requests one connection may have in flight before its reader stops
 #: taking frames (the per-connection queue bound).

@@ -1,31 +1,36 @@
 """Group commit: many writers, one apply, one durable ack -- exactly once.
 
-Writes do not touch the tree directly: their facts join a pending queue,
-and a flush starts on the next loop iteration whenever none is running
--- no clock; what arrives while a flush runs is the next batch.  One
-flush hands at most ``batch_max`` facts (whole requests, at least one)
-to ``apply`` in one call (one write-lock round per touched shard, one
-commit), and writers are acknowledged only after their whole batch applied.
+Every mutating request is one :class:`Write` -- facts, or one catalog
+change -- and does not touch the tree or the catalog directly: it joins
+a pending queue, and a flush starts on the next loop iteration whenever
+none is running -- no clock; what arrives while a flush runs is the
+next batch.  One flush hands at most ``batch_max`` facts (whole
+requests, at least one; a change counts as one) to ``apply`` in one
+call (one write-lock round per touched shard, one commit), and writers
+are acknowledged only after their whole batch applied.
 
 Mutating requests may carry an idempotency key ``(client, seq)``.
 Applied keys are remembered in a :class:`~repro.service.dedup.DedupWindow`
 and a duplicate is answered by replaying the original reply instead of
 re-applying; a duplicate of a key whose batch is still in flight *joins*
-that batch.  The window is serialized into the commit's metadata
-*before* the apply and recorded in memory after it (dedup-before-ack),
-so after a crash a key is remembered iff its batch committed.
+that batch.  A key is remembered iff its write applied: the window is
+serialized into the commit's metadata *before* the commit and recorded
+in memory after it (dedup-before-ack), so after a crash a key is
+remembered iff its batch committed.
 
-The committer knows no socket and no tree: it is constructed with
+The committer knows no socket, no tree and no catalog: it is
+constructed with
 
-* ``apply(facts, meta, collector)`` -- a coroutine that applies the
-  batch and makes it durable (``meta`` is the header metadata to commit
-  with it; ``collector`` an optional
+* ``apply(writes, collector)`` -- a coroutine that applies the batch in
+  queue order and commits it with :meth:`GroupCommitter.commit_meta`
+  over :func:`applied_keys` (``collector`` an optional
   :class:`~repro.obs.trace.SpanCollector` to record the apply under).
-  Raising :class:`CommitFailed` means "applied in memory, commit
-  failed"; any other exception means "not applied".
-* ``on_committed(writes)`` -- a coroutine called with the batch's
-  ``(facts, idem)`` pairs once they are applied, before any waiter is
-  released (the server publishes them to followers there).
+  It sets each change's ``result``.  Raising :class:`CommitFailed`
+  means "applied in memory, commit failed"; any other exception means
+  "the facts did not apply".
+* ``on_committed(writes)`` -- a coroutine called with the writes that
+  applied, before any waiter is released (the server publishes them to
+  followers there).
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ from ..storage.pager import DEFAULT_PAGE_SIZE
 from . import dedup as dedup_mod
 from .dedup import DedupWindow, IdemKey
 
-__all__ = ["GroupCommitter", "Draining", "CommitFailed", "DEDUP_META_KEY"]
+__all__ = ["GroupCommitter", "Write", "Draining", "CommitFailed",
+           "DEDUP_META_KEY", "applied_keys"]
 
 #: Header-metadata key the dedup window is persisted under.
 DEDUP_META_KEY = "service.dedup"
@@ -54,13 +60,36 @@ class CommitFailed(Exception):
     """The batch applied but its durability commit failed."""
 
 
+class Write:
+    """*facts* for the tree, or one catalog *change* (its replication
+    record), keyed *idem*; ``result`` is its reply once applied (a dict)
+    or the exception that refused it.  Queued, it has a *future*."""
+
+    __slots__ = ("facts", "change", "idem", "result", "future", "sctx",
+                 "enqueued")
+
+    def __init__(self, facts, change=None, idem=None, future=None, sctx=None,
+                 enqueued: float = 0.0) -> None:
+        self.facts, self.change, self.idem = facts, change, idem
+        self.result: Any = {"applied": len(facts)} if change is None else None
+        self.future, self.sctx, self.enqueued = future, sctx, enqueued
+
+
+def applied(writes) -> List[Write]:
+    return [write for write in writes if isinstance(write.result, dict)]
+
+
+def applied_keys(writes) -> List[tuple]:
+    """``(idem, result)`` of every keyed write that applied."""
+    return [(w.idem, w.result) for w in applied(writes) if w.idem is not None]
+
+
 class GroupCommitter:
     """The pending queue, its one flusher task, and the dedup window.
 
     Loop-confined: every method runs on the event loop.  A pending
-    entry is ``(facts, future, sctx, idem, enqueued)``: *future*
-    resolves when the batch settles, *sctx* is the waiter's trace
-    context, *enqueued* the loop time it joined the queue.
+    entry is a :class:`Write` whose *future* resolves when its batch
+    settles.
     """
 
     def __init__(
@@ -142,10 +171,12 @@ class GroupCommitter:
         facts: List[tuple],
         idem: Optional[IdemKey] = None,
         sctx: Optional[trace.TraceContext] = None,
+        change: Optional[Dict[str, Any]] = None,
     ) -> "asyncio.Future[Dict[str, Any]]":
-        """Hand *facts* to the queue without waiting: returns the future
-        of the reply's result, resolved once its batch settled.  Raises
-        :class:`Draining` (a new write while draining) at once."""
+        """Hand *facts* (or one catalog *change*) to the queue without
+        waiting: returns the future of the reply's result, resolved once
+        its batch settled.  Raises :class:`Draining` (a new write while
+        draining) at once."""
         loop = asyncio.get_running_loop()
         if idem is not None:
             replay = self.replay_for(idem)
@@ -158,38 +189,31 @@ class GroupCommitter:
                 # The original is in flight (the chaos proxy duplicates
                 # frames faster than a flush completes): join it.
                 self.registry.counter("service.dedup.joins").inc()
-                return loop.create_task(self._join(pending, facts, idem, sctx))
+                return loop.create_task(
+                    self._join(pending, facts, idem, sctx, change)
+                )
         if self.draining:
             raise Draining("server is draining; retry against the new instance")
         future = loop.create_future()
         if idem is not None:
             self._dedup_pending[idem] = future
-        self._pending.append((facts, future, sctx, idem, loop.time()))
+        self._pending.append(Write(facts, change, idem, future, sctx, loop.time()))
         if self._flusher is None:
             # The flusher's first step runs on the next loop iteration:
             # whatever else this iteration submits joins its batch.
             self._flusher = loop.create_task(self._flush_until_empty())
         return future
 
-    async def write(
-        self,
-        facts: List[tuple],
-        idem: Optional[IdemKey] = None,
-        sctx: Optional[trace.TraceContext] = None,
-    ) -> Dict[str, Any]:
-        """Apply *facts* exactly once; returns the reply's result."""
-        return await self.submit(facts, idem, sctx)
-
-    async def _join(self, pending, facts, idem, sctx) -> Dict[str, Any]:
+    async def _join(self, pending, facts, idem, sctx, change) -> Dict[str, Any]:
         """A duplicate's wait for its in-flight original.  The flush
         records applied keys before resolving futures, so the second
-        submit replays; if the original failed unapplied (its own waiter
+        submit replays; if the original was not applied (its own waiter
         carries the error) this duplicate re-enters as fresh."""
         try:
             await asyncio.shield(pending)
         except Exception:
             pass
-        return await self.submit(facts, idem, sctx)
+        return await self.submit(facts, idem, sctx, change)
 
     async def _flush_until_empty(self) -> None:
         try:
@@ -205,8 +229,8 @@ class GroupCommitter:
         """The flush lock.  Flushes are serialized (each snapshots the
         dedup window into its commit; interleaved snapshots could
         persist each other's keys out of order), and whoever else
-        numbers commits -- a view event, a follower's subscription --
-        holds this lock so no flush slips between its steps."""
+        numbers commits -- a follower's subscription -- holds this lock
+        so no flush slips between its steps."""
         if self._flush_lock is None:
             self._flush_lock = asyncio.Lock()
         return self._flush_lock
@@ -232,74 +256,82 @@ class GroupCommitter:
         while self._pending:
             await self.flush()
 
-    def _take_batch(self) -> List[tuple]:
+    def _take_batch(self) -> List[Write]:
         """Whole requests from the head of the queue: at most
-        ``batch_max`` facts, but at least one request."""
+        ``batch_max`` facts (a change counts one), but at least one."""
         pending, batch, facts = self._pending, [], 0
         while pending and (
-            not batch or facts + len(pending[0][0]) <= self.batch_max
+            not batch or facts + (len(pending[0].facts) or 1) <= self.batch_max
         ):
             batch.append(pending.popleft())
-            facts += len(batch[-1][0])
+            facts += len(batch[-1].facts) or 1
         return batch
 
-    async def _commit(self, batch) -> Optional[BaseException]:
-        """Apply and publish *batch*: returns the error its waiters get (None
-        when it committed), raises if it was not applied or not published."""
-        all_facts = [fact for entry in batch for fact in entry[0]]
+    async def _commit(self, batch: List[Write]) -> Optional[BaseException]:
+        """Apply and publish *batch*: returns the error its applied
+        writes' waiters get (None when it committed), raises if nothing
+        applied or it was not published."""
         self.registry.counter("service.batch.flushes").inc()
-        self._h_size.record(len(all_facts))
+        self._h_size.record(sum(len(write.facts) for write in batch))
         started = asyncio.get_running_loop().time()
-        self._h_oldest_wait.record((started - batch[0][4]) * 1e6)
-        idem_entries = [
-            (idem, {"applied": len(facts)})
-            for facts, _, _, idem, _ in batch
-            if idem is not None
-        ]
-        meta = self.commit_meta(idem_entries)
+        self._h_oldest_wait.record((started - batch[0].enqueued) * 1e6)
         # One flush serves several requests; its shard/tree spans are
         # recorded once (trace-agnostically) and replayed under every
         # sampled participant's trace after the apply.
-        participants = [entry[2] for entry in batch if entry[2] is not None]
+        participants = [write.sctx for write in batch if write.sctx is not None]
         collector = (
             trace.SpanCollector() if trace.TRACING and participants else None
         )
         error: Optional[BaseException] = None
         try:
             try:
-                await self._apply(all_facts, meta, collector)
+                await self._apply(batch, collector)
             except CommitFailed as exc:
                 # Applied in memory, not on disk: waiters get the error,
                 # yet the keys must be remembered -- a retry would
                 # otherwise double-apply against the still-running
                 # process -- and the batch still goes to on_committed:
-                # its facts are in this node's memory and will be durable
+                # its writes are in this node's memory and will be durable
                 # at the next successful commit, so followers must mirror
                 # them or diverge.
                 self.registry.counter("service.batch.commit_failures").inc()
                 error = exc.__cause__ or exc
-            else:
-                self.registry.counter("service.batch.commits").inc()
-            try:
-                await self._on_committed(
-                    (facts, idem) for facts, _, _, idem, _ in batch
-                )
-            finally:
-                # Applied: a retry must replay, whatever the publish did.
-                self.remember(idem_entries)
+            except Exception as exc:
+                # The facts did not apply; a change that did is in
+                # memory, as after a failed commit.
+                for write in batch:
+                    if write.change is None:
+                        write.result = exc
+                if not applied(batch):
+                    raise
+                error = exc
+            done = applied(batch)
+            if done:  # else every change was refused: nothing committed
+                if error is None:
+                    self.registry.counter("service.batch.commits").inc()
+                try:
+                    await self._on_committed(done)
+                finally:
+                    # Applied: a retry must replay, whatever the publish did.
+                    self.remember(applied_keys(done))
         finally:
             self._replay_flush(collector, participants, batch, started)
         return error
 
-    def _settle(self, batch, error: Optional[BaseException]) -> None:
-        """Free the batch's in-flight keys and release its waiters."""
-        for facts, future, _, idem, _ in batch:
-            self._dedup_pending.pop(idem, None)
+    def _settle(self, batch: List[Write], error: Optional[BaseException]) -> None:
+        """Free the batch's in-flight keys and release its waiters (a
+        write refused alone gets its own error)."""
+        for write in batch:
+            self._dedup_pending.pop(write.idem, None)
+            future = write.future
             if not future.done():
-                if error is None:
-                    future.set_result({"applied": len(facts)})
+                outcome = write.result
+                if isinstance(outcome, dict) and error is None:
+                    future.set_result(outcome)
                 else:
-                    future.set_exception(error)
+                    future.set_exception(
+                        outcome if isinstance(outcome, BaseException) else error
+                    )
                     # Several waiters share the exception and a joiner
                     # may never await: mark it retrieved.
                     future.exception()
@@ -308,7 +340,7 @@ class GroupCommitter:
         if collector is None:
             return
         wall_us = (asyncio.get_running_loop().time() - started) * 1e6
-        all_facts = sum(len(entry[0]) for entry in batch)
+        all_facts = sum(len(write.facts) for write in batch)
         for index, sctx in enumerate(participants):
             flush_ctx = sctx.child()
             trace.emit_span(

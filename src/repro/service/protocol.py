@@ -47,13 +47,14 @@ reflects, and how far it trails the base data.  The multi-view form
 with ``"pin"`` refreshes the views' shared ancestor closure first and
 reads them all at one consistent set of base watermarks.  Single-view
 ``query_view`` requests and their scalar readings have typed binary
-layouts; the rest of the family travels JSON-wrapped.  On a primary
-with followers, ``table_insert``/``create_view``/``drop_view`` also
-ship down the journal stream as ``{"view_event": {"kind": ...}}``
-records, so replicas maintain their own catalog copies and serve
-``query_view`` locally (stamped with ``watermark``/``staleness_s``
-like any replica read); ``repair_view`` is node-local -- it clears a
-quarantined view on whichever node receives it.
+layouts; the rest of the family travels JSON-wrapped.  One write
+route: ``table_insert``/``create_view``/``drop_view`` are keyed
+group-commit writes like ``insert``, shipped down the journal stream as
+one ``{"table", "rows"}`` / ``{"ddl"}`` record each, so replicas
+maintain their own catalog copies and serve ``query_view`` locally
+(stamped with ``watermark``/``staleness_s`` like any replica read);
+``repair_view`` is node-local -- it clears a quarantined view on
+whichever node receives it.
 
 The last three are the replication surface (see
 ``repro.service.replication`` and DESIGN.md section 12): a follower

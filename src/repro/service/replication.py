@@ -14,11 +14,13 @@ are pure data, and the two state machines that move them:
   stream: each batch carries one record per client write, framed with
   a length + CRC32 header per record, corruption detected before a
   single fact is applied.  A
-  record is ``{"facts": [[value, start, end], ...]}`` plus, when the
-  write carried an idempotency key, ``"idem": [client, seq, result]``
-  -- the dedup window therefore rides the stream record by record,
-  which is what keeps exactly-once intact across failover.  Records are
-  framed back-to-back and base64-armored so the blob travels inside a
+  record is one write that applied: ``{"facts": [[value, start, end],
+  ...]}``, ``{"table": name, "rows": [[value, start, end, payload],
+  ...]}`` or ``{"ddl": {"op": "create_view" | "drop_view", ...}}``,
+  plus, when the write carried an idempotency key, ``"idem": [client,
+  seq, result]`` -- the dedup window therefore rides the stream record
+  by record, which is what keeps exactly-once intact across failover.
+  Records are framed back-to-back and base64-armored so the blob travels inside a
   JSON-wrapped wire message unchanged.
 
 * **The commit log.**  The primary retains recent batches in memory,
@@ -57,12 +59,13 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from .. import obs
 from ..core.intervals import Interval
 from . import protocol as wire
+from .groupcommit import Write
 
 __all__ = [
     "ReplicationError",
     "encode_records",
     "decode_records",
-    "fact_records",
+    "write_records",
     "split_records",
     "CommitLog",
     "Publisher",
@@ -130,33 +133,30 @@ def decode_records(blob: Any) -> List[Dict[str, Any]]:
     return records
 
 
-def fact_records(writes) -> Iterable[Dict[str, Any]]:
-    """One record per client write of a flushed batch, lazily: a
+def write_records(writes) -> Iterable[Dict[str, Any]]:
+    """One record per applied write of a flushed batch, lazily: a
     publisher nobody ever subscribed to never consumes the generator."""
-    for facts, idem in writes:
-        record: Dict[str, Any] = {
-            "facts": [[value, iv.start, iv.end] for value, iv in facts]
+    for write in writes:
+        record: Dict[str, Any] = dict(write.change) if write.change else {
+            "facts": [[value, iv.start, iv.end] for value, iv in write.facts]
         }
-        if idem is not None:
-            record["idem"] = [idem[0], idem[1], {"applied": len(facts)}]
+        if write.idem is not None:
+            record["idem"] = [write.idem[0], write.idem[1], write.result]
         yield record
 
 
-def split_records(records: List[Dict[str, Any]]):
-    """The inverse, for a follower: ``(facts, idem_entries, view_events)``."""
-    facts, idem_entries, events = [], [], []
+def split_records(records: List[Dict[str, Any]]) -> List[Write]:
+    """The inverse, for a follower: the batch's writes, in order (each
+    gets the reply this node's apply gives it, the primary's)."""
+    writes = []
     for record in records:
-        event = record.get("view_event")
-        if event is not None:
-            events.append(event)
-            continue
-        for value, start, end in record.get("facts", ()):
-            facts.append((value, Interval(start, end)))
-        idem = record.get("idem")
-        if idem is not None:
-            client, seq, result = idem
-            idem_entries.append(((client, int(seq)), result))
-    return facts, idem_entries, events
+        idem, facts = record.pop("idem", None), record.pop("facts", None)
+        writes.append(Write(
+            [] if facts is None else [(v, Interval(s, e)) for v, s, e in facts],
+            record if facts is None else None,
+            None if idem is None else (idem[0], int(idem[1])),
+        ))
+    return writes
 
 
 # ----------------------------------------------------------------------
@@ -360,10 +360,7 @@ class Publisher:
                 self._heartbeat_loop()
             )
 
-    def publish(
-        self, records: Iterable[Dict[str, Any]],
-        counter: str = "service.repl.batches_shipped",
-    ) -> int:
+    def publish(self, records: Iterable[Dict[str, Any]]) -> int:
         """Number one commit, retain it, push it to every follower.
 
         Until the first subscriber ever appears *records* is not even
@@ -375,7 +372,7 @@ class Publisher:
             return self._commit_log.skip(now)
         blob = encode_records(records)
         seq = self._commit_log.append(blob, now)
-        self.registry.counter(counter).inc()
+        self.registry.counter("service.repl.batches_shipped").inc()
         self._broadcast(self._batch_msg(seq, blob))
         return seq
 

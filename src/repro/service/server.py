@@ -15,17 +15,20 @@ exclusively:
   control, per-connection backpressure, deadline shedding, the reply
   writer, the two read routes and the write burst.
 * :mod:`~repro.service.groupcommit` -- the pending write queue, its
-  one flusher task, and the exactly-once dedup window.
+  one flusher task, and the exactly-once dedup window: the one route
+  of every mutating op, view DDL and ``table_insert`` included.
 * :mod:`~repro.service.replication` -- the publisher a primary streams
   committed batches from (semi-sync by default) and the follower a
   server started with ``replica_of`` runs instead of accepting writes.
-* :mod:`~repro.service.views` -- the dynamic-view ops and their tick.
+* :mod:`~repro.service.views` -- the dynamic-view reads, their tick
+  and the catalog half of a batch's apply.
 
 What stays here is the wiring between them and what only the whole can
 decide: the op table and the one not-primary check, the tree reads as
 one blocking callable (``_read``), the writes' hand-over to the group
-commit (``_submit_write``), the executor, the exception ->
-error-reply mapping, ``stats``, and:
+commit (``_submit_write``), the one ``_apply`` of a batch (flush and
+replay alike), the executor, the exception -> error-reply mapping,
+``stats``, and:
 
 * **Durable acks.**  Every shard is a page file with its write-ahead
   log (the constructor refuses anything else), and every group-commit flush
@@ -67,14 +70,15 @@ from ..warehouse.dynamic import DynamicCatalog
 from . import protocol as wire
 from .connection import Connections, DeadlineExpired
 from .groupcommit import DEDUP_META_KEY, CommitFailed, Draining, GroupCommitter
+from .groupcommit import applied, applied_keys
 from .replication import (
     Follower,
     Publisher,
     ReplicationError,
-    fact_records,
     split_records,
+    write_records,
 )
-from .views import ViewService
+from .views import ViewService, change_of
 
 __all__ = ["TemporalAggregateServer", "ServerHandle"]
 
@@ -154,8 +158,13 @@ class TemporalAggregateServer:
         self._promote_lock: Optional[asyncio.Lock] = None
         #: Backoff hint for overload/drain rejections (seconds).
         self._retry_after = 0.05
+        # A flush's commit number is fixed before its apply, so the
+        # watermark rides its commit; flushes are serialized, so it is
+        # the number _on_committed publishes under.
         self.committer = GroupCommitter(
-            self._apply_flush,
+            lambda writes, collector: self._apply(
+                writes, self.publisher.head + 1, collector
+            ),
             self._on_committed,
             registry=self.registry,
             batch_max=batch_max,
@@ -201,7 +210,6 @@ class TemporalAggregateServer:
         self.view_service = ViewService(
             self.views,
             run=self._run,
-            ship=self._ship_view_event,
             registry=self.registry,
             tick=view_tick,
         )
@@ -326,18 +334,22 @@ class TemporalAggregateServer:
         return wire.ok_reply("pong", request)
 
     def _submit_write(self, request, sctx) -> "asyncio.Future":
-        """Hand one ``insert`` / ``batch_insert`` to the group commit, to
-        apply exactly once (per idempotency key): returns the future of
-        its result, or raises why it was refused.  Never suspends -- the
-        connection layer's write burst submits in arrival order."""
+        """Hand one write -- facts, or a view op's catalog change -- to
+        the group commit, to apply exactly once (per idempotency key):
+        returns the future of its result, or raises why it was refused.
+        Never suspends -- the connection layer's write burst submits in
+        arrival order."""
         op = request.get("op")
         self._refuse_on_replica(op)
         if op == "insert":
             raw = [(request.get("value"), request.get("start"), request.get("end"))]
-        else:
+        elif op == "batch_insert":
             raw = request.get("facts")
             if not isinstance(raw, list) or not raw:
                 raise wire.ProtocolError("batch_insert needs a non-empty 'facts' list")
+        else:
+            change = change_of(request)
+            return self.committer.submit([], wire.idem_key(request), sctx, change)
         facts = []
         for item in raw:
             if not isinstance(item, (list, tuple)) or len(item) != 3:
@@ -453,46 +465,39 @@ class TemporalAggregateServer:
     # ------------------------------------------------------------------
     # Wiring: commits, the replication stream, roles
     # ------------------------------------------------------------------
-    def _apply_batch(self, facts, meta, collector) -> int:
-        """Executor half of a flush: apply the batch, then commit it."""
+    def _apply_batch(self, facts, meta, collector) -> None:
+        """Executor half of a flush: apply the facts, then commit."""
         if collector is not None:
             with collector.recording():
-                applied = self.sharded.batch_insert(facts)
+                self.sharded.batch_insert(facts)
         else:
-            applied = self.sharded.batch_insert(facts)
+            self.sharded.batch_insert(facts)
         try:
             self.sharded.commit(meta)
         except Exception as exc:
             raise CommitFailed(str(exc)) from exc
-        return applied
 
-    async def _apply_flush(self, facts, meta, collector) -> None:
-        """The committer's ``apply``.  The commit's replication sequence
-        number is fixed *before* the apply so the durable watermark
-        rides inside the same commit as the data and dedup pages (one
-        atomic unit per store); flushes are serialized, so the number
-        is the one :meth:`_on_committed` publishes under."""
-        meta[REPL_COMMIT_META_KEY] = str(self.publisher.head + 1)
+    async def _apply(self, writes, commit: int, collector=None) -> None:
+        """Apply one batch of writes as replication commit *commit*: the
+        committer's ``apply`` on a primary, the follower's replay.  The
+        catalog changes go first, in one executor job (none for facts
+        only); then, on the loop, the dedup window over the keys that
+        applied joins the commit metadata; a second job puts the facts
+        into the shards and runs the one ``sharded.commit``.  A batch in
+        which every change was refused commits nothing."""
+        if any(write.change is not None for write in writes):
+            await self._run(self.view_service.apply, writes)
+            if not applied(writes):
+                return
+        meta = self.committer.commit_meta(applied_keys(writes))
+        meta[REPL_COMMIT_META_KEY] = str(commit)
+        facts = [fact for write in writes for fact in write.facts]
         await self._run(self._apply_batch, facts, meta, collector)
 
     async def _on_committed(self, writes) -> None:
-        """Ship one flushed batch and (semi-sync) await follower acks."""
-        seq = self.publisher.publish(fact_records(writes))
-        await self.publisher.replicated(seq)
-
-    async def _ship_view_event(self, event: Dict[str, Any]) -> None:
-        """Record one catalog mutation in the replication stream.
-
-        View DDL and base-table inserts ride the same commit log as
-        fact batches, numbered under the flush lock, so a follower's
-        backlog snapshot and the live stream see one gap-free sequence.
-        """
-        if self.follower is not None:
-            return
-        async with self.committer.serialized():
-            seq = self.publisher.publish(
-                [{"view_event": event}], "service.repl.view_events_shipped"
-            )
+        """Ship the applied writes of one flush as one commit and
+        (semi-sync) await follower acks."""
+        seq = self.publisher.publish(write_records(writes))
         await self.publisher.replicated(seq)
 
     async def _subscribe_journal(self, request, out) -> None:
@@ -510,26 +515,22 @@ class TemporalAggregateServer:
         return self.publisher.ack(request)
 
     async def _apply_replicated(self, records, commit: int) -> int:
-        """The follower's ``apply``: one shipped batch with the primary's
-        exact discipline.  The idempotency keys are serialized into the
-        commit payload *before* the apply and recorded in memory after
-        it, so after a promotion the dedup window is exactly as
-        authoritative as it was on the primary at this commit.  View
-        events ship as their own single-record batches."""
-        facts, idem_entries, events = split_records(records)
-        for event in events:
-            await self.view_service.apply_shipped(event)
-        meta = self.committer.commit_meta(idem_entries)
-        meta[REPL_COMMIT_META_KEY] = str(commit)
+        """The follower's ``apply``: one shipped batch through the
+        primary's :meth:`_apply`.  The idempotency keys are serialized
+        into the commit payload *before* the apply and recorded in
+        memory after it, so after a promotion the dedup window is
+        exactly as authoritative as it was on the primary at this
+        commit."""
+        writes = split_records(records)
         try:
-            await self._run(self._apply_batch, facts, meta, None)
+            await self._apply(writes, commit)
         except CommitFailed:
             # Applied in memory, commit failed: mirror the primary's
             # degraded-durability handling (the next successful commit
             # persists everything up to its watermark).
             self.registry.counter("service.repl.commit_failures").inc()
-        self.committer.remember(idem_entries)
-        return len(facts)
+        self.committer.remember(applied_keys(writes))
+        return sum(len(write.facts) for write in writes)
 
     async def _op_promote(self, request, sctx) -> Dict[str, Any]:
         """Seal the stream and turn this replica into a primary.

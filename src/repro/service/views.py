@@ -8,13 +8,14 @@ loop; ``lag="downstream"`` views and pinned reports still refresh on
 demand).  The catalog has its own lock, so every operation runs in the
 executor (``run``) like a tree operation.
 
-On a primary, ``table_insert`` / ``create_view`` / ``drop_view`` are
-also handed to ``ship`` -- a coroutine that records one catalog mutation
-in the replication stream and returns once it is replicated -- and a
-follower applies them with :meth:`ViewService.apply_shipped`, so a
-promoted replica holds every view the primary did.  Whether this node
-may mutate at all (it is not a replica) is the server's check, made
-before any handler here runs.
+There is one write route: ``table_insert`` / ``create_view`` /
+``drop_view`` are group-commit writes like ``insert``.  The server
+parses each into a catalog change (:func:`change_of`, also its
+replication record), and its one apply -- flush and follower replay
+alike -- puts a batch's changes into the catalog with
+:meth:`ViewService.apply`, so a promoted replica holds every view the
+primary did.  Whether this node may mutate at all (it is not a
+replica) is the server's check, made before any handler here runs.
 """
 
 from __future__ import annotations
@@ -27,12 +28,17 @@ from typing import Any, Dict, Tuple
 from .. import obs
 from ..core.intervals import Interval
 from ..obs.health import record_view_gauges
-from ..warehouse.dynamic import DynamicCatalog, ViewDependencyError, format_lag
+from ..warehouse.dynamic import DynamicCatalog, format_lag
 from . import protocol as wire
 
 __all__ = ["ViewService"]
 
 logger = logging.getLogger(__name__)
+
+
+#: Payload keys that name a parameter of ``DynamicCatalog.insert``: a
+#: row carrying one would fail mid-write, after the rows before it.
+_RESERVED = frozenset(("self", "table", "value", "valid"))
 
 
 def _view_row(item) -> Tuple[Any, Interval, Dict[str, Any]]:
@@ -50,6 +56,10 @@ def _view_row(item) -> Tuple[Any, Interval, Dict[str, Any]]:
         if isinstance(raw, dict):
             if not all(isinstance(k, str) for k in raw):
                 raise wire.ProtocolError("payload keys must be strings")
+            if not _RESERVED.isdisjoint(raw):
+                raise wire.ProtocolError(
+                    f"payload keys {sorted(_RESERVED)} are reserved"
+                )
             payload = dict(raw)
         else:
             payload = {"key": raw}
@@ -63,15 +73,50 @@ def _name(request: Dict[str, Any], field: str, op: str) -> str:
     return name
 
 
+def change_of(request: Dict[str, Any]) -> Dict[str, Any]:
+    """The catalog change a ``table_insert`` / ``create_view`` /
+    ``drop_view`` asks for: ``{"table", "rows"}`` or ``{"ddl": {"op",
+    ...}}``.  Raises ``ProtocolError`` for a malformed request; what
+    only the catalog can judge (a cycle, a name taken) is judged when
+    the change applies."""
+    op = request.get("op")
+    if op == "table_insert":
+        table = _name(request, "table", op)
+        raw = request.get("rows")
+        if not isinstance(raw, list) or not raw:
+            raise wire.ProtocolError("table_insert needs a non-empty 'rows' list")
+        rows = [_view_row(item) for item in raw]
+        return {"table": table, "rows": [
+            [value, iv.start, iv.end, payload] for value, iv, payload in rows
+        ]}
+    if op == "drop_view":
+        return {"ddl": {"op": op, "view": _name(request, "view", op)}}
+    name = _name(request, "name", op)
+    over = request.get("over")
+    over = [over] if isinstance(over, str) else over
+    if not over or not isinstance(over, list) or not all(
+        isinstance(s, str) and s for s in over
+    ):
+        raise wire.ProtocolError(
+            "create_view needs 'over': a source name or list of names"
+        )
+    key = request.get("key")
+    if key is not None and not isinstance(key, str):
+        raise wire.ProtocolError("field 'key' must be a payload field name")
+    return {"ddl": {"op": op, "name": name, "over": over, "key": key,
+                    "agg": request.get("agg", "sum"),
+                    "lag": request.get("lag", "downstream")}}
+
+
 class ViewService:
-    """The seven view ops, the tick loop, and shipped-event apply."""
+    """The view ops that are not writes, the tick loop, and the catalog
+    half of a batch's apply."""
 
     def __init__(
         self,
         catalog: DynamicCatalog,
         *,
         run,
-        ship,
         registry: obs.MetricsRegistry,
         tick: float = 0.05,
     ) -> None:
@@ -79,16 +124,12 @@ class ViewService:
         self.tick = tick
         self.registry = registry
         self._run = run
-        self._ship = ship
         self._tick_task = None
 
     def handlers(self) -> Dict[str, Any]:
         return {
-            "table_insert": self.table_insert,
-            "create_view": self.create_view,
             "query_view": self.query_view,
             "refresh_view": self.refresh_view,
-            "drop_view": self.drop_view,
             "view_stats": self.view_stats,
             "repair_view": self.repair_view,
         }
@@ -154,133 +195,59 @@ class ViewService:
             if kwargs:
                 return await self._run(lambda: fn(*args, **kwargs), ctx=ctx)
             return await self._run(fn, *args, ctx=ctx)
-        except wire.ProtocolError:
-            raise
-        except (ViewDependencyError, ValueError) as exc:
+        except ValueError as exc:  # ViewDependencyError included
             raise wire.ProtocolError(str(exc)) from None
 
     # ------------------------------------------------------------------
-    # Catalog mutations (shared by the ops and the shipped-event apply)
+    # Catalog writes
     # ------------------------------------------------------------------
-    def _insert_rows(self, table: str, rows) -> int:
+    def apply(self, writes) -> None:
+        """Apply a batch's catalog changes in queue order, each under its
+        own ``catalog.atomic()`` (blocking: the executor's), setting its
+        write's ``result``.  A change the catalog refuses (a cycle, a
+        name taken, a view given as a table) gets a ``ProtocolError`` --
+        a client mistake -- and its siblings still apply."""
+        for write in writes:
+            if write.change is None:
+                continue
+            try:
+                with self.catalog.atomic():
+                    write.result = self._apply_change(write.change)
+            except Exception as exc:
+                write.result = (
+                    wire.ProtocolError(str(exc))
+                    if isinstance(exc, ValueError) else exc
+                )
+
+    def _apply_change(self, change: Dict[str, Any]) -> Dict[str, Any]:
         catalog = self.catalog
-        with catalog.atomic():
+        table = change.get("table")
+        if table is not None:
+            rows = [_view_row(item) for item in change["rows"]]
             if not catalog.has_node(table):
                 catalog.create_table(table)
             for value, interval, payload in rows:
                 catalog.insert(table, value, interval, **payload)
-        return len(rows)
-
-    def _apply_event(self, event: Dict[str, Any]) -> None:
-        """Apply one shipped catalog mutation to the local catalog.
-
-        Tolerant by design: a resubscribe after a link fault can
-        redeliver an event, so a create of an existing view and a drop
-        of an unknown one are no-ops, and unknown kinds (from a newer
-        primary) are skipped rather than fatal.
-        """
-        kind = event.get("kind")
-        catalog = self.catalog
-        if kind == "table_insert":
-            table = event.get("table")
-            rows = [_view_row(item) for item in event.get("rows") or ()]
-            if isinstance(table, str) and table and rows:
-                self._insert_rows(table, rows)
-            return
-        name = event.get("name" if kind == "create_view" else "view")
-        if not isinstance(name, str) or not name:
-            return
-        with catalog.atomic():
-            if kind == "create_view" and not catalog.has_node(name):
-                catalog.create_view(
-                    name,
-                    list(event.get("over") or ()),
-                    event.get("agg", "sum"),
-                    key=event.get("key"),
-                    lag=event.get("lag", "downstream"),
-                    create_sources=True,
-                )
-            elif kind == "drop_view" and catalog.has_node(name):
-                catalog.drop_view(name)
-
-    async def apply_shipped(self, event: Dict[str, Any]) -> None:
-        """Follower side: apply one event, never letting it poison the
-        stream (failures are counted; the batch still acknowledges)."""
-        try:
-            await self._run(self._apply_event, event)
-            self.registry.counter("service.repl.view_events_applied").inc()
-        except Exception:
-            self.registry.counter("service.repl.view_event_failures").inc()
+            return {"applied": len(rows)}
+        ddl = change["ddl"]
+        if ddl["op"] == "drop_view":
+            catalog.drop_view(ddl["view"])
+            return {"dropped": ddl["view"]}
+        view = catalog.create_view(
+            ddl["name"], ddl["over"], ddl["agg"], key=ddl["key"],
+            lag=ddl["lag"], create_sources=True,
+        )
+        return {
+            "name": view.name,
+            "sources": view.sources,
+            "agg": view.spec.kind.value,
+            "key": view.key_field,
+            "lag": format_lag(view.lag),
+        }
 
     # ------------------------------------------------------------------
     # The ops
     # ------------------------------------------------------------------
-    async def table_insert(self, request, sctx) -> Dict[str, Any]:
-        table = _name(request, "table", "table_insert")
-        raw = request.get("rows")
-        if not isinstance(raw, list) or not raw:
-            raise wire.ProtocolError("table_insert needs a non-empty 'rows' list")
-        rows = [_view_row(item) for item in raw]
-        applied = await self._run_view(self._insert_rows, table, rows, ctx=sctx)
-        await self._ship(
-            {
-                "kind": "table_insert",
-                "table": table,
-                "rows": [
-                    [value, iv.start, iv.end, payload]
-                    for value, iv, payload in rows
-                ],
-            }
-        )
-        return wire.ok_reply({"applied": applied}, request)
-
-    async def create_view(self, request, sctx) -> Dict[str, Any]:
-        name = _name(request, "name", "create_view")
-        over = request.get("over")
-        if isinstance(over, str):
-            over = [over]
-        if (
-            not isinstance(over, list)
-            or not over
-            or not all(isinstance(s, str) and s for s in over)
-        ):
-            raise wire.ProtocolError(
-                "create_view needs 'over': a source name or list of names"
-            )
-        key = request.get("key")
-        if key is not None and not isinstance(key, str):
-            raise wire.ProtocolError("field 'key' must be a payload field name")
-
-        def create():
-            view = self.catalog.create_view(
-                name,
-                over,
-                request.get("agg", "sum"),
-                key=key,
-                lag=request.get("lag", "downstream"),
-                create_sources=True,
-            )
-            return {
-                "name": view.name,
-                "sources": view.sources,
-                "agg": view.spec.kind.value,
-                "key": view.key_field,
-                "lag": format_lag(view.lag),
-            }
-
-        created = await self._run_view(create, ctx=sctx)
-        await self._ship(
-            {
-                "kind": "create_view",
-                "name": created["name"],
-                "over": created["sources"],
-                "agg": created["agg"],
-                "key": created["key"],
-                "lag": created["lag"],
-            }
-        )
-        return wire.ok_reply(created, request)
-
     async def query_view(self, request, sctx) -> Dict[str, Any]:
         t = wire.instant(request.get("t"), "t")
         names = request.get("views")
@@ -316,12 +283,6 @@ class ViewService:
             {"refreshed": refreshed, "events": sum(refreshed.values())},
             request,
         )
-
-    async def drop_view(self, request, sctx) -> Dict[str, Any]:
-        name = _name(request, "view", "drop_view")
-        await self._run_view(self.catalog.drop_view, name, ctx=sctx)
-        await self._ship({"kind": "drop_view", "view": name})
-        return wire.ok_reply({"dropped": name}, request)
 
     def stats(self) -> Dict[str, Any]:
         """Catalog stats, also published as registry gauges (blocking)."""

@@ -15,11 +15,13 @@ import pytest
 
 from repro import obs
 from repro.core.intervals import Interval
+from repro.service import protocol
 from repro.service.groupcommit import (
     DEDUP_META_KEY,
     CommitFailed,
     Draining,
     GroupCommitter,
+    applied_keys,
 )
 
 
@@ -28,7 +30,9 @@ def fact(value, start=0, end=10):
 
 
 class Harness:
-    """A committer wired to an in-memory apply and publish log."""
+    """A committer wired to an in-memory apply and publish log.  Its
+    "catalog" answers a change ``{"name": n}`` with ``{"created": n}``
+    and refuses one that also says ``"refuse": True``."""
 
     def __init__(self, **kwargs):
         self.registry = obs.MetricsRegistry()
@@ -43,21 +47,31 @@ class Harness:
             self.apply, self.on_committed, registry=self.registry, **kwargs
         )
 
-    async def apply(self, facts, meta, collector):
+    async def apply(self, writes, collector):
         self.entered += 1
         if self.gate is not None:
             await self.gate.wait()
+        for write in writes:
+            if write.change is not None:
+                write.result = (
+                    protocol.ProtocolError("refused")
+                    if write.change.get("refuse")
+                    else {"created": write.change["name"]}
+                )
         if self.fail is not None:
             exc = self.fail
             if self.fail_once:
                 self.fail = None
             raise exc
-        self.applied.append((list(facts), meta))
+        meta = self.committer.commit_meta(applied_keys(writes))
+        self.applied.append(
+            ([fact for write in writes for fact in write.facts], meta)
+        )
 
     async def on_committed(self, writes):
         if self.publish_fail is not None:
             raise self.publish_fail
-        self.published.append(list(writes))
+        self.published.append([(write.facts, write.idem) for write in writes])
 
     async def parked(self, flushes=1):
         """Yield until the *flushes*-th apply has started."""
@@ -79,7 +93,7 @@ class TestFlushPolicy:
             # What one wake-up of a full connection hands over: 32
             # request tasks, all on the ready queue before the flusher.
             got = await asyncio.gather(
-                *(h.committer.write([fact(i)]) for i in range(32))
+                *(h.committer.submit([fact(i)]) for i in range(32))
             )
             assert got == [{"applied": 1}] * 32
             assert [len(facts) for facts, _ in h.applied] == [32]
@@ -96,7 +110,7 @@ class TestFlushPolicy:
 
         async def main():
             h = Harness()
-            assert await h.committer.write([fact(9)]) == {"applied": 1}
+            assert await h.committer.submit([fact(9)]) == {"applied": 1}
             assert [len(facts) for facts, _ in h.applied] == [1]
 
         loop = asyncio.new_event_loop()
@@ -110,10 +124,10 @@ class TestFlushPolicy:
         async def main():
             h = Harness()
             h.gate = asyncio.Event()
-            first = asyncio.ensure_future(h.committer.write([fact(0)]))
+            first = asyncio.ensure_future(h.committer.submit([fact(0)]))
             await h.parked()
             rest = [
-                asyncio.ensure_future(h.committer.write([fact(i)]))
+                asyncio.ensure_future(h.committer.submit([fact(i)]))
                 for i in range(1, 6)
             ]
             await asyncio.sleep(0.01)
@@ -133,7 +147,7 @@ class TestFlushPolicy:
         async def main():
             h = Harness(batch_max=8)
             await asyncio.gather(
-                *(h.committer.write([fact(i)]) for i in range(100))
+                *(h.committer.submit([fact(i)]) for i in range(100))
             )
             assert [len(facts) for facts, _ in h.applied] == [8] * 12 + [4]
             assert [
@@ -148,19 +162,19 @@ class TestFlushPolicy:
             running = []
             inner = h.apply
 
-            async def slow_apply(facts, meta, collector):
+            async def slow_apply(writes, collector):
                 running.append(+1)
                 assert sum(running) == 1  # the dedup snapshots stay ordered
                 for _ in range(3):
                     await asyncio.sleep(0)
-                await inner(facts, meta, collector)
+                await inner(writes, collector)
                 running.append(-1)
 
             h.committer._apply = slow_apply
 
             async def trickle(base):
                 for i in range(10):
-                    await h.committer.write([fact(base + i)])
+                    await h.committer.submit([fact(base + i)])
 
             await asyncio.gather(*(trickle(100 * k) for k in range(6)))
             assert sum(len(facts) for facts, _ in h.applied) == 60
@@ -171,7 +185,7 @@ class TestFlushPolicy:
     def test_one_request_larger_than_batch_max_is_one_flush(self):
         async def main():
             h = Harness(batch_max=2)
-            result = await h.committer.write([fact(i) for i in range(5)])
+            result = await h.committer.submit([fact(i) for i in range(5)])
             assert result == {"applied": 5}
             assert [len(facts) for facts, _ in h.applied] == [5]
 
@@ -180,7 +194,7 @@ class TestFlushPolicy:
     def test_durable_flush_commits_the_window_with_its_own_keys(self):
         async def main():
             h = Harness(batch_max=1)
-            await h.committer.write([fact(1)], ("c", 1))
+            await h.committer.submit([fact(1)], ("c", 1))
             (facts, meta), = h.applied
             # Dedup-before-ack: the commit's metadata already names the
             # key the batch is about to apply.
@@ -203,8 +217,8 @@ class TestFailures:
             h = Harness(batch_max=2)
             h.fail = RuntimeError("disk on fire")
             results = await asyncio.gather(
-                h.committer.write([fact(1)], ("c", 1)),
-                h.committer.write([fact(2)], ("c", 2)),
+                h.committer.submit([fact(1)], ("c", 1)),
+                h.committer.submit([fact(2)], ("c", 2)),
                 return_exceptions=True,
             )
             assert all(r is h.fail for r in results)
@@ -214,7 +228,7 @@ class TestFailures:
             # The keys are free: the retry applies as a fresh write, it
             # does not join a flight that no longer exists.
             h.fail = None
-            assert await h.committer.write([fact(1)], ("c", 1)) == {"applied": 1}
+            assert await h.committer.submit([fact(1)], ("c", 1)) == {"applied": 1}
             assert len(h.applied) == 1
             assert h.count("service.dedup.joins") == 0
 
@@ -227,8 +241,8 @@ class TestFailures:
             h.fail = CommitFailed(str(cause))
             h.fail.__cause__ = cause
             results = await asyncio.gather(
-                h.committer.write([fact(1)], ("c", 1)),
-                h.committer.write([fact(2)]),
+                h.committer.submit([fact(1)], ("c", 1)),
+                h.committer.submit([fact(2)]),
                 return_exceptions=True,
             )
             # Waiters see the commit's own error ...
@@ -239,7 +253,7 @@ class TestFailures:
             assert [idem for _, idem in h.published[0]] == [("c", 1), None]
             # and a retry of the key must replay, not apply twice.
             h.fail = None
-            assert await h.committer.write([fact(1)], ("c", 1)) == {
+            assert await h.committer.submit([fact(1)], ("c", 1)) == {
                 "applied": 1, "duplicate": True,
             }
             assert h.applied == []
@@ -252,9 +266,9 @@ class TestFailures:
             h = Harness(batch_max=2)
             h.publish_fail = RuntimeError("publisher is gone")
             writes = [
-                asyncio.ensure_future(h.committer.write([fact(1)], ("c", 1))),
-                asyncio.ensure_future(h.committer.write([fact(2)], ("c", 2))),
-                asyncio.ensure_future(h.committer.write([fact(3)])),
+                asyncio.ensure_future(h.committer.submit([fact(1)], ("c", 1))),
+                asyncio.ensure_future(h.committer.submit([fact(2)], ("c", 2))),
+                asyncio.ensure_future(h.committer.submit([fact(3)])),
             ]
             # No timeout anywhere: an unsettled waiter would hang the run.
             results = await asyncio.gather(*writes, return_exceptions=True)
@@ -263,11 +277,11 @@ class TestFailures:
             assert h.committer.stats()["batch"]["pending"] == 0
             assert h.committer._dedup_pending == {}
             # The facts are in the tree: a retry replays, never re-applies.
-            assert await h.committer.write([fact(1)], ("c", 1)) == {
+            assert await h.committer.submit([fact(1)], ("c", 1)) == {
                 "applied": 1, "duplicate": True,
             }
             h.publish_fail = None
-            assert await h.committer.write([fact(4)], ("c", 4)) == {"applied": 1}
+            assert await h.committer.submit([fact(4)], ("c", 4)) == {"applied": 1}
             assert [len(facts) for facts, _ in h.applied] == [2, 1, 1]
             assert len(h.published) == 1
 
@@ -280,13 +294,13 @@ class TestDuplicates:
             h = Harness(batch_max=1)
             h.gate = asyncio.Event()
             original = asyncio.ensure_future(
-                h.committer.write([fact(7)], ("c", 1))
+                h.committer.submit([fact(7)], ("c", 1))
             )
             await h.parked()  # the flush is now parked in apply
             assert h.committer.stats()["batch"]["pending"] == 0
             assert not original.done()
             duplicate = asyncio.ensure_future(
-                h.committer.write([fact(7)], ("c", 1))
+                h.committer.submit([fact(7)], ("c", 1))
             )
             await asyncio.sleep(0.01)
             assert not duplicate.done()  # joined, not re-enqueued
@@ -305,11 +319,11 @@ class TestDuplicates:
             h.gate = asyncio.Event()
             h.fail, h.fail_once = RuntimeError("first try fails"), True
             original = asyncio.ensure_future(
-                h.committer.write([fact(7)], ("c", 1))
+                h.committer.submit([fact(7)], ("c", 1))
             )
             await h.parked()
             duplicate = asyncio.ensure_future(
-                h.committer.write([fact(7)], ("c", 1))
+                h.committer.submit([fact(7)], ("c", 1))
             )
             await asyncio.sleep(0.01)
             h.gate.set()
@@ -328,11 +342,11 @@ class TestDuplicates:
             h.gate = asyncio.Event()
             h.fail, h.fail_once = CommitFailed("fsync failed"), True
             original = asyncio.ensure_future(
-                h.committer.write([fact(7)], ("c", 1))
+                h.committer.submit([fact(7)], ("c", 1))
             )
             await h.parked()
             duplicate = asyncio.ensure_future(
-                h.committer.write([fact(7)], ("c", 1))
+                h.committer.submit([fact(7)], ("c", 1))
             )
             await asyncio.sleep(0.01)
             h.gate.set()
@@ -347,7 +361,7 @@ class TestDuplicates:
         async def main():
             h = Harness(batch_max=1, dedup_window=2)
             for seq in (1, 2, 3):
-                await h.committer.write([fact(seq), fact(seq)], ("c", seq))
+                await h.committer.submit([fact(seq), fact(seq)], ("c", seq))
             assert h.committer.replay_for(("c", 3)) == {
                 "applied": 2, "duplicate": True,
             }
@@ -381,10 +395,10 @@ class TestDrain:
         async def main():
             h = Harness(batch_max=100)
             h.gate = asyncio.Event()
-            running = asyncio.ensure_future(h.committer.write([fact(0)]))
+            running = asyncio.ensure_future(h.committer.submit([fact(0)]))
             await h.parked()
             waiting = asyncio.ensure_future(
-                h.committer.write([fact(1)], ("c", 1))
+                h.committer.submit([fact(1)], ("c", 1))
             )
             await asyncio.sleep(0)
             assert h.applied == []  # one mid-apply, one queued behind it
@@ -397,9 +411,9 @@ class TestDrain:
             assert running.done() and await waiting == {"applied": 1}
             assert len(h.applied) == 2
             with pytest.raises(Draining):
-                await h.committer.write([fact(2)], ("c", 2))
+                await h.committer.submit([fact(2)], ("c", 2))
             # An already-applied key still replays during the drain.
-            assert await h.committer.write([fact(1)], ("c", 1)) == {
+            assert await h.committer.submit([fact(1)], ("c", 1)) == {
                 "applied": 1, "duplicate": True,
             }
 
@@ -409,7 +423,7 @@ class TestDrain:
         async def main():
             h = Harness(batch_max=1)
             h.gate = asyncio.Event()
-            write = asyncio.ensure_future(h.committer.write([fact(1)]))
+            write = asyncio.ensure_future(h.committer.submit([fact(1)]))
             await h.parked()
             order = []
 

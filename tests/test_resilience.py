@@ -529,6 +529,37 @@ class TestChaosProxy:
         # Exactly once despite every duplicated request frame.
         assert sharded.facts_applied == len(facts)
 
+    def test_duplicated_table_inserts_stay_exactly_once(self, sum_server):
+        """A row is folded into a SUM view once however often its frame
+        arrives: ``table_insert`` is a keyed group-commit write, so a
+        duplicated frame replays the original reply."""
+        handle, _ = sum_server
+        plan = ChaosPlan(duplicate=0.6)
+        facts = []
+        with ChaosProxy(handle.host, handle.port, plan=plan, seed=5) as proxy:
+            with ServiceClient(proxy.host, proxy.port, timeout=5.0,
+                               retries=4, jitter_seed=5) as svc:
+                svc.create_view("v", "obs", "sum", lag=0)
+                rng = derive_rng(5, "workload")
+                for _ in range(30):
+                    s = rng.randrange(0, 900)
+                    e = s + rng.randrange(1, 80)
+                    v = rng.randrange(1, 9)
+                    assert svc.table_insert("obs", [[v, s, e]]) == 1
+                    facts.append((v, (s, e)))
+                svc.refresh_view("v")
+                instants = sorted(
+                    {t for _, (s, e) in facts for t in (s, (s + e) / 2, e)}
+                )
+                wrong = [
+                    t for t in instants
+                    if (svc.query_view("v", t)["value"] or 0)
+                    != (reference.instantaneous_value(facts, "sum", t) or 0)
+                ]
+            assert proxy.injected.get("duplicate", 0) > 0
+        assert len(handle.server.views.table("obs")) == len(facts)
+        assert len(instants) > 80 and wrong == []
+
     def test_stop_wakes_the_accept_thread(self):
         """An idle proxy's ``stop()`` returns at once, not after the
         accept thread's join timeout."""

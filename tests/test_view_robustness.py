@@ -768,3 +768,46 @@ class TestViewReplication:
             out = svc.repair_view("keep")
             assert out["repaired"] == "keep"
             assert out["was_quarantined"] is False
+
+    def test_retried_ddl_replays_its_reply_and_applies_once_everywhere(
+        self, pair
+    ):
+        """A ``create_view`` / ``drop_view`` retried after its reply was
+        lost -- the same frame, key and all, sent again -- answers its
+        original reply with ``duplicate: true`` (not ``already exists``
+        / ``unknown view``), ships as one commit, and the promoted
+        replica replays it too: its dedup window holds every DDL key."""
+        primary, replica = pair
+
+        def send(svc, op, seq, **fields):
+            return svc._request(op, client="ddl", seq=seq, **fields)
+
+        create = dict(name="v2", over=["obs"], agg="sum", key=None,
+                      lag="downstream")
+        with ServiceClient("127.0.0.1", primary.port, timeout=5.0) as svc:
+            created = send(svc, "create_view", 1, **create)
+            assert send(svc, "create_view", 1, **create) == dict(
+                created, duplicate=True
+            )
+            assert send(svc, "table_insert", 2, table="obs",
+                        rows=[[4, 0, 100]]) == {"applied": 1}
+            dropped = send(svc, "drop_view", 3, view="v2")
+            assert dropped == {"dropped": "v2"}
+            assert send(svc, "drop_view", 3, view="v2") == dict(
+                dropped, duplicate=True
+            )
+            # One commit per write that applied, none per duplicate.
+            assert svc.stats()["replication"]["commit"] == 3
+        _wait_applied(replica.port, 3)
+        registry = replica.server.registry
+        assert registry.counter("service.repl.batches_applied").value == 3
+        assert replica.server.views.view_names() == []
+        assert len(replica.server.views.table("obs")) == 1
+
+        with ServiceClient("127.0.0.1", replica.port, timeout=5.0) as svc:
+            assert svc._request("promote")["promoted"] is True
+            assert send(svc, "create_view", 1, **create) == dict(
+                created, duplicate=True
+            )
+            assert send(svc, "drop_view", 3, view="v2")["duplicate"] is True
+            assert replica.server.views.view_names() == []

@@ -100,6 +100,9 @@ REJECTED = [
     ("create_view", {"name": "stale", "over": "doses", "agg": "sum", "lag": "nan"}),
     # -- a key on a view without groups --------------------------------
     ("query_view", {"view": "total", "t": 5, "key": "amy"}),
+    # -- a payload key that names an insert parameter: no row applies --
+    ("table_insert", {"table": "doses",
+                      "rows": [[1, 0, 10], [1, 0, 10, {"value": 3}]]}),
 ]
 
 

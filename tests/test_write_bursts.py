@@ -14,7 +14,8 @@ import asyncio
 
 import pytest
 
-from repro.service import ServerHandle, protocol
+from repro.service import DedupWindow, ServerHandle, dedup, protocol
+from repro.service.groupcommit import DEDUP_META_KEY
 
 from .test_read_bursts import body, build, connect, frames_of, read_replies
 
@@ -202,3 +203,108 @@ def test_a_ping_between_inserts_keeps_their_order_at_the_committer(
     assert replies[2] == ("ok", "'pong'")
     assert submitted == [1, 2, 3]
     assert counter(handle, "service.write_bursts") == 2
+
+
+@pytest.fixture
+def jobs(served, monkeypatch):
+    """The executor jobs and ``sharded.commit`` calls the server makes."""
+    handle, sharded = served
+    counts = {"jobs": 0, "commits": 0}
+    submit, commit = handle.server._executor.submit, sharded.commit
+
+    def counting_submit(*args, **kwargs):
+        counts["jobs"] += 1
+        return submit(*args, **kwargs)
+
+    def counting_commit(*args, **kwargs):
+        counts["commits"] += 1
+        return commit(*args, **kwargs)
+
+    monkeypatch.setattr(handle.server._executor, "submit", counting_submit)
+    monkeypatch.setattr(sharded, "commit", counting_commit)
+    return counts
+
+
+def test_a_flush_of_facts_only_is_one_executor_job_and_one_commit(
+    served, jobs
+):
+    handle, sharded = served
+    with connect(handle) as sock:
+        sock.sendall(frames_of(insert(i) for i in range(24)))
+        read_replies(sock, 24)
+    assert jobs == {"jobs": 1, "commits": 1}
+
+
+def view_write(i, op, **fields):
+    return dict({"op": op, "id": i, "client": "mix", "seq": i + 1}, **fields)
+
+
+def test_view_writes_share_a_burst_and_a_flush_with_inserts(served, jobs):
+    """Every mutating op is one kind of write: one wake-up mixing
+    ``insert``, ``table_insert`` and ``create_view`` frames is one burst
+    and one flush -- the catalog's job, then the tree's and its one
+    commit -- answered in order, each applied once.  A change the
+    catalog refuses gets its own ``bad_request``; its siblings apply."""
+    handle, sharded = served
+    before = sharded.facts_applied
+    messages = [
+        insert(0),
+        view_write(1, "table_insert", table="obs",
+                   rows=[[2, 900, 950, {"k": "a"}], [3, 920, 990]]),
+        view_write(2, "create_view", name="tot", over=["obs"], agg="sum"),
+        view_write(3, "create_view", name="tot", over=["obs"], agg="sum"),
+        insert(4),
+        view_write(5, "table_insert", table="tot", rows=[[1, 0, 5]]),
+        view_write(6, "table_insert", table="obs", rows=[[4, 0, 10]]),
+    ]
+    with connect(handle) as sock:
+        sock.sendall(frames_of(messages))
+        replies = read_replies(sock, len(messages))
+    assert [r["id"] for r in replies] == list(range(len(messages)))
+    bad = ("error", protocol.ERR_BAD_REQUEST)
+    assert [body(r) for r in replies] == [
+        ("ok", "{'applied': 1}"),
+        ("ok", "{'applied': 2}"),
+        ("ok", repr({"name": "tot", "sources": ["obs"], "agg": "sum",
+                     "key": None, "lag": "downstream"})),
+        bad,  # the name is taken
+        ("ok", "{'applied': 1}"),
+        bad,  # a view given as a table
+        ("ok", "{'applied': 1}"),
+    ]
+    assert counter(handle, "service.write_bursts") == 1
+    assert counter(handle, "service.batch.flushes") == 1
+    assert jobs == {"jobs": 2, "commits": 1}
+    assert sharded.facts_applied - before == 2
+    catalog = handle.server.views
+    assert len(catalog.table("obs")) == 3
+    assert catalog.read("tot", 930).value == 5
+    # Applied keys replay; a refused key is remembered nowhere, in
+    # memory or in the window the commit persisted.
+    committer = handle.server.committer
+    assert committer.replay_for(("mix", 2))["applied"] == 2
+    assert committer.replay_for(("mix", 4)) is None
+    persisted = DedupWindow()
+    persisted.load(sharded.get_meta(DEDUP_META_KEY))
+    assert persisted.lookup("mix", 2)[0] == dedup.HIT
+    assert persisted.lookup("mix", 4)[0] == dedup.MISS
+
+
+def test_a_flush_of_catalog_writes_only_commits_one_store(served):
+    """The cost of one write route: a batch with no facts still commits
+    its dedup keys and watermark -- into one store's header, one fsync
+    -- where the old view route committed nothing."""
+    handle, sharded = served
+    stores = [shard.tree.store for shard in sharded.shards]
+    before = [store.pager.stats.snapshot() for store in stores]
+    rows = [[1, 0, 10]]
+    with connect(handle) as sock:
+        sock.sendall(frames_of(
+            view_write(i, "table_insert", table="obs", rows=rows)
+            for i in range(3)
+        ))
+        replies = read_replies(sock, 3)
+    assert [body(r) for r in replies] == [("ok", "{'applied': 1}")] * 3
+    spent = [store.pager.stats - mark for store, mark in zip(stores, before)]
+    assert [delta.fsyncs for delta in spent] == [1, 0, 0, 0]
+    assert counter(handle, "service.batch.commits") == 1
