@@ -2,18 +2,18 @@
 
 The paper's setting is a warehouse keeping *several* temporal aggregate
 views fresh over one change stream.  This benchmark measures update
-throughput as the number of maintained views grows (each additional
-view adds one O(log n) index maintenance per change), and compares the
-all-views cost against recomputing any single aggregate from scratch --
-the incremental-vs-recompute argument of Section 1.
+throughput as the number of maintained views of one ``DynamicCatalog``
+grows (each change is refreshed into every view as it arrives, and each
+additional view adds one O(log n) index maintenance per change), and
+compares the all-views cost against recomputing any single aggregate
+from scratch -- the incremental-vs-recompute argument of Section 1.
 """
 
 import pytest
 
 from repro.baselines import endpoint_sort
 from repro.benchlib import Series, format_table, scaled, time_call
-from repro.relation import TemporalRelation
-from repro.warehouse import ANY_WINDOW, TemporalAggregateView
+from repro.warehouse import ANY_WINDOW, DynamicCatalog
 from repro.workloads import insert_delete_stream
 
 OPS = insert_delete_stream(
@@ -21,8 +21,9 @@ OPS = insert_delete_stream(
 )
 
 
-def _make_views(relation, count):
-    """A realistic mix of view shapes, cycled up to *count*."""
+def _make_views(count):
+    """A catalog over the table ``stream`` with a realistic mix of view
+    shapes, cycled up to *count*."""
     shapes = [
         ("sum", 0),
         ("avg", 0),
@@ -30,29 +31,27 @@ def _make_views(relation, count):
         ("sum", ANY_WINDOW),
         ("avg", ANY_WINDOW),
     ]
-    views = []
+    catalog = DynamicCatalog(branching=32, leaf_capacity=32)
+    catalog.create_table("stream")
     for i in range(count):
         kind, window = shapes[i % len(shapes)]
-        views.append(
-            TemporalAggregateView(
-                f"v{i}", relation, kind, window=window,
-                branching=32, leaf_capacity=32,
-            )
-        )
-    return views
+        catalog.create_view(f"v{i}", "stream", kind, window=window)
+    return catalog
 
 
-def _replay(relation):
+def _replay(catalog, ops=OPS):
+    """Apply *ops* to ``stream``, each refreshed into every view."""
     live = {}
-    for i, op in enumerate(OPS):
+    for i, op in enumerate(ops):
         if op.is_insert:
-            live[i] = relation.insert(op.value, op.interval)
+            live[i] = catalog.insert("stream", op.value, op.interval)
         else:
             victim_key = next(
                 k for k, row in live.items()
                 if row.value == op.value and row.valid == op.interval
             )
-            relation.delete(live.pop(victim_key))
+            catalog.delete("stream", live.pop(victim_key))
+        catalog.refresh()
 
 
 def test_throughput_vs_view_count(report):
@@ -60,9 +59,8 @@ def test_throughput_vs_view_count(report):
     series = Series("views", [c or 0.5 for c in counts])
     seconds, per_op_us = [], []
     for count in counts:
-        relation = TemporalRelation("stream")
-        _make_views(relation, count)
-        elapsed = time_call(lambda: _replay(relation))
+        catalog = _make_views(count)
+        elapsed = time_call(lambda: _replay(catalog))
         seconds.append(elapsed)
         per_op_us.append(elapsed / len(OPS) * 1e6)
     series.add("replay s", seconds)
@@ -83,18 +81,19 @@ def test_incremental_vs_recompute(report):
     """After history accumulates, one more update is far cheaper than a
     recomputation -- and recomputation needs the full base table, which
     the warehouse may not even retain (Section 1)."""
-    relation = TemporalRelation("stream")
-    view = TemporalAggregateView(
-        "sum", relation, "sum", branching=32, leaf_capacity=32
-    )
-    _replay(relation)
-    facts = relation.facts()
+    catalog = DynamicCatalog(branching=32, leaf_capacity=32)
+    catalog.create_table("stream")
+    catalog.create_view("sum", "stream", "sum")
+    _replay(catalog)
+    facts = catalog.table("stream").facts()
 
-    update = time_call(
-        lambda: (
-            relation.delete(relation.insert(5, (100, 20_000)))
-        )
-    )
+    def update_once():
+        row = catalog.insert("stream", 5, (100, 20_000))
+        catalog.refresh()
+        catalog.delete("stream", row)
+        catalog.refresh()
+
+    update = time_call(update_once)
     recompute = time_call(lambda: endpoint_sort.compute(facts, "sum"))
     report(
         "Warehouse / one incremental update vs full recomputation",
@@ -113,18 +112,4 @@ def test_incremental_vs_recompute(report):
 def test_benchmark_replay(benchmark, views):
     ops = OPS[: scaled(300)]
 
-    def run():
-        relation = TemporalRelation("stream")
-        _make_views(relation, views)
-        live = {}
-        for i, op in enumerate(ops):
-            if op.is_insert:
-                live[i] = relation.insert(op.value, op.interval)
-            else:
-                victim_key = next(
-                    k for k, row in live.items()
-                    if row.value == op.value and row.valid == op.interval
-                )
-                relation.delete(live.pop(victim_key))
-
-    benchmark(run)
+    benchmark(lambda: _replay(_make_views(views), ops))

@@ -36,9 +36,9 @@ temp-file write and an fsync failure, of every checkpoint after the
 first.  The model's ``crash`` then reopens the catalog, which
 must pass ``fsck_dynamic`` and hold exactly the last completed
 checkpoint (or, past the rename, the one in flight); it resumes with
-fresh facts and gives each leaf view (one nothing consumes, so it keeps
-no rows) a SUM consumer, and the model's invariant judges every view
-against :mod:`repro.core.reference`.
+fresh facts and gives each leaf view without a window (one nothing
+consumes, so it keeps no rows) a SUM consumer, and the model's invariant
+judges every view against :mod:`repro.core.reference`.
 
 Run it from the command line (also installed as ``repro-crashcheck``)::
 
@@ -68,7 +68,7 @@ from .faults import FaultInjector, SimulatedCrash
 from .oracle import CatalogModel, OracleModel, Step
 from .storage import pager as pager_module
 from .storage.pager import Pager
-from .warehouse.dynamic import CATALOG_CRASH_POINTS, CATALOG_WRITE_LABEL
+from .warehouse.dynamic import ANY_WINDOW, CATALOG_CRASH_POINTS, CATALOG_WRITE_LABEL
 
 __all__ = [
     "CrashCheckResult",
@@ -334,26 +334,50 @@ def _cat_churn() -> List[Step]:
     return steps
 
 
+def _cat_window() -> List[Step]:
+    """The paper's Section 4 views.  Over ``t``, a fixed-window AVG
+    (Figure 5's AvgDosage5) and a grouped SUM at any offset (dual
+    pairs); every fourth fact deletes the second live row.  Over the
+    insert-only ``m``, a fixed-window MAX (Figure 6's MaxDosage20) and
+    a MAX at any offset (MSB-trees)."""
+    steps = [("create_table", "t"), ("create_table", "m"),
+             ("create_view", "avg5", "t", "avg", None, "downstream", 5),
+             ("create_view", "cum", "t", "sum", "k", "downstream", ANY_WINDOW),
+             ("create_view", "max20", "m", "max", None, "downstream", 20),
+             ("create_view", "cmax", "m", "max", None, "downstream", ANY_WINDOW),
+             _fact(3, 0, 40, 0), ("insert", "m", 2, (5, 30)), REFRESH, SAVE]
+    for i in range(14):
+        steps += [_fact(i % 6 + 1, i * 4, i * 4 + 20, i % 3),
+                  ("insert", "m", i % 5 + 1, (i * 5, i * 5 + 12))]
+        if i % 4 == 3:
+            steps.append(("delete", "t", 1))
+        steps += [REFRESH, SAVE] if i % 3 != 2 else [SAVE]
+    return steps
+
+
 #: Fixed step lists of the catalog model's rules; each one's first save
 #: is the fault-free baseline, and the sweep faults each save after it.
 CATALOG_WORKLOADS: Dict[str, List[Step]] = {
     "cat-ingest": _cat_ingest(),
     "cat-dag": _cat_dag(),
     "cat-churn": _cat_churn(),
+    "cat-window": _cat_window(),
 }
 
 
 def _resume(model: CatalogModel) -> List[Step]:
     """What a recovered catalog must go on to do: refresh, take three
     facts past every one it holds and refresh them, and give every leaf
-    view (one nothing consumes, so it keeps no rows) a SUM consumer that
-    answers from the rows the leaf materializes for it."""
+    view without a window (one nothing consumes, so it keeps no rows) a
+    SUM consumer that answers from the rows the leaf materializes for
+    it."""
     horizon = max((valid.end for _, _, valid, _ in model.tables["t"]), default=0)
     fresh = [_fact(9, horizon + 1, horizon + 20, 0), _fact(4, horizon + 5, horizon + 30, 1),
              _fact(7, horizon + 2, horizon + 15, 2)]
     leaves = [
         name for name in model.views
-        if not any(name in sources for sources, _, _ in model.views.values())
+        if model.views[name][3] == 0
+        and not any(name in view[0] for view in model.views.values())
     ]
     return [REFRESH, CHECK, *fresh, REFRESH, *(("add_consumer", name) for name in leaves),
             ("views_match_the_oracle", *model.views, *(f"{name}_sum" for name in leaves))]

@@ -84,7 +84,13 @@ from .faults import FaultInjector, simulate_crash
 from .sharding import ShardedTree, WindowUnsupportedError, shard_path
 from .storage import PagedNodeStore, fsck_dynamic
 from .warehouse import MaterializedView
-from .warehouse.dynamic import CHECKPOINT_NAME, DynamicCatalog
+from .warehouse.dynamic import (
+    ANY_WINDOW,
+    CHECKPOINT_NAME,
+    DynamicCatalog,
+    _trees_of,
+    parse_window,
+)
 
 __all__ = [
     "BACKENDS",
@@ -604,6 +610,8 @@ def replayed(
 Row = Tuple[int, Any, Interval, Dict[str, Any]]
 #: The plan of a crash that a checkpoint's rename has made durable.
 AFTER_RENAME = ("crash", "view_ckpt:after_rename")
+#: The offsets a view with ``window=ANY_WINDOW`` is read at.
+OFFSETS = (0, 3, 12)
 
 
 def _joined(pieces) -> List[List[Any]]:
@@ -641,8 +649,8 @@ def _held(catalog: DynamicCatalog) -> Dict[str, tuple]:
     for name in catalog.view_names():
         view = catalog.view(name)
         trees = {
-            group: (step_function(tree), view._index[group])
-            for group, tree in view._trees.items()
+            group: ([step_function(tree) for tree in _trees_of(index)], view._index[group])
+            for group, index in view._trees.items()
         }
         held[name] += (view.watermarks, view.refreshes, view.events_consumed,
                        view.quarantined, view.last_error, trees)
@@ -657,7 +665,7 @@ def _state_of(catalog: DynamicCatalog) -> Tuple[Dict, Dict]:
         for name in catalog.table_names()
     }
     views = {
-        view.name: (view.sources, view.spec.kind.value, view.key_field)
+        view.name: (view.sources, view.spec.kind.value, view.key_field, view.window)
         for view in map(catalog.view, catalog.view_names())
     }
     return tables, views
@@ -691,7 +699,11 @@ class CatalogModel:
     ``None`` left out.  So every view is checked against the facts
     through the views below it.  A SUM/AVG/MIN/MAX view over float
     values is compared to within 1e-9: refresh folds a batch before
-    adding it up, in another order than the reference does.
+    adding it up, in another order than the reference does.  A view
+    with a window (nothing consumes one) is read, at each instant and
+    each instant plus its offset, against
+    :func:`~repro.core.reference.cumulative_value`: a fixed window at
+    its own offset, ``ANY_WINDOW`` at :data:`OFFSETS`.
     """
 
     def setup(self, directory: Optional[str] = None, **tree_args: Any) -> None:
@@ -702,8 +714,9 @@ class CatalogModel:
         self.tree_args = tree_args
         self.ticks = 0
         self.tables: Dict[str, List[Row]] = {}
-        #: View name -> (sources, kind, key field), in creation order.
-        self.views: Dict[str, Tuple[List[str], str, Optional[str]]] = {}
+        #: View name -> (sources, kind, key field, window), in creation
+        #: order.
+        self.views: Dict[str, Tuple[List[str], str, Optional[str], Any]] = {}
         #: What the last completed save made durable, what the one
         #: before it did (``.prev`` holds it), and what a save under way
         #: is writing (else None).
@@ -735,10 +748,10 @@ class CatalogModel:
         self.tables[name] = []
 
     def create_view(self, name: str, over: Any, kind: str, key: Optional[str] = None,
-                    lag: Any = "downstream") -> None:
-        self.catalog.create_view(name, over, kind, key=key, lag=lag)
+                    lag: Any = "downstream", window: Any = 0) -> None:
+        self.catalog.create_view(name, over, kind, key=key, lag=lag, window=window)
         sources = [over] if isinstance(over, str) else list(over)
-        self.views[name] = (sources, kind, key)
+        self.views[name] = (sources, kind, key, parse_window(window))
 
     def add_consumer(self, leaf: str) -> None:
         """A SUM view over *leaf*, which nothing consumed: the leaf first
@@ -837,7 +850,7 @@ class CatalogModel:
         order = catalog.table_names() + catalog.view_names()
         check(order == [*self.tables, *self.views], "nodes", order)
         check(_state_of(catalog) == self._state(), "tables and views", _state_of(catalog))
-        for name, (sources, kind, key) in self.views.items():  # sources first
+        for name, (sources, kind, key, window) in self.views.items():  # sources first
             view = catalog.view(name)
             inputs = [row for src in sources for row in self._rows_of(src)]
             approx = kind != "count" and any(isinstance(row[1], float) for row in inputs)
@@ -845,14 +858,18 @@ class CatalogModel:
             # oracle and the view may change only there.  And one instant
             # before them all and one after.
             ends = {t for _, _, valid, _ in inputs for t in (valid.start, valid.end)}
-            for tree in view._trees.values():
+            for tree in (tree for index in view._trees.values() for tree in _trees_of(index)):
                 check_tree(tree, check_compact=not approx and tree.spec.invertible)
                 ends.update(start for _, start, _ in tree.leaf_pieces())
             ends = sorted(t for t in ends if NEG_INF < t < POS_INF) or [0]
             instants = [ends[0] - 1, *ends, ends[-1] + 1]
             self.check_rows(name, approx, instants)
-            if not self._stale(name):
+            if self._stale(name):
+                continue
+            if window == 0:
                 self.check_values(name, approx, instants)
+            else:
+                self.check_windows(name, approx, instants)
 
     def check_rows(self, name: str, approx: bool, instants: Sequence[Any]) -> None:
         """View *name* holds output rows iff a view consumes it.  Then a
@@ -860,7 +877,7 @@ class CatalogModel:
         and are its tree's step function, finalized, ``v0`` and ``None``
         left out: equal as pieces, or with *approx* at *instants*."""
         view = self.catalog.view(name)
-        if not any(name in sources for sources, _, _ in self.views.values()):
+        if not any(name in view[0] for view in self.views.values()):
             empty = all(index == ([], []) for index in view._index.values())
             check(len(view.relation) == 0 and empty and view.row_texts == {},
                   "rows nothing consumes", name)
@@ -899,7 +916,7 @@ class CatalogModel:
         every group that has one.  With every change of either among
         *instants*, a view that reads right there is right everywhere."""
         view = self.catalog.view(name)
-        spec, (sources, kind, key) = view.spec, self.views[name]
+        spec, (sources, kind, key, _) = view.spec, self.views[name]
         # The rows each instant meets, by group.
         valid_at: List[Dict[Any, List[Fact]]] = [{} for _ in instants]
         for src in sources:
@@ -921,6 +938,33 @@ class CatalogModel:
             empty = spec.finalize(spec.v0)
             for group, value in got.items():
                 check(_close(value, want.get(group, empty), approx), "read", name, group, t, value)
+
+    def check_windows(self, name: str, approx: bool, instants: Sequence[Any]) -> None:
+        """Windowed view *name* read at each of *instants*, and at each
+        of them plus the offset, against the reference's cumulative
+        value over the rows its sources hold, group by group: a fixed
+        window at its offset, ``ANY_WINDOW`` at every one of
+        :data:`OFFSETS`.  The cumulative value changes only where a row
+        starts or where its end plus the offset falls."""
+        view = self.catalog.view(name)
+        spec, (sources, kind, key, window) = view.spec, self.views[name]
+        facts: Dict[Any, List[Fact]] = {}
+        for src in sources:
+            for _, value, valid, payload in self._rows_of(src):
+                group = None if key is None else payload.get(key)
+                facts.setdefault(group, []).append((value, valid))
+        for w in OFFSETS if window is ANY_WINDOW else (window,):
+            for t in sorted({*instants, *(t + w for t in instants)}):
+                got = self.catalog.read(name, t, w=w if window is ANY_WINDOW else None).value
+                if key is None:
+                    got = {None: got}
+                check(set(facts) <= set(got), "groups", name, t, got)
+                for group, value in got.items():
+                    want = spec.finalize(
+                        reference.cumulative_value(facts.get(group, ()), kind, t, w)
+                    )
+                    check(_close(value, want, approx), "window read", name, group, t, w,
+                          value, want)
 
     def check_restores(self) -> None:
         """A second catalog opened on the last checkpoint holds what the

@@ -2,9 +2,12 @@
 
 A :class:`TemporalRelation` is the source side of the paper's
 warehousing scenario: a set of live temporal tuples plus an observer
-list.  Every insert or delete is forwarded to subscribers (materialized
-views, indices) as a :class:`~repro.relation.tuples.ChangeEvent`, which
-is exactly the information the SB-tree maintenance procedures consume.
+list.  Every insert or delete is forwarded to subscribers (a view
+catalog's change logs) as a :class:`~repro.relation.tuples.ChangeEvent`,
+which is exactly the information the SB-tree maintenance procedures
+consume.  A subscriber cannot veto a change: a view that cannot absorb
+one (a MIN/MAX view and a deletion, paper Section 3.4) refuses it when
+it refreshes.
 """
 
 from __future__ import annotations
@@ -37,28 +40,17 @@ class TemporalRelation:
         if not isinstance(valid, Interval):
             valid = Interval(*valid)
         row = TemporalTuple(next(self._ids), value, valid, payload)
-        event = ChangeEvent(ChangeKind.INSERT, row)
-        self._validate(event)
         self._tuples[row.tuple_id] = row
-        self._notify(event)
+        self._notify(ChangeEvent(ChangeKind.INSERT, row))
         return row
 
     def delete(self, row_or_id) -> TemporalTuple:
-        """Delete a tuple by id or by the tuple object itself.
-
-        The change is validated with every subscriber *before* any state
-        is mutated; a subscriber that cannot process it (e.g. a MIN/MAX
-        view, which is not maintainable under deletions) vetoes the
-        whole change, leaving the relation and all views untouched.
-        """
+        """Delete a tuple by id or by the tuple object itself."""
         tuple_id = row_or_id.tuple_id if isinstance(row_or_id, TemporalTuple) else row_or_id
         if tuple_id not in self._tuples:
             raise KeyError(f"no tuple #{tuple_id} in relation {self.name!r}")
-        row = self._tuples[tuple_id]
-        event = ChangeEvent(ChangeKind.DELETE, row)
-        self._validate(event)
-        del self._tuples[tuple_id]
-        self._notify(event)
+        row = self._tuples.pop(tuple_id)
+        self._notify(ChangeEvent(ChangeKind.DELETE, row))
         return row
 
     def restore(self, rows) -> None:
@@ -103,13 +95,6 @@ class TemporalRelation:
 
     def unsubscribe(self, subscriber: Subscriber) -> None:
         self._subscribers.remove(subscriber)
-
-    def _validate(self, event: ChangeEvent) -> None:
-        """First phase: let every subscriber veto before anything mutates."""
-        for subscriber in self._subscribers:
-            validate = getattr(subscriber, "validate", None)
-            if validate is not None:
-                validate(event)
 
     def _notify(self, event: ChangeEvent) -> None:
         for subscriber in self._subscribers:

@@ -900,6 +900,7 @@ def _fsck_dynamic(path: str) -> FsckReport:
             )
         else:
             _audit_tree_checkpoint(report, name, spec, raw.get("trees", []))
+            _audit_tree_checkpoint(report, name, spec, raw.get("ended", []))
         sources = raw.get("sources", [])
         watermarks = raw.get("watermarks", {})
         for src in sources:

@@ -1,6 +1,14 @@
-"""Temporal data warehouse: maintained views and direct materialization."""
+"""Temporal data warehouse: the view catalog and the paper's baseline.
+
+:class:`DynamicCatalog` is the one view engine: named, durable views over
+base tables and over each other, each indexed by the paper's trees
+(instantaneous, or cumulative with ``window=``).
+:class:`MaterializedView` is the direct materialization the paper
+measures the SB-tree against.
+"""
 
 from .dynamic import (
+    ANY_WINDOW,
     DOWNSTREAM,
     ChangeLog,
     CycleError,
@@ -11,7 +19,6 @@ from .dynamic import (
     parse_lag,
 )
 from .materialized import MaterializedView
-from .view import ANY_WINDOW, TemporalAggregateView
 
 __all__ = [
     "ANY_WINDOW",
@@ -21,7 +28,6 @@ __all__ = [
     "DynamicCatalog",
     "DynamicView",
     "MaterializedView",
-    "TemporalAggregateView",
     "ViewDependencyError",
     "ViewReading",
     "parse_lag",

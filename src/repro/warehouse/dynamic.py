@@ -1,10 +1,9 @@
 """Dynamic materialized views: a DAG of lag-driven incremental refreshes.
 
-The rest of :mod:`repro.warehouse` maintains each view *eagerly*: every
-base-table change descends the view's SB-tree before the insert call
-returns.  That is the paper's O(log n) bound per change, but it couples
-every writer to every view.  This module adds Snowflake-style *dynamic
-tables* on top of the same machinery:
+This is the package's one view engine.  A view indexes a temporal
+aggregate with the paper's trees -- O(log n) per change, however long
+the changed tuple's interval -- but applies changes in batches, so no
+writer waits on a view.  It follows Snowflake-style *dynamic tables*:
 
 * every node (base table or view) keeps a :class:`ChangeLog` -- the
   sequence-numbered stream of :class:`~repro.relation.tuples.ChangeEvent`
@@ -32,6 +31,14 @@ tables* on top of the same machinery:
   effect -- where the group's tree changed -- not the spans of the
   records, so a row an upstream view retracted and re-emitted
   unchanged is left alone;
+* a view may be cumulative (paper, Section 4): ``window=w`` stretches
+  each record to ``[s, e + w)`` as it is folded (the fixed window of
+  4.1, one SB-tree per group); ``window=ANY_WINDOW`` gives each
+  SUM/COUNT/AVG group a dual pair (4.2: ``T`` takes the records,
+  ``T'`` each record's effect over ``[e, inf)``, the pinned erratum)
+  and each MIN/MAX group an MSB-tree (4.3), read at any offset ``w``
+  with the tree's own ``window_lookup``.  A windowed view holds no
+  output rows, so no view may consume it;
 * the :class:`DynamicCatalog` owns the dependency DAG (cycle rejection
   at ``create_view`` time), refreshes stale views in topological order
   on each :meth:`~DynamicCatalog.tick`, persists per-view watermarks
@@ -125,6 +132,7 @@ Robustness (DESIGN.md section 14)
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import itertools
 import json
 import math
@@ -135,13 +143,17 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .. import obs
+from ..core.dual import DualTreeAggregate
 from ..core.intervals import NEG_INF, POS_INF, Interval, Time
+from ..core.msbtree import MSBTree
+from ..core.results import ConstantIntervalTable, trim_initial
 from ..core.sbtree import SBTree
 from ..core.values import AggregateSpec, spec_for
 from ..relation.table import TemporalRelation
 from ..relation.tuples import ChangeEvent, ChangeKind, TemporalTuple
 
 __all__ = [
+    "ANY_WINDOW",
     "DOWNSTREAM",
     "CATALOG_CRASH_POINTS",
     "parse_lag",
@@ -235,6 +247,56 @@ def parse_lag(lag: Any) -> Union[float, _Downstream]:
 def format_lag(lag: Union[float, _Downstream]) -> Any:
     """The JSON/wire form of a parsed lag (inverse of :func:`parse_lag`)."""
     return "downstream" if lag is DOWNSTREAM else lag
+
+
+class _AnyWindow:
+    """Sentinel window: the view answers cumulative reads at any offset."""
+
+    def __repr__(self) -> str:
+        return "ANY_WINDOW"
+
+
+ANY_WINDOW = _AnyWindow()
+
+
+def parse_window(window: Any) -> Union[Time, _AnyWindow]:
+    """A view's window: ``0`` (instantaneous), a finite offset ``w > 0``,
+    or :data:`ANY_WINDOW` (``"any"`` in a checkpoint).  ``ValueError``
+    for anything else."""
+    if window is ANY_WINDOW or window == "any":
+        return ANY_WINDOW
+    if isinstance(window, bool) or not isinstance(window, (int, float)) \
+            or not (math.isfinite(window) and window >= 0):
+        raise ValueError(
+            f"window must be 0, a finite offset w > 0 or ANY_WINDOW, got {window!r}"
+        )
+    return window
+
+
+def _stretched(record: "LogRecord", w: Time) -> "LogRecord":
+    """*record* over ``[s, e + w)`` (Section 4.1); an infinite end stays
+    infinite, as in :class:`~repro.core.fixed_window.FixedWindowTree`."""
+    if record.end == POS_INF:
+        return record
+    return dataclasses.replace(record, end=record.end + w)
+
+
+def _ended(records: List["LogRecord"]) -> List["LogRecord"]:
+    """What ``T'`` of a dual pair takes of *records* (Section 4.2): each
+    one that ends, over ``[e, inf)`` -- the pinned erratum's closed
+    start, so a tuple ending at ``t - w`` is out of the window at ``t``."""
+    return [
+        dataclasses.replace(record, start=record.end, end=POS_INF)
+        for record in records if record.end != POS_INF
+    ]
+
+
+def _trees_of(index: Any) -> Tuple[SBTree, ...]:
+    """The SB-trees behind a group's index: ``T`` and ``T'`` of a dual
+    pair, else the index itself."""
+    if isinstance(index, DualTreeAggregate):
+        return index.current, index.ended
+    return (index,)
 
 
 @dataclass(frozen=True)
@@ -427,8 +489,9 @@ class DynamicView:
     Not constructed directly -- use :meth:`DynamicCatalog.create_view`,
     which validates the DAG.  The view owns
 
-    * one SB-tree per group key (created lazily as keys appear in the
-      consumed change stream) holding the paper's aggregate index,
+    * one index per group key (created lazily as keys appear in the
+      consumed change stream): an SB-tree, or with ``window=ANY_WINDOW``
+      a dual pair (SUM/COUNT/AVG) or an MSB-tree (MIN/MAX),
     * an output :class:`TemporalRelation` materializing the aggregate's
       constant intervals as temporal tuples (so a view is consumable by
       further views exactly like a base table) -- empty while no view
@@ -444,6 +507,7 @@ class DynamicView:
         *,
         key: Optional[str] = None,
         lag: Union[float, _Downstream] = DOWNSTREAM,
+        window: Union[Time, _AnyWindow] = 0,
         clock=time.monotonic,
         branching: int = 32,
         leaf_capacity: Optional[int] = None,
@@ -453,13 +517,24 @@ class DynamicView:
         self.spec: AggregateSpec = spec_for(kind)
         self.key_field = key
         self.lag = lag
+        self.window = window
+        # The window is chosen here, once: the index a group gets, and
+        # what each of its trees takes of a group's records.
+        if window is ANY_WINDOW:
+            self._new_index = DualTreeAggregate if self.spec.invertible else MSBTree
+            self._inputs = (lambda records: (records, _ended(records))) \
+                if self.spec.invertible else (lambda records: (records,))
+        else:
+            self._new_index = SBTree
+            self._inputs = (lambda records: ([_stretched(r, window) for r in records],)) \
+                if window else (lambda records: (records,))
         self.watermarks: Dict[str, int] = {src: 0 for src in self.sources}
         self.relation = TemporalRelation(name)
         self.log = ChangeLog()
         self._tap = _LogTap(self.log, clock)
         self.relation.subscribe(self._tap, replay=True)
         self._tree_args = dict(branching=branching, leaf_capacity=leaf_capacity)
-        self._trees: Dict[Hashable, SBTree] = {}
+        self._trees: Dict[Hashable, Any] = {}
         # Per-group row index, the view's own affected-region index: the
         # group's output rows sorted by start (they are disjoint) beside
         # the parallel list of those starts, so regeneration bisects to
@@ -468,13 +543,14 @@ class DynamicView:
         self._index: Dict[Hashable, Tuple[List[Time], List[TemporalTuple]]] = {}
         # What the last save wrote, kept for the next one (see
         # DynamicCatalog.save): each output row's JSON text by tuple id,
-        # and per group the tree checkpoint's segments -- their starts,
-        # their ends and their JSON texts -- with the spans of the tree
-        # written since.  A group whose sums may be floats is re-walked
+        # and per tree -- a slot ``(part, key)``, part 1 the ``T'`` of a
+        # dual pair -- the tree checkpoint's segments (their starts,
+        # their ends and their JSON texts) with the spans of the tree
+        # written since.  A tree whose sums may be floats is re-walked
         # whole when written (``_inexact``, see :meth:`_mark`).
         self.row_texts: Dict[int, str] = {}
-        self._segments: Dict[Hashable, Tuple[List[Time], List[Time], List[str]]] = {}
-        self._dirty: Dict[Hashable, List[Tuple[Time, Time]]] = {}
+        self._segments: Dict[Tuple[int, Hashable], Tuple[List[Time], List[Time], List[str]]] = {}
+        self._dirty: Dict[Tuple[int, Hashable], List[Tuple[Time, Time]]] = {}
         self._inexact: set = set()
         self.refreshes = 0
         self.events_consumed = 0
@@ -501,10 +577,11 @@ class DynamicView:
         self.edges: List[Tuple[ChangeLog, DynamicView, str]] = []
 
     # ------------------------------------------------------------------
-    def _tree(self, key: Hashable) -> SBTree:
+    def _tree(self, key: Hashable) -> Any:
+        """Group *key*'s index, created empty on first use."""
         tree = self._trees.get(key)
         if tree is None:
-            tree = SBTree(self.spec, **self._tree_args)
+            tree = self._new_index(self.spec, **self._tree_args)
             self._trees[key] = tree
             self._index[key] = ([], [])
         return tree
@@ -524,9 +601,10 @@ class DynamicView:
         return key
 
     def _mark(
-        self, key: Hashable, spans: List[Tuple[Time, Time]], values: Sequence[Any] = ()
+        self, slot: Tuple[int, Hashable], spans: List[Tuple[Time, Time]],
+        values: Sequence[Any] = (),
     ) -> None:
-        """Record, before a write of *values* to group *key*'s tree, the
+        """Record, before a write of *values* to the tree of *slot*, the
         spans the write may change: the next save re-walks only those.
 
         An SB-tree node merge re-associates the sums it pushes down,
@@ -538,20 +616,20 @@ class DynamicView:
         outnumber its segments: that also bounds what a catalog that
         never saves keeps here.
         """
-        if self.spec.invertible and key not in self._inexact and not _integers(values):
-            self._inexact.add(key)
-        dirty = self._dirty.setdefault(key, [])
-        if key in self._inexact or dirty[:1] == [_WHOLE]:
-            self._dirty[key] = [_WHOLE]
+        if self.spec.invertible and slot not in self._inexact and not _integers(values):
+            self._inexact.add(slot)
+        dirty = self._dirty.setdefault(slot, [])
+        if slot in self._inexact or dirty[:1] == [_WHOLE]:
+            self._dirty[slot] = [_WHOLE]
             return
         dirty.extend(spans)
-        segments = len(self._segments.get(key, ((),))[0])
+        segments = len(self._segments.get(slot, ((),))[0])
         if len(dirty) > 2 * segments + 64:
             merged = _merge_spans(dirty)
-            self._dirty[key] = merged if len(merged) <= segments else [_WHOLE]
+            self._dirty[slot] = merged if len(merged) <= segments else [_WHOLE]
 
-    def _segment_texts(self, key: Hashable, tree: SBTree) -> List[str]:
-        """Group *key*'s tree checkpoint, as JSON texts of its segments.
+    def _segment_texts(self, slot: Tuple[int, Hashable], tree: SBTree) -> List[str]:
+        """The checkpoint of *slot*'s tree, as JSON texts of its segments.
 
         The checkpoint is the coalesced internal step function of the
         tree, ``v0`` runs dropped.  Only the spans written since the
@@ -561,8 +639,8 @@ class DynamicView:
         walk's segments replace those.  Everything outside the spans
         reads as it did when it was last walked.
         """
-        starts, ends, texts = self._segments.setdefault(key, ([], [], []))
-        spans = self._dirty.get(key)
+        starts, ends, texts = self._segments.setdefault(slot, ([], [], []))
+        spans = self._dirty.get(slot)
         if not spans:
             return texts
         windows = []
@@ -582,26 +660,28 @@ class DynamicView:
             starts[first:stop] = [start for _, start, _ in segments]
             ends[first:stop] = [end for _, _, end in segments]
             texts[first:stop] = list(map(_dumps, segments))
-        del self._dirty[key]
+        del self._dirty[slot]
         return texts
 
-    def _tree_texts(self) -> "_Array":
+    def _tree_texts(self, part: int = 0) -> "_Array":
         """Every group's tree checkpoint ``[key, segments]``, as JSON
-        texts (see :meth:`_segment_texts`)."""
+        texts (see :meth:`_segment_texts`); part 1 is ``T'`` of a dual
+        pair."""
         return _Array(
-            f"[{json.dumps(key)}, [{', '.join(self._segment_texts(key, tree))}]]"
-            for key, tree in self._trees.items()
+            f"[{json.dumps(key)}, "
+            f"[{', '.join(self._segment_texts((part, key), _trees_of(index)[part]))}]]"
+            for key, index in self._trees.items()
         )
 
-    def _seed_segments(self, key: Hashable, segments: List[List[Any]]) -> None:
-        """Adopt a restored group's checkpoint as the last save's."""
-        self._segments[key] = (
+    def _seed_segments(self, slot: Tuple[int, Hashable], segments: List[List[Any]]) -> None:
+        """Adopt a restored tree's checkpoint as the last save's."""
+        self._segments[slot] = (
             [start for _, start, _ in segments],
             [end for _, _, end in segments],
             list(map(_dumps, segments)),
         )
         if self.spec.invertible and not _integers([value for value, _, _ in segments]):
-            self._inexact.add(key)
+            self._inexact.add(slot)
 
     # ------------------------------------------------------------------
     # Refresh
@@ -619,10 +699,12 @@ class DynamicView:
         upstream view's retract / re-emit pairs) never reach the tree.
         MIN/MAX are insert-only and nothing cancels (paper, Section
         3.4): each group's records go in as they are, as one batch,
-        behind the veto.  If a view consumes this one, its output rows
-        are then regenerated only where a group's tree changed: over
-        the merged spans of its folded segments, or for MIN/MAX of its
-        records.
+        behind the veto.  A windowed view folds or batches what each of
+        its trees takes (see ``_inputs``): the stretched records, or
+        the records and, for ``T'``, their ends.  If a view consumes
+        this one, its output rows are then regenerated only where a
+        group's tree changed: over the merged spans of its folded
+        segments, or for MIN/MAX of its records.
 
         Folding touches no state, so a record the aggregate cannot
         accumulate (a non-numeric value in a SUM) raises before the
@@ -644,40 +726,8 @@ class DynamicView:
             for record in batch:
                 groups.setdefault(self._key_of(record.payload), []).append(record)
             consumed += len(batch)
-        changed: Dict[Hashable, List[Tuple[Time, Time]]] = {}
-        if self.spec.invertible:
-            folded = [self._fold(records) for records in groups.values()]
-            for key, segments in zip(groups, folded):
-                changed[key] = [(start, end) for _, start, end in segments]
-                self._mark(key, changed[key], [value for value, _, _ in segments])
-                self._tree(key).insert_effects(
-                    (value, Interval(start, end))
-                    for value, start, end in segments
-                )
-                self.effects_applied += len(segments)
-        else:
-            # Two-phase, like the eager views: veto before any mutation
-            # so a batch with a deletion cannot half-apply.
-            for _, batch in batches:
-                for record in batch:
-                    if record.kind == "delete":
-                        raise ValueError(
-                            f"view {self.name!r}: {self.spec.kind} aggregates "
-                            "cannot be maintained under deletions (paper, "
-                            "Section 3.4); the source change stream "
-                            "retracted a tuple"
-                        )
-            # Every group's spans are marked before the first write: a
-            # value a tree cannot compare fails its group's batch after
-            # earlier groups took theirs.
-            for key, records in groups.items():
-                changed[key] = [(r.start, r.end) for r in records]
-                self._mark(key, changed[key])
-            for key, records in groups.items():
-                self._tree(key).insert_batch(
-                    (record.value, record.interval) for record in records
-                )
-                self.effects_applied += len(records)
+        changed, effects = self._apply(groups)
+        self.effects_applied += effects
         for src, batch in batches:
             self.watermarks[src] = batch[-1].seq
         if self.log.consumed:
@@ -694,6 +744,56 @@ class DynamicView:
                 wall_us=self.last_refresh_s * 1e6,
             ))
         return consumed
+
+    def _apply(
+        self, groups: Dict[Hashable, List[LogRecord]]
+    ) -> Tuple[Dict[Hashable, List[Tuple[Time, Time]]], int]:
+        """Write each group's records to its trees.  Returns, per group,
+        the spans its (first) tree may have changed, and how many
+        effects the trees took."""
+        changed: Dict[Hashable, List[Tuple[Time, Time]]] = {}
+        effects = 0
+        if self.spec.invertible:
+            folded = [
+                [self._fold(part) for part in self._inputs(records)]
+                for records in groups.values()
+            ]
+            for key, parts in zip(groups, folded):
+                trees = _trees_of(self._tree(key))
+                for part, (tree, segments) in enumerate(zip(trees, parts)):
+                    spans = [(start, end) for _, start, end in segments]
+                    self._mark((part, key), spans, [value for value, _, _ in segments])
+                    tree.insert_effects(
+                        (value, Interval(start, end))
+                        for value, start, end in segments
+                    )
+                    effects += len(segments)
+                    changed.setdefault(key, spans)
+            return changed, effects
+        # Two-phase: veto before any mutation so a batch with a deletion
+        # cannot half-apply.
+        for records in groups.values():
+            for record in records:
+                if record.kind == "delete":
+                    raise ValueError(
+                        f"view {self.name!r}: {self.spec.kind} aggregates "
+                        "cannot be maintained under deletions (paper, "
+                        "Section 3.4); the source change stream "
+                        "retracted a tuple"
+                    )
+        inputs = {key: self._inputs(records)[0] for key, records in groups.items()}
+        # Every group's spans are marked before the first write: a
+        # value a tree cannot compare fails its group's batch after
+        # earlier groups took theirs.
+        for key, records in inputs.items():
+            changed[key] = [(r.start, r.end) for r in records]
+            self._mark((0, key), changed[key])
+        for key, records in inputs.items():
+            self._tree(key).insert_batch(
+                (record.value, record.interval) for record in records
+            )
+            effects += len(records)
+        return changed, effects
 
     def _fold(self, records: List[LogRecord]) -> List[List[Any]]:
         """The net effect of one group's records as a step function.
@@ -827,16 +927,61 @@ class DynamicView:
     # mid-regeneration; see "Consistency model" in the module docstring
     # for what a failed refresh leaves behind)
     # ------------------------------------------------------------------
-    def value_at(self, t: Time, key: Hashable = None) -> Any:
-        """Finalized value at *t* for one group (or the single group)."""
+    def _check_read(self, key: Hashable, w: Optional[Time]) -> None:
+        """Refuse (``ValueError``) a read this view cannot answer: a
+        *key* on an ungrouped view or one no group can have, an offset
+        *w* on a view without ``ANY_WINDOW`` (a fixed window answers for
+        its own offset), none on one with it, or a negative one."""
+        if key is not None:
+            if self.key_field is None:
+                raise ValueError(
+                    f"view {self.name!r} is not grouped: it has no key {key!r}"
+                )
+            if not isinstance(key, _KEY_TYPES):
+                raise ValueError(
+                    f"view {self.name!r}: a group key is a str, int, float, "
+                    f"bool or None, not {key!r}"
+                )
+        if (w is None) == (self.window is ANY_WINDOW):
+            raise ValueError(
+                f"view {self.name!r} answers any window offset; pass w"
+                if w is None else
+                f"view {self.name!r} has window={self.window!r}; only a view "
+                "with window=ANY_WINDOW is read at an offset w"
+            )
+        if w is not None and not w >= 0:
+            raise ValueError("window offset must be non-negative")
+
+    def value_at(self, t: Time, key: Hashable = None, w: Optional[Time] = None) -> Any:
+        """Finalized value at *t* for one group (or the single group),
+        over the closed window ``[t - w, t]`` when *w* is given."""
         tree = self._trees.get(key)
         if tree is None:
             return self.spec.finalize(self.spec.v0)
-        return tree.lookup_final(t)
+        if w is None:
+            return tree.lookup_final(t)
+        return self.spec.finalize(tree.window_lookup(t, w))
 
-    def values_at(self, t: Time) -> Dict[Hashable, Any]:
-        """Every known group's finalized value at *t*."""
-        return {key: tree.lookup_final(t) for key, tree in self._trees.items()}
+    def values_at(self, t: Time, w: Optional[Time] = None) -> Dict[Hashable, Any]:
+        """Every known group's finalized value at *t* (at offset *w*)."""
+        if w is None:
+            return {key: tree.lookup_final(t) for key, tree in self._trees.items()}
+        return {key: self.value_at(t, key, w) for key in self._trees}
+
+    def table(self, key: Hashable = None, w: Optional[Time] = None) -> ConstantIntervalTable:
+        """One group's contents as it stands (no refresh): its constant
+        intervals, finalized, those at the aggregate's initial value
+        trimmed from either end.  Pass *w* exactly when the view has
+        ``window=ANY_WINDOW``; an unknown key is the empty table."""
+        self._check_read(key, w)
+        index = self._trees.get(key)
+        if index is None:
+            return ConstantIntervalTable([])
+        if w is None:
+            raw = index.to_table()
+        else:
+            raw = trim_initial(index.window_query(Interval(NEG_INF, POS_INF), w), self.spec)
+        return raw.finalized(self.spec).coalesce()
 
     def keys(self):
         return self._trees.keys()
@@ -947,6 +1092,34 @@ def _row_texts(node: Union["_BaseNode", DynamicView]) -> _Array:
         texts[row.tuple_id] = text
     node.row_texts = texts
     return _Array(texts.values())
+
+
+def _view_entry(view: DynamicView) -> Dict[str, Any]:
+    """A view's checkpoint object.  Only a windowed view has a
+    ``"window"``, and only a dual one ``"ended"`` (its ``T'`` trees, in
+    the form of ``"trees"``), so a window-0 view's bytes are as they
+    were before views had windows."""
+    entry: Dict[str, Any] = {
+        "sources": view.sources,
+        "kind": view.spec.kind.value,
+        "key": view.key_field,
+    }
+    if view.window != 0:
+        entry["window"] = "any" if view.window is ANY_WINDOW else view.window
+    entry.update({
+        "lag": format_lag(view.lag),
+        "watermarks": view.watermarks,
+        "refreshes": view.refreshes,
+        "events_consumed": view.events_consumed,
+        "log": view.log.to_json(),
+        "rows": _row_texts(view),
+        "trees": view._tree_texts(),
+    })
+    if view.window is ANY_WINDOW and view.spec.invertible:
+        entry["ended"] = view._tree_texts(1)
+    entry["quarantined"] = view.quarantined
+    entry["last_error"] = view.last_error
+    return entry
 
 
 def _restore_relation(relation: TemporalRelation, rows: List[List[Any]]) -> None:
@@ -1130,11 +1303,16 @@ class DynamicCatalog:
         *,
         key: Optional[str] = None,
         lag: Any = DOWNSTREAM,
+        window: Any = 0,
         create_sources: bool = False,
     ) -> DynamicView:
         """Declare a dynamic view over base tables and/or other views.
 
-        ``lag`` accepts anything :func:`parse_lag` does.  With
+        ``lag`` accepts anything :func:`parse_lag` does, ``window``
+        anything :func:`parse_window` does: ``0``, a fixed offset ``w``
+        (the view reads as the aggregate over ``[t - w, t]``) or
+        :data:`ANY_WINDOW` (:meth:`read` takes the offset).  A windowed
+        view holds no output rows, so it cannot be a source.  With
         ``create_sources`` unknown source names are auto-created as
         base tables (the service's ingest-after-declare convenience)
         once every source is checked, so a refused view creates none;
@@ -1150,6 +1328,7 @@ class DynamicCatalog:
         if not sources:
             raise ValueError("a view needs at least one source")
         parsed_lag = parse_lag(lag)
+        window = parse_window(window)
         with self._lock:
             if self.has_node(name):
                 raise ValueError(f"table or view {name!r} already exists")
@@ -1163,12 +1342,17 @@ class DynamicCatalog:
                         "MIN/MAX aggregates are not maintainable under "
                         "deletions (paper, Section 3.4)"
                     )
+                if src in self._views and self._views[src].window != 0:
+                    raise ValueError(
+                        f"view {name!r}: view {src!r} has a window, so it holds "
+                        "no rows and cannot be a source"
+                    )
                 if not self.has_node(src) and not create_sources:
                     raise ViewDependencyError(
                         f"view {name!r}: unknown source {src!r}"
                     )
             view = DynamicView(
-                name, sources, spec, key=key, lag=parsed_lag,
+                name, sources, spec, key=key, lag=parsed_lag, window=window,
                 clock=self.clock, **self._tree_args,
             )
             # Only now, with every source checked, do the missing ones
@@ -1205,19 +1389,19 @@ class DynamicCatalog:
         replay would have vetoed a deletion), and the view bootstraps
         from those rows instead, starting at the source's current head.
         """
-        seeds: Dict[Hashable, List[TemporalTuple]] = {}
+        seeds: Dict[Hashable, List[LogRecord]] = {}
         heads: Dict[str, int] = {}
         for src in view.sources:
             node = self._node(src)
             if node.log.base <= 0:
                 continue
             for row in node.relation:
-                seeds.setdefault(view._key_of(row.payload), []).append(row)
+                seeds.setdefault(view._key_of(row.payload), []).append(LogRecord(
+                    0, "insert", row.value, row.valid.start, row.valid.end,
+                    row.payload, 0.0,
+                ))
             heads[src] = node.log.head
-        effect = view.spec.effect
-        for key, rows in seeds.items():
-            view._mark(key, [_WHOLE], [effect(row.value) for row in rows])
-            view._tree(key).insert_batch((row.value, row.valid) for row in rows)
+        view._apply(seeds)
         view.watermarks.update(heads)
 
     def _drop_unconsumed_rows(self, names: Sequence[str]) -> None:
@@ -1428,9 +1612,11 @@ class DynamicCatalog:
     # Reads
     # ------------------------------------------------------------------
     def read(
-        self, name: str, t: Time, *, key: Hashable = None, now: Optional[float] = None
+        self, name: str, t: Time, *, key: Hashable = None, w: Optional[Time] = None,
+        now: Optional[float] = None,
     ) -> ViewReading:
-        """Read one view at instant *t*.
+        """Read one view at instant *t* (a view with ``window=ANY_WINDOW``
+        over the closed window ``[t - w, t]``: pass *w*, and only then).
 
         A ``downstream``-lagged view (and its lazy ancestors) refreshes
         first when a record is pending anywhere upstream of it -- that
@@ -1438,30 +1624,32 @@ class DynamicCatalog:
         current state and let ``staleness_s`` say how old it is.  For a
         grouped view, *key* selects one group (unknown keys read as the
         empty group) and ``key=None`` returns every group's value as a
-        dict; an ungrouped view refuses a *key* (``ValueError``).
+        dict; an ungrouped view refuses a *key*, and any view a *key*
+        that is not a str, int, float, bool or None (``ValueError``).
 
         Cost: a fresh view -- nothing pending on any edge of its
         ancestry -- is one pass over those edges plus one tree lookup
-        per group read; the clock is not consulted.  A NaN *t* is
-        refused (``ValueError``) before anything refreshes.
+        per group read; the clock is not consulted.  A NaN *t*, and
+        any argument the view refuses, is refused (``ValueError``) before
+        anything refreshes.
         """
         if t != t:
             raise ValueError("instant must not be NaN")
         with self._lock:
             view = self.view(name)
-            if key is not None and view.key_field is None:
-                raise ValueError(
-                    f"view {name!r} is not grouped: it has no key {key!r}"
-                )
+            # An instantaneous read with no key and no offset passes every
+            # check: the hot path skips the call.
+            if key is not None or w is not None or view.window is ANY_WINDOW:
+                view._check_read(key, w)
             oldest = self._oldest_unreflected(view)
             if oldest is not None and view.lag is DOWNSTREAM and not view.quarantined:
                 now = self._now() if now is None else now
                 self._refresh_names(view.lazy_closure, now)
                 oldest = self._oldest_unreflected(view)
             if view.key_field is not None and key is None:
-                value: Any = view.values_at(t)
+                value: Any = view.values_at(t, w)
             else:
-                value = view.value_at(t, key)
+                value = view.value_at(t, key, w)
             return ViewReading(
                 value=value,
                 as_of_watermark=dict(view.watermarks),
@@ -1588,21 +1776,7 @@ class DynamicCatalog:
                     for name, node in self._tables.items()
                 },
                 "views": {
-                    name: {
-                        "sources": view.sources,
-                        "kind": view.spec.kind.value,
-                        "key": view.key_field,
-                        "lag": format_lag(view.lag),
-                        "watermarks": view.watermarks,
-                        "refreshes": view.refreshes,
-                        "events_consumed": view.events_consumed,
-                        "log": view.log.to_json(),
-                        "rows": _row_texts(view),
-                        "trees": view._tree_texts(),
-                        "quarantined": view.quarantined,
-                        "last_error": view.last_error,
-                    }
-                    for name, view in self._views.items()
+                    name: _view_entry(view) for name, view in self._views.items()
                 },
             }, out)
             data = "".join(out).encode("utf-8")
@@ -1710,6 +1884,7 @@ class DynamicCatalog:
                 view = DynamicView(
                     name, list(raw["sources"]), raw["kind"],
                     key=raw.get("key"), lag=parse_lag(raw["lag"]),
+                    window=parse_window(raw.get("window", 0)),
                     clock=self.clock, **self._tree_args,
                 )
                 # Output rows and the emitted log restore verbatim
@@ -1730,6 +1905,7 @@ class DynamicCatalog:
                 last_error = raw.get("last_error")
                 view.last_error = str(last_error) if last_error is not None else None
                 self._restore_trees(view, raw["trees"])
+                self._restore_trees(view, raw.get("ended", ()), part=1)
                 built[name] = views[name] = view
         return tables, views, list(built)
 
@@ -1792,23 +1968,28 @@ class DynamicCatalog:
             members.sort(key=lambda row: row.valid.start)
             view._index[key] = ([row.valid.start for row in members], members)
 
-    def _restore_trees(self, view: DynamicView, raw_trees: List[List[Any]]) -> None:
-        """Rebuild a restored view's trees from saved step functions.
+    def _restore_trees(
+        self, view: DynamicView, raw_trees: Sequence[List[Any]], part: int = 0
+    ) -> None:
+        """Rebuild a restored view's trees (part 1: the ``T'`` of its
+        dual pairs) from saved step functions.
 
         Each segment's internal value re-applies as a raw effect over
         its interval, one batch per tree; AVG pairs come back from JSON
         as lists and are restored to tuples so the value algebra sees
-        its own types.
+        its own types.  An MSB-tree needs nothing else: its extremum
+        over a window ``[t - w, t]`` is that of the step function over
+        the window, which its annotations are rebuilt from.
         """
         for key, segments in raw_trees:
-            view._tree(key).insert_effects(
+            _trees_of(view._tree(key))[part].insert_effects(
                 (
                     tuple(value) if isinstance(value, list) else value,
                     Interval(start, end),
                 )
                 for value, start, end in segments
             )
-            view._seed_segments(key, segments)
+            view._seed_segments((part, key), segments)
 
     def close(self) -> None:
         """Checkpoint (when persistent) and detach every node."""

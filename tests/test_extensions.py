@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import ConstantIntervalTable, Interval, MSBTree
 from repro.core import reference
-from repro.relation import TemporalRelation
-from repro.warehouse import TemporalAggregateView
+from repro.warehouse import DynamicCatalog
 from repro.workloads import PRESCRIPTIONS
 
 
@@ -15,15 +14,14 @@ class TestPartitionedMaterialization:
     def test_grouped_matches_one_shot(self):
         """A grouped view, key by key, is what the reference computes in
         one shot over that key's rows."""
-        rel = TemporalRelation("prescription")
-        grouped = TemporalAggregateView(
-            "x", rel, "sum", key_of=lambda row: row.payload["patient"],
-            branching=4, leaf_capacity=4,
-        )
+        catalog = DynamicCatalog(branching=4, leaf_capacity=4)
+        catalog.create_table("prescription")
+        catalog.create_view("x", "prescription", "sum", key="patient")
         for p in PRESCRIPTIONS:
-            rel.insert(p.dosage, p.valid, patient=p.patient)
-        rows = [(row.value, row.valid, row.payload["patient"]) for row in rel]
-        assert grouped.values_at(25) == {
+            catalog.insert("prescription", p.dosage, p.valid, patient=p.patient)
+        rows = [(row.value, row.valid, row.payload["patient"])
+                for row in catalog.table("prescription")]
+        assert catalog.read("x", 25).value == {
             p.patient: reference.view_value(rows, "sum", 25, p.patient)
             for p in PRESCRIPTIONS
         }

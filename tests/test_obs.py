@@ -6,9 +6,8 @@ import json
 import pytest
 
 from repro import ConcurrentTree, Interval, MSBTree, SBTree, obs
-from repro.relation import TemporalRelation
 from repro.storage import PagedNodeStore
-from repro.warehouse import TemporalAggregateView
+from repro.warehouse import DynamicCatalog
 from repro.workloads import uniform
 
 FACTS = uniform(400, horizon=10_000, max_duration=200, seed=29)
@@ -233,28 +232,34 @@ class TestConcurrentAccounting:
 # ----------------------------------------------------------------------
 class TestViewMaintenanceAccounting:
     def test_view_maintenance_ops_are_named_per_view(self):
-        rel = TemporalRelation("r")
-        TemporalAggregateView("SumV", rel, "sum")
+        catalog = DynamicCatalog()
+        catalog.create_table("r")
+        catalog.create_view("SumV", "r", "sum")
         with obs.collecting() as registry:
-            rel.insert(3, Interval(0, 10))
-            rel.insert(4, Interval(5, 20))
-            assert registry.op_summary("view.SumV.maintain")["count"] == 2
-            # The inner SB-tree insert is attributed to the view op only.
+            catalog.insert("r", 3, Interval(0, 10))
+            catalog.refresh("SumV")
+            catalog.insert("r", 4, Interval(5, 20))
+            catalog.refresh("SumV")
+            assert registry.op_summary("view.SumV.refresh")["count"] == 2
+            # A refresh writes its batch: no per-fact SB-tree insert.
             assert registry.op_summary("insert")["count"] == 0
+            assert registry.op_summary("insert_batch")["count"] == 2
 
     def test_a_grouped_view_records_one_op_family(self):
-        rel = TemporalRelation("r")
-        TemporalAggregateView("flat", rel, "sum")
-        TemporalAggregateView("g", rel, "sum", key_of=lambda row: row.payload["k"])
+        catalog = DynamicCatalog()
+        catalog.create_table("r")
+        catalog.create_view("flat", "r", "sum")
+        catalog.create_view("g", "r", "sum", key="k")
         with obs.collecting() as registry:
-            rows = [
-                rel.insert(i + 1, Interval(i, i + 10), k=key)
-                for i, key in enumerate("abcab")
-            ]
-            rel.delete(rows[1])
+            rows = []
+            for i, key in enumerate("abcab"):
+                rows.append(catalog.insert("r", i + 1, Interval(i, i + 10), k=key))
+                catalog.refresh()
+            catalog.delete("r", rows[1])
+            catalog.refresh()
             families = [op for op in registry.op_names() if op.startswith("view.")]
             counts = {op: registry.op_summary(op)["count"] for op in families}
-        assert counts == {"view.flat.maintain": 6, "view.g.maintain": 6}
+        assert counts == {"view.flat.refresh": 6, "view.g.refresh": 6}
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from repro import (
     SBTree,
     check_tree,
 )
+from repro.warehouse import ANY_WINDOW, DynamicCatalog
 from repro.workloads import PRESCRIPTIONS, prescription_facts
 
 
@@ -27,6 +28,18 @@ def build_tree(kind, b=4, l=4):
 
 def rows(table):
     return [(value, (interval.start, interval.end)) for value, interval in table]
+
+
+def catalog_view(kind, window, b=4, l=4):
+    """Figure 1's Prescription table in a catalog, under one view with
+    *window*, refreshed."""
+    catalog = DynamicCatalog(branching=b, leaf_capacity=l)
+    catalog.create_table("prescription")
+    view = catalog.create_view("v", "prescription", kind, window=window)
+    for patient, dosage, valid in PRESCRIPTIONS:
+        catalog.insert("prescription", dosage, valid, patient=patient)
+    catalog.refresh()
+    return catalog, view
 
 
 class TestFigure3SumDosage:
@@ -156,6 +169,27 @@ class TestFigure5AvgDosage5:
         assert dual.window_lookup(19, 5) == (8, 4)
         assert dual.window_lookup(32, 5) == (7, 4)
 
+    def test_contents_through_the_catalog(self):
+        # The fixed window (Section 4.1) and the dual pair (4.2), each
+        # read back as the view's table.  Row [20, 35) reads 1.75 from
+        # its first instant: Dan's prescription, ending at 15 = 20 - 5,
+        # is out of the window (T' takes [end, inf), the pinned erratum).
+        _, fixed = catalog_view("avg", 5)
+        assert rows(fixed.table()) == self.EXPECTED
+        catalog, dual = catalog_view("avg", ANY_WINDOW)
+        assert rows(dual.table(w=5)) == self.EXPECTED
+        assert catalog.read("v", 20, w=5).value == 1.75
+        assert catalog.read("v", 32, w=5).value == pytest.approx(1.75)
+
+    def test_figure18_tree_through_the_catalog(self):
+        # The view's one SB-tree is Figure 18's: <7, 4> at 32 (Section
+        # 4.1), its breakpoints at the stretched ends 20, 45, 50, 55.
+        catalog, view = catalog_view("avg", 5)
+        [tree] = view._trees.values()
+        assert tree.lookup(32) == (7, 4)
+        assert {20, 45, 50, 55} <= {start for _, start, _ in tree.leaf_pieces()}
+        assert catalog.read("v", 32).value == pytest.approx(1.75)
+
     def test_window_zero_is_instantaneous(self):
         dual = DualTreeAggregate("avg", branching=4, leaf_capacity=4)
         for patient, dosage, valid in PRESCRIPTIONS:
@@ -196,6 +230,14 @@ class TestFigure6MaxDosage20:
             (4, (35, 65)),
             (1, (65, 70)),
         ]
+
+    def test_contents_through_the_catalog(self):
+        # The fixed window (Section 4.1) and the MSB-tree (4.3).
+        _, fixed = catalog_view("max", 20)
+        assert rows(fixed.table()) == self.EXPECTED
+        catalog, msb = catalog_view("max", ANY_WINDOW)
+        assert rows(msb.table(w=20)) == self.EXPECTED
+        assert catalog.read("v", 50, w=20).value == 4
 
     def test_max20_at_50_is_4(self):
         # Section 4.3's worked mlookup: MaxDosage20 at time 50 is 4.

@@ -35,15 +35,21 @@ At the end of every run each leaf gains a SUM consumer, one in the live
 catalog and one after a reopen, and must first materialize its rows
 from its trees.
 
-The last class proves these gates can fail: four mutations of the
+Windowed views (paper, Section 4) run the same way, each read at every
+input endpoint and at each endpoint plus its offset against the
+reference's cumulative value (``test_windowed_views_match_the_oracle``).
+
+The last class proves these gates can fail: seven mutations of the
 refresh (a fold that never closes an effect, a fold that keeps one
 running total and subtracts what closes, a regeneration that does not
-widen to the rows it retracts, a first consumer that finds no rows)
-must each turn them red.
+widen to the rows it retracts, a first consumer that finds no rows,
+``T'`` over the paper's ``(end, inf)``, a fixed window that is not
+stretched, ``T'`` left out of the checkpoint) must each turn them red.
 """
 
 import dataclasses
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -52,7 +58,8 @@ import pytest
 from repro import Interval, NEG_INF, POS_INF, SBTree
 from repro.core.values import spec_for
 from repro.oracle import CatalogModel, step_function
-from repro.warehouse.dynamic import DynamicCatalog, DynamicView
+from repro.warehouse import dynamic
+from repro.warehouse.dynamic import ANY_WINDOW, DynamicCatalog, DynamicView
 
 KINDS = ["sum", "count", "avg", "min", "max"]
 KEYS = ["amy", "bob", "cy"]
@@ -136,6 +143,43 @@ def test_refresh_matches_the_oracle(tmp_path, kind, grouped, batch, floats):
         # Folding never applies more than 2m - 1 segments for m records;
         # MIN/MAX apply one effect per record.
         assert view["effects_applied"] <= 2 * view["events_consumed"], name
+
+
+def windowed(kind, window, grouped):
+    """One run of windowed views (paper, Section 4): a view with
+    *window* over the table, grouped or not, and for SUM/COUNT/AVG one
+    more over a consumed window-0 view (whose refresh retracts rows),
+    under inserts and deletes in batches of 7 with a reopen mid-batch;
+    every save restores, the invariant holds mid-way and at the end."""
+    rng = random.Random(f"{kind}-{window!r}-{grouped}")
+    key = "who" if grouped else None
+    steps = [("create_table", "t"),
+             ("create_view", "win", "t", kind, key, "downstream", window)]
+    if spec_for(kind).invertible:
+        steps += [("create_view", "mid", "t", "sum", key),
+                  ("create_view", "over_mid", "mid", kind, key, "downstream", window)]
+    for n, event in enumerate(_events(rng, 70, kind, False), 1):
+        steps.append(event)
+        if n == 38:
+            steps.append(REOPEN)
+        if n % 7 == 0:
+            steps += [REFRESH, *SAVE]
+        if n == 42:
+            steps.append(CHECK)
+    return steps + [REFRESH, CHECK, REOPEN, CHECK]
+
+
+def run_windowed(directory, kind, window, grouped):
+    with CatalogModel() as model:
+        model.setup(str(directory), branching=4, leaf_capacity=4)
+        model.replay(windowed(kind, window, grouped))
+
+
+@pytest.mark.parametrize("grouped", [True, False], ids=["grouped", "single"])
+@pytest.mark.parametrize("window", [5, ANY_WINDOW], ids=["w5", "any"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_windowed_views_match_the_oracle(tmp_path, kind, window, grouped):
+    run_windowed(tmp_path, kind, window, grouped)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -350,3 +394,31 @@ class TestTheDifferentialCanFail:
         monkeypatch.setattr(DynamicView, "_widen", lambda self, key, lo, hi: (lo, hi))
         with pytest.raises(AssertionError):
             run_differential(tmp_path, "sum", True, 7, False)
+
+    def test_red_when_t_prime_takes_the_papers_open_interval(self, tmp_path, monkeypatch):
+        # The paper's T' effect (end, inf): a fact ending at t - w still
+        # counts at t (the pinned erratum is [end, inf)).
+        monkeypatch.setattr(dynamic, "_ended", lambda records: [
+            dataclasses.replace(record, start=math.nextafter(record.end, POS_INF),
+                                end=POS_INF)
+            for record in records if record.end != POS_INF
+        ])
+        with pytest.raises(AssertionError, match="window read"):
+            run_windowed(tmp_path, "sum", ANY_WINDOW, True)
+
+    def test_red_when_a_fixed_window_is_not_stretched(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dynamic, "_stretched", lambda record, w: record)
+        with pytest.raises(AssertionError, match="window read"):
+            run_windowed(tmp_path, "max", 5, False)
+
+    def test_red_when_t_prime_is_not_checkpointed(self, tmp_path, monkeypatch):
+        entry = dynamic._view_entry
+
+        def without_ended(view):
+            saved = entry(view)
+            saved.pop("ended", None)
+            return saved
+
+        monkeypatch.setattr(dynamic, "_view_entry", without_ended)
+        with pytest.raises(AssertionError, match="restored"):
+            run_windowed(tmp_path, "avg", ANY_WINDOW, False)

@@ -1,125 +1,121 @@
-"""Tests for the warehouse layer: maintained views and direct
-materialization."""
+"""Tests for the warehouse layer: the catalog's windowed views and
+direct materialization."""
 
 import pytest
 
 from repro import Interval, SBTree
 from repro.core import reference
-from repro.relation import TemporalRelation
-from repro.warehouse import (
-    ANY_WINDOW,
-    MaterializedView,
-    TemporalAggregateView,
-)
+from repro.core.values import spec_for
+from repro.warehouse import ANY_WINDOW, DynamicCatalog, MaterializedView
 from repro.workloads import PRESCRIPTIONS, prescription_facts
 
 
-def load_prescriptions(relation):
-    rows = []
-    for p in PRESCRIPTIONS:
-        rows.append(relation.insert(p.dosage, p.valid, patient=p.patient))
-    return rows
+def prescriptions(*views):
+    """A catalog holding Figure 1's Prescription table and each of
+    *views*, ``(name, kind, window)``, declared over it first."""
+    catalog = DynamicCatalog()
+    catalog.create_table("prescription")
+    for name, kind, window in views:
+        catalog.create_view(name, "prescription", kind, window=window)
+    rows = [catalog.insert("prescription", p.dosage, p.valid, patient=p.patient)
+            for p in PRESCRIPTIONS]
+    return catalog, rows
 
 
 # ----------------------------------------------------------------------
-# Maintained views
+# Views, instantaneous and cumulative
 # ----------------------------------------------------------------------
-class TestTemporalAggregateView:
+class TestCatalogViews:
     def test_instantaneous_view_tracks_relation(self):
-        rel = TemporalRelation("prescription")
-        view = TemporalAggregateView("SumDosage", rel, "sum")
-        rows = load_prescriptions(rel)
-        assert view.value_at(19) == 6
-        rel.delete(rows[0])  # Amy leaves
-        assert view.value_at(19) == 4
+        catalog, rows = prescriptions(("SumDosage", "sum", 0))
+        assert catalog.read("SumDosage", 19).value == 6
+        catalog.delete("prescription", rows[0])  # Amy leaves
+        assert catalog.read("SumDosage", 19).value == 4
+        view = catalog.view("SumDosage")
         assert view.table() == reference.instantaneous_table(
-            rel.facts(), "sum"
+            catalog.table("prescription").facts(), "sum"
         ).finalized(view.spec)
 
     def test_view_over_existing_contents(self):
-        rel = TemporalRelation("prescription")
-        load_prescriptions(rel)
-        view = TemporalAggregateView("SumDosage", rel, "sum")  # replay
-        assert view.value_at(19) == 6
+        catalog, _ = prescriptions()
+        catalog.create_view("SumDosage", "prescription", "sum")  # seeded from the rows
+        assert catalog.read("SumDosage", 19).value == 6
 
     def test_fixed_window_view(self):
-        rel = TemporalRelation("prescription")
-        view = TemporalAggregateView("AvgDosage5", rel, "avg", window=5)
-        load_prescriptions(rel)
-        assert view.value_at(32) == pytest.approx(1.75)
+        catalog, _ = prescriptions(("AvgDosage5", "avg", 5))
+        assert catalog.read("AvgDosage5", 32).value == pytest.approx(1.75)
 
     def test_any_window_view_sum(self):
-        rel = TemporalRelation("prescription")
-        view = TemporalAggregateView("CumSum", rel, "sum", window=ANY_WINDOW)
-        load_prescriptions(rel)
+        catalog, _ = prescriptions(("CumSum", "sum", ANY_WINDOW))
         for w in (0, 5, 20):
             for t in (12, 19, 32, 50):
-                assert view.value_at(t, w) == reference.cumulative_value(
+                assert catalog.read("CumSum", t, w=w).value == reference.cumulative_value(
                     prescription_facts(), "sum", t, w
                 )
 
     def test_any_window_view_max(self):
-        rel = TemporalRelation("prescription")
-        view = TemporalAggregateView("CumMax", rel, "max", window=ANY_WINDOW)
-        load_prescriptions(rel)
-        assert view.value_at(50, 20) == 4
-        assert view.value_at(67, 20) == 1
+        catalog, _ = prescriptions(("CumMax", "max", ANY_WINDOW))
+        assert catalog.read("CumMax", 50, w=20).value == 4
+        assert catalog.read("CumMax", 67, w=20).value == 1
 
     def test_window_argument_validation(self):
-        rel = TemporalRelation("r")
-        fixed = TemporalAggregateView("v1", rel, "sum", window=5)
+        catalog, _ = prescriptions(("v1", "sum", 5), ("v2", "sum", ANY_WINDOW))
         with pytest.raises(ValueError):
-            fixed.value_at(10, 7)  # fixed views answer only their offset
-        anyw = TemporalAggregateView("v2", rel, "sum", window=ANY_WINDOW)
+            catalog.read("v1", 10, w=7)  # a fixed window answers only its offset
         with pytest.raises(ValueError):
-            anyw.value_at(10)  # must pass an offset
-        with pytest.raises(ValueError):
-            TemporalAggregateView("v3", rel, "sum", window=-1)
+            catalog.read("v2", 10)  # must pass an offset
+        for w in (-1, float("nan")):
+            with pytest.raises(ValueError):
+                catalog.read("v2", 10, w=w)
+        for window in (-1, float("nan"), float("inf"), True, "5"):
+            with pytest.raises(ValueError):
+                catalog.create_view("v3", "prescription", "sum", window=window)
+        assert "v3" not in catalog.view_names()
+
+    def test_a_windowed_view_is_not_a_source(self):
+        catalog, _ = prescriptions(("v1", "sum", 5), ("v2", "max", ANY_WINDOW))
+        for source in ("v1", "v2"):
+            with pytest.raises(ValueError, match="window"):
+                catalog.create_view("over", source, "sum")
+        assert catalog.view_names() == ["v1", "v2"]
 
     def test_min_view_rejects_deletion(self):
-        rel = TemporalRelation("r")
-        TemporalAggregateView("v", rel, "min")
-        row = rel.insert(1, Interval(0, 10))
-        with pytest.raises(ValueError):
-            rel.delete(row)
+        catalog, rows = prescriptions(("v", "min", 0))
+        catalog.refresh("v")
+        marks = dict(catalog.view("v").watermarks)
+        catalog.delete("prescription", rows[0])
+        with pytest.raises(ValueError, match="Section 3.4"):
+            catalog.refresh("v")
+        assert catalog.view("v").watermarks == marks
 
-    def test_value_of_extractor(self):
-        rel = TemporalRelation("r")
-        view = TemporalAggregateView(
-            "doubled", rel, "sum", value_of=lambda row: row.payload["weight"] * 2
-        )
-        rel.insert(0, Interval(0, 10), weight=3)
-        assert view.value_at(5) == 6
-
-    def test_detach_stops_maintenance(self):
-        rel = TemporalRelation("r")
-        view = TemporalAggregateView("v", rel, "sum")
-        rel.insert(1, Interval(0, 10))
-        view.detach()
-        rel.insert(1, Interval(0, 10))
-        assert view.value_at(5) == 1
+    def test_drop_view_stops_maintenance(self):
+        catalog, _ = prescriptions(("v", "sum", 0))
+        catalog.refresh("v")
+        catalog.drop_view("v")
+        catalog.insert("prescription", 1, Interval(0, 10))
+        assert catalog.stats()["tables"]["prescription"]["log_retained"] == 0
+        assert "v" not in catalog.view_names()
 
     def test_any_window_table(self):
-        rel = TemporalRelation("prescription")
-        view = TemporalAggregateView("CumAvg", rel, "avg", window=ANY_WINDOW)
-        load_prescriptions(rel)
-        table = view.table(5)
+        catalog, _ = prescriptions(("CumAvg", "avg", ANY_WINDOW))
+        catalog.refresh("CumAvg")
+        table = catalog.view("CumAvg").table(w=5)
         assert table.value_at(32) == pytest.approx(1.75)
+        assert table == reference.cumulative_table(
+            prescription_facts(), "avg", 5).finalized(spec_for("avg")).coalesce()
 
-    def test_compact_all_backings(self):
-        rel = TemporalRelation("r")
-        views = [
-            TemporalAggregateView("a", rel, "sum"),
-            TemporalAggregateView("b", rel, "sum", window=ANY_WINDOW),
-            TemporalAggregateView("c", rel, "max", window=ANY_WINDOW),
-        ]
-        rel.insert(3, Interval(0, 50))
-        rel.insert(1, Interval(10, 20))
-        for view in views:
-            view.compact()
-        assert views[0].value_at(15) == 4
-        assert views[1].value_at(15, 0) == 4
-        assert views[2].value_at(15, 0) == 3
+    def test_every_backing_answers(self):
+        catalog = DynamicCatalog()
+        catalog.create_table("r")
+        for name, kind, window in (("a", "sum", 0), ("b", "sum", ANY_WINDOW),
+                                   ("c", "max", ANY_WINDOW), ("d", "max", 10)):
+            catalog.create_view(name, "r", kind, window=window)
+        catalog.insert("r", 3, Interval(0, 50))
+        catalog.insert("r", 1, Interval(10, 20))
+        assert catalog.read("a", 15).value == 4
+        assert catalog.read("b", 15, w=0).value == 4
+        assert catalog.read("c", 15, w=0).value == 3
+        assert catalog.read("d", 55).value == 3
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,8 @@ an error; a NaN ``deadline_ms`` never shed.  The rule, applied once in
   range queries).
 
 A ``key`` on a view without groups is refused the same way: there is
-no group to read, so it must not answer the empty one.
+no group to read, so it must not answer the empty one.  So is a key no
+group can have (a list, an object) on a grouped view.
 
 Each case also asserts the tree and the catalog are exactly as before.
 
@@ -35,10 +36,11 @@ NAN, INF = float("nan"), float("inf")
 
 @pytest.fixture(params=["queued", "paged"])
 def served(request, open_shards):
-    """A SUM server with one fact and one view, over journaled page files
-    (what ``repro serve`` serves).  ``paged`` (clean after each commit)
-    answers lookups on the loop; ``queued`` (an idle fault injector turns
-    the loop route off) answers them in executor bursts."""
+    """A SUM server with one fact and two views, one grouped, over
+    journaled page files (what ``repro serve`` serves).  ``paged``
+    (clean after each commit) answers lookups on the loop; ``queued``
+    (an idle fault injector turns the loop route off) answers them in
+    executor bursts."""
     injector = FaultInjector() if request.param == "queued" else None
     sharded = open_shards(num_shards=4, span=(0, 1000), branching=4,
                           leaf_capacity=4, fault_injector=injector)
@@ -49,6 +51,7 @@ def served(request, open_shards):
             assert svc.insert(5, 10, 40) == 1
             svc.table_insert("doses", [[2, 0, 10, {"patient": "amy"}]])
             svc.create_view("total", "doses", "sum", lag="downstream")
+            svc.create_view("by_patient", "doses", "sum", key="patient")
             yield handle, sharded, svc
 
 
@@ -62,6 +65,7 @@ def snapshot(handle, sharded, svc):
         catalog.view_names(),
         len(list(catalog.table("doses"))),
         svc.query_view("total", 5)["value"],
+        svc.query_view("by_patient", 5)["value"],
     )
 
 
@@ -100,6 +104,9 @@ REJECTED = [
     ("create_view", {"name": "stale", "over": "doses", "agg": "sum", "lag": "nan"}),
     # -- a key on a view without groups --------------------------------
     ("query_view", {"view": "total", "t": 5, "key": "amy"}),
+    # -- a key no group can have -----------------------------------------
+    ("query_view", {"view": "by_patient", "t": 5, "key": [1]}),
+    ("query_view", {"view": "by_patient", "t": 5, "key": {"x": 1}}),
     # -- a payload key that names an insert parameter: no row applies --
     ("table_insert", {"table": "doses",
                       "rows": [[1, 0, 10], [1, 0, 10, {"value": 3}]]}),
