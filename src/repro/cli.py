@@ -57,7 +57,12 @@ __all__ = ["main"]
 
 
 def _number(text: str) -> float:
-    """*text* as a finite number, an int when it is integral."""
+    """*text* as a finite number, an int when it is integral (parsed as
+    an int first, so an instant past 2**53 is not rounded)."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
     try:
         value = float(text)
     except ValueError:

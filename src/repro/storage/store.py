@@ -5,7 +5,10 @@ any SB-tree or MSB-tree can be persisted, closed, and reopened.  Every
 logical node access is one buffered page access; physical I/O happens on
 buffer misses and dirty evictions, exactly like a real disk index.
 
-Node ids are page ids, so child pointers serialize directly.
+Node ids are page ids, so child pointers serialize directly.  A node
+section of ints is stored as int64 (:mod:`.codec`), so a tree over int
+instants and values -- nanosecond-epoch timestamps included -- answers
+the same after its pages are evicted or the file is reopened.
 
 **Live nodes.**  A pool frame keeps the decoded :class:`Node` beside
 the page bytes: the node last written, or the one a reader decoded (one

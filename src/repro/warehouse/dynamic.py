@@ -1711,6 +1711,7 @@ class DynamicCatalog:
                     "kind": view.spec.kind.value,
                     "key": view.key_field,
                     "lag": format_lag(view.lag),
+                    "window": "any" if view.window is ANY_WINDOW else view.window,
                     "watermarks": dict(view.watermarks),
                     "pending": view.pending_from(self._node),
                     "head": view.log.head,

@@ -72,6 +72,22 @@ class TestLookup:
         assert main(["lookup", sum_index, "50", "--window", "20"]) == 2
         assert "MSB" in capsys.readouterr().err
 
+    def test_nanosecond_epoch_cells_are_exact(self, tmp_path, capsys):
+        # Integral cells past 2**53 parse as ints, not through a double.
+        facts = tmp_path / "ns.csv"
+        facts.write_text(
+            "5,1700000000000000001,1700000000000000003\n"
+            "7,1700000000000000002,1700000000000000009\n"
+        )
+        path = str(tmp_path / "ns.sbt")
+        assert main(["build", path, "--kind", "sum", "--csv", str(facts)]) == 0
+        capsys.readouterr()
+        answers = []
+        for t in range(1700000000000000000, 1700000000000000004):
+            assert main(["lookup", path, str(t)]) == 0
+            answers.append(capsys.readouterr().out.strip())
+        assert answers == ["0", "5", "12", "7"]
+
 
 class TestDumpAndRange:
     def test_dump_matches_figure3(self, sum_index, capsys):

@@ -614,6 +614,21 @@ class TestServiceIntegration:
             assert "views (staleness vs lag target):" in frame
             assert "v " in frame
 
+    def test_view_stats_tell_each_views_window(self, handle):
+        from repro.service import ServiceClient
+        from repro.warehouse import ANY_WINDOW
+
+        catalog = handle.server.views
+        catalog.create_view("now", "doses", "sum", create_sources=True)
+        catalog.create_view("fixed", "doses", "sum", window=5)
+        catalog.create_view("cum", "doses", "max", window=ANY_WINDOW)
+        want = {"now": 0, "fixed": 5, "cum": "any"}
+        views = catalog.stats()["views"]
+        assert {name: views[name]["window"] for name in want} == want
+        with ServiceClient(handle.host, handle.port, timeout=10.0) as svc:
+            views = svc.view_stats()["views"]
+        assert {name: views[name]["window"] for name in want} == want
+
     def test_cli_view_verbs(self, handle, capsys):
         from repro.cli import main
 

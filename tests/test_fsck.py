@@ -151,6 +151,19 @@ class TestFsckAudit:
         assert report.has("undecodable-node")
         assert not report.has("bad-checksum")
 
+    def test_a_node_with_an_unknown_flag_bit_is_undecodable(self, tmp_path):
+        # Bit 5 is no format the codec knows: refused, not guessed at.
+        path = tmp_path / "flagged.sbt"
+        make_tree_file(path)
+        root = read_header(str(path))["root"]
+        with Pager(str(path)) as pager:
+            payload = pager.read_page(root)
+            pager.write_page(root, bytes([payload[0] | 0x20]) + payload[1:])
+        report = fsck(str(path))
+        assert not report.ok
+        assert report.has("undecodable-node")
+        assert not report.has("bad-checksum")
+
     def test_truncated_file_detected(self, tmp_path):
         path = tmp_path / "trunc.sbt"
         page_count = make_tree_file(path)

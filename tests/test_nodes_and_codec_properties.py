@@ -13,13 +13,30 @@ from repro.storage import NodeCodec, NodeEncodingError
 #: 1 under the default profile (100 examples), 5 under ``ci``.
 SCALE = settings.default.max_examples / 100
 
-finite_times = st.integers(min_value=-(2**40), max_value=2**40)
-numbers = st.one_of(
-    st.integers(min_value=-(2**40), max_value=2**40),
-    st.floats(
-        min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
-    ),
+INT64 = (-(2**63), 2**63 - 1)
+finite_times = st.integers(*INT64)
+floats = st.floats(
+    min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
 )
+numbers = st.one_of(st.integers(*INT64), floats)
+#: What the all-double layout stores exactly: ints up to 2**53.
+double_exact = st.one_of(st.integers(-(2**53), 2**53), floats)
+
+
+def as_stored(items):
+    """*items* as the typed rule keeps them: an all-int section exactly;
+    in any other section an int is the double it rounds to."""
+    flat = [x for item in items for x in (item if isinstance(item, tuple) else (item,))]
+    if all(isinstance(x, int) for x in flat):
+        return list(items)
+
+    def rounded(x):
+        return float(x) if isinstance(x, int) else x
+
+    return [
+        tuple(map(rounded, item)) if isinstance(item, tuple) else rounded(item)
+        for item in items
+    ]
 
 
 class TestNodeModel:
@@ -83,7 +100,7 @@ class TestCodecProperties:
         codec = NodeCodec(spec_for(kind), payload_size=4092)
         decoded = codec.decode(codec.encode(node), 7)
         assert decoded.times == node.times
-        assert decoded.values == node.values
+        assert decoded.values == as_stored(node.values)
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -91,7 +108,7 @@ class TestCodecProperties:
         node = data.draw(leaf_nodes(numbers, allow_null=True))
         codec = NodeCodec(spec_for("max"), payload_size=4092)
         decoded = codec.decode(codec.encode(node), 7)
-        assert decoded.values == node.values
+        assert decoded.values == as_stored(node.values)
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -100,7 +117,7 @@ class TestCodecProperties:
         node = data.draw(leaf_nodes(pairs))
         codec = NodeCodec(spec_for("avg"), payload_size=8188)
         decoded = codec.decode(codec.encode(node), 7)
-        assert decoded.values == node.values
+        assert decoded.values == as_stored(node.values)
 
     @given(
         children=st.lists(
@@ -137,11 +154,12 @@ class TestCodecProperties:
 
 
 # ----------------------------------------------------------------------
-# Golden reference: the field-by-field codec the whole-array one replaced
+# Golden reference: the typed page layout, one field at a time
 # ----------------------------------------------------------------------
 _REF_HEADER = struct.Struct("<BBH")
 _REF_F64 = struct.Struct("<d")
 _REF_I64 = struct.Struct("<q")
+_REF_INT_BITS = {"times": 4, "values": 8, "uvalues": 16}
 
 
 def _ref_restore_int(x):
@@ -150,41 +168,60 @@ def _ref_restore_int(x):
     return x
 
 
-def _ref_encode_value(avg, value):
-    if avg:
-        total, count = value
-        return _REF_F64.pack(float(total)) + _REF_F64.pack(float(count))
-    if value is None:
+def _ref_members(avg, item):
+    return list(item) if avg else [item]
+
+
+def _ref_all_int64(avg, items):
+    """The typed rule: every member an int in int64 range."""
+    return all(
+        isinstance(x, int) and INT64[0] <= x <= INT64[1]
+        for item in items
+        for x in _ref_members(avg, item)
+    )
+
+
+def _ref_encode_item(avg, as_int, item):
+    if as_int:
+        return b"".join(_REF_I64.pack(x) for x in _ref_members(avg, item))
+    if item is None:
         return _REF_F64.pack(math.nan)
-    return _REF_F64.pack(float(value))
+    return b"".join(_REF_F64.pack(float(x)) for x in _ref_members(avg, item))
 
 
-def _ref_decode_value(avg, raw, offset):
-    if avg:
-        (total,) = _REF_F64.unpack_from(raw, offset)
-        (count,) = _REF_F64.unpack_from(raw, offset + 8)
-        return (_ref_restore_int(total), _ref_restore_int(count)), offset + 16
-    (x,) = _REF_F64.unpack_from(raw, offset)
-    if math.isnan(x):
-        return None, offset + 8
-    return _ref_restore_int(x), offset + 8
+def _ref_decode_item(avg, as_int, raw, offset):
+    members = []
+    for _ in range(2 if avg else 1):
+        if as_int:
+            (x,) = _REF_I64.unpack_from(raw, offset)
+        else:
+            (x,) = _REF_F64.unpack_from(raw, offset)
+            x = None if math.isnan(x) else _ref_restore_int(x)
+        members.append(x)
+        offset += 8
+    return (tuple(members) if avg else members[0]), offset
 
 
-def reference_encode(kind, node):
-    """One ``struct`` call per field, as the codec did before PR 14."""
+def reference_encode(kind, node, typed=True):
+    """One ``struct`` call per field.  ``typed=False`` writes every
+    section as doubles with its type bit clear: the layout of a page
+    written before the type bits existed."""
     avg = kind == "avg"
-    flags = (1 if node.is_leaf else 0) | (2 if node.uvalues is not None else 0)
-    parts = [_REF_HEADER.pack(flags, 0, node.interval_count)]
-    for t in node.times:
-        parts.append(_REF_F64.pack(float(t)))
-    for v in node.values:
-        parts.append(_ref_encode_value(avg, v))
-    if not node.is_leaf:
-        for c in node.children:
-            parts.append(_REF_I64.pack(c))
+    sections = [("times", False, node.times), ("values", avg, node.values)]
     if node.uvalues is not None:
-        for u in node.uvalues:
-            parts.append(_ref_encode_value(avg, u))
+        sections.append(("uvalues", avg, node.uvalues))
+    flags = (1 if node.is_leaf else 0) | (2 if node.uvalues is not None else 0)
+    body = {}
+    for name, pairs, items in sections:
+        as_int = typed and _ref_all_int64(pairs, items)
+        flags |= _REF_INT_BITS[name] if as_int else 0
+        body[name] = b"".join(_ref_encode_item(pairs, as_int, x) for x in items)
+    parts = [_REF_HEADER.pack(flags, 0, node.interval_count)]
+    parts += [body["times"], body["values"]]
+    if not node.is_leaf:
+        parts += [_REF_I64.pack(c) for c in node.children]
+    if node.uvalues is not None:
+        parts.append(body["uvalues"])
     return b"".join(parts)
 
 
@@ -193,27 +230,26 @@ def reference_decode(kind, payload, node_id):
     flags, _, j = _REF_HEADER.unpack_from(payload, 0)
     is_leaf, has_u = bool(flags & 1), bool(flags & 2)
     offset = _REF_HEADER.size
-    times = []
-    for _ in range(max(0, j - 1)):
-        (t,) = _REF_F64.unpack_from(payload, offset)
-        times.append(_ref_restore_int(t))
-        offset += 8
-    values = []
-    for _ in range(j):
-        value, offset = _ref_decode_value(avg, payload, offset)
-        values.append(value)
+
+    def section(name, pairs, count):
+        nonlocal offset
+        items = []
+        for _ in range(count):
+            item, offset = _ref_decode_item(
+                pairs, flags & _REF_INT_BITS[name], payload, offset
+            )
+            items.append(item)
+        return items
+
+    times = section("times", False, max(0, j - 1))
+    values = section("values", avg, j)
     children = []
     if not is_leaf:
         for _ in range(j):
             (c,) = _REF_I64.unpack_from(payload, offset)
             children.append(c)
             offset += 8
-    uvalues = None
-    if has_u:
-        uvalues = []
-        for _ in range(j):
-            u, offset = _ref_decode_value(avg, payload, offset)
-            uvalues.append(u)
+    uvalues = section("uvalues", avg, j) if has_u else None
     return Node(node_id, is_leaf, times, values, children, uvalues)
 
 
@@ -232,7 +268,7 @@ GOLDEN_PAYLOAD = 508  # a 512-byte page: capacities small enough to fill
 
 
 @st.composite
-def golden_nodes(draw, kind, fewest=0):
+def golden_nodes(draw, kind, fewest=0, numbers=numbers):
     codec = NodeCodec(spec_for(kind), payload_size=GOLDEN_PAYLOAD)
     shape = draw(st.sampled_from(["leaf", "interior", "annotated"]))
     if shape == "leaf":
@@ -277,6 +313,51 @@ class TestCodecGolden:
             assert (got.is_leaf, got.node_id) == (node.is_leaf, 9)
             for field in ("times", "values", "children", "uvalues"):
                 assert _typed(getattr(got, field)) == _typed(getattr(want, field))
+
+    @pytest.mark.parametrize("kind", ["sum", "count", "avg", "min", "max"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_page_in_the_all_double_layout_decodes_to_the_typed_node(
+        self, kind, data
+    ):
+        # Pages written before the type bits: every section a double.
+        node = data.draw(golden_nodes(kind, numbers=double_exact))
+        codec = NodeCodec(spec_for(kind), payload_size=GOLDEN_PAYLOAD)
+        legacy = reference_encode(kind, node, typed=False)
+        assert legacy[0] & ~3 == 0  # no type bit set
+        got = codec.decode(legacy.ljust(GOLDEN_PAYLOAD, b"\x00"), 9)
+        want = codec.decode(codec.encode(node), 9)
+        assert got == want == reference_decode(kind, legacy, 9)
+        for field in ("times", "values", "children", "uvalues"):
+            assert _typed(getattr(got, field)) == _typed(getattr(want, field))
+
+    def test_a_page_written_before_the_type_bits_reads_as_it_did(self):
+        # A MAX leaf as the all-double codec wrote it: times [10, 20.5],
+        # values [NULL, 3, -1.5].
+        legacy = bytes.fromhex(
+            "0100030000000000000024400000000000803440"
+            "000000000000f87f0000000000000840000000000000f8bf"
+        )
+        got = NodeCodec(spec_for("max"), payload_size=GOLDEN_PAYLOAD).decode(legacy, 9)
+        assert _typed(got.times) == [(int, 10), (float, 20.5)]
+        assert _typed(got.values) == [(type(None), None), (int, 3), (float, -1.5)]
+
+    @pytest.mark.parametrize("kind", ["sum", "avg", "max"])
+    def test_ints_past_2_to_53_are_exact_in_an_int_section(self, kind):
+        codec = NodeCodec(spec_for(kind), payload_size=GOLDEN_PAYLOAD)
+        big = [2**53 + 1, 2**60 + 1, 2**63 - 1]
+        values = [(x, 1) for x in [-(2**63)] + big] if kind == "avg" else [-(2**63)] + big
+        node = Node(9, True, times=big, values=values)
+        payload = codec.encode(node)
+        assert payload[0] == 1 | 4 | 8
+        decoded = codec.decode(payload, 9)
+        assert decoded == node
+        assert codec.probe(payload, 9, 2**60 + 1) == (values[2], None)
+        # A float beside the ints makes the section doubles: rounded.
+        node.values[-1] = (0.5, 1) if kind == "avg" else 0.5
+        payload = codec.encode(node)
+        assert payload[0] == 1 | 4
+        assert codec.decode(payload, 9).values[2] in (2**60, (2**60, 1))
 
 
 # ----------------------------------------------------------------------

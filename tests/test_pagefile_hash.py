@@ -2,10 +2,12 @@
 
 A tree-layer change that claims "same resulting ``times``/``values``"
 (the leaf splice) or a storage-layer one that claims "on-disk bytes
-unchanged" (PRs 14 and 15) must leave these hashes and access counters
-alone.  The ops are scripted from a linear congruential generator, not
-``random``, so the stream cannot drift with the interpreter; the pins
-were taken at the commit before the leaf splice.
+unchanged" must leave these hashes and access counters alone.  The ops
+are scripted from a linear congruential generator, not ``random``, so
+the stream cannot drift with the interpreter.  The digests were re-pinned
+once, when all-int node sections began to be stored as int64 (the
+counters did not move); each reopened file must also read back what an
+in-memory tree over the same ops holds.
 """
 
 import dataclasses
@@ -48,6 +50,15 @@ def scripted_ops(kind, count=OPS):
         yield ("insert",) + fact
 
 
+def run_ops(tree, kind, commit=lambda: None):
+    for n, (op, value, interval) in enumerate(scripted_ops(kind), 1):
+        getattr(tree, op)(value, interval)
+        if kind == "min" and n % COMPACT_EVERY == 0:
+            tree.compact()
+        if n % COMMIT_EVERY == 0:
+            commit()
+
+
 def build(path, kind, page_size):
     store = PagedNodeStore(
         path, kind, page_size=page_size, buffer_capacity=8
@@ -57,12 +68,7 @@ def build(path, kind, page_size):
         branching=store.default_branching,
         leaf_capacity=store.default_leaf_capacity,
     )
-    for n, (op, value, interval) in enumerate(scripted_ops(kind), 1):
-        getattr(tree, op)(value, interval)
-        if kind == "min" and n % COMPACT_EVERY == 0:
-            tree.compact()
-        if n % COMMIT_EVERY == 0:
-            store.commit()
+    run_ops(tree, kind, store.commit)
     store.commit()
     counters = (
         dataclasses.astuple(store.stats)
@@ -74,37 +80,42 @@ def build(path, kind, page_size):
         return hashlib.sha256(handle.read()).hexdigest(), counters
 
 
+def reopened_table(path):
+    with PagedNodeStore(path) as store:
+        return SBTree(store=store).to_table()
+
+
 # (reads, writes, allocations, frees | hits, misses, evictions,
-#  dirty_writebacks | physical_reads, physical_writes).  The digests
-# predate the redo WAL, which left them alone; physical_writes counts
-# data-file writes, which the pager makes only at a checkpoint
+#  dirty_writebacks | physical_reads, physical_writes).  physical_writes
+# counts data-file writes, which the pager makes only at a checkpoint
 # (one copy per page of a 1 MiB WAL generation; the close that follows
 # the counters is not in them).  The counters moved, the digests did
 # not, when the per-fact insert stopped writing nodes it did not change
-# and running ``imerge`` at endpoints whose sides differ.
+# and running ``imerge`` at endpoints whose sides differ; the digests
+# moved, the counters did not, with the int64 node sections.
 PINNED = {
     ("sum", 1024): (
-        "18e8db512b2946557b4e0e292198c80cdc91bdc1b9981dbd20a0544a3c716067",
+        "28cf1ba9501c2dab52cf1f21a7c736a392a2356aec40c29aa7c5dee8791f905e",
         (3452, 2018, 36, 0, 2841, 611, 639, 697, 611, 0),
     ),
     ("sum", 4096): (
-        "3963e3ae15639a8266b43cdebe1056ce6be3a6ecc0bbefcb21458c161ad12b40",
+        "dd32d63753e3523022babf1fc9bbb006b60564588ad66a0116b3613be020eed9",
         (3093, 1787, 9, 0, 3055, 38, 39, 125, 38, 0),
     ),
     ("avg", 1024): (
-        "2828e029dcbf10602c4d0c2d43c0759f7a37e660ba94c2fbc8a71c301b1141d8",
+        "f159408fe6e7d161c434e6169b80a429797c9390efd3dda7cfb6434144a7bdb5",
         (4319, 2190, 56, 2, 3415, 904, 950, 987, 906, 55),
     ),
     ("avg", 4096): (
-        "5b03bc8c004dae1aa9585d2fdbc804b2cd7bdec610825112c15a97711a33b68d",
+        "036a50bf0eeb8cffab1ac2a0341acddfdd4853c715034917c9f46ded0ef15db5",
         (3230, 1853, 17, 2, 3084, 146, 153, 240, 148, 16),
     ),
     ("min", 1024): (
-        "431711bdd1dd327ef8a2a66fffbfa27c319c28439d6e3c71547ceb4f7eb5c11d",
+        "21a54c842e8bdfd26e683f07e301d50575c2eb4a1211394fe2b346d3d03eabbe",
         (2126, 385, 15, 14, 2126, 0, 0, 52, 8, 0),
     ),
     ("min", 4096): (
-        "36b0752f006ef16058d6dae5fa0399498570d24ca13ab56c8deac8c210990ebe",
+        "d262c1482a138072101d9a7c9f5fcaf48e74bbc84048a53e2595c76d7d29743a",
         (1387, 353, 4, 3, 1387, 0, 0, 18, 3, 0),
     ),
 }
@@ -112,5 +123,9 @@ PINNED = {
 
 @pytest.mark.parametrize("kind,page_size", sorted(PINNED))
 def test_page_file_bytes_and_counters_are_pinned(tmp_path, kind, page_size):
-    digest, counters = build(str(tmp_path / f"{kind}.sbt"), kind, page_size)
+    path = str(tmp_path / f"{kind}.sbt")
+    digest, counters = build(path, kind, page_size)
     assert (digest, counters) == PINNED[kind, page_size]
+    in_memory = SBTree(kind)
+    run_ops(in_memory, kind)
+    assert reopened_table(path) == in_memory.to_table()

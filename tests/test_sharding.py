@@ -191,6 +191,32 @@ class TestShardedTreeConfig:
         assert reopened.to_table().rows == [(4, Interval(50, 250))]
         reopened.close()
 
+    def test_paged_shards_are_exact_for_nanosecond_instants(self, tmp_path):
+        # Four frames per shard, so pages are evicted and read back:
+        # an answer must not change once its page has left the pool.
+        base = 1_700_000_000_000_000_000
+        rng = random.Random(50)
+        facts = []
+        for _ in range(300):
+            start = base + rng.randrange(10**6)
+            facts.append((rng.randrange(1, 9), Interval(start, start + 1 + rng.randrange(3))))
+        sharded = ShardedTree.open(
+            str(tmp_path), "sum", num_shards=4, span=(base, base + 10**6),
+            buffer_capacity=4,
+        )
+        try:
+            sharded.batch_insert(facts[:150])
+            sharded.commit()
+            for value, interval in facts[150:]:
+                sharded.insert(value, interval)
+            sharded.commit()
+            for _, interval in facts[::7]:
+                for t in (interval.start - 1, interval.start, interval.end - 1, interval.end):
+                    assert sharded.lookup(t) == reference.instantaneous_value(facts, "sum", t)
+            assert sharded.to_table() == reference.instantaneous_table(facts, "sum")
+        finally:
+            sharded.close()
+
     def test_stats_shape(self):
         sharded = ShardedTree("avg", [10, 20])
         sharded.insert(6, Interval(5, 25))

@@ -291,6 +291,20 @@ class TestNodeCodec:
         with pytest.raises(NodeEncodingError, match="declares 65535 intervals"):
             codec.decode(inflated, 4)
 
+    @pytest.mark.parametrize("is_leaf", [True, False])
+    def test_an_unknown_flag_bit_is_refused(self, is_leaf):
+        codec = NodeCodec(spec_for("sum"), payload_size=508)
+        node = Node(4, is_leaf, times=[10], values=[1, 2], children=[] if is_leaf else [5, 6])
+        payload = codec.encode(node)
+        flagged = bytes([payload[0] | 0x20]) + payload[1:]
+        with pytest.raises(NodeEncodingError) as decoded:
+            codec.decode(flagged, 4)
+        with pytest.raises(NodeEncodingError) as probed:
+            codec.probe(flagged, 4, 10)
+        assert str(probed.value) == str(decoded.value)
+        assert "page 4" in str(decoded.value)
+        assert f"flags {flagged[0]:#04x}" in str(decoded.value)
+
     def test_flags_that_outgrow_the_page_raise_a_typed_error(self):
         # A full leaf re-flagged as an annotated interior node claims two
         # more sections than the page has room for.
@@ -451,6 +465,31 @@ class TestPagedNodeStore:
             for p in PRESCRIPTIONS:
                 tree.insert(p.dosage, p.valid)
             assert store.pager.page_count == grown
+
+    def test_a_reopened_tree_is_exact_past_2_to_53(self, tmp_path):
+        # Nanosecond-epoch instants and values past 2**53: a double
+        # would put 2**53 + 1 at 2**53 and store [2**53 + 3, 2**53 + 4)
+        # as an empty interval.
+        big = 2**53
+        facts = [
+            (5, Interval(big + 1, big + 3)),
+            (2**60 + 1, Interval(big + 3, big + 4)),
+            (7, Interval(1_700_000_000_000_000_001, 1_700_000_000_000_000_003)),
+        ]
+        path = str(tmp_path / "t.sbt")
+        with PagedNodeStore(path, "sum") as store:
+            tree = SBTree("sum", store)
+            for value, interval in facts:
+                tree.insert(value, interval)
+            live = tree.to_table()
+        with PagedNodeStore(path) as store:
+            tree = SBTree(store=store)
+            assert tree.to_table() == live
+            for t in (big, big + 1, big + 2, big + 3, big + 4,
+                      1_700_000_000_000_000_000, 1_700_000_000_000_000_001,
+                      1_700_000_000_000_000_003):
+                assert tree.lookup(t) == reference.instantaneous_value(facts, "sum", t)
+            assert tree.lookup(big) == 0 and tree.lookup(big + 3) == 2**60 + 1
 
 
 # ----------------------------------------------------------------------
