@@ -13,17 +13,29 @@ An instantaneous aggregate is the special case ``w == 0``.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+import dataclasses
+from typing import Any, Optional, TypeVar
 
 from ..obs import observed
-from .intervals import Interval, POS_INF, Time
+from .intervals import POS_INF, Time
 from .results import ConstantIntervalTable
 from .sbtree import IntervalLike, SBTree, as_interval
 from .nodestore import NodeStore
 
-__all__ = ["FixedWindowTree"]
+__all__ = ["FixedWindowTree", "stretched"]
 
 _inner_store = lambda self: self.tree.store  # noqa: E731 - obs accessor
+
+_Spanned = TypeVar("_Spanned")
+
+
+def stretched(item: _Spanned, w: Time) -> _Spanned:
+    """*item* -- an :class:`Interval`, or any frozen dataclass with a
+    ``start`` and an ``end`` (a catalog log record) -- over ``[s, e + w)``,
+    the Section 4.1 stretch; an infinite end stays infinite."""
+    if item.end == POS_INF:
+        return item
+    return dataclasses.replace(item, end=item.end + w)
 
 
 class FixedWindowTree:
@@ -53,22 +65,19 @@ class FixedWindowTree:
         self.spec = self.tree.spec
 
     # ------------------------------------------------------------------
-    def _stretched(self, interval: IntervalLike) -> Interval:
-        interval = as_interval(interval)
-        if interval.end == POS_INF:
-            return interval
-        return interval.extended(self.window)
-
     @observed("insert", stores=_inner_store)
     def insert(self, value: Any, interval: IntervalLike) -> None:
         """Record a base-table insertion."""
-        self.tree.insert_effect(self.spec.effect(value), self._stretched(interval))
+        self.tree.insert_effect(
+            self.spec.effect(value), stretched(as_interval(interval), self.window)
+        )
 
     @observed("delete", stores=_inner_store)
     def delete(self, value: Any, interval: IntervalLike) -> None:
         """Record a base-table deletion (SUM/COUNT/AVG only)."""
         self.tree.insert_effect(
-            self.spec.negated_effect(value), self._stretched(interval)
+            self.spec.negated_effect(value),
+            stretched(as_interval(interval), self.window),
         )
 
     @observed("lookup", stores=_inner_store)

@@ -69,14 +69,23 @@ request, ``read`` is the tree reads as one blocking callable,
 ``submit`` hands one write to the group commit and returns the future
 of its result (or raises its refusal), ``run`` moves a callable to the
 server's executor, ``error_reply_for`` maps an exception to a reply,
-and ``control`` names the ops that bypass admission (the replication
-stream's, which must never queue behind the writers they release).
+``control`` names the ops that bypass admission (the replication
+stream's, which must never queue behind the writers they release) and
+``routed`` the ops ``dispatch`` answers.
+
+**Counting.**  Each answered request adds 1 to ``op.service.<op>.count``
+and its wall time to ``op.service.<op>.wall_us`` (``stats()["ops"]``),
+through two handles bound on the op's first request.  Only the tree
+reads, the writes and the ``routed`` ops get handles of their own; any
+other op -- unknown, or not a string -- counts as ``service.invalid``,
+so the registry holds one entry per op the server knows, however many
+names clients send.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from .. import obs
 from ..obs import trace
@@ -194,6 +203,7 @@ class Connections:
         run: Callable[..., Any],
         error_reply_for,
         control: Dict[str, Callable],
+        routed: Iterable[str],
         follower: Callable[[], Any],
         registry: obs.MetricsRegistry,
         max_inflight: int = 256,
@@ -232,6 +242,8 @@ class Connections:
         self._h_write_burst_size = registry.histogram(
             "service.write_burst.size", bounds=(1, 2, 4, 8, 16, 32, 64, 128, 256)
         )
+        self._routed = _TREE_READS | _WRITES | frozenset(routed)
+        self._op_handles: Dict[str, tuple] = {}
 
     # ------------------------------------------------------------------
     # Accounting and drain
@@ -311,6 +323,8 @@ class Connections:
         arrival = conn.arrival = asyncio.get_running_loop().time()
         for request, length in frames:
             op = request.get("op")
+            if not isinstance(op, str):
+                op = None  # dispatch answers it unknown_op
             control = self._control.get(op)
             if control is not None:
                 # Before admission: a follower's ack queued behind
@@ -457,15 +471,34 @@ class Connections:
             exc, request, sctx.trace_id if sctx is not None else None
         )
 
+    def _bind_op(self, op) -> tuple:
+        """The ``op.service.<op>`` count and wall-time handles of *op*,
+        bound on its first request.  Only an op the server routes gets
+        its own; any other counts as ``service.invalid``, so a client
+        naming ops at random cannot grow the registry."""
+        name = op if isinstance(op, str) and op in self._routed else "invalid"
+        handles = self._op_handles.get(name)
+        if handles is None:
+            record = f"service.{name}"  # its stats()["ops"] name
+            handles = self._op_handles[name] = (
+                name,
+                self.registry.counter(f"op.{record}.count"),
+                self.registry.histogram(f"op.{record}.wall_us"),
+            )
+        return handles
+
     def _finish(self, request, reply, wall_us: float, sctx=None) -> Dict[str, Any]:
-        """Account for one answered request -- its ``service.<op>`` op
-        record, ``service.errors``, the replica's watermark tag, its
-        ``server.request`` span -- and return the reply to send."""
+        """Account for one answered request -- its ``op.service.<op>``
+        count and wall time, ``service.errors``, the replica's watermark
+        tag, its ``server.request`` span -- and return the reply to
+        send."""
         op = request.get("op")
-        name = op if isinstance(op, str) and op.isidentifier() else "invalid"
-        self.registry.record_op(
-            obs.OpRecord(op=f"service.{name}", wall_us=wall_us)
-        )
+        handles = self._op_handles.get(op) if isinstance(op, str) else None
+        if handles is None:
+            handles = self._bind_op(op)
+        name, count, wall = handles
+        count.inc()
+        wall.record(wall_us)
         if not reply.get("ok"):
             self._m_errors.inc()
         elif op in _REPLICA_READS:

@@ -155,6 +155,26 @@ and is packed with one struct call and unpacked with one
 a string) is written and read field by field, and an int beyond i64
 JSON-wraps the whole reply; the bytes are the same either way.
 
+The same rule holds for whole messages.  A message whose fields are all
+fixed-width -- a ``lookup`` / ``rangeq`` / ``window`` request, or an ok
+reply holding an I64 or F64 scalar or an ``applied`` count, whose
+envelope carries only an I64 id -- is one struct in one layout table
+(``_LAYOUTS``) that the encoder and the decoder both read::
+
+    >BBBBqd    lookup           magic, type, flags = 8, tag = 1, id, f64 t
+    >BBBBqdd   rangeq, window   ..., f64 start, f64 end (t, w)
+    >BBBBqBq   ok scalar        ..., u8 tag = 1, i64 value
+    >BBBBqBd   ok scalar        ..., u8 tag = 2, f64 value
+    >BBBBqIB   applied          ..., u32 applied, u8 flags
+
+It is packed with one struct call and read with one ``unpack_from``,
+in place in the receive buffer.  Everything else goes field by field
+(``_pack_*`` / ``_Reader``): a bool, string or wider-than-i64 id or
+value, an idempotency key, deadline, trace or watermark, the JSON wrap,
+and any body whose length or header bytes match no layout exactly -- so
+a body a byte short or long is refused in the same words.  The bytes
+are the same either way.
+
 Request field validation (:func:`number`, :func:`instant`,
 :func:`fact`, :func:`idem_key`) also lives here: it is where input from
 outside becomes trusted, once, for every op that carries the field.
@@ -295,6 +315,24 @@ _TAG_STR = 3
 _TAG_TRUE = 4
 _TAG_FALSE = 5
 
+#: The fixed-width messages: each whole body -- magic, type, envelope
+#: flags = id only, the id's I64 tag and value, then the payload -- is
+#: one precompiled struct, read by the encoder and the decoder alike.
+#: Keyed by message type and, for a scalar reply, the value's tag.
+_LAYOUTS = {
+    (_T_LOOKUP, None): struct.Struct(">BBBBqd"),
+    (_T_RANGEQ, None): struct.Struct(">BBBBqdd"),
+    (_T_WINDOW, None): struct.Struct(">BBBBqdd"),
+    (_T_OK_SCALAR, _TAG_I64): struct.Struct(">BBBBqBq"),
+    (_T_OK_SCALAR, _TAG_F64): struct.Struct(">BBBBqBd"),
+    (_T_OK_APPLIED, None): struct.Struct(">BBBBqIB"),
+}
+#: The payload of each time-only request: its f64 fields, in wire order.
+_TIME_FIELDS = {"lookup": ("t",), "rangeq": ("start", "end"), "window": ("t", "w")}
+#: Where a scalar reply's value tag sits: right after the id.
+_LAYOUT_TAG_AT = 12
+_LAYOUT_MIN = min(layout.size for layout in _LAYOUTS.values())
+
 ERR_BAD_REQUEST = "bad_request"
 ERR_UNKNOWN_OP = "unknown_op"
 ERR_UNSUPPORTED = "unsupported"
@@ -341,9 +379,9 @@ def encode_frame(message: Dict[str, Any], codec: str = CODEC_BINARY) -> bytes:
     return _LEN.pack(len(body)) + body
 
 
-def decode_length(header: bytes) -> int:
-    """Parse and bound-check a 4-byte length prefix."""
-    (length,) = _LEN.unpack(header)
+def decode_length(header, offset: int = 0) -> int:
+    """Parse and bound-check the 4-byte length prefix at *offset*."""
+    (length,) = _LEN.unpack_from(header, offset)
     # The wire format is unsigned, but callers holding an already-parsed
     # int (tests, proxies) go through the same bound check.
     if length < 0:
@@ -355,9 +393,8 @@ def decode_length(header: bytes) -> int:
 
 def decode_body(body: bytes) -> Dict[str, Any]:
     """Parse a frame body into a message dict."""
-    if body[:1] != b"\xb1":
-        raise ProtocolError("frame body does not start with the 0xB1 magic")
-    return _decode_binary(body)
+    message = _decode_fixed(body, 0, len(body))
+    return message if message is not None else _decode_binary(body)
 
 
 #: Most bytes a frame loop takes from its socket in one receive.
@@ -378,17 +415,24 @@ def take_frames(
     """
     frames: List[Tuple[Dict[str, Any], int]] = []
     offset = 0
+    size = len(buf)
     error = None
-    try:
-        while len(buf) - offset >= 4:
-            length = decode_length(buf[offset:offset + 4])
-            end = offset + 4 + length
-            if end > len(buf):
-                break
-            frames.append((decode_body(bytes(buf[offset + 4:end])), length))
-            offset = end
-    except ProtocolError as exc:
-        error = exc
+    # A fixed-width body is read in place; any other is copied once.
+    with memoryview(buf) as view:
+        try:
+            while size - offset >= 4:
+                length = decode_length(buf, offset)
+                start = offset + 4
+                end = start + length
+                if end > size:
+                    break
+                message = _decode_fixed(buf, start, length)
+                if message is None:
+                    message = _decode_binary(view[start:end].tobytes())
+                frames.append((message, length))
+                offset = end
+        except ProtocolError as exc:
+            error = exc
     del buf[:offset]
     return frames, error
 
@@ -568,12 +612,74 @@ def _pack_time(value: Any, parts: List[bytes]) -> None:
     parts.append(_F64.pack(float(value)))
 
 
+def _applied_flags(result: Dict[str, Any]) -> int:
+    """The flags byte of an ``applied`` result: bit 0 ``duplicate``, bit 1
+    ``evicted``.  _Unpackable unless ``applied`` is an int in u32 and each
+    flag is exactly True or absent -- only that shape round-trips."""
+    applied = result.get("applied")
+    if (
+        not set(result) <= {"applied", "duplicate", "evicted"}
+        or isinstance(applied, bool)
+        or not isinstance(applied, int)
+        or not 0 <= applied < 2**32
+    ):
+        raise _Unpackable
+    for name in ("duplicate", "evicted"):
+        if name in result and result[name] is not True:
+            raise _Unpackable
+    return ("duplicate" in result) | ("evicted" in result) << 1
+
+
+def _encode_fixed(message: Dict[str, Any]) -> Optional[bytes]:
+    """A fixed-width message in one ``pack``, or None when it has no
+    layout: an id other than an exact int, a field other than an exact
+    int or float, an extra field, or a value the struct refuses (an int
+    beyond its width) -- the field-by-field path then decides."""
+    ident = message.get("id")
+    if type(ident) is not int:
+        return None
+    try:
+        if "op" in message:
+            op = message["op"]
+            names = _TIME_FIELDS.get(op) if type(op) is str else None
+            if names is None or len(message) != len(names) + 2:
+                return None
+            times = [message.get(name) for name in names]
+            for value in times:
+                if type(value) is not int and type(value) is not float:
+                    return None
+            mtype = _REQ_TYPE_FOR_OP[op]
+            return _LAYOUTS[mtype, None].pack(
+                BINARY_MAGIC, mtype, _FLAG_ID, _TAG_I64, ident, *times
+            )
+        if len(message) != 3 or "result" not in message or not message.get("ok"):
+            return None
+        result = message["result"]
+        kind = type(result)
+        if kind is int or kind is float:
+            tag = _TAG_I64 if kind is int else _TAG_F64
+            return _LAYOUTS[_T_OK_SCALAR, tag].pack(
+                BINARY_MAGIC, _T_OK_SCALAR, _FLAG_ID, _TAG_I64, ident, tag, result
+            )
+        if kind is dict and "applied" in result:
+            return _LAYOUTS[_T_OK_APPLIED, None].pack(
+                BINARY_MAGIC, _T_OK_APPLIED, _FLAG_ID, _TAG_I64, ident,
+                result["applied"], _applied_flags(result),
+            )
+    except (struct.error, _Unpackable):
+        pass
+    return None
+
+
 def _encode_binary(message: Dict[str, Any]) -> bytes:
     """Encode one message dict into a binary body.
 
     Messages without a typed layout are wrapped as JSON inside the
     binary envelope, so this refuses nothing ``json.dumps`` accepts.
     """
+    body = _encode_fixed(message)
+    if body is not None:
+        return body
     try:
         if "op" in message:
             return _encode_binary_request(message)
@@ -643,7 +749,7 @@ def _encode_envelope(message: Dict[str, Any], parts: List[bytes]) -> None:
 
 def _encode_binary_request(message: Dict[str, Any]) -> bytes:
     op = message.get("op")
-    fields = _REQ_FIELDS.get(op)
+    fields = _REQ_FIELDS.get(op) if isinstance(op, str) else None
     if fields is None:
         raise _Unpackable  # unknown op: carry it as JSON, verbatim
     if not set(message) <= (_ENVELOPE_FIELDS | fields):
@@ -669,14 +775,9 @@ def _encode_binary_request(message: Dict[str, Any]) -> bytes:
             _pack_scalar(value, parts)
             _pack_time(start, parts)
             _pack_time(end, parts)
-    elif op == "lookup":
-        _pack_time(message["t"], parts)
-    elif op == "rangeq":
-        _pack_time(message["start"], parts)
-        _pack_time(message["end"], parts)
-    elif op == "window":
-        _pack_time(message["t"], parts)
-        _pack_time(message["w"], parts)
+    elif op in _TIME_FIELDS:
+        for name in _TIME_FIELDS[op]:
+            _pack_time(message[name], parts)
     elif op == "query_view":
         _pack_str16(message["view"], parts)
         _pack_time(message["t"], parts)
@@ -712,24 +813,10 @@ def _encode_binary_reply(message: Dict[str, Any]) -> bytes:
             parts.append(_U64.pack(watermark))
             parts.append(_F64.pack(float(staleness)))
         elif isinstance(result, dict):
-            if (
-                not set(result) <= {"applied", "duplicate", "evicted"}
-                or isinstance(result.get("applied"), bool)
-                or not isinstance(result.get("applied"), int)
-                or not 0 <= result["applied"] < 2**32
-            ):
-                raise _Unpackable
+            rflags = _applied_flags(result)
             parts.append(_HDR.pack(BINARY_MAGIC, _T_OK_APPLIED))
             _encode_envelope(message, parts)
             parts.append(_U32.pack(result["applied"]))
-            rflags = (1 if result.get("duplicate") is True else 0) | (
-                2 if result.get("evicted") is True else 0
-            )
-            # Flag fields must be exactly True or absent to round-trip.
-            if ("duplicate" in result) != bool(rflags & 1):
-                raise _Unpackable
-            if ("evicted" in result) != bool(rflags & 2):
-                raise _Unpackable
             parts.append(bytes((rflags,)))
         elif isinstance(result, list):
             if len(result) >= 2**32:
@@ -886,6 +973,46 @@ class _Reader:
             )
 
 
+def _applied(count: int, rflags: int) -> Dict[str, Any]:
+    """An ``applied`` result from its count and flags byte."""
+    if rflags & ~3:
+        raise ProtocolError(f"unknown applied flags 0x{rflags:02x}")
+    result: Dict[str, Any] = {"applied": count}
+    if rflags & 1:
+        result["duplicate"] = True
+    if rflags & 2:
+        result["evicted"] = True
+    return result
+
+
+def _decode_fixed(buf, off: int, n: int) -> Optional[Dict[str, Any]]:
+    """The message of the *n*-byte body at ``buf[off:]`` in one unpack,
+    or None when no layout matches its length and header bytes exactly
+    (the field-by-field path then reads it, and words any refusal)."""
+    if (
+        n < _LAYOUT_MIN
+        or buf[off] != BINARY_MAGIC
+        or buf[off + 2] != _FLAG_ID
+        or buf[off + 3] != _TAG_I64
+    ):
+        return None
+    mtype = buf[off + 1]
+    tag = buf[off + _LAYOUT_TAG_AT] if mtype == _T_OK_SCALAR else None
+    layout = _LAYOUTS.get((mtype, tag))
+    if layout is None or layout.size != n:
+        return None
+    fields = layout.unpack_from(buf, off)
+    if mtype == _T_OK_SCALAR:
+        return {"ok": True, "id": fields[4], "result": fields[6]}
+    if mtype == _T_OK_APPLIED:
+        return {"ok": True, "id": fields[4], "result": _applied(fields[5], fields[6])}
+    op = _OP_FOR_REQ_TYPE[mtype]
+    message = {"op": op, "id": fields[4]}
+    for name, value in zip(_TIME_FIELDS[op], fields[5:]):
+        message[name] = _restore_num(value)
+    return message
+
+
 def _decode_envelope(reader: _Reader, message: Dict[str, Any]) -> None:
     flags = reader.u8()
     if flags & ~(
@@ -907,6 +1034,9 @@ def _decode_envelope(reader: _Reader, message: Dict[str, Any]) -> None:
 
 
 def _decode_binary(body: bytes) -> Dict[str, Any]:
+    """Decode a body field by field (any body no layout matches)."""
+    if body[:1] != b"\xb1":
+        raise ProtocolError("frame body does not start with the 0xB1 magic")
     if len(body) < _HDR.size:
         raise ProtocolError("binary frame shorter than its header")
     mtype = body[1]
@@ -934,14 +1064,9 @@ def _decode_binary(body: bytes) -> Dict[str, Any]:
                 value = reader.scalar()
                 facts.append([value, reader.time(), reader.time()])
             message["facts"] = facts
-        elif op == "lookup":
-            message["t"] = reader.time()
-        elif op == "rangeq":
-            message["start"] = reader.time()
-            message["end"] = reader.time()
-        elif op == "window":
-            message["t"] = reader.time()
-            message["w"] = reader.time()
+        elif op in _TIME_FIELDS:
+            for name in _TIME_FIELDS[op]:
+                message[name] = reader.time()
         elif op == "query_view":
             message["view"] = reader.str16()
             message["t"] = reader.time()
@@ -982,15 +1107,8 @@ def _decode_binary(body: bytes) -> Dict[str, Any]:
     if mtype == _T_OK_APPLIED:
         message = {"ok": True}
         _decode_envelope(reader, message)
-        result: Dict[str, Any] = {"applied": reader.u32()}
-        rflags = reader.u8()
-        if rflags & ~3:
-            raise ProtocolError(f"unknown applied flags 0x{rflags:02x}")
-        if rflags & 1:
-            result["duplicate"] = True
-        if rflags & 2:
-            result["evicted"] = True
-        message["result"] = result
+        applied = reader.u32()
+        message["result"] = _applied(applied, reader.u8())
         reader.expect_end()
         return message
     if mtype == _T_OK_VIEW:

@@ -213,6 +213,12 @@ class TemporalAggregateServer:
             registry=self.registry,
             tick=view_tick,
         )
+        self._handlers = {
+            "ping": self._op_ping,
+            "stats": self._op_stats,
+            "promote": self._op_promote,
+            **self.view_service.handlers(),
+        }
         self.connections = Connections(
             sharded,
             dispatch=self._dispatch,
@@ -224,17 +230,12 @@ class TemporalAggregateServer:
                 "subscribe_journal": self._subscribe_journal,
                 "journal_ack": self._journal_ack,
             },
+            routed=self._handlers,
             follower=lambda: self.follower,
             registry=self.registry,
             max_inflight=max_inflight,
             retry_after=self._retry_after,
         )
-        self._handlers = {
-            "ping": self._op_ping,
-            "stats": self._op_stats,
-            "promote": self._op_promote,
-            **self.view_service.handlers(),
-        }
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -315,7 +316,7 @@ class TemporalAggregateServer:
         sctx: Optional[trace.TraceContext] = None,
     ) -> Dict[str, Any]:
         op = request.get("op")
-        handler = self._handlers.get(op)
+        handler = self._handlers.get(op) if isinstance(op, str) else None
         if handler is None:
             raise_op = repr(op) if op is not None else "missing 'op' field"
             return wire.error_reply(

@@ -144,6 +144,7 @@ from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from .. import obs
 from ..core.dual import DualTreeAggregate
+from ..core.fixed_window import stretched
 from ..core.intervals import NEG_INF, POS_INF, Interval, Time
 from ..core.msbtree import MSBTree
 from ..core.results import ConstantIntervalTable, trim_initial
@@ -271,14 +272,6 @@ def parse_window(window: Any) -> Union[Time, _AnyWindow]:
             f"window must be 0, a finite offset w > 0 or ANY_WINDOW, got {window!r}"
         )
     return window
-
-
-def _stretched(record: "LogRecord", w: Time) -> "LogRecord":
-    """*record* over ``[s, e + w)`` (Section 4.1); an infinite end stays
-    infinite, as in :class:`~repro.core.fixed_window.FixedWindowTree`."""
-    if record.end == POS_INF:
-        return record
-    return dataclasses.replace(record, end=record.end + w)
 
 
 def _ended(records: List["LogRecord"]) -> List["LogRecord"]:
@@ -526,7 +519,7 @@ class DynamicView:
                 if self.spec.invertible else (lambda records: (records,))
         else:
             self._new_index = SBTree
-            self._inputs = (lambda records: ([_stretched(r, window) for r in records],)) \
+            self._inputs = (lambda records: ([stretched(r, window) for r in records],)) \
                 if window else (lambda records: (records,))
         self.watermarks: Dict[str, int] = {src: 0 for src in self.sources}
         self.relation = TemporalRelation(name)

@@ -189,10 +189,10 @@ class TestBinaryRoundtrip:
 
 class TestJsonWrapFallback:
     def test_unknown_op_wrapped_verbatim(self):
-        message = {"op": "frobnicate", "level": 11}
-        body = protocol.encode_body(message, protocol.CODEC_BINARY)
-        assert body[0] == protocol.BINARY_MAGIC
-        assert protocol.decode_body(body) == message
+        for message in ({"op": "frobnicate", "level": 11}, {"op": [1], "id": 1}):
+            body = protocol.encode_body(message, protocol.CODEC_BINARY)
+            assert body[0] == protocol.BINARY_MAGIC
+            assert protocol.decode_body(body) == message
 
     def test_extra_request_field_not_dropped(self):
         message = {"op": "lookup", "t": 1, "shard_hint": 3}

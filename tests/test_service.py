@@ -177,6 +177,31 @@ class TestStructuredErrors:
             assert info.value.type == protocol.ERR_UNKNOWN_OP
             assert svc.ping()  # connection still usable
 
+    def test_unknown_ops_share_one_registry_entry(self, sum_server):
+        """Every op the server does not route counts as
+        ``service.invalid``: names a client makes up add no metrics."""
+        handle, _ = sum_server
+        with client_for(handle, retries=0) as svc:
+            futures = [svc.submit(f"nosuchop{i}", flush=False) for i in range(200)]
+            svc.flush()
+            for future in futures:
+                with pytest.raises(ServiceError) as info:
+                    future.result()
+                assert info.value.type == protocol.ERR_UNKNOWN_OP
+            ops = svc.stats()["ops"]
+        assert list(ops) == ["service.invalid"]
+        assert ops["service.invalid"]["count"] == 200
+
+    def test_a_non_string_op_is_unknown_not_a_dropped_connection(self, sum_server):
+        handle, _ = sum_server
+        with socket.create_connection((handle.host, handle.port), 5) as sock:
+            sock.sendall(protocol.encode_frame({"op": [1], "id": 1}))
+            reply = protocol.recv_frame_blocking(sock)
+            assert reply["id"] == 1
+            assert reply["error"]["type"] == protocol.ERR_UNKNOWN_OP
+            sock.sendall(protocol.encode_frame({"op": "ping", "id": 2}))
+            assert protocol.recv_frame_blocking(sock)["result"] == "pong"
+
     def test_bad_arguments(self, sum_server):
         handle, _ = sum_server
         with client_for(handle, retries=0) as svc:
@@ -383,19 +408,47 @@ class TestLifecycle:
 
     def test_stats_content(self, sum_server):
         handle, sharded = sum_server
+        lookups, ranges, inserts = 7, 5, 3
         with client_for(handle) as svc:
-            svc.insert(1, 0, 10)
-            svc.lookup(5)
-            svc.lookup(700)
+            for i in range(inserts):
+                svc.insert(1, 10 * i, 10 * i + 10)
+            for i in range(lookups):  # committed: answered on the loop
+                svc.lookup(140 * i + 5)
+            # Pipelined range reads: one executor burst.
+            futures = [
+                svc.submit("rangeq", flush=False, start=0, end=100 + i)
+                for i in range(ranges)
+            ]
+            svc.flush()
+            for future in futures:
+                future.result()
             stats = svc.stats()
         assert stats["kind"] == "sum"
         assert stats["shards"]["num_shards"] == 4
         assert stats["shards"]["boundaries"] == [250, 500, 750]
-        assert stats["ops"]["service.lookup"]["count"] == 2
-        assert stats["ops"]["service.insert"]["count"] == 1
+        assert stats["counters"]["service.fast_reads"] == lookups
+        assert stats["counters"]["service.read_bursts"] >= 1
+        ops = stats["ops"]
+        assert sorted(ops) == ["service.insert", "service.lookup", "service.rangeq"]
+        for name, sent in (
+            ("service.lookup", lookups),
+            ("service.rangeq", ranges),
+            ("service.insert", inserts),
+        ):
+            summary = ops[name]
+            assert summary["op"] == name
+            assert summary["count"] == summary["wall_us"]["count"] == sent
+            for delta in (
+                "reads", "writes", "allocations", "frees", "hits", "misses",
+                "evictions", "physical_reads", "physical_writes",
+            ):
+                assert summary[delta] == 0
+                assert summary[delta + "_per_op"] == 0.0
         assert stats["counters"]["service.batch.flushes"] >= 1
         assert stats["batch"]["max"] == 8
-        assert stats["batch"]["oldest_wait_us"]["count"] == 1  # per flush
+        assert stats["batch"]["oldest_wait_us"]["count"] == (  # per flush
+            stats["counters"]["service.batch.flushes"]
+        )
         assert "service.errors" not in stats["counters"]
 
     def test_request_ids_echoed(self, sum_server):

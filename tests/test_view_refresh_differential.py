@@ -407,7 +407,7 @@ class TestTheDifferentialCanFail:
             run_windowed(tmp_path, "sum", ANY_WINDOW, True)
 
     def test_red_when_a_fixed_window_is_not_stretched(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(dynamic, "_stretched", lambda record, w: record)
+        monkeypatch.setattr(dynamic, "stretched", lambda record, w: record)
         with pytest.raises(AssertionError, match="window read"):
             run_windowed(tmp_path, "max", 5, False)
 
