@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import add, eq, sub
 from typing import Any, Callable, Optional, Tuple
 
 __all__ = ["AggregateKind", "AggregateSpec", "spec_for", "AvgPair"]
@@ -40,10 +41,6 @@ class AggregateKind(enum.Enum):
         return self.value.upper()
 
 
-def _acc_sum(x: Any, y: Any) -> Any:
-    return x + y
-
-
 def _acc_avg(x: AvgPair, y: AvgPair) -> AvgPair:
     return (x[0] + y[0], x[1] + y[1])
 
@@ -62,10 +59,6 @@ def _acc_max(x: Any, y: Any) -> Any:
     if y is None:
         return x
     return x if x >= y else y
-
-
-def _diff_sum(x: Any, y: Any) -> Any:
-    return x - y
 
 
 def _diff_avg(x: AvgPair, y: AvgPair) -> AvgPair:
@@ -110,9 +103,8 @@ class AggregateSpec:
             )
         return self.diff(self.v0, self.effect(base_value))
 
-    def eq(self, a: Any, b: Any) -> bool:
-        """Value equality, used for the ``imerge`` compaction checks."""
-        return a == b
+    #: Value equality (``operator.eq``), used for the ``imerge`` checks.
+    eq = staticmethod(eq)
 
     def finalize(self, value: Any) -> Any:
         """Convert an internal value to its user-facing form.
@@ -134,8 +126,9 @@ class AggregateSpec:
 
 
 _SPECS = {
-    AggregateKind.SUM: AggregateSpec(AggregateKind.SUM, 0, _acc_sum, _diff_sum),
-    AggregateKind.COUNT: AggregateSpec(AggregateKind.COUNT, 0, _acc_sum, _diff_sum),
+    # SUM and COUNT accumulate with the C operators: x + y and x - y.
+    AggregateKind.SUM: AggregateSpec(AggregateKind.SUM, 0, add, sub),
+    AggregateKind.COUNT: AggregateSpec(AggregateKind.COUNT, 0, add, sub),
     AggregateKind.AVG: AggregateSpec(AggregateKind.AVG, (0, 0), _acc_avg, _diff_avg),
     AggregateKind.MIN: AggregateSpec(AggregateKind.MIN, None, _acc_min, None),
     AggregateKind.MAX: AggregateSpec(AggregateKind.MAX, None, _acc_max, None),

@@ -17,13 +17,12 @@ This module closes the gap with three small pieces:
 * :class:`TraceSink` -- an optional JSON-lines sink with deterministic
   sampling, one record per operation.
 
-Everything is guarded by the module-level :data:`ENABLED` flag: while it
-is ``False`` (the default) an instrumented method pays exactly one
-attribute check and one extra function call, nothing else.  Call
-:func:`enable` (optionally with a registry and a sink) to start
-collecting, :func:`disable` to stop, or use the :func:`collecting`
-context manager for scoped measurement (what the benchmarks use instead
-of ad-hoc counter resets).
+Collection is off by default, and then an instrumented tree method is
+its undecorated function: :func:`enable` (optionally with a registry
+and a sink) installs the wrappers and sets :data:`ENABLED`,
+:func:`disable` puts the raw methods back, and the :func:`collecting`
+context manager does both for scoped measurement (what the benchmarks
+use instead of ad-hoc counter resets).
 
 Nested operations are attributed to the *outermost* one: ``compact``
 internally runs a ``range_query``, and
@@ -82,14 +81,26 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS_US",
 ]
 
-#: Fast-path guard.  Instrumented methods check this single module
-#: attribute and fall through to the undecorated code when it is False.
+#: Whether collection is on.  The :func:`observed` tree methods never
+#: read it (their wrappers are installed only while it is True); code
+#: that instruments a block inside a method body checks it.
 ENABLED = False
 
 _state_lock = threading.Lock()
 _registry: Optional["MetricsRegistry"] = None
 _sink: Optional["TraceSink"] = None
 _tls = threading.local()
+#: Every :func:`observed` method, as ``(class, name, raw, wrapped)``.
+_observed: List[Tuple[type, str, Callable, Callable]] = []
+
+
+def _install(on: bool) -> None:
+    """Set :data:`ENABLED` and put each observed method's wrapper (on)
+    or raw function (off) on its class.  The caller holds ``_state_lock``."""
+    global ENABLED
+    ENABLED = on
+    for owner, name, raw, wrapped in _observed:
+        setattr(owner, name, wrapped if on else raw)
 
 
 # ----------------------------------------------------------------------
@@ -561,7 +572,7 @@ def enable(
     sink: Optional[TraceSink] = None,
 ) -> MetricsRegistry:
     """Turn collection on; returns the active registry."""
-    global ENABLED, _registry, _sink
+    global _registry, _sink
     with _state_lock:
         if registry is not None:
             _registry = registry
@@ -569,15 +580,15 @@ def enable(
             _registry = MetricsRegistry()
         if sink is not None:
             _sink = sink
-        ENABLED = True
+        _install(True)
         return _registry
 
 
 def disable(*, close_sink: bool = False) -> None:
     """Turn collection off (the registry is kept for inspection)."""
-    global ENABLED, _sink
+    global _sink
     with _state_lock:
-        ENABLED = False
+        _install(False)
         if close_sink and _sink is not None:
             _sink.close()
             _sink = None
@@ -619,19 +630,20 @@ def collecting(
     ``stats.reset()`` calls: deltas are scoped to the block instead of
     clobbering process-lifetime counters.
     """
-    global ENABLED, _registry, _sink
+    global _registry, _sink
     with _state_lock:
         previous = (ENABLED, _registry, _sink)
         registry = MetricsRegistry()
         _registry = registry
         if sink is not None:
             _sink = sink
-        ENABLED = True
+        _install(True)
     try:
         yield registry
     finally:
         with _state_lock:
-            ENABLED, _registry, _sink = previous
+            was_enabled, _registry, _sink = previous
+            _install(was_enabled)
 
 
 # ----------------------------------------------------------------------
@@ -745,23 +757,35 @@ def observed(
     stores: Optional[Callable[[Any], Any]] = None,
     effects: Optional[Callable[[Any], int]] = None,
 ) -> Callable:
-    """Instrument a tree method: per-op deltas when enabled, no-op otherwise.
+    """Instrument a tree method: per-op deltas while collection is on.
 
     ``stores`` maps the bound instance to its node store(s); the default
     reads ``self.store``.  ``effects`` marks a batched op: it maps the
     method's first argument to the number of effects the call applies,
-    which the record carries (``op.<name>.effects``).  The undecorated
-    function stays reachable via ``__wrapped__`` (used by the overhead
-    microbenchmark).
+    which the record carries (``op.<name>.effects``).
+
+    The wrapper is on the class only while collection is on.  Each
+    decorated method is registered once, when its class is created, as
+    ``(class, name, raw, wrapped)``; :func:`enable`, :func:`disable` and
+    :func:`collecting` set every registered class attribute to its
+    wrapper or back to its raw function in the critical section that
+    flips :data:`ENABLED`.  With collection off, ``SBTree.lookup`` *is*
+    the undecorated function: instrumentation that is off costs a call
+    nothing.
+
+    Threads: a swap is one class ``setattr``, atomic under the GIL, and
+    a call that has already looked up its method finishes in that
+    version, so a call running across a switch is at worst recorded as
+    the outermost op, or not recorded.  The switch is flipped only at
+    process edges (``repro --trace``, ``repro stats``, and
+    :func:`collecting` in tests and benchmarks).
     """
 
-    def decorate(fn: Callable) -> Callable:
+    def decorate(fn: Callable) -> "_Observed":
         store_of = stores if stores is not None else (lambda self: self.store)
 
         @functools.wraps(fn)
         def wrapper(self, *args, **kwargs):
-            if not ENABLED:
-                return fn(self, *args, **kwargs)
             op = Op(
                 name,
                 store_of(self),
@@ -771,6 +795,22 @@ def observed(
             with op:
                 return fn(self, *args, **kwargs)
 
-        return wrapper
+        return _Observed(fn, wrapper)
 
     return decorate
+
+
+class _Observed:
+    """Left in a class body by :func:`observed`: on class creation it
+    registers the pair and puts the current version in its place."""
+
+    __slots__ = ("raw", "wrapped")
+
+    def __init__(self, raw: Callable, wrapped: Callable) -> None:
+        self.raw = raw
+        self.wrapped = wrapped
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        with _state_lock:
+            _observed.append((owner, name, self.raw, self.wrapped))
+            setattr(owner, name, self.wrapped if ENABLED else self.raw)

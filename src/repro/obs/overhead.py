@@ -1,16 +1,19 @@
 """The observability-overhead gate: ``python -m repro.obs.overhead``.
 
-The whole point of the :data:`repro.obs.ENABLED` / ``trace.TRACING``
-flag discipline is that instrumentation which is *off* costs nearly
-nothing: one attribute check and one extra call per operation.  That
-claim regresses silently -- someone hoists a snapshot above the flag
-check, a span allocation sneaks into the disabled path -- so this
-module measures it and fails loudly instead.
+An :func:`~repro.obs.observed` tree method costs nothing while
+collection is off (the class attribute *is* the raw method, an identity
+``tests/test_obs.py`` checks).  This gate times the flag branch left in
+a method body: :class:`~repro.concurrent.ConcurrentTree` tests
+:data:`repro.obs.ENABLED` and ``trace.TRACING`` on every call and, with
+both off, skips its guard and span objects (other ``trace.span`` blocks,
+as in ``ShardedTree``, are not timed here).  That claim regresses
+silently -- a snapshot hoisted above the flag check, a span allocation
+in the disabled path -- so this module measures it and fails loudly.
 
 Three timings of the same fixed lookup workload:
 
 * ``baseline`` -- the hand-inlined untraced path: acquire the read
-  lock, call the raw tree method.  No wrapper, no flag checks.
+  lock, call the tree method.  No flag checks.
 * ``disabled`` -- :meth:`~repro.concurrent.ConcurrentTree.lookup` with
   metrics *and* tracing off: the production disabled path.
 * ``traced_1pct`` -- tracing enabled with 1% head sampling and a
@@ -18,9 +21,9 @@ Three timings of the same fixed lookup workload:
   service client does.
 
 The gate fails when ``disabled / baseline`` exceeds *threshold* (the
-disabled path must stay within a constant factor of hand-written code;
-the default leaves generous room for timer noise since one lookup is
-only a few microseconds of Python).  The enabled-at-1% ratio is
+disabled branch must stay within a constant factor of hand-written
+code; the default leaves generous room for timer noise since one lookup
+is only a few microseconds of Python).  The enabled-at-1% ratio is
 reported alongside, and the whole measurement is written as
 ``BENCH_trace_overhead.json`` via
 :func:`repro.benchlib.write_bench_json`.  Run as a module, it prints the

@@ -23,10 +23,10 @@ under one **trace**:
   sampling); a kept trace emits *all* of its spans, a dropped trace
   emits none and costs nothing downstream (the context simply is not
   created, so no wire field, no server spans, no snapshots).
-* The **disabled path** matches :data:`repro.obs.ENABLED` semantics:
-  while :data:`TRACING` is ``False``, an instrumented call site pays
-  one module-attribute check and one function call returning a shared
-  null context manager, nothing else.
+* The **disabled path** is a flag, not a :func:`repro.obs.observed`
+  swap, as a span is a block inside a method body: while :data:`TRACING`
+  is ``False`` a call site pays one module-attribute check and one
+  function call returning a shared null context manager, nothing else.
 
 **Group commit** needs one extra piece: a flush applies facts from
 *several* requests with one lock round per shard, so its shard/tree
@@ -75,8 +75,8 @@ __all__ = [
     "wrap",
 ]
 
-#: Fast-path guard, mirroring :data:`repro.obs.ENABLED`: call sites
-#: check this one module attribute when tracing is off.
+#: Fast-path guard: call sites check this one module attribute when
+#: tracing is off.
 TRACING = False
 
 _state_lock = threading.Lock()

@@ -2,6 +2,8 @@
 
 import io
 import json
+import sys
+import threading
 
 import pytest
 
@@ -310,6 +312,40 @@ class TestTraceSink:
 # ----------------------------------------------------------------------
 # The global switch
 # ----------------------------------------------------------------------
+#: Every tree method :func:`repro.obs.observed` instruments.
+OBSERVED_METHODS = {
+    *(
+        ("SBTree", name)
+        for name in (
+            "lookup", "steps", "range_query", "to_table", "insert", "delete",
+            "insert_effect", "_insert_batch", "compact", "bulk_load",
+        )
+    ),
+    *(
+        ("MSBTree", name)
+        for name in ("window_lookup", "extremum_over", "window_query")
+    ),
+    *(
+        ("DualTreeAggregate", name)
+        for name in ("insert", "delete", "window_lookup", "window_query")
+    ),
+    *(
+        ("FixedWindowTree", name)
+        for name in ("insert", "delete", "lookup", "range_query", "compact")
+    ),
+}
+
+
+def assert_methods_are(version):
+    """Each observed method's class attribute is its raw function or its
+    wrapper, and the wrapper wraps that raw function."""
+    for owner, name, raw, wrapped in obs._observed:
+        assert wrapped.__wrapped__ is raw
+        assert getattr(owner, name) is (raw if version == "raw" else wrapped), (
+            f"{owner.__name__}.{name} is not {version}"
+        )
+
+
 class TestSwitch:
     def test_disabled_by_default(self):
         assert not obs.is_enabled()
@@ -320,34 +356,99 @@ class TestSwitch:
         tree.insert(1, Interval(0, 10))  # obs off: must not touch registry
         assert registry.op_names() == []
 
-    def test_wrapped_functions_expose_raw_callable(self):
-        # The fast path's baseline: the undecorated method is reachable,
-        # so overhead benchmarks can time it directly.
-        assert hasattr(SBTree.lookup, "__wrapped__")
-        tree = SBTree("sum", branching=4, leaf_capacity=4)
-        tree.insert(2, Interval(0, 10))
-        assert SBTree.lookup.__wrapped__(tree, 5) == tree.lookup(5)
+    def test_collection_off_methods_are_their_raw_functions(self):
+        # Instrumentation that is off is not in the call path: with
+        # collection off each observed tree method is its undecorated
+        # function, so a call pays nothing for the wrapper.
+        assert {(owner.__name__, name) for owner, name, _, _ in obs._observed} == (
+            OBSERVED_METHODS
+        )
+        assert_methods_are("raw")
+        assert not hasattr(SBTree.lookup, "__wrapped__")
 
-    def test_collecting_restores_prior_state(self):
+    def test_collecting_restores_prior_state(self, tmp_path):
         assert not obs.is_enabled()
+        store, tree = paged_tree(tmp_path / "switch.sbt")
+        tree.insert(2, Interval(0, 10))
         with obs.collecting() as registry:
             assert obs.is_enabled()
             assert obs.get_registry() is registry
+            assert_methods_are("wrapped")
+            assert tree.lookup(5) == 2
+        assert registry.op_summary("lookup")["count"] == 1
         assert not obs.is_enabled()
+        assert_methods_are("raw")
+        store.close()
 
     def test_collecting_is_exception_safe(self):
         with pytest.raises(RuntimeError):
             with obs.collecting():
                 raise RuntimeError("boom")
         assert not obs.is_enabled()
+        assert_methods_are("raw")
 
-    def test_enable_disable(self):
+    def test_nested_collecting_keeps_wrappers_until_the_outermost_exits(self):
+        with obs.collecting() as outer:
+            with obs.collecting():
+                assert_methods_are("wrapped")
+            assert_methods_are("wrapped")
+            tree = SBTree("sum", branching=4, leaf_capacity=4)
+            tree.insert(1, Interval(0, 10))
+            assert outer.op_summary("insert")["count"] == 1
+        assert not obs.is_enabled()
+        assert_methods_are("raw")
+
+    def test_enable_disable(self, tmp_path):
+        store, tree = paged_tree(tmp_path / "switch.sbt")
         registry = obs.enable(obs.MetricsRegistry())
         try:
             assert obs.is_enabled()
-            tree = SBTree("sum", branching=4, leaf_capacity=4)
+            assert_methods_are("wrapped")
             tree.insert(1, Interval(0, 10))
             assert registry.op_summary("insert")["count"] == 1
+            tree.lookup(5)
+            assert registry.op_summary("lookup")["count"] == 1
         finally:
             obs.disable()
         assert not obs.is_enabled()
+        assert_methods_are("raw")
+        store.close()
+
+    def test_switching_while_other_threads_call(self):
+        # A swap is one class setattr: calls racing it answer right, and
+        # each is recorded at most once; the raw methods are back after.
+        tree = SBTree("sum", branching=4, leaf_capacity=4)
+        for i in range(200):
+            tree.insert(1, Interval(i, i + 10))
+        expected = [tree.lookup(t) for t in range(210)]
+        calls, errors, stop = [0] * 4, [], threading.Event()
+
+        def reader(k):
+            try:
+                while not stop.is_set():
+                    for t in range(0, 210, 7):
+                        assert tree.lookup(t) == expected[t]
+                        calls[k] += 1
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=reader, args=(k,)) for k in range(4)]
+        recorded = 0
+        try:
+            for thread in threads:
+                thread.start()
+            for _ in range(200):
+                with obs.collecting() as registry:
+                    pass
+                recorded += registry.op_summary("lookup")["count"]
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert 0 < sum(calls) and recorded <= sum(calls)
+        assert_methods_are("raw")
