@@ -276,10 +276,10 @@ def cmd_fsck(args: argparse.Namespace) -> int:
     file).  ``--repair`` settles the WAL, quarantines corrupt pages and
     rebuilds the free list; it never invents tree data.
 
-    A ``.json`` path is audited as a dynamic-view catalog checkpoint
-    (``dynamic.json``) instead: structure, change-log density, and
-    per-view watermark/dependency consistency (``--repair`` does not
-    apply -- recovery is the load path's ``.prev`` fallback).
+    A ``.json`` path is audited as a catalog checkpoint (``dynamic.json``)
+    instead, by the audit a catalog load runs: exit 0 exactly when a
+    strict load takes it (``--repair`` does not apply; a load falls back
+    to ``.prev``, and the report says whether that passes too).
     """
     import json as _json
 

@@ -68,7 +68,8 @@ from .faults import FaultInjector, SimulatedCrash
 from .oracle import CatalogModel, OracleModel, Step
 from .storage import pager as pager_module
 from .storage.pager import Pager
-from .warehouse.dynamic import ANY_WINDOW, CATALOG_CRASH_POINTS, CATALOG_WRITE_LABEL
+from .warehouse.checkpoint import CATALOG_CRASH_POINTS, CATALOG_WRITE_LABEL
+from .warehouse.dynamic import ANY_WINDOW
 
 __all__ = [
     "CrashCheckResult",

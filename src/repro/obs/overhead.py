@@ -10,7 +10,9 @@ as in ``ShardedTree``, are not timed here).  That claim regresses
 silently -- a snapshot hoisted above the flag check, a span allocation
 in the disabled path -- so this module measures it and fails loudly.
 
-Three timings of the same fixed lookup workload:
+Three timings of the same fixed lookup workload, interleaved round by
+round until each has run :data:`MIN_SECONDS` (so a slow spell of the
+machine lands on all three alike):
 
 * ``baseline`` -- the hand-inlined untraced path: acquire the read
   lock, call the tree method.  No flag checks.
@@ -37,6 +39,7 @@ import os
 import sys
 from typing import Any, Dict, List, Optional
 
+from ..benchlib import time_call
 from . import TraceSink
 from . import disable as obs_disable
 from . import is_enabled as obs_is_enabled
@@ -46,6 +49,9 @@ __all__ = ["run_overhead_gate", "DEFAULT_THRESHOLD"]
 
 #: Disabled-path slowdown allowed over the hand-inlined baseline.
 DEFAULT_THRESHOLD = 1.6
+
+#: Seconds each variant runs, at the least, summed over its rounds.
+MIN_SECONDS = 0.4
 
 
 def _build_tree(n: int):
@@ -57,12 +63,6 @@ def _build_tree(n: int):
     for i in range(n):
         tree.insert(i % 7 + 1, Interval(i * 3, i * 3 + 25))
     return ConcurrentTree(tree), 3 * n + 25
-
-
-def _time_best(fn, repeat: int = 3) -> float:
-    from ..benchlib import time_call
-
-    return time_call(fn, repeat=repeat)
 
 
 def run_overhead_gate(
@@ -108,25 +108,31 @@ def run_overhead_gate(
             else:
                 ct.lookup(t)
 
-    base_s = _time_best(baseline)
-    disabled_s = _time_best(disabled)
+    base_s = disabled_s = traced_s = 0.0
+    rounds = 0
     with open(os.devnull, "w") as null:
         sink = TraceSink(null)
-        trace.enable(sink, sample=0.01)
-        try:
-            traced_s = _time_best(traced)
-        finally:
-            trace.disable()
+        while min(base_s, disabled_s, traced_s) < MIN_SECONDS:
+            base_s += time_call(baseline)
+            disabled_s += time_call(disabled)
+            trace.enable(sink, sample=0.01)
+            try:
+                traced_s += time_call(traced)
+            finally:
+                trace.disable()
+            rounds += 1
     obs_disable()
+    ops = rounds * lookups
 
-    ratio_disabled = disabled_s / base_s if base_s else 0.0
-    ratio_traced = traced_s / base_s if base_s else 0.0
+    ratio_disabled = disabled_s / base_s
+    ratio_traced = traced_s / base_s
     report: Dict[str, Any] = {
         "facts": facts,
         "lookups": lookups,
-        "baseline_us_per_op": base_s / lookups * 1e6,
-        "disabled_us_per_op": disabled_s / lookups * 1e6,
-        "traced_1pct_us_per_op": traced_s / lookups * 1e6,
+        "rounds": rounds,
+        "baseline_us_per_op": base_s / ops * 1e6,
+        "disabled_us_per_op": disabled_s / ops * 1e6,
+        "traced_1pct_us_per_op": traced_s / ops * 1e6,
         "ratio_disabled": round(ratio_disabled, 4),
         "ratio_traced_1pct": round(ratio_traced, 4),
         "threshold": threshold,

@@ -84,13 +84,8 @@ from .faults import FaultInjector, simulate_crash
 from .sharding import ShardedTree, WindowUnsupportedError, shard_path
 from .storage import PagedNodeStore, fsck_dynamic
 from .warehouse import MaterializedView
-from .warehouse.dynamic import (
-    ANY_WINDOW,
-    CHECKPOINT_NAME,
-    DynamicCatalog,
-    _trees_of,
-    parse_window,
-)
+from .warehouse.checkpoint import CHECKPOINT_NAME
+from .warehouse.dynamic import ANY_WINDOW, DynamicCatalog, _trees_of, parse_window
 
 __all__ = [
     "BACKENDS",
@@ -645,7 +640,7 @@ def _held(catalog: DynamicCatalog) -> Dict[str, tuple]:
     held: Dict[str, tuple] = {}
     for name in catalog.table_names() + catalog.view_names():
         node = catalog._node(name)
-        held[name] = (_rows(node.relation), node.log.to_json())
+        held[name] = (_rows(node.relation), node.log.head, node.log.base, node.log.records)
     for name in catalog.view_names():
         view = catalog.view(name)
         trees = {
@@ -730,7 +725,10 @@ class CatalogModel:
         return float(self.ticks)
 
     def _open(self) -> DynamicCatalog:
-        return DynamicCatalog(self.directory, clock=self._clock, **self.tree_args)
+        """The catalog on the directory, opened strictly: a save writes
+        nothing the load's audit refuses, and a crash leaves nothing
+        ``fsck`` flags (:meth:`crash` checks that first)."""
+        return DynamicCatalog(self.directory, clock=self._clock, strict=True, **self.tree_args)
 
     def _state(self) -> Tuple[Dict, Dict]:
         return {name: list(rows) for name, rows in self.tables.items()}, dict(self.views)
@@ -879,7 +877,7 @@ class CatalogModel:
         view = self.catalog.view(name)
         if not any(name in view[0] for view in self.views.values()):
             empty = all(index == ([], []) for index in view._index.values())
-            check(len(view.relation) == 0 and empty and view.row_texts == {},
+            check(len(view.relation) == 0 and empty and view.saved.rows == {},
                   "rows nothing consumes", name)
             return
         spec, indexed = view.spec, []

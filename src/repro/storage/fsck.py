@@ -34,20 +34,13 @@ reported as unrepairable: their payload is gone, so the tree itself
 needs rebuilding (``repro build``) -- fsck never invents data.
 
 ``repro fsck`` also audits dynamic-view catalog checkpoints
-(``dynamic.json``): :func:`fsck_dynamic` verifies the JSON itself, the
-schema version, DAG consistency (every source exists and precedes its
-consumers), watermark sanity (within each source log's ``base..head``
-window), change-log density (sequence numbers dense in
-``base + 1 .. head``), what each save re-uses of the last one (rows with
-unique tuple ids and non-empty intervals; per-group tree checkpoints
-sorted, disjoint, free of ``v0`` and with no two abutting equal
-segments), and reports leftover temp files from an interrupted
-checkpoint rename.
+(``dynamic.json``): :func:`fsck_dynamic` reports the findings of the
+audit a catalog load runs, which lives with the format in
+:mod:`repro.warehouse.checkpoint`.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import warnings
 import zlib
@@ -668,275 +661,15 @@ def _fsck(path: str, *, repair: bool = False) -> FsckReport:
 def fsck_dynamic(path: str) -> FsckReport:
     """Audit a :class:`~repro.warehouse.dynamic.DynamicCatalog` checkpoint.
 
-    Fully offline, like :func:`fsck`: the checkpoint is parsed and
-    cross-checked without constructing a catalog, so even files the
-    catalog would refuse to load produce a report instead of an
-    exception.  When the main checkpoint is unreadable the audit says
-    whether the retained ``.prev`` checkpoint would restore -- the same
-    fallback :meth:`DynamicCatalog.load` takes.
+    Fully offline, like :func:`fsck`: the findings are those of the one
+    audit a catalog load runs (:func:`repro.warehouse.checkpoint.audit`),
+    so a checkpoint is clean exactly when a strict load takes it, and
+    when it is not the report says whether ``.prev`` passes the same
+    audit -- the fallback a non-strict load takes.
     """
-    report = _fsck_dynamic(path)
+    from ..warehouse.checkpoint import audit  # storage does not import warehouse
+
+    report = audit(path)
     obs.count("fsck.runs")
     obs.count("fsck.errors_found", len(report.errors()))
-    return report
-
-
-def _load_checkpoint_json(path: str, report: FsckReport) -> Optional[Dict[str, Any]]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        report.add("error", "unreadable-checkpoint", f"cannot read: {exc}")
-        return None
-    except ValueError as exc:
-        report.add("error", "bad-json", f"not valid JSON: {exc}")
-        return None
-    if not isinstance(payload, dict):
-        report.add("error", "bad-json", "checkpoint is not a JSON object")
-        return None
-    return payload
-
-
-def _audit_change_log(
-    report: FsckReport, node: str, raw: Any
-) -> Optional[Dict[str, int]]:
-    """Density and ordering of one node's serialized change log."""
-    if not isinstance(raw, dict):
-        report.add("error", "bad-log", f"{node}: change log is not an object")
-        return None
-    try:
-        head = int(raw.get("head", 0))
-        base = int(raw.get("base", 0))
-    except (TypeError, ValueError):
-        report.add("error", "bad-log", f"{node}: non-integer head/base")
-        return None
-    records = raw.get("records", [])
-    if not isinstance(records, list):
-        report.add("error", "bad-log", f"{node}: records is not a list")
-        return None
-    if base < 0 or head < base:
-        report.add(
-            "error", "bad-log",
-            f"{node}: log window base={base} head={head} is inverted",
-        )
-        return None
-    if head - base != len(records):
-        report.add(
-            "error", "log-density",
-            f"{node}: log retains {len(records)} records but the window "
-            f"base={base}..head={head} holds {head - base} sequence numbers",
-        )
-        return None
-    for offset, record in enumerate(records):
-        expected_seq = base + offset + 1
-        if not (isinstance(record, list) and len(record) == 7):
-            report.add(
-                "error", "bad-log-record",
-                f"{node}: record at offset {offset} is malformed",
-            )
-            return None
-        if record[0] != expected_seq:
-            report.add(
-                "error", "log-density",
-                f"{node}: record at offset {offset} carries seq "
-                f"{record[0]}, expected {expected_seq} (sequence numbers "
-                "must be dense)",
-            )
-            return None
-    return {"head": head, "base": base}
-
-
-def _audit_rows(report: FsckReport, node: str, rows: Any) -> None:
-    """A node's rows: well-formed, unique tuple ids, non-empty intervals."""
-    if not isinstance(rows, list):
-        report.add("error", "bad-rows", f"{node}: rows is not a list")
-        return
-    seen: Set[Any] = set()
-    for offset, row in enumerate(rows):
-        try:
-            tuple_id, _, start, end, _ = row
-            empty = not start < end
-            duplicate = tuple_id in seen
-        except (TypeError, ValueError):
-            report.add("error", "bad-rows", f"{node}: row at offset {offset} is malformed")
-            return
-        if empty:
-            report.add(
-                "error", "bad-rows",
-                f"{node}: row #{tuple_id} has the empty interval [{start}, {end})",
-            )
-        if duplicate:
-            report.add("error", "bad-rows", f"{node}: tuple id {tuple_id} appears twice")
-        seen.add(tuple_id)
-
-
-def _audit_tree_checkpoint(report: FsckReport, view: str, spec, trees: Any) -> None:
-    """A view's per-group tree checkpoints: each the coalesced step
-    function a save writes -- sorted, disjoint segments, none at ``v0``
-    and no two abutting ones equal."""
-    if not isinstance(trees, list):
-        report.add("error", "bad-tree-checkpoint", f"view {view!r}: trees is not a list")
-        return
-    for entry in trees:
-        try:
-            key, segments = entry
-            last_end = last_value = None
-            for value, start, end in segments:
-                if isinstance(value, list):
-                    value = tuple(value)  # an AVG pair
-                if not start < end or (last_end is not None and start < last_end):
-                    problem = f"segment [{start}, {end}) is empty or out of order"
-                elif spec.is_initial(value):
-                    problem = f"segment [{start}, {end}) holds v0"
-                elif start == last_end and spec.eq(value, last_value):
-                    problem = f"the segments meeting at {start} are equal"
-                else:
-                    last_end, last_value = end, value
-                    continue
-                report.add(
-                    "error", "bad-tree-checkpoint",
-                    f"view {view!r}, group {key!r}: {problem}",
-                )
-                break
-        except (TypeError, ValueError):
-            report.add(
-                "error", "bad-tree-checkpoint",
-                f"view {view!r}: a tree checkpoint entry is malformed",
-            )
-
-
-def _fsck_dynamic(path: str) -> FsckReport:
-    report = FsckReport(path)
-    if not os.path.exists(path):
-        report.add("error", "missing-file", f"no such checkpoint: {path!r}")
-        return report
-    for suffix, code in ((".tmp", "leftover-temp"), (".prev.tmp", "leftover-temp")):
-        leftover = path + suffix
-        if os.path.exists(leftover):
-            report.add(
-                "warning", code,
-                f"leftover {leftover!r} from an interrupted checkpoint "
-                "(normal after a crash mid-save; the catalog removes it "
-                "on the next load and never adopts it)",
-            )
-    payload = _load_checkpoint_json(path, report)
-    if payload is None:
-        prev = path + ".prev"
-        if os.path.exists(prev):
-            prev_report = FsckReport(prev)
-            if _load_checkpoint_json(prev, prev_report) is not None:
-                report.add(
-                    "info", "prev-restorable",
-                    f"previous checkpoint {prev!r} parses; a non-strict "
-                    "load falls back to it",
-                )
-            else:
-                report.add(
-                    "error", "prev-unrestorable",
-                    f"previous checkpoint {prev!r} is also unreadable; "
-                    "nothing restores",
-                )
-        return report
-
-    version = payload.get("version")
-    if version != 2:
-        report.add(
-            "error", "bad-version",
-            f"unsupported checkpoint version {version!r} (expected 2)",
-        )
-        return report
-    tables = payload.get("tables", {})
-    views = payload.get("views", {})
-    order = payload.get("order", [])
-    if not isinstance(tables, dict) or not isinstance(views, dict) \
-            or not isinstance(order, list):
-        report.add(
-            "error", "bad-structure",
-            "tables/views must be objects and order a list",
-        )
-        return report
-    duplicated = set(tables) & set(views)
-    for name in sorted(duplicated):
-        report.add(
-            "error", "duplicate-node",
-            f"{name!r} appears as both a table and a view",
-        )
-    for name in order:
-        if name not in tables and name not in views:
-            report.add(
-                "error", "dangling-order",
-                f"order names {name!r} but no such table or view exists",
-            )
-    for name in sorted(set(tables) | set(views)):
-        if name not in order:
-            report.add(
-                "warning", "unordered-node",
-                f"{name!r} exists but is missing from the restore order",
-            )
-
-    logs: Dict[str, Optional[Dict[str, int]]] = {}
-    for name, raw in list(tables.items()) + list(views.items()):
-        logs[name] = (
-            _audit_change_log(report, name, raw.get("log"))
-            if isinstance(raw, dict) else None
-        )
-        if not isinstance(raw, dict):
-            report.add("error", "bad-structure", f"{name!r} is not an object")
-
-    for name, raw in tables.items():
-        if isinstance(raw, dict):
-            _audit_rows(report, name, raw.get("rows", []))
-    position = {name: index for index, name in enumerate(order)}
-    for name, raw in views.items():
-        if not isinstance(raw, dict):
-            continue
-        _audit_rows(report, name, raw.get("rows", []))
-        try:
-            spec = spec_for(raw.get("kind"))
-        except (KeyError, ValueError):
-            report.add(
-                "error", "bad-view",
-                f"view {name!r}: unknown aggregate kind {raw.get('kind')!r}",
-            )
-        else:
-            _audit_tree_checkpoint(report, name, spec, raw.get("trees", []))
-            _audit_tree_checkpoint(report, name, spec, raw.get("ended", []))
-        sources = raw.get("sources", [])
-        watermarks = raw.get("watermarks", {})
-        for src in sources:
-            if src not in tables and src not in views:
-                report.add(
-                    "error", "dangling-source",
-                    f"view {name!r} consumes {src!r}, which does not exist",
-                )
-                continue
-            if position.get(src, -1) > position.get(name, len(order)):
-                report.add(
-                    "error", "order-violation",
-                    f"view {name!r} precedes its source {src!r} in the "
-                    "restore order",
-                )
-            watermark = watermarks.get(src, 0)
-            window = logs.get(src)
-            if window is None or not isinstance(watermark, int):
-                continue
-            if watermark > window["head"]:
-                report.add(
-                    "error", "watermark-ahead",
-                    f"view {name!r} watermark {watermark} on {src!r} is "
-                    f"past the source log head {window['head']}",
-                )
-            elif watermark < window["base"]:
-                report.add(
-                    "error", "watermark-compacted",
-                    f"view {name!r} watermark {watermark} on {src!r} is "
-                    f"behind the compacted log base {window['base']}: the "
-                    "unconsumed records are gone",
-                )
-    report.add(
-        "info", "checkpoint-summary",
-        f"version {version}: {len(tables)} tables, {len(views)} views, "
-        f"{sum((w or {}).get('head', 0) - (w or {}).get('base', 0) for w in logs.values())} "
-        "retained change records",
-    )
     return report

@@ -110,19 +110,12 @@ Robustness (DESIGN.md section 14)
   internal step function of each group's SB-tree -- so a restore
   replays only the unconsumed tail.  Likewise a view nothing consumes
   keeps, and checkpoints, no output rows: its trees are the view.
-* **Saves cost what changed.**  A save re-encodes only what changed
-  since the last one: a row's JSON text is kept from the first save
-  that sees it for as long as the row lives, and a group's tree
-  checkpoint is re-walked only over the spans its tree was written in
-  (each write records them first; a group whose sums may be floats is
-  re-walked whole).  The file is the same bytes a save that encoded
-  everything would write.
-* **Crash safety.**  ``save`` is fault-injectable (``faults=``) at
-  labeled crash points (torn temp write, fsync failure, crash
-  before/after the rename) and always retains the previous checkpoint
-  as ``dynamic.json.prev``; ``load`` falls back to it when the main
-  checkpoint is corrupt (or raises :class:`CatalogCheckpointError`
-  under ``strict=True``) and never adopts a leftover temp file.
+* **Checkpoints.**  :mod:`repro.warehouse.checkpoint` writes and reads
+  ``dynamic.json``: a save costs what changed since the last one (each
+  tree write first marks its spans in the view's ``saved`` texts) and
+  is crash-safe, and a load refuses exactly what ``repro fsck``
+  reports, falling back to ``dynamic.json.prev`` (or raising
+  :class:`CatalogCheckpointError` under ``strict=True``).
 * **Quarantine.**  A view whose refresh raises during a scheduler
   :meth:`~DynamicCatalog.tick` is quarantined: siblings keep
   refreshing, reads serve its last-good values flagged
@@ -133,8 +126,6 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-import itertools
-import json
 import math
 import os
 import threading
@@ -152,6 +143,8 @@ from ..core.sbtree import SBTree
 from ..core.values import AggregateSpec, spec_for
 from ..relation.table import TemporalRelation
 from ..relation.tuples import ChangeEvent, ChangeKind, TemporalTuple
+from . import checkpoint
+from .checkpoint import CATALOG_CRASH_POINTS, CHECKPOINT_NAME, CatalogCheckpointError, SavedTexts
 
 __all__ = [
     "ANY_WINDOW",
@@ -169,34 +162,9 @@ __all__ = [
     "CatalogCheckpointError",
 ]
 
-#: Name of the catalog's checkpoint file inside its directory.
-CHECKPOINT_NAME = "dynamic.json"
-
-#: Labeled crash points the checkpoint path consults (via ``faults=``),
-#: in the order :meth:`DynamicCatalog.save` reaches them.  Torn temp
-#: writes and fsync failures are armed separately through the
-#: injector's ``tear_write``/``fail_fsyncs`` on the ``"view_ckpt"``
-#: write label.
-CATALOG_CRASH_POINTS = (
-    "view_ckpt:serialized",
-    "view_ckpt:before_rename",
-    "view_ckpt:after_rename",
-)
-
-#: Write/fsync label the checkpoint temp-file I/O is intercepted under.
-CATALOG_WRITE_LABEL = "view_ckpt"
-
 #: What a group key may be: a JSON scalar, which the checkpoint returns
 #: as itself (a tuple would come back as an unhashable list).
 _KEY_TYPES = (str, int, float, bool, type(None))
-
-#: The whole time line, as a dirty span.
-_WHOLE = (NEG_INF, POS_INF)
-
-
-class CatalogCheckpointError(RuntimeError):
-    """A catalog checkpoint that cannot be restored (corrupt or absent)."""
-
 
 class ViewDependencyError(ValueError):
     """An invalid DAG operation: unknown source, dependent in the way."""
@@ -308,14 +276,6 @@ class LogRecord:
     def interval(self) -> Interval:
         return Interval(self.start, self.end)
 
-    def to_json(self) -> List[Any]:
-        return [self.seq, self.kind, self.value, self.start, self.end,
-                dict(self.payload), self.at]
-
-    @classmethod
-    def from_json(cls, raw: Sequence[Any]) -> "LogRecord":
-        seq, kind, value, start, end, payload, at = raw
-        return cls(int(seq), kind, value, start, end, dict(payload), float(at))
 
 
 class ChangeLog:
@@ -330,7 +290,7 @@ class ChangeLog:
     view consumes it (``consumed`` is false) a change is only numbered
     (:meth:`skip`), so ``base == head``.  What a dropped prefix
     built lives in the consumers' trees, checkpointed per view (see
-    :meth:`DynamicCatalog.save`); DESIGN.md section 14 has the
+    :mod:`repro.warehouse.checkpoint`); DESIGN.md section 14 has the
     trade-off.
     """
 
@@ -396,20 +356,6 @@ class ChangeLog:
         seq = max(watermark, self.base)
         return self.records[seq - self.base].at if seq < self.head else None
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "head": self.head,
-            "base": self.base,
-            "records": [r.to_json() for r in self.records],
-        }
-
-    @classmethod
-    def from_json(cls, raw: Dict[str, Any]) -> "ChangeLog":
-        log = cls()
-        log.records = [LogRecord.from_json(r) for r in raw.get("records", ())]
-        log.head = int(raw.get("head", len(log.records)))
-        log.base = int(raw.get("base", log.head - len(log.records)))
-        return log
 
 
 class _LogTap:
@@ -441,7 +387,7 @@ class _BaseNode:
         self.log = ChangeLog()
         self._tap = _LogTap(self.log, clock)
         relation.subscribe(self._tap, replay=True)
-        self.row_texts: Dict[int, str] = {}
+        self.saved = SavedTexts()
 
     def detach(self) -> None:
         self.relation.unsubscribe(self._tap)
@@ -534,17 +480,8 @@ class DynamicView:
         # the rows an affected span overlaps and splices their
         # replacements in place.
         self._index: Dict[Hashable, Tuple[List[Time], List[TemporalTuple]]] = {}
-        # What the last save wrote, kept for the next one (see
-        # DynamicCatalog.save): each output row's JSON text by tuple id,
-        # and per tree -- a slot ``(part, key)``, part 1 the ``T'`` of a
-        # dual pair -- the tree checkpoint's segments (their starts,
-        # their ends and their JSON texts) with the spans of the tree
-        # written since.  A tree whose sums may be floats is re-walked
-        # whole when written (``_inexact``, see :meth:`_mark`).
-        self.row_texts: Dict[int, str] = {}
-        self._segments: Dict[Tuple[int, Hashable], Tuple[List[Time], List[Time], List[str]]] = {}
-        self._dirty: Dict[Tuple[int, Hashable], List[Tuple[Time, Time]]] = {}
-        self._inexact: set = set()
+        # What the last save wrote, kept for the next one.
+        self.saved = SavedTexts(self.spec)
         self.refreshes = 0
         self.events_consumed = 0
         self.rows_emitted = 0
@@ -592,89 +529,6 @@ class DynamicView:
                 "bool or None"
             )
         return key
-
-    def _mark(
-        self, slot: Tuple[int, Hashable], spans: List[Tuple[Time, Time]],
-        values: Sequence[Any] = (),
-    ) -> None:
-        """Record, before a write of *values* to the tree of *slot*, the
-        spans the write may change: the next save re-walks only those.
-
-        An SB-tree node merge re-associates the sums it pushes down,
-        which may move a float sum by round-off outside the spans the
-        write covered; a SUM/COUNT/AVG group that ever took a value that
-        is not an integer is therefore re-walked whole.  Spans are
-        merged once they outnumber twice the group's segments (plus
-        64), and the group is re-walked whole if the merged ones still
-        outnumber its segments: that also bounds what a catalog that
-        never saves keeps here.
-        """
-        if self.spec.invertible and slot not in self._inexact and not _integers(values):
-            self._inexact.add(slot)
-        dirty = self._dirty.setdefault(slot, [])
-        if slot in self._inexact or dirty[:1] == [_WHOLE]:
-            self._dirty[slot] = [_WHOLE]
-            return
-        dirty.extend(spans)
-        segments = len(self._segments.get(slot, ((),))[0])
-        if len(dirty) > 2 * segments + 64:
-            merged = _merge_spans(dirty)
-            self._dirty[slot] = merged if len(merged) <= segments else [_WHOLE]
-
-    def _segment_texts(self, slot: Tuple[int, Hashable], tree: SBTree) -> List[str]:
-        """The checkpoint of *slot*'s tree, as JSON texts of its segments.
-
-        The checkpoint is the coalesced internal step function of the
-        tree, ``v0`` runs dropped.  Only the spans written since the
-        last save are walked: each is widened to the segments it
-        overlaps or abuts, so a run that crosses its border is walked
-        whole and coalesces as in a walk of the whole tree, and the
-        walk's segments replace those.  Everything outside the spans
-        reads as it did when it was last walked.
-        """
-        starts, ends, texts = self._segments.setdefault(slot, ([], [], []))
-        spans = self._dirty.get(slot)
-        if not spans:
-            return texts
-        windows = []
-        for lo, hi in _merge_spans(spans):
-            first = bisect.bisect_left(ends, lo)
-            stop = bisect.bisect_right(starts, hi)
-            if first < stop:
-                lo, hi = min(lo, starts[first]), max(hi, ends[stop - 1])
-            windows.append((lo, hi))
-        for lo, hi in reversed(_merge_spans(windows)):
-            edges, values = tree.steps((lo, hi))
-            segments: List[List[Any]] = []
-            for value, start, end in zip(values, edges, edges[1:]):
-                _extend_segments(self.spec, segments, value, start, end)
-            first = bisect.bisect_right(ends, lo)
-            stop = bisect.bisect_left(starts, hi)
-            starts[first:stop] = [start for _, start, _ in segments]
-            ends[first:stop] = [end for _, _, end in segments]
-            texts[first:stop] = list(map(_dumps, segments))
-        del self._dirty[slot]
-        return texts
-
-    def _tree_texts(self, part: int = 0) -> "_Array":
-        """Every group's tree checkpoint ``[key, segments]``, as JSON
-        texts (see :meth:`_segment_texts`); part 1 is ``T'`` of a dual
-        pair."""
-        return _Array(
-            f"[{json.dumps(key)}, "
-            f"[{', '.join(self._segment_texts((part, key), _trees_of(index)[part]))}]]"
-            for key, index in self._trees.items()
-        )
-
-    def _seed_segments(self, slot: Tuple[int, Hashable], segments: List[List[Any]]) -> None:
-        """Adopt a restored tree's checkpoint as the last save's."""
-        self._segments[slot] = (
-            [start for _, start, _ in segments],
-            [end for _, _, end in segments],
-            list(map(_dumps, segments)),
-        )
-        if self.spec.invertible and not _integers([value for value, _, _ in segments]):
-            self._inexact.add(slot)
 
     # ------------------------------------------------------------------
     # Refresh
@@ -755,7 +609,7 @@ class DynamicView:
                 trees = _trees_of(self._tree(key))
                 for part, (tree, segments) in enumerate(zip(trees, parts)):
                     spans = [(start, end) for _, start, end in segments]
-                    self._mark((part, key), spans, [value for value, _, _ in segments])
+                    self.saved.mark((part, key), spans, [value for value, _, _ in segments])
                     tree.insert_effects(
                         (value, Interval(start, end))
                         for value, start, end in segments
@@ -780,7 +634,7 @@ class DynamicView:
         # earlier groups took theirs.
         for key, records in inputs.items():
             changed[key] = [(r.start, r.end) for r in records]
-            self._mark((0, key), changed[key])
+            self.saved.mark((0, key), changed[key])
         for key, records in inputs.items():
             self._tree(key).insert_batch(
                 (record.value, record.interval) for record in records
@@ -845,7 +699,7 @@ class DynamicView:
         """Forget every output row, silently: nothing consumes them."""
         self.relation.clear()
         self._index = {key: ([], []) for key in self._trees}
-        self.row_texts = {}
+        self.saved.rows = {}
 
     def _regenerate_spans(self, key: Hashable, spans: List[Tuple[Time, Time]]) -> None:
         """Rebuild this group's output rows where its tree changed.
@@ -1022,106 +876,6 @@ def _merge_spans(spans: List[Tuple[Time, Time]]) -> List[Tuple[Time, Time]]:
     return merged
 
 
-def _json_encoder():
-    """``json.dumps`` with its defaults, minus the per-call set-up: the
-    C encoder ``json.dumps`` itself builds, built once (``json.dumps``
-    where the C accelerator is missing)."""
-    if json.encoder.c_make_encoder is None:  # pragma: no cover - CPython has it
-        return json.dumps
-    encode = json.encoder.c_make_encoder(
-        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
-        None, ": ", ", ", False, False, True,
-    )
-    return lambda value: "".join(encode(value, 0))
-
-
-#: A row's or a segment's JSON text, exactly as ``json.dumps`` writes it.
-_dumps = _json_encoder()
-
-
-def _integers(values: Sequence[Any]) -> bool:
-    """Whether all *values* are integers, or AVG pairs of integers: sums
-    of these do not depend on the order they are added in."""
-    types = set(map(type, values))
-    if types <= {tuple, list}:
-        types = set(map(type, itertools.chain.from_iterable(values)))
-    return types <= {int}
-
-
-class _Array(list):
-    """A JSON array given as the JSON texts of its items."""
-
-
-def _write_json(value: Any, out: List[str]) -> None:
-    """Append ``json.dumps(value)`` to *out*, in pieces, splicing each
-    :class:`_Array` in *value*'s dicts together from its items' texts."""
-    if isinstance(value, _Array):
-        out += ("[", ", ".join(value), "]")
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, (name, item) in enumerate(value.items()):
-            # json.dumps writes a key that is not a string as the string
-            # of its own JSON text (5 -> "5", None -> "null").
-            key = name if isinstance(name, str) else json.dumps(name)
-            out += (", " if i else "", json.dumps(key), ": ")
-            _write_json(item, out)
-        out.append("}")
-    else:
-        out.append(json.dumps(value))
-
-
-def _row_texts(node: Union["_BaseNode", DynamicView]) -> _Array:
-    """A node's rows, as the JSON texts of ``[tuple_id, value, start,
-    end, payload]``.  A row is encoded the first time a save sees it and
-    its text kept in ``node.row_texts`` for as long as it lives: rows are
-    frozen, and a relation never reuses a tuple id."""
-    cached = node.row_texts
-    texts: Dict[int, str] = {}
-    for row in node.relation:
-        text = cached.get(row.tuple_id)
-        if text is None:
-            text = _dumps([row.tuple_id, row.value, row.valid.start,
-                           row.valid.end, row.payload])
-        texts[row.tuple_id] = text
-    node.row_texts = texts
-    return _Array(texts.values())
-
-
-def _view_entry(view: DynamicView) -> Dict[str, Any]:
-    """A view's checkpoint object.  Only a windowed view has a
-    ``"window"``, and only a dual one ``"ended"`` (its ``T'`` trees, in
-    the form of ``"trees"``), so a window-0 view's bytes are as they
-    were before views had windows."""
-    entry: Dict[str, Any] = {
-        "sources": view.sources,
-        "kind": view.spec.kind.value,
-        "key": view.key_field,
-    }
-    if view.window != 0:
-        entry["window"] = "any" if view.window is ANY_WINDOW else view.window
-    entry.update({
-        "lag": format_lag(view.lag),
-        "watermarks": view.watermarks,
-        "refreshes": view.refreshes,
-        "events_consumed": view.events_consumed,
-        "log": view.log.to_json(),
-        "rows": _row_texts(view),
-        "trees": view._tree_texts(),
-    })
-    if view.window is ANY_WINDOW and view.spec.invertible:
-        entry["ended"] = view._tree_texts(1)
-    entry["quarantined"] = view.quarantined
-    entry["last_error"] = view.last_error
-    return entry
-
-
-def _restore_relation(relation: TemporalRelation, rows: List[List[Any]]) -> None:
-    relation.restore(
-        (tid, value, Interval(start, end), payload)
-        for tid, value, start, end, payload in rows
-    )
-
-
 class DynamicCatalog:
     """The view fleet: a DAG of dynamic views over base change streams.
 
@@ -1200,6 +954,8 @@ class DynamicCatalog:
 
     def create_table(self, name: str) -> TemporalRelation:
         """Register a base table, with a relation of its own."""
+        if not isinstance(name, str):
+            raise ValueError(f"a table name must be a str, not {name!r}")
         with self._lock:
             if self.has_node(name):
                 raise ValueError(f"table or view {name!r} already exists")
@@ -1322,6 +1078,10 @@ class DynamicCatalog:
             raise ValueError("a view needs at least one source")
         parsed_lag = parse_lag(lag)
         window = parse_window(window)
+        # Names are what a checkpoint can give back as themselves.
+        names = [name, *sources] if key is None else [name, *sources, key]
+        if not all(isinstance(field, str) for field in names):
+            raise ValueError(f"view {name!r} over {sources!r} by {key!r}: names must be strs")
         with self._lock:
             if self.has_node(name):
                 raise ValueError(f"table or view {name!r} already exists")
@@ -1735,255 +1495,13 @@ class DynamicCatalog:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def _checkpoint_path(self) -> str:
-        if self.directory is None:
-            raise ValueError("this catalog has no directory to persist into")
-        return os.path.join(self.directory, CHECKPOINT_NAME)
-
     def save(self) -> str:
-        """Checkpoint definitions, watermarks, logs, trees, and rows.
-
-        The logs hold only their unconsumed tails (refresh and DDL
-        drop the rest); the checkpoint carries per-group tree
-        checkpoints instead, so a restore replays only those tails.
-        The work is what changed since the last save, plus one join
-        and one sequential write: rows new since then are encoded
-        (:func:`_row_texts`), trees are re-walked over the spans they
-        were written in (:meth:`DynamicView._segment_texts`), and the
-        rest is the text the last save produced; the bytes are those
-        of ``json.dumps`` over the whole catalog.  The write is atomic
-        (temp file + fsync + rename) and the previous checkpoint is
-        retained as ``dynamic.json.prev`` before the rename, so a crash
-        at *any* point of the sequence leaves a restorable checkpoint
-        behind.  With ``faults`` the
-        labeled crash points in :data:`CATALOG_CRASH_POINTS` and the
-        ``"view_ckpt"`` write/fsync label are consulted.
-        """
-        with self._lock:
-            path = self._checkpoint_path()
-            out: List[str] = []
-            _write_json({
-                "version": 2,
-                "order": self._order,
-                "tables": {
-                    name: {"log": node.log.to_json(), "rows": _row_texts(node)}
-                    for name, node in self._tables.items()
-                },
-                "views": {
-                    name: _view_entry(view) for name, view in self._views.items()
-                },
-            }, out)
-            data = "".join(out).encode("utf-8")
-            faults = self.faults
-            if faults is not None:
-                faults.crash_point("view_ckpt:serialized")
-            tmp = path + ".tmp"
-            handle = open(tmp, "wb")
-            try:
-                torn_exc = None
-                out = data
-                if faults is not None:
-                    out, torn_exc = faults.intercept_write(
-                        CATALOG_WRITE_LABEL, data
-                    )
-                handle.write(out)
-                handle.flush()
-                if torn_exc is not None:
-                    # Torn-write protocol: the prefix reaches the file,
-                    # then the simulated crash fires.
-                    os.fsync(handle.fileno())
-                    raise torn_exc
-                if faults is not None:
-                    faults.intercept_fsync(CATALOG_WRITE_LABEL)
-                os.fsync(handle.fileno())
-            finally:
-                handle.close()
-            if faults is not None:
-                faults.crash_point("view_ckpt:before_rename")
-            if os.path.exists(path):
-                # Retain the last-good checkpoint via a hardlink swap:
-                # the main file is never missing, and .prev is complete
-                # before the main rename can clobber anything.
-                prev_tmp = path + ".prev.tmp"
-                try:
-                    os.remove(prev_tmp)
-                except FileNotFoundError:
-                    pass
-                os.link(path, prev_tmp)
-                os.replace(prev_tmp, path + ".prev")
-            os.replace(tmp, path)
-            if faults is not None:
-                faults.crash_point("view_ckpt:after_rename")
-            self._fsync_directory()
-            return path
-
-    def _fsync_directory(self) -> None:
-        try:
-            fd = os.open(self.directory, os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform-dependent
-            return
-        try:
-            os.fsync(fd)
-        except OSError:  # pragma: no cover - platform-dependent
-            pass
-        finally:
-            os.close(fd)
-
-    def _restored(
-        self, path: str
-    ) -> Tuple[Dict[str, _BaseNode], Dict[str, DynamicView], List[str]]:
-        """The tables, views and order of the checkpoint at *path*, built
-        beside the live ones.  Any version but 2 is refused."""
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if not isinstance(payload, dict):
-            raise ValueError("checkpoint must be a JSON object")
-        version = payload.get("version")
-        if version != 2:
-            raise CatalogCheckpointError(
-                f"unsupported catalog checkpoint version {version!r} in {path}"
-            )
-        built: Dict[str, Any] = {}
-        tables: Dict[str, _BaseNode] = {}
-        views: Dict[str, DynamicView] = {}
-        raw_tables = payload.get("tables", {})
-        raw_views = payload.get("views", {})
-        if not isinstance(raw_tables, dict) or not isinstance(raw_views, dict):
-            raise ValueError("checkpoint tables and views must be JSON objects")
-        # A checkpoint in the older form holds rows for every view;
-        # those of a view nothing consumes would go stale at its next
-        # refresh, so they are not restored.
-        consumed = {src for raw in raw_views.values() for src in raw["sources"]}
-        for name in payload.get("order", ()):
-            if name in raw_tables:
-                raw = raw_tables[name]
-                relation = TemporalRelation(name)
-                _restore_relation(relation, raw["rows"])
-                node = _BaseNode.__new__(_BaseNode)
-                node.name = name
-                node.relation = relation
-                node.row_texts = {}
-                node.log = ChangeLog.from_json(raw["log"])
-                node._tap = _LogTap(node.log, self.clock)
-                relation.subscribe(node._tap, replay=False)
-                built[name] = tables[name] = node
-            elif name in raw_views:
-                raw = raw_views[name]
-                for src in raw["sources"]:
-                    if src not in built:
-                        raise ValueError(
-                            f"view {name!r} consumes {src!r}, which the "
-                            "checkpoint does not hold before it"
-                        )
-                view = DynamicView(
-                    name, list(raw["sources"]), raw["kind"],
-                    key=raw.get("key"), lag=parse_lag(raw["lag"]),
-                    window=parse_window(raw.get("window", 0)),
-                    clock=self.clock, **self._tree_args,
-                )
-                # Output rows and the emitted log restore verbatim
-                # (re-inserting them would re-emit downstream).
-                view.relation.unsubscribe(view._tap)
-                self._restore_rows(view, raw["rows"] if name in consumed else [])
-                view.log = ChangeLog.from_json(raw["log"])
-                view._tap = _LogTap(view.log, self.clock)
-                view.relation.subscribe(view._tap, replay=False)
-                view.watermarks = {
-                    src: int(seq) for src, seq in raw.get("watermarks", {}).items()
-                }
-                for src in view.sources:
-                    view.watermarks.setdefault(src, 0)
-                view.refreshes = int(raw.get("refreshes", 0))
-                view.events_consumed = int(raw.get("events_consumed", 0))
-                view.quarantined = bool(raw.get("quarantined", False))
-                last_error = raw.get("last_error")
-                view.last_error = str(last_error) if last_error is not None else None
-                self._restore_trees(view, raw["trees"])
-                self._restore_trees(view, raw.get("ended", ()), part=1)
-                built[name] = views[name] = view
-        return tables, views, list(built)
+        """Checkpoint to ``<directory>/dynamic.json``; see :func:`checkpoint.save`."""
+        return checkpoint.save(self)
 
     def load(self) -> None:
-        """Restore a checkpoint: logs, rows, and trees; tail replayable.
-
-        Rows come back only for a view some view consumes (see
-        "Output-row semantics" in the module docstring).  Each view's
-        per-group trees come back from their saved step functions, so a
-        reopened catalog resumes incremental refresh from the persisted
-        watermarks instead of rebuilding from scratch.
-
-        The restored catalog is built before it replaces the live one.
-        A checkpoint that does not parse or does not hold together (a
-        view over a source it lacks, a field it lacks: ``ValueError`` or
-        ``KeyError``) is corrupt: under ``strict`` that
-        raises :class:`CatalogCheckpointError`; otherwise ``.prev``
-        (retained by :meth:`save`) restores instead, and only when
-        *neither* does the error propagate.  A leftover ``.tmp`` file is
-        never adopted -- it may be torn.  Any other error raised while
-        restoring is a fault of the code, not of the file, and propagates.
-        """
-        corrupt = (OSError, ValueError, KeyError)
-        with self._lock:
-            path = self._checkpoint_path()
-            try:
-                restored = self._restored(path)
-            except corrupt as main_error:
-                if self.strict:
-                    raise CatalogCheckpointError(
-                        f"corrupt or unreadable catalog checkpoint {path}: "
-                        f"{main_error}"
-                    ) from main_error
-                try:
-                    restored = self._restored(path + ".prev")
-                except corrupt as prev_error:
-                    raise CatalogCheckpointError(
-                        f"catalog checkpoint {path} is corrupt or unreadable "
-                        f"({main_error}) and no previous checkpoint could be "
-                        f"restored ({prev_error})"
-                    ) from main_error
-                obs.count("views.ckpt.fallbacks")
-            # A crash mid-save can leave temp files behind; they are
-            # superseded by whichever checkpoint just restored.
-            for leftover in (path + ".tmp", path + ".prev.tmp"):
-                try:
-                    os.remove(leftover)
-                except OSError:
-                    pass
-            self._tables, self._views, self._order = restored
-            self._recount_readers()
-
-    def _restore_rows(self, view: DynamicView, rows: List[List[Any]]) -> None:
-        _restore_relation(view.relation, rows)
-        grouped: Dict[Hashable, List[TemporalTuple]] = {}
-        for row in view.relation:
-            grouped.setdefault(view._key_of(row.payload), []).append(row)
-        for key, members in grouped.items():
-            view._tree(key)  # ensure the per-group row index exists
-            members.sort(key=lambda row: row.valid.start)
-            view._index[key] = ([row.valid.start for row in members], members)
-
-    def _restore_trees(
-        self, view: DynamicView, raw_trees: Sequence[List[Any]], part: int = 0
-    ) -> None:
-        """Rebuild a restored view's trees (part 1: the ``T'`` of its
-        dual pairs) from saved step functions.
-
-        Each segment's internal value re-applies as a raw effect over
-        its interval, one batch per tree; AVG pairs come back from JSON
-        as lists and are restored to tuples so the value algebra sees
-        its own types.  An MSB-tree needs nothing else: its extremum
-        over a window ``[t - w, t]`` is that of the step function over
-        the window, which its annotations are rebuilt from.
-        """
-        for key, segments in raw_trees:
-            _trees_of(view._tree(key))[part].insert_effects(
-                (
-                    tuple(value) if isinstance(value, list) else value,
-                    Interval(start, end),
-                )
-                for value, start, end in segments
-            )
-            view._seed_segments((part, key), segments)
+        """Restore from ``<directory>/dynamic.json``; see :func:`checkpoint.load`."""
+        checkpoint.load(self)
 
     def close(self) -> None:
         """Checkpoint (when persistent) and detach every node."""

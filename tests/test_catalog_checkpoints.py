@@ -12,8 +12,8 @@ quarantined, ``drop_view``, a view created over a compacted source, a
 reopen, and a leaf view that gains a consumer and loses it again.
 ``tests/test_view_refresh_differential.py`` checks that every checkpoint
 restores to the live catalog.  The pin is the hash of a run whose every
-save first cleared the caches (each node's ``row_texts``, each view's
-``_segments``, every group marked dirty over the whole line).
+save first cleared the caches (each node's ``saved.rows``, each view's
+``saved.segments``, every group marked dirty over the whole line).
 
 A checkpoint in the older form, with rows for every view, still loads:
 ``data/dynamic_rows_for_every_view.json`` holds rows for its two leaf
@@ -156,7 +156,7 @@ def test_an_older_checkpoint_drops_rows_nothing_consumes(tmp_path):
     views = cat.stats()["views"]
     assert [views[name]["rows"] for name in ("by_k", "total", "width")] == [
         len(old["by_k"]["rows"]), 0, 0]
-    assert cat.view("total").row_texts == cat.view("width").row_texts == {}
+    assert cat.view("total").saved.rows == cat.view("width").saved.rows == {}
     assert all(index == ([], []) for index in cat.view("total")._index.values())
     # Consumers over the leaves answer like the oracle over ``t``.
     cat.create_view("over_total", "total", "sum")
@@ -178,4 +178,4 @@ def test_an_older_checkpoint_drops_rows_nothing_consumes(tmp_path):
     cat = DynamicCatalog(str(tmp_path), branching=4, leaf_capacity=4)
     cat.drop_view("over_width")
     assert cat.stats()["views"]["width"]["rows"] == 0
-    assert cat.view("width").row_texts == {}
+    assert cat.view("width").saved.rows == {}

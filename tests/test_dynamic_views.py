@@ -73,6 +73,9 @@ class TestDagStructure:
         cat.create_view("v", "t", "sum")
         with pytest.raises(ValueError):
             cat.create_view("m", ["new_src", "v"], "min", create_sources=True)
+        for over, key in ((["new_src"], 5), (["new_src", 5], None)):
+            with pytest.raises(ValueError, match="names must be strs"):
+                cat.create_view("n", over, "sum", key=key, create_sources=True)
         cat.insert("t", 1, (0, 5), k=[1])  # a list is no group key
         cat.refresh()  # ``t``'s log is compacted: a new view bootstraps
         with pytest.raises(ValueError):  # and the bootstrap raises

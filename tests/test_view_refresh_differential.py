@@ -58,7 +58,7 @@ import pytest
 from repro import Interval, NEG_INF, POS_INF, SBTree
 from repro.core.values import spec_for
 from repro.oracle import CatalogModel, step_function
-from repro.warehouse import dynamic
+from repro.warehouse import checkpoint, dynamic
 from repro.warehouse.dynamic import ANY_WINDOW, DynamicCatalog, DynamicView
 
 KINDS = ["sum", "count", "avg", "min", "max"]
@@ -412,13 +412,13 @@ class TestTheDifferentialCanFail:
             run_windowed(tmp_path, "max", 5, False)
 
     def test_red_when_t_prime_is_not_checkpointed(self, tmp_path, monkeypatch):
-        entry = dynamic._view_entry
+        entry = checkpoint._view_entry
 
         def without_ended(view):
             saved = entry(view)
             saved.pop("ended", None)
             return saved
 
-        monkeypatch.setattr(dynamic, "_view_entry", without_ended)
+        monkeypatch.setattr(checkpoint, "_view_entry", without_ended)
         with pytest.raises(AssertionError, match="restored"):
             run_windowed(tmp_path, "avg", ANY_WINDOW, False)

@@ -27,11 +27,9 @@ from repro.oracle import CatalogModel
 from repro.service.client import ServiceClient
 from repro.service.server import ServerHandle
 from repro.storage import fsck_dynamic
-from repro.warehouse.dynamic import (
-    CHECKPOINT_NAME,
-    CatalogCheckpointError,
-    DynamicCatalog,
-)
+from repro.warehouse import checkpoint
+from repro.warehouse.checkpoint import CHECKPOINT_NAME
+from repro.warehouse.dynamic import CatalogCheckpointError, DynamicCatalog
 
 
 def _facts(catalog, table="t"):
@@ -199,6 +197,80 @@ def _dangle(path):
         json.dump(payload, handle)
 
 
+def _opened(directory, **options):
+    """The catalog a load of *directory* gives, or None when it refuses."""
+    try:
+        return DynamicCatalog(directory, **options)
+    except CatalogCheckpointError:
+        return None
+
+
+#: Single-field edits of the checkpoint :func:`_seed_two_checkpoints`
+#: saves last, each with the one error ``fsck`` reports for it.
+EDITS = {
+    "watermark-ahead": "watermark-ahead",
+    "watermark-compacted": "watermark-compacted",
+    "split-segment": "bad-tree-checkpoint",
+    "overlapping-segment": "bad-tree-checkpoint",
+    "duplicate-tuple-id": "bad-rows",
+    "empty-row": "bad-rows",
+    "log-density": "log-density",
+    "dangling-order": "dangling-order",
+    "duplicate-node": "duplicate-node",
+    "dangling-source": "dangling-source",
+    "bogus-window": "bad-view",
+    "bogus-lag": "bad-view",
+    "missing-trees": "bad-tree-checkpoint",
+    "missing-sources": "bad-view",
+}
+
+
+def _edit(path, edit):
+    """Apply one of :data:`EDITS` to the checkpoint at *path*; or, for
+    ``prev-without-a-log``, tear it and drop a table's log from its
+    ``.prev``, which still parses."""
+    if edit == "prev-without-a-log":
+        data = open(path, "rb").read()
+        with open(path, "wb") as handle:
+            handle.write(data[: len(data) // 2])
+        path += ".prev"
+    payload = json.load(open(path))
+    table, view = payload["tables"]["t"], payload["views"]["v"]
+    [[_, segments]] = view["trees"]
+    if edit == "watermark-ahead":
+        view["watermarks"]["t"] = table["log"]["head"] + 1
+    elif edit == "watermark-compacted":
+        view["watermarks"]["t"] = table["log"]["base"] - 1
+    elif edit == "split-segment":
+        segments[1:2] = [[5, 10, 30], [5, 30, 50]]
+    elif edit == "overlapping-segment":
+        segments[1:2] = [[5, 10, 52]]
+    elif edit == "duplicate-tuple-id":
+        table["rows"][1][0] = table["rows"][0][0]
+    elif edit == "empty-row":
+        table["rows"][0][3] = table["rows"][0][2]
+    elif edit == "log-density":
+        table["log"]["head"] += 1
+    elif edit == "dangling-order":
+        payload["order"].append("gone")
+    elif edit == "duplicate-node":
+        payload["tables"]["v"] = table
+    elif edit == "dangling-source":
+        view["sources"] = ["gone"]
+    elif edit == "bogus-window":
+        view["window"] = -1
+    elif edit == "bogus-lag":
+        view["lag"] = "soon"
+    elif edit == "missing-trees":
+        del view["trees"]
+    elif edit == "missing-sources":
+        del view["sources"]
+    else:
+        del table["log"]
+    with open(path, "w") as handle:
+        json.dump(payload, handle)
+
+
 class TestCheckpointCorruption:
     def test_truncated_checkpoint_falls_back_to_prev(self, tmp_path):
         directory = str(tmp_path / "cat")
@@ -267,9 +339,21 @@ class TestCheckpointCorruption:
         # while restoring a sound checkpoint surfaces.
         _seed_two_checkpoints(str(tmp_path / "cat"))
         bug = mock.Mock(side_effect=TypeError("restore bug"))
-        monkeypatch.setattr(DynamicCatalog, "_restore_trees", bug)
+        monkeypatch.setattr(checkpoint, "_restore_trees", bug)
         with pytest.raises(TypeError, match="restore bug"):
             DynamicCatalog(str(tmp_path / "cat"))
+
+    @pytest.mark.parametrize("value", ["2", [2, 1], None])
+    def test_a_non_number_in_a_sum_tree_checkpoint_is_a_corrupt_file(self, tmp_path, value):
+        directory = str(tmp_path / "cat")
+        first, _ = _seed_two_checkpoints(directory)
+        path = os.path.join(directory, CHECKPOINT_NAME)
+        payload = json.load(open(path))
+        payload["views"]["v"]["trees"][0][1][0][0] = value
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        assert [f.code for f in fsck_dynamic(path).errors()] == ["bad-tree-checkpoint"]
+        assert _facts(DynamicCatalog(directory)) == first
 
     def test_unknown_version_is_refused_not_guessed_at(self, tmp_path):
         directory = str(tmp_path / "cat")
@@ -651,6 +735,23 @@ class TestFsckDynamic:
         report = fsck_dynamic(path)
         assert not report.ok
         assert [f.code for f in report.errors()] == ["bad-rows"]
+
+    @pytest.mark.parametrize("edit", [*EDITS, "prev-without-a-log"])
+    def test_fsck_reports_exactly_what_a_load_refuses(self, tmp_path, edit):
+        """One verdict: fsck is clean iff a strict load takes the file,
+        and says ``.prev`` restores iff a non-strict load restores it."""
+        directory = str(tmp_path / "cat")
+        first, _ = _seed_two_checkpoints(directory)
+        path = os.path.join(directory, CHECKPOINT_NAME)
+        _edit(path, edit)
+        report = fsck_dynamic(path)
+        assert report.ok == (_opened(directory, strict=True) is not None)
+        fallback = _opened(directory)
+        if edit in EDITS:
+            assert [f.code for f in report.errors()] == [EDITS[edit]]
+            assert _facts(fallback) == first
+        else:
+            assert report.has("prev-restorable") == (fallback is not None)
 
     def test_leftover_temp_is_a_warning_not_an_error(self, tmp_path):
         directory = str(tmp_path / "cat")
